@@ -4,30 +4,23 @@
 // Usage:
 //
 //	hopper-sim -list
-//	hopper-sim -experiment fig6 [-scale 1] [-seeds 3] [-workers N] [-shards N] [-shard-parallel] [-v]
+//	hopper-sim -experiment fig6 [-scale 1] [-seeds 3] [-workers N] [-v]
 //	hopper-sim -all
 //	hopper-sim -scenario churn
-//	hopper-sim -shard-check 2
-//	hopper-sim -shard-parallel-check 4
 //	hopper-sim -bench-scale full -bench-out BENCH_PR6.json
 //	hopper-sim -bench-scale smoke -bench-out new.json -bench-check BENCH_PR6.json
 //	hopper-sim -bench-scale full -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Each experiment prints the rows the corresponding paper figure reports;
-// EXPERIMENTS.md records expected shapes and paper-vs-measured values.
-// Simulation cells run on a worker pool (-workers, default GOMAXPROCS);
-// output is byte-identical whatever the parallelism — see DESIGN.md for
-// the determinism contract. -shard-parallel additionally drains each
-// cell's shards concurrently (decentralized cells only): deterministic
-// for a fixed (seed, shards) at any goroutine budget, but a different
-// event schedule than the serial engine — -shard-parallel-check is the
-// standalone gate for that contract. -bench-scale replays the canonical
-// scenario matrix (smoke = 1k machines for CI; full adds the 10k tier,
-// the 100k-machine decentralized tier as a serial/4-shard/parallel
-// triple, and the 1M-machine sharded+parallel tier) under the
-// optimized and
-// frozen-reference dispatch implementations and reports ns per
-// scheduling decision, allocs per decision, and events/sec;
+// DESIGN.md section 3 indexes them. Every simulation runs on the one
+// serial event engine; cells run side by side on a worker pool
+// (-workers, default GOMAXPROCS) and output is byte-identical whatever
+// the parallelism — see DESIGN.md section 4 for the determinism
+// contract. -bench-scale replays the canonical scenario matrix (smoke =
+// 1k machines for CI; full adds the 10k tier, the heterogeneous 10k
+// tier, and the 100k- and 1M-machine decentralized tiers) under the
+// optimized and frozen-reference dispatch implementations and reports
+// ns per scheduling decision, allocs per decision, and events/sec;
 // -bench-check fails (exit 1) on a >20% ns/decision regression relative
 // to the ratios in the given baseline report, and -bench-summary
 // appends the comparison as a markdown table (CI publishes it as the
@@ -65,10 +58,6 @@ func run() int {
 		scale        = flag.Float64("scale", 1, "job-count scale factor")
 		seeds        = flag.Int("seeds", 3, "independent replays per data point")
 		workers      = flag.Int("workers", 0, "max concurrent simulation cells (0 = GOMAXPROCS, 1 = serial)")
-		shards       = flag.Int("shards", 0, "engine shard count per simulation cell (0 = serial engine; results are identical either way). With -shard-parallel, 0 means GOMAXPROCS shards")
-		shardPar     = flag.Bool("shard-parallel", false, "drain shards concurrently within epoch windows (decentralized cells only; deterministic per (seed, shards) but a different schedule than serial — see DESIGN.md)")
-		shardCheck   = flag.Int("shard-check", 0, "verify the N-shard engine is byte-identical to serial on the smoke scenario, then exit")
-		shardParCk   = flag.Int("shard-parallel-check", 0, "verify the N-shard parallel engine is stable across goroutine budgets and identical to its serial replay, then exit")
 		verbose      = flag.Bool("v", false, "log per-run progress")
 		benchScale   = flag.String("bench-scale", "", "run the scale benchmark suite: \"full\" (1k+10k+100k machines) or \"smoke\" (1k)")
 		benchOut     = flag.String("bench-out", "", "write the scale benchmark report to this JSON file (requires -bench-scale)")
@@ -124,30 +113,6 @@ func run() int {
 		return 0
 	}
 
-	if *shardCheck != 0 {
-		if *shardCheck < 2 {
-			fmt.Fprintln(os.Stderr, "-shard-check needs at least 2 shards")
-			return 2
-		}
-		if err := experiments.RunShardCheck(*shardCheck, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "shard-check FAILED:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *shardParCk != 0 {
-		if *shardParCk < 2 {
-			fmt.Fprintln(os.Stderr, "-shard-parallel-check needs at least 2 shards")
-			return 2
-		}
-		if err := experiments.RunShardParallelCheck(*shardParCk, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "shard-parallel-check FAILED:", err)
-			return 1
-		}
-		return 0
-	}
-
 	if *benchScale == "" && (*benchOut != "" || *benchCheck != "" || *benchSummary != "") {
 		fmt.Fprintln(os.Stderr, "-bench-out/-bench-check/-bench-summary require -bench-scale")
 		return 2
@@ -172,17 +137,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "-workers must be >= 0 (0 = GOMAXPROCS, 1 = serial)")
 		return 2
 	}
-	if *shards < 0 {
-		fmt.Fprintln(os.Stderr, "-shards must be >= 0 (0 = serial engine)")
-		return 2
-	}
 
-	h := experiments.Harness{Scale: *scale, Seeds: *seeds, Workers: *workers,
-		Shards: *shards, ShardParallel: *shardPar}
-	if *shardPar && h.Shards == 0 {
-		// Parallel draining needs shards to drain; default to one per core.
-		h.Shards = runtime.GOMAXPROCS(0)
-	}
+	h := experiments.Harness{Scale: *scale, Seeds: *seeds, Workers: *workers}
 	if *verbose {
 		h.Log = os.Stderr
 	}

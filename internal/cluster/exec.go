@@ -163,12 +163,6 @@ func NewExecutor(eng *simulator.Engine, ms *Machines, model ExecModel) *Executor
 	return x
 }
 
-// DurSeed exposes the service-time seed so parallel shard adapters can
-// draw a copy's duration on the worker's shard via CopyServiceRNG without
-// touching the executor (which is scheduler-shard state mid-run). The
-// seed is drawn once at construction and never changes.
-func (x *Executor) DurSeed() int64 { return x.durSeed }
-
 // copyRNG returns a deterministic source for one copy's service time,
 // keyed by (job, phase, task, attempt) rather than by placement order.
 // Two replays of the same trace under different schedulers then share

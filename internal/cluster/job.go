@@ -52,13 +52,6 @@ type Copy struct {
 	// Won is set on the copy that completed the task.
 	Won bool
 
-	// Attempt is the task-scoped placement ordinal (Task.Attempts at
-	// hand-out). In parallel shard execution it is the correlation key
-	// between the scheduler shard's Copy record and the worker shard's
-	// execution record: machine and finish messages carry it instead of a
-	// pointer, since the two shards build their records independently.
-	Attempt int
-
 	// Speed is the service-rate factor of the machine this copy runs on,
 	// stamped at placement by whichever adapter owns the machine record.
 	// Duration/Remaining/Elapsed are wall-clock; multiplying them by
@@ -137,14 +130,6 @@ type Task struct {
 	State  TaskState
 	Copies []*Copy
 	DoneAt simulator.Time
-
-	// Attempts counts placements ever handed out for this task, including
-	// ones that failed before starting. Scheduler-owned (same single-owner
-	// contract as SchedPos below); it seeds per-copy service RNGs and
-	// stamps Copy.Attempt so parallel shards can correlate copies without
-	// sharing pointers. Serial adapters may leave it zero and use
-	// len(t.Copies) directly.
-	Attempts int
 
 	// SchedPos is scheduler-owned scratch: the task's slot in the running
 	// set of whichever scheduler tracks it (a task belongs to exactly one

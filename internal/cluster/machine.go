@@ -89,11 +89,8 @@ type Machines struct {
 	totalSlots int
 	classFree  []int
 
-	// sampleSeen/sampleEpoch implement the allocation-free Floyd sampler
-	// in RandomSubset: sampleSeen[v] == sampleEpoch marks v as drawn in
-	// the current call, replacing a per-call map.
-	sampleSeen  []int64
-	sampleEpoch int64
+	// sampler backs RandomSubset.
+	sampler SubsetSampler
 }
 
 // NewMachines builds n machines with slotsPer slots each, all free —
@@ -127,12 +124,12 @@ func NewMachinesClassed(classes []MachineClass) *Machines {
 		panic("cluster: empty machine class table")
 	}
 	ms := &Machines{
-		All:        make([]*Machine, n),
-		Classes:    append([]MachineClass(nil), classes...),
-		free:       make([]MachineID, n),
-		pos:        make([]int, n),
-		classFree:  make([]int, len(classes)),
-		sampleSeen: make([]int64, n),
+		All:       make([]*Machine, n),
+		Classes:   append([]MachineClass(nil), classes...),
+		free:      make([]MachineID, n),
+		pos:       make([]int, n),
+		classFree: make([]int, len(classes)),
+		sampler:   SubsetSampler{n: n, seen: make([]int64, n)},
 	}
 	i := 0
 	for ci, c := range classes {
@@ -205,29 +202,6 @@ func (ms *Machines) Release(id MachineID) {
 	m.Free++
 	ms.freeSlots++
 	ms.classFree[m.Class]++
-}
-
-// AcquireLocal takes one slot on this machine without maintaining the
-// cluster-wide free index or slot counters. It is the slot primitive for
-// parallel shard execution, where a machine's slots are owned by exactly
-// one shard and the global index (free list, FreeSlots) is not readable
-// mid-run — decentralized placement only ever consults the machine's own
-// Free count, so the index staleness is unobservable there. The same
-// capacity panic as Acquire applies.
-func (m *Machine) AcquireLocal() {
-	if m.Free <= 0 {
-		panic(fmt.Sprintf("cluster: acquiring slot on full machine %d", m.ID))
-	}
-	m.Free--
-}
-
-// ReleaseLocal returns one slot taken with AcquireLocal. It panics on
-// over-release, like Release.
-func (m *Machine) ReleaseLocal() {
-	if m.Free >= m.Slots {
-		panic(fmt.Sprintf("cluster: releasing slot on idle machine %d", m.ID))
-	}
-	m.Free++
 }
 
 func (ms *Machines) removeFree(id MachineID) {
@@ -320,39 +294,18 @@ func (ms *Machines) PickForTask(rng *rand.Rand, t *Task, scratch []MachineID) (M
 // from the whole cluster (free or busy) — the probe fan-out primitive in
 // decentralized mode. If k >= len(All), every machine is returned. The
 // returned slice aliases dst's backing array.
-//
-// Sampling is Floyd's algorithm with an epoch-stamped duplicate marker
-// instead of a per-call map, so a probe wave allocates nothing. The RNG
-// draw sequence is identical to the map-based version.
 func (ms *Machines) RandomSubset(rng *rand.Rand, k int, dst []MachineID) []MachineID {
-	n := len(ms.All)
-	if k >= n {
-		dst = dst[:0]
-		for i := 0; i < n; i++ {
-			dst = append(dst, MachineID(i))
-		}
-		return dst
-	}
-	dst = dst[:0]
-	ms.sampleEpoch++
-	epoch := ms.sampleEpoch
-	// Floyd's algorithm: k distinct samples in O(k).
-	for j := n - k; j < n; j++ {
-		v := rng.Intn(j + 1)
-		if ms.sampleSeen[v] == epoch {
-			v = j
-		}
-		ms.sampleSeen[v] = epoch
-		dst = append(dst, MachineID(v))
-	}
-	return dst
+	return ms.sampler.RandomSubset(rng, k, dst)
 }
 
-// SubsetSampler is a goroutine-confined RandomSubset: the same Floyd
-// sampler with the same RNG draw sequence, but with its own duplicate-
-// marker scratch instead of the shared one inside Machines. Parallel
-// shards each own one, so concurrent probe waves never race on
-// sampleSeen/sampleEpoch.
+// SubsetSampler draws uniform random machine subsets over a fixed machine
+// count. Machines owns one (Machines.RandomSubset); NewSubsetSampler
+// hands out further ones with private scratch.
+//
+// Sampling is Floyd's algorithm with an epoch-stamped duplicate marker
+// instead of a per-call map, so a probe wave allocates nothing:
+// seen[v] == epoch marks v as drawn in the current call. The RNG draw
+// sequence is identical to the map-based version.
 type SubsetSampler struct {
 	n     int
 	seen  []int64
@@ -365,19 +318,19 @@ func (ms *Machines) NewSubsetSampler() *SubsetSampler {
 	return &SubsetSampler{n: len(ms.All), seen: make([]int64, len(ms.All))}
 }
 
-// RandomSubset fills dst with k distinct machine IDs, exactly like
-// Machines.RandomSubset — identical draws from the same rng state.
+// RandomSubset fills dst with k distinct IDs out of n; see
+// Machines.RandomSubset.
 func (s *SubsetSampler) RandomSubset(rng *rand.Rand, k int, dst []MachineID) []MachineID {
 	n := s.n
+	dst = dst[:0]
 	if k >= n {
-		dst = dst[:0]
 		for i := 0; i < n; i++ {
 			dst = append(dst, MachineID(i))
 		}
 		return dst
 	}
-	dst = dst[:0]
 	s.epoch++
+	// Floyd's algorithm: k distinct samples in O(k).
 	for j := n - k; j < n; j++ {
 		v := rng.Intn(j + 1)
 		if s.seen[v] == s.epoch {

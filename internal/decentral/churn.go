@@ -59,15 +59,16 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 }
 
 // EnableChurn arms the churn process on a freshly built system. Call
-// before the engine runs, once; serial engines only (the churn ticks
-// touch workers and schedulers across the whole cluster, which the
-// sharded engine's locality contract does not allow).
+// before the engine runs, once.
 func (s *System) EnableChurn(cfg ChurnConfig) {
 	if cfg.LeaveEvery <= 0 {
 		return
 	}
-	if s.Eng.ShardCount() > 0 {
-		panic("decentral: churn requires the serial engine")
+	// A leave kills copies outside task completion, which the victim
+	// index's eligibility shortcut assumes never happens
+	// (speculation/victimindex.go): churned runs search by scan.
+	for _, sc := range s.scheds {
+		sc.core.DisableVictimIndex()
 	}
 	s.churn = cfg.withDefaults()
 	s.churnRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))

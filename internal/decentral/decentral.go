@@ -113,8 +113,7 @@ type Config struct {
 	// clusters need it for liveness: a demand-carrying task whose
 	// probes all landed on workers it does not fit would otherwise
 	// strand — the refresh re-rolls its reservations until one reaches
-	// a machine with enough per-slot capacity. Serial engines only,
-	// like churn (the tick spans every scheduler).
+	// a machine with enough per-slot capacity.
 	ReprobeInterval float64
 }
 
@@ -172,15 +171,6 @@ type System struct {
 
 	scheds  []*sched
 	workers []*worker
-
-	// shards holds the per-shard state of a parallel run (parallel.go);
-	// empty on serial and serial-merge engines. When non-empty, byJob and
-	// the message pool below are unused — each pshard owns its slice of
-	// them — and the counter fields are merged from the shards by
-	// finalize once the run drains.
-	shards    []*pshard
-	finalized bool
-	durSeed   int64 // Exec's service-time seed, read once at build
 
 	byJob map[cluster.JobID]*sched
 	done  []*cluster.Job
@@ -258,13 +248,6 @@ type System struct {
 	// order — the assignment log the sim-vs-live parity test compares.
 	// Observation only: it must not mutate cluster state.
 	OnPlace func(t *cluster.Task, m cluster.MachineID, spec bool)
-
-	// OnPlacePar is OnPlace for parallel engines: placements stream in
-	// per-shard order, so the observer receives the worker's home shard
-	// and must keep per-shard logs (a global interleaving would be
-	// schedule-dependent). Called from shard goroutines — the observer
-	// must be shard-confined or synchronized.
-	OnPlacePar func(shard int, t *cluster.Task, m cluster.MachineID, spec bool)
 }
 
 // msgKind discriminates pooled message events.
@@ -288,14 +271,6 @@ const (
 	// with the reply in flight. Rolls back occupancy and requeues the
 	// task if it has no other live copy. Churn runs only.
 	mLostAssign
-
-	// Execution-plane kinds, parallel engines only (parallel.go): the
-	// worker shard reports copy starts and finishes to the task's
-	// scheduler shard, which replies with kills for race losers and
-	// rejected placements.
-	mPlaced   // worker -> scheduler: copy started (start, dur, machine)
-	mFinished // worker -> scheduler: copy reached its service time
-	mKill     // scheduler -> worker: terminate a running copy
 )
 
 // message is one pooled simulated protocol message. The same object
@@ -321,23 +296,9 @@ type message struct {
 	probes []protocol.Probe // batch payload (mProbeBatch)
 
 	// free piggybacks the sending worker's free-slot count on offers,
-	// stamped at send time under the slot owner's accounting (worker
-	// shard on parallel engines). Feeds the scheduler's probe policy;
-	// random policies ignore it.
+	// stamped at send time. Feeds the scheduler's probe policy; random
+	// policies ignore it.
 	free int
-
-	// Execution-plane payload (parallel engines; see parallel.go). The
-	// (task, attempt) pair is the cross-shard copy correlation key.
-	ps      *pshard // shard responsible for the message at delivery
-	task    *cluster.Task
-	attempt int
-	start   float64 // mPlaced: copy start time
-	dur     float64 // mPlaced: drawn service time
-	fin     float64 // mFinished: completion instant
-	mach    cluster.MachineID
-	spec    bool
-	local   bool
-	queued  bool // mOffer: already passed the scheduler's busyUntil queue
 }
 
 // getMsg pops a recycled message (or allocates the pool's next one).
@@ -359,8 +320,6 @@ func (s *System) putMsg(m *message) {
 	m.entry = protocol.EntryRef{}
 	m.rep = protocol.Reply{}
 	m.probes = m.probes[:0]
-	m.task = nil
-	m.ps = nil
 	m.next = s.freeMsg
 	s.freeMsg = m
 }
@@ -402,11 +361,10 @@ func (s *System) dispatch(m *message) {
 		} else {
 			m.rep = sc.core.HandleOffer(m.job, m.worker.id, m.refusable)
 		}
-		// The reply rides the same message object back to the worker,
-		// routed to the worker's home shard.
+		// The reply rides the same message object back to the worker.
 		m.kind = mReply
 		s.Messages++
-		s.Eng.PostArgShard(m.worker.shard, s.Eng.Now()+s.Cfg.MsgLatency, dispatchMessage, m)
+		s.Eng.PostArg(s.Eng.Now()+s.Cfg.MsgLatency, dispatchMessage, m)
 	case mReply:
 		w := m.worker
 		if w.down || m.wepoch != w.epoch {
@@ -463,43 +421,26 @@ func New(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *System {
 		Exec:  exec,
 		byJob: make(map[cluster.JobID]*sched),
 	}
-	nShards := eng.ShardCount()
-	if nShards > 0 {
-		// Every protocol message carries at least one one-way latency, so
-		// MsgLatency is the engine's natural lookahead (see shard.go).
-		eng.SetLookahead(cfg.MsgLatency)
-	}
-	if cfg.ReprobeInterval > 0 {
-		if nShards > 0 {
-			panic("decentral: ReprobeInterval requires the serial engine")
-		}
-		s.reprobeEvery = cfg.ReprobeInterval
-	}
+	s.reprobeEvery = cfg.ReprobeInterval
 	pcfg := cfg.protocol()
-	if (cfg.Mode == ModeHopper || cfg.Mode == ModeLoadCache) && nShards > 0 &&
-		pcfg.Spec.EstimateNoise <= 0 && pcfg.Spec.MaxCopies == 2 {
-		// Sharded scale runs take the indexed victim search; it is
-		// exact-equivalent to the scan (speculation/victimindex.go), so
-		// serial and sharded runs still produce identical results — the
-		// golden differential test pins that.
-		pcfg.IndexedVictims = true
-	}
+	// The victim index answers Hopper's per-offer victim search in
+	// O(log n) where the scan is O(running tasks) — the difference between
+	// 130 s and 218 s at 100k machines (DESIGN.md §9). It is on whenever
+	// the config makes it exact-equivalent to the scan (the conditions are
+	// argued in speculation/victimindex.go); the two conditions a config
+	// cannot show, a non-unit machine speed and churn, downgrade the
+	// monitors to the scan at run time (heteroSeen, EnableChurn). Sparrow
+	// modes never search for victims per offer, so they have nothing to
+	// index.
+	pcfg.IndexedVictims = (cfg.Mode == ModeHopper || cfg.Mode == ModeLoadCache) &&
+		pcfg.Spec.MaxCopies == 2 && pcfg.Spec.EstimateNoise <= 0
 	s.pcfg = pcfg
-	if np := eng.ParallelShards(); np > 0 {
-		// Parallel engine: per-shard schedulers, workers, pools, and an
-		// execution plane replacing the shared Executor (parallel.go).
-		s.initParallel(np, pcfg)
-		return s
-	}
 	for i := 0; i < cfg.NumSchedulers; i++ {
-		sc := newSched(s, i, pcfg)
-		sc.shard = shardOf(i, cfg.NumSchedulers, nShards)
-		s.scheds = append(s.scheds, sc)
+		s.scheds = append(s.scheds, newSched(s, i, pcfg))
 	}
 	s.workers = make([]*worker, len(exec.Machines.All))
 	for i := range s.workers {
 		s.workers[i] = newWorker(s, cluster.MachineID(i), pcfg)
-		s.workers[i].shard = shardOf(i, len(s.workers), nShards)
 	}
 	exec.OnTaskDone = s.onTaskDone
 	exec.OnPhaseRunnable = s.onPhaseRunnable
@@ -511,20 +452,23 @@ func New(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *System {
 // Name identifies the system in reports.
 func (s *System) Name() string { return s.Cfg.Mode.String() }
 
-// Completed returns finished jobs in completion order. On a parallel
-// engine the first call (after the run drains) merges the shard-local
-// results; call it only once the engine has gone idle.
-func (s *System) Completed() []*cluster.Job {
-	s.finalize()
-	return s.done
+// Completed returns finished jobs in completion order.
+func (s *System) Completed() []*cluster.Job { return s.done }
+
+// IndexEnabled reports whether every scheduler answers its victim
+// searches from the index (see New for the gate) rather than the scan.
+func (s *System) IndexEnabled() bool {
+	for _, sc := range s.scheds {
+		if !sc.core.IndexEnabled() {
+			return false
+		}
+	}
+	return true
 }
 
 // Arrive admits a job, assigning it round-robin to a scheduler exactly as
 // the paper's frontends do.
 func (s *System) Arrive(j *cluster.Job) {
-	if len(s.shards) > 0 {
-		panic("decentral: parallel systems take arrivals via PostArrival before Run")
-	}
 	sc := s.scheds[s.next%len(s.scheds)]
 	s.next++
 	s.byJob[j.ID] = sc
@@ -575,5 +519,5 @@ func (s *System) toScheduler(sc *sched, m *message) {
 	}
 	handle += s.Cfg.ProcDelay
 	sc.busyUntil = handle
-	s.Eng.PostArgShard(sc.shard, handle, dispatchMessage, m)
+	s.Eng.PostArg(handle, dispatchMessage, m)
 }

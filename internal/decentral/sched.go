@@ -3,7 +3,6 @@ package decentral
 import (
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/protocol"
-	"github.com/hopper-sim/hopper/internal/simulator"
 )
 
 // sched is the simulator adapter around one protocol.Sched core: it owns
@@ -15,27 +14,14 @@ type sched struct {
 	id   int
 	core *protocol.Sched
 
-	// eng is the engine this scheduler schedules on: the System engine on
-	// serial and serial-merge engines, the home shard's sub-engine on a
-	// parallel one (whose parent queue is off-limits mid-run).
-	eng *simulator.Engine
-
-	// ps is the home shard's state on a parallel engine, nil otherwise.
-	ps *pshard
-
-	// shard is this scheduler's home engine shard (0 on serial engines);
-	// see shard.go.
-	shard int
-
-	// busyUntil serializes message processing (System.toScheduler on
-	// serial engines, the mOffer two-step in parallel.go).
+	// busyUntil serializes message processing (System.toScheduler).
 	busyUntil float64
 
 	tickerOn bool
 }
 
 func newSched(sys *System, id int, pcfg protocol.Config) *sched {
-	sc := &sched{sys: sys, id: id, eng: sys.Eng}
+	sc := &sched{sys: sys, id: id}
 	sc.core = protocol.NewSched(protocol.SchedID(id), pcfg, protocol.SchedEnv{
 		Now:           func() float64 { return sys.Eng.Now() },
 		Rand:          sys.Eng.Rand(),
@@ -65,12 +51,6 @@ func (sc *sched) sendProbes(probes []protocol.Probe) {
 	if len(probes) == 0 {
 		return
 	}
-	if sc.ps != nil {
-		// Parallel shards split the batch per destination shard —
-		// ownership boundary, not a locality hint (parallel.go).
-		sc.sendProbesPar(probes)
-		return
-	}
 	n := int64(len(probes))
 	sc.sys.Messages += n
 	sc.sys.Probes += n
@@ -79,11 +59,8 @@ func (sc *sched) sendProbes(probes []protocol.Probe) {
 	m.kind = mProbeBatch
 	m.sched = sc
 	m.probes = append(m.probes[:0], probes...)
-	// A batch can span workers on several shards; the first probe's home
-	// shard is a locality hint, not a correctness requirement (shard.go).
 	eng := sc.sys.Eng
-	eng.PostArgShard(sc.sys.workers[probes[0].Worker].shard,
-		eng.Now()+sc.sys.Cfg.MsgLatency, dispatchMessage, m)
+	eng.PostArg(eng.Now()+sc.sys.Cfg.MsgLatency, dispatchMessage, m)
 }
 
 // ensureTicker runs the periodic speculation scan for this scheduler.
@@ -99,7 +76,7 @@ func (sc *sched) ensureTicker() {
 			return
 		}
 		sc.sendProbes(sc.core.ScanSpec())
-		sc.eng.PostAfter(sc.sys.Cfg.CheckInterval, tick)
+		sc.sys.Eng.PostAfter(sc.sys.Cfg.CheckInterval, tick)
 	}
-	sc.eng.PostAfter(sc.sys.Cfg.CheckInterval, tick)
+	sc.sys.Eng.PostAfter(sc.sys.Cfg.CheckInterval, tick)
 }

@@ -15,22 +15,9 @@ type worker struct {
 	id   cluster.MachineID
 	core *protocol.Worker
 
-	// eng is the engine this worker schedules on: the System engine on
-	// serial and serial-merge engines, the home shard's sub-engine on a
-	// parallel one.
-	eng *simulator.Engine
-
-	// ps is the home shard's state on a parallel engine, nil otherwise;
-	// live is the parallel execution plane's running-copy list
-	// (parallel.go). m is this worker's machine record on every engine
-	// flavor (bound once; Machines.All is fixed at construction).
-	ps   *pshard
-	m    *cluster.Machine
-	live []*wcopy
-
-	// shard is this worker's home engine shard (0 on serial engines);
-	// see shard.go.
-	shard int
+	// m is this worker's machine record (bound once; Machines.All is
+	// fixed at construction).
+	m *cluster.Machine
 
 	// down marks a churned-away machine: it stops offering, probes to it
 	// are lost, and replies stamped with an older epoch are dropped. epoch
@@ -48,7 +35,7 @@ type worker struct {
 }
 
 func newWorker(sys *System, id cluster.MachineID, pcfg protocol.Config) *worker {
-	w := &worker{sys: sys, id: id, eng: sys.Eng}
+	w := &worker{sys: sys, id: id}
 	w.core = w.newCore(pcfg)
 	w.retryFn = func() {
 		w.retryEv = nil
@@ -133,10 +120,6 @@ func (w *worker) exec(acts []protocol.WAction) {
 		a := acts[i]
 		switch a.Kind {
 		case protocol.WSendOffer:
-			if w.ps != nil {
-				w.sendOfferPar(a)
-				continue
-			}
 			sc := w.sys.scheds[a.Sched]
 			w.sys.Offers++
 			m := w.sys.getMsg()
@@ -152,7 +135,7 @@ func (w *worker) exec(acts []protocol.WAction) {
 			m.entry = a.Entry
 			w.sys.toScheduler(sc, m)
 		case protocol.WArmRetry:
-			w.retryEv = w.eng.After(a.Delay, w.retryFn)
+			w.retryEv = w.sys.Eng.After(a.Delay, w.retryFn)
 		case protocol.WCancelRetry:
 			if w.retryEv != nil {
 				w.retryEv.Cancel()

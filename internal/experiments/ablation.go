@@ -29,7 +29,6 @@ func init() {
 func runAblation(h Harness) *Result {
 	res := &Result{ID: "ablation", Title: "Mechanism ablations (decentralized, util 70%)"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 	prof := workload.Sparkify(workload.Facebook())
 
 	type variant struct {

@@ -45,22 +45,10 @@ type ScaleScenario struct {
 	Jobs            int
 	Util            float64
 	Seed            int64
-	// Shards is the engine shard count (0 = serial engine). Sharding is
-	// result-neutral by contract, so a sharded scenario measures pure
-	// wall-clock/locality effects against its serial twin.
-	Shards int `json:",omitempty"`
-	// Parallel drains the shards concurrently inside each epoch window
-	// (simulator.NewParallel; decentralized kinds only). A parallel
-	// scenario is deterministic at its (Seed, Shards) but follows a
-	// different event schedule than its serial twin, so its decision
-	// count can differ slightly; wall-clock and events/s are the columns
-	// to compare.
-	Parallel bool `json:",omitempty"`
 	// Hetero replaces the uniform cluster with the canonical three-class
 	// mix (50% small / 30% standard / 20% big, scaled to Machines) and
 	// stamps the trace with the hetero demand split — the bench twin of
-	// the experiments hetero scenario. Serial engine only: the reprobe
-	// refresh the demand path needs spans all schedulers.
+	// the experiments hetero scenario.
 	Hetero bool `json:",omitempty"`
 }
 
@@ -87,17 +75,6 @@ func (sc ScaleScenario) benchSpec() ClusterSpec {
 		spec.Classes = benchHeteroClasses(sc.Machines)
 	}
 	return spec
-}
-
-// engine names the scenario's engine variant for summary tables.
-func (sc ScaleScenario) engine() string {
-	switch {
-	case sc.Parallel:
-		return fmt.Sprintf("parallel-%d", sc.Shards)
-	case sc.Shards > 1:
-		return fmt.Sprintf("sharded-%d", sc.Shards)
-	}
-	return "serial"
 }
 
 // BenchMeasurement is one engine run's cost profile.
@@ -169,26 +146,17 @@ func ScaleScenarios100k() []ScaleScenario {
 	return []ScaleScenario{
 		{Name: "decentral-hopper-100k", Kind: "decentral-hopper", Machines: 100000, SlotsPerMachine: 4,
 			Jobs: 2400, Util: 0.7, Seed: 7005},
-		{Name: "decentral-hopper-100k-s4", Kind: "decentral-hopper", Machines: 100000, SlotsPerMachine: 4,
-			Jobs: 2400, Util: 0.7, Seed: 7005, Shards: 4},
-		{Name: "decentral-hopper-100k-p4", Kind: "decentral-hopper", Machines: 100000, SlotsPerMachine: 4,
-			Jobs: 2400, Util: 0.7, Seed: 7005, Shards: 4, Parallel: true},
 	}
 }
 
 // ScaleScenarios1M is the megacluster tier: decentralized Hopper on one
-// million machines (4M slots), runnable only on the sharded engine —
-// per-shard calendars keep queue operations tractable at this event
-// density, and the indexed victim search keeps offer handling off the
-// O(running-tasks) scan. Full-mode bench runs include it; its numbers
-// have no serial twin (a serial run at this scale is the point of the
-// tier).
+// million machines (4M slots), where the indexed victim search keeps
+// offer handling off the O(running-tasks) scan (DESIGN.md §9).
+// Full-mode bench runs include it.
 func ScaleScenarios1M() []ScaleScenario {
 	return []ScaleScenario{
 		{Name: "decentral-hopper-1M", Kind: "decentral-hopper", Machines: 1000000, SlotsPerMachine: 4,
-			Jobs: 4800, Util: 0.7, Seed: 7006, Shards: 4},
-		{Name: "decentral-hopper-1M-p4", Kind: "decentral-hopper", Machines: 1000000, SlotsPerMachine: 4,
-			Jobs: 4800, Util: 0.7, Seed: 7006, Shards: 4, Parallel: true},
+			Jobs: 4800, Util: 0.7, Seed: 7006},
 	}
 }
 
@@ -198,8 +166,7 @@ func ScaleScenarios1M() []ScaleScenario {
 // costs per decision — class-aware free counters, demand-filtered
 // hand-out, capacity-aware probe aiming, and the periodic reprobe
 // refresh — at the same machine count as the homogeneous 10k tier.
-// Serial engine only (the reprobe tick spans all schedulers). Full-mode
-// bench runs include it; smoke does not.
+// Full-mode bench runs include it; smoke does not.
 func ScaleScenariosHetero() []ScaleScenario {
 	return []ScaleScenario{
 		{Name: "decentral-hetero-10k", Kind: "decentral-loadcache", Machines: 10000,
@@ -249,38 +216,23 @@ func benchTrace(sc ScaleScenario) *workload.Trace {
 }
 
 // measureRun replays the trace once under the given scheduler, measuring
-// wall time and allocation count. Serial scenarios run on a single
-// goroutine, so runtime.MemStats.Mallocs deltas attribute cleanly;
-// parallel scenarios still get exact Mallocs (the counter is global) but
-// spread them across shard goroutines.
+// wall time and allocation count. A run is a single goroutine, so
+// runtime.MemStats.Mallocs deltas attribute cleanly.
 func measureRun(sc ScaleScenario, kind SchedulerKind, jobs []*cluster.Job) BenchMeasurement {
 	spec := sc.benchSpec()
 
-	var eng *simulator.Engine
-	if sc.Parallel {
-		eng = simulator.NewParallel(sc.Seed+1, sc.Shards)
-	} else {
-		eng = simulator.NewSharded(sc.Seed+1, sc.Shards)
-	}
+	eng := simulator.New(sc.Seed + 1)
 	ms := spec.machines()
 	exec := cluster.NewExecutor(eng, ms, spec.Exec)
 	var arr Arriver
-	var sys *decentral.System
 	if kind.Central != nil {
 		arr = kind.Central(eng, exec)
 	} else {
-		sys = kind.Decentral(eng, exec)
-		arr = sys
+		arr = kind.Decentral(eng, exec)
 	}
-	if sc.Parallel {
-		for _, j := range jobs {
-			sys.PostArrival(j)
-		}
-	} else {
-		for _, j := range jobs {
-			job := j
-			eng.Post(job.Arrival, func() { arr.Arrive(job) })
-		}
+	for _, j := range jobs {
+		job := j
+		eng.Post(job.Arrival, func() { arr.Arrive(job) })
 	}
 
 	runtime.GC()
@@ -412,17 +364,17 @@ func (r *BenchReport) SummaryTable(baseline *BenchReport, baselineName string) s
 			base[s.Name] = s
 		}
 	}
-	b.WriteString("| scenario | engine | ns/decision | allocs/decision | events/s | speedup vs ref |")
+	b.WriteString("| scenario | ns/decision | allocs/decision | events/s | speedup vs ref |")
 	if baseline != nil {
 		fmt.Fprintf(&b, " baseline (%s) | Δ |", baselineName)
 	}
-	b.WriteString("\n|---|---|---:|---:|---:|---:|")
+	b.WriteString("\n|---|---:|---:|---:|---:|")
 	if baseline != nil {
 		b.WriteString("---:|---:|")
 	}
 	b.WriteString("\n")
 	for _, s := range r.Scenarios {
-		fmt.Fprintf(&b, "| %s | %s | %.0f | %.1f | %.0f |", s.Name, s.engine(),
+		fmt.Fprintf(&b, "| %s | %.0f | %.1f | %.0f |", s.Name,
 			s.Optimized.NsPerDecision, s.Optimized.AllocsPerDecision, s.Optimized.EventsPerSec)
 		if s.SpeedupNsPerDecision > 0 {
 			fmt.Fprintf(&b, " %.2fx |", s.SpeedupNsPerDecision)

@@ -77,8 +77,6 @@ func churnKind(mode decentral.Mode, leaveEvery float64, churnSeed int64) Schedul
 func runChurn(h Harness) *Result {
 	res := &Result{ID: "churn", Title: "Machine churn: join/leave as a first-class scenario"}
 	spec := ClusterSpec{Machines: 100, SlotsPerMachine: 4, Exec: cluster.DefaultExecModel()}
-	// Churn ticks span the whole cluster, so these cells run the serial
-	// engine regardless of -shards.
 
 	type cellOut struct {
 		avg                  float64

@@ -25,20 +25,9 @@ type Harness struct {
 	// Workers bounds how many simulation cells run concurrently; 0 means
 	// GOMAXPROCS, 1 forces fully serial execution. Whatever the setting,
 	// output is byte-identical: every cell owns a private engine and RNG,
-	// and results and log lines are merged in canonical cell order.
+	// and results and log lines are merged in canonical cell order. This
+	// is the simulator's only use of more than one core (DESIGN.md §4).
 	Workers int
-	// Shards partitions each cell's event queue across this many engine
-	// shards (simulator.NewSharded); 0 or 1 runs the serial engine. Like
-	// Workers, the setting never changes results: sharded execution is
-	// byte-identical to serial by construction (see DESIGN.md).
-	Shards int
-	// ShardParallel switches decentralized cells from the serial-merge
-	// sharded engine to the parallel one (simulator.NewParallel): shards
-	// drain concurrently inside each epoch window. Unlike Shards alone,
-	// this changes the event schedule — results are deterministic for a
-	// fixed (seed, Shards) but not byte-identical to serial runs (see
-	// DESIGN.md §9). Centralized cells ignore it.
-	ShardParallel bool
 	// Log receives progress lines; nil silences them.
 	Log io.Writer
 

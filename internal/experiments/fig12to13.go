@@ -45,7 +45,6 @@ type fig12Profile struct {
 func runFig12(h Harness) *Result {
 	res := &Result{ID: "fig12", Title: "Centralized Hopper vs SRPT (Hadoop & Spark profiles)"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 
 	profiles := []fig12Profile{
 		{"hadoop", workload.Facebook(), 1.0, 500},
@@ -133,7 +132,6 @@ func runFig12(h Harness) *Result {
 func runFig13(h Harness) *Result {
 	res := &Result{ID: "fig13", Title: "Locality allowance k sweep (centralized)"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 	ks := []float64{0.0001, 1, 3, 5, 7, 10, 15}
 	for _, pc := range []fig12Profile{
 		{"spark", workload.Sparkify(workload.Facebook()), 0.1, 1500},

@@ -29,7 +29,6 @@ func fig5Spec(h Harness) (ClusterSpec, int) {
 		workers = 200
 	}
 	spec := ClusterSpec{Machines: workers, SlotsPerMachine: 1, Exec: em}
-	h.applyShards(&spec)
 	return spec, workers / 40 // schedulers
 }
 
@@ -158,7 +157,6 @@ func runFig5b(h Harness) *Result {
 func runFig11(h Harness) *Result {
 	res := &Result{ID: "fig11", Title: "Probe ratio vs gains (decentralized prototype)"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 	prof := workload.Sparkify(workload.Facebook())
 	tab := &metrics.Table{
 		Title:  "Figure 11: reduction (%) in avg job duration vs Sparrow-SRPT",

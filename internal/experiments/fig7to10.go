@@ -51,7 +51,6 @@ func srptVsHopperGains(hh Harness, spec ClusterSpec, tr *workload.Trace, seed in
 func runFig7(h Harness) *Result {
 	res := &Result{ID: "fig7", Title: "Gains by job bin (decentralized, util 60%)"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 	profs := []string{"facebook", "bing"}
 
 	rows := seedMatrix(h, len(profs), 1700, 13, func(hh Harness, p, _ int, seed int64) binGains {
@@ -90,7 +89,6 @@ func runFig7(h Harness) *Result {
 func runFig8a(h Harness) *Result {
 	res := &Result{ID: "fig8a", Title: "CDF of per-job gains (util 60%)"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 	prof := workload.Sparkify(workload.Facebook())
 	seed := int64(1800)
 	tr := GenTrace(prof, h.jobs(2000), 0.6, spec, seed)
@@ -120,7 +118,6 @@ func runFig8a(h Harness) *Result {
 func runFig8b(h Harness) *Result {
 	res := &Result{ID: "fig8b", Title: "Gains vs DAG length (util 60%)"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 	prof := workload.Sparkify(workload.Facebook())
 	// More long DAGs so the deep bins are populated.
 	prof.DAGLenWeights = []float64{0.15, 0.25, 0.15, 0.12, 0.11, 0.09, 0.07, 0.06}
@@ -164,7 +161,6 @@ func runFig8b(h Harness) *Result {
 func runFig9(h Harness) *Result {
 	res := &Result{ID: "fig9", Title: "Gains by speculation algorithm (util 60%)"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 	prof := workload.Sparkify(workload.Facebook())
 	tab := &metrics.Table{
 		Title:  "Figure 9: reduction (%) vs Sparrow-SRPT with the same policy",
@@ -209,7 +205,6 @@ func runFig9(h Harness) *Result {
 func runFig10(h Harness) *Result {
 	res := &Result{ID: "fig10", Title: "epsilon-fairness sensitivity and slowdowns"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 	prof := workload.Sparkify(workload.Facebook())
 	tab := &metrics.Table{
 		Title:  "Figure 10: gains vs epsilon; slowdowns vs fair allocation (epsilon=0)",

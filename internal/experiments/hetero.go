@@ -96,8 +96,6 @@ func stampHeteroDemand(jobs []*cluster.Job) {
 // random-subset probing on completion time or probe traffic.
 func runHetero(h Harness) *Result {
 	res := &Result{ID: "hetero", Title: "Heterogeneous machines: load-cached vs random probing"}
-	// The reprobe tick spans every scheduler, so these cells run the
-	// serial engine regardless of -shards (same constraint as churn).
 
 	type cellOut struct {
 		avg    float64

@@ -2,7 +2,7 @@
 // evaluation (Section 7), plus the shared machinery to run a workload
 // trace against any scheduler — centralized or decentralized — and reduce
 // the results into the rows the paper reports. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured results.
+// experiment index (section 3) and the shapes each driver should show.
 package experiments
 
 import (
@@ -56,34 +56,6 @@ func (h Harness) workers() int {
 		return h.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// shardProcs caps each parallel cell's shard-goroutine budget so that
-// concurrent cells × per-cell shard goroutines never oversubscribe the
-// machine: with W cells running at once, each gets GOMAXPROCS/W
-// goroutines (at least 1, i.e. forced-serial shard draining). A sole
-// cell gets 0 — the engine's "up to GOMAXPROCS" default. The budget
-// never changes results (stream-schedule determinism), only wall-clock
-// time. See DESIGN.md §4.
-func (h Harness) shardProcs() int {
-	w := h.workers()
-	if w <= 1 {
-		return 0
-	}
-	p := runtime.GOMAXPROCS(0) / w
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
-// applyShards threads the harness engine-shard settings into a cell's
-// cluster spec; every experiment driver calls it where it used to copy
-// Shards alone.
-func (h Harness) applyShards(spec *ClusterSpec) {
-	spec.Shards = h.Shards
-	spec.ShardParallel = h.ShardParallel
-	spec.ShardProcs = h.shardProcs()
 }
 
 // cells runs f once per cell index on the harness worker pool and returns
@@ -217,25 +189,6 @@ type ClusterSpec struct {
 	// NumMachines/TotalSlots derive from the table. Every existing
 	// experiment leaves it nil and keeps the homogeneous constructor.
 	Classes []cluster.MachineClass
-
-	// Shards is the engine shard count for runs over this cluster; 0 or 1
-	// means the serial engine. Results are identical either way (the
-	// sharded engine's byte-identity contract); sharding only changes
-	// event-queue locality and wall-clock time.
-	Shards int
-
-	// ShardParallel drains shards concurrently within each epoch window
-	// (simulator.NewParallel) instead of merging them serially. Only
-	// decentralized runs honor it — centralized engines share cluster
-	// state across shards and fall back to the serial-merge engine. A
-	// parallel run follows the stream-schedule contract: deterministic
-	// for a fixed (seed, Shards) at any goroutine budget, but NOT
-	// byte-identical to the serial engine's schedule (see DESIGN.md §9).
-	ShardParallel bool
-	// ShardProcs caps goroutines per parallel run; 0 means up to
-	// GOMAXPROCS. Harness.applyShards sets it so that concurrent cells ×
-	// per-cell shard goroutines never oversubscribe the machine.
-	ShardProcs int
 }
 
 // TotalSlots returns cluster capacity.
@@ -281,6 +234,12 @@ func (c ClusterSpec) machines() *cluster.Machines {
 // heterogeneity refactor's no-op guarantee is that this switch changes
 // nothing observable.
 var forceClassedLayout = false
+
+// onDecentralRun, when set, is handed every decentralized system RunTrace
+// has just run, on the cell's goroutine. Test-only, like
+// forceClassedLayout: the dispatch golden uses it to prove that its
+// cells exercise the victim index.
+var onDecentralRun func(*decentral.System)
 
 // Prototype200 is the paper's deployment: 200 machines, 16 slots each.
 func Prototype200(beta float64) ClusterSpec {
@@ -343,14 +302,7 @@ type RunResult struct {
 // workloads. It panics if any job fails to finish — that is always a
 // protocol bug and must not be silently averaged over.
 func RunTrace(kind SchedulerKind, spec ClusterSpec, jobs []*cluster.Job, seed int64) RunResult {
-	parallel := spec.ShardParallel && spec.Shards > 1 && kind.Decentral != nil
-	var eng *simulator.Engine
-	if parallel {
-		eng = simulator.NewParallel(seed, spec.Shards)
-		eng.SetParallelism(spec.ShardProcs)
-	} else {
-		eng = simulator.NewSharded(seed, spec.Shards)
-	}
+	eng := simulator.New(seed)
 	ms := spec.machines()
 	exec := cluster.NewExecutor(eng, ms, spec.Exec)
 
@@ -363,17 +315,9 @@ func RunTrace(kind SchedulerKind, spec ClusterSpec, jobs []*cluster.Job, seed in
 		arr = sys
 	}
 
-	if parallel {
-		// Arrive mutates shard-owned scheduler state, so parallel systems
-		// take arrivals through the pre-run admission queue instead.
-		for _, j := range jobs {
-			sys.PostArrival(j)
-		}
-	} else {
-		for _, j := range jobs {
-			job := j
-			eng.Post(job.Arrival, func() { arr.Arrive(job) })
-		}
+	for _, j := range jobs {
+		job := j
+		eng.Post(job.Arrival, func() { arr.Arrive(job) })
 	}
 	eng.Run()
 
@@ -396,6 +340,9 @@ func RunTrace(kind SchedulerKind, spec ClusterSpec, jobs []*cluster.Job, seed in
 		res.MachinesLeft, res.CopiesLost = sys.MachinesLeft, sys.CopiesLost
 		res.ProbesLost, res.AssignsLost = sys.ProbesLost, sys.AssignsLost
 		res.Requeues = sys.Requeues
+		if onDecentralRun != nil {
+			onDecentralRun(sys)
+		}
 	}
 	if exec.CopiesStarted > 0 {
 		res.LocalFraction = float64(exec.LocalCopies) / float64(exec.CopiesStarted)

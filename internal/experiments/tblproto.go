@@ -25,7 +25,6 @@ func init() {
 func runTblProto(h Harness) *Result {
 	res := &Result{ID: "tblproto", Title: "Decentralized protocol overhead counters"}
 	spec := Prototype200(1.5)
-	h.applyShards(&spec)
 	// Bing DAGs are the bushiest profile (fan-in joins over parallel
 	// chains) and Sparkify makes them communication-bound, maximizing
 	// transfer-gated unlock traffic.

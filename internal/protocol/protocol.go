@@ -137,8 +137,11 @@ type Config struct {
 
 	// IndexedVictims enables the speculation monitor's heap-backed victim
 	// index in place of the per-offer linear scan. Exact-equivalent by
-	// construction (the monitor refuses configurations where it is not);
-	// purely a performance knob.
+	// construction (the monitor refuses configurations where it is not).
+	// Set by an adapter, never by a user: it is the adapter's promise to
+	// report every original placement through Sched.CopyPlaced and to
+	// call DisableVictimIndex before it kills copies mid-task. The
+	// simulator adapter makes it (decentral.New); the live one does not.
 	IndexedVictims bool
 
 	// LoadCacheStaleness is the maximum age (seconds) of a cached
@@ -248,11 +251,6 @@ type Reply struct {
 	Phase     int
 	TaskIndex int
 	Spec      bool
-	// Attempt is the task-scoped placement ordinal stamped by the
-	// scheduler at hand-out. Parallel shard adapters key the copy's
-	// service-time RNG and the placed/finished correlation on it; serial
-	// adapters ignore it (zero).
-	Attempt int
 
 	// From is the replying scheduler.
 	From SchedID

@@ -222,6 +222,15 @@ func (sc *Sched) ObserveWorkerLoad(m cluster.MachineID, free int, cap cluster.Re
 // after the executor places an original; a no-op unless IndexedVictims.
 func (sc *Sched) CopyPlaced(t *cluster.Task) { sc.mon.OriginalCopyPlaced(t) }
 
+// IndexEnabled reports whether victim searches are answered from the
+// index (IndexedVictims, not since downgraded) rather than the scan.
+func (sc *Sched) IndexEnabled() bool { return sc.mon.IndexEnabled() }
+
+// DisableVictimIndex puts the speculation monitor back on the scan. The
+// adapter calls it when it is about to break a condition the index's
+// exactness rests on (the simulator's churn driver does).
+func (sc *Sched) DisableVictimIndex() { sc.mon.DisableIndex() }
+
 // ID returns the scheduler's cluster-wide identity.
 func (sc *Sched) ID() SchedID { return sc.id }
 

@@ -205,45 +205,9 @@ type Engine struct {
 	calibN   int
 	calibSum Time
 
-	// Sharded-mode state (see shard.go; all zero on a serial engine). A
-	// sharded engine partitions the event queue across shards sub-engines
-	// used purely as queues — the parent owns virtual time, the global
-	// sequence counter, the RNG, and the event count, and fires events in
-	// global (time, seq) order, so execution is byte-identical to a serial
-	// engine. Cross-shard posts park in the sending shard's outbox until
-	// the next epoch barrier (epochs are lookahead wide).
-	shards    []*Engine
-	curShard  int
-	lookahead Time
-	outbox    [][]outMsg
-	outboxN   int
-	// heads caches each shard's earliest pending (at, seq) so the merge
-	// loop re-primes only the shard whose queue changed (the one that
-	// just fired, or all after a flush/Drain). headsValid goes false on
-	// any out-of-band queue mutation (Drain).
-	heads      []shardHead
-	headsValid bool
-
-	// Parallel-mode state (see parallel.go; all nil/zero otherwise).
-	// par is set on a parallel parent (NewParallel); parent/shardID are
-	// set on its sub-engines, which are full engines — own clock, seq,
-	// RNG stream, and counters — drained concurrently within epoch
-	// windows. pout parks a sub-engine's cross-shard sends until the
-	// parent's next epoch barrier.
-	par     *parState
-	parent  *Engine
-	shardID int
-	pout    []outMsg
-
 	// Fired counts events that have executed; useful for tests and for
 	// sanity-checking runaway simulations.
 	Fired uint64
-
-	// CrossShard and Barriers count cross-shard events parked in outboxes
-	// and epoch-barrier flushes (sharded engines only) — diagnostics for
-	// tests and bench reports.
-	CrossShard uint64
-	Barriers   uint64
 }
 
 // New returns an engine whose random source is seeded with seed.
@@ -258,19 +222,8 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of events waiting to fire (including
-// canceled events that have not yet been drained). On a parallel engine
-// it sums the sub-engine queues plus any cross-shard events still parked
-// in outboxes.
-func (e *Engine) Pending() int {
-	if e.par != nil {
-		n := 0
-		for _, sub := range e.shards {
-			n += sub.count + len(sub.pout)
-		}
-		return n
-	}
-	return e.count
-}
+// canceled events that have not yet been drained).
+func (e *Engine) Pending() int { return e.count }
 
 // At schedules fn to run at absolute virtual time t and returns a handle
 // that can cancel it. Scheduling in the past panics: that is always a
@@ -344,33 +297,9 @@ func (e *Engine) bucketOf(t Time) int64 {
 }
 
 func (e *Engine) insert(s slot) {
-	if e.par != nil {
-		// Parallel parent: posts made through the parent (pre-run setup,
-		// between runs) land on shard 0 under shard-local ordering. During
-		// a run, events execute on the sub-engines and never reach here.
-		e.shards[0].insert(s)
-		return
-	}
 	s.seq = e.seq
 	e.seq++
 	e.count++
-	if e.shards != nil {
-		// Sharded engine: implicit posts are shard-local — they land in
-		// the queue of the shard whose event is executing (shard 0 before
-		// the run starts). Explicit cross-shard routing goes through
-		// PostArgShard.
-		sub := e.shards[e.curShard]
-		sub.now = e.now
-		sub.enqueue(s)
-		return
-	}
-	e.enqueue(s)
-}
-
-// enqueue places an already-sequenced slot into this queue. On a serial
-// engine it is the tail of insert; on a sharded engine it runs against a
-// sub-engine whose clock the parent has just synced.
-func (e *Engine) enqueue(s slot) {
 	at := s.at
 	if at > e.maxAt {
 		e.maxAt = at
@@ -532,17 +461,6 @@ func (e *Engine) nextAt() Time {
 	return e.near[e.nearPos].at
 }
 
-// head returns the (at, seq) key of this queue's earliest pending slot;
-// prime must have reported true. The sharded run loop uses it to pick the
-// globally minimal event across sub-queues without popping.
-func (e *Engine) head() (Time, uint64) {
-	if !e.calOn {
-		return e.overflow[0].at, e.overflow[0].seq
-	}
-	s := &e.near[e.nearPos]
-	return s.at, s.seq
-}
-
 func (e *Engine) popMin() slot {
 	if !e.calOn {
 		return e.overflow.pop()
@@ -560,24 +478,7 @@ func (e *Engine) popMin() slot {
 // consumes at most one stop: the run it halts (or the armed run that
 // returns immediately) clears the flag, so the run after that proceeds
 // normally.
-//
-// On a parallel engine the flag is an atomic shared by every shard
-// goroutine: each shard observes it at its next event boundary, the
-// parent joins them at the epoch barrier, flushes all parked cross-shard
-// events into their destination queues (nothing is lost), and parks the
-// shard goroutines before Run returns — see parallel.go for the full
-// contract.
-func (e *Engine) Stop() {
-	if e.parent != nil {
-		e.parent.Stop()
-		return
-	}
-	if e.par != nil {
-		e.par.stop.Store(true)
-		return
-	}
-	e.stopped = true
-}
+func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events in time order until no events remain or Stop is
 // called. It returns the final virtual time.
@@ -592,12 +493,6 @@ func (e *Engine) Run() Time {
 // progress makes RunUntil return before firing any event (see Stop); the
 // pending stop is consumed either way.
 func (e *Engine) RunUntil(deadline Time) Time {
-	if e.par != nil {
-		return e.runParallel(deadline)
-	}
-	if e.shards != nil {
-		return e.runSharded(deadline)
-	}
 	defer func() { e.stopped = false }()
 	for !e.stopped && e.prime() {
 		if deadline >= 0 && e.nextAt() > deadline {
@@ -629,27 +524,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // drained engine retains no references to event callbacks, payloads, or
 // cancellation handles.
 func (e *Engine) Drain() {
-	if e.par != nil {
-		for _, sub := range e.shards {
-			sub.Drain()
-			clear(sub.pout)
-			sub.pout = sub.pout[:0]
-		}
-		return
-	}
-	if e.shards != nil {
-		for _, sub := range e.shards {
-			sub.Drain()
-		}
-		for i := range e.outbox {
-			clear(e.outbox[i])
-			e.outbox[i] = e.outbox[i][:0]
-		}
-		e.outboxN = 0
-		e.count = 0
-		e.headsValid = false
-		return
-	}
 	clear(e.near)
 	e.near = e.near[:0]
 	e.nearPos = 0

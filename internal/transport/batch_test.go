@@ -241,7 +241,12 @@ func TestBatchTotalsAdvance(t *testing.T) {
 		}
 	}
 	<-done
+	// The writer counts a flush after its Write returns, so the last
+	// frame can be received before its flush is counted: wait for it.
 	after := BatchTotals()
+	for end := time.Now().Add(2 * time.Second); after.FramesFlushed-before.FramesFlushed < n && time.Now().Before(end); after = BatchTotals() {
+		time.Sleep(time.Millisecond)
+	}
 	if after.OutboxFlushes <= before.OutboxFlushes {
 		t.Fatal("OutboxFlushes did not advance")
 	}
