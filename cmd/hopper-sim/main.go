@@ -1,5 +1,5 @@
-// Command hopper-sim regenerates the paper's tables and figures, and
-// runs the scale benchmark suite behind the BENCH_*.json trajectory.
+// Command hopper-sim regenerates the paper's tables and figures and
+// runs the robustness scenarios.
 //
 // Usage:
 //
@@ -7,27 +7,16 @@
 //	hopper-sim -experiment fig6 [-scale 1] [-seeds 3] [-workers N] [-v]
 //	hopper-sim -all
 //	hopper-sim -scenario churn
-//	hopper-sim -bench-scale full -bench-out BENCH_PR6.json
-//	hopper-sim -bench-scale smoke -bench-out new.json -bench-check BENCH_PR6.json
-//	hopper-sim -bench-scale full -cpuprofile cpu.pprof -memprofile mem.pprof
+//	hopper-sim -experiment fig12 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Each experiment prints the rows the corresponding paper figure reports;
 // DESIGN.md section 3 indexes them. Every simulation runs on the one
 // serial event engine; cells run side by side on a worker pool
 // (-workers, default GOMAXPROCS) and output is byte-identical whatever
 // the parallelism — see DESIGN.md section 4 for the determinism
-// contract. -bench-scale replays the canonical scenario matrix (smoke =
-// 1k machines for CI; full adds the 10k tier, the heterogeneous 10k
-// tier, and the 100k- and 1M-machine decentralized tiers) under the
-// optimized and frozen-reference dispatch implementations and reports
-// ns per scheduling decision, allocs per decision, and events/sec;
-// -bench-check fails (exit 1) on a >20% ns/decision regression relative
-// to the ratios in the given baseline report, and -bench-summary
-// appends the comparison as a markdown table (CI publishes it as the
-// job summary). -cpuprofile/-memprofile capture pprof profiles of
-// whatever ran — bench-scale runs in particular, so a BENCH_*.json
-// claim can ship with the profile that explains it (see DESIGN.md
-// sections 6 and 8).
+// contract. -cpuprofile/-memprofile capture pprof profiles of whatever
+// ran. Performance is measured by the benchmark in bench/ (see
+// bench/README.md), not here.
 package main
 
 import (
@@ -50,21 +39,17 @@ func main() {
 // error paths — os.Exit would skip it and truncate the profiles.
 func run() int {
 	var (
-		exp          = flag.String("experiment", "", "experiment ID to run (see -list)")
-		scenario     = flag.String("scenario", "", "robustness scenario ID to run (churn, ...; \"all\" runs every scenario — see -list)")
-		all          = flag.Bool("all", false, "run every experiment")
-		list         = flag.Bool("list", false, "list experiment IDs")
-		scenarios    = flag.Bool("scenarios", false, "list robustness scenario IDs (run one with -scenario)")
-		scale        = flag.Float64("scale", 1, "job-count scale factor")
-		seeds        = flag.Int("seeds", 3, "independent replays per data point")
-		workers      = flag.Int("workers", 0, "max concurrent simulation cells (0 = GOMAXPROCS, 1 = serial)")
-		verbose      = flag.Bool("v", false, "log per-run progress")
-		benchScale   = flag.String("bench-scale", "", "run the scale benchmark suite: \"full\" (1k+10k+100k machines) or \"smoke\" (1k)")
-		benchOut     = flag.String("bench-out", "", "write the scale benchmark report to this JSON file (requires -bench-scale)")
-		benchCheck   = flag.String("bench-check", "", "compare against this baseline BENCH_*.json and fail on >20% ns/decision regression (requires -bench-scale)")
-		benchSummary = flag.String("bench-summary", "", "append a markdown comparison table to this file (requires -bench-scale; CI points it at $GITHUB_STEP_SUMMARY)")
-		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file (covers the experiment or bench run)")
-		memProfile   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		exp        = flag.String("experiment", "", "experiment ID to run (see -list)")
+		scenario   = flag.String("scenario", "", "robustness scenario ID to run (churn, ...; \"all\" runs every scenario — see -list)")
+		all        = flag.Bool("all", false, "run every experiment")
+		list       = flag.Bool("list", false, "list experiment IDs")
+		scenarios  = flag.Bool("scenarios", false, "list robustness scenario IDs (run one with -scenario)")
+		scale      = flag.Float64("scale", 1, "job-count scale factor")
+		seeds      = flag.Int("seeds", 3, "independent replays per data point")
+		workers    = flag.Int("workers", 0, "max concurrent simulation cells (0 = GOMAXPROCS, 1 = serial)")
+		verbose    = flag.Bool("v", false, "log per-run progress")
+		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file (covers the experiment run)")
+		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
 	flag.Parse()
 
@@ -111,18 +96,6 @@ func run() int {
 	if *scenarios {
 		printScenarios(os.Stdout, false)
 		return 0
-	}
-
-	if *benchScale == "" && (*benchOut != "" || *benchCheck != "" || *benchSummary != "") {
-		fmt.Fprintln(os.Stderr, "-bench-out/-bench-check/-bench-summary require -bench-scale")
-		return 2
-	}
-	if *benchScale != "" {
-		if *benchScale != "full" && *benchScale != "smoke" {
-			fmt.Fprintf(os.Stderr, "-bench-scale must be \"full\" or \"smoke\", got %q\n", *benchScale)
-			return 2
-		}
-		return runScaleBench(*benchScale == "smoke", *benchOut, *benchCheck, *benchSummary)
 	}
 
 	if *seeds < 1 {
@@ -180,55 +153,6 @@ func run() int {
 	default:
 		flag.Usage()
 		return 2
-	}
-	return 0
-}
-
-// runScaleBench executes the scale suite, persists the report, renders
-// the optional markdown summary, and enforces the regression gate
-// against a baseline. The summary is written even when the gate fails —
-// a red PR should show the offending numbers, not hide them.
-func runScaleBench(smoke bool, out, check, summary string) int {
-	start := time.Now()
-	rep := experiments.RunScaleBench(smoke, os.Stderr)
-	fmt.Fprintf(os.Stderr, "(scale bench %s in %.1fs)\n", rep.Mode, time.Since(start).Seconds())
-	if out != "" {
-		if err := rep.WriteJSON(out); err != nil {
-			fmt.Fprintln(os.Stderr, "bench-out:", err)
-			return 1
-		}
-		fmt.Fprintln(os.Stderr, "wrote", out)
-	}
-	var baseline *experiments.BenchReport
-	if check != "" {
-		var err error
-		baseline, err = experiments.LoadBenchReport(check)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench-check:", err)
-			return 1
-		}
-	}
-	if summary != "" {
-		f, err := os.OpenFile(summary, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench-summary:", err)
-			return 1
-		}
-		_, werr := f.WriteString(rep.SummaryTable(baseline, check) + "\n")
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "bench-summary:", werr)
-			return 1
-		}
-	}
-	if baseline != nil {
-		if err := rep.CheckAgainst(baseline, 0.2); err != nil {
-			fmt.Fprintln(os.Stderr, "bench-check FAILED:", err)
-			return 1
-		}
-		fmt.Fprintln(os.Stderr, "bench-check OK: speedups within 20% of", check)
 	}
 	return 0
 }

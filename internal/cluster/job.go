@@ -280,19 +280,6 @@ func (p *Phase) NextUnscheduled() *Task {
 	return nil
 }
 
-// NextUnscheduledLocalOn returns the earliest never-scheduled task whose
-// input is local on machine m, or nil if none is.
-func (p *Phase) NextUnscheduledLocalOn(m MachineID) *Task {
-	p.advanceCursor()
-	for i := p.next; i < len(p.Tasks); i++ {
-		t := p.Tasks[i]
-		if t.State == TaskUnscheduled && t.LocalOn(m) {
-			return t
-		}
-	}
-	return nil
-}
-
 // Job is a user job: a DAG of phases. Arrival and completion times are in
 // simulation seconds.
 type Job struct {
@@ -576,13 +563,4 @@ func (j *Job) CompletionTime() simulator.Time {
 		panic(fmt.Sprintf("cluster: CompletionTime on unfinished job %d", j.ID))
 	}
 	return j.DoneAt - j.Arrival
-}
-
-// MeanTaskDuration returns the task-duration mean of the first phase;
-// used as the job-level scale prior before any task completes.
-func (j *Job) MeanTaskDuration() float64 {
-	if len(j.Phases) == 0 {
-		return 0
-	}
-	return j.Phases[0].MeanTaskDuration
 }

@@ -83,11 +83,9 @@ type Machines struct {
 
 	// freeSlots and totalSlots are cluster-wide slot counters maintained
 	// by Acquire/Release, so FreeSlots/TotalSlots are O(1) — schedulers
-	// read them on every dispatch pass. classFree is the same counter per
-	// class, maintained on the same transitions.
+	// read them on every dispatch pass.
 	freeSlots  int
 	totalSlots int
-	classFree  []int
 
 	// sampler backs RandomSubset.
 	sampler SubsetSampler
@@ -124,12 +122,11 @@ func NewMachinesClassed(classes []MachineClass) *Machines {
 		panic("cluster: empty machine class table")
 	}
 	ms := &Machines{
-		All:       make([]*Machine, n),
-		Classes:   append([]MachineClass(nil), classes...),
-		free:      make([]MachineID, n),
-		pos:       make([]int, n),
-		classFree: make([]int, len(classes)),
-		sampler:   SubsetSampler{n: n, seen: make([]int64, n)},
+		All:     make([]*Machine, n),
+		Classes: append([]MachineClass(nil), classes...),
+		free:    make([]MachineID, n),
+		pos:     make([]int, n),
+		sampler: SubsetSampler{n: n, seen: make([]int64, n)},
 	}
 	i := 0
 	for ci, c := range classes {
@@ -142,7 +139,6 @@ func NewMachinesClassed(classes []MachineClass) *Machines {
 			ms.pos[i] = i
 			i++
 		}
-		ms.classFree[ci] = c.Count * c.Slots
 		ms.freeSlots += c.Count * c.Slots
 		ms.totalSlots += c.Count * c.Slots
 	}
@@ -154,10 +150,6 @@ func (ms *Machines) TotalSlots() int { return ms.totalSlots }
 
 // FreeSlots returns the number of currently free slots cluster-wide.
 func (ms *Machines) FreeSlots() int { return ms.freeSlots }
-
-// FreeSlotsOfClass returns the number of free slots on machines of the
-// given class — O(1), maintained by Acquire/Release like FreeSlots.
-func (ms *Machines) FreeSlotsOfClass(class int) int { return ms.classFree[class] }
 
 // Get returns the machine with the given ID.
 func (ms *Machines) Get(id MachineID) *Machine { return ms.All[id] }
@@ -171,7 +163,6 @@ func (ms *Machines) Acquire(id MachineID) {
 	}
 	m.Free--
 	ms.freeSlots--
-	ms.classFree[m.Class]--
 	if m.Free == 0 {
 		ms.removeFree(id)
 	}
@@ -201,7 +192,6 @@ func (ms *Machines) Release(id MachineID) {
 	}
 	m.Free++
 	ms.freeSlots++
-	ms.classFree[m.Class]++
 }
 
 func (ms *Machines) removeFree(id MachineID) {

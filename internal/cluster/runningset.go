@@ -13,9 +13,6 @@ type RunningSet struct {
 	live  int
 }
 
-// Len returns the number of live (non-tombstoned) tasks.
-func (r *RunningSet) Len() int { return r.live }
-
 // Tasks returns the backing slice, nil tombstones included, in insertion
 // order. Read-only for callers.
 func (r *RunningSet) Tasks() []*Task { return r.tasks }

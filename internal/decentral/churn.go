@@ -31,10 +31,6 @@ type ChurnConfig struct {
 	// rejoining (exponential). Default 30.
 	Downtime float64
 
-	// MaxDownFrac caps the fraction of machines simultaneously down; a
-	// leave drawn while at the cap is skipped. Default 0.25.
-	MaxDownFrac float64
-
 	// ReprobeInterval is the period of the reservation refresh that
 	// re-covers probes lost at departed machines. Default 1s.
 	ReprobeInterval float64
@@ -45,12 +41,13 @@ type ChurnConfig struct {
 	Seed int64
 }
 
+// maxDownFrac caps the fraction of machines simultaneously down; a
+// leave drawn while at the cap is skipped.
+const maxDownFrac = 0.25
+
 func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.Downtime == 0 {
 		c.Downtime = 30
-	}
-	if c.MaxDownFrac == 0 {
-		c.MaxDownFrac = 0.25
 	}
 	if c.ReprobeInterval == 0 {
 		c.ReprobeInterval = 1
@@ -107,7 +104,7 @@ func (s *System) churnTick() {
 	}
 	id := cluster.MachineID(s.churnRng.Intn(len(s.workers)))
 	down := int(s.MachinesLeft - s.MachinesJoined)
-	if float64(down+1) <= s.churn.MaxDownFrac*float64(len(s.workers)) && !s.workers[id].down {
+	if float64(down+1) <= maxDownFrac*float64(len(s.workers)) && !s.workers[id].down {
 		s.killMachine(id)
 		s.Eng.PostAfter(s.churnRng.ExpFloat64()*s.churn.Downtime, func() { s.reviveMachine(id) })
 	}

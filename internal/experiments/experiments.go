@@ -15,7 +15,7 @@ import (
 )
 
 // Harness controls experiment scale so the same drivers serve the full
-// reproduction (cmd/hopper-sim), the test suite, and the benchmarks.
+// reproduction (cmd/hopper-sim) and the test suite.
 type Harness struct {
 	// Scale multiplies job counts; 1.0 is the reproduction default.
 	Scale float64
@@ -35,12 +35,6 @@ type Harness struct {
 	// threads it to sub-cells so nested fan-out stays bounded.
 	pl *workerPool
 }
-
-// DefaultHarness mirrors the paper's methodology at tractable scale.
-func DefaultHarness() Harness { return Harness{Scale: 1, Seeds: 3} }
-
-// BenchHarness is a reduced setting for -bench runs.
-func BenchHarness() Harness { return Harness{Scale: 0.25, Seeds: 1} }
 
 func (h Harness) jobs(n int) int {
 	j := int(float64(n) * h.Scale)

@@ -2,25 +2,43 @@ package experiments
 
 import (
 	"os"
-	"strings"
 	"testing"
+	"time"
+
+	"github.com/hopper-sim/hopper/internal/cluster"
+	"github.com/hopper-sim/hopper/internal/decentral"
+	"github.com/hopper-sim/hopper/internal/simulator"
+	"github.com/hopper-sim/hopper/internal/workload"
 )
 
-// TestProfile100k replays the 100k-machine decentralized scenario once,
-// for profiling runs (go test -run Profile100k -cpuprofile ...). Opt-in:
-// it costs minutes, so it only runs when HOPPER_PROFILE_100K is set.
+// TestProfile100k replays decentralized Hopper (50 schedulers) on
+// 100,000 machines × 4 slots once — the trace, seeds and set-up of the
+// `decentral-hopper-100k` row the frozen BENCH_PR5…PR10.json files
+// record — and pins the two counts PR 17 read from it (CHANGES.md). It is
+// the one exact number the "1k → 1M" half of the north star keeps until
+// bench/ grows a 100k workload, and the replay to profile
+// (go test -run TestProfile100k -cpuprofile ...). Opt-in: it costs
+// minutes, so it only runs when HOPPER_PROFILE_100K is set.
 func TestProfile100k(t *testing.T) {
-	sel := os.Getenv("HOPPER_PROFILE_100K")
-	if sel == "" {
-		t.Skip("set HOPPER_PROFILE_100K=1 (or a scenario-name substring) to run the 100k profiling replay")
+	if os.Getenv("HOPPER_PROFILE_100K") == "" {
+		t.Skip("set HOPPER_PROFILE_100K=1 to run the 100k-machine replay")
 	}
-	for _, sc := range ScaleScenarios100k() {
-		if sel != "1" && !strings.Contains(sc.Name, sel) {
-			continue
-		}
-		tr := benchTrace(sc)
-		m := measureRun(sc, benchKind(sc.Kind, false), CloneJobs(tr.Jobs))
-		t.Logf("%s: %.0f ns/decision, %d decisions, %d events, %.1fs wall",
-			sc.Name, m.NsPerDecision, m.Decisions, m.Events, m.WallSeconds)
+	const (
+		wantDecisions = 279277
+		wantEvents    = 96591973
+	)
+	spec := ClusterSpec{Machines: 100000, SlotsPerMachine: 4, Exec: cluster.DefaultExecModel()}
+	tr := GenTrace(workload.Facebook(), 2400, 0.7, spec, 7005)
+	var eng *simulator.Engine
+	kind := Decentral(func(e *simulator.Engine, exec *cluster.Executor) *decentral.System {
+		eng = e
+		return decentral.New(e, exec, decentral.Config{Mode: decentral.ModeHopper, NumSchedulers: 50})
+	})
+	start := time.Now()
+	r := RunTrace(kind, spec, CloneJobs(tr.Jobs), 7006)
+	t.Logf("%d decisions, %d events, %.1fs wall", r.Exec.CopiesStarted, eng.Fired, time.Since(start).Seconds())
+	if r.Exec.CopiesStarted != wantDecisions || eng.Fired != wantEvents {
+		t.Fatalf("got %d decisions and %d events, want %d and %d",
+			r.Exec.CopiesStarted, eng.Fired, wantDecisions, wantEvents)
 	}
 }

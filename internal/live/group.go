@@ -27,9 +27,6 @@ type WorkerGroupConfig struct {
 	Base WorkerConfig
 	// N is the number of workers to run (default 1).
 	N int
-	// WheelTick is the owned wheel's tick (default 1ms). Ignored when
-	// Base.Timers is set.
-	WheelTick time.Duration
 }
 
 // WorkerGroup is a running set of multiplexed workers.
@@ -50,7 +47,7 @@ func StartWorkerGroup(cfg WorkerGroupConfig) (*WorkerGroup, error) {
 	g := &WorkerGroup{}
 	timers := cfg.Base.Timers
 	if timers == nil {
-		g.wheel = protocol.NewTimerWheel(cfg.WheelTick, 512)
+		g.wheel = protocol.NewTimerWheel(time.Millisecond, 512)
 		timers = g.wheel
 	}
 	for i := 0; i < cfg.N; i++ {

@@ -49,15 +49,6 @@ type SchedulerConfig struct {
 	// CheckInterval is the speculation scan period in virtual seconds
 	// (default 0.25).
 	CheckInterval float64
-	// WatchdogGrace is how long past a copy's drawn duration (virtual
-	// seconds) the scheduler waits for its completion report before
-	// declaring the copy lost and requeueing — the recovery path for
-	// dropped Assign frames, dropped TaskDone reports, and silently
-	// stalled workers. Zero uses defaultWatchdogGrace; negative disables
-	// the watchdog. A spurious expiry (slow report, not a lost one) is
-	// safe: the late report finds its copy gone and is ignored, at the
-	// cost of one redundant placement.
-	WatchdogGrace float64
 	// Seed drives the service-time RNG.
 	Seed int64
 	// DurationOverride, when set, supplies copy service times instead of
@@ -75,8 +66,8 @@ type SchedulerConfig struct {
 	// SLO metric). ProbeLatency receives one observation per answered
 	// probe: Reserve sent to the first Offer back from that worker for
 	// that job (probe-round RTT). Both may be shared across schedulers —
-	// Histogram's record path is concurrency-safe. Nil allocates
-	// per-scheduler histograms, readable via Latency().
+	// Histogram's record path is concurrency-safe. Nil records into a
+	// private histogram nobody reads.
 	PlaceLatency *metrics.Histogram
 	ProbeLatency *metrics.Histogram
 }
@@ -100,11 +91,6 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.CheckInterval == 0 {
 		c.CheckInterval = 0.25
 	}
-	if c.WatchdogGrace == 0 {
-		c.WatchdogGrace = defaultWatchdogGrace
-	} else if c.WatchdogGrace < 0 {
-		c.WatchdogGrace = 0
-	}
 	if c.Timers == nil {
 		c.Timers = protocol.WallTimers
 	}
@@ -117,11 +103,17 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	return c
 }
 
-// defaultWatchdogGrace is the copy watchdog's slack in virtual seconds.
-// Generous against report latency (milliseconds of wall clock) so a
-// healthy copy never expires; the effective grace is additionally
-// floored at one wall-clock second (see copyDeadline) so aggressive
-// time compression cannot turn scheduling hiccups into phantom losses.
+// defaultWatchdogGrace is the copy watchdog's slack in virtual seconds:
+// how long past a copy's drawn duration the scheduler waits for its
+// completion report before declaring the copy lost and requeueing — the
+// recovery path for dropped Assign frames, dropped TaskDone reports, and
+// silently stalled workers. Generous against report latency
+// (milliseconds of wall clock) so a healthy copy never expires; the
+// effective grace is additionally floored at one wall-clock second (see
+// copyDeadline) so aggressive time compression cannot turn scheduling
+// hiccups into phantom losses. A spurious expiry (slow report, not a
+// lost one) is safe: the late report finds its copy gone and is
+// ignored, at the cost of one redundant placement.
 const defaultWatchdogGrace = 5.0
 
 // lJob is scheduler-side job state: the cluster.Job driving the protocol
@@ -153,7 +145,7 @@ type lCopy struct {
 	seq      uint64
 
 	// deadline is the watchdog expiry (virtual time): the copy's drawn
-	// duration plus grace. Zero when the watchdog is disabled.
+	// duration plus grace.
 	deadline float64
 }
 
@@ -1050,13 +1042,9 @@ func (s *Scheduler) startCopy(rep protocol.Reply, w *peer, workerID uint32, seq 
 
 // copyDeadline computes a new copy's watchdog expiry: now + duration +
 // grace, with the grace floored at one wall-clock second so compressed
-// time scales keep real slack. Returns 0 (no deadline) with the
-// watchdog disabled.
+// time scales keep real slack.
 func (s *Scheduler) copyDeadline(dur float64) float64 {
-	grace := s.cfg.WatchdogGrace
-	if grace <= 0 {
-		return 0
-	}
+	grace := defaultWatchdogGrace
 	if floor := 1.0 / s.cfg.TimeScale; grace < floor {
 		grace = floor
 	}
@@ -1072,7 +1060,7 @@ func (s *Scheduler) expireOverdueCopies() {
 	now := s.now()
 	var overdue []*lCopy
 	for _, lc := range s.copies {
-		if lc.deadline > 0 && now > lc.deadline {
+		if now > lc.deadline {
 			overdue = append(overdue, lc)
 		}
 	}
@@ -1177,15 +1165,6 @@ func (s *Scheduler) Stats() protocol.Stats {
 	case <-s.loop.done:
 		return protocol.Stats{}
 	}
-}
-
-// Latency returns the scheduler's latency histograms: submit→first-
-// placement and probe-round RTT. The histograms' record paths are
-// atomic, so reading (Quantile/Merge) concurrently with a live
-// scheduler is safe; when several schedulers share histograms via
-// SchedulerConfig each returns the same pair.
-func (s *Scheduler) Latency() (place, probe *metrics.Histogram) {
-	return s.cfg.PlaceLatency, s.cfg.ProbeLatency
 }
 
 // finishJob reports the completed job to its client and releases state.

@@ -47,11 +47,6 @@ type WorkerConfig struct {
 	// zero uses defaultRetryJitter, negative disables jitter entirely
 	// (deterministic tests).
 	RetryJitter float64
-	// OfferTimeout is how long (virtual seconds) the worker waits for a
-	// reply to an offer before abandoning it and moving the round on — the
-	// recovery path for dropped offers and dropped replies. Zero uses
-	// defaultOfferTimeout, negative disables timeouts.
-	OfferTimeout float64
 	// RedialInterval, when positive, makes the worker re-dial a lost
 	// scheduler's address (SchedulerAddrs mode only) every this many wall
 	// seconds until it reconnects — the crash-recovery path for TCP
@@ -77,9 +72,11 @@ type WorkerConfig struct {
 // timing.
 const defaultRetryJitter = 0.2
 
-// defaultOfferTimeout is the offer-abandon deadline in virtual seconds:
-// generous against reply latency (milliseconds of wall clock) while
-// bounding how long a lost frame can stall a negotiation round.
+// defaultOfferTimeout is how long (virtual seconds) the worker waits for
+// a reply to an offer before abandoning it and moving the round on — the
+// recovery path for dropped offers and dropped replies. Generous against
+// reply latency (milliseconds of wall clock) while bounding how long a
+// lost frame can stall a negotiation round.
 const defaultOfferTimeout = 5.0
 
 // runningCopy is one emulated in-flight copy on this worker. sidx is
@@ -157,11 +154,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.RetryJitter = defaultRetryJitter
 	} else if c.RetryJitter < 0 {
 		c.RetryJitter = 0
-	}
-	if c.OfferTimeout == 0 {
-		c.OfferTimeout = defaultOfferTimeout
-	} else if c.OfferTimeout < 0 {
-		c.OfferTimeout = 0
 	}
 	if c.Timers == nil {
 		c.Timers = protocol.WallTimers
@@ -727,12 +719,10 @@ func (w *Worker) exec(acts []protocol.WAction) {
 				GetTask:   a.GetTask,
 				FreeSlots: uint32(w.freeSlots),
 			})
-			if w.cfg.OfferTimeout > 0 {
-				wall := time.Duration(w.cfg.OfferTimeout * w.cfg.TimeScale * float64(time.Second))
-				w.tracker.arm(seq, w.cfg.Timers.AfterFunc(wall, func() {
-					w.post(&internalEvent{fn: func() { w.offerTimedOut(seq) }}, nil)
-				}))
-			}
+			wall := time.Duration(defaultOfferTimeout * w.cfg.TimeScale * float64(time.Second))
+			w.tracker.arm(seq, w.cfg.Timers.AfterFunc(wall, func() {
+				w.post(&internalEvent{fn: func() { w.offerTimedOut(seq) }}, nil)
+			}))
 		case protocol.WArmRetry:
 			// Generation-tag each arm: a RetryFired event already queued
 			// from an older timer must not reach the core after a newer

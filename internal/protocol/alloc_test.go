@@ -10,8 +10,8 @@ import (
 // overhaul (pooled entries/rounds/messages, dense queue layouts,
 // Task-side want flags) makes a warmed core allocation-free per
 // protocol round; these tests freeze that property so a regression
-// shows up as a unit-test failure, not a slow drift in the BENCH_*
-// trajectory. testing.AllocsPerRun reports the average over many runs,
+// shows up as a unit-test failure, not a slow drift in the benchmark's
+// allocs_per_decision. testing.AllocsPerRun reports the average over many runs,
 // so an amortized pool growth inside the measured window would surface
 // as a fractional count — the pin is exactly 0.
 

@@ -204,10 +204,6 @@ func NewSched(id SchedID, cfg Config, env SchedEnv) *Sched {
 	return sc
 }
 
-// Policy exposes the probe-target policy for adapters and diagnostics
-// (e.g. reading LoadCachePolicy hit counters after a run).
-func (sc *Sched) Policy() ProbePolicy { return sc.policy }
-
 // ObserveWorkerLoad feeds the probe policy one worker's piggybacked
 // load report (free slots and per-slot capacity at send time). Adapters
 // call it when an offer arrives, before handling the offer; under
@@ -230,9 +226,6 @@ func (sc *Sched) IndexEnabled() bool { return sc.mon.IndexEnabled() }
 // adapter calls it when it is about to break a condition the index's
 // exactness rests on (the simulator's churn driver does).
 func (sc *Sched) DisableVictimIndex() { sc.mon.DisableIndex() }
-
-// ID returns the scheduler's cluster-wide identity.
-func (sc *Sched) ID() SchedID { return sc.id }
 
 // HasJobs reports whether any admitted job is still active — the
 // adapter's condition for keeping the speculation ticker armed.
@@ -658,31 +651,10 @@ func (sc *Sched) HandleGetTask(jobID cluster.JobID, m cluster.MachineID) Reply {
 	}
 }
 
-// Job returns the scheduler's state handle for a job (nil if not owned).
-// Exposed for adapters that must inspect demand during shutdown drains
-// and for white-box tests.
-func (sc *Sched) Job(id cluster.JobID) *cluster.Job {
-	if d := sc.jobs[id]; d != nil {
-		return d.job
-	}
-	return nil
-}
-
 // Occupied reports the slots currently committed to a job.
 func (sc *Sched) Occupied(id cluster.JobID) int {
 	if d := sc.jobs[id]; d != nil {
 		return d.occupied
 	}
 	return 0
-}
-
-// ActiveJobs returns the IDs of all admitted, unfinished jobs in
-// admission order, appended to dst.
-func (sc *Sched) ActiveJobs(dst []cluster.JobID) []cluster.JobID {
-	for _, d := range sc.jobList {
-		if d != nil {
-			dst = append(dst, d.job.ID)
-		}
-	}
-	return dst
 }

@@ -151,9 +151,6 @@ func NewWorker(id cluster.MachineID, cfg Config, env WorkerEnv) *Worker {
 	}
 }
 
-// ID returns the worker's machine identity.
-func (w *Worker) ID() cluster.MachineID { return w.id }
-
 // find returns the live entry for a (scheduler, job) pair, or nil.
 func (w *Worker) find(sched SchedID, job cluster.JobID) *Entry {
 	for _, e := range w.entries {

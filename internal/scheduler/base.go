@@ -63,8 +63,7 @@ type Config struct {
 	// dispatch implementation (reference.go): per-pass sorting, map
 	// rebuilds, and phase rescans. Behaviorally identical to the
 	// optimized paths — dispatch_diff_test.go proves it — it exists as
-	// the differential-testing oracle and the benchmark baseline, never
-	// for production use.
+	// the differential-testing oracle, never for production use.
 	ReferenceDispatch bool
 }
 

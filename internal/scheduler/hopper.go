@@ -111,8 +111,8 @@ func (h *HopperEngine) refresh() {
 	}
 	if h.Cfg.ReferenceDispatch {
 		// The reference dispatch re-sorts per pass from the maps; keeping
-		// the optimized order out of this mode keeps the benchmark's
-		// reference column a faithful old-cost measurement.
+		// the optimized order out of this mode keeps the oracle
+		// independent of the order it is compared against.
 		h.refreshReference()
 		return
 	}

@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -10,17 +11,18 @@ import (
 type payload struct{ pad [64]byte }
 
 // awaitCollected forces GC cycles until the flag flips or the budget runs
-// out. Finalizers run on a background goroutine, so a couple of cycles
-// plus Gosched is needed even when the object is genuinely unreachable.
-func awaitCollected(collected *bool) bool {
+// out. Finalizers run on a background goroutine (hence the atomic flag),
+// so a couple of cycles plus Gosched is needed even when the object is
+// genuinely unreachable.
+func awaitCollected(collected *atomic.Bool) bool {
 	for i := 0; i < 50; i++ {
 		runtime.GC()
 		runtime.Gosched()
-		if *collected {
+		if collected.Load() {
 			return true
 		}
 	}
-	return *collected
+	return collected.Load()
 }
 
 // calibrated returns an engine pushed past calibration so the calendar
@@ -41,10 +43,10 @@ func calibrated() *Engine {
 // structure: the near bucket (behind-cursor insert), the calendar ring,
 // and the overflow heap (far beyond the ring horizon), via closure,
 // PostArg payload, and cancellation handle.
-func plant(e *Engine, collected []bool) {
+func plant(e *Engine, collected []atomic.Bool) {
 	mk := func(i int) *payload {
 		p := &payload{}
-		runtime.SetFinalizer(p, func(*payload) { collected[i] = true })
+		runtime.SetFinalizer(p, func(*payload) { collected[i].Store(true) })
 		return p
 	}
 	horizon := e.width * Time(len(e.buckets))
@@ -63,7 +65,7 @@ func plant(e *Engine, collected []bool) {
 // closures, or handles alive.
 func TestDrainReleasesReferences(t *testing.T) {
 	e := calibrated()
-	collected := make([]bool, 4)
+	collected := make([]atomic.Bool, 4)
 	plant(e, collected)
 	e.Drain()
 	for i := range collected {
@@ -81,7 +83,7 @@ func TestDrainReleasesReferences(t *testing.T) {
 // capacity may still reference them.
 func TestRunReleasesReferences(t *testing.T) {
 	e := calibrated()
-	collected := make([]bool, 4)
+	collected := make([]atomic.Bool, 4)
 	plant(e, collected)
 	e.Run()
 	for i := range collected {

@@ -206,9 +206,6 @@ func NewMonitor(cfg Config, rng *rand.Rand) *Monitor {
 	return &Monitor{cfg: cfg, rng: rng, jobs: make(map[cluster.JobID]*jobStats), slowPct: pct}
 }
 
-// Config returns the effective configuration.
-func (m *Monitor) Config() Config { return m.cfg }
-
 // TaskCompleted records the winning copy's duration for the job's t_new
 // and slow-threshold estimates. Call from the scheduler's OnTaskDone.
 func (m *Monitor) TaskCompleted(t *cluster.Task, winner *cluster.Copy) {

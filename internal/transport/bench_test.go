@@ -15,14 +15,16 @@ type benchCounting = countingConn
 
 // benchPair returns a connected conn pair for the named flavor plus the
 // sender-side write counter (nil for mem) and a cleanup function.
-// Flavors: "mem" (batched in-memory pair), "tcp" (batched writer,
-// DefaultFlushDelay), "tcp-unbatched" (the PR 3 flush-per-message
-// baseline kept so the batching win is pinned in-repo).
+// Flavors: "mem" (batched in-memory pair) and "tcp" (batched writer,
+// DefaultFlushDelay, over a loopback socket).
 func benchPair(b *testing.B, flavor string) (Conn, Conn, *benchCounting, func()) {
 	b.Helper()
 	if flavor == "mem" {
 		a, bb := Pair(1024)
 		return a, bb, nil, func() { a.Close(); bb.Close() }
+	}
+	if flavor != "tcp" {
+		b.Fatalf("unknown flavor %q", flavor)
 	}
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -44,15 +46,7 @@ func benchPair(b *testing.B, flavor string) (Conn, Conn, *benchCounting, func())
 		_ = tc.SetNoDelay(true) // the counting wrapper hides *net.TCPConn from NewConn
 	}
 	counting := &benchCounting{Conn: raw}
-	var dialed Conn
-	switch flavor {
-	case "tcp":
-		dialed = NewConn(counting)
-	case "tcp-unbatched":
-		dialed = NewUnbatchedConn(counting)
-	default:
-		b.Fatalf("unknown flavor %q", flavor)
-	}
+	dialed := NewConn(counting)
 	server := <-accepted
 	return dialed, server, counting, func() {
 		dialed.Close()
@@ -63,14 +57,14 @@ func benchPair(b *testing.B, flavor string) (Conn, Conn, *benchCounting, func())
 
 // BenchmarkConnThroughput measures one-way small-frame throughput — the
 // protocol's dominant traffic shape (Reserve is the most frequent
-// message) — over the in-memory pair and a loopback TCP socket, batched
-// and unbatched. The writes/msg metric is the batching win: unbatched
-// pays one Write syscall per frame, the batched writer coalesces every
-// frame that arrives within the flush deadline into one. The allocs/msg
-// metric is end-to-end (encode, framing, decode, both goroutines): the
-// per-connection reusable outbox keeps the send half off it.
+// message) — over the in-memory pair and a loopback TCP socket. The
+// writes/msg metric is the batching win: a flush per frame would read
+// 1.0, the batched writer coalesces every frame that arrives within the
+// flush deadline into one Write. The allocs/msg metric is end-to-end
+// (encode, framing, decode, both goroutines): the per-connection
+// reusable outbox keeps the send half off it.
 func BenchmarkConnThroughput(b *testing.B) {
-	for _, flavor := range []string{"mem", "tcp", "tcp-unbatched"} {
+	for _, flavor := range []string{"mem", "tcp"} {
 		b.Run(flavor, func(b *testing.B) {
 			sender, receiver, counting, cleanup := benchPair(b, flavor)
 			defer cleanup()
@@ -116,9 +110,8 @@ func BenchmarkConnThroughput(b *testing.B) {
 // flush deadline on both legs — that is the documented trade: a lone
 // latency-critical round trip costs up to 2×DefaultFlushDelay more,
 // while sustained traffic gets an order of magnitude fewer syscalls.
-// The unbatched row is the latency floor reference.
 func BenchmarkConnPingPong(b *testing.B) {
-	for _, flavor := range []string{"mem", "tcp", "tcp-unbatched"} {
+	for _, flavor := range []string{"mem", "tcp"} {
 		b.Run(flavor, func(b *testing.B) {
 			client, server, _, cleanup := benchPair(b, flavor)
 			defer cleanup()
@@ -149,45 +142,39 @@ func BenchmarkConnPingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkConnBurst measures the acceptance-criteria shape directly:
-// bursts of 8 frames enqueued back to back (a probe fan-out), receiver
-// draining concurrently. Batched must beat unbatched ≥2x on msgs/sec
-// and ≥5x on writes/msg here.
+// BenchmarkConnBurst measures the probe fan-out shape: bursts of 8
+// frames enqueued back to back, receiver draining concurrently. A flush
+// per frame reads 1.0 writes/msg; PR 10 measured the batched writer at
+// ≥2x its msgs/sec and ≥5x fewer writes/msg (DESIGN.md section 12).
 func BenchmarkConnBurst(b *testing.B) {
 	const burst = 8
-	for _, flavor := range []string{"tcp", "tcp-unbatched"} {
-		b.Run(flavor, func(b *testing.B) {
-			sender, receiver, counting, cleanup := benchPair(b, flavor)
-			defer cleanup()
+	sender, receiver, counting, cleanup := benchPair(b, "tcp")
+	defer cleanup()
 
-			msg := &wire.Reserve{JobID: 7, SchedulerID: 3, VirtualSize: 61.5, RemTasks: 46}
-			total := b.N * burst
-			done := make(chan error, 1)
-			go func() {
-				for i := 0; i < total; i++ {
-					if _, err := receiver.Recv(); err != nil {
-						done <- err
-						return
-					}
-				}
-				done <- nil
-			}()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < burst; j++ {
-					if err := sender.Send(msg); err != nil {
-						b.Fatal(err)
-					}
-				}
+	msg := &wire.Reserve{JobID: 7, SchedulerID: 3, VirtualSize: 61.5, RemTasks: 46}
+	total := b.N * burst
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < total; i++ {
+			if _, err := receiver.Recv(); err != nil {
+				done <- err
+				return
 			}
-			if err := <-done; err != nil {
+		}
+		done <- nil
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < burst; j++ {
+			if err := sender.Send(msg); err != nil {
 				b.Fatal(err)
 			}
-			b.StopTimer()
-			if counting != nil {
-				b.ReportMetric(float64(counting.writes.Load())/float64(total), "writes/msg")
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "msgs/sec")
-		})
+		}
 	}
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(counting.writes.Load())/float64(total), "writes/msg")
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "msgs/sec")
 }

@@ -320,71 +320,6 @@ func (t *tcpConn) Close() error {
 
 func (t *tcpConn) RemoteAddr() string { return t.c.RemoteAddr().String() }
 
-// --- TCP, unbatched baseline --------------------------------------------
-
-// unbatchedConn is the PR 3-era synchronous path: encode under a lock,
-// write, flush — one syscall per frame. Kept as the benchmark baseline
-// (BenchmarkConnThroughput's unbatched rows) so the batching win is
-// measured in-repo rather than claimed, and as the latency-floor
-// reference: an unbatched send reaches the wire immediately, a batched
-// one within the flush deadline.
-type unbatchedConn struct {
-	c  net.Conn
-	br *bufio.Reader
-
-	mu  sync.Mutex // serializes writes
-	bw  *bufio.Writer
-	enc []byte // reusable per-connection encode buffer (guarded by mu)
-
-	closed bool
-}
-
-// NewUnbatchedConn wraps an established net.Conn in the synchronous
-// flush-per-message transport.
-func NewUnbatchedConn(c net.Conn) Conn {
-	if tc, ok := c.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-	}
-	return &unbatchedConn{
-		c:  c,
-		br: bufio.NewReaderSize(c, 64<<10),
-		bw: bufio.NewWriterSize(c, 64<<10),
-	}
-}
-
-func (t *unbatchedConn) Send(m wire.Message) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
-	t.enc = wire.Append(t.enc[:0], m)
-	if _, err := t.bw.Write(t.enc); err != nil {
-		return &closedErr{cause: err}
-	}
-	if err := t.bw.Flush(); err != nil {
-		return &closedErr{cause: err}
-	}
-	return nil
-}
-
-func (t *unbatchedConn) Recv() (wire.Message, error) {
-	return wire.ReadMsg(t.br)
-}
-
-func (t *unbatchedConn) SetRecvDeadline(tm time.Time) error {
-	return t.c.SetReadDeadline(tm)
-}
-
-func (t *unbatchedConn) Close() error {
-	t.mu.Lock()
-	t.closed = true
-	t.mu.Unlock()
-	return t.c.Close()
-}
-
-func (t *unbatchedConn) RemoteAddr() string { return t.c.RemoteAddr().String() }
-
 // Listener accepts transport connections.
 type Listener struct {
 	l net.Listener
