@@ -8,37 +8,26 @@
 // scheduling order (FIFO), which keeps multi-component simulations
 // deterministic without requiring components to avoid simultaneous events.
 //
-// # Fast path
+// # Event queue
 //
-// Events are stored by value in reusable arrays (no per-event heap
-// allocation on the hot path) and dispatched through a two-level
-// calendar/bucket queue:
+// Pending events are stored by value in one binary min-heap ordered by
+// (time, scheduling order): no per-event allocation on the hot path, no
+// interface boxing, O(log n) push and pop. That pair is the whole
+// ordering contract — events fire in nondecreasing time, and events at the
+// same instant fire in the order they were scheduled — and it is a total
+// order, so the firing sequence does not depend on the container.
 //
-//   - a calendar ring of coarse time buckets holds the dense near-future
-//     events, so inserting an event is an O(1) append instead of an
-//     O(log n) heap percolation;
-//   - the bucket whose time has come is swapped (not copied) into the
-//     consumption slot, sorted once, and consumed by advancing a cursor —
-//     O(1) per pop, no per-pop sift swaps;
-//   - an overflow heap catches events beyond the ring horizon.
-//
-// The bucket width is calibrated from the first few hundred scheduling
-// deltas, which depend only on virtual times — calibration is therefore
-// as deterministic as the simulation itself. Engines whose workloads never
-// produce a usable width (e.g. all events at one instant) simply stay on
-// the heap. At and After return a *Event cancellation handle (the only
-// per-event allocation); Post and PostAfter skip the handle entirely for
-// the common fire-and-forget case. Handles are deliberately not pooled:
-// callers may retain one indefinitely and Cancel it after the event fired,
-// and recycling would let that stale Cancel hit an unrelated event.
+// At and After return a *Event cancellation handle (the only per-event
+// allocation); Post, PostAfter, PostArg and PostAfterArg skip the handle
+// entirely for the common fire-and-forget case. Handles are deliberately
+// not pooled: callers may retain one indefinitely and Cancel it after the
+// event fired, and recycling would let that stale Cancel hit an unrelated
+// event.
 package simulator
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"slices"
-	"sort"
 )
 
 // Time is virtual simulation time in seconds.
@@ -66,7 +55,7 @@ func (e *Event) Canceled() bool { return e != nil && e.canceled }
 func (e *Event) Time() Time { return e.at }
 
 // slot is one scheduled callback, stored by value inside the queue's
-// backing arrays. h is non-nil only for cancellable events (At/After).
+// backing array. h is non-nil only for cancellable events (At/After).
 // Exactly one of fn/afn is set: afn carries the PostArg form, where the
 // callback is a shared (usually package-level) function and the
 // per-event state travels in arg — the zero-allocation path for
@@ -87,13 +76,6 @@ func slotLess(a, b slot) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-func slotCmp(a, b slot) int {
-	if slotLess(a, b) {
-		return -1
-	}
-	return 1 // (at, seq) pairs are unique; equality cannot happen
 }
 
 // slotHeap is a hand-rolled binary min-heap of slots ordered by (at, seq).
@@ -142,33 +124,6 @@ func (h *slotHeap) pop() slot {
 	return top
 }
 
-const (
-	// minRingBuckets/maxRingBuckets bound the calendar ring size; the
-	// ring covers up to len(buckets)-1 bucket-widths of future virtual
-	// time and is regrown by resize to keep the pending-event spread
-	// inside the horizon (beyond it, events detour through the slower
-	// overflow heap).
-	minRingBuckets = 256
-	maxRingBuckets = 16384
-	// calibrateAfter is how many positive scheduling deltas the engine
-	// observes before switching from the plain heap to the calendar.
-	calibrateAfter = 256
-	// bucketsPerDelta scales the initial width guess: a bucket spans
-	// 1/bucketsPerDelta of the average scheduling delta.
-	bucketsPerDelta = 8
-	// targetOccupancy is the bucket population the width resizer aims
-	// for; resizeAt is the occupancy that triggers a resize. The initial
-	// width only sees scheduling deltas, not event *rate*, so dense
-	// simulations are corrected here, at most maxResizes times.
-	targetOccupancy = 8
-	resizeAt        = 48
-	// maxResizes bounds rebuild work; resizes are cheap (one ring sweep
-	// each) and a generous budget keeps workloads whose density keeps
-	// shifting from exhausting it and falling into oversized buckets,
-	// where behind-cursor inserts cost O(bucket) instead of O(log n).
-	maxResizes = 32
-)
-
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use: simulations are single-goroutine by design so that runs
 // are reproducible. Run concurrent simulations on separate Engines.
@@ -178,32 +133,9 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// count is live slots across all structures, including canceled
-	// events that have not yet been drained (matching Pending's
-	// documented semantics).
-	count int
-
-	// Two-level queue state. near is the sorted bucket currently being
-	// consumed (cursor nearPos); buckets is the calendar ring; overflow
-	// holds events beyond the ring horizon — and everything, before
-	// calibration or with the calendar disabled.
-	near      []slot
-	nearPos   int
-	buckets   [][]slot
-	curBucket int64 // absolute index of the bucket loaded into near
-	ringCount int
-	overflow  slotHeap
-	width     Time
-	maxAt     Time // highest time ever scheduled; sizes the ring on resize
-	calOn     bool
-	resizes   int
-	heapOnly  bool // pins the engine to the plain heap (benchmarks/tests)
-	// behindInserts counts sorted inserts into the bucket being consumed
-	// (the b <= curBucket branch); tests use it to prove coverage.
-	behindInserts int
-
-	calibN   int
-	calibSum Time
+	// queue holds every pending event, including canceled ones that have
+	// not yet been popped (matching Pending's documented semantics).
+	queue slotHeap
 
 	// Fired counts events that have executed; useful for tests and for
 	// sanity-checking runaway simulations.
@@ -223,13 +155,15 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of events waiting to fire (including
 // canceled events that have not yet been drained).
-func (e *Engine) Pending() int { return e.count }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules fn to run at absolute virtual time t and returns a handle
-// that can cancel it. Scheduling in the past panics: that is always a
-// logic error in a discrete-event model.
+// that can cancel it. Scheduling in the past — or at NaN, which would
+// make the queue's ordering inconsistent — panics: that is always a logic
+// error in a discrete-event model. +Inf is legal and orders after every
+// finite time.
 func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
+	if !(t >= e.now) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := &Event{at: t}
@@ -237,9 +171,9 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	return ev
 }
 
-// After schedules fn to run d seconds from now. Negative d panics.
+// After schedules fn to run d seconds from now. Negative or NaN d panics.
 func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
+	if !(d >= 0) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: negative delay %v", d))
 	}
 	return e.At(e.now+d, fn)
@@ -249,16 +183,16 @@ func (e *Engine) After(d Time, fn func()) *Event {
 // handle. It is the zero-allocation path for fire-and-forget events —
 // the overwhelmingly common case — and otherwise behaves exactly like At.
 func (e *Engine) Post(t Time, fn func()) {
-	if t < e.now {
+	if !(t >= e.now) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, e.now))
 	}
 	e.insert(slot{at: t, fn: fn})
 }
 
 // PostAfter schedules fn to run d seconds from now with no cancellation
-// handle. Negative d panics.
+// handle. Negative or NaN d panics.
 func (e *Engine) PostAfter(d Time, fn func()) {
-	if d < 0 {
+	if !(d >= 0) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: negative delay %v", d))
 	}
 	e.insert(slot{at: e.now + d, fn: fn})
@@ -271,204 +205,25 @@ func (e *Engine) PostAfter(d Time, fn func()) {
 // heap-allocated per event. Ordering is identical to Post (FIFO among
 // same-time events by scheduling order).
 func (e *Engine) PostArg(t Time, fn func(any), arg any) {
-	if t < e.now {
+	if !(t >= e.now) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, e.now))
 	}
 	e.insert(slot{at: t, afn: fn, arg: arg})
 }
 
 // PostAfterArg schedules fn(arg) d seconds from now with no cancellation
-// handle. Negative d panics.
+// handle. Negative or NaN d panics.
 func (e *Engine) PostAfterArg(d Time, fn func(any), arg any) {
-	if d < 0 {
+	if !(d >= 0) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: negative delay %v", d))
 	}
 	e.insert(slot{at: e.now + d, afn: fn, arg: arg})
 }
 
-// bucketOf maps an absolute time onto an absolute bucket index, clamped so
-// that degenerate times (huge or +Inf) cannot overflow the conversion.
-func (e *Engine) bucketOf(t Time) int64 {
-	q := t / e.width
-	if !(q < math.MaxInt64/4) { // also catches NaN/Inf
-		return math.MaxInt64 / 4
-	}
-	return int64(q)
-}
-
 func (e *Engine) insert(s slot) {
 	s.seq = e.seq
 	e.seq++
-	e.count++
-	at := s.at
-	if at > e.maxAt {
-		e.maxAt = at
-	}
-
-	if !e.calOn {
-		e.overflow.push(s)
-		if !e.heapOnly {
-			e.calibrate(at)
-		}
-		return
-	}
-
-	b := e.bucketOf(at)
-	switch {
-	case b-e.curBucket < int64(len(e.buckets)) && b > e.curBucket:
-		e.buckets[b%int64(len(e.buckets))] = append(e.buckets[b%int64(len(e.buckets))], s)
-		e.ringCount++
-	case b <= e.curBucket:
-		// At or before the bucket being consumed (including fills behind
-		// a deadline-advanced cursor): sorted-insert into the unconsumed
-		// tail of near. Consumed entries are all <= now <= at, so the
-		// search over the tail alone is correct.
-		e.behindInserts++
-		i := e.nearPos + sort.Search(len(e.near)-e.nearPos, func(k int) bool {
-			return slotLess(s, e.near[e.nearPos+k])
-		})
-		e.near = append(e.near, slot{})
-		copy(e.near[i+1:], e.near[i:])
-		e.near[i] = s
-	default:
-		e.overflow.push(s)
-	}
-}
-
-// calibrate accumulates scheduling deltas and flips the calendar on once
-// enough have been seen. Purely a function of virtual times, so it is
-// deterministic across runs.
-func (e *Engine) calibrate(at Time) {
-	if d := at - e.now; d > 0 && !math.IsInf(d, 1) {
-		e.calibSum += d
-		e.calibN++
-	}
-	if e.calibN < calibrateAfter {
-		return
-	}
-	w := e.calibSum / calibrateAfter / bucketsPerDelta
-	if w <= 0 || math.IsInf(w, 1) {
-		e.calibN = 0
-		e.calibSum = 0
-		return
-	}
-	e.width = w
-	e.calOn = true
-	e.buckets = make([][]slot, minRingBuckets)
-	e.curBucket = e.bucketOf(e.now) - 1
-	// Events already queued stay in overflow; prime drains them into
-	// near bucket by bucket as their time comes.
-}
-
-// prime ensures near holds the globally earliest pending events, swapping
-// in calendar buckets (and draining overflow) as their time comes. It
-// reports whether any event is pending.
-func (e *Engine) prime() bool {
-	if !e.calOn {
-		return len(e.overflow) > 0
-	}
-	for e.nearPos >= len(e.near) {
-		if e.ringCount == 0 && len(e.overflow) == 0 {
-			return false
-		}
-		next := int64(-1)
-		if e.ringCount > 0 {
-			nb := int64(len(e.buckets))
-			for k := int64(1); k < nb; k++ {
-				if len(e.buckets[(e.curBucket+k)%nb]) > 0 {
-					next = e.curBucket + k
-					break
-				}
-			}
-		}
-		if len(e.overflow) > 0 {
-			if b := e.bucketOf(e.overflow[0].at); next < 0 || b < next {
-				next = b
-			}
-		}
-		if next < 0 {
-			return false // unreachable; defensive against count drift
-		}
-		e.curBucket = next
-		idx := next % int64(len(e.buckets))
-		b := e.buckets[idx]
-		if len(b) >= resizeAt && e.resizes < maxResizes {
-			e.resize(len(b))
-			continue
-		}
-		// Copy into the reused near buffer and truncate the bucket in
-		// place, so every bucket keeps its grown capacity for the next
-		// ring rotation and steady-state loads allocate nothing. Scrub
-		// the vacated bucket slots (and any stale near tail beyond the
-		// new length) so the retained capacity holds no fn/arg/handle
-		// references once the copied events fire.
-		if len(b) < len(e.near) {
-			clear(e.near[len(b):])
-		}
-		e.near = append(e.near[:0], b...)
-		e.nearPos = 0
-		e.ringCount -= len(b)
-		clear(b)
-		e.buckets[idx] = b[:0]
-		for len(e.overflow) > 0 && e.bucketOf(e.overflow[0].at) <= e.curBucket {
-			e.near = append(e.near, e.overflow.pop())
-		}
-		slices.SortFunc(e.near, slotCmp)
-	}
-	return true
-}
-
-// resize narrows the bucket width toward targetOccupancy events per
-// bucket and rebuilds the ring through the overflow heap. The initial
-// calibration only sees scheduling deltas, not concurrency, so dense
-// simulations land here a handful of times early in the run.
-func (e *Engine) resize(occupancy int) {
-	e.resizes++
-	e.width *= Time(targetOccupancy) / Time(occupancy)
-	// Regrow the ring so the horizon still covers the scheduled-time
-	// spread at the new width; otherwise the bulk of inserts would
-	// detour through the overflow heap and its O(log n) operations.
-	nb := int64(minRingBuckets)
-	if span := e.maxAt - e.now; span > 0 && !math.IsInf(span, 1) {
-		need := int64(span/e.width) + 2
-		for nb < need && nb < maxRingBuckets {
-			nb *= 2
-		}
-	}
-	// Harvest every ring slot back into overflow first; prime re-deals
-	// them at the new width. Scrub each vacated bucket so the retained
-	// capacity holds no references.
-	for i := range e.buckets {
-		for _, s := range e.buckets[i] {
-			e.overflow.push(s)
-		}
-		clear(e.buckets[i])
-		e.buckets[i] = e.buckets[i][:0]
-	}
-	if nb > int64(len(e.buckets)) {
-		e.buckets = make([][]slot, nb)
-	}
-	e.ringCount = 0
-	e.curBucket = e.bucketOf(e.now) - 1
-}
-
-// nextAt returns the earliest pending event time; prime must have
-// reported true.
-func (e *Engine) nextAt() Time {
-	if !e.calOn {
-		return e.overflow[0].at
-	}
-	return e.near[e.nearPos].at
-}
-
-func (e *Engine) popMin() slot {
-	if !e.calOn {
-		return e.overflow.pop()
-	}
-	s := e.near[e.nearPos]
-	e.near[e.nearPos] = slot{} // release fn/afn/arg/h for GC
-	e.nearPos++
-	return s
+	e.queue.push(s)
 }
 
 // Stop halts Run after the currently executing event returns. If no run
@@ -494,13 +249,12 @@ func (e *Engine) Run() Time {
 // pending stop is consumed either way.
 func (e *Engine) RunUntil(deadline Time) Time {
 	defer func() { e.stopped = false }()
-	for !e.stopped && e.prime() {
-		if deadline >= 0 && e.nextAt() > deadline {
+	for !e.stopped && len(e.queue) > 0 {
+		if deadline >= 0 && e.queue[0].at > deadline {
 			e.now = deadline
 			return e.now
 		}
-		s := e.popMin()
-		e.count--
+		s := e.queue.pop()
 		if s.h != nil && s.h.canceled {
 			continue
 		}
@@ -520,19 +274,10 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // Drain discards all pending events without running them. Useful when a
 // simulation has logically completed but periodic timers remain. The
-// queue's backing arrays keep their capacity but are scrubbed, so a
-// drained engine retains no references to event callbacks, payloads, or
+// queue's backing array keeps its capacity but is scrubbed, so a drained
+// engine retains no references to event callbacks, payloads, or
 // cancellation handles.
 func (e *Engine) Drain() {
-	clear(e.near)
-	e.near = e.near[:0]
-	e.nearPos = 0
-	clear(e.overflow)
-	e.overflow = e.overflow[:0]
-	for i := range e.buckets {
-		clear(e.buckets[i])
-		e.buckets[i] = e.buckets[i][:0]
-	}
-	e.ringCount = 0
-	e.count = 0
+	clear(e.queue)
+	e.queue = e.queue[:0]
 }

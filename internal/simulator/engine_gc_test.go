@@ -25,48 +25,47 @@ func awaitCollected(collected *atomic.Bool) bool {
 	return collected.Load()
 }
 
-// calibrated returns an engine pushed past calibration so the calendar
-// ring (near buffer, buckets, overflow) is in use.
-func calibrated() *Engine {
-	e := New(1)
-	for i := 0; i < calibrateAfter+16; i++ {
-		e.Post(Time(i)*0.001, func() {})
-	}
-	e.RunUntil(0.001 * Time(calibrateAfter+16))
-	if !e.calOn {
-		panic("warmup did not calibrate the calendar")
-	}
-	return e
-}
-
-// plant schedules events referencing fresh payloads through every queue
-// structure: the near bucket (behind-cursor insert), the calendar ring,
-// and the overflow heap (far beyond the ring horizon), via closure,
-// PostArg payload, and cancellation handle.
-func plant(e *Engine, collected []atomic.Bool) {
+// plant fills the heap with inert events, then schedules events holding
+// fresh finalizable payloads so that they come to rest at the root, an
+// interior node and the last leaf of the backing array — via PostArg
+// payload, via closure, and via the cancellation handle itself.
+func plant(t *testing.T, e *Engine, collected []atomic.Bool) {
+	t.Helper()
 	mk := func(i int) *payload {
 		p := &payload{}
 		runtime.SetFinalizer(p, func(*payload) { collected[i].Store(true) })
 		return p
 	}
-	horizon := e.width * Time(len(e.buckets))
-	p0 := mk(0)
-	e.PostArg(e.Now(), func(any) {}, p0) // behind-cursor: into near
-	p1 := mk(1)
-	e.PostArg(e.Now()+e.width*2, func(any) {}, p1) // into the ring
-	p2 := mk(2)
-	e.PostArg(e.Now()+horizon*10, func(any) {}, p2) // into overflow
-	p3 := mk(3)
-	e.After(e.width*3, func() { _ = p3 }) // closure + handle into the ring
+	for i := 1; i <= 64; i++ {
+		e.Post(Time(i), func() {})
+	}
+	interior := mk(0)
+	h := e.After(1.5, func() { _ = interior }) // closure + handle
+	runtime.SetFinalizer(h, func(*Event) { collected[1].Store(true) })
+	e.PostArg(e.Now(), func(any) {}, mk(2)) // earliest: sifts up to the root
+	e.PostArg(1000, func(any) {}, mk(3))    // latest: stays where push appended it
+
+	n := len(e.queue)
+	if e.queue[0].arg == nil {
+		t.Fatal("PostArg payload at Now() is not at the heap root")
+	}
+	if e.queue[n-1].arg == nil {
+		t.Fatal("far-future PostArg payload is not at the last leaf")
+	}
+	for i, s := range e.queue {
+		if s.h != nil && (i == 0 || 2*i+1 >= n) {
+			t.Fatalf("handle-bearing event sits at index %d of %d, not an interior node", i, n)
+		}
+	}
 }
 
 // TestDrainReleasesReferences pins the Drain scrub: after Drain, the
-// engine's retained buffer capacity must not keep event payloads,
-// closures, or handles alive.
+// queue's retained capacity must not keep event payloads, closures, or
+// handles alive.
 func TestDrainReleasesReferences(t *testing.T) {
-	e := calibrated()
+	e := New(1)
 	collected := make([]atomic.Bool, 4)
-	plant(e, collected)
+	plant(t, e, collected)
 	e.Drain()
 	for i := range collected {
 		if !awaitCollected(&collected[i]) {
@@ -78,17 +77,20 @@ func TestDrainReleasesReferences(t *testing.T) {
 	}
 }
 
-// TestRunReleasesReferences pins the popMin and bucket swap-in scrubs:
-// once events have fired, nothing in the near buffer, ring, or overflow
-// capacity may still reference them.
+// TestRunReleasesReferences pins the scrub in slotHeap.pop: once events
+// have fired, the slots they vacated at the tail of the backing array may
+// not still reference them.
 func TestRunReleasesReferences(t *testing.T) {
-	e := calibrated()
+	e := New(1)
 	collected := make([]atomic.Bool, 4)
-	plant(e, collected)
+	plant(t, e, collected)
 	e.Run()
 	for i := range collected {
 		if !awaitCollected(&collected[i]) {
 			t.Fatalf("payload %d still referenced after Run consumed it", i)
 		}
 	}
+	// Without this the engine itself is garbage by now and the test
+	// passes whatever its backing array holds.
+	runtime.KeepAlive(e)
 }

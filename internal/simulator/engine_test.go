@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -78,27 +79,64 @@ func TestCancelDuringRun(t *testing.T) {
 	}
 }
 
+// mustPanic runs f and reports an error unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s should panic", what)
+		}
+	}()
+	f()
+}
+
 func TestSchedulingInPastPanics(t *testing.T) {
 	eng := New(1)
 	eng.At(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past should panic")
-			}
-		}()
-		eng.At(5, func() {})
+		// NaN compares false against everything: it must be rejected
+		// like a past time, not slip through into the heap's ordering.
+		for _, c := range []struct {
+			name string
+			t    Time
+		}{{"the past", 5}, {"NaN", math.NaN()}} {
+			mustPanic(t, "At "+c.name, func() { eng.At(c.t, func() {}) })
+			mustPanic(t, "Post "+c.name, func() { eng.Post(c.t, func() {}) })
+			mustPanic(t, "PostArg "+c.name, func() { eng.PostArg(c.t, func(any) {}, nil) })
+		}
 	})
 	eng.Run()
+	if eng.Pending() != 0 {
+		t.Fatalf("a rejected event was queued: pending=%d", eng.Pending())
+	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
 	eng := New(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay should panic")
-		}
-	}()
-	eng.After(-1, func() {})
+	for _, c := range []struct {
+		name string
+		d    Time
+	}{{"negative delay", -1}, {"NaN delay", math.NaN()}} {
+		mustPanic(t, "After "+c.name, func() { eng.After(c.d, func() {}) })
+		mustPanic(t, "PostAfter "+c.name, func() { eng.PostAfter(c.d, func() {}) })
+		mustPanic(t, "PostAfterArg "+c.name, func() { eng.PostAfterArg(c.d, func(any) {}, nil) })
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("a rejected event was queued: pending=%d", eng.Pending())
+	}
+}
+
+// TestInfiniteTimeOrdersLast pins that +Inf is a legal time: it fires
+// after every finite event, FIFO among equals.
+func TestInfiniteTimeOrdersLast(t *testing.T) {
+	eng := New(1)
+	var got []int
+	eng.Post(math.Inf(1), func() { got = append(got, 1) })
+	eng.PostAfter(math.Inf(1), func() { got = append(got, 2) })
+	eng.Post(5, func() { got = append(got, 0) })
+	eng.Run()
+	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("firing order %v, want [0 1 2]", got)
+	}
 }
 
 func TestRunUntil(t *testing.T) {
