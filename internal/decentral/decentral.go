@@ -92,22 +92,6 @@ type Config struct {
 	// BetaPrior seeds the per-scheduler tail estimators.
 	BetaPrior float64
 
-	// RetryBackoffMin/Max bound the worker's idle retry backoff when a
-	// negotiation round ends without placing a task.
-	RetryBackoffMin float64
-	RetryBackoffMax float64
-
-	// RefusalCooldown is how long a worker treats a job as satisfied
-	// after its scheduler refused an offer (or had no task), before
-	// re-offering. This is the worker-side use of the piggybacked
-	// virtual-size information; without it every freed slot re-walks the
-	// queue of satisfied jobs.
-	RefusalCooldown float64
-
-	// LoadCacheStaleness is the maximum age of a cached worker-load
-	// entry that may still aim probes (ModeLoadCache only; seconds).
-	LoadCacheStaleness float64
-
 	// ReprobeInterval, when positive, arms the periodic reservation
 	// refresh (ReprobeStalled) independent of churn. Heterogeneous
 	// clusters need it for liveness: a demand-carrying task whose
@@ -126,10 +110,6 @@ func (c Config) WithDefaults() Config {
 	c.Epsilon = p.Epsilon
 	c.Spec = p.Spec
 	c.BetaPrior = p.BetaPrior
-	c.RetryBackoffMin = p.RetryBackoffMin
-	c.RetryBackoffMax = p.RetryBackoffMax
-	c.RefusalCooldown = p.RefusalCooldown
-	c.LoadCacheStaleness = p.LoadCacheStaleness
 	if c.MsgLatency == 0 {
 		c.MsgLatency = 0.0005
 	}
@@ -153,11 +133,6 @@ func (c Config) protocol() protocol.Config {
 		FairnessOff:      c.FairnessOff,
 		Spec:             c.Spec,
 		BetaPrior:        c.BetaPrior,
-		RetryBackoffMin:  c.RetryBackoffMin,
-		RetryBackoffMax:  c.RetryBackoffMax,
-		RefusalCooldown:  c.RefusalCooldown,
-
-		LoadCacheStaleness: c.LoadCacheStaleness,
 	}
 }
 

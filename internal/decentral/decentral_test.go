@@ -18,6 +18,25 @@ func mkJob(id cluster.JobID, n int, mean, arrival float64) *cluster.Job {
 	return cluster.NewJob(id, "", arrival, []*cluster.Phase{ph})
 }
 
+// heteroDemands is the demand split of the heterogeneous suites: a third
+// of the jobs declare none, a third fit every class, a third only the
+// big one.
+var heteroDemands = []cluster.Resources{{}, {CPU: 2, Mem: 4}, {CPU: 8, Mem: 16}}
+
+// stampDemands gives job i the demand demands[i mod len], on its phases
+// and their tasks alike (the generator has already expanded both).
+func stampDemands(jobs []*cluster.Job, demands []cluster.Resources) {
+	for i, j := range jobs {
+		d := demands[i%len(demands)]
+		for _, p := range j.Phases {
+			p.Demand = d
+			for _, t := range p.Tasks {
+				t.Demand = d
+			}
+		}
+	}
+}
+
 func mkSystem(mode Mode, machines, slots int, seed int64) (*simulator.Engine, *cluster.Executor, *System) {
 	eng := simulator.New(seed)
 	ms := cluster.NewMachines(machines, slots)

@@ -16,6 +16,12 @@ import (
 // exactly-once lifecycle, the double-fired wakeups double-enqueued whole
 // phases into pendingFresh and re-probed them, inflating demand and
 // probe traffic.
+//
+// The same runs carry the no-silent-demand property: a scheduler never
+// hands out a task for a job it last answered NoDemand without having
+// sent probes for that job in between (Stats.SilentDemand) — workers
+// drop their reservation on that answer, so demand that appears without
+// probes has nobody left to ask for it.
 
 // lifecycleDAGJobs builds a mixed-shape DAG workload (chain, fan-out,
 // fan-in, diamond rotation) with transfer-gated joins.
@@ -112,6 +118,9 @@ func TestDecentralExactlyOnceWakeups(t *testing.T) {
 				if sys.OccupancyLeaks != 0 {
 					t.Fatalf("%d occupancy leaks", sys.OccupancyLeaks)
 				}
+				if sys.SilentDemand != 0 {
+					t.Fatalf("%d tasks handed out for a job that had said NoDemand and not probed since", sys.SilentDemand)
+				}
 			})
 		}
 	}
@@ -131,23 +140,11 @@ func TestLoadCacheLifecycleHetero(t *testing.T) {
 		{Name: "standard", Count: 4, Speed: 1, Slots: 4, Cap: cluster.Resources{CPU: 4, Mem: 8}},
 		{Name: "big", Count: 3, Speed: 2, Slots: 8, Cap: cluster.Resources{CPU: 16, Mem: 32}},
 	}
-	demands := []cluster.Resources{{}, {CPU: 2, Mem: 4}, {CPU: 8, Mem: 16}}
 	for _, seed := range []int64{11, 303, 6161, 9999} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			jobs := lifecycleDAGJobs(seed, 24)
-			for i, j := range jobs {
-				d := demands[i%len(demands)]
-				if d.IsZero() {
-					continue
-				}
-				for _, p := range j.Phases {
-					p.Demand = d
-					for _, tk := range p.Tasks {
-						tk.Demand = d
-					}
-				}
-			}
+			stampDemands(jobs, heteroDemands)
 			eng := simulator.New(seed + 1)
 			ms := cluster.NewMachinesClassed(classes)
 			exec := cluster.NewExecutor(eng, ms, cluster.DefaultExecModel())
@@ -170,6 +167,9 @@ func TestLoadCacheLifecycleHetero(t *testing.T) {
 			}
 			if sys.OccupancyLeaks != 0 {
 				t.Fatalf("%d occupancy leaks", sys.OccupancyLeaks)
+			}
+			if sys.SilentDemand != 0 {
+				t.Fatalf("%d tasks handed out for a job that had said NoDemand and not probed since", sys.SilentDemand)
 			}
 		})
 	}

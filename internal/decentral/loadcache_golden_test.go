@@ -43,19 +43,7 @@ func renderLoadCacheRun(seed int64) string {
 		Profile: prof, NumJobs: 18, TargetUtilization: 0.5,
 		TotalSlots: totalSlots, NumMachines: 50, Seed: seed,
 	})
-	demands := []cluster.Resources{{}, {CPU: 2, Mem: 4}, {CPU: 8, Mem: 16}}
-	for i, j := range tr.Jobs {
-		d := demands[i%len(demands)]
-		if d.IsZero() {
-			continue
-		}
-		for _, p := range j.Phases {
-			p.Demand = d
-			for _, t := range p.Tasks {
-				t.Demand = d
-			}
-		}
-	}
+	stampDemands(tr.Jobs, heteroDemands)
 
 	eng := simulator.New(seed + 1)
 	ms := cluster.NewMachinesClassed(lcGoldenClasses)

@@ -42,7 +42,11 @@ func renderAll(h Harness) string {
 // decentralized pendingFresh queues, so every decentralized section
 // shifted (fewer probes, different RNG trajectories) while all
 // centralized-only sections stayed identical — see CHANGES.md for the
-// regen rationale and DESIGN.md for the before/after table. Any other
+// regen rationale and DESIGN.md for the before/after table. It was
+// regenerated again for tblproto's Rollbacks column (PR 6) and for the
+// push contract (PR 20: workers drop a reservation on NoDemand instead
+// of polling; every Hopper-D cell moved, every Sparrow-only and
+// centralized cell stayed byte-identical). Any other
 // diff here means a tie-break, an iteration order, or an RNG
 // consumption point changed — all figure reproductions would silently
 // shift. CI refuses a change to the golden file unless CHANGES.md

@@ -14,18 +14,19 @@ import (
 // TestProfile100k replays decentralized Hopper (50 schedulers) on
 // 100,000 machines × 4 slots once — the trace, seeds and set-up of the
 // `decentral-hopper-100k` row the frozen BENCH_PR5…PR10.json files
-// record — and pins the two counts PR 17 read from it (CHANGES.md). It is
-// the one exact number the "1k → 1M" half of the north star keeps until
-// bench/ grows a 100k workload, and the replay to profile
-// (go test -run TestProfile100k -cpuprofile ...). Opt-in: it costs
-// minutes, so it only runs when HOPPER_PROFILE_100K is set.
+// record — and pins its two counts (PR 17 read 279,277 decisions and
+// 96,591,973 events; PR 20 moved them on purpose when workers stopped
+// polling, CHANGES.md). It is the one exact number the "1k → 1M" half
+// of the north star keeps until bench/ grows a 100k workload, and the
+// replay to profile (go test -run TestProfile100k -cpuprofile ...).
+// Opt-in: set HOPPER_PROFILE_100K to run it.
 func TestProfile100k(t *testing.T) {
 	if os.Getenv("HOPPER_PROFILE_100K") == "" {
 		t.Skip("set HOPPER_PROFILE_100K=1 to run the 100k-machine replay")
 	}
 	const (
-		wantDecisions = 279277
-		wantEvents    = 96591973
+		wantDecisions = 280645
+		wantEvents    = 3286206
 	)
 	spec := ClusterSpec{Machines: 100000, SlotsPerMachine: 4, Exec: cluster.DefaultExecModel()}
 	tr := GenTrace(workload.Facebook(), 2400, 0.7, spec, 7005)

@@ -24,7 +24,9 @@ import (
 //     Offers + Replies + Rollbacks) and pairs replies 1:1 with
 //     delivered offers (Replies == Offers - dropped + duplicated),
 //   - OccupancyLeaks <= Rollbacks (a rollback racing JobDone is the only
-//     tolerated leak, same bound as the decentral ledger test).
+//     tolerated leak, same bound as the decentral ledger test),
+//   - SilentDemand == 0 (a job that said NoDemand hands out nothing it
+//     has not probed for since; a lost probe is still a sent one).
 
 // chaosTimings: all in virtual seconds, all comfortably above the
 // harness's reply round trip (2*MsgLatency + ProcDelay + injected
@@ -294,6 +296,9 @@ func assertChaosOracles(t *testing.T, tag string, res chaosResult) {
 		t.Fatalf("%s: replies not 1:1 with delivered offers: Replies=%d, Offers=%d - dropped %d - partition %d + dup %d = %d",
 			tag, got, c.Offers, ost.Dropped, ost.PartitionDrops, ost.Duplicated, want)
 	}
+	if sys.stats.SilentDemand != 0 {
+		t.Fatalf("%s: %d tasks handed out for a job that had said NoDemand and not probed since", tag, sys.stats.SilentDemand)
+	}
 	if sys.stats.OccupancyLeaks > c.Rollbacks {
 		t.Fatalf("%s: %d occupancy leaks exceed %d rollbacks", tag, sys.stats.OccupancyLeaks, c.Rollbacks)
 	}
@@ -410,5 +415,43 @@ func TestChaosRecoveryCountersFire(t *testing.T) {
 	}
 	if settles == 0 {
 		t.Fatal("10% drops across three seeds never settled a lost assign")
+	}
+}
+
+// TestChaosLostProbesStillSpeculate is the loss cell for pushed
+// speculation. Workers hold no reservation for a job that last told them
+// NoDemand, so a speculation want reaches a worker only by probes — and
+// with a third of all Reserve frames dropped, one want in eighty loses
+// all four of its own. Later probes for the job and the reservation
+// refresh (ReprobeStalled covers a job's oldest live want when it has no
+// unlaunched task) must still bring it a slot: the scripted stragglers
+// get their racing copies.
+func TestChaosLostProbesStillSpeculate(t *testing.T) {
+	for _, seed := range []int64{11, 23, 37} {
+		res := runChaosParity(t, seed, transport.Rates{Drop: 0.33}, transport.Rates{}, transport.Rates{}, [2]float64{})
+		assertChaosOracles(t, "lost-probes", res)
+		if res.chaos.reserveInj.Stats().Dropped == 0 {
+			t.Fatalf("seed %d: no Reserve frame dropped — cell exercised nothing", seed)
+		}
+		stragglers, raced := 0, 0
+		for _, j := range res.sys.jobs {
+			for _, p := range j.Phases {
+				for _, task := range p.Tasks {
+					if task.Index%5 != 0 {
+						continue // scriptedDuration straggles every fifth original
+					}
+					stragglers++
+					for _, c := range task.Copies {
+						if c.Speculative {
+							raced++
+							break
+						}
+					}
+				}
+			}
+		}
+		if stragglers == 0 || raced*10 < stragglers*9 {
+			t.Fatalf("seed %d: %d of %d stragglers got a speculative copy with a third of the probes lost", seed, raced, stragglers)
+		}
 	}
 }

@@ -180,9 +180,6 @@ func newWireSystem(eng *simulator.Engine, exec *cluster.Executor, cfg decentral.
 		FairnessOff:      cfg.FairnessOff,
 		Spec:             cfg.Spec,
 		BetaPrior:        cfg.BetaPrior,
-		RetryBackoffMin:  cfg.RetryBackoffMin,
-		RetryBackoffMax:  cfg.RetryBackoffMax,
-		RefusalCooldown:  cfg.RefusalCooldown,
 	}
 	for i := 0; i < cfg.NumSchedulers; i++ {
 		sc := &wsSched{}

@@ -39,10 +39,6 @@ type WorkerConfig struct {
 	// TimeScale multiplies task service times (0.1 turns a 10s task into
 	// 1s of wall clock). Must match the schedulers'. Default 1.
 	TimeScale float64
-	// RetryBackoffMin/Max bound the idle retry backoff in virtual
-	// seconds (protocol defaults when zero).
-	RetryBackoffMin float64
-	RetryBackoffMax float64
 	// RetryJitter spreads retry backoffs (protocol.Config.RetryJitter);
 	// zero uses defaultRetryJitter, negative disables jitter entirely
 	// (deterministic tests).
@@ -197,8 +193,6 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 	pcfg := protocol.Config{
 		Mode:             cfg.Mode,
 		RefusalThreshold: cfg.RefusalThreshold,
-		RetryBackoffMin:  cfg.RetryBackoffMin,
-		RetryBackoffMax:  cfg.RetryBackoffMax,
 	}.WithDefaults()
 	pcfg.RetryJitter = cfg.RetryJitter // after defaults: zero here means disabled, not unset
 	w.core = protocol.NewWorker(cluster.MachineID(cfg.ID), pcfg, protocol.WorkerEnv{

@@ -50,32 +50,34 @@ type loadCacheEntry struct {
 	w    cluster.MachineID
 	free int
 	cap  cluster.Resources
-	at   float64 // adapter time of the report this entry reflects
+	at   float64 // adapter time of the report this entry reflects (eviction order)
 }
 
 // LoadCachePolicy aims probes with a stale-tolerant cached per-worker
 // load view, in the style of Dodoor's cached decentralized scheduling:
-// piggybacked replies keep the cache warm, probes go to the cached
-// least-loaded workers that fit the task's demand, and cache misses
-// (cold, stale, or exhausted cache) fall back to uniform random probing.
+// the free-slot count piggybacked on every offer feeds the cache, probes
+// go to the cached least-loaded workers that fit the task's demand, and
+// cache misses (cold or exhausted cache) fall back to uniform random
+// probing.
 //
 // Staleness tolerance is the point, not a defect: the cache is only ever
 // a hint about where free slots probably are, and the late-binding offer
 // protocol downstream corrects any error — a probe aimed at a worker
 // that filled up meanwhile just waits in its queue like a random probe
-// would. Chosen entries have their cached free count decremented
-// optimistically so one probe wave spreads instead of dog-piling the
-// single emptiest worker.
+// would. Entries do not expire by age. Workers offer only when probed
+// (a reservation is dropped on NoDemand, never polled), so reports are
+// as sparse as placements and a clock short enough to mean "fresh"
+// would empty the cache between them. What bounds an entry's error
+// instead is the optimistic decrement: each probe aimed by an entry
+// takes one cached slot from it, so a report of f free slots attracts
+// at most f probes before a fresher one must replace it — which also
+// spreads one probe wave instead of dog-piling the emptiest worker.
 //
 // Determinism: entries live in a bounded dense slice scanned in
 // insertion order (no map iteration), selection is by (free desc, worker
 // id asc), and the random fallback uses the same env.RandomWorkers
 // primitive as RandomSubsetPolicy.
 type LoadCachePolicy struct {
-	// Staleness is the maximum age (seconds, adapter clock) at which a
-	// cache entry may still aim probes.
-	Staleness float64
-
 	// MaxEntries bounds the cache; when full, the stalest entry is
 	// evicted. Defaults to loadCacheDefaultSize via NewLoadCachePolicy.
 	MaxEntries int
@@ -95,11 +97,12 @@ type LoadCachePolicy struct {
 // hundred entries cover it even in 10k-machine clusters.
 const loadCacheDefaultSize = 512
 
-// NewLoadCachePolicy builds a load-cache policy with the given staleness
-// window (seconds; <= 0 means entries never expire by age).
-func NewLoadCachePolicy(staleness float64) *LoadCachePolicy {
+// NewLoadCachePolicy builds an empty load-cache policy. The argument was
+// the age, in seconds, past which an entry stopped aiming probes; there
+// is no age rule any more (see LoadCachePolicy) and it is ignored. The
+// parameter stays because the benchmark's layer driver passes one.
+func NewLoadCachePolicy(_ float64) *LoadCachePolicy {
 	return &LoadCachePolicy{
-		Staleness:  staleness,
 		MaxEntries: loadCacheDefaultSize,
 		idx:        make(map[cluster.MachineID]int),
 	}
@@ -130,28 +133,21 @@ func (p *LoadCachePolicy) ObserveLoad(w cluster.MachineID, free int, cap cluster
 	p.entries = append(p.entries, loadCacheEntry{w: w, free: free, cap: cap, at: now})
 }
 
-// usable reports whether an entry may aim a probe for demand d at time
-// now: fresh enough, free slots cached, and the demand fits its slots.
-func (p *LoadCachePolicy) usable(e *loadCacheEntry, d cluster.Resources, now float64) bool {
-	if e.free <= 0 {
-		return false
-	}
-	if p.Staleness > 0 && now-e.at > p.Staleness {
-		return false
-	}
-	return d.IsZero() || d.FitsIn(e.cap)
+// usable reports whether an entry may aim a probe for demand d: free
+// slots cached, and the demand fits its slots.
+func (e *loadCacheEntry) usable(d cluster.Resources) bool {
+	return e.free > 0 && (d.IsZero() || d.FitsIn(e.cap))
 }
 
 // Targets implements ProbePolicy: cached least-loaded fitting workers
 // first, uniform random fill for the remainder.
 func (p *LoadCachePolicy) Targets(env *SchedEnv, t *cluster.Task, n int, dst []cluster.MachineID) []cluster.MachineID {
-	now := env.Now()
 	picked := 0
 	for ; picked < n; picked++ {
 		best := -1
 		for i := range p.entries {
 			e := &p.entries[i]
-			if !p.usable(e, t.Demand, now) {
+			if !e.usable(t.Demand) {
 				continue
 			}
 			if best < 0 || e.free > p.entries[best].free ||

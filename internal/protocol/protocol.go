@@ -115,13 +115,6 @@ type Config struct {
 	// BetaPrior seeds the per-scheduler tail estimators.
 	BetaPrior float64
 
-	// RetryBackoffMin/Max bound the worker's idle retry backoff when a
-	// negotiation round ends without placing a task (seconds, in the
-	// adapter's clock domain). RetryBackoffMax is a hard cap: no armed
-	// retry delay ever exceeds it, jitter included.
-	RetryBackoffMin float64
-	RetryBackoffMax float64
-
 	// RetryJitter spreads each armed retry delay uniformly over
 	// [d*(1-RetryJitter), d*(1+RetryJitter)] so workers that lost their
 	// reservations in the same event (a partition, a scheduler crash) do
@@ -129,11 +122,6 @@ type Config struct {
 	// zero — the simulator's dispatch golden pins exact retry timing —
 	// and the live adapters enable it (see live.defaultRetryJitter).
 	RetryJitter float64
-
-	// RefusalCooldown is how long a worker treats a job as satisfied
-	// after its scheduler refused an offer (or had no task), before
-	// re-offering.
-	RefusalCooldown float64
 
 	// IndexedVictims enables the speculation monitor's heap-backed victim
 	// index in place of the per-offer linear scan. Exact-equivalent by
@@ -143,13 +131,6 @@ type Config struct {
 	// call DisableVictimIndex before it kills copies mid-task. The
 	// simulator adapter makes it (decentral.New); the live one does not.
 	IndexedVictims bool
-
-	// LoadCacheStaleness is the maximum age (seconds) of a cached
-	// worker-load entry that may still aim probes in ModeLoadCache;
-	// older entries fall back to random targets. Default 1s — a few
-	// offer round-trips, long enough to ride out piggyback gaps and
-	// short enough that a drained worker stops attracting probes.
-	LoadCacheStaleness float64
 }
 
 // WithDefaults fills zero fields with the paper's defaults for the mode.
@@ -166,9 +147,6 @@ func (c Config) WithDefaults() Config {
 			c.ProbeRatio = 2
 		}
 	}
-	if c.LoadCacheStaleness == 0 {
-		c.LoadCacheStaleness = 1.0
-	}
 	if c.RefusalThreshold == 0 {
 		c.RefusalThreshold = 2
 	}
@@ -178,15 +156,6 @@ func (c Config) WithDefaults() Config {
 	c.Spec = c.Spec.WithDefaults()
 	if c.BetaPrior == 0 {
 		c.BetaPrior = 1.5
-	}
-	if c.RetryBackoffMin == 0 {
-		c.RetryBackoffMin = 0.25
-	}
-	if c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = 2.0
-	}
-	if c.RefusalCooldown == 0 {
-		c.RefusalCooldown = 0.1
 	}
 	return c
 }
@@ -236,6 +205,13 @@ type Stats struct {
 	// reported still holding.
 	ReconciledCopies       int64
 	ReconciledReservations int64
+
+	// SilentDemand counts tasks handed out for a job whose last answer
+	// to an offer was NoDemand and which has sent no probe since: demand
+	// that appeared unannounced. Workers drop their reservation on
+	// NoDemand, so such demand can strand — always a scheduler-core bug
+	// (see Sched.HandleOffer).
+	SilentDemand int64
 }
 
 // Reply is a scheduler's answer to a worker's offer or task pull. It is

@@ -305,16 +305,15 @@ func TestRetryBackoffDoublesAndResets(t *testing.T) {
 	if len(delays) != 4 {
 		t.Fatalf("got %d retry arms, want 4", len(delays))
 	}
-	cfg := h.w.cfg
-	if delays[0] != cfg.RetryBackoffMin || delays[1] != 2*cfg.RetryBackoffMin {
+	if delays[0] != retryBackoffMin || delays[1] != 2*retryBackoffMin {
 		t.Fatalf("backoff not doubling: %v", delays)
 	}
-	if last := delays[len(delays)-1]; last > cfg.RetryBackoffMax {
-		t.Fatalf("backoff %v exceeds max %v", last, cfg.RetryBackoffMax)
+	if last := delays[len(delays)-1]; last > retryBackoffMax {
+		t.Fatalf("backoff %v exceeds max %v", last, retryBackoffMax)
 	}
 	// A successful placement resets the backoff: the retry the follow-up
 	// kick arms goes back to the minimum delay.
-	h.w.backoff = cfg.RetryBackoffMax
+	h.w.backoff = retryBackoffMax
 	h.w.activeRounds = 1
 	h.w.begin()
 	h.w.endRound(h.w.newRound(), true)
@@ -322,8 +321,8 @@ func TestRetryBackoffDoublesAndResets(t *testing.T) {
 	for _, a := range h.w.acts {
 		if a.Kind == WArmRetry {
 			reArmed = true
-			if a.Delay != cfg.RetryBackoffMin {
-				t.Fatalf("post-placement retry delay %v, want reset to %v", a.Delay, cfg.RetryBackoffMin)
+			if a.Delay != retryBackoffMin {
+				t.Fatalf("post-placement retry delay %v, want reset to %v", a.Delay, retryBackoffMin)
 			}
 		}
 	}
@@ -362,8 +361,8 @@ func TestRetryBackoffJitterStaysWithinCap(t *testing.T) {
 	}
 	varied := false
 	for i, d := range delays {
-		if d < cfg.RetryBackoffMin || d > cfg.RetryBackoffMax {
-			t.Fatalf("delay[%d] = %v outside [%v, %v]", i, d, cfg.RetryBackoffMin, cfg.RetryBackoffMax)
+		if d < retryBackoffMin || d > retryBackoffMax {
+			t.Fatalf("delay[%d] = %v outside [%v, %v]", i, d, retryBackoffMin, retryBackoffMax)
 		}
 		if i > 0 && d != delays[i-1] {
 			varied = true
@@ -372,8 +371,8 @@ func TestRetryBackoffJitterStaysWithinCap(t *testing.T) {
 	if !varied {
 		t.Fatal("jittered delays never varied; jitter draw is dead code")
 	}
-	if w.backoff != cfg.RetryBackoffMax {
-		t.Fatalf("doubling accumulator = %v, want capped at %v", w.backoff, cfg.RetryBackoffMax)
+	if w.backoff != retryBackoffMax {
+		t.Fatalf("doubling accumulator = %v, want capped at %v", w.backoff, retryBackoffMax)
 	}
 }
 

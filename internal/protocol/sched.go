@@ -71,6 +71,12 @@ type dJob struct {
 	// woken tracks phases whose wakeup has been delivered, guarding
 	// pendingFresh against duplicate PhaseRunnable delivery.
 	woken cluster.PhaseSet
+
+	// quiet is set when the job answers an offer NoDemand with nothing
+	// queued at all, and cleared by its next probes. Workers drop their
+	// reservation on that answer, so while quiet the job hands out
+	// nothing it has not announced (see HandleOffer, Stats.SilentDemand).
+	quiet bool
 }
 
 // demand is how many more slots the job could use right now.
@@ -131,6 +137,21 @@ func (d *dJob) takeTask(m cluster.MachineID, maxCopies int, cap cluster.Resource
 		return t, true
 	}
 	return nil, false
+}
+
+// oldestUnserved returns the task a reservation refresh should probe
+// for: the oldest unlaunched original, else the oldest want that is
+// still live by takeTask's test, else nil.
+func (d *dJob) oldestUnserved(maxCopies int) *cluster.Task {
+	if d.pendingFresh.Len() > 0 {
+		return d.pendingFresh.At(0)
+	}
+	for i := 0; i < d.wants.Len(); i++ {
+		if t := d.wants.At(i); t.State == cluster.TaskRunning && t.RunningCopies() < maxCopies {
+			return t
+		}
+	}
+	return nil
 }
 
 func (d *dJob) addWant(t *cluster.Task) bool {
@@ -197,7 +218,7 @@ func NewSched(id SchedID, cfg Config, env SchedEnv) *Sched {
 		sc.mon.EnableIndex()
 	}
 	if cfg.Mode == ModeLoadCache {
-		sc.policy = NewLoadCachePolicy(cfg.LoadCacheStaleness)
+		sc.policy = NewLoadCachePolicy(0)
 	} else {
 		sc.policy = &RandomSubsetPolicy{}
 	}
@@ -332,6 +353,10 @@ func (sc *Sched) probeCount() int {
 // every paper mode, exactly as in Section 6.1 (such tasks may then run
 // without locality), or the load cache in ModeLoadCache.
 func (sc *Sched) probeForTasks(d *dJob, tasks []*cluster.Task) {
+	if len(tasks) == 0 {
+		return
+	}
+	d.quiet = false
 	vs := sc.orderVS(d)
 	rem := d.job.RemainingTasksTotal()
 	for _, t := range tasks {
@@ -363,14 +388,19 @@ func (sc *Sched) probeForTasks(d *dJob, tasks []*cluster.Task) {
 	}
 }
 
-// ScanSpec asks the straggler policy for new speculation candidates and
-// returns probes for them. In Hopper mode the job's standing reservations
-// usually cover speculation (probe ratio > 1 leaves spares), but fresh
-// probes both top up the pool and wake idle workers; in the Sparrow
-// baselines this is the only way speculative copies reach workers at all.
+// ScanSpec queues the job's new speculation wants and returns probes for
+// them: the straggler policy's candidates in every mode, and in the
+// Hopper family every other ripe victim of capacity-driven speculation
+// as well (speculation.Monitor.VictimsInto — a task becomes one merely
+// by running past its observation delay, which no message marks). The
+// probes are what tells workers the job has work again: they dropped
+// their reservations when it last said NoDemand (HandleOffer). In the
+// Sparrow baselines this is the only way speculative copies reach
+// workers at all.
 func (sc *Sched) ScanSpec() []Probe {
 	sc.probeBuf = sc.probeBuf[:0]
 	now := sc.env.Now()
+	maxCopies := sc.cfg.Spec.MaxCopies
 	for _, d := range sc.jobList {
 		if d == nil {
 			continue
@@ -378,36 +408,47 @@ func (sc *Sched) ScanSpec() []Probe {
 		fresh := sc.freshScratch[:0]
 		sc.candScratch = sc.mon.CandidatesInto(now, d.running.Tasks(), -1, sc.candScratch)
 		for _, t := range sc.candScratch {
-			if t.RunningCopies() < sc.cfg.Spec.MaxCopies && d.addWant(t) {
+			if t.RunningCopies() < maxCopies && d.addWant(t) {
 				fresh = append(fresh, t)
 			}
 		}
-		sc.freshScratch = fresh
-		if len(fresh) > 0 {
-			sc.probeForTasks(d, fresh)
+		if sc.cfg.Mode.hopperFamily() {
+			sc.candScratch = sc.mon.VictimsInto(now, d.running.Tasks(), maxCopies, sc.candScratch)
+			for _, t := range sc.candScratch {
+				if d.addWant(t) {
+					fresh = append(fresh, t)
+				}
+			}
 		}
+		sc.freshScratch = fresh
+		sc.probeForTasks(d, fresh)
 	}
 	return sc.probeBuf
 }
 
-// ReprobeStalled returns one fresh batch of probes for every job that
-// still has unlaunched original tasks — a periodic reservation refresh
-// for live adapters, where probes can be lost (dropped frames, worker
-// drains racing requeues) and a task left with zero reservations would
-// strand its job. Simulator adapters call it under churn (probes die at
-// departed machines) and on heterogeneous clusters (a demand-carrying
-// task whose probes all landed on too-small workers needs a re-roll);
-// loss-free homogeneous runs never do. Reservations aggregate per
-// (scheduler, job) at workers, so a redundant refresh merely tops up a
-// counter.
+// ReprobeStalled returns one fresh batch of probes for every job with
+// work nobody is running — for its oldest unlaunched original task or,
+// when it has none, its oldest live speculation want. It is the
+// periodic reservation refresh of live adapters, where probes can be
+// lost (dropped frames, worker drains racing requeues): a task left with
+// zero reservations would strand its job, and a want left with none
+// waits until its original finishes, because workers that were told
+// NoDemand hold no reservation to find it by. Simulator adapters call it
+// under churn (probes die at departed machines) and on heterogeneous
+// clusters (a demand-carrying task whose probes all landed on too-small
+// workers needs a re-roll); loss-free homogeneous runs never do.
+// Reservations aggregate per (scheduler, job) at workers, so a redundant
+// refresh merely tops up a counter.
 func (sc *Sched) ReprobeStalled() []Probe {
 	sc.probeBuf = sc.probeBuf[:0]
 	for _, d := range sc.jobList {
-		if d == nil || d.pendingFresh.Len() == 0 {
+		if d == nil {
 			continue
 		}
-		sc.reqScratch = append(sc.reqScratch[:0], d.pendingFresh.At(0))
-		sc.probeForTasks(d, sc.reqScratch)
+		if t := d.oldestUnserved(sc.cfg.Spec.MaxCopies); t != nil {
+			sc.reqScratch = append(sc.reqScratch[:0], t)
+			sc.probeForTasks(d, sc.reqScratch)
+		}
 	}
 	return sc.probeBuf
 }
@@ -492,6 +533,15 @@ func (sc *Sched) smallestUnsatisfied(rep *Reply) {
 // HandleOffer is Pseudocode 2's ResponseProcessing, executed at the
 // scheduler when a worker offers a slot for one of its jobs. It returns
 // the reply to transmit back.
+//
+// No silent demand: a worker drops its reservation when told NoDemand,
+// so every way a job goes from "would answer NoDemand" to "would hand
+// out a task" must send probes — fresh tasks (PhaseRunnable,
+// RequeueLost) and speculation wants, ripe capacity-driven victims
+// included (ScanSpec), all do. The one demand found without probes is
+// the victim search below, which is why a quiet job skips it: what
+// ripened since the job said NoDemand waits for the next ScanSpec to
+// announce it, at most one scan period.
 func (sc *Sched) HandleOffer(jobID cluster.JobID, m cluster.MachineID, refusable bool) Reply {
 	d := sc.jobs[jobID]
 	if d == nil {
@@ -500,22 +550,10 @@ func (sc *Sched) HandleOffer(jobID cluster.JobID, m cluster.MachineID, refusable
 	cap := sc.capOf(m)
 	maxCopies := sc.cfg.Spec.MaxCopies
 	if refusable && float64(d.occupied) >= sc.effVS(d) {
-		// Field evaluation order (unsat scan before the job's own orderVS)
-		// matches the pre-extraction struct literal: estimator bookkeeping
-		// accumulates in the same sequence.
-		rep := Reply{
-			Job:      jobID,
-			From:     sc.id,
-			Refused:  true,
-			NoDemand: d.demand() == 0,
-		}
-		sc.smallestUnsatisfied(&rep)
-		rep.VS = sc.orderVS(d)
-		rep.RemTask = d.job.RemainingTasksTotal()
-		return rep
+		return sc.noTask(d, true, d.demand() == 0)
 	}
 	t, spec := d.takeTask(m, maxCopies, cap)
-	if t == nil {
+	if t == nil && !d.quiet {
 		// Capacity-driven speculation (Pseudocode 2): the job is below
 		// its virtual size, i.e. below its desired speculation level, so
 		// the slot goes to a racing copy of its worst observable
@@ -525,19 +563,10 @@ func (sc *Sched) HandleOffer(jobID cluster.JobID, m cluster.MachineID, refusable
 		}
 	}
 	if t == nil {
-		if refusable {
-			rep := Reply{
-				Job:      jobID,
-				From:     sc.id,
-				Refused:  true,
-				NoDemand: true,
-			}
-			sc.smallestUnsatisfied(&rep)
-			rep.VS = sc.orderVS(d)
-			rep.RemTask = d.job.RemainingTasksTotal()
-			return rep
-		}
-		return Reply{Job: jobID, From: sc.id, NoDemand: true, VS: sc.orderVS(d), RemTask: d.job.RemainingTasksTotal()}
+		return sc.noTask(d, refusable, true)
+	}
+	if d.quiet {
+		sc.env.Stats.SilentDemand++
 	}
 	d.occupied++
 	if !spec {
@@ -549,6 +578,28 @@ func (sc *Sched) HandleOffer(jobID cluster.JobID, m cluster.MachineID, refusable
 		Phase: t.Phase.Index, TaskIndex: t.Index, Spec: spec,
 		From: sc.id, VS: sc.orderVS(d), RemTask: d.job.RemainingTasksTotal(),
 	}
+}
+
+// noTask builds the reply to an offer that gets no task: a refusal
+// (with the smallest unsatisfied job piggybacked, Pseudocode 2) or the
+// plain answer to a non-refusable offer. noDemand says this worker has
+// nothing to wait for; the job turns quiet only when that holds for
+// every worker — a task too big for the offering machine is no demand
+// for it, and is still announced demand.
+func (sc *Sched) noTask(d *dJob, refused, noDemand bool) Reply {
+	rep := Reply{Job: d.job.ID, From: sc.id, Refused: refused, NoDemand: noDemand}
+	if noDemand && d.demand() == 0 {
+		d.quiet = true
+	}
+	// Evaluation order (unsat scan before the job's own orderVS) is the
+	// pre-extraction struct literal's: estimator bookkeeping accumulates
+	// in the same sequence.
+	if refused {
+		sc.smallestUnsatisfied(&rep)
+	}
+	rep.VS = sc.orderVS(d)
+	rep.RemTask = d.job.RemainingTasksTotal()
+	return rep
 }
 
 // capOf returns worker m's per-slot capacity as this scheduler sees it:

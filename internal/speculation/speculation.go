@@ -342,6 +342,24 @@ func (m *Monitor) CandidatesInto(now float64, running []*cluster.Task, budget in
 // the slot is worth holding for a straggler about to ripen instead (the
 // anticipation of Figure 2). Returns nil when no task qualifies.
 func (m *Monitor) BestVictim(now float64, running []*cluster.Task, maxCopies int) *cluster.Task {
+	return m.scanVictims(now, running, maxCopies, nil)
+}
+
+// VictimsInto returns every task BestVictim would consider — all of a
+// job's ripe stragglers rather than the worst one — in running-set
+// order, reusing dst. The decentralized scheduler announces them with
+// probes (protocol.Sched.ScanSpec) so that no worker has to poll for
+// capacity-driven speculation.
+func (m *Monitor) VictimsInto(now float64, running []*cluster.Task, maxCopies int, dst []*cluster.Task) []*cluster.Task {
+	out := dst[:0]
+	m.scanVictims(now, running, maxCopies, &out)
+	return out
+}
+
+// scanVictims is the victim rule, once: it returns the qualifying task
+// with the largest estimated remaining time (the first of equals) and,
+// when all is non-nil, appends every qualifying task to it.
+func (m *Monitor) scanVictims(now float64, running []*cluster.Task, maxCopies int, all *[]*cluster.Task) *cluster.Task {
 	var victim *cluster.Task
 	var victimRem float64
 	for _, t := range running {
@@ -368,6 +386,9 @@ func (m *Monitor) BestVictim(now float64, running []*cluster.Task, maxCopies int
 		rem := m.noisy(best.WorkRemaining(now))
 		if rem <= m.estNew(t) {
 			continue // a new copy would not beat the current one
+		}
+		if all != nil {
+			*all = append(*all, t)
 		}
 		if victim == nil || rem > victimRem {
 			victim, victimRem = t, rem

@@ -155,6 +155,36 @@ func TestBestVictimSkipsUnprofitable(t *testing.T) {
 	}
 }
 
+// TestVictimsIntoListsWhatBestVictimChoosesFrom: the enumeration applies
+// BestVictim's rule to every task — same exclusions (tombstones, young
+// copies, unprofitable races, the copy cap), running-set order, and
+// BestVictim's pick among them.
+func TestVictimsIntoListsWhatBestVictimChoosesFrom(t *testing.T) {
+	m := newMon(LATE{})
+	slow := mkRunning(1.0, 0, 40)
+	young := mkRunning(1.0, 1.9, 40)     // 0.1s old at t=2: not observable
+	nearlyDone := mkRunning(1.0, 0, 2.5) // 0.5s left against a 1s fresh copy
+	slower := mkRunning(1.0, 0, 90)
+	capped := mkRunning(1.0, 0, 90)
+	capped.Copies = append(capped.Copies, &cluster.Copy{Task: capped, Start: 1, Duration: 50, Speculative: true})
+	running := []*cluster.Task{slow, nil, young, nearlyDone, slower, capped}
+
+	scratch := make([]*cluster.Task, 0, 8)
+	got := m.VictimsInto(2.0, running, 2, scratch)
+	if len(got) != 2 || got[0] != slow || got[1] != slower {
+		t.Fatalf("victims = %v, want [slow slower]", got)
+	}
+	if &got[0] != &scratch[:1][0] {
+		t.Fatal("result does not reuse the caller's buffer")
+	}
+	if v := m.BestVictim(2.0, running, 2); v != slower {
+		t.Fatalf("BestVictim = %v, want the worst of the listed victims", v)
+	}
+	if got := m.VictimsInto(2.0, running, 3, got); len(got) != 3 || got[2] != capped {
+		t.Fatalf("with a copy cap of 3 the capped task is a victim again: %v", got)
+	}
+}
+
 func TestEndToEndPolicyComparison(t *testing.T) {
 	// GRASS and Mantri should speculate less than LATE on the same
 	// workload (stricter rules), and all must finish the job.
