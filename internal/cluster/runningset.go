@@ -17,6 +17,9 @@ type RunningSet struct {
 // order. Read-only for callers.
 func (r *RunningSet) Tasks() []*Task { return r.tasks }
 
+// Len returns the number of live (non-tombstoned) tasks.
+func (r *RunningSet) Len() int { return r.live }
+
 // Add appends t, recording its slot for O(1) removal.
 func (r *RunningSet) Add(t *Task) {
 	t.SchedPos = len(r.tasks)

@@ -25,7 +25,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // JobDemand is the allocator's view of one active job.
@@ -116,60 +116,105 @@ func Constrained(jobs []JobDemand, slots int, beta float64) bool {
 // jobs in guideline order, keeping the allocation work-conserving.
 func Allocate(jobs []JobDemand, slots int, beta float64) []int {
 	alloc := make([]int, len(jobs))
-	allocateInto(jobs, slots, beta, alloc)
+	var ws workspace
+	ws.allocate(jobs, virtuals(nil, jobs, beta), slots, alloc)
 	return alloc
 }
 
-// allocateInto runs Pseudocode 1 into a zeroed caller buffer.
-func allocateInto(jobs []JobDemand, slots int, beta float64, alloc []int) {
+// keyed is a sort key with the index it belongs to. Sorting on
+// (key, idx) is a total order, so an unstable sort yields exactly the
+// permutation a stable sort on key alone would.
+type keyed struct {
+	key float64
+	idx int
+}
+
+func ascending(a, b keyed) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	return a.idx - b.idx
+}
+
+// workspace holds the sort buffers of Pseudocode 1, so that the
+// projection rounds of AllocateFairInto reuse them instead of allocating
+// a pair per round.
+type workspace struct {
+	order []keyed // the (sub)problem's jobs ascending by priority
+	fracs []keyed // largest-remainder order of the proportional regime, keyed by −fraction
+}
+
+// virtuals appends every job's virtual size to dst: the square root is
+// taken once per job and allocation, not once per comparison.
+func virtuals(dst []float64, jobs []JobDemand, beta float64) []float64 {
+	for _, j := range jobs {
+		dst = append(dst, j.Virtual(beta))
+	}
+	return dst
+}
+
+// allocate runs Pseudocode 1 into a zeroed caller buffer. virt holds the
+// jobs' virtual sizes (virtuals).
+func (ws *workspace) allocate(jobs []JobDemand, virt []float64, slots int, alloc []int) {
 	if len(jobs) == 0 || slots <= 0 {
 		return
 	}
-	order := sortedByPriority(jobs, beta)
-	if Constrained(jobs, slots, beta) {
-		allocConstrained(jobs, order, slots, beta, alloc)
+	ws.sortByPriority(jobs, virt)
+	var totalV float64
+	for _, v := range virt {
+		totalV += v
+	}
+	if float64(slots) < totalV {
+		ws.allocConstrained(jobs, virt, slots, alloc)
 	} else {
-		allocProportional(jobs, order, slots, beta, alloc)
+		ws.allocProportional(jobs, virt, totalV, slots, alloc)
 	}
 }
 
-// sortedByPriority returns job indices ascending by the DAG-aware
-// priority key, tie-broken by input order for determinism.
-func sortedByPriority(jobs []JobDemand, beta float64) []int {
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
+// sortByPriority fills ws.order with the job indices ascending by the
+// DAG-aware priority key max(V, V'), tie-broken by input order for
+// determinism.
+func (ws *workspace) sortByPriority(jobs []JobDemand, virt []float64) {
+	order := ws.order[:0]
+	if cap(order) < len(jobs) {
+		order = make([]keyed, 0, len(jobs))
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return jobs[order[a]].Priority(beta) < jobs[order[b]].Priority(beta)
-	})
-	return order
+	for i, j := range jobs {
+		prio := virt[i] // JobDemand.Priority, on the cached virtual size
+		if j.DownstreamVirtual > prio {
+			prio = j.DownstreamVirtual
+		}
+		order = append(order, keyed{prio, i})
+	}
+	slices.SortFunc(order, ascending)
+	ws.order = order
 }
 
 // allocConstrained is Guideline 2: smallest jobs first, each up to its
 // virtual size. Fractional virtual sizes round up for the earliest jobs —
 // a job "reaching its threshold" must include the partial slot, otherwise
 // single-task jobs would starve under beta near 2.
-func allocConstrained(jobs []JobDemand, order []int, slots int, beta float64, alloc []int) {
+func (ws *workspace) allocConstrained(jobs []JobDemand, virt []float64, slots int, alloc []int) {
 	left := slots
-	for _, i := range order {
+	for _, o := range ws.order {
 		if left == 0 {
 			return
 		}
-		want := int(math.Ceil(jobs[i].Virtual(beta)))
-		want = jobs[i].cap(want)
-		if want > left {
-			want = left
-		}
+		i := o.idx
+		want := min(jobs[i].cap(int(math.Ceil(virt[i]))), left)
 		alloc[i] = want
 		left -= want
 	}
 	// Surplus (every job at its cap): hand remaining slots to jobs below
 	// MaxUsable in priority order. This only triggers when caps bind.
-	for _, i := range order {
+	for _, o := range ws.order {
 		if left == 0 {
 			return
 		}
+		i := o.idx
 		extra := jobs[i].cap(alloc[i]+left) - alloc[i]
 		alloc[i] += extra
 		left -= extra
@@ -180,26 +225,24 @@ func allocConstrained(jobs []JobDemand, order []int, slots int, beta float64, al
 // the surplus is shared in proportion to virtual sizes (largest jobs
 // benefit most). Integerization uses largest-remainder so the allocation
 // sums exactly to min(slots, sum of caps).
-func allocProportional(jobs []JobDemand, order []int, slots int, beta float64, alloc []int) {
-	totalV := TotalVirtual(jobs, beta)
+func (ws *workspace) allocProportional(jobs []JobDemand, virt []float64, totalV float64, slots int, alloc []int) {
 	if totalV == 0 {
 		return
 	}
-	type frac struct {
-		idx  int
-		frac float64
+	fracs := ws.fracs[:0]
+	if cap(fracs) < len(jobs) {
+		fracs = make([]keyed, 0, len(jobs))
 	}
-	fracs := make([]frac, 0, len(jobs))
 	used := 0
 	for i, j := range jobs {
-		share := j.Virtual(beta) / totalV * float64(slots)
-		whole := int(math.Floor(share))
-		whole = j.cap(whole)
+		share := virt[i] / totalV * float64(slots)
+		whole := j.cap(int(math.Floor(share)))
 		alloc[i] = whole
 		used += whole
-		fracs = append(fracs, frac{i, share - float64(whole)})
+		fracs = append(fracs, keyed{float64(whole) - share, i})
 	}
-	sort.SliceStable(fracs, func(a, b int) bool { return fracs[a].frac > fracs[b].frac })
+	slices.SortFunc(fracs, ascending) // largest remainder first, ties in input order
+	ws.fracs = fracs
 	left := slots - used
 	for _, f := range fracs {
 		if left == 0 {
@@ -212,8 +255,8 @@ func allocProportional(jobs []JobDemand, order []int, slots int, beta float64, a
 	}
 	// Remaining surplus cascades in descending virtual size (Guideline 3
 	// favors large jobs), still respecting caps.
-	for k := len(order) - 1; k >= 0 && left > 0; k-- {
-		i := order[k]
+	for k := len(ws.order) - 1; k >= 0 && left > 0; k-- {
+		i := ws.order[k].idx
 		extra := jobs[i].cap(alloc[i]+left) - alloc[i]
 		alloc[i] += extra
 		left -= extra
@@ -231,9 +274,8 @@ func AllocateFair(jobs []JobDemand, slots int, beta, epsilon float64) []int {
 // AllocateFairInto is AllocateFair with a caller-owned result buffer:
 // dst is resized (reallocating only when capacity is short) and returned,
 // so a scheduler refreshing its allocation every arrival does not allocate
-// a fresh target vector each time. Inner projection rounds still allocate
-// working sets proportional to the pinned-job count; those are off the
-// per-event path.
+// a fresh target vector each time. The working slices are allocated once
+// per call and shared by the projection rounds.
 func AllocateFairInto(dst []int, jobs []JobDemand, slots int, beta, epsilon float64) []int {
 	if epsilon < 0 || epsilon > 1 {
 		panic(fmt.Sprintf("core: epsilon %v out of [0,1]", epsilon))
@@ -244,15 +286,15 @@ func AllocateFairInto(dst []int, jobs []JobDemand, slots int, beta, epsilon floa
 		alloc = make([]int, n)
 	} else {
 		alloc = alloc[:n]
-		for i := range alloc {
-			alloc[i] = 0
-		}
+		clear(alloc)
 	}
 	if n == 0 || slots <= 0 {
 		return alloc
 	}
+	var ws workspace
+	virt := virtuals(make([]float64, 0, n), jobs, beta)
 	if epsilon >= 1 {
-		allocateInto(jobs, slots, beta, alloc)
+		ws.allocate(jobs, virt, slots, alloc)
 		return alloc
 	}
 	floor := (1 - epsilon) * float64(slots) / float64(n)
@@ -260,18 +302,28 @@ func AllocateFairInto(dst []int, jobs []JobDemand, slots int, beta, epsilon floa
 	// Iterative projection: allocate by guidelines; any job below its
 	// floor is pinned at the floor and removed; re-run on the remainder.
 	// Terminates because each round pins at least one job.
+	// The rounds share one set of working slices: the jobs still unpinned
+	// (indices into jobs), the subproblem over them, the ones pinned this
+	// round.
 	active := make([]int, n)
 	for i := range active {
 		active[i] = i
 	}
+	sub := make([]JobDemand, 0, n)
+	subVirt := make([]float64, 0, n)
+	subAlloc := make([]int, n)
+	pinned := make([]int, 0, n)
 	slotsLeft := slots
 	for {
-		sub := make([]JobDemand, len(active))
-		for k, i := range active {
-			sub[k] = jobs[i]
+		sub, subVirt = sub[:0], subVirt[:0]
+		for _, i := range active {
+			sub = append(sub, jobs[i])
+			subVirt = append(subVirt, virt[i])
 		}
-		subAlloc := Allocate(sub, slotsLeft, beta)
-		var pinned []int
+		subAlloc = subAlloc[:len(active)]
+		clear(subAlloc)
+		ws.allocate(sub, subVirt, slotsLeft, subAlloc)
+		pinned = pinned[:0]
 		for k, i := range active {
 			guarantee := jobs[i].cap(int(math.Floor(floor)))
 			if subAlloc[k] < guarantee {
@@ -301,7 +353,7 @@ func AllocateFairInto(dst []int, jobs []JobDemand, slots int, beta, epsilon floa
 				}
 			}
 			for k, i := range active {
-				if !contains(pinned, k) {
+				if !slices.Contains(pinned, k) {
 					alloc[i] = 0
 				}
 			}
@@ -317,22 +369,6 @@ func AllocateFairInto(dst []int, jobs []JobDemand, slots int, beta, epsilon floa
 			return alloc
 		}
 	}
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // LocalityWindow returns how many of the smallest jobs may be bypassed in

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -264,6 +266,53 @@ func TestAllocateDeterministic(t *testing.T) {
 			if a[k] != b[k] {
 				t.Fatalf("allocation not deterministic: %v vs %v", a, b)
 			}
+		}
+	}
+}
+
+// TestTypedSortsMatchStableSort: the allocator sorts (key, index) pairs
+// with an unstable typed sort; because that order is total, it must be
+// the permutation sort.SliceStable produced on the key alone — for the
+// priority order (ascending, ties in input order) and for the
+// largest-remainder order (descending, ties in input order) — however
+// many keys are equal.
+func TestTypedSortsMatchStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(200)
+		beta := 1.1 + rng.Float64()*0.9
+		jobs := make([]JobDemand, n)
+		for i := range jobs {
+			// Five remaining-task counts and three alphas: ties everywhere.
+			jobs[i] = JobDemand{Remaining: rng.Intn(5), Alpha: []float64{0, 1, 4}[rng.Intn(3)]}
+			if rng.Intn(5) == 0 {
+				jobs[i].DownstreamVirtual = float64(rng.Intn(4))
+			}
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			return jobs[want[a]].Priority(beta) < jobs[want[b]].Priority(beta)
+		})
+		var ws workspace
+		ws.sortByPriority(jobs, virtuals(nil, jobs, beta))
+		for k, o := range ws.order {
+			if o.idx != want[k] {
+				t.Fatalf("trial %d: priority order differs from the stable sort at rank %d: job %d, want %d", trial, k, o.idx, want[k])
+			}
+		}
+
+		fracs := make([]keyed, n)
+		for i := range fracs {
+			fracs[i] = keyed{-float64(rng.Intn(4)) / 4, i} // −fraction, as allocProportional keys them
+		}
+		wantFracs := slices.Clone(fracs)
+		sort.SliceStable(wantFracs, func(a, b int) bool { return -wantFracs[a].key > -wantFracs[b].key })
+		slices.SortFunc(fracs, ascending)
+		if !slices.Equal(fracs, wantFracs) {
+			t.Fatalf("trial %d: largest-remainder order differs from the stable sort", trial)
 		}
 	}
 }

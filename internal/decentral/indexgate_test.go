@@ -53,17 +53,21 @@ func TestVictimIndexGate(t *testing.T) {
 	}
 }
 
-// churnedRun replays one fixed churned workload and returns its placement
-// log and counters. forceScan puts the monitors on the scan by hand
-// before churn is armed.
-func churnedRun(t *testing.T, forceScan bool) (log []string, counters string) {
+// loggedRun replays one fixed workload, churned when churn is non-nil,
+// and returns its placement log and counters. forceScan puts the monitors
+// on the scan by hand first (before churn is armed).
+func loggedRun(t *testing.T, forceScan bool, churn *ChurnConfig) (log []string, counters string) {
 	eng, exec, sys := mkSystem(ModeHopper, 16, 2, 11)
 	if forceScan {
 		for _, sc := range sys.scheds {
 			sc.core.DisableVictimIndex()
 		}
 	}
-	sys.EnableChurn(ChurnConfig{LeaveEvery: 0.5, Downtime: 3.0, Seed: 5})
+	if churn != nil {
+		sys.EnableChurn(*churn)
+	} else if sys.IndexEnabled() == forceScan {
+		t.Fatalf("IndexEnabled() = %t with forceScan = %t", sys.IndexEnabled(), forceScan)
+	}
 	sys.OnPlace = func(tk *cluster.Task, m cluster.MachineID, spec bool) {
 		log = append(log, fmt.Sprintf("%.9f %s m%d spec=%t", eng.Now(), tk.ID(), m, spec))
 	}
@@ -72,9 +76,12 @@ func churnedRun(t *testing.T, forceScan bool) (log []string, counters string) {
 		jobs = append(jobs, mkJob(cluster.JobID(i), 6+i, 2.0, float64(i)*0.6))
 	}
 	runAll(t, eng, sys, jobs)
-	if sys.CopiesLost == 0 || exec.SpeculativeCopies == 0 {
+	if (churn != nil && sys.CopiesLost == 0) || exec.SpeculativeCopies == 0 {
 		t.Fatalf("run lost %d copies and speculated %d times; it needs both to test anything",
 			sys.CopiesLost, exec.SpeculativeCopies)
+	}
+	if churn == nil && sys.IndexEnabled() == forceScan {
+		t.Fatalf("IndexEnabled() = %t at the end of the run with forceScan = %t", sys.IndexEnabled(), forceScan)
 	}
 	counters = fmt.Sprintf("end=%.9f fired=%d msgs=%d probes=%d offers=%d rollbacks=%d copies=%d spec=%d killed=%d left=%d lost=%d requeues=%d",
 		eng.Now(), eng.Fired, sys.Messages, sys.Probes, sys.Offers, sys.Rollbacks,
@@ -89,8 +96,26 @@ func churnedRun(t *testing.T, forceScan bool) (log []string, counters string) {
 // copies at the same instants. With the index left on under churn the
 // two runs part ways within the first few leaves.
 func TestChurnRunsOnTheScan(t *testing.T) {
-	log, counters := churnedRun(t, false)
-	scanLog, scanCounters := churnedRun(t, true)
+	churn := &ChurnConfig{LeaveEvery: 0.5, Downtime: 3.0, Seed: 5}
+	log, counters := loggedRun(t, false, churn)
+	scanLog, scanCounters := loggedRun(t, true, churn)
+	sameRun(t, log, counters, scanLog, scanCounters)
+}
+
+// The index answers the scheduler core's three questions — the per-offer
+// victim search and ScanSpec's candidates and ripe victims — and every
+// probe ScanSpec sends draws from the shared RNG, so one answer out of
+// the scan's order would move every later placement: the indexed run has
+// to place the same copies at the same instants as the same run with the
+// scan forced by hand.
+func TestIndexedRunMatchesForcedScan(t *testing.T) {
+	log, counters := loggedRun(t, false, nil)
+	scanLog, scanCounters := loggedRun(t, true, nil)
+	sameRun(t, log, counters, scanLog, scanCounters)
+}
+
+func sameRun(t *testing.T, log []string, counters string, scanLog []string, scanCounters string) {
+	t.Helper()
 	if counters != scanCounters {
 		t.Errorf("counters differ from the forced-scan run:\n  got:  %s\n  scan: %s", counters, scanCounters)
 	}

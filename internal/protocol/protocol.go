@@ -124,7 +124,8 @@ type Config struct {
 	RetryJitter float64
 
 	// IndexedVictims enables the speculation monitor's heap-backed victim
-	// index in place of the per-offer linear scan. Exact-equivalent by
+	// index in place of the linear scans: the per-offer victim search and
+	// ScanSpec's candidates and ripe victims. Exact-equivalent by
 	// construction (the monitor refuses configurations where it is not).
 	// Set by an adapter, never by a user: it is the adapter's promise to
 	// report every original placement through Sched.CopyPlaced and to

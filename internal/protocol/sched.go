@@ -239,8 +239,9 @@ func (sc *Sched) ObserveWorkerLoad(m cluster.MachineID, free int, cap cluster.Re
 // after the executor places an original; a no-op unless IndexedVictims.
 func (sc *Sched) CopyPlaced(t *cluster.Task) { sc.mon.OriginalCopyPlaced(t) }
 
-// IndexEnabled reports whether victim searches are answered from the
-// index (IndexedVictims, not since downgraded) rather than the scan.
+// IndexEnabled reports whether the speculation questions (HandleOffer's
+// victim search, ScanSpec) are answered from the index (IndexedVictims,
+// not since downgraded) rather than the scans.
 func (sc *Sched) IndexEnabled() bool { return sc.mon.IndexEnabled() }
 
 // DisableVictimIndex puts the speculation monitor back on the scan. The
@@ -391,8 +392,10 @@ func (sc *Sched) probeForTasks(d *dJob, tasks []*cluster.Task) {
 // ScanSpec queues the job's new speculation wants and returns probes for
 // them: the straggler policy's candidates in every mode, and in the
 // Hopper family every other ripe victim of capacity-driven speculation
-// as well (speculation.Monitor.VictimsInto — a task becomes one merely
-// by running past its observation delay, which no message marks). The
+// as well (speculation.Monitor.VictimsFor — a task becomes one merely
+// by running past its observation delay, which no message marks); both
+// answers come from the victim index when it is on, the scans otherwise,
+// in the same order either way. The
 // probes are what tells workers the job has work again: they dropped
 // their reservations when it last said NoDemand (HandleOffer). In the
 // Sparrow baselines this is the only way speculative copies reach
@@ -406,14 +409,14 @@ func (sc *Sched) ScanSpec() []Probe {
 			continue
 		}
 		fresh := sc.freshScratch[:0]
-		sc.candScratch = sc.mon.CandidatesInto(now, d.running.Tasks(), -1, sc.candScratch)
+		sc.candScratch = sc.mon.CandidatesFor(now, d.job.ID, d.running.Tasks(), sc.candScratch)
 		for _, t := range sc.candScratch {
 			if t.RunningCopies() < maxCopies && d.addWant(t) {
 				fresh = append(fresh, t)
 			}
 		}
 		if sc.cfg.Mode.hopperFamily() {
-			sc.candScratch = sc.mon.VictimsInto(now, d.running.Tasks(), maxCopies, sc.candScratch)
+			sc.candScratch = sc.mon.VictimsFor(now, d.job.ID, d.running.Tasks(), maxCopies, sc.candScratch)
 			for _, t := range sc.candScratch {
 				if d.addWant(t) {
 					fresh = append(fresh, t)

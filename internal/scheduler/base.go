@@ -108,7 +108,11 @@ type Engine interface {
 //     copy, in placement order;
 //   - wants holds each policy-flagged task at most once (membership is
 //     the Task.SpecWanted scratch flag), in request order, with the
-//     retry-requeue at the front.
+//     retry-requeue at the front;
+//   - atCap always equals the number of running tasks at the copy cap
+//     (maintained on every placement and on task completion;
+//     TestAtCapCounterMatchesScan checks it against the loop on every
+//     dispatch).
 type jobState struct {
 	job *cluster.Job
 
@@ -134,6 +138,11 @@ type jobState struct {
 	// form of the per-dispatch phase rescan.
 	fresh int
 
+	// atCap counts running tasks at the copy cap — the cached form of the
+	// Hopper engine's per-dispatch walk over the running set, which sizes
+	// its hold from the tasks still below the cap.
+	atCap int
+
 	// credited is a debug assertion, not a dedup guard: the executor
 	// delivers OnPhaseRunnable exactly once per phase (the cluster
 	// lifecycle guarantees it), so a second credit is always a bug and
@@ -156,6 +165,22 @@ func (s *jobState) freshDemandScan() int {
 	n := 0
 	for _, p := range s.job.RunnablePhasesScan() {
 		n += p.UnscheduledTasks()
+	}
+	return n
+}
+
+// belowCap counts running tasks that could still take a speculative
+// copy.
+func (s *jobState) belowCap() int { return s.running.Len() - s.atCap }
+
+// belowCapScan recomputes belowCap from the running set — the loop the
+// counter replaced, and its invariant oracle.
+func (s *jobState) belowCapScan(maxCopies int) int {
+	n := 0
+	for _, t := range s.running.Tasks() {
+		if t != nil && t.RunningCopies() < maxCopies {
+			n++
+		}
 	}
 	return n
 }
@@ -253,6 +278,15 @@ func newBase(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Base {
 		Alpha: estimate.NewAlphaEstimator(),
 		byID:  make(map[cluster.JobID]*jobState),
 	}
+	// The victim index answers the chassis' three speculation questions
+	// (scanJob/scanAll, placeOne) without walking the running set. It is on
+	// whenever the config makes it exact-equivalent to the scans; a machine
+	// at non-unit speed downgrades the monitor at run time. The reference
+	// mode stays on the scans, so dispatch_diff_test.go is an
+	// index-versus-scan differential.
+	if cfg.Spec.IndexExact() && !cfg.DisableSpec && !cfg.ReferenceDispatch {
+		b.Mon.EnableIndex()
+	}
 	exec.OnTaskDone = b.onTaskDone
 	exec.OnPhaseRunnable = b.onPhaseRunnable
 	exec.OnJobDone = b.onJobDone
@@ -326,13 +360,9 @@ func (b *Base) ensureTicker() {
 // dispatches if any new wants appeared.
 func (b *Base) scanAll() {
 	added := false
-	now := b.Eng.Now()
 	for _, s := range b.active {
-		b.candScratch = b.Mon.CandidatesInto(now, s.running.Tasks(), -1, b.candScratch)
-		for _, t := range b.candScratch {
-			if t.RunningCopies() < b.Cfg.Spec.MaxCopies && s.addWant(t) {
-				added = true
-			}
+		if b.scanJob(s) {
+			added = true
 		}
 	}
 	if added {
@@ -340,13 +370,15 @@ func (b *Base) scanAll() {
 	}
 }
 
-// scanJob re-evaluates one job right away (on its task completions).
+// scanJob queues the tasks of one job the policy newly wants to
+// speculate (right away on its task completions, and from scanAll) and
+// reports whether there were any.
 func (b *Base) scanJob(s *jobState) bool {
 	if b.Cfg.DisableSpec {
 		return false
 	}
 	added := false
-	b.candScratch = b.Mon.CandidatesInto(b.Eng.Now(), s.running.Tasks(), -1, b.candScratch)
+	b.candScratch = b.Mon.CandidatesFor(b.Eng.Now(), s.job.ID, s.running.Tasks(), b.candScratch)
 	for _, t := range b.candScratch {
 		if t.RunningCopies() < b.Cfg.Spec.MaxCopies && s.addWant(t) {
 			added = true
@@ -373,6 +405,9 @@ func (b *Base) onTaskDone(t *cluster.Task, winner *cluster.Copy) {
 		}
 	}
 	s.running.Remove(t)
+	if len(t.Copies) >= b.Cfg.Spec.MaxCopies {
+		s.atCap--
+	}
 	if t.SpecWanted {
 		t.SpecWanted = false
 		s.wants.Remove(t)
@@ -420,10 +455,22 @@ func (b *Base) placeFresh(s *jobState) bool {
 		return false
 	}
 	s.running.Add(t)
+	b.Mon.TaskHandedOut(t)
+	b.Mon.OriginalCopyPlaced(t)
 	s.fresh--
-	s.usage++
+	b.copyPlaced(s, t)
 	b.freshUsage++
 	return true
+}
+
+// copyPlaced settles the job's occupancy for a copy of t the executor
+// just started. Every copy of a running task is live (copies end only at
+// task completion, onTaskDone), so the copy count is the live count.
+func (b *Base) copyPlaced(s *jobState, t *cluster.Task) {
+	s.usage++
+	if len(t.Copies) == b.Cfg.Spec.MaxCopies {
+		s.atCap++
+	}
 }
 
 // placeSpec starts a speculative copy for the job's oldest valid want.
@@ -438,7 +485,7 @@ func (b *Base) placeSpec(s *jobState) bool {
 		t.SpecWanted = true
 		return false
 	}
-	s.usage++
+	b.copyPlaced(s, t)
 	b.specUsage++
 	return true
 }
@@ -457,14 +504,14 @@ func (b *Base) placeOne(s *jobState) bool {
 	if !b.Cfg.CapacitySpec || b.Cfg.DisableSpec {
 		return false
 	}
-	v := b.Mon.BestVictim(b.Eng.Now(), s.running.Tasks(), b.Cfg.Spec.MaxCopies)
+	v := b.Mon.BestVictimFor(b.Eng.Now(), s.job.ID, s.running.Tasks(), b.Cfg.Spec.MaxCopies)
 	if v == nil {
 		return false
 	}
 	if c := b.Exec.Place(v, true); c == nil {
 		return false
 	}
-	s.usage++
+	b.copyPlaced(s, v)
 	b.specUsage++
 	return true
 }
@@ -472,6 +519,9 @@ func (b *Base) placeOne(s *jobState) bool {
 // hasLocalFresh reports whether the job's next runnable phases contain an
 // unscheduled task whose input is local on some machine with a free slot.
 func (b *Base) hasLocalFresh(s *jobState) bool {
+	if s.fresh == 0 {
+		return false
+	}
 	for _, p := range s.job.RunnablePhases() {
 		t := p.NextUnscheduled()
 		if t == nil {

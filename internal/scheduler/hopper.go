@@ -1,7 +1,7 @@
 package scheduler
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/core"
@@ -122,7 +122,15 @@ func (h *HopperEngine) refresh() {
 	// jobRemoved, which preserves this order for the survivors (a stable
 	// sort of a subset equals the subset of the stable sort).
 	h.order = append(h.order[:0], h.active...)
-	sort.SliceStable(h.order, func(a, b int) bool { return h.order[a].prio < h.order[b].prio })
+	slices.SortStableFunc(h.order, func(a, b *jobState) int {
+		switch {
+		case a.prio < b.prio:
+			return -1
+		case a.prio > b.prio:
+			return 1
+		}
+		return 0
+	})
 }
 
 // jobRemoved prunes the finished job from the cached service order.
@@ -197,22 +205,7 @@ func (h *HopperEngine) dispatch() {
 		// as the job could actually use once a straggler ripens: one slot
 		// per running task still below the copy cap. Holding more would
 		// idle capacity no speculation can ever claim.
-		potential := 0
-		for _, t := range s.running.Tasks() {
-			if t == nil {
-				continue
-			}
-			if t.RunningCopies() < h.Cfg.Spec.MaxCopies {
-				potential++
-				if filled+potential >= quota {
-					break
-				}
-			}
-		}
-		hold := quota - filled
-		if potential < hold {
-			hold = potential
-		}
+		hold := min(quota-filled, s.belowCap())
 		budget -= filled + hold
 	}
 }

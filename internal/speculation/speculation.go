@@ -112,16 +112,24 @@ func (g GRASS) Wants(e Estimates) bool {
 	return e.Remaining > 2*e.New // RA: resource-aware
 }
 
+// shipped lists the policies ByName knows, with their deployed
+// parameters. Each rule must imply Remaining > New — a copy is only worth
+// racing if a fresh one would beat it — because the victim index prunes
+// on that cut before it asks the policy (victimindex.go);
+// TestPoliciesImplyVictim holds every entry to it.
+var shipped = []Policy{
+	LATE{SlowTaskPercentile: 25},
+	Mantri{},
+	GRASS{SwitchFraction: 0.8},
+}
+
 // ByName returns the policy for a report name; it panics on unknown names
 // (experiment configs are static, so this is a programming error).
 func ByName(name string) Policy {
-	switch name {
-	case "LATE":
-		return LATE{SlowTaskPercentile: 25}
-	case "Mantri":
-		return Mantri{}
-	case "GRASS":
-		return GRASS{SwitchFraction: 0.8}
+	for _, p := range shipped {
+		if p.Name() == name {
+			return p
+		}
 	}
 	panic("speculation: unknown policy " + name)
 }
@@ -158,8 +166,18 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// jobStats tracks per-job completion history for t_new and slow-threshold
-// estimation.
+// IndexExact reports whether the configuration lets the victim index
+// (victimindex.go) answer exactly what the scan answers: one speculative
+// copy at a time and noise-free estimates. It is the config half of the
+// index gate, stated once; the run-time half (machine speeds, churn)
+// downgrades an enabled monitor by itself.
+func (c Config) IndexExact() bool {
+	c = c.WithDefaults()
+	return c.MaxCopies == 2 && c.EstimateNoise <= 0
+}
+
+// jobStats is the monitor's record of one job: its completion history,
+// for t_new and slow-threshold estimation, and its victim index.
 //
 // version counts completions; it is the dirty cursor for the estimate
 // cache. The policy-visible t_new (median of completions) and slow
@@ -175,6 +193,10 @@ type jobStats struct {
 	cachedAt int // version estNew/slowThr were computed at; -1 = never
 	estNew   float64
 	slowThr  float64
+
+	// victims is the job's victim index (victimindex.go): zero until the
+	// job hands out a task, and always zero while the index is off.
+	victims jobVictims
 }
 
 // Monitor produces speculation candidates for running tasks. One Monitor
@@ -186,14 +208,15 @@ type Monitor struct {
 	jobs    map[cluster.JobID]*jobStats
 	slowPct float64 // percentile for the slow-task threshold (LATE)
 
-	// idx, when non-nil, answers BestVictimFor from per-job heaps instead
-	// of the linear scan — see victimindex.go for the structure and the
-	// exact-equivalence argument. heteroSeen flips once a copy with a
-	// non-unit speed factor is indexed: the heap keys are wall-clock and
-	// lose work-order monotonicity across speeds, so queries fall back to
-	// the scan from then on.
-	idx        map[cluster.JobID]*jobVictims
-	heteroSeen bool
+	// indexOn makes BestVictimFor, CandidatesFor and VictimsFor answer
+	// from per-job heaps (jobStats.victims) instead of the linear scans —
+	// see victimindex.go for the structure and the exact-equivalence
+	// argument.
+	indexOn bool
+
+	// walkStack is the pruned heap walk's reusable stack of pending
+	// subtrees.
+	walkStack []int
 }
 
 // NewMonitor returns a Monitor with the given config (defaults applied).
@@ -209,20 +232,26 @@ func NewMonitor(cfg Config, rng *rand.Rand) *Monitor {
 // TaskCompleted records the winning copy's duration for the job's t_new
 // and slow-threshold estimates. Call from the scheduler's OnTaskDone.
 func (m *Monitor) TaskCompleted(t *cluster.Task, winner *cluster.Copy) {
-	js := m.jobs[t.Job.ID]
-	if js == nil {
-		js = &jobStats{cachedAt: -1}
-		m.jobs[t.Job.ID] = js
-	}
+	js := m.job(t.Job.ID)
 	js.done.Add(winner.WorkDuration())
 	js.version++
+	if js.victims.buckets != nil {
+		js.victims.buckets[t.Phase.Index].running--
+	}
+}
+
+// job returns the job's record, creating it on first use.
+func (m *Monitor) job(id cluster.JobID) *jobStats {
+	js := m.jobs[id]
+	if js == nil {
+		js = &jobStats{cachedAt: -1}
+		m.jobs[id] = js
+	}
+	return js
 }
 
 // JobDone releases the job's history and victim index.
-func (m *Monitor) JobDone(j *cluster.Job) {
-	delete(m.jobs, j.ID)
-	delete(m.idx, j.ID)
-}
+func (m *Monitor) JobDone(j *cluster.Job) { delete(m.jobs, j.ID) }
 
 // refreshCache recomputes the job-level estimates if completions arrived
 // since they were last cached (the dirty-cursor check).
@@ -235,16 +264,27 @@ func (js *jobStats) refreshCache(slowPct float64) {
 	js.cachedAt = js.version
 }
 
-// estNew returns the estimated duration of a fresh copy for a task.
-func (m *Monitor) estNew(t *cluster.Task) float64 {
-	return m.estNewFor(t.Job.ID, t.Phase)
+// deep returns the record once its completion history is deep enough to
+// estimate from (five completions), with the cached estimates refreshed;
+// nil until then, and for a job with no record.
+func (js *jobStats) deep(slowPct float64) *jobStats {
+	if js != nil && js.done.N() >= 5 {
+		js.refreshCache(slowPct)
+		return js
+	}
+	return nil
 }
 
-// estNewFor is estNew keyed by (job, phase) — the granularity at which the
-// estimate is actually uniform, which the victim index relies on.
-func (m *Monitor) estNewFor(jobID cluster.JobID, phase *cluster.Phase) float64 {
-	if js := m.jobs[jobID]; js != nil && js.done.N() >= 5 {
-		js.refreshCache(m.slowPct)
+// history returns the job's record once it can be estimated from (deep).
+// Scans resolve it once per job, not per task.
+func (m *Monitor) history(id cluster.JobID) *jobStats { return m.jobs[id].deep(m.slowPct) }
+
+// estNew returns the estimated duration of a fresh copy of a task of the
+// phase: the job's median completion, or the phase mean before history
+// accumulates (js == nil). It is uniform within a (job, phase) bucket,
+// which the victim index relies on.
+func estNew(js *jobStats, phase *cluster.Phase) float64 {
+	if js != nil {
 		return js.estNew
 	}
 	return phase.MeanTaskDuration
@@ -252,12 +292,11 @@ func (m *Monitor) estNewFor(jobID cluster.JobID, phase *cluster.Phase) float64 {
 
 // slowThreshold returns the straggler cutoff for LATE-style percentile
 // tests. Falls back to twice the phase mean before history accumulates.
-func (m *Monitor) slowThreshold(t *cluster.Task) float64 {
-	if js := m.jobs[t.Job.ID]; js != nil && js.done.N() >= 5 {
-		js.refreshCache(m.slowPct)
+func slowThreshold(js *jobStats, phase *cluster.Phase) float64 {
+	if js != nil {
 		return js.slowThr
 	}
-	return 2 * t.Phase.MeanTaskDuration
+	return 2 * phase.MeanTaskDuration
 }
 
 func (m *Monitor) noisy(x float64) float64 {
@@ -272,11 +311,13 @@ func (m *Monitor) noisy(x float64) float64 {
 // false when the task is done, already at the copy cap, or none of its
 // copies have run long enough to observe.
 func (m *Monitor) Wants(now float64, t *cluster.Task) bool {
-	if t.State != cluster.TaskRunning {
-		return false
-	}
-	live := 0
-	var best *cluster.Copy // observable copy with the smallest remaining work
+	return m.wants(now, t, m.history(t.Job.ID))
+}
+
+// observable returns the task's live-copy count and, among the copies
+// that have run past the observation delay, the one with the least
+// remaining work (nil when none has).
+func (m *Monitor) observable(now float64, t *cluster.Task) (live int, best *cluster.Copy) {
 	for _, c := range t.Copies {
 		if c.Killed || c.Won {
 			continue
@@ -289,18 +330,33 @@ func (m *Monitor) Wants(now float64, t *cluster.Task) bool {
 			best = c
 		}
 	}
+	return live, best
+}
+
+// wants is Wants with the job's history (Monitor.history) already
+// resolved.
+func (m *Monitor) wants(now float64, t *cluster.Task, js *jobStats) bool {
+	if t.State != cluster.TaskRunning {
+		return false
+	}
+	live, best := m.observable(now, t)
 	if live == 0 || live >= m.cfg.MaxCopies || best == nil {
 		return false
 	}
+	return m.cfg.Policy.Wants(m.estimates(now, t, best, js))
+}
+
+// estimates builds the policy-visible numbers for a task whose best
+// observable copy is best.
+func (m *Monitor) estimates(now float64, t *cluster.Task, best *cluster.Copy, js *jobStats) Estimates {
 	phase := t.Phase
-	e := Estimates{
+	return Estimates{
 		Remaining:         m.noisy(best.WorkRemaining(now)),
-		New:               m.estNew(t),
+		New:               estNew(js, phase),
 		ProjectedTotal:    m.noisy(best.WorkDuration()),
-		SlowThreshold:     m.slowThreshold(t),
+		SlowThreshold:     slowThreshold(js, phase),
 		PhaseFractionDone: float64(len(phase.Tasks)-phase.RemainingTasks()) / float64(len(phase.Tasks)),
 	}
-	return m.cfg.Policy.Wants(e)
 }
 
 // Candidates scans the given running tasks and returns those the policy
@@ -317,15 +373,31 @@ func (m *Monitor) Candidates(now float64, running []*cluster.Task, budget int) [
 // nothing once the buffer has grown. The returned slice aliases dst.
 func (m *Monitor) CandidatesInto(now float64, running []*cluster.Task, budget int, dst []*cluster.Task) []*cluster.Task {
 	out := dst[:0]
+	var hist jobHistory
 	for _, t := range running {
 		if budget >= 0 && len(out) >= budget {
 			break
 		}
-		if t != nil && m.Wants(now, t) {
+		if t != nil && m.wants(now, t, hist.of(m, t)) {
 			out = append(out, t)
 		}
 	}
 	return out
+}
+
+// jobHistory memoizes Monitor.history across a scan: a running set holds
+// one job's tasks, so the map lookup happens once per scan, not per task.
+// A set mixing jobs still reads right.
+type jobHistory struct {
+	job *cluster.Job
+	js  *jobStats
+}
+
+func (h *jobHistory) of(m *Monitor, t *cluster.Task) *jobStats {
+	if h.job != t.Job {
+		h.job, h.js = t.Job, m.history(t.Job.ID)
+	}
+	return h.js
 }
 
 // BestVictim picks the task to duplicate when a job has allocated
@@ -348,8 +420,8 @@ func (m *Monitor) BestVictim(now float64, running []*cluster.Task, maxCopies int
 // VictimsInto returns every task BestVictim would consider — all of a
 // job's ripe stragglers rather than the worst one — in running-set
 // order, reusing dst. The decentralized scheduler announces them with
-// probes (protocol.Sched.ScanSpec) so that no worker has to poll for
-// capacity-driven speculation.
+// probes (protocol.Sched.ScanSpec, through VictimsFor) so that no worker
+// has to poll for capacity-driven speculation.
 func (m *Monitor) VictimsInto(now float64, running []*cluster.Task, maxCopies int, dst []*cluster.Task) []*cluster.Task {
 	out := dst[:0]
 	m.scanVictims(now, running, maxCopies, &out)
@@ -362,29 +434,17 @@ func (m *Monitor) VictimsInto(now float64, running []*cluster.Task, maxCopies in
 func (m *Monitor) scanVictims(now float64, running []*cluster.Task, maxCopies int, all *[]*cluster.Task) *cluster.Task {
 	var victim *cluster.Task
 	var victimRem float64
+	var hist jobHistory
 	for _, t := range running {
 		if t == nil || t.State != cluster.TaskRunning {
 			continue
 		}
-		live := 0
-		var best *cluster.Copy // observable copy with the least remaining work
-		for _, c := range t.Copies {
-			if c.Killed || c.Won {
-				continue
-			}
-			live++
-			if c.WorkElapsed(now) < m.cfg.DetectDelayFrac*t.Phase.MeanTaskDuration {
-				continue
-			}
-			if best == nil || c.WorkRemaining(now) < best.WorkRemaining(now) {
-				best = c
-			}
-		}
+		live, best := m.observable(now, t)
 		if live == 0 || live >= maxCopies || best == nil {
 			continue
 		}
 		rem := m.noisy(best.WorkRemaining(now))
-		if rem <= m.estNew(t) {
+		if rem <= estNew(hist.of(m, t), t.Phase) {
 			continue // a new copy would not beat the current one
 		}
 		if all != nil {

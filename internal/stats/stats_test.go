@@ -177,6 +177,37 @@ func TestSummaryAddAfterQueryStaysSorted(t *testing.T) {
 	}
 }
 
+// TestSummaryOrderedInsertMatchesSort: an Add that follows an order query
+// is inserted in place instead of re-sorting; whatever the interleaving,
+// the samples read exactly as a bulk-added, sorted-once Summary's do —
+// duplicates, a NaN and the running sum included.
+func TestSummaryOrderedInsertMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		var inc, bulk Summary
+		for i := 0; i < 200; i++ {
+			x := float64(rng.Intn(40)) / 4 // many equal samples
+			if trial == 7 && i == 90 {
+				x = math.NaN()
+			}
+			inc.Add(x)
+			bulk.Add(x)
+			if rng.Intn(3) == 0 {
+				_ = inc.Percentile(75) // leaves inc in order: the next Add inserts
+			}
+		}
+		got, want := inc.Values(), bulk.Values()
+		for i := range want {
+			if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("trial %d: sample %d is %v, sorted-once has %v", trial, i, got[i], want[i])
+			}
+		}
+		if inc.Sum() != bulk.Sum() && !math.IsNaN(bulk.Sum()) {
+			t.Fatalf("trial %d: sum %v, want %v", trial, inc.Sum(), bulk.Sum())
+		}
+	}
+}
+
 func TestWelford(t *testing.T) {
 	var w Welford
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}

@@ -16,11 +16,24 @@ type Summary struct {
 	sum    float64
 }
 
-// Add appends one observation.
+// Add records one observation. While the samples are in order — an order
+// query has run since the last unordered Add — the new one is inserted in
+// place (binary search and a copy), so a caller that alternates Add with
+// Percentile, as the speculation monitor does on every task completion,
+// never re-sorts its whole history; a caller that adds in bulk and then
+// queries still pays one sort. The multiset, and so every answer, is the
+// same either way.
 func (s *Summary) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
 	s.sum += x
+	if !s.sorted || x != x { // NaN sorts first; leave it to the sort
+		s.xs = append(s.xs, x)
+		s.sorted = false
+		return
+	}
+	i := sort.SearchFloat64s(s.xs, x)
+	s.xs = append(s.xs, 0)
+	copy(s.xs[i+1:], s.xs[i:])
+	s.xs[i] = x
 }
 
 // N returns the number of observations.
