@@ -23,6 +23,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -66,6 +67,7 @@ func main() {
 
 	var addrs []string
 	var lc *live.LocalCluster
+	var booted runtime.MemStats // the process right after boot (-boot only)
 	if *boot {
 		var err error
 		lc, err = live.StartLocalCluster(live.LocalClusterConfig{
@@ -81,6 +83,7 @@ func main() {
 		defer lc.Stop()
 		addrs = lc.Addrs
 		fmt.Printf("booted %d schedulers / %d workers x %d slots on localhost\n", *nSched, *nWork, *slots)
+		runtime.ReadMemStats(&booted)
 	} else {
 		if *scheds == "" {
 			log.Fatal("need -schedulers or -boot")
@@ -129,7 +132,7 @@ func main() {
 		}
 		fmt.Printf("\nopen loop: %d submitted, %d completed, %d aborted, %d unreported, %.1fs wall clock\n",
 			ol.Submitted, ol.Completed, ol.Aborted, ol.Timedout, ol.WallTime.Seconds())
-		printClusterCounters(lc, 0, churnSummary{})
+		printClusterCounters(lc, &booted, 0, churnSummary{})
 		return
 	}
 
@@ -155,15 +158,17 @@ func main() {
 	fmt.Printf("\n%d speculative copies, %d aborted, %.1fs wall clock\n",
 		stats.SpecCopies, stats.Aborted, stats.WallTime.Seconds())
 
-	printClusterCounters(lc, *churn, churned)
+	printClusterCounters(lc, &booted, *churn, churned)
 }
 
 // printClusterCounters reports the booted cluster's internals: the
-// scheduling-latency table, the protocol/fault counters, and the
-// transport batching totals. No-op when dialing an external cluster
-// (nothing in-process to inspect) except for the transport totals,
-// which cover this process's client connections too.
-func printClusterCounters(lc *live.LocalCluster, churn float64, churned churnSummary) {
+// scheduling-latency table, the protocol/fault counters, what a placed
+// copy cost the process in heap objects (against booted, the process
+// right after boot), and the transport batching totals. No-op when
+// dialing an external cluster (nothing in-process to inspect) except
+// for the transport totals, which cover this process's client
+// connections too.
+func printClusterCounters(lc *live.LocalCluster, booted *runtime.MemStats, churn float64, churned churnSummary) {
 	if lc != nil {
 		// Scheduling latency, recorded scheduler-side: submission to
 		// first task placement (the SLO metric), and Reserve-to-Offer
@@ -207,6 +212,17 @@ func printClusterCounters(lc *live.LocalCluster, churn float64, churned churnSum
 		fmt.Print(tab.String())
 		fmt.Printf("worker rounds: %d started, %d placed; %d offer timeouts, %d stale assigns\n",
 			rounds, placed, offerTO, staleAsn)
+		// The whole process — schedulers, workers, clients, the load
+		// generator — so the per-copy figure is an upper bound on what
+		// the cluster itself allocates.
+		var now runtime.MemStats
+		runtime.ReadMemStats(&now)
+		perCopy := float64(0)
+		if placed > 0 {
+			perCopy = float64(now.Mallocs-booted.Mallocs) / float64(placed)
+		}
+		fmt.Printf("process cost: %.1f heap objects allocated per placed copy since boot; %.1f MB heap in use after boot\n",
+			perCopy, float64(booted.HeapInuse)/(1<<20))
 		if churn > 0 {
 			fmt.Printf("churn: %d workers killed, %d joined\n", churned.killed, churned.joined)
 		}

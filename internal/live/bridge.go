@@ -1,6 +1,8 @@
 package live
 
 import (
+	"time"
+
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/wire"
@@ -12,13 +14,24 @@ import (
 // exactly these functions, so anything the mapping loses would break the
 // identical-assignment contract there.
 
+// replyFrames is the scratch a scheduler renders its replies into: one
+// value per reply type, overwritten by the next reply of that type. The
+// node loop is single-threaded and transport.Conn.Send is done with a
+// message when it returns, so a reply costs no allocation.
+type replyFrames struct {
+	assign wire.Assign
+	refuse wire.Refuse
+	noTask wire.NoTask
+}
+
 // wireFromReply renders a scheduler core's reply as the frame to send
 // back for offer sequence seq. dur is the drawn service time for task
-// hand-outs (ignored otherwise).
-func wireFromReply(rep protocol.Reply, seq uint64, dur float64) wire.Message {
+// hand-outs (ignored otherwise). The frame lives in f and is valid until
+// f renders another reply.
+func (f *replyFrames) wireFromReply(rep protocol.Reply, seq uint64, dur float64) wire.Message {
 	switch {
 	case rep.HasTask:
-		return &wire.Assign{
+		f.assign = wire.Assign{
 			JobID:       uint64(rep.Job),
 			Seq:         seq,
 			Phase:       uint16(rep.Phase),
@@ -28,8 +41,9 @@ func wireFromReply(rep protocol.Reply, seq uint64, dur float64) wire.Message {
 			VirtualSize: rep.VS,
 			RemTasks:    uint32(rep.RemTask),
 		}
+		return &f.assign
 	case rep.Refused:
-		return &wire.Refuse{
+		f.refuse = wire.Refuse{
 			JobID:       uint64(rep.Job),
 			Seq:         seq,
 			NoDemand:    rep.NoDemand,
@@ -39,13 +53,16 @@ func wireFromReply(rep protocol.Reply, seq uint64, dur float64) wire.Message {
 			VirtualSize: rep.VS,
 			RemTasks:    uint32(rep.RemTask),
 		}
+		return &f.refuse
 	case rep.JobDone:
-		return &wire.NoTask{JobID: uint64(rep.Job), Seq: seq, JobDone: true}
+		f.noTask = wire.NoTask{JobID: uint64(rep.Job), Seq: seq, JobDone: true}
+		return &f.noTask
 	default:
-		return &wire.NoTask{
+		f.noTask = wire.NoTask{
 			JobID: uint64(rep.Job), Seq: seq, NoDemand: rep.NoDemand,
 			VirtualSize: rep.VS, RemTasks: uint32(rep.RemTask),
 		}
+		return &f.noTask
 	}
 }
 
@@ -102,10 +119,6 @@ type pendingOffer struct {
 	sched   protocol.SchedID
 	job     cluster.JobID
 	getTask bool
-
-	// timer is the offer's abandon timer (nil when timeouts are off); a
-	// reply taking the offer stops it so only unanswered offers expire.
-	timer protocol.Timer
 }
 
 // offerTracker correlates scheduler replies to in-flight offers by the
@@ -127,26 +140,50 @@ func (t *offerTracker) track(po pendingOffer) uint64 {
 	return t.next
 }
 
-// arm attaches an abandon timer to an in-flight offer (no-op if the
-// offer was already resolved).
-func (t *offerTracker) arm(seq uint64, tm protocol.Timer) {
-	if po, ok := t.pending[seq]; ok {
-		po.timer = tm
-		t.pending[seq] = po
-	} else {
-		tm.Stop()
-	}
-}
-
 // take resolves and removes an in-flight offer; stale or duplicate
 // replies return ok=false and are dropped.
 func (t *offerTracker) take(seq uint64) (pendingOffer, bool) {
 	po, ok := t.pending[seq]
 	if ok {
 		delete(t.pending, seq)
-		if po.timer != nil {
-			po.timer.Stop()
-		}
 	}
 	return po, ok
+}
+
+// offerDeadline is when a sent offer is abandoned if still unanswered.
+type offerDeadline struct {
+	seq uint64
+	at  time.Time
+}
+
+// offerDeadlines is the FIFO of sent offers' deadlines, oldest first.
+// Entries outlive their offer's reply (nothing removes from the middle);
+// the worker drops them when they reach the head.
+type offerDeadlines struct {
+	q    []offerDeadline
+	head int
+}
+
+func (d *offerDeadlines) push(seq uint64, at time.Time) {
+	if len(d.q) == cap(d.q) && d.head > len(d.q)/2 {
+		// Reclaim the consumed prefix instead of growing: the queue holds
+		// one timeout's worth of offers, not every offer ever sent.
+		d.q = d.q[:copy(d.q, d.q[d.head:])]
+		d.head = 0
+	}
+	d.q = append(d.q, offerDeadline{seq: seq, at: at})
+}
+
+func (d *offerDeadlines) oldest() (offerDeadline, bool) {
+	if d.head == len(d.q) {
+		return offerDeadline{}, false
+	}
+	return d.q[d.head], true
+}
+
+func (d *offerDeadlines) drop() {
+	d.head++
+	if d.head == len(d.q) {
+		d.q, d.head = d.q[:0], 0
+	}
 }

@@ -35,6 +35,18 @@ type envelope struct {
 	err  error
 }
 
+// release ends a received frame's life: the node loops call it when the
+// frame's handler has returned, and the struct goes back to the wire
+// free list for a later Recv to fill. Handlers therefore copy what they
+// keep (runningCopy.msg is a value, peer.hello is a value) and never
+// store the pointer they were handed; one that did would read a zeroed
+// message, then a stranger's frame.
+func (e envelope) release() {
+	if m, ok := e.msg.(wire.Message); ok {
+		wire.Release(m)
+	}
+}
+
 // peer is one remote node.
 type peer struct {
 	conn  transport.Conn

@@ -370,7 +370,8 @@ func (w *wsWorker) place(from protocol.SchedID, rep protocol.Reply) bool {
 // frame; under chaos, hand-outs get an assign record (for the watchdog
 // and stale-rejection machinery) and the frame passes the injector.
 func (s *wireSystem) sendReply(sc *wsSched, si int, w *wsWorker, seq uint64, rep protocol.Reply) {
-	back := shove(w.conns[si], s.schedConns[si][w.id], wireFromReply(rep, seq, 0))
+	var frames replyFrames
+	back := shove(w.conns[si], s.schedConns[si][w.id], frames.wireFromReply(rep, seq, 0))
 	var record *assignRecord
 	if s.chaos != nil && rep.HasTask {
 		record = s.chaos.newAssign(s, sc, rep)

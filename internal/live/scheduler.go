@@ -204,6 +204,15 @@ type Scheduler struct {
 	// become loop-posted timers and each phase's probes go out exactly
 	// once.
 	unlock cluster.UnlockPlanner
+
+	// out is the scratch every per-frame message this node sends is built
+	// in: the loop is single-threaded and transport.Conn.Send is done with
+	// a message when it returns, so one value per type serves every send.
+	out struct {
+		replyFrames
+		reserve wire.Reserve
+		kill    wire.Kill
+	}
 }
 
 // pendingSubmit is one buffered submission with its submitter.
@@ -396,6 +405,7 @@ func (s *Scheduler) Run() {
 				continue
 			}
 			s.handle(env)
+			env.release()
 		}
 	}
 }
@@ -914,14 +924,15 @@ func (s *Scheduler) sendProbesAvoiding(probes []protocol.Probe, avoid int64) {
 				lj.probeSent[wid] = time.Now()
 			}
 		}
-		s.loop.send(w, &wire.Reserve{
+		s.out.reserve = wire.Reserve{
 			JobID:       uint64(p.Job),
 			SchedulerID: s.cfg.ID,
 			VirtualSize: p.VS,
 			RemTasks:    uint32(p.Rem),
 			DemandCPU:   p.Demand.CPU,
 			DemandMem:   p.Demand.Mem,
-		})
+		}
+		s.loop.send(w, &s.out.reserve)
 	}
 }
 
@@ -998,7 +1009,7 @@ func (s *Scheduler) onOffer(from *peer, m *wire.Offer) {
 	if rep.HasTask {
 		dur = s.startCopy(rep, from, m.WorkerID, m.Seq)
 	}
-	s.loop.send(from, wireFromReply(rep, m.Seq, dur))
+	s.loop.send(from, s.out.wireFromReply(rep, m.Seq, dur))
 }
 
 // startCopy performs the placement bookkeeping the simulator's Executor
@@ -1068,9 +1079,15 @@ func (s *Scheduler) expireOverdueCopies() {
 		s.stats.WatchdogExpiries++
 		s.loop.logf("copy of job %d task %d on worker %d overdue; requeueing",
 			lc.task.Job.ID, lc.task.Index, lc.workerID)
-		s.loop.send(lc.worker, &wire.Kill{JobID: uint64(lc.task.Job.ID), Seq: lc.seq})
+		s.sendKill(lc)
 		s.settleLostCopy(lc)
 	}
+}
+
+// sendKill tells a copy's worker to stop it and free the slot.
+func (s *Scheduler) sendKill(lc *lCopy) {
+	s.out.kill = wire.Kill{JobID: uint64(lc.task.Job.ID), Seq: lc.seq}
+	s.loop.send(lc.worker, &s.out.kill)
 }
 
 // onTaskDone settles a copy report: a win resolves the whole race
@@ -1116,7 +1133,7 @@ func (s *Scheduler) onTaskDone(m *wire.TaskDone) {
 	delete(s.byTask, t)
 	for _, other := range siblings {
 		other.copy.Killed = true
-		s.loop.send(other.worker, &wire.Kill{JobID: uint64(t.Job.ID), Seq: other.seq})
+		s.sendKill(other)
 		delete(s.copies, copyKey{other.workerID, other.seq})
 	}
 	s.core.TaskDone(t, c)

@@ -72,7 +72,8 @@ const defaultRetryJitter = 0.2
 // a reply to an offer before abandoning it and moving the round on — the
 // recovery path for dropped offers and dropped replies. Generous against
 // reply latency (milliseconds of wall clock) while bounding how long a
-// lost frame can stall a negotiation round.
+// lost frame can stall a negotiation round. It is one constant for every
+// offer, which is what lets offerDeadlines be a FIFO.
 const defaultOfferTimeout = 5.0
 
 // runningCopy is one emulated in-flight copy on this worker. sidx is
@@ -116,6 +117,24 @@ type Worker struct {
 	// dial-order slot, reported to the scheduler on reconnect (the
 	// restarted instance counts them; fresh probes recreate them).
 	parked map[int][]protocol.LostReservation
+
+	// deadlines queues every sent offer's abandon deadline; one timer at
+	// a time serves the whole queue (see expectReply). offerTimerOn says
+	// that timer is armed (or its event is in flight to the loop);
+	// offerTimerFn is its callback, which posts offerTimerEv — both built
+	// once, so arming allocates only the timer.
+	deadlines    offerDeadlines
+	offerWait    time.Duration // defaultOfferTimeout in wall clock
+	offerTimerOn bool
+	offerTimerFn func()
+	offerTimerEv *internalEvent
+
+	// out is the scratch every per-frame message this node sends is built
+	// in (see Scheduler.out).
+	out struct {
+		offer    wire.Offer
+		taskDone wire.TaskDone
+	}
 
 	// curReply carries the in-delivery assign context into the core's
 	// Place callback (single-threaded loop; never concurrent).
@@ -189,7 +208,10 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 		freeSlots: cfg.Slots,
 		running:   make(map[uint64]*runningCopy),
 		parked:    make(map[int][]protocol.LostReservation),
+		offerWait: time.Duration(defaultOfferTimeout * cfg.TimeScale * float64(time.Second)),
 	}
+	w.offerTimerEv = &internalEvent{fn: w.offerTimerFired}
+	w.offerTimerFn = func() { w.post(w.offerTimerEv, nil) }
 	pcfg := protocol.Config{
 		Mode:             cfg.Mode,
 		RefusalThreshold: cfg.RefusalThreshold,
@@ -259,6 +281,7 @@ func (w *Worker) Run() {
 				w.onSchedDisconnect(env.from)
 			} else {
 				w.handle(env)
+				env.release()
 			}
 			w.drainDeferred()
 		}
@@ -447,12 +470,11 @@ func (w *Worker) Stop() {
 func (w *Worker) drain() {
 	for seq, rc := range w.running {
 		rc.timer.Stop()
-		w.loop.send(rc.from, &wire.TaskDone{
+		w.sendTaskDone(rc.from, wire.TaskDone{
 			JobID:     rc.msg.JobID,
 			Seq:       seq,
 			Phase:     rc.msg.Phase,
 			TaskIndex: rc.msg.TaskIndex,
-			WorkerID:  w.cfg.ID,
 			Killed:    true,
 		})
 		delete(w.running, seq)
@@ -462,6 +484,13 @@ func (w *Worker) drain() {
 			p.conn.Close()
 		}
 	}
+}
+
+// sendTaskDone reports a copy's end to its scheduler.
+func (w *Worker) sendTaskDone(to *peer, td wire.TaskDone) {
+	td.WorkerID = w.cfg.ID
+	w.out.taskDone = td
+	w.loop.send(to, &w.out.taskDone)
 }
 
 // post enqueues an internal event onto the worker's own loop.
@@ -565,9 +594,8 @@ func (w *Worker) onReply(from *peer, m wire.Message) {
 		if a, isAssign := m.(*wire.Assign); isAssign {
 			if _, started := w.running[seq]; !started {
 				w.stats.StaleAssigns++
-				w.loop.send(from, &wire.TaskDone{
-					JobID: a.JobID, Seq: seq, Phase: a.Phase, TaskIndex: a.TaskIndex,
-					WorkerID: w.cfg.ID, Killed: true,
+				w.sendTaskDone(from, wire.TaskDone{
+					JobID: a.JobID, Seq: seq, Phase: a.Phase, TaskIndex: a.TaskIndex, Killed: true,
 				})
 			}
 		}
@@ -588,6 +616,51 @@ func (w *Worker) onReply(from *peer, m wire.Message) {
 		w.exec(w.core.OnHopperReply(po.round, e, rep))
 	}
 	w.curReply.msg = nil
+}
+
+// expectReply starts offer seq's abandon clock. Every offer waits the
+// same offerWait, so deadlines are nondecreasing in send order and the
+// oldest unanswered offer is always the next to expire: the worker keeps
+// the deadlines in a FIFO and at most one timer, which offerTimerFired
+// re-aims at whatever is oldest when it fires. Replies do not touch the
+// timer: an offer is answered milliseconds after it is sent, so a timer
+// stopped and re-armed per reply would be nearly all the timer traffic
+// of a worker whose offers are never lost.
+func (w *Worker) expectReply(seq uint64) {
+	w.deadlines.push(seq, time.Now().Add(w.offerWait))
+	if !w.offerTimerOn {
+		w.offerTimerOn = true
+		w.cfg.Timers.AfterFunc(w.offerWait, w.offerTimerFn)
+	}
+}
+
+// offerTimerFired runs on the loop when the offer timer fires: answered
+// offers at the head of the queue are forgotten, unanswered ones past
+// their deadline are abandoned in send order, and the timer is re-armed
+// for the oldest offer still waiting — or not at all, so an idle worker
+// holds no timer. An unanswered offer is therefore abandoned no earlier
+// than its deadline and at most one timer tick plus loop latency after.
+func (w *Worker) offerTimerFired() {
+	now := time.Now()
+	for {
+		d, ok := w.deadlines.oldest()
+		if !ok {
+			w.offerTimerOn = false
+			return
+		}
+		if _, waiting := w.tracker.pending[d.seq]; waiting {
+			if left := d.at.Sub(now); left > 0 {
+				w.cfg.Timers.AfterFunc(left, w.offerTimerFn)
+				return
+			}
+			w.deadlines.drop()
+			// May send offers of its own; offerTimerOn is still set, so
+			// they queue behind this loop instead of arming a second timer.
+			w.offerTimedOut(d.seq)
+		} else {
+			w.deadlines.drop()
+		}
+	}
 }
 
 // offerTimedOut abandons an offer no reply ever answered (dropped offer
@@ -626,9 +699,8 @@ func (w *Worker) place(from protocol.SchedID, rep protocol.Reply) bool {
 	if w.freeSlots <= 0 {
 		// Defensive: a stale assign with no slot behind it. Reject
 		// instantly so the scheduler unwinds the copy.
-		w.loop.send(w.curReply.from, &wire.TaskDone{
-			JobID: a.JobID, Seq: w.curReply.seq, Phase: a.Phase, TaskIndex: a.TaskIndex,
-			WorkerID: w.cfg.ID, Killed: true,
+		w.sendTaskDone(w.curReply.from, wire.TaskDone{
+			JobID: a.JobID, Seq: w.curReply.seq, Phase: a.Phase, TaskIndex: a.TaskIndex, Killed: true,
 		})
 		return false
 	}
@@ -658,12 +730,11 @@ func (w *Worker) copyFinished(rc *runningCopy) {
 	delete(w.running, rc.seq)
 	w.freeSlots++
 	w.TasksRun++
-	w.loop.send(rc.from, &wire.TaskDone{
+	w.sendTaskDone(rc.from, wire.TaskDone{
 		JobID:     rc.msg.JobID,
 		Seq:       rc.seq,
 		Phase:     rc.msg.Phase,
 		TaskIndex: rc.msg.TaskIndex,
-		WorkerID:  w.cfg.ID,
 		Duration:  rc.msg.Duration,
 	})
 	w.exec(w.core.Kick())
@@ -705,18 +776,16 @@ func (w *Worker) exec(acts []protocol.WAction) {
 			seq := w.tracker.track(pendingOffer{
 				round: a.Round, entry: a.Entry, sched: a.Sched, job: a.Job, getTask: a.GetTask,
 			})
-			w.loop.send(p, &wire.Offer{
+			w.out.offer = wire.Offer{
 				JobID:     uint64(a.Job),
 				WorkerID:  w.cfg.ID,
 				Seq:       seq,
 				Refusable: a.Refusable,
 				GetTask:   a.GetTask,
 				FreeSlots: uint32(w.freeSlots),
-			})
-			wall := time.Duration(defaultOfferTimeout * w.cfg.TimeScale * float64(time.Second))
-			w.tracker.arm(seq, w.cfg.Timers.AfterFunc(wall, func() {
-				w.post(&internalEvent{fn: func() { w.offerTimedOut(seq) }}, nil)
-			}))
+			}
+			w.loop.send(p, &w.out.offer)
+			w.expectReply(seq)
 		case protocol.WArmRetry:
 			// Generation-tag each arm: a RetryFired event already queued
 			// from an older timer must not reach the core after a newer

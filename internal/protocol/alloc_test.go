@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"testing"
+	"time"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 )
@@ -73,5 +74,58 @@ func TestSchedProbeRoundZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("sched probe round allocates %.2f/op in steady state, want 0", avg)
+	}
+}
+
+// TestWheelArmStopAllocatesOnce pins the wheel's arm path at its one
+// unavoidable object — the timer, which is its own Stop handle — once
+// the slots have grown to their steady-state capacity.
+func TestWheelArmStopAllocatesOnce(t *testing.T) {
+	w := NewTimerWheel(time.Millisecond, 64)
+	defer w.Stop()
+	f := func() {}
+	cycle := func() {
+		if !w.AfterFunc(20*time.Millisecond, f).Stop() {
+			t.Fatal("Stop lost to a 20ms timer")
+		}
+	}
+	// Two trips round the ring at full arming speed: every slot has held
+	// as many canceled timers as it ever will between two sweeps.
+	for end := time.Now().Add(128 * time.Millisecond); time.Now().Before(end); {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(2000, cycle); avg > 1 {
+		t.Fatalf("arm + Stop allocates %.0f/op in steady state, want at most 1", avg)
+	}
+}
+
+// TestWheelTickOverLongTimersAllocatesNothing steps the wheel over a
+// slot holding 1,000 timers that are rounds away from due: the slot is
+// filtered in place, so the tick allocates nothing.
+func TestWheelTickOverLongTimersAllocatesNothing(t *testing.T) {
+	const ring = 8
+	w := NewTimerWheel(time.Hour, ring) // the wheel goroutine never ticks; the test does
+	defer w.Stop()
+	fired := 0
+	for i := 0; i < 1000; i++ {
+		w.AfterFunc(time.Hour*ring*10000, func() { fired++ })
+	}
+	round := func() {
+		for i := 0; i < ring; i++ {
+			if !w.advance(w.ticks + 1) {
+				t.Fatal("advance refused a tick")
+			}
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("a trip round the ring over 1,000 pending timers allocates %.0f, want 0", avg)
+	}
+	pending := 0
+	for _, slot := range w.slots {
+		pending += len(slot)
+	}
+	if fired != 0 || pending != 1000 {
+		t.Fatalf("after 102 rounds of 10,000: %d fired, %d pending; want 0 and 1000", fired, pending)
 	}
 }

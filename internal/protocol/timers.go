@@ -66,6 +66,8 @@ type TimerWheel struct {
 	ticks   int64 // advances performed
 	stopped bool
 
+	fire []*wheelTimer // advance's due list, reused; owned by the run goroutine
+
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -112,7 +114,10 @@ func (w *TimerWheel) Stop() {
 	w.wg.Wait()
 }
 
+// wheelTimer is one armed callback and its own Stop handle; rounds,
+// canceled and fired are guarded by the wheel's lock.
 type wheelTimer struct {
+	wheel    *TimerWheel
 	fn       func()
 	rounds   int
 	canceled bool
@@ -139,25 +144,20 @@ func (w *TimerWheel) AfterFunc(d time.Duration, f func()) Timer {
 	// The timer fires on the ticks-th future advance, which visits slot
 	// (cur+ticks) mod ring; earlier visits of that slot are skipped by
 	// the rounds counter — floor((ticks-1)/ring) of them.
-	t := &wheelTimer{fn: f, rounds: int((ticks - 1) >> w.shift)}
+	t := &wheelTimer{wheel: w, fn: f, rounds: int((ticks - 1) >> w.shift)}
 	slot := (w.cur + int(ticks&int64(w.mask))) & w.mask
 	w.slots[slot] = append(w.slots[slot], t)
 	w.mu.Unlock()
-	return &wheelTimerHandle{wheel: w, t: t}
+	return t
 }
 
-type wheelTimerHandle struct {
-	wheel *TimerWheel
-	t     *wheelTimer
-}
-
-func (h *wheelTimerHandle) Stop() bool {
-	h.wheel.mu.Lock()
-	defer h.wheel.mu.Unlock()
-	if h.t.fired || h.t.canceled {
+func (t *wheelTimer) Stop() bool {
+	t.wheel.mu.Lock()
+	defer t.wheel.mu.Unlock()
+	if t.fired || t.canceled {
 		return false
 	}
-	h.t.canceled = true
+	t.canceled = true
 	return true
 }
 
@@ -175,34 +175,45 @@ func (w *TimerWheel) run() {
 			return
 		case now := <-ticker.C:
 			target := int64(now.Sub(start) / w.tick)
-			for {
-				w.mu.Lock()
-				if w.ticks >= target || w.stopped {
-					w.mu.Unlock()
-					break
-				}
-				w.ticks++
-				w.cur = (w.cur + 1) & w.mask
-				slot := w.slots[w.cur]
-				var keep []*wheelTimer
-				var fire []*wheelTimer
-				for _, t := range slot {
-					switch {
-					case t.canceled:
-					case t.rounds > 0:
-						t.rounds--
-						keep = append(keep, t)
-					default:
-						t.fired = true
-						fire = append(fire, t)
-					}
-				}
-				w.slots[w.cur] = keep
-				w.mu.Unlock()
-				for _, t := range fire {
-					t.fn()
-				}
+			for w.advance(target) {
 			}
 		}
 	}
+}
+
+// advance moves the wheel one slot towards tick count target and runs
+// the callbacks that came due, reporting false once the wheel is there
+// (or stopped). The slot is filtered in place and the due list reuses
+// one buffer, so a tick allocates nothing however many long timers it
+// steps over.
+func (w *TimerWheel) advance(target int64) bool {
+	w.mu.Lock()
+	if w.ticks >= target || w.stopped {
+		w.mu.Unlock()
+		return false
+	}
+	w.ticks++
+	w.cur = (w.cur + 1) & w.mask
+	slot := w.slots[w.cur]
+	keep, fire := slot[:0], w.fire[:0]
+	for _, t := range slot {
+		switch {
+		case t.canceled:
+		case t.rounds > 0:
+			t.rounds--
+			keep = append(keep, t)
+		default:
+			t.fired = true
+			fire = append(fire, t)
+		}
+	}
+	clear(slot[len(keep):]) // dropped timers must not stay reachable
+	w.slots[w.cur] = keep
+	w.mu.Unlock()
+	for _, t := range fire {
+		t.fn()
+	}
+	clear(fire)
+	w.fire = fire
+	return true
 }

@@ -62,7 +62,9 @@ func benchPair(b *testing.B, flavor string) (Conn, Conn, *benchCounting, func())
 // 1.0, the batched writer coalesces every frame that arrives within the
 // flush deadline into one Write. The allocs/msg metric is end-to-end
 // (encode, framing, decode, both goroutines): the per-connection
-// reusable outbox keeps the send half off it.
+// reusable outbox keeps the send half off it, and the receiver
+// releasing each frame, as the node loops do, keeps the receive half
+// off it too.
 func BenchmarkConnThroughput(b *testing.B) {
 	for _, flavor := range []string{"mem", "tcp"} {
 		b.Run(flavor, func(b *testing.B) {
@@ -73,10 +75,12 @@ func BenchmarkConnThroughput(b *testing.B) {
 			done := make(chan error, 1)
 			go func() {
 				for i := 0; i < b.N; i++ {
-					if _, err := receiver.Recv(); err != nil {
+					m, err := receiver.Recv()
+					if err != nil {
 						done <- err
 						return
 					}
+					wire.Release(m)
 				}
 				done <- nil
 			}()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -172,6 +173,11 @@ func (in *Injector) Stats() FaultStats {
 // recovery paths (reprobe, offer timeouts, watchdogs) are exactly what
 // the wrapper exists to exercise. Errors from delayed sends are
 // discarded — the connection may legitimately be gone by then.
+//
+// A held frame is a copy: Send is done with m when it returns (see
+// Conn), and the live nodes reuse one scratch value for every frame, so
+// a timer that kept the caller's pointer would deliver whatever the node
+// wrote next. The in-order path passes m straight through.
 type Faulty struct {
 	inner Conn
 	inj   *Injector
@@ -193,15 +199,23 @@ func (f *Faulty) Send(m wire.Message) error {
 	if fate.Drop {
 		return nil
 	}
+	var held wire.Message // m's copy, shared by both timers (never written)
+	if fate.Delay > 0 || (fate.Dup && fate.DupDelay > 0) {
+		frame := wire.Append(nil, m)
+		var err error
+		if held, err = wire.Decode(wire.MsgType(frame[4]), frame[5:]); err != nil {
+			return fmt.Errorf("transport: copying %s for delayed delivery: %w", m.Type(), err)
+		}
+	}
 	var firstErr error
 	if fate.Delay > 0 {
-		time.AfterFunc(secs(fate.Delay), func() { _ = f.inner.Send(m) })
+		time.AfterFunc(secs(fate.Delay), func() { _ = f.inner.Send(held) })
 	} else {
 		firstErr = f.inner.Send(m)
 	}
 	if fate.Dup {
 		if fate.DupDelay > 0 {
-			time.AfterFunc(secs(fate.DupDelay), func() { _ = f.inner.Send(m) })
+			time.AfterFunc(secs(fate.DupDelay), func() { _ = f.inner.Send(held) })
 		} else {
 			_ = f.inner.Send(m)
 		}

@@ -149,3 +149,43 @@ func TestFaultyDelayedFrameStillArrives(t *testing.T) {
 		t.Fatalf("Delayed = %d, want 1", st.Delayed)
 	}
 }
+
+// TestFaultyHoldsACopyNotTheCallersMessage: Send is done with its
+// message when it returns (the live nodes send every frame out of one
+// scratch value), so a frame Faulty holds on a timer — a delayed one, or
+// a duplicate's delayed second copy — must be a snapshot. Overwriting
+// the caller's value before the timer fires must not change what
+// arrives.
+func TestFaultyHoldsACopyNotTheCallersMessage(t *testing.T) {
+	sent := wire.Offer{JobID: 7, WorkerID: 199, Seq: 88, Refusable: true, FreeSlots: 3}
+	next := wire.Offer{JobID: 8, WorkerID: 200, Seq: 89}
+	for name, rates := range map[string]Rates{"delay": {Delay: 1}, "dup": {Dup: 1}} {
+		t.Run(name, func(t *testing.T) {
+			a, b := Pair(16)
+			defer a.Close()
+			defer b.Close()
+			fa := WrapFaulty(a, NewInjector(FaultConfig{
+				Seed: 9, Default: rates, DelayMin: 0.02, DelayMax: 0.03,
+			}))
+			o := sent
+			if err := fa.Send(&o); err != nil {
+				t.Fatal(err)
+			}
+			o = next // the node builds its next frame in the same value
+			b.SetRecvDeadline(time.Now().Add(2 * time.Second))
+			want := 1
+			if rates.Dup > 0 {
+				want = 2 // the in-order copy, then the held one
+			}
+			for i := 0; i < want; i++ {
+				m, err := b.Recv()
+				if err != nil {
+					t.Fatalf("frame %d never arrived: %v", i, err)
+				}
+				if got := *m.(*wire.Offer); got != sent {
+					t.Fatalf("frame %d carries what the sender wrote after Send returned:\n got  %+v\n want %+v", i, got, sent)
+				}
+			}
+		})
+	}
+}

@@ -27,6 +27,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -41,6 +42,14 @@ import (
 // Conn is an ordered, reliable message stream. Send and Recv are safe to
 // call from different goroutines; Send is additionally safe for
 // concurrent callers.
+//
+// Who owns a message: Send is done with m when it returns — it has
+// encoded (or copied) what it needs, so the caller may overwrite m at
+// once, and the live nodes send every frame out of one scratch value.
+// What Recv returns is the caller's until it chooses to hand it to
+// wire.Release, which lets a later Recv reuse the struct; not releasing
+// costs an allocation, never correctness. A wrapper that holds a
+// message past its own Send's return (Faulty's delays) must copy it.
 type Conn interface {
 	// Send transmits one message.
 	Send(m wire.Message) error
@@ -89,6 +98,15 @@ const DefaultFlushDelay = 500 * time.Microsecond
 // a frame larger than the limit.
 const defaultOutboxLimit = 256 << 10
 
+// recvBuffer sizes a connection's read buffer. Protocol frames are 20–60
+// bytes and arrive in the peer's flush batches of a few dozen, so 4 KB
+// takes a batch in one read; a cluster holds two connection ends per
+// worker per scheduler, so this is the per-connection memory that
+// multiplies (40 MB per scheduler at 10,000 workers; a 64 KB buffer
+// would be 640 MB). A frame larger than the buffer is read straight
+// into its destination.
+const recvBuffer = 4 << 10
+
 // closeDrainTimeout bounds how long Close waits for the writer to flush
 // the outbox. A healthy peer drains in microseconds; a wedged one (not
 // reading, kernel buffer full) would otherwise block Close forever.
@@ -131,7 +149,7 @@ func BatchTotals() BatchCounters {
 // queued.
 type tcpConn struct {
 	c  net.Conn
-	br *bufio.Reader
+	rd *wire.Reader // over a recvBuffer-sized bufio.Reader on c
 
 	mu      sync.Mutex
 	notFull sync.Cond // senders wait here when the outbox is full
@@ -174,7 +192,7 @@ func NewConnFlush(c net.Conn, flushDelay time.Duration, limit int) Conn {
 	}
 	t := &tcpConn{
 		c:          c,
-		br:         bufio.NewReaderSize(c, 64<<10),
+		rd:         wire.NewReader(bufio.NewReaderSize(c, recvBuffer)),
 		flushDelay: flushDelay,
 		limit:      limit,
 		wake:       make(chan struct{}, 1),
@@ -287,7 +305,7 @@ func (t *tcpConn) writeLoop() {
 // malformed frames of known types they treat as connection failures,
 // because the peer may have committed protocol state in them.
 func (t *tcpConn) Recv() (wire.Message, error) {
-	return wire.ReadMsg(t.br)
+	return t.rd.Read()
 }
 
 func (t *tcpConn) SetRecvDeadline(tm time.Time) error {
@@ -352,8 +370,10 @@ func (ln *Listener) Close() error { return ln.l.Close() }
 // --- in-memory ----------------------------------------------------------
 
 // memConn is one end of an in-memory pair. Like the TCP side it batches
-// through an async writer: Send runs the codec self-check and appends
-// the decoded message to the outbox; the writer pushes queued messages
+// through an async writer: Send runs the codec self-check — the frame is
+// encoded and read back through the same wire.Reader a socket's
+// receiver uses, free list included — and appends the decoded message
+// to the outbox; the writer pushes queued messages
 // into the delivery channel. Close drains the outbox before the close
 // becomes visible to the peer, preserving TCP's data-then-FIN ordering.
 // The in-memory writer has no linger (there is no syscall to amortize):
@@ -371,7 +391,9 @@ type memConn struct {
 	busy     bool           // writer holds a swapped-out batch (guarded by mu)
 	dead     bool           // writer exited without a clean drain (guarded by mu)
 	limit    int
-	enc      []byte // reusable encode buffer for the codec self-check (guarded by mu)
+	enc      []byte       // the frame being self-checked (guarded by mu)
+	encSrc   bytes.Reader // enc as a stream (guarded by mu)
+	check    *wire.Reader // reads encSrc (guarded by mu)
 
 	closed  chan struct{} // closed after the outbox drained: peer-visible close
 	abort   chan struct{} // force-stops a writer wedged on a full channel
@@ -411,18 +433,20 @@ func newMemConn(name string, out chan<- wire.Message, in <-chan wire.Message, bu
 		drained: make(chan struct{}),
 	}
 	m.notFull.L = &m.mu
+	m.check = wire.NewReader(&m.encSrc)
 	return m
 }
 
 func (m *memConn) Send(msg wire.Message) error {
 	// Round-trip through the codec: catches encode/decode asymmetries in
 	// tests that would otherwise only surface over real sockets. The
-	// encode buffer is per-connection and reusable — Decode copies
+	// encode buffer is per-connection and reusable — decoding copies
 	// everything it keeps (strings, replica lists), so nothing aliases
-	// the buffer once it returns.
+	// the buffer once Read returns.
 	m.mu.Lock()
 	m.enc = wire.Append(m.enc[:0], msg)
-	decoded, err := wire.Decode(wire.MsgType(m.enc[4]), m.enc[5:])
+	m.encSrc.Reset(m.enc)
+	decoded, err := m.check.Read()
 	if err != nil {
 		m.mu.Unlock()
 		return fmt.Errorf("transport: self-check failed for %s: %w", msg.Type(), err)

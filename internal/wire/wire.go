@@ -10,9 +10,23 @@
 //	payload type-specific fields, fixed order
 //
 // Scalars are big-endian; strings and byte slices are uint16/uint32
-// length-prefixed. The codec is allocation-light: encoding appends to a
-// caller buffer, decoding reads from a byte slice without copying where
-// safe. All messages round-trip exactly (see the property tests).
+// length-prefixed. All messages round-trip exactly (see the property
+// tests).
+//
+// What a frame costs: encoding appends to a caller buffer and allocates
+// nothing. Decoding copies every string and list it keeps, so a decoded
+// message never aliases the bytes it was read from and those bytes can
+// be reused at once. A connection reads through a Reader, which owns the
+// header, the payload scratch and the cursor and fills the seven
+// fixed-size message types (Reserve, Offer, Assign, Refuse, NoTask,
+// TaskDone, Kill) from a free list: reading one of those allocates
+// nothing once the list is warm. Decode is the one-shot entry and always
+// allocates its message.
+//
+// Who owns a decoded message: whoever Read or Decode returned it to, for
+// as long as it likes. Release is how an owner that is finished with a
+// message feeds the free list; it is optional, and it is the owner's
+// promise that no pointer to the message survives.
 package wire
 
 import (
@@ -21,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // MsgType identifies a protocol message.
@@ -249,65 +264,182 @@ func WriteMsg(w io.Writer, msg Message) error {
 	return err
 }
 
-// ReadMsg reads and decodes one frame.
+// ReadMsg reads and decodes one frame through a throwaway Reader — the
+// one-shot entry for callers that read a single frame; a connection keeps
+// one Reader for its lifetime.
 func ReadMsg(r io.Reader) (Message, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return NewReader(r).Read()
+}
+
+// readerScratch is the payload scratch a Reader retains. Every fixed-size
+// protocol message is under 50 bytes and a typical Hello or SubmitJob
+// under a few hundred; a larger frame (a SubmitJob with long replica
+// lists) is read into a one-off buffer, so one big frame never pins
+// memory on a connection.
+const readerScratch = 512
+
+// Reader decodes the frames of one stream. It owns everything a frame
+// costs to read — the header bytes, a bounded payload scratch and the
+// decode cursor — and draws the fixed-size message types from a free
+// list (see Release), so reading one of those allocates nothing. Nothing
+// a returned message references aliases the scratch. Not safe for
+// concurrent use: one reader goroutine per stream.
+type Reader struct {
+	src     io.Reader
+	cur     reader
+	hdr     [5]byte
+	scratch [readerScratch]byte
+}
+
+// NewReader returns a Reader over src. It reads exactly one frame per
+// Read and never ahead, so put a bufio.Reader underneath a socket.
+func NewReader(src io.Reader) *Reader { return &Reader{src: src} }
+
+// Read reads and decodes the next frame. The message is the caller's: it
+// may keep it forever, or hand it to Release once nothing references it.
+// A *DecodeError means the frame was consumed and the stream is still in
+// sync; any other error is stream-level (io.EOF at a clean frame
+// boundary, io.ErrUnexpectedEOF inside a frame, ErrFrameTooLarge).
+func (s *Reader) Read() (Message, error) {
+	if _, err := io.ReadFull(s.src, s.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := binary.BigEndian.Uint32(s.hdr[:4])
 	if n > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := s.scratch[:]
+	if n > readerScratch {
+		payload = make([]byte, n) // one-off, not retained
+	}
+	payload = payload[:n]
+	if _, err := io.ReadFull(s.src, payload); err != nil {
 		return nil, err
 	}
-	return Decode(MsgType(hdr[4]), payload)
-}
-
-// Decode parses a payload for the given type tag. Failures are returned
-// as *DecodeError: the payload was already consumed from the stream, so
-// the caller may skip the frame and keep reading.
-func Decode(t MsgType, payload []byte) (Message, error) {
-	var m Message
-	switch t {
-	case TSubmitJob:
-		m = &SubmitJob{}
-	case TJobComplete:
-		m = &JobComplete{}
-	case TReserve:
-		m = &Reserve{}
-	case TOffer:
-		m = &Offer{}
-	case TAssign:
-		m = &Assign{}
-	case TRefuse:
-		m = &Refuse{}
-	case TNoTask:
-		m = &NoTask{}
-	case TTaskDone:
-		m = &TaskDone{}
-	case THello:
-		m = &Hello{}
-	case TPing:
-		m = &Ping{}
-	case TPong:
-		m = &Pong{}
-	case TKill:
-		m = &Kill{}
-	default:
+	t := MsgType(s.hdr[4])
+	m := recycled(t)
+	if m == nil {
+		m = newMessage(t)
+	}
+	if m == nil {
 		return nil, &DecodeError{Type: t, Err: ErrUnknownType}
 	}
-	rd := &reader{buf: payload}
-	if err := m.decode(rd); err != nil {
-		return nil, &DecodeError{Type: t, Err: err}
-	}
-	if rd.err != nil {
-		return nil, &DecodeError{Type: t, Err: rd.err}
-	}
-	if rd.remaining() != 0 {
-		return nil, &DecodeError{Type: t, Err: fmt.Errorf("%d trailing bytes", rd.remaining())}
+	s.cur = reader{buf: payload}
+	err := decodePayload(m, &s.cur)
+	s.cur.buf = nil // a one-off payload buffer dies with its frame
+	if err != nil {
+		Release(m)
+		return nil, err
 	}
 	return m, nil
+}
+
+// Decode parses a payload for the given type tag into a freshly
+// allocated message. Failures are returned as *DecodeError: the payload
+// was already consumed from the stream, so the caller may skip the frame
+// and keep reading.
+func Decode(t MsgType, payload []byte) (Message, error) {
+	m := newMessage(t)
+	if m == nil {
+		return nil, &DecodeError{Type: t, Err: ErrUnknownType}
+	}
+	if err := decodePayload(m, &reader{buf: payload}); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// newMessage allocates the zero message of a type tag (nil if unknown).
+func newMessage(t MsgType) Message {
+	switch t {
+	case TSubmitJob:
+		return &SubmitJob{}
+	case TJobComplete:
+		return &JobComplete{}
+	case TReserve:
+		return &Reserve{}
+	case TOffer:
+		return &Offer{}
+	case TAssign:
+		return &Assign{}
+	case TRefuse:
+		return &Refuse{}
+	case TNoTask:
+		return &NoTask{}
+	case TTaskDone:
+		return &TaskDone{}
+	case THello:
+		return &Hello{}
+	case TPing:
+		return &Ping{}
+	case TPong:
+		return &Pong{}
+	case TKill:
+		return &Kill{}
+	}
+	return nil
+}
+
+// decodePayload fills m from the cursor and applies the frame-local
+// checks: a field error, a short payload, trailing bytes.
+func decodePayload(m Message, rd *reader) error {
+	if err := m.decode(rd); err != nil {
+		return &DecodeError{Type: m.Type(), Err: err}
+	}
+	if rd.err != nil {
+		return &DecodeError{Type: m.Type(), Err: rd.err}
+	}
+	if rd.remaining() != 0 {
+		return &DecodeError{Type: m.Type(), Err: fmt.Errorf("%d trailing bytes", rd.remaining())}
+	}
+	return nil
+}
+
+// --- the free list -------------------------------------------------------
+
+// free holds released messages of the seven fixed-size types, by type
+// tag. They are the per-frame traffic of a running cluster (probes,
+// offers, replies, completion reports) and hold no references, so a
+// recycled one needs no more than zeroing. SubmitJob, JobComplete and
+// Hello carry slices and strings and are rare; they are always
+// allocated.
+var free [TKill + 1]sync.Pool
+
+// recycled returns a zeroed message of type t from the free list, or nil
+// when the list is empty or the type is not a pooled one.
+func recycled(t MsgType) Message {
+	if int(t) >= len(free) {
+		return nil
+	}
+	m, _ := free[t].Get().(Message)
+	return m
+}
+
+// Release hands a message back for reuse by a later Reader.Read. Only
+// the owner may call it (see Reader.Read and transport.Conn), once, and
+// only when nothing references m any more: the struct is zeroed here, so
+// a pointer kept past Release reads zeros — a loud failure — until a
+// later frame overwrites it. Releasing is optional (not doing so costs
+// the allocation it saves, never correctness) and a no-op for the types
+// that are not pooled.
+func Release(m Message) {
+	switch v := m.(type) {
+	case *Reserve:
+		*v = Reserve{}
+	case *Offer:
+		*v = Offer{}
+	case *Assign:
+		*v = Assign{}
+	case *Refuse:
+		*v = Refuse{}
+	case *NoTask:
+		*v = NoTask{}
+	case *TaskDone:
+		*v = TaskDone{}
+	case *Kill:
+		*v = Kill{}
+	default:
+		return
+	}
+	free[m.Type()].Put(m)
 }
