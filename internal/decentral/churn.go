@@ -31,10 +31,6 @@ type ChurnConfig struct {
 	// rejoining (exponential). Default 30.
 	Downtime float64
 
-	// ReprobeInterval is the period of the reservation refresh that
-	// re-covers probes lost at departed machines. Default 1s.
-	ReprobeInterval float64
-
 	// Seed drives the churn process (victim choice, event spacing),
 	// independent of the simulation seed so the same workload can replay
 	// under different churn realizations.
@@ -45,12 +41,14 @@ type ChurnConfig struct {
 // leave drawn while at the cap is skipped.
 const maxDownFrac = 0.25
 
+// churnReprobeEvery is the period, in simulated seconds, of the
+// reservation refresh that re-covers probes lost at departed machines,
+// for a system whose Config.ReprobeInterval left the refresh off.
+const churnReprobeEvery = 1.0
+
 func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.Downtime == 0 {
 		c.Downtime = 30
-	}
-	if c.ReprobeInterval == 0 {
-		c.ReprobeInterval = 1
 	}
 	return c
 }
@@ -70,7 +68,9 @@ func (s *System) EnableChurn(cfg ChurnConfig) {
 	s.churn = cfg.withDefaults()
 	s.churnRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
 	s.trackCopies = true
-	s.reprobeEvery = s.churn.ReprobeInterval
+	if s.reprobeEvery == 0 {
+		s.reprobeEvery = churnReprobeEvery
+	}
 	s.ensureChurnTicks()
 }
 

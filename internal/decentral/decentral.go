@@ -200,9 +200,9 @@ type System struct {
 	churnRng  *rand.Rand
 	churnOn   bool
 	reprobeOn bool
-	// reprobeEvery is the armed reservation-refresh period: set by
-	// EnableChurn (from ChurnConfig.ReprobeInterval) or directly by
-	// Config.ReprobeInterval; 0 leaves the refresh off.
+	// reprobeEvery is the armed reservation-refresh period:
+	// Config.ReprobeInterval, or churnReprobeEvery when EnableChurn found
+	// it off; 0 leaves the refresh off.
 	reprobeEvery float64
 
 	// ProbeEventsSaved counts engine events avoided by probe coalescing:
@@ -260,7 +260,8 @@ type message struct {
 	worker *worker // offering / reply-receiving worker
 	wepoch int     // worker's churn epoch when the offer was sent
 
-	// Offer context, preserved for the reply leg.
+	// Offer content (job, refusable, getTask) and the worker-side context
+	// the reply leg hands back to the core (round, entry).
 	job       cluster.JobID
 	refusable bool
 	getTask   bool
@@ -358,17 +359,7 @@ func (s *System) dispatch(m *message) {
 			s.putMsg(m)
 			return
 		}
-		e := m.entry
-		if e.IsZero() {
-			// Non-refusable offer to a job the worker may hold no
-			// reservation for: resolve at delivery time.
-			e = w.core.EntryFor(protocol.SchedID(m.sched.id), m.job)
-		}
-		if m.getTask {
-			w.exec(w.core.OnSparrowReply(m.round, e, m.rep))
-		} else {
-			w.exec(w.core.OnHopperReply(m.round, e, m.rep))
-		}
+		w.exec(w.core.OnReply(m.round, m.entry, m.rep))
 		s.putMsg(m)
 	case mPlacementFailed:
 		m.sched.core.PlacementFailed(m.job)

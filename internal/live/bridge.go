@@ -10,9 +10,10 @@ import (
 
 // This file is the wire <-> protocol-core bridge: the only place where
 // core replies are serialized into frames and frames are rehydrated into
-// core replies. The sim-vs-live parity test drives the cores through
-// exactly these functions, so anything the mapping loses would break the
-// identical-assignment contract there.
+// core replies. The sim-vs-live parity test (parity_test.go) routes every
+// reply of a simulator-clocked run through these functions and the offer
+// tracker below — not through the nodes — so anything the mapping loses
+// breaks the identical-assignment contract there.
 
 // replyFrames is the scratch a scheduler renders its replies into: one
 // value per reply type, overwritten by the next reply of that type. The
@@ -114,11 +115,10 @@ func replyFromWire(m wire.Message, from protocol.SchedID) (rep protocol.Reply, s
 // resolved at delivery — non-refusable offers may target jobs the
 // worker holds no reservation for).
 type pendingOffer struct {
-	round   *protocol.Round
-	entry   protocol.EntryRef
-	sched   protocol.SchedID
-	job     cluster.JobID
-	getTask bool
+	round *protocol.Round
+	entry protocol.EntryRef
+	sched protocol.SchedID
+	job   cluster.JobID
 }
 
 // offerTracker correlates scheduler replies to in-flight offers by the

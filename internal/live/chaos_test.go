@@ -1,0 +1,616 @@
+package live
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/hopper-sim/hopper/internal/protocol"
+	"github.com/hopper-sim/hopper/internal/simulator"
+	"github.com/hopper-sim/hopper/internal/transport"
+	"github.com/hopper-sim/hopper/internal/wire"
+)
+
+// The failure-domain suite: the Scheduler and Worker that ship, on a
+// simulation engine's clock, under seeded frame loss, duplication, delay
+// and partition. Nothing here stands in for a node. The cluster is built
+// from NewScheduler and NewWorkerConns; no node ever Runs — the harness
+// owns the three things a node's goroutines would (the clock, the
+// connections, the inbox pump) and calls each node's step itself, one
+// engine event at a time, so a run is a pure function of its seed and a
+// failing seed replays against scheduler.go and worker.go line numbers.
+//
+// The oracles are what the protocol must keep NO MATTER what the network
+// does:
+//
+//   - every job is reported complete, none aborted (no task stranded by a
+//     lost frame),
+//   - every send is one of the frame types the ledger knows, and replies
+//     pair 1:1 with the offers that were delivered and answerable (the
+//     scheduler deliberately ignores a duplicate of an offer whose first
+//     delivery won a task — onOffer's guard),
+//   - DoubleWakeups == 0 (phase unlocks stay exactly-once),
+//   - SilentDemand == 0 (a job that said NoDemand hands out nothing it
+//     has not probed for since; a lost probe is still a sent one),
+//   - OccupancyLeaks <= killed TaskDones (a rollback racing JobDone is the
+//     only tolerated leak),
+//   - conservation once the engine runs dry: every slot free, no copy
+//     running or in flight, no offer pending, no job left anywhere,
+//   - the same seed produces the same frame log.
+
+const (
+	virtualMachines = 8
+	virtualSlots    = 2
+	// virtualLatency is the one-way frame latency in virtual seconds (the
+	// simulator adapter's default MsgLatency).
+	virtualLatency = 0.0005
+	// virtualSubmitAt offsets job arrivals past worker registration: a
+	// job admitted before the Hellos land would aim all its probes at the
+	// workers registered so far.
+	virtualSubmitAt = 0.01
+	// virtualHorizon bounds a run in virtual seconds; the parity workload
+	// finishes in under a minute of them even with a tenth of all frames
+	// lost, so reaching it means some timer re-arms forever.
+	virtualHorizon = 900.0
+)
+
+// sentFrame is one line of the frame log: what a node handed to a
+// connection, when, and what the injector did with it.
+type sentFrame struct {
+	at       float64
+	sched    int
+	worker   int // -1: the scheduler's client
+	toWorker bool
+	typ      wire.MsgType
+	seq      uint64 // Offer/reply/TaskDone/Kill sequence; 0 for the rest
+	job      uint64
+	phase    uint16 // Assign and TaskDone task coordinates
+	task     uint32
+	flag     bool // Assign.Speculative, TaskDone.Killed
+	fate     transport.Fate
+}
+
+// virtualCluster is three live schedulers and eight live 2-slot workers
+// on one simulation engine.
+type virtualCluster struct {
+	eng     *simulator.Engine
+	epoch   time.Time
+	inj     *transport.Injector
+	scheds  []*Scheduler
+	workers []*Worker
+
+	frames     []sentFrame
+	answerable int64 // offers delivered to a scheduler holding no copy under their (worker, seq)
+	completed  map[uint64]bool
+	aborted    int
+	overran    bool
+}
+
+// engineTimers is the cluster's protocol.TimerService: the nodes' only
+// clock, read off the engine.
+type engineTimers struct{ c *virtualCluster }
+
+func (t engineTimers) Now() time.Time {
+	return t.c.epoch.Add(time.Duration(math.Round(t.c.eng.Now() * float64(time.Second))))
+}
+
+func (t engineTimers) AfterFunc(d time.Duration, f func()) protocol.Timer {
+	et := &engineTimer{}
+	et.ev = t.c.eng.After(d.Seconds(), t.c.turn(func() {
+		et.fired = true
+		f()
+	}))
+	return et
+}
+
+type engineTimer struct {
+	ev    *simulator.Event
+	fired bool
+}
+
+func (t *engineTimer) Stop() bool {
+	if t.fired || t.ev.Canceled() {
+		return false
+	}
+	t.ev.Cancel()
+	return true
+}
+
+// turn wraps an engine event: run it, then step every node through
+// whatever it posted to an inbox (timer callbacks post; they never touch
+// node state themselves), until all inboxes are empty. Every event the
+// harness schedules goes through here, so between two events no node has
+// work pending — the single-threaded equivalent of the Run pumps.
+func (c *virtualCluster) turn(f func()) func() {
+	return func() {
+		f()
+		for again := true; again; {
+			again = false
+			for _, s := range c.scheds {
+				again = pump(s.loop, s.step) || again
+			}
+			for _, w := range c.workers {
+				again = pump(w.loop, w.step) || again
+			}
+		}
+	}
+}
+
+// pump steps a node through its queued inbox entries.
+func pump(l *loop, step func(envelope)) (any bool) {
+	for {
+		select {
+		case env := <-l.inbox:
+			step(env)
+			any = true
+		default:
+			return any
+		}
+	}
+}
+
+// virtualConn is one end of a link. Send snapshots the frame (the node
+// reuses its scratch value the moment Send returns — the rule
+// transport.Faulty follows), asks the injector for its fate, logs it, and
+// schedules each delivery as an engine event that hands the receiving
+// node a fresh decode of the bytes, exactly what a reader goroutine would
+// have put in its inbox. Hello is connection set-up, not protocol
+// traffic, and JobComplete goes to the client: both are delivered
+// faithfully.
+type virtualConn struct {
+	c        *virtualCluster
+	sched    int
+	worker   int
+	toWorker bool
+	recv     func(wire.Message)
+}
+
+func (vc *virtualConn) Send(m wire.Message) error {
+	c := vc.c
+	rec := sentFrame{at: c.eng.Now(), sched: vc.sched, worker: vc.worker, toWorker: vc.toWorker, typ: m.Type()}
+	switch f := m.(type) {
+	case *wire.Reserve:
+		rec.job = f.JobID
+	case *wire.Offer:
+		rec.seq, rec.job = f.Seq, f.JobID
+	case *wire.Assign:
+		rec.seq, rec.job, rec.phase, rec.task, rec.flag = f.Seq, f.JobID, f.Phase, f.TaskIndex, f.Speculative
+	case *wire.Refuse:
+		rec.seq, rec.job = f.Seq, f.JobID
+	case *wire.NoTask:
+		rec.seq, rec.job = f.Seq, f.JobID
+	case *wire.TaskDone:
+		rec.seq, rec.job, rec.phase, rec.task, rec.flag = f.Seq, f.JobID, f.Phase, f.TaskIndex, f.Killed
+	case *wire.Kill:
+		rec.seq, rec.job = f.Seq, f.JobID
+	case *wire.Hello, *wire.JobComplete:
+	default:
+		panic(fmt.Sprintf("virtual cluster: node sent a %s frame the ledger does not know", m.Type()))
+	}
+	if rec.typ != wire.THello && rec.typ != wire.TJobComplete {
+		rec.fate = c.inj.Judge(rec.typ)
+	}
+	c.frames = append(c.frames, rec)
+	if rec.fate.Drop {
+		return nil
+	}
+	frame := wire.Append(nil, m)
+	vc.deliver(frame, rec.fate.Delay)
+	if rec.fate.Dup {
+		vc.deliver(frame, rec.fate.DupDelay)
+	}
+	return nil
+}
+
+func (vc *virtualConn) deliver(frame []byte, extra float64) {
+	vc.c.eng.PostAfter(virtualLatency+extra, vc.c.turn(func() {
+		m, err := wire.Decode(wire.MsgType(frame[4]), frame[5:])
+		if err != nil {
+			panic(err)
+		}
+		vc.recv(m)
+	}))
+}
+
+// No node reads: deliveries are pushed into step.
+func (vc *virtualConn) Recv() (wire.Message, error)     { return nil, transport.ErrClosed }
+func (vc *virtualConn) SetRecvDeadline(time.Time) error { return nil }
+func (vc *virtualConn) Close() error                    { return nil }
+func (vc *virtualConn) RemoteAddr() string {
+	return fmt.Sprintf("virtual s%d/w%d", vc.sched, vc.worker)
+}
+
+// chaosCell is one run's fault plan. The seed reaches both the fault
+// stream and the schedulers' probe-target draws, so two seeds differ even
+// where the injector draws nothing (a partition, zero rates).
+type chaosCell struct {
+	seed      int64
+	rates     transport.Rates                  // every injected frame type
+	perType   map[wire.MsgType]transport.Rates // overrides
+	partition [2]float64                       // whole-cluster cut [from, to) in virtual seconds; zero: none
+}
+
+// runChaos replays the parity workload on a fresh virtual cluster under
+// the cell's faults until the engine runs dry.
+func runChaos(t *testing.T, cell chaosCell) *virtualCluster {
+	t.Helper()
+	c := &virtualCluster{
+		eng:   simulator.New(cell.seed),
+		epoch: time.Unix(0, 0),
+		inj: transport.NewInjector(transport.FaultConfig{
+			Seed: cell.seed, Default: cell.rates, PerType: cell.perType, DelayMin: 0.01, DelayMax: 0.2,
+		}),
+		completed: make(map[uint64]bool),
+	}
+	timers := engineTimers{c}
+	for si := 0; si < parityCfg.NumSchedulers; si++ {
+		s, err := NewScheduler(SchedulerConfig{
+			ID:               uint32(si),
+			Mode:             parityCfg.Mode,
+			NumSchedulers:    parityCfg.NumSchedulers,
+			CheckInterval:    parityCfg.CheckInterval,
+			Seed:             cell.seed*31 + int64(si),
+			DurationOverride: scriptedDuration,
+			Timers:           timers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.scheds = append(c.scheds, s)
+	}
+	for wi := 0; wi < virtualMachines; wi++ {
+		// The worker end of each link exists before the worker (its
+		// constructor greets over it), so the receiving closures resolve
+		// their node when a frame lands, not now.
+		conns := make([]transport.Conn, len(c.scheds))
+		for si, s := range c.scheds {
+			p := &peer{conn: &virtualConn{c: c, sched: si, worker: wi, toWorker: true, recv: func(m wire.Message) {
+				w := c.workers[wi]
+				w.step(envelope{from: w.scheds[si], msg: m})
+			}}}
+			conns[si] = &virtualConn{c: c, sched: si, worker: wi, recv: func(m wire.Message) {
+				if off, ok := m.(*wire.Offer); ok {
+					if _, held := s.copies[copyKey{off.WorkerID, off.Seq}]; !held {
+						c.answerable++
+					}
+				}
+				s.step(envelope{from: p, msg: m})
+			}}
+		}
+		w, err := NewWorkerConns(WorkerConfig{
+			ID: uint32(wi), Slots: virtualSlots, Mode: parityCfg.Mode, Timers: timers,
+		}, conns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.workers = append(c.workers, w)
+	}
+	for i, j := range parityJobs(virtualMachines) {
+		si := i % len(c.scheds)
+		s, submit := c.scheds[si], SubmitFromJob(j)
+		client := &peer{conn: &virtualConn{c: c, sched: si, worker: -1, recv: func(m wire.Message) {
+			jc := m.(*wire.JobComplete)
+			if jc.Aborted || c.completed[jc.JobID] {
+				c.aborted++
+			}
+			c.completed[jc.JobID] = true
+		}}}
+		c.eng.Post(virtualSubmitAt+j.Arrival, c.turn(func() {
+			s.step(envelope{from: client, msg: submit})
+		}))
+	}
+	if cell.partition[1] > cell.partition[0] {
+		c.eng.Post(cell.partition[0], c.inj.Partition)
+		c.eng.Post(cell.partition[1], c.inj.Heal)
+	}
+	c.eng.Post(virtualHorizon, func() {
+		if c.eng.Pending() > 0 {
+			c.overran = true
+			c.eng.Stop()
+		}
+	})
+	c.eng.Run()
+	return c
+}
+
+// stats sums the nodes' protocol counters (each node owns its own).
+func (c *virtualCluster) stats() protocol.Stats {
+	var sum protocol.Stats
+	add := func(st protocol.Stats) {
+		sum.OccupancyLeaks += st.OccupancyLeaks
+		sum.DoubleWakeups += st.DoubleWakeups
+		sum.SilentDemand += st.SilentDemand
+		sum.Requeues += st.Requeues
+		sum.OfferTimeouts += st.OfferTimeouts
+		sum.StaleAssigns += st.StaleAssigns
+		sum.WatchdogExpiries += st.WatchdogExpiries
+	}
+	for _, s := range c.scheds {
+		add(s.stats)
+	}
+	for _, w := range c.workers {
+		add(w.stats)
+	}
+	return sum
+}
+
+// sent counts the frame log's sends of the given types; flagged narrows
+// the count to frames whose flag (Speculative, Killed) is set.
+func (c *virtualCluster) sent(flagged bool, types ...wire.MsgType) (n int64) {
+	for _, f := range c.frames {
+		if slices.Contains(types, f.typ) && (f.flag || !flagged) {
+			n++
+		}
+	}
+	return n
+}
+
+// assertOracles enforces the invariant set on a finished run.
+func (c *virtualCluster) assertOracles(t *testing.T, tag string) {
+	t.Helper()
+	if c.overran {
+		t.Fatalf("%s: engine still busy after %v virtual seconds — a recovery timer re-arms forever", tag, virtualHorizon)
+	}
+	jobs := len(parityJobs(virtualMachines))
+	if len(c.completed) != jobs || c.aborted != 0 {
+		t.Fatalf("%s: %d of %d jobs reported complete, %d aborted or reported twice", tag, len(c.completed), jobs, c.aborted)
+	}
+	st := c.stats()
+	if st.DoubleWakeups != 0 {
+		t.Fatalf("%s: %d double wakeups — phase unlock lost exactly-once under faults", tag, st.DoubleWakeups)
+	}
+	if st.SilentDemand != 0 {
+		t.Fatalf("%s: %d tasks handed out for a job that had said NoDemand and not probed since", tag, st.SilentDemand)
+	}
+	if killed := c.sent(true, wire.TTaskDone); st.OccupancyLeaks > killed {
+		t.Fatalf("%s: %d occupancy leaks exceed %d killed task reports", tag, st.OccupancyLeaks, killed)
+	}
+	// Every send is classified (virtualConn.Send panics on a type it does
+	// not know), so the ledger is the log; replies answer exactly the
+	// offers that arrived and could be answered.
+	if replies := c.sent(false, wire.TAssign, wire.TRefuse, wire.TNoTask); replies != c.answerable {
+		t.Fatalf("%s: %d replies for %d delivered, answerable offers (%d sent)", tag, replies, c.answerable, c.sent(false, wire.TOffer))
+	}
+	for _, w := range c.workers {
+		if w.freeSlots != w.cfg.Slots || len(w.running) != 0 || len(w.tracker.pending) != 0 {
+			t.Fatalf("%s: worker %d ends with %d of %d slots free, %d copies running, %d offers pending",
+				tag, w.cfg.ID, w.freeSlots, w.cfg.Slots, len(w.running), len(w.tracker.pending))
+		}
+	}
+	for _, s := range c.scheds {
+		if len(s.copies) != 0 || len(s.byTask) != 0 || len(s.jobs) != 0 {
+			t.Fatalf("%s: scheduler %d ends with %d copies in flight (%d tasks), %d jobs",
+				tag, s.cfg.ID, len(s.copies), len(s.byTask), len(s.jobs))
+		}
+	}
+}
+
+var chaosSeeds = []int64{11, 23, 37}
+
+// TestChaosZeroRatesMatchesParity is the zero-rate cell: with nothing
+// injected the shipped nodes replay the parity workload without one
+// recovery path firing — no offer abandoned, no copy written off, no
+// assign rejected, nothing requeued or killed — and every offer sent is
+// answered exactly once.
+func TestChaosZeroRatesMatchesParity(t *testing.T) {
+	c := runChaos(t, chaosCell{seed: 42})
+	c.assertOracles(t, "zero-rates")
+	st, inj := c.stats(), c.inj.Stats()
+	if inj.Dropped+inj.Duplicated+inj.Delayed+inj.PartitionDrops != 0 {
+		t.Fatalf("zero-rate injector injected: %+v", inj)
+	}
+	if st.OfferTimeouts+st.StaleAssigns+st.WatchdogExpiries+st.Requeues+st.OccupancyLeaks != 0 || c.sent(true, wire.TTaskDone) != 0 {
+		t.Fatalf("recovery fired with no fault injected: %+v, %d killed task reports", st, c.sent(true, wire.TTaskDone))
+	}
+	if offers := c.sent(false, wire.TOffer); offers == 0 || offers != c.answerable {
+		t.Fatalf("%d offers sent, %d answered", offers, c.answerable)
+	}
+	if c.sent(true, wire.TAssign) == 0 || c.sent(false, wire.TKill) == 0 {
+		t.Fatal("workload raced no speculative copy — scenario too weak")
+	}
+}
+
+// TestChaosFaultMatrix runs the drop/dup/delay matrix at rates up to 10%
+// on every frame type the nodes exchange, across three seeds, and
+// enforces the full oracle set on every cell.
+func TestChaosFaultMatrix(t *testing.T) {
+	cells := []struct {
+		name                string
+		rates               transport.Rates
+		wantDrops, wantDups bool
+	}{
+		{name: "drop-everywhere", rates: transport.Rates{Drop: 0.1}, wantDrops: true},
+		{name: "dup-everywhere", rates: transport.Rates{Dup: 0.1}, wantDups: true},
+		{name: "delay-reorder", rates: transport.Rates{Delay: 0.3}},
+		{name: "mixed", rates: transport.Rates{Drop: 0.05, Dup: 0.05, Delay: 0.1}, wantDrops: true, wantDups: true},
+	}
+	for _, cell := range cells {
+		t.Run(cell.name, func(t *testing.T) {
+			for _, seed := range chaosSeeds {
+				c := runChaos(t, chaosCell{seed: seed, rates: cell.rates})
+				c.assertOracles(t, fmt.Sprintf("%s seed %d", cell.name, seed))
+				inj := c.inj.Stats()
+				if cell.wantDrops && inj.Dropped == 0 {
+					t.Fatalf("%s seed %d: no drops injected — cell exercised nothing", cell.name, seed)
+				}
+				if cell.wantDups && inj.Duplicated == 0 {
+					t.Fatalf("%s seed %d: no dups injected — cell exercised nothing", cell.name, seed)
+				}
+				if cell.rates.Delay > 0 && inj.Delayed == 0 {
+					t.Fatalf("%s seed %d: no delays injected — cell exercised nothing", cell.name, seed)
+				}
+			}
+		})
+	}
+}
+
+// TestChaosPartitionHealsAndConverges cuts every link mid-run, heals,
+// and requires full convergence: reprobes, retries, offer timeouts and
+// copy watchdogs must bring the cluster back.
+func TestChaosPartitionHealsAndConverges(t *testing.T) {
+	var logs [][]sentFrame
+	for _, seed := range chaosSeeds {
+		c := runChaos(t, chaosCell{seed: seed, partition: [2]float64{3.0, 6.0}})
+		c.assertOracles(t, fmt.Sprintf("partition seed %d", seed))
+		inj := c.inj.Stats()
+		if inj.PartitionsHealed != 1 {
+			t.Fatalf("seed %d: %d partitions healed, want 1", seed, inj.PartitionsHealed)
+		}
+		if inj.PartitionDrops == 0 {
+			t.Fatalf("seed %d: partition window dropped nothing — workload idle during the cut", seed)
+		}
+		if st := c.stats(); st.OfferTimeouts == 0 {
+			t.Fatalf("seed %d: %d frames cut and no offer timed out", seed, inj.PartitionDrops)
+		}
+		for i, other := range logs {
+			if slices.Equal(other, c.frames) {
+				t.Fatalf("seeds %d and %d produced the same frame log — the seed does not reach the run", chaosSeeds[i], seed)
+			}
+		}
+		logs = append(logs, c.frames)
+	}
+}
+
+// TestChaosRecoveryCountersFire pins that the recovery paths themselves
+// are exercised by a drop-heavy run: offers time out, stale or lost
+// assigns are written off, and requeues reach the cores' counters.
+func TestChaosRecoveryCountersFire(t *testing.T) {
+	var timeouts, settles int64
+	for _, seed := range chaosSeeds {
+		c := runChaos(t, chaosCell{seed: seed, rates: transport.Rates{Drop: 0.1}})
+		c.assertOracles(t, fmt.Sprintf("recovery seed %d", seed))
+		st := c.stats()
+		timeouts += st.OfferTimeouts
+		settles += st.StaleAssigns + st.WatchdogExpiries + st.Requeues
+	}
+	if timeouts == 0 {
+		t.Fatal("10% drops across three seeds never tripped an offer timeout")
+	}
+	if settles == 0 {
+		t.Fatal("10% drops across three seeds never settled a lost assign")
+	}
+}
+
+// TestChaosLostProbesStillSpeculate is the loss cell for pushed
+// speculation. Workers hold no reservation for a job that last told them
+// NoDemand, so a speculation want reaches a worker only by probes — and
+// with a third of all Reserve frames dropped, one want in eighty loses
+// all four of its own. Later probes for the job and the reservation
+// refresh (ReprobeStalled covers a job's oldest live want when it has no
+// unlaunched task) must still bring it a slot: the scripted stragglers
+// get their racing copies, read off the frame log as speculative Assigns.
+func TestChaosLostProbesStillSpeculate(t *testing.T) {
+	type taskKey struct {
+		job   uint64
+		phase uint16
+		task  uint32
+	}
+	stragglers := 0
+	for _, j := range parityJobs(virtualMachines) {
+		for _, p := range j.Phases {
+			stragglers += (len(p.Tasks) + 4) / 5 // scriptedDuration straggles every fifth original
+		}
+	}
+	for _, seed := range chaosSeeds {
+		c := runChaos(t, chaosCell{seed: seed, perType: map[wire.MsgType]transport.Rates{wire.TReserve: {Drop: 0.33}}})
+		c.assertOracles(t, fmt.Sprintf("lost-probes seed %d", seed))
+		if c.inj.Stats().Dropped == 0 {
+			t.Fatalf("seed %d: no Reserve frame dropped — cell exercised nothing", seed)
+		}
+		raced := make(map[taskKey]bool)
+		for _, f := range c.frames {
+			if f.typ == wire.TAssign && f.flag && f.task%5 == 0 {
+				raced[taskKey{f.job, f.phase, f.task}] = true
+			}
+		}
+		if stragglers == 0 || len(raced)*10 < stragglers*9 {
+			t.Fatalf("seed %d: %d of %d stragglers got a speculative copy with a third of the probes lost", seed, len(raced), stragglers)
+		}
+	}
+}
+
+// TestChaosLostTaskDone drops only completion reports — the frame the
+// copy watchdog exists for. A copy whose report vanished holds its
+// scheduler-side slot until the deadline; the expiry must send a Kill,
+// requeue the task, and the job must still finish with nothing leaked.
+func TestChaosLostTaskDone(t *testing.T) {
+	for _, seed := range chaosSeeds {
+		c := runChaos(t, chaosCell{seed: seed, perType: map[wire.MsgType]transport.Rates{wire.TTaskDone: {Drop: 0.2}}})
+		c.assertOracles(t, fmt.Sprintf("lost-taskdone seed %d", seed))
+		st, inj := c.stats(), c.inj.Stats()
+		if inj.Dropped == 0 {
+			t.Fatalf("seed %d: no TaskDone dropped — cell exercised nothing", seed)
+		}
+		if st.WatchdogExpiries == 0 || st.Requeues == 0 {
+			t.Fatalf("seed %d: %d reports lost, %d watchdog expiries, %d requeues", seed, inj.Dropped, st.WatchdogExpiries, st.Requeues)
+		}
+		if st.OfferTimeouts != 0 {
+			t.Fatalf("seed %d: %d offers timed out with only TaskDone frames lost", seed, st.OfferTimeouts)
+		}
+	}
+}
+
+// TestChaosLostKill drops only Kill frames. The scheduler settles a race
+// when the winner reports and forgets the losers at once; a loser whose
+// Kill was lost runs on, frees its slot only when it finishes, and its
+// report — for a copy the scheduler no longer knows — must land in the
+// stale path: no watchdog, no requeue, no leak.
+func TestChaosLostKill(t *testing.T) {
+	type copyID struct {
+		sched, worker int
+		seq           uint64
+	}
+	for _, seed := range chaosSeeds {
+		c := runChaos(t, chaosCell{seed: seed, perType: map[wire.MsgType]transport.Rates{wire.TKill: {Drop: 0.5}}})
+		c.assertOracles(t, fmt.Sprintf("lost-kill seed %d", seed))
+		lostKill, reported := make(map[copyID]bool), make(map[copyID]bool)
+		for _, f := range c.frames {
+			id := copyID{f.sched, f.worker, f.seq}
+			switch {
+			case f.typ == wire.TKill && f.fate.Drop:
+				lostKill[id] = true
+			case f.typ == wire.TTaskDone && !f.flag:
+				reported[id] = true
+			}
+		}
+		if len(lostKill) == 0 {
+			t.Fatalf("seed %d: no Kill dropped — cell exercised nothing", seed)
+		}
+		for id := range lostKill {
+			if !reported[id] {
+				t.Fatalf("seed %d: copy %+v never reported after its Kill was lost", seed, id)
+			}
+		}
+		if st := c.stats(); st.WatchdogExpiries+st.Requeues+st.OccupancyLeaks+st.OfferTimeouts != 0 {
+			t.Fatalf("seed %d: a lost Kill is settled already, yet recovery fired: %+v", seed, st)
+		}
+	}
+}
+
+// TestChaosSameSeedReplays is the replay oracle: a run is a function of
+// its seed. Two runs of one seed under mixed faults produce the same
+// frame log, frame for frame, fate for fate — so a failing seed can be
+// debugged — and two seeds do not.
+func TestChaosSameSeedReplays(t *testing.T) {
+	mixed := transport.Rates{Drop: 0.1, Dup: 0.1, Delay: 0.3}
+	var prev []sentFrame
+	for seed := int64(1); seed <= 10; seed++ {
+		a := runChaos(t, chaosCell{seed: seed, rates: mixed})
+		a.assertOracles(t, fmt.Sprintf("replay seed %d", seed))
+		b := runChaos(t, chaosCell{seed: seed, rates: mixed})
+		if len(a.frames) != len(b.frames) {
+			t.Fatalf("seed %d: two runs sent %d and %d frames", seed, len(a.frames), len(b.frames))
+		}
+		for i := range a.frames {
+			if a.frames[i] != b.frames[i] {
+				t.Fatalf("seed %d: runs diverge at frame %d:\n first  %+v\n second %+v", seed, i, a.frames[i], b.frames[i])
+			}
+		}
+		if slices.Equal(prev, a.frames) {
+			t.Fatalf("seeds %d and %d produced the same frame log", seed-1, seed)
+		}
+		prev = a.frames
+	}
+}

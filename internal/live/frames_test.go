@@ -41,6 +41,8 @@ func (o *offerTimers) AfterFunc(d time.Duration, f func()) protocol.Timer {
 	})
 }
 
+func (o *offerTimers) Now() time.Time { return o.wheel.Now() }
+
 // stampedLog records when each log line was written: the worker logs an
 // abandoned offer right after deciding its deadline has passed.
 type stampedLog struct {

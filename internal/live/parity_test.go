@@ -23,6 +23,12 @@ import (
 // routed back by Seq, like over TCP. Any information the bridge loses —
 // a field not carried, float truncation, entry-resolution differences —
 // shows up as a diverging assignment log.
+//
+// wireSystem is a zero-fault differential and nothing else: it delivers
+// every frame once, in order, and has no recovery machinery, so it says
+// nothing about loss. What the live nodes do when frames go missing is
+// tested on the nodes themselves, stepped on this same engine's clock
+// (virtualCluster).
 
 // parityCfg mirrors the decentral config used for the reference run.
 var parityCfg = decentral.Config{
@@ -124,7 +130,6 @@ type wsSched struct {
 	core      *protocol.Sched
 	busyUntil float64
 	tickerOn  bool
-	reprobeOn bool
 }
 
 type wsWorker struct {
@@ -152,12 +157,6 @@ type wireSystem struct {
 	jobs  map[cluster.JobID]*cluster.Job
 	done  int
 	next  int
-
-	// chaos, when non-nil, interposes fault injection and the live
-	// recovery machinery (offer timeouts, assign watchdogs, reprobe
-	// ticks) on every message path — see fault_parity_test.go. Nil means
-	// faithful delivery: the plain parity contract.
-	chaos *chaosLayer
 
 	log []string
 }
@@ -257,9 +256,6 @@ func (s *wireSystem) arrive(j *cluster.Job) {
 	s.jobs[j.ID] = j
 	sc.core.Admit(j)
 	s.ensureTicker(sc)
-	if s.chaos != nil {
-		s.chaos.ensureReprobe(s, sc)
-	}
 	s.exec.AdmitJob(j)
 }
 
@@ -302,27 +298,16 @@ func (s *wireSystem) sendProbes(sc *wsSched, probes []protocol.Probe) {
 		})
 		rsv := msg.(*wire.Reserve)
 		w := s.workers[wi]
-		deliver := func(extra float64) {
-			s.eng.PostAfter(s.cfg.MsgLatency+extra, func() {
-				w.exec(w.core.AddReservation(protocol.SchedID(rsv.SchedulerID), cluster.JobID(rsv.JobID), rsv.VirtualSize, int(rsv.RemTasks), cluster.Resources{CPU: rsv.DemandCPU, Mem: rsv.DemandMem}))
-			})
-		}
-		if s.chaos != nil {
-			s.chaos.send(wire.TReserve, deliver)
-		} else {
-			deliver(0)
-		}
+		s.eng.PostAfter(s.cfg.MsgLatency, func() {
+			w.exec(w.core.AddReservation(protocol.SchedID(rsv.SchedulerID), cluster.JobID(rsv.JobID), rsv.VirtualSize, int(rsv.RemTasks), cluster.Resources{CPU: rsv.DemandCPU, Mem: rsv.DemandMem}))
+		})
 	}
 }
 
 // toSched models the scheduler's serial message-processing queue —
 // identical to decentral.System.toScheduler.
-func (s *wireSystem) toSched(sc *wsSched, fn func()) { s.toSchedAfter(sc, 0, fn) }
-
-// toSchedAfter is toSched with extra injected network delay ahead of the
-// processing queue.
-func (s *wireSystem) toSchedAfter(sc *wsSched, extra float64, fn func()) {
-	arrive := s.eng.Now() + s.cfg.MsgLatency + extra
+func (s *wireSystem) toSched(sc *wsSched, fn func()) {
+	arrive := s.eng.Now() + s.cfg.MsgLatency
 	handle := arrive
 	if sc.busyUntil > handle {
 		handle = sc.busyUntil
@@ -350,14 +335,6 @@ func (w *wsWorker) place(from protocol.SchedID, rep protocol.Reply) bool {
 	sc := s.scheds[from]
 	if t.State == cluster.TaskDone {
 		jobID := t.Job.ID
-		if s.chaos != nil {
-			// This rollback is a real worker->scheduler message; the ledger
-			// must classify it (decentral counts it the same way). It is
-			// delivered reliably — rollbacks carry occupancy corrections
-			// with no retry path, so losing one would leak forever.
-			s.chaos.Messages++
-			s.chaos.Rollbacks++
-		}
 		s.toSched(sc, func() { sc.core.PlacementFailed(jobID) })
 		return false
 	}
@@ -367,61 +344,30 @@ func (w *wsWorker) place(from protocol.SchedID, rep protocol.Reply) bool {
 }
 
 // sendReply ships a scheduler core reply back to the worker as its wire
-// frame; under chaos, hand-outs get an assign record (for the watchdog
-// and stale-rejection machinery) and the frame passes the injector.
-func (s *wireSystem) sendReply(sc *wsSched, si int, w *wsWorker, seq uint64, rep protocol.Reply) {
+// frame.
+func (s *wireSystem) sendReply(si int, w *wsWorker, seq uint64, rep protocol.Reply) {
 	var frames replyFrames
 	back := shove(w.conns[si], s.schedConns[si][w.id], frames.wireFromReply(rep, seq, 0))
-	var record *assignRecord
-	if s.chaos != nil && rep.HasTask {
-		record = s.chaos.newAssign(s, sc, rep)
-	}
-	deliver := func(extra float64) {
-		s.eng.PostAfter(s.cfg.MsgLatency+extra, func() {
-			s.deliverReply(si, w, back, record)
-		})
-	}
-	if s.chaos != nil {
-		s.chaos.send(back.Type(), deliver)
-	} else {
-		deliver(0)
-	}
+	s.eng.PostAfter(s.cfg.MsgLatency, func() { s.deliverReply(si, w, back) })
 }
 
 // deliverReply is the worker-side arrival of a scheduler reply: routed
-// to its round by Seq, exactly like the live worker's onReply — including
-// the stale-assign rejection when the offer was already resolved (only
-// reachable under chaos; faithful delivery panics on staleness).
-func (s *wireSystem) deliverReply(si int, w *wsWorker, back wire.Message, record *assignRecord) {
+// to its round by Seq, exactly like the live worker's onReply. Faithful
+// delivery answers every offer once, so a reply no offer is waiting for
+// is a harness bug.
+func (s *wireSystem) deliverReply(si int, w *wsWorker, back wire.Message) {
 	rep2, seq2, ok := replyFromWire(back, protocol.SchedID(si))
 	if !ok {
 		panic("unroutable reply frame")
 	}
 	po, live := w.tracker.take(seq2)
 	if !live {
-		if s.chaos == nil {
-			panic("stale reply in deterministic harness")
-		}
-		if record != nil {
-			s.chaos.staleAssign(s, record)
-		}
-		return
-	}
-	if record != nil {
-		s.chaos.resolve(record)
-	}
-	e := po.entry
-	if e.IsZero() {
-		e = w.core.EntryFor(po.sched, po.job)
+		panic("stale reply in deterministic harness")
 	}
 	if rep2.HasTask {
 		rep2.Task = s.taskOf(rep2)
 	}
-	if po.getTask {
-		w.exec(w.core.OnSparrowReply(po.round, e, rep2))
-	} else {
-		w.exec(w.core.OnHopperReply(po.round, e, rep2))
-	}
+	w.exec(w.core.OnReply(po.round, po.entry, rep2))
 }
 
 // exec realizes worker core actions: offers become Offer frames through
@@ -436,7 +382,7 @@ func (w *wsWorker) exec(acts []protocol.WAction) {
 			si := int(a.Sched)
 			sc := s.scheds[si]
 			seq := w.tracker.track(pendingOffer{
-				round: a.Round, entry: a.Entry, sched: a.Sched, job: a.Job, getTask: a.GetTask,
+				round: a.Round, entry: a.Entry, sched: a.Sched, job: a.Job,
 			})
 			msg := shove(s.schedConns[si][w.id], w.conns[si], &wire.Offer{
 				JobID:     uint64(a.Job),
@@ -446,23 +392,15 @@ func (w *wsWorker) exec(acts []protocol.WAction) {
 				GetTask:   a.GetTask,
 			})
 			off := msg.(*wire.Offer)
-			handleOffer := func(extra float64) {
-				s.toSchedAfter(sc, extra, func() {
-					var rep protocol.Reply
-					if off.GetTask {
-						rep = sc.core.HandleGetTask(cluster.JobID(off.JobID), cluster.MachineID(off.WorkerID))
-					} else {
-						rep = sc.core.HandleOffer(cluster.JobID(off.JobID), cluster.MachineID(off.WorkerID), off.Refusable)
-					}
-					s.sendReply(sc, si, w, off.Seq, rep)
-				})
-			}
-			if s.chaos != nil {
-				s.chaos.send(wire.TOffer, handleOffer)
-				s.chaos.armOfferTimeout(s, w, seq)
-			} else {
-				handleOffer(0)
-			}
+			s.toSched(sc, func() {
+				var rep protocol.Reply
+				if off.GetTask {
+					rep = sc.core.HandleGetTask(cluster.JobID(off.JobID), cluster.MachineID(off.WorkerID))
+				} else {
+					rep = sc.core.HandleOffer(cluster.JobID(off.JobID), cluster.MachineID(off.WorkerID), off.Refusable)
+				}
+				s.sendReply(si, w, off.Seq, rep)
+			})
 		case protocol.WArmRetry:
 			w.retryEv = s.eng.After(a.Delay, func() {
 				w.retryEv = nil

@@ -1,9 +1,11 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -57,9 +59,10 @@ type SchedulerConfig struct {
 	DurationOverride func(t *cluster.Task, speculative bool) float64
 	// Logger receives diagnostics; nil disables logging.
 	Logger *log.Logger
-	// Timers arms the scheduler's wall-clock timers (reprobe ticker,
-	// unlock delays). Nil uses protocol.WallTimers; a cluster hosting
-	// many in-process nodes shares one protocol.TimerWheel.
+	// Timers is the scheduler's clock: it arms its timers (maintenance
+	// ticker, unlock delays) and is what its virtual time is read from.
+	// Nil uses protocol.WallTimers; a cluster hosting many in-process
+	// nodes shares one protocol.TimerWheel.
 	Timers protocol.TimerService
 	// PlaceLatency, when set, receives one wall-clock observation per
 	// job: submission to first task placement (the scheduling-latency
@@ -251,7 +254,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		copies:       make(map[copyKey]*lCopy),
 		byTask:       make(map[*cluster.Task][]*lCopy),
 		pendingRecon: make(map[uint64][]pendingRecon),
-		start:        time.Now(),
+		start:        cfg.Timers.Now(),
 	}
 	s.model = cluster.DefaultExecModel()
 	s.model.Beta = cfg.Beta
@@ -295,11 +298,12 @@ func (s *Scheduler) Addr() string {
 	return s.ln.Addr()
 }
 
-// now is the scheduler's virtual clock: wall seconds since start divided
-// by the time scale, so protocol state (copy starts, estimators,
-// cooldowns) lives in workload time regardless of compression.
+// now is the scheduler's virtual clock: seconds on cfg.Timers' clock
+// since start divided by the time scale, so protocol state (copy starts,
+// estimators, cooldowns) lives in workload time regardless of
+// compression.
 func (s *Scheduler) now() float64 {
-	return time.Since(s.start).Seconds() / s.cfg.TimeScale
+	return s.cfg.Timers.Now().Sub(s.start).Seconds() / s.cfg.TimeScale
 }
 
 // helloClass resolves a worker Hello's advertised machine class to its
@@ -400,14 +404,23 @@ func (s *Scheduler) Run() {
 			s.drain()
 			return
 		case env := <-s.loop.inbox:
-			if env.err != nil {
-				s.onDisconnect(env.from)
-				continue
-			}
-			s.handle(env)
-			env.release()
+			s.step(env)
 		}
 	}
+}
+
+// step is one turn of the scheduler: everything one inbox entry — a
+// received frame, a connection's read error, a fired timer's event —
+// does to the node, start to finish. Run is only the goroutine pump that
+// feeds it; a harness that owns the clock (cfg.Timers) can call it
+// directly instead and the node behaves the same.
+func (s *Scheduler) step(env envelope) {
+	if env.err != nil {
+		s.onDisconnect(env.from)
+		return
+	}
+	s.handle(env)
+	env.release()
 }
 
 // onDisconnect handles an abruptly lost connection. A dead worker
@@ -455,9 +468,23 @@ func (s *Scheduler) unwindWorkerCopies(p *peer) {
 			lost = append(lost, lc)
 		}
 	}
+	sortCopies(lost)
 	for _, lc := range lost {
 		s.settleLostCopy(lc)
 	}
+}
+
+// sortCopies puts copies collected from the in-flight map into (worker,
+// seq) order before they are settled. A settlement sends frames and
+// draws probe targets from the node's RNG, so the order is behaviour:
+// settled in map order, the same loss would not replay.
+func sortCopies(lcs []*lCopy) {
+	slices.SortFunc(lcs, func(a, b *lCopy) int {
+		if c := cmp.Compare(a.workerID, b.workerID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 }
 
 // settleLostCopy unwinds a copy that died on its worker: occupancy
@@ -1075,6 +1102,7 @@ func (s *Scheduler) expireOverdueCopies() {
 			overdue = append(overdue, lc)
 		}
 	}
+	sortCopies(overdue)
 	for _, lc := range overdue {
 		s.stats.WatchdogExpiries++
 		s.loop.logf("copy of job %d task %d on worker %d overdue; requeueing",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,9 +54,10 @@ type WorkerConfig struct {
 	RedialInterval float64
 	// Logger receives diagnostics; nil disables logging.
 	Logger *log.Logger
-	// Timers arms the worker's wall-clock timers (copy completion, offer
-	// timeouts, retry backoff). Nil uses protocol.WallTimers (one runtime
-	// timer per callback). Multiplexed workers share one
+	// Timers is the worker's clock: it arms its timers (copy completion,
+	// offer timeouts, retry backoff) and is what its virtual time and its
+	// offer deadlines are read from. Nil uses protocol.WallTimers (one
+	// runtime timer per callback). Multiplexed workers share one
 	// protocol.TimerWheel so a thousand-worker process runs one timer
 	// goroutine instead of thousands of runtime timers (see WorkerGroup).
 	Timers protocol.TimerService
@@ -202,7 +204,7 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 		cfg:       cfg,
 		loop:      newLoop(cfg.Logger),
 		tracker:   newOfferTracker(),
-		start:     time.Now(),
+		start:     cfg.Timers.Now(),
 		schedByID: make(map[protocol.SchedID]*peer),
 		idByPeer:  make(map[*peer]protocol.SchedID),
 		freeSlots: cfg.Slots,
@@ -244,7 +246,7 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 
 // now is the worker's virtual clock (see Scheduler.now).
 func (w *Worker) now() float64 {
-	return time.Since(w.start).Seconds() / w.cfg.TimeScale
+	return w.cfg.Timers.Now().Sub(w.start).Seconds() / w.cfg.TimeScale
 }
 
 // helloMsg builds this worker's registration Hello: identity, slots, and
@@ -277,15 +279,21 @@ func (w *Worker) Run() {
 			w.drain()
 			return
 		case env := <-w.loop.inbox:
-			if env.err != nil {
-				w.onSchedDisconnect(env.from)
-			} else {
-				w.handle(env)
-				env.release()
-			}
-			w.drainDeferred()
+			w.step(env)
 		}
 	}
+}
+
+// step is one turn of the worker (see Scheduler.step): one inbox entry
+// handled to completion, synthesized replies included.
+func (w *Worker) step(env envelope) {
+	if env.err != nil {
+		w.onSchedDisconnect(env.from)
+	} else {
+		w.handle(env)
+		env.release()
+	}
+	w.drainDeferred()
 }
 
 // drainDeferred delivers synthesized replies queued during the last
@@ -294,11 +302,7 @@ func (w *Worker) drainDeferred() {
 	for len(w.deferred) > 0 {
 		d := w.deferred[0]
 		w.deferred = w.deferred[1:]
-		if d.getTask {
-			w.exec(w.core.OnSparrowReply(d.round, d.entry, d.rep))
-		} else {
-			w.exec(w.core.OnHopperReply(d.round, d.entry, d.rep))
-		}
+		w.exec(w.core.OnReply(d.round, d.entry, d.rep))
 	}
 }
 
@@ -350,14 +354,12 @@ func (w *Worker) onSchedDisconnect(p *peer) {
 			orphans = append(orphans, seq)
 		}
 	}
+	// In send order: each resolution may send offers and draw from the
+	// core's RNG, so map order here would make a disconnect unreplayable.
+	slices.Sort(orphans)
 	for _, seq := range orphans {
 		po, _ := w.tracker.take(seq)
-		rep := protocol.Reply{Job: po.job, From: sid, JobDone: true}
-		if po.getTask {
-			w.exec(w.core.OnSparrowReply(po.round, po.entry, rep))
-		} else {
-			w.exec(w.core.OnHopperReply(po.round, po.entry, rep))
-		}
+		w.exec(w.core.OnReply(po.round, po.entry, protocol.Reply{Job: po.job, From: sid, JobDone: true}))
 	}
 }
 
@@ -468,7 +470,13 @@ func (w *Worker) Stop() {
 // drain kills every emulated copy, reporting each to its scheduler, then
 // closes the connections.
 func (w *Worker) drain() {
-	for seq, rc := range w.running {
+	seqs := make([]uint64, 0, len(w.running))
+	for seq := range w.running {
+		seqs = append(seqs, seq)
+	}
+	slices.Sort(seqs) // report in placement order, not map order
+	for _, seq := range seqs {
+		rc := w.running[seq]
 		rc.timer.Stop()
 		w.sendTaskDone(rc.from, wire.TaskDone{
 			JobID:     rc.msg.JobID,
@@ -519,10 +527,9 @@ type internalEvent struct{ fn func() }
 
 // deferredReply is a locally synthesized scheduler reply.
 type deferredReply struct {
-	round   *protocol.Round
-	entry   protocol.EntryRef
-	rep     protocol.Reply
-	getTask bool
+	round *protocol.Round
+	entry protocol.EntryRef
+	rep   protocol.Reply
 }
 
 func (w *Worker) handle(env envelope) {
@@ -601,20 +608,12 @@ func (w *Worker) onReply(from *peer, m wire.Message) {
 		}
 		return
 	}
-	e := po.entry
-	if e.IsZero() {
-		e = w.core.EntryFor(po.sched, po.job)
-	}
 	if a, isAssign := m.(*wire.Assign); isAssign {
 		w.curReply.seq = seq
 		w.curReply.from = from
 		w.curReply.msg = a
 	}
-	if po.getTask {
-		w.exec(w.core.OnSparrowReply(po.round, e, rep))
-	} else {
-		w.exec(w.core.OnHopperReply(po.round, e, rep))
-	}
+	w.exec(w.core.OnReply(po.round, po.entry, rep))
 	w.curReply.msg = nil
 }
 
@@ -627,7 +626,7 @@ func (w *Worker) onReply(from *peer, m wire.Message) {
 // stopped and re-armed per reply would be nearly all the timer traffic
 // of a worker whose offers are never lost.
 func (w *Worker) expectReply(seq uint64) {
-	w.deadlines.push(seq, time.Now().Add(w.offerWait))
+	w.deadlines.push(seq, w.cfg.Timers.Now().Add(w.offerWait))
 	if !w.offerTimerOn {
 		w.offerTimerOn = true
 		w.cfg.Timers.AfterFunc(w.offerWait, w.offerTimerFn)
@@ -641,7 +640,7 @@ func (w *Worker) expectReply(seq uint64) {
 // holds no timer. An unanswered offer is therefore abandoned no earlier
 // than its deadline and at most one timer tick plus loop latency after.
 func (w *Worker) offerTimerFired() {
-	now := time.Now()
+	now := w.cfg.Timers.Now()
 	for {
 		d, ok := w.deadlines.oldest()
 		if !ok {
@@ -677,16 +676,7 @@ func (w *Worker) offerTimedOut(seq uint64) {
 	}
 	w.stats.OfferTimeouts++
 	w.loop.logf("offer %d to scheduler %d timed out; abandoning", seq, po.sched)
-	e := po.entry
-	if e.IsZero() {
-		e = w.core.EntryFor(po.sched, po.job)
-	}
-	rep := protocol.Reply{Job: po.job, From: po.sched}
-	if po.getTask {
-		w.exec(w.core.OnSparrowReply(po.round, e, rep))
-	} else {
-		w.exec(w.core.OnHopperReply(po.round, e, rep))
-	}
+	w.exec(w.core.OnReply(po.round, po.entry, protocol.Reply{Job: po.job, From: po.sched}))
 }
 
 // place is the core's placement callback: occupy a slot and emulate the
@@ -768,13 +758,13 @@ func (w *Worker) exec(acts []protocol.WAction) {
 				// would leak one of the worker's negotiation slots
 				// forever. Deferred, not inline (see deferred field).
 				w.deferred = append(w.deferred, deferredReply{
-					round: a.Round, entry: a.Entry, getTask: a.GetTask,
+					round: a.Round, entry: a.Entry,
 					rep: protocol.Reply{Job: a.Job, From: a.Sched, JobDone: true},
 				})
 				continue
 			}
 			seq := w.tracker.track(pendingOffer{
-				round: a.Round, entry: a.Entry, sched: a.Sched, job: a.Job, getTask: a.GetTask,
+				round: a.Round, entry: a.Entry, sched: a.Sched, job: a.Job,
 			})
 			w.out.offer = wire.Offer{
 				JobID:     uint64(a.Job),

@@ -33,7 +33,7 @@ func TestWorkerReservationRoundZeroAllocs(t *testing.T) {
 		a := acts[0]
 		// JobDone reply: purges the entry (tombstone + eventual
 		// compaction into the free list) and ends the round (recycled).
-		h.w.OnHopperReply(a.Round, a.Entry, Reply{Job: a.Job, From: a.Sched, JobDone: true})
+		h.w.OnReply(a.Round, a.Entry, Reply{Job: a.Job, From: a.Sched, JobDone: true})
 	}
 	// Warm the pools and every reusable buffer, including at least one
 	// queue compaction (compactDead purges).

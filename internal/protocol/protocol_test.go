@@ -60,6 +60,15 @@ func newHarness(t *testing.T, mode Mode, slots int) *harness {
 	return h
 }
 
+// entryFor stamps the worker's live entry for a (scheduler, job) pair;
+// the zero ref when it holds none.
+func (w *Worker) entryFor(sched SchedID, job cluster.JobID) EntryRef {
+	if e := w.find(sched, job); e != nil {
+		return refOf(e)
+	}
+	return EntryRef{}
+}
+
 func TestEntryAggregation(t *testing.T) {
 	h := newHarness(t, ModeHopper, 2)
 	j := mkJob(1, 4, 1.0)
@@ -111,14 +120,14 @@ func TestPurgeRemovesEntry(t *testing.T) {
 	if h.w.liveEntries() != 1 {
 		t.Fatalf("liveEntries = %d, want 1", h.w.liveEntries())
 	}
-	ref := h.w.EntryFor(0, j.ID)
+	ref := h.w.entryFor(0, j.ID)
 	if ref.IsZero() {
-		t.Fatal("EntryFor missed a live entry")
+		t.Fatal("entryFor missed a live entry")
 	}
 	for _, e := range append([]*Entry(nil), h.w.entries...) {
 		h.w.purge(e)
 	}
-	if h.w.liveEntries() != 0 || !h.w.EntryFor(0, j.ID).IsZero() {
+	if h.w.liveEntries() != 0 || !h.w.entryFor(0, j.ID).IsZero() {
 		t.Fatal("purge left residue")
 	}
 	if ref.live() != nil {
@@ -132,14 +141,14 @@ func TestEntryPoolRecyclesWithFreshGeneration(t *testing.T) {
 	h.sc.Admit(j)
 
 	h.w.AddReservation(0, j.ID, 3.0, 2, cluster.Resources{})
-	old := h.w.EntryFor(0, j.ID)
+	old := h.w.entryFor(0, j.ID)
 	h.w.purge(old.live())
 	h.w.compact() // force the recycle regardless of thresholds
 
 	// The recycled object must come back as a logically fresh entry: new
 	// generation (stale refs and tried marks cannot match), new seq.
 	h.w.AddReservation(0, j.ID, 9.0, 1, cluster.Resources{})
-	fresh := h.w.EntryFor(0, j.ID)
+	fresh := h.w.entryFor(0, j.ID)
 	if fresh.IsZero() {
 		t.Fatal("no entry after re-reservation")
 	}
@@ -216,6 +225,56 @@ func TestPickSparrowFIFOAndSRPT(t *testing.T) {
 		}
 		if mode == ModeSparrowSRPT && got.remTasks != 2 {
 			t.Fatalf("Sparrow-SRPT should pick fewest remaining, got %d", got.remTasks)
+		}
+	}
+}
+
+// TestSparrowReplyOnPurgedRef: two concurrent pulls consume one entry's
+// two reservations; the first reply says JobDone and purges it, so the
+// second arrives on a purged ref. The one reply entry point must settle
+// it by the Sparrow rules — place from the reply's From, or pull on and
+// find nothing — and leave no round active.
+func TestSparrowReplyOnPurgedRef(t *testing.T) {
+	for _, mode := range []Mode{ModeSparrow, ModeSparrowSRPT} {
+		for _, second := range []Reply{
+			{HasTask: true, Job: 7, From: 2},
+			{Job: 7, From: 2},
+		} {
+			var placedFrom []SchedID
+			var st Stats
+			w := NewWorker(0, Config{Mode: mode}.WithDefaults(), WorkerEnv{
+				Now:       func() float64 { return 0 },
+				Rand:      rand.New(rand.NewSource(1)),
+				FreeSlots: func() int { return 2 },
+				Place:     func(from SchedID, _ Reply) bool { placedFrom = append(placedFrom, from); return true },
+				Stats:     &st,
+			})
+			// Copy: the worker reuses one action buffer across calls.
+			acts := append([]WAction(nil), w.AddReservation(2, 7, 0, 4, cluster.Resources{})...)
+			acts = append(acts, w.AddReservation(2, 7, 0, 4, cluster.Resources{})...)
+			var pulls []WAction
+			for _, a := range acts {
+				if a.Kind == WSendOffer {
+					if !a.GetTask || a.Entry.IsZero() {
+						t.Fatalf("%v: malformed pull %+v", mode, a)
+					}
+					pulls = append(pulls, a)
+				}
+			}
+			if len(pulls) != 2 || pulls[0].Round == pulls[1].Round {
+				t.Fatalf("%v: want two rounds pulling one entry, got %+v", mode, acts)
+			}
+			w.OnReply(pulls[0].Round, pulls[0].Entry, Reply{Job: 7, From: 2, JobDone: true})
+			if pulls[1].Entry.live() != nil {
+				t.Fatalf("%v: JobDone left the entry for the second pull's ref to find", mode)
+			}
+			w.OnReply(pulls[1].Round, pulls[1].Entry, second)
+			if w.activeRounds != 0 || w.liveEntries() != 0 {
+				t.Fatalf("%v %+v on a purged ref: active=%d live=%d", mode, second, w.activeRounds, w.liveEntries())
+			}
+			if want := second.HasTask; (len(placedFrom) == 1 && placedFrom[0] == 2) != want {
+				t.Fatalf("%v %+v: placed from %v", mode, second, placedFrom)
+			}
 		}
 	}
 }

@@ -47,8 +47,8 @@ func TestNoDemandDropsReservation(t *testing.T) {
 		const job = cluster.JobID(7)
 		a := onlyOffer(t, h.w.AddReservation(0, job, 5, 4, cluster.Resources{}))
 
-		acts := h.w.OnHopperReply(a.Round, a.Entry, Reply{Job: job, From: 0, Refused: refused, NoDemand: true})
-		if !h.w.EntryFor(0, job).IsZero() || h.w.liveEntries() != 0 {
+		acts := h.w.OnReply(a.Round, a.Entry, Reply{Job: job, From: 0, Refused: refused, NoDemand: true})
+		if !h.w.entryFor(0, job).IsZero() || h.w.liveEntries() != 0 {
 			t.Fatalf("refused=%v: NoDemand left the reservation in the queue", refused)
 		}
 		if armsRetry(acts) || h.w.retryArmed {
@@ -81,14 +81,14 @@ func TestG3ReachesRefusedSatisfiedJob(t *testing.T) {
 	}
 	// Satisfied, holding work, and no unsatisfied job anywhere: spare
 	// capacity.
-	b := onlyOffer(t, h.w.OnHopperReply(a.Round, a.Entry, Reply{Job: job, From: 0, Refused: true, VS: 5, RemTask: 4}))
+	b := onlyOffer(t, h.w.OnReply(a.Round, a.Entry, Reply{Job: job, From: 0, Refused: true, VS: 5, RemTask: 4}))
 	if b.Job != job || b.Sched != 0 || b.Refusable || b.Entry.IsZero() {
 		t.Fatalf("follow-up offer %+v, want a non-refusable offer to the refused job", b)
 	}
 	if b.Round != a.Round {
 		t.Fatal("Guideline 3 must continue the round, not start another")
 	}
-	acts := h.w.OnHopperReply(b.Round, b.Entry, Reply{HasTask: true, Job: job, From: 0, Spec: true})
+	acts := h.w.OnReply(b.Round, b.Entry, Reply{HasTask: true, Job: job, From: 0, Spec: true})
 	if h.stats.RoundsPlaced != 1 || h.w.activeRounds != 0 || armsRetry(acts) {
 		t.Fatalf("hand-over did not settle the round: placed=%d active=%d acts=%+v", h.stats.RoundsPlaced, h.w.activeRounds, acts)
 	}
@@ -127,17 +127,56 @@ func TestStaleRefAfterNoDemandStillResolves(t *testing.T) {
 		{Job: job, From: 2, JobDone: true},
 	} {
 		a, b := twoOffers(t, w.AddReservation(2, job, 5, 4, cluster.Resources{}))
-		w.OnHopperReply(a.Round, a.Entry, Reply{Job: job, From: 2, NoDemand: true})
+		w.OnReply(a.Round, a.Entry, Reply{Job: job, From: 2, NoDemand: true})
 		if b.Entry.live() != nil {
 			t.Fatal("NoDemand left the entry for the second round's ref to find")
 		}
-		acts := w.OnHopperReply(b.Round, b.Entry, second)
+		acts := w.OnReply(b.Round, b.Entry, second)
 		if w.activeRounds != 0 || w.liveEntries() != 0 || len(acts) != 0 {
 			t.Fatalf("%+v on a stale ref: active=%d live=%d acts=%+v", second, w.activeRounds, w.liveEntries(), acts)
 		}
 	}
 	if len(placedFrom) != 1 || placedFrom[0] != 2 {
 		t.Fatalf("stale-ref hand-over placed from %v, want once from scheduler 2 (the reply's From)", placedFrom)
+	}
+}
+
+// TestOnReplyZeroRefFindsEntryByFromAndJob: the non-refusable offer to a
+// refusal's piggybacked unsatisfied job carries no entry ref. When its
+// reply lands, the worker must find whatever reservation it holds for
+// (reply.From, reply.Job) by then — a hand-over consumes one — and must
+// cope with holding none.
+func TestOnReplyZeroRefFindsEntryByFromAndJob(t *testing.T) {
+	const satisfied, unsat = cluster.JobID(1), cluster.JobID(2)
+	for _, reserved := range []bool{true, false} {
+		h := newHarness(t, ModeHopper, 1)
+		a := onlyOffer(t, h.w.AddReservation(0, satisfied, 5, 4, cluster.Resources{}))
+		b := onlyOffer(t, h.w.OnReply(a.Round, a.Entry, Reply{
+			Job: satisfied, From: 0, Refused: true, HasUnsat: true, UnsatJob: unsat, UnsatVS: 3,
+		}))
+		if b.Refusable || !b.Entry.IsZero() || b.Job != unsat || b.Round != a.Round {
+			t.Fatalf("want the round's non-refusable zero-ref offer to job %d, got %+v", unsat, b)
+		}
+		if reserved {
+			// Lands while the offer is in flight; the round holds the only slot.
+			for i := 0; i < 2; i++ {
+				if acts := h.w.AddReservation(0, unsat, 3, 2, cluster.Resources{}); len(acts) != 0 {
+					t.Fatalf("reservation with no free round acted: %+v", acts)
+				}
+			}
+		}
+		h.slots = 0 // the hand-over takes the slot
+		h.w.OnReply(b.Round, b.Entry, Reply{HasTask: true, Job: unsat, From: 0})
+		if h.stats.RoundsPlaced != 1 || h.w.activeRounds != 0 {
+			t.Fatalf("reserved=%v: placed %d rounds, %d still active", reserved, h.stats.RoundsPlaced, h.w.activeRounds)
+		}
+		e := h.w.find(0, unsat)
+		if reserved && (e == nil || e.count != 1) {
+			t.Fatalf("hand-over on a zero ref did not consume a reservation of (0, %d): %+v", unsat, e)
+		}
+		if !reserved && e != nil {
+			t.Fatalf("hand-over for an unreserved job grew an entry: %+v", e)
+		}
 	}
 }
 

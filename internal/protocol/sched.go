@@ -624,10 +624,10 @@ func (sc *Sched) PlacementFailed(jobID cluster.JobID) {
 }
 
 // RequeueLost returns a task to the fresh queue after its last live copy
-// was lost (worker drain or failure, live adapters only — the simulator
-// never loses copies) and returns fresh probes for it. The caller must
-// already have rolled back the lost copy's occupancy via
-// PlacementFailed.
+// was lost — a live worker drained, crashed or went silent past the copy
+// watchdog; a simulated machine churned away (decentral/churn.go) — and
+// returns fresh probes for it. The caller must already have rolled back
+// the lost copy's occupancy via PlacementFailed.
 func (sc *Sched) RequeueLost(t *cluster.Task) []Probe {
 	sc.probeBuf = sc.probeBuf[:0]
 	d := sc.jobs[t.Job.ID]

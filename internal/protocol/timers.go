@@ -1,10 +1,14 @@
-// Timer seam for the live adapters. The protocol cores themselves are
+// Clock seam for the live adapters. The protocol cores themselves are
 // clock-agnostic (they take virtual timestamps as arguments); what needs
-// real timers is the deployment layer around them — running-copy
-// completion, offer timeouts, probe retries, reprobe ticks, unlock
-// delays. Routing those through a TimerService instead of time.AfterFunc
-// lets thousands of multiplexed workers share one timer wheel (one
-// goroutine, O(1) arm/cancel) instead of costing a runtime timer each.
+// a clock is the deployment layer around them — running-copy completion,
+// offer timeouts, copy watchdogs, probe retries, reprobe ticks, unlock
+// delays. A live node arms every timer and reads every time that decides
+// what it does through its TimerService, for two reasons: thousands of
+// multiplexed workers share one timer wheel (one goroutine, O(1)
+// arm/cancel) instead of costing a runtime timer each, and a test can
+// put the shipped nodes on a simulation engine's clock (internal/live's
+// chaos suite) where a lost frame and the timeout that recovers from it
+// replay from a seed.
 package protocol
 
 import (
@@ -19,13 +23,17 @@ type Timer interface {
 	Stop() bool
 }
 
-// TimerService arms callbacks. Implementations: WallTimers (runtime
-// timers, exact) and TimerWheel (shared hashed wheel, tick-granular).
+// TimerService is a node's clock: it arms callbacks and tells the time
+// they are measured against. Implementations: WallTimers (runtime
+// timers, exact) and TimerWheel (shared hashed wheel, tick-granular),
+// both on the wall clock.
 type TimerService interface {
 	// AfterFunc runs f once after d elapses, on an unspecified
 	// goroutine. f must not block for long: wheel implementations run
 	// callbacks inline on the shared wheel goroutine.
 	AfterFunc(d time.Duration, f func()) Timer
+	// Now is the current time on the clock AfterFunc's delays elapse on.
+	Now() time.Time
 }
 
 // WallTimers is the default TimerService: one runtime timer per
@@ -38,6 +46,8 @@ type wallTimers struct{}
 func (wallTimers) AfterFunc(d time.Duration, f func()) Timer {
 	return wallTimer{t: time.AfterFunc(d, f)}
 }
+
+func (wallTimers) Now() time.Time { return time.Now() }
 
 type wallTimer struct{ t *time.Timer }
 
@@ -150,6 +160,9 @@ func (w *TimerWheel) AfterFunc(d time.Duration, f func()) Timer {
 	w.mu.Unlock()
 	return t
 }
+
+// Now is the wall clock: the wheel's ticks are derived from it (run).
+func (w *TimerWheel) Now() time.Time { return time.Now() }
 
 func (t *wheelTimer) Stop() bool {
 	t.wheel.mu.Lock()

@@ -184,17 +184,6 @@ func (w *Worker) find(sched SchedID, job cluster.JobID) *Entry {
 	return nil
 }
 
-// EntryFor returns a stamped ref to the reservation entry for a
-// (scheduler, job) pair, or the zero ref. Adapters use it to resolve
-// replies to offers that were sent without a captured entry (see
-// WSendOffer).
-func (w *Worker) EntryFor(sched SchedID, job cluster.JobID) EntryRef {
-	if e := w.find(sched, job); e != nil {
-		return refOf(e)
-	}
-	return EntryRef{}
-}
-
 // newEntry appends a fresh entry for the pair, recycling from the free
 // list when possible.
 func (w *Worker) newEntry(sched SchedID, job cluster.JobID) *Entry {
@@ -629,16 +618,28 @@ func (r *Round) stepG3() {
 	})
 }
 
-// OnHopperReply processes a scheduler's reply in Hopper mode and returns
-// the follow-up actions. ref may be zero for non-refusable offers to
-// jobs with no reservation here (adapters resolve those with EntryFor at
-// delivery time); a ref whose entry was purged while the reply was in
-// flight resolves to nil, which is exactly how a detached entry behaved
-// before pooling (its mutations were invisible, its Sched matched the
-// reply's From).
-func (w *Worker) OnHopperReply(r *Round, ref EntryRef, rep Reply) []WAction {
+// OnReply processes a scheduler's reply — real, or an adapter's
+// synthesized stand-in for one that will never come — to the offer or
+// task pull the WSendOffer action (r, ref) sent, and returns the
+// follow-up actions. The worker's mode picks the rules, as it did for
+// the offer (Round.step). A zero ref is an offer sent without a captured
+// entry (the non-refusable smallest-unsatisfied offer may target a job
+// the worker holds no reservation for): the entry is looked up now, by
+// the reply's (From, Job). A ref whose entry was purged while the reply
+// was in flight resolves to nil — a job that finished, or a concurrent
+// round's reply that emptied the entry — and the reply falls back to its
+// From field, which always matches the purged entry's scheduler.
+func (w *Worker) OnReply(r *Round, ref EntryRef, rep Reply) []WAction {
 	w.begin()
-	r.onHopperReply(ref.live(), rep)
+	e := ref.live()
+	if ref.IsZero() {
+		e = w.find(rep.From, rep.Job)
+	}
+	if w.cfg.Mode.hopperFamily() {
+		r.onHopperReply(e, rep)
+	} else {
+		r.onSparrowReply(e, rep)
+	}
 	return w.acts
 }
 
@@ -727,17 +728,6 @@ func (r *Round) stepSparrow() {
 		Kind: WSendOffer, Sched: e.Sched, Job: e.Job, GetTask: true,
 		Round: r, Entry: refOf(e),
 	})
-}
-
-// OnSparrowReply processes a scheduler's task-pull reply in the Sparrow
-// modes and returns the follow-up actions. A stale ref (entry purged by
-// a concurrent round's reply while this one was in flight) resolves to
-// nil and the reply falls back to its From field, which always matches
-// the purged entry's scheduler.
-func (w *Worker) OnSparrowReply(r *Round, ref EntryRef, rep Reply) []WAction {
-	w.begin()
-	r.onSparrowReply(ref.live(), rep)
-	return w.acts
 }
 
 func (r *Round) onSparrowReply(e *Entry, rep Reply) {

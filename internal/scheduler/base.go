@@ -58,13 +58,6 @@ type Config struct {
 	// budget; Section 4.1 and Figure 3). Set by the Hopper engine;
 	// best-effort baselines leave it off.
 	CapacitySpec bool
-
-	// ReferenceDispatch switches the engine to the frozen pre-overhaul
-	// dispatch implementation (reference.go): per-pass sorting, map
-	// rebuilds, and phase rescans. Behaviorally identical to the
-	// optimized paths — dispatch_diff_test.go proves it — it exists as
-	// the differential-testing oracle, never for production use.
-	ReferenceDispatch bool
 }
 
 // WithDefaults fills zero-valued fields with the paper's defaults.
@@ -281,10 +274,10 @@ func newBase(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Base {
 	// The victim index answers the chassis' three speculation questions
 	// (scanJob/scanAll, placeOne) without walking the running set. It is on
 	// whenever the config makes it exact-equivalent to the scans; a machine
-	// at non-unit speed downgrades the monitor at run time. The reference
-	// mode stays on the scans, so dispatch_diff_test.go is an
-	// index-versus-scan differential.
-	if cfg.Spec.IndexExact() && !cfg.DisableSpec && !cfg.ReferenceDispatch {
+	// at non-unit speed downgrades the monitor at run time. The tests'
+	// reference model turns it off again (reference_test.go), so
+	// dispatch_diff_test.go is an index-versus-scan differential.
+	if cfg.Spec.IndexExact() && !cfg.DisableSpec {
 		b.Mon.EnableIndex()
 	}
 	exec.OnTaskDone = b.onTaskDone

@@ -27,9 +27,6 @@ func NewBudgeted(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Bud
 	}
 	e.Base = newBase(eng, exec, cfg)
 	e.Base.dispatch = e.dispatch
-	if e.Cfg.ReferenceDispatch {
-		e.Base.dispatch = e.dispatchReference
-	}
 	return e
 }
 

@@ -3,7 +3,7 @@
 // ring-deque wants, cached fresh-demand and at-cap counters, speculation
 // answered from the victim index) must produce placement sequences
 // byte-identical to the frozen pre-overhaul implementation in
-// reference.go, which stays on the speculation scans — same machines,
+// reference_test.go, which stays on the speculation scans — same machines,
 // same start times, same speculative choices, same kill outcomes, and
 // therefore the same RNG consumption. See DESIGN.md section 6 for the
 // identity contract.
@@ -134,10 +134,9 @@ func diffScenarios() []diffScenario {
 // engineMakers returns the four centralized engines, parameterized by
 // reference mode.
 func engineMakers(cfg scheduler.Config, reference bool) map[string]func(*simulator.Engine, *cluster.Executor) scheduler.Engine {
-	cfg.ReferenceDispatch = reference
 	budCfg := cfg
 	budCfg.SpecBudget = 24
-	return map[string]func(*simulator.Engine, *cluster.Executor) scheduler.Engine{
+	makers := map[string]func(*simulator.Engine, *cluster.Executor) scheduler.Engine{
 		"hopper": func(e *simulator.Engine, x *cluster.Executor) scheduler.Engine {
 			return scheduler.NewHopper(e, x, cfg)
 		},
@@ -151,6 +150,12 @@ func engineMakers(cfg scheduler.Config, reference bool) map[string]func(*simulat
 			return scheduler.NewBudgeted(e, x, budCfg)
 		},
 	}
+	if reference {
+		for name, mk := range makers {
+			makers[name] = scheduler.ReferenceOf(mk)
+		}
+	}
+	return makers
 }
 
 func TestDispatchMatchesReference(t *testing.T) {

@@ -34,11 +34,6 @@ type HopperEngine struct {
 	targets   []int
 	refreshAt float64
 	refreshOn bool
-
-	// Reference-mode state: the pre-overhaul map-keyed caches, rebuilt
-	// every refresh exactly as the old code did (reference.go).
-	refTargets map[cluster.JobID]int
-	refPrios   map[cluster.JobID]float64
 }
 
 // NewHopper builds a centralized Hopper engine on the executor.
@@ -47,11 +42,6 @@ func NewHopper(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Hoppe
 	h := &HopperEngine{totalSlots: exec.Machines.TotalSlots()}
 	h.Base = newBase(eng, exec, cfg)
 	h.Base.dispatch = h.dispatch
-	if h.Cfg.ReferenceDispatch {
-		h.Base.dispatch = h.dispatchReference
-		h.refTargets = make(map[cluster.JobID]int)
-		h.refPrios = make(map[cluster.JobID]float64)
-	}
 	// Dispatch passes are O(active jobs); coalesce completions within a
 	// small window (2% of the check interval) into one pass.
 	h.Base.dispatchDelay = h.Cfg.CheckInterval / 50
@@ -108,13 +98,6 @@ func (h *HopperEngine) refresh() {
 	for i, s := range h.active {
 		s.target = h.targets[i]
 		s.prio = demands[i].Priority(beta)
-	}
-	if h.Cfg.ReferenceDispatch {
-		// The reference dispatch re-sorts per pass from the maps; keeping
-		// the optimized order out of this mode keeps the oracle
-		// independent of the order it is compared against.
-		h.refreshReference()
-		return
 	}
 	// Stable sort keyed by priority with the active (arrival) order as
 	// tie-break — the exact permutation the per-pass sort used to

@@ -21,7 +21,7 @@ import (
 //   - the event-driven fresh-demand counter equals the phase-scan
 //     oracle on every dispatch pass;
 //   - the optimized dispatch and the frozen reference implementation
-//     (Config.ReferenceDispatch) still produce byte-identical placement
+//     (reference_test.go) still produce byte-identical placement
 //     logs, proving the lifecycle change left centralized scheduling
 //     untouched.
 
@@ -93,15 +93,21 @@ func lifecycleJobs(seed int64, n int) []*cluster.Job {
 // lifecycleEngines builds the four centralized engines with speculation
 // pressure on (copy races interleave with unlocks).
 func lifecycleEngines(reference bool) map[string]func(*simulator.Engine, *cluster.Executor) Engine {
-	cfg := Config{CheckInterval: 0.1, Spec: speculation.Config{MaxCopies: 2}, ReferenceDispatch: reference}
+	cfg := Config{CheckInterval: 0.1, Spec: speculation.Config{MaxCopies: 2}}
 	budCfg := cfg
 	budCfg.SpecBudget = 4
-	return map[string]func(*simulator.Engine, *cluster.Executor) Engine{
+	makers := map[string]func(*simulator.Engine, *cluster.Executor) Engine{
 		"hopper":   func(e *simulator.Engine, x *cluster.Executor) Engine { return NewHopper(e, x, cfg) },
 		"srpt":     func(e *simulator.Engine, x *cluster.Executor) Engine { return NewSRPT(e, x, cfg) },
 		"fair":     func(e *simulator.Engine, x *cluster.Executor) Engine { return NewFair(e, x, cfg) },
 		"budgeted": func(e *simulator.Engine, x *cluster.Executor) Engine { return NewBudgeted(e, x, budCfg) },
 	}
+	if reference {
+		for name, mk := range makers {
+			makers[name] = referenceOf(mk)
+		}
+	}
+	return makers
 }
 
 // lifecycleLog serializes every placement decision of one run — the same

@@ -2,11 +2,13 @@
 //
 // These reproduce, line for line, the dispatch paths as they existed
 // before the scheduler hot-path overhaul (see DESIGN.md section 6):
-// per-pass index sorts, per-refresh map rebuilds, and per-call phase
-// rescans. They are selected by Config.ReferenceDispatch and serve one
-// purpose, the identity oracle: dispatch_diff_test.go and
-// lifecycle_test.go prove the optimized paths produce the exact same
-// placement sequence (same tie-breaks, same RNG consumption). The frozen
+// per-pass index sorts, map-keyed targets and priorities, and per-call
+// phase rescans. They serve one purpose, the identity oracle:
+// dispatch_diff_test.go and lifecycle_test.go prove the optimized paths
+// produce the exact same placement sequence (same tie-breaks, same RNG
+// consumption). They are test code: referenceOf puts them on an
+// engine the ordinary constructor built, so the binary that ships
+// carries neither them nor an option to select them. The frozen
 // BENCH_PR2…PR10.json files record what the overhaul bought over this
 // code (2.2–3.2x ns, 30–220x allocs per decision).
 //
@@ -19,7 +21,32 @@ import (
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/core"
+	"github.com/hopper-sim/hopper/internal/simulator"
 )
+
+// referenceOf wraps an engine constructor so that what it builds is the
+// frozen model: the engine's dispatch passes run the reference
+// implementation, and its monitor answers speculation questions from the
+// scans, never the victim index — which is what makes a comparison
+// against it index versus scan.
+func referenceOf(mk func(*simulator.Engine, *cluster.Executor) Engine) func(*simulator.Engine, *cluster.Executor) Engine {
+	return func(eng *simulator.Engine, exec *cluster.Executor) Engine {
+		e := mk(eng, exec)
+		b := baseOf(e)
+		b.Mon.DisableIndex()
+		switch v := e.(type) {
+		case *HopperEngine:
+			b.dispatch = (&hopperReference{HopperEngine: v}).dispatch
+		case *SRPTEngine:
+			b.dispatch = v.dispatchReference
+		case *FairEngine:
+			b.dispatch = v.dispatchReference
+		case *BudgetedEngine:
+			b.dispatch = v.dispatchReference
+		}
+		return e
+	}
+}
 
 // refFreshDemand is the pre-overhaul freshDemand: a phase rescan (with
 // the old per-call slice allocation) instead of the maintained counter.
@@ -55,23 +82,29 @@ func (b *Base) refHasLocalFresh(s *jobState) bool {
 	return false
 }
 
-// refreshReference rebuilds the map-keyed target/priority caches exactly
-// as the pre-overhaul refresh did (fresh maps every call). Values are
-// identical to the dense per-job fields refresh just wrote.
-func (h *HopperEngine) refreshReference() {
+// hopperReference is the pre-overhaul Hopper dispatch state: targets and
+// priorities in maps keyed by job ID. The old refresh rebuilt them; here
+// every pass copies them out of the dense per-job fields the engine's
+// refresh wrote (an active job's target and prio change nowhere else), so
+// the model reads the same values without a hook in refresh, and never
+// looks at the cached service order it is the oracle for.
+type hopperReference struct {
+	*HopperEngine
+	refTargets map[cluster.JobID]int
+	refPrios   map[cluster.JobID]float64
+}
+
+// dispatch is the pre-overhaul HopperEngine.dispatch: a fresh index
+// slice and a stable sort over the priority map on every pass.
+func (h *hopperReference) dispatch() {
+	if !h.Exec.Machines.AnyFree() || len(h.active) == 0 {
+		return
+	}
 	h.refTargets = make(map[cluster.JobID]int, len(h.active))
 	h.refPrios = make(map[cluster.JobID]float64, len(h.active))
 	for _, s := range h.active {
 		h.refTargets[s.job.ID] = s.target
 		h.refPrios[s.job.ID] = s.prio
-	}
-}
-
-// dispatchReference is the pre-overhaul HopperEngine.dispatch: a fresh
-// index slice and a stable sort over the priority map on every pass.
-func (h *HopperEngine) dispatchReference() {
-	if !h.Exec.Machines.AnyFree() || len(h.active) == 0 {
-		return
 	}
 
 	order := make([]int, len(h.active))

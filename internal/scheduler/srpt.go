@@ -22,9 +22,6 @@ func NewSRPT(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *SRPTEng
 	s := &SRPTEngine{}
 	s.Base = newBase(eng, exec, cfg)
 	s.Base.dispatch = s.dispatch
-	if s.Cfg.ReferenceDispatch {
-		s.Base.dispatch = s.dispatchReference
-	}
 	return s
 }
 
@@ -106,9 +103,6 @@ func NewFair(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *FairEng
 	f := &FairEngine{totalSlots: exec.Machines.TotalSlots()}
 	f.Base = newBase(eng, exec, cfg)
 	f.Base.dispatch = f.dispatch
-	if f.Cfg.ReferenceDispatch {
-		f.Base.dispatch = f.dispatchReference
-	}
 	return f
 }
 

@@ -12,9 +12,9 @@ import (
 // This file is the chaos layer: a deterministic fault-decision engine
 // (Injector) and a Conn wrapper (Faulty) that realizes its verdicts on a
 // live connection. The two are split so the same seeded decision stream
-// can drive both wall-clock connections and the virtual-time parity
-// harness in internal/live, which schedules deliveries on a simulation
-// engine instead of timers.
+// can drive both wall-clock connections and the virtual-time failure
+// suite in internal/live, whose connections schedule deliveries on a
+// simulation engine instead of timers.
 
 // Rates holds per-message fault probabilities; each is in [0, 1] and
 // drawn independently per send.
@@ -42,7 +42,7 @@ type FaultConfig struct {
 	PerType map[wire.MsgType]Rates
 	// DelayMin/DelayMax bound the extra delivery delay, in seconds.
 	// Consumers map seconds to their own clock domain (Faulty uses wall
-	// time; the parity harness uses virtual time).
+	// time; internal/live's virtual cluster uses engine time).
 	DelayMin float64
 	DelayMax float64
 }
