@@ -11,7 +11,7 @@ import (
 // their queued reservations and any messages in flight to them — and
 // rejoin later as fresh workers. The recovery machinery is exactly the
 // live path's: lost copies roll occupancy back and requeue through
-// Sched.RequeueLost, lost reservations are re-covered by a periodic
+// Sched.CopyLost, lost reservations are re-covered by a periodic
 // ReprobeStalled refresh (the live adapter's reprobe ticker, here driven
 // by the churn clock because only churn makes the simulator lossy).
 //
@@ -151,10 +151,7 @@ func (s *System) killMachine(id cluster.MachineID) {
 		if sc == nil {
 			continue
 		}
-		sc.core.PlacementFailed(t.Job.ID)
-		if t.State == cluster.TaskRunning && t.RunningCopies() == 0 {
-			sc.sendProbes(sc.core.RequeueLost(t))
-		}
+		sc.sendProbes(sc.core.CopyLost(t))
 	}
 	w.running = w.running[:0]
 }

@@ -236,7 +236,7 @@ const (
 	// mOffer: worker -> scheduler offer or Sparrow task pull.
 	mOffer
 	// mReply: scheduler -> worker answer to an offer; reuses the offer's
-	// message object (round/entry context rides along).
+	// message object (the offer's number rides along).
 	mReply
 	// mPlacementFailed: worker -> scheduler occupancy rollback when the
 	// task finished while the accept was in flight.
@@ -260,13 +260,12 @@ type message struct {
 	worker *worker // offering / reply-receiving worker
 	wepoch int     // worker's churn epoch when the offer was sent
 
-	// Offer content (job, refusable, getTask) and the worker-side context
-	// the reply leg hands back to the core (round, entry).
+	// Offer content (job, refusable, getTask, and the worker core's
+	// number for the offer, which the reply leg hands back to it).
 	job       cluster.JobID
 	refusable bool
 	getTask   bool
-	round     *protocol.Round
-	entry     protocol.EntryRef
+	seq       uint64
 
 	rep    protocol.Reply   // reply payload (mReply)
 	probes []protocol.Probe // batch payload (mProbeBatch)
@@ -292,8 +291,6 @@ func (s *System) getMsg() *message {
 func (s *System) putMsg(m *message) {
 	m.sched = nil
 	m.worker = nil
-	m.round = nil
-	m.entry = protocol.EntryRef{}
 	m.rep = protocol.Reply{}
 	m.probes = m.probes[:0]
 	m.next = s.freeMsg
@@ -345,8 +342,8 @@ func (s *System) dispatch(m *message) {
 		w := m.worker
 		if w.down || m.wepoch != w.epoch {
 			// The worker died (or died and rejoined) with this reply in
-			// flight: its round and entry context belong to a previous
-			// core. A hand-out riding the reply is lost work the
+			// flight: the offer it answers was a previous core's. A
+			// hand-out riding the reply is lost work the
 			// scheduler must take back — modeled as its assign-timeout
 			// discovery, one more scheduler-bound rollback message.
 			if m.rep.HasTask {
@@ -359,20 +356,26 @@ func (s *System) dispatch(m *message) {
 			s.putMsg(m)
 			return
 		}
-		w.exec(w.core.OnReply(m.round, m.entry, m.rep))
+		acts, ok := w.core.OnReply(m.seq, m.rep)
+		if !ok {
+			// Simulated links lose and repeat nothing: every offer of a
+			// living core is answered exactly once.
+			panic("decentral: reply to an offer no round is waiting on")
+		}
+		w.exec(acts)
 		s.putMsg(m)
 	case mPlacementFailed:
 		m.sched.core.PlacementFailed(m.job)
 		s.putMsg(m)
 	case mLostAssign:
 		sc := m.sched
-		sc.core.PlacementFailed(m.rep.Job)
-		if t := m.rep.Task; t != nil && !m.rep.Spec &&
-			t.State != cluster.TaskDone && t.RunningCopies() == 0 {
-			// The lost hand-out was the task's only placement: requeue it
-			// and re-probe (a speculative hand-out's original still runs,
-			// so the rollback alone settles it).
-			sc.sendProbes(sc.core.RequeueLost(t))
+		if m.rep.Spec {
+			// Not a speculative hand-out's business to requeue: its
+			// original still runs, or the loss that killed it requeued
+			// the task already. The rollback alone settles it.
+			sc.core.PlacementFailed(m.rep.Job)
+		} else {
+			sc.sendProbes(sc.core.CopyLost(m.rep.Task))
 		}
 		s.putMsg(m)
 	}

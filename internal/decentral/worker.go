@@ -113,8 +113,8 @@ func (w *worker) trackCopy(c *cluster.Copy) {
 }
 
 // exec realizes a core action list: offers become pooled messages whose
-// replies are routed back to the issuing round (the reply reuses the
-// offer's message object), retry arms become engine events.
+// replies carry the offer's number back to the core (the reply reuses
+// the offer's message object), retry arms become engine events.
 func (w *worker) exec(acts []protocol.WAction) {
 	for i := range acts {
 		a := acts[i]
@@ -131,8 +131,7 @@ func (w *worker) exec(acts []protocol.WAction) {
 			m.job = a.Job
 			m.refusable = a.Refusable
 			m.getTask = a.GetTask
-			m.round = a.Round
-			m.entry = a.Entry
+			m.seq = a.Seq
 			w.sys.toScheduler(sc, m)
 		case protocol.WArmRetry:
 			w.retryEv = w.sys.Eng.After(a.Delay, w.retryFn)

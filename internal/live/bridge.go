@@ -1,8 +1,6 @@
 package live
 
 import (
-	"time"
-
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/wire"
@@ -10,10 +8,12 @@ import (
 
 // This file is the wire <-> protocol-core bridge: the only place where
 // core replies are serialized into frames and frames are rehydrated into
-// core replies. The sim-vs-live parity test (parity_test.go) routes every
-// reply of a simulator-clocked run through these functions and the offer
-// tracker below — not through the nodes — so anything the mapping loses
-// breaks the identical-assignment contract there.
+// core replies. The Seq every frame here carries is the worker core's
+// number for the offer (protocol.WAction.Seq), so a reply needs no
+// table on this side to find its round. The sim-vs-live parity test
+// (parity_test.go) routes every reply of a simulator-clocked run through
+// these functions — not through the nodes — so anything the mapping
+// loses breaks the identical-assignment contract there.
 
 // replyFrames is the scratch a scheduler renders its replies into: one
 // value per reply type, overwritten by the next reply of that type. The
@@ -107,83 +107,4 @@ func replyFromWire(m wire.Message, from protocol.SchedID) (rep protocol.Reply, s
 		}, t.Seq, true
 	}
 	return protocol.Reply{}, 0, false
-}
-
-// pendingOffer is the worker-side context of one in-flight offer: the
-// round the reply resumes and a generation-stamped ref to the
-// reservation entry captured at send time (zero when the entry must be
-// resolved at delivery — non-refusable offers may target jobs the
-// worker holds no reservation for).
-type pendingOffer struct {
-	round *protocol.Round
-	entry protocol.EntryRef
-	sched protocol.SchedID
-	job   cluster.JobID
-}
-
-// offerTracker correlates scheduler replies to in-flight offers by the
-// wire Seq field — the live replacement for the simulator adapter's
-// captured closures.
-type offerTracker struct {
-	next    uint64
-	pending map[uint64]pendingOffer
-}
-
-func newOfferTracker() *offerTracker {
-	return &offerTracker{pending: make(map[uint64]pendingOffer)}
-}
-
-// track registers an in-flight offer and returns its sequence number.
-func (t *offerTracker) track(po pendingOffer) uint64 {
-	t.next++
-	t.pending[t.next] = po
-	return t.next
-}
-
-// take resolves and removes an in-flight offer; stale or duplicate
-// replies return ok=false and are dropped.
-func (t *offerTracker) take(seq uint64) (pendingOffer, bool) {
-	po, ok := t.pending[seq]
-	if ok {
-		delete(t.pending, seq)
-	}
-	return po, ok
-}
-
-// offerDeadline is when a sent offer is abandoned if still unanswered.
-type offerDeadline struct {
-	seq uint64
-	at  time.Time
-}
-
-// offerDeadlines is the FIFO of sent offers' deadlines, oldest first.
-// Entries outlive their offer's reply (nothing removes from the middle);
-// the worker drops them when they reach the head.
-type offerDeadlines struct {
-	q    []offerDeadline
-	head int
-}
-
-func (d *offerDeadlines) push(seq uint64, at time.Time) {
-	if len(d.q) == cap(d.q) && d.head > len(d.q)/2 {
-		// Reclaim the consumed prefix instead of growing: the queue holds
-		// one timeout's worth of offers, not every offer ever sent.
-		d.q = d.q[:copy(d.q, d.q[d.head:])]
-		d.head = 0
-	}
-	d.q = append(d.q, offerDeadline{seq: seq, at: at})
-}
-
-func (d *offerDeadlines) oldest() (offerDeadline, bool) {
-	if d.head == len(d.q) {
-		return offerDeadline{}, false
-	}
-	return d.q[d.head], true
-}
-
-func (d *offerDeadlines) drop() {
-	d.head++
-	if d.head == len(d.q) {
-		d.q, d.head = d.q[:0], 0
-	}
 }

@@ -374,9 +374,9 @@ func (c *virtualCluster) assertOracles(t *testing.T, tag string) {
 		t.Fatalf("%s: %d replies for %d delivered, answerable offers (%d sent)", tag, replies, c.answerable, c.sent(false, wire.TOffer))
 	}
 	for _, w := range c.workers {
-		if w.freeSlots != w.cfg.Slots || len(w.running) != 0 || len(w.tracker.pending) != 0 {
+		if w.freeSlots != w.cfg.Slots || len(w.running) != 0 || w.core.OffersOut() != 0 {
 			t.Fatalf("%s: worker %d ends with %d of %d slots free, %d copies running, %d offers pending",
-				tag, w.cfg.ID, w.freeSlots, w.cfg.Slots, len(w.running), len(w.tracker.pending))
+				tag, w.cfg.ID, w.freeSlots, w.cfg.Slots, len(w.running), w.core.OffersOut())
 		}
 	}
 	for _, s := range c.scheds {

@@ -1,14 +1,13 @@
 package live
 
 // Tests of what a frame costs a live node and who owns it: the offer
-// deadline queue (one timer per worker), the release point in the node
-// loops, and the allocation pins of the two per-frame cycles.
+// timer (one per worker, aimed by the core's oldest unanswered offer),
+// the release point in the node loops, and the allocation pins of the
+// two per-frame cycles.
 
 import (
-	"fmt"
-	"log"
 	"reflect"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,34 +42,38 @@ func (o *offerTimers) AfterFunc(d time.Duration, f func()) protocol.Timer {
 
 func (o *offerTimers) Now() time.Time { return o.wheel.Now() }
 
-// stampedLog records when each log line was written: the worker logs an
-// abandoned offer right after deciding its deadline has passed.
-type stampedLog struct {
-	mu    sync.Mutex
-	lines []stampedLine
+// offerLog is the scheduler's end of the rig's one link: it keeps every
+// offer the worker sends. notBefore and notAfter bracket the send — the
+// clock before and after the worker's turn that made it — so the offer
+// falls due between notBefore+rigOfferWait and notAfter+rigOfferWait.
+type offerLog struct {
+	transport.Conn
+	sent []loggedOffer
 }
 
-type stampedLine struct {
-	at   time.Time
-	text string
+type loggedOffer struct {
+	seq, job            uint64
+	notBefore, notAfter time.Time
 }
 
-func (l *stampedLog) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	l.lines = append(l.lines, stampedLine{time.Now(), string(p)})
-	l.mu.Unlock()
-	return len(p), nil
+func (l *offerLog) Send(m wire.Message) error {
+	if o, ok := m.(*wire.Offer); ok {
+		l.sent = append(l.sent, loggedOffer{seq: o.Seq, job: o.JobID})
+	}
+	return nil
 }
+func (l *offerLog) RemoteAddr() string { return "rig" }
 
-// offerRig is a worker whose loop the test runs by hand, one event at a
-// time, against a scheduler that is just the other end of a pair.
+// offerRig is a worker whose loop the test runs by hand, one turn at a
+// time, against a scheduler that is just the other end of a link.
 type offerRig struct {
 	t      *testing.T
 	w      *Worker
 	timers *offerTimers
-	log    *stampedLog
-	// deadline[seq] is the abandon deadline the worker queued for offer seq.
-	deadline map[uint64]time.Time
+	link   *offerLog
+	// abandoned[i] is when the worker's i-th offer timeout was on its
+	// counter: the clock after the turn that abandoned the offer.
+	abandoned []time.Time
 }
 
 // rigOfferWait is the rig's offer timeout in wall clock; offers are sent
@@ -86,38 +89,39 @@ func newOfferRig(t *testing.T) *offerRig {
 	t.Helper()
 	wheel := protocol.NewTimerWheel(time.Millisecond, 512)
 	t.Cleanup(wheel.Stop)
-	r := &offerRig{t: t, timers: &offerTimers{wheel: wheel}, log: &stampedLog{}, deadline: map[uint64]time.Time{}}
-	se, we := transport.Pair(256)
-	t.Cleanup(func() { se.Close(); we.Close() })
+	r := &offerRig{t: t, timers: &offerTimers{wheel: wheel}, link: &offerLog{}}
 	w, err := NewWorkerConns(WorkerConfig{
 		ID: 3, Slots: 2, RetryJitter: -1, Timers: r.timers,
 		TimeScale: rigOfferWait.Seconds() / defaultOfferTimeout,
-		Logger:    log.New(r.log, "", 0),
-	}, []transport.Conn{we})
+	}, []transport.Conn{r.link})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.offerWait != rigOfferWait {
-		t.Fatalf("offerWait = %v, want %v", w.offerWait, rigOfferWait)
+	if got := w.wall(defaultOfferTimeout); got != rigOfferWait {
+		t.Fatalf("the offer timeout is %v of wall clock, want %v", got, rigOfferWait)
 	}
 	r.w = w
 	r.timers.offerFn = reflect.ValueOf(w.offerTimerFn).Pointer()
 	return r
 }
 
-// deliver runs one frame from the scheduler through the worker's loop
-// body and notes the deadlines of any offers it sent.
-func (r *offerRig) deliver(m wire.Message) {
-	r.w.handle(envelope{from: r.w.scheds[0], msg: m})
-	r.w.drainDeferred()
-	r.note()
+// turn runs one entry through the worker's loop body, brackets the
+// offers it sent and stamps the offers it abandoned.
+func (r *offerRig) turn(env envelope) {
+	began, sent, timeouts := time.Now(), len(r.link.sent), r.w.stats.OfferTimeouts
+	r.w.step(env)
+	now := time.Now()
+	for i := sent; i < len(r.link.sent); i++ {
+		r.link.sent[i].notBefore, r.link.sent[i].notAfter = began, now
+	}
+	for ; timeouts < r.w.stats.OfferTimeouts; timeouts++ {
+		r.abandoned = append(r.abandoned, now)
+	}
 }
 
-func (r *offerRig) note() {
-	d := &r.w.deadlines
-	for _, e := range d.q[d.head:] {
-		r.deadline[e.seq] = e.at
-	}
+// deliver hands the worker one frame from the scheduler.
+func (r *offerRig) deliver(m wire.Message) {
+	r.turn(envelope{from: r.w.scheds[0], msg: m})
 }
 
 func (r *offerRig) reserve(job uint64) {
@@ -130,28 +134,10 @@ func (r *offerRig) step() {
 	r.t.Helper()
 	select {
 	case env := <-r.w.loop.inbox:
-		r.w.handle(env)
-		r.w.drainDeferred()
-		r.note()
+		r.turn(env)
 	case <-time.After(5 * rigOfferWait):
 		r.t.Fatal("no timer event reached the worker loop")
 	}
-}
-
-// abandoned returns the offers the worker has logged as timed out, in
-// order, with the time of each log line.
-func (r *offerRig) abandoned() (seqs []uint64, at []time.Time) {
-	r.log.mu.Lock()
-	defer r.log.mu.Unlock()
-	for _, l := range r.log.lines {
-		var seq uint64
-		var sched int
-		if _, err := fmt.Sscanf(l.text, "offer %d to scheduler %d timed out", &seq, &sched); err == nil {
-			seqs = append(seqs, seq)
-			at = append(at, l.at)
-		}
-	}
-	return seqs, at
 }
 
 func (r *offerRig) wantTimers(when string, armed, pending int64) {
@@ -165,19 +151,32 @@ func (r *offerRig) wantTimers(when string, armed, pending int64) {
 // another reservation is waiting.
 func (r *offerRig) answer(seq uint64) {
 	r.t.Helper()
-	po, ok := r.w.tracker.pending[seq]
-	if !ok {
-		r.t.Fatalf("offer %d is not waiting for a reply", seq)
+	out := r.w.core.OffersOut()
+	r.deliver(&wire.NoTask{JobID: r.link.sent[seq-1].job, Seq: seq, JobDone: true})
+	if r.w.core.OffersOut() != out-1 {
+		r.t.Fatalf("offer %d was not waiting for a reply", seq)
 	}
-	r.deliver(&wire.NoTask{JobID: uint64(po.job), Seq: seq, JobDone: true})
+}
+
+// wantAbandonedOnTime checks that the worker's i-th abandonment came when
+// the given offer fell due: no earlier, and within the slack after.
+func (r *offerRig) wantAbandonedOnTime(i int, seq uint64) {
+	r.t.Helper()
+	o, at := r.link.sent[seq-1], r.abandoned[i]
+	if early := o.notBefore.Add(rigOfferWait).Sub(at); early > 0 {
+		r.t.Fatalf("abandonment %d came %v before offer %d fell due", i+1, early, seq)
+	}
+	if late := at.Sub(o.notAfter.Add(rigOfferWait)); late > rigSlack {
+		r.t.Fatalf("abandonment %d came %v after offer %d fell due, want within %v", i+1, late, seq, rigSlack)
+	}
 }
 
 // TestOfferTimerFollowsTheOldestUnansweredOffer: four offers out (a
 // two-slot worker runs two rounds, so offers come in pairs), the three
-// oldest answered. There is one timer throughout; when it fires at the
-// oldest deadline it abandons nothing and is re-aimed at the one offer
-// still waiting, which is then abandoned at its own deadline — not a
-// full timeout after the first.
+// oldest answered. There is one timer throughout; when it fires a
+// timeout after the first offer it abandons nothing and is re-aimed at
+// the one offer still waiting, which is then abandoned when it falls due
+// itself — not a full timeout after the first.
 func TestOfferTimerFollowsTheOldestUnansweredOffer(t *testing.T) {
 	r := newOfferRig(t)
 	r.reserve(1) // both rounds offer job 1: seq 1 and 2
@@ -186,75 +185,55 @@ func TestOfferTimerFollowsTheOldestUnansweredOffer(t *testing.T) {
 	time.Sleep(rigGap)
 	r.reserve(2) // both rounds offer job 2: seq 3 and 4
 	r.answer(3)
-	if len(r.deadline) != 4 || len(r.w.tracker.pending) != 1 {
-		t.Fatalf("want four offers sent and one unanswered, have deadlines %v and %d pending", r.deadline, len(r.w.tracker.pending))
-	}
-	if gap := r.deadline[4].Sub(r.deadline[1]); gap < rigGap {
-		t.Fatalf("deadlines of offers 1 and 4 are only %v apart", gap)
+	if len(r.link.sent) != 4 || r.w.core.OffersOut() != 1 {
+		t.Fatalf("want four offers sent and one unanswered, have %+v and %d out", r.link.sent, r.w.core.OffersOut())
 	}
 	r.wantTimers("oldest three answered", 1, 1)
 
-	r.step() // the timer, at offer 1's deadline
-	if now := time.Now(); now.Before(r.deadline[1]) {
-		t.Fatalf("offer timer fired %v before the oldest deadline", r.deadline[1].Sub(now))
+	r.step() // the timer, a timeout after offer 1
+	if early := time.Until(r.link.sent[0].notBefore.Add(rigOfferWait)); early > 0 {
+		t.Fatalf("offer timer fired %v before the oldest offer fell due", early)
 	}
 	if n := r.w.stats.OfferTimeouts; n != 0 {
-		t.Fatalf("%d offers abandoned at an answered offer's deadline", n)
+		t.Fatalf("%d offers abandoned a timeout after an answered offer", n)
 	}
 	r.wantTimers("re-aimed at the offer still waiting", 2, 1)
 
-	// The timer again, at offer 4's deadline. The wheel counts whole
-	// ticks, so it may come a fraction of one early; the worker checks
-	// its own clock and waits out the rest.
-	seqs, at := r.abandoned()
-	for len(seqs) == 0 {
-		r.step()
-		if p := r.timers.pending.Load(); p > 1 {
-			t.Fatalf("%d offer timers pending at once", p)
-		}
-		seqs, at = r.abandoned()
+	r.step() // the timer again, a timeout after offer 4
+	if len(r.abandoned) != 1 || r.w.stats.OfferTimeouts != 1 || r.w.core.OffersOut() != 0 {
+		t.Fatalf("abandoned %d offers (OfferTimeouts %d, %d still out), want exactly offer 4",
+			len(r.abandoned), r.w.stats.OfferTimeouts, r.w.core.OffersOut())
 	}
-	if len(seqs) != 1 || seqs[0] != 4 || r.w.stats.OfferTimeouts != 1 {
-		t.Fatalf("abandoned %v (OfferTimeouts %d), want exactly offer 4", seqs, r.w.stats.OfferTimeouts)
-	}
-	if late := at[0].Sub(r.deadline[4]); late < 0 || late > rigSlack {
-		t.Fatalf("offer 4 abandoned %v after its deadline, want within [0, %v]", late, rigSlack)
-	}
-	if r.timers.pending.Load() != 0 || r.w.offerTimerOn {
-		t.Fatal("a timer is still armed with nothing left to wait for")
+	r.wantAbandonedOnTime(0, 4)
+	r.wantTimers("nothing left to wait for", 2, 0)
+	if r.w.offerTimerOn {
+		t.Fatal("the worker believes a timer is armed with nothing left to wait for")
 	}
 }
 
-// TestUnansweredOffersExpireInSendOrder: nobody answers. The first three
-// offers are abandoned in the order they were sent, each no earlier than
-// its own deadline and within a tick's slack of it, with one timer armed
-// at a time.
+// TestUnansweredOffersExpireInSendOrder: nobody answers. Offers 1 and 2
+// go out together; each round that gives up on one offers the other job,
+// so 3 and 4 follow a timeout later. The k-th abandonment comes when the
+// k-th offer sent falls due, with one timer armed at a time.
 func TestUnansweredOffersExpireInSendOrder(t *testing.T) {
 	r := newOfferRig(t)
 	r.reserve(1) // both rounds offer job 1: seq 1 and 2
 	time.Sleep(rigGap)
 	r.reserve(2) // both rounds busy: offered when one of them gives up
-	for {
-		seqs, _ := r.abandoned()
-		if len(seqs) >= 3 {
-			break
-		}
+	for len(r.abandoned) < 3 {
 		r.step()
 		if p := r.timers.pending.Load(); p > 1 {
 			t.Fatalf("%d offer timers pending at once", p)
 		}
 	}
-	seqs, at := r.abandoned()
-	if seqs[0] != 1 || seqs[1] != 2 || seqs[2] != 3 {
-		t.Fatalf("offers abandoned in order %v, want 1 2 3 first", seqs)
+	if len(r.link.sent) < 4 || r.link.sent[2].job != 2 || r.link.sent[3].job != 2 {
+		t.Fatalf("rounds that gave up on job 1 did not go on to job 2: %+v", r.link.sent)
 	}
-	if len(seqs) == 3 && r.w.stats.OfferTimeouts != 3 {
-		t.Fatalf("OfferTimeouts = %d after three abandoned offers", r.w.stats.OfferTimeouts)
+	if n := r.w.stats.OfferTimeouts; n != int64(len(r.abandoned)) {
+		t.Fatalf("OfferTimeouts = %d after %d abandoned offers", n, len(r.abandoned))
 	}
-	for i, seq := range seqs[:3] {
-		if late := at[i].Sub(r.deadline[seq]); late < 0 || late > rigSlack {
-			t.Fatalf("offer %d abandoned %v after its deadline, want within [0, %v]", seq, late, rigSlack)
-		}
+	for i := range r.abandoned {
+		r.wantAbandonedOnTime(i, uint64(i+1))
 	}
 }
 
@@ -267,7 +246,7 @@ func TestAnsweredOffersLeaveNoTimerBehind(t *testing.T) {
 	r.reserve(1)
 	r.answer(1)
 	r.answer(2)
-	if n := len(r.w.tracker.pending); n != 0 {
+	if n := r.w.core.OffersOut(); n != 0 {
 		t.Fatalf("%d offers still unanswered", n)
 	}
 	r.wantTimers("all answered", 1, 1)
@@ -276,30 +255,53 @@ func TestAnsweredOffersLeaveNoTimerBehind(t *testing.T) {
 	if r.w.offerTimerOn || r.w.stats.OfferTimeouts != 0 {
 		t.Fatalf("idle worker: offerTimerOn %v, OfferTimeouts %d", r.w.offerTimerOn, r.w.stats.OfferTimeouts)
 	}
-	if _, queued := r.w.deadlines.oldest(); queued {
-		t.Fatal("deadline queue not empty on an idle worker")
-	}
 	r.reserve(4)
 	r.wantTimers("next offer", 2, 1)
 }
 
-// TestOfferDeadlinesQueueStaysSmall: the queue reuses its storage; a long
-// run of answered offers must not grow it.
+// stillTimers is a clock that never moves: it counts the timers armed on
+// it and fires none.
+type stillTimers struct{ armed int }
+
+func (s *stillTimers) AfterFunc(time.Duration, func()) protocol.Timer { s.armed++; return stillTimer{} }
+func (s *stillTimers) Now() time.Time                                 { return time.Unix(0, 0) }
+
+type stillTimer struct{}
+
+func (stillTimer) Stop() bool { return true }
+
+// TestOfferDeadlinesQueueStaysSmall: nothing per offer survives its
+// reply. The deadline queue this test used to bound is gone — an offer
+// lives in its round, in the core — so the bound is on the worker whole:
+// 10,000 answered offers leave none out, one offer timer armed in all
+// (replies never touch it and this clock never reaches it), and the heap
+// where it was.
 func TestOfferDeadlinesQueueStaysSmall(t *testing.T) {
-	var d offerDeadlines
-	now := time.Now()
-	for seq := uint64(1); seq <= 10000; seq++ {
-		d.push(seq, now)
-		if seq > 3 {
-			got, _ := d.oldest()
-			if got.seq != seq-3 {
-				t.Fatalf("oldest = %d, want %d", got.seq, seq-3)
-			}
-			d.drop()
-		}
+	timers, conn := &stillTimers{}, &discardConn{}
+	w, err := NewWorkerConns(WorkerConfig{ID: 1, Slots: 1, Timers: timers}, []transport.Conn{conn})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cap(d.q) > 16 {
-		t.Fatalf("three entries in flight grew the queue to %d", cap(d.q))
+	cycle := offerReplyCycle(t, w, conn)
+	for i := 0; i < 4*64; i++ {
+		cycle()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10000; i++ {
+		cycle()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := w.core.OffersOut(); n != 0 {
+		t.Fatalf("%d offers out after a reply each", n)
+	}
+	if timers.armed != 1 {
+		t.Fatalf("%d timers armed for 10,256 answered offers, want the first offer's only", timers.armed)
+	}
+	if grown := int64(after.HeapObjects) - int64(before.HeapObjects); grown > 1000 {
+		t.Fatalf("10,000 answered offers left %d objects on the heap", grown)
 	}
 }
 
@@ -342,6 +344,23 @@ func (d *discardConn) RemoteAddr() string { return "discard" }
 // sent is the type of the last frame sent.
 func (d *discardConn) sent() wire.MsgType { return wire.MsgType(d.buf[4]) }
 
+// offerReplyCycle returns the worker's per-frame cycle against its one
+// scheduler: a probe arrives, an offer goes out of the node's scratch
+// under the core's next number, the reply comes back and ends the round.
+func offerReplyCycle(t *testing.T, w *Worker, conn *discardConn) func() {
+	from := w.scheds[0]
+	reserve := &wire.Reserve{JobID: 5, SchedulerID: 0, VirtualSize: 3, RemTasks: 2}
+	reply := &wire.NoTask{JobID: 5, JobDone: true}
+	return func() {
+		reply.Seq++
+		w.handle(envelope{from: from, msg: reserve})
+		if conn.sent() != wire.TOffer || w.out.offer.Seq != reply.Seq {
+			t.Fatalf("the probe was answered with a %s (last offer %d, want %d)", conn.sent(), w.out.offer.Seq, reply.Seq)
+		}
+		w.handle(envelope{from: from, msg: reply})
+	}
+}
+
 // TestWorkerOfferReplyCycleAllocs pins the worker's per-frame cycle — a
 // probe arrives, an offer goes out of the node's scratch, the reply comes
 // back and ends the round — at one allocation at most.
@@ -353,22 +372,12 @@ func TestWorkerOfferReplyCycleAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	from := w.scheds[0]
-	reserve := &wire.Reserve{JobID: 5, SchedulerID: 0, VirtualSize: 3, RemTasks: 2}
-	reply := &wire.NoTask{JobID: 5, JobDone: true}
-	cycle := func() {
-		w.handle(envelope{from: from, msg: reserve})
-		if conn.sent() != wire.TOffer || w.out.offer.Seq != w.tracker.next {
-			t.Fatalf("the probe was answered with a %s", conn.sent())
-		}
-		reply.Seq = w.tracker.next
-		w.handle(envelope{from: from, msg: reply})
-	}
+	cycle := offerReplyCycle(t, w, conn)
 	for i := 0; i < 4*64; i++ {
 		cycle()
 	}
-	if len(w.tracker.pending) != 0 {
-		t.Fatalf("%d offers unanswered after a reply each", len(w.tracker.pending))
+	if n := w.core.OffersOut(); n != 0 {
+		t.Fatalf("%d offers unanswered after a reply each", n)
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg > 1 {
 		t.Fatalf("worker offer/reply cycle allocates %.0f/op, want at most 1", avg)

@@ -136,7 +136,6 @@ type wsWorker struct {
 	sys     *wireSystem
 	id      cluster.MachineID
 	core    *protocol.Worker
-	tracker *offerTracker
 	retryEv *simulator.Event
 	// conns[s] is this worker's end of the pair to scheduler s.
 	conns []transport.Conn
@@ -196,7 +195,7 @@ func newWireSystem(eng *simulator.Engine, exec *cluster.Executor, cfg decentral.
 		s.schedConns[i] = make([]transport.Conn, len(exec.Machines.All))
 	}
 	for wi := range exec.Machines.All {
-		w := &wsWorker{sys: s, id: cluster.MachineID(wi), tracker: newOfferTracker()}
+		w := &wsWorker{sys: s, id: cluster.MachineID(wi)}
 		w.conns = make([]transport.Conn, cfg.NumSchedulers)
 		for si := 0; si < cfg.NumSchedulers; si++ {
 			se, we := transport.Pair(8)
@@ -360,14 +359,14 @@ func (s *wireSystem) deliverReply(si int, w *wsWorker, back wire.Message) {
 	if !ok {
 		panic("unroutable reply frame")
 	}
-	po, live := w.tracker.take(seq2)
-	if !live {
-		panic("stale reply in deterministic harness")
-	}
 	if rep2.HasTask {
 		rep2.Task = s.taskOf(rep2)
 	}
-	w.exec(w.core.OnReply(po.round, po.entry, rep2))
+	acts, live := w.core.OnReply(seq2, rep2)
+	if !live {
+		panic("stale reply in deterministic harness")
+	}
+	w.exec(acts)
 }
 
 // exec realizes worker core actions: offers become Offer frames through
@@ -381,13 +380,10 @@ func (w *wsWorker) exec(acts []protocol.WAction) {
 		case protocol.WSendOffer:
 			si := int(a.Sched)
 			sc := s.scheds[si]
-			seq := w.tracker.track(pendingOffer{
-				round: a.Round, entry: a.Entry, sched: a.Sched, job: a.Job,
-			})
 			msg := shove(s.schedConns[si][w.id], w.conns[si], &wire.Offer{
 				JobID:     uint64(a.Job),
 				WorkerID:  uint32(w.id),
-				Seq:       seq,
+				Seq:       a.Seq,
 				Refusable: a.Refusable,
 				GetTask:   a.GetTask,
 			})

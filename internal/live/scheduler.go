@@ -496,10 +496,7 @@ func (s *Scheduler) settleLostCopy(lc *lCopy) {
 	lc.copy.Killed = true
 	s.detachCopy(lc)
 	s.removeCopy(t, lc.copy)
-	s.core.PlacementFailed(t.Job.ID)
-	if t.State == cluster.TaskRunning && t.RunningCopies() == 0 {
-		s.sendProbesAvoiding(s.core.RequeueLost(t), int64(lc.workerID))
-	}
+	s.sendProbesAvoiding(s.core.CopyLost(t), int64(lc.workerID))
 }
 
 // detachCopy removes a copy from both in-flight indexes.
@@ -1146,7 +1143,7 @@ func (s *Scheduler) onTaskDone(m *wire.TaskDone) {
 		// roll its hand-out back or the job finishes with occupancy
 		// pinned and leaks.
 		s.removeCopy(t, c)
-		s.core.PlacementFailed(t.Job.ID)
+		s.core.CopyLost(t)
 		return
 	}
 

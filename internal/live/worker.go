@@ -55,8 +55,8 @@ type WorkerConfig struct {
 	// Logger receives diagnostics; nil disables logging.
 	Logger *log.Logger
 	// Timers is the worker's clock: it arms its timers (copy completion,
-	// offer timeouts, retry backoff) and is what its virtual time and its
-	// offer deadlines are read from. Nil uses protocol.WallTimers (one
+	// the offer-expiry sweep, retry backoff) and is what its virtual time
+	// — the core's clock — is read from. Nil uses protocol.WallTimers (one
 	// runtime timer per callback). Multiplexed workers share one
 	// protocol.TimerWheel so a thousand-worker process runs one timer
 	// goroutine instead of thousands of runtime timers (see WorkerGroup).
@@ -74,8 +74,8 @@ const defaultRetryJitter = 0.2
 // a reply to an offer before abandoning it and moving the round on — the
 // recovery path for dropped offers and dropped replies. Generous against
 // reply latency (milliseconds of wall clock) while bounding how long a
-// lost frame can stall a negotiation round. It is one constant for every
-// offer, which is what lets offerDeadlines be a FIFO.
+// lost frame can stall a negotiation round. The worker only keeps time:
+// it asks the core to expire what was sent this long ago (offerTimerFired).
 const defaultOfferTimeout = 5.0
 
 // runningCopy is one emulated in-flight copy on this worker. sidx is
@@ -96,12 +96,11 @@ type runningCopy struct {
 // slots via refusable offers in virtual-size order, and emulates task
 // execution by holding a slot for the assigned duration (scaled).
 type Worker struct {
-	cfg     WorkerConfig
-	loop    *loop
-	core    *protocol.Worker
-	stats   protocol.Stats
-	tracker *offerTracker
-	start   time.Time
+	cfg   WorkerConfig
+	loop  *loop
+	core  *protocol.Worker
+	stats protocol.Stats
+	start time.Time
 
 	scheds []*peer // dial order; fallback when no ID has been learned
 	// schedByID/idByPeer map announced scheduler IDs to connections.
@@ -120,13 +119,11 @@ type Worker struct {
 	// restarted instance counts them; fresh probes recreate them).
 	parked map[int][]protocol.LostReservation
 
-	// deadlines queues every sent offer's abandon deadline; one timer at
-	// a time serves the whole queue (see expectReply). offerTimerOn says
-	// that timer is armed (or its event is in flight to the loop);
+	// offerTimerOn says the one timer that has the core expire unanswered
+	// offers is armed (or its event is in flight to the loop): exec arms
+	// it with the first offer out, offerTimerFired re-aims it.
 	// offerTimerFn is its callback, which posts offerTimerEv — both built
 	// once, so arming allocates only the timer.
-	deadlines    offerDeadlines
-	offerWait    time.Duration // defaultOfferTimeout in wall clock
 	offerTimerOn bool
 	offerTimerFn func()
 	offerTimerEv *internalEvent
@@ -145,13 +142,6 @@ type Worker struct {
 		from *peer
 		msg  *wire.Assign
 	}
-
-	// deferred holds synthesized replies (offers that could not be sent:
-	// no connection for the target scheduler) to be delivered after the
-	// current core call returns — re-entering the core mid-iteration
-	// would recycle the action buffer, and posting to our own inbox
-	// could deadlock the loop when the inbox is full.
-	deferred []deferredReply
 
 	// TasksRun counts completed copies (diagnostics/tests).
 	TasksRun int
@@ -203,14 +193,12 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 	w := &Worker{
 		cfg:       cfg,
 		loop:      newLoop(cfg.Logger),
-		tracker:   newOfferTracker(),
 		start:     cfg.Timers.Now(),
 		schedByID: make(map[protocol.SchedID]*peer),
 		idByPeer:  make(map[*peer]protocol.SchedID),
 		freeSlots: cfg.Slots,
 		running:   make(map[uint64]*runningCopy),
 		parked:    make(map[int][]protocol.LostReservation),
-		offerWait: time.Duration(defaultOfferTimeout * cfg.TimeScale * float64(time.Second)),
 	}
 	w.offerTimerEv = &internalEvent{fn: w.offerTimerFired}
 	w.offerTimerFn = func() { w.post(w.offerTimerEv, nil) }
@@ -249,6 +237,11 @@ func (w *Worker) now() float64 {
 	return w.cfg.Timers.Now().Sub(w.start).Seconds() / w.cfg.TimeScale
 }
 
+// wall is how long virtual seconds take on the wall clock.
+func (w *Worker) wall(virtual float64) time.Duration {
+	return time.Duration(virtual * w.cfg.TimeScale * float64(time.Second))
+}
+
 // helloMsg builds this worker's registration Hello: identity, slots, and
 // — on heterogeneous clusters — its machine class as a self-describing
 // one-entry class table. Homogeneous workers (speed 1, no capacity,
@@ -285,7 +278,7 @@ func (w *Worker) Run() {
 }
 
 // step is one turn of the worker (see Scheduler.step): one inbox entry
-// handled to completion, synthesized replies included.
+// handled to completion.
 func (w *Worker) step(env envelope) {
 	if env.err != nil {
 		w.onSchedDisconnect(env.from)
@@ -293,24 +286,11 @@ func (w *Worker) step(env envelope) {
 		w.handle(env)
 		env.release()
 	}
-	w.drainDeferred()
-}
-
-// drainDeferred delivers synthesized replies queued during the last
-// handler, including any queued by the deliveries themselves.
-func (w *Worker) drainDeferred() {
-	for len(w.deferred) > 0 {
-		d := w.deferred[0]
-		w.deferred = w.deferred[1:]
-		w.exec(w.core.OnReply(d.round, d.entry, d.rep))
-	}
 }
 
 // onSchedDisconnect unwinds state tied to a lost scheduler connection:
-// its reservation entries are dropped and every in-flight offer to it is
-// resolved with a synthesized JobDone reply — otherwise the unanswered
-// rounds leak activeRounds slots and the worker permanently stops
-// negotiating with the surviving schedulers.
+// the core drops its reservation entries and moves on every round that
+// was waiting on it (protocol.Worker.DropSched).
 func (w *Worker) onSchedDisconnect(p *peer) {
 	if p == nil {
 		return
@@ -342,25 +322,14 @@ func (w *Worker) onSchedDisconnect(p *peer) {
 		delete(w.schedByID, sid)
 	}
 	delete(w.idByPeer, p)
-	if lost := w.core.DropSched(sid); len(lost) > 0 && idx >= 0 {
+	acts, lost := w.core.DropSched(sid)
+	if len(lost) > 0 && idx >= 0 {
 		// Park the discarded inventory for the re-registration Hello; a
 		// second disconnect of the same slot before reconnecting cannot
 		// happen (the slot is nil until attachSched repopulates it).
 		w.parked[idx] = lost
 	}
-	var orphans []uint64
-	for seq, po := range w.tracker.pending {
-		if po.sched == sid {
-			orphans = append(orphans, seq)
-		}
-	}
-	// In send order: each resolution may send offers and draw from the
-	// core's RNG, so map order here would make a disconnect unreplayable.
-	slices.Sort(orphans)
-	for _, seq := range orphans {
-		po, _ := w.tracker.take(seq)
-		w.exec(w.core.OnReply(po.round, po.entry, protocol.Reply{Job: po.job, From: sid, JobDone: true}))
-	}
+	w.exec(acts)
 }
 
 // redial retries a lost scheduler's TCP address in the background until
@@ -525,13 +494,6 @@ func (w *Worker) Stats() protocol.Stats {
 // loop goroutine; it never crosses the wire.
 type internalEvent struct{ fn func() }
 
-// deferredReply is a locally synthesized scheduler reply.
-type deferredReply struct {
-	round *protocol.Round
-	entry protocol.EntryRef
-	rep   protocol.Reply
-}
-
 func (w *Worker) handle(env envelope) {
 	switch m := env.msg.(type) {
 	case *wire.Reserve:
@@ -569,8 +531,8 @@ func (w *Worker) schedID(p *peer) protocol.SchedID {
 // schedPeer resolves a scheduler identity to its connection. The
 // dial-order fallback only applies before any Reserve has taught the
 // mapping; a disconnected scheduler's slot is nil-ed out so the
-// fallback can never resurrect a dead connection (exec's synthesized
-// JobDone path then unwinds the round instead).
+// fallback can never resurrect a dead connection (exec answers the
+// offer JobDone itself instead).
 func (w *Worker) schedPeer(id protocol.SchedID) *peer {
 	if p, ok := w.schedByID[id]; ok {
 		return p
@@ -581,102 +543,65 @@ func (w *Worker) schedPeer(id protocol.SchedID) *peer {
 	return nil
 }
 
-// onReply routes a scheduler reply to its round via the offer tracker.
+// onReply hands a scheduler's reply to the core under the offer number it
+// carries.
 func (w *Worker) onReply(from *peer, m wire.Message) {
 	rep, seq, ok := replyFromWire(m, w.schedID(from))
 	if !ok {
 		return
 	}
-	po, live := w.tracker.take(seq)
-	if !live {
-		// Stale reply: the offer was already resolved (first delivery of a
-		// duplicate, a reply that lost to its own timeout, or a round torn
-		// down by a disconnect). Refusals and no-tasks just vanish, but a
-		// stale Assign carries a task the scheduler has committed a slot
-		// for: if it did not start here (no running copy under this seq),
-		// reject it explicitly so the scheduler unwinds the copy and
-		// requeues instead of waiting on a report that will never come. A
-		// duplicate of an assign that DID start is dropped silently — the
-		// single running copy will report once.
-		if a, isAssign := m.(*wire.Assign); isAssign {
-			if _, started := w.running[seq]; !started {
-				w.stats.StaleAssigns++
-				w.sendTaskDone(from, wire.TaskDone{
-					JobID: a.JobID, Seq: seq, Phase: a.Phase, TaskIndex: a.TaskIndex, Killed: true,
-				})
-			}
-		}
+	a, _ := m.(*wire.Assign) // nil for the task-less replies
+	w.curReply.seq, w.curReply.from, w.curReply.msg = seq, from, a
+	acts, live := w.core.OnReply(seq, rep)
+	w.exec(acts)
+	w.curReply.msg = nil
+	if live || a == nil {
 		return
 	}
-	if a, isAssign := m.(*wire.Assign); isAssign {
-		w.curReply.seq = seq
-		w.curReply.from = from
-		w.curReply.msg = a
-	}
-	w.exec(w.core.OnReply(po.round, po.entry, rep))
-	w.curReply.msg = nil
-}
-
-// expectReply starts offer seq's abandon clock. Every offer waits the
-// same offerWait, so deadlines are nondecreasing in send order and the
-// oldest unanswered offer is always the next to expire: the worker keeps
-// the deadlines in a FIFO and at most one timer, which offerTimerFired
-// re-aims at whatever is oldest when it fires. Replies do not touch the
-// timer: an offer is answered milliseconds after it is sent, so a timer
-// stopped and re-armed per reply would be nearly all the timer traffic
-// of a worker whose offers are never lost.
-func (w *Worker) expectReply(seq uint64) {
-	w.deadlines.push(seq, w.cfg.Timers.Now().Add(w.offerWait))
-	if !w.offerTimerOn {
-		w.offerTimerOn = true
-		w.cfg.Timers.AfterFunc(w.offerWait, w.offerTimerFn)
+	// Stale reply: the offer was already resolved (first delivery of a
+	// duplicate, a reply that lost to its own timeout, or a round torn
+	// down by a disconnect). Refusals and no-tasks just vanish, but a
+	// stale Assign carries a task the scheduler has committed a slot
+	// for: if it did not start here (no running copy under this seq),
+	// reject it explicitly so the scheduler unwinds the copy and
+	// requeues instead of waiting on a report that will never come. A
+	// duplicate of an assign that DID start is dropped silently — the
+	// single running copy will report once.
+	if _, started := w.running[seq]; !started {
+		w.stats.StaleAssigns++
+		w.sendTaskDone(from, wire.TaskDone{
+			JobID: a.JobID, Seq: seq, Phase: a.Phase, TaskIndex: a.TaskIndex, Killed: true,
+		})
 	}
 }
 
-// offerTimerFired runs on the loop when the offer timer fires: answered
-// offers at the head of the queue are forgotten, unanswered ones past
-// their deadline are abandoned in send order, and the timer is re-armed
-// for the oldest offer still waiting — or not at all, so an idle worker
-// holds no timer. An unanswered offer is therefore abandoned no earlier
-// than its deadline and at most one timer tick plus loop latency after.
+// offerTimerFired runs on the loop when the offer timer fires: the core
+// abandons every offer that has waited defaultOfferTimeout — a dropped
+// offer frame or a dropped reply; if the real reply surfaces later,
+// OnReply knows no such offer and onReply's stale path takes it — and the
+// timer is re-aimed at the oldest offer still out, or not armed at all,
+// so an idle worker holds no timer. Replies do not touch the timer: an
+// offer is answered milliseconds after it is sent, so a timer stopped
+// and re-armed per reply would be nearly all the timer traffic of a
+// worker whose offers are never lost. An unanswered offer is therefore
+// abandoned no earlier than its deadline and at most one timer tick plus
+// loop latency after.
 func (w *Worker) offerTimerFired() {
-	now := w.cfg.Timers.Now()
-	for {
-		d, ok := w.deadlines.oldest()
-		if !ok {
-			w.offerTimerOn = false
-			return
-		}
-		if _, waiting := w.tracker.pending[d.seq]; waiting {
-			if left := d.at.Sub(now); left > 0 {
-				w.cfg.Timers.AfterFunc(left, w.offerTimerFn)
-				return
-			}
-			w.deadlines.drop()
-			// May send offers of its own; offerTimerOn is still set, so
-			// they queue behind this loop instead of arming a second timer.
-			w.offerTimedOut(d.seq)
-		} else {
-			w.deadlines.drop()
-		}
+	now, abandoned := w.now(), w.stats.OfferTimeouts
+	// May send offers of its own; offerTimerOn is still set, so they wait
+	// for the re-aim below instead of arming a second timer.
+	w.exec(w.core.ExpireOffers(now - defaultOfferTimeout))
+	if n := w.stats.OfferTimeouts - abandoned; n > 0 {
+		w.loop.logf("%d offers unanswered after %vs; abandoned", n, defaultOfferTimeout)
 	}
-}
-
-// offerTimedOut abandons an offer no reply ever answered (dropped offer
-// frame or dropped reply): the round resumes against a synthesized
-// no-task reply, exactly as if the scheduler had answered empty-handed.
-// The entry cools normally, so a healthy-but-slow scheduler is retried
-// rather than written off. If the real reply surfaces later it finds
-// the tracker slot gone and lands in onReply's stale path (a late
-// Assign is rejected with a killed TaskDone there).
-func (w *Worker) offerTimedOut(seq uint64) {
-	po, live := w.tracker.take(seq)
-	if !live {
-		return // answered (or torn down) before the deadline
+	sentAt, waiting := w.core.OldestOffer()
+	if !waiting {
+		w.offerTimerOn = false
+		return
 	}
-	w.stats.OfferTimeouts++
-	w.loop.logf("offer %d to scheduler %d timed out; abandoning", seq, po.sched)
-	w.exec(w.core.OnReply(po.round, po.entry, protocol.Reply{Job: po.job, From: po.sched}))
+	// Rounded up, so never zero: a wait of nothing would fire at this same
+	// instant on a simulated clock, before the offer is due on the core's.
+	w.cfg.Timers.AfterFunc(w.wall(sentAt+defaultOfferTimeout-now)+time.Nanosecond, w.offerTimerFn)
 }
 
 // place is the core's placement callback: occupy a slot and emulate the
@@ -705,8 +630,7 @@ func (w *Worker) place(from protocol.SchedID, rep protocol.Reply) bool {
 		}
 	}
 	w.running[rc.seq] = rc
-	wall := time.Duration(a.Duration * w.cfg.TimeScale * float64(time.Second))
-	rc.timer = w.cfg.Timers.AfterFunc(wall, func() {
+	rc.timer = w.cfg.Timers.AfterFunc(w.wall(a.Duration), func() {
 		w.post(&internalEvent{fn: func() { w.copyFinished(rc) }}, nil)
 	})
 	return true
@@ -743,39 +667,36 @@ func (w *Worker) onKill(m *wire.Kill) {
 	w.exec(w.core.Kick())
 }
 
-// exec realizes a core action list: offers become frames (tracked by
-// seq), retry arms become timers.
+// exec realizes a core action list: offers become frames carrying the
+// core's number for them, retry arms become timers.
 func (w *Worker) exec(acts []protocol.WAction) {
+	var unsent []protocol.WAction
 	for i := range acts {
 		a := acts[i]
 		switch a.Kind {
 		case protocol.WSendOffer:
 			p := w.schedPeer(a.Sched)
 			if p == nil {
-				// No connection for this scheduler (stale referral).
-				// Synthesize a JobDone reply so the round advances and
-				// activeRounds unwinds — silently dropping the offer
-				// would leak one of the worker's negotiation slots
-				// forever. Deferred, not inline (see deferred field).
-				w.deferred = append(w.deferred, deferredReply{
-					round: a.Round, entry: a.Entry,
-					rep: protocol.Reply{Job: a.Job, From: a.Sched, JobDone: true},
-				})
+				// No connection for this scheduler (stale referral):
+				// answered JobDone below so the round moves on — left
+				// alone it would hold one of the worker's negotiation
+				// slots until the offer timed out.
+				unsent = append(unsent, a)
 				continue
 			}
-			seq := w.tracker.track(pendingOffer{
-				round: a.Round, entry: a.Entry, sched: a.Sched, job: a.Job,
-			})
 			w.out.offer = wire.Offer{
 				JobID:     uint64(a.Job),
 				WorkerID:  w.cfg.ID,
-				Seq:       seq,
+				Seq:       a.Seq,
 				Refusable: a.Refusable,
 				GetTask:   a.GetTask,
 				FreeSlots: uint32(w.freeSlots),
 			}
 			w.loop.send(p, &w.out.offer)
-			w.expectReply(seq)
+			if !w.offerTimerOn {
+				w.offerTimerOn = true
+				w.cfg.Timers.AfterFunc(w.wall(defaultOfferTimeout), w.offerTimerFn)
+			}
 		case protocol.WArmRetry:
 			// Generation-tag each arm: a RetryFired event already queued
 			// from an older timer must not reach the core after a newer
@@ -786,8 +707,7 @@ func (w *Worker) exec(acts []protocol.WAction) {
 			}
 			w.retryGen++
 			gen := w.retryGen
-			wall := time.Duration(a.Delay * w.cfg.TimeScale * float64(time.Second))
-			w.retry = w.cfg.Timers.AfterFunc(wall, func() {
+			w.retry = w.cfg.Timers.AfterFunc(w.wall(a.Delay), func() {
 				w.post(&internalEvent{fn: func() {
 					if gen != w.retryGen {
 						return // superseded by a later arm or cancel
@@ -802,5 +722,10 @@ func (w *Worker) exec(acts []protocol.WAction) {
 				w.retry = nil
 			}
 		}
+	}
+	// Only now: the core reuses acts on re-entry.
+	for _, a := range unsent {
+		next, _ := w.core.OnReply(a.Seq, protocol.Reply{Job: a.Job, From: a.Sched, JobDone: true})
+		w.exec(next)
 	}
 }

@@ -33,7 +33,9 @@ func TestWorkerReservationRoundZeroAllocs(t *testing.T) {
 		a := acts[0]
 		// JobDone reply: purges the entry (tombstone + eventual
 		// compaction into the free list) and ends the round (recycled).
-		h.w.OnReply(a.Round, a.Entry, Reply{Job: a.Job, From: a.Sched, JobDone: true})
+		if _, ok := h.w.OnReply(a.Seq, Reply{Job: a.Job, From: a.Sched, JobDone: true}); !ok {
+			t.Fatalf("offer %d is not waiting for a reply", a.Seq)
+		}
 	}
 	// Warm the pools and every reusable buffer, including at least one
 	// queue compaction (compactDead purges).

@@ -19,8 +19,14 @@
 //     exact decision sequence of the pre-extraction tree.
 //   - internal/live feeds them from TCP (or in-memory) connections and
 //     real timers: actions become wire frames, placement becomes an
-//     emulated slot hold on a worker, and replies are routed back to
-//     rounds by the Seq field instead of by captured pointers.
+//     emulated slot hold on a worker.
+//
+// Neither adapter holds a pointer into a core. A worker core numbers its
+// offers; the number rides the offer and its reply (WAction.Seq, the
+// wire Seq field, the simulator's pooled message) and Worker.OnReply
+// finds the negotiation round by it. What an unanswered offer means —
+// timed out, its scheduler gone — is decided in the core as well
+// (Worker.ExpireOffers, Worker.DropSched); an adapter supplies the clock.
 //
 // The parity test in internal/live asserts the two paths hand out
 // identical (job, task, worker) assignment sequences on a shared
@@ -267,12 +273,8 @@ type WActionKind uint8
 // Worker-core actions, executed by the adapter in list order.
 const (
 	// WSendOffer: transmit an offer (Hopper) or task pull (Sparrow) to
-	// Sched for Job. Round is the negotiation the eventual reply belongs
-	// to; Entry is a generation-stamped ref to the reservation entry
-	// captured at send time, or the zero ref when the reply handler must
-	// look the entry up at delivery time (the non-refusable
-	// smallest-unsatisfied offer targets a job the worker may hold no
-	// reservation for).
+	// Sched for Job. Seq numbers the offer, from 1 per worker core; the
+	// adapter hands it back with the reply (Worker.OnReply).
 	WSendOffer WActionKind = iota
 	// WArmRetry: schedule a Kick after Delay on the adapter's clock.
 	WArmRetry
@@ -287,7 +289,6 @@ type WAction struct {
 	Job       cluster.JobID
 	Refusable bool
 	GetTask   bool // Sparrow pull instead of a Hopper offer
-	Round     *Round
-	Entry     EntryRef
+	Seq       uint64
 	Delay     float64
 }

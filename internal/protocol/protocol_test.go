@@ -62,11 +62,32 @@ func newHarness(t *testing.T, mode Mode, slots int) *harness {
 
 // entryFor stamps the worker's live entry for a (scheduler, job) pair;
 // the zero ref when it holds none.
-func (w *Worker) entryFor(sched SchedID, job cluster.JobID) EntryRef {
+func (w *Worker) entryFor(sched SchedID, job cluster.JobID) entryRef {
 	if e := w.find(sched, job); e != nil {
 		return refOf(e)
 	}
-	return EntryRef{}
+	return entryRef{}
+}
+
+// waitingOn returns the round waiting on offer seq; the test fails if
+// none is.
+func waitingOn(t *testing.T, w *Worker, seq uint64) *round {
+	t.Helper()
+	r := w.nextOffer(seq-1, seq)
+	if r == nil {
+		t.Fatalf("no round is waiting on offer %d", seq)
+	}
+	return r
+}
+
+// reply answers offer seq, which must be out.
+func reply(t *testing.T, w *Worker, seq uint64, rep Reply) []WAction {
+	t.Helper()
+	acts, ok := w.OnReply(seq, rep)
+	if !ok {
+		t.Fatalf("offer %d is not waiting for a reply", seq)
+	}
+	return acts
 }
 
 func TestEntryAggregation(t *testing.T) {
@@ -95,7 +116,7 @@ func TestAddReservationEmitsOffer(t *testing.T) {
 	for _, a := range acts {
 		if a.Kind == WSendOffer {
 			offers++
-			if !a.Refusable || a.GetTask || a.Round == nil || a.Entry.IsZero() {
+			if !a.Refusable || a.GetTask || waitingOn(t, h.w, a.Seq).out.entry.isZero() {
 				t.Fatalf("malformed Hopper offer action: %+v", a)
 			}
 			if a.Sched != 0 || a.Job != j.ID {
@@ -121,13 +142,13 @@ func TestPurgeRemovesEntry(t *testing.T) {
 		t.Fatalf("liveEntries = %d, want 1", h.w.liveEntries())
 	}
 	ref := h.w.entryFor(0, j.ID)
-	if ref.IsZero() {
+	if ref.isZero() {
 		t.Fatal("entryFor missed a live entry")
 	}
 	for _, e := range append([]*Entry(nil), h.w.entries...) {
 		h.w.purge(e)
 	}
-	if h.w.liveEntries() != 0 || !h.w.entryFor(0, j.ID).IsZero() {
+	if h.w.liveEntries() != 0 || !h.w.entryFor(0, j.ID).isZero() {
 		t.Fatal("purge left residue")
 	}
 	if ref.live() != nil {
@@ -149,7 +170,7 @@ func TestEntryPoolRecyclesWithFreshGeneration(t *testing.T) {
 	// generation (stale refs and tried marks cannot match), new seq.
 	h.w.AddReservation(0, j.ID, 9.0, 1, cluster.Resources{})
 	fresh := h.w.entryFor(0, j.ID)
-	if fresh.IsZero() {
+	if fresh.isZero() {
 		t.Fatal("no entry after re-reservation")
 	}
 	if old.live() != nil {
@@ -159,7 +180,7 @@ func TestEntryPoolRecyclesWithFreshGeneration(t *testing.T) {
 	if e.vs != 9.0 || e.count != 1 || e.remTasks != 1 {
 		t.Fatalf("recycled entry kept stale fields: %+v", e)
 	}
-	r := &Round{w: h.w, tried: []triedRef{{e: e, gen: e.gen - 1}}}
+	r := &round{w: h.w, tried: []triedRef{{e: e, gen: e.gen - 1}}}
 	if r.wasTried(e) {
 		t.Fatal("tried mark from a previous generation matched")
 	}
@@ -177,7 +198,7 @@ func TestCooldownSkipsEntries(t *testing.T) {
 	if !h.w.hasAnyReservations() {
 		t.Fatal("cooling entry should still count as a reservation")
 	}
-	r := &Round{w: h.w}
+	r := &round{w: h.w}
 	if r.pickMinVS() != nil {
 		t.Fatal("pickMinVS returned a cooling entry")
 	}
@@ -193,7 +214,7 @@ func TestPickMinVSOrdersByVirtualSize(t *testing.T) {
 		e := h.w.newEntry(0, cluster.JobID(10+i))
 		e.count, e.vs = 1, vs
 	}
-	r := &Round{w: h.w}
+	r := &round{w: h.w}
 	first := r.pickMinVS()
 	if first == nil || first.vs != 3 {
 		t.Fatalf("first pick vs=%v, want 3", first.vs)
@@ -218,7 +239,7 @@ func TestPickSparrowFIFOAndSRPT(t *testing.T) {
 			e.count, e.remTasks = 1, spec.rem
 			e.seq = spec.seq
 		}
-		r := &Round{w: h.w}
+		r := &round{w: h.w}
 		got := r.pickSparrow()
 		if mode == ModeSparrow && got.seq != 0 {
 			t.Fatalf("Sparrow should pick FIFO head, got seq %d", got.seq)
@@ -255,20 +276,21 @@ func TestSparrowReplyOnPurgedRef(t *testing.T) {
 			var pulls []WAction
 			for _, a := range acts {
 				if a.Kind == WSendOffer {
-					if !a.GetTask || a.Entry.IsZero() {
+					if !a.GetTask || waitingOn(t, w, a.Seq).out.entry.isZero() {
 						t.Fatalf("%v: malformed pull %+v", mode, a)
 					}
 					pulls = append(pulls, a)
 				}
 			}
-			if len(pulls) != 2 || pulls[0].Round == pulls[1].Round {
+			if len(pulls) != 2 || waitingOn(t, w, pulls[0].Seq) == waitingOn(t, w, pulls[1].Seq) {
 				t.Fatalf("%v: want two rounds pulling one entry, got %+v", mode, acts)
 			}
-			w.OnReply(pulls[0].Round, pulls[0].Entry, Reply{Job: 7, From: 2, JobDone: true})
-			if pulls[1].Entry.live() != nil {
+			ref := waitingOn(t, w, pulls[1].Seq).out.entry
+			reply(t, w, pulls[0].Seq, Reply{Job: 7, From: 2, JobDone: true})
+			if ref.live() != nil {
 				t.Fatalf("%v: JobDone left the entry for the second pull's ref to find", mode)
 			}
-			w.OnReply(pulls[1].Round, pulls[1].Entry, second)
+			reply(t, w, pulls[1].Seq, second)
 			if w.activeRounds != 0 || w.liveEntries() != 0 {
 				t.Fatalf("%v %+v on a purged ref: active=%d live=%d", mode, second, w.activeRounds, w.liveEntries())
 			}

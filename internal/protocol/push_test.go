@@ -47,8 +47,8 @@ func TestNoDemandDropsReservation(t *testing.T) {
 		const job = cluster.JobID(7)
 		a := onlyOffer(t, h.w.AddReservation(0, job, 5, 4, cluster.Resources{}))
 
-		acts := h.w.OnReply(a.Round, a.Entry, Reply{Job: job, From: 0, Refused: refused, NoDemand: true})
-		if !h.w.entryFor(0, job).IsZero() || h.w.liveEntries() != 0 {
+		acts := reply(t, h.w, a.Seq, Reply{Job: job, From: 0, Refused: refused, NoDemand: true})
+		if !h.w.entryFor(0, job).isZero() || h.w.liveEntries() != 0 {
 			t.Fatalf("refused=%v: NoDemand left the reservation in the queue", refused)
 		}
 		if armsRetry(acts) || h.w.retryArmed {
@@ -62,7 +62,7 @@ func TestNoDemandDropsReservation(t *testing.T) {
 		}
 
 		b := onlyOffer(t, h.w.AddReservation(0, job, 6, 3, cluster.Resources{}))
-		if b.Job != job || !b.Refusable || b.Entry.IsZero() {
+		if b.Job != job || !b.Refusable || waitingOn(t, h.w, b.Seq).out.entry.isZero() {
 			t.Fatalf("refused=%v: fresh probe did not restore the entry and kick: %+v", refused, b)
 		}
 	}
@@ -81,14 +81,15 @@ func TestG3ReachesRefusedSatisfiedJob(t *testing.T) {
 	}
 	// Satisfied, holding work, and no unsatisfied job anywhere: spare
 	// capacity.
-	b := onlyOffer(t, h.w.OnReply(a.Round, a.Entry, Reply{Job: job, From: 0, Refused: true, VS: 5, RemTask: 4}))
-	if b.Job != job || b.Sched != 0 || b.Refusable || b.Entry.IsZero() {
+	first := waitingOn(t, h.w, a.Seq)
+	b := onlyOffer(t, reply(t, h.w, a.Seq, Reply{Job: job, From: 0, Refused: true, VS: 5, RemTask: 4}))
+	if b.Job != job || b.Sched != 0 || b.Refusable || waitingOn(t, h.w, b.Seq).out.entry.isZero() {
 		t.Fatalf("follow-up offer %+v, want a non-refusable offer to the refused job", b)
 	}
-	if b.Round != a.Round {
+	if waitingOn(t, h.w, b.Seq) != first || h.w.activeRounds != 1 {
 		t.Fatal("Guideline 3 must continue the round, not start another")
 	}
-	acts := h.w.OnReply(b.Round, b.Entry, Reply{HasTask: true, Job: job, From: 0, Spec: true})
+	acts := reply(t, h.w, b.Seq, Reply{HasTask: true, Job: job, From: 0, Spec: true})
 	if h.stats.RoundsPlaced != 1 || h.w.activeRounds != 0 || armsRetry(acts) {
 		t.Fatalf("hand-over did not settle the round: placed=%d active=%d acts=%+v", h.stats.RoundsPlaced, h.w.activeRounds, acts)
 	}
@@ -96,10 +97,13 @@ func TestG3ReachesRefusedSatisfiedJob(t *testing.T) {
 
 // twoOffers returns the two offers a probe draws from a worker with two
 // free slots: concurrent rounds, same entry.
-func twoOffers(t *testing.T, acts []WAction) (a, b WAction) {
+func twoOffers(t *testing.T, w *Worker, acts []WAction) (a, b WAction) {
 	t.Helper()
-	if len(acts) != 2 || acts[0].Kind != WSendOffer || acts[1].Kind != WSendOffer ||
-		acts[0].Round == acts[1].Round || acts[0].Entry != acts[1].Entry {
+	if len(acts) != 2 || acts[0].Kind != WSendOffer || acts[1].Kind != WSendOffer {
+		t.Fatalf("want two offers, got %+v", acts)
+	}
+	ra, rb := waitingOn(t, w, acts[0].Seq), waitingOn(t, w, acts[1].Seq)
+	if ra == rb || ra.out.entry != rb.out.entry {
 		t.Fatalf("want two rounds offering one entry, got %+v", acts)
 	}
 	return acts[0], acts[1]
@@ -126,12 +130,13 @@ func TestStaleRefAfterNoDemandStillResolves(t *testing.T) {
 		{HasTask: true, Job: job, From: 2},
 		{Job: job, From: 2, JobDone: true},
 	} {
-		a, b := twoOffers(t, w.AddReservation(2, job, 5, 4, cluster.Resources{}))
-		w.OnReply(a.Round, a.Entry, Reply{Job: job, From: 2, NoDemand: true})
-		if b.Entry.live() != nil {
+		a, b := twoOffers(t, w, w.AddReservation(2, job, 5, 4, cluster.Resources{}))
+		ref := waitingOn(t, w, b.Seq).out.entry
+		reply(t, w, a.Seq, Reply{Job: job, From: 2, NoDemand: true})
+		if ref.live() != nil {
 			t.Fatal("NoDemand left the entry for the second round's ref to find")
 		}
-		acts := w.OnReply(b.Round, b.Entry, second)
+		acts := reply(t, w, b.Seq, second)
 		if w.activeRounds != 0 || w.liveEntries() != 0 || len(acts) != 0 {
 			t.Fatalf("%+v on a stale ref: active=%d live=%d acts=%+v", second, w.activeRounds, w.liveEntries(), acts)
 		}
@@ -151,10 +156,11 @@ func TestOnReplyZeroRefFindsEntryByFromAndJob(t *testing.T) {
 	for _, reserved := range []bool{true, false} {
 		h := newHarness(t, ModeHopper, 1)
 		a := onlyOffer(t, h.w.AddReservation(0, satisfied, 5, 4, cluster.Resources{}))
-		b := onlyOffer(t, h.w.OnReply(a.Round, a.Entry, Reply{
+		first := waitingOn(t, h.w, a.Seq)
+		b := onlyOffer(t, reply(t, h.w, a.Seq, Reply{
 			Job: satisfied, From: 0, Refused: true, HasUnsat: true, UnsatJob: unsat, UnsatVS: 3,
 		}))
-		if b.Refusable || !b.Entry.IsZero() || b.Job != unsat || b.Round != a.Round {
+		if r := waitingOn(t, h.w, b.Seq); b.Refusable || !r.out.entry.isZero() || b.Job != unsat || r != first {
 			t.Fatalf("want the round's non-refusable zero-ref offer to job %d, got %+v", unsat, b)
 		}
 		if reserved {
@@ -166,7 +172,7 @@ func TestOnReplyZeroRefFindsEntryByFromAndJob(t *testing.T) {
 			}
 		}
 		h.slots = 0 // the hand-over takes the slot
-		h.w.OnReply(b.Round, b.Entry, Reply{HasTask: true, Job: unsat, From: 0})
+		reply(t, h.w, b.Seq, Reply{HasTask: true, Job: unsat, From: 0})
 		if h.stats.RoundsPlaced != 1 || h.w.activeRounds != 0 {
 			t.Fatalf("reserved=%v: placed %d rounds, %d still active", reserved, h.stats.RoundsPlaced, h.w.activeRounds)
 		}

@@ -623,15 +623,20 @@ func (sc *Sched) PlacementFailed(jobID cluster.JobID) {
 	}
 }
 
-// RequeueLost returns a task to the fresh queue after its last live copy
-// was lost — a live worker drained, crashed or went silent past the copy
-// watchdog; a simulated machine churned away (decentral/churn.go) — and
-// returns fresh probes for it. The caller must already have rolled back
-// the lost copy's occupancy via PlacementFailed.
-func (sc *Sched) RequeueLost(t *cluster.Task) []Probe {
+// CopyLost settles a copy of t that died without finishing the task — a
+// live worker drained, crashed, rejected the hand-out or went silent
+// past the copy watchdog; a simulated machine churned away
+// (decentral/churn.go) — after the adapter has taken it out of t's live
+// copies: occupancy rolls back, and a task left unfinished with no live
+// copy goes back on the fresh queue. Returns the fresh probes for it.
+func (sc *Sched) CopyLost(t *cluster.Task) []Probe {
 	sc.probeBuf = sc.probeBuf[:0]
 	d := sc.jobs[t.Job.ID]
-	if d == nil || t.State == cluster.TaskDone {
+	if d == nil {
+		return sc.probeBuf
+	}
+	d.occupied--
+	if t.State == cluster.TaskDone || t.RunningCopies() > 0 {
 		return sc.probeBuf
 	}
 	sc.env.Stats.Requeues++

@@ -1,14 +1,15 @@
 // Clock seam for the live adapters. The protocol cores themselves are
 // clock-agnostic (they take virtual timestamps as arguments); what needs
 // a clock is the deployment layer around them — running-copy completion,
-// offer timeouts, copy watchdogs, probe retries, reprobe ticks, unlock
-// delays. A live node arms every timer and reads every time that decides
-// what it does through its TimerService, for two reasons: thousands of
-// multiplexed workers share one timer wheel (one goroutine, O(1)
-// arm/cancel) instead of costing a runtime timer each, and a test can
-// put the shipped nodes on a simulation engine's clock (internal/live's
-// chaos suite) where a lost frame and the timeout that recovers from it
-// replay from a seed.
+// the offer-expiry sweep (what expires is the worker core's call: the
+// adapter only times Worker.ExpireOffers), copy watchdogs, probe
+// retries, reprobe ticks, unlock delays. A live node arms every timer
+// and reads every time that decides what it does through its
+// TimerService, for two reasons: thousands of multiplexed workers share
+// one timer wheel (one goroutine, O(1) arm/cancel) instead of costing a
+// runtime timer each, and a test can put the shipped nodes on a
+// simulation engine's clock (internal/live's chaos suite) where a lost
+// frame and the timeout that recovers from it replay from a seed.
 package protocol
 
 import (
@@ -67,6 +68,7 @@ func (w wallTimer) Stop() bool { return w.t.Stop() }
 // node loop is wedged — the same coupling a shared runtime would have.
 type TimerWheel struct {
 	tick  time.Duration
+	start time.Time // tick n is due at start + n×tick
 	mask  int
 	shift uint // log2(len(slots)), for the rounds computation
 
@@ -100,6 +102,7 @@ func NewTimerWheel(tick time.Duration, slots int) *TimerWheel {
 	}
 	w := &TimerWheel{
 		tick:  tick,
+		start: time.Now(),
 		mask:  n - 1,
 		shift: shift,
 		slots: make([][]*wheelTimer, n),
@@ -145,12 +148,16 @@ func (w *TimerWheel) AfterFunc(d time.Duration, f func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	ticks := int64(d/w.tick) + 1 // round up; min 1 keeps it out of the in-progress advance
+	// The first tick due at or after the deadline, counted from the
+	// wheel's start and not from the last advance: the wheel may be part
+	// of a tick, or several late ticker deliveries, behind the clock.
+	due := int64((time.Since(w.start) + d + w.tick - 1) / w.tick)
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
 		return inertTimer{}
 	}
+	ticks := max(due-w.ticks, 1) // min 1 keeps it out of the in-progress advance
 	// The timer fires on the ticks-th future advance, which visits slot
 	// (cur+ticks) mod ring; earlier visits of that slot are skipped by
 	// the rounds counter — floor((ticks-1)/ring) of them.
@@ -179,7 +186,6 @@ func (t *wheelTimer) Stop() bool {
 // up instead of stretching every pending delay.
 func (w *TimerWheel) run() {
 	defer w.wg.Done()
-	start := time.Now()
 	ticker := time.NewTicker(w.tick)
 	defer ticker.Stop()
 	for {
@@ -187,7 +193,7 @@ func (w *TimerWheel) run() {
 		case <-w.done:
 			return
 		case now := <-ticker.C:
-			target := int64(now.Sub(start) / w.tick)
+			target := int64(now.Sub(w.start) / w.tick)
 			for w.advance(target) {
 			}
 		}

@@ -41,6 +41,39 @@ func TestWheelFiresInOrder(t *testing.T) {
 	}
 }
 
+// TestWheelNeverFiresEarly arms delays that are not multiples of the
+// tick, at every phase of it: a wheel that counts d/tick+1 advances from
+// its last advanced slot fires nearly half of these before their
+// deadline, by up to most of a tick.
+func TestWheelNeverFiresEarly(t *testing.T) {
+	const tick = 10 * time.Millisecond
+	w := NewTimerWheel(tick, 64)
+	defer w.Stop()
+	var mu sync.Mutex
+	var early int
+	var worst time.Duration
+	var wg sync.WaitGroup
+	for i := 0; i < 200; i++ {
+		time.Sleep(time.Duration(i%7) * 300 * time.Microsecond) // drift across the tick
+		d := 15*time.Millisecond + time.Duration(i%9)*time.Millisecond
+		wg.Add(1)
+		start := time.Now()
+		w.AfterFunc(d, func() {
+			defer wg.Done()
+			if short := d - time.Since(start); short > 0 {
+				mu.Lock()
+				early++
+				worst = max(worst, short)
+				mu.Unlock()
+			}
+		})
+	}
+	wg.Wait()
+	if early != 0 {
+		t.Fatalf("%d of 200 timers fired before their deadline, the worst by %v", early, worst)
+	}
+}
+
 // TestWheelStopPreventsFire pins Timer.Stop semantics: true when the
 // cancel wins, false after the fire, and a canceled timer never runs.
 func TestWheelStopPreventsFire(t *testing.T) {

@@ -43,7 +43,7 @@ type WorkerEnv struct {
 // Entry aggregates a worker's queued reservations for one (scheduler,
 // job) pair, with the latest piggybacked ordering metadata. Entries are
 // pooled: a purged entry is tombstoned in place (dead), its generation
-// bumped to invalidate outstanding EntryRefs, and recycled through the
+// bumped to invalidate outstanding refs, and recycled through the
 // worker's free list at the next queue compaction.
 type Entry struct {
 	Sched    SchedID
@@ -62,29 +62,29 @@ type Entry struct {
 
 	// dead marks a purged entry awaiting compaction; every scan skips it.
 	dead bool
-	// gen counts purges of this pooled object. An EntryRef or tried mark
+	// gen counts purges of this pooled object. An entryRef or tried mark
 	// taken before the purge carries the old generation and resolves to
 	// nil/untried afterwards — exactly the semantics the old map-backed
 	// queue had for detached entries, without blocking recycling.
 	gen uint32
 }
 
-// EntryRef is a generation-stamped reference to a pooled Entry, captured
+// entryRef is a generation-stamped reference to a pooled Entry, captured
 // when an offer is sent and resolved when its reply arrives. A ref taken
 // before the entry was purged (job finished, scheduler dropped) resolves
 // to nil, just as a detached map entry was inert before pooling. The
-// zero EntryRef is the explicit "no entry captured" value (non-refusable
+// zero entryRef is the explicit "no entry captured" value (non-refusable
 // offers may target jobs the worker holds no reservation for).
-type EntryRef struct {
+type entryRef struct {
 	e   *Entry
 	gen uint32
 }
 
-// IsZero reports whether the ref was captured without an entry.
-func (r EntryRef) IsZero() bool { return r.e == nil }
+// isZero reports whether the ref was captured without an entry.
+func (r entryRef) isZero() bool { return r.e == nil }
 
 // live resolves the ref against the entry's current generation.
-func (r EntryRef) live() *Entry {
+func (r entryRef) live() *Entry {
 	if r.e != nil && !r.e.dead && r.e.gen == r.gen {
 		return r.e
 	}
@@ -92,7 +92,7 @@ func (r EntryRef) live() *Entry {
 }
 
 // refOf stamps a live entry.
-func refOf(e *Entry) EntryRef { return EntryRef{e: e, gen: e.gen} }
+func refOf(e *Entry) entryRef { return entryRef{e: e, gen: e.gen} }
 
 // triedRef is a round-local tried mark; the generation keeps a recycled
 // entry (same pointer, new reservation) from inheriting the mark.
@@ -148,12 +148,20 @@ type Worker struct {
 	entries     []*Entry
 	deadEntries int
 	freeEntries []*Entry
-	freeRounds  []*Round
+	freeRounds  []*round
 
+	// active holds the rounds in negotiation, in no particular order.
+	// Between two calls into the core each of them has exactly one offer
+	// unanswered (round.out), so this array is the table of offers in
+	// flight: a reply finds its round here by sequence number, and
+	// offerSeq is the number of the last offer sent.
+	active       [maxConcurrentRounds]*round
 	activeRounds int
-	backoff      float64
-	retryArmed   bool
-	seqCounter   int64
+	offerSeq     uint64
+
+	backoff    float64
+	retryArmed bool
+	seqCounter int64
 
 	// g3Cands/g3Weights back the weighted-choice step; used and drained
 	// within one synchronous stepG3 call, so per-worker reuse is safe.
@@ -256,11 +264,12 @@ type LostReservation struct {
 
 // DropSched removes every reservation entry of a scheduler that left
 // the cluster (live adapters only — the simulator never loses
-// schedulers) and returns the reservation inventory that was lost, for
-// re-registration reporting. Rounds with offers already in flight to
-// that scheduler must additionally be resolved by the adapter
-// (synthesized JobDone replies), or their activeRounds slots leak.
-func (w *Worker) DropSched(sched SchedID) []LostReservation {
+// schedulers) and resumes, in sequence order, every round whose offer
+// to that scheduler will now never be answered, as if it had said
+// JobDone. It returns the actions that follow and the reservation
+// inventory that was lost, for re-registration reporting.
+func (w *Worker) DropSched(sched SchedID) ([]WAction, []LostReservation) {
+	w.begin()
 	var lost []LostReservation
 	for _, e := range w.entries {
 		if !e.dead && e.Sched == sched {
@@ -275,7 +284,17 @@ func (w *Worker) DropSched(sched SchedID) []LostReservation {
 		}
 	}
 	w.compact()
-	return lost
+	for after, upTo := uint64(0), w.offerSeq; ; {
+		r := w.nextOffer(after, upTo)
+		if r == nil {
+			break
+		}
+		after = r.out.seq
+		if r.out.sched == sched {
+			r.resume(Reply{Job: r.out.job, From: sched, JobDone: true})
+		}
+	}
+	return w.acts, lost
 }
 
 // purge tombstones an entry; the queue compacts once dead entries
@@ -369,7 +388,7 @@ func (w *Worker) hasAnyReservations() bool {
 
 // newRound pops a recycled round (or builds one); fields are reset here
 // so endRound can push rounds back without scrubbing them.
-func (w *Worker) newRound() *Round {
+func (w *Worker) newRound() *round {
 	if n := len(w.freeRounds); n > 0 {
 		r := w.freeRounds[n-1]
 		w.freeRounds[n-1] = nil
@@ -383,7 +402,7 @@ func (w *Worker) newRound() *Round {
 		r.g3 = false
 		return r
 	}
-	return &Round{w: w, tried: make([]triedRef, 0, 4)}
+	return &round{w: w, tried: make([]triedRef, 0, 4)}
 }
 
 // kick starts negotiation rounds while slots and reservations allow.
@@ -393,9 +412,10 @@ func (w *Worker) kick() {
 		w.acts = append(w.acts, WAction{Kind: WCancelRetry})
 	}
 	for w.freeForRounds() > 0 && w.hasOfferableWork() {
+		r := w.newRound()
+		w.active[w.activeRounds] = r
 		w.activeRounds++
 		w.env.Stats.RoundsStarted++
-		r := w.newRound()
 		r.step()
 	}
 	w.scheduleRetry()
@@ -427,8 +447,15 @@ func (w *Worker) scheduleRetry() {
 // was its only outstanding message), so the object is free for reuse —
 // it is pushed after the follow-up kick so a round never recycles into
 // itself mid-frame.
-func (w *Worker) endRound(r *Round, placed bool) {
+func (w *Worker) endRound(r *round, placed bool) {
 	w.activeRounds--
+	for i, x := range w.active {
+		if x == r {
+			w.active[i] = w.active[w.activeRounds]
+			w.active[w.activeRounds] = nil
+			break
+		}
+	}
 	if placed {
 		w.env.Stats.RoundsPlaced++
 		w.backoff = retryBackoffMin
@@ -447,7 +474,7 @@ func (w *Worker) place(from SchedID, rep Reply) bool {
 	return w.env.Place(from, rep)
 }
 
-// Round is one slot's negotiation (Pseudocode 3 in Hopper mode). tried
+// round is one slot's negotiation (Pseudocode 3 in Hopper mode). tried
 // is a small per-round list (a round touches at most a handful of
 // entries: the refusal threshold bounds the refusable offers, and a
 // failed G3 sample removes its entry from the queue) —
@@ -456,7 +483,7 @@ func (w *Worker) place(from SchedID, rep Reply) bool {
 // their tried sets are independent. Rounds are pooled per worker; the
 // generation stamps in tried keep recycled entries from inheriting
 // marks.
-type Round struct {
+type round struct {
 	w          *Worker
 	tried      []triedRef
 	refusals   int
@@ -465,9 +492,40 @@ type Round struct {
 	unsatJob   cluster.JobID
 	unsatVS    float64
 	g3         bool
+
+	// out is the one offer the round is waiting on; seq 0 while a reply
+	// is being processed, which is the only time a round has none. An
+	// offer ends in one of three ways — its reply arrives (OnReply), it
+	// goes unanswered for too long (ExpireOffers), or its scheduler is
+	// gone (DropSched) — and each resumes the round, once (resume).
+	out offer
 }
 
-func (r *Round) wasTried(e *Entry) bool {
+// offer is a sent offer or task pull as its round remembers it: the
+// number its reply will carry, whom it went to, when, and a ref to the
+// reservation entry it was made for — zero when the reply handler must
+// look the entry up at delivery time (the non-refusable
+// smallest-unsatisfied offer targets a job the worker may hold no
+// reservation for).
+type offer struct {
+	seq    uint64
+	entry  entryRef
+	sched  SchedID
+	job    cluster.JobID
+	sentAt float64
+}
+
+// send numbers the offer a describes, makes it the round's outstanding
+// one and emits it.
+func (r *round) send(a WAction, entry entryRef) {
+	w := r.w
+	w.offerSeq++
+	a.Kind, a.Seq = WSendOffer, w.offerSeq
+	r.out = offer{seq: a.Seq, entry: entry, sched: a.Sched, job: a.Job, sentAt: w.env.Now()}
+	w.acts = append(w.acts, a)
+}
+
+func (r *round) wasTried(e *Entry) bool {
 	for _, x := range r.tried {
 		if x.e == e && x.gen == e.gen {
 			return true
@@ -476,10 +534,10 @@ func (r *Round) wasTried(e *Entry) bool {
 	return false
 }
 
-func (r *Round) markTried(e *Entry) { r.tried = append(r.tried, triedRef{e: e, gen: e.gen}) }
+func (r *round) markTried(e *Entry) { r.tried = append(r.tried, triedRef{e: e, gen: e.gen}) }
 
 // step advances the round until a message goes out or the round ends.
-func (r *Round) step() {
+func (r *round) step() {
 	switch r.w.cfg.Mode {
 	case ModeHopper, ModeLoadCache:
 		r.stepHopper()
@@ -497,7 +555,7 @@ func (w *Worker) fitsHere(e *Entry) bool {
 
 // pickMinVS returns the untried fitting entry with the smallest virtual
 // size.
-func (r *Round) pickMinVS() *Entry {
+func (r *round) pickMinVS() *Entry {
 	now := r.w.env.Now()
 	var best *Entry
 	for _, e := range r.w.entries {
@@ -513,7 +571,7 @@ func (r *Round) pickMinVS() *Entry {
 
 // pickSparrow returns the next entry under the baseline ordering: FIFO
 // for stock Sparrow, fewest-remaining-tasks for Sparrow-SRPT.
-func (r *Round) pickSparrow() *Entry {
+func (r *round) pickSparrow() *Entry {
 	var best *Entry
 	srpt := r.w.cfg.Mode == ModeSparrowSRPT
 	for _, e := range r.w.entries {
@@ -537,7 +595,7 @@ func (r *Round) pickSparrow() *Entry {
 
 // stepHopper implements the refusable phase of Pseudocode 3: offer the
 // slot to the smallest-virtual-size job, collecting refusals.
-func (r *Round) stepHopper() {
+func (r *round) stepHopper() {
 	if r.g3 {
 		r.stepG3()
 		return
@@ -552,10 +610,7 @@ func (r *Round) stepHopper() {
 		return
 	}
 	r.markTried(e)
-	r.w.acts = append(r.w.acts, WAction{
-		Kind: WSendOffer, Sched: e.Sched, Job: e.Job, Refusable: true,
-		Round: r, Entry: refOf(e),
-	})
+	r.send(WAction{Sched: e.Sched, Job: e.Job, Refusable: true}, refOf(e))
 }
 
 // conclude ends the refusable phase: refusals that carried unsatisfied-job
@@ -563,17 +618,14 @@ func (r *Round) stepHopper() {
 // non-refusably to the smallest unsatisfied job (Guideline 2). Refusals
 // with no unsatisfied jobs signal spare capacity: switch to Guideline 3's
 // virtual-size-weighted random assignment.
-func (r *Round) conclude() {
+func (r *round) conclude() {
 	if r.hasUnsat {
 		sched, job := r.unsatSched, r.unsatJob
 		r.hasUnsat = false
 		// Entry deliberately zero: the reply handler looks the entry up at
 		// delivery time — the worker may hold no reservation for the
 		// unsatisfied job at all.
-		r.w.acts = append(r.w.acts, WAction{
-			Kind: WSendOffer, Sched: sched, Job: job, Refusable: false,
-			Round: r,
-		})
+		r.send(WAction{Sched: sched, Job: job}, entryRef{})
 		return
 	}
 	if r.refusals == 0 {
@@ -595,7 +647,7 @@ func (r *Round) conclude() {
 // slot is for. Each sample that comes back empty leaves the queue (purged
 // on NoDemand or JobDone) or the round's candidates (tried), so the walk
 // ends by itself.
-func (r *Round) stepG3() {
+func (r *round) stepG3() {
 	cands := r.w.g3Cands[:0]
 	weights := r.w.g3Weights[:0]
 	for _, e := range r.w.entries {
@@ -612,38 +664,99 @@ func (r *Round) stepG3() {
 	}
 	e := cands[stats.WeightedChoice(r.w.env.Rand, weights)]
 	r.markTried(e)
-	r.w.acts = append(r.w.acts, WAction{
-		Kind: WSendOffer, Sched: e.Sched, Job: e.Job, Refusable: false,
-		Round: r, Entry: refOf(e),
-	})
+	r.send(WAction{Sched: e.Sched, Job: e.Job}, refOf(e))
 }
 
-// OnReply processes a scheduler's reply — real, or an adapter's
-// synthesized stand-in for one that will never come — to the offer or
-// task pull the WSendOffer action (r, ref) sent, and returns the
-// follow-up actions. The worker's mode picks the rules, as it did for
-// the offer (Round.step). A zero ref is an offer sent without a captured
-// entry (the non-refusable smallest-unsatisfied offer may target a job
-// the worker holds no reservation for): the entry is looked up now, by
-// the reply's (From, Job). A ref whose entry was purged while the reply
-// was in flight resolves to nil — a job that finished, or a concurrent
-// round's reply that emptied the entry — and the reply falls back to its
-// From field, which always matches the purged entry's scheduler.
-func (w *Worker) OnReply(r *Round, ref EntryRef, rep Reply) []WAction {
-	w.begin()
-	e := ref.live()
-	if ref.IsZero() {
-		e = w.find(rep.From, rep.Job)
+// OnReply processes a scheduler's reply to the offer or task pull that
+// went out as WSendOffer number seq and returns the follow-up actions.
+// ok is false, and nothing has changed, when no round is waiting on that
+// number: the offer was answered already (a duplicate), abandoned
+// (ExpireOffers), orphaned (DropSched), or never made. What that means
+// is the adapter's to say — over a lossy link a late Assign has to be
+// handed back to its scheduler; between simulated nodes it cannot happen.
+func (w *Worker) OnReply(seq uint64, rep Reply) (acts []WAction, ok bool) {
+	r := w.nextOffer(seq-1, seq) // the one number in the range; none for seq 0
+	if r == nil {
+		return nil, false
 	}
-	if w.cfg.Mode.hopperFamily() {
-		r.onHopperReply(e, rep)
-	} else {
-		r.onSparrowReply(e, rep)
+	w.begin()
+	r.resume(rep)
+	return w.acts, true
+}
+
+// ExpireOffers abandons every offer sent at or before the given time on
+// env.Now()'s clock and still unanswered — the offer or its reply was
+// lost — oldest first, and returns the actions that follow. Each round
+// resumes against the empty reply, exactly as if its scheduler had
+// answered empty-handed: the entry cools, so a healthy-but-slow
+// scheduler is retried rather than written off. How long is too long is
+// the adapter's constant; it passes it here as a time.
+func (w *Worker) ExpireOffers(sentAtOrBefore float64) []WAction {
+	w.begin()
+	for upTo := w.offerSeq; ; {
+		r := w.nextOffer(0, upTo)
+		if r == nil || r.out.sentAt > sentAtOrBefore {
+			break
+		}
+		w.env.Stats.OfferTimeouts++
+		r.resume(Reply{Job: r.out.job, From: r.out.sched})
 	}
 	return w.acts
 }
 
-func (r *Round) onHopperReply(e *Entry, rep Reply) {
+// OldestOffer reports when the longest-unanswered offer was sent, which
+// is all an adapter needs to know to aim its one ExpireOffers timer; ok
+// is false when no offer is out.
+func (w *Worker) OldestOffer() (sentAt float64, ok bool) {
+	if r := w.nextOffer(0, w.offerSeq); r != nil {
+		return r.out.sentAt, true
+	}
+	return 0, false
+}
+
+// OffersOut is the number of offers awaiting a reply — one per active
+// round, so at most maxConcurrentRounds.
+func (w *Worker) OffersOut() int { return w.activeRounds }
+
+// nextOffer returns the round waiting on the lowest-numbered offer in
+// (after, upTo], or nil. Offers are numbered in send order, so walking
+// a range of numbers this way visits offers oldest first and never
+// reaches one sent by the walk's own resumptions (upTo = offerSeq at the
+// start of the walk).
+func (w *Worker) nextOffer(after, upTo uint64) *round {
+	var next *round
+	for _, r := range w.active[:w.activeRounds] {
+		if seq := r.out.seq; seq > after && seq <= upTo && (next == nil || seq < next.out.seq) {
+			next = r
+		}
+	}
+	return next
+}
+
+// resume runs the round on from the reply to its outstanding offer —
+// real, or the core's stand-in for one that will never come. The
+// worker's mode picks the rules, as it did for the offer (round.step).
+// A zero entry ref is an offer sent without a captured entry: the entry
+// is looked up now, by the reply's (From, Job). A ref whose entry was
+// purged while the reply was in flight resolves to nil — a job that
+// finished, or a concurrent round's reply that emptied the entry — and
+// the reply falls back to its From field, which always matches the
+// purged entry's scheduler.
+func (r *round) resume(rep Reply) {
+	ref := r.out.entry
+	r.out.seq = 0
+	e := ref.live()
+	if ref.isZero() {
+		e = r.w.find(rep.From, rep.Job)
+	}
+	if r.w.cfg.Mode.hopperFamily() {
+		r.onHopperReply(e, rep)
+	} else {
+		r.onSparrowReply(e, rep)
+	}
+}
+
+func (r *round) onHopperReply(e *Entry, rep Reply) {
 	if e != nil {
 		if rep.VS > 0 {
 			e.vs = rep.VS
@@ -699,9 +812,8 @@ func (r *Round) onHopperReply(e *Entry, rep Reply) {
 // job gains work (Sched's no-silent-demand invariant), so the entry is
 // dropped, not kept to be polled. A job that refused while holding work
 // is satisfied for now and cools down, as does an entry whose reply
-// never came (a live adapter's synthesized timeout reply carries no
-// flags at all).
-func (r *Round) settleNoTask(e *Entry, rep Reply) {
+// never came (ExpireOffers' stand-in reply carries no flags at all).
+func (r *round) settleNoTask(e *Entry, rep Reply) {
 	if e == nil || rep.JobDone {
 		return // JobDone already purged it
 	}
@@ -714,7 +826,7 @@ func (r *Round) settleNoTask(e *Entry, rep Reply) {
 
 // stepSparrow is the baseline pull: consume one reservation of the chosen
 // entry and ask its scheduler for a task.
-func (r *Round) stepSparrow() {
+func (r *round) stepSparrow() {
 	e := r.pickSparrow()
 	if e == nil {
 		r.w.endRound(r, false)
@@ -724,13 +836,10 @@ func (r *Round) stepSparrow() {
 	if e.count <= 0 {
 		r.markTried(e)
 	}
-	r.w.acts = append(r.w.acts, WAction{
-		Kind: WSendOffer, Sched: e.Sched, Job: e.Job, GetTask: true,
-		Round: r, Entry: refOf(e),
-	})
+	r.send(WAction{Sched: e.Sched, Job: e.Job, GetTask: true}, refOf(e))
 }
 
-func (r *Round) onSparrowReply(e *Entry, rep Reply) {
+func (r *round) onSparrowReply(e *Entry, rep Reply) {
 	from := rep.From
 	if e != nil {
 		from = e.Sched
