@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/hopper-sim/hopper/internal/simulator"
 )
@@ -235,6 +236,40 @@ func TestSpeculativeRaceKillsLoser(t *testing.T) {
 	// The winner is whichever copy drew the shorter duration.
 	if c1.Duration < c2.Duration && !c1.Won {
 		t.Fatal("shorter copy lost the race")
+	}
+}
+
+// TestTaskWinAndDropCopy pins the plane-free copy lifecycle both the
+// Executor and the live scheduler end copies through: a dropped copy
+// leaves Task.Copies marked Killed, and a win hands every other running
+// copy — and only those — to the loser callback in placement order.
+func TestTaskWinAndDropCopy(t *testing.T) {
+	j := mkJob(1, 1, 1.0)
+	task := j.Phases[0].Tasks[0]
+	a := task.StartCopy(0, 0, false, true, 5)
+	lost := task.StartCopy(0, 1, true, true, 5)
+	b := task.StartCopy(1, 2, true, true, 5)
+	c := task.StartCopy(1, 3, true, true, 5)
+
+	task.DropCopy(lost)
+	if !lost.Killed || len(task.Copies) != 3 {
+		t.Fatalf("dropped copy: Killed=%v, %d copies left, want true/3", lost.Killed, len(task.Copies))
+	}
+	var losers []*Copy
+	task.Win(b, 2, func(l *Copy) { losers = append(losers, l) })
+	if !b.Won || b.Killed || task.State != TaskDone || task.DoneAt != 2 {
+		t.Fatalf("winner Won=%v Killed=%v, task state %v done at %v", b.Won, b.Killed, task.State, task.DoneAt)
+	}
+	if len(losers) != 2 || losers[0] != a || losers[1] != c || !a.Killed || !c.Killed {
+		t.Fatalf("losers %v, want [a c] both Killed", losers)
+	}
+}
+
+// TestCopyIsOneSizeClass: the simulator allocates a Copy per placement,
+// so the record both planes share stays at 64 bytes.
+func TestCopyIsOneSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Copy{}); n != 64 {
+		t.Fatalf("unsafe.Sizeof(Copy{}) = %d, want 64", n)
 	}
 }
 

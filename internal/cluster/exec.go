@@ -64,11 +64,29 @@ func (em ExecModel) Duration(rng *rand.Rand, meanTask float64, local bool) float
 	return d
 }
 
+// CopyDuration draws the service time of t's next copy on a machine of
+// the given speed: a Duration draw from CopyServiceRNG (attempt
+// len(t.Copies)), scaled to wall-clock off speed 1. The simulator's
+// Executor and the live scheduler both draw through here, so an emulated
+// cluster inherits the simulator's straggler realizations.
+func (em ExecModel) CopyDuration(seed int64, t *Task, local bool, speed float64) float64 {
+	d := em.Duration(CopyServiceRNG(seed, t, len(t.Copies)), t.Phase.MeanTaskDuration, local)
+	if speed != 1 {
+		// The draw is baseline-speed work; wall-clock scales inversely
+		// with the machine's service rate. Guarded so homogeneous runs
+		// never touch the division (exact float identity).
+		d /= speed
+	}
+	return d
+}
+
 // Executor runs copies on machines inside a discrete-event simulation:
-// it owns slot accounting, the copy race (first finisher wins, siblings
-// are killed and their slots reclaimed), phase-dependency unlocking with
-// pipelined transfers, and job completion. Schedulers drive it through
-// Place/PlaceOn and react through the callbacks.
+// it owns slot accounting, the engine events that end copies, phase-
+// dependency unlocking with pipelined transfers, and job completion. The
+// copy race itself is Task.Win (first finisher wins) and a lost copy is
+// Task.DropCopy; the Executor's part is the simulated consequence —
+// cancelling a loser's finish event and reclaiming its slot. Schedulers
+// drive it through Place/PlaceOn and react through the callbacks.
 type Executor struct {
 	Eng      *simulator.Engine
 	Machines *Machines
@@ -96,7 +114,7 @@ type Executor struct {
 	// that need exact schedules.
 	DurationOverride func(t *Task, speculative bool) float64
 
-	// durSeed keys task-intrinsic service-time draws; see copyRNG.
+	// durSeed keys task-intrinsic service-time draws; see CopyServiceRNG.
 	durSeed int64
 
 	// Stats
@@ -132,6 +150,10 @@ type Executor struct {
 	// unlock owns phase wakeup delivery: unlocks become engine posts and
 	// each phase reaches OnPhaseRunnable exactly once.
 	unlock UnlockPlanner
+
+	// killLoser is Task.Win's loser consequence, bound once here so a race
+	// allocates nothing.
+	killLoser func(*Copy)
 }
 
 // noteSlotChange updates the saturation clock after slot counts change.
@@ -160,22 +182,19 @@ func NewExecutor(eng *simulator.Engine, ms *Machines, model ExecModel) *Executor
 			}
 		},
 	}
+	x.killLoser = func(sib *Copy) {
+		x.reclaim(sib)
+		x.freedScratch = append(x.freedScratch, sib.Machine)
+	}
 	return x
 }
 
-// copyRNG returns a deterministic source for one copy's service time,
-// keyed by (job, phase, task, attempt) rather than by placement order.
-// Two replays of the same trace under different schedulers then share
-// straggler realizations, so paired per-job comparisons (Figures 8a and
-// 10) measure scheduling differences, not resampling noise.
-func (x *Executor) copyRNG(t *Task, attempt int) *rand.Rand {
-	return CopyServiceRNG(x.durSeed, t, attempt)
-}
-
 // CopyServiceRNG returns the deterministic service-time source for one
-// copy, keyed by (job, phase, task, attempt) under the given seed. The
-// live scheduler uses the same keying so emulated clusters inherit the
-// paired-comparison property of the simulator.
+// copy, keyed by (job, phase, task, attempt) under the given seed rather
+// than by placement order. Two replays of the same trace under different
+// schedulers then share straggler realizations, so paired per-job
+// comparisons (Figures 8a and 10) measure scheduling differences, not
+// resampling noise.
 func CopyServiceRNG(seed int64, t *Task, attempt int) *rand.Rand {
 	h := uint64(seed)
 	for _, v := range [4]uint64{uint64(t.Job.ID), uint64(t.Phase.Index), uint64(t.Index), uint64(attempt)} {
@@ -227,13 +246,7 @@ func (x *Executor) placeOn(t *Task, m MachineID, speculative, local bool) *Copy 
 		// Scripted schedules are explicit wall-clock times; no speed scaling.
 		dur = x.DurationOverride(t, speculative)
 	} else {
-		dur = x.Model.Duration(x.copyRNG(t, len(t.Copies)), t.Phase.MeanTaskDuration, local)
-		if sp := x.Machines.All[m].Speed; sp != 1 {
-			// The draw is baseline-speed work; wall-clock scales inversely
-			// with the machine's service rate. Guarded so homogeneous runs
-			// never touch the division (exact float identity).
-			dur /= sp
-		}
+		dur = x.Model.CopyDuration(x.durSeed, t, local, x.Machines.All[m].Speed)
 	}
 	c := t.StartCopy(now, m, speculative, local, dur)
 	c.Speed = x.Machines.All[m].Speed
@@ -255,9 +268,6 @@ func (x *Executor) copyFinished(c *Copy) {
 		return
 	}
 	now := x.Eng.Now()
-	c.Won = true
-	t.State = TaskDone
-	t.DoneAt = now
 	x.TasksDone++
 	x.SlotSecondsUsed += c.Duration
 	if c.Speculative {
@@ -265,25 +275,10 @@ func (x *Executor) copyFinished(c *Copy) {
 	}
 	x.Machines.Release(c.Machine)
 	x.noteSlotChange()
-	freed := append(x.freedScratch[:0], c.Machine)
+	x.freedScratch = append(x.freedScratch[:0], c.Machine)
 
-	// Kill racing siblings and reclaim their slots now.
-	for _, sib := range t.Copies {
-		if sib == c || sib.Killed || sib.Won {
-			continue
-		}
-		sib.Killed = true
-		sib.finishEv.Cancel()
-		x.CopiesKilled++
-		ran := now - sib.Start
-		x.SlotSecondsUsed += ran
-		if sib.Speculative {
-			x.SpeculativeSlotSeconds += ran
-		}
-		x.Machines.Release(sib.Machine)
-		x.noteSlotChange()
-		freed = append(freed, sib.Machine)
-	}
+	// Kill racing siblings and reclaim their slots now (killLoser).
+	t.Win(c, now, x.killLoser)
 
 	jobDone := x.taskDone(t, now)
 
@@ -296,9 +291,8 @@ func (x *Executor) copyFinished(c *Copy) {
 	if jobDone && x.OnJobDone != nil {
 		x.OnJobDone(t.Job)
 	}
-	x.freedScratch = freed
 	if x.OnSlotFree != nil {
-		for _, m := range freed {
+		for _, m := range x.freedScratch {
 			x.OnSlotFree(m)
 		}
 	}
@@ -306,17 +300,25 @@ func (x *Executor) copyFinished(c *Copy) {
 
 // KillCopy forcibly terminates a running copy with no winner — the
 // machine holding it left the cluster (churn) or its worker crashed.
-// The copy is detached from its task so completion accounting (which
-// settles per surviving copy) never counts it, its finish event is
-// cancelled, and the slot is released WITHOUT firing OnSlotFree: the
-// departed machine's slots are not schedulable. Reports false if the
-// copy had already finished or been killed.
+// The copy is dropped from its task (Task.DropCopy) so completion
+// accounting (which settles per surviving copy) never counts it, its
+// finish event is cancelled, and the slot is released WITHOUT firing
+// OnSlotFree: the departed machine's slots are not schedulable. Reports
+// false if the copy had already finished or been killed.
 func (x *Executor) KillCopy(c *Copy) bool {
 	t := c.Task
 	if c.Killed || c.Won || t.State == TaskDone {
 		return false
 	}
-	c.Killed = true
+	t.DropCopy(c)
+	x.reclaim(c)
+	return true
+}
+
+// reclaim is the simulated end of a copy that did not win: its finish
+// event is cancelled, the time it ran is charged as used (wasted) slot
+// time, and its slot is released.
+func (x *Executor) reclaim(c *Copy) {
 	c.finishEv.Cancel()
 	x.CopiesKilled++
 	ran := x.Eng.Now() - c.Start
@@ -324,15 +326,8 @@ func (x *Executor) KillCopy(c *Copy) bool {
 	if c.Speculative {
 		x.SpeculativeSlotSeconds += ran
 	}
-	for i, sib := range t.Copies {
-		if sib == c {
-			t.Copies = append(t.Copies[:i], t.Copies[i+1:]...)
-			break
-		}
-	}
 	x.Machines.Release(c.Machine)
 	x.noteSlotChange()
-	return true
 }
 
 // taskDone performs phase/job completion bookkeeping through the unlock

@@ -35,22 +35,18 @@ const (
 )
 
 // Copy is one execution attempt of a task on a specific machine. A task
-// has one original copy and possibly speculative copies racing it.
+// has one original copy and possibly speculative copies racing it. It is
+// the one record of a copy on both planes: the simulator's Executor and
+// the live scheduler each keep it in Task.Copies and end it through
+// Task.Win or Task.DropCopy.
 type Copy struct {
-	Task        *Task
-	Machine     MachineID
-	Speculative bool
-	Local       bool // input data was machine-local
-	Start       simulator.Time
+	Task    *Task
+	Machine MachineID
+	Start   simulator.Time
 	// Duration is the service time drawn at placement. It is hidden from
 	// scheduling policies until the progress-observation delay elapses;
 	// see speculation.Observer.
 	Duration simulator.Time
-	// Killed is set when a sibling copy won the race and this copy's slot
-	// was reclaimed.
-	Killed bool
-	// Won is set on the copy that completed the task.
-	Won bool
 
 	// Speed is the service-rate factor of the machine this copy runs on,
 	// stamped at placement by whichever adapter owns the machine record.
@@ -61,6 +57,21 @@ type Copy struct {
 	// The zero value also reads as 1 (speed method), so hand-built copies
 	// behave homogeneously.
 	Speed float64
+
+	// Seq is the live worker's number for the offer that placed this
+	// copy: with Machine it names the copy on the wire. Zero in the
+	// simulator.
+	Seq uint64
+
+	// The four flags share one word, keeping a Copy at 64 bytes (one
+	// size class; the simulator allocates one per placement).
+	Speculative bool
+	Local       bool // input data was machine-local
+	// Killed is set when the copy ended without finishing: a sibling won
+	// the race, or the copy was lost with its machine.
+	Killed bool
+	// Won is set on the copy that completed the task.
+	Won bool
 
 	finishEv *simulator.Event
 }
@@ -432,10 +443,10 @@ func (j *Job) RemainingCurrentTasks() int {
 
 // StartCopy records a new copy of the task on machine m: it appends the
 // Copy and performs the task/phase/job state transitions of first
-// placement. It owns none of the execution-side concerns (slot
-// accounting, completion events) — the simulator's Executor layers those
-// on top, and the live scheduler drives the same bookkeeping from
-// TaskDone wire messages.
+// placement. Win and DropCopy are the two ways a copy ends. None of the
+// three owns an execution-side concern (slot accounting, completion
+// events, frames): the simulator's Executor layers those on top, and the
+// live scheduler drives the same calls from wire messages.
 func (t *Task) StartCopy(now simulator.Time, m MachineID, speculative, local bool, dur float64) *Copy {
 	c := &Copy{
 		Task:        t,
@@ -457,6 +468,38 @@ func (t *Task) StartCopy(now simulator.Time, m MachineID, speculative, local boo
 		}
 	}
 	return c
+}
+
+// Win settles the task's copy race: c is marked Won, the task Done at
+// now, and every other copy still running is marked Killed and handed to
+// loser, in placement order — the plane's consequence of losing (the
+// Executor cancels the finish event and reclaims the slot; the live
+// scheduler sends a Kill frame).
+func (t *Task) Win(c *Copy, now simulator.Time, loser func(*Copy)) {
+	c.Won = true
+	t.State = TaskDone
+	t.DoneAt = now
+	for _, sib := range t.Copies {
+		if sib == c || sib.Killed || sib.Won {
+			continue
+		}
+		sib.Killed = true
+		loser(sib)
+	}
+}
+
+// DropCopy ends a copy that died without finishing (its machine left,
+// its worker rejected or never reported it): it is marked Killed and
+// taken out of the task's copies, so the race and the occupancy settled
+// at win time never count it.
+func (t *Task) DropCopy(c *Copy) {
+	c.Killed = true
+	for i, x := range t.Copies {
+		if x == c {
+			t.Copies = append(t.Copies[:i], t.Copies[i+1:]...)
+			return
+		}
+	}
 }
 
 // PhaseUnlock pairs a phase whose dependencies just completed with the

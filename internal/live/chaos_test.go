@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/simulator"
 	"github.com/hopper-sim/hopper/internal/transport"
@@ -30,7 +31,8 @@ import (
 //   - every send is one of the frame types the ledger knows, and replies
 //     pair 1:1 with the offers that were delivered and answerable (the
 //     scheduler deliberately ignores a duplicate of an offer whose first
-//     delivery won a task — onOffer's guard),
+//     delivery won a task — onOffer's guard — and an offer from a
+//     connection no longer registered under its worker ID),
 //   - DoubleWakeups == 0 (phase unlocks stay exactly-once),
 //   - SilentDemand == 0 (a job that said NoDemand hands out nothing it
 //     has not probed for since; a lost probe is still a sent one),
@@ -82,10 +84,11 @@ type virtualCluster struct {
 	workers []*Worker
 
 	frames     []sentFrame
-	answerable int64 // offers delivered to a scheduler holding no copy under their (worker, seq)
+	answerable int64 // offers delivered on their worker's registered connection to a scheduler holding no copy under their (worker, seq)
 	completed  map[uint64]bool
 	aborted    int
 	overran    bool
+	onFrame    func(*virtualCluster, sentFrame)
 }
 
 // engineTimers is the cluster's protocol.TimerService: the nodes' only
@@ -152,8 +155,8 @@ func pump(l *loop, step func(envelope)) (any bool) {
 }
 
 // virtualConn is one end of a link. Send snapshots the frame (the node
-// reuses its scratch value the moment Send returns — the rule
-// transport.Faulty follows), asks the injector for its fate, logs it, and
+// reuses its scratch value the moment Send returns — any Conn that holds
+// a frame past Send must), asks the injector for its fate, logs it, and
 // schedules each delivery as an engine event that hands the receiving
 // node a fresh decode of the bytes, exactly what a reader goroutine would
 // have put in its inbox. Hello is connection set-up, not protocol
@@ -164,11 +167,22 @@ type virtualConn struct {
 	sched    int
 	worker   int
 	toWorker bool
-	recv     func(wire.Message)
+	// recv steps the far node through what its reader goroutine would
+	// post: a frame, or (m nil) the read error of a broken connection.
+	recv   func(m wire.Message, err error)
+	link   *virtualLink
+	closed bool
 }
+
+// virtualLink is what the two ends of one connection share: once either
+// end closes, nothing more crosses it in either direction.
+type virtualLink struct{ broken bool }
 
 func (vc *virtualConn) Send(m wire.Message) error {
 	c := vc.c
+	if vc.link.broken {
+		return transport.ErrClosed
+	}
 	rec := sentFrame{at: c.eng.Now(), sched: vc.sched, worker: vc.worker, toWorker: vc.toWorker, typ: m.Type()}
 	switch f := m.(type) {
 	case *wire.Reserve:
@@ -193,6 +207,9 @@ func (vc *virtualConn) Send(m wire.Message) error {
 		rec.fate = c.inj.Judge(rec.typ)
 	}
 	c.frames = append(c.frames, rec)
+	if c.onFrame != nil {
+		c.onFrame(c, rec)
+	}
 	if rec.fate.Drop {
 		return nil
 	}
@@ -206,18 +223,34 @@ func (vc *virtualConn) Send(m wire.Message) error {
 
 func (vc *virtualConn) deliver(frame []byte, extra float64) {
 	vc.c.eng.PostAfter(virtualLatency+extra, vc.c.turn(func() {
+		if vc.link.broken {
+			return // lost with the link
+		}
 		m, err := wire.Decode(wire.MsgType(frame[4]), frame[5:])
 		if err != nil {
 			panic(err)
 		}
-		vc.recv(m)
+		vc.recv(m, nil)
 	}))
+}
+
+// Close breaks the link and, one latency later, steps the far node
+// through the read error its reader goroutine would post on a broken
+// socket; frames still in flight are lost. Closing an end twice does
+// nothing, so the far node closing its own half in turn reaches this
+// node the same way.
+func (vc *virtualConn) Close() error {
+	if vc.closed {
+		return nil
+	}
+	vc.closed, vc.link.broken = true, true
+	vc.c.eng.PostAfter(virtualLatency, vc.c.turn(func() { vc.recv(nil, transport.ErrClosed) }))
+	return nil
 }
 
 // No node reads: deliveries are pushed into step.
 func (vc *virtualConn) Recv() (wire.Message, error)     { return nil, transport.ErrClosed }
 func (vc *virtualConn) SetRecvDeadline(time.Time) error { return nil }
-func (vc *virtualConn) Close() error                    { return nil }
 func (vc *virtualConn) RemoteAddr() string {
 	return fmt.Sprintf("virtual s%d/w%d", vc.sched, vc.worker)
 }
@@ -230,6 +263,9 @@ type chaosCell struct {
 	rates     transport.Rates                  // every injected frame type
 	perType   map[wire.MsgType]transport.Rates // overrides
 	partition [2]float64                       // whole-cluster cut [from, to) in virtual seconds; zero: none
+	// onFrame, when set, sees every frame as it is logged — a hook for
+	// cells that act on what the run has done so far.
+	onFrame func(*virtualCluster, sentFrame)
 }
 
 // runChaos replays the parity workload on a fresh virtual cluster under
@@ -243,6 +279,7 @@ func runChaos(t *testing.T, cell chaosCell) *virtualCluster {
 			Seed: cell.seed, Default: cell.rates, PerType: cell.perType, DelayMin: 0.01, DelayMax: 0.2,
 		}),
 		completed: make(map[uint64]bool),
+		onFrame:   cell.onFrame,
 	}
 	timers := engineTimers{c}
 	for si := 0; si < parityCfg.NumSchedulers; si++ {
@@ -266,17 +303,18 @@ func runChaos(t *testing.T, cell chaosCell) *virtualCluster {
 		// their node when a frame lands, not now.
 		conns := make([]transport.Conn, len(c.scheds))
 		for si, s := range c.scheds {
-			p := &peer{conn: &virtualConn{c: c, sched: si, worker: wi, toWorker: true, recv: func(m wire.Message) {
+			link := &virtualLink{}
+			p := &peer{conn: &virtualConn{c: c, sched: si, worker: wi, toWorker: true, link: link, recv: func(m wire.Message, err error) {
 				w := c.workers[wi]
-				w.step(envelope{from: w.scheds[si], msg: m})
+				w.step(envelope{from: w.scheds[si], msg: m, err: err})
 			}}}
-			conns[si] = &virtualConn{c: c, sched: si, worker: wi, recv: func(m wire.Message) {
-				if off, ok := m.(*wire.Offer); ok {
+			conns[si] = &virtualConn{c: c, sched: si, worker: wi, link: link, recv: func(m wire.Message, err error) {
+				if off, ok := m.(*wire.Offer); ok && s.workers[off.WorkerID] == p {
 					if _, held := s.copies[copyKey{off.WorkerID, off.Seq}]; !held {
 						c.answerable++
 					}
 				}
-				s.step(envelope{from: p, msg: m})
+				s.step(envelope{from: p, msg: m, err: err})
 			}}
 		}
 		w, err := NewWorkerConns(WorkerConfig{
@@ -290,7 +328,10 @@ func runChaos(t *testing.T, cell chaosCell) *virtualCluster {
 	for i, j := range parityJobs(virtualMachines) {
 		si := i % len(c.scheds)
 		s, submit := c.scheds[si], SubmitFromJob(j)
-		client := &peer{conn: &virtualConn{c: c, sched: si, worker: -1, recv: func(m wire.Message) {
+		client := &peer{conn: &virtualConn{c: c, sched: si, worker: -1, link: &virtualLink{}, recv: func(m wire.Message, err error) {
+			if err != nil {
+				return // the client's link never breaks; nothing to account
+			}
 			jc := m.(*wire.JobComplete)
 			if jc.Aborted || c.completed[jc.JobID] {
 				c.aborted++
@@ -380,14 +421,36 @@ func (c *virtualCluster) assertOracles(t *testing.T, tag string) {
 		}
 	}
 	for _, s := range c.scheds {
-		if len(s.copies) != 0 || len(s.byTask) != 0 || len(s.jobs) != 0 {
-			t.Fatalf("%s: scheduler %d ends with %d copies in flight (%d tasks), %d jobs",
-				tag, s.cfg.ID, len(s.copies), len(s.byTask), len(s.jobs))
+		if len(s.copies) != 0 || len(s.jobs) != 0 {
+			t.Fatalf("%s: scheduler %d ends with %d copies in flight, %d jobs",
+				tag, s.cfg.ID, len(s.copies), len(s.jobs))
 		}
 	}
 }
 
 var chaosSeeds = []int64{11, 23, 37}
+
+// faultMatrix is TestChaosFaultMatrix's drop/dup/delay cells, each run
+// across chaosSeeds.
+var faultMatrix = []struct {
+	name                string
+	rates               transport.Rates
+	wantDrops, wantDups bool
+}{
+	{name: "drop-everywhere", rates: transport.Rates{Drop: 0.1}, wantDrops: true},
+	{name: "dup-everywhere", rates: transport.Rates{Dup: 0.1}, wantDups: true},
+	{name: "delay-reorder", rates: transport.Rates{Delay: 0.3}},
+	{name: "mixed", rates: transport.Rates{Drop: 0.05, Dup: 0.05, Delay: 0.1}, wantDrops: true, wantDups: true},
+}
+
+// The single-frame-type loss cells and the partition window, shared by
+// their tests and the frame-log golden.
+var (
+	lostProbes   = map[wire.MsgType]transport.Rates{wire.TReserve: {Drop: 0.33}}
+	lostTaskDone = map[wire.MsgType]transport.Rates{wire.TTaskDone: {Drop: 0.2}}
+	lostKill     = map[wire.MsgType]transport.Rates{wire.TKill: {Drop: 0.5}}
+	partitionCut = [2]float64{3.0, 6.0}
+)
 
 // TestChaosZeroRatesMatchesParity is the zero-rate cell: with nothing
 // injected the shipped nodes replay the parity workload without one
@@ -416,17 +479,7 @@ func TestChaosZeroRatesMatchesParity(t *testing.T) {
 // on every frame type the nodes exchange, across three seeds, and
 // enforces the full oracle set on every cell.
 func TestChaosFaultMatrix(t *testing.T) {
-	cells := []struct {
-		name                string
-		rates               transport.Rates
-		wantDrops, wantDups bool
-	}{
-		{name: "drop-everywhere", rates: transport.Rates{Drop: 0.1}, wantDrops: true},
-		{name: "dup-everywhere", rates: transport.Rates{Dup: 0.1}, wantDups: true},
-		{name: "delay-reorder", rates: transport.Rates{Delay: 0.3}},
-		{name: "mixed", rates: transport.Rates{Drop: 0.05, Dup: 0.05, Delay: 0.1}, wantDrops: true, wantDups: true},
-	}
-	for _, cell := range cells {
+	for _, cell := range faultMatrix {
 		t.Run(cell.name, func(t *testing.T) {
 			for _, seed := range chaosSeeds {
 				c := runChaos(t, chaosCell{seed: seed, rates: cell.rates})
@@ -452,7 +505,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 func TestChaosPartitionHealsAndConverges(t *testing.T) {
 	var logs [][]sentFrame
 	for _, seed := range chaosSeeds {
-		c := runChaos(t, chaosCell{seed: seed, partition: [2]float64{3.0, 6.0}})
+		c := runChaos(t, chaosCell{seed: seed, partition: partitionCut})
 		c.assertOracles(t, fmt.Sprintf("partition seed %d", seed))
 		inj := c.inj.Stats()
 		if inj.PartitionsHealed != 1 {
@@ -514,7 +567,7 @@ func TestChaosLostProbesStillSpeculate(t *testing.T) {
 		}
 	}
 	for _, seed := range chaosSeeds {
-		c := runChaos(t, chaosCell{seed: seed, perType: map[wire.MsgType]transport.Rates{wire.TReserve: {Drop: 0.33}}})
+		c := runChaos(t, chaosCell{seed: seed, perType: lostProbes})
 		c.assertOracles(t, fmt.Sprintf("lost-probes seed %d", seed))
 		if c.inj.Stats().Dropped == 0 {
 			t.Fatalf("seed %d: no Reserve frame dropped — cell exercised nothing", seed)
@@ -537,7 +590,7 @@ func TestChaosLostProbesStillSpeculate(t *testing.T) {
 // requeue the task, and the job must still finish with nothing leaked.
 func TestChaosLostTaskDone(t *testing.T) {
 	for _, seed := range chaosSeeds {
-		c := runChaos(t, chaosCell{seed: seed, perType: map[wire.MsgType]transport.Rates{wire.TTaskDone: {Drop: 0.2}}})
+		c := runChaos(t, chaosCell{seed: seed, perType: lostTaskDone})
 		c.assertOracles(t, fmt.Sprintf("lost-taskdone seed %d", seed))
 		st, inj := c.stats(), c.inj.Stats()
 		if inj.Dropped == 0 {
@@ -563,7 +616,7 @@ func TestChaosLostKill(t *testing.T) {
 		seq           uint64
 	}
 	for _, seed := range chaosSeeds {
-		c := runChaos(t, chaosCell{seed: seed, perType: map[wire.MsgType]transport.Rates{wire.TKill: {Drop: 0.5}}})
+		c := runChaos(t, chaosCell{seed: seed, perType: lostKill})
 		c.assertOracles(t, fmt.Sprintf("lost-kill seed %d", seed))
 		lostKill, reported := make(map[copyID]bool), make(map[copyID]bool)
 		for _, f := range c.frames {
@@ -613,4 +666,146 @@ func TestChaosSameSeedReplays(t *testing.T) {
 		}
 		prev = a.frames
 	}
+}
+
+// TestChaosWorkerLossMidRace breaks every connection of two workers at
+// the first instant the log shows a task raced across them — its
+// original on one, a speculative copy on the other — the virtual-time,
+// replayable counterpart of TestRequeueLostUnderConcurrentMultiWorkerLoss.
+// The schedulers learn of the breaks through step, as from a reader
+// goroutine, and settle every copy on the two workers. Of the raced pair
+// the first loss leaves a live sibling and only rolls back, the second
+// requeues, so each task left with no copy requeues exactly once: the
+// raced task gets one fresh original and completes on a third worker,
+// nothing leaks, and a second run sends the same frames.
+func TestChaosWorkerLossMidRace(t *testing.T) {
+	type taskKey struct {
+		sched int
+		job   uint64
+		phase uint16
+		task  uint32
+	}
+	type outcome struct {
+		c        *virtualCluster
+		lost     [2]int
+		raced    taskKey
+		cutAt    int // frames logged before the cut
+		orphaned int // tasks whose every copy was on the lost workers at the cut
+	}
+	run := func() outcome {
+		var o outcome
+		originals := make(map[taskKey]int) // worker of each task's original
+		cell := chaosCell{seed: 42, onFrame: func(c *virtualCluster, f sentFrame) {
+			if o.cutAt > 0 || f.typ != wire.TAssign {
+				return
+			}
+			k := taskKey{f.sched, f.job, f.phase, f.task}
+			if !f.flag {
+				originals[k] = f.worker
+				return
+			}
+			w, ok := originals[k]
+			if !ok || w == f.worker {
+				return
+			}
+			o.lost, o.raced, o.cutAt = [2]int{w, f.worker}, k, len(c.frames)
+			for _, s := range c.scheds {
+				o.orphaned += orphanedBy(s, func(id uint32) bool { return int(id) == o.lost[0] || int(id) == o.lost[1] })
+			}
+			for _, wi := range o.lost {
+				for _, p := range c.workers[wi].scheds {
+					p.conn.Close()
+				}
+			}
+		}}
+		o.c = runChaos(t, cell)
+		if o.cutAt == 0 {
+			t.Fatal("no task raced across two workers — scenario too weak")
+		}
+		return o
+	}
+	o := run()
+	c := o.c
+	c.assertOracles(t, "worker-loss")
+	if st := c.stats(); st.Requeues != int64(o.orphaned) || st.WatchdogExpiries != 0 {
+		t.Fatalf("%d requeues for %d tasks left with no copy by losing workers %v, %d copies reached only by the watchdog",
+			st.Requeues, o.orphaned, o.lost, st.WatchdogExpiries)
+	}
+	refills, wonElsewhere := 0, false
+	for _, f := range c.frames[o.cutAt:] {
+		if (taskKey{f.sched, f.job, f.phase, f.task}) != o.raced {
+			continue
+		}
+		switch {
+		case f.typ == wire.TAssign && !f.flag:
+			refills++
+		case f.typ == wire.TTaskDone && !f.flag && f.worker != o.lost[0] && f.worker != o.lost[1]:
+			wonElsewhere = true
+		}
+	}
+	if refills != 1 || !wonElsewhere {
+		t.Fatalf("raced task %+v: %d fresh originals after losing workers %v (want 1), completed elsewhere %v", o.raced, refills, o.lost, wonElsewhere)
+	}
+	if again := run(); !slices.Equal(again.c.frames, c.frames) {
+		t.Fatal("a second run of the same loss sent a different frame log")
+	}
+}
+
+// TestHelloUnderNewIDSettlesOldCopies re-announces a worker under a new
+// ID mid-run, on every link at once, right after a scheduler committed a
+// copy to it. Copies name their worker by ID and the worker now reports
+// under the new one, so the old ID's copies are settled by the Hello
+// itself (deregister) — not left for the watchdog: nothing leaks, each
+// task left with no copy requeues exactly once, and the topology holds
+// the new ID in place of the old with the same slot total.
+func TestHelloUnderNewIDSettlesOldCopies(t *testing.T) {
+	const oldID, newID = 0, virtualMachines + 100
+	orphaned, cut := 0, false
+	c := runChaos(t, chaosCell{seed: 42, onFrame: func(c *virtualCluster, f sentFrame) {
+		if cut || f.typ != wire.TAssign || f.worker != oldID {
+			return
+		}
+		cut = true
+		c.eng.PostAfter(0, c.turn(func() {
+			w := c.workers[oldID]
+			w.cfg.ID = newID
+			for _, s := range c.scheds {
+				orphaned += orphanedBy(s, func(id uint32) bool { return id == oldID })
+				s.step(envelope{from: s.workers[oldID], msg: w.helloMsg()})
+			}
+		}))
+	}})
+	c.assertOracles(t, "hello-new-id")
+	st := c.stats()
+	if orphaned == 0 {
+		t.Fatal("no task had all its copies on the old ID when it was re-announced — scenario too weak")
+	}
+	if st.OccupancyLeaks != 0 || st.WatchdogExpiries != 0 {
+		t.Fatalf("%d occupancy leaks, %d watchdog expiries: the old ID's copies were not settled by the Hello", st.OccupancyLeaks, st.WatchdogExpiries)
+	}
+	if st.Requeues != int64(orphaned) {
+		t.Fatalf("%d requeues for %d tasks left with no copy by re-announcing worker %d", st.Requeues, orphaned, oldID)
+	}
+	for _, s := range c.scheds {
+		if s.workers[oldID] != nil || s.workers[newID] == nil || slices.Contains(s.workerIDs, oldID) ||
+			s.totalSlots != virtualMachines*virtualSlots {
+			t.Fatalf("scheduler %d topology after re-announce: old %v new %v ids %v slots %d",
+				s.cfg.ID, s.workers[oldID] != nil, s.workers[newID] != nil, s.workerIDs, s.totalSlots)
+		}
+	}
+}
+
+// orphanedBy counts the tasks of s whose every in-flight copy is on a
+// worker gone reports: losing those workers must requeue each once.
+func orphanedBy(s *Scheduler, gone func(worker uint32) bool) (n int) {
+	kept := make(map[*cluster.Task]bool)
+	for k, c := range s.copies {
+		kept[c.Task] = kept[c.Task] || !gone(k.worker)
+	}
+	for _, k := range kept {
+		if !k {
+			n++
+		}
+	}
+	return n
 }

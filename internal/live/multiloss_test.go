@@ -2,11 +2,13 @@ package live
 
 // Concurrent multi-worker loss: two workers each hold a copy of the SAME
 // task (original + speculative race) and both connections die at once.
-// Sched.RequeueLost must fire exactly once — the first loss still sees a
+// Sched.CopyLost must requeue exactly once — the first loss still sees a
 // live sibling and only rolls back, the second sees zero running copies
 // and requeues — and the requeued task must complete on a third worker
 // that held no copy. This is the multi-loss coverage the single-crash
-// test (TestWorkerCrashRequeuesCopies) does not give.
+// test (TestWorkerCrashRequeuesCopies) does not give, on goroutines and
+// real connection errors; TestChaosWorkerLossMidRace replays the same
+// loss from a seed on the virtual cluster.
 
 import (
 	"sync/atomic"

@@ -221,9 +221,6 @@ type LocalClusterConfig struct {
 	// until it comes back (WorkerConfig.RedialInterval, wall seconds).
 	// Zero disables; set it when the run will exercise RestartScheduler.
 	RedialInterval float64
-	// DurationOverride scripts service times (tests); nil draws from the
-	// heavy-tailed model.
-	DurationOverride func(t *cluster.Task, speculative bool) float64
 }
 
 // LocalCluster is a running in-process cluster.
@@ -312,16 +309,15 @@ func StartLocalCluster(cfg LocalClusterConfig) (*LocalCluster, error) {
 
 func (lc *LocalCluster) newScheduler(i int, addr string) (*Scheduler, error) {
 	return NewScheduler(SchedulerConfig{
-		ID:               uint32(i),
-		Addr:             addr,
-		Mode:             lc.cfg.Mode,
-		NumSchedulers:    lc.cfg.Schedulers,
-		TimeScale:        lc.cfg.TimeScale,
-		Seed:             lc.cfg.Seed + int64(i),
-		DurationOverride: lc.cfg.DurationOverride,
-		Timers:           lc.wheel,
-		PlaceLatency:     lc.latPlace,
-		ProbeLatency:     lc.latProbe,
+		ID:            uint32(i),
+		Addr:          addr,
+		Mode:          lc.cfg.Mode,
+		NumSchedulers: lc.cfg.Schedulers,
+		TimeScale:     lc.cfg.TimeScale,
+		Seed:          lc.cfg.Seed + int64(i),
+		Timers:        lc.wheel,
+		PlaceLatency:  lc.latPlace,
+		ProbeLatency:  lc.latProbe,
 	})
 }
 

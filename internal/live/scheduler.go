@@ -31,11 +31,6 @@ type SchedulerConfig struct {
 	// NumSchedulers is the cluster-wide scheduler count, used by the
 	// fairness floor estimate. Default 1.
 	NumSchedulers int
-	// ProbeRatio is reservations per task (default 4 for Hopper, 2 for
-	// the Sparrow modes).
-	ProbeRatio float64
-	// RefusalThreshold is Pseudocode 3's refusal bound (default 2).
-	RefusalThreshold int
 	// Beta is the Pareto tail index used for virtual sizes and service
 	// time draws (default 1.5). Live mode draws service times scheduler-
 	// side so the straggler race is reproducible; see package docs.
@@ -113,10 +108,10 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 // silently stalled workers. Generous against report latency
 // (milliseconds of wall clock) so a healthy copy never expires; the
 // effective grace is additionally floored at one wall-clock second (see
-// copyDeadline) so aggressive time compression cannot turn scheduling
-// hiccups into phantom losses. A spurious expiry (slow report, not a
-// lost one) is safe: the late report finds its copy gone and is
-// ignored, at the cost of one redundant placement.
+// expireOverdueCopies) so aggressive time compression cannot turn
+// scheduling hiccups into phantom losses. A spurious expiry (slow
+// report, not a lost one) is safe: the late report finds its copy gone
+// and is ignored, at the cost of one redundant placement.
 const defaultWatchdogGrace = 5.0
 
 // lJob is scheduler-side job state: the cluster.Job driving the protocol
@@ -138,20 +133,9 @@ type lJob struct {
 	probeSent map[uint32]time.Time
 }
 
-// lCopy is one in-flight emulated copy, keyed by (worker, assign seq).
-type lCopy struct {
-	job      *lJob
-	task     *cluster.Task
-	copy     *cluster.Copy
-	worker   *peer
-	workerID uint32
-	seq      uint64
-
-	// deadline is the watchdog expiry (virtual time): the copy's drawn
-	// duration plus grace.
-	deadline float64
-}
-
+// copyKey names an in-flight copy on the wire: the worker it runs on and
+// that worker's number for the offer that placed it (cluster.Copy's
+// Machine and Seq).
 type copyKey struct {
 	worker uint32
 	seq    uint64
@@ -176,11 +160,14 @@ type Scheduler struct {
 	workerIDs  []cluster.MachineID // sorted; topology for probe aiming
 	totalSlots int
 
-	jobs   map[uint64]*lJob
-	copies map[copyKey]*lCopy
-	// byTask indexes the in-flight copies of each task so settling a
-	// race touches only that task's copies, not the cluster-wide map.
-	byTask map[*cluster.Task][]*lCopy
+	jobs map[uint64]*lJob
+	// copies indexes the running copies by their wire name. The record is
+	// the cluster.Copy itself — a task's racing siblings are its Copies —
+	// so this is a key index and nothing more.
+	copies map[copyKey]*cluster.Copy
+	// killLoser is Task.Win's loser consequence on this plane, bound once:
+	// a Kill frame to the copy's worker and the key's removal.
+	killLoser func(*cluster.Copy)
 
 	// pendingAdmit buffers submissions and pendingProbes buffers probes
 	// that arrive while no worker is registered (cluster boot, full
@@ -251,19 +238,20 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		workers:      make(map[uint32]*peer),
 		jobs:         make(map[uint64]*lJob),
-		copies:       make(map[copyKey]*lCopy),
-		byTask:       make(map[*cluster.Task][]*lCopy),
+		copies:       make(map[copyKey]*cluster.Copy),
 		pendingRecon: make(map[uint64][]pendingRecon),
 		start:        cfg.Timers.Now(),
 	}
 	s.model = cluster.DefaultExecModel()
 	s.model.Beta = cfg.Beta
+	s.killLoser = func(c *cluster.Copy) {
+		s.sendKill(c)
+		delete(s.copies, copyKey{uint32(c.Machine), c.Seq})
+	}
 	pcfg := protocol.Config{
-		Mode:             cfg.Mode,
-		NumSchedulers:    cfg.NumSchedulers,
-		ProbeRatio:       cfg.ProbeRatio,
-		RefusalThreshold: cfg.RefusalThreshold,
-		BetaPrior:        cfg.Beta, // virtual sizes see the same tail index as service draws
+		Mode:          cfg.Mode,
+		NumSchedulers: cfg.NumSchedulers,
+		BetaPrior:     cfg.Beta, // virtual sizes see the same tail index as service draws
 	}.WithDefaults()
 	pcfg.Spec.MaxCopies = cfg.MaxCopies
 	s.core = protocol.NewSched(protocol.SchedID(cfg.ID), pcfg, protocol.SchedEnv{
@@ -448,29 +436,32 @@ func (s *Scheduler) onDisconnect(p *peer) {
 	// the peer keep writing into the void with all its protocol state
 	// pinned on replies that cannot come.
 	p.conn.Close()
-	delete(s.workers, id)
-	for i, wid := range s.workerIDs {
-		if wid == cluster.MachineID(id) {
-			s.workerIDs = append(s.workerIDs[:i], s.workerIDs[i+1:]...)
-			break
-		}
-	}
-	s.totalSlots -= int(p.hello.Slots)
-	s.unwindWorkerCopies(p)
+	s.deregister(id, p.hello.Slots)
 }
 
-// unwindWorkerCopies settles every in-flight copy that lived on the
-// given connection as lost.
-func (s *Scheduler) unwindWorkerCopies(p *peer) {
-	var lost []*lCopy
-	for _, lc := range s.copies {
-		if lc.worker == p {
-			lost = append(lost, lc)
+// deregister takes worker id out of the topology — its slots and the
+// probe-target list — and settles every copy placed on it as lost.
+func (s *Scheduler) deregister(id, slots uint32) {
+	delete(s.workers, id)
+	if i, ok := slices.BinarySearch(s.workerIDs, cluster.MachineID(id)); ok {
+		s.workerIDs = slices.Delete(s.workerIDs, i, i+1)
+	}
+	s.totalSlots -= int(slots)
+	s.unwindWorkerCopies(id)
+}
+
+// unwindWorkerCopies settles every in-flight copy placed on worker id
+// as lost.
+func (s *Scheduler) unwindWorkerCopies(id uint32) {
+	var lost []*cluster.Copy
+	for k, c := range s.copies {
+		if k.worker == id {
+			lost = append(lost, c)
 		}
 	}
 	sortCopies(lost)
-	for _, lc := range lost {
-		s.settleLostCopy(lc)
+	for _, c := range lost {
+		s.settleLostCopy(c)
 	}
 }
 
@@ -478,12 +469,12 @@ func (s *Scheduler) unwindWorkerCopies(p *peer) {
 // seq) order before they are settled. A settlement sends frames and
 // draws probe targets from the node's RNG, so the order is behaviour:
 // settled in map order, the same loss would not replay.
-func sortCopies(lcs []*lCopy) {
-	slices.SortFunc(lcs, func(a, b *lCopy) int {
-		if c := cmp.Compare(a.workerID, b.workerID); c != 0 {
+func sortCopies(cs []*cluster.Copy) {
+	slices.SortFunc(cs, func(a, b *cluster.Copy) int {
+		if c := cmp.Compare(a.Machine, b.Machine); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.seq, b.seq)
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 }
 
@@ -491,30 +482,10 @@ func sortCopies(lcs []*lCopy) {
 // rolls back, and a task left with no live copy requeues — with its
 // probes aimed away from the worker that lost it (likely draining; its
 // still-registered connection would swallow them).
-func (s *Scheduler) settleLostCopy(lc *lCopy) {
-	t := lc.copy.Task
-	lc.copy.Killed = true
-	s.detachCopy(lc)
-	s.removeCopy(t, lc.copy)
-	s.sendProbesAvoiding(s.core.CopyLost(t), int64(lc.workerID))
-}
-
-// detachCopy removes a copy from both in-flight indexes.
-func (s *Scheduler) detachCopy(lc *lCopy) {
-	delete(s.copies, copyKey{lc.workerID, lc.seq})
-	list := s.byTask[lc.task]
-	for i, x := range list {
-		if x == lc {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(s.byTask, lc.task)
-	} else {
-		s.byTask[lc.task] = list
-	}
+func (s *Scheduler) settleLostCopy(c *cluster.Copy) {
+	delete(s.copies, copyKey{uint32(c.Machine), c.Seq})
+	c.Task.DropCopy(c)
+	s.sendProbesAvoiding(s.core.CopyLost(c.Task), int64(c.Machine))
 }
 
 // Stop terminates the scheduler; Run drains pending jobs on its way out.
@@ -595,15 +566,10 @@ func (s *Scheduler) handle(env envelope) {
 			if prevHello.Role == wire.RoleWorker && prevHello.ID != m.ID && s.workers[prevHello.ID] == env.from {
 				// The connection re-announced under a different ID:
 				// deregister the previous identity or it lingers as a
-				// ghost that double-counts slots and swallows probes.
-				delete(s.workers, prevHello.ID)
-				for i, wid := range s.workerIDs {
-					if wid == cluster.MachineID(prevHello.ID) {
-						s.workerIDs = append(s.workerIDs[:i], s.workerIDs[i+1:]...)
-						break
-					}
-				}
-				s.totalSlots -= int(prevHello.Slots)
+				// ghost that double-counts slots and swallows probes. Its
+				// copies settle now: their reports will arrive under the
+				// new ID, which names none of them.
+				s.deregister(prevHello.ID, prevHello.Slots)
 			}
 			old, known := s.workers[m.ID]
 			// Always adopt the new connection: a restarted worker (drain +
@@ -630,7 +596,7 @@ func (s *Scheduler) handle(env envelope) {
 					// this worker was the only (unusable) target flush
 					// to the fresh connection. (A redundant Hello on the
 					// SAME connection must not unwind live copies.)
-					s.unwindWorkerCopies(old)
+					s.unwindWorkerCopies(m.ID)
 					old.conn.Close()
 					s.flushPendingProbes()
 				}
@@ -831,14 +797,13 @@ func (s *Scheduler) reconcileWorker(m *wire.Hello) {
 // reconcileCopy re-attaches one reported in-flight copy to its task:
 // the task transitions to Running (so the phase wakeup skips it), the
 // copy is indexed under the worker's original assign seq (so its
-// eventual TaskDone settles normally), its watchdog is armed from the
-// reported remaining time, and the core's occupancy/running bookkeeping
-// is restored. Reports that no longer apply — unknown worker, stale
+// eventual TaskDone settles normally), its watchdog deadline follows
+// from the reported remaining time, and the core's occupancy/running
+// bookkeeping is restored. Reports that no longer apply — unknown worker, stale
 // coordinates, task already done, duplicate (worker, seq) — are dropped;
 // the worker's copy then finishes into the stale-report path harmlessly.
 func (s *Scheduler) reconcileCopy(lj *lJob, workerID uint32, rc wire.RunningCopy) bool {
-	w := s.workers[workerID]
-	if w == nil {
+	if s.workers[workerID] == nil {
 		return false
 	}
 	j := lj.job
@@ -866,13 +831,11 @@ func (s *Scheduler) reconcileCopy(lj *lJob, workerID uint32, rc wire.RunningCopy
 	// Remaining is wall-clock on the reporting worker; stamping its speed
 	// keeps work-unit estimates (speculation, estimators) consistent.
 	c.Speed = s.workerSpeed(workerID)
+	c.Seq = rc.Seq
 	if rc.Speculative {
 		lj.specCopies++
 	}
-	lc := &lCopy{job: lj, task: t, copy: c, worker: w, workerID: workerID, seq: rc.Seq,
-		deadline: s.copyDeadline(rem)}
-	s.copies[key] = lc
-	s.byTask[t] = append(s.byTask[t], lc)
+	s.copies[key] = c
 	s.core.ReconcileRunning(t, rc.Speculative)
 	s.ensureTicker()
 	return true
@@ -1031,16 +994,16 @@ func (s *Scheduler) onOffer(from *peer, m *wire.Offer) {
 	}
 	var dur float64
 	if rep.HasTask {
-		dur = s.startCopy(rep, from, m.WorkerID, m.Seq)
+		dur = s.startCopy(rep, m.WorkerID, m.Seq)
 	}
 	s.loop.send(from, s.out.wireFromReply(rep, m.Seq, dur))
 }
 
 // startCopy performs the placement bookkeeping the simulator's Executor
 // would: it draws the copy's service time (scripted override or the
-// heavy-tailed model keyed exactly like the simulator's), records the
-// copy on the task, and indexes it by (worker, seq) for settlement.
-func (s *Scheduler) startCopy(rep protocol.Reply, w *peer, workerID uint32, seq uint64) float64 {
+// simulator's own draw, ExecModel.CopyDuration), records the copy on the
+// task, and indexes it by (worker, seq) for settlement.
+func (s *Scheduler) startCopy(rep protocol.Reply, workerID uint32, seq uint64) float64 {
 	t := rep.Task
 	m := cluster.MachineID(workerID)
 	local := t.LocalOn(m)
@@ -1051,13 +1014,11 @@ func (s *Scheduler) startCopy(rep protocol.Reply, w *peer, workerID uint32, seq 
 		// scaling (same contract as the simulator's Executor).
 		dur = s.cfg.DurationOverride(t, rep.Spec)
 	} else {
-		dur = s.model.Duration(cluster.CopyServiceRNG(s.cfg.Seed, t, len(t.Copies)), t.Phase.MeanTaskDuration, local)
-		if speed != 1 {
-			dur /= speed
-		}
+		dur = s.model.CopyDuration(s.cfg.Seed, t, local, speed)
 	}
 	c := t.StartCopy(s.now(), m, rep.Spec, local, dur)
 	c.Speed = speed
+	c.Seq = seq
 	lj := s.jobs[uint64(rep.Job)]
 	if rep.Spec && lj != nil {
 		lj.specCopies++
@@ -1068,51 +1029,40 @@ func (s *Scheduler) startCopy(rep protocol.Reply, w *peer, workerID uint32, seq 
 		lj.placed = true
 		s.cfg.PlaceLatency.Record(time.Since(lj.submitWall))
 	}
-	lc := &lCopy{job: lj, task: t, copy: c, worker: w, workerID: workerID, seq: seq,
-		deadline: s.copyDeadline(dur)}
-	s.copies[copyKey{workerID, seq}] = lc
-	s.byTask[t] = append(s.byTask[t], lc)
+	s.copies[copyKey{workerID, seq}] = c
 	return dur
 }
 
-// copyDeadline computes a new copy's watchdog expiry: now + duration +
-// grace, with the grace floored at one wall-clock second so compressed
-// time scales keep real slack.
-func (s *Scheduler) copyDeadline(dur float64) float64 {
-	grace := defaultWatchdogGrace
-	if floor := 1.0 / s.cfg.TimeScale; grace < floor {
-		grace = floor
-	}
-	return s.now() + dur + grace
-}
-
 // expireOverdueCopies sweeps the in-flight copies for ones whose report
-// is overdue and settles them as lost: occupancy unwinds, a task left
-// copy-less requeues with fresh probes, and a Kill tells the worker to
-// reclaim the slot in case the copy is in fact still running (a late
-// real report then finds the copy gone and is dropped).
+// is overdue — past the copy's finish by the watchdog grace, floored at
+// one wall-clock second so compressed time scales keep real slack — and
+// settles them as lost: occupancy unwinds, a task left copy-less
+// requeues with fresh probes, and a Kill tells the worker to reclaim the
+// slot in case the copy is in fact still running (a late real report
+// then finds the copy gone and is dropped).
 func (s *Scheduler) expireOverdueCopies() {
 	now := s.now()
-	var overdue []*lCopy
-	for _, lc := range s.copies {
-		if now > lc.deadline {
-			overdue = append(overdue, lc)
+	grace := max(defaultWatchdogGrace, 1.0/s.cfg.TimeScale)
+	var overdue []*cluster.Copy
+	for _, c := range s.copies {
+		if now > c.Finish()+grace {
+			overdue = append(overdue, c)
 		}
 	}
 	sortCopies(overdue)
-	for _, lc := range overdue {
+	for _, c := range overdue {
 		s.stats.WatchdogExpiries++
 		s.loop.logf("copy of job %d task %d on worker %d overdue; requeueing",
-			lc.task.Job.ID, lc.task.Index, lc.workerID)
-		s.sendKill(lc)
-		s.settleLostCopy(lc)
+			c.Task.Job.ID, c.Task.Index, c.Machine)
+		s.sendKill(c)
+		s.settleLostCopy(c)
 	}
 }
 
 // sendKill tells a copy's worker to stop it and free the slot.
-func (s *Scheduler) sendKill(lc *lCopy) {
-	s.out.kill = wire.Kill{JobID: uint64(lc.task.Job.ID), Seq: lc.seq}
-	s.loop.send(lc.worker, &s.out.kill)
+func (s *Scheduler) sendKill(c *cluster.Copy) {
+	s.out.kill = wire.Kill{JobID: uint64(c.Task.Job.ID), Seq: c.Seq}
+	s.loop.send(s.workers[uint32(c.Machine)], &s.out.kill)
 }
 
 // onTaskDone settles a copy report: a win resolves the whole race
@@ -1120,63 +1070,41 @@ func (s *Scheduler) sendKill(lc *lCopy) {
 // back and requeues the task if it lost its last copy (worker drain).
 func (s *Scheduler) onTaskDone(m *wire.TaskDone) {
 	key := copyKey{m.WorkerID, m.Seq}
-	lc := s.copies[key]
-	if lc == nil {
+	c := s.copies[key]
+	if c == nil {
 		return // stale: race already settled by the winning sibling
 	}
-	t, c := lc.task, lc.copy
+	t := c.Task
 	now := s.now()
 
 	if m.Killed {
 		// The copy never ran (stale assign) or died with its worker:
 		// unwind it and, if the task is now copy-less, put it back on the
 		// fresh queue and re-probe.
-		s.settleLostCopy(lc)
+		s.settleLostCopy(c)
 		return
 	}
 
-	s.detachCopy(lc)
+	delete(s.copies, key)
 	if t.State == cluster.TaskDone {
 		// Crossed with our Kill, or a recovery race placed this copy
 		// after the task was already won (it was not part of the win's
 		// settlement — sibling kills cleared every indexed copy then):
 		// roll its hand-out back or the job finishes with occupancy
 		// pinned and leaks.
-		s.removeCopy(t, c)
+		t.DropCopy(c)
 		s.core.CopyLost(t)
 		return
 	}
 
-	// This copy wins the race.
-	c.Won = true
-	t.State = cluster.TaskDone
-	t.DoneAt = now
-	// Kill racing siblings (only this task's copies, via the per-task
-	// index); their workers free the slots on Kill and send nothing back
-	// — the race is settled here, once.
-	siblings := s.byTask[t]
-	delete(s.byTask, t)
-	for _, other := range siblings {
-		other.copy.Killed = true
-		s.sendKill(other)
-		delete(s.copies, copyKey{other.workerID, other.seq})
-	}
+	// This copy wins the race. Its running siblings are killed
+	// (killLoser); their workers free the slots on Kill and send nothing
+	// back — the race is settled here, once.
+	t.Win(c, now, s.killLoser)
 	s.core.TaskDone(t, c)
 
 	if s.unlock.CompleteTask(t, now) {
 		s.finishJob(t.Job)
-	}
-}
-
-// removeCopy drops a copy that never contributed from the task's copy
-// list, keeping len(Copies) aligned with the occupancy the core settles
-// at win time.
-func (s *Scheduler) removeCopy(t *cluster.Task, c *cluster.Copy) {
-	for i, x := range t.Copies {
-		if x == c {
-			t.Copies = append(t.Copies[:i], t.Copies[i+1:]...)
-			return
-		}
 	}
 }
 

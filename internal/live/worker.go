@@ -25,8 +25,6 @@ type WorkerConfig struct {
 	SchedulerAddrs []string
 	// Mode must match the schedulers'.
 	Mode protocol.Mode
-	// RefusalThreshold is Pseudocode 3's refusal bound (default 2).
-	RefusalThreshold int
 	// Class/ClassName/Speed/Cap describe this worker's machine class.
 	// The worker advertises them in its Hello as a one-entry class table
 	// so schedulers need no out-of-band class configuration; Speed
@@ -202,10 +200,7 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 	}
 	w.offerTimerEv = &internalEvent{fn: w.offerTimerFired}
 	w.offerTimerFn = func() { w.post(w.offerTimerEv, nil) }
-	pcfg := protocol.Config{
-		Mode:             cfg.Mode,
-		RefusalThreshold: cfg.RefusalThreshold,
-	}.WithDefaults()
+	pcfg := protocol.Config{Mode: cfg.Mode}.WithDefaults()
 	pcfg.RetryJitter = cfg.RetryJitter // after defaults: zero here means disabled, not unset
 	w.core = protocol.NewWorker(cluster.MachineID(cfg.ID), pcfg, protocol.WorkerEnv{
 		Now:       w.now,

@@ -539,8 +539,8 @@ func (sc *Sched) smallestUnsatisfied(rep *Reply) {
 //
 // No silent demand: a worker drops its reservation when told NoDemand,
 // so every way a job goes from "would answer NoDemand" to "would hand
-// out a task" must send probes — fresh tasks (PhaseRunnable,
-// RequeueLost) and speculation wants, ripe capacity-driven victims
+// out a task" must send probes — fresh tasks (PhaseRunnable, a
+// requeue in CopyLost) and speculation wants, ripe capacity-driven victims
 // included (ScanSpec), all do. The one demand found without probes is
 // the victim search below, which is why a quiet job skips it: what
 // ripened since the job said NoDemand waits for the next ScanSpec to

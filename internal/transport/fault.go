@@ -1,20 +1,17 @@
 package transport
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"github.com/hopper-sim/hopper/internal/wire"
 )
 
 // This file is the chaos layer: a deterministic fault-decision engine
-// (Injector) and a Conn wrapper (Faulty) that realizes its verdicts on a
-// live connection. The two are split so the same seeded decision stream
-// can drive both wall-clock connections and the virtual-time failure
-// suite in internal/live, whose connections schedule deliveries on a
-// simulation engine instead of timers.
+// (Injector). It only decides; the caller realizes each verdict. Its one
+// consumer is the virtual-time failure suite in internal/live, whose
+// connections ask Judge for every frame's fate and schedule deliveries on
+// a simulation engine.
 
 // Rates holds per-message fault probabilities; each is in [0, 1] and
 // drawn independently per send.
@@ -40,9 +37,9 @@ type FaultConfig struct {
 	// PerType overrides Default for specific message types, so a scenario
 	// can, say, drop only probes or duplicate only task hand-offs.
 	PerType map[wire.MsgType]Rates
-	// DelayMin/DelayMax bound the extra delivery delay, in seconds.
-	// Consumers map seconds to their own clock domain (Faulty uses wall
-	// time; internal/live's virtual cluster uses engine time).
+	// DelayMin/DelayMax bound the extra delivery delay, in seconds of
+	// the consumer's clock (internal/live's virtual cluster uses engine
+	// time).
 	DelayMin float64
 	DelayMax float64
 }
@@ -159,71 +156,3 @@ func (in *Injector) Stats() FaultStats {
 	defer in.mu.Unlock()
 	return in.stats
 }
-
-// Faulty wraps a Conn and applies an Injector's verdicts to its send
-// side: drops vanish, duplicates send twice, delays hold the frame on a
-// wall-clock timer (seconds map 1:1 to wall time). Wrap both ends of a
-// link (sharing an Injector or using one per direction) for
-// bidirectional chaos. Recv is passed through untouched — faults are
-// injected where the message enters the link, which is enough because
-// every message crosses exactly one wrapped send.
-//
-// A dropped or delayed send reports success immediately: a lossy network
-// gives the sender no synchronous failure either, and the protocol's
-// recovery paths (reprobe, offer timeouts, watchdogs) are exactly what
-// the wrapper exists to exercise. Errors from delayed sends are
-// discarded — the connection may legitimately be gone by then.
-//
-// A held frame is a copy: Send is done with m when it returns (see
-// Conn), and the live nodes reuse one scratch value for every frame, so
-// a timer that kept the caller's pointer would deliver whatever the node
-// wrote next. The in-order path passes m straight through.
-type Faulty struct {
-	inner Conn
-	inj   *Injector
-}
-
-// WrapFaulty wraps a connection with fault injection driven by inj.
-func WrapFaulty(c Conn, inj *Injector) *Faulty {
-	return &Faulty{inner: c, inj: inj}
-}
-
-// Injector returns the wrapper's decision engine (for partition control
-// and stats).
-func (f *Faulty) Injector() *Injector { return f.inj }
-
-func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-
-func (f *Faulty) Send(m wire.Message) error {
-	fate := f.inj.Judge(m.Type())
-	if fate.Drop {
-		return nil
-	}
-	var held wire.Message // m's copy, shared by both timers (never written)
-	if fate.Delay > 0 || (fate.Dup && fate.DupDelay > 0) {
-		frame := wire.Append(nil, m)
-		var err error
-		if held, err = wire.Decode(wire.MsgType(frame[4]), frame[5:]); err != nil {
-			return fmt.Errorf("transport: copying %s for delayed delivery: %w", m.Type(), err)
-		}
-	}
-	var firstErr error
-	if fate.Delay > 0 {
-		time.AfterFunc(secs(fate.Delay), func() { _ = f.inner.Send(held) })
-	} else {
-		firstErr = f.inner.Send(m)
-	}
-	if fate.Dup {
-		if fate.DupDelay > 0 {
-			time.AfterFunc(secs(fate.DupDelay), func() { _ = f.inner.Send(held) })
-		} else {
-			_ = f.inner.Send(m)
-		}
-	}
-	return firstErr
-}
-
-func (f *Faulty) Recv() (wire.Message, error)       { return f.inner.Recv() }
-func (f *Faulty) SetRecvDeadline(t time.Time) error { return f.inner.SetRecvDeadline(t) }
-func (f *Faulty) Close() error                      { return f.inner.Close() }
-func (f *Faulty) RemoteAddr() string                { return f.inner.RemoteAddr() }

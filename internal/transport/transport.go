@@ -49,7 +49,7 @@ import (
 // What Recv returns is the caller's until it chooses to hand it to
 // wire.Release, which lets a later Recv reuse the struct; not releasing
 // costs an allocation, never correctness. A wrapper that holds a
-// message past its own Send's return (Faulty's delays) must copy it.
+// message past its own Send's return (a delayed delivery) must copy it.
 type Conn interface {
 	// Send transmits one message.
 	Send(m wire.Message) error
