@@ -54,7 +54,7 @@ type Copy struct {
 	// Speed recovers baseline-speed work, which is the unit progress
 	// estimators compare in (speculation, alpha). StartCopy defaults it
 	// to 1, so homogeneous paths multiply by exactly 1.0 — a float no-op.
-	// The zero value also reads as 1 (speed method), so hand-built copies
+	// The zero value also reads as 1 (SpeedFactor), so hand-built copies
 	// behave homogeneously.
 	Speed float64
 
@@ -76,10 +76,10 @@ type Copy struct {
 	finishEv *simulator.Event
 }
 
-// speed is Speed with the zero value normalized to the homogeneous
+// SpeedFactor is Speed with the zero value normalized to the homogeneous
 // default of 1, mirroring how a zero Resources demand means "fits
-// anywhere".
-func (c *Copy) speed() simulator.Time {
+// anywhere": the factor every Work* method multiplies by.
+func (c *Copy) SpeedFactor() simulator.Time {
 	if c.Speed > 0 {
 		return simulator.Time(c.Speed)
 	}
@@ -108,17 +108,17 @@ func (c *Copy) Remaining(now simulator.Time) simulator.Time {
 // compare work, not wall-clock, so a fast machine's short tail and a
 // slow machine's long tail rank correctly against a fresh copy.
 func (c *Copy) WorkRemaining(now simulator.Time) simulator.Time {
-	return c.Remaining(now) * c.speed()
+	return c.Remaining(now) * c.SpeedFactor()
 }
 
 // WorkDuration is the copy's total service time in baseline-speed work
 // units (Duration * Speed) — what the same draw would have taken on a
 // speed-1 machine.
-func (c *Copy) WorkDuration() simulator.Time { return c.Duration * c.speed() }
+func (c *Copy) WorkDuration() simulator.Time { return c.Duration * c.SpeedFactor() }
 
 // WorkElapsed is the baseline-speed work completed by time now.
 func (c *Copy) WorkElapsed(now simulator.Time) simulator.Time {
-	return c.Elapsed(now) * c.speed()
+	return c.Elapsed(now) * c.SpeedFactor()
 }
 
 // Task is a unit of work inside a phase. Tasks may have replica locality
@@ -138,9 +138,16 @@ type Task struct {
 	// what every homogeneous workload carries.
 	Demand Resources
 
-	State  TaskState
-	Copies []*Copy
-	DoneAt simulator.Time
+	State TaskState
+	// SpecWanted is scheduler-owned scratch with the same single-owner
+	// contract as SchedPos: true while the task sits in its scheduler's
+	// speculation want-queue. A field instead of a per-job
+	// map[*Task]bool makes want-dedup a load instead of a hash lookup
+	// and removes the map allocation per job. The cluster package never
+	// reads it. (It sits next to State so the two share a word.)
+	SpecWanted bool
+	Copies     []*Copy
+	DoneAt     simulator.Time
 
 	// SchedPos is scheduler-owned scratch: the task's slot in the running
 	// set of whichever scheduler tracks it (a task belongs to exactly one
@@ -148,20 +155,16 @@ type Task struct {
 	// a side map. The cluster package never reads it.
 	SchedPos int
 
-	// SpecWanted is scheduler-owned scratch with the same single-owner
-	// contract as SchedPos: true while the task sits in its scheduler's
-	// speculation want-queue. A field instead of a per-job
-	// map[*Task]bool makes want-dedup a load instead of a hash lookup
-	// and removes the map allocation per job. The cluster package never
-	// reads it.
-	SpecWanted bool
-
-	// VictimPos is scheduler-owned scratch with the same single-owner
-	// contract: the task's hand-out rank within its job, assigned when
-	// the scheduler adds it to the running set. The speculation monitor's
-	// victim index uses it to reproduce the scan's first-in-hand-out-order
-	// tie-break exactly. The cluster package never reads it.
-	VictimPos int
+	// VictimPos and VictimCopy are scheduler-owned scratch with the same
+	// single-owner contract, kept by the speculation monitor's victim
+	// index. VictimPos is the task's hand-out rank within its job,
+	// assigned when the scheduler adds it to the running set (0 while it
+	// is in none): it reproduces the scan's first-in-hand-out-order
+	// tie-break exactly. VictimCopy is the copy the index currently keys
+	// the task by, nil while it has no entry. The cluster package never
+	// reads either.
+	VictimPos  int
+	VictimCopy *Copy
 }
 
 // ID returns a human-readable identifier for logs and errors.

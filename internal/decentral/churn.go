@@ -59,12 +59,6 @@ func (s *System) EnableChurn(cfg ChurnConfig) {
 	if cfg.LeaveEvery <= 0 {
 		return
 	}
-	// A leave kills copies outside task completion, which the victim
-	// index's eligibility shortcut assumes never happens
-	// (speculation/victimindex.go): churned runs search by scan.
-	for _, sc := range s.scheds {
-		sc.core.DisableVictimIndex()
-	}
 	s.churn = cfg.withDefaults()
 	s.churnRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
 	s.trackCopies = true

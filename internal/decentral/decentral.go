@@ -392,18 +392,6 @@ func New(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *System {
 	}
 	s.reprobeEvery = cfg.ReprobeInterval
 	pcfg := cfg.protocol()
-	// The victim index answers Hopper's per-offer victim search in
-	// O(log n) where the scan is O(running tasks) — the difference between
-	// 130 s and 218 s at 100k machines (DESIGN.md §9) — and ScanSpec's two
-	// questions per tick without walking the running sets. It is on
-	// whenever the config makes it exact-equivalent to the scan
-	// (speculation.Config.IndexExact; the conditions are argued in
-	// speculation/victimindex.go); the two conditions a config cannot
-	// show, a non-unit machine speed and churn, downgrade the monitors to
-	// the scan at run time (OriginalCopyPlaced, EnableChurn). Sparrow
-	// modes never search for victims per offer, so they are left on the
-	// scan.
-	pcfg.IndexedVictims = (cfg.Mode == ModeHopper || cfg.Mode == ModeLoadCache) && pcfg.Spec.IndexExact()
 	s.pcfg = pcfg
 	for i := 0; i < cfg.NumSchedulers; i++ {
 		s.scheds = append(s.scheds, newSched(s, i, pcfg))
@@ -424,17 +412,6 @@ func (s *System) Name() string { return s.Cfg.Mode.String() }
 
 // Completed returns finished jobs in completion order.
 func (s *System) Completed() []*cluster.Job { return s.done }
-
-// IndexEnabled reports whether every scheduler answers its victim
-// searches from the index (see New for the gate) rather than the scan.
-func (s *System) IndexEnabled() bool {
-	for _, sc := range s.scheds {
-		if !sc.core.IndexEnabled() {
-			return false
-		}
-	}
-	return true
-}
 
 // Arrive admits a job, assigning it round-robin to a scheduler exactly as
 // the paper's frontends do.

@@ -85,11 +85,10 @@ func (w *worker) place(from protocol.SchedID, rep protocol.Reply) bool {
 	if w.sys.trackCopies {
 		w.trackCopy(c)
 	}
-	if !rep.Spec {
-		// The original copy's start/duration are fixed now; feed the
-		// scheduler's victim index (no-op unless IndexedVictims).
-		sc.core.CopyPlaced(t)
-	}
+	// The copy's start and duration are fixed now: the scheduler's victim
+	// index keys a task by its oldest live copy, which a speculative copy
+	// becomes when it lands on a task whose original was lost.
+	sc.core.CopyPlaced(t)
 	if w.sys.OnPlace != nil {
 		w.sys.OnPlace(t, w.id, rep.Spec)
 	}

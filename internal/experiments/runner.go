@@ -235,12 +235,6 @@ func (c ClusterSpec) machines() *cluster.Machines {
 // nothing observable.
 var forceClassedLayout = false
 
-// onDecentralRun, when set, is handed every decentralized system RunTrace
-// has just run, on the cell's goroutine. Test-only, like
-// forceClassedLayout: the dispatch golden uses it to prove that its
-// cells exercise the victim index.
-var onDecentralRun func(*decentral.System)
-
 // Prototype200 is the paper's deployment: 200 machines, 16 slots each.
 func Prototype200(beta float64) ClusterSpec {
 	em := cluster.DefaultExecModel()
@@ -340,9 +334,6 @@ func RunTrace(kind SchedulerKind, spec ClusterSpec, jobs []*cluster.Job, seed in
 		res.MachinesLeft, res.CopiesLost = sys.MachinesLeft, sys.CopiesLost
 		res.ProbesLost, res.AssignsLost = sys.ProbesLost, sys.AssignsLost
 		res.Requeues = sys.Requeues
-		if onDecentralRun != nil {
-			onDecentralRun(sys)
-		}
 	}
 	if exec.CopiesStarted > 0 {
 		res.LocalFraction = float64(exec.LocalCopies) / float64(exec.CopiesStarted)

@@ -325,9 +325,10 @@ func (s *wireSystem) taskOf(rep protocol.Reply) *cluster.Task {
 	return j.Phases[rep.Phase].Tasks[rep.TaskIndex]
 }
 
-// place is the worker placement callback — Executor.PlaceOn plus the
-// parity log, with the same placement-failed rollback message flow as
-// decentral (routed through the scheduler's processing queue).
+// place is the worker placement callback — Executor.PlaceOn, reported to
+// the scheduler core as decentral reports it, plus the parity log, with
+// the same placement-failed rollback message flow as decentral (routed
+// through the scheduler's processing queue).
 func (w *wsWorker) place(from protocol.SchedID, rep protocol.Reply) bool {
 	s := w.sys
 	t := rep.Task
@@ -338,6 +339,7 @@ func (w *wsWorker) place(from protocol.SchedID, rep protocol.Reply) bool {
 		return false
 	}
 	s.exec.PlaceOn(t, w.id, rep.Spec)
+	sc.core.CopyPlaced(t)
 	s.log = append(s.log, fmt.Sprintf("%d/%d/%d@%d spec=%v", t.Job.ID, t.Phase.Index, t.Index, w.id, rep.Spec))
 	return true
 }

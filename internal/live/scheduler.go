@@ -1002,7 +1002,8 @@ func (s *Scheduler) onOffer(from *peer, m *wire.Offer) {
 // startCopy performs the placement bookkeeping the simulator's Executor
 // would: it draws the copy's service time (scripted override or the
 // simulator's own draw, ExecModel.CopyDuration), records the copy on the
-// task, and indexes it by (worker, seq) for settlement.
+// task, indexes it by (worker, seq) for settlement, and reports it to the
+// core's victim index (Sched.CopyPlaced).
 func (s *Scheduler) startCopy(rep protocol.Reply, workerID uint32, seq uint64) float64 {
 	t := rep.Task
 	m := cluster.MachineID(workerID)
@@ -1030,6 +1031,7 @@ func (s *Scheduler) startCopy(rep protocol.Reply, workerID uint32, seq uint64) f
 		s.cfg.PlaceLatency.Record(time.Since(lj.submitWall))
 	}
 	s.copies[copyKey{workerID, seq}] = c
+	s.core.CopyPlaced(t)
 	return dur
 }
 

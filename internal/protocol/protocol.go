@@ -128,16 +128,6 @@ type Config struct {
 	// zero — the simulator's dispatch golden pins exact retry timing —
 	// and the live adapters enable it (see live.defaultRetryJitter).
 	RetryJitter float64
-
-	// IndexedVictims enables the speculation monitor's heap-backed victim
-	// index in place of the linear scans: the per-offer victim search and
-	// ScanSpec's candidates and ripe victims. Exact-equivalent by
-	// construction (the monitor refuses configurations where it is not).
-	// Set by an adapter, never by a user: it is the adapter's promise to
-	// report every original placement through Sched.CopyPlaced and to
-	// call DisableVictimIndex before it kills copies mid-task. The
-	// simulator adapter makes it (decentral.New); the live one does not.
-	IndexedVictims bool
 }
 
 // WithDefaults fills zero fields with the paper's defaults for the mode.

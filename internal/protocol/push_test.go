@@ -187,7 +187,8 @@ func TestOnReplyZeroRefFindsEntryByFromAndJob(t *testing.T) {
 }
 
 // runningJob admits a job of n tasks, hands every task out and starts
-// its original copy at time 0 with the given duration.
+// its original copy at time 0 with the given duration, reporting each
+// placement as an adapter does.
 func runningJob(t *testing.T, h *harness, id cluster.JobID, n int, mean, dur float64) *cluster.Job {
 	t.Helper()
 	j := mkJob(id, n, mean)
@@ -199,6 +200,7 @@ func runningJob(t *testing.T, h *harness, id cluster.JobID, n int, mean, dur flo
 			t.Fatalf("hand-out %d: %+v", i, rep)
 		}
 		rep.Task.StartCopy(0, cluster.MachineID(i%4), false, false, dur)
+		h.sc.CopyPlaced(rep.Task)
 	}
 	return j
 }
@@ -242,6 +244,7 @@ func TestScanSpecAnnouncesRipeVictims(t *testing.T) {
 			t.Fatalf("announced victim %d not handed out: %+v", i, rep)
 		}
 		rep.Task.StartCopy(h.clk.now, cluster.MachineID(2+i), true, false, 1)
+		h.sc.CopyPlaced(rep.Task)
 	}
 	if again := h.sc.ScanSpec(); len(again) != 0 {
 		t.Fatalf("victims at the copy cap announced again: %d probes", len(again))
@@ -265,6 +268,7 @@ func TestSparrowScanAnnouncesPolicyWantsOnly(t *testing.T) {
 			t.Fatalf("pull %d: %+v", i, rep)
 		}
 		rep.Task.StartCopy(0, cluster.MachineID(i), false, false, 1.8)
+		h.sc.CopyPlaced(rep.Task)
 	}
 	h.clk.now = 0.5 // the same ripe victims TestScanSpecAnnouncesRipeVictims announces
 	if probes := h.sc.ScanSpec(); len(probes) != 0 {
@@ -321,6 +325,7 @@ func TestReprobeStalledCoversWants(t *testing.T) {
 	// demand.
 	for _, task := range j.Phases[0].Tasks {
 		task.StartCopy(h.clk.now, 3, true, false, 1)
+		h.sc.CopyPlaced(task)
 	}
 	if probes := h.sc.ReprobeStalled(); len(probes) != 0 {
 		t.Fatalf("refresh probed for %d stale wants", len(probes))

@@ -214,9 +214,6 @@ func NewSched(id SchedID, cfg Config, env SchedEnv) *Sched {
 		beta:  stats.NewTailEstimator(1e-9, cfg.BetaPrior, 30),
 		alpha: estimate.NewAlphaEstimator(),
 	}
-	if cfg.IndexedVictims {
-		sc.mon.EnableIndex()
-	}
 	if cfg.Mode == ModeLoadCache {
 		sc.policy = NewLoadCachePolicy(0)
 	} else {
@@ -234,20 +231,11 @@ func (sc *Sched) ObserveWorkerLoad(m cluster.MachineID, free int, cap cluster.Re
 	sc.policy.ObserveLoad(m, free, cap, sc.env.Now())
 }
 
-// CopyPlaced tells the speculation monitor a non-speculative placement
-// landed (the copy's start and duration are now fixed). Adapters call it
-// after the executor places an original; a no-op unless IndexedVictims.
-func (sc *Sched) CopyPlaced(t *cluster.Task) { sc.mon.OriginalCopyPlaced(t) }
-
-// IndexEnabled reports whether the speculation questions (HandleOffer's
-// victim search, ScanSpec) are answered from the index (IndexedVictims,
-// not since downgraded) rather than the scans.
-func (sc *Sched) IndexEnabled() bool { return sc.mon.IndexEnabled() }
-
-// DisableVictimIndex puts the speculation monitor back on the scan. The
-// adapter calls it when it is about to break a condition the index's
-// exactness rests on (the simulator's churn driver does).
-func (sc *Sched) DisableVictimIndex() { sc.mon.DisableIndex() }
+// CopyPlaced tells the speculation monitor's victim index that a copy of
+// t landed (its start and duration are now fixed). Adapters call it after
+// every placement of a task this core handed out, original or
+// speculative (speculation.Monitor.CopyPlaced).
+func (sc *Sched) CopyPlaced(t *cluster.Task) { sc.mon.CopyPlaced(t) }
 
 // HasJobs reports whether any admitted job is still active — the
 // adapter's condition for keeping the speculation ticker armed.
@@ -394,9 +382,8 @@ func (sc *Sched) probeForTasks(d *dJob, tasks []*cluster.Task) {
 // Hopper family every other ripe victim of capacity-driven speculation
 // as well (speculation.Monitor.VictimsFor — a task becomes one merely
 // by running past its observation delay, which no message marks); both
-// answers come from the victim index when it is on, the scans otherwise,
-// in the same order either way. The
-// probes are what tells workers the job has work again: they dropped
+// answers come from the victim index, in running-set order. The probes
+// are what tells workers the job has work again: they dropped
 // their reservations when it last said NoDemand (HandleOffer). In the
 // Sparrow baselines this is the only way speculative copies reach
 // workers at all.
@@ -409,14 +396,14 @@ func (sc *Sched) ScanSpec() []Probe {
 			continue
 		}
 		fresh := sc.freshScratch[:0]
-		sc.candScratch = sc.mon.CandidatesFor(now, d.job.ID, d.running.Tasks(), sc.candScratch)
+		sc.candScratch = sc.mon.CandidatesFor(now, d.job.ID, sc.candScratch)
 		for _, t := range sc.candScratch {
 			if t.RunningCopies() < maxCopies && d.addWant(t) {
 				fresh = append(fresh, t)
 			}
 		}
 		if sc.cfg.Mode.hopperFamily() {
-			sc.candScratch = sc.mon.VictimsFor(now, d.job.ID, d.running.Tasks(), maxCopies, sc.candScratch)
+			sc.candScratch = sc.mon.VictimsFor(now, d.job.ID, sc.candScratch)
 			for _, t := range sc.candScratch {
 				if d.addWant(t) {
 					fresh = append(fresh, t)
@@ -561,7 +548,7 @@ func (sc *Sched) HandleOffer(jobID cluster.JobID, m cluster.MachineID, refusable
 		// its virtual size, i.e. below its desired speculation level, so
 		// the slot goes to a racing copy of its worst observable
 		// straggler even if the detection policy has not flagged one.
-		if v := sc.mon.BestVictimFor(sc.env.Now(), jobID, d.running.Tasks(), maxCopies); v != nil && fitsCap(v, cap) {
+		if v := sc.mon.BestVictimFor(sc.env.Now(), jobID); v != nil && fitsCap(v, cap) {
 			t, spec = v, true
 		}
 	}
@@ -627,8 +614,11 @@ func (sc *Sched) PlacementFailed(jobID cluster.JobID) {
 // live worker drained, crashed, rejected the hand-out or went silent
 // past the copy watchdog; a simulated machine churned away
 // (decentral/churn.go) — after the adapter has taken it out of t's live
-// copies: occupancy rolls back, and a task left unfinished with no live
-// copy goes back on the fresh queue. Returns the fresh probes for it.
+// copies: occupancy rolls back, the victim index re-keys or retires the
+// task (speculation.Monitor.CopyDropped), and a task left unfinished with
+// no live copy goes back on the fresh queue. A hand-out lost before its
+// copy landed settles here too, with nothing taken out of t's copies.
+// Returns the fresh probes for a requeued task.
 func (sc *Sched) CopyLost(t *cluster.Task) []Probe {
 	sc.probeBuf = sc.probeBuf[:0]
 	d := sc.jobs[t.Job.ID]
@@ -636,6 +626,7 @@ func (sc *Sched) CopyLost(t *cluster.Task) []Probe {
 		return sc.probeBuf
 	}
 	d.occupied--
+	sc.mon.CopyDropped(t)
 	if t.State == cluster.TaskDone || t.RunningCopies() > 0 {
 		return sc.probeBuf
 	}
@@ -674,6 +665,7 @@ func (sc *Sched) ReconcileRunning(t *cluster.Task, spec bool) {
 		d.running.Add(t)
 		sc.mon.TaskHandedOut(t)
 	}
+	sc.mon.CopyPlaced(t)
 	sc.env.Stats.ReconciledCopies++
 }
 

@@ -271,15 +271,6 @@ func newBase(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Base {
 		Alpha: estimate.NewAlphaEstimator(),
 		byID:  make(map[cluster.JobID]*jobState),
 	}
-	// The victim index answers the chassis' three speculation questions
-	// (scanJob/scanAll, placeOne) without walking the running set. It is on
-	// whenever the config makes it exact-equivalent to the scans; a machine
-	// at non-unit speed downgrades the monitor at run time. The tests'
-	// reference model turns it off again (reference_test.go), so
-	// dispatch_diff_test.go is an index-versus-scan differential.
-	if cfg.Spec.IndexExact() && !cfg.DisableSpec {
-		b.Mon.EnableIndex()
-	}
 	exec.OnTaskDone = b.onTaskDone
 	exec.OnPhaseRunnable = b.onPhaseRunnable
 	exec.OnJobDone = b.onJobDone
@@ -371,7 +362,7 @@ func (b *Base) scanJob(s *jobState) bool {
 		return false
 	}
 	added := false
-	b.candScratch = b.Mon.CandidatesFor(b.Eng.Now(), s.job.ID, s.running.Tasks(), b.candScratch)
+	b.candScratch = b.Mon.CandidatesFor(b.Eng.Now(), s.job.ID, b.candScratch)
 	for _, t := range b.candScratch {
 		if t.RunningCopies() < b.Cfg.Spec.MaxCopies && s.addWant(t) {
 			added = true
@@ -448,8 +439,10 @@ func (b *Base) placeFresh(s *jobState) bool {
 		return false
 	}
 	s.running.Add(t)
+	// The copy is placed before the hand-out is recorded, so this is also
+	// where the victim index keys the task; the chassis never loses a copy,
+	// so it owes the monitor no CopyPlaced or CopyDropped.
 	b.Mon.TaskHandedOut(t)
-	b.Mon.OriginalCopyPlaced(t)
 	s.fresh--
 	b.copyPlaced(s, t)
 	b.freshUsage++
@@ -497,7 +490,7 @@ func (b *Base) placeOne(s *jobState) bool {
 	if !b.Cfg.CapacitySpec || b.Cfg.DisableSpec {
 		return false
 	}
-	v := b.Mon.BestVictimFor(b.Eng.Now(), s.job.ID, s.running.Tasks(), b.Cfg.Spec.MaxCopies)
+	v := b.Mon.BestVictimFor(b.Eng.Now(), s.job.ID)
 	if v == nil {
 		return false
 	}

@@ -3,7 +3,7 @@
 // ring-deque wants, cached fresh-demand and at-cap counters, speculation
 // answered from the victim index) must produce placement sequences
 // byte-identical to the frozen pre-overhaul implementation in
-// reference_test.go, which stays on the speculation scans — same machines,
+// reference_test.go, which asks the speculation scans — same machines,
 // same start times, same speculative choices, same kill outcomes, and
 // therefore the same RNG consumption. See DESIGN.md section 6 for the
 // identity contract.
@@ -26,20 +26,14 @@ import (
 // scheduling decision the run made: each copy's machine, kind, locality,
 // start, and fate, plus task and job completion times. Two runs that
 // consume randomness differently, break ties differently, or reorder any
-// queue produce different logs. indexed says whether the run must answer
-// its speculation questions from the victim index, start to end: that is
-// what makes the comparison index against scan rather than scan against
-// scan.
+// queue produce different logs.
 func runPlacementLog(t *testing.T, mk func(*simulator.Engine, *cluster.Executor) scheduler.Engine,
-	spec experiments.ClusterSpec, jobs []*cluster.Job, seed int64, indexed bool) string {
+	spec experiments.ClusterSpec, jobs []*cluster.Job, seed int64) string {
 	t.Helper()
 	eng := simulator.New(seed)
 	ms := cluster.NewMachines(spec.Machines, spec.SlotsPerMachine)
 	exec := cluster.NewExecutor(eng, ms, spec.Exec)
 	sched := mk(eng, exec)
-	if got := monitorOf(sched).IndexEnabled(); got != indexed {
-		t.Fatalf("%s: IndexEnabled() = %t at the start of the run, want %t", sched.Name(), got, indexed)
-	}
 	for _, j := range jobs {
 		j := j
 		eng.Post(j.Arrival, func() { sched.Arrive(j) })
@@ -47,9 +41,6 @@ func runPlacementLog(t *testing.T, mk func(*simulator.Engine, *cluster.Executor)
 	eng.Run()
 	if got := len(sched.Completed()); got != len(jobs) {
 		t.Fatalf("%s finished %d of %d jobs", sched.Name(), got, len(jobs))
-	}
-	if got := monitorOf(sched).IndexEnabled(); got != indexed {
-		t.Fatalf("%s: IndexEnabled() = %t at the end of the run, want %t", sched.Name(), got, indexed)
 	}
 
 	var sb strings.Builder
@@ -69,21 +60,6 @@ func runPlacementLog(t *testing.T, mk func(*simulator.Engine, *cluster.Executor)
 		}
 	}
 	return sb.String()
-}
-
-// monitorOf returns the speculation monitor of an engine's chassis.
-func monitorOf(e scheduler.Engine) *speculation.Monitor {
-	switch s := e.(type) {
-	case *scheduler.HopperEngine:
-		return s.Mon
-	case *scheduler.SRPTEngine:
-		return s.Mon
-	case *scheduler.FairEngine:
-		return s.Mon
-	case *scheduler.BudgetedEngine:
-		return s.Mon
-	}
-	panic("unknown engine " + e.Name())
 }
 
 // diffScenario is one randomized workload regime the engines are compared
@@ -110,15 +86,15 @@ func diffScenarios() []diffScenario {
 			cfg:  scheduler.Config{CheckInterval: 0.5},
 		},
 		{
-			// Interactive tasks with an aggressive scan interval, a copy
-			// cap of 3, and noisy estimates: maximal pressure on the
-			// wants queue (races between policy flags, completions, and
-			// the front-requeue retry path).
+			// Interactive tasks with an aggressive scan interval and a
+			// copy cap of 3: maximal pressure on the wants queue (races
+			// between policy flags, completions, and the front-requeue
+			// retry path).
 			name: "spec-races",
 			prof: workload.Sparkify(workload.Facebook()), util: 0.8, jobs: 140,
 			spec: mid,
 			cfg: scheduler.Config{CheckInterval: 0.05,
-				Spec: speculation.Config{MaxCopies: 3, EstimateNoise: 0.2}},
+				Spec: speculation.Config{MaxCopies: 3}},
 		},
 		{
 			// Unreplicated inputs and a wide locality window: the
@@ -169,10 +145,9 @@ func TestDispatchMatchesReference(t *testing.T) {
 				tr := experiments.GenTrace(sc.prof, sc.jobs, sc.util, sc.spec, seed)
 				opt := engineMakers(sc.cfg, false)
 				ref := engineMakers(sc.cfg, true)
-				indexed := sc.cfg.Spec.IndexExact()
 				for name := range opt {
-					got := runPlacementLog(t, opt[name], sc.spec, experiments.CloneJobs(tr.Jobs), seed+1, indexed)
-					want := runPlacementLog(t, ref[name], sc.spec, experiments.CloneJobs(tr.Jobs), seed+1, false)
+					got := runPlacementLog(t, opt[name], sc.spec, experiments.CloneJobs(tr.Jobs), seed+1)
+					want := runPlacementLog(t, ref[name], sc.spec, experiments.CloneJobs(tr.Jobs), seed+1)
 					if got != want {
 						t.Errorf("%s seed %d: optimized dispatch diverged from reference\n%s",
 							name, seed, firstLogDiff(want, got))

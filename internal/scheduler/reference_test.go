@@ -26,26 +26,141 @@ import (
 
 // referenceOf wraps an engine constructor so that what it builds is the
 // frozen model: the engine's dispatch passes run the reference
-// implementation, and its monitor answers speculation questions from the
-// scans, never the victim index — which is what makes a comparison
-// against it index versus scan.
+// implementation, and its speculation questions go to the monitor's
+// scans over the running set (scanSpec), never the victim index — which
+// is what makes a comparison against it index versus scan.
 func referenceOf(mk func(*simulator.Engine, *cluster.Executor) Engine) func(*simulator.Engine, *cluster.Executor) Engine {
 	return func(eng *simulator.Engine, exec *cluster.Executor) Engine {
 		e := mk(eng, exec)
-		b := baseOf(e)
-		b.Mon.DisableIndex()
+		r := &scanSpec{Base: baseOf(e)}
+		exec.OnTaskDone = r.onTaskDone
+		r.Base.tickerOn = true // the chassis' ticker never arms; scanSpec runs its own
 		switch v := e.(type) {
 		case *HopperEngine:
-			b.dispatch = (&hopperReference{HopperEngine: v}).dispatch
+			r.dispatch = (&hopperReference{HopperEngine: v, spec: r}).dispatch
 		case *SRPTEngine:
-			b.dispatch = v.dispatchReference
+			r.dispatch = func() { v.dispatchReference(r) }
 		case *FairEngine:
-			b.dispatch = v.dispatchReference
+			r.dispatch = func() { v.dispatchReference(r) }
 		case *BudgetedEngine:
-			b.dispatch = v.dispatchReference
+			r.dispatch = v.dispatchReference
 		}
-		return e
+		return &refEngine{Engine: e, spec: r}
 	}
+}
+
+// refEngine is an engine whose speculation ticks come from scanSpec: it
+// arms the ticker where the chassis' Arrive would, as its last step.
+type refEngine struct {
+	Engine
+	spec *scanSpec
+}
+
+func (r *refEngine) Arrive(j *cluster.Job) {
+	r.Engine.Arrive(j)
+	r.spec.ensureTicker()
+}
+
+// scanSpec is the chassis' speculation as it was before the victim index:
+// the periodic scan, the scan on each completion and the capacity-driven
+// victim search, each asked of the monitor's linear scans over the job's
+// running set. Every method is its Base namesake with the index query
+// swapped for the scan it must equal.
+type scanSpec struct {
+	*Base
+	tickerOn bool
+}
+
+func (r *scanSpec) ensureTicker() {
+	if r.tickerOn || r.Cfg.DisableSpec {
+		return
+	}
+	r.tickerOn = true
+	var tick func()
+	tick = func() {
+		if len(r.active) == 0 {
+			r.tickerOn = false
+			return
+		}
+		r.scanAll()
+		r.Eng.PostAfter(r.Cfg.CheckInterval, tick)
+	}
+	r.Eng.PostAfter(r.Cfg.CheckInterval, tick)
+}
+
+func (r *scanSpec) scanAll() {
+	added := false
+	for _, s := range r.active {
+		if r.scanJob(s) {
+			added = true
+		}
+	}
+	if added {
+		r.requestDispatch()
+	}
+}
+
+func (r *scanSpec) scanJob(s *jobState) bool {
+	if r.Cfg.DisableSpec {
+		return false
+	}
+	added := false
+	r.candScratch = r.Mon.CandidatesInto(r.Eng.Now(), s.running.Tasks(), -1, r.candScratch)
+	for _, t := range r.candScratch {
+		if t.RunningCopies() < r.Cfg.Spec.MaxCopies && s.addWant(t) {
+			added = true
+		}
+	}
+	return added
+}
+
+func (r *scanSpec) onTaskDone(t *cluster.Task, winner *cluster.Copy) {
+	r.Beta.Observe(winner.Duration)
+	r.Mon.TaskCompleted(t, winner)
+	s := r.byID[t.Job.ID]
+	if s == nil {
+		return
+	}
+	s.usage -= len(t.Copies)
+	for _, c := range t.Copies {
+		if c.Speculative {
+			r.specUsage--
+		} else {
+			r.freshUsage--
+		}
+	}
+	s.running.Remove(t)
+	if len(t.Copies) >= r.Cfg.Spec.MaxCopies {
+		s.atCap--
+	}
+	if t.SpecWanted {
+		t.SpecWanted = false
+		s.wants.Remove(t)
+	}
+	r.scanJob(s)
+	r.requestDispatch()
+}
+
+func (r *scanSpec) placeOne(s *jobState) bool {
+	if r.placeFresh(s) {
+		return true
+	}
+	if r.placeSpec(s) {
+		return true
+	}
+	if !r.Cfg.CapacitySpec || r.Cfg.DisableSpec {
+		return false
+	}
+	v := r.Mon.BestVictim(r.Eng.Now(), s.running.Tasks(), r.Cfg.Spec.MaxCopies)
+	if v == nil {
+		return false
+	}
+	if c := r.Exec.Place(v, true); c == nil {
+		return false
+	}
+	r.copyPlaced(s, v)
+	r.specUsage++
+	return true
 }
 
 // refFreshDemand is the pre-overhaul freshDemand: a phase rescan (with
@@ -90,6 +205,7 @@ func (b *Base) refHasLocalFresh(s *jobState) bool {
 // looks at the cached service order it is the oracle for.
 type hopperReference struct {
 	*HopperEngine
+	spec       *scanSpec
 	refTargets map[cluster.JobID]int
 	refPrios   map[cluster.JobID]float64
 }
@@ -139,7 +255,7 @@ func (h *hopperReference) dispatch() {
 		}
 		filled := 0
 		for filled < quota {
-			if !h.placeOne(s) {
+			if !h.spec.placeOne(s) {
 				break
 			}
 			filled++
@@ -186,7 +302,7 @@ func refSRPTOrder(active []*jobState) []int {
 }
 
 // dispatchReference is the pre-overhaul SRPTEngine.dispatch.
-func (s *SRPTEngine) dispatchReference() {
+func (s *SRPTEngine) dispatchReference(r *scanSpec) {
 	order := refSRPTOrder(s.active)
 	for s.Exec.Machines.AnyFree() {
 		placed := false
@@ -195,7 +311,7 @@ func (s *SRPTEngine) dispatchReference() {
 			if refDemand(st) == 0 {
 				continue
 			}
-			if s.placeOne(st) {
+			if r.placeOne(st) {
 				placed = true
 				break
 			}
@@ -208,7 +324,7 @@ func (s *SRPTEngine) dispatchReference() {
 
 // dispatchReference is the pre-overhaul FairEngine.dispatch: fresh caps
 // and waterfill output slices every pass.
-func (f *FairEngine) dispatchReference() {
+func (f *FairEngine) dispatchReference(r *scanSpec) {
 	if len(f.active) == 0 {
 		return
 	}
@@ -232,7 +348,7 @@ func (f *FairEngine) dispatchReference() {
 		if pick < 0 {
 			return
 		}
-		if !f.placeOne(f.active[pick]) {
+		if !r.placeOne(f.active[pick]) {
 			if refDemand(f.active[pick]) == 0 {
 				continue
 			}

@@ -259,7 +259,7 @@ func TestFreshCounterMatchesScan(t *testing.T) {
 		TotalSlots: 480, NumMachines: 120, Seed: 11})
 	eng, exec := mkSetup(120, 4, 12)
 	h := NewFair(eng, exec, Config{CheckInterval: 0.05,
-		Spec: speculation.Config{MaxCopies: 3, EstimateNoise: 0.2}})
+		Spec: speculation.Config{MaxCopies: 3}})
 	orig := h.Base.dispatch
 	h.Base.dispatch = func() {
 		for _, s := range h.active {
@@ -276,20 +276,16 @@ func TestFreshCounterMatchesScan(t *testing.T) {
 // incremental-state contract the same way: on every dispatch pass, the
 // count of running tasks still below the copy cap that sizes the Hopper
 // engine's hold (running-set size minus the maintained at-cap count) must
-// equal what the loop it replaced counts — under the default cap with the
-// victim index placing capacity-driven copies, under a cap of 3 with
-// noisy estimates on the scan, and under a cap of 1, where every task is
-// at the cap from its first copy.
+// equal what the loop it replaced counts — under the default cap, under a
+// cap of 3, and under a cap of 1, where every task is at the cap from its
+// first copy.
 func TestAtCapCounterMatchesScan(t *testing.T) {
 	prof := workload.Sparkify(workload.Facebook())
-	for _, spec := range []speculation.Config{{}, {MaxCopies: 3, EstimateNoise: 0.2}, {MaxCopies: 1}} {
+	for _, spec := range []speculation.Config{{}, {MaxCopies: 3}, {MaxCopies: 1}} {
 		tr := workload.Generate(workload.Config{Profile: prof, NumJobs: 120, TargetUtilization: 0.8,
 			TotalSlots: 480, NumMachines: 120, Seed: 11})
 		eng, exec := mkSetup(120, 4, 12)
 		h := NewHopper(eng, exec, Config{CheckInterval: 0.05, Spec: spec})
-		if got, want := h.Mon.IndexEnabled(), spec.IndexExact(); got != want {
-			t.Fatalf("%+v: IndexEnabled() = %t, want %t", spec, got, want)
-		}
 		orig := h.Base.dispatch
 		checked, atCap := 0, 0
 		h.Base.dispatch = func() {

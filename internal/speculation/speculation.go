@@ -56,21 +56,17 @@ type Policy interface {
 }
 
 // LATE (Zaharia et al., OSDI'08) speculates a task when its best copy is
-// projected to be slower than the SlowTaskPercentile of the job's
-// completed tasks and a fresh copy is expected to finish sooner than the
-// current one.
-type LATE struct {
-	// SlowTaskPercentile is the progress percentile below which a task
-	// counts as straggling; the default (and deployed) value is 25, i.e.
-	// projected duration above the 75th percentile of completions.
-	SlowTaskPercentile float64
-}
+// projected to be slower than the job's slow-task threshold — a projected
+// duration above the 75th percentile of completions (slowPct), LATE's
+// deployed setting — and a fresh copy is expected to finish sooner than
+// the current one.
+type LATE struct{}
 
 // Name implements Policy.
 func (LATE) Name() string { return "LATE" }
 
 // Wants implements Policy.
-func (l LATE) Wants(e Estimates) bool {
+func (LATE) Wants(e Estimates) bool {
 	return e.Remaining > e.New && e.ProjectedTotal >= e.SlowThreshold
 }
 
@@ -90,38 +86,31 @@ func (Mantri) Wants(e Estimates) bool {
 // GRASS (Ananthanarayanan et al., NSDI'14) switches between Mantri-style
 // resource-aware speculation (RA) early in a phase and greedy speculation
 // (GS, LATE-aggressive) near phase completion, where clearing the last
-// stragglers dominates job completion time.
-type GRASS struct {
-	// SwitchFraction is the phase-completion fraction at which GRASS
-	// flips from RA to GS. The default is 0.8.
-	SwitchFraction float64
-}
+// stragglers dominates job completion time. It flips once
+// grassSwitchFraction of the phase has completed.
+type GRASS struct{}
+
+// grassSwitchFraction is the phase-completion fraction at which GRASS
+// flips from RA to GS.
+const grassSwitchFraction = 0.8
 
 // Name implements Policy.
 func (GRASS) Name() string { return "GRASS" }
 
 // Wants implements Policy.
-func (g GRASS) Wants(e Estimates) bool {
-	sw := g.SwitchFraction
-	if sw == 0 {
-		sw = 0.8
-	}
-	if e.PhaseFractionDone >= sw {
+func (GRASS) Wants(e Estimates) bool {
+	if e.PhaseFractionDone >= grassSwitchFraction {
 		return e.Remaining > e.New // GS: greedy
 	}
 	return e.Remaining > 2*e.New // RA: resource-aware
 }
 
-// shipped lists the policies ByName knows, with their deployed
-// parameters. Each rule must imply Remaining > New — a copy is only worth
-// racing if a fresh one would beat it — because the victim index prunes
-// on that cut before it asks the policy (victimindex.go);
-// TestPoliciesImplyVictim holds every entry to it.
-var shipped = []Policy{
-	LATE{SlowTaskPercentile: 25},
-	Mantri{},
-	GRASS{SwitchFraction: 0.8},
-}
+// shipped lists the policies ByName knows. Each rule must imply
+// Remaining > New — a copy is only worth racing if a fresh one would beat
+// it — because the victim index prunes on that cut before it asks the
+// policy (victimindex.go); TestPoliciesImplyVictim holds every entry to
+// it.
+var shipped = []Policy{LATE{}, Mantri{}, GRASS{}}
 
 // ByName returns the policy for a report name; it panics on unknown names
 // (experiment configs are static, so this is a programming error).
@@ -145,17 +134,12 @@ type Config struct {
 	// DetectDelayFrac is the fraction of the phase's mean task duration a
 	// copy must run before its progress is observable. Default 0.25.
 	DetectDelayFrac float64
-
-	// EstimateNoise, when positive, multiplies remaining-time estimates
-	// by a uniform factor in [1-noise, 1+noise], modeling progress-rate
-	// estimation error. Default 0 (clean estimates).
-	EstimateNoise float64
 }
 
 // WithDefaults fills zero fields with the defaults described above.
 func (c Config) WithDefaults() Config {
 	if c.Policy == nil {
-		c.Policy = LATE{SlowTaskPercentile: 25}
+		c.Policy = LATE{}
 	}
 	if c.MaxCopies == 0 {
 		c.MaxCopies = 2
@@ -164,16 +148,6 @@ func (c Config) WithDefaults() Config {
 		c.DetectDelayFrac = 0.25
 	}
 	return c
-}
-
-// IndexExact reports whether the configuration lets the victim index
-// (victimindex.go) answer exactly what the scan answers: one speculative
-// copy at a time and noise-free estimates. It is the config half of the
-// index gate, stated once; the run-time half (machine speeds, churn)
-// downgrades an enabled monitor by itself.
-func (c Config) IndexExact() bool {
-	c = c.WithDefaults()
-	return c.MaxCopies == 2 && c.EstimateNoise <= 0
 }
 
 // jobStats is the monitor's record of one job: its completion history,
@@ -195,7 +169,7 @@ type jobStats struct {
 	slowThr  float64
 
 	// victims is the job's victim index (victimindex.go): zero until the
-	// job hands out a task, and always zero while the index is off.
+	// job hands out a task.
 	victims jobVictims
 }
 
@@ -203,41 +177,33 @@ type jobStats struct {
 // serves one scheduler (centralized engine or decentralized job
 // scheduler); it is not safe for concurrent use.
 type Monitor struct {
-	cfg     Config
-	rng     *rand.Rand
-	jobs    map[cluster.JobID]*jobStats
-	slowPct float64 // percentile for the slow-task threshold (LATE)
-
-	// indexOn makes BestVictimFor, CandidatesFor and VictimsFor answer
-	// from per-job heaps (jobStats.victims) instead of the linear scans —
-	// see victimindex.go for the structure and the exact-equivalence
-	// argument.
-	indexOn bool
+	cfg  Config
+	jobs map[cluster.JobID]*jobStats
 
 	// walkStack is the pruned heap walk's reusable stack of pending
 	// subtrees.
 	walkStack []int
 }
 
+// slowPct is the completion percentile of the slow-task threshold
+// (LATE's slowest quarter).
+const slowPct = 75.0
+
 // NewMonitor returns a Monitor with the given config (defaults applied).
+// The monitor draws nothing: rng is unused, and stays in the signature
+// only because the benchmark module (bench/layers.go) calls it so.
 func NewMonitor(cfg Config, rng *rand.Rand) *Monitor {
-	cfg = cfg.WithDefaults()
-	pct := 75.0
-	if l, ok := cfg.Policy.(LATE); ok && l.SlowTaskPercentile > 0 {
-		pct = 100 - l.SlowTaskPercentile
-	}
-	return &Monitor{cfg: cfg, rng: rng, jobs: make(map[cluster.JobID]*jobStats), slowPct: pct}
+	return &Monitor{cfg: cfg.WithDefaults(), jobs: make(map[cluster.JobID]*jobStats)}
 }
 
 // TaskCompleted records the winning copy's duration for the job's t_new
-// and slow-threshold estimates. Call from the scheduler's OnTaskDone.
+// and slow-threshold estimates and retires the task from the victim
+// index. Call from the scheduler's OnTaskDone.
 func (m *Monitor) TaskCompleted(t *cluster.Task, winner *cluster.Copy) {
 	js := m.job(t.Job.ID)
 	js.done.Add(winner.WorkDuration())
 	js.version++
-	if js.victims.buckets != nil {
-		js.victims.buckets[t.Phase.Index].running--
-	}
+	js.victims.retire(t)
 }
 
 // job returns the job's record, creating it on first use.
@@ -255,7 +221,7 @@ func (m *Monitor) JobDone(j *cluster.Job) { delete(m.jobs, j.ID) }
 
 // refreshCache recomputes the job-level estimates if completions arrived
 // since they were last cached (the dirty-cursor check).
-func (js *jobStats) refreshCache(slowPct float64) {
+func (js *jobStats) refreshCache() {
 	if js.cachedAt == js.version {
 		return
 	}
@@ -267,9 +233,9 @@ func (js *jobStats) refreshCache(slowPct float64) {
 // deep returns the record once its completion history is deep enough to
 // estimate from (five completions), with the cached estimates refreshed;
 // nil until then, and for a job with no record.
-func (js *jobStats) deep(slowPct float64) *jobStats {
+func (js *jobStats) deep() *jobStats {
 	if js != nil && js.done.N() >= 5 {
-		js.refreshCache(slowPct)
+		js.refreshCache()
 		return js
 	}
 	return nil
@@ -277,7 +243,7 @@ func (js *jobStats) deep(slowPct float64) *jobStats {
 
 // history returns the job's record once it can be estimated from (deep).
 // Scans resolve it once per job, not per task.
-func (m *Monitor) history(id cluster.JobID) *jobStats { return m.jobs[id].deep(m.slowPct) }
+func (m *Monitor) history(id cluster.JobID) *jobStats { return m.jobs[id].deep() }
 
 // estNew returns the estimated duration of a fresh copy of a task of the
 // phase: the job's median completion, or the phase mean before history
@@ -297,14 +263,6 @@ func slowThreshold(js *jobStats, phase *cluster.Phase) float64 {
 		return js.slowThr
 	}
 	return 2 * phase.MeanTaskDuration
-}
-
-func (m *Monitor) noisy(x float64) float64 {
-	if m.cfg.EstimateNoise <= 0 {
-		return x
-	}
-	f := 1 + m.cfg.EstimateNoise*(2*m.rng.Float64()-1)
-	return x * f
 }
 
 // Wants evaluates the policy for one running task at time now. It returns
@@ -351,9 +309,9 @@ func (m *Monitor) wants(now float64, t *cluster.Task, js *jobStats) bool {
 func (m *Monitor) estimates(now float64, t *cluster.Task, best *cluster.Copy, js *jobStats) Estimates {
 	phase := t.Phase
 	return Estimates{
-		Remaining:         m.noisy(best.WorkRemaining(now)),
+		Remaining:         best.WorkRemaining(now),
 		New:               estNew(js, phase),
-		ProjectedTotal:    m.noisy(best.WorkDuration()),
+		ProjectedTotal:    best.WorkDuration(),
 		SlowThreshold:     slowThreshold(js, phase),
 		PhaseFractionDone: float64(len(phase.Tasks)-phase.RemainingTasks()) / float64(len(phase.Tasks)),
 	}
@@ -443,7 +401,7 @@ func (m *Monitor) scanVictims(now float64, running []*cluster.Task, maxCopies in
 		if live == 0 || live >= maxCopies || best == nil {
 			continue
 		}
-		rem := m.noisy(best.WorkRemaining(now))
+		rem := best.WorkRemaining(now)
 		if rem <= estNew(hist.of(m, t), t.Phase) {
 			continue // a new copy would not beat the current one
 		}

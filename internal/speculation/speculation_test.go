@@ -35,7 +35,7 @@ func feed(m *Monitor, t *cluster.Task, dur float64, n int) {
 
 func TestPolicies(t *testing.T) {
 	e := Estimates{Remaining: 25, New: 10, ProjectedTotal: 30, SlowThreshold: 20, PhaseFractionDone: 0.5}
-	if !(LATE{SlowTaskPercentile: 25}).Wants(e) {
+	if !(LATE{}).Wants(e) {
 		t.Error("LATE should speculate: rem 25 > new 10 and projected 30 >= threshold 20")
 	}
 	if (LATE{}).Wants(Estimates{Remaining: 5, New: 10, ProjectedTotal: 30, SlowThreshold: 20}) {
@@ -47,7 +47,7 @@ func TestPolicies(t *testing.T) {
 	if (Mantri{}).Wants(Estimates{Remaining: 15, New: 10}) {
 		t.Error("Mantri must not speculate at rem < 2*new")
 	}
-	g := GRASS{SwitchFraction: 0.8}
+	g := GRASS{}
 	early := Estimates{Remaining: 15, New: 10, PhaseFractionDone: 0.2}
 	late := Estimates{Remaining: 15, New: 10, PhaseFractionDone: 0.9}
 	if g.Wants(early) {
@@ -73,7 +73,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestMonitorDetectionDelay(t *testing.T) {
-	m := newMon(LATE{SlowTaskPercentile: 25})
+	m := newMon(LATE{})
 	task := mkRunning(1.0, 0, 50)
 	feed(m, task, 1.0, 10)
 	// Before the detection delay (0.25 * mean = 0.25s) nothing is visible.

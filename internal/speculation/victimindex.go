@@ -10,69 +10,78 @@ import (
 // Victim index: the one structure that answers a scheduler's three
 // speculation questions about a job without visiting its running set —
 // which task to race (BestVictimFor), which tasks the policy newly wants
-// (CandidatesFor) and which victims are ripe (VictimsFor) — exact-
-// equivalent to the scans (BestVictim, CandidatesInto, VictimsInto) by
-// construction under four conditions. EnableIndex enforces the two a
-// config shows (Config.IndexExact: MaxCopies == 2, no estimate noise);
-// the two only a run shows downgrade the monitor to the scan when they
-// break: a copy at non-unit speed (OriginalCopyPlaced drops the index)
-// and copies killed outside task completion (the adapter calls
-// DisableIndex — the simulator's churn driver does, before its first
-// leave).
+// (CandidatesFor) and which victims are ripe (VictimsFor). It answers
+// exactly what the scans (BestVictim, CandidatesInto, VictimsInto) answer
+// over the same running set, under any copy cap k, at any mix of machine
+// speeds, and with copies lost mid-task; the scans stay as the tests'
+// reference and the benchmark's speculation row, and nothing that ships
+// calls them.
 //
-// Why those conditions make an index possible:
+// Structure: per job, per phase, per copy speed, two heaps of immutable
+// entries — a ripening min-heap ordered by Start holding copies too young
+// to observe, and a ready max-heap ordered by (Finish desc, hand-out pos
+// asc) holding observable ones. A task has at most one live entry: the
+// one for its representative copy (Task.VictimCopy), its oldest live
+// copy, t.Copies[0]. Heap order only says whom to test next: whether the
+// entry at the top of ripening is observable, and how much work a ready
+// entry has left, is decided by the scan's own expressions on that entry
+// — at the bucket's speed s, (now − Start)·s against the delay and
+// max(0, Finish − now)·s against t_new, which are Copy.WorkElapsed and
+// Copy.WorkRemaining to the bit — so the two paths cannot part by a
+// rounding at a boundary (a precomputed Start + delay <= now would: it
+// differs from now − Start >= delay by an ulp there). Both expressions
+// are monotone in the heap's key within one speed, which is what makes
+// stopping at the first failure exact; a sub-bucket exists only for a
+// speed a copy of the phase has landed at, and shipped fleets have at
+// most three.
 //
-//   - With MaxCopies == 2, a task is an eligible victim iff it is running
-//     with exactly one live copy — and since copies are only killed at
-//     task completion, that is simply State == TaskRunning &&
-//     len(Copies) == 1. Eligibility is recomputable in O(1) from the task
-//     itself and, once lost, never returns, so stale heap entries are
-//     discarded lazily wherever a query meets them instead of tracked
-//     with generation counters.
-//   - "Only killed at task completion" is what machine churn breaks: a
-//     leave removes a running copy from Copies mid-task. A task whose
-//     speculative copy died is a candidate again after its entry was
-//     discarded as ineligible, and a task whose original died keeps an
-//     entry keyed by the dead copy's finish while len(Copies) == 1 now
-//     counts its speculative copy or its requeued replacement. Measured
-//     with the index left on under churn, Hopper-D at 12 leaves/min went
-//     from 108.5 s to 142.9 s mean job time. Hence no index under churn.
-//   - A copy's Start and Duration are immutable once placed, so both the
-//     order in which copies become observable (by Start: the observation
-//     delay is uniform within a phase) and their finish times
-//     (Start + Duration) are fixed at placement: heap keys never change.
-//   - With no estimate noise, the scan's remaining-time estimate is the
-//     deterministic max(0, finish − now), monotone in finish — so the
-//     max-finish task is the max-remaining task — and no RNG draw is
-//     consumed that an index would have to replay.
-//   - t_new is uniform within a (job, phase) bucket (job median once five
-//     completions exist, else the phase mean), so if an entry fails the
-//     "remaining > t_new" cut, every entry that finishes no later fails
-//     it too: the bucket's top decides for the bucket, and a heap node
-//     decides for its subtree.
+// Why the answers are the scan's, under the three things that used to
+// put a scheduler back on the scan:
 //
-// Structure: per job, per phase, two heaps of immutable entries — a
-// ripening min-heap ordered by Start holding tasks too young to observe,
-// and a ready max-heap ordered by (Finish desc, hand-out pos asc) holding
-// observable candidates. Heap order only says whom to test next: whether
-// the entry at the top of ripening is observable, and whether a ready
-// entry beats t_new, is decided by the scan's own expressions on that
-// entry — Copy.WorkElapsed against the delay, Copy.WorkRemaining against
-// t_new, which at unit speed are now − Start and max(0, Finish − now) to
-// the bit — so the two paths cannot part by a rounding at a boundary
-// (a precomputed Start + delay <= now would: it differs from
-// now − Start >= delay by an ulp there). Both expressions are monotone in
-// the heap's key, which is what makes stopping at the first failure
-// exact.
+//   - Off-speed copies. A bucket holds one speed, so its heap keys order
+//     its entries exactly as the scan's work expressions do; the queries
+//     sweep every bucket of the job. The cached "no victim" bound waits
+//     for the earliest ripening entry at delay/s (unripeBefore).
+//   - Copies lost mid-task (churn, live worker loss). An entry counts only
+//     while its copy is still the task's representative: a task that
+//     completes or is requeued loses its entry, and one whose
+//     representative dies is re-keyed to the surviving copy (CopyDropped,
+//     through protocol.Sched.CopyLost — the one place a copy dies outside
+//     completion), which also clears the cached "no victim" answer, since
+//     a task back under the cap may be a victim again.
+//   - Cap k. The scan races a running task with an observable copy and
+//     fewer than k live copies. While a task runs, every copy in Copies is
+//     live (a copy leaves it when it dies, Task.DropCopy, and all end
+//     together at the win), so the cap is len(Copies) < k, checked
+//     wherever a query meets an entry. An entry met at the cap is
+//     discarded and the task left without one; the copy loss that brings
+//     it back under the cap (CopyDropped), or a late copy landing
+//     (CopyPlaced), indexes it again. With k = 1 nothing is indexed. For
+//     k > 2 the representative stands in for the task: a speculative copy
+//     is placed only for a task a query found, that is once its
+//     representative was observable, so the task's best observable
+//     remaining is at most the representative's and a subtree whose root
+//     fails the t_new cut on its key holds no victim. Each task a walk
+//     visits is then measured with the scan's own observable(); when the
+//     representative is its only copy — always under k = 2 — that is the
+//     entry's own number. (The one history this does not cover, and no
+//     shipped configuration produces: k ≥ 3 copies at different speeds
+//     losing the representative, where the next-oldest copy may still be
+//     unripe while a younger, faster one is observable.)
+//
+// t_new is uniform within a (job, phase) bucket (job median once five
+// completions exist, else the phase mean), so the cut is decided per
+// bucket.
 //
 // The three queries:
 //
-//   - BestVictimFor ripens due entries, discards ineligible tops, and
-//     takes the max-remaining top across buckets with ties broken by
-//     hand-out order — bit-for-bit the scan's answer (the scan keeps the
-//     first of equals in running-set order, which is hand-out order;
-//     equal positive remainings imply equal finishes, and zero remainings
-//     never pass the t_new cut).
+//   - BestVictimFor ripens due entries and walks each ready heap from the
+//     root, pruning a subtree whose root fails the t_new cut or falls
+//     below the best true remaining found so far; it keeps the largest
+//     true remaining, ties broken by hand-out order — bit-for-bit the
+//     scan's answer (the scan keeps the first of equals in running-set
+//     order, which is hand-out order). Under k = 2 the root's remaining
+//     is exact and the walk stops at the top unless a child ties it.
 //   - VictimsFor walks each ready heap from the root, pruning a subtree
 //     at the first entry that fails the t_new cut: it visits the victims
 //     (plus at most two failing children each), not the running set.
@@ -85,52 +94,71 @@ import (
 // Both walks skip entries already flagged Task.SpecWanted — the caller's
 // want queue drops those anyway — and return the rest sorted by hand-out
 // pos, i.e. in the running-set order the scans return. An ineligible
-// entry the walk meets (its task finished, or is being raced) is dropped
-// on the spot: its key becomes −Inf and it sinks to the leaves, which
-// moves nothing outside the subtree being walked. Entries of finished
-// tasks that no query meets (they sit below the cut) are swept out once
-// they outnumber the phase's running tasks (victimBucket.running), and
-// the arrays shrink with them: a bucket holds a small multiple of what
-// its phase has running now, not every task it ever placed nor the
+// entry the walk meets is dropped on the spot: its key becomes −Inf and
+// it sinks to the leaves, which moves nothing outside the subtree being
+// walked. Entries no query meets (they sit below the cut) are swept out
+// once they outnumber the phase's running tasks (victimBucket.running),
+// and the arrays shrink with them: a bucket holds a small multiple of
+// what its phase has running now, not every copy it ever indexed nor the
 // largest wave it ever saw.
 //
 // An index instance lives inside one scheduler's Monitor and indexes only
-// tasks that scheduler handed out. The caller must report every hand-out
-// (TaskHandedOut) and every original placement (OriginalCopyPlaced):
-// scheduler.Base and decentral.New make that promise wherever
-// Config.IndexExact holds; the live adapter does not.
+// tasks that scheduler handed out. The caller reports every addition to
+// its running set (TaskHandedOut), every placement onto a task that may
+// have no entry yet (CopyPlaced — a task handed out before its first copy
+// landed, or whose copies were lost), every copy lost and every hand-out
+// that failed without a copy (CopyDropped, through protocol.Sched.CopyLost)
+// and every completion (TaskCompleted).
 
-// victimEntry is one original copy's immutable index record: the task and
-// the heap's key — Copies[0].Start in ripening, Copies[0].Finish() in
-// ready. A dropped ready entry has t == nil and key == −Inf.
+// victimEntry is one copy's immutable index record: the task, its
+// representative copy when indexed, and the heap's key — c.Start in
+// ripening, c.Finish() in ready. A dropped ready entry has t == nil and
+// key == −Inf.
 type victimEntry struct {
 	t   *cluster.Task
+	c   *cluster.Copy
 	key float64
 }
 
-// eligible reports whether the entry's task is still a victim candidate.
-// See the file comment: under MaxCopies == 2 this is exact.
-func (e victimEntry) eligible() bool {
-	return e.t != nil && e.t.State == cluster.TaskRunning && len(e.t.Copies) == 1
+// current reports whether the entry is its task's live entry: the task
+// runs, is handed out, and is keyed by this copy.
+func (e victimEntry) current() bool { return e.t != nil && e.t.VictimCopy == e.c }
+
+// eligible reports whether the entry's task is still a victim candidate
+// under copy cap k. See the file comment: this is the scan's test.
+func (e victimEntry) eligible(k int) bool { return e.current() && len(e.t.Copies) < k }
+
+// release is how an entry leaves the heaps: a task whose live entry it
+// was is left without one (CopyPlaced and CopyDropped index it again).
+func (e victimEntry) release() {
+	if e.current() {
+		e.t.VictimCopy = nil
+	}
+}
+
+// victimBucket indexes one phase's representative copies of one speed.
+type victimBucket struct {
+	phase int     // Phase.Index
+	speed float64 // every entry's Copy.SpeedFactor; 0 while unclaimed
+	// ripening is a min-heap by start; ready a max-heap by (finish, then
+	// min pos).
+	ripening, ready []victimEntry
+
+	// running counts the phase's handed-out tasks that have not completed
+	// or been requeued (TaskHandedOut up, retire down); entries beyond it
+	// are garbage. Only a phase's first bucket (index Phase.Index) keeps
+	// it, for all of the phase's speeds.
+	running int
 }
 
 // elapsed (of a ripening entry) and remaining (of a ready one) are the
-// scan's Copy.WorkElapsed and Copy.WorkRemaining at unit speed (x·1 == x)
-// on the cached Start and Finish: the same float operations, so ripeness
-// and the t_new cut cannot disagree with the scan.
-func (e victimEntry) elapsed(now float64) float64 { return now - e.key }
+// scan's Copy.WorkElapsed and Copy.WorkRemaining on the cached Start and
+// Finish: the same float operations at the same speed factor, so
+// ripeness and the t_new cut cannot disagree with the scan.
+func (b *victimBucket) elapsed(e victimEntry, now float64) float64 { return (now - e.key) * b.speed }
 
-func (e victimEntry) remaining(now float64) float64 { return max(0, e.key-now) }
-
-// victimBucket indexes one phase's original copies.
-type victimBucket struct {
-	ripening []victimEntry // min-heap by start
-	ready    []victimEntry // max-heap by (finish, then min pos)
-
-	// running counts the phase's indexed tasks that have not completed
-	// (OriginalCopyPlaced up, TaskCompleted down). Entries beyond it are
-	// garbage: their tasks are done.
-	running int
+func (b *victimBucket) remaining(e victimEntry, now float64) float64 {
+	return max(0, e.key-now) * b.speed
 }
 
 func ripeLess(a, b victimEntry) bool { return a.key < b.key }
@@ -164,7 +192,7 @@ func heapPop(h *[]victimEntry, less func(a, b victimEntry) bool) victimEntry {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = victimEntry{} // release the task pointer for GC
+	q[n] = victimEntry{} // release the pointers for GC
 	*h = q[:n]
 	siftDown(q[:n], 0, less)
 	return top
@@ -194,42 +222,53 @@ func siftDown(q []victimEntry, i int, less func(a, b victimEntry) bool) {
 // moves, so a walk in progress above it stays valid). Position i then
 // holds the larger of the entry's children, or another dropped entry.
 func (b *victimBucket) drop(i int) {
+	b.ready[i].release()
 	b.ready[i] = victimEntry{key: math.Inf(-1)}
 	siftDown(b.ready, i, readyLess)
 }
 
-// minHeapCap is the capacity a bucket's heaps start with (less for a
-// smaller phase), and the slack the garbage bound allows.
-const minHeapCap = 8
+// firstHeapCap is the capacity a bucket's heaps start with, less for a
+// smaller phase: a phase of up to that many tasks never grows them.
+// minHeapCap is the least a sweep shrinks them to, and the slack the
+// garbage bound allows.
+const (
+	firstHeapCap = 64
+	minHeapCap   = 8
+)
 
 // ripen moves every entry that has become observable by now from the
 // ripening heap to the ready heap. The test is the scan's (a copy is
 // skipped while WorkElapsed < delay); it is monotone in start, so the
 // first entry that fails it ends the sweep. Every query starts here, so
-// this is also where a bucket whose entries are mostly garbage is swept.
-func (b *victimBucket) ripen(now, delay float64) {
-	if len(b.ripening)+len(b.ready) > 2*b.running+minHeapCap {
-		b.ripening = sweep(b.ripening, ripeLess)
-		b.ready = sweep(b.ready, readyLess)
+// this is also where a bucket whose entries are mostly garbage (more than
+// twice its phase's running tasks) is swept.
+func (b *victimBucket) ripen(now, delay float64, running, k int) {
+	if len(b.ripening)+len(b.ready) > 2*running+minHeapCap {
+		b.ripening = sweep(b.ripening, k, ripeLess)
+		b.ready = sweep(b.ready, k, readyLess)
 	}
-	for len(b.ripening) > 0 && !(b.ripening[0].elapsed(now) < delay) {
+	for len(b.ripening) > 0 && !(b.elapsed(b.ripening[0], now) < delay) {
 		e := heapPop(&b.ripening, ripeLess)
-		if e.eligible() {
-			heapPush(&b.ready, victimEntry{e.t, e.t.Copies[0].Finish()}, readyLess)
+		if !e.eligible(k) {
+			e.release()
+			continue
 		}
+		heapPush(&b.ready, victimEntry{e.t, e.c, e.c.Finish()}, readyLess)
 	}
 }
 
 // sweep removes the ineligible entries of a heap and moves what is left
 // to a smaller array when it fills under a quarter of the old one. A
-// sweep runs when garbage entries outnumber the running tasks, and leaves
-// at most one entry per running task, so it removes more than half of
-// what it visits: O(1) per entry ever pushed, amortized.
-func sweep(q []victimEntry, less func(a, b victimEntry) bool) []victimEntry {
+// sweep runs when entries outnumber twice the running tasks, and leaves
+// at most one per running task, so it removes more than half of what it
+// visits: O(1) per entry ever pushed, amortized.
+func sweep(q []victimEntry, k int, less func(a, b victimEntry) bool) []victimEntry {
 	live := q[:0]
 	for _, e := range q {
-		if e.eligible() {
+		if e.eligible(k) {
 			live = append(live, e)
+		} else {
+			e.release()
 		}
 	}
 	clear(q[len(live):])
@@ -242,11 +281,12 @@ func sweep(q []victimEntry, less func(a, b victimEntry) bool) []victimEntry {
 	return live
 }
 
-// jobVictims is one job's victim index: one bucket per phase, by
-// Phase.Index. Jobs have a handful of phases, so a query sweeps them all;
-// a phase with nothing placed costs two length checks. The zero value is
-// "no index" (buckets == nil): the job has handed out nothing yet, or the
-// index is off.
+// jobVictims is one job's victim index. buckets[p] for p below the job's
+// phase count is phase p's first speed class; further classes, created
+// when a copy of a new speed lands, follow in landing order. A query
+// sweeps them all; a bucket with nothing indexed costs two length
+// checks. The zero value is "no index" (buckets == nil): the job has
+// handed out nothing yet.
 type jobVictims struct {
 	job     *cluster.Job
 	buckets []victimBucket
@@ -256,30 +296,81 @@ type jobVictims struct {
 	// query that finds none records the earliest time one could appear
 	// without the index hearing of it first, and the job's completion
 	// count. Until then, and while no task of the job completes (t_new
-	// moves) and no original is placed (OriginalCopyPlaced resets the
-	// bound), every query is empty — remaining times only shrink, lost
-	// eligibility never returns, so only a ripening entry turning
-	// observable can make a victim. A held job is asked on every dispatch
-	// pass; 99 % of BestVictimFor calls on the centralized benchmark end
-	// here.
+	// moves), no copy is indexed (index resets the bound) and none is lost
+	// (CopyDropped does), every query is empty — remaining times only
+	// shrink, a task's best observable remaining with them, and eligibility
+	// lost at the cap returns only through a lost copy — so only a ripening
+	// entry turning observable can make a victim. A held job is asked on
+	// every dispatch pass; 99 % of BestVictimFor calls on the centralized
+	// benchmark end here.
 	quietUntil float64
 	quietAt    int
+}
+
+// bucket returns the bucket for phase p's copies at speed s, creating it
+// on first use.
+func (ji *jobVictims) bucket(p int, s float64) *victimBucket {
+	if b := &ji.buckets[p]; b.speed == s || b.speed == 0 {
+		b.speed = s
+		return b
+	}
+	for i := len(ji.job.Phases); i < len(ji.buckets); i++ {
+		if b := &ji.buckets[i]; b.phase == p && b.speed == s {
+			return b
+		}
+	}
+	ji.buckets = append(ji.buckets, victimBucket{phase: p, speed: s})
+	return &ji.buckets[len(ji.buckets)-1]
+}
+
+// index makes c, a live copy of the running task t, its representative
+// and enters it into the ripening heap of its phase and speed.
+func (ji *jobVictims) index(t *cluster.Task, c *cluster.Copy) {
+	t.VictimCopy = c
+	b := ji.bucket(t.Phase.Index, c.SpeedFactor())
+	if b.ripening == nil {
+		// One array backs both heaps until either outgrows its half.
+		n := min(len(t.Phase.Tasks), firstHeapCap)
+		buf := make([]victimEntry, 2*n)
+		b.ripening, b.ready = buf[:0:n], buf[n:n]
+	}
+	heapPush(&b.ripening, victimEntry{t, c, c.Start}, ripeLess)
+	ji.quietUntil = math.Inf(-1)
+}
+
+// track indexes a handed-out running task's oldest live copy unless it is
+// the representative already.
+func (ji *jobVictims) track(t *cluster.Task) {
+	if t.VictimPos == 0 || t.State != cluster.TaskRunning || len(t.Copies) == 0 || t.VictimCopy == t.Copies[0] {
+		return
+	}
+	ji.index(t, t.Copies[0])
+}
+
+// retire takes a task out of the index when it leaves its scheduler's
+// running set — completed, or requeued with no copy left. Its entries
+// are garbage from here on.
+func (ji *jobVictims) retire(t *cluster.Task) {
+	if t.VictimPos != 0 && ji.buckets != nil {
+		ji.buckets[t.Phase.Index].running--
+	}
+	t.VictimPos, t.VictimCopy = 0, nil
 }
 
 // ripen brings every bucket up to now (victimBucket.ripen) and returns
 // the bound a query that then finds no victim caches in quietUntil: the
 // earliest time an entry still ripening can turn observable.
-func (ji *jobVictims) ripen(now, delayFrac float64) (unripeUntil float64) {
+func (ji *jobVictims) ripen(now, delayFrac float64, k int) (unripeUntil float64) {
 	unripeUntil = math.Inf(1)
-	for p := range ji.buckets {
-		b := &ji.buckets[p]
+	for i := range ji.buckets {
+		b := &ji.buckets[i]
 		if len(b.ripening) == 0 && len(b.ready) == 0 {
 			continue
 		}
-		delay := delayFrac * ji.job.Phases[p].MeanTaskDuration
-		b.ripen(now, delay)
+		delay := delayFrac * ji.job.Phases[b.phase].MeanTaskDuration
+		b.ripen(now, delay, ji.buckets[b.phase].running, k)
 		if len(b.ripening) > 0 {
-			unripeUntil = min(unripeUntil, unripeBefore(b.ripening[0].key, delay))
+			unripeUntil = min(unripeUntil, unripeBefore(b.ripening[0].key, delay/b.speed))
 		}
 	}
 	return unripeUntil
@@ -292,121 +383,118 @@ func (ji *jobVictims) quiet(now float64, version int) bool {
 }
 
 // unripeBefore returns a time before which a copy started at start is
-// certainly unobservable by the scan's test (now − start < delay),
-// whatever the rounding: the exact boundary start + delay, shaved by a
-// relative 1e-12 — four orders of magnitude above the rounding error of
-// the subtraction and of this expression. Erring early only costs a full
-// query.
-func unripeBefore(start, delay float64) float64 { return (start + delay) * (1 - 1e-12) }
+// certainly unobservable by the scan's test ((now − start)·s < delay, with
+// wait = delay/s), whatever the rounding: the exact boundary start + wait,
+// shaved by a relative 1e-12 — four orders of magnitude above the
+// rounding error of the subtraction, the products and this expression.
+// Erring early only costs a full query.
+func unripeBefore(start, wait float64) float64 { return (start + wait) * (1 - 1e-12) }
 
-// EnableIndex switches the monitor's speculation queries from the linear
-// scans to the heap index. It requires the exact-equivalence conditions a
-// config shows (Config.IndexExact; see the file comment) and panics
-// otherwise — enabling the index must never be able to change simulation
-// results.
-func (m *Monitor) EnableIndex() {
-	if !m.cfg.IndexExact() {
-		panic("speculation: victim index requires MaxCopies == 2 and noise-free estimates")
-	}
-	m.indexOn = true
-}
-
-// DisableIndex returns the monitor to the linear scans for good. Always
-// safe, at any point in a run: the scans keep no state of their own.
-func (m *Monitor) DisableIndex() {
-	m.indexOn = false
-	for _, js := range m.jobs {
-		js.victims = jobVictims{}
-	}
-}
-
-// IndexEnabled reports whether the For queries answer from the index:
-// EnableIndex was called and nothing has downgraded the monitor since.
-func (m *Monitor) IndexEnabled() bool { return m.indexOn }
-
-// TaskHandedOut records a fresh task entering its scheduler's running set,
-// assigning its hand-out rank. Call immediately after RunningSet.Add; a
-// no-op when the index is disabled.
+// TaskHandedOut records a task entering its scheduler's running set,
+// assigning its hand-out rank, and indexes its oldest live copy if it has
+// one already. Call immediately after RunningSet.Add.
 func (m *Monitor) TaskHandedOut(t *cluster.Task) {
-	if !m.indexOn {
-		return
+	if m.cfg.MaxCopies < 2 {
+		return // a cap of one races nothing: no entries at all
 	}
 	ji := &m.job(t.Job.ID).victims
 	if ji.buckets == nil {
 		*ji = jobVictims{job: t.Job, buckets: make([]victimBucket, len(t.Job.Phases))}
+		for p := range ji.buckets {
+			ji.buckets[p].phase = p
+		}
 	}
-	t.VictimPos = ji.nextPos
 	ji.nextPos++
+	t.VictimPos = ji.nextPos
+	ji.buckets[t.Phase.Index].running++
+	ji.track(t)
 }
 
-// OriginalCopyPlaced indexes a task's original copy once it has a machine
-// (Start and Duration are now fixed). Call after the executor places a
-// non-speculative copy; a no-op when the index is disabled.
-func (m *Monitor) OriginalCopyPlaced(t *cluster.Task) {
-	if !m.indexOn {
-		return
+// CopyPlaced indexes a handed-out task's first live copy once it has a
+// machine (its Start and Duration are now fixed). Call after every
+// placement onto a task that may have no entry: adapters that hand a task
+// out before its copy lands call it for each copy they place; a no-op for
+// a task that is already indexed.
+func (m *Monitor) CopyPlaced(t *cluster.Task) {
+	if js := m.jobs[t.Job.ID]; js != nil {
+		js.victims.track(t)
 	}
+}
+
+// CopyDropped settles a copy of t that died without finishing the task
+// (after the adapter took it out of t.Copies), or a hand-out of t that
+// failed before its copy landed. A task left with no copy is requeued: it
+// leaves the index until it is handed out again. Otherwise a surviving
+// copy is re-keyed if the representative died, and the cached empty
+// answer is dropped, because a task back under the cap may be a victim
+// again.
+func (m *Monitor) CopyDropped(t *cluster.Task) {
 	js := m.jobs[t.Job.ID]
-	if js == nil || js.victims.buckets == nil {
-		return // job already completed (e.g. placement raced job teardown)
+	if js == nil || t.VictimPos == 0 || t.State != cluster.TaskRunning {
+		return
 	}
 	ji := &js.victims
-	c := t.Copies[0]
-	if c.WorkDuration() != c.Duration {
-		// Heap keys assume remaining work is monotone in wall-clock finish,
-		// which holds only when every copy runs at the same speed. The first
-		// off-speed placement permanently downgrades this monitor to the
-		// scan (still exact; the index is a pure optimization).
-		m.DisableIndex()
+	if len(t.Copies) == 0 {
+		ji.retire(t)
 		return
 	}
-	b := &ji.buckets[t.Phase.Index]
-	if b.ripening == nil {
-		n := min(len(t.Phase.Tasks), minHeapCap)
-		b.ripening = make([]victimEntry, 0, n)
-		b.ready = make([]victimEntry, 0, n)
-	}
-	b.running++
-	heapPush(&b.ripening, victimEntry{t, c.Start}, ripeLess)
+	ji.track(t)
 	ji.quietUntil = math.Inf(-1)
 }
 
-// indexed reports whether queries under this copy cap are answered from
-// the index.
-func (m *Monitor) indexed(maxCopies int) bool { return m.indexOn && maxCopies == 2 }
-
-// BestVictimFor is BestVictim answered from the index when it is enabled
-// (falling back to the scan otherwise): the observable single-copy task
-// with the largest remaining time whose fresh copy would beat it. jobID
-// scopes the index; running is only consulted on the scan path.
-func (m *Monitor) BestVictimFor(now float64, jobID cluster.JobID, running []*cluster.Task, maxCopies int) *cluster.Task {
-	if !m.indexed(maxCopies) {
-		return m.BestVictim(now, running, maxCopies)
+// best returns the task's best observable copy and its remaining work,
+// given a ready entry whose own remaining is r: the entry's copy and r
+// when it is the task's only copy, else the scan's observable() answer,
+// which the representative bounds from above.
+func (m *Monitor) best(now float64, e victimEntry, r float64) (*cluster.Copy, float64) {
+	if len(e.t.Copies) == 1 {
+		return e.c, r
 	}
+	_, best := m.observable(now, e.t)
+	return best, best.WorkRemaining(now)
+}
+
+// BestVictimFor is BestVictim over the job's running set, answered from
+// the index: the observable task below the copy cap with the largest
+// remaining time whose fresh copy would beat it.
+func (m *Monitor) BestVictimFor(now float64, jobID cluster.JobID) *cluster.Task {
 	js := m.jobs[jobID]
 	if js == nil || js.victims.quiet(now, js.version) {
 		return nil
 	}
-	ji, hist := &js.victims, js.deep(m.slowPct)
-	unripeUntil := ji.ripen(now, m.cfg.DetectDelayFrac)
+	ji, hist, k := &js.victims, js.deep(), m.cfg.MaxCopies
+	unripeUntil := ji.ripen(now, m.cfg.DetectDelayFrac, k)
 	var victim *cluster.Task
 	var victimRem float64
-	for p := range ji.buckets {
-		b := &ji.buckets[p]
-		for len(b.ready) > 0 && !b.ready[0].eligible() {
-			heapPop(&b.ready, readyLess)
-		}
+	for i := range ji.buckets {
+		b := &ji.buckets[i]
 		if len(b.ready) == 0 {
 			continue
 		}
-		e := b.ready[0]
-		rem := e.remaining(now)
-		if rem <= estNew(hist, ji.job.Phases[p]) {
-			continue // the bucket's max remaining fails the cut; all do
+		tNew := estNew(hist, ji.job.Phases[b.phase])
+		stack := append(m.walkStack[:0], 0)
+		for len(stack) > 0 {
+			j := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for j < len(b.ready) {
+				e := b.ready[j]
+				r := b.remaining(e, now)
+				if e.t == nil || r <= tNew || (victim != nil && r < victimRem) {
+					break // nothing in the subtree beats the cut or the victim
+				}
+				if !e.eligible(k) {
+					b.drop(j)
+					continue // j now holds one of its children
+				}
+				if _, rem := m.best(now, e, r); rem > tNew &&
+					(victim == nil || rem > victimRem || (rem == victimRem && e.t.VictimPos < victim.VictimPos)) {
+					victim, victimRem = e.t, rem
+				}
+				stack = append(stack, 2*j+2)
+				j = 2*j + 1
+			}
 		}
-		if victim == nil || rem > victimRem || (rem == victimRem && e.t.VictimPos < victim.VictimPos) {
-			victim, victimRem = e.t, rem
-		}
+		m.walkStack = stack
 	}
 	if victim == nil {
 		ji.quietUntil, ji.quietAt = unripeUntil, js.version
@@ -414,62 +502,58 @@ func (m *Monitor) BestVictimFor(now float64, jobID cluster.JobID, running []*clu
 	return victim
 }
 
-// CandidatesFor is CandidatesInto (unlimited budget) answered from the
-// index when it is enabled: the tasks of the job the policy wants to
-// speculate, in running-set order — except those already flagged
-// SpecWanted, which the caller's want queue would drop. running is only
-// consulted on the scan path, which returns the flagged ones too.
-func (m *Monitor) CandidatesFor(now float64, jobID cluster.JobID, running []*cluster.Task, dst []*cluster.Task) []*cluster.Task {
-	if !m.indexOn { // on implies the monitor's own cap is 2 (EnableIndex)
-		return m.CandidatesInto(now, running, -1, dst)
-	}
+// CandidatesFor is CandidatesInto (unlimited budget) over the job's
+// running set, answered from the index: the tasks of the job the policy
+// wants to speculate, in running-set order — except those already
+// flagged SpecWanted, which the caller's want queue would drop.
+func (m *Monitor) CandidatesFor(now float64, jobID cluster.JobID, dst []*cluster.Task) []*cluster.Task {
 	return m.walk(now, jobID, true, dst)
 }
 
-// VictimsFor is VictimsInto answered from the index when it is enabled:
-// every task BestVictimFor would consider, in running-set order — except
-// those already flagged SpecWanted, as in CandidatesFor.
-func (m *Monitor) VictimsFor(now float64, jobID cluster.JobID, running []*cluster.Task, maxCopies int, dst []*cluster.Task) []*cluster.Task {
-	if !m.indexed(maxCopies) {
-		return m.VictimsInto(now, running, maxCopies, dst)
-	}
+// VictimsFor is VictimsInto over the job's running set, answered from the
+// index: every task BestVictimFor would consider, in running-set order —
+// except those already flagged SpecWanted, as in CandidatesFor.
+func (m *Monitor) VictimsFor(now float64, jobID cluster.JobID, dst []*cluster.Task) []*cluster.Task {
 	return m.walk(now, jobID, false, dst)
 }
 
-// walk collects, over every bucket of the job, the eligible entries not
-// yet flagged SpecWanted whose remaining time beats t_new — and, with
-// policy set, that the policy wants — sorted by hand-out pos.
+// walk collects, over every bucket of the job, the eligible tasks not yet
+// flagged SpecWanted whose best observable remaining beats t_new — and,
+// with policy set, that the policy wants — sorted by hand-out pos.
 func (m *Monitor) walk(now float64, jobID cluster.JobID, policy bool, dst []*cluster.Task) []*cluster.Task {
 	out := dst[:0]
 	js := m.jobs[jobID]
 	if js == nil || js.victims.quiet(now, js.version) {
 		return out
 	}
-	ji, hist := &js.victims, js.deep(m.slowPct)
-	unripeUntil := ji.ripen(now, m.cfg.DetectDelayFrac)
+	ji, hist, k := &js.victims, js.deep(), m.cfg.MaxCopies
+	unripeUntil := ji.ripen(now, m.cfg.DetectDelayFrac, k)
 	victims := false // any at all, wanted ones included
-	for p := range ji.buckets {
-		b := &ji.buckets[p]
-		tNew := estNew(hist, ji.job.Phases[p])
+	for i := range ji.buckets {
+		b := &ji.buckets[i]
+		tNew := estNew(hist, ji.job.Phases[b.phase])
 		stack := append(m.walkStack[:0], 0)
 		for len(stack) > 0 {
-			i := stack[len(stack)-1]
+			j := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for i < len(b.ready) {
-				e := b.ready[i]
-				if e.t == nil || e.remaining(now) <= tNew {
+			for j < len(b.ready) {
+				e := b.ready[j]
+				r := b.remaining(e, now)
+				if e.t == nil || r <= tNew {
 					break // fails the cut, and so does its whole subtree
 				}
-				if !e.eligible() {
-					b.drop(i)
-					continue // i now holds one of its children
+				if !e.eligible(k) {
+					b.drop(j)
+					continue // j now holds one of its children
 				}
-				victims = true
-				if !e.t.SpecWanted && (!policy || m.cfg.Policy.Wants(m.estimates(now, e.t, e.t.Copies[0], hist))) {
-					out = append(out, e.t)
+				if best, rem := m.best(now, e, r); rem > tNew {
+					victims = true
+					if !e.t.SpecWanted && (!policy || m.cfg.Policy.Wants(m.estimates(now, e.t, best, hist))) {
+						out = append(out, e.t)
+					}
 				}
-				stack = append(stack, 2*i+2)
-				i = 2*i + 1
+				stack = append(stack, 2*j+2)
+				j = 2*j + 1
 			}
 		}
 		m.walkStack = stack

@@ -9,27 +9,55 @@ import (
 	"github.com/hopper-sim/hopper/internal/cluster"
 )
 
+// simConfig is one regime the differential drives the index through.
+type simConfig struct {
+	pol    Policy
+	k      int       // copy cap (Config.MaxCopies)
+	speeds []float64 // each placed copy runs at one of these, drawn
+	// drop, when set, enables copy loss: which copies a loss takes
+	// (dropOriginal, dropSpeculative, dropAll).
+	drop dropKind
+}
+
+type dropKind int
+
+const (
+	noDrops dropKind = iota
+	// dropOriginal loses a task's oldest live copy — its representative
+	// in the index; a speculative copy, if any, survives and is re-keyed.
+	dropOriginal
+	// dropSpeculative loses one of a task's younger copies: the task is
+	// back under the cap with its representative unchanged.
+	dropSpeculative
+	// dropAll loses every copy of a task, or a hand-out before its copy
+	// landed: the task is requeued, may catch a late speculative copy
+	// while it waits, and is handed out again.
+	dropAll
+)
+
 // victimSim drives one job through randomized hand-out / placement /
-// want-queueing / speculation / completion traffic, mirroring what a
-// scheduler does to its monitor, twice over: idx is the monitor under
-// test (index on), ref an oracle that never leaves the scans. Both hear
-// the same events, so their histories agree and every indexed answer can
-// be held against the scan's at every step.
+// want-queueing / speculation / loss / completion traffic, mirroring what
+// a scheduler does to its monitor, twice over: idx is the monitor under
+// test, ref an oracle asked only for its scans. Both hear the same
+// completions, so their histories agree and every indexed answer can be
+// held against the scan's at every step.
 type victimSim struct {
+	cfg      simConfig
 	idx, ref *Monitor
 	rng      *rand.Rand
 	job      *cluster.Job
-	running  []*cluster.Task // nil-tombstoned, like RunningSet
-	fresh    []*cluster.Task // handed out, original not yet placed
-	placed   []*cluster.Task // running with a placed original
+	running  []*cluster.Task // nil-tombstoned, in hand-out order, like RunningSet
+	queue    []*cluster.Task // to hand out: never-handed-out, then requeued
 	done     int
 
-	// speed is the speed factor stamped on the next original placed; the
-	// downgrade test flips it mid-run.
-	speed float64
+	// The loss counters: a representative lost with a copy surviving
+	// (re-keyed), a younger copy lost (the task back under the cap, its
+	// representative unchanged), a requeue, and a late copy landing on a
+	// requeued task.
+	rekeys, reopened, requeues, lateCopies int
 }
 
-func newVictimSim(idx, ref *Monitor, rng *rand.Rand, id cluster.JobID) *victimSim {
+func newVictimSim(cfg simConfig, idx, ref *Monitor, rng *rand.Rand, id cluster.JobID) *victimSim {
 	var phases []*cluster.Phase
 	for p := 0; p < 2; p++ {
 		ph := &cluster.Phase{MeanTaskDuration: []float64{1.0, 2.5}[p], Tasks: make([]*cluster.Task, 20)}
@@ -38,74 +66,101 @@ func newVictimSim(idx, ref *Monitor, rng *rand.Rand, id cluster.JobID) *victimSi
 		}
 		phases = append(phases, ph)
 	}
-	return &victimSim{idx: idx, ref: ref, rng: rng, job: cluster.NewJob(id, "", 0, phases), speed: 1}
+	s := &victimSim{cfg: cfg, idx: idx, ref: ref, rng: rng, job: cluster.NewJob(id, "", 0, phases)}
+	// Interleave the two phases so both buckets are live at once.
+	for i := 0; i < 20; i++ {
+		s.queue = append(s.queue, phases[0].Tasks[i], phases[1].Tasks[i])
+	}
+	return s
 }
 
 func (s *victimSim) total() int { return len(s.job.Phases[0].Tasks) + len(s.job.Phases[1].Tasks) }
 
+// pick returns a random task of the running set that satisfies ok, or nil.
+func (s *victimSim) pick(ok func(*cluster.Task) bool) *cluster.Task {
+	var ts []*cluster.Task
+	for _, t := range s.running {
+		if t != nil && ok(t) {
+			ts = append(ts, t)
+		}
+	}
+	if len(ts) == 0 {
+		return nil
+	}
+	return ts[s.rng.Intn(len(ts))]
+}
+
+// place appends a copy of t starting now at a drawn speed. Quantized
+// durations and speeds manufacture remaining-time ties, exercising the
+// hand-out-order tie-break, and land completions, ripeness and the t_new
+// cut exactly on clock steps.
+func (s *victimSim) place(t *cluster.Task, now float64, spec bool) {
+	t.Copies = append(t.Copies, &cluster.Copy{
+		Task: t, Start: now, Duration: float64(s.rng.Intn(16)+1) * 0.5,
+		Speculative: spec, Speed: s.cfg.speeds[s.rng.Intn(len(s.cfg.speeds))],
+	})
+	s.idx.CopyPlaced(t)
+}
+
+// leave takes t out of the running set (completion or requeue).
+func (s *victimSim) leave(t *cluster.Task) {
+	for j, rt := range s.running {
+		if rt == t {
+			s.running[j] = nil
+		}
+	}
+}
+
 // step performs one random scheduler action at time now and reports
 // whether the job still has work.
 func (s *victimSim) step(now float64) bool {
-	handed := len(s.fresh) + len(s.placed) + s.done
-	switch op := s.rng.Intn(5); {
-	case op == 0 && handed < s.total():
-		// Hand out the next fresh task, interleaving the two phases so
-		// both buckets are live at once.
-		ph := s.job.Phases[handed%2]
-		t := ph.Tasks[handed/2]
-		t.State = cluster.TaskRunning
+	switch op := s.rng.Intn(7); {
+	case op == 0 && len(s.queue) > 0:
+		// Hand out the next task: it joins the running set.
+		t := s.queue[0]
+		s.queue = s.queue[1:]
+		if t.State == cluster.TaskUnscheduled {
+			t.State = cluster.TaskRunning
+		}
 		s.running = append(s.running, t)
 		s.idx.TaskHandedOut(t)
-		s.fresh = append(s.fresh, t)
-	case op == 1 && len(s.fresh) > 0:
-		// Place a pending original. Quantized durations manufacture
-		// finish-time ties, exercising the hand-out-order tie-break, and
-		// land completions, ripeness and the t_new cut exactly on clock
-		// steps.
-		i := s.rng.Intn(len(s.fresh))
-		t := s.fresh[i]
-		s.fresh[i] = s.fresh[len(s.fresh)-1]
-		s.fresh = s.fresh[:len(s.fresh)-1]
-		t.Copies = append(t.Copies, &cluster.Copy{
-			Task: t, Start: now, Duration: float64(s.rng.Intn(16)+1) * 0.5, Speed: s.speed,
-		})
-		s.idx.OriginalCopyPlaced(t)
-		s.placed = append(s.placed, t)
-	case op == 2 && len(s.placed) > 0:
-		// Add a speculative copy to a running task (drops it out of
-		// victim eligibility in both implementations), taking it off the
-		// want queue as a scheduler's popWant does.
-		t := s.placed[s.rng.Intn(len(s.placed))]
-		if len(t.Copies) == 1 {
+	case op == 1:
+		// A handed-out task's original lands.
+		if t := s.pick(func(t *cluster.Task) bool { return len(t.Copies) == 0 }); t != nil {
+			s.place(t, now, false)
+		}
+	case op == 2:
+		// Race a victim the scan would offer, taking it off the want
+		// queue as a scheduler's popWant does. Only victims: a scheduler
+		// races nothing else, and the index relies on it.
+		if vs := s.ref.VictimsInto(now, s.running, s.cfg.k, nil); len(vs) > 0 {
+			t := vs[s.rng.Intn(len(vs))]
 			t.SpecWanted = false
-			t.Copies = append(t.Copies, &cluster.Copy{
-				Task: t, Start: now, Duration: float64(s.rng.Intn(8)+1) * 0.5, Speculative: true, Speed: 1,
-			})
+			s.place(t, now, true)
 		}
-	case op == 3 && len(s.placed) > 0:
-		// Complete a placed task: a winner is recorded, losers killed,
-		// and the task leaves the running set and the want queue.
-		i := s.rng.Intn(len(s.placed))
-		t := s.placed[i]
-		s.placed[i] = s.placed[len(s.placed)-1]
-		s.placed = s.placed[:len(s.placed)-1]
-		w := t.Copies[s.rng.Intn(len(t.Copies))]
-		w.Won = true
-		for _, c := range t.Copies {
-			if !c.Won {
-				c.Killed = true
+	case op == 3:
+		// Complete a task with a live copy — usually a running one, but a
+		// requeued task's late copy may win too. A winner is recorded,
+		// losers killed, and the task leaves the running set.
+		t := s.pick(func(t *cluster.Task) bool { return len(t.Copies) > 0 })
+		if t == nil {
+			for _, q := range s.queue {
+				if len(q.Copies) > 0 {
+					t = q
+				}
 			}
+			if t == nil {
+				break
+			}
+			s.queue = slices.DeleteFunc(s.queue, func(q *cluster.Task) bool { return q == t })
 		}
-		t.State = cluster.TaskDone
+		w := t.Copies[s.rng.Intn(len(t.Copies))]
+		t.Win(w, now, func(*cluster.Copy) {})
 		t.SpecWanted = false
 		s.job.CompleteTask(t, now, nil)
 		s.idx.TaskCompleted(t, w)
 		s.ref.TaskCompleted(t, w)
-		for j, rt := range s.running {
-			if rt == t {
-				s.running[j] = nil
-			}
-		}
+		s.leave(t)
 		s.done++
 	case op == 4:
 		// Queue some of what the policy wants, as a scheduler's addWant
@@ -115,8 +170,67 @@ func (s *victimSim) step(now float64) bool {
 				t.SpecWanted = true
 			}
 		}
+	case op == 5 && s.cfg.drop != noDrops:
+		s.lose(now)
+	case op == 6 && s.cfg.drop == dropAll:
+		// A speculative copy handed out before its task was requeued
+		// lands while the task waits to be handed out again.
+		for _, t := range s.queue {
+			if t.State == cluster.TaskRunning && len(t.Copies) == 0 {
+				s.place(t, now, true)
+				s.lateCopies++
+				break
+			}
+		}
 	}
 	return s.done < s.total()
+}
+
+// lose loses copies of one running task by the configured kind, each
+// loss reported as protocol.Sched.CopyLost reports it.
+func (s *victimSim) lose(now float64) {
+	var t *cluster.Task
+	switch s.cfg.drop {
+	case dropOriginal:
+		t = s.pick(func(t *cluster.Task) bool { return len(t.Copies) > 0 })
+	case dropSpeculative:
+		t = s.pick(func(t *cluster.Task) bool { return len(t.Copies) > 1 })
+	case dropAll:
+		t = s.pick(func(*cluster.Task) bool { return true })
+	}
+	if t == nil {
+		return
+	}
+	var lost []*cluster.Copy
+	switch s.cfg.drop {
+	case dropOriginal:
+		lost = t.Copies[:1]
+	case dropSpeculative:
+		lost = t.Copies[1+s.rng.Intn(len(t.Copies)-1):][:1]
+	case dropAll:
+		lost = t.Copies
+	}
+	lost = slices.Clone(lost)
+	if len(lost) == 0 {
+		s.idx.CopyDropped(t) // a hand-out lost before its copy landed
+	}
+	for _, c := range lost {
+		oldest := c == t.Copies[0]
+		t.DropCopy(c)
+		s.idx.CopyDropped(t)
+		switch {
+		case len(t.Copies) == 0:
+		case oldest:
+			s.rekeys++
+		default:
+			s.reopened++
+		}
+	}
+	if len(t.Copies) == 0 {
+		s.leave(t)
+		s.queue = append(s.queue, t)
+		s.requeues++
+	}
 }
 
 // unwanted filters a scan's answer down to what the indexed queries
@@ -146,33 +260,43 @@ func tid(t *cluster.Task) string {
 	return t.ID()
 }
 
-// answers counts the non-empty answers a differential run compared, per
-// query, so a run that never exercised one fails instead of passing
+// answers counts what a differential run compared and exercised, so a
+// run that never exercised a query, or a regime, fails instead of passing
 // vacuously.
-type answers struct{ best, victims, candidates int }
+type answers struct {
+	best, victims, candidates int
+	multi                     int // victims with more than one live copy
+	rekeys, reopened          int
+	requeues, lateCopies      int
+}
+
+func (a *answers) add(b answers) {
+	a.best += b.best
+	a.victims += b.victims
+	a.candidates += b.candidates
+	a.multi += b.multi
+	a.rekeys += b.rekeys
+	a.reopened += b.reopened
+	a.requeues += b.requeues
+	a.lateCopies += b.lateCopies
+}
 
 // compare holds the three indexed answers about the sim's job against
 // the oracle's scans at time now: same tasks, same order.
 func (s *victimSim) compare(t *testing.T, now float64, n *answers) {
 	t.Helper()
-	id := s.job.ID
-	if scan, got := s.ref.BestVictim(now, s.running, 2), s.idx.BestVictimFor(now, id, s.running, 2); scan != got {
+	id, k := s.job.ID, s.cfg.k
+	if scan, got := s.ref.BestVictim(now, s.running, k), s.idx.BestVictimFor(now, id); scan != got {
 		t.Fatalf("now %v job %d: BestVictim scan=%s index=%s", now, id, tid(scan), tid(got))
 	} else if scan != nil {
 		n.best++
 	}
-	// On the index the For queries skip wanted tasks themselves; once
-	// downgraded they are the scans, which leave that to the caller.
-	filter := unwanted
-	if s.idx.IndexEnabled() {
-		filter = func(ts []*cluster.Task) []*cluster.Task { return ts }
-	}
-	scanV := unwanted(s.ref.VictimsInto(now, s.running, 2, nil))
-	if got := filter(s.idx.VictimsFor(now, id, s.running, 2, nil)); !slices.Equal(scanV, got) {
+	scanV := unwanted(s.ref.VictimsInto(now, s.running, k, nil))
+	if got := s.idx.VictimsFor(now, id, nil); !slices.Equal(scanV, got) {
 		t.Fatalf("now %v job %d: Victims\n scan:  %v\n index: %v", now, id, tids(scanV), tids(got))
 	}
 	scanC := unwanted(s.ref.CandidatesInto(now, s.running, -1, nil))
-	if got := filter(s.idx.CandidatesFor(now, id, s.running, nil)); !slices.Equal(scanC, got) {
+	if got := s.idx.CandidatesFor(now, id, nil); !slices.Equal(scanC, got) {
 		t.Fatalf("now %v job %d: Candidates\n scan:  %v\n index: %v", now, id, tids(scanC), tids(got))
 	}
 	if len(scanV) > 1 {
@@ -181,18 +305,21 @@ func (s *victimSim) compare(t *testing.T, now float64, n *answers) {
 	if len(scanC) > 0 && len(scanC) < len(scanV) {
 		n.candidates++ // the policy said something the t_new cut did not
 	}
+	for _, v := range scanV {
+		if len(v.Copies) > 1 {
+			n.multi++
+		}
+	}
 }
 
-// runDifferential drives two jobs to completion under one policy,
-// comparing after every step, and calls midway once, halfway through the
-// hand-outs, with the sims and the clock. It reports what was compared.
-func runDifferential(t *testing.T, pol Policy, seed int64, midway func(sims []*victimSim, now float64)) (idx *Monitor, n answers) {
+// runDifferential drives two jobs to completion under one regime,
+// comparing after every step, and reports what was compared.
+func runDifferential(t *testing.T, cfg simConfig, seed int64) (idx *Monitor, n answers) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	idx = NewMonitor(Config{Policy: pol}, rng)
-	idx.EnableIndex()
-	ref := NewMonitor(Config{Policy: pol}, rng)
-	sims := []*victimSim{newVictimSim(idx, ref, rng, 1), newVictimSim(idx, ref, rng, 2)}
+	mcfg := Config{Policy: cfg.pol, MaxCopies: cfg.k}
+	idx, ref := NewMonitor(mcfg, nil), NewMonitor(mcfg, nil)
+	sims := []*victimSim{newVictimSim(cfg, idx, ref, rng, 1), newVictimSim(cfg, idx, ref, rng, 2)}
 	now := 0.0
 	for alive := true; alive; {
 		now += float64(rng.Intn(5)) * 0.125
@@ -203,18 +330,18 @@ func runDifferential(t *testing.T, pol Policy, seed int64, midway func(sims []*v
 			}
 			s.compare(t, now, &n)
 		}
-		if midway != nil && sims[0].done+sims[1].done >= sims[0].total() {
-			midway(sims, now)
-			midway = nil
-		}
 	}
 	for _, s := range sims {
+		n.add(answers{rekeys: s.rekeys, reopened: s.reopened, requeues: s.requeues, lateCopies: s.lateCopies})
+		if cfg.k < 2 && idx.jobs[s.job.ID].victims.buckets != nil {
+			t.Fatalf("seed %d: a cap of %d built an index for job %d", seed, cfg.k, s.job.ID)
+		}
 		idx.JobDone(s.job)
 		ref.JobDone(s.job)
-		if v := idx.BestVictimFor(now, s.job.ID, s.running, 2); v != nil {
+		if v := idx.BestVictimFor(now, s.job.ID); v != nil {
 			t.Fatalf("seed %d: victim %v from a completed job", seed, tid(v))
 		}
-		if got := idx.VictimsFor(now, s.job.ID, s.running, 2, nil); len(got) != 0 {
+		if got := idx.VictimsFor(now, s.job.ID, nil); len(got) != 0 {
 			t.Fatalf("seed %d: victims %v from a completed job", seed, tids(got))
 		}
 	}
@@ -222,104 +349,124 @@ func runDifferential(t *testing.T, pol Policy, seed int64, midway func(sims []*v
 }
 
 // TestIndexedVictimMatchesScan is the exact-equivalence differential for
-// all three indexed queries under every shipped policy: across randomized
-// scheduler histories, BestVictimFor must return the scan's task pointer,
-// and CandidatesFor and VictimsFor the scans' tasks minus the already
-// wanted ones in the scans' order, at every query time — including
-// nil-vs-nil, clamped-zero remainings, finish ties, entries dropped
-// mid-walk, and the estNew switch from phase mean to job median.
+// all three indexed queries: across randomized scheduler histories,
+// BestVictimFor must return the scan's task pointer, and CandidatesFor
+// and VictimsFor the scans' tasks minus the already wanted ones in the
+// scans' order, at every query time — including nil-vs-nil, clamped-zero
+// remainings, remaining ties, entries dropped mid-walk, and the estNew
+// switch from phase mean to job median. It runs every shipped policy at
+// the default cap on one speed, then one regime per condition the index
+// must hold under: copies at three speeds, each kind of copy loss, and
+// caps of 1, 3 and 4.
 func TestIndexedVictimMatchesScan(t *testing.T) {
+	unit, three := []float64{1}, []float64{0.5, 1, 2}
+	type regime struct {
+		name string
+		cfg  simConfig
+		// want names the counters the regime must have moved.
+		want func(answers) bool
+	}
+	exercised := func(n answers) bool { return n.best > 0 && n.victims > 0 && n.candidates > 0 }
+	var regimes []regime
 	for _, pol := range shipped {
-		pol := pol
-		t.Run(pol.Name(), func(t *testing.T) {
+		regimes = append(regimes, regime{pol.Name(), simConfig{pol: pol, k: 2, speeds: unit}, exercised})
+	}
+	regimes = append(regimes,
+		regime{"hetero-3-speeds", simConfig{pol: LATE{}, k: 2, speeds: three}, exercised},
+		regime{"original-lost", simConfig{pol: LATE{}, k: 2, speeds: three, drop: dropOriginal},
+			func(n answers) bool { return exercised(n) && n.rekeys > 0 && n.requeues > 0 }},
+		regime{"speculative-lost", simConfig{pol: LATE{}, k: 2, speeds: three, drop: dropSpeculative},
+			func(n answers) bool { return exercised(n) && n.reopened > 0 }},
+		regime{"all-lost-rehanded", simConfig{pol: LATE{}, k: 2, speeds: three, drop: dropAll},
+			func(n answers) bool { return exercised(n) && n.requeues > 0 && n.lateCopies > 0 }},
+		regime{"cap-1", simConfig{pol: LATE{}, k: 1, speeds: three, drop: dropAll},
+			func(n answers) bool { return n.best == 0 && n.victims == 0 && n.candidates == 0 && n.requeues > 0 }},
+		regime{"cap-3", simConfig{pol: Mantri{}, k: 3, speeds: unit, drop: dropOriginal},
+			func(n answers) bool { return exercised(n) && n.multi > 0 && n.rekeys > 0 }},
+		regime{"cap-3-hetero", simConfig{pol: GRASS{}, k: 3, speeds: three},
+			func(n answers) bool { return exercised(n) && n.multi > 0 }},
+		regime{"cap-4", simConfig{pol: LATE{}, k: 4, speeds: unit, drop: dropSpeculative},
+			func(n answers) bool { return exercised(n) && n.multi > 0 && n.reopened > 0 }},
+	)
+	for _, r := range regimes {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
 			var total answers
 			for seed := int64(1); seed <= 20; seed++ {
-				idx, n := runDifferential(t, pol, seed, nil)
-				if !idx.IndexEnabled() {
-					t.Fatalf("seed %d: the monitor under test left the index; the differential compared scan with scan", seed)
-				}
-				total.best += n.best
-				total.victims += n.victims
-				total.candidates += n.candidates
+				_, n := runDifferential(t, r.cfg, seed)
+				total.add(n)
 			}
-			if total.best == 0 || total.victims == 0 || total.candidates == 0 {
-				t.Fatalf("differential unexercised: %+v non-empty answers compared", total)
-			}
-		})
-	}
-}
-
-// TestIndexDowngradesMatchScan: the two run-time downgrades — an original
-// placed at non-unit speed, and DisableIndex (what the churn driver
-// calls) — may come at any point of a run; from then on the For queries
-// are the scans, over the same history.
-func TestIndexDowngradesMatchScan(t *testing.T) {
-	downgrades := map[string]func(sims []*victimSim, now float64){
-		"off-speed copy": func(sims []*victimSim, now float64) { sims[0].speed = 2 },
-		"DisableIndex":   func(sims []*victimSim, now float64) { sims[0].idx.DisableIndex() },
-	}
-	for name, downgrade := range downgrades {
-		downgrade := downgrade
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(1); seed <= 10; seed++ {
-				wasOn := false
-				idx, _ := runDifferential(t, LATE{SlowTaskPercentile: 25}, seed, func(sims []*victimSim, now float64) {
-					wasOn = sims[0].idx.IndexEnabled()
-					downgrade(sims, now)
-				})
-				if !wasOn {
-					t.Fatalf("seed %d: index already off before the downgrade", seed)
-				}
-				if idx.IndexEnabled() {
-					t.Fatalf("seed %d: index still on after the downgrade", seed)
-				}
+			if !r.want(total) {
+				t.Fatalf("differential unexercised: %+v compared", total)
 			}
 		})
 	}
 }
 
 // boundaryTask builds a one-task job whose original copy has the given
-// start and duration, registered with an indexed monitor and an oracle,
+// start, duration and speed, registered with a monitor and an oracle,
 // both holding the same five-completion history (t_new = hist).
-func boundaryTask(start, dur, mean, hist float64) (idx, ref *Monitor, task *cluster.Task, running []*cluster.Task) {
+func boundaryTask(start, dur, speed, mean, hist float64) (idx, ref *Monitor, running []*cluster.Task) {
 	ph := &cluster.Phase{MeanTaskDuration: mean, Tasks: []*cluster.Task{{}, {}}}
 	cluster.NewJob(1, "", 0, []*cluster.Phase{ph})
-	task = ph.Tasks[0]
+	task := ph.Tasks[0]
 	task.State = cluster.TaskRunning
-	rng := rand.New(rand.NewSource(1))
-	idx, ref = NewMonitor(Config{Policy: Mantri{}}, rng), NewMonitor(Config{Policy: Mantri{}}, rng)
+	idx, ref = NewMonitor(Config{Policy: Mantri{}}, nil), NewMonitor(Config{Policy: Mantri{}}, nil)
 	feed(idx, ph.Tasks[1], hist, 5)
 	feed(ref, ph.Tasks[1], hist, 5)
-	idx.EnableIndex()
 	idx.TaskHandedOut(task)
-	task.Copies = []*cluster.Copy{{Task: task, Start: start, Duration: dur, Speed: 1}}
-	idx.OriginalCopyPlaced(task)
-	return idx, ref, task, []*cluster.Task{task}
+	task.Copies = []*cluster.Copy{{Task: task, Start: start, Duration: dur, Speed: speed}}
+	idx.CopyPlaced(task)
+	return idx, ref, []*cluster.Task{task}
+}
+
+// firstTrue returns the least float at or after a guess near the boundary
+// at which pred (monotone: false, then true) holds.
+func firstTrue(guess float64, pred func(float64) bool) float64 {
+	x := guess
+	for pred(x) {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	for !pred(x) {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	return x
 }
 
 // TestIndexAgreesWithScanAtTheUlp: a tick or a completion can land
 // exactly where a copy becomes observable, or where its remaining time
 // crosses t_new. There the index must decide as the scan decides, to the
-// last bit: now − Start >= delay, not a precomputed Start + delay <= now
-// (the two round differently), and max(0, Finish − now) > t_new. For many
-// non-dyadic starts and delays, query just below, at, and just above both
-// boundaries, in clock order.
+// last bit: (now − Start)·s >= delay, not a precomputed Start + delay <=
+// now (the two round differently), and max(0, Finish − now)·s > t_new.
+// For many non-dyadic starts and delays, query just below, at, and just
+// above both boundaries, in clock order — at unit speed around the naive
+// boundary, and at non-dyadic speeds around the scan's own first ripe and
+// first failing instants, where the index's cached quiet bound
+// (unripeBefore at delay/s) must not run past the flip either.
 func TestIndexAgreesWithScanAtTheUlp(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	naiveDisagrees, ripeFlips, cutFlips := 0, 0, 0
 	check := func(idx, ref *Monitor, running []*cluster.Task, now float64, what string) (victim bool) {
 		t.Helper()
 		scan := ref.BestVictim(now, running, 2)
-		if got := idx.BestVictimFor(now, 1, running, 2); got != scan {
+		if got := idx.BestVictimFor(now, 1); got != scan {
 			t.Fatalf("%s, now %v: BestVictim scan=%s index=%s", what, now, tid(scan), tid(got))
 		}
-		if got, want := idx.VictimsFor(now, 1, running, 2, nil), ref.VictimsInto(now, running, 2, nil); !slices.Equal(got, want) {
+		if got, want := idx.VictimsFor(now, 1, nil), ref.VictimsInto(now, running, 2, nil); !slices.Equal(got, want) {
 			t.Fatalf("%s, now %v: Victims scan=%v index=%v", what, now, tids(want), tids(got))
 		}
-		if got, want := idx.CandidatesFor(now, 1, running, nil), ref.CandidatesInto(now, running, -1, nil); !slices.Equal(got, want) {
+		if got, want := idx.CandidatesFor(now, 1, nil), ref.CandidatesInto(now, running, -1, nil); !slices.Equal(got, want) {
 			t.Fatalf("%s, now %v: Candidates scan=%v index=%v", what, now, tids(want), tids(got))
 		}
 		return scan != nil
+	}
+	// around queries just below, at and just above x; it reports whether
+	// the answer flipped from empty to a victim (up) or back (down).
+	around := func(idx, ref *Monitor, running []*cluster.Task, x float64, what string) (up, down bool) {
+		before := check(idx, ref, running, math.Nextafter(x, 0), what)
+		check(idx, ref, running, x, what)
+		after := check(idx, ref, running, math.Nextafter(x, math.Inf(1)), what)
+		return !before && after, before && !after
 	}
 	for i := 0; i < 2000; i++ {
 		start := rng.Float64() * 100
@@ -328,15 +475,12 @@ func TestIndexAgreesWithScanAtTheUlp(t *testing.T) {
 
 		// Ripeness: a straggler (it beats t_new by far), queried around
 		// the instant it becomes observable.
-		idx, ref, _, running := boundaryTask(start, 1000*mean, mean, mean)
+		idx, ref, running := boundaryTask(start, 1000*mean, 1, mean, mean)
 		ripeAt := start + delay
 		if below := math.Nextafter(ripeAt, 0); ripeAt-start < delay || !(below-start < delay) {
 			naiveDisagrees++ // the scan is not ripe at ripeAt, or already ripe below it
 		}
-		before := check(idx, ref, running, math.Nextafter(ripeAt, 0), "ripeness")
-		check(idx, ref, running, ripeAt, "ripeness")
-		after := check(idx, ref, running, math.Nextafter(ripeAt, math.Inf(1)), "ripeness")
-		if !before && after {
+		if up, _ := around(idx, ref, running, ripeAt, "ripeness"); up {
 			ripeFlips++
 		}
 
@@ -344,13 +488,23 @@ func TestIndexAgreesWithScanAtTheUlp(t *testing.T) {
 		// its remaining time stops beating a fresh copy's.
 		tNew := mean * (0.5 + rng.Float64())
 		dur := 10*mean + rng.Float64()
-		idx, ref, _, running = boundaryTask(start, dur, mean, tNew)
-		cutAt := (start + dur) - tNew
-		before = check(idx, ref, running, math.Nextafter(cutAt, 0), "t_new cut")
-		check(idx, ref, running, cutAt, "t_new cut")
-		after = check(idx, ref, running, math.Nextafter(cutAt, math.Inf(1)), "t_new cut")
-		if before && !after {
+		idx, ref, running = boundaryTask(start, dur, 1, mean, tNew)
+		if _, down := around(idx, ref, running, (start+dur)-tNew, "t_new cut"); down {
 			cutFlips++
+		}
+
+		// Both again on a copy at a non-dyadic speed, around the scan's
+		// own flips.
+		s := 0.3 + rng.Float64()*3
+		idx, ref, running = boundaryTask(start, 1000*mean, s, mean, mean)
+		ripe := firstTrue(start+delay/s, func(now float64) bool { return !((now-start)*s < delay) })
+		if up, _ := around(idx, ref, running, ripe, "off-speed ripeness"); !up {
+			t.Fatalf("speed %v: the scan did not turn ripe at %v", s, ripe)
+		}
+		idx, ref, running = boundaryTask(start, dur, s, mean, tNew)
+		fails := firstTrue(start+dur-tNew/s, func(now float64) bool { return !(max(0, start+dur-now)*s > tNew) })
+		if _, down := around(idx, ref, running, fails, "off-speed t_new cut"); !down {
+			t.Fatalf("speed %v: the scan did not fail the cut at %v", s, fails)
 		}
 	}
 	if naiveDisagrees == 0 {
@@ -408,16 +562,15 @@ func TestIndexShedsFinishedEntries(t *testing.T) {
 		ph.Tasks[i] = &cluster.Task{}
 	}
 	j := cluster.NewJob(1, "", 0, []*cluster.Phase{ph})
-	m := NewMonitor(Config{}, rand.New(rand.NewSource(1)))
-	m.EnableIndex()
+	m := NewMonitor(Config{}, nil)
 	for _, task := range ph.Tasks {
 		task.State = cluster.TaskRunning
 		m.TaskHandedOut(task)
 		task.Copies = []*cluster.Copy{{Task: task, Start: 0, Duration: 2, Speed: 1}}
-		m.OriginalCopyPlaced(task)
+		m.CopyPlaced(task)
 	}
 	b := &m.jobs[j.ID].victims.buckets[0]
-	m.BestVictimFor(1, j.ID, nil, 2) // everything ripens
+	m.BestVictimFor(1, j.ID) // everything ripens
 	if len(b.ready) != n {
 		t.Fatalf("ready holds %d entries after the wave ripened, want %d", len(b.ready), n)
 	}
@@ -426,33 +579,9 @@ func TestIndexShedsFinishedEntries(t *testing.T) {
 		task.Copies[0].Won = true
 		m.TaskCompleted(task, task.Copies[0])
 	}
-	m.BestVictimFor(2, j.ID, nil, 2)
+	m.BestVictimFor(2, j.ID)
 	if len(b.ready) > 10 || cap(b.ready) > 64 || cap(b.ripening) > 64 {
 		t.Fatalf("after %d of %d tasks finished the bucket still holds len %d cap %d (ripening cap %d)",
 			n-10, n, len(b.ready), cap(b.ready), cap(b.ripening))
-	}
-}
-
-// TestEnableIndexGuards pins that the index refuses configurations where
-// it cannot be exact, and that Config.IndexExact is that gate.
-func TestEnableIndexGuards(t *testing.T) {
-	for _, cfg := range []Config{{MaxCopies: 3}, {MaxCopies: 1}, {EstimateNoise: 0.1}} {
-		if cfg.IndexExact() {
-			t.Errorf("IndexExact(%+v) = true", cfg)
-		}
-		m := NewMonitor(cfg, rand.New(rand.NewSource(1)))
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("EnableIndex(%+v) did not panic", cfg)
-				}
-			}()
-			m.EnableIndex()
-		}()
-	}
-	for _, cfg := range []Config{{}, {MaxCopies: 2, Policy: Mantri{}}} {
-		if !cfg.IndexExact() {
-			t.Errorf("IndexExact(%+v) = false", cfg)
-		}
 	}
 }
