@@ -45,11 +45,11 @@ func main() {
 
 	// Run under Hopper and inspect the alpha estimator's learning.
 	var alphaEst *estimate.AlphaEstimator
-	kind := experiments.Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
+	kind := func(eng *simulator.Engine, exec *cluster.Executor) experiments.Arriver {
 		h := scheduler.NewHopper(eng, exec, scheduler.Config{CheckInterval: 0.2})
 		alphaEst = h.Alpha
 		return h
-	})
+	}
 	res := experiments.RunTrace(kind, spec, experiments.CloneJobs(trace.Jobs), 3)
 
 	fmt.Printf("\nall %d jobs completed; avg completion %.2fs\n",

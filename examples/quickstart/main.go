@@ -27,18 +27,18 @@ func main() {
 		len(trace.Jobs), trace.TotalWork, trace.OfferedLoad)
 
 	// Replay the identical trace under three centralized engines.
-	fair := experiments.RunTrace(experiments.Central(
-		func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
+	fair := experiments.RunTrace(
+		func(eng *simulator.Engine, exec *cluster.Executor) experiments.Arriver {
 			return scheduler.NewFair(eng, exec, scheduler.Config{CheckInterval: 0.1})
-		}), spec, experiments.CloneJobs(trace.Jobs), 7)
-	srpt := experiments.RunTrace(experiments.Central(
-		func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
+		}, spec, experiments.CloneJobs(trace.Jobs), 7)
+	srpt := experiments.RunTrace(
+		func(eng *simulator.Engine, exec *cluster.Executor) experiments.Arriver {
 			return scheduler.NewSRPT(eng, exec, scheduler.Config{CheckInterval: 0.1})
-		}), spec, experiments.CloneJobs(trace.Jobs), 7)
-	hopper := experiments.RunTrace(experiments.Central(
-		func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
+		}, spec, experiments.CloneJobs(trace.Jobs), 7)
+	hopper := experiments.RunTrace(
+		func(eng *simulator.Engine, exec *cluster.Executor) experiments.Arriver {
 			return scheduler.NewHopper(eng, exec, scheduler.Config{CheckInterval: 0.1})
-		}), spec, experiments.CloneJobs(trace.Jobs), 7)
+		}, spec, experiments.CloneJobs(trace.Jobs), 7)
 
 	fmt.Printf("Fair + best-effort LATE : avg completion %.2fs\n", fair.Run.AvgCompletion())
 	fmt.Printf("SRPT + best-effort LATE : avg completion %.2fs\n", srpt.Run.AvgCompletion())

@@ -50,6 +50,10 @@ const (
 	ModeLoadCache = protocol.ModeLoadCache
 )
 
+// ProcDelay is the serial per-message processing time at a scheduler,
+// in seconds: what makes extra probes cost something.
+const ProcDelay = 20e-6
+
 // Config holds the decentralized system's parameters: the shared
 // protocol parameters plus the simulator-only message cost model.
 type Config struct {
@@ -72,10 +76,6 @@ type Config struct {
 	// 0.5ms).
 	MsgLatency float64
 
-	// ProcDelay is the serial per-message processing time at a scheduler
-	// (default 20us). This is what makes extra probes cost something.
-	ProcDelay float64
-
 	// Epsilon is the fairness allowance (Section 4.3) applied through the
 	// virtual-size floor; used only by ModeHopper. Default 0.1.
 	Epsilon float64
@@ -88,9 +88,6 @@ type Config struct {
 
 	// CheckInterval is the scheduler-side speculation scan period.
 	CheckInterval float64
-
-	// BetaPrior seeds the per-scheduler tail estimators.
-	BetaPrior float64
 
 	// ReprobeInterval, when positive, arms the periodic reservation
 	// refresh (ReprobeStalled) independent of churn. Heterogeneous
@@ -109,12 +106,8 @@ func (c Config) WithDefaults() Config {
 	c.RefusalThreshold = p.RefusalThreshold
 	c.Epsilon = p.Epsilon
 	c.Spec = p.Spec
-	c.BetaPrior = p.BetaPrior
 	if c.MsgLatency == 0 {
 		c.MsgLatency = 0.0005
-	}
-	if c.ProcDelay == 0 {
-		c.ProcDelay = 0.00002
 	}
 	if c.CheckInterval == 0 {
 		c.CheckInterval = 0.25
@@ -132,32 +125,12 @@ func (c Config) protocol() protocol.Config {
 		Epsilon:          c.Epsilon,
 		FairnessOff:      c.FairnessOff,
 		Spec:             c.Spec,
-		BetaPrior:        c.BetaPrior,
 	}
 }
 
-// System is a running decentralized cluster: schedulers, workers, and the
-// shared executor. It satisfies the same Arrive/Completed contract as the
-// centralized engines, so experiment drivers treat both uniformly.
-type System struct {
-	Cfg  Config
-	Eng  *simulator.Engine
-	Exec *cluster.Executor
-
-	scheds  []*sched
-	workers []*worker
-
-	byJob map[cluster.JobID]*sched
-	done  []*cluster.Job
-
-	next int // round-robin scheduler assignment
-
-	// freeMsg heads the pooled-message free list. Every simulated
-	// protocol message is one recycled message object posted through the
-	// engine's PostArg path and drained by System.dispatch — no per-post
-	// closure, no per-message heap allocation once the pool is warm.
-	freeMsg *message
-
+// Counters are the simulator adapter's counters: protocol traffic, churn
+// accounting, probe coalescing, and the cores' shared protocol.Stats.
+type Counters struct {
 	// Messages counts every protocol message sent (probes, responses,
 	// replies) — the overhead currency of Section 5.
 	Messages int64
@@ -184,6 +157,46 @@ type System struct {
 	ProbesLost     int64
 	AssignsLost    int64
 
+	// ProbeEventsSaved counts engine events avoided by probe coalescing:
+	// one batch of probes emitted by a single core call is delivered as
+	// one event (all probes arrive at the same simulated instant and are
+	// processed in emission order — the engine's same-timestamp FIFO
+	// contract makes this indistinguishable from per-probe events), so a
+	// batch of n probes saves n-1 events. Message counters above are
+	// unaffected: coalescing is an engine-level optimization, not a
+	// protocol change.
+	ProbeEventsSaved int64
+
+	// Stats carries the core-side counters (RoundsStarted, RoundsPlaced,
+	// OccupancyLeaks, Requeues, ...), shared by every core of the system.
+	protocol.Stats
+}
+
+// System is a running decentralized cluster: schedulers, workers, and the
+// shared executor. It satisfies the same Arrive/Completed contract as the
+// centralized engines, so experiment drivers treat both uniformly.
+type System struct {
+	Cfg  Config
+	Eng  *simulator.Engine
+	Exec *cluster.Executor
+
+	scheds  []*sched
+	workers []*worker
+
+	byJob map[cluster.JobID]*sched
+	done  []*cluster.Job
+
+	next int // round-robin scheduler assignment
+
+	// freeMsg heads the pooled-message free list. Every simulated
+	// protocol message is one recycled message object posted through the
+	// engine's PostArg path and drained by System.dispatch — no per-post
+	// closure, no per-message heap allocation once the pool is warm.
+	freeMsg *message
+
+	// Counters are promoted, so callers read each as a System field.
+	Counters
+
 	// pcfg is the resolved protocol config, kept to build fresh worker
 	// cores when churned machines rejoin.
 	pcfg protocol.Config
@@ -204,20 +217,6 @@ type System struct {
 	// Config.ReprobeInterval, or churnReprobeEvery when EnableChurn found
 	// it off; 0 leaves the refresh off.
 	reprobeEvery float64
-
-	// ProbeEventsSaved counts engine events avoided by probe coalescing:
-	// one batch of probes emitted by a single core call is delivered as
-	// one event (all probes arrive at the same simulated instant and are
-	// processed in emission order — the engine's same-timestamp FIFO
-	// contract makes this indistinguishable from per-probe events), so a
-	// batch of n probes saves n-1 events. Message counters above are
-	// unaffected: coalescing is an engine-level optimization, not a
-	// protocol change.
-	ProbeEventsSaved int64
-
-	// Stats carries the core-side counters (RoundsStarted, RoundsPlaced,
-	// OccupancyLeaks), promoted so callers read them as System fields.
-	protocol.Stats
 
 	// OnPlace, when set, observes every successful placement in hand-out
 	// order — the assignment log the sim-vs-live parity test compares.
@@ -391,7 +390,9 @@ func New(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *System {
 		byJob: make(map[cluster.JobID]*sched),
 	}
 	s.reprobeEvery = cfg.ReprobeInterval
-	pcfg := cfg.protocol()
+	// The tail estimators' BetaPrior has no decentral knob: it resolves
+	// to protocol.Config's default here.
+	pcfg := cfg.protocol().WithDefaults()
 	s.pcfg = pcfg
 	for i := 0; i < cfg.NumSchedulers; i++ {
 		s.scheds = append(s.scheds, newSched(s, i, pcfg))
@@ -464,7 +465,7 @@ func (s *System) toScheduler(sc *sched, m *message) {
 	if sc.busyUntil > handle {
 		handle = sc.busyUntil
 	}
-	handle += s.Cfg.ProcDelay
+	handle += ProcDelay
 	sc.busyUntil = handle
 	s.Eng.PostArg(handle, dispatchMessage, m)
 }

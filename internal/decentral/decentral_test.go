@@ -7,6 +7,7 @@ import (
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/simulator"
+	"github.com/hopper-sim/hopper/internal/speculation"
 )
 
 // mkJob builds a single-phase job.
@@ -173,17 +174,58 @@ func TestSparrowSRPTBeatsSparrowUnderLoad(t *testing.T) {
 	}
 }
 
-// TestConfigDefaultsMatchProtocol pins the projection/copy-back pair in
-// Config.WithDefaults: a protocol.Config field added without the
-// matching decentral plumbing would leave the decentral field zero
-// while the core runs with the default — this catches that silently
-// diverging config at test time.
+// TestConfigDefaultsMatchProtocol checks, for every mode, three things
+// about the protocol.Config a System hands its cores:
+//   - the projection of a defaulted decentral Config equals
+//     protocol.Config's own defaults, BetaPrior aside (decentral has no
+//     such knob), so the two default tables cannot drift apart;
+//   - a default System resolves exactly protocol.Config's defaults,
+//     BetaPrior included (1.5);
+//   - a System built with every projected field set away from its
+//     default carries each setting, so a field protocol() drops shows
+//     here rather than in a figure.
 func TestConfigDefaultsMatchProtocol(t *testing.T) {
-	for _, mode := range []Mode{ModeHopper, ModeSparrow, ModeSparrowSRPT} {
-		got := Config{Mode: mode}.WithDefaults().protocol()
+	newSys := func(cfg Config) *System {
+		eng := simulator.New(1)
+		exec := cluster.NewExecutor(eng, cluster.NewMachines(4, 2), cluster.DefaultExecModel())
+		return New(eng, exec, cfg)
+	}
+	for _, mode := range []Mode{ModeHopper, ModeSparrow, ModeSparrowSRPT, ModeLoadCache} {
 		want := protocol.Config{Mode: mode}.WithDefaults()
+		projected := want
+		projected.BetaPrior = 0
+		if got := (Config{Mode: mode}).WithDefaults().protocol(); !reflect.DeepEqual(got, projected) {
+			t.Fatalf("%s: decentral defaults project to %+v, protocol defaults are %+v", mode, got, projected)
+		}
+
+		got := newSys(Config{Mode: mode}).pcfg
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: decentral defaults project to %+v, protocol defaults are %+v", mode, got, want)
+			t.Fatalf("%s: a default System resolves %+v, protocol defaults are %+v", mode, got, want)
+		}
+		if got.BetaPrior != 1.5 {
+			t.Fatalf("%s: BetaPrior resolves to %v, want 1.5", mode, got.BetaPrior)
+		}
+
+		set := Config{
+			Mode:             mode,
+			NumSchedulers:    3,
+			ProbeRatio:       3.5,
+			RefusalThreshold: 5,
+			Epsilon:          0.3,
+			FairnessOff:      true,
+			Spec:             speculation.Config{MaxCopies: 3, DetectDelayFrac: 0.5},
+		}
+		wantSet := protocol.Config{
+			Mode:             mode,
+			NumSchedulers:    3,
+			ProbeRatio:       3.5,
+			RefusalThreshold: 5,
+			Epsilon:          0.3,
+			FairnessOff:      true,
+			Spec:             speculation.Config{MaxCopies: 3, DetectDelayFrac: 0.5},
+		}.WithDefaults()
+		if got := newSys(set).pcfg; !reflect.DeepEqual(got, wantSet) {
+			t.Fatalf("%s: a System configured %+v resolves %+v, want %+v", mode, set, got, wantSet)
 		}
 	}
 }

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/decentral"
 	"github.com/hopper-sim/hopper/internal/metrics"
 	"github.com/hopper-sim/hopper/internal/scheduler"
-	"github.com/hopper-sim/hopper/internal/simulator"
 	"github.com/hopper-sim/hopper/internal/speculation"
-	"github.com/hopper-sim/hopper/internal/stats"
 	"github.com/hopper-sim/hopper/internal/workload"
 )
 
@@ -53,13 +50,13 @@ func runAblation(h Harness) *Result {
 		Title:  "Ablation: avg job duration (s) and delta (%) vs full Hopper-D",
 		Header: []string{"variant", "avg duration", "delta vs full (%)"},
 	}
-	varAvgs := seedMatrix(h, len(variants), 3100, 43, func(hh Harness, v, _ int, seed int64) float64 {
+	varAvgs := seedMedians(h, len(variants), 3100, 43, func(hh Harness, v, _ int, seed int64) []float64 {
 		tr := GenTrace(prof, hh.jobs(1200), 0.7, spec, seed)
-		return RunTrace(variants[v].kind, spec, CloneJobs(tr.Jobs), seed+1).Run.AvgCompletion()
+		return []float64{RunTrace(variants[v].kind, spec, CloneJobs(tr.Jobs), seed+1).Run.AvgCompletion()}
 	})
 	var full float64
 	for vi, v := range variants {
-		avg := stats.Median(varAvgs[vi])
+		avg := varAvgs[vi][0]
 		if v.name == "full Hopper-D" {
 			full = avg
 			tab.AddF(v.name, avg, 0.0)
@@ -75,26 +72,17 @@ func runAblation(h Harness) *Result {
 		Title:  "Ablation (centralized): avg job duration (s)",
 		Header: []string{"engine", "avg duration"},
 	}
-	kinds := []struct {
-		name string
-		kind SchedulerKind
-	}{
-		{"Hopper", Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
-			return scheduler.NewHopper(eng, exec, scheduler.Config{CheckInterval: 0.1})
-		})},
-		{"Hopper, spec off", Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
-			return scheduler.NewHopper(eng, exec, scheduler.Config{CheckInterval: 0.1, DisableSpec: true})
-		})},
-		{"SRPT", Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
-			return scheduler.NewSRPT(eng, exec, scheduler.Config{CheckInterval: 0.1})
-		})},
+	kinds := []variant{
+		{"Hopper", centralHopper(scheduler.Config{CheckInterval: 0.1})},
+		{"Hopper, spec off", centralHopper(scheduler.Config{CheckInterval: 0.1, DisableSpec: true})},
+		{"SRPT", centralSRPT(scheduler.Config{CheckInterval: 0.1})},
 	}
-	centAvgs := seedMatrix(h, len(kinds), 3200, 47, func(hh Harness, k, _ int, seed int64) float64 {
+	centAvgs := seedMedians(h, len(kinds), 3200, 47, func(hh Harness, k, _ int, seed int64) []float64 {
 		tr := GenTrace(prof, hh.jobs(1000), 0.7, spec, seed)
-		return RunTrace(kinds[k].kind, spec, CloneJobs(tr.Jobs), seed+1).Run.AvgCompletion()
+		return []float64{RunTrace(kinds[k].kind, spec, CloneJobs(tr.Jobs), seed+1).Run.AvgCompletion()}
 	})
 	for ki, k := range kinds {
-		ctab.AddF(k.name, stats.Median(centAvgs[ki]))
+		ctab.AddF(k.name, centAvgs[ki][0])
 	}
 	res.Tables = append(res.Tables, ctab)
 	res.Notes = append(res.Notes,

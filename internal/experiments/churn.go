@@ -7,7 +7,6 @@ import (
 	"github.com/hopper-sim/hopper/internal/decentral"
 	"github.com/hopper-sim/hopper/internal/metrics"
 	"github.com/hopper-sim/hopper/internal/simulator"
-	"github.com/hopper-sim/hopper/internal/stats"
 	"github.com/hopper-sim/hopper/internal/workload"
 )
 
@@ -15,7 +14,8 @@ import (
 // failure behavior (churn, recovery) rather than reproduce a paper
 // figure. They live apart from Registry on purpose — the dispatch
 // golden pins Registry's modes bit-for-bit, and fault paths are new
-// scenarios, not behavior changes to existing ones.
+// scenarios, not behavior changes to existing ones. The scenario golden
+// pins Scenarios separately.
 var Scenarios []Experiment
 
 func registerScenario(id, title string, run func(h Harness) *Result) {
@@ -32,15 +32,6 @@ func ScenarioByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// ScenarioIDs returns all registered scenario IDs in order.
-func ScenarioIDs() []string {
-	out := make([]string, len(Scenarios))
-	for i, e := range Scenarios {
-		out[i] = e.ID
-	}
-	return out
-}
-
 func init() {
 	registerScenario("churn", "Machine churn: completion time vs leave rate per decentralized mode", runChurn)
 }
@@ -55,7 +46,7 @@ var churnModes = []decentral.Mode{decentral.ModeHopper, decentral.ModeSparrow, d
 // churnKind builds a decentralized system with churn armed at the given
 // leave spacing (0 disables).
 func churnKind(mode decentral.Mode, leaveEvery float64, churnSeed int64) SchedulerKind {
-	return Decentral(func(eng *simulator.Engine, exec *cluster.Executor) *decentral.System {
+	return func(eng *simulator.Engine, exec *cluster.Executor) Arriver {
 		s := decentral.New(eng, exec, decentral.Config{Mode: mode})
 		if leaveEvery > 0 {
 			s.EnableChurn(decentral.ChurnConfig{
@@ -65,7 +56,7 @@ func churnKind(mode decentral.Mode, leaveEvery float64, churnSeed int64) Schedul
 			})
 		}
 		return s
-	})
+	}
 }
 
 // runChurn sweeps the machine-leave rate and reports, per decentralized
@@ -78,15 +69,10 @@ func runChurn(h Harness) *Result {
 	res := &Result{ID: "churn", Title: "Machine churn: join/leave as a first-class scenario"}
 	spec := ClusterSpec{Machines: 100, SlotsPerMachine: 4, Exec: cluster.DefaultExecModel()}
 
-	type cellOut struct {
-		avg                  float64
-		requeues, copiesLost int64
-		probesLost           int64
-		left                 int64
-	}
-	// Cell order: (rate, mode)-major, seed-minor.
+	// Cell order: (rate, mode)-major, seed-minor. A cell's row is the
+	// average completion followed by the recovery table's columns.
 	nCfg := len(churnRates) * len(churnModes)
-	rows := seedMatrix(h, nCfg, 8200, 31, func(hh Harness, cfg, _ int, seed int64) cellOut {
+	med := seedMedians(h, nCfg, 8200, 31, func(hh Harness, cfg, _ int, seed int64) []float64 {
 		rate := churnRates[cfg/len(churnModes)]
 		mode := churnModes[cfg%len(churnModes)]
 		leaveEvery := 0.0
@@ -95,23 +81,9 @@ func runChurn(h Harness) *Result {
 		}
 		tr := GenTrace(churnProfile(), hh.jobs(150), 0.7, spec, seed)
 		r := RunTrace(churnKind(mode, leaveEvery, seed+7), spec, CloneJobs(tr.Jobs), seed+1)
-		return cellOut{
-			avg:        r.Run.AvgCompletion(),
-			requeues:   r.Requeues,
-			copiesLost: r.CopiesLost,
-			probesLost: r.ProbesLost,
-			left:       r.MachinesLeft,
-		}
+		return []float64{r.Run.AvgCompletion(),
+			float64(r.MachinesLeft), float64(r.CopiesLost), float64(r.Requeues), float64(r.ProbesLost)}
 	})
-
-	med := func(cfg int, f func(c cellOut) float64) float64 {
-		var xs []float64
-		for _, c := range rows[cfg] {
-			xs = append(xs, f(c))
-		}
-		return stats.Median(xs)
-	}
-	cfgOf := func(ri, mi int) int { return ri*len(churnModes) + mi }
 
 	avgTab := &metrics.Table{
 		Title:  "avg job completion (s) vs machine leave rate (leaves/min, 100 machines)",
@@ -127,21 +99,18 @@ func runChurn(h Harness) *Result {
 	}
 	for ri, rate := range churnRates {
 		label := fmt.Sprintf("%.0f", rate)
+		m := med[ri*len(churnModes):]
 		avgs := make([]float64, len(churnModes))
 		slows := make([]float64, len(churnModes))
 		for mi := range churnModes {
-			avgs[mi] = med(cfgOf(ri, mi), func(c cellOut) float64 { return c.avg })
-			base := med(cfgOf(0, mi), func(c cellOut) float64 { return c.avg })
+			avgs[mi] = m[mi][0]
+			base := med[mi][0]
 			slows[mi] = 100 * (avgs[mi] - base) / base
 		}
 		avgTab.AddF(label, avgs[0], avgs[1], avgs[2])
 		slowTab.AddF(label, slows[0], slows[1], slows[2])
-		hop := cfgOf(ri, 0)
-		recTab.AddF(label,
-			med(hop, func(c cellOut) float64 { return float64(c.left) }),
-			med(hop, func(c cellOut) float64 { return float64(c.copiesLost) }),
-			med(hop, func(c cellOut) float64 { return float64(c.requeues) }),
-			med(hop, func(c cellOut) float64 { return float64(c.probesLost) }))
+		hop := m[0]
+		recTab.AddF(label, hop[1], hop[2], hop[3], hop[4])
 	}
 	res.Tables = append(res.Tables, avgTab, slowTab, recTab)
 	res.Notes = append(res.Notes,

@@ -21,7 +21,7 @@ func TestSingleClassDifferential(t *testing.T) {
 	}
 	forceClassedLayout = true
 	defer func() { forceClassedLayout = false }()
-	got := renderAll(goldenHarness)
+	got := renderAll(goldenHarness, Registry)
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden file: %v", err)

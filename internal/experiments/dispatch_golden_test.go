@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/dispatch_golden.txt from the current implementation")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden the selected test checks from the current implementation")
 
 // goldenHarness is the smoke-scale setting the dispatch identity contract
 // is pinned at: every registered driver, two seeds. Small enough for CI,
@@ -17,17 +17,47 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/dispatch_golden.
 // and locality promotion.
 var goldenHarness = Harness{Scale: 0.05, Seeds: 2, Workers: 0}
 
-const goldenPath = "testdata/dispatch_golden.txt"
+// scenarioHarness pins the robustness scenarios. Two seeds make every
+// median the mean of two values.
+var scenarioHarness = Harness{Scale: 0.3, Seeds: 2}
 
-// renderAll renders every registered experiment at the golden scale into
-// one deterministic blob.
-func renderAll(h Harness) string {
+const (
+	goldenPath         = "testdata/dispatch_golden.txt"
+	scenarioGoldenPath = "testdata/scenario_golden.txt"
+)
+
+// renderAll renders the given experiments into one deterministic blob.
+func renderAll(h Harness, exps []Experiment) string {
 	var sb strings.Builder
-	for _, res := range RunExperiments(h, Registry) {
+	for _, res := range RunExperiments(h, exps) {
 		sb.WriteString(res.String())
 		sb.WriteString("\n")
 	}
 	return sb.String()
+}
+
+// checkGolden compares got with the golden at path, or rewrites the
+// golden under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update on the reference tree): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("experiment tables diverged from %s.\nFirst divergence: %s\n(see DESIGN.md section 6 identity contract; regenerate only if a deliberate behavior change is intended)",
+			path, firstDiff(string(want), got))
+	}
 }
 
 // TestDispatchGolden is the experiment-table identity contract (see
@@ -55,25 +85,20 @@ func TestDispatchGolden(t *testing.T) {
 	// Every speculation answer in every cell comes from the victim index,
 	// so the golden also holds the index to what the scans answered when
 	// it was generated.
-	got := renderAll(goldenHarness)
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
-		return
+	checkGolden(t, goldenPath, renderAll(goldenHarness, Registry))
+}
+
+// TestScenarioGolden pins the churn and hetero tables the way
+// TestDispatchGolden pins the figures: every registered scenario must
+// reproduce the checked-in tables byte for byte. Churn exercises the
+// loss and requeue paths, hetero the classed cluster, demand filtering
+// and the load-cached probe policy — none of which the figure drivers
+// reach.
+func TestScenarioGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden replay is seconds-long; skipped with -short")
 	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update on the reference tree): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("experiment tables diverged from the pre-overhaul reference.\nFirst divergence: %s\n(see DESIGN.md section 6 identity contract; regenerate only if a deliberate behavior change is intended)",
-			firstDiff(string(want), got))
-	}
+	checkGolden(t, scenarioGoldenPath, renderAll(scenarioHarness, Scenarios))
 }
 
 // firstDiff locates the first differing line for a readable failure.

@@ -3,15 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/decentral"
 	"github.com/hopper-sim/hopper/internal/metrics"
 	"github.com/hopper-sim/hopper/internal/scheduler"
 	"github.com/hopper-sim/hopper/internal/simulator"
-	"github.com/hopper-sim/hopper/internal/stats"
-	"github.com/hopper-sim/hopper/internal/workload"
 )
 
 // Harness controls experiment scale so the same drivers serve the full
@@ -94,57 +91,24 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs returns all registered experiment IDs in order.
-func IDs() []string {
-	out := make([]string, len(Registry))
-	for i, e := range Registry {
-		out[i] = e.ID
-	}
-	return out
-}
-
 // --- shared scheduler constructors -----------------------------------
 
-// specCfg returns the default speculation config used across experiments
-// (LATE, as in most of the paper's experiments).
-func specCfg() scheduler.Config {
-	return scheduler.Config{CheckInterval: 0.1}
-}
-
 func centralHopper(cfg scheduler.Config) SchedulerKind {
-	return Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
+	return func(eng *simulator.Engine, exec *cluster.Executor) Arriver {
 		return scheduler.NewHopper(eng, exec, cfg)
-	})
+	}
 }
 
 func centralSRPT(cfg scheduler.Config) SchedulerKind {
-	return Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
+	return func(eng *simulator.Engine, exec *cluster.Executor) Arriver {
 		return scheduler.NewSRPT(eng, exec, cfg)
-	})
-}
-
-func centralFair(cfg scheduler.Config) SchedulerKind {
-	return Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
-		return scheduler.NewFair(eng, exec, cfg)
-	})
+	}
 }
 
 func decentralKind(cfg decentral.Config) SchedulerKind {
-	return Decentral(func(eng *simulator.Engine, exec *cluster.Executor) *decentral.System {
+	return func(eng *simulator.Engine, exec *cluster.Executor) Arriver {
 		return decentral.New(eng, exec, cfg)
-	})
-}
-
-// medianGain replays a generator under baseline and improved schedulers
-// across seeds and returns the median overall gain.
-func medianGain(h Harness, gen func(seed int64) *workload.Trace, spec ClusterSpec,
-	baseline, improved SchedulerKind) float64 {
-	gains := forSeeds(h, 1000, 77, func(hh Harness, seed int64) float64 {
-		tr := gen(seed)
-		runs := pairedRuns(hh, spec, tr.Jobs, seed+1, baseline, improved)
-		return metrics.GainBetween(runs[0].Run, runs[1].Run)
-	})
-	return stats.Median(gains)
+	}
 }
 
 // pairedRuns replays one seed's trace under several schedulers in
@@ -154,16 +118,4 @@ func pairedRuns(h Harness, spec ClusterSpec, jobs []*cluster.Job, seed int64, ki
 	return cells(h, len(kinds), func(_ Harness, i int) RunResult {
 		return RunTrace(kinds[i], spec, CloneJobs(jobs), seed)
 	})
-}
-
-// medianOf collects per-seed scalars and returns their median.
-func medianOf(h Harness, f func(h Harness, seed int64) float64) float64 {
-	return stats.Median(forSeeds(h, 1000, 77, f))
-}
-
-// sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []float64) []float64 {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return cp
 }

@@ -7,8 +7,6 @@ import (
 	"github.com/hopper-sim/hopper/internal/decentral"
 	"github.com/hopper-sim/hopper/internal/metrics"
 	"github.com/hopper-sim/hopper/internal/scheduler"
-	"github.com/hopper-sim/hopper/internal/simulator"
-	"github.com/hopper-sim/hopper/internal/stats"
 	"github.com/hopper-sim/hopper/internal/workload"
 )
 
@@ -35,9 +33,7 @@ func fig5Spec(h Harness) (ClusterSpec, int) {
 // centralizedRef runs the same trace under the centralized Hopper engine,
 // the reference line in Figures 5a/5b.
 func centralizedRef(spec ClusterSpec, jobs []*cluster.Job, seed int64) float64 {
-	kind := Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
-		return scheduler.NewHopper(eng, exec, scheduler.Config{CheckInterval: 0.1})
-	})
+	kind := centralHopper(scheduler.Config{CheckInterval: 0.1})
 	return RunTrace(kind, spec, CloneJobs(jobs), seed).Run.AvgCompletion()
 }
 
@@ -73,8 +69,7 @@ func runFig5a(h Harness) *Result {
 	ds := []float64{2, 3, 4, 6, 8}
 	refs := fig5Refs(h, utils, 500, 31)
 
-	type ratios struct{ hop, spw float64 }
-	rows := seedMatrix(h, len(utils)*len(ds), 500, 31, func(hh Harness, c, s int, seed int64) ratios {
+	med := seedMedians(h, len(utils)*len(ds), 500, 31, func(hh Harness, c, s int, seed int64) []float64 {
 		u, di := c/len(ds), c%len(ds)
 		rf := refs[u][s]
 		runs := pairedRuns(hh, spec, rf.tr.Jobs, seed+1,
@@ -87,10 +82,7 @@ func runFig5a(h Harness) *Result {
 				ProbeRatio: ds[di], CheckInterval: 0.1,
 			}),
 		)
-		return ratios{
-			hop: runs[0].Run.AvgCompletion() / rf.ref,
-			spw: runs[1].Run.AvgCompletion() / rf.ref,
-		}
+		return []float64{runs[0].Run.AvgCompletion() / rf.ref, runs[1].Run.AvgCompletion() / rf.ref}
 	})
 
 	for ui, util := range utils {
@@ -99,15 +91,8 @@ func runFig5a(h Harness) *Result {
 			Header: []string{"d", "Hopper-D", "Sparrow"},
 		}
 		for di, d := range ds {
-			perSeed := rows[ui*len(ds)+di]
-			var rH, rS []float64
-			for _, r := range perSeed {
-				rH = append(rH, r.hop)
-				rS = append(rS, r.spw)
-			}
-			tab.AddF(fmt.Sprintf("%.0f", d),
-				fmt.Sprintf("%.2f", stats.Median(rH)),
-				fmt.Sprintf("%.2f", stats.Median(rS)))
+			m := med[ui*len(ds)+di]
+			tab.AddF(fmt.Sprintf("%.0f", d), fmt.Sprintf("%.2f", m[0]), fmt.Sprintf("%.2f", m[1]))
 		}
 		res.Tables = append(res.Tables, tab)
 	}
@@ -126,14 +111,14 @@ func runFig5b(h Harness) *Result {
 	rts := []int{1, 2, 3, 5, 8}
 	refs := fig5Refs(h, utils, 700, 37)
 
-	rows := seedMatrix(h, len(utils)*len(rts), 700, 37, func(hh Harness, c, s int, seed int64) float64 {
+	med := seedMedians(h, len(utils)*len(rts), 700, 37, func(hh Harness, c, s int, seed int64) []float64 {
 		u, ri := c/len(rts), c%len(rts)
 		rf := refs[u][s]
 		hop := RunTrace(decentralKind(decentral.Config{
 			Mode: decentral.ModeHopper, NumSchedulers: nSched,
 			RefusalThreshold: rts[ri], CheckInterval: 0.1,
 		}), spec, CloneJobs(rf.tr.Jobs), seed+1)
-		return hop.Run.AvgCompletion() / rf.ref
+		return []float64{hop.Run.AvgCompletion() / rf.ref}
 	})
 
 	for ui, util := range utils {
@@ -142,7 +127,7 @@ func runFig5b(h Harness) *Result {
 			Header: []string{"refusals", "Hopper-D vs centralized"},
 		}
 		for ri, rt := range rts {
-			tab.AddF(fmt.Sprintf("%d", rt), fmt.Sprintf("%.2f", stats.Median(rows[ui*len(rts)+ri])))
+			tab.AddF(fmt.Sprintf("%d", rt), fmt.Sprintf("%.2f", med[ui*len(rts)+ri][0]))
 		}
 		res.Tables = append(res.Tables, tab)
 	}
@@ -178,19 +163,19 @@ func runFig11(h Harness) *Result {
 		}), spec, CloneJobs(tr.Jobs), seed+1)}
 	})
 
-	rows := seedMatrix(h, len(utils)*len(ratios), 1100, 41, func(hh Harness, c, s int, seed int64) float64 {
+	med := seedMedians(h, len(utils)*len(ratios), 1100, 41, func(hh Harness, c, s int, seed int64) []float64 {
 		u, di := c/len(ratios), c%len(ratios)
 		b := bases[u][s]
 		hop := RunTrace(decentralKind(decentral.Config{
 			Mode: decentral.ModeHopper, ProbeRatio: ratios[di], CheckInterval: 0.1,
 		}), spec, CloneJobs(b.tr.Jobs), seed+1)
-		return metrics.GainBetween(b.base.Run, hop.Run)
+		return []float64{metrics.GainBetween(b.base.Run, hop.Run)}
 	})
 
 	for di, d := range ratios {
 		row := []string{fmt.Sprintf("%.1f", d)}
 		for ui := range utils {
-			row = append(row, fmt.Sprintf("%.1f", stats.Median(rows[ui*len(ratios)+di])))
+			row = append(row, fmt.Sprintf("%.1f", med[ui*len(ratios)+di][0]))
 		}
 		tab.Add(row...)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/hopper-sim/hopper/internal/decentral"
 	"github.com/hopper-sim/hopper/internal/metrics"
-	"github.com/hopper-sim/hopper/internal/stats"
 	"github.com/hopper-sim/hopper/internal/workload"
 )
 
@@ -34,8 +33,7 @@ func runFig6(h Harness) *Result {
 			cfgs = append(cfgs, cfg{p, u})
 		}
 	}
-	type gains struct{ sparrow, srpt float64 }
-	rows := seedMatrix(h, len(cfgs), 9000, 311, func(hh Harness, c, _ int, seed int64) gains {
+	med := seedMedians(h, len(cfgs), 9000, 311, func(hh Harness, c, _ int, seed int64) []float64 {
 		prof := workload.Sparkify(profileByName(cfgs[c].prof))
 		tr := GenTrace(prof, hh.jobs(1200), cfgs[c].util, spec, seed)
 		runs := pairedRuns(hh, spec, tr.Jobs, seed+1,
@@ -46,10 +44,7 @@ func runFig6(h Harness) *Result {
 		hh.logf("fig6 %s util=%.0f%% seed=%d: sparrow=%.1fs srpt=%.1fs hopper=%.1fs",
 			cfgs[c].prof, cfgs[c].util*100, seed,
 			runs[0].Run.AvgCompletion(), runs[1].Run.AvgCompletion(), runs[2].Run.AvgCompletion())
-		return gains{
-			sparrow: metrics.GainBetween(runs[0].Run, runs[2].Run),
-			srpt:    metrics.GainBetween(runs[1].Run, runs[2].Run),
-		}
+		return []float64{metrics.GainBetween(runs[0].Run, runs[2].Run), metrics.GainBetween(runs[1].Run, runs[2].Run)}
 	})
 	for pi, profName := range profs {
 		tab := &metrics.Table{
@@ -57,13 +52,8 @@ func runFig6(h Harness) *Result {
 			Header: []string{"util", "vs Sparrow", "vs Sparrow-SRPT"},
 		}
 		for ui, util := range utils {
-			perSeed := rows[pi*len(utils)+ui]
-			var gSparrow, gSRPT []float64
-			for _, g := range perSeed {
-				gSparrow = append(gSparrow, g.sparrow)
-				gSRPT = append(gSRPT, g.srpt)
-			}
-			tab.AddF(fmt.Sprintf("%.0f%%", util*100), stats.Median(gSparrow), stats.Median(gSRPT))
+			m := med[pi*len(utils)+ui]
+			tab.AddF(fmt.Sprintf("%.0f%%", util*100), m[0], m[1])
 		}
 		res.Tables = append(res.Tables, tab)
 	}

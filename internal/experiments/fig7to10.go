@@ -18,30 +18,41 @@ func init() {
 	register("fig10", "Fairness knob epsilon: sensitivity and slowdowns", runFig10)
 }
 
-// srptVsHopperGains replays one trace under Sparrow-SRPT and Hopper-D and
-// returns the overall gain plus the per-bin breakdown — the common cell
-// body of Figures 7 and 9.
-type binGains struct {
-	overall float64
-	byBin   map[string]float64
+// binLabels are the row labels of a by-job-size gain table, in the
+// column order binGains returns.
+func binLabels() []string { return append([]string{"overall"}, workload.SizeBins()...) }
+
+// binGains returns hop's gain over base overall and per job-size bin, in
+// binLabels order. A bin no job fell into is NaN.
+func binGains(base, hop metrics.Run) []float64 {
+	row := []float64{metrics.GainBetween(base, hop)}
+	for _, bin := range workload.SizeBins() {
+		row = append(row, metrics.GainWhere(base, hop, func(j metrics.JobResult) bool {
+			return workload.SizeBin(j.Tasks) == bin
+		}))
+	}
+	return row
 }
 
-func srptVsHopperGains(hh Harness, spec ClusterSpec, tr *workload.Trace, seed int64, sc speculation.Config) binGains {
+// lenGains returns hop's gain over base for each DAG length lo..hi.
+func lenGains(base, hop metrics.Run, lo, hi int) []float64 {
+	var row []float64
+	for l := lo; l <= hi; l++ {
+		row = append(row, metrics.GainWhere(base, hop, func(j metrics.JobResult) bool {
+			return j.DAGLen == l
+		}))
+	}
+	return row
+}
+
+// srptVsHopperGains replays one trace under Sparrow-SRPT and Hopper-D and
+// returns binGains — the common cell of Figures 7 and 9.
+func srptVsHopperGains(hh Harness, spec ClusterSpec, tr *workload.Trace, seed int64, sc speculation.Config) []float64 {
 	runs := pairedRuns(hh, spec, tr.Jobs, seed,
 		decentralKind(decentral.Config{Mode: decentral.ModeSparrowSRPT, Spec: sc, CheckInterval: 0.1}),
 		decentralKind(decentral.Config{Mode: decentral.ModeHopper, Spec: sc, CheckInterval: 0.1}),
 	)
-	g := binGains{
-		overall: metrics.GainBetween(runs[0].Run, runs[1].Run),
-		byBin:   map[string]float64{},
-	}
-	for _, bin := range workload.SizeBins() {
-		bin := bin
-		g.byBin[bin] = metrics.GainWhere(runs[0].Run, runs[1].Run, func(j metrics.JobResult) bool {
-			return workload.SizeBin(j.Tasks) == bin
-		})
-	}
-	return g
+	return binGains(runs[0].Run, runs[1].Run)
 }
 
 // runFig7 reproduces Figure 7: gains over Sparrow-SRPT broken down by the
@@ -53,7 +64,7 @@ func runFig7(h Harness) *Result {
 	spec := Prototype200(1.5)
 	profs := []string{"facebook", "bing"}
 
-	rows := seedMatrix(h, len(profs), 1700, 13, func(hh Harness, p, _ int, seed int64) binGains {
+	med := seedMedians(h, len(profs), 1700, 13, func(hh Harness, p, _ int, seed int64) []float64 {
 		prof := workload.Sparkify(profileByName(profs[p]))
 		tr := GenTrace(prof, hh.jobs(1500), 0.6, spec, seed)
 		return srptVsHopperGains(hh, spec, tr, seed+1, speculation.Config{})
@@ -64,17 +75,8 @@ func runFig7(h Harness) *Result {
 			Title:  fmt.Sprintf("Figure 7 (%s): reduction (%%) vs Sparrow-SRPT by job size", profName),
 			Header: append([]string{"bin"}, "gain"),
 		}
-		var overall []float64
-		byBin := map[string][]float64{}
-		for _, g := range rows[pi] {
-			overall = append(overall, g.overall)
-			for _, bin := range workload.SizeBins() {
-				byBin[bin] = append(byBin[bin], g.byBin[bin])
-			}
-		}
-		tab.AddF("overall", stats.Median(overall))
-		for _, bin := range workload.SizeBins() {
-			tab.AddF(bin, stats.Median(byBin[bin]))
+		for i, label := range binLabels() {
+			tab.AddF(label, med[pi][i])
 		}
 		res.Tables = append(res.Tables, tab)
 	}
@@ -126,28 +128,17 @@ func runFig8b(h Harness) *Result {
 		Header: []string{"phases", "gain"},
 	}
 
-	perSeed := forSeeds(h, 1900, 17, func(hh Harness, seed int64) map[int]float64 {
+	med := seedMedians(h, 1, 1900, 17, func(hh Harness, _, _ int, seed int64) []float64 {
 		tr := GenTrace(prof, hh.jobs(1500), 0.6, spec, seed)
 		runs := pairedRuns(hh, spec, tr.Jobs, seed+1,
 			decentralKind(decentral.Config{Mode: decentral.ModeSparrowSRPT, CheckInterval: 0.1}),
 			decentralKind(decentral.Config{Mode: decentral.ModeHopper, CheckInterval: 0.1}),
 		)
-		byLen := map[int]float64{}
-		for l := 1; l <= 8; l++ {
-			l := l
-			byLen[l] = metrics.GainWhere(runs[0].Run, runs[1].Run, func(j metrics.JobResult) bool {
-				return j.DAGLen == l
-			})
-		}
-		return byLen
-	})
+		return lenGains(runs[0].Run, runs[1].Run, 1, 8)
+	})[0]
 
-	for l := 1; l <= 8; l++ {
-		var g []float64
-		for _, m := range perSeed {
-			g = append(g, m[l])
-		}
-		tab.AddF(fmt.Sprintf("%d", l), stats.Median(g))
+	for i, g := range med {
+		tab.AddF(fmt.Sprintf("%d", i+1), g)
 	}
 	res.Tables = append(res.Tables, tab)
 	res.Notes = append(res.Notes, "paper: gains hold across DAG lengths")
@@ -168,29 +159,14 @@ func runFig9(h Harness) *Result {
 	}
 	pols := []string{"LATE", "Mantri", "GRASS"}
 
-	rows := seedMatrix(h, len(pols), 2100, 19, func(hh Harness, p, _ int, seed int64) binGains {
+	med := seedMedians(h, len(pols), 2100, 19, func(hh Harness, p, _ int, seed int64) []float64 {
 		tr := GenTrace(prof, hh.jobs(1200), 0.6, spec, seed)
 		sc := speculation.Config{Policy: speculation.ByName(pols[p])}
 		return srptVsHopperGains(hh, spec, tr, seed+1, sc)
 	})
 
-	cols := map[string]map[string]float64{}
-	for pi, polName := range pols {
-		var overall []float64
-		byBin := map[string][]float64{}
-		for _, g := range rows[pi] {
-			overall = append(overall, g.overall)
-			for _, bin := range workload.SizeBins() {
-				byBin[bin] = append(byBin[bin], g.byBin[bin])
-			}
-		}
-		cols[polName] = map[string]float64{"overall": stats.Median(overall)}
-		for _, bin := range workload.SizeBins() {
-			cols[polName][bin] = stats.Median(byBin[bin])
-		}
-	}
-	for _, r := range append([]string{"overall"}, workload.SizeBins()...) {
-		tab.AddF(r, cols["LATE"][r], cols["Mantri"][r], cols["GRASS"][r])
+	for i, label := range binLabels() {
+		tab.AddF(label, med[0][i], med[1][i], med[2][i])
 	}
 	res.Tables = append(res.Tables, tab)
 	res.Notes = append(res.Notes, "paper: gains nearly identical across the three mitigation algorithms")

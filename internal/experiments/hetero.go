@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/decentral"
 	"github.com/hopper-sim/hopper/internal/metrics"
-	"github.com/hopper-sim/hopper/internal/simulator"
-	"github.com/hopper-sim/hopper/internal/stats"
 	"github.com/hopper-sim/hopper/internal/workload"
 )
 
@@ -17,7 +16,7 @@ import (
 // probing (Hopper-D) and power-of-two sampling (Sparrow). The class
 // mixes and the demand split are scenario inputs, not paper figures —
 // the paper's testbed is homogeneous — so this lives in Scenarios, not
-// the golden-pinned Registry.
+// the paper-figure Registry.
 
 func init() {
 	registerScenario("hetero",
@@ -52,17 +51,6 @@ var heteroMixes = []heteroMix{
 	}},
 }
 
-// heteroKind builds a decentralized system for one mode. The reprobe
-// refresh is armed on every mode: with per-slot capacities in play, a
-// demand-carrying task whose probes all landed on too-small workers
-// needs the periodic re-roll to find a machine it fits (see
-// decentral.Config.ReprobeInterval).
-func heteroKind(mode decentral.Mode) SchedulerKind {
-	return Decentral(func(eng *simulator.Engine, exec *cluster.Executor) *decentral.System {
-		return decentral.New(eng, exec, decentral.Config{Mode: mode, ReprobeInterval: 1})
-	})
-}
-
 // stampHeteroDemand assigns per-job resource demand in thirds by job
 // index: zero demand (fits anywhere), small demand (fits every class),
 // big demand (fits only the big class). Phases and tasks are stamped
@@ -95,60 +83,46 @@ func stampHeteroDemand(jobs []*cluster.Job) {
 // probes at workers the cache says are free and fitting, beating
 // random-subset probing on completion time or probe traffic.
 func runHetero(h Harness) *Result {
-	res := &Result{ID: "hetero", Title: "Heterogeneous machines: load-cached vs random probing"}
-
-	type cellOut struct {
-		avg    float64
-		probes int64
-		msgs   int64
-	}
 	nCfg := len(heteroMixes) * len(heteroModes)
-	rows := seedMatrix(h, nCfg, 9300, 37, func(hh Harness, cfg, _ int, seed int64) cellOut {
+	med := seedMedians(h, nCfg, 9300, 37, func(hh Harness, cfg, _ int, seed int64) []float64 {
 		mix := heteroMixes[cfg/len(heteroModes)]
 		mode := heteroModes[cfg%len(heteroModes)]
 		spec := ClusterSpec{Classes: mix.classes, Exec: cluster.DefaultExecModel()}
 		tr := GenTrace(heteroProfile(), hh.jobs(120), 0.5, spec, seed)
 		stampHeteroDemand(tr.Jobs)
-		r := RunTrace(heteroKind(mode), spec, CloneJobs(tr.Jobs), seed+1)
-		return cellOut{avg: r.Run.AvgCompletion(), probes: r.Probes, msgs: r.Messages}
+		// The reprobe refresh is armed on every mode: with per-slot
+		// capacities in play, a demand-carrying task whose probes all
+		// landed on too-small workers needs the periodic re-roll to find
+		// a machine it fits (see decentral.Config.ReprobeInterval).
+		kind := decentralKind(decentral.Config{Mode: mode, ReprobeInterval: 1})
+		r := RunTrace(kind, spec, CloneJobs(tr.Jobs), seed+1)
+		return []float64{r.Run.AvgCompletion(), float64(r.Probes), float64(r.Messages)}
 	})
+	return heteroResult(med)
+}
 
-	med := func(cfg int, f func(c cellOut) float64) float64 {
-		var xs []float64
-		for _, c := range rows[cfg] {
-			xs = append(xs, f(c))
-		}
-		return stats.Median(xs)
+// heteroResult renders the sweep's medians, one (avg, probes, messages)
+// row per (mix, mode) in cell order. Probe and message medians print
+// truncated to whole messages (a two-seed median of 2211.5 prints
+// 2211.0), and lcWins compares the truncated probe counts.
+func heteroResult(med [][]float64) *Result {
+	res := &Result{ID: "hetero", Title: "Heterogeneous machines: load-cached vs random probing"}
+	for _, m := range med {
+		m[1], m[2] = math.Trunc(m[1]), math.Trunc(m[2])
 	}
-	cfgOf := func(mi, di int) int { return mi*len(heteroModes) + di }
 
-	avgTab := &metrics.Table{
-		Title:  "avg job completion (s) per class mix (medians across seeds)",
-		Header: []string{"mix", "Hopper-LC", "Hopper-D", "Sparrow"},
-	}
-	probeTab := &metrics.Table{
-		Title:  "probe traffic per run (probes sent; medians across seeds)",
-		Header: []string{"mix", "Hopper-LC", "Hopper-D", "Sparrow"},
-	}
-	msgTab := &metrics.Table{
-		Title:  "total protocol messages per run (medians across seeds)",
-		Header: []string{"mix", "Hopper-LC", "Hopper-D", "Sparrow"},
-	}
+	header := []string{"mix", "Hopper-LC", "Hopper-D", "Sparrow"}
+	avgTab := &metrics.Table{Title: "avg job completion (s) per class mix (medians across seeds)", Header: header}
+	probeTab := &metrics.Table{Title: "probe traffic per run (probes sent; medians across seeds)", Header: header}
+	msgTab := &metrics.Table{Title: "total protocol messages per run (medians across seeds)", Header: header}
 	lcWins := 0
 	for mi, mix := range heteroMixes {
-		vals := make([]cellOut, len(heteroModes))
-		for di := range heteroModes {
-			c := cfgOf(mi, di)
-			vals[di] = cellOut{
-				avg:    med(c, func(c cellOut) float64 { return c.avg }),
-				probes: int64(med(c, func(c cellOut) float64 { return float64(c.probes) })),
-				msgs:   int64(med(c, func(c cellOut) float64 { return float64(c.msgs) })),
-			}
-		}
-		avgTab.AddF(mix.name, vals[0].avg, vals[1].avg, vals[2].avg)
-		probeTab.AddF(mix.name, float64(vals[0].probes), float64(vals[1].probes), float64(vals[2].probes))
-		msgTab.AddF(mix.name, float64(vals[0].msgs), float64(vals[1].msgs), float64(vals[2].msgs))
-		if vals[0].avg < vals[1].avg || vals[0].probes < vals[1].probes {
+		m := med[mi*len(heteroModes):]
+		lc, hd, spw := m[0], m[1], m[2]
+		avgTab.AddF(mix.name, lc[0], hd[0], spw[0])
+		probeTab.AddF(mix.name, lc[1], hd[1], spw[1])
+		msgTab.AddF(mix.name, lc[2], hd[2], spw[2])
+		if lc[0] < hd[0] || lc[1] < hd[1] {
 			lcWins++
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/decentral"
-	"github.com/hopper-sim/hopper/internal/simulator"
 	"github.com/hopper-sim/hopper/internal/workload"
 )
 
@@ -27,10 +26,8 @@ func TestHeteroBenchScenarioRuns(t *testing.T) {
 	}}
 	tr := GenTrace(workload.Facebook(), 140, 0.7, spec, 7007)
 	stampHeteroDemand(tr.Jobs)
-	kind := Decentral(func(eng *simulator.Engine, exec *cluster.Executor) *decentral.System {
-		return decentral.New(eng, exec, decentral.Config{
-			Mode: decentral.ModeLoadCache, NumSchedulers: 50, ReprobeInterval: 1,
-		})
+	kind := decentralKind(decentral.Config{
+		Mode: decentral.ModeLoadCache, NumSchedulers: 50, ReprobeInterval: 1,
 	})
 	if r := RunTrace(kind, spec, CloneJobs(tr.Jobs), 7008); r.Exec.CopiesStarted <= 0 {
 		t.Fatalf("no copies started: %+v", r)

@@ -31,10 +31,10 @@ func TestProfile100k(t *testing.T) {
 	spec := ClusterSpec{Machines: 100000, SlotsPerMachine: 4, Exec: cluster.DefaultExecModel()}
 	tr := GenTrace(workload.Facebook(), 2400, 0.7, spec, 7005)
 	var eng *simulator.Engine
-	kind := Decentral(func(e *simulator.Engine, exec *cluster.Executor) *decentral.System {
+	kind := func(e *simulator.Engine, exec *cluster.Executor) Arriver {
 		eng = e
 		return decentral.New(e, exec, decentral.Config{Mode: decentral.ModeHopper, NumSchedulers: 50})
-	})
+	}
 	start := time.Now()
 	r := RunTrace(kind, spec, CloneJobs(tr.Jobs), 7006)
 	t.Logf("%d decisions, %d events, %.1fs wall", r.Exec.CopiesStarted, eng.Fired, time.Since(start).Seconds())

@@ -12,8 +12,8 @@ func TestRegistryComplete(t *testing.T) {
 		"fig8a", "fig8b", "fig9", "fig10", "fig11", "fig12", "fig13", "ablation",
 		"tblproto"}
 	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
+	for _, e := range Registry {
+		have[e.ID] = true
 	}
 	for _, id := range want {
 		if !have[id] {

@@ -1,8 +1,13 @@
 // Package experiments contains one driver per table/figure in the paper's
-// evaluation (Section 7), plus the shared machinery to run a workload
-// trace against any scheduler — centralized or decentralized — and reduce
-// the results into the rows the paper reports. See DESIGN.md for the
-// experiment index (section 3) and the shapes each driver should show.
+// evaluation (Section 7) and per robustness scenario, plus the shared
+// machinery behind them: RunTrace replays a workload trace against any
+// scheduler — centralized or decentralized — and one path carries every
+// seed-swept sweep from simulation cell to table row. A cell is one
+// (configuration × seed) replay and returns a fixed-width row of numbers;
+// seedMedians reduces each configuration's per-seed rows to per-column
+// medians, the statistic the paper reports; the driver formats that one
+// row into its table. See DESIGN.md for the experiment index (section 3)
+// and the shapes each driver should show.
 package experiments
 
 import (
@@ -15,8 +20,8 @@ import (
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/decentral"
 	"github.com/hopper-sim/hopper/internal/metrics"
-	"github.com/hopper-sim/hopper/internal/scheduler"
 	"github.com/hopper-sim/hopper/internal/simulator"
+	"github.com/hopper-sim/hopper/internal/stats"
 	"github.com/hopper-sim/hopper/internal/workload"
 )
 
@@ -151,12 +156,31 @@ func seedMatrix[T any](h Harness, nCfg int, base, stride int64, f func(h Harness
 	return out
 }
 
-// forSeeds runs f once per seed in parallel and returns results in seed
-// order.
-func forSeeds[T any](h Harness, base, stride int64, f func(h Harness, seed int64) T) []T {
-	return seedMatrix(h, 1, base, stride, func(hh Harness, _, _ int, seed int64) T {
-		return f(hh, seed)
-	})[0]
+// seedMedians runs f for every (config, seed) cell, as seedMatrix does,
+// and reduces each config's per-seed rows to their per-column medians:
+// out[cfg][col] is the median over seeds of column col.
+func seedMedians(h Harness, nCfg int, base, stride int64, f func(h Harness, cfg, s int, seed int64) []float64) [][]float64 {
+	rows := seedMatrix(h, nCfg, base, stride, f)
+	out := make([][]float64, nCfg)
+	for c, perSeed := range rows {
+		out[c] = medians(perSeed)
+	}
+	return out
+}
+
+// medians returns the per-column median of equal-width rows. A column
+// that is NaN in every row (a bin no job fell into) stays NaN, which
+// metrics.Table.AddF prints as "-".
+func medians(perSeed [][]float64) []float64 {
+	out := make([]float64, len(perSeed[0]))
+	col := make([]float64, len(perSeed))
+	for c := range out {
+		for s, row := range perSeed {
+			col[s] = row[c]
+		}
+		out[c] = stats.Median(col)
+	}
+	return out
 }
 
 // RunExperiments executes the given experiments, fanning their cells out
@@ -242,51 +266,19 @@ func Prototype200(beta float64) ClusterSpec {
 	return ClusterSpec{Machines: 200, SlotsPerMachine: 16, Exec: em}
 }
 
-// SchedulerKind names a scheduler configuration for RunTrace.
-type SchedulerKind struct {
-	// Central is non-nil for centralized engines.
-	Central func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine
-	// Decentral is non-nil for decentralized systems.
-	Decentral func(eng *simulator.Engine, exec *cluster.Executor) *decentral.System
-}
-
-// Central wraps a centralized engine constructor.
-func Central(f func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine) SchedulerKind {
-	return SchedulerKind{Central: f}
-}
-
-// Decentral wraps a decentralized system constructor.
-func Decentral(f func(eng *simulator.Engine, exec *cluster.Executor) *decentral.System) SchedulerKind {
-	return SchedulerKind{Decentral: f}
-}
+// SchedulerKind builds one scheduler — a centralized engine or a
+// decentralized system — over RunTrace's fresh engine and executor.
+type SchedulerKind func(eng *simulator.Engine, exec *cluster.Executor) Arriver
 
 // RunResult is one full trace replay under one scheduler.
 type RunResult struct {
 	Run  metrics.Run
 	Exec *cluster.Executor
-	// Messages is protocol messages sent (decentralized runs only).
-	Messages int64
-	// Probes/Offers/Rounds/RoundsPlaced break down decentralized
-	// protocol activity.
-	Probes, Offers, Rounds, RoundsPlaced int64
-	// Rollbacks counts occupancy rollbacks (task done while the accept
-	// was in flight); scheduler-bound messages that are not offers.
-	Rollbacks int64
-	// OccLeaks counts jobs finishing with nonzero scheduler occupancy.
-	OccLeaks int64
-	// DoubleWakeups/DoubleWakeupTasks count duplicate phase-wakeup
-	// deliveries the scheduler cores observed and the phantom fresh
-	// tasks those duplicates would have enqueued (decentralized runs;
-	// zero under the exactly-once unlock planner).
-	DoubleWakeups, DoubleWakeupTasks int64
-	// Churn/recovery accounting (decentralized runs with EnableChurn;
-	// zero otherwise): machines that left, running copies they killed,
-	// probes and hand-outs lost in flight to them, and tasks requeued.
-	MachinesLeft, CopiesLost, ProbesLost, AssignsLost, Requeues int64
+	// Counters are the decentralized adapter's protocol, churn and
+	// recovery counters; zero for centralized engines.
+	decentral.Counters
 	// LocalFraction is the fraction of copies that ran data-local.
 	LocalFraction float64
-	// EndTime is the simulated completion time of the whole trace.
-	EndTime float64
 }
 
 // RunTrace replays jobs (already carrying arrival times) on a fresh
@@ -297,17 +289,8 @@ type RunResult struct {
 // protocol bug and must not be silently averaged over.
 func RunTrace(kind SchedulerKind, spec ClusterSpec, jobs []*cluster.Job, seed int64) RunResult {
 	eng := simulator.New(seed)
-	ms := spec.machines()
-	exec := cluster.NewExecutor(eng, ms, spec.Exec)
-
-	var arr Arriver
-	var sys *decentral.System
-	if kind.Central != nil {
-		arr = kind.Central(eng, exec)
-	} else {
-		sys = kind.Decentral(eng, exec)
-		arr = sys
-	}
+	exec := cluster.NewExecutor(eng, spec.machines(), spec.Exec)
+	arr := kind(eng, exec)
 
 	for _, j := range jobs {
 		job := j
@@ -320,20 +303,11 @@ func RunTrace(kind SchedulerKind, spec ClusterSpec, jobs []*cluster.Job, seed in
 			arr.Name(), got, want, eng.Pending(), eng.Fired, eng.Now()))
 	}
 	res := RunResult{
-		Run:     metrics.Run{Scheduler: arr.Name(), Jobs: metrics.Collect(arr.Completed())},
-		Exec:    exec,
-		EndTime: eng.Now(),
+		Run:  metrics.Run{Scheduler: arr.Name(), Jobs: metrics.Collect(arr.Completed())},
+		Exec: exec,
 	}
-	if sys != nil {
-		res.Messages = sys.Messages
-		res.Probes, res.Offers = sys.Probes, sys.Offers
-		res.Rollbacks = sys.Rollbacks
-		res.Rounds, res.RoundsPlaced = sys.RoundsStarted, sys.RoundsPlaced
-		res.OccLeaks = sys.OccupancyLeaks
-		res.DoubleWakeups, res.DoubleWakeupTasks = sys.DoubleWakeups, sys.DoubleWakeupTasks
-		res.MachinesLeft, res.CopiesLost = sys.MachinesLeft, sys.CopiesLost
-		res.ProbesLost, res.AssignsLost = sys.ProbesLost, sys.AssignsLost
-		res.Requeues = sys.Requeues
+	if sys, ok := arr.(*decentral.System); ok {
+		res.Counters = sys.Counters
 	}
 	if exec.CopiesStarted > 0 {
 		res.LocalFraction = float64(exec.LocalCopies) / float64(exec.CopiesStarted)

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/decentral"
+	"github.com/hopper-sim/hopper/internal/metrics"
 	"github.com/hopper-sim/hopper/internal/scheduler"
 	"github.com/hopper-sim/hopper/internal/simulator"
 	"github.com/hopper-sim/hopper/internal/workload"
@@ -27,18 +30,14 @@ func TestRunTraceCentralizedEngines(t *testing.T) {
 	spec := smokeSpec()
 	tr := smokeTrace(t, spec)
 	kinds := map[string]SchedulerKind{
-		"hopper": Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
-			return scheduler.NewHopper(eng, exec, scheduler.Config{})
-		}),
-		"srpt": Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
-			return scheduler.NewSRPT(eng, exec, scheduler.Config{})
-		}),
-		"fair": Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
+		"hopper": centralHopper(scheduler.Config{}),
+		"srpt":   centralSRPT(scheduler.Config{}),
+		"fair": func(eng *simulator.Engine, exec *cluster.Executor) Arriver {
 			return scheduler.NewFair(eng, exec, scheduler.Config{})
-		}),
-		"budgeted": Central(func(eng *simulator.Engine, exec *cluster.Executor) scheduler.Engine {
+		},
+		"budgeted": func(eng *simulator.Engine, exec *cluster.Executor) Arriver {
 			return scheduler.NewBudgeted(eng, exec, scheduler.Config{SpecBudget: 8})
-		}),
+		},
 	}
 	for name, kind := range kinds {
 		name, kind := name, kind
@@ -65,9 +64,7 @@ func TestRunTraceDecentralizedModes(t *testing.T) {
 	for _, mode := range []decentral.Mode{decentral.ModeHopper, decentral.ModeSparrow, decentral.ModeSparrowSRPT} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			kind := Decentral(func(eng *simulator.Engine, exec *cluster.Executor) *decentral.System {
-				return decentral.New(eng, exec, decentral.Config{Mode: mode, NumSchedulers: 4, CheckInterval: 0.1})
-			})
+			kind := decentralKind(decentral.Config{Mode: mode, NumSchedulers: 4, CheckInterval: 0.1})
 			res := RunTrace(kind, spec, CloneJobs(tr.Jobs), 3)
 			if len(res.Run.Jobs) != len(tr.Jobs) {
 				t.Fatalf("finished %d jobs, want %d", len(res.Run.Jobs), len(tr.Jobs))
@@ -78,5 +75,36 @@ func TestRunTraceDecentralizedModes(t *testing.T) {
 			t.Logf("%s: avg completion %.2fs, messages=%d, local=%.0f%%",
 				mode, res.Run.AvgCompletion(), res.Messages, 100*res.LocalFraction)
 		})
+	}
+}
+
+// TestMedians pins the one reduction every seed-swept table goes
+// through: each column's median over seeds, for odd and even seed
+// counts, with a column that is NaN in every seed (a bin no job fell
+// into) reaching the table as "-". Every column has a distinct median,
+// so a reduction that swaps or transposes columns fails.
+func TestMedians(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name    string
+		perSeed [][]float64
+		want    []string
+	}{
+		{"one seed", [][]float64{{4, 1, nan, 2}}, []string{"4.0", "1.0", "-", "2.0"}},
+		{"odd seeds", [][]float64{{5, 10, nan, 0.25}, {1, 30, nan, 0.5}, {3, 20, nan, 0.75}},
+			[]string{"3.0", "20.0", "-", "0.5"}},
+		{"even seeds", [][]float64{{1, 40, nan, 7}, {2, 10, nan, 8}},
+			[]string{"1.5", "25.0", "-", "7.5"}},
+	} {
+		got := medians(tc.perSeed)
+		tab := &metrics.Table{}
+		var cells []interface{}
+		for _, v := range got {
+			cells = append(cells, v)
+		}
+		tab.AddF(cells...)
+		if !reflect.DeepEqual(tab.Rows[0], tc.want) {
+			t.Errorf("%s: medians %v render as %q, want %q", tc.name, got, tab.Rows[0], tc.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,11 +26,37 @@ func TestScenarioRegistrySeparate(t *testing.T) {
 			t.Fatalf("scenario %q shadows a paper-figure experiment ID", e.ID)
 		}
 	}
-	if _, ok := ScenarioByID("churn"); !ok {
-		t.Fatal("churn scenario not registered")
+	for _, id := range []string{"churn", "hetero"} {
+		if !seen[id] {
+			t.Fatalf("%s scenario not registered", id)
+		}
+		if _, ok := ScenarioByID(id); !ok {
+			t.Fatalf("ScenarioByID does not find %s", id)
+		}
 	}
-	if got := strings.Join(ScenarioIDs(), ","); !strings.Contains(got, "churn") {
-		t.Fatalf("ScenarioIDs = %q, want churn included", got)
+}
+
+// TestHeteroTruncatesMessageMedians pins hetero's output rule that the
+// scenario golden does not reach: probe counts are even (every probe
+// ratio in the sweep is whole), and the golden's message medians happen
+// to be whole too. Probe and message medians print truncated, and the
+// load-cache win count compares truncated probes.
+func TestHeteroTruncatesMessageMedians(t *testing.T) {
+	row := func(avg, probes, msgs float64) []float64 { return []float64{avg, probes, msgs} }
+	res := heteroResult([][]float64{
+		// 2-class: LC ties Hopper-D on completion and on truncated probes.
+		row(50, 100.5, 2211.5), row(50, 100.9, 3000), row(60, 90, 1000),
+		// 3-class: LC sends fewer probes.
+		row(80, 99.5, 10), row(70, 100, 20), row(90, 80, 30),
+	})
+	if got := res.Tables[1].Rows[0]; !reflect.DeepEqual(got, []string{"2-class", "100.0", "100.0", "90.0"}) {
+		t.Errorf("probe row = %q, want truncated medians", got)
+	}
+	if got := res.Tables[2].Rows[0][1]; got != "2211.0" {
+		t.Errorf("message median 2211.5 prints %q, want 2211.0", got)
+	}
+	if !strings.Contains(res.Notes[1], "on 1 of 2 mixes") {
+		t.Errorf("win note %q, want 1 of 2: truncated probes tie on 2-class", res.Notes[1])
 	}
 }
 

@@ -177,8 +177,7 @@ func newWireSystem(eng *simulator.Engine, exec *cluster.Executor, cfg decentral.
 		Epsilon:          cfg.Epsilon,
 		FairnessOff:      cfg.FairnessOff,
 		Spec:             cfg.Spec,
-		BetaPrior:        cfg.BetaPrior,
-	}
+	}.WithDefaults()
 	for i := 0; i < cfg.NumSchedulers; i++ {
 		sc := &wsSched{}
 		sc.core = protocol.NewSched(protocol.SchedID(i), pcfg, protocol.SchedEnv{
@@ -311,7 +310,7 @@ func (s *wireSystem) toSched(sc *wsSched, fn func()) {
 	if sc.busyUntil > handle {
 		handle = sc.busyUntil
 	}
-	handle += s.cfg.ProcDelay
+	handle += decentral.ProcDelay
 	sc.busyUntil = handle
 	s.eng.Post(handle, fn)
 }
