@@ -670,8 +670,8 @@ func TestChaosSameSeedReplays(t *testing.T) {
 
 // TestChaosWorkerLossMidRace breaks every connection of two workers at
 // the first instant the log shows a task raced across them — its
-// original on one, a speculative copy on the other — the virtual-time,
-// replayable counterpart of TestRequeueLostUnderConcurrentMultiWorkerLoss.
+// original on one, a speculative copy on the other — concurrent
+// multi-worker loss, in virtual time and replayable from its seed.
 // The schedulers learn of the breaks through step, as from a reader
 // goroutine, and settle every copy on the two workers. Of the raced pair
 // the first loss leaves a live sibling and only rolls back, the second

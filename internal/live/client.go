@@ -24,8 +24,8 @@ func NewClient(addr string) (*Client, error) {
 	return NewClientConn(conn)
 }
 
-// NewClientConn wraps a pre-established connection (in-memory
-// transports, tests).
+// NewClientConn wraps a pre-established connection (a test's
+// transport.Pair end).
 func NewClientConn(conn transport.Conn) (*Client, error) {
 	if err := conn.Send(&wire.Hello{Role: wire.RoleClient}); err != nil {
 		conn.Close()

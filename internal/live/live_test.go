@@ -138,8 +138,9 @@ func TestLiveMultiJobMultiScheduler(t *testing.T) {
 	}
 }
 
-// TestLiveInMemoryCluster runs a whole cluster over transport.Pair —
-// no sockets, same node code — which is what the -race CI tier drives.
+// TestLiveInMemoryCluster runs a whole cluster in one process over
+// transport.Pair — loopback sockets with no listener, same node code —
+// which is what the -race CI tier drives.
 func TestLiveInMemoryCluster(t *testing.T) {
 	s, err := NewScheduler(SchedulerConfig{ID: 0, NumSchedulers: 1, TimeScale: 0.02, Seed: 3})
 	if err != nil {
@@ -277,7 +278,7 @@ func TestWorkerCrashRequeuesCopies(t *testing.T) {
 	go s.Run()
 	defer s.Stop()
 
-	// Two single-slot workers over in-memory pairs; we keep the
+	// Two single-slot workers over transport pairs; we keep the
 	// scheduler-side conn of worker 0 to sever it abruptly.
 	var schedEnds []transport.Conn
 	var workers []*Worker

@@ -8,21 +8,19 @@ import (
 	"github.com/hopper-sim/hopper/internal/decentral"
 	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/simulator"
-	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
 )
 
 // The sim-vs-live parity contract: the decentralized simulator adapter
 // (internal/decentral — direct in-process routing) and the live message
-// path (wire codec -> transport conn -> seq-tracked reply routing, i.e.
-// exactly the bridge the live nodes run on) must drive the shared
-// protocol cores to IDENTICAL decisions. wireSystem below is the live
-// message path under a deterministic clock: same engine, same latency
-// model, same executor — but every scheduler<->worker interaction is
-// serialized through wire frames over an in-memory transport pair and
-// routed back by Seq, like over TCP. Any information the bridge loses —
-// a field not carried, float truncation, entry-resolution differences —
-// shows up as a diverging assignment log.
+// path (wire codec -> seq-tracked reply routing, i.e. exactly the bridge
+// the live nodes run on) must drive the shared protocol cores to
+// IDENTICAL decisions. wireSystem below is the live message path under a
+// deterministic clock: same engine, same latency model, same executor —
+// but every scheduler<->worker interaction is encoded to a wire frame,
+// decoded back, and routed by Seq, like over TCP. Any information the
+// bridge loses — a field not carried, float truncation, entry-resolution
+// differences — shows up as a diverging assignment log.
 //
 // wireSystem is a zero-fault differential and nothing else: it delivers
 // every frame once, in order, and has no recovery machinery, so it says
@@ -137,8 +135,6 @@ type wsWorker struct {
 	id      cluster.MachineID
 	core    *protocol.Worker
 	retryEv *simulator.Event
-	// conns[s] is this worker's end of the pair to scheduler s.
-	conns []transport.Conn
 }
 
 type wireSystem struct {
@@ -149,8 +145,6 @@ type wireSystem struct {
 
 	scheds  []*wsSched
 	workers []*wsWorker
-	// schedConns[s][w] is scheduler s's end of the pair to worker w.
-	schedConns [][]transport.Conn
 
 	byJob map[cluster.JobID]*wsSched
 	jobs  map[cluster.JobID]*cluster.Job
@@ -189,18 +183,8 @@ func newWireSystem(eng *simulator.Engine, exec *cluster.Executor, cfg decentral.
 		})
 		s.scheds = append(s.scheds, sc)
 	}
-	s.schedConns = make([][]transport.Conn, cfg.NumSchedulers)
-	for i := range s.schedConns {
-		s.schedConns[i] = make([]transport.Conn, len(exec.Machines.All))
-	}
 	for wi := range exec.Machines.All {
 		w := &wsWorker{sys: s, id: cluster.MachineID(wi)}
-		w.conns = make([]transport.Conn, cfg.NumSchedulers)
-		for si := 0; si < cfg.NumSchedulers; si++ {
-			se, we := transport.Pair(8)
-			s.schedConns[si][wi] = se
-			w.conns[si] = we
-		}
 		w.core = protocol.NewWorker(w.id, pcfg, protocol.WorkerEnv{
 			Now:       func() float64 { return eng.Now() },
 			Rand:      eng.Rand(),
@@ -234,13 +218,11 @@ func newWireSystem(eng *simulator.Engine, exec *cluster.Executor, cfg decentral.
 	return s
 }
 
-// shove pushes a frame through a transport pair: encode on one end,
-// decode on the other — the exact byte path TCP would carry.
-func shove(t transport.Conn, from transport.Conn, m wire.Message) wire.Message {
-	if err := from.Send(m); err != nil {
-		panic(err)
-	}
-	got, err := t.Recv()
+// shove carries a frame through the codec: encode, then decode — the
+// exact bytes TCP would carry, as the chaos suite's virtualConn does.
+func shove(m wire.Message) wire.Message {
+	frame := wire.Append(nil, m)
+	got, err := wire.Decode(wire.MsgType(frame[4]), frame[5:])
 	if err != nil {
 		panic(err)
 	}
@@ -283,12 +265,12 @@ func (s *wireSystem) schedIndex(sc *wsSched) int {
 	panic("unknown scheduler")
 }
 
-// sendProbes ships core probes as Reserve frames through the pairs.
+// sendProbes ships core probes as Reserve frames.
 func (s *wireSystem) sendProbes(sc *wsSched, probes []protocol.Probe) {
 	si := s.schedIndex(sc)
 	for _, p := range probes {
 		wi := int(p.Worker)
-		msg := shove(s.workers[wi].conns[si], s.schedConns[si][wi], &wire.Reserve{
+		msg := shove(&wire.Reserve{
 			JobID:       uint64(p.Job),
 			SchedulerID: uint32(si),
 			VirtualSize: p.VS,
@@ -347,7 +329,7 @@ func (w *wsWorker) place(from protocol.SchedID, rep protocol.Reply) bool {
 // frame.
 func (s *wireSystem) sendReply(si int, w *wsWorker, seq uint64, rep protocol.Reply) {
 	var frames replyFrames
-	back := shove(w.conns[si], s.schedConns[si][w.id], frames.wireFromReply(rep, seq, 0))
+	back := shove(frames.wireFromReply(rep, seq, 0))
 	s.eng.PostAfter(s.cfg.MsgLatency, func() { s.deliverReply(si, w, back) })
 }
 
@@ -370,8 +352,8 @@ func (s *wireSystem) deliverReply(si int, w *wsWorker, back wire.Message) {
 	w.exec(acts)
 }
 
-// exec realizes worker core actions: offers become Offer frames through
-// the pair, replies come back as Assign/Refuse/NoTask frames routed by
+// exec realizes worker core actions: offers become Offer frames,
+// replies come back as Assign/Refuse/NoTask frames routed by
 // Seq through the same bridge the live worker uses.
 func (w *wsWorker) exec(acts []protocol.WAction) {
 	s := w.sys
@@ -381,7 +363,7 @@ func (w *wsWorker) exec(acts []protocol.WAction) {
 		case protocol.WSendOffer:
 			si := int(a.Sched)
 			sc := s.scheds[si]
-			msg := shove(s.schedConns[si][w.id], w.conns[si], &wire.Offer{
+			msg := shove(&wire.Offer{
 				JobID:     uint64(a.Job),
 				WorkerID:  uint32(w.id),
 				Seq:       a.Seq,
@@ -435,8 +417,8 @@ func runWireParity(t *testing.T, seed int64, machines, slots int) []string {
 // TestSimLiveParity is the acceptance gate for the protocol-core
 // extraction: on a multi-scheduler, multi-phase, speculation-triggering
 // workload with scripted service times, the simulator adapter and the
-// wire/transport message path must produce the identical (job, task,
-// worker) assignment sequence.
+// wire message path must produce the identical (job, task, worker)
+// assignment sequence.
 func TestSimLiveParity(t *testing.T) {
 	const seed, machines, slots = 42, 8, 2
 	simLog := runDecentralParity(t, seed, machines, slots)

@@ -22,8 +22,8 @@ import (
 type SchedulerConfig struct {
 	ID uint32
 	// Addr is the TCP listen address (":0" picks a port). Leave empty to
-	// run without a listener and feed connections via ServeConn (in-memory
-	// clusters, tests).
+	// run without a listener and feed connections via ServeConn (tests over
+	// transport.Pair, virtual links).
 	Addr string
 	// Mode selects the protocol (Hopper by default; the Sparrow baselines
 	// also run live via the GetTask pull).
@@ -365,8 +365,9 @@ func (s *Scheduler) randomWorkers(rng *rand.Rand, n int, scratch []cluster.Machi
 	return out
 }
 
-// ServeConn registers an inbound connection (in-memory transports,
-// tests) exactly as if it had been accepted from the listener.
+// ServeConn registers an inbound connection made elsewhere (a test's
+// transport.Pair end) exactly as if it had been accepted from the
+// listener.
 func (s *Scheduler) ServeConn(conn transport.Conn) {
 	p := &peer{conn: conn}
 	go s.loop.readFrom(p)

@@ -20,8 +20,8 @@ type WorkerConfig struct {
 	Slots int
 	// SchedulerAddrs are the TCP addresses of all schedulers; the worker
 	// dials each and keeps the connections open (probes and assignments
-	// flow back over them). Leave empty and use NewWorkerConns for
-	// in-memory clusters.
+	// flow back over them). Leave empty and use NewWorkerConns to hand
+	// the worker connections made elsewhere (test pairs, virtual links).
 	SchedulerAddrs []string
 	// Mode must match the schedulers'.
 	Mode protocol.Mode
@@ -47,8 +47,8 @@ type WorkerConfig struct {
 	// seconds until it reconnects — the crash-recovery path for TCP
 	// clusters. On reconnect the worker re-registers with its running-copy
 	// and lost-reservation inventory so a restarted scheduler rebuilds its
-	// placement state. Zero disables (in-memory tests reconnect
-	// explicitly via ReconnectScheduler).
+	// placement state. Zero disables (tests over transport.Pair
+	// reconnect explicitly via ReconnectScheduler).
 	RedialInterval float64
 	// Logger receives diagnostics; nil disables logging.
 	Logger *log.Logger
@@ -140,9 +140,6 @@ type Worker struct {
 		from *peer
 		msg  *wire.Assign
 	}
-
-	// TasksRun counts completed copies (diagnostics/tests).
-	TasksRun int
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -184,8 +181,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // NewWorkerConns builds a worker over pre-established connections, one
-// per scheduler in scheduler-ID order — the in-memory transport path
-// used by tests and the parity harness.
+// per scheduler in scheduler-ID order: NewWorker's dialed connections,
+// a test's transport.Pair ends, or the chaos suite's virtual links.
 func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 	cfg = cfg.withDefaults()
 	w := &Worker{
@@ -638,7 +635,6 @@ func (w *Worker) copyFinished(rc *runningCopy) {
 	}
 	delete(w.running, rc.seq)
 	w.freeSlots++
-	w.TasksRun++
 	w.sendTaskDone(rc.from, wire.TaskDone{
 		JobID:     rc.msg.JobID,
 		Seq:       rc.seq,

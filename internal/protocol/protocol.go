@@ -17,7 +17,7 @@
 //     placement goes through cluster.Executor. The extraction is
 //     behavior-preserving — the experiments dispatch golden pins the
 //     exact decision sequence of the pre-extraction tree.
-//   - internal/live feeds them from TCP (or in-memory) connections and
+//   - internal/live feeds them from TCP connections and
 //     real timers: actions become wire frames, placement becomes an
 //     emulated slot hold on a worker.
 //

@@ -25,80 +25,73 @@ func (c *countingConn) Write(p []byte) (int, error) {
 }
 
 // tcpPipe returns a connected loopback socket pair (raw net.Conns).
-func tcpPipe(t *testing.T) (net.Conn, net.Conn) {
-	t.Helper()
+func tcpPipe(tb testing.TB) (net.Conn, net.Conn) {
+	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		accepted <- c
-	}()
 	dialed, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return dialed, <-accepted
+	accepted, err := ln.Accept()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dialed, accepted
 }
 
-// TestDrainOnCloseDeliversQueuedFrames pins the drain-on-close contract
-// on both transports: every frame accepted by Send before Close is
-// receivable by the peer, then the close surfaces. Worker drains depend
-// on this — the final TaskDone/JobComplete frames ride the closing
-// connection.
-func TestDrainOnCloseDeliversQueuedFrames(t *testing.T) {
-	for _, kind := range []string{"mem", "tcp"} {
-		kind := kind
-		t.Run(kind, func(t *testing.T) {
-			var a, b Conn
-			var cleanup func()
-			if kind == "mem" {
-				// Deep enough that all frames queue without a concurrent
-				// reader: Send applies backpressure when outbox+channel
-				// fill, which is not what this test is about.
-				a, b = Pair(256)
-				cleanup = func() { a.Close(); b.Close() }
-			} else {
-				a, b, cleanup = testConnPair(t, kind)
-			}
-			defer cleanup()
-			const n = 100
-			for i := 0; i < n; i++ {
-				if err := a.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
-					t.Fatalf("send %d: %v", i, err)
-				}
-			}
-			if err := a.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			for i := 0; i < n; i++ {
-				m, err := b.Recv()
-				if err != nil {
-					t.Fatalf("frame %d lost on close: %v", i, err)
-				}
-				if p, ok := m.(*wire.Ping); !ok || p.Nonce != uint64(i) {
-					t.Fatalf("frame %d corrupted or reordered: %#v", i, m)
-				}
-			}
-			if _, err := b.Recv(); err == nil {
-				t.Fatal("Recv succeeded past the drained close")
-			}
-		})
+// countedPair returns a loopback connection whose sending end counts its
+// Write calls, closed when the test ends.
+func countedPair(tb testing.TB) (sender, receiver Conn, counting *countingConn) {
+	dialed, accepted := tcpPipe(tb)
+	if tc, ok := dialed.(*net.TCPConn); ok {
+		_ = tc.SetNoDelay(true) // the counting wrapper hides *net.TCPConn from newConn
 	}
+	counting = &countingConn{Conn: dialed}
+	sender = newConn(counting, DefaultFlushDelay, defaultOutboxLimit)
+	receiver = newConn(accepted, DefaultFlushDelay, defaultOutboxLimit)
+	tb.Cleanup(func() { sender.Close(); receiver.Close() })
+	return sender, receiver, counting
+}
+
+// TestDrainOnCloseDeliversQueuedFrames pins the drain-on-close contract:
+// every frame accepted by Send before Close is receivable by the peer,
+// then the close surfaces. Worker drains depend on this — the final
+// TaskDone/JobComplete frames ride the closing connection.
+func TestDrainOnCloseDeliversQueuedFrames(t *testing.T) {
+	t.Run("tcp", func(t *testing.T) {
+		a, b := pair(t)
+		const n = 100
+		for i := 0; i < n; i++ {
+			if err := a.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+		if err := a.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		for i := 0; i < n; i++ {
+			m, err := b.Recv()
+			if err != nil {
+				t.Fatalf("frame %d lost on close: %v", i, err)
+			}
+			if p, ok := m.(*wire.Ping); !ok || p.Nonce != uint64(i) {
+				t.Fatalf("frame %d corrupted or reordered: %#v", i, m)
+			}
+		}
+		if _, err := b.Recv(); err == nil {
+			t.Fatal("Recv succeeded past the drained close")
+		}
+	})
 }
 
 // TestSendAfterLocalCloseTCP pins the typed error on the batched TCP
 // path: a send on a locally closed connection fails with ErrClosed.
 func TestSendAfterLocalCloseTCP(t *testing.T) {
-	a, b, cleanup := testConnPair(t, "tcp")
-	defer cleanup()
-	_ = b
+	a, _ := pair(t)
 	a.Close()
 	if err := a.Send(&wire.Ping{Nonce: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after local close = %v, want errors.Is(err, ErrClosed)", err)
@@ -111,13 +104,7 @@ func TestSendAfterLocalCloseTCP(t *testing.T) {
 // burst sizes ≥8; this asserts a 64-frame burst lands in at most 12
 // writes (≥5.3x) — in practice the writer needs 1-2.
 func TestBatchedWriteCoalescing(t *testing.T) {
-	dialed, accepted := tcpPipe(t)
-	counting := &countingConn{Conn: dialed}
-	sender := NewConn(counting)
-	receiver := NewConn(accepted)
-	defer sender.Close()
-	defer receiver.Close()
-
+	sender, receiver, counting := countedPair(t)
 	const burst = 64
 	done := make(chan error, 1)
 	go func() {
@@ -150,9 +137,7 @@ func TestBatchedWriteCoalescing(t *testing.T) {
 // must be a small multiple of the 500µs deadline; the median is used so
 // scheduler hiccups on loaded CI machines don't fail the run.
 func TestFlushDeadlineTrickle(t *testing.T) {
-	a, b, cleanup := testConnPair(t, "tcp")
-	defer cleanup()
-
+	a, b := pair(t)
 	const probes = 50
 	lat := make([]time.Duration, 0, probes)
 	for i := 0; i < probes; i++ {
@@ -184,8 +169,8 @@ func TestOutboxBackpressureStalls(t *testing.T) {
 	dialed, accepted := tcpPipe(t)
 	// A tiny outbox and a long flush delay force the sender to hit the
 	// limit while the writer lingers.
-	sender := NewConnFlush(dialed, 20*time.Millisecond, 64)
-	receiver := NewConn(accepted)
+	sender := newConn(dialed, 20*time.Millisecond, 64)
+	receiver := newConn(accepted, DefaultFlushDelay, defaultOutboxLimit)
 	defer sender.Close()
 	defer receiver.Close()
 
@@ -222,8 +207,7 @@ func TestOutboxBackpressureStalls(t *testing.T) {
 // mean batch size is at least one frame per flush.
 func TestBatchTotalsAdvance(t *testing.T) {
 	before := BatchTotals()
-	a, b, cleanup := testConnPair(t, "tcp")
-	defer cleanup()
+	a, b := pair(t)
 	const n = 32
 	done := make(chan struct{})
 	go func() {

@@ -1,148 +1,85 @@
 package transport
 
 import (
-	"net"
 	"runtime"
 	"testing"
 
 	"github.com/hopper-sim/hopper/internal/wire"
 )
 
-// benchCounting wraps the dialed side of a loopback socket so the bench
-// can report Write calls per message — the syscall cost the batching
-// writer amortizes. nil for the in-memory flavor.
-type benchCounting = countingConn
-
-// benchPair returns a connected conn pair for the named flavor plus the
-// sender-side write counter (nil for mem) and a cleanup function.
-// Flavors: "mem" (batched in-memory pair) and "tcp" (batched writer,
-// DefaultFlushDelay, over a loopback socket).
-func benchPair(b *testing.B, flavor string) (Conn, Conn, *benchCounting, func()) {
-	b.Helper()
-	if flavor == "mem" {
-		a, bb := Pair(1024)
-		return a, bb, nil, func() { a.Close(); bb.Close() }
-	}
-	if flavor != "tcp" {
-		b.Fatalf("unknown flavor %q", flavor)
-	}
-	ln, err := Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		accepted <- c
-	}()
-	raw, err := net.Dial("tcp", ln.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if tc, ok := raw.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true) // the counting wrapper hides *net.TCPConn from NewConn
-	}
-	counting := &benchCounting{Conn: raw}
-	dialed := NewConn(counting)
-	server := <-accepted
-	return dialed, server, counting, func() {
-		dialed.Close()
-		server.Close()
-		ln.Close()
-	}
-}
-
 // BenchmarkConnThroughput measures one-way small-frame throughput — the
 // protocol's dominant traffic shape (Reserve is the most frequent
-// message) — over the in-memory pair and a loopback TCP socket. The
-// writes/msg metric is the batching win: a flush per frame would read
-// 1.0, the batched writer coalesces every frame that arrives within the
-// flush deadline into one Write. The allocs/msg metric is end-to-end
-// (encode, framing, decode, both goroutines): the per-connection
-// reusable outbox keeps the send half off it, and the receiver
-// releasing each frame, as the node loops do, keeps the receive half
-// off it too.
+// message) — over a loopback TCP socket. The writes/msg metric is the
+// batching win: a flush per frame would read 1.0, the batched writer
+// coalesces every frame that arrives within the flush deadline into one
+// Write. The allocs/msg metric is end-to-end (encode, framing, decode,
+// both goroutines): the per-connection reusable outbox keeps the send
+// half off it, and the receiver releasing each frame, as the node loops
+// do, keeps the receive half off it too.
 func BenchmarkConnThroughput(b *testing.B) {
-	for _, flavor := range []string{"mem", "tcp"} {
-		b.Run(flavor, func(b *testing.B) {
-			sender, receiver, counting, cleanup := benchPair(b, flavor)
-			defer cleanup()
-
-			msg := &wire.Reserve{JobID: 7, SchedulerID: 3, VirtualSize: 61.5, RemTasks: 46}
-			done := make(chan error, 1)
-			go func() {
-				for i := 0; i < b.N; i++ {
-					m, err := receiver.Recv()
-					if err != nil {
-						done <- err
-						return
-					}
-					wire.Release(m)
-				}
-				done <- nil
-			}()
-			b.ReportAllocs()
-			var before runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sender.Send(msg); err != nil {
-					b.Fatal(err)
-				}
+	sender, receiver, counting := countedPair(b)
+	msg := &wire.Reserve{JobID: 7, SchedulerID: 3, VirtualSize: 61.5, RemTasks: 46}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < b.N; i++ {
+			m, err := receiver.Recv()
+			if err != nil {
+				done <- err
+				return
 			}
-			if err := <-done; err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/msg")
-			if counting != nil {
-				b.ReportMetric(float64(counting.writes.Load())/float64(b.N), "writes/msg")
-			}
-			frame := wire.Append(nil, msg)
-			b.SetBytes(int64(len(frame)))
-		})
+			wire.Release(m)
+		}
+		done <- nil
+	}()
+	b.ReportAllocs()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sender.Send(msg); err != nil {
+			b.Fatal(err)
+		}
 	}
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/msg")
+	b.ReportMetric(float64(counting.writes.Load())/float64(b.N), "writes/msg")
+	frame := wire.Append(nil, msg)
+	b.SetBytes(int64(len(frame)))
 }
 
 // BenchmarkConnPingPong measures request/reply latency (offer -> assign
-// round trip shape) over the transports. The batched TCP row pays the
-// flush deadline on both legs — that is the documented trade: a lone
+// round trip shape) over a loopback TCP socket. It pays the flush
+// deadline on both legs — that is the documented trade: a lone
 // latency-critical round trip costs up to 2×DefaultFlushDelay more,
 // while sustained traffic gets an order of magnitude fewer syscalls.
 func BenchmarkConnPingPong(b *testing.B) {
-	for _, flavor := range []string{"mem", "tcp"} {
-		b.Run(flavor, func(b *testing.B) {
-			client, server, _, cleanup := benchPair(b, flavor)
-			defer cleanup()
-
-			go func() {
-				for {
-					m, err := server.Recv()
-					if err != nil {
-						return
-					}
-					p := m.(*wire.Ping)
-					if err := server.Send(&wire.Pong{Nonce: p.Nonce}); err != nil {
-						return
-					}
-				}
-			}()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := client.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := client.Recv(); err != nil {
-					b.Fatal(err)
-				}
+	client, server := pair(b)
+	go func() {
+		for {
+			m, err := server.Recv()
+			if err != nil {
+				return
 			}
-		})
+			p := m.(*wire.Ping)
+			if err := server.Send(&wire.Pong{Nonce: p.Nonce}); err != nil {
+				return
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := client.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := client.Recv(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -152,8 +89,7 @@ func BenchmarkConnPingPong(b *testing.B) {
 // ≥2x its msgs/sec and ≥5x fewer writes/msg (DESIGN.md section 12).
 func BenchmarkConnBurst(b *testing.B) {
 	const burst = 8
-	sender, receiver, counting, cleanup := benchPair(b, "tcp")
-	defer cleanup()
+	sender, receiver, counting := countedPair(b)
 
 	msg := &wire.Reserve{JobID: 7, SchedulerID: 3, VirtualSize: 61.5, RemTasks: 46}
 	total := b.N * burst

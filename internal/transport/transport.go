@@ -1,10 +1,11 @@
-// Package transport carries wire.Messages between live cluster nodes.
-// Two implementations share one contract: a TCP transport for running
-// schedulers, workers, and clients as real networked processes, and an
-// in-memory pair for tests — identical semantics, so protocol logic is
-// tested without sockets and deployed with them.
+// Package transport carries wire.Messages between live cluster nodes
+// over TCP. There is one Conn implementation: deployed schedulers,
+// workers and clients get it from Listen, Dial and Accept, and tests and
+// the benchmark from Pair, which builds a loopback connection the same
+// way — so every live connection runs the same outbox, writer, reader
+// and close-drain.
 //
-// Both transports batch sends through an async write loop: Send encodes
+// Sends are batched through an async write loop: Send encodes
 // the frame into a bounded per-connection outbox and returns; a writer
 // goroutine drains the outbox, coalescing every queued frame into a
 // single Write per wakeup. Frames are length-prefixed and therefore
@@ -27,11 +28,9 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,7 +43,7 @@ import (
 // concurrent callers.
 //
 // Who owns a message: Send is done with m when it returns — it has
-// encoded (or copied) what it needs, so the caller may overwrite m at
+// encoded what it needs, so the caller may overwrite m at
 // once, and the live nodes send every frame out of one scratch value.
 // What Recv returns is the caller's until it chooses to hand it to
 // wire.Release, which lets a later Recv reuse the struct; not releasing
@@ -69,11 +68,10 @@ type Conn interface {
 	RemoteAddr() string
 }
 
-// ErrClosed is returned by operations on a closed connection. Both
-// transports report it for sends on a connection that is closed locally
-// or by the peer: match with errors.Is(err, ErrClosed), since the TCP
-// side wraps the underlying write error (EPIPE, ECONNRESET, ...) rather
-// than discarding it.
+// ErrClosed is returned by operations on a closed connection. Sends on a
+// connection that is closed locally or by the peer report it: match with
+// errors.Is(err, ErrClosed), since a peer close wraps the underlying
+// write error (EPIPE, ECONNRESET, ...) rather than discarding it.
 var ErrClosed = errors.New("transport: connection closed")
 
 // closedErr wraps a transport-level failure so callers can match it with
@@ -113,7 +111,7 @@ const recvBuffer = 4 << 10
 const closeDrainTimeout = 2 * time.Second
 
 // BatchCounters is a process-wide snapshot of batching activity across
-// every batched connection (TCP and in-memory). Monotonic; loadgen
+// every connection. Monotonic; loadgen
 // prints them so batching efficacy is observable in every run.
 type BatchCounters struct {
 	// OutboxFlushes counts writer wakeups that wrote at least one frame
@@ -141,8 +139,6 @@ func BatchTotals() BatchCounters {
 	}
 }
 
-// --- TCP ----------------------------------------------------------------
-
 // tcpConn frames wire messages over a TCP stream with an async batching
 // writer: Send encodes into the outbox under mu; writeLoop swaps the
 // outbox against a spare buffer and issues one Write for everything
@@ -165,9 +161,10 @@ type tcpConn struct {
 	drained chan struct{} // closed when writeLoop exits
 }
 
-// NewConn wraps an established net.Conn in the batched transport. TCP
-// connections get Nagle disabled (SetNoDelay), which pairs deliberately
-// with app-level coalescing: Nagle would hold a lone small frame waiting
+// newConn wraps an established net.Conn in the batched transport, with
+// the given flush deadline (<= 0 flushes on every writer wakeup with no
+// linger) and outbox byte limit. TCP connections get Nagle disabled
+// (SetNoDelay), which pairs deliberately with app-level coalescing: Nagle would hold a lone small frame waiting
 // for the delayed ACK of the previous one (~40ms stalls on the
 // offer/reply round trip), while the batching writer coalesces on its
 // own ~500µs flush deadline — so the kernel sends every flush
@@ -176,19 +173,9 @@ type tcpConn struct {
 // and one packet per frame; batching keeps the latency floor and drops
 // the per-frame cost. Applied here so dialed and accepted connections
 // both get it.
-func NewConn(c net.Conn) Conn {
-	return NewConnFlush(c, DefaultFlushDelay, defaultOutboxLimit)
-}
-
-// NewConnFlush is NewConn with an explicit flush deadline and outbox
-// byte limit. flushDelay <= 0 flushes on every writer wakeup with no
-// linger; limit <= 0 uses the default.
-func NewConnFlush(c net.Conn, flushDelay time.Duration, limit int) Conn {
+func newConn(c net.Conn, flushDelay time.Duration, limit int) *tcpConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
-	}
-	if limit <= 0 {
-		limit = defaultOutboxLimit
 	}
 	t := &tcpConn{
 		c:          c,
@@ -209,7 +196,7 @@ func Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return NewConn(c), nil
+	return newConn(c, DefaultFlushDelay, defaultOutboxLimit), nil
 }
 
 func (t *tcpConn) Send(m wire.Message) error {
@@ -358,7 +345,7 @@ func (ln *Listener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewConn(c), nil
+	return newConn(c, DefaultFlushDelay, defaultOutboxLimit), nil
 }
 
 // Addr returns the bound address (useful with ":0").
@@ -367,264 +354,27 @@ func (ln *Listener) Addr() string { return ln.l.Addr().String() }
 // Close stops accepting.
 func (ln *Listener) Close() error { return ln.l.Close() }
 
-// --- in-memory ----------------------------------------------------------
-
-// memConn is one end of an in-memory pair. Like the TCP side it batches
-// through an async writer: Send runs the codec self-check — the frame is
-// encoded and read back through the same wire.Reader a socket's
-// receiver uses, free list included — and appends the decoded message
-// to the outbox; the writer pushes queued messages
-// into the delivery channel. Close drains the outbox before the close
-// becomes visible to the peer, preserving TCP's data-then-FIN ordering.
-// The in-memory writer has no linger (there is no syscall to amortize):
-// messages become receivable as soon as the writer runs.
-type memConn struct {
-	name string
-	out  chan<- wire.Message
-	in   <-chan wire.Message
-
-	mu       sync.Mutex
-	notFull  sync.Cond // senders wait here when the outbox is full
-	deadline time.Time
-	outq     []wire.Message // pending decoded messages (guarded by mu)
-	closing  bool           // Close has begun; no new sends (guarded by mu)
-	busy     bool           // writer holds a swapped-out batch (guarded by mu)
-	dead     bool           // writer exited without a clean drain (guarded by mu)
-	limit    int
-	enc      []byte       // the frame being self-checked (guarded by mu)
-	encSrc   bytes.Reader // enc as a stream (guarded by mu)
-	check    *wire.Reader // reads encSrc (guarded by mu)
-
-	closed  chan struct{} // closed after the outbox drained: peer-visible close
-	abort   chan struct{} // force-stops a writer wedged on a full channel
-	wake    chan struct{} // cap 1
-	drained chan struct{} // closed when writeLoop exits
-	once    sync.Once
-	peer    *memConn
-}
-
-// Pair returns two connected in-memory ends with the given buffer depth.
-// Messages are re-encoded through the wire codec so tests exercise the
-// exact bytes TCP would carry. Each direction holds up to 2×buffer
-// messages in flight (delivery channel + outbox) before Send blocks.
+// Pair returns the two ends of a loopback TCP connection, built by
+// Listen, Dial and Accept like any deployed link, so a test runs the
+// same outbox, writer and reader a cluster does. The listener is closed
+// before Pair returns. buffer is ignored: every connection has the same
+// outbox bound. Pair panics if loopback is unavailable — its callers are
+// tests and the benchmark, which have no use for a pair that failed.
 func Pair(buffer int) (Conn, Conn) {
-	if buffer < 1 {
-		buffer = 1
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		panic(err)
 	}
-	ab := make(chan wire.Message, buffer)
-	ba := make(chan wire.Message, buffer)
-	a := newMemConn("mem-a", ab, ba, buffer)
-	b := newMemConn("mem-b", ba, ab, buffer)
-	a.peer, b.peer = b, a
-	go a.writeLoop()
-	go b.writeLoop()
+	defer ln.Close()
+	// Dial completes against the listen backlog, so Accept can follow it
+	// on the same goroutine.
+	a, err := Dial(ln.Addr())
+	if err != nil {
+		panic(err)
+	}
+	b, err := ln.Accept()
+	if err != nil {
+		panic(err)
+	}
 	return a, b
 }
-
-func newMemConn(name string, out chan<- wire.Message, in <-chan wire.Message, buffer int) *memConn {
-	m := &memConn{
-		name:    name,
-		out:     out,
-		in:      in,
-		limit:   buffer,
-		closed:  make(chan struct{}),
-		abort:   make(chan struct{}),
-		wake:    make(chan struct{}, 1),
-		drained: make(chan struct{}),
-	}
-	m.notFull.L = &m.mu
-	m.check = wire.NewReader(&m.encSrc)
-	return m
-}
-
-func (m *memConn) Send(msg wire.Message) error {
-	// Round-trip through the codec: catches encode/decode asymmetries in
-	// tests that would otherwise only surface over real sockets. The
-	// encode buffer is per-connection and reusable — decoding copies
-	// everything it keeps (strings, replica lists), so nothing aliases
-	// the buffer once Read returns.
-	m.mu.Lock()
-	m.enc = wire.Append(m.enc[:0], msg)
-	m.encSrc.Reset(m.enc)
-	decoded, err := m.check.Read()
-	if err != nil {
-		m.mu.Unlock()
-		return fmt.Errorf("transport: self-check failed for %s: %w", msg.Type(), err)
-	}
-	for {
-		if m.closing || m.dead {
-			m.mu.Unlock()
-			return ErrClosed
-		}
-		// Peer fully closed (its Close drained and returned): sends can
-		// never be received. Checked via the channel so the verdict is
-		// deterministic once the peer's Close has returned.
-		select {
-		case <-m.peer.closed:
-			m.mu.Unlock()
-			return ErrClosed
-		default:
-		}
-		if len(m.outq) < m.limit {
-			break
-		}
-		batchStalls.Add(1)
-		m.notFull.Wait()
-	}
-	m.outq = append(m.outq, decoded)
-	m.mu.Unlock()
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-// writeLoop drains the outbox into the delivery channel. It exits when
-// Close has begun and the outbox is empty (clean drain), when the peer
-// is fully closed (remaining frames drop, like data after an RST), or
-// when Close force-aborts a wedged drain.
-func (m *memConn) writeLoop() {
-	defer func() {
-		m.mu.Lock()
-		m.dead = true
-		m.mu.Unlock()
-		m.notFull.Broadcast()
-		close(m.drained)
-	}()
-	var spare []wire.Message
-	for {
-		select {
-		case <-m.wake:
-		case <-m.abort:
-			return
-		}
-		for {
-			m.mu.Lock()
-			if len(m.outq) == 0 {
-				closing := m.closing
-				m.mu.Unlock()
-				if closing {
-					return
-				}
-				break
-			}
-			batch := m.outq
-			m.outq = spare[:0]
-			m.busy = true
-			m.mu.Unlock()
-			m.notFull.Broadcast()
-			for i, msg := range batch {
-				select {
-				case m.out <- msg:
-				case <-m.peer.closed:
-					return
-				case <-m.abort:
-					return
-				}
-				batch[i] = nil
-			}
-			batchFlushes.Add(1)
-			batchFrames.Add(uint64(len(batch)))
-			spare = batch
-			m.mu.Lock()
-			m.busy = false
-			m.mu.Unlock()
-		}
-	}
-}
-
-func (m *memConn) Recv() (wire.Message, error) {
-	m.mu.Lock()
-	deadline := m.deadline
-	m.mu.Unlock()
-	var expire <-chan time.Time
-	if !deadline.IsZero() {
-		left := time.Until(deadline)
-		if left <= 0 {
-			return nil, fmt.Errorf("transport: recv on %s: %w", m.name, os.ErrDeadlineExceeded)
-		}
-		timer := time.NewTimer(left)
-		defer timer.Stop()
-		expire = timer.C
-	}
-	// Already-delivered frames drain before a close is reported — the
-	// same ordering TCP gives (data, then FIN/EOF). The peer's close
-	// must also wake this side: node disconnect-unwind paths depend on a
-	// blocked Recv observing the break, exactly as net.Conn.Read does.
-	// The peer's Close only becomes visible here after its writer
-	// drained its outbox into our channel, so every frame sent before
-	// the close is receivable before ErrClosed.
-	select {
-	case msg, ok := <-m.in:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return msg, nil
-	default:
-	}
-	select {
-	case <-m.closed:
-		return nil, ErrClosed
-	case <-m.peer.closed:
-		// The sender is gone; anything it sent first still delivers.
-		select {
-		case msg, ok := <-m.in:
-			if ok {
-				return msg, nil
-			}
-		default:
-		}
-		return nil, ErrClosed
-	case <-expire:
-		return nil, fmt.Errorf("transport: recv on %s: %w", m.name, os.ErrDeadlineExceeded)
-	case msg, ok := <-m.in:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return msg, nil
-	}
-}
-
-func (m *memConn) SetRecvDeadline(t time.Time) error {
-	m.mu.Lock()
-	m.deadline = t
-	m.mu.Unlock()
-	return nil
-}
-
-// Close drains the outbox, then makes the close visible to both ends.
-// The drain is bounded: if the peer neither reads nor closes within
-// closeDrainTimeout, the writer is force-aborted and remaining frames
-// drop — mirroring a TCP close against a wedged peer.
-func (m *memConn) Close() error {
-	m.once.Do(func() {
-		m.mu.Lock()
-		m.closing = true
-		empty := len(m.outq) == 0 && !m.busy
-		m.mu.Unlock()
-		m.notFull.Broadcast()
-		select {
-		case m.wake <- struct{}{}:
-		default:
-		}
-		if empty {
-			// Fast path: nothing to drain, so the close is visible to
-			// both ends immediately — a conn torn down at rest behaves
-			// exactly like the pre-batching synchronous close, which
-			// loss-injection tests rely on for tight timing.
-			close(m.closed)
-			return
-		}
-		select {
-		case <-m.drained:
-		case <-time.After(closeDrainTimeout):
-			close(m.abort)
-			<-m.drained
-		}
-		close(m.closed)
-	})
-	return nil
-}
-
-func (m *memConn) RemoteAddr() string { return m.peer.name }

@@ -7,17 +7,6 @@ import "fmt"
 // maliciously huge NumTasks could otherwise amplify into.
 const MaxReplicaTasks = 1 << 20
 
-// TaskSpec describes one task inside a SubmitJob message. Durations are
-// in seconds; the live worker "executes" a task by holding a slot for the
-// scaled duration (the live cluster demonstrates the protocol, not real
-// computation — see DESIGN.md substitutions).
-type TaskSpec struct {
-	Phase    uint16
-	Index    uint32
-	MeanDur  float64
-	Replicas []uint32 // worker IDs holding input data
-}
-
 // PhaseSpec describes one DAG phase.
 type PhaseSpec struct {
 	Deps         []uint16
