@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/hopper-sim/hopper/internal/live"
+	"github.com/hopper-sim/hopper/internal/wire"
 )
 
 func main() {
@@ -38,18 +39,36 @@ func main() {
 		fmt.Printf("submitted job %d (%d tasks x %.1fs)\n", i, *tasks, *mean)
 	}
 
-	deadline := time.Now().Add(*wait)
-	for done := 0; done < *jobs; {
-		if time.Now().After(deadline) {
-			log.Fatalf("timeout with %d of %d jobs complete", done, *jobs)
+	// WaitAny blocks until a frame arrives, and a scheduler with no
+	// workers never sends one: wait in a goroutine so the deadline fires
+	// on a silent scheduler too.
+	type completion struct {
+		jc  *wire.JobComplete
+		err error
+	}
+	completions := make(chan completion)
+	go func() {
+		for {
+			jc, err := c.WaitAny()
+			completions <- completion{jc, err}
+			if err != nil {
+				return
+			}
 		}
-		jc, err := c.WaitAny()
-		if err != nil {
-			log.Fatalf("waiting: %v", err)
+	}()
+	deadline := time.After(*wait)
+	for done := 0; done < *jobs; done++ {
+		var r completion
+		select {
+		case <-deadline:
+			log.Fatalf("timeout with %d of %d jobs complete", done, *jobs)
+		case r = <-completions:
+		}
+		if r.err != nil {
+			log.Fatalf("waiting: %v", r.err)
 		}
 		fmt.Printf("job %d complete in %.2fs (%d tasks, %d speculative copies)\n",
-			jc.JobID, jc.Completion, jc.TasksRun, jc.SpecCopies)
-		done++
+			r.jc.JobID, r.jc.Completion, r.jc.TasksRun, r.jc.SpecCopies)
 	}
 	fmt.Printf("all jobs done in %.1fs\n", time.Since(start).Seconds())
 }

@@ -6,9 +6,8 @@ import "github.com/hopper-sim/hopper/internal/simulator"
 // job admission's root unlocks and Job.CompleteTask's planned unlocks
 // into exactly-once MarkRunnable + Deliver calls; the only adapter-
 // specific part — how a deferred wakeup waits out its transfer gate —
-// is injected through Schedule. The simulator's Executor, the live
-// scheduler node, and (through the Executor) the sim-vs-live parity
-// harness all drive one planner each instead of hand-rolling the
+// is injected through Schedule. The simulator's Executor and the live
+// scheduler node each drive one planner instead of hand-rolling the
 // plan -> schedule -> fire sequence; three hand-rolled copies of that
 // sequence is how the pre-lifecycle double-fire bug survived.
 type UnlockPlanner struct {

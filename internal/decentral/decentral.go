@@ -14,8 +14,10 @@
 // package is the simulator adapter. It feeds the cores from executor
 // callbacks, realizes core actions as engine posts under the message
 // cost model, and owns nothing protocol-shaped beyond counters. The
-// same cores drive internal/live over real connections — the parity
-// test there pins the two adapters to identical assignment sequences.
+// same cores drive internal/live over real connections. The two adapters
+// do not hand out one assignment sequence — each node draws from its own
+// RNG, and only this adapter queues behind procDelay — so each plane is
+// pinned by its own golden (DESIGN.md §7, "The parity contract").
 //
 // Messages are simulated with a one-way latency plus a serial
 // per-message processing delay at each scheduler, so higher probe ratios
@@ -50,9 +52,9 @@ const (
 	ModeLoadCache = protocol.ModeLoadCache
 )
 
-// ProcDelay is the serial per-message processing time at a scheduler,
+// procDelay is the serial per-message processing time at a scheduler,
 // in seconds: what makes extra probes cost something.
-const ProcDelay = 20e-6
+const procDelay = 20e-6
 
 // Config holds the decentralized system's parameters: the shared
 // protocol parameters plus the simulator-only message cost model.
@@ -219,7 +221,7 @@ type System struct {
 	reprobeEvery float64
 
 	// OnPlace, when set, observes every successful placement in hand-out
-	// order — the assignment log the sim-vs-live parity test compares.
+	// order (the churn tests check that none lands on a down machine).
 	// Observation only: it must not mutate cluster state.
 	OnPlace func(t *cluster.Task, m cluster.MachineID, spec bool)
 }
@@ -465,7 +467,7 @@ func (s *System) toScheduler(sc *sched, m *message) {
 	if sc.busyUntil > handle {
 		handle = sc.busyUntil
 	}
-	handle += ProcDelay
+	handle += procDelay
 	sc.busyUntil = handle
 	s.Eng.PostArg(handle, dispatchMessage, m)
 }

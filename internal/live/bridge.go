@@ -10,10 +10,9 @@ import (
 // core replies are serialized into frames and frames are rehydrated into
 // core replies. The Seq every frame here carries is the worker core's
 // number for the offer (protocol.WAction.Seq), so a reply needs no
-// table on this side to find its round. The sim-vs-live parity test
-// (parity_test.go) routes every reply of a simulator-clocked run through
-// these functions — not through the nodes — so anything the mapping
-// loses breaks the identical-assignment contract there.
+// table on this side to find its round. TestBridgeRoundTrip carries every
+// reply shape the scheduler core returns through render, codec and
+// rehydration, so a field the mapping drops fails there.
 
 // replyFrames is the scratch a scheduler renders its replies into: one
 // value per reply type, overwritten by the next reply of that type. The

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -16,12 +17,15 @@ import (
 
 // The failure-domain suite: the Scheduler and Worker that ship, on a
 // simulation engine's clock, under seeded frame loss, duplication, delay
-// and partition. Nothing here stands in for a node. The cluster is built
-// from NewScheduler and NewWorkerConns; no node ever Runs — the harness
-// owns the three things a node's goroutines would (the clock, the
-// connections, the inbox pump) and calls each node's step itself, one
-// engine event at a time, so a run is a pure function of its seed and a
-// failing seed replays against scheduler.go and worker.go line numbers.
+// and partition, worker loss and scheduler crash. Nothing here stands in
+// for a node. The cluster is built from NewScheduler and NewWorkerConns;
+// no node ever Runs — the harness owns the three things a node's
+// goroutines would (the clock, the connections, the inbox pump) and calls
+// each node's step itself, one engine event at a time, so a run is a pure
+// function of its seed and a failing seed replays against scheduler.go
+// and worker.go line numbers. A crashed scheduler is left as Run would
+// leave it (Kill, then drain) and a fresh NewScheduler takes its place;
+// the workers reattach through attachSched, inside a turn.
 //
 // The oracles are what the protocol must keep NO MATTER what the network
 // does:
@@ -80,8 +84,10 @@ type virtualCluster struct {
 	eng     *simulator.Engine
 	epoch   time.Time
 	inj     *transport.Injector
-	scheds  []*Scheduler
+	scheds  []*Scheduler // nil while that scheduler is down
+	dead    []*Scheduler // crashed instances, still counted in stats
 	workers []*Worker
+	jobs    []*cluster.Job // job i is submitted to scheduler i mod len(scheds)
 
 	frames     []sentFrame
 	answerable int64 // offers delivered on their worker's registered connection to a scheduler holding no copy under their (worker, seq)
@@ -89,6 +95,19 @@ type virtualCluster struct {
 	aborted    int
 	overran    bool
 	onFrame    func(*virtualCluster, sentFrame)
+
+	// restartAt is when a crash plan restarted scheduler 0, and inventory
+	// counts its copies per task running on the workers at that instant:
+	// what their re-registration Hellos report.
+	restartAt float64
+	inventory map[taskKey]int
+}
+
+// taskKey names a task across the cluster: job IDs are unique.
+type taskKey struct {
+	job   uint64
+	phase uint16
+	task  uint32
 }
 
 // engineTimers is the cluster's protocol.TimerService: the nodes' only
@@ -132,7 +151,9 @@ func (c *virtualCluster) turn(f func()) func() {
 		for again := true; again; {
 			again = false
 			for _, s := range c.scheds {
-				again = pump(s.loop, s.step) || again
+				if s != nil {
+					again = pump(s.loop, s.step) || again
+				}
 			}
 			for _, w := range c.workers {
 				again = pump(w.loop, w.step) || again
@@ -266,7 +287,31 @@ type chaosCell struct {
 	// onFrame, when set, sees every frame as it is logged — a hook for
 	// cells that act on what the run has done so far.
 	onFrame func(*virtualCluster, sentFrame)
+	// crash, when set, kills scheduler 0 mid-run and restarts it.
+	crash *crashPlan
+	// hetero splits the workers into two machine classes, each advertised
+	// in its Hello, and gives every third job a demand only the big class
+	// fits (heteroDemand).
+	hetero bool
 }
+
+// crashPlan kills scheduler 0 at virtual second at and restarts it down
+// seconds later: a fresh NewScheduler under the same ID and config, a new
+// link to every worker, and each job it had been handed and not reported
+// resubmitted from a new client — before the workers reattach when
+// lateWorkers is set, after them otherwise.
+type crashPlan struct {
+	at, down    float64
+	lateWorkers bool
+}
+
+// heteroDemand is the per-task demand of a hetero cell's demand jobs: it
+// fits a big worker's slot and not a small one's.
+var heteroDemand = cluster.Resources{CPU: 2, Mem: 4}
+
+// heteroDemanded says whether job id carries heteroDemand in a hetero
+// cell.
+func heteroDemanded(id uint64) bool { return id%3 == 0 }
 
 // runChaos replays the parity workload on a fresh virtual cluster under
 // the cell's faults until the engine runs dry.
@@ -278,68 +323,58 @@ func runChaos(t *testing.T, cell chaosCell) *virtualCluster {
 		inj: transport.NewInjector(transport.FaultConfig{
 			Seed: cell.seed, Default: cell.rates, PerType: cell.perType, DelayMin: 0.01, DelayMax: 0.2,
 		}),
+		jobs:      parityJobs(virtualMachines),
 		completed: make(map[uint64]bool),
 		onFrame:   cell.onFrame,
 	}
-	timers := engineTimers{c}
 	for si := 0; si < parityCfg.NumSchedulers; si++ {
-		s, err := NewScheduler(SchedulerConfig{
-			ID:               uint32(si),
-			Mode:             parityCfg.Mode,
-			NumSchedulers:    parityCfg.NumSchedulers,
-			CheckInterval:    parityCfg.CheckInterval,
-			Seed:             cell.seed*31 + int64(si),
-			DurationOverride: scriptedDuration,
-			Timers:           timers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.scheds = append(c.scheds, s)
+		c.scheds = append(c.scheds, c.newScheduler(t, cell.seed, si))
 	}
 	for wi := 0; wi < virtualMachines; wi++ {
-		// The worker end of each link exists before the worker (its
-		// constructor greets over it), so the receiving closures resolve
-		// their node when a frame lands, not now.
 		conns := make([]transport.Conn, len(c.scheds))
-		for si, s := range c.scheds {
-			link := &virtualLink{}
-			p := &peer{conn: &virtualConn{c: c, sched: si, worker: wi, toWorker: true, link: link, recv: func(m wire.Message, err error) {
-				w := c.workers[wi]
-				w.step(envelope{from: w.scheds[si], msg: m, err: err})
-			}}}
-			conns[si] = &virtualConn{c: c, sched: si, worker: wi, link: link, recv: func(m wire.Message, err error) {
-				if off, ok := m.(*wire.Offer); ok && s.workers[off.WorkerID] == p {
-					if _, held := s.copies[copyKey{off.WorkerID, off.Seq}]; !held {
-						c.answerable++
-					}
-				}
-				s.step(envelope{from: p, msg: m, err: err})
-			}}
+		for si := range c.scheds {
+			conns[si] = c.link(si, wi)
 		}
-		w, err := NewWorkerConns(WorkerConfig{
-			ID: uint32(wi), Slots: virtualSlots, Mode: parityCfg.Mode, Timers: timers,
-		}, conns)
+		cfg := WorkerConfig{ID: uint32(wi), Slots: virtualSlots, Mode: parityCfg.Mode, Timers: engineTimers{c}}
+		if cell.hetero {
+			cfg.Class, cfg.Cap = 1, cluster.Resources{CPU: 4, Mem: 8}
+			if wi >= virtualMachines/2 {
+				cfg.Class, cfg.Cap, cfg.Speed = 2, cluster.Resources{CPU: 1, Mem: 2}, 0.5
+			}
+		}
+		w, err := NewWorkerConns(cfg, conns)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.workers = append(c.workers, w)
 	}
-	for i, j := range parityJobs(virtualMachines) {
+	for i, j := range c.jobs {
+		if cell.hetero && heteroDemanded(uint64(j.ID)) {
+			for _, p := range j.Phases {
+				p.Demand = heteroDemand
+			}
+		}
 		si := i % len(c.scheds)
-		s, submit := c.scheds[si], SubmitFromJob(j)
-		client := &peer{conn: &virtualConn{c: c, sched: si, worker: -1, link: &virtualLink{}, recv: func(m wire.Message, err error) {
-			if err != nil {
-				return // the client's link never breaks; nothing to account
+		c.eng.Post(virtualSubmitAt+j.Arrival, c.turn(func() { c.submit(si, j) }))
+	}
+	if plan := cell.crash; plan != nil {
+		c.eng.Post(plan.at, c.turn(func() {
+			// What Run does once its loop is stopped: the shipped code
+			// severs the client, pending-admit and worker links.
+			s := c.scheds[0]
+			s.Kill()
+			s.drain()
+			c.scheds[0], c.dead = nil, append(c.dead, s)
+		}))
+		c.eng.Post(plan.at+plan.down, c.turn(func() {
+			c.scheds[0], c.restartAt = c.newScheduler(t, cell.seed, 0), c.eng.Now()
+			if plan.lateWorkers {
+				c.resubmit()
 			}
-			jc := m.(*wire.JobComplete)
-			if jc.Aborted || c.completed[jc.JobID] {
-				c.aborted++
+			c.reattach()
+			if !plan.lateWorkers {
+				c.resubmit()
 			}
-			c.completed[jc.JobID] = true
-		}}}
-		c.eng.Post(virtualSubmitAt+j.Arrival, c.turn(func() {
-			s.step(envelope{from: client, msg: submit})
 		}))
 	}
 	if cell.partition[1] > cell.partition[0] {
@@ -356,19 +391,117 @@ func runChaos(t *testing.T, cell chaosCell) *virtualCluster {
 	return c
 }
 
-// stats sums the nodes' protocol counters (each node owns its own).
+// newScheduler builds scheduler si of the cell's cluster; a restart
+// builds it again from the same config.
+func (c *virtualCluster) newScheduler(t *testing.T, seed int64, si int) *Scheduler {
+	s, err := NewScheduler(SchedulerConfig{
+		ID:               uint32(si),
+		Mode:             parityCfg.Mode,
+		NumSchedulers:    parityCfg.NumSchedulers,
+		CheckInterval:    parityCfg.CheckInterval,
+		Seed:             seed*31 + int64(si),
+		DurationOverride: scriptedDuration,
+		Timers:           engineTimers{c},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// link is one new connection between scheduler si and worker wi; it
+// returns the worker's end. Both ends resolve their node when a frame
+// lands, not now: the worker end exists before the worker (its
+// constructor greets over it), and scheduler si may have been restarted
+// since — or be down, and lose the frame.
+func (c *virtualCluster) link(si, wi int) *virtualConn {
+	l := &virtualLink{}
+	p := &peer{conn: &virtualConn{c: c, sched: si, worker: wi, toWorker: true, link: l, recv: func(m wire.Message, err error) {
+		w := c.workers[wi]
+		w.step(envelope{from: w.scheds[si], msg: m, err: err})
+	}}}
+	return &virtualConn{c: c, sched: si, worker: wi, link: l, recv: func(m wire.Message, err error) {
+		s := c.scheds[si]
+		if s == nil {
+			return
+		}
+		if off, ok := m.(*wire.Offer); ok && s.workers[off.WorkerID] == p {
+			if _, held := s.copies[copyKey{off.WorkerID, off.Seq}]; !held {
+				c.answerable++
+			}
+		}
+		s.step(envelope{from: p, msg: m, err: err})
+	}}
+}
+
+// submit hands job j to scheduler si from a new client, whose link
+// records the job's report; a scheduler that is down loses the job.
+func (c *virtualCluster) submit(si int, j *cluster.Job) {
+	if s := c.scheds[si]; s != nil {
+		client := &peer{conn: &virtualConn{c: c, sched: si, worker: -1, link: &virtualLink{}, recv: c.report}}
+		s.step(envelope{from: client, msg: SubmitFromJob(j)})
+	}
+}
+
+// report is the client end of a submission's link.
+func (c *virtualCluster) report(m wire.Message, err error) {
+	if err != nil {
+		return // the scheduler crashed with the job; the crash plan resubmits it
+	}
+	jc := m.(*wire.JobComplete)
+	if jc.Aborted || c.completed[jc.JobID] {
+		c.aborted++
+	}
+	c.completed[jc.JobID] = true
+}
+
+// resubmit sends scheduler 0, one link latency from now, every job it
+// had been handed and not reported back. A job whose arrival is now was
+// handed over already: its event was posted first.
+func (c *virtualCluster) resubmit() {
+	var lost []*cluster.Job
+	for i, j := range c.jobs {
+		if i%len(c.scheds) == 0 && virtualSubmitAt+j.Arrival <= c.eng.Now() && !c.completed[uint64(j.ID)] {
+			lost = append(lost, j)
+		}
+	}
+	c.eng.PostAfter(virtualLatency, c.turn(func() {
+		for _, j := range lost {
+			c.submit(0, j)
+		}
+	}))
+}
+
+// reattach records scheduler 0's copies running on the workers — what
+// their re-registration Hellos will report — and attaches every worker
+// to the restarted instance over a new link.
+func (c *virtualCluster) reattach() {
+	c.inventory = make(map[taskKey]int)
+	for wi, w := range c.workers {
+		for _, rc := range w.running {
+			if rc.sidx == 0 {
+				c.inventory[taskKey{rc.msg.JobID, rc.msg.Phase, rc.msg.TaskIndex}]++
+			}
+		}
+		w.attachSched(0, &peer{conn: c.link(0, wi), hello: wire.Hello{Role: wire.RoleScheduler}})
+	}
+}
+
+// stats sums every protocol counter over the nodes (each node owns its
+// own), crashed scheduler instances included.
 func (c *virtualCluster) stats() protocol.Stats {
 	var sum protocol.Stats
+	total := reflect.ValueOf(&sum).Elem()
 	add := func(st protocol.Stats) {
-		sum.OccupancyLeaks += st.OccupancyLeaks
-		sum.DoubleWakeups += st.DoubleWakeups
-		sum.SilentDemand += st.SilentDemand
-		sum.Requeues += st.Requeues
-		sum.OfferTimeouts += st.OfferTimeouts
-		sum.StaleAssigns += st.StaleAssigns
-		sum.WatchdogExpiries += st.WatchdogExpiries
+		v := reflect.ValueOf(st)
+		for i := 0; i < v.NumField(); i++ {
+			total.Field(i).SetInt(total.Field(i).Int() + v.Field(i).Int())
+		}
 	}
 	for _, s := range c.scheds {
+		add(s.stats)
+	}
+	for _, s := range c.dead {
 		add(s.stats)
 	}
 	for _, w := range c.workers {
@@ -394,9 +527,8 @@ func (c *virtualCluster) assertOracles(t *testing.T, tag string) {
 	if c.overran {
 		t.Fatalf("%s: engine still busy after %v virtual seconds — a recovery timer re-arms forever", tag, virtualHorizon)
 	}
-	jobs := len(parityJobs(virtualMachines))
-	if len(c.completed) != jobs || c.aborted != 0 {
-		t.Fatalf("%s: %d of %d jobs reported complete, %d aborted or reported twice", tag, len(c.completed), jobs, c.aborted)
+	if len(c.completed) != len(c.jobs) || c.aborted != 0 {
+		t.Fatalf("%s: %d of %d jobs reported complete, %d aborted or reported twice", tag, len(c.completed), len(c.jobs), c.aborted)
 	}
 	st := c.stats()
 	if st.DoubleWakeups != 0 {
@@ -555,11 +687,6 @@ func TestChaosRecoveryCountersFire(t *testing.T) {
 // unlaunched task) must still bring it a slot: the scripted stragglers
 // get their racing copies, read off the frame log as speculative Assigns.
 func TestChaosLostProbesStillSpeculate(t *testing.T) {
-	type taskKey struct {
-		job   uint64
-		phase uint16
-		task  uint32
-	}
 	stragglers := 0
 	for _, j := range parityJobs(virtualMachines) {
 		for _, p := range j.Phases {
@@ -791,6 +918,88 @@ func TestHelloUnderNewIDSettlesOldCopies(t *testing.T) {
 			s.totalSlots != virtualMachines*virtualSlots {
 			t.Fatalf("scheduler %d topology after re-announce: old %v new %v ids %v slots %d",
 				s.cfg.ID, s.workers[oldID] != nil, s.workers[newID] != nil, s.workerIDs, s.totalSlots)
+		}
+	}
+}
+
+// runReplayed runs a cell twice and fails unless the second run sends the
+// same frame log as the first.
+func runReplayed(t *testing.T, cell chaosCell, tag string) *virtualCluster {
+	t.Helper()
+	c := runChaos(t, cell)
+	if again := runChaos(t, cell); !slices.Equal(again.frames, c.frames) {
+		t.Fatalf("%s: a second run sent a different frame log", tag)
+	}
+	return c
+}
+
+// restartCells crashes scheduler 0 at 1.5 virtual seconds, with copies of
+// its jobs running and reservations for them queued on the workers, and
+// restarts it half a second later. The restarted instance knows nothing
+// but what the workers' re-registration Hellos report and what the
+// resubmissions say, yet it must adopt every reported copy — the copy
+// counter equals the scheduler-0 copies on the workers at attach, no task
+// of that inventory is placed again as an original — count the
+// reservations they held, and finish every job, on every oracle, the same
+// way twice.
+func restartCells(t *testing.T, lateWorkers bool) {
+	t.Helper()
+	for _, seed := range chaosSeeds {
+		tag := fmt.Sprintf("restart (late workers %v) seed %d", lateWorkers, seed)
+		c := runReplayed(t, chaosCell{seed: seed, crash: &crashPlan{at: 1.5, down: 0.5, lateWorkers: lateWorkers}}, tag)
+		c.assertOracles(t, tag)
+		copies := 0
+		for _, n := range c.inventory {
+			copies += n
+		}
+		st := c.stats()
+		if copies == 0 || st.ReconciledCopies != int64(copies) {
+			t.Fatalf("%s: %d copies reconciled, %d of scheduler 0's running on the workers at attach", tag, st.ReconciledCopies, copies)
+		}
+		if st.ReconciledReservations == 0 {
+			t.Fatalf("%s: no reservation reconciled — the workers parked none", tag)
+		}
+		for _, f := range c.frames {
+			if f.typ == wire.TAssign && !f.flag && f.at >= c.restartAt && c.inventory[taskKey{f.job, f.phase, f.task}] > 0 {
+				t.Fatalf("%s: task %d/%d/%d, running at restart, placed again at %v", tag, f.job, f.phase, f.task, f.at)
+			}
+		}
+	}
+}
+
+// TestChaosSchedulerRestartRecoversInFlightWork: the workers reattach
+// first, so their inventory waits for its job's resubmission, which
+// adopts it before firing the job's root phases.
+func TestChaosSchedulerRestartRecoversInFlightWork(t *testing.T) { restartCells(t, false) }
+
+// TestChaosSchedulerRestartLateWorkers: the jobs are resubmitted first and
+// wait for a worker to register; the first Hello's inventory is adopted at
+// that admission, and every later one attaches to the admitted job at
+// once.
+func TestChaosSchedulerRestartLateWorkers(t *testing.T) { restartCells(t, true) }
+
+// TestChaosHeterogeneousClasses runs the zero-fault workload on two
+// machine classes that the workers announce in their Hellos: four big
+// workers (4 CPU / 8 Mem per slot) and four small ones (1 / 2, half
+// speed). Every third job asks 2 CPU / 4 Mem per task, so it must run on
+// big workers only, while the small ones still get the rest.
+func TestChaosHeterogeneousClasses(t *testing.T) {
+	for _, seed := range chaosSeeds {
+		tag := fmt.Sprintf("hetero seed %d", seed)
+		c := runReplayed(t, chaosCell{seed: seed, hetero: true}, tag)
+		c.assertOracles(t, tag)
+		small := 0
+		for _, f := range c.frames {
+			if f.typ != wire.TAssign || f.worker < virtualMachines/2 {
+				continue
+			}
+			if heteroDemanded(f.job) {
+				t.Fatalf("%s: job %d's demand assigned to small worker %d", tag, f.job, f.worker)
+			}
+			small++
+		}
+		if small == 0 {
+			t.Fatalf("%s: the small workers got no work", tag)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func newOfferRig(t *testing.T) *offerRig {
 	t.Cleanup(wheel.Stop)
 	r := &offerRig{t: t, timers: &offerTimers{wheel: wheel}, link: &offerLog{}}
 	w, err := NewWorkerConns(WorkerConfig{
-		ID: 3, Slots: 2, RetryJitter: -1, Timers: r.timers,
+		ID: 3, Slots: 2, Timers: r.timers,
 		TimeScale: rigOfferWait.Seconds() / defaultOfferTimeout,
 	}, []transport.Conn{r.link})
 	if err != nil {

@@ -98,3 +98,16 @@ func TestWorkerGroupPartialBootCleansUp(t *testing.T) {
 		t.Fatal("boot against a dead scheduler address succeeded")
 	}
 }
+
+// registeredWorkers reports (on the scheduler loop) how many workers
+// have said Hello to s.
+func registeredWorkers(s *Scheduler) int {
+	ch := make(chan int, 1)
+	s.post(&internalEvent{fn: func() { ch <- len(s.workers) }}, nil)
+	select {
+	case n := <-ch:
+		return n
+	case <-s.loop.done:
+		return 0
+	}
+}

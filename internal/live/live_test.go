@@ -263,69 +263,6 @@ func TestMalformedSubmissionsRejected(t *testing.T) {
 	}
 }
 
-// TestWorkerCrashRequeuesCopies pins the abrupt-loss path: a worker
-// whose connection dies without a drain (crash, network drop) has its
-// in-flight copies unwound and requeued, and the job still completes on
-// the surviving worker.
-func TestWorkerCrashRequeuesCopies(t *testing.T) {
-	s, err := NewScheduler(SchedulerConfig{
-		ID: 0, NumSchedulers: 1, TimeScale: 0.01, Seed: 8,
-		DurationOverride: func(*cluster.Task, bool) float64 { return 10 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Run()
-	defer s.Stop()
-
-	// Two single-slot workers over transport pairs; we keep the
-	// scheduler-side conn of worker 0 to sever it abruptly.
-	var schedEnds []transport.Conn
-	var workers []*Worker
-	for i := 0; i < 2; i++ {
-		se, we := transport.Pair(256)
-		s.ServeConn(se)
-		schedEnds = append(schedEnds, se)
-		w, err := NewWorkerConns(WorkerConfig{ID: uint32(i), Slots: 1, TimeScale: 0.01}, []transport.Conn{we})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go w.Run()
-		workers = append(workers, w)
-	}
-	defer func() {
-		for _, w := range workers {
-			w.Stop()
-		}
-	}()
-
-	cs, cc := transport.Pair(256)
-	s.ServeConn(cs)
-	client, err := NewClientConn(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	// Two 100ms tasks: one lands on each single-slot worker.
-	if err := client.Submit(SimpleJob(21, "survivor", 2, 1.0)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(40 * time.Millisecond) // both copies in flight
-	schedEnds[0].Close()              // worker 0 "crashes" — no drain
-
-	jc, err := client.WaitJob(21, 15*time.Second)
-	if err != nil {
-		t.Fatalf("job did not survive the worker crash: %v", err)
-	}
-	if jc.Aborted {
-		t.Fatalf("job aborted after crash: %s", jc.Error)
-	}
-	if jc.TasksRun != 2 {
-		t.Fatalf("TasksRun = %d, want 2", jc.TasksRun)
-	}
-}
-
 // TestSchedulerDrainFailsPendingJobs pins the graceful-drain contract:
 // stopping a scheduler mid-job delivers an aborted JobComplete to the
 // client instead of a dead connection.

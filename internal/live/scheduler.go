@@ -49,8 +49,8 @@ type SchedulerConfig struct {
 	// Seed drives the service-time RNG.
 	Seed int64
 	// DurationOverride, when set, supplies copy service times instead of
-	// the heavy-tailed draw — scripted schedules for tests and the
-	// sim-vs-live parity harness.
+	// the heavy-tailed draw — scripted schedules for tests, such as the
+	// chaos suite's stragglers.
 	DurationOverride func(t *cluster.Task, speculative bool) float64
 	// Logger receives diagnostics; nil disables logging.
 	Logger *log.Logger
@@ -513,8 +513,9 @@ func (s *Scheduler) Kill() {
 
 // drain fails every still-pending job with an explicit aborted
 // JobComplete — the client learns its fate instead of watching a
-// connection die mid-round — then closes worker connections. After a
-// Kill it skips the notifications and just severs everything.
+// connection die mid-round — then closes worker connections, in ID
+// order so that a crash on a simulated clock replays. After a Kill it
+// skips the notifications and just severs everything.
 func (s *Scheduler) drain() {
 	if s.abrupt.Load() {
 		for _, j := range s.jobs {
@@ -527,8 +528,8 @@ func (s *Scheduler) drain() {
 				ps.from.conn.Close()
 			}
 		}
-		for _, p := range s.workers {
-			p.conn.Close()
+		for _, id := range s.workerIDs {
+			s.workers[uint32(id)].conn.Close()
 		}
 		return
 	}
@@ -550,8 +551,8 @@ func (s *Scheduler) drain() {
 			})
 		}
 	}
-	for _, p := range s.workers {
-		p.conn.Close()
+	for _, id := range s.workerIDs {
+		s.workers[uint32(id)].conn.Close()
 	}
 }
 

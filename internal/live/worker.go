@@ -38,17 +38,13 @@ type WorkerConfig struct {
 	// TimeScale multiplies task service times (0.1 turns a 10s task into
 	// 1s of wall clock). Must match the schedulers'. Default 1.
 	TimeScale float64
-	// RetryJitter spreads retry backoffs (protocol.Config.RetryJitter);
-	// zero uses defaultRetryJitter, negative disables jitter entirely
-	// (deterministic tests).
-	RetryJitter float64
 	// RedialInterval, when positive, makes the worker re-dial a lost
 	// scheduler's address (SchedulerAddrs mode only) every this many wall
 	// seconds until it reconnects — the crash-recovery path for TCP
 	// clusters. On reconnect the worker re-registers with its running-copy
 	// and lost-reservation inventory so a restarted scheduler rebuilds its
-	// placement state. Zero disables (tests over transport.Pair
-	// reconnect explicitly via ReconnectScheduler).
+	// placement state. Zero disables (a caller holding the new connection
+	// reconnects explicitly via ReconnectScheduler).
 	RedialInterval float64
 	// Logger receives diagnostics; nil disables logging.
 	Logger *log.Logger
@@ -152,11 +148,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.TimeScale == 0 {
 		c.TimeScale = 1
 	}
-	if c.RetryJitter == 0 {
-		c.RetryJitter = defaultRetryJitter
-	} else if c.RetryJitter < 0 {
-		c.RetryJitter = 0
-	}
 	if c.Timers == nil {
 		c.Timers = protocol.WallTimers
 	}
@@ -197,8 +188,7 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 	}
 	w.offerTimerEv = &internalEvent{fn: w.offerTimerFired}
 	w.offerTimerFn = func() { w.post(w.offerTimerEv, nil) }
-	pcfg := protocol.Config{Mode: cfg.Mode}.WithDefaults()
-	pcfg.RetryJitter = cfg.RetryJitter // after defaults: zero here means disabled, not unset
+	pcfg := protocol.Config{Mode: cfg.Mode, RetryJitter: defaultRetryJitter}.WithDefaults()
 	w.core = protocol.NewWorker(cluster.MachineID(cfg.ID), pcfg, protocol.WorkerEnv{
 		Now:       w.now,
 		Rand:      rand.New(rand.NewSource(int64(cfg.ID)*7919 + 5)),
@@ -356,28 +346,34 @@ func (w *Worker) redial(idx int) {
 // a restarted scheduler reconstructs placement state. Safe to call from
 // any goroutine; the connection is adopted (and closed on rejection —
 // slot still occupied or worker stopped).
+//
+// The reader starts here, after the attach is queued: whatever it reads
+// lands in the inbox behind the attach, and a rejected attach closes the
+// conn, so the reader's error finds a peer nobody owns. No loop turn
+// starts a goroutine.
 func (w *Worker) ReconnectScheduler(idx int, conn transport.Conn) {
-	w.post(&internalEvent{fn: func() { w.attachSched(idx, conn) }}, nil)
+	p := &peer{conn: conn, hello: wire.Hello{Role: wire.RoleScheduler, ID: uint32(idx)}}
+	w.post(&internalEvent{fn: func() { w.attachSched(idx, p) }}, nil)
 	// If the loop is already stopped the post was dropped; close the
 	// conn so a late redial doesn't leak a socket.
 	select {
 	case <-w.loop.done:
 		conn.Close()
 	default:
+		go w.loop.readFrom(p)
 	}
 }
 
-// attachSched adopts a replacement scheduler connection: re-register
+// attachSched adopts p, a replacement scheduler connection: re-register
 // with the running copies placed by that slot's previous instance (so
 // the restarted scheduler reconciles instead of double-placing) plus the
-// reservation counts DropSched parked, re-point in-flight completion
-// reports at the new connection, and start reading from it.
-func (w *Worker) attachSched(idx int, conn transport.Conn) {
+// reservation counts DropSched parked, and re-point in-flight completion
+// reports at the new connection.
+func (w *Worker) attachSched(idx int, p *peer) {
 	if idx < 0 || idx >= len(w.scheds) || w.scheds[idx] != nil {
-		conn.Close()
+		p.conn.Close()
 		return
 	}
-	p := &peer{conn: conn, hello: wire.Hello{Role: wire.RoleScheduler, ID: uint32(idx)}}
 	hello := w.helloMsg()
 	now := w.now()
 	var mine []*runningCopy
@@ -412,13 +408,12 @@ func (w *Worker) attachSched(idx int, conn transport.Conn) {
 	delete(w.parked, idx)
 	w.loop.logf("reattached scheduler slot %d: reporting %d running copies, %d reservation entries",
 		idx, len(hello.Running), len(hello.Reservations))
-	if err := conn.Send(hello); err != nil {
+	if err := p.conn.Send(hello); err != nil {
 		w.loop.logf("re-registration to scheduler slot %d failed: %v", idx, err)
-		conn.Close()
+		p.conn.Close()
 		return
 	}
 	w.scheds[idx] = p
-	go w.loop.readFrom(p)
 }
 
 // Stop terminates the worker; Run reports in-flight copies as killed on

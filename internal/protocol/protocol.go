@@ -28,11 +28,11 @@
 // timed out, its scheduler gone — is decided in the core as well
 // (Worker.ExpireOffers, Worker.DropSched); an adapter supplies the clock.
 //
-// The parity test in internal/live asserts the two paths hand out
-// identical (job, task, worker) assignment sequences on a shared
-// workload, which is what makes simulator figures transferable to the
-// deployed system (the property Sparrow-descendant systems validate the
-// same way).
+// What makes simulator figures transferable to the deployed system is
+// that both adapters run this one core: the wire bridge in internal/live
+// is pinned field by field (TestBridgeRoundTrip), and the shipped live
+// nodes by their own frame-log golden. The two adapters do not hand out
+// one assignment sequence — their RNG streams and message timing differ.
 package protocol
 
 import (
