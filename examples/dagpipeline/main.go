@@ -47,7 +47,7 @@ func main() {
 	var alphaEst *estimate.AlphaEstimator
 	kind := func(eng *simulator.Engine, exec *cluster.Executor) experiments.Arriver {
 		h := scheduler.NewHopper(eng, exec, scheduler.Config{CheckInterval: 0.2})
-		alphaEst = h.Alpha
+		alphaEst = h.Book.Alpha
 		return h
 	}
 	res := experiments.RunTrace(kind, spec, experiments.CloneJobs(trace.Jobs), 3)

@@ -26,11 +26,7 @@ func main() {
 	fmt.Printf("generated %d jobs, %.0f slot-seconds of work, offered load %.2f\n",
 		len(trace.Jobs), trace.TotalWork, trace.OfferedLoad)
 
-	// Replay the identical trace under three centralized engines.
-	fair := experiments.RunTrace(
-		func(eng *simulator.Engine, exec *cluster.Executor) experiments.Arriver {
-			return scheduler.NewFair(eng, exec, scheduler.Config{CheckInterval: 0.1})
-		}, spec, experiments.CloneJobs(trace.Jobs), 7)
+	// Replay the identical trace under both centralized engines.
 	srpt := experiments.RunTrace(
 		func(eng *simulator.Engine, exec *cluster.Executor) experiments.Arriver {
 			return scheduler.NewSRPT(eng, exec, scheduler.Config{CheckInterval: 0.1})
@@ -40,12 +36,10 @@ func main() {
 			return scheduler.NewHopper(eng, exec, scheduler.Config{CheckInterval: 0.1})
 		}, spec, experiments.CloneJobs(trace.Jobs), 7)
 
-	fmt.Printf("Fair + best-effort LATE : avg completion %.2fs\n", fair.Run.AvgCompletion())
 	fmt.Printf("SRPT + best-effort LATE : avg completion %.2fs\n", srpt.Run.AvgCompletion())
 	fmt.Printf("Hopper                  : avg completion %.2fs (%d spec copies, %d killed)\n",
 		hopper.Run.AvgCompletion(), hopper.Exec.SpeculativeCopies, hopper.Exec.CopiesKilled)
-	fmt.Printf("reduction vs Fair: %.1f%%   reduction vs SRPT: %.1f%%\n",
-		metrics.GainBetween(fair.Run, hopper.Run), metrics.GainBetween(srpt.Run, hopper.Run))
+	fmt.Printf("reduction vs SRPT: %.1f%%\n", metrics.GainBetween(srpt.Run, hopper.Run))
 	fmt.Printf("speculative resource share under Hopper: %.0f%% (paper reports 21%% in production)\n",
 		hopper.Exec.SpeculationWasteFraction()*100)
 }

@@ -139,9 +139,9 @@ type Task struct {
 	Demand Resources
 
 	State TaskState
-	// SpecWanted is scheduler-owned scratch with the same single-owner
-	// contract as SchedPos: true while the task sits in its scheduler's
-	// speculation want-queue. A field instead of a per-job
+	// SpecWanted is scheduler-owned scratch (a task belongs to exactly one
+	// scheduler per simulation): true while the task sits in its
+	// scheduler's speculation want-queue. A field instead of a per-job
 	// map[*Task]bool makes want-dedup a load instead of a hash lookup
 	// and removes the map allocation per job. The cluster package never
 	// reads it. (It sits next to State so the two share a word.)
@@ -149,20 +149,15 @@ type Task struct {
 	Copies     []*Copy
 	DoneAt     simulator.Time
 
-	// SchedPos is scheduler-owned scratch: the task's slot in the running
-	// set of whichever scheduler tracks it (a task belongs to exactly one
-	// scheduler per simulation). It makes running-set removal O(1) without
-	// a side map. The cluster package never reads it.
-	SchedPos int
-
 	// VictimPos and VictimCopy are scheduler-owned scratch with the same
 	// single-owner contract, kept by the speculation monitor's victim
-	// index. VictimPos is the task's hand-out rank within its job,
-	// assigned when the scheduler adds it to the running set (0 while it
-	// is in none): it reproduces the scan's first-in-hand-out-order
-	// tie-break exactly. VictimCopy is the copy the index currently keys
-	// the task by, nil while it has no entry. The cluster package never
-	// reads either.
+	// index, which is the scheduler's running set. VictimPos is the task's
+	// hand-out rank within its job, assigned when the scheduler hands it
+	// out under a copy cap above one (0 otherwise, and again once it
+	// completes or is requeued): it reproduces the scan's
+	// first-in-hand-out-order tie-break exactly. VictimCopy is the copy
+	// the index currently keys the task by, nil while it has no entry.
+	// The cluster package never reads either.
 	VictimPos  int
 	VictimCopy *Copy
 }

@@ -32,9 +32,6 @@ func TestRunTraceCentralizedEngines(t *testing.T) {
 	kinds := map[string]SchedulerKind{
 		"hopper": centralHopper(scheduler.Config{}),
 		"srpt":   centralSRPT(scheduler.Config{}),
-		"fair": func(eng *simulator.Engine, exec *cluster.Executor) Arriver {
-			return scheduler.NewFair(eng, exec, scheduler.Config{})
-		},
 		"budgeted": func(eng *simulator.Engine, exec *cluster.Executor) Arriver {
 			return scheduler.NewBudgeted(eng, exec, scheduler.Config{SpecBudget: 8})
 		},

@@ -61,7 +61,7 @@ func TestSchedProbeRoundZeroAllocs(t *testing.T) {
 	h.sc.PhaseRunnable(j.Phases[0])
 	// Saturate occupancy so refusable offers take the refusal path and
 	// the cycle leaves the scheduler state untouched.
-	h.sc.jobs[j.ID].occupied = 1000
+	h.sc.jobs[j.ID].Occupied = 1000
 
 	cycle := func() {
 		if probes := h.sc.ReprobeStalled(); len(probes) == 0 {

@@ -310,7 +310,7 @@ func TestSchedulerRefusesAtVirtualSize(t *testing.T) {
 
 	// Drain the job's fresh demand and saturate occupancy past effVS.
 	d.pendingFresh = cluster.TaskDeque{}
-	d.occupied = 1000
+	d.Occupied = 1000
 	rep := h.sc.HandleOffer(j.ID, 0, true)
 	if !rep.Refused {
 		t.Fatal("saturated job accepted a refusable offer")

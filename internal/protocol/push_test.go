@@ -286,7 +286,7 @@ func TestSilentDemandCounts(t *testing.T) {
 	}
 	// A bug's worth of demand: queued behind the scheduler's back.
 	h.clk.now = 1
-	h.sc.jobs[j.ID].addWant(j.Phases[0].Tasks[0])
+	h.sc.jobs[j.ID].AddWant(j.Phases[0].Tasks[0])
 	if rep := h.sc.HandleOffer(j.ID, 1, false); !rep.HasTask {
 		t.Fatalf("want the planted task, got %+v", rep)
 	}
@@ -297,7 +297,7 @@ func TestSilentDemandCounts(t *testing.T) {
 
 // TestReprobeStalledCoversWants: a job whose only demand is a
 // speculation want must be refreshed like one with unlaunched originals —
-// addWant never re-probes a task already flagged, so a want whose probes
+// AddWant never re-probes a task already flagged, so a want whose probes
 // were all lost has no other way back to a worker.
 func TestReprobeStalledCoversWants(t *testing.T) {
 	h := newHarness(t, ModeHopper, 2)

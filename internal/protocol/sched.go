@@ -4,10 +4,7 @@ import (
 	"math/rand"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
-	"github.com/hopper-sim/hopper/internal/core"
-	"github.com/hopper-sim/hopper/internal/estimate"
 	"github.com/hopper-sim/hopper/internal/speculation"
-	"github.com/hopper-sim/hopper/internal/stats"
 )
 
 // SchedEnv is the environment a scheduler core runs in: a clock, an RNG
@@ -39,38 +36,23 @@ type SchedEnv struct {
 	Stats *Stats
 }
 
-// dJob is scheduler-side state for one owned job. Queues are ring deques
-// and the running set is tombstoned (see scheduler.jobState — same
-// incremental-state contract, DESIGN.md section 6), because at cluster
-// scale every offer/refusal touches this state.
+// dJob is the core's record of one owned job: the speculation record
+// both planes share (speculation.JobBook: want queue, occupancy, running
+// count, phase credits; DESIGN.md section 6) and what only the core
+// keeps. Queues are ring deques, because at cluster scale every
+// offer/refusal touches this state.
 type dJob struct {
-	job *cluster.Job
+	speculation.JobBook
 
 	// pos is the job's slot in Sched.jobList; JobDone nil-tombstones it
 	// there and the list compacts amortized (order preserved).
 	pos int
 
 	// pendingFresh holds launchable, not-yet-handed-out original tasks of
-	// runnable phases, in phase order.
+	// runnable phases, in phase order. Fresh demand is a deque here where
+	// the chassis keeps a count, because the core hands work out by
+	// locality tier (takeTask).
 	pendingFresh cluster.TaskDeque
-
-	// wants is the speculation queue (tasks to duplicate); membership is
-	// the Task.SpecWanted scratch flag (single scheduler owns each task),
-	// replacing the per-job map[*Task]bool.
-	wants cluster.TaskDeque
-
-	// running tracks tasks with live copies, for the straggler monitor
-	// (cluster.RunningSet: O(1) tombstone removal, live order = hand-out
-	// order).
-	running cluster.RunningSet
-
-	// occupied counts slots committed to the job: live copies plus
-	// accepts in flight (Pseudocode 2's current_occupied).
-	occupied int
-
-	// woken tracks phases whose wakeup has been delivered, guarding
-	// pendingFresh against duplicate PhaseRunnable delivery.
-	woken cluster.PhaseSet
 
 	// quiet is set when the job answers an offer NoDemand with nothing
 	// queued at all, and cleared by its next probes. Workers drop their
@@ -79,8 +61,17 @@ type dJob struct {
 	quiet bool
 }
 
+// book returns the job's speculation record, nil for a job the core does
+// not hold (d nil).
+func (d *dJob) book() *speculation.JobBook {
+	if d == nil {
+		return nil
+	}
+	return &d.JobBook
+}
+
 // demand is how many more slots the job could use right now.
-func (d *dJob) demand() int { return d.pendingFresh.Len() + d.wants.Len() }
+func (d *dJob) demand() int { return d.pendingFresh.Len() + d.Wants() }
 
 // fitsCap reports whether a task's demand fits a worker's per-slot
 // capacity. The zero-demand short-circuit keeps homogeneous workloads
@@ -95,7 +86,7 @@ func fitsCap(t *cluster.Task, cap cluster.Resources) bool {
 // speculative copy — in every tier restricted to tasks whose demand fits
 // the offering worker's capacity (cap). Returns (nil, false) when the
 // job has nothing this worker can run.
-func (d *dJob) takeTask(m cluster.MachineID, maxCopies int, cap cluster.Resources) (*cluster.Task, bool) {
+func (sc *Sched) takeTask(d *dJob, m cluster.MachineID, cap cluster.Resources) (*cluster.Task, bool) {
 	for i := 0; i < d.pendingFresh.Len(); {
 		t := d.pendingFresh.At(i)
 		if t.State == cluster.TaskDone {
@@ -119,48 +110,20 @@ func (d *dJob) takeTask(m cluster.MachineID, maxCopies int, cap cluster.Resource
 			return t, false
 		}
 	}
-	for i := 0; i < d.wants.Len(); {
-		t := d.wants.At(i)
-		if t.State != cluster.TaskRunning || t.RunningCopies() >= maxCopies {
-			// Stale want (finished, or already at the copy cap): drop it,
-			// exactly as the pre-capacity pop-and-test loop did.
-			t.SpecWanted = false
-			d.wants.RemoveAt(i)
-			continue
-		}
-		if !fitsCap(t, cap) {
-			i++ // still a live want; just not for this worker
-			continue
-		}
-		t.SpecWanted = false
-		d.wants.RemoveAt(i)
+	if t := sc.book.TakeWant(&d.JobBook, func(t *cluster.Task) bool { return fitsCap(t, cap) }); t != nil {
 		return t, true
 	}
 	return nil, false
 }
 
 // oldestUnserved returns the task a reservation refresh should probe
-// for: the oldest unlaunched original, else the oldest want that is
-// still live by takeTask's test, else nil.
-func (d *dJob) oldestUnserved(maxCopies int) *cluster.Task {
+// for: the oldest unlaunched original, else the oldest live want, else
+// nil.
+func (sc *Sched) oldestUnserved(d *dJob) *cluster.Task {
 	if d.pendingFresh.Len() > 0 {
 		return d.pendingFresh.At(0)
 	}
-	for i := 0; i < d.wants.Len(); i++ {
-		if t := d.wants.At(i); t.State == cluster.TaskRunning && t.RunningCopies() < maxCopies {
-			return t
-		}
-	}
-	return nil
-}
-
-func (d *dJob) addWant(t *cluster.Task) bool {
-	if t.SpecWanted {
-		return false
-	}
-	t.SpecWanted = true
-	d.wants.PushBack(t)
-	return true
+	return sc.book.OldestWant(&d.JobBook)
 }
 
 // Sched is one autonomous job scheduler's protocol core (Figure 4,
@@ -184,9 +147,7 @@ type Sched struct {
 	liveJobs int
 	deadJobs int
 
-	mon   *speculation.Monitor
-	beta  *stats.TailEstimator
-	alpha *estimate.AlphaEstimator
+	book speculation.Book
 
 	// policy aims the non-replica portion of each task's probes:
 	// RandomSubsetPolicy (the paper's rule) everywhere except
@@ -195,7 +156,6 @@ type Sched struct {
 
 	// Reusable scan/probe buffers (one scheduler handles one message at a
 	// time, so a single set per scheduler suffices).
-	candScratch   []*cluster.Task
 	freshScratch  []*cluster.Task
 	reqScratch    []*cluster.Task
 	targetScratch []cluster.MachineID
@@ -206,13 +166,15 @@ type Sched struct {
 // applied (adapters call Config.WithDefaults once per cluster).
 func NewSched(id SchedID, cfg Config, env SchedEnv) *Sched {
 	sc := &Sched{
-		cfg:   cfg,
-		env:   env,
-		id:    id,
-		jobs:  make(map[cluster.JobID]*dJob),
-		mon:   speculation.NewMonitor(cfg.Spec, env.Rand),
-		beta:  stats.NewTailEstimator(1e-9, cfg.BetaPrior, 30),
-		alpha: estimate.NewAlphaEstimator(),
+		cfg:  cfg,
+		env:  env,
+		id:   id,
+		jobs: make(map[cluster.JobID]*dJob),
+		// β warms up over 30 completions here and over 50 in the
+		// centralized chassis (scheduler.newBase): each plane's goldens were
+		// recorded with its own value, so unifying them is a behaviour
+		// change with a regen, not a refactor.
+		book: speculation.NewBook(cfg.Spec, cfg.BetaPrior, 30),
 	}
 	if cfg.Mode == ModeLoadCache {
 		sc.policy = NewLoadCachePolicy(0)
@@ -235,7 +197,7 @@ func (sc *Sched) ObserveWorkerLoad(m cluster.MachineID, free int, cap cluster.Re
 // t landed (its start and duration are now fixed). Adapters call it after
 // every placement of a task this core handed out, original or
 // speculative (speculation.Monitor.CopyPlaced).
-func (sc *Sched) CopyPlaced(t *cluster.Task) { sc.mon.CopyPlaced(t) }
+func (sc *Sched) CopyPlaced(t *cluster.Task) { sc.book.Mon.CopyPlaced(t) }
 
 // HasJobs reports whether any admitted job is still active — the
 // adapter's condition for keeping the speculation ticker armed.
@@ -251,9 +213,8 @@ func (sc *Sched) NeedsTicker() bool { return sc.cfg.Spec.MaxCopies > 1 }
 // active jobs times the number of schedulers, accurate under round-robin
 // admission).
 func (sc *Sched) effVS(d *dJob) float64 {
-	beta := sc.beta.Estimate()
-	alpha, _ := sc.alpha.Evaluate(d.job, beta)
-	v := core.VirtualSize(d.job.RemainingCurrentTasks(), beta, alpha)
+	dem, beta := sc.book.Demand(d.Job)
+	v := dem.Virtual(beta)
 	if sc.cfg.Mode.hopperFamily() && !sc.cfg.FairnessOff {
 		n := sc.liveJobs * sc.cfg.NumSchedulers
 		if n > 0 {
@@ -271,18 +232,13 @@ func (sc *Sched) effVS(d *dJob) float64 {
 // enter the ordering: it guarantees capacity (effVS) without destroying
 // the smallest-first service order of Guideline 2.
 func (sc *Sched) orderVS(d *dJob) float64 {
-	beta := sc.beta.Estimate()
-	alpha, dv := sc.alpha.Evaluate(d.job, beta)
-	return core.JobDemand{
-		Remaining:         d.job.RemainingCurrentTasks(),
-		Alpha:             alpha,
-		DownstreamVirtual: dv,
-	}.Priority(beta)
+	dem, beta := sc.book.Demand(d.Job)
+	return dem.Priority(beta)
 }
 
 // Admit registers a job with this scheduler.
 func (sc *Sched) Admit(j *cluster.Job) {
-	d := &dJob{job: j, pos: len(sc.jobList)}
+	d := &dJob{JobBook: speculation.JobBook{Job: j}, pos: len(sc.jobList)}
 	sc.jobs[j.ID] = d
 	sc.jobList = append(sc.jobList, d)
 	sc.liveJobs++
@@ -304,7 +260,7 @@ func (sc *Sched) PhaseRunnable(p *cluster.Phase) []Probe {
 	if d == nil {
 		return sc.probeBuf
 	}
-	if d.woken.Add(p) {
+	if !sc.book.PhaseRunnable(&d.JobBook, p) {
 		sc.env.Stats.DoubleWakeups++
 		sc.env.Stats.DoubleWakeupTasks += int64(len(p.Tasks))
 		return sc.probeBuf
@@ -347,7 +303,7 @@ func (sc *Sched) probeForTasks(d *dJob, tasks []*cluster.Task) {
 	}
 	d.quiet = false
 	vs := sc.orderVS(d)
-	rem := d.job.RemainingTasksTotal()
+	rem := d.Job.RemainingTasksTotal()
 	for _, t := range tasks {
 		n := sc.probeCount()
 		targets := sc.targetScratch[:0]
@@ -372,7 +328,7 @@ func (sc *Sched) probeForTasks(d *dJob, tasks []*cluster.Task) {
 		}
 		sc.targetScratch = targets
 		for _, m := range targets {
-			sc.probeBuf = append(sc.probeBuf, Probe{Worker: m, Job: d.job.ID, VS: vs, Rem: rem, Demand: t.Demand})
+			sc.probeBuf = append(sc.probeBuf, Probe{Worker: m, Job: d.Job.ID, VS: vs, Rem: rem, Demand: t.Demand})
 		}
 	}
 }
@@ -390,28 +346,12 @@ func (sc *Sched) probeForTasks(d *dJob, tasks []*cluster.Task) {
 func (sc *Sched) ScanSpec() []Probe {
 	sc.probeBuf = sc.probeBuf[:0]
 	now := sc.env.Now()
-	maxCopies := sc.cfg.Spec.MaxCopies
 	for _, d := range sc.jobList {
 		if d == nil {
 			continue
 		}
-		fresh := sc.freshScratch[:0]
-		sc.candScratch = sc.mon.CandidatesFor(now, d.job.ID, sc.candScratch)
-		for _, t := range sc.candScratch {
-			if t.RunningCopies() < maxCopies && d.addWant(t) {
-				fresh = append(fresh, t)
-			}
-		}
-		if sc.cfg.Mode.hopperFamily() {
-			sc.candScratch = sc.mon.VictimsFor(now, d.job.ID, sc.candScratch)
-			for _, t := range sc.candScratch {
-				if d.addWant(t) {
-					fresh = append(fresh, t)
-				}
-			}
-		}
-		sc.freshScratch = fresh
-		sc.probeForTasks(d, fresh)
+		sc.freshScratch = sc.book.Scan(now, &d.JobBook, sc.cfg.Mode.hopperFamily(), sc.freshScratch)
+		sc.probeForTasks(d, sc.freshScratch)
 	}
 	return sc.probeBuf
 }
@@ -435,7 +375,7 @@ func (sc *Sched) ReprobeStalled() []Probe {
 		if d == nil {
 			continue
 		}
-		if t := d.oldestUnserved(sc.cfg.Spec.MaxCopies); t != nil {
+		if t := sc.oldestUnserved(d); t != nil {
 			sc.reqScratch = append(sc.reqScratch[:0], t)
 			sc.probeForTasks(d, sc.reqScratch)
 		}
@@ -446,30 +386,18 @@ func (sc *Sched) ReprobeStalled() []Probe {
 // TaskDone updates estimators and occupancy when one of the scheduler's
 // tasks completes.
 func (sc *Sched) TaskDone(t *cluster.Task, winner *cluster.Copy) {
-	sc.beta.Observe(winner.Duration)
-	sc.mon.TaskCompleted(t, winner)
-	d := sc.jobs[t.Job.ID]
-	if d == nil {
-		return
-	}
-	d.occupied -= len(t.Copies)
-	d.running.Remove(t)
-	if t.SpecWanted {
-		t.SpecWanted = false
-		d.wants.Remove(t)
-	}
+	sc.book.TaskDone(sc.jobs[t.Job.ID].book(), t, winner)
 }
 
-// JobDone drops the job's state.
+// JobDone drops the job's state, counting occupancy it still held in
+// Stats.OccupancyLeaks.
 func (sc *Sched) JobDone(j *cluster.Job) {
-	sc.alpha.JobCompleted(j)
-	sc.mon.JobDone(j)
 	d := sc.jobs[j.ID]
+	if sc.book.JobDone(d.book(), j) != 0 {
+		sc.env.Stats.OccupancyLeaks++
+	}
 	if d == nil {
 		return
-	}
-	if d.occupied != 0 {
-		sc.env.Stats.OccupancyLeaks++
 	}
 	delete(sc.jobs, j.ID)
 	if d.pos < len(sc.jobList) && sc.jobList[d.pos] == d {
@@ -508,13 +436,13 @@ func (sc *Sched) smallestUnsatisfied(rep *Reply) {
 		if d == nil || d.demand() == 0 {
 			continue
 		}
-		if float64(d.occupied) >= sc.effVS(d) {
+		if float64(d.Occupied) >= sc.effVS(d) {
 			continue
 		}
 		vs := sc.orderVS(d)
 		if !rep.HasUnsat || vs < rep.UnsatVS {
 			rep.HasUnsat = true
-			rep.UnsatJob = d.job.ID
+			rep.UnsatJob = d.Job.ID
 			rep.UnsatVS = vs
 		}
 	}
@@ -538,17 +466,16 @@ func (sc *Sched) HandleOffer(jobID cluster.JobID, m cluster.MachineID, refusable
 		return Reply{Job: jobID, From: sc.id, JobDone: true}
 	}
 	cap := sc.capOf(m)
-	maxCopies := sc.cfg.Spec.MaxCopies
-	if refusable && float64(d.occupied) >= sc.effVS(d) {
+	if refusable && float64(d.Occupied) >= sc.effVS(d) {
 		return sc.noTask(d, true, d.demand() == 0)
 	}
-	t, spec := d.takeTask(m, maxCopies, cap)
+	t, spec := sc.takeTask(d, m, cap)
 	if t == nil && !d.quiet {
 		// Capacity-driven speculation (Pseudocode 2): the job is below
 		// its virtual size, i.e. below its desired speculation level, so
 		// the slot goes to a racing copy of its worst observable
 		// straggler even if the detection policy has not flagged one.
-		if v := sc.mon.BestVictimFor(sc.env.Now(), jobID); v != nil && fitsCap(v, cap) {
+		if v := sc.book.Mon.BestVictimFor(sc.env.Now(), jobID); v != nil && fitsCap(v, cap) {
 			t, spec = v, true
 		}
 	}
@@ -558,15 +485,11 @@ func (sc *Sched) HandleOffer(jobID cluster.JobID, m cluster.MachineID, refusable
 	if d.quiet {
 		sc.env.Stats.SilentDemand++
 	}
-	d.occupied++
-	if !spec {
-		d.running.Add(t)
-		sc.mon.TaskHandedOut(t)
-	}
+	sc.book.HandedOut(&d.JobBook, t, spec)
 	return Reply{
 		HasTask: true, Task: t, Job: jobID,
 		Phase: t.Phase.Index, TaskIndex: t.Index, Spec: spec,
-		From: sc.id, VS: sc.orderVS(d), RemTask: d.job.RemainingTasksTotal(),
+		From: sc.id, VS: sc.orderVS(d), RemTask: d.Job.RemainingTasksTotal(),
 	}
 }
 
@@ -577,7 +500,7 @@ func (sc *Sched) HandleOffer(jobID cluster.JobID, m cluster.MachineID, refusable
 // every worker — a task too big for the offering machine is no demand
 // for it, and is still announced demand.
 func (sc *Sched) noTask(d *dJob, refused, noDemand bool) Reply {
-	rep := Reply{Job: d.job.ID, From: sc.id, Refused: refused, NoDemand: noDemand}
+	rep := Reply{Job: d.Job.ID, From: sc.id, Refused: refused, NoDemand: noDemand}
 	if noDemand && d.demand() == 0 {
 		d.quiet = true
 	}
@@ -588,7 +511,7 @@ func (sc *Sched) noTask(d *dJob, refused, noDemand bool) Reply {
 		sc.smallestUnsatisfied(&rep)
 	}
 	rep.VS = sc.orderVS(d)
-	rep.RemTask = d.job.RemainingTasksTotal()
+	rep.RemTask = d.Job.RemainingTasksTotal()
 	return rep
 }
 
@@ -606,7 +529,7 @@ func (sc *Sched) capOf(m cluster.MachineID) cluster.Resources {
 // start because the task finished while the accept was in flight.
 func (sc *Sched) PlacementFailed(jobID cluster.JobID) {
 	if d := sc.jobs[jobID]; d != nil {
-		d.occupied--
+		d.Occupied--
 	}
 }
 
@@ -625,13 +548,10 @@ func (sc *Sched) CopyLost(t *cluster.Task) []Probe {
 	if d == nil {
 		return sc.probeBuf
 	}
-	d.occupied--
-	sc.mon.CopyDropped(t)
-	if t.State == cluster.TaskDone || t.RunningCopies() > 0 {
+	if !sc.book.CopyLost(&d.JobBook, t) {
 		return sc.probeBuf
 	}
 	sc.env.Stats.Requeues++
-	d.running.Remove(t)
 	// Idempotent under double loss: two machines can lose copies of the
 	// same task back to back (concurrent worker crashes, churn), and a
 	// duplicate queue entry would hand the task out twice.
@@ -660,12 +580,8 @@ func (sc *Sched) ReconcileRunning(t *cluster.Task, spec bool) {
 	// as unplaced. Pull it out or it gets handed out a second time —
 	// and, once done, leaks the phantom hand-out's occupancy forever.
 	d.pendingFresh.Remove(t)
-	d.occupied++
-	if !spec {
-		d.running.Add(t)
-		sc.mon.TaskHandedOut(t)
-	}
-	sc.mon.CopyPlaced(t)
+	sc.book.HandedOut(&d.JobBook, t, spec)
+	sc.book.Mon.CopyPlaced(t)
 	sc.env.Stats.ReconciledCopies++
 }
 
@@ -686,26 +602,22 @@ func (sc *Sched) HandleGetTask(jobID cluster.JobID, m cluster.MachineID) Reply {
 	if d == nil {
 		return Reply{Job: jobID, From: sc.id, JobDone: true}
 	}
-	t, spec := d.takeTask(m, sc.cfg.Spec.MaxCopies, sc.capOf(m))
+	t, spec := sc.takeTask(d, m, sc.capOf(m))
 	if t == nil {
-		return Reply{Job: jobID, From: sc.id, RemTask: d.job.RemainingTasksTotal()}
+		return Reply{Job: jobID, From: sc.id, RemTask: d.Job.RemainingTasksTotal()}
 	}
-	d.occupied++
-	if !spec {
-		d.running.Add(t)
-		sc.mon.TaskHandedOut(t)
-	}
+	sc.book.HandedOut(&d.JobBook, t, spec)
 	return Reply{
 		HasTask: true, Task: t, Job: jobID,
 		Phase: t.Phase.Index, TaskIndex: t.Index, Spec: spec,
-		From: sc.id, RemTask: d.job.RemainingTasksTotal(),
+		From: sc.id, RemTask: d.Job.RemainingTasksTotal(),
 	}
 }
 
 // Occupied reports the slots currently committed to a job.
 func (sc *Sched) Occupied(id cluster.JobID) int {
 	if d := sc.jobs[id]; d != nil {
-		return d.occupied
+		return d.Occupied
 	}
 	return 0
 }

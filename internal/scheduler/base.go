@@ -5,23 +5,22 @@
 //     epsilon-fairness, DAG weighting, and locality relaxation.
 //   - SRPT: shortest remaining processing time with best-effort
 //     speculation (the paper's aggressive centralized baseline).
-//   - Fair: equal sharing with best-effort speculation.
 //   - Budgeted: SRPT with a fixed slot budget reserved for speculation
 //     (the second strawman of Section 3.1).
 //
-// All engines share a chassis (Base) that owns job lifecycle, running-task
-// bookkeeping, speculation scanning, and online beta estimation; engines
-// differ only in how they pick the next (job, task) for a free slot.
+// All engines share a chassis (Base) that owns job lifecycle, placement
+// and the fresh-demand and at-cap counters. The per-job speculation
+// record, the speculation scan and the online estimators are the
+// speculation.Book the decentralized core holds too. Engines differ only
+// in how they pick the next (job, task) for a free slot.
 package scheduler
 
 import (
 	"fmt"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
-	"github.com/hopper-sim/hopper/internal/estimate"
 	"github.com/hopper-sim/hopper/internal/simulator"
 	"github.com/hopper-sim/hopper/internal/speculation"
-	"github.com/hopper-sim/hopper/internal/stats"
 )
 
 // Config bundles the knobs shared by all centralized engines.
@@ -89,7 +88,9 @@ type Engine interface {
 	Completed() []*cluster.Job
 }
 
-// jobState is the chassis' bookkeeping for one active job.
+// jobState is the chassis' record of one active job: the speculation
+// record both planes share (speculation.JobBook: want queue, occupancy,
+// running count, phase credits) and what only the chassis keeps.
 //
 // Invariants (the incremental-state contract, DESIGN.md section 6):
 //   - fresh always equals the phase-scan count of never-scheduled tasks
@@ -97,35 +98,12 @@ type Engine interface {
 //     placement; TestFreshCounterMatchesScan checks it against the scan
 //     on every dispatch, and dispatch_diff_test.go covers it end to end
 //     through placement-log identity);
-//   - the non-nil entries of running are exactly the tasks with a live
-//     copy, in placement order;
-//   - wants holds each policy-flagged task at most once (membership is
-//     the Task.SpecWanted scratch flag), in request order, with the
-//     retry-requeue at the front;
 //   - atCap always equals the number of running tasks at the copy cap
 //     (maintained on every placement and on task completion;
 //     TestAtCapCounterMatchesScan checks it against the loop on every
 //     dispatch).
 type jobState struct {
-	job *cluster.Job
-
-	// running holds tasks with at least one live copy, in placement
-	// order (cluster.RunningSet: O(1) tombstone removal via
-	// Task.SchedPos). Consumers — speculation scans, victim search,
-	// reservation counting — iterate running.Tasks() and skip nils, so
-	// the live order is exactly what the plain slice maintained.
-	running cluster.RunningSet
-
-	// wants is the FIFO queue of tasks the speculation policy asked to
-	// duplicate and that have not yet received a speculative copy. A
-	// ring deque: the place-failure retry re-queues at the front in O(1)
-	// instead of allocating a fresh slice per retry. Membership is the
-	// Task.SpecWanted scratch flag (one scheduler owns each task), not a
-	// per-job map.
-	wants cluster.TaskDeque
-
-	// usage counts live copies across the job (slot occupancy).
-	usage int
+	speculation.JobBook
 
 	// fresh counts never-scheduled tasks in runnable phases — the cached
 	// form of the per-dispatch phase rescan.
@@ -136,12 +114,6 @@ type jobState struct {
 	// its hold from the tasks still below the cap.
 	atCap int
 
-	// credited is a debug assertion, not a dedup guard: the executor
-	// delivers OnPhaseRunnable exactly once per phase (the cluster
-	// lifecycle guarantees it), so a second credit is always a bug and
-	// panics instead of silently corrupting demand accounting.
-	credited cluster.PhaseSet
-
 	// target and prio cache the Hopper engine's guideline allocation and
 	// DAG-aware priority for this job, rewritten by HopperEngine.refresh.
 	// Unused by the other engines.
@@ -149,42 +121,17 @@ type jobState struct {
 	prio   float64
 }
 
-// freshDemand counts never-scheduled tasks in runnable phases.
-func (s *jobState) freshDemand() int { return s.fresh }
-
-// freshDemandScan recomputes freshDemand from the phases — the reference
-// implementation and the invariant oracle for the cached counter.
-func (s *jobState) freshDemandScan() int {
-	n := 0
-	for _, p := range s.job.RunnablePhasesScan() {
-		n += p.UnscheduledTasks()
-	}
-	return n
-}
-
 // belowCap counts running tasks that could still take a speculative
 // copy.
-func (s *jobState) belowCap() int { return s.running.Len() - s.atCap }
-
-// belowCapScan recomputes belowCap from the running set — the loop the
-// counter replaced, and its invariant oracle.
-func (s *jobState) belowCapScan(maxCopies int) int {
-	n := 0
-	for _, t := range s.running.Tasks() {
-		if t != nil && t.RunningCopies() < maxCopies {
-			n++
-		}
-	}
-	return n
-}
+func (s *jobState) belowCap() int { return s.Running - s.atCap }
 
 // demand is total placeable units: fresh tasks plus pending spec wants.
-func (s *jobState) demand() int { return s.fresh + s.wants.Len() }
+func (s *jobState) demand() int { return s.fresh + s.Wants() }
 
 // nextFresh returns the next unscheduled task in the earliest runnable
 // phase, or nil.
 func (s *jobState) nextFresh() *cluster.Task {
-	for _, p := range s.job.RunnablePhases() {
+	for _, p := range s.Job.RunnablePhases() {
 		if t := p.NextUnscheduled(); t != nil {
 			return t
 		}
@@ -192,37 +139,16 @@ func (s *jobState) nextFresh() *cluster.Task {
 	return nil
 }
 
-// popWant dequeues the next pending speculation target that is still
-// running and below the copy cap; stale entries are discarded.
-func (s *jobState) popWant(maxCopies int) *cluster.Task {
-	for s.wants.Len() > 0 {
-		t := s.wants.PopFront()
-		t.SpecWanted = false
-		if t.State == cluster.TaskRunning && t.RunningCopies() < maxCopies {
-			return t
-		}
-	}
-	return nil
-}
-
-// addWant records a deduplicated speculation request.
-func (s *jobState) addWant(t *cluster.Task) bool {
-	if t.SpecWanted {
-		return false
-	}
-	t.SpecWanted = true
-	s.wants.PushBack(t)
-	return true
-}
-
 // Base is the shared chassis. Engines embed it and set dispatch.
 type Base struct {
-	Cfg   Config
-	Eng   *simulator.Engine
-	Exec  *cluster.Executor
-	Mon   *speculation.Monitor
-	Beta  *stats.TailEstimator
-	Alpha *estimate.AlphaEstimator
+	Cfg  Config
+	Eng  *simulator.Engine
+	Exec *cluster.Executor
+
+	// Book is the chassis' speculation bookkeeping — monitor, β and α
+	// estimators, and the handlers behind each job's JobBook — the same
+	// record the decentralized core keeps.
+	Book speculation.Book
 
 	active []*jobState
 	byID   map[cluster.JobID]*jobState
@@ -253,8 +179,8 @@ type Base struct {
 	// OnJobComplete, when set, observes each finished job.
 	OnJobComplete func(j *cluster.Job)
 
-	// candScratch is the reusable result buffer for speculation scans.
-	candScratch []*cluster.Task
+	// wantScratch is the reusable result buffer for speculation scans.
+	wantScratch []*cluster.Task
 
 	tickerOn bool
 }
@@ -263,13 +189,15 @@ type Base struct {
 func newBase(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Base {
 	cfg = cfg.WithDefaults()
 	b := &Base{
-		Cfg:   cfg,
-		Eng:   eng,
-		Exec:  exec,
-		Mon:   speculation.NewMonitor(cfg.Spec, eng.Rand()),
-		Beta:  stats.NewTailEstimator(1e-9, cfg.BetaPrior, 50),
-		Alpha: estimate.NewAlphaEstimator(),
-		byID:  make(map[cluster.JobID]*jobState),
+		Cfg:  cfg,
+		Eng:  eng,
+		Exec: exec,
+		// β warms up over 50 completions here and over 30 in the
+		// decentralized core (protocol.NewSched): each plane's goldens were
+		// recorded with its own value, so unifying them is a behaviour
+		// change with a regen, not a refactor.
+		Book: speculation.NewBook(cfg.Spec, cfg.BetaPrior, 50),
+		byID: make(map[cluster.JobID]*jobState),
 	}
 	exec.OnTaskDone = b.onTaskDone
 	exec.OnPhaseRunnable = b.onPhaseRunnable
@@ -280,10 +208,10 @@ func newBase(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Base {
 // onPhaseRunnable credits the job's fresh-demand counter with the
 // phase's (never yet scheduled) tasks and triggers a dispatch pass. The
 // credit happens exactly once because phase wakeup delivery is
-// exactly-once; the credited set asserts that contract.
+// exactly-once; the book's phase credit asserts that contract.
 func (b *Base) onPhaseRunnable(p *cluster.Phase) {
 	if s := b.byID[p.Job.ID]; s != nil {
-		if s.credited.Add(p) {
+		if !b.Book.PhaseRunnable(&s.JobBook, p) {
 			panic(fmt.Sprintf("scheduler: duplicate OnPhaseRunnable for job%d/phase%d — unlock lifecycle violated",
 				p.Job.ID, p.Index))
 		}
@@ -312,7 +240,7 @@ func (b *Base) ActiveJobs() int { return len(b.active) }
 
 // Arrive admits a job: registers state, unlocks root phases, dispatches.
 func (b *Base) Arrive(j *cluster.Job) {
-	s := &jobState{job: j}
+	s := &jobState{JobBook: speculation.JobBook{Job: j}}
 	b.active = append(b.active, s)
 	b.byID[j.ID] = s
 	if b.onArrive != nil {
@@ -361,26 +289,22 @@ func (b *Base) scanJob(s *jobState) bool {
 	if b.Cfg.DisableSpec {
 		return false
 	}
-	added := false
-	b.candScratch = b.Mon.CandidatesFor(b.Eng.Now(), s.job.ID, b.candScratch)
-	for _, t := range b.candScratch {
-		if t.RunningCopies() < b.Cfg.Spec.MaxCopies && s.addWant(t) {
-			added = true
-		}
-	}
-	return added
+	b.wantScratch = b.Book.Scan(b.Eng.Now(), &s.JobBook, false, b.wantScratch)
+	return len(b.wantScratch) > 0
 }
 
 func (b *Base) onTaskDone(t *cluster.Task, winner *cluster.Copy) {
-	b.Beta.Observe(winner.Duration)
-	b.Mon.TaskCompleted(t, winner)
+	s := b.taskDone(t, winner)
+	b.scanJob(s)
+	b.requestDispatch()
+}
+
+// taskDone settles a finished task in the book and in the chassis' own
+// counters, and returns its job. The job is registered: it leaves only at
+// its completion, which comes after its last task's.
+func (b *Base) taskDone(t *cluster.Task, winner *cluster.Copy) *jobState {
 	s := b.byID[t.Job.ID]
-	if s == nil {
-		return
-	}
-	// Every copy of the task ends at its completion event (winner plus
-	// same-instant kills), so occupancy drops by the full copy count.
-	s.usage -= len(t.Copies)
+	b.Book.TaskDone(&s.JobBook, t, winner)
 	for _, c := range t.Copies {
 		if c.Speculative {
 			b.specUsage--
@@ -388,36 +312,31 @@ func (b *Base) onTaskDone(t *cluster.Task, winner *cluster.Copy) {
 			b.freshUsage--
 		}
 	}
-	s.running.Remove(t)
 	if len(t.Copies) >= b.Cfg.Spec.MaxCopies {
 		s.atCap--
 	}
-	if t.SpecWanted {
-		t.SpecWanted = false
-		s.wants.Remove(t)
-	}
-	b.scanJob(s)
-	b.requestDispatch()
+	return s
 }
 
 func (b *Base) onJobDone(j *cluster.Job) {
-	b.Alpha.JobCompleted(j)
-	b.Mon.JobDone(j)
 	s := b.byID[j.ID]
-	if s != nil {
-		delete(b.byID, j.ID)
-		// Order-preserving removal: the active order is the stable-sort
-		// tie-break for every engine's priority order, so it must stay
-		// the arrival order of the surviving jobs.
-		for i, as := range b.active {
-			if as == s {
-				b.active = append(b.active[:i], b.active[i+1:]...)
-				break
-			}
+	// A centralized copy is never lost, so every slot comes back at its
+	// task's completion: a leftover is always a bug.
+	if left := b.Book.JobDone(&s.JobBook, j); left != 0 {
+		panic(fmt.Sprintf("scheduler: job%d finished holding %d slots — occupancy leaked", j.ID, left))
+	}
+	delete(b.byID, j.ID)
+	// Order-preserving removal: the active order is the stable-sort
+	// tie-break for every engine's priority order, so it must stay the
+	// arrival order of the surviving jobs.
+	for i, as := range b.active {
+		if as == s {
+			b.active = append(b.active[:i], b.active[i+1:]...)
+			break
 		}
-		if b.onJobRemoved != nil {
-			b.onJobRemoved(s)
-		}
+	}
+	if b.onJobRemoved != nil {
+		b.onJobRemoved(s)
 	}
 	b.done = append(b.done, j)
 	if b.OnJobComplete != nil {
@@ -434,45 +353,45 @@ func (b *Base) placeFresh(s *jobState) bool {
 	if t == nil {
 		return false
 	}
-	c := b.Exec.Place(t, false)
-	if c == nil {
+	if c := b.Exec.Place(t, false); c == nil {
 		return false
 	}
-	s.running.Add(t)
-	// The copy is placed before the hand-out is recorded, so this is also
-	// where the victim index keys the task; the chassis never loses a copy,
-	// so it owes the monitor no CopyPlaced or CopyDropped.
-	b.Mon.TaskHandedOut(t)
 	s.fresh--
-	b.copyPlaced(s, t)
-	b.freshUsage++
+	b.copyPlaced(s, t, false)
 	return true
 }
 
-// copyPlaced settles the job's occupancy for a copy of t the executor
-// just started. Every copy of a running task is live (copies end only at
-// task completion, onTaskDone), so the copy count is the live count.
-func (b *Base) copyPlaced(s *jobState, t *cluster.Task) {
-	s.usage++
+// copyPlaced records a copy of t the executor just started, original or
+// speculative: in the book (the slot and, for an original, the running
+// set — the copy has landed, so this is also where the victim index keys
+// the task; the chassis never loses a copy, so it owes the monitor no
+// CopyPlaced or CopyDropped), in the at-cap count and in its pool's
+// counter. Every copy of a running task is live (copies end only at task
+// completion, onTaskDone), so the copy count is the live count.
+func (b *Base) copyPlaced(s *jobState, t *cluster.Task, spec bool) {
+	b.Book.HandedOut(&s.JobBook, t, spec)
 	if len(t.Copies) == b.Cfg.Spec.MaxCopies {
 		s.atCap++
+	}
+	if spec {
+		b.specUsage++
+	} else {
+		b.freshUsage++
 	}
 }
 
 // placeSpec starts a speculative copy for the job's oldest valid want.
 func (b *Base) placeSpec(s *jobState) bool {
-	t := s.popWant(b.Cfg.Spec.MaxCopies)
+	t := b.Book.TakeWant(&s.JobBook, nil)
 	if t == nil {
 		return false
 	}
 	if c := b.Exec.Place(t, true); c == nil {
 		// No free slot; requeue at the front so it is retried first.
-		s.wants.PushFront(t)
-		t.SpecWanted = true
+		s.RetryWant(t)
 		return false
 	}
-	b.copyPlaced(s, t)
-	b.specUsage++
+	b.copyPlaced(s, t, true)
 	return true
 }
 
@@ -490,15 +409,14 @@ func (b *Base) placeOne(s *jobState) bool {
 	if !b.Cfg.CapacitySpec || b.Cfg.DisableSpec {
 		return false
 	}
-	v := b.Mon.BestVictimFor(b.Eng.Now(), s.job.ID)
+	v := b.Book.Mon.BestVictimFor(b.Eng.Now(), s.Job.ID)
 	if v == nil {
 		return false
 	}
 	if c := b.Exec.Place(v, true); c == nil {
 		return false
 	}
-	b.copyPlaced(s, v)
-	b.specUsage++
+	b.copyPlaced(s, v, true)
 	return true
 }
 
@@ -508,7 +426,7 @@ func (b *Base) hasLocalFresh(s *jobState) bool {
 	if s.fresh == 0 {
 		return false
 	}
-	for _, p := range s.job.RunnablePhases() {
+	for _, p := range s.Job.RunnablePhases() {
 		t := p.NextUnscheduled()
 		if t == nil {
 			continue

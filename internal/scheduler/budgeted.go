@@ -45,7 +45,7 @@ func (e *BudgetedEngine) dispatch() {
 		// Speculation pool: only specUsage counts against the budget.
 		if e.specUsage < e.budget {
 			for _, st := range order {
-				if st.wants.Len() == 0 {
+				if st.Wants() == 0 {
 					continue
 				}
 				if e.placeSpec(st) {
@@ -57,7 +57,7 @@ func (e *BudgetedEngine) dispatch() {
 		// Original-task pool: the rest of the cluster.
 		if e.Exec.Machines.AnyFree() && e.freshUsage < e.totalSlots-e.budget {
 			for _, st := range order {
-				if st.freshDemand() == 0 {
+				if st.fresh == 0 {
 					continue
 				}
 				if e.placeFresh(st) {

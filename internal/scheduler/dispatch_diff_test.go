@@ -107,7 +107,7 @@ func diffScenarios() []diffScenario {
 	}
 }
 
-// engineMakers returns the four centralized engines, parameterized by
+// engineMakers returns the three centralized engines, parameterized by
 // reference mode.
 func engineMakers(cfg scheduler.Config, reference bool) map[string]func(*simulator.Engine, *cluster.Executor) scheduler.Engine {
 	budCfg := cfg
@@ -118,9 +118,6 @@ func engineMakers(cfg scheduler.Config, reference bool) map[string]func(*simulat
 		},
 		"srpt": func(e *simulator.Engine, x *cluster.Executor) scheduler.Engine {
 			return scheduler.NewSRPT(e, x, cfg)
-		},
-		"fair": func(e *simulator.Engine, x *cluster.Executor) scheduler.Engine {
-			return scheduler.NewFair(e, x, cfg)
 		},
 		"budgeted": func(e *simulator.Engine, x *cluster.Executor) scheduler.Engine {
 			return scheduler.NewBudgeted(e, x, budCfg)

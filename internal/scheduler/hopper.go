@@ -77,21 +77,14 @@ func (h *HopperEngine) ensureRefresher() {
 // into the per-job caches and rebuilds the sorted service order.
 func (h *HopperEngine) refresh() {
 	h.refreshAt = h.Eng.Now()
-	beta := h.Beta.Estimate()
+	beta := h.Book.Beta.Estimate()
 	if cap(h.demands) < len(h.active) {
 		h.demands = make([]core.JobDemand, 0, 2*len(h.active)+8)
 	}
 	demands := h.demands[:len(h.active)]
 	for i, s := range h.active {
-		alpha, dv := h.Alpha.Evaluate(s.job, beta)
-		rem := s.job.RemainingCurrentTasks()
-		demands[i] = core.JobDemand{
-			ID:                int64(s.job.ID),
-			Remaining:         rem,
-			Alpha:             alpha,
-			DownstreamVirtual: dv,
-			MaxUsable:         rem * h.Cfg.Spec.MaxCopies,
-		}
+		demands[i], _ = h.Book.Demand(s.Job)
+		demands[i].MaxUsable = demands[i].Remaining * h.Cfg.Spec.MaxCopies
 	}
 	h.demands = demands
 	h.targets = core.AllocateFairInto(h.targets, demands, h.totalSlots, beta, h.Cfg.Epsilon)
@@ -166,7 +159,7 @@ func (h *HopperEngine) dispatch() {
 			}
 		}
 		s := order[i]
-		quota := s.target - s.usage
+		quota := s.target - s.Occupied
 		if quota <= 0 {
 			continue
 		}

@@ -16,7 +16,7 @@ import (
 // fan-outs, fan-ins, and diamonds:
 //
 //   - every phase's wakeup reaches the chassis exactly once (the
-//     jobState.credited assertion panics on a duplicate, so merely
+//     chassis panics on a duplicate phase credit, so merely
 //     running to completion rejects double-fire);
 //   - the event-driven fresh-demand counter equals the phase-scan
 //     oracle on every dispatch pass;
@@ -90,7 +90,7 @@ func lifecycleJobs(seed int64, n int) []*cluster.Job {
 	return jobs
 }
 
-// lifecycleEngines builds the four centralized engines with speculation
+// lifecycleEngines builds the three centralized engines with speculation
 // pressure on (copy races interleave with unlocks).
 func lifecycleEngines(reference bool) map[string]func(*simulator.Engine, *cluster.Executor) Engine {
 	cfg := Config{CheckInterval: 0.1, Spec: speculation.Config{MaxCopies: 2}}
@@ -99,7 +99,6 @@ func lifecycleEngines(reference bool) map[string]func(*simulator.Engine, *cluste
 	makers := map[string]func(*simulator.Engine, *cluster.Executor) Engine{
 		"hopper":   func(e *simulator.Engine, x *cluster.Executor) Engine { return NewHopper(e, x, cfg) },
 		"srpt":     func(e *simulator.Engine, x *cluster.Executor) Engine { return NewSRPT(e, x, cfg) },
-		"fair":     func(e *simulator.Engine, x *cluster.Executor) Engine { return NewFair(e, x, cfg) },
 		"budgeted": func(e *simulator.Engine, x *cluster.Executor) Engine { return NewBudgeted(e, x, budCfg) },
 	}
 	if reference {
@@ -175,7 +174,7 @@ func runLifecycle(t *testing.T, mk func(*simulator.Engine, *cluster.Executor) En
 		orig := bb.dispatch
 		bb.dispatch = func() {
 			for _, s := range bb.active {
-				if got, want := s.freshDemand(), s.freshDemandScan(); got != want {
+				if got, want := s.fresh, freshDemandScan(s); got != want {
 					t.Fatalf("%s: cached fresh=%d, scan=%d at t=%v", sched.Name(), got, want, eng.Now())
 				}
 			}
@@ -208,8 +207,6 @@ func baseOf(e Engine) *Base {
 	case *HopperEngine:
 		return v.Base
 	case *SRPTEngine:
-		return v.Base
-	case *FairEngine:
 		return v.Base
 	case *BudgetedEngine:
 		return v.Base

@@ -17,6 +17,7 @@
 package scheduler
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
@@ -28,7 +29,8 @@ import (
 // frozen model: the engine's dispatch passes run the reference
 // implementation, and its speculation questions go to the monitor's
 // scans over the running set (scanSpec), never the victim index — which
-// is what makes a comparison against it index versus scan.
+// is what makes a comparison against it index versus scan. The running
+// set is rebuilt for each scan from the job's tasks (runningOf).
 func referenceOf(mk func(*simulator.Engine, *cluster.Executor) Engine) func(*simulator.Engine, *cluster.Executor) Engine {
 	return func(eng *simulator.Engine, exec *cluster.Executor) Engine {
 		e := mk(eng, exec)
@@ -39,8 +41,6 @@ func referenceOf(mk func(*simulator.Engine, *cluster.Executor) Engine) func(*sim
 		case *HopperEngine:
 			r.dispatch = (&hopperReference{HopperEngine: v, spec: r}).dispatch
 		case *SRPTEngine:
-			r.dispatch = func() { v.dispatchReference(r) }
-		case *FairEngine:
 			r.dispatch = func() { v.dispatchReference(r) }
 		case *BudgetedEngine:
 			r.dispatch = v.dispatchReference
@@ -69,6 +69,23 @@ func (r *refEngine) Arrive(j *cluster.Job) {
 type scanSpec struct {
 	*Base
 	tickerOn bool
+	running  []*cluster.Task
+}
+
+// runningOf is the job's running set as the chassis kept it before the
+// book replaced it with a count: the tasks with a live copy, in hand-out
+// order (Task.VictimPos). The result is reused by the next call.
+func (r *scanSpec) runningOf(s *jobState) []*cluster.Task {
+	r.running = r.running[:0]
+	for _, p := range s.Job.Phases {
+		for _, t := range p.Tasks {
+			if t.State == cluster.TaskRunning {
+				r.running = append(r.running, t)
+			}
+		}
+	}
+	slices.SortFunc(r.running, func(a, b *cluster.Task) int { return a.VictimPos - b.VictimPos })
+	return r.running
 }
 
 func (r *scanSpec) ensureTicker() {
@@ -105,9 +122,9 @@ func (r *scanSpec) scanJob(s *jobState) bool {
 		return false
 	}
 	added := false
-	r.candScratch = r.Mon.CandidatesInto(r.Eng.Now(), s.running.Tasks(), -1, r.candScratch)
-	for _, t := range r.candScratch {
-		if t.RunningCopies() < r.Cfg.Spec.MaxCopies && s.addWant(t) {
+	r.wantScratch = r.Book.Mon.CandidatesInto(r.Eng.Now(), r.runningOf(s), -1, r.wantScratch)
+	for _, t := range r.wantScratch {
+		if t.RunningCopies() < r.Cfg.Spec.MaxCopies && s.AddWant(t) {
 			added = true
 		}
 	}
@@ -115,28 +132,7 @@ func (r *scanSpec) scanJob(s *jobState) bool {
 }
 
 func (r *scanSpec) onTaskDone(t *cluster.Task, winner *cluster.Copy) {
-	r.Beta.Observe(winner.Duration)
-	r.Mon.TaskCompleted(t, winner)
-	s := r.byID[t.Job.ID]
-	if s == nil {
-		return
-	}
-	s.usage -= len(t.Copies)
-	for _, c := range t.Copies {
-		if c.Speculative {
-			r.specUsage--
-		} else {
-			r.freshUsage--
-		}
-	}
-	s.running.Remove(t)
-	if len(t.Copies) >= r.Cfg.Spec.MaxCopies {
-		s.atCap--
-	}
-	if t.SpecWanted {
-		t.SpecWanted = false
-		s.wants.Remove(t)
-	}
+	s := r.taskDone(t, winner)
 	r.scanJob(s)
 	r.requestDispatch()
 }
@@ -151,15 +147,14 @@ func (r *scanSpec) placeOne(s *jobState) bool {
 	if !r.Cfg.CapacitySpec || r.Cfg.DisableSpec {
 		return false
 	}
-	v := r.Mon.BestVictim(r.Eng.Now(), s.running.Tasks(), r.Cfg.Spec.MaxCopies)
+	v := r.Book.Mon.BestVictim(r.Eng.Now(), r.runningOf(s), r.Cfg.Spec.MaxCopies)
 	if v == nil {
 		return false
 	}
 	if c := r.Exec.Place(v, true); c == nil {
 		return false
 	}
-	r.copyPlaced(s, v)
-	r.specUsage++
+	r.copyPlaced(s, v, true)
 	return true
 }
 
@@ -167,7 +162,7 @@ func (r *scanSpec) placeOne(s *jobState) bool {
 // the old per-call slice allocation) instead of the maintained counter.
 func refFreshDemand(s *jobState) int {
 	n := 0
-	for _, p := range s.job.RunnablePhasesScan() {
+	for _, p := range s.Job.RunnablePhasesScan() {
 		n += p.UnscheduledTasks()
 	}
 	return n
@@ -175,12 +170,12 @@ func refFreshDemand(s *jobState) int {
 
 // refDemand is the pre-overhaul demand(): rescanned fresh count plus
 // pending wants.
-func refDemand(s *jobState) int { return refFreshDemand(s) + s.wants.Len() }
+func refDemand(s *jobState) int { return refFreshDemand(s) + s.Wants() }
 
 // refHasLocalFresh is the pre-overhaul hasLocalFresh, phase rescan
 // included.
 func (b *Base) refHasLocalFresh(s *jobState) bool {
-	for _, p := range s.job.RunnablePhasesScan() {
+	for _, p := range s.Job.RunnablePhasesScan() {
 		t := p.NextUnscheduled()
 		if t == nil {
 			continue
@@ -219,8 +214,8 @@ func (h *hopperReference) dispatch() {
 	h.refTargets = make(map[cluster.JobID]int, len(h.active))
 	h.refPrios = make(map[cluster.JobID]float64, len(h.active))
 	for _, s := range h.active {
-		h.refTargets[s.job.ID] = s.target
-		h.refPrios[s.job.ID] = s.prio
+		h.refTargets[s.Job.ID] = s.target
+		h.refPrios[s.Job.ID] = s.prio
 	}
 
 	order := make([]int, len(h.active))
@@ -228,7 +223,7 @@ func (h *hopperReference) dispatch() {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return h.refPrios[h.active[order[a]].job.ID] < h.refPrios[h.active[order[b]].job.ID]
+		return h.refPrios[h.active[order[a]].Job.ID] < h.refPrios[h.active[order[b]].Job.ID]
 	})
 
 	budget := h.Exec.Machines.FreeSlots()
@@ -246,7 +241,7 @@ func (h *hopperReference) dispatch() {
 			}
 		}
 		s := h.active[order[i]]
-		quota := h.refTargets[s.job.ID] - s.usage
+		quota := h.refTargets[s.Job.ID] - s.Occupied
 		if quota <= 0 {
 			continue
 		}
@@ -265,10 +260,7 @@ func (h *hopperReference) dispatch() {
 			continue
 		}
 		potential := 0
-		for _, t := range s.running.Tasks() {
-			if t == nil {
-				continue
-			}
+		for _, t := range h.spec.runningOf(s) {
 			if t.RunningCopies() < h.Cfg.Spec.MaxCopies {
 				potential++
 				if filled+potential >= quota {
@@ -292,11 +284,11 @@ func refSRPTOrder(active []*jobState) []int {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := active[order[a]].job.RemainingTasksTotal(), active[order[b]].job.RemainingTasksTotal()
+		ra, rb := active[order[a]].Job.RemainingTasksTotal(), active[order[b]].Job.RemainingTasksTotal()
 		if ra != rb {
 			return ra < rb
 		}
-		return active[order[a]].job.ID < active[order[b]].job.ID
+		return active[order[a]].Job.ID < active[order[b]].Job.ID
 	})
 	return order
 }
@@ -322,41 +314,6 @@ func (s *SRPTEngine) dispatchReference(r *scanSpec) {
 	}
 }
 
-// dispatchReference is the pre-overhaul FairEngine.dispatch: fresh caps
-// and waterfill output slices every pass.
-func (f *FairEngine) dispatchReference(r *scanSpec) {
-	if len(f.active) == 0 {
-		return
-	}
-	caps := make([]int, len(f.active))
-	for i, st := range f.active {
-		caps[i] = st.usage + refDemand(st)
-	}
-	targets := waterfill(caps, f.totalSlots)
-	for f.Exec.Machines.AnyFree() {
-		pick, bestDeficit := -1, 0
-		for i, st := range f.active {
-			if refDemand(st) == 0 {
-				continue
-			}
-			d := targets[i] - st.usage
-			if d > bestDeficit {
-				bestDeficit = d
-				pick = i
-			}
-		}
-		if pick < 0 {
-			return
-		}
-		if !r.placeOne(f.active[pick]) {
-			if refDemand(f.active[pick]) == 0 {
-				continue
-			}
-			return
-		}
-	}
-}
-
 // dispatchReference is the pre-overhaul BudgetedEngine.dispatch,
 // re-sorting the SRPT order on every placement iteration.
 func (e *BudgetedEngine) dispatchReference() {
@@ -367,7 +324,7 @@ func (e *BudgetedEngine) dispatchReference() {
 		if e.specUsage < e.budget {
 			for _, i := range order {
 				st := e.active[i]
-				if st.wants.Len() == 0 {
+				if st.Wants() == 0 {
 					continue
 				}
 				if e.placeSpec(st) {

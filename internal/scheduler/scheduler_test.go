@@ -46,9 +46,6 @@ func TestAllEnginesCompleteJobs(t *testing.T) {
 		"srpt": func(e *simulator.Engine, x *cluster.Executor) Engine {
 			return NewSRPT(e, x, Config{CheckInterval: 0.2})
 		},
-		"fair": func(e *simulator.Engine, x *cluster.Executor) Engine {
-			return NewFair(e, x, Config{CheckInterval: 0.2})
-		},
 		"budgeted": func(e *simulator.Engine, x *cluster.Executor) Engine {
 			return NewBudgeted(e, x, Config{CheckInterval: 0.2, SpecBudget: 4})
 		},
@@ -121,23 +118,6 @@ func TestBudgetedReservesSpecPool(t *testing.T) {
 	}
 }
 
-func TestFairSharesAcrossJobs(t *testing.T) {
-	// Two identical jobs arriving together should finish at roughly the
-	// same time under Fair. Constant durations isolate the allocation
-	// decision: with speculation off, a single heavy-tailed straggler
-	// would otherwise dominate either job's completion time.
-	eng, exec := mkSetup(4, 2, 11)
-	exec.DurationOverride = func(*cluster.Task, bool) float64 { return 1 }
-	sched := NewFair(eng, exec, Config{CheckInterval: 0.5, DisableSpec: true})
-	a := mkJob(1, 16, 1.0, 0)
-	b := mkJob(2, 16, 1.0, 0)
-	runJobs(t, eng, sched, []*cluster.Job{a, b})
-	ra, rb := a.CompletionTime(), b.CompletionTime()
-	if ra/rb > 1.6 || rb/ra > 1.6 {
-		t.Fatalf("fair shares diverged: %v vs %v", ra, rb)
-	}
-}
-
 func TestHopperFairnessFloorBoundsDeviation(t *testing.T) {
 	// The epsilon floor guarantees every job a minimum *allocation*, not
 	// a faster completion — the paper notes SRPT-like service often beats
@@ -189,28 +169,6 @@ func TestSpecBudgetZeroStallsWithoutPool(t *testing.T) {
 	}
 }
 
-func TestWaterfill(t *testing.T) {
-	cases := []struct {
-		caps  []int
-		slots int
-		want  []int
-	}{
-		{[]int{10, 10}, 10, []int{5, 5}},
-		{[]int{2, 10}, 10, []int{2, 8}},
-		{[]int{0, 4}, 10, []int{0, 4}},
-		{[]int{3, 3, 3}, 20, []int{3, 3, 3}},
-	}
-	for _, c := range cases {
-		got := waterfill(c.caps, c.slots)
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Errorf("waterfill(%v, %d) = %v, want %v", c.caps, c.slots, got, c.want)
-				break
-			}
-		}
-	}
-}
-
 func TestOnlineBetaLearning(t *testing.T) {
 	// After enough completions the engine's estimate should move off the
 	// prior toward the execution model's tail index.
@@ -221,7 +179,7 @@ func TestOnlineBetaLearning(t *testing.T) {
 		jobs = append(jobs, mkJob(cluster.JobID(i), 40, 1.0, float64(i)))
 	}
 	runJobs(t, eng, sched, jobs)
-	est := sched.Beta.Estimate()
+	est := sched.Book.Beta.Estimate()
 	if est > 1.85 {
 		t.Fatalf("beta estimate %v stuck at prior", est)
 	}
@@ -244,6 +202,31 @@ func mkChainJob(id cluster.JobID, phases, tasksPer int, mean, arrival float64) *
 	return cluster.NewJob(id, "", arrival, ps)
 }
 
+// freshDemandScan recomputes jobState.fresh from the phases — the
+// reference implementation and the invariant oracle for the cached
+// counter.
+func freshDemandScan(s *jobState) int {
+	n := 0
+	for _, p := range s.Job.RunnablePhasesScan() {
+		n += p.UnscheduledTasks()
+	}
+	return n
+}
+
+// belowCapScan recomputes belowCap from the job's tasks — the loop over
+// the running set that the counters replaced, and their invariant oracle.
+func belowCapScan(s *jobState, maxCopies int) int {
+	n := 0
+	for _, p := range s.Job.Phases {
+		for _, t := range p.Tasks {
+			if t.State == cluster.TaskRunning && t.RunningCopies() < maxCopies {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestFreshCounterMatchesScan checks the incremental-state invariant of
 // DESIGN.md section 6 on every dispatch pass: the cached fresh-demand
 // counter must equal the phase-scan count. The generated workload
@@ -251,20 +234,20 @@ func mkChainJob(id cluster.JobID, phases, tasksPer int, mean, arrival float64) *
 // which the pre-lifecycle executor double-fired OnPhaseRunnable (a
 // sibling phase completed while the wakeup was in flight). Delivery is
 // now exactly-once, and the chassis rejects rather than tolerates a
-// violation: a second credit panics (jobState.credited), so this test
+// violation: a second credit panics (Book.PhaseRunnable), so this test
 // doubles as an end-to-end exactly-once check.
 func TestFreshCounterMatchesScan(t *testing.T) {
 	prof := workload.Sparkify(workload.Facebook())
 	tr := workload.Generate(workload.Config{Profile: prof, NumJobs: 120, TargetUtilization: 0.8,
 		TotalSlots: 480, NumMachines: 120, Seed: 11})
 	eng, exec := mkSetup(120, 4, 12)
-	h := NewFair(eng, exec, Config{CheckInterval: 0.05,
+	h := NewSRPT(eng, exec, Config{CheckInterval: 0.05,
 		Spec: speculation.Config{MaxCopies: 3}})
 	orig := h.Base.dispatch
 	h.Base.dispatch = func() {
 		for _, s := range h.active {
-			if got, want := s.freshDemand(), s.freshDemandScan(); got != want {
-				t.Fatalf("job %d: cached fresh=%d, scan=%d at t=%v", s.job.ID, got, want, eng.Now())
+			if got, want := s.fresh, freshDemandScan(s); got != want {
+				t.Fatalf("job %d: cached fresh=%d, scan=%d at t=%v", s.Job.ID, got, want, eng.Now())
 			}
 		}
 		orig()
@@ -275,7 +258,7 @@ func TestFreshCounterMatchesScan(t *testing.T) {
 // TestAtCapCounterMatchesScan checks the other cached counter of the
 // incremental-state contract the same way: on every dispatch pass, the
 // count of running tasks still below the copy cap that sizes the Hopper
-// engine's hold (running-set size minus the maintained at-cap count) must
+// engine's hold (the running count minus the maintained at-cap count) must
 // equal what the loop it replaced counts — under the default cap, under a
 // cap of 3, and under a cap of 1, where every task is at the cap from its
 // first copy.
@@ -290,8 +273,8 @@ func TestAtCapCounterMatchesScan(t *testing.T) {
 		checked, atCap := 0, 0
 		h.Base.dispatch = func() {
 			for _, s := range h.active {
-				if got, want := s.belowCap(), s.belowCapScan(h.Cfg.Spec.MaxCopies); got != want {
-					t.Fatalf("%+v job %d: cached below-cap=%d, scan=%d at t=%v", spec, s.job.ID, got, want, eng.Now())
+				if got, want := s.belowCap(), belowCapScan(s, h.Cfg.Spec.MaxCopies); got != want {
+					t.Fatalf("%+v job %d: cached below-cap=%d, scan=%d at t=%v", spec, s.Job.ID, got, want, eng.Now())
 				}
 				checked++
 				atCap += s.atCap

@@ -1,0 +1,227 @@
+package speculation
+
+import (
+	"github.com/hopper-sim/hopper/internal/cluster"
+	"github.com/hopper-sim/hopper/internal/core"
+	"github.com/hopper-sim/hopper/internal/estimate"
+	"github.com/hopper-sim/hopper/internal/stats"
+)
+
+// Book is one scheduler's speculation bookkeeping, the same on both
+// planes: the straggler monitor, the two online estimators behind every
+// virtual size (β, the task-duration tail index, and α, the DAG transfer
+// weighting), and the handlers that keep each job's JobBook in step with
+// them. The centralized chassis (scheduler.Base) and the decentralized
+// core (protocol.Sched) each hold one; what they keep beside it is their
+// own — the chassis dispatches onto an executor, the core negotiates with
+// workers. Not safe for concurrent use, like its owners.
+type Book struct {
+	Mon   *Monitor
+	Beta  *stats.TailEstimator
+	Alpha *estimate.AlphaEstimator
+
+	// cand is the index queries' reusable result buffer for Scan.
+	cand []*cluster.Task
+}
+
+// NewBook builds a scheduler's book. The β estimator reports betaPrior
+// until it has observed betaWarmup completions.
+func NewBook(cfg Config, betaPrior float64, betaWarmup int) Book {
+	return Book{
+		Mon:   NewMonitor(cfg, nil),
+		Beta:  stats.NewTailEstimator(1e-9, betaPrior, betaWarmup),
+		Alpha: estimate.NewAlphaEstimator(),
+	}
+}
+
+// JobBook is a Book's record of one job. Owners embed it by value in their
+// own job record, so a job costs no allocation of its own.
+//
+// Invariants (DESIGN.md section 6):
+//   - the want queue holds each policy-flagged task at most once
+//     (membership is the Task.SpecWanted scratch flag: one scheduler owns
+//     each task), in request order, with a retried want at the front;
+//   - Running counts the job's tasks handed out as originals and neither
+//     completed nor requeued since — the victim index's running set
+//     (Task.VictimPos), as a count. Centrally it is exact, and the chassis
+//     sizes its hold from it; the core never reads it;
+//   - Occupied counts the slots committed to the job: its live copies,
+//     plus, in the core, accepts in flight (Pseudocode 2's
+//     current_occupied).
+type JobBook struct {
+	Job      *cluster.Job
+	Running  int
+	Occupied int
+
+	wants    cluster.TaskDeque
+	credited cluster.PhaseSet
+}
+
+// Wants returns the number of queued speculation wants, stale ones
+// included until a take meets them.
+func (jb *JobBook) Wants() int { return jb.wants.Len() }
+
+// AddWant queues a speculation request for t unless one is queued already,
+// and reports whether it did.
+func (jb *JobBook) AddWant(t *cluster.Task) bool {
+	if t.SpecWanted {
+		return false
+	}
+	t.SpecWanted = true
+	jb.wants.PushBack(t)
+	return true
+}
+
+// RetryWant puts t back at the front of the want queue: the retry of a
+// want TakeWant gave out and no slot could take.
+func (jb *JobBook) RetryWant(t *cluster.Task) {
+	jb.wants.PushFront(t)
+	t.SpecWanted = true
+}
+
+// stale reports whether a queued want can no longer take a copy: its task
+// finished, or has reached the copy cap since it was flagged.
+func (b *Book) stale(t *cluster.Task) bool {
+	return t.State != cluster.TaskRunning || t.RunningCopies() >= b.Mon.cfg.MaxCopies
+}
+
+// TakeWant dequeues the oldest want that fits accepts (nil accepts any),
+// dropping the stale wants it meets on the way; nil when none qualifies.
+// A live want fits rejects stays queued.
+func (b *Book) TakeWant(jb *JobBook, fits func(*cluster.Task) bool) *cluster.Task {
+	for i := 0; i < jb.wants.Len(); {
+		t := jb.wants.At(i)
+		if b.stale(t) {
+			t.SpecWanted = false
+			jb.wants.RemoveAt(i)
+			continue
+		}
+		if fits != nil && !fits(t) {
+			i++
+			continue
+		}
+		t.SpecWanted = false
+		jb.wants.RemoveAt(i)
+		return t
+	}
+	return nil
+}
+
+// OldestWant returns the oldest want that is not stale, leaving the queue
+// as it is; nil when there is none.
+func (b *Book) OldestWant(jb *JobBook) *cluster.Task {
+	for i := 0; i < jb.wants.Len(); i++ {
+		if t := jb.wants.At(i); !b.stale(t) {
+			return t
+		}
+	}
+	return nil
+}
+
+// PhaseRunnable records the wakeup of the job's phase p and reports
+// whether it is the first. The planes answer a duplicate differently, on
+// purpose: the chassis panics, because the executor's unlock planner
+// delivers exactly once and a second credit is a bug; the core counts it
+// (protocol.Stats.DoubleWakeups) and absorbs it, because a live adapter
+// can redeliver a phase outside the planner.
+func (b *Book) PhaseRunnable(jb *JobBook, p *cluster.Phase) (first bool) {
+	return !jb.credited.Add(p)
+}
+
+// HandedOut records a copy of t committed to the job: one slot and, for an
+// original (spec false), the task entering the running set, where the
+// victim index ranks it (Monitor.TaskHandedOut — which also keys the task
+// if its copy has landed already).
+func (b *Book) HandedOut(jb *JobBook, t *cluster.Task, spec bool) {
+	jb.Occupied++
+	if !spec {
+		jb.Running++
+		b.Mon.TaskHandedOut(t)
+	}
+}
+
+// TaskDone settles t's completion: β learns the winner's duration and the
+// monitor retires the task. For a job in the book (jb non-nil) every copy's
+// slot comes back — the winner and its same-instant kills end together —
+// the task leaves the running set, and a want for it is withdrawn.
+func (b *Book) TaskDone(jb *JobBook, t *cluster.Task, winner *cluster.Copy) {
+	b.Beta.Observe(winner.Duration)
+	b.Mon.TaskCompleted(t, winner)
+	if jb == nil {
+		return
+	}
+	jb.Occupied -= len(t.Copies)
+	jb.Running--
+	if t.SpecWanted {
+		t.SpecWanted = false
+		jb.wants.Remove(t)
+	}
+}
+
+// JobDone lets α learn the job's transfers and the monitor release its
+// history, and returns the occupancy the job still holds (0 for jb nil).
+// That should be none: each slot comes back at its task's completion or
+// at the loss of its copy, so a leftover is an accounting bug.
+func (b *Book) JobDone(jb *JobBook, j *cluster.Job) (leftover int) {
+	b.Alpha.JobCompleted(j)
+	b.Mon.JobDone(j)
+	if jb == nil {
+		return 0
+	}
+	return jb.Occupied
+}
+
+// CopyLost settles a copy of t that died without finishing the task, after
+// the owner took it out of t.Copies, or a hand-out of t lost before its
+// copy landed: the slot comes back and the victim index re-keys or retires
+// the task (Monitor.CopyDropped). It reports whether t is left unfinished
+// with no live copy: then it has left the running set and the owner must
+// requeue it.
+func (b *Book) CopyLost(jb *JobBook, t *cluster.Task) (requeue bool) {
+	jb.Occupied--
+	b.Mon.CopyDropped(t)
+	if t.State == cluster.TaskDone || t.RunningCopies() > 0 {
+		return false
+	}
+	jb.Running--
+	return true
+}
+
+// Scan queues the job's new speculation wants and returns them, reusing
+// dst: the policy's candidates below the copy cap and, with victims set,
+// every other ripe victim of capacity-driven speculation
+// (Monitor.VictimsFor) — both answered by the victim index, in
+// running-set order.
+func (b *Book) Scan(now float64, jb *JobBook, victims bool, dst []*cluster.Task) []*cluster.Task {
+	out := dst[:0]
+	b.cand = b.Mon.CandidatesFor(now, jb.Job.ID, b.cand)
+	for _, t := range b.cand {
+		if t.RunningCopies() < b.Mon.cfg.MaxCopies && jb.AddWant(t) {
+			out = append(out, t)
+		}
+	}
+	if victims {
+		b.cand = b.Mon.VictimsFor(now, jb.Job.ID, b.cand)
+		for _, t := range b.cand {
+			if jb.AddWant(t) {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
+}
+
+// Demand returns the allocator's view of the job — its remaining current
+// tasks, α and V' (core.JobDemand, MaxUsable left to the caller) — and the
+// β it was evaluated at: the two estimator reads behind every virtual size
+// and priority, at one Alpha.Evaluate per call.
+func (b *Book) Demand(j *cluster.Job) (core.JobDemand, float64) {
+	beta := b.Beta.Estimate()
+	alpha, dv := b.Alpha.Evaluate(j, beta)
+	return core.JobDemand{
+		ID:                int64(j.ID),
+		Remaining:         j.RemainingCurrentTasks(),
+		Alpha:             alpha,
+		DownstreamVirtual: dv,
+	}, beta
+}

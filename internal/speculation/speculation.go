@@ -320,8 +320,7 @@ func (m *Monitor) estimates(now float64, t *cluster.Task, best *cluster.Copy, js
 // Candidates scans the given running tasks and returns those the policy
 // wants to speculate, up to budget (budget < 0 means unlimited). The
 // returned order matches the input order. Nil entries in running are
-// skipped (schedulers keep tombstoned running sets for O(1) removal).
-// Allocates per call; hot paths use CandidatesInto.
+// skipped. Allocates per call; hot paths use CandidatesInto.
 func (m *Monitor) Candidates(now float64, running []*cluster.Task, budget int) []*cluster.Task {
 	return m.CandidatesInto(now, running, budget, nil)
 }

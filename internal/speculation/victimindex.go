@@ -392,7 +392,7 @@ func unripeBefore(start, wait float64) float64 { return (start + wait) * (1 - 1e
 
 // TaskHandedOut records a task entering its scheduler's running set,
 // assigning its hand-out rank, and indexes its oldest live copy if it has
-// one already. Call immediately after RunningSet.Add.
+// one already. Book.HandedOut calls it for every original hand-out.
 func (m *Monitor) TaskHandedOut(t *cluster.Task) {
 	if m.cfg.MaxCopies < 2 {
 		return // a cap of one races nothing: no entries at all

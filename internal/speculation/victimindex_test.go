@@ -46,7 +46,7 @@ type victimSim struct {
 	idx, ref *Monitor
 	rng      *rand.Rand
 	job      *cluster.Job
-	running  []*cluster.Task // nil-tombstoned, in hand-out order, like RunningSet
+	running  []*cluster.Task // nil-tombstoned, in hand-out order
 	queue    []*cluster.Task // to hand out: never-handed-out, then requeued
 	done     int
 
