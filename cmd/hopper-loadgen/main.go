@@ -14,7 +14,11 @@
 //
 // Traces come from the same generator the figures use (-profile/-util/
 // -jobs, deterministic under -seed) or from a JSON trace file written by
-// hopper-trace (-trace).
+// hopper-trace (-trace). With -rate/-duration the trace's jobs are
+// templates for an open loop instead. Either way one driver paces the
+// submissions and ends the report with a ledger line: submitted =
+// completed + aborted + unreported, where unreported jobs had no
+// completion within -timeout of the last submission.
 package main
 
 import (
@@ -48,18 +52,15 @@ func main() {
 		timeScale = flag.Float64("time-scale", 0.01, "virtual-to-wall time factor (must match the cluster)")
 		arrScale  = flag.Float64("arrival-scale", 1.0, "extra compression of inter-arrival gaps")
 		seed      = flag.Int64("seed", 1, "trace generation seed")
-		timeout   = flag.Duration("timeout", 5*time.Minute, "replay deadline")
-		churn     = flag.Float64("churn", 0, "machine churn rate in leaves per virtual minute (requires -boot): workers are killed mid-replay and fresh ones join after -churn-down")
+		timeout   = flag.Duration("timeout", 5*time.Minute, "how long to wait for completions after the last submission; jobs still missing then are reported as unreported")
+		churn     = flag.Float64("churn", 0, "machine churn rate in leaves per virtual minute (requires -boot): workers are killed mid-run and fresh ones join after -churn-down")
 		churnDown = flag.Float64("churn-down", 30, "virtual seconds a churned-away worker stays gone before a replacement joins")
-		rate      = flag.Float64("rate", 0, "open-loop mode: submit jobs (cloned from the trace, cycled) at this Poisson rate in jobs per wall second, instead of replaying the trace once")
+		rate      = flag.Float64("rate", 0, "open-loop mode: submit copies of the trace's jobs at this Poisson rate in jobs per wall second, instead of replaying the trace once")
 		duration  = flag.Duration("duration", 30*time.Second, "open-loop submission window (with -rate)")
 	)
 	flag.Parse()
 	if *churn > 0 && !*boot {
 		log.Fatal("-churn requires -boot (it kills and joins in-process workers)")
-	}
-	if *churn > 0 && *rate > 0 {
-		log.Fatal("-churn and -rate are mutually exclusive")
 	}
 
 	totalSlots := *nWork * *slots
@@ -103,7 +104,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("dialing scheduler %s: %v", a, err)
 		}
-		defer c.Close()
 		clients = append(clients, c)
 	}
 
@@ -116,47 +116,33 @@ func main() {
 		go runChurn(lc, *churn, *churnDown, *timeScale, *seed, churnStop, churnDone)
 	}
 
+	// One driver for both modes: the trace once at its own times, or open
+	// loop — templates cloned from the trace at a fixed Poisson rate for a
+	// fixed window, however fast the cluster drains them.
+	mode := "replay"
+	var arrivals []live.Arrival
 	if *rate > 0 {
-		// Open-loop mode: fixed arrival rate for a fixed window, latency
-		// measured scheduler-side. The per-size-bin completion table does
-		// not apply (completions are counted, not timed, on this side).
-		ol, err := live.OpenLoop(clients, tr.Jobs, live.OpenLoopConfig{
-			Rate:         *rate,
-			Duration:     *duration,
-			DrainTimeout: *timeout,
-			Seed:         *seed,
-			Log:          os.Stderr,
-		})
-		if err != nil {
-			log.Fatalf("open loop: %v", err)
-		}
-		fmt.Printf("\nopen loop: %d submitted, %d completed, %d aborted, %d unreported, %.1fs wall clock\n",
-			ol.Submitted, ol.Completed, ol.Aborted, ol.Timedout, ol.WallTime.Seconds())
-		printClusterCounters(lc, &booted, 0, churnSummary{})
-		return
+		mode = fmt.Sprintf("open loop at %g jobs/s", *rate)
+		arrivals = live.PoissonArrivals(tr.Jobs, *rate, *duration, *seed)
+	} else {
+		arrivals = live.TraceArrivals(tr.Jobs, *timeScale, *arrScale)
 	}
-
-	run, stats, err := live.Replay(clients, tr.Jobs, live.ReplayConfig{
-		TimeScale:    *timeScale,
-		ArrivalScale: *arrScale,
-		Timeout:      *timeout,
-		Log:          os.Stderr,
-	})
+	run, led, err := live.Drive(clients, arrivals, *timeout)
 	var churned churnSummary
 	if churnStop != nil {
 		close(churnStop)
 		churned = <-churnDone
 	}
 	if err != nil {
-		log.Fatalf("replay: %v", err)
+		log.Fatalf("%s: %v", mode, err)
 	}
 
-	title := fmt.Sprintf("live replay: %s profile, %d schedulers, %d workers (time scale %g)",
-		*profile, len(addrs), numMachines, *timeScale)
+	title := fmt.Sprintf("live %s: %s profile, %d schedulers, %d workers (time scale %g)",
+		mode, *profile, len(addrs), numMachines, *timeScale)
 	fmt.Println()
 	fmt.Print(metrics.BinBreakdown(title, run).String())
-	fmt.Printf("\n%d speculative copies, %d aborted, %.1fs wall clock\n",
-		stats.SpecCopies, stats.Aborted, stats.WallTime.Seconds())
+	fmt.Printf("\n%d submitted, %d completed, %d aborted, %d unreported; %d speculative copies, %.1fs wall clock\n",
+		led.Submitted, led.Completed, led.Aborted, led.Unreported, led.SpecCopies, led.WallTime.Seconds())
 
 	printClusterCounters(lc, &booted, *churn, churned)
 }

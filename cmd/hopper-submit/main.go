@@ -1,5 +1,6 @@
 // Command hopper-submit sends jobs to a live scheduler and waits for
 // their completions — a minimal load generator for the live cluster.
+// It exits non-zero unless every job completes within -timeout.
 //
 //	hopper-submit -scheduler 127.0.0.1:7070 -jobs 5 -tasks 8 -mean 1.0
 package main
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"github.com/hopper-sim/hopper/internal/live"
-	"github.com/hopper-sim/hopper/internal/wire"
 )
 
 func main() {
@@ -28,47 +28,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer c.Close()
-
-	start := time.Now()
-	for i := 1; i <= *jobs; i++ {
-		job := live.SimpleJob(uint64(i), fmt.Sprintf("submit-%d", i), *tasks, *mean)
-		if err := c.Submit(job); err != nil {
-			log.Fatalf("submit job %d: %v", i, err)
-		}
-		fmt.Printf("submitted job %d (%d tasks x %.1fs)\n", i, *tasks, *mean)
+	arrivals := make([]live.Arrival, *jobs)
+	for i := range arrivals {
+		arrivals[i].Job = live.SimpleJob(uint64(i+1), fmt.Sprintf("submit-%d", i+1), *tasks, *mean)
 	}
-
-	// WaitAny blocks until a frame arrives, and a scheduler with no
-	// workers never sends one: wait in a goroutine so the deadline fires
-	// on a silent scheduler too.
-	type completion struct {
-		jc  *wire.JobComplete
-		err error
+	fmt.Printf("submitting %d jobs (%d tasks x %.1fs)\n", *jobs, *tasks, *mean)
+	// A scheduler with no workers never answers; the driver still returns
+	// once -timeout has passed, with those jobs unreported.
+	run, led, err := live.Drive([]*live.Client{c}, arrivals, *wait)
+	if err != nil {
+		log.Fatal(err)
 	}
-	completions := make(chan completion)
-	go func() {
-		for {
-			jc, err := c.WaitAny()
-			completions <- completion{jc, err}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	deadline := time.After(*wait)
-	for done := 0; done < *jobs; done++ {
-		var r completion
-		select {
-		case <-deadline:
-			log.Fatalf("timeout with %d of %d jobs complete", done, *jobs)
-		case r = <-completions:
-		}
-		if r.err != nil {
-			log.Fatalf("waiting: %v", r.err)
-		}
-		fmt.Printf("job %d complete in %.2fs (%d tasks, %d speculative copies)\n",
-			r.jc.JobID, r.jc.Completion, r.jc.TasksRun, r.jc.SpecCopies)
+	for _, j := range run.Jobs {
+		fmt.Printf("job %d complete in %.2fs (%d tasks)\n", j.ID, j.Completion, j.Tasks)
 	}
-	fmt.Printf("all jobs done in %.1fs\n", time.Since(start).Seconds())
+	if led.Completed < *jobs {
+		log.Fatalf("%d of %d jobs complete: %d aborted, %d unreported after %v",
+			led.Completed, *jobs, led.Aborted, led.Unreported, *wait)
+	}
+	fmt.Printf("all jobs done in %.1fs, %d speculative copies\n", led.WallTime.Seconds(), led.SpecCopies)
 }

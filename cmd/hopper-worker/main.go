@@ -44,7 +44,8 @@ func main() {
 		TimeScale:      *scale,
 	}
 	if *n <= 1 {
-		// Single worker: keep per-worker log prefix and wall timers.
+		// Single worker: keep a per-worker log prefix. Its timers still
+		// run on the group's wheel, as every worker's here do.
 		base.Logger = log.New(os.Stderr, fmt.Sprintf("worker%d: ", *id), log.Ltime)
 	}
 	g, err := live.StartWorkerGroup(live.WorkerGroupConfig{Base: base, N: *n})

@@ -21,7 +21,6 @@ import (
 
 	"github.com/hopper-sim/hopper/internal/live"
 	"github.com/hopper-sim/hopper/internal/metrics"
-	"github.com/hopper-sim/hopper/internal/wire"
 	"github.com/hopper-sim/hopper/internal/workload"
 )
 
@@ -73,21 +72,21 @@ func main() {
 		if err != nil {
 			log.Fatalf("client: %v", err)
 		}
-		defer c.Close()
 		clients = append(clients, c)
 	}
 
-	run, stats, err := live.Replay(clients, tr.Jobs, live.ReplayConfig{
-		TimeScale: timeScale,
-		Timeout:   2 * time.Minute,
-	})
+	run, led, err := live.Drive(clients, live.TraceArrivals(tr.Jobs, timeScale, 1), 2*time.Minute)
 	if err != nil {
 		log.Fatalf("replay: %v", err)
+	}
+	if led.Completed != led.Submitted {
+		log.Fatalf("replay: %d of %d jobs complete (%d aborted, %d unreported)",
+			led.Completed, led.Submitted, led.Aborted, led.Unreported)
 	}
 
 	fmt.Print(metrics.BinBreakdown("live replay: facebook profile, 2 schedulers / 20 workers", run).String())
 	fmt.Printf("\n%d speculative copies launched; %.1fs wall clock for %.0fs of virtual workload\n",
-		stats.SpecCopies, stats.WallTime.Seconds(), tr.Horizon)
+		led.SpecCopies, led.WallTime.Seconds(), tr.Horizon)
 
 	crashRestartDrill(lc)
 }
@@ -109,11 +108,11 @@ func crashRestartDrill(lc *live.LocalCluster) {
 	if err != nil {
 		log.Fatalf("drill client: %v", err)
 	}
-	jobs := make([]*wire.SubmitJob, 0, nJobs)
-	for i := 0; i < nJobs; i++ {
-		j := live.SimpleJob(uint64(9000+i), fmt.Sprintf("drill-%d", i), nTasks, meanDur)
-		jobs = append(jobs, j)
-		if err := c1.Submit(j); err != nil {
+	// The same jobs, all due at once, are the resubmission after restart.
+	jobs := make([]live.Arrival, nJobs)
+	for i := range jobs {
+		jobs[i].Job = live.SimpleJob(uint64(9000+i), fmt.Sprintf("drill-%d", i), nTasks, meanDur)
+		if err := c1.Submit(jobs[i].Job); err != nil {
 			log.Fatalf("drill submit: %v", err)
 		}
 	}
@@ -131,25 +130,16 @@ func crashRestartDrill(lc *live.LocalCluster) {
 	if err != nil {
 		log.Fatalf("drill client 2: %v", err)
 	}
-	defer c2.Close()
 	// Give the workers one redial period to re-register, then resubmit
 	// the lost jobs from a fresh client.
 	time.Sleep(120 * time.Millisecond)
-	for _, j := range jobs {
-		if err := c2.Submit(j); err != nil {
-			log.Fatalf("drill resubmit: %v", err)
-		}
+	_, led, err := live.Drive([]*live.Client{c2}, jobs, 30*time.Second)
+	if err != nil {
+		log.Fatalf("drill resubmit: %v", err)
 	}
-	done := 0
-	for done < nJobs {
-		jc, err := c2.WaitAny()
-		if err != nil {
-			log.Fatalf("drill wait: %v", err)
-		}
-		if jc.Aborted {
-			log.Fatalf("drill job %d aborted after restart: %s", jc.JobID, jc.Error)
-		}
-		done++
+	if led.Completed != nJobs {
+		log.Fatalf("drill: %d of %d jobs completed after the restart (%d aborted, %d unreported)",
+			led.Completed, nJobs, led.Aborted, led.Unreported)
 	}
 	st := lc.Scheds[0].Stats()
 	fmt.Printf("all %d jobs completed after the restart\n", nJobs)

@@ -245,19 +245,8 @@ func (c ClusterSpec) machines() *cluster.Machines {
 	if len(c.Classes) > 0 {
 		return cluster.NewMachinesClassed(c.Classes)
 	}
-	if forceClassedLayout {
-		return cluster.NewMachinesClassed([]cluster.MachineClass{
-			{Name: "uniform", Count: c.Machines, Speed: 1, Slots: c.SlotsPerMachine},
-		})
-	}
 	return cluster.NewMachines(c.Machines, c.SlotsPerMachine)
 }
-
-// forceClassedLayout routes homogeneous specs through the classed
-// constructor. Test-only (see the single-class differential test): the
-// heterogeneity refactor's no-op guarantee is that this switch changes
-// nothing observable.
-var forceClassedLayout = false
 
 // Prototype200 is the paper's deployment: 200 machines, 16 slots each.
 func Prototype200(beta float64) ClusterSpec {

@@ -270,8 +270,7 @@ func (vc *virtualConn) Close() error {
 }
 
 // No node reads: deliveries are pushed into step.
-func (vc *virtualConn) Recv() (wire.Message, error)     { return nil, transport.ErrClosed }
-func (vc *virtualConn) SetRecvDeadline(time.Time) error { return nil }
+func (vc *virtualConn) Recv() (wire.Message, error) { return nil, transport.ErrClosed }
 func (vc *virtualConn) RemoteAddr() string {
 	return fmt.Sprintf("virtual s%d/w%d", vc.sched, vc.worker)
 }

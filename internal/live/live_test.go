@@ -57,6 +57,34 @@ func bootCluster(t *testing.T, nSched, nWork, slots int, scale float64) ([]strin
 	}
 }
 
+// waitJob blocks until job id is reported on c or timeout passes,
+// discarding other jobs' completions. A draining scheduler fails its jobs
+// instead of dropping them: check JobComplete.Aborted. On timeout c is
+// closed, since its reader is still blocked in Recv.
+func waitJob(c *Client, id uint64, timeout time.Duration) (*wire.JobComplete, error) {
+	type result struct {
+		jc  *wire.JobComplete
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		for {
+			jc, err := c.WaitAny()
+			if err != nil || jc.JobID == id {
+				got <- result{jc, err}
+				return
+			}
+		}
+	}()
+	select {
+	case r := <-got:
+		return r.jc, r.err
+	case <-time.After(timeout):
+		c.Close()
+		return nil, fmt.Errorf("timeout waiting for job %d (connection closed)", id)
+	}
+}
+
 func TestLiveSingleJobCompletes(t *testing.T) {
 	addrs, stop := bootCluster(t, 1, 3, 2, 0.02)
 	defer stop()
@@ -70,7 +98,7 @@ func TestLiveSingleJobCompletes(t *testing.T) {
 	if err := c.Submit(SimpleJob(1, "test", 5, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	jc, err := c.WaitJob(1, 30*time.Second)
+	jc, err := waitJob(c, 1, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +250,7 @@ func TestMalformedSubmissionsRejected(t *testing.T) {
 		if err := c.Submit(m); err != nil {
 			t.Fatal(err)
 		}
-		jc, err := c.WaitJob(m.JobID, 10*time.Second)
+		jc, err := waitJob(c, m.JobID, 10*time.Second)
 		if err != nil {
 			t.Fatalf("job %d: scheduler did not answer (crashed?): %v", m.JobID, err)
 		}
@@ -240,7 +268,7 @@ func TestMalformedSubmissionsRejected(t *testing.T) {
 	}
 	sawDup, sawDone := false, false
 	for i := 0; i < 2; i++ {
-		jc, err := c.WaitJob(104, 15*time.Second)
+		jc, err := waitJob(c, 104, 15*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +286,7 @@ func TestMalformedSubmissionsRejected(t *testing.T) {
 	if err := c.Submit(SimpleJob(105, "after", 2, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if jc, err := c.WaitJob(105, 15*time.Second); err != nil || jc.Aborted {
+	if jc, err := waitJob(c, 105, 15*time.Second); err != nil || jc.Aborted {
 		t.Fatalf("scheduler unhealthy after malformed submissions: jc=%+v err=%v", jc, err)
 	}
 }
@@ -296,7 +324,7 @@ func TestSchedulerDrainFailsPendingJobs(t *testing.T) {
 	time.Sleep(100 * time.Millisecond) // let the tasks start
 	s.Stop()
 
-	jc, err := c.WaitJob(9, 10*time.Second)
+	jc, err := waitJob(c, 9, 10*time.Second)
 	if err != nil {
 		t.Fatalf("no completion after drain: %v", err)
 	}
@@ -343,7 +371,7 @@ func TestWorkerDrainReportsKills(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	s.Stop() // no workers left: drain fails the job explicitly
 
-	jc, err := c.WaitJob(11, 10*time.Second)
+	jc, err := waitJob(c, 11, 10*time.Second)
 	if err != nil {
 		t.Fatalf("no completion after drains: %v", err)
 	}
@@ -373,7 +401,7 @@ func TestLiveMultiPhaseJob(t *testing.T) {
 	if err := c.Submit(job); err != nil {
 		t.Fatal(err)
 	}
-	jc, err := c.WaitJob(42, 30*time.Second)
+	jc, err := waitJob(c, 42, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package live
 
 import (
 	"fmt"
-	"io"
+	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -15,9 +15,11 @@ import (
 
 // This file is the load-generation layer: it converts workload traces
 // (generated or loaded — the same ones every simulator figure replays)
-// into wire submissions, paces them against a live cluster at the
-// trace's arrival times, and folds the completions back into the
-// metrics.JobResult pipeline the experiment harness reports with.
+// into wire submissions, lays them out as arrivals — once each at the
+// trace's times, or open loop at a Poisson rate — and drives them
+// against a live cluster through one function, Drive, which folds the
+// completions back into the metrics.JobResult pipeline the experiment
+// harness reports with.
 
 // SubmitFromJob converts a workload job into its wire submission,
 // carrying DAG dependencies, per-phase transfer work, and per-task
@@ -57,149 +59,187 @@ func SubmitFromJob(j *cluster.Job) *wire.SubmitJob {
 	return m
 }
 
-// ReplayConfig drives one trace replay against a live cluster.
-type ReplayConfig struct {
-	// TimeScale maps trace (virtual) seconds to wall seconds; must match
-	// the cluster's. Default 1.
-	TimeScale float64
-	// ArrivalScale additionally compresses inter-arrival gaps (2 = twice
-	// the arrival rate). Default 1.
-	ArrivalScale float64
-	// Timeout bounds the whole replay. Default 5m.
-	Timeout time.Duration
-	// Log receives progress lines; nil silences them.
-	Log io.Writer
+// Arrival is one submission of a driven run: a job and when it is due,
+// as a wall-clock offset from the run's start.
+type Arrival struct {
+	At  time.Duration
+	Job *wire.SubmitJob
 }
 
-func (c ReplayConfig) withDefaults() ReplayConfig {
-	if c.TimeScale == 0 {
-		c.TimeScale = 1
-	}
-	if c.ArrivalScale == 0 {
-		c.ArrivalScale = 1
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 5 * time.Minute
-	}
-	return c
-}
-
-// ReplayStats summarizes one replay beyond the per-job results.
-type ReplayStats struct {
-	SpecCopies int // speculative copies the schedulers launched
-	Aborted    int // jobs failed by scheduler drain
+// Ledger accounts for every job of one driven run. It always closes:
+// Submitted = Completed + Aborted + Unreported.
+type Ledger struct {
+	Submitted int
+	Completed int
+	Aborted   int // failed by the scheduler: a drain, a rejected spec
+	// Unreported jobs had no completion by the drain deadline: still
+	// queued or running (an overloaded cluster), or lost with a
+	// connection.
+	Unreported int
+	SpecCopies int // speculative copies the completed jobs ran
 	WallTime   time.Duration
 }
 
-// Replay submits the jobs round-robin across the clients at their trace
-// arrival times (scaled) and collects every completion into the same
-// metrics.Run shape the simulator experiments report. Jobs are paced by
-// a single goroutine; each client's completions are collected
-// concurrently.
-//
-// On success the clients remain usable (every collector has drained its
-// share and exited). On error the clients are CLOSED before returning:
-// collectors may still be blocked reading them, and a second Replay on
-// the same connections would race those orphaned readers.
-func Replay(clients []*Client, jobs []*cluster.Job, cfg ReplayConfig) (metrics.Run, ReplayStats, error) {
-	cfg = cfg.withDefaults()
-	var stats ReplayStats
-	if len(clients) == 0 || len(jobs) == 0 {
-		return metrics.Run{}, stats, fmt.Errorf("live: replay needs clients and jobs")
+// TraceArrivals replays trace jobs once each: a job is due at its trace
+// arrival after the first job's, divided by arrivalScale (2 = twice the
+// arrival rate) and mapped to wall clock by timeScale, the cluster's.
+func TraceArrivals(jobs []*cluster.Job, timeScale, arrivalScale float64) []Arrival {
+	ordered := append([]*cluster.Job(nil), jobs...)
+	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Arrival < ordered[b].Arrival })
+	out := make([]Arrival, len(ordered))
+	for i, j := range ordered {
+		at := (j.Arrival - ordered[0].Arrival) / arrivalScale * timeScale
+		out[i] = Arrival{At: time.Duration(at * float64(time.Second)), Job: SubmitFromJob(j)}
 	}
-	failed := func(err error) error {
+	return out
+}
+
+// PoissonArrivals is an open loop: jobs arrive at rate per wall second
+// (exponential gaps) until window closes, however fast the cluster
+// finishes them — the regime where latency tails and queue growth mean
+// something. Each arrival draws its gap, then a template; its job ID is
+// its sequence number in the run.
+func PoissonArrivals(templates []*cluster.Job, rate float64, window time.Duration, seed int64) []Arrival {
+	// Render each template once; an arrival changes only the job ID (the
+	// phases are read-only on this side of the wire).
+	wts := make([]*wire.SubmitJob, len(templates))
+	for i, j := range templates {
+		wts[i] = SubmitFromJob(j)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var out []Arrival
+	for at := time.Duration(0); ; {
+		at += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+		if at > window {
+			return out
+		}
+		m := *wts[rng.Intn(len(wts))]
+		m.JobID = uint64(len(out))
+		out = append(out, Arrival{At: at, Job: &m})
+	}
+}
+
+// Drive is the client-side load driver. It submits each arrival, in
+// order and round-robin across the clients, when it is due; collects
+// completions until every job is reported or drain has passed since the
+// last submission; and closes the clients on return. The run holds the
+// completed jobs by ID, in the metrics.Run shape the simulator
+// experiments report (Arrival is the wall-clock offset in seconds). A
+// completion for a job outside the run — a leftover on a reused
+// connection — is ignored. Job IDs must be unique within the run.
+//
+// The error is for bad input and failed submissions only: a job missing
+// at the deadline is Unreported, and a run against a silent cluster
+// returns after the drain.
+func Drive(clients []*Client, arrivals []Arrival, drain time.Duration) (metrics.Run, Ledger, error) {
+	run := metrics.Run{Scheduler: "Hopper-D (live)"}
+	var led Ledger
+	// Collectors block in Recv, and only a closed connection ends them.
+	stop := make(chan struct{})
+	var collectors sync.WaitGroup
+	defer func() {
+		close(stop)
 		for _, c := range clients {
 			c.Close()
 		}
-		return err
+		collectors.Wait()
+	}()
+	if len(clients) == 0 {
+		return run, led, fmt.Errorf("live: driving a run needs a client")
 	}
-	ordered := append([]*cluster.Job(nil), jobs...)
-	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Arrival < ordered[b].Arrival })
-	base := ordered[0].Arrival
+	index := make(map[uint64]int, len(arrivals)) // job ID -> arrival
+	for i, a := range arrivals {
+		if _, dup := index[a.Job.JobID]; dup {
+			return run, led, fmt.Errorf("live: job %d appears twice in the run", a.Job.JobID)
+		}
+		index[a.Job.JobID] = i
+	}
 
-	info := make(map[uint64]*cluster.Job, len(ordered))
-	perClient := make([]int, len(clients))
-	for i, j := range ordered {
-		info[uint64(j.ID)] = j
-		perClient[i%len(clients)]++
-	}
-
-	type completion struct {
-		jc  *wire.JobComplete
-		err error
-	}
-	results := make(chan completion, len(ordered))
-	for ci, c := range clients {
-		// Each collector reads until it has seen its client's share of
-		// THIS replay's completions. Foreign completions (a client
-		// reused across replays, leftovers from earlier submissions) are
-		// discarded without consuming the budget — counting them would
-		// leave a genuine completion unread and time the replay out.
-		go func(c *Client, n int) {
-			for k := 0; k < n; {
+	// A collector forwards every completion its client reads, then nil
+	// when the connection ends.
+	results := make(chan *wire.JobComplete)
+	for _, c := range clients {
+		collectors.Add(1)
+		go func(c *Client) {
+			defer collectors.Done()
+			for {
 				jc, err := c.WaitAny()
-				if err != nil {
-					results <- completion{nil, err}
+				select {
+				case results <- jc:
+				case <-stop:
 					return
 				}
-				if _, mine := info[jc.JobID]; !mine {
-					continue
+				if err != nil {
+					return
 				}
-				results <- completion{jc, nil}
-				k++
 			}
-		}(c, perClient[ci])
+		}(c)
 	}
 
 	start := time.Now()
-	logf := func(format string, args ...interface{}) {
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, format+"\n", args...)
-		}
+	reported := make([]bool, len(arrivals))
+	open := len(clients) // connections still able to report
+	// timer is the next arrival's due time, then the drain deadline.
+	first := drain
+	if len(arrivals) > 0 {
+		first = arrivals[0].At
 	}
-	// Pace submissions at scaled trace arrivals.
-	for i, j := range ordered {
-		at := time.Duration((j.Arrival - base) / cfg.ArrivalScale * cfg.TimeScale * float64(time.Second))
-		if sleep := at - time.Since(start); sleep > 0 {
-			time.Sleep(sleep)
-		}
-		if err := clients[i%len(clients)].Submit(SubmitFromJob(j)); err != nil {
-			return metrics.Run{}, stats, failed(fmt.Errorf("live: submitting job %d: %w", j.ID, err))
-		}
-	}
-	logf("submitted %d jobs over %.1fs, waiting for completions", len(ordered), time.Since(start).Seconds())
-
-	run := metrics.Run{Scheduler: "Hopper-D (live)"}
-	deadline := time.After(cfg.Timeout)
-	for done := 0; done < len(ordered); done++ {
+	timer := time.NewTimer(first)
+	defer timer.Stop()
+	next := 0 // arrivals[:next] are submitted
+loop:
+	for next < len(arrivals) || (led.Completed+led.Aborted < led.Submitted && open > 0) {
 		select {
-		case c := <-results:
-			if c.err != nil {
-				return run, stats, failed(fmt.Errorf("live: collecting completions: %w", c.err))
+		case <-timer.C:
+			if next == len(arrivals) {
+				break loop
 			}
-			jc := c.jc
-			j := info[jc.JobID] // collectors forward only in-replay jobs
-			if jc.Aborted {
-				stats.Aborted++
+			if err := clients[next%len(clients)].Submit(arrivals[next].Job); err != nil {
+				return metrics.Run{}, led, fmt.Errorf("live: submitting job %d: %w", arrivals[next].Job.JobID, err)
+			}
+			led.Submitted++
+			next++
+			if next < len(arrivals) {
+				timer.Reset(time.Until(start.Add(arrivals[next].At)))
+			} else {
+				timer.Reset(drain)
+			}
+		case jc := <-results:
+			if jc == nil {
+				open--
 				continue
 			}
-			stats.SpecCopies += int(jc.SpecCopies)
+			i, mine := index[jc.JobID]
+			if !mine || i >= next || reported[i] {
+				continue // outside the run, not sent yet, or already reported
+			}
+			reported[i] = true
+			if jc.Aborted {
+				led.Aborted++
+				continue
+			}
+			led.Completed++
+			led.SpecCopies += int(jc.SpecCopies)
+			a := arrivals[i]
+			tasks := 0
+			for _, p := range a.Job.Phases {
+				tasks += int(p.NumTasks)
+			}
 			run.Jobs = append(run.Jobs, metrics.JobResult{
-				ID:         j.ID,
-				Tasks:      j.TotalTasks(),
-				DAGLen:     len(j.Phases),
-				Arrival:    j.Arrival,
+				ID:         cluster.JobID(jc.JobID),
+				Tasks:      tasks,
+				DAGLen:     len(a.Job.Phases),
+				Arrival:    a.At.Seconds(),
 				Completion: jc.Completion,
 			})
-		case <-deadline:
-			return run, stats, failed(fmt.Errorf("live: replay timeout with %d of %d jobs complete", done, len(ordered)))
 		}
 	}
-	stats.WallTime = time.Since(start)
+	led.Unreported = led.Submitted - led.Completed - led.Aborted
+	led.WallTime = time.Since(start)
 	// Canonical order for reporting: by job ID, like the simulator's
 	// collected runs.
 	sort.Slice(run.Jobs, func(a, b int) bool { return run.Jobs[a].ID < run.Jobs[b].ID })
-	return run, stats, nil
+	return run, led, nil
 }
 
 // LocalClusterConfig sizes an in-process cluster (goroutine nodes over

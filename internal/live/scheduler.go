@@ -38,8 +38,6 @@ type SchedulerConfig struct {
 	// MeanTaskSeconds is the fallback mean task duration for submitted
 	// phases that carry none.
 	MeanTaskSeconds float64
-	// MaxCopies caps live copies per task (default 2).
-	MaxCopies int
 	// TimeScale maps virtual protocol seconds to wall seconds (0.05 runs
 	// a 20s workload in 1s). Must match the workers'. Default 1.
 	TimeScale float64
@@ -79,9 +77,6 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	}
 	if c.MeanTaskSeconds == 0 {
 		c.MeanTaskSeconds = 1
-	}
-	if c.MaxCopies == 0 {
-		c.MaxCopies = 2
 	}
 	if c.TimeScale == 0 {
 		c.TimeScale = 1
@@ -253,7 +248,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		NumSchedulers: cfg.NumSchedulers,
 		BetaPrior:     cfg.Beta, // virtual sizes see the same tail index as service draws
 	}.WithDefaults()
-	pcfg.Spec.MaxCopies = cfg.MaxCopies
 	s.core = protocol.NewSched(protocol.SchedID(cfg.ID), pcfg, protocol.SchedEnv{
 		Now:           s.now,
 		Rand:          s.rng,

@@ -176,9 +176,6 @@ type Base struct {
 	// active set (the Hopper engine prunes its cached priority order).
 	onJobRemoved func(s *jobState)
 
-	// OnJobComplete, when set, observes each finished job.
-	OnJobComplete func(j *cluster.Job)
-
 	// wantScratch is the reusable result buffer for speculation scans.
 	wantScratch []*cluster.Task
 
@@ -339,9 +336,6 @@ func (b *Base) onJobDone(j *cluster.Job) {
 		b.onJobRemoved(s)
 	}
 	b.done = append(b.done, j)
-	if b.OnJobComplete != nil {
-		b.OnJobComplete(j)
-	}
 	// dispatch runs from the task-completion path that triggered this.
 }
 

@@ -145,11 +145,15 @@ func TestFlushDeadlineTrickle(t *testing.T) {
 		if err := a.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
 			t.Fatalf("send: %v", err)
 		}
-		if err := b.SetRecvDeadline(time.Now().Add(5 * time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Recv(); err != nil {
-			t.Fatalf("trickle frame %d not delivered: %v", i, err)
+		got := make(chan error, 1)
+		go func() { _, err := b.Recv(); got <- err }()
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatalf("trickle frame %d not delivered: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("trickle frame %d not delivered within 5s", i)
 		}
 		lat = append(lat, time.Since(start))
 		time.Sleep(2 * time.Millisecond) // next frame is a fresh wakeup

@@ -54,12 +54,6 @@ type Conn interface {
 	Send(m wire.Message) error
 	// Recv blocks for the next message.
 	Recv() (wire.Message, error)
-	// SetRecvDeadline bounds subsequent Recv calls: past the deadline
-	// they fail with an error matching os.ErrDeadlineExceeded. The zero
-	// time clears the deadline. A deadline expiring mid-frame leaves the
-	// stream position undefined — use it for give-up-and-close waits,
-	// not for polling.
-	SetRecvDeadline(t time.Time) error
 	// Close tears the connection down; pending Recv calls fail. Queued
 	// frames are flushed first (drain-on-close), bounded by
 	// closeDrainTimeout if the peer stops reading.
@@ -293,10 +287,6 @@ func (t *tcpConn) writeLoop() {
 // because the peer may have committed protocol state in them.
 func (t *tcpConn) Recv() (wire.Message, error) {
 	return t.rd.Read()
-}
-
-func (t *tcpConn) SetRecvDeadline(tm time.Time) error {
-	return t.c.SetReadDeadline(tm)
 }
 
 // Close drains the outbox (the writer flushes every queued frame before
