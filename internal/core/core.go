@@ -113,12 +113,10 @@ func Constrained(jobs []JobDemand, slots int, beta float64) bool {
 // Allocate implements Pseudocode 1. It returns one slot count per job,
 // aligned with the input slice, summing to at most slots. Jobs are never
 // given more than their MaxUsable cap; freed-up surplus cascades to other
-// jobs in guideline order, keeping the allocation work-conserving.
+// jobs in guideline order, keeping the allocation work-conserving. It is
+// AllocateFair with the floor disabled (epsilon = 1).
 func Allocate(jobs []JobDemand, slots int, beta float64) []int {
-	alloc := make([]int, len(jobs))
-	var ws workspace
-	ws.allocate(jobs, virtuals(nil, jobs, beta), slots, alloc)
-	return alloc
+	return AllocateFair(jobs, slots, beta, 1)
 }
 
 // keyed is a sort key with the index it belongs to. Sorting on
@@ -139,67 +137,101 @@ func ascending(a, b keyed) int {
 	return a.idx - b.idx
 }
 
-// workspace holds the sort buffers of Pseudocode 1, so that the
-// projection rounds of AllocateFairInto reuse them instead of allocating
-// a pair per round.
-type workspace struct {
-	order []keyed // the (sub)problem's jobs ascending by priority
-	fracs []keyed // largest-remainder order of the proportional regime, keyed by −fraction
+// Allocator computes AllocateFair allocations and keeps every working
+// slice between calls, so a scheduler that refreshes its allocation on
+// every arrival allocates nothing once the buffers have grown to its
+// active-job count. The zero value is ready to use. It is not safe for
+// concurrent use.
+//
+// Each call sorts the jobs by priority once. Every projection round
+// reuses that order, filtered to the jobs still unpinned, and the caller
+// can read it back (Order) instead of sorting again.
+type Allocator struct {
+	virt  []float64 // virtual sizes, aligned with the input
+	prio  []float64 // priority keys max(V, V'), aligned with the input
+	order []keyed   // (prio, input index) ascending: the call's one sort
+	perm  []int     // order's indices, returned by Order
+	fracs []keyed   // largest-remainder order of the proportional regime, keyed by −fraction
+
+	// The projection rounds' state: the jobs still unpinned (ascending
+	// input indices), each job's position among them (−1 once pinned), and
+	// the subproblem over them with its priority order and allocation.
+	active   []int
+	pos      []int
+	sub      []JobDemand
+	subVirt  []float64
+	subOrder []keyed
+	subAlloc []int
+
+	alloc []int // the result
 }
 
-// virtuals appends every job's virtual size to dst: the square root is
-// taken once per job and allocation, not once per comparison.
-func virtuals(dst []float64, jobs []JobDemand, beta float64) []float64 {
-	for _, j := range jobs {
-		dst = append(dst, j.Virtual(beta))
-	}
-	return dst
+// resized returns s with length n, reallocating only when its capacity is
+// short, and then with append's headroom, so a job count that creeps up
+// one at a time does not reallocate on every call. The contents are
+// unspecified.
+func resized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
-// allocate runs Pseudocode 1 into a zeroed caller buffer. virt holds the
-// jobs' virtual sizes (virtuals).
-func (ws *workspace) allocate(jobs []JobDemand, virt []float64, slots int, alloc []int) {
-	if len(jobs) == 0 || slots <= 0 {
-		return
+// Order returns the input indices of the last Allocate call's jobs
+// ascending by the DAG-aware priority max(V, V′), ties in input order:
+// the permutation a stable sort by JobDemand.Priority yields. The slice
+// is reused by the next call.
+func (a *Allocator) Order() []int {
+	a.perm = resized(a.perm, len(a.order))
+	for k, o := range a.order {
+		a.perm[k] = o.idx
 	}
-	ws.sortByPriority(jobs, virt)
-	var totalV float64
-	for _, v := range virt {
-		totalV += v
-	}
-	if float64(slots) < totalV {
-		ws.allocConstrained(jobs, virt, slots, alloc)
-	} else {
-		ws.allocProportional(jobs, virt, totalV, slots, alloc)
-	}
+	return a.perm
 }
 
-// sortByPriority fills ws.order with the job indices ascending by the
-// DAG-aware priority key max(V, V'), tie-broken by input order for
-// determinism.
-func (ws *workspace) sortByPriority(jobs []JobDemand, virt []float64) {
-	order := ws.order[:0]
-	if cap(order) < len(jobs) {
-		order = make([]keyed, 0, len(jobs))
-	}
+// Priorities returns the last Allocate call's priority keys, aligned with
+// its input: JobDemand.Priority of each job, the key Order sorted by. The
+// slice is reused by the next call.
+func (a *Allocator) Priorities() []float64 { return a.prio }
+
+// sortByPriority computes every job's virtual size and priority key
+// max(V, V′) — the square root once per job, not once per comparison —
+// and sorts the (key, index) pairs ascending into a.order.
+func (a *Allocator) sortByPriority(jobs []JobDemand, beta float64) {
+	n := len(jobs)
+	a.virt, a.prio, a.order = resized(a.virt, n), resized(a.prio, n), resized(a.order, n)
 	for i, j := range jobs {
-		prio := virt[i] // JobDemand.Priority, on the cached virtual size
+		v := j.Virtual(beta)
+		prio := v // JobDemand.Priority, on the cached virtual size
 		if j.DownstreamVirtual > prio {
 			prio = j.DownstreamVirtual
 		}
-		order = append(order, keyed{prio, i})
+		a.virt[i], a.prio[i], a.order[i] = v, prio, keyed{prio, i}
 	}
-	slices.SortFunc(order, ascending)
-	ws.order = order
+	slices.SortFunc(a.order, ascending)
+}
+
+// allocate runs Pseudocode 1 into a zeroed caller buffer. virt holds the
+// jobs' virtual sizes and order their (priority, index) pairs ascending.
+func (a *Allocator) allocate(jobs []JobDemand, virt []float64, order []keyed, slots int, alloc []int) {
+	if len(jobs) == 0 || slots <= 0 {
+		return
+	}
+	var totalV float64
+	for _, v := range virt { // input order: the sum must not depend on the sort
+		totalV += v
+	}
+	if float64(slots) < totalV {
+		allocConstrained(jobs, virt, order, slots, alloc)
+	} else {
+		a.allocProportional(jobs, virt, order, totalV, slots, alloc)
+	}
 }
 
 // allocConstrained is Guideline 2: smallest jobs first, each up to its
 // virtual size. Fractional virtual sizes round up for the earliest jobs —
 // a job "reaching its threshold" must include the partial slot, otherwise
 // single-task jobs would starve under beta near 2.
-func (ws *workspace) allocConstrained(jobs []JobDemand, virt []float64, slots int, alloc []int) {
+func allocConstrained(jobs []JobDemand, virt []float64, order []keyed, slots int, alloc []int) {
 	left := slots
-	for _, o := range ws.order {
+	for _, o := range order {
 		if left == 0 {
 			return
 		}
@@ -210,7 +242,7 @@ func (ws *workspace) allocConstrained(jobs []JobDemand, virt []float64, slots in
 	}
 	// Surplus (every job at its cap): hand remaining slots to jobs below
 	// MaxUsable in priority order. This only triggers when caps bind.
-	for _, o := range ws.order {
+	for _, o := range order {
 		if left == 0 {
 			return
 		}
@@ -225,24 +257,21 @@ func (ws *workspace) allocConstrained(jobs []JobDemand, virt []float64, slots in
 // the surplus is shared in proportion to virtual sizes (largest jobs
 // benefit most). Integerization uses largest-remainder so the allocation
 // sums exactly to min(slots, sum of caps).
-func (ws *workspace) allocProportional(jobs []JobDemand, virt []float64, totalV float64, slots int, alloc []int) {
+func (a *Allocator) allocProportional(jobs []JobDemand, virt []float64, order []keyed, totalV float64, slots int, alloc []int) {
 	if totalV == 0 {
 		return
 	}
-	fracs := ws.fracs[:0]
-	if cap(fracs) < len(jobs) {
-		fracs = make([]keyed, 0, len(jobs))
-	}
+	fracs := resized(a.fracs, len(jobs))
 	used := 0
 	for i, j := range jobs {
 		share := virt[i] / totalV * float64(slots)
 		whole := j.cap(int(math.Floor(share)))
 		alloc[i] = whole
 		used += whole
-		fracs = append(fracs, keyed{float64(whole) - share, i})
+		fracs[i] = keyed{float64(whole) - share, i}
 	}
 	slices.SortFunc(fracs, ascending) // largest remainder first, ties in input order
-	ws.fracs = fracs
+	a.fracs = fracs
 	left := slots - used
 	for _, f := range fracs {
 		if left == 0 {
@@ -255,8 +284,8 @@ func (ws *workspace) allocProportional(jobs []JobDemand, virt []float64, totalV 
 	}
 	// Remaining surplus cascades in descending virtual size (Guideline 3
 	// favors large jobs), still respecting caps.
-	for k := len(ws.order) - 1; k >= 0 && left > 0; k-- {
-		i := ws.order[k].idx
+	for k := len(order) - 1; k >= 0 && left > 0; k-- {
+		i := order[k].idx
 		extra := jobs[i].cap(alloc[i]+left) - alloc[i]
 		alloc[i] += extra
 		left -= extra
@@ -271,30 +300,30 @@ func AllocateFair(jobs []JobDemand, slots int, beta, epsilon float64) []int {
 	return AllocateFairInto(nil, jobs, slots, beta, epsilon)
 }
 
-// AllocateFairInto is AllocateFair with a caller-owned result buffer:
-// dst is resized (reallocating only when capacity is short) and returned,
-// so a scheduler refreshing its allocation every arrival does not allocate
-// a fresh target vector each time. The working slices are allocated once
-// per call and shared by the projection rounds.
+// AllocateFairInto is AllocateFair with a caller-owned result buffer: dst
+// is resized (reallocating only when capacity is short) and returned. Its
+// working slices are a fresh Allocator's; a caller that allocates
+// repeatedly keeps an Allocator instead.
 func AllocateFairInto(dst []int, jobs []JobDemand, slots int, beta, epsilon float64) []int {
+	return (&Allocator{alloc: dst}).Allocate(jobs, slots, beta, epsilon)
+}
+
+// Allocate is AllocateFair on the allocator's buffers. The result is
+// aligned with jobs and reused by the next call.
+func (a *Allocator) Allocate(jobs []JobDemand, slots int, beta, epsilon float64) []int {
 	if epsilon < 0 || epsilon > 1 {
 		panic(fmt.Sprintf("core: epsilon %v out of [0,1]", epsilon))
 	}
 	n := len(jobs)
-	alloc := dst
-	if cap(alloc) < n {
-		alloc = make([]int, n)
-	} else {
-		alloc = alloc[:n]
-		clear(alloc)
-	}
+	alloc := resized(a.alloc, n)
+	clear(alloc)
+	a.alloc = alloc
+	a.sortByPriority(jobs, beta)
 	if n == 0 || slots <= 0 {
 		return alloc
 	}
-	var ws workspace
-	virt := virtuals(make([]float64, 0, n), jobs, beta)
 	if epsilon >= 1 {
-		ws.allocate(jobs, virt, slots, alloc)
+		a.allocate(jobs, a.virt, a.order, slots, alloc)
 		return alloc
 	}
 	floor := (1 - epsilon) * float64(slots) / float64(n)
@@ -302,73 +331,57 @@ func AllocateFairInto(dst []int, jobs []JobDemand, slots int, beta, epsilon floa
 	// Iterative projection: allocate by guidelines; any job below its
 	// floor is pinned at the floor and removed; re-run on the remainder.
 	// Terminates because each round pins at least one job.
-	// The rounds share one set of working slices: the jobs still unpinned
-	// (indices into jobs), the subproblem over them, the ones pinned this
-	// round.
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
+	active, pos := resized(a.active, n), resized(a.pos, n)
+	for i := range n {
+		active[i], pos[i] = i, i
 	}
-	sub := make([]JobDemand, 0, n)
-	subVirt := make([]float64, 0, n)
-	subAlloc := make([]int, n)
-	pinned := make([]int, 0, n)
+	floorSlots := int(math.Floor(floor))
 	slotsLeft := slots
-	for {
-		sub, subVirt = sub[:0], subVirt[:0]
-		for _, i := range active {
-			sub = append(sub, jobs[i])
-			subVirt = append(subVirt, virt[i])
-		}
-		subAlloc = subAlloc[:len(active)]
-		clear(subAlloc)
-		ws.allocate(sub, subVirt, slotsLeft, subAlloc)
-		pinned = pinned[:0]
+	for len(active) > 0 {
+		// The round's subproblem, and its priority order: the call's one
+		// sort filtered to the unpinned jobs, each index remapped to its
+		// position in the subproblem. active ascends, so the remap is
+		// monotone and the (key, index) order is unchanged by it.
+		m := len(active)
+		sub, subVirt, subOrder := resized(a.sub, m), resized(a.subVirt, m), resized(a.subOrder, m)[:0]
 		for k, i := range active {
-			guarantee := jobs[i].cap(int(math.Floor(floor)))
-			if subAlloc[k] < guarantee {
-				alloc[i] = guarantee
-				slotsLeft -= guarantee
-				pinned = append(pinned, k)
+			sub[k], subVirt[k] = jobs[i], a.virt[i]
+		}
+		for _, o := range a.order { // m of them pass the filter
+			if k := pos[o.idx]; k >= 0 {
+				subOrder = append(subOrder, keyed{o.key, k})
 			}
 		}
-		if len(pinned) == 0 {
-			for k, i := range active {
+		a.sub, a.subVirt, a.subOrder = sub, subVirt, subOrder
+		subAlloc := resized(a.subAlloc, m)
+		clear(subAlloc)
+		a.subAlloc = subAlloc
+		a.allocate(sub, subVirt, subOrder, slotsLeft, subAlloc)
+		// Pin every job below its guarantee at the guarantee and keep the
+		// rest, renumbered, for the next round. The floors never
+		// oversubscribe the cluster: each of at most N guarantees is at
+		// most ⌊(1−ε)·S/N⌋ <= S/N, so slotsLeft stays >= 0.
+		kept := active[:0]
+		for k, i := range active {
+			if g := jobs[i].cap(floorSlots); subAlloc[k] < g {
+				alloc[i] = g
+				slotsLeft -= g
+				pos[i] = -1
+			} else {
+				pos[i] = len(kept)
+				kept = append(kept, i)
+			}
+		}
+		if len(kept) == m { // nothing pinned: this round's allocation stands
+			for k, i := range kept {
 				alloc[i] = subAlloc[k]
 			}
-			return alloc
+			break
 		}
-		if slotsLeft < 0 {
-			// Floors oversubscribe the cluster (possible when epsilon is
-			// small and N is large relative to S): scale the pinned
-			// guarantees down proportionally, drop everything else.
-			deficit := -slotsLeft
-			for _, k := range pinned {
-				i := active[k]
-				take := min(alloc[i], deficit)
-				alloc[i] -= take
-				deficit -= take
-				if deficit == 0 {
-					break
-				}
-			}
-			for k, i := range active {
-				if !slices.Contains(pinned, k) {
-					alloc[i] = 0
-				}
-			}
-			return alloc
-		}
-		// Remove pinned jobs from the active set (descending to keep
-		// indices valid).
-		for d := len(pinned) - 1; d >= 0; d-- {
-			k := pinned[d]
-			active = append(active[:k], active[k+1:]...)
-		}
-		if len(active) == 0 {
-			return alloc
-		}
+		active = kept
 	}
+	a.active, a.pos = active, pos
+	return alloc
 }
 
 // LocalityWindow returns how many of the smallest jobs may be bypassed in

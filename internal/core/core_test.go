@@ -205,17 +205,13 @@ func TestAllocateFairPropertyFloorAndCapacity(t *testing.T) {
 		alloc := AllocateFair(jobs, slots, 1.5, eps)
 		sum := 0
 		floor := int(math.Floor((1 - eps) * float64(slots) / float64(len(jobs))))
-		for i, a := range alloc {
-			if a < 0 {
+		for _, a := range alloc {
+			// No job is capped, so every job gets at least the floor: the
+			// floors of N jobs never add up to more than S.
+			if a < floor {
 				return false
 			}
 			sum += a
-			// The guarantee is capped by what the job can use.
-			guarantee := floor
-			if cap := jobs[i].Remaining * 2; guarantee > cap {
-				guarantee = cap
-			}
-			_ = guarantee // floors may be scaled down when oversubscribed
 		}
 		return sum <= slots
 	}
@@ -296,9 +292,9 @@ func TestTypedSortsMatchStableSort(t *testing.T) {
 		sort.SliceStable(want, func(a, b int) bool {
 			return jobs[want[a]].Priority(beta) < jobs[want[b]].Priority(beta)
 		})
-		var ws workspace
-		ws.sortByPriority(jobs, virtuals(nil, jobs, beta))
-		for k, o := range ws.order {
+		var a Allocator
+		a.sortByPriority(jobs, beta)
+		for k, o := range a.order {
 			if o.idx != want[k] {
 				t.Fatalf("trial %d: priority order differs from the stable sort at rank %d: job %d, want %d", trial, k, o.idx, want[k])
 			}
@@ -313,6 +309,196 @@ func TestTypedSortsMatchStableSort(t *testing.T) {
 		slices.SortFunc(fracs, ascending)
 		if !slices.Equal(fracs, wantFracs) {
 			t.Fatalf("trial %d: largest-remainder order differs from the stable sort", trial)
+		}
+	}
+}
+
+// TestAllocatorMatchesFreshAllocation: one Allocator reused across a
+// sequence of demand sets whose size grows and shrinks must allocate
+// exactly what a fresh AllocateFair does on each set, and its Order must
+// be the stable sort by JobDemand.Priority. Leftovers of a larger earlier
+// call in the reused buffers, or a projection round that reads the
+// call's one sort without remapping it to the round's subproblem, show
+// up as a differing allocation. The generator covers both regimes of
+// Pseudocode 1, projections of several rounds, floors that take the
+// whole cluster (ε = 0 with S a multiple of N), MaxUsable caps and
+// ε ∈ {0, 0.1, 1}; the coverage counts at the end fail if it stops doing
+// so.
+func TestAllocatorMatchesFreshAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var a Allocator
+	var constrained, proportional, multiRound, floorsTakeAll, capped int
+	n := 0
+	for trial := 0; trial < 3000; trial++ {
+		// A random walk over the set size, with an occasional jump.
+		n = max(0, min(300, n+rng.Intn(41)-20))
+		if rng.Intn(20) == 0 {
+			n = rng.Intn(301)
+		}
+		beta := 1.1 + rng.Float64()*0.9
+		spread := []int{3, 40, 400}[rng.Intn(3)] // small spreads tie priorities
+		jobs := make([]JobDemand, n)
+		for i := range jobs {
+			j := JobDemand{ID: int64(i), Remaining: rng.Intn(spread), Alpha: []float64{0, 1, 2.5}[rng.Intn(3)]}
+			if rng.Intn(5) == 0 {
+				j.DownstreamVirtual = float64(rng.Intn(2 * spread))
+			}
+			switch rng.Intn(3) {
+			case 0:
+				j.MaxUsable = j.Remaining * (1 + rng.Intn(4))
+			case 1:
+				j.MaxUsable = rng.Intn(5)
+			}
+			jobs[i] = j
+		}
+		totalV := TotalVirtual(jobs, beta)
+		slots := int(totalV * []float64{0.05, 0.5, 0.95, 1.05, 2, 6}[rng.Intn(6)])
+		eps := []float64{0, 0.1, 1}[rng.Intn(3)]
+		if n > 0 && rng.Intn(8) == 0 {
+			eps, slots = 0, n*(1+rng.Intn(3)) // every floor is ⌊S/N⌋ exactly
+		}
+
+		got := a.Allocate(jobs, slots, beta, eps)
+		want := AllocateFair(jobs, slots, beta, eps)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, slots=%d, ε=%v): reused allocator %v, fresh %v", trial, n, slots, eps, got, want)
+		}
+		if ref := sortEachRound(jobs, slots, beta, eps); !slices.Equal(got, ref) {
+			t.Fatalf("trial %d (n=%d, slots=%d, ε=%v): allocator %v, sorting each round %v", trial, n, slots, eps, got, ref)
+		}
+		sum := 0
+		for _, x := range got {
+			sum += x
+		}
+		if sum > max(slots, 0) {
+			t.Fatalf("trial %d: allocated %d of %d slots", trial, sum, slots)
+		}
+		wantOrder := make([]int, n)
+		for i := range wantOrder {
+			wantOrder[i] = i
+		}
+		slices.SortStableFunc(wantOrder, func(x, y int) int {
+			return cmpFloat(jobs[x].Priority(beta), jobs[y].Priority(beta))
+		})
+		if !slices.Equal(a.Order(), wantOrder) {
+			t.Fatalf("trial %d: Order %v, stable sort by priority %v", trial, a.Order(), wantOrder)
+		}
+		for i, p := range a.Priorities() {
+			if p != jobs[i].Priority(beta) {
+				t.Fatalf("trial %d: Priorities()[%d] = %v, want %v", trial, i, p, jobs[i].Priority(beta))
+			}
+		}
+
+		if n == 0 || slots <= 0 {
+			continue
+		}
+		if float64(slots) < totalV {
+			constrained++
+		} else {
+			proportional++
+		}
+		for _, j := range jobs {
+			if j.MaxUsable > 0 && j.cap(slots) < slots {
+				capped++
+				break
+			}
+		}
+		if eps < 1 {
+			// A second round runs when the unprojected allocation leaves a
+			// job below its guarantee.
+			floor := int(math.Floor((1 - eps) * float64(slots) / float64(n)))
+			for i, x := range Allocate(jobs, slots, beta) {
+				if x < jobs[i].cap(floor) {
+					multiRound++
+					break
+				}
+			}
+			if floor*n == slots && sum == slots {
+				floorsTakeAll++
+			}
+		}
+	}
+	t.Logf("constrained %d, proportional %d, multi-round %d, floors take all %d, capped %d",
+		constrained, proportional, multiRound, floorsTakeAll, capped)
+	for name, c := range map[string]int{"constrained": constrained, "proportional": proportional,
+		"multi-round": multiRound, "floors-take-all": floorsTakeAll, "capped": capped} {
+		if c < 50 {
+			t.Errorf("only %d %s cases: the generator no longer covers them", c, name)
+		}
+	}
+}
+
+// sortEachRound is the ε-fairness projection with every round's
+// subproblem allocated by a fresh Allocate, which sorts it anew: the
+// oracle for the allocator's one sort, filtered and remapped per round.
+func sortEachRound(jobs []JobDemand, slots int, beta, eps float64) []int {
+	alloc := make([]int, len(jobs))
+	if len(jobs) == 0 || slots <= 0 {
+		return alloc
+	}
+	if eps >= 1 {
+		return Allocate(jobs, slots, beta)
+	}
+	floor := (1 - eps) * float64(slots) / float64(len(jobs))
+	var active []int
+	for i := range jobs {
+		active = append(active, i)
+	}
+	for slotsLeft := slots; len(active) > 0; {
+		var sub []JobDemand
+		for _, i := range active {
+			sub = append(sub, jobs[i])
+		}
+		subAlloc := Allocate(sub, slotsLeft, beta)
+		var kept []int
+		for k, i := range active {
+			if g := jobs[i].cap(int(math.Floor(floor))); subAlloc[k] < g {
+				alloc[i] = g
+				slotsLeft -= g
+			} else {
+				kept = append(kept, i)
+			}
+		}
+		if len(kept) == len(active) {
+			for k, i := range active {
+				alloc[i] = subAlloc[k]
+			}
+			break
+		}
+		active = kept
+	}
+	return alloc
+}
+
+func cmpFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
+}
+
+// TestAllocatorAllocatesNothingWarm: once its buffers have grown to the
+// job count, an Allocator's call costs no heap, projection rounds
+// included.
+func TestAllocatorAllocatesNothingWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	jobs := make([]JobDemand, 150)
+	for i := range jobs {
+		r := 1 + rng.Intn(200)
+		jobs[i] = JobDemand{ID: int64(i), Remaining: r, MaxUsable: 2 * r}
+	}
+	for _, slots := range []int{500, 16000, 100000} { // constrained, projected, proportional
+		var a Allocator
+		a.Allocate(jobs, slots, 1.5, 0.1)
+		a.Order()
+		if got := testing.AllocsPerRun(50, func() {
+			a.Allocate(jobs, slots, 1.5, 0.1)
+			a.Order()
+		}); got != 0 {
+			t.Errorf("%d slots: %v allocations per warm call, want 0", slots, got)
 		}
 	}
 }

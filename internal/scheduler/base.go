@@ -50,13 +50,6 @@ type Config struct {
 
 	// DisableSpec turns straggler mitigation off entirely (ablations).
 	DisableSpec bool
-
-	// CapacitySpec enables Hopper's capacity-driven speculation: a job
-	// given more slots than its queued work races its worst observable
-	// straggler with the surplus (the allocation *is* the speculation
-	// budget; Section 4.1 and Figure 3). Set by the Hopper engine;
-	// best-effort baselines leave it off.
-	CapacitySpec bool
 }
 
 // WithDefaults fills zero-valued fields with the paper's defaults.
@@ -161,6 +154,13 @@ type Base struct {
 
 	// dispatch is the engine-specific slot-filling loop.
 	dispatch func()
+
+	// capacitySpec enables Hopper's capacity-driven speculation: a job
+	// given more slots than its queued work races its worst observable
+	// straggler with the surplus (the allocation *is* the speculation
+	// budget; Section 4.1 and Figure 3). Set by the Hopper engine;
+	// best-effort baselines leave it off.
+	capacitySpec bool
 
 	// dispatchDelay coalesces dispatch requests: completions arriving
 	// within the window trigger a single slot-filling pass. Zero means
@@ -391,7 +391,7 @@ func (b *Base) placeSpec(s *jobState) bool {
 
 // placeOne places one unit of the job's demand: fresh work first, then a
 // speculative copy (matching deployed systems, which speculate at wave
-// boundaries). With CapacitySpec, a job with leftover allocation races
+// boundaries). With capacitySpec, a job with leftover allocation races
 // its worst observable straggler even when the policy has flagged none.
 func (b *Base) placeOne(s *jobState) bool {
 	if b.placeFresh(s) {
@@ -400,7 +400,7 @@ func (b *Base) placeOne(s *jobState) bool {
 	if b.placeSpec(s) {
 		return true
 	}
-	if !b.Cfg.CapacitySpec || b.Cfg.DisableSpec {
+	if !b.capacitySpec || b.Cfg.DisableSpec {
 		return false
 	}
 	v := b.Book.Mon.BestVictimFor(b.Eng.Now(), s.Job.ID)

@@ -97,12 +97,15 @@ func diffScenarios() []diffScenario {
 				Spec: speculation.Config{MaxCopies: 3}},
 		},
 		{
-			// Unreplicated inputs and a wide locality window: the
-			// promotion swaps inside the dispatch pass run constantly.
+			// One input replica per task and a window of half the active
+			// jobs: the promotion swaps inside the dispatch pass run
+			// constantly, several per pass, so a locality cursor that
+			// skips a job it never asked diverges. A 15 % window serves
+			// too few jobs per pass to show it.
 			name: "locality-window",
 			prof: workload.Sparkify(workload.Bing()), util: 0.75, jobs: 140,
 			spec: mid,
-			cfg:  scheduler.Config{CheckInterval: 0.1, LocalityK: 15},
+			cfg:  scheduler.Config{CheckInterval: 0.1, LocalityK: 50},
 		},
 	}
 }

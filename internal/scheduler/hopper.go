@@ -1,8 +1,6 @@
 package scheduler
 
 import (
-	"slices"
-
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/core"
 	"github.com/hopper-sim/hopper/internal/simulator"
@@ -21,26 +19,27 @@ type HopperEngine struct {
 
 	// The allocation cache is refreshed on arrivals and on a short timer
 	// rather than on every task completion: recomputing the guideline
-	// allocation is O(n log n) over active jobs and completions arrive
-	// at cluster scale. Staleness is bounded by half the speculation
-	// check interval. Per-job targets and priorities live on jobState
-	// (dense by active slot, no map); order is the active set sorted
-	// ascending by priority, rebuilt only here and pruned on job
-	// completion — a dispatch pass just copies it into a scratch slice
-	// (locality-window swaps are pass-local) instead of re-sorting.
+	// allocation sorts the active jobs (once per refresh: the allocator's
+	// projection rounds and the service order share that sort) and
+	// completions arrive at cluster scale. Staleness is bounded by half
+	// the speculation check interval. Per-job targets and priorities live
+	// on jobState (dense by active slot, no map); order is the active set
+	// ascending by priority, taken from the allocator's sort and pruned on
+	// job completion — a dispatch pass just copies it into a scratch slice
+	// (locality-window swaps are pass-local) instead of re-sorting. The
+	// allocator and demands keep their buffers between refreshes.
 	order     []*jobState
 	passOrder []*jobState
 	demands   []core.JobDemand
-	targets   []int
-	refreshAt float64
+	allocator core.Allocator
 	refreshOn bool
 }
 
 // NewHopper builds a centralized Hopper engine on the executor.
 func NewHopper(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *HopperEngine {
-	cfg.CapacitySpec = true
 	h := &HopperEngine{totalSlots: exec.Machines.TotalSlots()}
 	h.Base = newBase(eng, exec, cfg)
+	h.Base.capacitySpec = true
 	h.Base.dispatch = h.dispatch
 	// Dispatch passes are O(active jobs); coalesce completions within a
 	// small window (2% of the check interval) into one pass.
@@ -76,7 +75,6 @@ func (h *HopperEngine) ensureRefresher() {
 // refresh recomputes the guideline allocation for the current active set
 // into the per-job caches and rebuilds the sorted service order.
 func (h *HopperEngine) refresh() {
-	h.refreshAt = h.Eng.Now()
 	beta := h.Book.Beta.Estimate()
 	if cap(h.demands) < len(h.active) {
 		h.demands = make([]core.JobDemand, 0, 2*len(h.active)+8)
@@ -87,26 +85,21 @@ func (h *HopperEngine) refresh() {
 		demands[i].MaxUsable = demands[i].Remaining * h.Cfg.Spec.MaxCopies
 	}
 	h.demands = demands
-	h.targets = core.AllocateFairInto(h.targets, demands, h.totalSlots, beta, h.Cfg.Epsilon)
+	targets := h.allocator.Allocate(demands, h.totalSlots, beta, h.Cfg.Epsilon)
+	prios := h.allocator.Priorities()
 	for i, s := range h.active {
-		s.target = h.targets[i]
-		s.prio = demands[i].Priority(beta)
+		s.target = targets[i]
+		s.prio = prios[i]
 	}
-	// Stable sort keyed by priority with the active (arrival) order as
-	// tie-break — the exact permutation the per-pass sort used to
-	// produce. Job completions between refreshes prune the list in
-	// jobRemoved, which preserves this order for the survivors (a stable
-	// sort of a subset equals the subset of the stable sort).
-	h.order = append(h.order[:0], h.active...)
-	slices.SortStableFunc(h.order, func(a, b *jobState) int {
-		switch {
-		case a.prio < b.prio:
-			return -1
-		case a.prio > b.prio:
-			return 1
-		}
-		return 0
-	})
+	// The allocator's order is ascending by priority with the active
+	// (arrival) order as tie-break — the exact permutation a stable sort
+	// by priority produces. Job completions between refreshes prune the
+	// list in jobRemoved, which preserves this order for the survivors (a
+	// stable sort of a subset equals the subset of the stable sort).
+	h.order = h.order[:0]
+	for _, i := range h.allocator.Order() {
+		h.order = append(h.order, h.active[i])
+	}
 }
 
 // jobRemoved prunes the finished job from the cached service order.
@@ -147,16 +140,27 @@ func (h *HopperEngine) dispatch() {
 	if window > 32 {
 		window = 32
 	}
+	// Every job in order[i:cursor] has been asked hasLocalFresh in this
+	// pass and said no. Within a pass free slots only fall and an unserved
+	// job's own tasks do not change, so a no stays a no, and the scan
+	// resumes at the cursor: O(n + window) questions per pass, not
+	// O(n·window).
+	cursor := 0
 	for i := 0; i < len(order) && budget > 0; i++ {
 		// Locality relaxation: within the lookahead window starting at i,
 		// promote the first job with a local fresh task.
 		if window > 1 {
-			for k := i; k < i+window && k < len(order); k++ {
+			end := min(i+window, len(order))
+			k := max(i, cursor)
+			for ; k < end; k++ {
 				if h.hasLocalFresh(order[k]) {
+					// The job displaced to k was a no too: at i it was
+					// either below the cursor or asked just now.
 					order[i], order[k] = order[k], order[i]
 					break
 				}
 			}
+			cursor = min(k+1, end)
 		}
 		s := order[i]
 		quota := s.target - s.Occupied

@@ -144,7 +144,7 @@ func (r *scanSpec) placeOne(s *jobState) bool {
 	if r.placeSpec(s) {
 		return true
 	}
-	if !r.Cfg.CapacitySpec || r.Cfg.DisableSpec {
+	if !r.capacitySpec || r.Cfg.DisableSpec {
 		return false
 	}
 	v := r.Book.Mon.BestVictim(r.Eng.Now(), r.runningOf(s), r.Cfg.Spec.MaxCopies)
