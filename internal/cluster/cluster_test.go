@@ -266,10 +266,39 @@ func TestTaskWinAndDropCopy(t *testing.T) {
 }
 
 // TestCopyIsOneSizeClass: the simulator allocates a Copy per placement,
-// so the record both planes share stays at 64 bytes.
+// so the record both planes share, finish handle included, stays in the
+// 64-byte size class (above 48, the next class down).
 func TestCopyIsOneSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Copy{}); n != 64 {
-		t.Fatalf("unsafe.Sizeof(Copy{}) = %d, want 64", n)
+	if n := unsafe.Sizeof(Copy{}); n <= 48 || n > 64 {
+		t.Fatalf("unsafe.Sizeof(Copy{}) = %d, want 48 < n <= 64", n)
+	}
+}
+
+// TestPlacementAllocatesOnlyTheCopy pins a placement's own cost at zero:
+// the service-time draw reseeds the Executor's CopySource and the finish
+// event is posted under the handle the Copy embeds, so a PlaceOn →
+// KillCopy → Run cycle allocates exactly what StartCopy and DropCopy do
+// alone — the Copy itself.
+func TestPlacementAllocatesOnlyTheCopy(t *testing.T) {
+	eng := simulator.New(1)
+	x := NewExecutor(eng, NewMachines(2, 1), DefaultExecModel())
+	j := mkJob(1, 1, 1.0)
+	x.AdmitJob(j)
+	eng.Run()
+	task := j.Phases[0].Tasks[0]
+	place := func() {
+		x.KillCopy(x.PlaceOn(task, 0, true))
+		eng.Run()
+	}
+	alone := func() { task.DropCopy(task.StartCopy(eng.Now(), 0, true, true, 1)) }
+	place()
+	alone()
+	p, a := testing.AllocsPerRun(200, place), testing.AllocsPerRun(200, alone)
+	if a != 1 {
+		t.Fatalf("StartCopy+DropCopy allocate %v per copy, want 1 (the Copy)", a)
+	}
+	if p != a {
+		t.Fatalf("a placement allocates %v beyond its Copy, want 0", p-a)
 	}
 }
 

@@ -65,12 +65,13 @@ func (em ExecModel) Duration(rng *rand.Rand, meanTask float64, local bool) float
 }
 
 // CopyDuration draws the service time of t's next copy on a machine of
-// the given speed: a Duration draw from CopyServiceRNG (attempt
-// len(t.Copies)), scaled to wall-clock off speed 1. The simulator's
-// Executor and the live scheduler both draw through here, so an emulated
-// cluster inherits the simulator's straggler realizations.
-func (em ExecModel) CopyDuration(seed int64, t *Task, local bool, speed float64) float64 {
-	d := em.Duration(CopyServiceRNG(seed, t, len(t.Copies)), t.Phase.MeanTaskDuration, local)
+// the given speed: a Duration draw from src's stream for that copy
+// (attempt len(t.Copies)), scaled to wall-clock off speed 1. The
+// simulator's Executor and the live scheduler both draw through here,
+// each from its own CopySource, so an emulated cluster inherits the
+// simulator's straggler realizations.
+func (em ExecModel) CopyDuration(src *CopySource, t *Task, local bool, speed float64) float64 {
+	d := em.Duration(src.stream(t, len(t.Copies)), t.Phase.MeanTaskDuration, local)
 	if speed != 1 {
 		// The draw is baseline-speed work; wall-clock scales inversely
 		// with the machine's service rate. Guarded so homogeneous runs
@@ -78,6 +79,41 @@ func (em ExecModel) CopyDuration(seed int64, t *Task, local bool, speed float64)
 		d /= speed
 	}
 	return d
+}
+
+// CopySource is one owner's deterministic service-time source: a stream
+// per copy, keyed by (job, phase, task, attempt) under a seed rather than
+// by placement order. Two replays of the same trace under different
+// schedulers then share straggler realizations, so paired per-job
+// comparisons (Figures 8a and 10) measure scheduling differences, not
+// resampling noise. It owns one SplitMix64 and the *rand.Rand over it and
+// reseeds the source for each copy, so a draw allocates nothing. Not safe
+// for concurrent use; each owner (an Executor, a live scheduler's loop)
+// holds its own.
+type CopySource struct {
+	seed int64
+	src  stats.SplitMix64
+	rng  *rand.Rand
+}
+
+// NewCopySource returns the copy streams keyed under seed.
+func NewCopySource(seed int64) *CopySource {
+	cs := &CopySource{seed: seed}
+	cs.rng = rand.New(&cs.src)
+	return cs
+}
+
+// stream positions the source at the start of copy attempt of t and
+// returns it; the stream is valid until the next call.
+func (cs *CopySource) stream(t *Task, attempt int) *rand.Rand {
+	h := uint64(cs.seed)
+	for _, v := range [4]uint64{uint64(t.Job.ID), uint64(t.Phase.Index), uint64(t.Index), uint64(attempt)} {
+		h ^= v + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
+		h *= 0xBF58476D1CE4E5B9
+		h ^= h >> 27
+	}
+	cs.src = stats.SplitMix64(h)
+	return cs.rng
 }
 
 // Executor runs copies on machines inside a discrete-event simulation:
@@ -114,8 +150,8 @@ type Executor struct {
 	// that need exact schedules.
 	DurationOverride func(t *Task, speculative bool) float64
 
-	// durSeed keys task-intrinsic service-time draws; see CopyServiceRNG.
-	durSeed int64
+	// durations draws task-intrinsic service times; see CopySource.
+	durations *CopySource
 
 	// Stats
 	CopiesStarted     int
@@ -151,9 +187,11 @@ type Executor struct {
 	// each phase reaches OnPhaseRunnable exactly once.
 	unlock UnlockPlanner
 
-	// killLoser is Task.Win's loser consequence, bound once here so a race
-	// allocates nothing.
+	// killLoser is Task.Win's loser consequence and finishFn the copy
+	// finish event's callback (its arg is the *Copy), both bound once
+	// here so a placement and a race allocate nothing of their own.
 	killLoser func(*Copy)
+	finishFn  func(any)
 }
 
 // noteSlotChange updates the saturation clock after slot counts change.
@@ -170,7 +208,7 @@ func (x *Executor) noteSlotChange() {
 
 // NewExecutor wires an executor to an engine and machine set.
 func NewExecutor(eng *simulator.Engine, ms *Machines, model ExecModel) *Executor {
-	x := &Executor{Eng: eng, Machines: ms, Model: model, rng: eng.Rand(), durSeed: eng.Rand().Int63()}
+	x := &Executor{Eng: eng, Machines: ms, Model: model, rng: eng.Rand(), durations: NewCopySource(eng.Rand().Int63())}
 	x.unlock = UnlockPlanner{
 		// Every unlock becomes an engine post, including ones already due:
 		// same-timestamp FIFO ordering of wakeups versus completions is
@@ -186,23 +224,8 @@ func NewExecutor(eng *simulator.Engine, ms *Machines, model ExecModel) *Executor
 		x.reclaim(sib)
 		x.freedScratch = append(x.freedScratch, sib.Machine)
 	}
+	x.finishFn = func(c any) { x.copyFinished(c.(*Copy)) }
 	return x
-}
-
-// CopyServiceRNG returns the deterministic service-time source for one
-// copy, keyed by (job, phase, task, attempt) under the given seed rather
-// than by placement order. Two replays of the same trace under different
-// schedulers then share straggler realizations, so paired per-job
-// comparisons (Figures 8a and 10) measure scheduling differences, not
-// resampling noise.
-func CopyServiceRNG(seed int64, t *Task, attempt int) *rand.Rand {
-	h := uint64(seed)
-	for _, v := range [4]uint64{uint64(t.Job.ID), uint64(t.Phase.Index), uint64(t.Index), uint64(attempt)} {
-		h ^= v + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-	}
-	return stats.NewFastRand(h)
 }
 
 // AdmitJob marks the job's root phases runnable at the current time and
@@ -246,7 +269,7 @@ func (x *Executor) placeOn(t *Task, m MachineID, speculative, local bool) *Copy 
 		// Scripted schedules are explicit wall-clock times; no speed scaling.
 		dur = x.DurationOverride(t, speculative)
 	} else {
-		dur = x.Model.CopyDuration(x.durSeed, t, local, x.Machines.All[m].Speed)
+		dur = x.Model.CopyDuration(x.durations, t, local, x.Machines.All[m].Speed)
 	}
 	c := t.StartCopy(now, m, speculative, local, dur)
 	c.Speed = x.Machines.All[m].Speed
@@ -257,7 +280,7 @@ func (x *Executor) placeOn(t *Task, m MachineID, speculative, local bool) *Copy 
 	if local {
 		x.LocalCopies++
 	}
-	c.finishEv = x.Eng.After(c.Duration, func() { x.copyFinished(c) })
+	x.Eng.AtArg(&c.finish, now+c.Duration, x.finishFn, c)
 	return c
 }
 
@@ -319,7 +342,7 @@ func (x *Executor) KillCopy(c *Copy) bool {
 // event is cancelled, the time it ran is charged as used (wasted) slot
 // time, and its slot is released.
 func (x *Executor) reclaim(c *Copy) {
-	c.finishEv.Cancel()
+	c.finish.Cancel()
 	x.CopiesKilled++
 	ran := x.Eng.Now() - c.Start
 	x.SlotSecondsUsed += ran

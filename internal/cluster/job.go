@@ -63,8 +63,9 @@ type Copy struct {
 	// simulator.
 	Seq uint64
 
-	// The four flags share one word, keeping a Copy at 64 bytes (one
-	// size class; the simulator allocates one per placement).
+	// The four flags and the finish handle share one word, keeping a
+	// Copy at 56 bytes, inside the 64-byte size class (the simulator
+	// allocates one per placement).
 	Speculative bool
 	Local       bool // input data was machine-local
 	// Killed is set when the copy ended without finishing: a sibling won
@@ -73,7 +74,9 @@ type Copy struct {
 	// Won is set on the copy that completed the task.
 	Won bool
 
-	finishEv *simulator.Event
+	// finish is the Executor's cancellation handle for this copy's
+	// finish event, armed by Engine.AtArg at placement.
+	finish simulator.Event
 }
 
 // SpeedFactor is Speed with the zero value normalized to the homogeneous

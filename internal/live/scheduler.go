@@ -151,6 +151,10 @@ type Scheduler struct {
 	stats protocol.Stats
 	start time.Time
 
+	// durations draws copy service times on the loop goroutine, keyed
+	// under cfg.Seed exactly as the simulator's Executor keys its own.
+	durations *cluster.CopySource
+
 	workers    map[uint32]*peer
 	workerIDs  []cluster.MachineID // sorted; topology for probe aiming
 	totalSlots int
@@ -236,6 +240,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		copies:       make(map[copyKey]*cluster.Copy),
 		pendingRecon: make(map[uint64][]pendingRecon),
 		start:        cfg.Timers.Now(),
+		durations:    cluster.NewCopySource(cfg.Seed),
 	}
 	s.model = cluster.DefaultExecModel()
 	s.model.Beta = cfg.Beta
@@ -1011,7 +1016,7 @@ func (s *Scheduler) startCopy(rep protocol.Reply, workerID uint32, seq uint64) f
 		// scaling (same contract as the simulator's Executor).
 		dur = s.cfg.DurationOverride(t, rep.Spec)
 	} else {
-		dur = s.model.CopyDuration(s.cfg.Seed, t, local, speed)
+		dur = s.model.CopyDuration(s.durations, t, local, speed)
 	}
 	c := t.StartCopy(s.now(), m, rep.Spec, local, dur)
 	c.Speed = speed

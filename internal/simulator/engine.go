@@ -10,19 +10,25 @@
 //
 // # Event queue
 //
-// Pending events are stored by value in one binary min-heap ordered by
-// (time, scheduling order): no per-event allocation on the hot path, no
-// interface boxing, O(log n) push and pop. That pair is the whole
-// ordering contract — events fire in nondecreasing time, and events at the
-// same instant fire in the order they were scheduled — and it is a total
-// order, so the firing sequence does not depend on the container.
+// Pending events are split in two. A binary min-heap holds pointer-free
+// keys ordered by (time, scheduling order); each key names a slab entry
+// holding the callback, its argument and the cancellation handle, and
+// freed entries go on a free list for the next post. Sifts move 24-byte
+// keys the garbage collector never scans, and nothing is allocated per
+// event once the slab has grown to the run's peak. (time, scheduling
+// order) is the whole ordering contract — events fire in nondecreasing
+// time, and events at the same instant fire in the order they were
+// scheduled — and it is a total order, so the firing sequence does not
+// depend on the container.
 //
-// At and After return a *Event cancellation handle (the only per-event
-// allocation); Post, PostAfter, PostArg and PostAfterArg skip the handle
-// entirely for the common fire-and-forget case. Handles are deliberately
-// not pooled: callers may retain one indefinitely and Cancel it after the
-// event fired, and recycling would let that stale Cancel hit an unrelated
-// event.
+// At and After return a fresh *Event cancellation handle, the one
+// allocation a post can cost; AtArg takes a handle the caller owns, which
+// is how an executor embeds a copy's finish event in the copy itself.
+// Post, PostAfter, PostArg and PostAfterArg skip the handle entirely for
+// the common fire-and-forget case. Handles are deliberately not pooled
+// by the engine: callers may retain one indefinitely and Cancel it after
+// the event fired, and recycling would let that stale Cancel hit an
+// unrelated event.
 package simulator
 
 import (
@@ -33,10 +39,9 @@ import (
 // Time is virtual simulation time in seconds.
 type Time = float64
 
-// Event is a cancellation handle for a scheduled callback. The zero Event
-// is invalid; events are created through Engine.At / Engine.After.
+// Event is a cancellation handle for a scheduled callback. At and After
+// allocate one per event; AtArg arms one the caller owns.
 type Event struct {
-	at       Time
 	canceled bool
 }
 
@@ -51,77 +56,36 @@ func (e *Event) Cancel() {
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e != nil && e.canceled }
 
-// Time returns the virtual time at which the event is scheduled to fire.
-func (e *Event) Time() Time { return e.at }
+// key is one pending event's place in the heap: its (at, seq) order and
+// the slab index of its payload. It holds no pointer, so the heap's
+// backing array is never scanned by the garbage collector and a sift
+// moves three words with no write barrier.
+type key struct {
+	at  Time
+	seq uint64
+	idx uint32
+}
 
-// slot is one scheduled callback, stored by value inside the queue's
-// backing array. h is non-nil only for cancellable events (At/After).
+// less orders keys by (time, scheduling order) — the engine's FIFO
+// tie-break contract.
+func (k key) less(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
+
+// entry is one pending event's payload, stored in the slab at its key's
+// idx. h is non-nil only for cancellable events (At/After/AtArg).
 // Exactly one of fn/afn is set: afn carries the PostArg form, where the
 // callback is a shared (usually package-level) function and the
 // per-event state travels in arg — the zero-allocation path for
 // adapters that post pooled message objects instead of closures.
-type slot struct {
-	at  Time
-	seq uint64
+type entry struct {
 	fn  func()
 	afn func(any)
 	arg any
 	h   *Event
-}
-
-// slotLess orders slots by (time, scheduling order) — the engine's FIFO
-// tie-break contract.
-func slotLess(a, b slot) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// slotHeap is a hand-rolled binary min-heap of slots ordered by (at, seq).
-// Avoiding container/heap keeps slots out of interface boxes and saves an
-// allocation plus two indirect calls per operation.
-type slotHeap []slot
-
-func (h *slotHeap) push(s slot) {
-	*h = append(*h, s)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !slotLess(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *slotHeap) pop() slot {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = slot{} // release fn/h for GC
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && slotLess(q[l], q[small]) {
-			small = l
-		}
-		if r < n && slotLess(q[r], q[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	return top
 }
 
 // Engine is a discrete-event simulation engine. It is not safe for
@@ -133,9 +97,13 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// queue holds every pending event, including canceled ones that have
-	// not yet been popped (matching Pending's documented semantics).
-	queue slotHeap
+	// keys is the heap of every pending event, including canceled ones
+	// that have not yet been popped (matching Pending's documented
+	// semantics). slab holds their payloads; free lists the slab indices
+	// no pending event uses.
+	keys []key
+	slab []entry
+	free []uint32
 
 	// Fired counts events that have executed; useful for tests and for
 	// sanity-checking runaway simulations.
@@ -155,7 +123,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of events waiting to fire (including
 // canceled events that have not yet been drained).
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.keys) }
 
 // At schedules fn to run at absolute virtual time t and returns a handle
 // that can cancel it. Scheduling in the past — or at NaN, which would
@@ -166,8 +134,8 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if !(t >= e.now) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := &Event{at: t}
-	e.insert(slot{at: t, fn: fn, h: ev})
+	ev := &Event{}
+	e.insert(t, entry{fn: fn, h: ev})
 	return ev
 }
 
@@ -179,6 +147,20 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
+// AtArg schedules fn(arg) at absolute virtual time t under the caller's
+// handle ev, which it clears; ev.Cancel stops the event. It is At without
+// the allocations: fn is a function bound once and arg the per-event
+// state, and the handle lives wherever the caller keeps it (an Executor
+// embeds it in the copy it ends). ev must not be armed for an event still
+// pending — clearing it would revive a cancel. Time rules are At's.
+func (e *Engine) AtArg(ev *Event, t Time, fn func(any), arg any) {
+	if !(t >= e.now) { // also rejects NaN
+		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, e.now))
+	}
+	ev.canceled = false
+	e.insert(t, entry{afn: fn, arg: arg, h: ev})
+}
+
 // Post schedules fn at absolute virtual time t with no cancellation
 // handle. It is the zero-allocation path for fire-and-forget events —
 // the overwhelmingly common case — and otherwise behaves exactly like At.
@@ -186,7 +168,7 @@ func (e *Engine) Post(t Time, fn func()) {
 	if !(t >= e.now) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, e.now))
 	}
-	e.insert(slot{at: t, fn: fn})
+	e.insert(t, entry{fn: fn})
 }
 
 // PostAfter schedules fn to run d seconds from now with no cancellation
@@ -195,7 +177,7 @@ func (e *Engine) PostAfter(d Time, fn func()) {
 	if !(d >= 0) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: negative delay %v", d))
 	}
-	e.insert(slot{at: e.now + d, fn: fn})
+	e.insert(e.now+d, entry{fn: fn})
 }
 
 // PostArg schedules fn(arg) at absolute virtual time t with no
@@ -208,7 +190,7 @@ func (e *Engine) PostArg(t Time, fn func(any), arg any) {
 	if !(t >= e.now) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, e.now))
 	}
-	e.insert(slot{at: t, afn: fn, arg: arg})
+	e.insert(t, entry{afn: fn, arg: arg})
 }
 
 // PostAfterArg schedules fn(arg) d seconds from now with no cancellation
@@ -217,13 +199,70 @@ func (e *Engine) PostAfterArg(d Time, fn func(any), arg any) {
 	if !(d >= 0) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: negative delay %v", d))
 	}
-	e.insert(slot{at: e.now + d, afn: fn, arg: arg})
+	e.insert(e.now+d, entry{afn: fn, arg: arg})
 }
 
-func (e *Engine) insert(s slot) {
-	s.seq = e.seq
+// insert stores p in a free slab entry and pushes its key, sifting the
+// hole up from the new leaf and writing the key once where it lands.
+func (e *Engine) insert(at Time, p entry) {
+	var idx uint32
+	if n := len(e.free); n > 0 {
+		idx = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[idx] = p
+	} else {
+		idx = uint32(len(e.slab))
+		e.slab = append(e.slab, p)
+	}
+	k := key{at: at, seq: e.seq, idx: idx}
 	e.seq++
-	e.queue.push(s)
+	q := append(e.keys, k)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.less(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = k
+	e.keys = q
+}
+
+// pop removes the earliest event and returns its time and payload. The
+// last key fills the root's hole, which sifts down past every smaller
+// child; the payload's slab entry is zeroed and freed, so a fired or
+// skipped event pins nothing.
+func (e *Engine) pop() (Time, entry) {
+	q := e.keys
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	e.keys = q
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].less(q[c]) {
+				c = r
+			}
+			if !q[c].less(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	p := e.slab[top.idx]
+	e.slab[top.idx] = entry{}
+	e.free = append(e.free, top.idx)
+	return top.at, p
 }
 
 // Stop halts Run after the currently executing event returns. If no run
@@ -249,21 +288,21 @@ func (e *Engine) Run() Time {
 // pending stop is consumed either way.
 func (e *Engine) RunUntil(deadline Time) Time {
 	defer func() { e.stopped = false }()
-	for !e.stopped && len(e.queue) > 0 {
-		if deadline >= 0 && e.queue[0].at > deadline {
+	for !e.stopped && len(e.keys) > 0 {
+		if deadline >= 0 && e.keys[0].at > deadline {
 			e.now = deadline
 			return e.now
 		}
-		s := e.queue.pop()
-		if s.h != nil && s.h.canceled {
+		at, p := e.pop()
+		if p.h != nil && p.h.canceled {
 			continue
 		}
-		e.now = s.at
+		e.now = at
 		e.Fired++
-		if s.afn != nil {
-			s.afn(s.arg)
+		if p.afn != nil {
+			p.afn(p.arg)
 		} else {
-			s.fn()
+			p.fn()
 		}
 	}
 	if deadline >= 0 && e.now < deadline {
@@ -274,10 +313,12 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // Drain discards all pending events without running them. Useful when a
 // simulation has logically completed but periodic timers remain. The
-// queue's backing array keeps its capacity but is scrubbed, so a drained
-// engine retains no references to event callbacks, payloads, or
-// cancellation handles.
+// keys, the slab and the free list keep their capacity, but the slab is
+// scrubbed, so a drained engine retains no references to event
+// callbacks, payloads, or cancellation handles.
 func (e *Engine) Drain() {
-	clear(e.queue)
-	e.queue = e.queue[:0]
+	e.keys = e.keys[:0]
+	clear(e.slab)
+	e.slab = e.slab[:0]
+	e.free = e.free[:0]
 }

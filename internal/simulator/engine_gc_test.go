@@ -7,7 +7,7 @@ import (
 )
 
 // payload is a finalizable event argument; tests use finalizers to prove
-// the engine's backing arrays hold no reference after Drain/consumption.
+// the engine's slab holds no reference after Drain/consumption.
 type payload struct{ pad [64]byte }
 
 // awaitCollected forces GC cycles until the flag flips or the budget runs
@@ -26,9 +26,10 @@ func awaitCollected(collected *atomic.Bool) bool {
 }
 
 // plant fills the heap with inert events, then schedules events holding
-// fresh finalizable payloads so that they come to rest at the root, an
-// interior node and the last leaf of the backing array — via PostArg
-// payload, via closure, and via the cancellation handle itself.
+// fresh finalizable payloads whose keys come to rest at the root, an
+// interior node and the last leaf of the heap — via PostArg payload, via
+// closure, and via the cancellation handle itself. It reads each payload
+// through the slab entry its key names.
 func plant(t *testing.T, e *Engine, collected []atomic.Bool) {
 	t.Helper()
 	mk := func(i int) *payload {
@@ -45,15 +46,15 @@ func plant(t *testing.T, e *Engine, collected []atomic.Bool) {
 	e.PostArg(e.Now(), func(any) {}, mk(2)) // earliest: sifts up to the root
 	e.PostArg(1000, func(any) {}, mk(3))    // latest: stays where push appended it
 
-	n := len(e.queue)
-	if e.queue[0].arg == nil {
+	n := len(e.keys)
+	if e.slab[e.keys[0].idx].arg == nil {
 		t.Fatal("PostArg payload at Now() is not at the heap root")
 	}
-	if e.queue[n-1].arg == nil {
+	if e.slab[e.keys[n-1].idx].arg == nil {
 		t.Fatal("far-future PostArg payload is not at the last leaf")
 	}
-	for i, s := range e.queue {
-		if s.h != nil && (i == 0 || 2*i+1 >= n) {
+	for i, k := range e.keys {
+		if e.slab[k.idx].h != nil && (i == 0 || 2*i+1 >= n) {
 			t.Fatalf("handle-bearing event sits at index %d of %d, not an interior node", i, n)
 		}
 	}
@@ -77,9 +78,8 @@ func TestDrainReleasesReferences(t *testing.T) {
 	}
 }
 
-// TestRunReleasesReferences pins the scrub in slotHeap.pop: once events
-// have fired, the slots they vacated at the tail of the backing array may
-// not still reference them.
+// TestRunReleasesReferences pins the scrub in pop: once events have
+// fired, the slab entries they vacated may not still reference them.
 func TestRunReleasesReferences(t *testing.T) {
 	e := New(1)
 	collected := make([]atomic.Bool, 4)
@@ -91,6 +91,33 @@ func TestRunReleasesReferences(t *testing.T) {
 		}
 	}
 	// Without this the engine itself is garbage by now and the test
-	// passes whatever its backing array holds.
+	// passes whatever its slab holds.
+	runtime.KeepAlive(e)
+}
+
+// TestRecycledSlotPinsNothing pins the free list: events posted after a
+// run reuse the slab entries the fired events vacated (the slab does not
+// grow), and while those new events are pending the payloads that once
+// sat in the same entries are collectable.
+func TestRecycledSlotPinsNothing(t *testing.T) {
+	e := New(1)
+	collected := make([]atomic.Bool, 4)
+	plant(t, e, collected)
+	e.Run()
+	n := len(e.slab)
+	if len(e.free) != n {
+		t.Fatalf("%d of %d slab entries free after Run", len(e.free), n)
+	}
+	for i := 0; i < n; i++ {
+		e.PostArg(e.Now()+Time(i), func(any) {}, nil)
+	}
+	if len(e.slab) != n || len(e.free) != 0 {
+		t.Fatalf("slab grew to %d (free %d) reposting %d events; want every entry recycled", len(e.slab), len(e.free), n)
+	}
+	for i := range collected {
+		if !awaitCollected(&collected[i]) {
+			t.Fatalf("payload %d still referenced by a recycled slab entry", i)
+		}
+	}
 	runtime.KeepAlive(e)
 }

@@ -33,6 +33,18 @@ type model struct {
 	next    int // events scheduled so far; the next scheduling index
 	fired   int
 	cancels int
+	spare   []*handle // AtArg handles whose events fired, for reuse
+	armed   int       // events scheduled through AtArg
+}
+
+// handle is a caller-owned cancellation handle for AtArg events. The
+// model recycles one once its event has fired, as an owner reusing its
+// own record would, after canceling it late: AtArg must clear that stale
+// cancel or the handle's next event never fires.
+type handle struct {
+	ev  Event
+	idx int
+	fn  func()
 }
 
 func (m *model) record(at Time) int {
@@ -49,6 +61,30 @@ func (m *model) after(d Time, fn func()) (*Event, int) {
 		m.fire(idx)
 		fn()
 	}), idx
+}
+
+// atArg schedules fn through Engine.AtArg under a recycled handle.
+func (m *model) atArg(at Time, fn func()) *handle {
+	var h *handle
+	if n := len(m.spare); n > 0 {
+		h = m.spare[n-1]
+		m.spare = m.spare[:n-1]
+	} else {
+		h = new(handle)
+	}
+	h.idx, h.fn = m.record(at), fn
+	m.armed++
+	m.e.AtArg(&h.ev, at, m.fireHandle, h)
+	return h
+}
+
+func (m *model) fireHandle(a any) {
+	h := a.(*handle)
+	m.fire(h.idx)
+	fn := h.fn
+	h.ev.Cancel() // after the event fired: a no-op
+	m.spare = append(m.spare, h)
+	fn()
 }
 
 // postArg schedules through Engine.PostArg (shared callback + payload).
@@ -129,7 +165,8 @@ func (m *model) finish() {
 // drawn at schedule time from a stream keyed by event id. The delay mix
 // spans zero to a hundred seconds — same-instant ties, sub-millisecond
 // hops and far-future events in one queue — and one event in four
-// schedules a sibling and cancels it at once.
+// schedules a sibling and cancels it at once. One event in three, and
+// its canceled sibling, go through AtArg instead of After.
 func runDiffWorkload(m *model, seed int64, n, depth int) {
 	var sched func(id int64, depth int)
 	sched = func(id int64, depth int) {
@@ -149,16 +186,28 @@ func runDiffWorkload(m *model, seed int64, n, depth int) {
 		}
 		kids := rng.Intn(3)
 		cancelKid := rng.Intn(4) == 0
-		m.after(d, func() {
+		viaArg := rng.Intn(3) == 0
+		body := func() {
 			if depth > 0 {
 				for k := 0; k < kids; k++ {
 					sched(id*7+int64(k)+1, depth-1)
 				}
 				if cancelKid {
-					m.cancel(m.after(rng.Float64(), func() { panic("canceled event fired") }))
+					d, never := rng.Float64(), func() { panic("canceled event fired") }
+					if viaArg {
+						h := m.atArg(m.e.Now()+d, never)
+						m.cancel(&h.ev, h.idx)
+					} else {
+						m.cancel(m.after(d, never))
+					}
 				}
 			}
-		})
+		}
+		if viaArg {
+			m.atArg(m.e.Now()+d, body)
+		} else {
+			m.after(d, body)
+		}
 	}
 	for i := 0; i < n; i++ {
 		sched(int64(i+1)*1000003, depth)
@@ -174,8 +223,8 @@ func TestSelfSchedulingMatchesModel(t *testing.T) {
 		m := &model{t: t, e: New(1)}
 		runDiffWorkload(m, seed, 300, 6)
 		m.finish()
-		if m.fired < 300 {
-			t.Fatalf("seed %d: only %d events fired", seed, m.fired)
+		if m.fired < 300 || m.armed == 0 || m.cancels == 0 {
+			t.Fatalf("seed %d: only %d events fired (%d through AtArg, %d canceled)", seed, m.fired, m.armed, m.cancels)
 		}
 	}
 }
@@ -183,7 +232,9 @@ func TestSelfSchedulingMatchesModel(t *testing.T) {
 // runCursorWorkload drives the engine in RunUntil slices: after each
 // short deadline it posts events at exactly Now() (and just past it),
 // which must overtake everything the slice left pending, plus periodic
-// 60-event bursts inside one millisecond two seconds ahead.
+// 60-event bursts inside one millisecond two seconds ahead. One burst
+// event in three goes through AtArg, and half of those are canceled
+// before they fire.
 func runCursorWorkload(m *model, seed int64) {
 	e := m.e
 	rng := rand.New(rand.NewSource(seed))
@@ -209,7 +260,15 @@ func runCursorWorkload(m *model, seed int64) {
 			base := e.Now() + 2.0
 			for j := 0; j < 60; j++ {
 				budget--
-				m.postArg(base + rng.Float64()*0.001)
+				at := base + rng.Float64()*0.001
+				if rng.Intn(3) != 0 {
+					m.postArg(at)
+					continue
+				}
+				h := m.atArg(at, func() {})
+				if rng.Intn(2) == 0 {
+					m.cancel(&h.ev, h.idx)
+				}
 			}
 		}
 	}
@@ -223,8 +282,8 @@ func TestRunUntilFillsMatchModel(t *testing.T) {
 		m := &model{t: t, e: New(1)}
 		runCursorWorkload(m, seed)
 		m.finish()
-		if m.fired != m.next {
-			t.Fatalf("seed %d: fired %d of %d posted", seed, m.fired, m.next)
+		if m.armed == 0 || m.cancels == 0 {
+			t.Fatalf("seed %d: %d events through AtArg, %d canceled", seed, m.armed, m.cancels)
 		}
 	}
 }

@@ -300,3 +300,29 @@ func TestPostArgInterleavesFIFOWithPost(t *testing.T) {
 		}
 	}
 }
+
+// TestArgCycleAllocatesNothing pins the handle-owning and handle-free
+// payload posts at zero allocations once the keys, slab and free list
+// have grown: a PostArg, an AtArg that fires, an AtArg canceled under
+// its caller-owned handle, and the RunUntil that pops all three.
+func TestArgCycleAllocatesNothing(t *testing.T) {
+	e := New(1)
+	var fires, canceled Event
+	fired := 0
+	fn := func(any) { fired++ }
+	arg := &struct{ n int }{}
+	cycle := func() {
+		e.PostArg(e.Now()+1, fn, arg)
+		e.AtArg(&fires, e.Now()+2, fn, arg)
+		e.AtArg(&canceled, e.Now()+2, fn, arg)
+		canceled.Cancel()
+		e.RunUntil(e.Now() + 3)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("PostArg/AtArg/Cancel/RunUntil cycle allocates %v, want 0", n)
+	}
+	if runs := 102; fired != 2*runs || e.Pending() != 0 {
+		t.Fatalf("fired %d over %d cycles (pending %d), want 2 a cycle", fired, runs, e.Pending())
+	}
+}

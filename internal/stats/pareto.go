@@ -90,9 +90,10 @@ func SampleMean(rng *rand.Rand, mean, alpha float64) float64 {
 
 // SplitMix64 is a tiny deterministic rand.Source64 (Steele et al.'s
 // SplitMix64 finalizer). Unlike rand.NewSource, whose lagged-Fibonacci
-// state costs ~600 words of seeding work, constructing one is a single
+// state costs ~600 words of seeding work, reseeding one is a single
 // store — the right tool when simulation code needs a fresh stream keyed
-// by an identity hash for every draw (e.g. per-copy service times).
+// by an identity hash for every draw (per-copy service times reseed one
+// source under a reused *rand.Rand; see cluster.CopySource).
 type SplitMix64 uint64
 
 // Uint64 advances the state and returns the next value.
@@ -109,13 +110,6 @@ func (s *SplitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Seed resets the state (rand.Source interface).
 func (s *SplitMix64) Seed(seed int64) { *s = SplitMix64(seed) }
-
-// NewFastRand returns a *rand.Rand over a SplitMix64 stream. Construction
-// is O(1), so it is cheap enough to build one per sample.
-func NewFastRand(seed uint64) *rand.Rand {
-	src := SplitMix64(seed)
-	return rand.New(&src)
-}
 
 // TailEstimator is a streaming maximum-likelihood estimator of the Pareto
 // tail index. Observations are task durations of completed tasks
