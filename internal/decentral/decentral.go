@@ -191,10 +191,19 @@ type System struct {
 	next int // round-robin scheduler assignment
 
 	// freeMsg heads the pooled-message free list. Every simulated
-	// protocol message is one recycled message object posted through the
-	// engine's PostArg path and drained by System.dispatch — no per-post
+	// protocol message is one recycled message object posted through a
+	// lane's PostArg and drained by System.dispatch — no per-post
 	// closure, no per-message heap allocation once the pool is warm.
 	freeMsg *message
+
+	// toWorker, toSched and ticks are the engine lanes of the three
+	// streams that make most of the events: worker-bound messages (probe
+	// batches and replies, a constant hop from now), scheduler-bound ones
+	// (each scheduler's serial queue, in order per scheduler and nearly
+	// so across them) and the speculation ticks (a constant period).
+	toWorker *simulator.Lane
+	toSched  *simulator.Lane
+	ticks    *simulator.Lane
 
 	// Counters are promoted, so callers read each as a System field.
 	Counters
@@ -338,7 +347,7 @@ func (s *System) dispatch(m *message) {
 		// The reply rides the same message object back to the worker.
 		m.kind = mReply
 		s.Messages++
-		s.Eng.PostArg(s.Eng.Now()+s.Cfg.MsgLatency, dispatchMessage, m)
+		s.toWorker.PostArg(s.Eng.Now()+s.Cfg.MsgLatency, dispatchMessage, m)
 	case mReply:
 		w := m.worker
 		if w.down || m.wepoch != w.epoch {
@@ -390,6 +399,10 @@ func New(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *System {
 		Eng:   eng,
 		Exec:  exec,
 		byJob: make(map[cluster.JobID]*sched),
+
+		toWorker: eng.NewLane(),
+		toSched:  eng.NewLane(),
+		ticks:    eng.NewLane(),
 	}
 	s.reprobeEvery = cfg.ReprobeInterval
 	// The tail estimators' BetaPrior has no decentral knob: it resolves
@@ -469,5 +482,5 @@ func (s *System) toScheduler(sc *sched, m *message) {
 	}
 	handle += procDelay
 	sc.busyUntil = handle
-	s.Eng.PostArg(handle, dispatchMessage, m)
+	s.toSched.PostArg(handle, dispatchMessage, m)
 }

@@ -59,8 +59,7 @@ func (sc *sched) sendProbes(probes []protocol.Probe) {
 	m.kind = mProbeBatch
 	m.sched = sc
 	m.probes = append(m.probes[:0], probes...)
-	eng := sc.sys.Eng
-	eng.PostArg(eng.Now()+sc.sys.Cfg.MsgLatency, dispatchMessage, m)
+	sc.sys.toWorker.PostArg(sc.sys.Eng.Now()+sc.sys.Cfg.MsgLatency, dispatchMessage, m)
 }
 
 // ensureTicker runs the periodic speculation scan for this scheduler.
@@ -76,7 +75,7 @@ func (sc *sched) ensureTicker() {
 			return
 		}
 		sc.sendProbes(sc.core.ScanSpec())
-		sc.sys.Eng.PostAfter(sc.sys.Cfg.CheckInterval, tick)
+		sc.sys.ticks.PostAfter(sc.sys.Cfg.CheckInterval, tick)
 	}
-	sc.sys.Eng.PostAfter(sc.sys.Cfg.CheckInterval, tick)
+	sc.sys.ticks.PostAfter(sc.sys.Cfg.CheckInterval, tick)
 }

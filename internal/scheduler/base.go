@@ -167,6 +167,15 @@ type Base struct {
 	// same-timestamp coalescing only.
 	dispatchDelay   float64
 	dispatchPending bool
+	// runDispatch is the coalesced pass requestDispatch posts, bound
+	// once so a request allocates nothing.
+	runDispatch func()
+
+	// dispatches and ticks are the engine lanes of the coalesced
+	// dispatch and the speculation ticker: each posts at now plus its
+	// own constant delay, so each stream is already in time order.
+	dispatches *simulator.Lane
+	ticks      *simulator.Lane
 
 	// onArrive, when set, runs after a job is registered and before
 	// dispatch (engines use it to refresh cached allocations).
@@ -195,6 +204,13 @@ func newBase(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Base {
 		// change with a regen, not a refactor.
 		Book: speculation.NewBook(cfg.Spec, cfg.BetaPrior, 50),
 		byID: make(map[cluster.JobID]*jobState),
+
+		dispatches: eng.NewLane(),
+		ticks:      eng.NewLane(),
+	}
+	b.runDispatch = func() {
+		b.dispatchPending = false
+		b.dispatch()
 	}
 	exec.OnTaskDone = b.onTaskDone
 	exec.OnPhaseRunnable = b.onPhaseRunnable
@@ -223,10 +239,7 @@ func (b *Base) requestDispatch() {
 		return
 	}
 	b.dispatchPending = true
-	b.Eng.PostAfter(b.dispatchDelay, func() {
-		b.dispatchPending = false
-		b.dispatch()
-	})
+	b.dispatches.PostAfter(b.dispatchDelay, b.runDispatch)
 }
 
 // Completed returns the finished jobs in completion order.
@@ -260,9 +273,9 @@ func (b *Base) ensureTicker() {
 			return
 		}
 		b.scanAll()
-		b.Eng.PostAfter(b.Cfg.CheckInterval, tick)
+		b.ticks.PostAfter(b.Cfg.CheckInterval, tick)
 	}
-	b.Eng.PostAfter(b.Cfg.CheckInterval, tick)
+	b.ticks.PostAfter(b.Cfg.CheckInterval, tick)
 }
 
 // scanAll runs the speculation policy over every active job and

@@ -33,11 +33,13 @@ type HopperEngine struct {
 	demands   []core.JobDemand
 	allocator core.Allocator
 	refreshOn bool
+	// refreshes is the refresher's engine lane (a constant period).
+	refreshes *simulator.Lane
 }
 
 // NewHopper builds a centralized Hopper engine on the executor.
 func NewHopper(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *HopperEngine {
-	h := &HopperEngine{totalSlots: exec.Machines.TotalSlots()}
+	h := &HopperEngine{totalSlots: exec.Machines.TotalSlots(), refreshes: eng.NewLane()}
 	h.Base = newBase(eng, exec, cfg)
 	h.Base.capacitySpec = true
 	h.Base.dispatch = h.dispatch
@@ -67,9 +69,9 @@ func (h *HopperEngine) ensureRefresher() {
 		}
 		h.refresh()
 		h.Base.dispatch()
-		h.Eng.PostAfter(h.refreshPeriod(), tick)
+		h.refreshes.PostAfter(h.refreshPeriod(), tick)
 	}
-	h.Eng.PostAfter(h.refreshPeriod(), tick)
+	h.refreshes.PostAfter(h.refreshPeriod(), tick)
 }
 
 // refresh recomputes the guideline allocation for the current active set

@@ -21,6 +21,13 @@
 // scheduled — and it is a total order, so the firing sequence does not
 // depend on the container.
 //
+// That is what lets a Lane sit beside the heap: a FIFO for a stream
+// posted at now plus a constant delay, which therefore arrives sorted.
+// A lane appends in O(1) what the heap would sift, RunUntil fires the
+// smallest of the heap top and the lane heads, and a post earlier than
+// its lane's tail goes to the heap, so lanes never change the firing
+// order. The heap stays the one ordered store for everything else.
+//
 // At and After return a fresh *Event cancellation handle, the one
 // allocation a post can cost; AtArg takes a handle the caller owns, which
 // is how an executor embeds a copy's finish event in the copy itself.
@@ -105,6 +112,10 @@ type Engine struct {
 	slab []entry
 	free []uint32
 
+	// lanes are the FIFO queues beside the heap (NewLane); RunUntil
+	// fires whichever of the heap top and the lane heads is earliest.
+	lanes []*Lane
+
 	// Fired counts events that have executed; useful for tests and for
 	// sanity-checking runaway simulations.
 	Fired uint64
@@ -123,7 +134,13 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of events waiting to fire (including
 // canceled events that have not yet been drained).
-func (e *Engine) Pending() int { return len(e.keys) }
+func (e *Engine) Pending() int {
+	n := len(e.keys)
+	for _, l := range e.lanes {
+		n += l.n
+	}
+	return n
+}
 
 // At schedules fn to run at absolute virtual time t and returns a handle
 // that can cancel it. Scheduling in the past — or at NaN, which would
@@ -230,11 +247,11 @@ func (e *Engine) insert(at Time, p entry) {
 	e.keys = q
 }
 
-// pop removes the earliest event and returns its time and payload. The
+// pop removes the heap's earliest event and returns its payload. The
 // last key fills the root's hole, which sifts down past every smaller
 // child; the payload's slab entry is zeroed and freed, so a fired or
 // skipped event pins nothing.
-func (e *Engine) pop() (Time, entry) {
+func (e *Engine) pop() entry {
 	q := e.keys
 	top := q[0]
 	n := len(q) - 1
@@ -262,7 +279,7 @@ func (e *Engine) pop() (Time, entry) {
 	p := e.slab[top.idx]
 	e.slab[top.idx] = entry{}
 	e.free = append(e.free, top.idx)
-	return top.at, p
+	return p
 }
 
 // Stop halts Run after the currently executing event returns. If no run
@@ -288,16 +305,37 @@ func (e *Engine) Run() Time {
 // pending stop is consumed either way.
 func (e *Engine) RunUntil(deadline Time) Time {
 	defer func() { e.stopped = false }()
-	for !e.stopped && len(e.keys) > 0 {
-		if deadline >= 0 && e.keys[0].at > deadline {
+	for !e.stopped {
+		// The next event is the (at, seq) minimum of the heap top and the
+		// lane heads; from names the lane holding it, nil for the heap.
+		var next key
+		var from *Lane
+		ok := len(e.keys) > 0
+		if ok {
+			next = e.keys[0]
+		}
+		for _, l := range e.lanes {
+			if l.n == 0 {
+				continue
+			}
+			if h := l.ring[l.head].k; !ok || h.less(next) {
+				next, from, ok = h, l, true
+			}
+		}
+		if !ok {
+			break
+		}
+		if deadline >= 0 && next.at > deadline {
 			e.now = deadline
 			return e.now
 		}
-		at, p := e.pop()
-		if p.h != nil && p.h.canceled {
+		var p entry
+		if from != nil {
+			p = from.pop()
+		} else if p = e.pop(); p.h != nil && p.h.canceled {
 			continue
 		}
-		e.now = at
+		e.now = next.at
 		e.Fired++
 		if p.afn != nil {
 			p.afn(p.arg)
@@ -321,4 +359,95 @@ func (e *Engine) Drain() {
 	clear(e.slab)
 	e.slab = e.slab[:0]
 	e.free = e.free[:0]
+	for _, l := range e.lanes {
+		clear(l.ring)
+		l.head, l.n = 0, 0
+	}
+}
+
+// Lane is a FIFO of pending events beside the engine's heap, for a
+// stream whose posts arrive already in time order — a message hop or a
+// timer of constant delay, posted at now plus that delay. Its events
+// draw scheduling order from the engine like every other post, and
+// RunUntil fires the earliest of the heap top and every lane head, so a
+// lane changes what an event costs, never when it fires. A post earlier
+// than the lane's tail goes to the heap instead, which keeps each lane
+// sorted whatever its caller posts. Lane events have no cancellation
+// handle.
+type Lane struct {
+	e *Engine
+	// ring holds the lane's events from head on, n of them, wrapping;
+	// its length is a power of two and doubles when full.
+	ring []laneEvent
+	head int
+	n    int
+}
+
+// laneEvent is one pending lane event: its (at, seq) order, and its
+// payload inline rather than in the slab (the key's idx is unused).
+type laneEvent struct {
+	k key
+	p entry
+}
+
+// NewLane returns an empty lane merged into this engine's firing order.
+func (e *Engine) NewLane() *Lane {
+	l := &Lane{e: e}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// PostArg schedules fn(arg) at absolute virtual time t with no
+// cancellation handle. Time rules are Engine.PostArg's.
+func (l *Lane) PostArg(t Time, fn func(any), arg any) {
+	if !(t >= l.e.now) { // also rejects NaN
+		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, l.e.now))
+	}
+	l.post(t, entry{afn: fn, arg: arg})
+}
+
+// PostAfter schedules fn to run d seconds from now with no cancellation
+// handle. Negative or NaN d panics.
+func (l *Lane) PostAfter(d Time, fn func()) {
+	if !(d >= 0) { // also rejects NaN
+		panic(fmt.Sprintf("simulator: negative delay %v", d))
+	}
+	l.post(l.e.now+d, entry{fn: fn})
+}
+
+// post appends p at the lane's tail, or hands it to the heap when it is
+// due before the tail's event.
+func (l *Lane) post(at Time, p entry) {
+	mask := len(l.ring) - 1
+	if l.n > 0 && at < l.ring[(l.head+l.n-1)&mask].k.at {
+		l.e.insert(at, p)
+		return
+	}
+	if l.n == len(l.ring) {
+		l.grow()
+		mask = len(l.ring) - 1
+	}
+	e := l.e
+	l.ring[(l.head+l.n)&mask] = laneEvent{k: key{at: at, seq: e.seq}, p: p}
+	e.seq++
+	l.n++
+}
+
+// grow doubles the ring, unwrapping its events to the front.
+func (l *Lane) grow() {
+	ring := make([]laneEvent, max(2*len(l.ring), 1))
+	k := copy(ring, l.ring[l.head:])
+	copy(ring[k:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
+}
+
+// pop removes the lane's head and returns its payload, zeroing the ring
+// slot so a fired event pins nothing.
+func (l *Lane) pop() entry {
+	ev := &l.ring[l.head]
+	p := ev.p
+	*ev = laneEvent{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return p
 }

@@ -156,3 +156,117 @@ func BenchmarkEnginePostArg(b *testing.B) {
 		}
 	}
 }
+
+// census replays the event mix counted on the decentralized replay
+// (DESIGN.md §2, "Lanes"): per fired copy finish about eleven offers and
+// eleven replies and six speculation ticks, over a heap of some 3,200
+// finish events. Each of 1,600 slots cycles through a chain of
+// offer/reply round trips to random schedulers — a 0.5 ms hop out,
+// queued behind the scheduler's 20 µs serial processing, a 0.5 ms hop
+// back — until one reply in eleven places a copy. The copy's finish is
+// 1–400 s away, and a losing twin due before it is posted and canceled
+// at once; the finish starts the slot's next chain. Each of 50
+// schedulers ticks every second. With lanes set the hops and ticks go
+// through three lanes as the adapter posts them; otherwise every event
+// goes on the heap.
+type census struct {
+	e     *Engine
+	rng   *rand.Rand
+	busy  []Time
+	slots []censusSlot
+	// toWorker, toSched and ticks are nil when the mix runs on the heap
+	// alone.
+	toWorker, toSched, ticks *Lane
+
+	onOffer, onReply, onFinish func(any)
+}
+
+type censusSlot struct {
+	live, twin Event
+}
+
+const (
+	censusHop   = 0.0005
+	censusServe = 20e-6
+)
+
+func newCensus(lanes bool) *census {
+	e := New(1)
+	c := &census{e: e, rng: rand.New(rand.NewSource(7)), busy: make([]Time, 50), slots: make([]censusSlot, 1600)}
+	if lanes {
+		c.toWorker, c.toSched, c.ticks = e.NewLane(), e.NewLane(), e.NewLane()
+	}
+	c.onOffer = func(arg any) { c.post(c.toWorker, e.Now()+censusHop, c.onReply, arg) }
+	c.onReply = func(arg any) {
+		if c.rng.Intn(11) == 0 {
+			c.place(arg.(*censusSlot), e.Now(), 1+399*c.rng.Float64())
+		} else {
+			c.offer(arg)
+		}
+	}
+	c.onFinish = c.offer
+	for i := range c.slots {
+		c.place(&c.slots[i], 0, 400*c.rng.Float64())
+	}
+	for range c.busy {
+		var tick func()
+		tick = func() {
+			if c.ticks != nil {
+				c.ticks.PostAfter(1, tick)
+			} else {
+				e.PostAfter(1, tick)
+			}
+		}
+		e.PostAfter(c.rng.Float64(), tick)
+	}
+	return c
+}
+
+func (c *census) post(l *Lane, t Time, fn func(any), arg any) {
+	if l != nil {
+		l.PostArg(t, fn, arg)
+	} else {
+		c.e.PostArg(t, fn, arg)
+	}
+}
+
+// offer sends the slot's offer to a random scheduler's serial queue.
+func (c *census) offer(arg any) {
+	s := c.rng.Intn(len(c.busy))
+	at := max(c.e.Now()+censusHop, c.busy[s]) + censusServe
+	c.busy[s] = at
+	c.post(c.toSched, at, c.onOffer, arg)
+}
+
+// place arms the slot's finish d seconds after now and a canceled twin
+// due before it, so the twin's key has left the heap by the time the
+// finish fires and the slot places again.
+func (c *census) place(sl *censusSlot, now, d Time) {
+	c.e.AtArg(&sl.live, now+d, c.onFinish, sl)
+	c.e.AtArg(&sl.twin, now+d*c.rng.Float64(), c.onFinish, sl)
+	sl.twin.Cancel()
+}
+
+// BenchmarkEngineLanes times the census mix through lanes against the
+// same mix on the heap alone. Both fire the same events in the same
+// order; ns/event is the comparison.
+func BenchmarkEngineLanes(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		lanes bool
+	}{{"heap", false}, {"lanes", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var fired uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := newCensus(bc.lanes)
+				b.StartTimer()
+				c.e.RunUntil(900)
+				fired += c.e.Fired
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
+			b.ReportMetric(float64(fired)/float64(b.N), "events/op")
+		})
+	}
+}

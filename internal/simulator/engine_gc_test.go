@@ -121,3 +121,38 @@ func TestRecycledSlotPinsNothing(t *testing.T) {
 	}
 	runtime.KeepAlive(e)
 }
+
+// TestLaneReleasesReferences pins the lane's scrub: a lane event that
+// fired, or that Drain dropped, pins neither its PostArg payload nor the
+// closure of its PostAfter, although the ring keeps its capacity.
+func TestLaneReleasesReferences(t *testing.T) {
+	for _, drain := range []bool{false, true} {
+		e := New(1)
+		l := e.NewLane()
+		collected := make([]atomic.Bool, 2)
+		arg := &payload{}
+		runtime.SetFinalizer(arg, func(*payload) { collected[0].Store(true) })
+		captured := &payload{}
+		runtime.SetFinalizer(captured, func(*payload) { collected[1].Store(true) })
+		l.PostArg(1, func(any) {}, arg)
+		l.PostAfter(2, func() { _ = captured })
+		arg, captured = nil, nil
+		if l.n != 2 {
+			t.Fatalf("%d of 2 in-order posts in the lane", l.n)
+		}
+		if drain {
+			e.Drain()
+		} else {
+			e.Run()
+		}
+		for i := range collected {
+			if !awaitCollected(&collected[i]) {
+				t.Fatalf("drain=%v: lane payload %d still referenced", drain, i)
+			}
+		}
+		if len(l.ring) < 2 {
+			t.Fatalf("drain=%v: the ring gave up its capacity (%d)", drain, len(l.ring))
+		}
+		runtime.KeepAlive(e)
+	}
+}

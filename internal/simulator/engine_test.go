@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -92,6 +93,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	eng := New(1)
+	lane := eng.NewLane()
 	eng.At(10, func() {
 		// NaN compares false against everything: it must be rejected
 		// like a past time, not slip through into the heap's ordering.
@@ -102,6 +104,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 			mustPanic(t, "At "+c.name, func() { eng.At(c.t, func() {}) })
 			mustPanic(t, "Post "+c.name, func() { eng.Post(c.t, func() {}) })
 			mustPanic(t, "PostArg "+c.name, func() { eng.PostArg(c.t, func(any) {}, nil) })
+			mustPanic(t, "Lane.PostArg "+c.name, func() { lane.PostArg(c.t, func(any) {}, nil) })
 		}
 	})
 	eng.Run()
@@ -112,6 +115,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 
 func TestNegativeDelayPanics(t *testing.T) {
 	eng := New(1)
+	lane := eng.NewLane()
 	for _, c := range []struct {
 		name string
 		d    Time
@@ -119,6 +123,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 		mustPanic(t, "After "+c.name, func() { eng.After(c.d, func() {}) })
 		mustPanic(t, "PostAfter "+c.name, func() { eng.PostAfter(c.d, func() {}) })
 		mustPanic(t, "PostAfterArg "+c.name, func() { eng.PostAfterArg(c.d, func(any) {}, nil) })
+		mustPanic(t, "Lane.PostAfter "+c.name, func() { lane.PostAfter(c.d, func() {}) })
 	}
 	if eng.Pending() != 0 {
 		t.Fatalf("a rejected event was queued: pending=%d", eng.Pending())
@@ -324,5 +329,130 @@ func TestArgCycleAllocatesNothing(t *testing.T) {
 	}
 	if runs := 102; fired != 2*runs || e.Pending() != 0 {
 		t.Fatalf("fired %d over %d cycles (pending %d), want 2 a cycle", fired, runs, e.Pending())
+	}
+}
+
+// TestLaneKeepsFiringOrder pins that a lane is only a container: posts
+// no earlier than the lane's tail are appended, an earlier one goes to
+// the heap, and the whole sequence fires in (time, scheduling order)
+// with the heap's own events, same-instant ties included. Each event's
+// id is its place in the expected firing order.
+func TestLaneKeepsFiringOrder(t *testing.T) {
+	e := New(1)
+	a, b := e.NewLane(), e.NewLane()
+	var got []int
+	record := func(arg any) { got = append(got, arg.(int)) }
+	post := func(l *Lane, at Time, id int, wantLane bool) {
+		t.Helper()
+		n := l.n
+		l.PostArg(at, record, id)
+		if inLane := l.n == n+1; inLane != wantLane {
+			t.Fatalf("post %d at %v: appended to the lane = %v, want %v", id, at, inLane, wantLane)
+		}
+	}
+	post(a, 2, 3, true)
+	e.PostArg(2, record, 4)
+	post(a, 2, 5, true)  // a tie with the tail is no earlier: appended
+	post(a, 1, 0, false) // earlier than the tail: the heap takes it
+	post(b, 3, 7, true)
+	post(b, 1, 1, false)
+	e.PostArg(1, record, 2)
+	post(a, 5, 8, true)
+	b.PostAfter(2.5, func() { got = append(got, 6) }) // before b's tail: heap
+	if e.Pending() != 9 {
+		t.Fatalf("Pending() = %d, want 9", e.Pending())
+	}
+	e.Run()
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("firing order %v, want %v", got, want)
+	}
+}
+
+// TestRunUntilMergesLaneAndHeap pins a deadline that falls between a
+// lane head and the heap top, either way round: the earlier one fires,
+// the later one stays pending, and time stops at the deadline.
+func TestRunUntilMergesLaneAndHeap(t *testing.T) {
+	for _, laneFirst := range []bool{true, false} {
+		e := New(1)
+		l := e.NewLane()
+		var got []string
+		laneAt, heapAt := Time(2), Time(1)
+		if laneFirst {
+			laneAt, heapAt = 1, 2
+		}
+		l.PostAfter(laneAt, func() { got = append(got, "lane") })
+		e.PostAfter(heapAt, func() { got = append(got, "heap") })
+		if now := e.RunUntil(1.5); now != 1.5 || len(got) != 1 || e.Pending() != 1 {
+			t.Fatalf("laneFirst=%v: RunUntil(1.5) = %v, fired %v, pending %d; want 1.5, one event, one pending",
+				laneFirst, now, got, e.Pending())
+		}
+		if want := map[bool]string{true: "lane", false: "heap"}[laneFirst]; got[0] != want {
+			t.Fatalf("laneFirst=%v: %s fired first, want %s", laneFirst, got[0], want)
+		}
+		e.Run()
+		if len(got) != 2 || e.Now() != 2 {
+			t.Fatalf("laneFirst=%v: fired %v by %v, want both by 2", laneFirst, got, e.Now())
+		}
+	}
+}
+
+// TestLaneStopAndDrain pins Stop from a lane event and Drain across
+// lanes: a stopped run leaves the rest of the lane pending and counted,
+// Drain drops it without firing, and a drained lane takes posts earlier
+// than its old tail as a fresh lane would.
+func TestLaneStopAndDrain(t *testing.T) {
+	e := New(1)
+	l := e.NewLane()
+	fired := 0
+	for i := 1; i <= 5; i++ {
+		l.PostAfter(Time(i), func() {
+			fired++
+			if fired == 2 {
+				e.Stop()
+			}
+		})
+	}
+	e.PostAfter(10, func() { t.Fatal("drained heap event fired") })
+	e.Run()
+	if fired != 2 || e.Now() != 2 || e.Pending() != 4 {
+		t.Fatalf("stopped run fired %d by %v with %d pending; want 2 by 2 with 4", fired, e.Now(), e.Pending())
+	}
+	e.Drain()
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Drain", e.Pending())
+	}
+	l.PostAfter(0.5, func() { fired++ })
+	if l.n != 1 {
+		t.Fatal("a drained lane sent a post before its old tail to the heap")
+	}
+	e.Run()
+	if fired != 3 || e.Now() != 2.5 {
+		t.Fatalf("after Drain fired %d by %v, want 3 by 2.5", fired, e.Now())
+	}
+}
+
+// TestLaneCycleAllocatesNothing pins a warmed post-and-fire cycle
+// through a lane at zero allocations: an in-order PostArg and PostAfter
+// appended to the lane, an out-of-order one the heap takes, and the
+// RunUntil that fires all three.
+func TestLaneCycleAllocatesNothing(t *testing.T) {
+	e := New(1)
+	l := e.NewLane()
+	fired := 0
+	fn := func(any) { fired++ }
+	tick := func() { fired++ }
+	arg := &struct{ n int }{}
+	cycle := func() {
+		l.PostArg(e.Now()+2, fn, arg)
+		l.PostAfter(3, tick)
+		l.PostArg(e.Now()+1, fn, arg)
+		e.RunUntil(e.Now() + 3)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("lane post/RunUntil cycle allocates %v, want 0", n)
+	}
+	if runs := 102; fired != 3*runs || e.Pending() != 0 {
+		t.Fatalf("fired %d over %d cycles (pending %d), want 3 a cycle", fired, runs, e.Pending())
 	}
 }
