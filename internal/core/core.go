@@ -25,6 +25,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -143,15 +144,17 @@ func ascending(a, b keyed) int {
 // active-job count. The zero value is ready to use. It is not safe for
 // concurrent use.
 //
-// Each call sorts the jobs by priority once. Every projection round
-// reuses that order, filtered to the jobs still unpinned, and the caller
-// can read it back (Order) instead of sorting again.
+// Each call orders the jobs by priority once: from scratch, or, given a
+// hint (the last call's order carried over to this call's indices), by
+// repairing the hinted order with an insertion sort. Every projection
+// round reuses that order, filtered to the jobs still unpinned, and the
+// caller can read it back (Order) instead of sorting again.
 type Allocator struct {
 	virt  []float64 // virtual sizes, aligned with the input
 	prio  []float64 // priority keys max(V, V'), aligned with the input
-	order []keyed   // (prio, input index) ascending: the call's one sort
+	order []keyed   // (prio, input index) ascending: the call's one ordering
 	perm  []int     // order's indices, returned by Order
-	fracs []keyed   // largest-remainder order of the proportional regime, keyed by −fraction
+	fracs []keyed   // the proportional regime's remainder candidates, keyed by −fraction
 
 	// The projection rounds' state: the jobs still unpinned (ascending
 	// input indices), each job's position among them (−1 once pinned), and
@@ -164,6 +167,12 @@ type Allocator struct {
 	subAlloc []int
 
 	alloc []int // the result
+
+	// Calls counts Allocate calls, Hinted those given an order hint, and
+	// Fallbacks the hinted calls whose hint was too far from sorted for
+	// the insertion sort's shift bound, so that a full sort finished the
+	// order. They let a caller check that its hints are used.
+	Calls, Hinted, Fallbacks uint64
 }
 
 // resized returns s with length n, reallocating only when its capacity is
@@ -193,8 +202,10 @@ func (a *Allocator) Priorities() []float64 { return a.prio }
 
 // sortByPriority computes every job's virtual size and priority key
 // max(V, V′) — the square root once per job, not once per comparison —
-// and sorts the (key, index) pairs ascending into a.order.
-func (a *Allocator) sortByPriority(jobs []JobDemand, beta float64) {
+// and orders the (key, index) pairs ascending into a.order: by a full
+// sort without a hint, and by insertion-sorting the hinted layout with
+// one.
+func (a *Allocator) sortByPriority(jobs []JobDemand, beta float64, hint []int) {
 	n := len(jobs)
 	a.virt, a.prio, a.order = resized(a.virt, n), resized(a.prio, n), resized(a.order, n)
 	for i, j := range jobs {
@@ -203,9 +214,108 @@ func (a *Allocator) sortByPriority(jobs []JobDemand, beta float64) {
 		if j.DownstreamVirtual > prio {
 			prio = j.DownstreamVirtual
 		}
-		a.virt[i], a.prio[i], a.order[i] = v, prio, keyed{prio, i}
+		a.virt[i], a.prio[i] = v, prio
 	}
-	slices.SortFunc(a.order, ascending)
+	if hint == nil {
+		for i, p := range a.prio {
+			a.order[i] = keyed{p, i}
+		}
+		slices.SortFunc(a.order, ascending)
+		return
+	}
+	if len(hint) != n {
+		panic(fmt.Sprintf("core: order hint has %d entries for %d jobs", len(hint), n))
+	}
+	for k, i := range hint {
+		if i < 0 || i >= n {
+			panic(fmt.Sprintf("core: order hint entry %d is %d, out of [0, %d)", k, i, n))
+		}
+		a.order[k] = keyed{a.prio[i], i}
+	}
+	a.Hinted++
+	// n·⌈log₂ n⌉ shifts is what a comparison sort costs anyway: past it
+	// the hint was poor, and the sort finishes from wherever the insertion
+	// sort stopped.
+	if !insertionSort(a.order, n*bits.Len(uint(n-1))) {
+		a.Fallbacks++
+		slices.SortFunc(a.order, ascending)
+	}
+	// A repeated index is laid out twice with the same key, so the sort
+	// puts the two copies side by side; with every index in range and
+	// none repeated, the hint was a permutation.
+	for k := 1; k < n; k++ {
+		if a.order[k].idx == a.order[k-1].idx {
+			panic(fmt.Sprintf("core: order hint repeats %d: not a permutation of [0, %d)", a.order[k].idx, n))
+		}
+	}
+}
+
+// insertionSort sorts s ascending, shifting each element left past the
+// larger ones before it, and reports whether it finished within budget
+// shifts. When it gives up, s is still a permutation of its input.
+func insertionSort(s []keyed, budget int) bool {
+	for i := 1; i < len(s); i++ {
+		x, j := s[i], i
+		for ; j > 0 && ascending(x, s[j-1]) < 0; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+		if budget -= i - j; budget < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// selectSmallest reorders s so that its k smallest elements come first,
+// in no particular order, for 0 < k < len(s). It is a quickselect with
+// median-of-three pivots: the elements are distinct under ascending (the
+// index breaks every tie), so the chosen set is exactly the first k of
+// the sorted order. After rounds partitions it sorts the rest of the
+// range instead, which bounds the worst case at a sort's.
+func selectSmallest(s []keyed, k, rounds int) {
+	lo, hi := 0, len(s)-1 // s[lo:hi+1] holds the k-th smallest
+	for lo < hi {
+		if rounds == 0 {
+			slices.SortFunc(s[lo:hi+1], ascending)
+			return
+		}
+		rounds--
+		p := partition(s, lo, hi)
+		switch {
+		case p < k-1:
+			lo = p + 1
+		case p > k-1:
+			hi = p - 1
+		default:
+			return
+		}
+	}
+}
+
+// partition moves the median of s[lo], s[mid] and s[hi] to its sorted
+// position p in s[lo:hi+1], with the smaller elements before it and the
+// larger after, and returns p.
+func partition(s []keyed, lo, hi int) int {
+	mid := int(uint(lo+hi) >> 1)
+	if ascending(s[mid], s[lo]) < 0 {
+		s[mid], s[lo] = s[lo], s[mid]
+	}
+	if ascending(s[hi], s[lo]) < 0 {
+		s[hi], s[lo] = s[lo], s[hi]
+	}
+	if ascending(s[mid], s[hi]) < 0 {
+		s[mid], s[hi] = s[hi], s[mid]
+	}
+	pivot, p := s[hi], lo
+	for i := lo; i < hi; i++ {
+		if ascending(s[i], pivot) < 0 {
+			s[i], s[p] = s[p], s[i]
+			p++
+		}
+	}
+	s[p], s[hi] = s[hi], s[p]
+	return p
 }
 
 // allocate runs Pseudocode 1 into a zeroed caller buffer. virt holds the
@@ -256,31 +366,36 @@ func allocConstrained(jobs []JobDemand, virt []float64, order []keyed, slots int
 // allocProportional is Guideline 3: every job gets its virtual size, and
 // the surplus is shared in proportion to virtual sizes (largest jobs
 // benefit most). Integerization uses largest-remainder so the allocation
-// sums exactly to min(slots, sum of caps).
+// sums exactly to min(slots, sum of caps): the left slots go one each to
+// the jobs with the largest remainders, ties in input order, among those
+// whose cap admits one more. Only that set matters, not its order, so a
+// selection picks it instead of a sort.
 func (a *Allocator) allocProportional(jobs []JobDemand, virt []float64, order []keyed, totalV float64, slots int, alloc []int) {
 	if totalV == 0 {
 		return
 	}
-	fracs := resized(a.fracs, len(jobs))
+	fracs := resized(a.fracs, len(jobs))[:0]
 	used := 0
 	for i, j := range jobs {
 		share := virt[i] / totalV * float64(slots)
 		whole := j.cap(int(math.Floor(share)))
 		alloc[i] = whole
 		used += whole
-		fracs[i] = keyed{float64(whole) - share, i}
+		if j.cap(whole+1) > whole {
+			fracs = append(fracs, keyed{float64(whole) - share, i})
+		}
 	}
-	slices.SortFunc(fracs, ascending) // largest remainder first, ties in input order
 	a.fracs = fracs
 	left := slots - used
-	for _, f := range fracs {
-		if left == 0 {
-			break
+	if left > 0 {
+		if left < len(fracs) {
+			selectSmallest(fracs, left, 2*bits.Len(uint(len(fracs))))
+			fracs = fracs[:left]
 		}
-		if jobs[f.idx].cap(alloc[f.idx]+1) > alloc[f.idx] {
+		for _, f := range fracs {
 			alloc[f.idx]++
-			left--
 		}
+		left -= len(fracs)
 	}
 	// Remaining surplus cascades in descending virtual size (Guideline 3
 	// favors large jobs), still respecting caps.
@@ -305,12 +420,18 @@ func AllocateFair(jobs []JobDemand, slots int, beta, epsilon float64) []int {
 // working slices are a fresh Allocator's; a caller that allocates
 // repeatedly keeps an Allocator instead.
 func AllocateFairInto(dst []int, jobs []JobDemand, slots int, beta, epsilon float64) []int {
-	return (&Allocator{alloc: dst}).Allocate(jobs, slots, beta, epsilon)
+	return (&Allocator{alloc: dst}).Allocate(jobs, slots, beta, epsilon, nil)
 }
 
 // Allocate is AllocateFair on the allocator's buffers. The result is
 // aligned with jobs and reused by the next call.
-func (a *Allocator) Allocate(jobs []JobDemand, slots int, beta, epsilon float64) []int {
+//
+// hint, when not nil, is a permutation of the input indices in roughly
+// ascending priority — typically the last call's Order carried over to
+// this call's jobs, with new jobs at the end. It only makes the call
+// cheaper: the allocation, Order and Priorities are those of a call
+// without it. A hint that is not a permutation of [0, len(jobs)) panics.
+func (a *Allocator) Allocate(jobs []JobDemand, slots int, beta, epsilon float64, hint []int) []int {
 	if epsilon < 0 || epsilon > 1 {
 		panic(fmt.Sprintf("core: epsilon %v out of [0,1]", epsilon))
 	}
@@ -318,7 +439,8 @@ func (a *Allocator) Allocate(jobs []JobDemand, slots int, beta, epsilon float64)
 	alloc := resized(a.alloc, n)
 	clear(alloc)
 	a.alloc = alloc
-	a.sortByPriority(jobs, beta)
+	a.Calls++
+	a.sortByPriority(jobs, beta, hint)
 	if n == 0 || slots <= 0 {
 		return alloc
 	}
@@ -339,7 +461,7 @@ func (a *Allocator) Allocate(jobs []JobDemand, slots int, beta, epsilon float64)
 	slotsLeft := slots
 	for len(active) > 0 {
 		// The round's subproblem, and its priority order: the call's one
-		// sort filtered to the unpinned jobs, each index remapped to its
+		// ordering filtered to the unpinned jobs, each index remapped to its
 		// position in the subproblem. active ascends, so the remap is
 		// monotone and the (key, index) order is unchanged by it.
 		m := len(active)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -268,10 +269,12 @@ func TestAllocateDeterministic(t *testing.T) {
 
 // TestTypedSortsMatchStableSort: the allocator sorts (key, index) pairs
 // with an unstable typed sort; because that order is total, it must be
-// the permutation sort.SliceStable produced on the key alone — for the
-// priority order (ascending, ties in input order) and for the
-// largest-remainder order (descending, ties in input order) — however
-// many keys are equal.
+// the permutation sort.SliceStable produced on the key alone, however
+// many keys are equal. The largest-remainder step selects instead of
+// sorting: among the jobs whose cap admits one more slot, the k it picks
+// must be the first k of those in the stable sort by descending
+// remainder, for every k, also when the selection runs out of
+// partitioning rounds and sorts the rest.
 func TestTypedSortsMatchStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
@@ -293,24 +296,103 @@ func TestTypedSortsMatchStableSort(t *testing.T) {
 			return jobs[want[a]].Priority(beta) < jobs[want[b]].Priority(beta)
 		})
 		var a Allocator
-		a.sortByPriority(jobs, beta)
+		a.sortByPriority(jobs, beta, nil)
 		for k, o := range a.order {
 			if o.idx != want[k] {
 				t.Fatalf("trial %d: priority order differs from the stable sort at rank %d: job %d, want %d", trial, k, o.idx, want[k])
 			}
 		}
 
-		fracs := make([]keyed, n)
-		for i := range fracs {
-			fracs[i] = keyed{-float64(rng.Intn(4)) / 4, i} // −fraction, as allocProportional keys them
+		// Remainders in quarters and caps of 0 (none) to 3 with wholes of
+		// 0 to 3: ties everywhere, and a job at its cap is not eligible.
+		var all, eligible []keyed
+		isEligible := make([]bool, n)
+		for i := range n {
+			j := JobDemand{MaxUsable: rng.Intn(4)}
+			whole := j.cap(rng.Intn(4))
+			f := keyed{-float64(rng.Intn(4)) / 4, i} // whole − share, as allocProportional keys them
+			all = append(all, f)
+			if j.cap(whole+1) > whole {
+				isEligible[i] = true
+				eligible = append(eligible, f)
+			}
 		}
-		wantFracs := slices.Clone(fracs)
-		sort.SliceStable(wantFracs, func(a, b int) bool { return -wantFracs[a].key > -wantFracs[b].key })
-		slices.SortFunc(fracs, ascending)
-		if !slices.Equal(fracs, wantFracs) {
-			t.Fatalf("trial %d: largest-remainder order differs from the stable sort", trial)
+		sort.SliceStable(all, func(a, b int) bool { return -all[a].key > -all[b].key })
+		rank := make([]int, n) // position among the eligible in the stable sort
+		r := 0
+		for _, f := range all {
+			if isEligible[f.idx] {
+				rank[f.idx] = r
+				r++
+			}
+		}
+		m := len(eligible)
+		for k := 1; k < m; k++ {
+			for _, rounds := range []int{0, 1, 3, 2 * bits.Len(uint(m))} {
+				got := slices.Clone(eligible)
+				selectSmallest(got, k, rounds)
+				for _, f := range got[:k] {
+					if rank[f.idx] >= k {
+						t.Fatalf("trial %d: selecting %d of %d (%d rounds) picked job %d, ranked %d", trial, k, m, rounds, f.idx, rank[f.idx])
+					}
+				}
+			}
+		}
+
+		// The whole step against the sort-and-scan it replaced, for every
+		// surplus from none to more than the eligible jobs can take: a
+		// few virtual sizes (equal remainders) and caps of 0 (none) to 5.
+		m = 1 + rng.Intn(60)
+		sub, virt := make([]JobDemand, m), make([]float64, m)
+		totalV := 0.0
+		for i := range sub {
+			sub[i] = JobDemand{MaxUsable: rng.Intn(6)}
+			virt[i] = float64(1+rng.Intn(4)) * 0.7
+			totalV += virt[i]
+		}
+		order := make([]keyed, m)
+		for i, v := range virt {
+			order[i] = keyed{v, i}
+		}
+		slices.SortFunc(order, ascending)
+		for slots := int(totalV); slots <= int(totalV)+m+2; slots++ {
+			got := make([]int, m)
+			a.allocProportional(sub, virt, order, totalV, slots, got)
+			if want := proportionalBySort(sub, virt, order, totalV, slots); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, %d slots: largest remainder by selection %v, by sort %v", trial, slots, got, want)
+			}
 		}
 	}
+}
+
+// proportionalBySort is allocProportional as it was before the
+// selection: every job's remainder sorted descending, ties in input
+// order, then scanned for the first left jobs whose cap admits one more.
+func proportionalBySort(jobs []JobDemand, virt []float64, order []keyed, totalV float64, slots int) []int {
+	alloc := make([]int, len(jobs))
+	fracs := make([]keyed, len(jobs))
+	used := 0
+	for i, j := range jobs {
+		share := virt[i] / totalV * float64(slots)
+		alloc[i] = j.cap(int(math.Floor(share)))
+		used += alloc[i]
+		fracs[i] = keyed{share - float64(alloc[i]), i}
+	}
+	sort.SliceStable(fracs, func(a, b int) bool { return fracs[a].key > fracs[b].key })
+	left := slots - used
+	for _, f := range fracs {
+		if left > 0 && jobs[f.idx].cap(alloc[f.idx]+1) > alloc[f.idx] {
+			alloc[f.idx]++
+			left--
+		}
+	}
+	for k := len(order) - 1; k >= 0 && left > 0; k-- {
+		i := order[k].idx
+		extra := jobs[i].cap(alloc[i]+left) - alloc[i]
+		alloc[i] += extra
+		left -= extra
+	}
+	return alloc
 }
 
 // TestAllocatorMatchesFreshAllocation: one Allocator reused across a
@@ -324,32 +406,88 @@ func TestTypedSortsMatchStableSort(t *testing.T) {
 // whole cluster (ε = 0 with S a multiple of N), MaxUsable caps and
 // ε ∈ {0, 0.1, 1}; the coverage counts at the end fail if it stops doing
 // so.
+//
+// A second reused Allocator is fed hints the way HopperEngine.refresh
+// builds them: the set evolves from call to call (jobs finish, remaining
+// counts change, jobs arrive, β drifts and now and then jumps, which
+// reorders the jobs whose V′ dominates against the rest), and the hint is
+// the previous call's Order over the survivors followed by the arrivals.
+// Now and then the hint is reversed, which forces the full-sort fallback.
+// Its allocation, Order and Priorities must be the unhinted call's.
 func TestAllocatorMatchesFreshAllocation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var a Allocator
-	var constrained, proportional, multiRound, floorsTakeAll, capped int
-	n := 0
-	for trial := 0; trial < 3000; trial++ {
-		// A random walk over the set size, with an occasional jump.
-		n = max(0, min(300, n+rng.Intn(41)-20))
-		if rng.Intn(20) == 0 {
-			n = rng.Intn(301)
+	var a, ha Allocator
+	var constrained, proportional, multiRound, floorsTakeAll, capped, repaired, fellBack int
+	spread, beta := 40, 1.5
+	newJob := func(id int) JobDemand {
+		j := JobDemand{ID: int64(id), Remaining: rng.Intn(spread), Alpha: []float64{0, 1, 2.5}[rng.Intn(3)]}
+		if rng.Intn(5) == 0 {
+			j.DownstreamVirtual = float64(rng.Intn(2 * spread))
 		}
-		beta := 1.1 + rng.Float64()*0.9
-		spread := []int{3, 40, 400}[rng.Intn(3)] // small spreads tie priorities
-		jobs := make([]JobDemand, n)
-		for i := range jobs {
-			j := JobDemand{ID: int64(i), Remaining: rng.Intn(spread), Alpha: []float64{0, 1, 2.5}[rng.Intn(3)]}
-			if rng.Intn(5) == 0 {
-				j.DownstreamVirtual = float64(rng.Intn(2 * spread))
+		switch rng.Intn(3) {
+		case 0:
+			j.MaxUsable = j.Remaining * (1 + rng.Intn(4))
+		case 1:
+			j.MaxUsable = rng.Intn(5)
+		}
+		return j
+	}
+	var jobs []JobDemand
+	var hint []int
+	for trial := 0; trial < 3000; trial++ {
+		// The next demand set. Usually the last one evolved: each job
+		// finishes with probability 1/15 (order-preserving removal, as
+		// the chassis removes jobs), about one in eight of the rest
+		// finishes a few tasks and one in fifty starts a phase of any
+		// size, and up to 20 jobs arrive at the end. Now and
+		// then a new set of a random size replaces it, with a new spread
+		// (small spreads tie priorities). The hint is built alongside.
+		prev := ha.Order()
+		hint = hint[:0]
+		if trial == 0 || rng.Intn(20) == 0 {
+			spread = []int{3, 40, 400}[rng.Intn(3)]
+			jobs = jobs[:0]
+		} else {
+			renum := make([]int, len(jobs)) // each job's index in the next set, −1 once finished
+			kept := jobs[:0]
+			for i, j := range jobs {
+				if rng.Intn(15) == 0 || len(jobs) > 300 && rng.Intn(2) == 0 {
+					renum[i] = -1
+					continue
+				}
+				switch rng.Intn(50) {
+				case 0: // a new phase: any remaining count
+					j = newJob(int(j.ID))
+				case 1, 2, 3, 4, 5, 6:
+					j.Remaining = max(0, j.Remaining-1-rng.Intn(3))
+				}
+				renum[i] = len(kept)
+				kept = append(kept, j)
 			}
-			switch rng.Intn(3) {
-			case 0:
-				j.MaxUsable = j.Remaining * (1 + rng.Intn(4))
-			case 1:
-				j.MaxUsable = rng.Intn(5)
+			jobs = kept
+			for _, i := range prev {
+				if renum[i] >= 0 {
+					hint = append(hint, renum[i])
+				}
 			}
-			jobs[i] = j
+		}
+		arrivals := rng.Intn(21)
+		if len(jobs) == 0 {
+			arrivals = rng.Intn(301)
+		}
+		for range arrivals {
+			hint = append(hint, len(jobs))
+			jobs = append(jobs, newJob(trial*1000+len(jobs)))
+		}
+		n := len(jobs)
+		if rng.Intn(10) == 0 {
+			beta = 1.1 + rng.Float64()*0.9
+		} else {
+			beta = max(1.1, min(2, beta+(rng.Float64()-0.5)*0.02))
+		}
+		reversed := rng.Intn(10) == 0
+		if reversed {
+			slices.Reverse(hint)
 		}
 		totalV := TotalVirtual(jobs, beta)
 		slots := int(totalV * []float64{0.05, 0.5, 0.95, 1.05, 2, 6}[rng.Intn(6)])
@@ -358,17 +496,33 @@ func TestAllocatorMatchesFreshAllocation(t *testing.T) {
 			eps, slots = 0, n*(1+rng.Intn(3)) // every floor is ⌊S/N⌋ exactly
 		}
 
-		got := a.Allocate(jobs, slots, beta, eps)
+		got := a.Allocate(jobs, slots, beta, eps, nil)
 		want := AllocateFair(jobs, slots, beta, eps)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d, slots=%d, ε=%v): reused allocator %v, fresh %v", trial, n, slots, eps, got, want)
+		}
+		fallbacks := ha.Fallbacks
+		if hgot := ha.Allocate(jobs, slots, beta, eps, hint); !slices.Equal(hgot, want) {
+			t.Fatalf("trial %d (n=%d, slots=%d, ε=%v): hinted allocator %v, fresh %v", trial, n, slots, eps, hgot, want)
+		}
+		if !slices.Equal(ha.Order(), a.Order()) || !slices.Equal(ha.Priorities(), a.Priorities()) {
+			t.Fatalf("trial %d: hinted Order %v and Priorities %v, unhinted %v and %v",
+				trial, ha.Order(), ha.Priorities(), a.Order(), a.Priorities())
+		}
+		if ha.Fallbacks > fallbacks {
+			fellBack++
+		} else if !reversed && n > 1 {
+			repaired++
 		}
 		if ref := sortEachRound(jobs, slots, beta, eps); !slices.Equal(got, ref) {
 			t.Fatalf("trial %d (n=%d, slots=%d, ε=%v): allocator %v, sorting each round %v", trial, n, slots, eps, got, ref)
 		}
 		sum := 0
-		for _, x := range got {
+		for i, x := range got {
 			sum += x
+			if x > jobs[i].cap(x) {
+				t.Fatalf("trial %d: job %d given %d slots over its cap %d", trial, i, x, jobs[i].MaxUsable)
+			}
 		}
 		if sum > max(slots, 0) {
 			t.Fatalf("trial %d: allocated %d of %d slots", trial, sum, slots)
@@ -418,10 +572,14 @@ func TestAllocatorMatchesFreshAllocation(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("constrained %d, proportional %d, multi-round %d, floors take all %d, capped %d",
-		constrained, proportional, multiRound, floorsTakeAll, capped)
+	t.Logf("constrained %d, proportional %d, multi-round %d, floors take all %d, capped %d, hint repaired %d, fell back %d",
+		constrained, proportional, multiRound, floorsTakeAll, capped, repaired, fellBack)
+	if ha.Hinted != 3000 || ha.Calls != 3000 {
+		t.Errorf("the hinted allocator counted %d hinted of %d calls, want 3000 of 3000", ha.Hinted, ha.Calls)
+	}
 	for name, c := range map[string]int{"constrained": constrained, "proportional": proportional,
-		"multi-round": multiRound, "floors-take-all": floorsTakeAll, "capped": capped} {
+		"multi-round": multiRound, "floors-take-all": floorsTakeAll, "capped": capped,
+		"hint-repaired": repaired, "fallback": fellBack} {
 		if c < 50 {
 			t.Errorf("only %d %s cases: the generator no longer covers them", c, name)
 		}
@@ -480,9 +638,62 @@ func cmpFloat(x, y float64) int {
 	return 0
 }
 
+// TestAllocatorRejectsBadHint: a hint that is not a permutation of the
+// input indices panics, whether the insertion sort finishes it or falls
+// back to the full sort, and whether or not the repeated jobs tie.
+func TestAllocatorRejectsBadHint(t *testing.T) {
+	identity := func(n int) []int {
+		h := make([]int, n)
+		for i := range h {
+			h[i] = i
+		}
+		return h
+	}
+	reversedWithRepeat := identity(64)
+	slices.Reverse(reversedWithRepeat)
+	reversedWithRepeat[60] = reversedWithRepeat[3]
+	cases := []struct {
+		name string
+		n    int
+		hint []int
+	}{
+		{"repeated", 5, []int{0, 1, 2, 2, 4}},
+		{"repeated far apart", 5, []int{3, 1, 2, 0, 3}},
+		{"repeated in a reversed hint", 64, reversedWithRepeat},
+		{"out of range", 5, []int{0, 1, 2, 3, 5}},
+		{"negative", 5, []int{0, -1, 2, 3, 4}},
+		{"short", 5, []int{0, 1, 2, 3}},
+		{"long", 5, []int{0, 1, 2, 3, 4, 0}},
+		{"empty for one job", 1, []int{}},
+	}
+	for _, c := range cases {
+		for _, tied := range []bool{false, true} {
+			jobs := make([]JobDemand, c.n)
+			for i := range jobs {
+				jobs[i] = JobDemand{Remaining: 10 + 7*i%13}
+				if tied {
+					jobs[i].Remaining = 10
+				}
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s (tied %v): hint %v for %d jobs did not panic", c.name, tied, c.hint, c.n)
+					}
+				}()
+				var a Allocator
+				a.Allocate(jobs, 100, 1.5, 0.1, c.hint)
+			}()
+		}
+	}
+	var a Allocator
+	a.Allocate(make([]JobDemand, 64), 100, 1.5, 0.1, identity(64)) // a permutation does not panic
+}
+
 // TestAllocatorAllocatesNothingWarm: once its buffers have grown to the
 // job count, an Allocator's call costs no heap, projection rounds
-// included.
+// included, with or without a hint, and when the hint is poor enough to
+// fall back to the full sort.
 func TestAllocatorAllocatesNothingWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	jobs := make([]JobDemand, 150)
@@ -492,13 +703,23 @@ func TestAllocatorAllocatesNothingWarm(t *testing.T) {
 	}
 	for _, slots := range []int{500, 16000, 100000} { // constrained, projected, proportional
 		var a Allocator
-		a.Allocate(jobs, slots, 1.5, 0.1)
-		a.Order()
-		if got := testing.AllocsPerRun(50, func() {
-			a.Allocate(jobs, slots, 1.5, 0.1)
-			a.Order()
-		}); got != 0 {
-			t.Errorf("%d slots: %v allocations per warm call, want 0", slots, got)
+		a.Allocate(jobs, slots, 1.5, 0.1, nil)
+		hint := slices.Clone(a.Order())
+		reversed := slices.Clone(hint)
+		slices.Reverse(reversed)
+		for _, h := range []struct {
+			name string
+			hint []int
+		}{{"no hint", nil}, {"hint", hint}, {"reversed hint", reversed}} {
+			if got := testing.AllocsPerRun(50, func() {
+				a.Allocate(jobs, slots, 1.5, 0.1, h.hint)
+				a.Order()
+			}); got != 0 {
+				t.Errorf("%d slots, %s: %v allocations per warm call, want 0", slots, h.name, got)
+			}
+		}
+		if a.Hinted != 102 || a.Fallbacks != 51 {
+			t.Errorf("%d slots: %d hinted calls and %d fallbacks, want 102 and 51", slots, a.Hinted, a.Fallbacks)
 		}
 	}
 }

@@ -108,10 +108,13 @@ type jobState struct {
 	atCap int
 
 	// target and prio cache the Hopper engine's guideline allocation and
-	// DAG-aware priority for this job, rewritten by HopperEngine.refresh.
+	// DAG-aware priority for this job, and activeIdx its index in
+	// Base.active, all rewritten by HopperEngine.refresh (activeIdx at its
+	// start, to map the last refresh's order onto this one's indices).
 	// Unused by the other engines.
-	target int
-	prio   float64
+	target    int
+	prio      float64
+	activeIdx int
 }
 
 // belowCap counts running tasks that could still take a speculative

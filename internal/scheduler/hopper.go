@@ -19,18 +19,22 @@ type HopperEngine struct {
 
 	// The allocation cache is refreshed on arrivals and on a short timer
 	// rather than on every task completion: recomputing the guideline
-	// allocation sorts the active jobs (once per refresh: the allocator's
-	// projection rounds and the service order share that sort) and
-	// completions arrive at cluster scale. Staleness is bounded by half
-	// the speculation check interval. Per-job targets and priorities live
-	// on jobState (dense by active slot, no map); order is the active set
-	// ascending by priority, taken from the allocator's sort and pruned on
-	// job completion — a dispatch pass just copies it into a scratch slice
-	// (locality-window swaps are pass-local) instead of re-sorting. The
-	// allocator and demands keep their buffers between refreshes.
+	// allocation orders the active jobs by priority (once per refresh: the
+	// allocator's projection rounds and the service order share that
+	// order) and completions arrive at cluster scale. Staleness is bounded
+	// by half the speculation check interval. Per-job targets and
+	// priorities live on jobState (dense by active slot, no map); order is
+	// the active set ascending by priority, taken from the allocator and
+	// pruned on job completion — a dispatch pass just copies it into a
+	// scratch slice (locality-window swaps are pass-local) instead of
+	// re-sorting. Between refreshes priorities barely move, so the next
+	// refresh hands order back to the allocator as a hint, which it
+	// repairs instead of sorting from scratch. The allocator and the
+	// demand and hint buffers keep their memory between refreshes.
 	order     []*jobState
 	passOrder []*jobState
 	demands   []core.JobDemand
+	hint      []int
 	allocator core.Allocator
 	refreshOn bool
 	// refreshes is the refresher's engine lane (a constant period).
@@ -78,16 +82,32 @@ func (h *HopperEngine) ensureRefresher() {
 // into the per-job caches and rebuilds the sorted service order.
 func (h *HopperEngine) refresh() {
 	beta := h.Book.Beta.Estimate()
-	if cap(h.demands) < len(h.active) {
-		h.demands = make([]core.JobDemand, 0, 2*len(h.active)+8)
+	n := len(h.active)
+	// The refresh's buffers grow together, ahead of the active set, so a
+	// warm refresh allocates nothing; order is regrown below, once the
+	// hint has read it.
+	if cap(h.demands) < n {
+		h.demands = make([]core.JobDemand, 0, 2*n+8)
+		h.hint = make([]int, 0, cap(h.demands))
 	}
-	demands := h.demands[:len(h.active)]
+	demands, hint := h.demands[:n], h.hint[:n]
 	for i, s := range h.active {
+		s.activeIdx = i
 		demands[i], _ = h.Book.Demand(s.Job)
 		demands[i].MaxUsable = demands[i].Remaining * h.Cfg.Spec.MaxCopies
 	}
-	h.demands = demands
-	targets := h.allocator.Allocate(demands, h.totalSlots, beta, h.Cfg.Epsilon)
+	// The hint is the last refresh's order for the survivors, then the
+	// jobs that arrived since. Arrivals append to the active set and
+	// removals keep its order, so those are exactly its tail; the
+	// allocator panics on a hint that is not a permutation.
+	for k, s := range h.order {
+		hint[k] = s.activeIdx
+	}
+	for i := len(h.order); i < n; i++ {
+		hint[i] = i
+	}
+	h.demands, h.hint = demands, hint
+	targets := h.allocator.Allocate(demands, h.totalSlots, beta, h.Cfg.Epsilon, hint)
 	prios := h.allocator.Priorities()
 	for i, s := range h.active {
 		s.target = targets[i]
@@ -98,6 +118,9 @@ func (h *HopperEngine) refresh() {
 	// by priority produces. Job completions between refreshes prune the
 	// list in jobRemoved, which preserves this order for the survivors (a
 	// stable sort of a subset equals the subset of the stable sort).
+	if cap(h.order) < n {
+		h.order = make([]*jobState, 0, cap(h.demands))
+	}
 	h.order = h.order[:0]
 	for _, i := range h.allocator.Order() {
 		h.order = append(h.order, h.active[i])

@@ -302,3 +302,31 @@ func TestSpecCopiesRespectMaxCopies(t *testing.T) {
 		}
 	}
 }
+
+// TestHopperRefreshUsesItsHint: every refresh hands the allocator the
+// last refresh's order as a hint, and the hint is close enough to sorted
+// that the insertion sort repairs it, falling back to the full sort in
+// under 1 % of refreshes. The goldens cannot see this: a hint that always
+// fell back, or no hint at all, allocates the same.
+func TestHopperRefreshUsesItsHint(t *testing.T) {
+	prof := workload.Sparkify(workload.Facebook())
+	tr := workload.Generate(workload.Config{Profile: prof, NumJobs: 600, TargetUtilization: 0.95,
+		TotalSlots: 800, NumMachines: 200, Seed: 31})
+	eng, exec := mkSetup(200, 4, 32)
+	h := NewHopper(eng, exec, Config{})
+	peak := 0
+	arrive := h.Base.onArrive
+	h.Base.onArrive = func() { arrive(); peak = max(peak, len(h.active)) }
+	runJobs(t, eng, h, tr.Jobs)
+	a := &h.allocator
+	t.Logf("%d refreshes, %d hinted, %d fell back; peak %d active jobs", a.Calls, a.Hinted, a.Fallbacks, peak)
+	if a.Calls <= uint64(len(tr.Jobs)) {
+		t.Fatalf("%d refreshes for %d arrivals: the periodic refresh never ran", a.Calls, len(tr.Jobs))
+	}
+	if a.Hinted != a.Calls {
+		t.Errorf("%d of %d refreshes were hinted, want all", a.Hinted, a.Calls)
+	}
+	if 100*a.Fallbacks >= a.Hinted {
+		t.Errorf("%d of %d hinted refreshes fell back to the full sort, want under 1 %%", a.Fallbacks, a.Hinted)
+	}
+}
