@@ -1,7 +1,7 @@
 package cluster
 
 // TaskDeque is a head-indexed ring deque of tasks. It is the scheduler
-// hot-path replacement for plain []*Task queues: PushFront/PopFront are
+// hot-path replacement for plain []*Task queues: PushFront/PushBack are
 // O(1) with no allocation (the old front-requeue pattern
 // `append([]*Task{t}, queue...)` allocated a fresh slice per retry), and
 // the backing array is reused across grow cycles. Iteration order is
@@ -53,18 +53,6 @@ func (q *TaskDeque) PushFront(t *Task) {
 	q.head = (q.head - 1) & (len(q.buf) - 1)
 	q.buf[q.head] = t
 	q.n++
-}
-
-// PopFront removes and returns the front task; nil when empty.
-func (q *TaskDeque) PopFront() *Task {
-	if q.n == 0 {
-		return nil
-	}
-	t := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return t
 }
 
 // RemoveAt deletes the i-th task from the front, preserving the relative

@@ -193,11 +193,15 @@ func (sc *Sched) ObserveWorkerLoad(m cluster.MachineID, free int, cap cluster.Re
 	sc.policy.ObserveLoad(m, free, cap, sc.env.Now())
 }
 
-// CopyPlaced tells the speculation monitor's victim index that a copy of
-// t landed (its start and duration are now fixed). Adapters call it after
-// every placement of a task this core handed out, original or
-// speculative (speculation.Monitor.CopyPlaced).
-func (sc *Sched) CopyPlaced(t *cluster.Task) { sc.book.Mon.CopyPlaced(t) }
+// CopyPlaced tells the job's victim index that a copy of t landed (its
+// start and duration are now fixed). Adapters call it after every
+// placement of a task this core handed out, original or speculative
+// (speculation.Monitor.CopyPlaced).
+func (sc *Sched) CopyPlaced(t *cluster.Task) {
+	if d := sc.jobs[t.Job.ID]; d != nil {
+		d.Mon.CopyPlaced(t)
+	}
+}
 
 // HasJobs reports whether any admitted job is still active — the
 // adapter's condition for keeping the speculation ticker armed.
@@ -238,7 +242,7 @@ func (sc *Sched) orderVS(d *dJob) float64 {
 
 // Admit registers a job with this scheduler.
 func (sc *Sched) Admit(j *cluster.Job) {
-	d := &dJob{JobBook: speculation.JobBook{Job: j}, pos: len(sc.jobList)}
+	d := &dJob{JobBook: sc.book.NewJob(j), pos: len(sc.jobList)}
 	sc.jobs[j.ID] = d
 	sc.jobList = append(sc.jobList, d)
 	sc.liveJobs++
@@ -336,7 +340,7 @@ func (sc *Sched) probeForTasks(d *dJob, tasks []*cluster.Task) {
 // ScanSpec queues the job's new speculation wants and returns probes for
 // them: the straggler policy's candidates in every mode, and in the
 // Hopper family every other ripe victim of capacity-driven speculation
-// as well (speculation.Monitor.VictimsFor — a task becomes one merely
+// as well (speculation.Book.Scan with victims — a task becomes one merely
 // by running past its observation delay, which no message marks); both
 // answers come from the victim index, in running-set order. The probes
 // are what tells workers the job has work again: they dropped
@@ -475,7 +479,7 @@ func (sc *Sched) HandleOffer(jobID cluster.JobID, m cluster.MachineID, refusable
 		// its virtual size, i.e. below its desired speculation level, so
 		// the slot goes to a racing copy of its worst observable
 		// straggler even if the detection policy has not flagged one.
-		if v := sc.book.Mon.BestVictimFor(sc.env.Now(), jobID); v != nil && fitsCap(v, cap) {
+		if v := sc.book.BestVictim(sc.env.Now(), &d.JobBook); v != nil && fitsCap(v, cap) {
 			t, spec = v, true
 		}
 	}
@@ -581,7 +585,7 @@ func (sc *Sched) ReconcileRunning(t *cluster.Task, spec bool) {
 	// and, once done, leaks the phantom hand-out's occupancy forever.
 	d.pendingFresh.Remove(t)
 	sc.book.HandedOut(&d.JobBook, t, spec)
-	sc.book.Mon.CopyPlaced(t)
+	d.Mon.CopyPlaced(t)
 	sc.env.Stats.ReconciledCopies++
 }
 

@@ -141,9 +141,9 @@ type Base struct {
 	Eng  *simulator.Engine
 	Exec *cluster.Executor
 
-	// Book is the chassis' speculation bookkeeping — monitor, β and α
-	// estimators, and the handlers behind each job's JobBook — the same
-	// record the decentralized core keeps.
+	// Book is the chassis' speculation bookkeeping — β and α estimators,
+	// and the handlers behind each job's JobBook and its monitor — the
+	// same record the decentralized core keeps.
 	Book speculation.Book
 
 	active []*jobState
@@ -253,7 +253,7 @@ func (b *Base) ActiveJobs() int { return len(b.active) }
 
 // Arrive admits a job: registers state, unlocks root phases, dispatches.
 func (b *Base) Arrive(j *cluster.Job) {
-	s := &jobState{JobBook: speculation.JobBook{Job: j}}
+	s := &jobState{JobBook: b.Book.NewJob(j)}
 	b.active = append(b.active, s)
 	b.byID[j.ID] = s
 	if b.onArrive != nil {
@@ -419,7 +419,7 @@ func (b *Base) placeOne(s *jobState) bool {
 	if !b.capacitySpec || b.Cfg.DisableSpec {
 		return false
 	}
-	v := b.Book.Mon.BestVictimFor(b.Eng.Now(), s.Job.ID)
+	v := b.Book.BestVictim(b.Eng.Now(), &s.JobBook)
 	if v == nil {
 		return false
 	}

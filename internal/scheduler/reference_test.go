@@ -122,7 +122,7 @@ func (r *scanSpec) scanJob(s *jobState) bool {
 		return false
 	}
 	added := false
-	r.wantScratch = r.Book.Mon.CandidatesInto(r.Eng.Now(), r.runningOf(s), -1, r.wantScratch)
+	r.wantScratch = s.Mon.CandidatesInto(r.Eng.Now(), r.runningOf(s), -1, r.wantScratch)
 	for _, t := range r.wantScratch {
 		if t.RunningCopies() < r.Cfg.Spec.MaxCopies && s.AddWant(t) {
 			added = true
@@ -147,7 +147,7 @@ func (r *scanSpec) placeOne(s *jobState) bool {
 	if !r.capacitySpec || r.Cfg.DisableSpec {
 		return false
 	}
-	v := r.Book.Mon.BestVictim(r.Eng.Now(), r.runningOf(s), r.Cfg.Spec.MaxCopies)
+	v := s.Mon.BestVictim(r.Eng.Now(), r.runningOf(s), r.Cfg.Spec.MaxCopies)
 	if v == nil {
 		return false
 	}

@@ -8,34 +8,44 @@ import (
 )
 
 // Book is one scheduler's speculation bookkeeping, the same on both
-// planes: the straggler monitor, the two online estimators behind every
-// virtual size (β, the task-duration tail index, and α, the DAG transfer
-// weighting), and the handlers that keep each job's JobBook in step with
-// them. The centralized chassis (scheduler.Base) and the decentralized
-// core (protocol.Sched) each hold one; what they keep beside it is their
-// own — the chassis dispatches onto an executor, the core negotiates with
-// workers. Not safe for concurrent use, like its owners.
+// planes: the monitor config its jobs' straggler monitors share, the two
+// online estimators behind every virtual size (β, the task-duration tail
+// index, and α, the DAG transfer weighting), and the handlers that keep
+// each job's JobBook in step with them. The centralized chassis
+// (scheduler.Base) and the decentralized core (protocol.Sched) each hold
+// one; what they keep beside it is their own — the chassis dispatches onto
+// an executor, the core negotiates with workers. Not safe for concurrent
+// use, like its owners.
 type Book struct {
-	Mon   *Monitor
 	Beta  *stats.TailEstimator
 	Alpha *estimate.AlphaEstimator
 
-	// cand is the index queries' reusable result buffer for Scan.
-	cand []*cluster.Task
+	cfg *Config
+
+	// cand is the index walks' reusable result buffer and walkStack their
+	// stack of pending subtrees: one of each serves every job of the book.
+	cand      []*cluster.Task
+	walkStack []int
 }
 
 // NewBook builds a scheduler's book. The β estimator reports betaPrior
 // until it has observed betaWarmup completions.
 func NewBook(cfg Config, betaPrior float64, betaWarmup int) Book {
+	cfg = cfg.WithDefaults()
 	return Book{
-		Mon:   NewMonitor(cfg, nil),
 		Beta:  stats.NewTailEstimator(1e-9, betaPrior, betaWarmup),
 		Alpha: estimate.NewAlphaEstimator(),
+		cfg:   &cfg,
 	}
 }
 
+// NewJob returns the book's record of a newly admitted job, for its owner
+// to embed.
+func (b *Book) NewJob(j *cluster.Job) JobBook { return JobBook{Job: j, Mon: Monitor{cfg: b.cfg}} }
+
 // JobBook is a Book's record of one job. Owners embed it by value in their
-// own job record, so a job costs no allocation of its own.
+// own job record, so a job costs no allocation of its own; Mon, the job's
+// straggler monitor (completion history and victim index), goes with it.
 //
 // Invariants (DESIGN.md section 6):
 //   - the want queue holds each policy-flagged task at most once
@@ -52,6 +62,7 @@ type JobBook struct {
 	Job      *cluster.Job
 	Running  int
 	Occupied int
+	Mon      Monitor
 
 	wants    cluster.TaskDeque
 	credited cluster.PhaseSet
@@ -82,7 +93,7 @@ func (jb *JobBook) RetryWant(t *cluster.Task) {
 // stale reports whether a queued want can no longer take a copy: its task
 // finished, or has reached the copy cap since it was flagged.
 func (b *Book) stale(t *cluster.Task) bool {
-	return t.State != cluster.TaskRunning || t.RunningCopies() >= b.Mon.cfg.MaxCopies
+	return t.State != cluster.TaskRunning || t.RunningCopies() >= b.cfg.MaxCopies
 }
 
 // TakeWant dequeues the oldest want that fits accepts (nil accepts any),
@@ -136,20 +147,21 @@ func (b *Book) HandedOut(jb *JobBook, t *cluster.Task, spec bool) {
 	jb.Occupied++
 	if !spec {
 		jb.Running++
-		b.Mon.TaskHandedOut(t)
+		jb.Mon.TaskHandedOut(t)
 	}
 }
 
-// TaskDone settles t's completion: β learns the winner's duration and the
-// monitor retires the task. For a job in the book (jb non-nil) every copy's
-// slot comes back — the winner and its same-instant kills end together —
-// the task leaves the running set, and a want for it is withdrawn.
+// TaskDone settles t's completion: β learns the winner's duration. For a
+// job in the book (jb non-nil) the job's monitor records it and retires
+// the task, every copy's slot comes back — the winner and its same-instant
+// kills end together — the task leaves the running set, and a want for it
+// is withdrawn.
 func (b *Book) TaskDone(jb *JobBook, t *cluster.Task, winner *cluster.Copy) {
 	b.Beta.Observe(winner.Duration)
-	b.Mon.TaskCompleted(t, winner)
 	if jb == nil {
 		return
 	}
+	jb.Mon.TaskCompleted(t, winner)
 	jb.Occupied -= len(t.Copies)
 	jb.Running--
 	if t.SpecWanted {
@@ -158,13 +170,12 @@ func (b *Book) TaskDone(jb *JobBook, t *cluster.Task, winner *cluster.Copy) {
 	}
 }
 
-// JobDone lets α learn the job's transfers and the monitor release its
-// history, and returns the occupancy the job still holds (0 for jb nil).
-// That should be none: each slot comes back at its task's completion or
-// at the loss of its copy, so a leftover is an accounting bug.
+// JobDone lets α learn the job's transfers and returns the occupancy the
+// job still holds (0 for jb nil). That should be none: each slot comes
+// back at its task's completion or at the loss of its copy, so a leftover
+// is an accounting bug. The job's monitor goes with its owner's record.
 func (b *Book) JobDone(jb *JobBook, j *cluster.Job) (leftover int) {
 	b.Alpha.JobCompleted(j)
-	b.Mon.JobDone(j)
 	if jb == nil {
 		return 0
 	}
@@ -179,7 +190,7 @@ func (b *Book) JobDone(jb *JobBook, j *cluster.Job) (leftover int) {
 // requeue it.
 func (b *Book) CopyLost(jb *JobBook, t *cluster.Task) (requeue bool) {
 	jb.Occupied--
-	b.Mon.CopyDropped(t)
+	jb.Mon.CopyDropped(t)
 	if t.State == cluster.TaskDone || t.RunningCopies() > 0 {
 		return false
 	}
@@ -189,26 +200,39 @@ func (b *Book) CopyLost(jb *JobBook, t *cluster.Task) (requeue bool) {
 
 // Scan queues the job's new speculation wants and returns them, reusing
 // dst: the policy's candidates below the copy cap and, with victims set,
-// every other ripe victim of capacity-driven speculation
-// (Monitor.VictimsFor) — both answered by the victim index, in
-// running-set order.
+// every other ripe victim of capacity-driven speculation — both answered
+// by the job's victim index (Monitor.walk), in running-set order.
 func (b *Book) Scan(now float64, jb *JobBook, victims bool, dst []*cluster.Task) []*cluster.Task {
 	out := dst[:0]
-	b.cand = b.Mon.CandidatesFor(now, jb.Job.ID, b.cand)
-	for _, t := range b.cand {
-		if t.RunningCopies() < b.Mon.cfg.MaxCopies && jb.AddWant(t) {
+	for _, t := range b.walk(now, jb, true) {
+		if t.RunningCopies() < b.cfg.MaxCopies && jb.AddWant(t) {
 			out = append(out, t)
 		}
 	}
 	if victims {
-		b.cand = b.Mon.VictimsFor(now, jb.Job.ID, b.cand)
-		for _, t := range b.cand {
+		for _, t := range b.walk(now, jb, false) {
 			if jb.AddWant(t) {
 				out = append(out, t)
 			}
 		}
 	}
 	return out
+}
+
+// walk runs one of the job's index walks (Monitor.walk: the policy's
+// candidates, or with policy false every victim) on the book's shared
+// stack, into its result buffer, which the next walk reuses.
+func (b *Book) walk(now float64, jb *JobBook, policy bool) []*cluster.Task {
+	b.cand = jb.Mon.walk(now, policy, &b.walkStack, b.cand)
+	return b.cand
+}
+
+// BestVictim returns the task to race in a slot the job has allocated
+// and no want fills — the worst ripe straggler a fresh copy would beat,
+// below the copy cap (Monitor.BestVictim's rule) — answered by the job's
+// victim index; nil when there is none.
+func (b *Book) BestVictim(now float64, jb *JobBook) *cluster.Task {
+	return jb.Mon.bestVictim(now, &b.walkStack)
 }
 
 // Demand returns the allocator's view of the job — its remaining current

@@ -14,7 +14,8 @@ func bookJob(n int) (*Book, *JobBook) {
 		ph.Tasks[i] = &cluster.Task{}
 	}
 	b := NewBook(Config{Policy: LATE{}}, 1.5, 30)
-	return &b, &JobBook{Job: cluster.NewJob(1, "", 0, []*cluster.Phase{ph})}
+	jb := b.NewJob(cluster.NewJob(1, "", 0, []*cluster.Phase{ph}))
+	return &b, &jb
 }
 
 // handOut starts a copy of the job's i-th task at time start lasting dur
@@ -73,10 +74,10 @@ func TestBookCopyLostOfOtherCopyKeepsTask(t *testing.T) {
 func TestBookReconciledCopyCountedOnce(t *testing.T) {
 	b, jb := bookJob(2)
 	task, c := handOut(b, jb, 0, 0, 5)
-	b.Mon.CopyPlaced(task)
-	b.Mon.CopyPlaced(task)
+	jb.Mon.CopyPlaced(task)
+	jb.Mon.CopyPlaced(task)
 	wantCounts(t, jb, 1, 1)
-	if got := b.Mon.VictimsFor(1, jb.Job.ID, nil); len(got) != 1 || got[0] != task {
+	if got := b.walk(1, jb, false); len(got) != 1 || got[0] != task {
 		t.Fatalf("victims %v, want the reconciled task once", got)
 	}
 	task.State = cluster.TaskDone
@@ -162,5 +163,28 @@ func TestBookScanVictimsOnlyWhenAsked(t *testing.T) {
 	}
 	if jb.Wants() != 2 {
 		t.Fatalf("%d wants queued, want 2", jb.Wants())
+	}
+}
+
+// TestBookBestVictimRacesOnlyRipeStragglers: Book.BestVictim answers from
+// the job's own victim index. With no history t_new is the phase mean, 1,
+// and a copy is observable after a quarter of it. At time 1 a copy
+// started at 0 is a ripe straggler; one started at 0.9 has more work left
+// but is too young to observe, so it is not raced until it ripens.
+func TestBookBestVictimRacesOnlyRipeStragglers(t *testing.T) {
+	b, jb := bookJob(2)
+	if v := b.BestVictim(1, jb); v != nil {
+		t.Fatalf("BestVictim = %s before anything was handed out", tid(v))
+	}
+	ripe, _ := handOut(b, jb, 0, 0, 50)
+	young, _ := handOut(b, jb, 1, 0.9, 60)
+	if v := b.BestVictim(0.1, jb); v != nil {
+		t.Fatalf("BestVictim = %s before any copy was observable", tid(v))
+	}
+	if v := b.BestVictim(1, jb); v != ripe {
+		t.Fatalf("BestVictim = %s, want the ripe straggler, not the young copy", tid(v))
+	}
+	if v := b.BestVictim(1.2, jb); v != young {
+		t.Fatalf("BestVictim = %s once the younger copy ripened, want it (more work left)", tid(v))
 	}
 }

@@ -150,117 +150,92 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// jobStats is the monitor's record of one job: its completion history,
-// for t_new and slow-threshold estimation, and its victim index.
+// Monitor is the straggler monitor's record of one job: its completion
+// history, for t_new and slow-threshold estimation, the estimate cache
+// over that history, and its victim index (victimindex.go). Book.NewJob
+// builds one per job, held by value as JobBook.Mon, so it lives and dies
+// with its owner's job record and nothing looks it up by job ID. It is
+// not safe for concurrent use.
 //
 // version counts completions; it is the dirty cursor for the estimate
 // cache. The policy-visible t_new (median of completions) and slow
 // threshold (completion percentile) change only when a task of the job
 // completes, yet the old code recomputed both — each a sort-backed
 // percentile query — for every running task on every scan. The cache
-// recomputes them once per (job, completion), so a scan over R running
-// tasks costs O(R) instead of O(R · N log N).
-type jobStats struct {
+// recomputes them once per completion, so a scan over R running tasks
+// costs O(R) instead of O(R · N log N).
+type Monitor struct {
+	cfg *Config // shared with the monitor's Book
+
 	done    stats.Summary
 	version int
 
-	cachedAt int // version estNew/slowThr were computed at; -1 = never
+	// cachedAt is the version estNew/slowThr were computed at. Zero means
+	// never: estimates are read only from five completions on (history),
+	// so no read meets version 0.
+	cachedAt int
 	estNew   float64
 	slowThr  float64
 
-	// victims is the job's victim index (victimindex.go): zero until the
-	// job hands out a task.
+	// victims is the job's victim index: zero until the job hands out a
+	// task.
 	victims jobVictims
-}
-
-// Monitor produces speculation candidates for running tasks. One Monitor
-// serves one scheduler (centralized engine or decentralized job
-// scheduler); it is not safe for concurrent use.
-type Monitor struct {
-	cfg  Config
-	jobs map[cluster.JobID]*jobStats
-
-	// walkStack is the pruned heap walk's reusable stack of pending
-	// subtrees.
-	walkStack []int
 }
 
 // slowPct is the completion percentile of the slow-task threshold
 // (LATE's slowest quarter).
 const slowPct = 75.0
 
-// NewMonitor returns a Monitor with the given config (defaults applied).
-// The monitor draws nothing: rng is unused, and stays in the signature
-// only because the benchmark module (bench/layers.go) calls it so.
+// NewMonitor returns a Monitor with the given config (defaults applied)
+// that no Book holds: the tests' scan oracle and the benchmark module's
+// (bench/layers.go) speculation row. The monitor draws nothing: rng is
+// unused, and stays in the signature only because the benchmark calls it
+// so.
 func NewMonitor(cfg Config, rng *rand.Rand) *Monitor {
-	return &Monitor{cfg: cfg.WithDefaults(), jobs: make(map[cluster.JobID]*jobStats)}
+	cfg = cfg.WithDefaults()
+	return &Monitor{cfg: &cfg}
 }
 
 // TaskCompleted records the winning copy's duration for the job's t_new
 // and slow-threshold estimates and retires the task from the victim
-// index. Call from the scheduler's OnTaskDone.
+// index. Book.TaskDone calls it.
 func (m *Monitor) TaskCompleted(t *cluster.Task, winner *cluster.Copy) {
-	js := m.job(t.Job.ID)
-	js.done.Add(winner.WorkDuration())
-	js.version++
-	js.victims.retire(t)
+	m.done.Add(winner.WorkDuration())
+	m.version++
+	m.victims.retire(t)
 }
 
-// job returns the job's record, creating it on first use.
-func (m *Monitor) job(id cluster.JobID) *jobStats {
-	js := m.jobs[id]
-	if js == nil {
-		js = &jobStats{cachedAt: -1}
-		m.jobs[id] = js
+// history returns the monitor once its completion history is deep enough
+// to estimate from (five completions), with the cached estimates
+// refreshed; nil until then. Scans resolve it once, not per task.
+func (m *Monitor) history() *Monitor {
+	if m.done.N() < 5 {
+		return nil
 	}
-	return js
-}
-
-// JobDone releases the job's history and victim index.
-func (m *Monitor) JobDone(j *cluster.Job) { delete(m.jobs, j.ID) }
-
-// refreshCache recomputes the job-level estimates if completions arrived
-// since they were last cached (the dirty-cursor check).
-func (js *jobStats) refreshCache() {
-	if js.cachedAt == js.version {
-		return
+	if m.cachedAt != m.version {
+		m.estNew = m.done.Median()
+		m.slowThr = m.done.Percentile(slowPct)
+		m.cachedAt = m.version
 	}
-	js.estNew = js.done.Median()
-	js.slowThr = js.done.Percentile(slowPct)
-	js.cachedAt = js.version
+	return m
 }
-
-// deep returns the record once its completion history is deep enough to
-// estimate from (five completions), with the cached estimates refreshed;
-// nil until then, and for a job with no record.
-func (js *jobStats) deep() *jobStats {
-	if js != nil && js.done.N() >= 5 {
-		js.refreshCache()
-		return js
-	}
-	return nil
-}
-
-// history returns the job's record once it can be estimated from (deep).
-// Scans resolve it once per job, not per task.
-func (m *Monitor) history(id cluster.JobID) *jobStats { return m.jobs[id].deep() }
 
 // estNew returns the estimated duration of a fresh copy of a task of the
 // phase: the job's median completion, or the phase mean before history
-// accumulates (js == nil). It is uniform within a (job, phase) bucket,
+// accumulates (hist == nil). It is uniform within a (job, phase) bucket,
 // which the victim index relies on.
-func estNew(js *jobStats, phase *cluster.Phase) float64 {
-	if js != nil {
-		return js.estNew
+func estNew(hist *Monitor, phase *cluster.Phase) float64 {
+	if hist != nil {
+		return hist.estNew
 	}
 	return phase.MeanTaskDuration
 }
 
 // slowThreshold returns the straggler cutoff for LATE-style percentile
 // tests. Falls back to twice the phase mean before history accumulates.
-func slowThreshold(js *jobStats, phase *cluster.Phase) float64 {
-	if js != nil {
-		return js.slowThr
+func slowThreshold(hist *Monitor, phase *cluster.Phase) float64 {
+	if hist != nil {
+		return hist.slowThr
 	}
 	return 2 * phase.MeanTaskDuration
 }
@@ -269,7 +244,7 @@ func slowThreshold(js *jobStats, phase *cluster.Phase) float64 {
 // false when the task is done, already at the copy cap, or none of its
 // copies have run long enough to observe.
 func (m *Monitor) Wants(now float64, t *cluster.Task) bool {
-	return m.wants(now, t, m.history(t.Job.ID))
+	return m.wants(now, t, m.history())
 }
 
 // observable returns the task's live-copy count and, among the copies
@@ -293,7 +268,7 @@ func (m *Monitor) observable(now float64, t *cluster.Task) (live int, best *clus
 
 // wants is Wants with the job's history (Monitor.history) already
 // resolved.
-func (m *Monitor) wants(now float64, t *cluster.Task, js *jobStats) bool {
+func (m *Monitor) wants(now float64, t *cluster.Task, hist *Monitor) bool {
 	if t.State != cluster.TaskRunning {
 		return false
 	}
@@ -301,18 +276,18 @@ func (m *Monitor) wants(now float64, t *cluster.Task, js *jobStats) bool {
 	if live == 0 || live >= m.cfg.MaxCopies || best == nil {
 		return false
 	}
-	return m.cfg.Policy.Wants(m.estimates(now, t, best, js))
+	return m.cfg.Policy.Wants(m.estimates(now, t, best, hist))
 }
 
 // estimates builds the policy-visible numbers for a task whose best
 // observable copy is best.
-func (m *Monitor) estimates(now float64, t *cluster.Task, best *cluster.Copy, js *jobStats) Estimates {
+func (m *Monitor) estimates(now float64, t *cluster.Task, best *cluster.Copy, hist *Monitor) Estimates {
 	phase := t.Phase
 	return Estimates{
 		Remaining:         best.WorkRemaining(now),
-		New:               estNew(js, phase),
+		New:               estNew(hist, phase),
 		ProjectedTotal:    best.WorkDuration(),
-		SlowThreshold:     slowThreshold(js, phase),
+		SlowThreshold:     slowThreshold(hist, phase),
 		PhaseFractionDone: float64(len(phase.Tasks)-phase.RemainingTasks()) / float64(len(phase.Tasks)),
 	}
 }
@@ -326,35 +301,21 @@ func (m *Monitor) Candidates(now float64, running []*cluster.Task, budget int) [
 }
 
 // CandidatesInto is Candidates with a caller-owned result buffer: dst is
-// truncated and reused, so the per-completion speculation scan allocates
-// nothing once the buffer has grown. The returned slice aliases dst.
+// truncated and reused, so the scan allocates nothing once the buffer
+// has grown. The returned slice aliases dst. Every task is judged
+// against this monitor's history: running holds one job's tasks.
 func (m *Monitor) CandidatesInto(now float64, running []*cluster.Task, budget int, dst []*cluster.Task) []*cluster.Task {
 	out := dst[:0]
-	var hist jobHistory
+	hist := m.history()
 	for _, t := range running {
 		if budget >= 0 && len(out) >= budget {
 			break
 		}
-		if t != nil && m.wants(now, t, hist.of(m, t)) {
+		if t != nil && m.wants(now, t, hist) {
 			out = append(out, t)
 		}
 	}
 	return out
-}
-
-// jobHistory memoizes Monitor.history across a scan: a running set holds
-// one job's tasks, so the map lookup happens once per scan, not per task.
-// A set mixing jobs still reads right.
-type jobHistory struct {
-	job *cluster.Job
-	js  *jobStats
-}
-
-func (h *jobHistory) of(m *Monitor, t *cluster.Task) *jobStats {
-	if h.job != t.Job {
-		h.job, h.js = t.Job, m.history(t.Job.ID)
-	}
-	return h.js
 }
 
 // BestVictim picks the task to duplicate when a job has allocated
@@ -391,7 +352,7 @@ func (m *Monitor) VictimsInto(now float64, running []*cluster.Task, maxCopies in
 func (m *Monitor) scanVictims(now float64, running []*cluster.Task, maxCopies int, all *[]*cluster.Task) *cluster.Task {
 	var victim *cluster.Task
 	var victimRem float64
-	var hist jobHistory
+	hist := m.history()
 	for _, t := range running {
 		if t == nil || t.State != cluster.TaskRunning {
 			continue
@@ -401,7 +362,7 @@ func (m *Monitor) scanVictims(now float64, running []*cluster.Task, maxCopies in
 			continue
 		}
 		rem := best.WorkRemaining(now)
-		if rem <= estNew(hist.of(m, t), t.Phase) {
+		if rem <= estNew(hist, t.Phase) {
 			continue // a new copy would not beat the current one
 		}
 		if all != nil {

@@ -9,15 +9,15 @@ import (
 
 // Victim index: the one structure that answers a scheduler's three
 // speculation questions about a job without visiting its running set —
-// which task to race (BestVictimFor), which tasks the policy newly wants
-// (CandidatesFor) and which victims are ripe (VictimsFor). It answers
-// exactly what the scans (BestVictim, CandidatesInto, VictimsInto) answer
-// over the same running set, under any copy cap k, at any mix of machine
-// speeds, and with copies lost mid-task; the scans stay as the tests'
-// reference and the benchmark's speculation row, and nothing that ships
-// calls them.
+// which task to race (Book.BestVictim), which tasks the policy newly
+// wants and which victims are ripe (the two walks behind Book.Scan). It
+// answers exactly what the scans (BestVictim, CandidatesInto,
+// VictimsInto) answer over the same running set, under any copy cap k, at
+// any mix of machine speeds, and with copies lost mid-task; the scans stay
+// as the tests' reference and the benchmark's speculation row, and
+// nothing that ships calls them.
 //
-// Structure: per job, per phase, per copy speed, two heaps of immutable
+// Structure: per phase, per copy speed, two heaps of immutable
 // entries — a ripening min-heap ordered by Start holding copies too young
 // to observe, and a ready max-heap ordered by (Finish desc, hand-out pos
 // asc) holding observable ones. A task has at most one live entry: the
@@ -75,18 +75,19 @@ import (
 //
 // The three queries:
 //
-//   - BestVictimFor ripens due entries and walks each ready heap from the
+//   - bestVictim ripens due entries and walks each ready heap from the
 //     root, pruning a subtree whose root fails the t_new cut or falls
 //     below the best true remaining found so far; it keeps the largest
 //     true remaining, ties broken by hand-out order — bit-for-bit the
 //     scan's answer (the scan keeps the first of equals in running-set
 //     order, which is hand-out order). Under k = 2 the root's remaining
 //     is exact and the walk stops at the top unless a child ties it.
-//   - VictimsFor walks each ready heap from the root, pruning a subtree
-//     at the first entry that fails the t_new cut: it visits the victims
-//     (plus at most two failing children each), not the running set.
-//   - CandidatesFor is the same walk with the policy applied to each
-//     victim, through the scan's own Estimates. Every shipped policy's
+//   - walk, for victims, goes down each ready heap from the root, pruning
+//     a subtree at the first entry that fails the t_new cut: it visits the
+//     victims (plus at most two failing children each), not the running
+//     set.
+//   - walk, for candidates, is the same walk with the policy applied to
+//     each victim, through the scan's own Estimates. Every shipped policy's
 //     rule implies Remaining > New (TestPoliciesImplyVictim pins it for
 //     whatever ByName returns), so the policy's candidates are a subset
 //     of the victims and the pruned walk loses none.
@@ -102,13 +103,15 @@ import (
 // what its phase has running now, not every copy it ever indexed nor the
 // largest wave it ever saw.
 //
-// An index instance lives inside one scheduler's Monitor and indexes only
-// tasks that scheduler handed out. The caller reports every addition to
-// its running set (TaskHandedOut), every placement onto a task that may
-// have no entry yet (CopyPlaced — a task handed out before its first copy
-// landed, or whose copies were lost), every copy lost and every hand-out
-// that failed without a copy (CopyDropped, through protocol.Sched.CopyLost)
-// and every completion (TaskCompleted).
+// An index lives in one job's Monitor, inside its owner's JobBook, and
+// indexes only the tasks of that job its scheduler handed out. The
+// queries share their Book's walk stack, so no job keeps one of its own.
+// The caller reports every addition to the job's running set
+// (TaskHandedOut), every placement onto a task that may have no entry yet
+// (CopyPlaced — a task handed out before its first copy landed, or whose
+// copies were lost), every copy lost and every hand-out that failed
+// without a copy (CopyDropped, through protocol.Sched.CopyLost) and every
+// completion (TaskCompleted).
 
 // victimEntry is one copy's immutable index record: the task, its
 // representative copy when indexed, and the heap's key — c.Start in
@@ -301,7 +304,7 @@ type jobVictims struct {
 	// shrink, a task's best observable remaining with them, and eligibility
 	// lost at the cap returns only through a lost copy — so only a ripening
 	// entry turning observable can make a victim. A held job is asked on
-	// every dispatch pass; 99 % of BestVictimFor calls on the centralized
+	// every dispatch pass; 99 % of bestVictim calls on the centralized
 	// benchmark end here.
 	quietUntil float64
 	quietAt    int
@@ -377,7 +380,7 @@ func (ji *jobVictims) ripen(now, delayFrac float64, k int) (unripeUntil float64)
 }
 
 // quiet reports whether the cached empty answer still holds at now for a
-// job whose history is at the given version.
+// job whose history is at the given version (Monitor.version).
 func (ji *jobVictims) quiet(now float64, version int) bool {
 	return now < ji.quietUntil && version == ji.quietAt
 }
@@ -397,7 +400,7 @@ func (m *Monitor) TaskHandedOut(t *cluster.Task) {
 	if m.cfg.MaxCopies < 2 {
 		return // a cap of one races nothing: no entries at all
 	}
-	ji := &m.job(t.Job.ID).victims
+	ji := &m.victims
 	if ji.buckets == nil {
 		*ji = jobVictims{job: t.Job, buckets: make([]victimBucket, len(t.Job.Phases))}
 		for p := range ji.buckets {
@@ -415,11 +418,7 @@ func (m *Monitor) TaskHandedOut(t *cluster.Task) {
 // placement onto a task that may have no entry: adapters that hand a task
 // out before its copy lands call it for each copy they place; a no-op for
 // a task that is already indexed.
-func (m *Monitor) CopyPlaced(t *cluster.Task) {
-	if js := m.jobs[t.Job.ID]; js != nil {
-		js.victims.track(t)
-	}
-}
+func (m *Monitor) CopyPlaced(t *cluster.Task) { m.victims.track(t) }
 
 // CopyDropped settles a copy of t that died without finishing the task
 // (after the adapter took it out of t.Copies), or a hand-out of t that
@@ -429,11 +428,10 @@ func (m *Monitor) CopyPlaced(t *cluster.Task) {
 // answer is dropped, because a task back under the cap may be a victim
 // again.
 func (m *Monitor) CopyDropped(t *cluster.Task) {
-	js := m.jobs[t.Job.ID]
-	if js == nil || t.VictimPos == 0 || t.State != cluster.TaskRunning {
+	if t.VictimPos == 0 || t.State != cluster.TaskRunning {
 		return
 	}
-	ji := &js.victims
+	ji := &m.victims
 	if len(t.Copies) == 0 {
 		ji.retire(t)
 		return
@@ -454,15 +452,16 @@ func (m *Monitor) best(now float64, e victimEntry, r float64) (*cluster.Copy, fl
 	return best, best.WorkRemaining(now)
 }
 
-// BestVictimFor is BestVictim over the job's running set, answered from
-// the index: the observable task below the copy cap with the largest
-// remaining time whose fresh copy would beat it.
-func (m *Monitor) BestVictimFor(now float64, jobID cluster.JobID) *cluster.Task {
-	js := m.jobs[jobID]
-	if js == nil || js.victims.quiet(now, js.version) {
+// bestVictim is BestVictim over the job's running set, answered from the
+// index: the observable task below the copy cap with the largest
+// remaining time whose fresh copy would beat it. stack is the walk's
+// reusable stack of pending subtrees (Book.walkStack).
+func (m *Monitor) bestVictim(now float64, stack *[]int) *cluster.Task {
+	ji := &m.victims
+	if ji.quiet(now, m.version) {
 		return nil
 	}
-	ji, hist, k := &js.victims, js.deep(), m.cfg.MaxCopies
+	hist, k := m.history(), m.cfg.MaxCopies
 	unripeUntil := ji.ripen(now, m.cfg.DetectDelayFrac, k)
 	var victim *cluster.Task
 	var victimRem float64
@@ -472,10 +471,10 @@ func (m *Monitor) BestVictimFor(now float64, jobID cluster.JobID) *cluster.Task 
 			continue
 		}
 		tNew := estNew(hist, ji.job.Phases[b.phase])
-		stack := append(m.walkStack[:0], 0)
-		for len(stack) > 0 {
-			j := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+		pending := append((*stack)[:0], 0)
+		for len(pending) > 0 {
+			j := pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
 			for j < len(b.ready) {
 				e := b.ready[j]
 				r := b.remaining(e, now)
@@ -490,52 +489,41 @@ func (m *Monitor) BestVictimFor(now float64, jobID cluster.JobID) *cluster.Task 
 					(victim == nil || rem > victimRem || (rem == victimRem && e.t.VictimPos < victim.VictimPos)) {
 					victim, victimRem = e.t, rem
 				}
-				stack = append(stack, 2*j+2)
+				pending = append(pending, 2*j+2)
 				j = 2*j + 1
 			}
 		}
-		m.walkStack = stack
+		*stack = pending
 	}
 	if victim == nil {
-		ji.quietUntil, ji.quietAt = unripeUntil, js.version
+		ji.quietUntil, ji.quietAt = unripeUntil, m.version
 	}
 	return victim
 }
 
-// CandidatesFor is CandidatesInto (unlimited budget) over the job's
-// running set, answered from the index: the tasks of the job the policy
-// wants to speculate, in running-set order — except those already
-// flagged SpecWanted, which the caller's want queue would drop.
-func (m *Monitor) CandidatesFor(now float64, jobID cluster.JobID, dst []*cluster.Task) []*cluster.Task {
-	return m.walk(now, jobID, true, dst)
-}
-
-// VictimsFor is VictimsInto over the job's running set, answered from the
-// index: every task BestVictimFor would consider, in running-set order —
-// except those already flagged SpecWanted, as in CandidatesFor.
-func (m *Monitor) VictimsFor(now float64, jobID cluster.JobID, dst []*cluster.Task) []*cluster.Task {
-	return m.walk(now, jobID, false, dst)
-}
-
 // walk collects, over every bucket of the job, the eligible tasks not yet
 // flagged SpecWanted whose best observable remaining beats t_new — and,
-// with policy set, that the policy wants — sorted by hand-out pos.
-func (m *Monitor) walk(now float64, jobID cluster.JobID, policy bool, dst []*cluster.Task) []*cluster.Task {
+// with policy set, that the policy wants — sorted by hand-out pos: with
+// policy, CandidatesInto (unlimited budget) over the job's running set;
+// without, VictimsInto; either minus the tasks already flagged
+// SpecWanted, which the caller's want queue would drop. stack is as in
+// bestVictim, and dst is truncated and reused.
+func (m *Monitor) walk(now float64, policy bool, stack *[]int, dst []*cluster.Task) []*cluster.Task {
 	out := dst[:0]
-	js := m.jobs[jobID]
-	if js == nil || js.victims.quiet(now, js.version) {
+	ji := &m.victims
+	if ji.quiet(now, m.version) {
 		return out
 	}
-	ji, hist, k := &js.victims, js.deep(), m.cfg.MaxCopies
+	hist, k := m.history(), m.cfg.MaxCopies
 	unripeUntil := ji.ripen(now, m.cfg.DetectDelayFrac, k)
 	victims := false // any at all, wanted ones included
 	for i := range ji.buckets {
 		b := &ji.buckets[i]
 		tNew := estNew(hist, ji.job.Phases[b.phase])
-		stack := append(m.walkStack[:0], 0)
-		for len(stack) > 0 {
-			j := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+		pending := append((*stack)[:0], 0)
+		for len(pending) > 0 {
+			j := pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
 			for j < len(b.ready) {
 				e := b.ready[j]
 				r := b.remaining(e, now)
@@ -552,14 +540,14 @@ func (m *Monitor) walk(now float64, jobID cluster.JobID, policy bool, dst []*clu
 						out = append(out, e.t)
 					}
 				}
-				stack = append(stack, 2*j+2)
+				pending = append(pending, 2*j+2)
 				j = 2*j + 1
 			}
 		}
-		m.walkStack = stack
+		*stack = pending
 	}
 	if !victims {
-		ji.quietUntil, ji.quietAt = unripeUntil, js.version
+		ji.quietUntil, ji.quietAt = unripeUntil, m.version
 	}
 	slices.SortFunc(out, func(a, b *cluster.Task) int { return a.VictimPos - b.VictimPos })
 	return out

@@ -37,18 +37,21 @@ const (
 
 // victimSim drives one job through randomized hand-out / placement /
 // want-queueing / speculation / loss / completion traffic, mirroring what
-// a scheduler does to its monitor, twice over: idx is the monitor under
-// test, ref an oracle asked only for its scans. Both hear the same
-// completions, so their histories agree and every indexed answer can be
-// held against the scan's at every step.
+// a scheduler does to its job's monitor, twice over: jb.Mon is the
+// monitor under test, asked through its book, and ref an oracle asked
+// only for its scans. Both hear the same completions, so their histories
+// agree and every indexed answer can be held against the scan's at every
+// step.
 type victimSim struct {
-	cfg      simConfig
-	idx, ref *Monitor
-	rng      *rand.Rand
-	job      *cluster.Job
-	running  []*cluster.Task // nil-tombstoned, in hand-out order
-	queue    []*cluster.Task // to hand out: never-handed-out, then requeued
-	done     int
+	cfg     simConfig
+	book    *Book
+	jb      JobBook
+	ref     *Monitor
+	rng     *rand.Rand
+	job     *cluster.Job
+	running []*cluster.Task // nil-tombstoned, in hand-out order
+	queue   []*cluster.Task // to hand out: never-handed-out, then requeued
+	done    int
 
 	// The loss counters: a representative lost with a copy surviving
 	// (re-keyed), a younger copy lost (the task back under the cap, its
@@ -57,7 +60,7 @@ type victimSim struct {
 	rekeys, reopened, requeues, lateCopies int
 }
 
-func newVictimSim(cfg simConfig, idx, ref *Monitor, rng *rand.Rand, id cluster.JobID) *victimSim {
+func newVictimSim(cfg simConfig, book *Book, rng *rand.Rand, id cluster.JobID) *victimSim {
 	var phases []*cluster.Phase
 	for p := 0; p < 2; p++ {
 		ph := &cluster.Phase{MeanTaskDuration: []float64{1.0, 2.5}[p], Tasks: make([]*cluster.Task, 20)}
@@ -66,7 +69,9 @@ func newVictimSim(cfg simConfig, idx, ref *Monitor, rng *rand.Rand, id cluster.J
 		}
 		phases = append(phases, ph)
 	}
-	s := &victimSim{cfg: cfg, idx: idx, ref: ref, rng: rng, job: cluster.NewJob(id, "", 0, phases)}
+	s := &victimSim{cfg: cfg, book: book, rng: rng, job: cluster.NewJob(id, "", 0, phases)}
+	s.jb = book.NewJob(s.job)
+	s.ref = NewMonitor(*book.cfg, nil)
 	// Interleave the two phases so both buckets are live at once.
 	for i := 0; i < 20; i++ {
 		s.queue = append(s.queue, phases[0].Tasks[i], phases[1].Tasks[i])
@@ -99,7 +104,7 @@ func (s *victimSim) place(t *cluster.Task, now float64, spec bool) {
 		Task: t, Start: now, Duration: float64(s.rng.Intn(16)+1) * 0.5,
 		Speculative: spec, Speed: s.cfg.speeds[s.rng.Intn(len(s.cfg.speeds))],
 	})
-	s.idx.CopyPlaced(t)
+	s.jb.Mon.CopyPlaced(t)
 }
 
 // leave takes t out of the running set (completion or requeue).
@@ -123,7 +128,7 @@ func (s *victimSim) step(now float64) bool {
 			t.State = cluster.TaskRunning
 		}
 		s.running = append(s.running, t)
-		s.idx.TaskHandedOut(t)
+		s.jb.Mon.TaskHandedOut(t)
 	case op == 1:
 		// A handed-out task's original lands.
 		if t := s.pick(func(t *cluster.Task) bool { return len(t.Copies) == 0 }); t != nil {
@@ -158,7 +163,7 @@ func (s *victimSim) step(now float64) bool {
 		t.Win(w, now, func(*cluster.Copy) {})
 		t.SpecWanted = false
 		s.job.CompleteTask(t, now, nil)
-		s.idx.TaskCompleted(t, w)
+		s.jb.Mon.TaskCompleted(t, w)
 		s.ref.TaskCompleted(t, w)
 		s.leave(t)
 		s.done++
@@ -212,12 +217,12 @@ func (s *victimSim) lose(now float64) {
 	}
 	lost = slices.Clone(lost)
 	if len(lost) == 0 {
-		s.idx.CopyDropped(t) // a hand-out lost before its copy landed
+		s.jb.Mon.CopyDropped(t) // a hand-out lost before its copy landed
 	}
 	for _, c := range lost {
 		oldest := c == t.Copies[0]
 		t.DropCopy(c)
-		s.idx.CopyDropped(t)
+		s.jb.Mon.CopyDropped(t)
 		switch {
 		case len(t.Copies) == 0:
 		case oldest:
@@ -286,17 +291,17 @@ func (a *answers) add(b answers) {
 func (s *victimSim) compare(t *testing.T, now float64, n *answers) {
 	t.Helper()
 	id, k := s.job.ID, s.cfg.k
-	if scan, got := s.ref.BestVictim(now, s.running, k), s.idx.BestVictimFor(now, id); scan != got {
+	if scan, got := s.ref.BestVictim(now, s.running, k), s.book.BestVictim(now, &s.jb); scan != got {
 		t.Fatalf("now %v job %d: BestVictim scan=%s index=%s", now, id, tid(scan), tid(got))
 	} else if scan != nil {
 		n.best++
 	}
 	scanV := unwanted(s.ref.VictimsInto(now, s.running, k, nil))
-	if got := s.idx.VictimsFor(now, id, nil); !slices.Equal(scanV, got) {
+	if got := s.book.walk(now, &s.jb, false); !slices.Equal(scanV, got) {
 		t.Fatalf("now %v job %d: Victims\n scan:  %v\n index: %v", now, id, tids(scanV), tids(got))
 	}
 	scanC := unwanted(s.ref.CandidatesInto(now, s.running, -1, nil))
-	if got := s.idx.CandidatesFor(now, id, nil); !slices.Equal(scanC, got) {
+	if got := s.book.walk(now, &s.jb, true); !slices.Equal(scanC, got) {
 		t.Fatalf("now %v job %d: Candidates\n scan:  %v\n index: %v", now, id, tids(scanC), tids(got))
 	}
 	if len(scanV) > 1 {
@@ -312,14 +317,14 @@ func (s *victimSim) compare(t *testing.T, now float64, n *answers) {
 	}
 }
 
-// runDifferential drives two jobs to completion under one regime,
-// comparing after every step, and reports what was compared.
-func runDifferential(t *testing.T, cfg simConfig, seed int64) (idx *Monitor, n answers) {
+// runDifferential drives two jobs to completion under one regime through
+// one book, so the jobs share its walk stack and result buffer, comparing
+// after every step, and reports what was compared.
+func runDifferential(t *testing.T, cfg simConfig, seed int64) (n answers) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	mcfg := Config{Policy: cfg.pol, MaxCopies: cfg.k}
-	idx, ref := NewMonitor(mcfg, nil), NewMonitor(mcfg, nil)
-	sims := []*victimSim{newVictimSim(cfg, idx, ref, rng, 1), newVictimSim(cfg, idx, ref, rng, 2)}
+	book := NewBook(Config{Policy: cfg.pol, MaxCopies: cfg.k}, 1.5, 30)
+	sims := []*victimSim{newVictimSim(cfg, &book, rng, 1), newVictimSim(cfg, &book, rng, 2)}
 	now := 0.0
 	for alive := true; alive; {
 		now += float64(rng.Intn(5)) * 0.125
@@ -333,19 +338,20 @@ func runDifferential(t *testing.T, cfg simConfig, seed int64) (idx *Monitor, n a
 	}
 	for _, s := range sims {
 		n.add(answers{rekeys: s.rekeys, reopened: s.reopened, requeues: s.requeues, lateCopies: s.lateCopies})
-		if cfg.k < 2 && idx.jobs[s.job.ID].victims.buckets != nil {
+		if cfg.k < 2 && s.jb.Mon.victims.buckets != nil {
 			t.Fatalf("seed %d: a cap of %d built an index for job %d", seed, cfg.k, s.job.ID)
 		}
-		idx.JobDone(s.job)
-		ref.JobDone(s.job)
-		if v := idx.BestVictimFor(now, s.job.ID); v != nil {
+		if v := book.BestVictim(now, &s.jb); v != nil {
 			t.Fatalf("seed %d: victim %v from a completed job", seed, tid(v))
 		}
-		if got := idx.VictimsFor(now, s.job.ID, nil); len(got) != 0 {
+		if got := book.walk(now, &s.jb, false); len(got) != 0 {
 			t.Fatalf("seed %d: victims %v from a completed job", seed, tids(got))
 		}
+		if got := book.walk(now, &s.jb, true); len(got) != 0 {
+			t.Fatalf("seed %d: candidates %v from a completed job", seed, tids(got))
+		}
 	}
-	return idx, n
+	return n
 }
 
 // TestIndexedVictimMatchesScan is the exact-equivalence differential for
@@ -393,7 +399,7 @@ func TestIndexedVictimMatchesScan(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			var total answers
 			for seed := int64(1); seed <= 20; seed++ {
-				_, n := runDifferential(t, r.cfg, seed)
+				n := runDifferential(t, r.cfg, seed)
 				total.add(n)
 			}
 			if !r.want(total) {
@@ -403,21 +409,21 @@ func TestIndexedVictimMatchesScan(t *testing.T) {
 	}
 }
 
-// boundaryTask builds a one-task job whose original copy has the given
-// start, duration and speed, registered with a monitor and an oracle,
-// both holding the same five-completion history (t_new = hist).
-func boundaryTask(start, dur, speed, mean, hist float64) (idx, ref *Monitor, running []*cluster.Task) {
+// boundaryTask builds a one-task job of book's whose original copy has
+// the given start, duration and speed, and an oracle for it, both holding
+// the same five-completion history (t_new = hist).
+func boundaryTask(book *Book, start, dur, speed, mean, hist float64) (jb *JobBook, ref *Monitor, running []*cluster.Task) {
 	ph := &cluster.Phase{MeanTaskDuration: mean, Tasks: []*cluster.Task{{}, {}}}
-	cluster.NewJob(1, "", 0, []*cluster.Phase{ph})
+	rec := book.NewJob(cluster.NewJob(1, "", 0, []*cluster.Phase{ph}))
+	jb, ref = &rec, NewMonitor(*book.cfg, nil)
 	task := ph.Tasks[0]
 	task.State = cluster.TaskRunning
-	idx, ref = NewMonitor(Config{Policy: Mantri{}}, nil), NewMonitor(Config{Policy: Mantri{}}, nil)
-	feed(idx, ph.Tasks[1], hist, 5)
+	feed(&jb.Mon, ph.Tasks[1], hist, 5)
 	feed(ref, ph.Tasks[1], hist, 5)
-	idx.TaskHandedOut(task)
+	jb.Mon.TaskHandedOut(task)
 	task.Copies = []*cluster.Copy{{Task: task, Start: start, Duration: dur, Speed: speed}}
-	idx.CopyPlaced(task)
-	return idx, ref, []*cluster.Task{task}
+	jb.Mon.CopyPlaced(task)
+	return jb, ref, []*cluster.Task{task}
 }
 
 // firstTrue returns the least float at or after a guess near the boundary
@@ -445,24 +451,25 @@ func firstTrue(guess float64, pred func(float64) bool) float64 {
 // (unripeBefore at delay/s) must not run past the flip either.
 func TestIndexAgreesWithScanAtTheUlp(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	book := NewBook(Config{Policy: Mantri{}}, 1.5, 30)
 	naiveDisagrees, ripeFlips, cutFlips := 0, 0, 0
-	check := func(idx, ref *Monitor, running []*cluster.Task, now float64, what string) (victim bool) {
+	check := func(idx *JobBook, ref *Monitor, running []*cluster.Task, now float64, what string) (victim bool) {
 		t.Helper()
 		scan := ref.BestVictim(now, running, 2)
-		if got := idx.BestVictimFor(now, 1); got != scan {
+		if got := book.BestVictim(now, idx); got != scan {
 			t.Fatalf("%s, now %v: BestVictim scan=%s index=%s", what, now, tid(scan), tid(got))
 		}
-		if got, want := idx.VictimsFor(now, 1, nil), ref.VictimsInto(now, running, 2, nil); !slices.Equal(got, want) {
+		if got, want := book.walk(now, idx, false), ref.VictimsInto(now, running, 2, nil); !slices.Equal(got, want) {
 			t.Fatalf("%s, now %v: Victims scan=%v index=%v", what, now, tids(want), tids(got))
 		}
-		if got, want := idx.CandidatesFor(now, 1, nil), ref.CandidatesInto(now, running, -1, nil); !slices.Equal(got, want) {
+		if got, want := book.walk(now, idx, true), ref.CandidatesInto(now, running, -1, nil); !slices.Equal(got, want) {
 			t.Fatalf("%s, now %v: Candidates scan=%v index=%v", what, now, tids(want), tids(got))
 		}
 		return scan != nil
 	}
 	// around queries just below, at and just above x; it reports whether
 	// the answer flipped from empty to a victim (up) or back (down).
-	around := func(idx, ref *Monitor, running []*cluster.Task, x float64, what string) (up, down bool) {
+	around := func(idx *JobBook, ref *Monitor, running []*cluster.Task, x float64, what string) (up, down bool) {
 		before := check(idx, ref, running, math.Nextafter(x, 0), what)
 		check(idx, ref, running, x, what)
 		after := check(idx, ref, running, math.Nextafter(x, math.Inf(1)), what)
@@ -475,7 +482,7 @@ func TestIndexAgreesWithScanAtTheUlp(t *testing.T) {
 
 		// Ripeness: a straggler (it beats t_new by far), queried around
 		// the instant it becomes observable.
-		idx, ref, running := boundaryTask(start, 1000*mean, 1, mean, mean)
+		idx, ref, running := boundaryTask(&book, start, 1000*mean, 1, mean, mean)
 		ripeAt := start + delay
 		if below := math.Nextafter(ripeAt, 0); ripeAt-start < delay || !(below-start < delay) {
 			naiveDisagrees++ // the scan is not ripe at ripeAt, or already ripe below it
@@ -488,7 +495,7 @@ func TestIndexAgreesWithScanAtTheUlp(t *testing.T) {
 		// its remaining time stops beating a fresh copy's.
 		tNew := mean * (0.5 + rng.Float64())
 		dur := 10*mean + rng.Float64()
-		idx, ref, running = boundaryTask(start, dur, 1, mean, tNew)
+		idx, ref, running = boundaryTask(&book, start, dur, 1, mean, tNew)
 		if _, down := around(idx, ref, running, (start+dur)-tNew, "t_new cut"); down {
 			cutFlips++
 		}
@@ -496,12 +503,12 @@ func TestIndexAgreesWithScanAtTheUlp(t *testing.T) {
 		// Both again on a copy at a non-dyadic speed, around the scan's
 		// own flips.
 		s := 0.3 + rng.Float64()*3
-		idx, ref, running = boundaryTask(start, 1000*mean, s, mean, mean)
+		idx, ref, running = boundaryTask(&book, start, 1000*mean, s, mean, mean)
 		ripe := firstTrue(start+delay/s, func(now float64) bool { return !((now-start)*s < delay) })
 		if up, _ := around(idx, ref, running, ripe, "off-speed ripeness"); !up {
 			t.Fatalf("speed %v: the scan did not turn ripe at %v", s, ripe)
 		}
-		idx, ref, running = boundaryTask(start, dur, s, mean, tNew)
+		idx, ref, running = boundaryTask(&book, start, dur, s, mean, tNew)
 		fails := firstTrue(start+dur-tNew/s, func(now float64) bool { return !(max(0, start+dur-now)*s > tNew) })
 		if _, down := around(idx, ref, running, fails, "off-speed t_new cut"); !down {
 			t.Fatalf("speed %v: the scan did not fail the cut at %v", s, fails)
@@ -561,16 +568,17 @@ func TestIndexShedsFinishedEntries(t *testing.T) {
 	for i := range ph.Tasks {
 		ph.Tasks[i] = &cluster.Task{}
 	}
-	j := cluster.NewJob(1, "", 0, []*cluster.Phase{ph})
+	cluster.NewJob(1, "", 0, []*cluster.Phase{ph})
 	m := NewMonitor(Config{}, nil)
+	var stack []int
 	for _, task := range ph.Tasks {
 		task.State = cluster.TaskRunning
 		m.TaskHandedOut(task)
 		task.Copies = []*cluster.Copy{{Task: task, Start: 0, Duration: 2, Speed: 1}}
 		m.CopyPlaced(task)
 	}
-	b := &m.jobs[j.ID].victims.buckets[0]
-	m.BestVictimFor(1, j.ID) // everything ripens
+	b := &m.victims.buckets[0]
+	m.bestVictim(1, &stack) // everything ripens
 	if len(b.ready) != n {
 		t.Fatalf("ready holds %d entries after the wave ripened, want %d", len(b.ready), n)
 	}
@@ -579,7 +587,7 @@ func TestIndexShedsFinishedEntries(t *testing.T) {
 		task.Copies[0].Won = true
 		m.TaskCompleted(task, task.Copies[0])
 	}
-	m.BestVictimFor(2, j.ID)
+	m.bestVictim(2, &stack)
 	if len(b.ready) > 10 || cap(b.ready) > 64 || cap(b.ripening) > 64 {
 		t.Fatalf("after %d of %d tasks finished the bucket still holds len %d cap %d (ripening cap %d)",
 			n-10, n, len(b.ready), cap(b.ready), cap(b.ripening))

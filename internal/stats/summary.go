@@ -156,9 +156,6 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
 // Median returns the median of five runs' worth of scalars, the paper's
 // reporting convention ("repeated five times and we report the median").
 // It works for any odd or even count: even counts average the central two.
