@@ -143,8 +143,10 @@ type Task struct {
 
 	State TaskState
 	// SpecWanted is scheduler-owned scratch (a task belongs to exactly one
-	// scheduler per simulation): true while the task sits in its
-	// scheduler's speculation want-queue. A field instead of a per-job
+	// scheduler per simulation): true exactly while the task sits in its
+	// job's speculation want queue. Only speculation.JobBook sets or
+	// clears it; the victim index reads it, dropping a queued task's
+	// entry until the want is taken. A field instead of a per-job
 	// map[*Task]bool makes want-dedup a load instead of a hash lookup
 	// and removes the map allocation per job. The cluster package never
 	// reads it. (It sits next to State so the two share a word.)

@@ -64,9 +64,11 @@ func (a *AlphaEstimator) JobCompleted(j *cluster.Job) {
 	a.counts[j.Name]++
 }
 
-// estTransfer predicts phase q's input transfer work.
-func (a *AlphaEstimator) estTransfer(j *cluster.Job, q *cluster.Phase) float64 {
-	if hist, ok := a.families[j.Name]; ok && q.Index < len(hist) && a.counts[j.Name] > 0 {
+// estTransfer predicts phase q's input transfer work from its job's
+// family history, nil when the family has none: JobCompleted creates a
+// family's entry with its first count, so families and counts agree.
+func (a *AlphaEstimator) estTransfer(hist []float64, q *cluster.Phase) float64 {
+	if q.Index < len(hist) {
 		est := hist[q.Index]
 		if truth := q.TransferWork; truth > 0 {
 			a.Err.Add(relErr(est, truth))
@@ -102,6 +104,10 @@ func (a *AlphaEstimator) Evaluate(j *cluster.Job, beta float64) (alpha, downstre
 	// speed-normalized by construction: which machine class a copy landed
 	// on changes its wall-clock, never the work it represents.
 	var remUp, remDown, meanDur float64
+	// The family's history is looked up once, at the first downstream
+	// phase: a call that meets none (the job's last stage) pays nothing.
+	var hist []float64
+	looked := false
 	for _, p := range runnable {
 		remUp += float64(p.RemainingTasks()) * p.MeanTaskDuration
 		meanDur += p.MeanTaskDuration
@@ -112,7 +118,10 @@ func (a *AlphaEstimator) Evaluate(j *cluster.Job, beta float64) (alpha, downstre
 			}
 			for _, d := range q.Deps {
 				if d == p.Index {
-					remDown += a.estTransfer(j, q) * fracLeft
+					if !looked {
+						hist, looked = a.families[j.Name], true
+					}
+					remDown += a.estTransfer(hist, q) * fracLeft
 					break
 				}
 			}

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"math"
 	"testing"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
@@ -120,4 +121,48 @@ func TestStringSummary(t *testing.T) {
 	if s := a.String(); s == "" {
 		t.Fatal("empty summary")
 	}
+}
+
+// mkFanOut builds a job in the given family: a 4-task source phase
+// (runnable) feeding one 2-task downstream phase per transfer size.
+func mkFanOut(id cluster.JobID, family string, transfers ...float64) *cluster.Job {
+	phases := []*cluster.Phase{{MeanTaskDuration: 1, Tasks: make([]*cluster.Task, 4)}}
+	for _, tw := range transfers {
+		phases = append(phases, &cluster.Phase{MeanTaskDuration: 1, Tasks: make([]*cluster.Task, 2),
+			Deps: []int{0}, TransferWork: tw})
+	}
+	for _, p := range phases {
+		for i := range p.Tasks {
+			p.Tasks[i] = &cluster.Task{}
+		}
+	}
+	j := cluster.NewJob(id, family, 0, phases)
+	j.Phases[0].MarkRunnable()
+	return j
+}
+
+// TestAlphaCountsPerDownstreamPhase pins what Evaluate counts: one
+// estimate per call, and per downstream phase either one error sample (a
+// learned size with a nonzero truth) or one oracle fallback (no history
+// for the family, or none for that phase).
+func TestAlphaCountsPerDownstreamPhase(t *testing.T) {
+	a := NewAlphaEstimator()
+	a.JobCompleted(mkFanOut(1, "fam", 12, 0, 24))
+	check := func(what string, estimates, fallbacks, errN int, errMean float64) {
+		t.Helper()
+		if a.Estimates != estimates || a.OracleFallbacks != fallbacks || a.Err.N() != errN || math.Abs(a.Err.Mean()-errMean) > 1e-12 {
+			t.Fatalf("%s: Estimates %d OracleFallbacks %d Err.N %d Err.Mean %v, want %d %d %d %v",
+				what, a.Estimates, a.OracleFallbacks, a.Err.N(), a.Err.Mean(), estimates, fallbacks, errN, errMean)
+		}
+	}
+	// Learned: |12−10|/10 and |24−30|/30 are both 0.2; the zero-transfer
+	// phase is estimated but has no truth to score against.
+	a.Evaluate(mkFanOut(2, "fam", 10, 0, 30), 1.5)
+	check("learned family", 1, 0, 2, 0.2)
+	a.Evaluate(mkFanOut(3, "newfam", 10, 0, 30), 1.5)
+	check("unknown family", 2, 3, 2, 0.2)
+	// A longer DAG of the learned family: the fourth downstream phase has
+	// no history.
+	a.Evaluate(mkFanOut(4, "fam", 10, 0, 30, 5), 1.5)
+	check("learned family, one phase beyond its history", 3, 4, 4, 0.2)
 }

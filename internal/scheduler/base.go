@@ -357,8 +357,11 @@ func (b *Base) onJobDone(j *cluster.Job) {
 
 // placeFresh starts the job's next fresh task (locality-aware machine
 // choice). Returns false when the job has no fresh task or no slot is
-// free.
+// free; the fresh counter answers the first without a phase walk.
 func (b *Base) placeFresh(s *jobState) bool {
+	if s.fresh == 0 {
+		return false
+	}
 	t := s.nextFresh()
 	if t == nil {
 		return false

@@ -50,7 +50,9 @@ func (b *Book) NewJob(j *cluster.Job) JobBook { return JobBook{Job: j, Mon: Moni
 // Invariants (DESIGN.md section 6):
 //   - the want queue holds each policy-flagged task at most once
 //     (membership is the Task.SpecWanted scratch flag: one scheduler owns
-//     each task), in request order, with a retried want at the front;
+//     each task, and only JobBook and its Book set or clear the flag, so
+//     it holds exactly for the queue's members — the victim index relies
+//     on it), in request order, with a retried want at the front;
 //   - Running counts the job's tasks handed out as originals and neither
 //     completed nor requeued since — the victim index's running set
 //     (Task.VictimPos), as a count. Centrally it is exact, and the chassis
@@ -98,7 +100,11 @@ func (b *Book) stale(t *cluster.Task) bool {
 
 // TakeWant dequeues the oldest want that fits accepts (nil accepts any),
 // dropping the stale wants it meets on the way; nil when none qualifies.
-// A live want fits rejects stays queued.
+// A live want fits rejects stays queued. The want it hands out goes back
+// into the job's victim index (a walk drops a queued want's entry): a task
+// still under the cap after its copy, a copy that has not landed yet, or
+// a want the caller retries (RetryWant) is then a victim the index holds
+// again.
 func (b *Book) TakeWant(jb *JobBook, fits func(*cluster.Task) bool) *cluster.Task {
 	for i := 0; i < jb.wants.Len(); {
 		t := jb.wants.At(i)
@@ -113,6 +119,7 @@ func (b *Book) TakeWant(jb *JobBook, fits func(*cluster.Task) bool) *cluster.Tas
 		}
 		t.SpecWanted = false
 		jb.wants.RemoveAt(i)
+		jb.Mon.victims.track(t)
 		return t
 	}
 	return nil
@@ -230,9 +237,28 @@ func (b *Book) walk(now float64, jb *JobBook, policy bool) []*cluster.Task {
 // BestVictim returns the task to race in a slot the job has allocated
 // and no want fills — the worst ripe straggler a fresh copy would beat,
 // below the copy cap (Monitor.BestVictim's rule) — answered by the job's
-// victim index; nil when there is none.
+// victim index and its want queue, whose tasks a walk may have taken out
+// of the index; nil when there is none. A queued straggler counts even
+// though a want would race it anyway: the caller may not be able to place
+// it (a machine too small for it), and then no smaller victim is raced
+// in its stead.
 func (b *Book) BestVictim(now float64, jb *JobBook) *cluster.Task {
-	return jb.Mon.bestVictim(now, &b.walkStack)
+	v, vRem := jb.Mon.bestVictim(now, &b.walkStack)
+	if jb.wants.Len() == 0 {
+		return v
+	}
+	hist := jb.Mon.history()
+	for i := 0; i < jb.wants.Len(); i++ {
+		t := jb.wants.At(i)
+		if t.VictimPos == 0 {
+			continue // requeued: outside the running set
+		}
+		if rem, ok := jb.Mon.victimRemaining(now, t, b.cfg.MaxCopies, hist); ok &&
+			(v == nil || rem > vRem || (rem == vRem && t.VictimPos < v.VictimPos)) {
+			v, vRem = t, rem
+		}
+	}
+	return v
 }
 
 // Demand returns the allocator's view of the job — its remaining current

@@ -354,16 +354,12 @@ func (m *Monitor) scanVictims(now float64, running []*cluster.Task, maxCopies in
 	var victimRem float64
 	hist := m.history()
 	for _, t := range running {
-		if t == nil || t.State != cluster.TaskRunning {
+		if t == nil {
 			continue
 		}
-		live, best := m.observable(now, t)
-		if live == 0 || live >= maxCopies || best == nil {
+		rem, ok := m.victimRemaining(now, t, maxCopies, hist)
+		if !ok {
 			continue
-		}
-		rem := best.WorkRemaining(now)
-		if rem <= estNew(hist, t.Phase) {
-			continue // a new copy would not beat the current one
 		}
 		if all != nil {
 			*all = append(*all, t)
@@ -373,4 +369,21 @@ func (m *Monitor) scanVictims(now float64, running []*cluster.Task, maxCopies in
 		}
 	}
 	return victim
+}
+
+// victimRemaining is the victim rule for one task, with the job's history
+// (Monitor.history) already resolved: the remaining work of the task's
+// best observable copy, and whether the task qualifies — it runs, has an
+// observable copy, is below the copy cap, and a fresh copy would beat it
+// (remaining > t_new). Book.BestVictim holds the queued wants to it too.
+func (m *Monitor) victimRemaining(now float64, t *cluster.Task, maxCopies int, hist *Monitor) (float64, bool) {
+	if t.State != cluster.TaskRunning {
+		return 0, false
+	}
+	live, best := m.observable(now, t)
+	if live == 0 || live >= maxCopies || best == nil {
+		return 0, false
+	}
+	rem := best.WorkRemaining(now)
+	return rem, rem > estNew(hist, t.Phase)
 }

@@ -78,10 +78,12 @@ import (
 //   - bestVictim ripens due entries and walks each ready heap from the
 //     root, pruning a subtree whose root fails the t_new cut or falls
 //     below the best true remaining found so far; it keeps the largest
-//     true remaining, ties broken by hand-out order — bit-for-bit the
-//     scan's answer (the scan keeps the first of equals in running-set
-//     order, which is hand-out order). Under k = 2 the root's remaining
-//     is exact and the walk stops at the top unless a child ties it.
+//     true remaining, ties broken by hand-out order. Book.BestVictim
+//     holds the queued wants against it under the same rule, and the
+//     winner is bit-for-bit the scan's answer (the scan keeps the first
+//     of equals in running-set order, which is hand-out order). Under
+//     k = 2 the root's remaining is exact and the walk stops at the top
+//     unless a child ties it.
 //   - walk, for victims, goes down each ready heap from the root, pruning
 //     a subtree at the first entry that fails the t_new cut: it visits the
 //     victims (plus at most two failing children each), not the running
@@ -92,16 +94,22 @@ import (
 //     whatever ByName returns), so the policy's candidates are a subset
 //     of the victims and the pruned walk loses none.
 //
-// Both walks skip entries already flagged Task.SpecWanted — the caller's
-// want queue drops those anyway — and return the rest sorted by hand-out
-// pos, i.e. in the running-set order the scans return. An ineligible
-// entry the walk meets is dropped on the spot: its key becomes −Inf and
-// it sinks to the leaves, which moves nothing outside the subtree being
-// walked. Entries no query meets (they sit below the cut) are swept out
-// once they outnumber the phase's running tasks (victimBucket.running),
-// and the arrays shrink with them: a bucket holds a small multiple of
-// what its phase has running now, not every copy it ever indexed nor the
-// largest wave it ever saw.
+// Both walks drop the entry of a task already in its job's want queue
+// (Task.SpecWanted, which only JobBook sets and clears, so it holds
+// exactly for the queue's members): the queue would refuse the task
+// anyway, and until Book.TakeWant hands it out and indexes it again the
+// queue answers for it — Book.BestVictim adds the queued wants that pass
+// the scan's per-task test (Monitor.victimRemaining) to the index's
+// answer. So a straggler stays queued for many scans without costing
+// any of them a visit. The walks return the rest sorted by hand-out pos,
+// i.e. in the running-set order the scans return. An entry the walk
+// drops, a queued want's or an ineligible one, sinks on the spot: its key
+// becomes −Inf and it goes to the leaves, which moves nothing outside the
+// subtree being walked. Entries no query meets (they sit below the cut)
+// are swept out once they outnumber the phase's running tasks
+// (victimBucket.running), and the arrays shrink with them: a bucket holds
+// a small multiple of what its phase has running now, not every copy it
+// ever indexed nor the largest wave it ever saw.
 //
 // An index lives in one job's Monitor, inside its owner's JobBook, and
 // indexes only the tasks of that job its scheduler handed out. The
@@ -111,7 +119,8 @@ import (
 // (CopyPlaced — a task handed out before its first copy landed, or whose
 // copies were lost), every copy lost and every hand-out that failed
 // without a copy (CopyDropped, through protocol.Sched.CopyLost) and every
-// completion (TaskCompleted).
+// completion (TaskCompleted). A want the book hands out (Book.TakeWant)
+// is indexed again there.
 
 // victimEntry is one copy's immutable index record: the task, its
 // representative copy when indexed, and the heap's key — c.Start in
@@ -132,7 +141,8 @@ func (e victimEntry) current() bool { return e.t != nil && e.t.VictimCopy == e.c
 func (e victimEntry) eligible(k int) bool { return e.current() && len(e.t.Copies) < k }
 
 // release is how an entry leaves the heaps: a task whose live entry it
-// was is left without one (CopyPlaced and CopyDropped index it again).
+// was is left without one (CopyPlaced, CopyDropped and Book.TakeWant
+// index it again).
 func (e victimEntry) release() {
 	if e.current() {
 		e.t.VictimCopy = nil
@@ -220,10 +230,11 @@ func siftDown(q []victimEntry, i int, less func(a, b victimEntry) bool) {
 	}
 }
 
-// drop discards the ready entry at i, which must be ineligible: it sinks
-// below every live entry of its subtree (nothing outside the subtree
-// moves, so a walk in progress above it stays valid). Position i then
-// holds the larger of the entry's children, or another dropped entry.
+// drop discards the ready entry at i, which must be ineligible or a
+// queued want's: it sinks below every live entry of its subtree (nothing
+// outside the subtree moves, so a walk in progress above it stays valid).
+// Position i then holds the larger of the entry's children, or another
+// dropped entry.
 func (b *victimBucket) drop(i int) {
 	b.ready[i].release()
 	b.ready[i] = victimEntry{key: math.Inf(-1)}
@@ -295,17 +306,19 @@ type jobVictims struct {
 	buckets []victimBucket
 	nextPos int
 
-	// quietUntil and quietAt cache the answer "this job has no victim": a
-	// query that finds none records the earliest time one could appear
-	// without the index hearing of it first, and the job's completion
-	// count. Until then, and while no task of the job completes (t_new
-	// moves), no copy is indexed (index resets the bound) and none is lost
+	// quietUntil and quietAt cache the answer "no victim among the tasks
+	// the index holds" (a queued want whose entry a walk dropped is the
+	// want queue's to answer for): a query that finds none records the
+	// earliest time one could appear without the index hearing of it
+	// first, and the job's completion count. Until then, and while no task
+	// of the job completes (t_new moves), no copy is indexed (index resets
+	// the bound, TakeWant's re-indexing included) and none is lost
 	// (CopyDropped does), every query is empty — remaining times only
-	// shrink, a task's best observable remaining with them, and eligibility
-	// lost at the cap returns only through a lost copy — so only a ripening
-	// entry turning observable can make a victim. A held job is asked on
-	// every dispatch pass; 99 % of bestVictim calls on the centralized
-	// benchmark end here.
+	// shrink, a task's best observable remaining with them, and
+	// eligibility lost at the cap returns only through a lost copy — so
+	// only a ripening entry turning observable can make a victim. A held
+	// job is asked on every dispatch pass; 99 % of bestVictim calls on
+	// the centralized benchmark end here.
 	quietUntil float64
 	quietAt    int
 }
@@ -452,14 +465,15 @@ func (m *Monitor) best(now float64, e victimEntry, r float64) (*cluster.Copy, fl
 	return best, best.WorkRemaining(now)
 }
 
-// bestVictim is BestVictim over the job's running set, answered from the
-// index: the observable task below the copy cap with the largest
-// remaining time whose fresh copy would beat it. stack is the walk's
-// reusable stack of pending subtrees (Book.walkStack).
-func (m *Monitor) bestVictim(now float64, stack *[]int) *cluster.Task {
+// bestVictim is BestVictim over the tasks the index holds: the
+// observable task below the copy cap with the largest remaining time
+// whose fresh copy would beat it, and that remaining time. Queued wants
+// whose entries a walk dropped are Book.BestVictim's to add. stack is the
+// walk's reusable stack of pending subtrees (Book.walkStack).
+func (m *Monitor) bestVictim(now float64, stack *[]int) (*cluster.Task, float64) {
 	ji := &m.victims
 	if ji.quiet(now, m.version) {
-		return nil
+		return nil, 0
 	}
 	hist, k := m.history(), m.cfg.MaxCopies
 	unripeUntil := ji.ripen(now, m.cfg.DetectDelayFrac, k)
@@ -498,16 +512,18 @@ func (m *Monitor) bestVictim(now float64, stack *[]int) *cluster.Task {
 	if victim == nil {
 		ji.quietUntil, ji.quietAt = unripeUntil, m.version
 	}
-	return victim
+	return victim, victimRem
 }
 
-// walk collects, over every bucket of the job, the eligible tasks not yet
-// flagged SpecWanted whose best observable remaining beats t_new — and,
-// with policy set, that the policy wants — sorted by hand-out pos: with
+// walk collects, over every bucket of the job, the eligible tasks not in
+// the want queue whose best observable remaining beats t_new — and, with
+// policy set, that the policy wants — sorted by hand-out pos: with
 // policy, CandidatesInto (unlimited budget) over the job's running set;
-// without, VictimsInto; either minus the tasks already flagged
-// SpecWanted, which the caller's want queue would drop. stack is as in
-// bestVictim, and dst is truncated and reused.
+// without, VictimsInto; either minus the queued wants, which the caller's
+// want queue would drop. A queued want's entry the walk meets is dropped
+// (its task flagged SpecWanted): until TakeWant hands the task out and
+// indexes it again, the want queue answers for it (Book.BestVictim).
+// stack is as in bestVictim, and dst is truncated and reused.
 func (m *Monitor) walk(now float64, policy bool, stack *[]int, dst []*cluster.Task) []*cluster.Task {
 	out := dst[:0]
 	ji := &m.victims
@@ -516,7 +532,7 @@ func (m *Monitor) walk(now float64, policy bool, stack *[]int, dst []*cluster.Ta
 	}
 	hist, k := m.history(), m.cfg.MaxCopies
 	unripeUntil := ji.ripen(now, m.cfg.DetectDelayFrac, k)
-	victims := false // any at all, wanted ones included
+	victims := false // any among the tasks the index holds
 	for i := range ji.buckets {
 		b := &ji.buckets[i]
 		tNew := estNew(hist, ji.job.Phases[b.phase])
@@ -530,13 +546,13 @@ func (m *Monitor) walk(now float64, policy bool, stack *[]int, dst []*cluster.Ta
 				if e.t == nil || r <= tNew {
 					break // fails the cut, and so does its whole subtree
 				}
-				if !e.eligible(k) {
-					b.drop(j)
-					continue // j now holds one of its children
+				if !e.eligible(k) || e.t.SpecWanted {
+					b.drop(j) // at the cap, or the want queue answers for it
+					continue  // j now holds one of its children
 				}
 				if best, rem := m.best(now, e, r); rem > tNew {
 					victims = true
-					if !e.t.SpecWanted && (!policy || m.cfg.Policy.Wants(m.estimates(now, e.t, best, hist))) {
+					if !policy || m.cfg.Policy.Wants(m.estimates(now, e.t, best, hist)) {
 						out = append(out, e.t)
 					}
 				}

@@ -37,11 +37,12 @@ const (
 
 // victimSim drives one job through randomized hand-out / placement /
 // want-queueing / speculation / loss / completion traffic, mirroring what
-// a scheduler does to its job's monitor, twice over: jb.Mon is the
-// monitor under test, asked through its book, and ref an oracle asked
-// only for its scans. Both hear the same completions, so their histories
-// agree and every indexed answer can be held against the scan's at every
-// step.
+// a scheduler does to its job's book, twice over: jb is the record under
+// test, driven and asked through its book — wants queued with AddWant,
+// taken with TakeWant and withdrawn by TaskDone, as the schedulers do —
+// and ref an oracle asked only for its scans. Both hear the same
+// completions, so their histories agree and every indexed answer can be
+// held against the scan's at every step.
 type victimSim struct {
 	cfg     simConfig
 	book    *Book
@@ -58,6 +59,9 @@ type victimSim struct {
 	// representative unchanged), a requeue, and a late copy landing on a
 	// requeued task.
 	rekeys, reopened, requeues, lateCopies int
+	// retaken counts wants taken for a task a walk had dropped from the
+	// index, which TakeWant must index again.
+	retaken int
 }
 
 func newVictimSim(cfg simConfig, book *Book, rng *rand.Rand, id cluster.JobID) *victimSim {
@@ -95,15 +99,21 @@ func (s *victimSim) pick(ok func(*cluster.Task) bool) *cluster.Task {
 	return ts[s.rng.Intn(len(ts))]
 }
 
-// place appends a copy of t starting now at a drawn speed. Quantized
+// copyOf returns a copy of t starting now at a drawn speed. Quantized
 // durations and speeds manufacture remaining-time ties, exercising the
 // hand-out-order tie-break, and land completions, ripeness and the t_new
 // cut exactly on clock steps.
-func (s *victimSim) place(t *cluster.Task, now float64, spec bool) {
-	t.Copies = append(t.Copies, &cluster.Copy{
+func (s *victimSim) copyOf(t *cluster.Task, now float64, spec bool) *cluster.Copy {
+	return &cluster.Copy{
 		Task: t, Start: now, Duration: float64(s.rng.Intn(16)+1) * 0.5,
 		Speculative: spec, Speed: s.cfg.speeds[s.rng.Intn(len(s.cfg.speeds))],
-	})
+	}
+}
+
+// place appends a copy of t and reports its landing as the decentralized
+// core does (CopyPlaced).
+func (s *victimSim) place(t *cluster.Task, now float64, spec bool) {
+	t.Copies = append(t.Copies, s.copyOf(t, now, spec))
 	s.jb.Mon.CopyPlaced(t)
 }
 
@@ -128,20 +138,31 @@ func (s *victimSim) step(now float64) bool {
 			t.State = cluster.TaskRunning
 		}
 		s.running = append(s.running, t)
-		s.jb.Mon.TaskHandedOut(t)
+		s.book.HandedOut(&s.jb, t, false)
 	case op == 1:
 		// A handed-out task's original lands.
 		if t := s.pick(func(t *cluster.Task) bool { return len(t.Copies) == 0 }); t != nil {
 			s.place(t, now, false)
 		}
 	case op == 2:
-		// Race a victim the scan would offer, taking it off the want
-		// queue as a scheduler's popWant does. Only victims: a scheduler
-		// races nothing else, and the index relies on it.
+		// Race a victim the scan would offer, taking its want off the
+		// queue if it has one, as a scheduler's take does. Only victims:
+		// a scheduler races nothing else, and the index relies on it. The
+		// copy is placed as the centralized chassis places one, without
+		// CopyPlaced: the task is indexed already, or TakeWant indexed it
+		// again.
 		if vs := s.ref.VictimsInto(now, s.running, s.cfg.k, nil); len(vs) > 0 {
 			t := vs[s.rng.Intn(len(vs))]
-			t.SpecWanted = false
-			s.place(t, now, true)
+			if t.SpecWanted {
+				if t.VictimCopy == nil {
+					s.retaken++
+				}
+				if s.book.TakeWant(&s.jb, func(q *cluster.Task) bool { return q == t }) != t {
+					panic("TakeWant did not hand out the raced task's want")
+				}
+			}
+			t.Copies = append(t.Copies, s.copyOf(t, now, true))
+			s.book.HandedOut(&s.jb, t, true)
 		}
 	case op == 3:
 		// Complete a task with a live copy — usually a running one, but a
@@ -161,18 +182,18 @@ func (s *victimSim) step(now float64) bool {
 		}
 		w := t.Copies[s.rng.Intn(len(t.Copies))]
 		t.Win(w, now, func(*cluster.Copy) {})
-		t.SpecWanted = false
 		s.job.CompleteTask(t, now, nil)
-		s.jb.Mon.TaskCompleted(t, w)
+		s.book.TaskDone(&s.jb, t, w) // withdraws its want
 		s.ref.TaskCompleted(t, w)
 		s.leave(t)
 		s.done++
 	case op == 4:
-		// Queue some of what the policy wants, as a scheduler's addWant
-		// does: the indexed queries must skip these from now on.
+		// Queue some of what the policy wants, as Book.Scan does: the
+		// walks must skip these from now on, and the next one to meet
+		// their entries drops them.
 		for _, t := range s.ref.CandidatesInto(now, s.running, -1, nil) {
 			if s.rng.Intn(2) == 0 {
-				t.SpecWanted = true
+				s.jb.AddWant(t)
 			}
 		}
 	case op == 5 && s.cfg.drop != noDrops:
@@ -217,12 +238,12 @@ func (s *victimSim) lose(now float64) {
 	}
 	lost = slices.Clone(lost)
 	if len(lost) == 0 {
-		s.jb.Mon.CopyDropped(t) // a hand-out lost before its copy landed
+		s.book.CopyLost(&s.jb, t) // a hand-out lost before its copy landed
 	}
 	for _, c := range lost {
 		oldest := c == t.Copies[0]
 		t.DropCopy(c)
-		s.jb.Mon.CopyDropped(t)
+		s.book.CopyLost(&s.jb, t)
 		switch {
 		case len(t.Copies) == 0:
 		case oldest:
@@ -238,8 +259,8 @@ func (s *victimSim) lose(now float64) {
 	}
 }
 
-// unwanted filters a scan's answer down to what the indexed queries
-// return: the tasks not already in the want queue.
+// unwanted filters a scan's answer down to what the walks return: the
+// tasks not already in the want queue.
 func unwanted(ts []*cluster.Task) []*cluster.Task {
 	var out []*cluster.Task
 	for _, t := range ts {
@@ -271,6 +292,8 @@ func tid(t *cluster.Task) string {
 type answers struct {
 	best, victims, candidates int
 	multi                     int // victims with more than one live copy
+	queued                    int // best victims only the want queue held
+	retaken                   int
 	rekeys, reopened          int
 	requeues, lateCopies      int
 }
@@ -280,6 +303,8 @@ func (a *answers) add(b answers) {
 	a.victims += b.victims
 	a.candidates += b.candidates
 	a.multi += b.multi
+	a.queued += b.queued
+	a.retaken += b.retaken
 	a.rekeys += b.rekeys
 	a.reopened += b.reopened
 	a.requeues += b.requeues
@@ -295,6 +320,9 @@ func (s *victimSim) compare(t *testing.T, now float64, n *answers) {
 		t.Fatalf("now %v job %d: BestVictim scan=%s index=%s", now, id, tid(scan), tid(got))
 	} else if scan != nil {
 		n.best++
+		if scan.VictimCopy == nil {
+			n.queued++ // a walk dropped its entry: the answer came from the queue
+		}
 	}
 	scanV := unwanted(s.ref.VictimsInto(now, s.running, k, nil))
 	if got := s.book.walk(now, &s.jb, false); !slices.Equal(scanV, got) {
@@ -337,7 +365,7 @@ func runDifferential(t *testing.T, cfg simConfig, seed int64) (n answers) {
 		}
 	}
 	for _, s := range sims {
-		n.add(answers{rekeys: s.rekeys, reopened: s.reopened, requeues: s.requeues, lateCopies: s.lateCopies})
+		n.add(answers{retaken: s.retaken, rekeys: s.rekeys, reopened: s.reopened, requeues: s.requeues, lateCopies: s.lateCopies})
 		if cfg.k < 2 && s.jb.Mon.victims.buckets != nil {
 			t.Fatalf("seed %d: a cap of %d built an index for job %d", seed, cfg.k, s.job.ID)
 		}
@@ -356,11 +384,12 @@ func runDifferential(t *testing.T, cfg simConfig, seed int64) (n answers) {
 
 // TestIndexedVictimMatchesScan is the exact-equivalence differential for
 // all three indexed queries: across randomized scheduler histories,
-// BestVictimFor must return the scan's task pointer, and CandidatesFor
-// and VictimsFor the scans' tasks minus the already wanted ones in the
-// scans' order, at every query time — including nil-vs-nil, clamped-zero
-// remainings, remaining ties, entries dropped mid-walk, and the estNew
-// switch from phase mean to job median. It runs every shipped policy at
+// Book.BestVictim must return the scan's task pointer, and the two walks
+// the scans' tasks minus the queued wants in the scans' order, at every
+// query time — including nil-vs-nil, clamped-zero remainings, remaining
+// ties, entries dropped mid-walk, queued wants whose entries a walk
+// dropped (answered from the want queue, and indexed again when taken),
+// and the estNew switch from phase mean to job median. It runs every shipped policy at
 // the default cap on one speed, then one regime per condition the index
 // must hold under: copies at three speeds, each kind of copy loss, and
 // caps of 1, 3 and 4.
@@ -372,7 +401,9 @@ func TestIndexedVictimMatchesScan(t *testing.T) {
 		// want names the counters the regime must have moved.
 		want func(answers) bool
 	}
-	exercised := func(n answers) bool { return n.best > 0 && n.victims > 0 && n.candidates > 0 }
+	exercised := func(n answers) bool {
+		return n.best > 0 && n.victims > 0 && n.candidates > 0 && n.queued > 0 && n.retaken > 0
+	}
 	var regimes []regime
 	for _, pol := range shipped {
 		regimes = append(regimes, regime{pol.Name(), simConfig{pol: pol, k: 2, speeds: unit}, exercised})
