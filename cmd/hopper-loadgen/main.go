@@ -95,8 +95,8 @@ func main() {
 	}
 
 	tr := loadTrace(*tracePath, *profile, *jobs, *util, totalSlots, numMachines, *maxTasks, *seed)
-	fmt.Printf("trace: %d jobs, %.0f slot-seconds of work, offered load %.2f\n",
-		len(tr.Jobs), tr.TotalWork, tr.OfferedLoad)
+	fmt.Printf("trace: %d jobs, %.0f slot-seconds of work, offered load %.2f of %d slots\n",
+		len(tr.Jobs), tr.TotalWork, tr.LoadOn(totalSlots), totalSlots)
 
 	var clients []*live.Client
 	for _, a := range addrs {

@@ -64,7 +64,7 @@ func main() {
 	}
 
 	if *stats {
-		printStats(tr)
+		printStats(tr, *slots)
 	}
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -79,7 +79,9 @@ func main() {
 	}
 }
 
-func printStats(tr *workload.Trace) {
+// printStats summarizes tr; slots sizes the offered load, which a trace
+// read from a file does not carry.
+func printStats(tr *workload.Trace, slots int) {
 	bins := map[string]int{}
 	dag := map[int]int{}
 	totalTasks := 0
@@ -92,7 +94,7 @@ func printStats(tr *workload.Trace) {
 	fmt.Printf("tasks:        %d (mean %.1f per job)\n", totalTasks, float64(totalTasks)/float64(len(tr.Jobs)))
 	fmt.Printf("total work:   %.0f slot-seconds\n", tr.TotalWork)
 	fmt.Printf("horizon:      %.0f seconds\n", tr.Horizon)
-	fmt.Printf("offered load: %.2f (x total slots)\n", tr.OfferedLoad)
+	fmt.Printf("offered load: %.2f (fraction of %d slots)\n", tr.LoadOn(slots), slots)
 	fmt.Println("size bins:")
 	for _, b := range workload.SizeBins() {
 		fmt.Printf("  %-8s %6d jobs\n", b, bins[b])

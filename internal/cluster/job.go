@@ -319,6 +319,41 @@ type Job struct {
 	runnable []*Phase
 }
 
+// NewTasks returns n zero tasks that share one backing slab, so a phase
+// of n tasks costs two allocations instead of n+1. The slab lives as
+// long as any of its tasks, which is as long as the phase does anyway.
+func NewTasks(n int) []*Task {
+	slab := make([]Task, n)
+	tasks := make([]*Task, n)
+	for i := range tasks {
+		tasks[i] = &slab[i]
+	}
+	return tasks
+}
+
+// PackReplicas sets tasks[i].Replicas to the machines list(i) names, for
+// every task. The lists share one backing array, each capped at its own
+// end, so an append to one task's list reallocates instead of writing
+// into its neighbour's. A task whose list is empty keeps nil.
+func PackReplicas[M ~int | ~uint32](tasks []*Task, list func(i int) []M) {
+	n := 0
+	for i := range tasks {
+		n += len(list(i))
+	}
+	buf := make([]MachineID, 0, n)
+	for i, t := range tasks {
+		l := list(i)
+		if len(l) == 0 {
+			continue
+		}
+		start := len(buf)
+		for _, m := range l {
+			buf = append(buf, MachineID(m))
+		}
+		t.Replicas = buf[start:len(buf):len(buf)]
+	}
+}
+
 // NewJob builds a job from phase specifications, wiring parent pointers.
 func NewJob(id JobID, name string, arrival simulator.Time, phases []*Phase) *Job {
 	j := &Job{ID: id, Name: name, Arrival: arrival, Phases: phases, Weight: 1}

@@ -305,7 +305,9 @@ func RunTrace(kind SchedulerKind, spec ClusterSpec, jobs []*cluster.Job, seed in
 }
 
 // CloneJobs deep-copies a generated trace so each scheduler run starts
-// from pristine job state (the cluster mutates tasks in place).
+// from pristine job state (the cluster mutates tasks in place). A
+// phase's tasks come from one slab and its replica lists from one
+// backing array (cluster.NewTasks, cluster.PackReplicas).
 func CloneJobs(jobs []*cluster.Job) []*cluster.Job {
 	out := make([]*cluster.Job, len(jobs))
 	for i, j := range jobs {
@@ -316,14 +318,12 @@ func CloneJobs(jobs []*cluster.Job) []*cluster.Job {
 				MeanTaskDuration: p.MeanTaskDuration,
 				TransferWork:     p.TransferWork,
 				Demand:           p.Demand,
-				Tasks:            make([]*cluster.Task, len(p.Tasks)),
+				Tasks:            cluster.NewTasks(len(p.Tasks)),
 			}
 			for ti, t := range p.Tasks {
-				np.Tasks[ti] = &cluster.Task{
-					Replicas: append([]cluster.MachineID(nil), t.Replicas...),
-					Demand:   t.Demand,
-				}
+				np.Tasks[ti].Demand = t.Demand
 			}
+			cluster.PackReplicas(np.Tasks, func(ti int) []cluster.MachineID { return p.Tasks[ti].Replicas })
 			phases[pi] = np
 		}
 		out[i] = cluster.NewJob(j.ID, j.Name, j.Arrival, phases)

@@ -726,20 +726,18 @@ func (s *Scheduler) admit(client *peer, m *wire.SubmitJob) {
 			MeanTaskDuration: mean,
 			TransferWork:     ps.TransferWork,
 			Demand:           cluster.Resources{CPU: ps.DemandCPU, Mem: ps.DemandMem},
-			Tasks:            make([]*cluster.Task, int(ps.NumTasks)),
+			Tasks:            cluster.NewTasks(int(ps.NumTasks)),
 		}
 		for _, d := range ps.Deps {
 			ph.Deps = append(ph.Deps, int(d))
 		}
-		for i := range ph.Tasks {
-			t := &cluster.Task{}
-			if ps.Replicas != nil && i < len(ps.Replicas) {
-				for _, r := range ps.Replicas[i] {
-					t.Replicas = append(t.Replicas, cluster.MachineID(r))
-				}
+		// Replicas beyond the phase's tasks are ignored.
+		cluster.PackReplicas(ph.Tasks, func(i int) []uint32 {
+			if i < len(ps.Replicas) {
+				return ps.Replicas[i]
 			}
-			ph.Tasks[i] = t
-		}
+			return nil
+		})
 		phases = append(phases, ph)
 	}
 	if len(phases) == 0 {

@@ -68,6 +68,8 @@ func WriteTrace(w io.Writer, tr *Trace) error {
 
 // ReadTrace deserializes a trace, validating structure (phase deps in
 // range and acyclic by construction, nonempty phases, nonnegative times).
+// A file carries no slot count, so the result's OfferedLoad is 0: a
+// caller that knows the cluster asks LoadOn for it.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var in TraceJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -100,21 +102,17 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				ph.Deps = append(ph.Deps, d)
 			}
 			for _, tj := range pj.Tasks {
-				t := &cluster.Task{}
 				for _, rep := range tj.Replicas {
 					if rep < 0 {
 						return nil, fmt.Errorf("workload: job %d negative replica", jj.ID)
 					}
-					t.Replicas = append(t.Replicas, cluster.MachineID(rep))
 				}
-				ph.Tasks = append(ph.Tasks, t)
 			}
+			ph.Tasks = cluster.NewTasks(len(pj.Tasks))
+			cluster.PackReplicas(ph.Tasks, func(ti int) []int { return pj.Tasks[ti].Replicas })
 			phases = append(phases, ph)
 		}
 		tr.Jobs = append(tr.Jobs, cluster.NewJob(cluster.JobID(jj.ID), jj.Name, jj.Arrival, phases))
-	}
-	if tr.Horizon > 0 {
-		tr.OfferedLoad = tr.TotalWork / tr.Horizon // per-slot load left to caller
 	}
 	return tr, nil
 }

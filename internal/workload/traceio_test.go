@@ -129,3 +129,34 @@ func TestReadTraceValidMinimal(t *testing.T) {
 		t.Fatal("phase 1 params wrong")
 	}
 }
+
+// TestReadTraceLoadIsTheCallers: a file carries no slot count, so a read
+// trace reports no offered load, and LoadOn with the generating slot
+// count gives back exactly the generated one. Every other byte survives
+// too: the read trace has the generated trace's digest.
+func TestReadTraceLoadIsTheCallers(t *testing.T) {
+	for _, c := range digestCases {
+		tr := Generate(c.cfg)
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read.OfferedLoad != 0 {
+			t.Errorf("%s: read trace claims offered load %v", c.name, read.OfferedLoad)
+		}
+		read.OfferedLoad = read.LoadOn(c.cfg.TotalSlots)
+		if read.OfferedLoad != tr.OfferedLoad {
+			t.Errorf("%s: LoadOn(%d) = %v, generated %v", c.name, c.cfg.TotalSlots, read.OfferedLoad, tr.OfferedLoad)
+		}
+		if got := traceDigest(read); got != c.want {
+			t.Errorf("%s: read trace digest %s, want %s", c.name, got, c.want)
+		}
+		if err := replicasCapped(read); err != "" {
+			t.Errorf("%s: read trace: %s", c.name, err)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/stats"
@@ -172,9 +173,16 @@ type Trace struct {
 	// Horizon is the time of the last arrival.
 	Horizon float64
 
-	// OfferedLoad is TotalWork / (Horizon * TotalSlots) — should be close
-	// to the configured target utilization.
+	// OfferedLoad is LoadOn(TotalSlots), set by Generate: a fraction of
+	// the configured cluster, and so close to the target utilization.
+	// ReadTrace leaves it 0, since a trace file carries no slot count.
 	OfferedLoad float64
+}
+
+// LoadOn returns the trace's offered load as a fraction of a cluster of
+// slots slots: TotalWork / (Horizon * slots).
+func (tr *Trace) LoadOn(slots int) float64 {
+	return tr.TotalWork / (tr.Horizon * float64(slots))
 }
 
 // Generate synthesizes a trace per the config.
@@ -191,9 +199,13 @@ func Generate(cfg Config) *Trace {
 	// Pre-build job skeletons to learn expected work per job, then lay
 	// arrivals down as a Poisson process with rate matched to the target.
 	jobs := make([]*cluster.Job, 0, cfg.NumJobs)
+	var families []*shape // by family number; drawn by each family's first job
+	if p.NumFamilies > 0 {
+		families = make([]*shape, p.NumFamilies)
+	}
 	var totalWork float64
 	for i := 0; i < cfg.NumJobs; i++ {
-		j := genJob(rng, p, cluster.JobID(i), cfg.NumMachines)
+		j := genJob(rng, p, families, cluster.JobID(i), cfg.NumMachines)
 		jobs = append(jobs, j)
 		totalWork += jobWork(j)
 	}
@@ -205,12 +217,9 @@ func Generate(cfg Config) *Trace {
 	if horizon <= 0 {
 		horizon = 1
 	}
-	return &Trace{
-		Jobs:        jobs,
-		TotalWork:   totalWork,
-		Horizon:     horizon,
-		OfferedLoad: totalWork / (horizon * float64(cfg.TotalSlots)),
-	}
+	tr := &Trace{Jobs: jobs, TotalWork: totalWork, Horizon: horizon}
+	tr.OfferedLoad = tr.LoadOn(cfg.TotalSlots)
+	return tr
 }
 
 // laydownArrivals assigns arrival times as a two-state Markov-modulated
@@ -258,57 +267,96 @@ func jobWork(j *cluster.Job) float64 {
 	return w
 }
 
-// genJob builds one job: size, DAG shape, durations, transfers, replicas.
-func genJob(rng *rand.Rand, p Profile, id cluster.JobID, numMachines int) *cluster.Job {
-	// Recurring families share a dedicated RNG stream seeded by family so
-	// members have consistent structure regardless of draw order.
-	family := ""
-	var structRng *rand.Rand
-	if rng.Float64() < p.RecurringFraction && p.NumFamilies > 0 {
-		fam := rng.Intn(p.NumFamilies)
-		family = fmt.Sprintf("%s-fam-%d", p.Name, fam)
-		structRng = rand.New(rand.NewSource(int64(fam)*7919 + 17))
-	} else {
-		structRng = rng
-	}
+// shape is a job's structure before its per-job noise. A recurring
+// family's shape is drawn once per trace and replayed by every member.
+type shape struct {
+	name    string // the family's; empty for a non-recurring job
+	size    int
+	meanDur float64
+	dagLen  int
+	bushy   bool
+	// steps are a recurring chain's per-phase duration factors in draw
+	// order. Nil for a bushy DAG, which draws none, and for a
+	// non-recurring job, whose chain draws them as it goes.
+	steps []float64
+}
 
-	size := int(stats.NewPareto(p.JobSizeMin, p.JobSizeShape).Sample(structRng))
+// drawFamily draws family fam's shape. The stream is seeded by the
+// family number, so the shape does not depend on which job draws it.
+func drawFamily(p Profile, fam int) *shape {
+	r := rand.New(rand.NewSource(int64(fam)*7919 + 17))
+	s := drawShape(r, p)
+	s.name = fmt.Sprintf("%s-fam-%d", p.Name, fam)
+	if !s.bushy {
+		s.steps = make([]float64, s.dagLen)
+		for i := range s.steps {
+			s.steps[i] = durStep(r)
+		}
+	}
+	return &s
+}
+
+// drawShape draws size, mean task duration, DAG length and bushiness.
+func drawShape(r *rand.Rand, p Profile) shape {
+	size := int(stats.NewPareto(p.JobSizeMin, p.JobSizeShape).Sample(r))
 	if size < 1 {
 		size = 1
 	}
 	if p.JobSizeCap > 0 && size > p.JobSizeCap {
 		size = p.JobSizeCap
 	}
-	meanDur := p.MeanTaskDur * math.Exp(p.MeanTaskDurSigma*structRng.NormFloat64())
-	dagLen := 1 + stats.WeightedChoice(structRng, p.DAGLenWeights)
-	bushy := dagLen >= 3 && structRng.Float64() < p.BushyFraction
+	s := shape{size: size}
+	s.meanDur = p.MeanTaskDur * math.Exp(p.MeanTaskDurSigma*r.NormFloat64())
+	s.dagLen = 1 + stats.WeightedChoice(r, p.DAGLenWeights)
+	s.bushy = s.dagLen >= 3 && r.Float64() < p.BushyFraction
+	return s
+}
+
+// durStep draws the factor a chain's task duration changes by from one
+// phase to the next.
+func durStep(r *rand.Rand) float64 { return 1 + 0.2*(2*r.Float64()-1) }
+
+// genJob builds one job: size, DAG shape, durations, transfers, replicas.
+// A recurring job takes its family's shape from families (indexed by
+// family number), drawing it there if it is the family's first member,
+// so members share structure regardless of draw order. Any other job
+// draws its shape from rng.
+func genJob(rng *rand.Rand, p Profile, families []*shape, id cluster.JobID, numMachines int) *cluster.Job {
+	var sh shape
+	if rng.Float64() < p.RecurringFraction && p.NumFamilies > 0 {
+		fam := rng.Intn(p.NumFamilies)
+		if families[fam] == nil {
+			families[fam] = drawFamily(p, fam)
+		}
+		sh = *families[fam]
+	} else {
+		sh = drawShape(rng, p)
+	}
 
 	// Per-job noise so recurring jobs are similar, not identical.
 	sizeNoise := 1 + 0.1*(2*rng.Float64()-1)
 	durNoise := 1 + 0.1*(2*rng.Float64()-1)
-	size = maxInt(1, int(float64(size)*sizeNoise))
-	meanDur *= durNoise
+	size := maxInt(1, int(float64(sh.size)*sizeNoise))
+	meanDur := sh.meanDur * durNoise
 
-	phases := buildDAG(structRng, rng, p, size, meanDur, dagLen, bushy)
+	phases := buildDAG(rng, sh.steps, p, size, meanDur, sh.dagLen, sh.bushy)
 	assignReplicas(rng, phases[0], p.Replicas, numMachines)
-	if bushy && len(phases) > 1 && len(phases[1].Deps) == 0 {
+	if sh.bushy && len(phases) > 1 && len(phases[1].Deps) == 0 {
 		assignReplicas(rng, phases[1], p.Replicas, numMachines)
 	}
-	return cluster.NewJob(id, family, 0, phases)
+	return cluster.NewJob(id, sh.name, 0, phases)
 }
 
 // buildDAG constructs the phase graph. Chains dominate; bushy jobs run
-// two parallel input chains that join at a final phase. Structural draws
-// come from structRng (family-consistent); per-job transfer noise comes
-// from jobRng so recurring jobs have similar but not identical data sizes
-// — the regime the alpha estimator is built for.
-func buildDAG(structRng, jobRng *rand.Rand, p Profile, size int, meanDur float64, dagLen int, bushy bool) []*cluster.Phase {
+// two parallel input chains that join at a final phase. A recurring
+// job's chain replays its family's duration steps (drawn once per
+// trace); any other job's chain draws each step from jobRng after that
+// phase's transfer noise. Transfer noise always comes from jobRng, so
+// recurring jobs have similar but not identical data sizes — the regime
+// the alpha estimator is built for.
+func buildDAG(jobRng *rand.Rand, steps []float64, p Profile, size int, meanDur float64, dagLen int, bushy bool) []*cluster.Phase {
 	mkPhase := func(tasks int, dur float64) *cluster.Phase {
-		ph := &cluster.Phase{MeanTaskDuration: dur, Tasks: make([]*cluster.Task, maxInt(1, tasks))}
-		for i := range ph.Tasks {
-			ph.Tasks[i] = &cluster.Task{}
-		}
-		return ph
+		return &cluster.Phase{MeanTaskDuration: dur, Tasks: cluster.NewTasks(maxInt(1, tasks))}
 	}
 
 	var phases []*cluster.Phase
@@ -326,7 +374,11 @@ func buildDAG(structRng, jobRng *rand.Rand, p Profile, size int, meanDur float64
 			}
 			phases = append(phases, ph)
 			tasks = maxInt(1, int(float64(tasks)*p.ReduceRatio))
-			dur *= 1 + 0.2*(2*structRng.Float64()-1)
+			if steps != nil {
+				dur *= steps[i]
+			} else {
+				dur *= durStep(jobRng)
+			}
 		}
 		return phases
 	}
@@ -362,6 +414,8 @@ func buildDAG(structRng, jobRng *rand.Rand, p Profile, size int, meanDur float64
 }
 
 // assignReplicas gives each task of an input phase r distinct machines.
+// The phase's lists share one backing array, each capped at its own end
+// so an append to one cannot write into the next.
 func assignReplicas(rng *rand.Rand, ph *cluster.Phase, r, numMachines int) {
 	if r <= 0 || numMachines <= 0 {
 		return
@@ -369,17 +423,16 @@ func assignReplicas(rng *rand.Rand, ph *cluster.Phase, r, numMachines int) {
 	if r > numMachines {
 		r = numMachines
 	}
+	reps := make([]cluster.MachineID, 0, r*len(ph.Tasks))
 	for _, t := range ph.Tasks {
-		reps := make([]cluster.MachineID, 0, r)
-		seen := make(map[int]bool, r)
-		for len(reps) < r {
-			m := rng.Intn(numMachines)
-			if !seen[m] {
-				seen[m] = true
-				reps = append(reps, cluster.MachineID(m))
+		start := len(reps)
+		for len(reps)-start < r {
+			m := cluster.MachineID(rng.Intn(numMachines))
+			if !slices.Contains(reps[start:], m) {
+				reps = append(reps, m)
 			}
 		}
-		t.Replicas = reps
+		t.Replicas = reps[start:len(reps):len(reps)]
 	}
 }
 
