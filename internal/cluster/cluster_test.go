@@ -265,9 +265,12 @@ func TestTaskWinAndDropCopy(t *testing.T) {
 	}
 }
 
-// TestCopyIsOneSizeClass: the simulator allocates a Copy per placement,
-// so the record both planes share, finish handle included, stays in the
-// 64-byte size class (above 48, the next class down).
+// TestCopyIsOneSizeClass: copies are carved from per-phase slabs
+// (Phase.newCopy), so Copy's size is the slabs' stride and every copy a
+// run places costs it. The record both planes share, finish handle
+// included, stays at its packed layout: above 64 bytes a field was
+// added, at 48 or less the layout changed and this pin should move with
+// it.
 func TestCopyIsOneSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Copy{}); n <= 48 || n > 64 {
 		t.Fatalf("unsafe.Sizeof(Copy{}) = %d, want 48 < n <= 64", n)
@@ -275,10 +278,13 @@ func TestCopyIsOneSizeClass(t *testing.T) {
 }
 
 // TestPlacementAllocatesOnlyTheCopy pins a placement's own cost at zero:
-// the service-time draw reseeds the Executor's CopySource and the finish
-// event is posted under the handle the Copy embeds, so a PlaceOn →
-// KillCopy → Run cycle allocates exactly what StartCopy and DropCopy do
-// alone — the Copy itself.
+// the service-time draw reseeds the Executor's CopySource, the finish
+// event is posted under the handle the Copy embeds, and the Copy and the
+// task's Copies list come from its phase's slabs. Once the phase has
+// started, a PlaceOn → KillCopy → Run cycle allocates amortized nothing,
+// exactly as StartCopy and DropCopy alone — the copy slab grows by a
+// quarter of what it has carved, so even a one-task phase re-placing
+// forever allocates a vanishing share of a slab per copy.
 func TestPlacementAllocatesOnlyTheCopy(t *testing.T) {
 	eng := simulator.New(1)
 	x := NewExecutor(eng, NewMachines(2, 1), DefaultExecModel())
@@ -294,11 +300,53 @@ func TestPlacementAllocatesOnlyTheCopy(t *testing.T) {
 	place()
 	alone()
 	p, a := testing.AllocsPerRun(200, place), testing.AllocsPerRun(200, alone)
-	if a != 1 {
-		t.Fatalf("StartCopy+DropCopy allocate %v per copy, want 1 (the Copy)", a)
+	if a != 0 {
+		t.Fatalf("StartCopy+DropCopy allocate %v per copy, want amortized 0", a)
 	}
-	if p != a {
-		t.Fatalf("a placement allocates %v beyond its Copy, want 0", p-a)
+	if p != 0 {
+		t.Fatalf("a placement allocates %v per copy, want amortized 0", p)
+	}
+}
+
+// TestCopySlabsCarvedAtFirstPlacement: building a job carves nothing; the
+// phase's first placement gives every task a Copies list of capacity 2
+// in one shared array; a third copy moves that task's list to an array
+// of its own and leaves its neighbour's list, spare slot included,
+// untouched.
+func TestCopySlabsCarvedAtFirstPlacement(t *testing.T) {
+	j := mkJob(1, 3, 1.0)
+	ts := j.Phases[0].Tasks
+	for i, task := range ts {
+		if task.Copies != nil {
+			t.Fatalf("task %d has a Copies list before any placement", i)
+		}
+	}
+	a0 := ts[0].StartCopy(0, 0, false, true, 5)
+	for i, task := range ts {
+		if cap(task.Copies) != 2 {
+			t.Fatalf("task %d: Copies capacity %d after the phase's first placement, want 2", i, cap(task.Copies))
+		}
+	}
+	slot := func(i int) uintptr { return uintptr(unsafe.Pointer(&ts[i].Copies[:1][0])) }
+	if stride := 2 * unsafe.Sizeof(a0); slot(1)-slot(0) != stride || slot(2)-slot(1) != stride {
+		t.Fatal("the tasks' Copies lists are not consecutive pairs of one array")
+	}
+	n0 := ts[1].StartCopy(0, 1, false, true, 5)
+	a1 := ts[0].StartCopy(1, 2, true, true, 5)
+	shared := &ts[0].Copies[0]
+	a2 := ts[0].StartCopy(2, 3, true, true, 5)
+	if &ts[0].Copies[0] == shared || cap(ts[0].Copies) <= 2 {
+		t.Fatal("a third copy did not move its task's list off the shared array")
+	}
+	if got := ts[0].Copies; len(got) != 3 || got[0] != a0 || got[1] != a1 || got[2] != a2 {
+		t.Fatalf("task 0's copies %v, want [a0 a1 a2]", got)
+	}
+	if got := ts[1].Copies; len(got) != 1 || got[0] != n0 || got[:2][1] != nil {
+		t.Fatalf("the neighbour's list changed: %v (spare %v)", got, got[:2][1])
+	}
+	n1 := ts[1].StartCopy(3, 4, true, true, 5)
+	if got := ts[1].Copies; len(got) != 2 || got[0] != n0 || got[1] != n1 || len(ts[0].Copies) != 3 {
+		t.Fatalf("the neighbour's second copy: task 1 %v, task 0 %d copies", got, len(ts[0].Copies))
 	}
 }
 

@@ -64,8 +64,9 @@ type Copy struct {
 	Seq uint64
 
 	// The four flags and the finish handle share one word, keeping a
-	// Copy at 56 bytes, inside the 64-byte size class (the simulator
-	// allocates one per placement).
+	// Copy at 56 bytes. Copies are carved from per-phase slabs
+	// (StartCopy), so this size is the slab's stride: every field added
+	// here grows every phase's slab.
 	Speculative bool
 	Local       bool // input data was machine-local
 	// Killed is set when the copy ended without finishing: a sibling won
@@ -266,6 +267,12 @@ type Phase struct {
 	firstDone   simulator.Time // completion time of this phase's first task
 	anyDone     bool
 	DoneAt      simulator.Time
+
+	// copies is the unused rest of the slab StartCopy takes this phase's
+	// copies from, and carved how many copies its slabs have held so
+	// far; both stay zero until the phase's first placement.
+	copies []Copy
+	carved int
 }
 
 // Done reports whether every task in the phase has completed.
@@ -485,8 +492,15 @@ func (j *Job) RemainingCurrentTasks() int {
 // three owns an execution-side concern (slot accounting, completion
 // events, frames): the simulator's Executor layers those on top, and the
 // live scheduler drives the same calls from wire messages.
+//
+// The Copy comes from its phase's slab (newCopy), and a task's first
+// copy gives it a Copies list of capacity 2 carved from a per-phase
+// pointer slab, so a placement allocates nothing once its phase has
+// started. A third copy outgrows the list, and append moves that task
+// alone to an array of its own.
 func (t *Task) StartCopy(now simulator.Time, m MachineID, speculative, local bool, dur float64) *Copy {
-	c := &Copy{
+	c := t.Phase.newCopy()
+	*c = Copy{
 		Task:        t,
 		Machine:     m,
 		Speculative: speculative,
@@ -505,6 +519,35 @@ func (t *Task) StartCopy(now simulator.Time, m MachineID, speculative, local boo
 			t.Job.StartAt = now
 		}
 	}
+	return c
+}
+
+// newCopy takes the next Copy from the phase's slab. The first slab,
+// carved at the phase's first placement, holds one copy per task; each
+// later one a quarter of all copies carved so far, so a phase that runs
+// many speculative or replaced copies still allocates amortized nothing
+// per copy, and at most a fifth of what the slabs hold goes unused.
+// The first carve also hands every task still without a Copies list
+// its two slots of one shared pointer slab (a[i:i:i+2], the
+// PackReplicas idiom), so set-up and cloning pay for neither.
+func (p *Phase) newCopy() *Copy {
+	if len(p.copies) == 0 {
+		n := p.carved / 4
+		if p.carved == 0 {
+			n = len(p.Tasks)
+			ptrs := make([]*Copy, 2*n)
+			for i, t := range p.Tasks {
+				if cap(t.Copies) == 0 {
+					t.Copies = ptrs[2*i : 2*i : 2*i+2]
+				}
+			}
+		}
+		n = max(n, 1)
+		p.copies = make([]Copy, n)
+		p.carved += n
+	}
+	c := &p.copies[0]
+	p.copies = p.copies[1:]
 	return c
 }
 

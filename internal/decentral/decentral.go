@@ -196,6 +196,11 @@ type System struct {
 	// closure, no per-message heap allocation once the pool is warm.
 	freeMsg *message
 
+	// pool recycles reservation entries and negotiation rounds among all
+	// worker cores, which the engine drives from one goroutine; a
+	// rejoining machine's fresh core draws from it too.
+	pool protocol.Pool
+
 	// toWorker, toSched and ticks are the engine lanes of the three
 	// streams that make most of the events: worker-bound messages (probe
 	// batches and replies, a constant hop from now), scheduler-bound ones

@@ -62,6 +62,7 @@ func (w *worker) newCore(pcfg protocol.Config) *protocol.Worker {
 		Cap:       m.Cap,
 		Place:     w.place,
 		Stats:     &sys.Stats,
+		Pool:      &sys.pool,
 	})
 }
 
@@ -99,7 +100,7 @@ func (w *worker) place(from protocol.SchedID, rep protocol.Reply) bool {
 // entries first when the list reaches the machine's slot count (at most
 // Slots copies can be live at once, so the list stays O(slots)).
 func (w *worker) trackCopy(c *cluster.Copy) {
-	if len(w.running) >= w.sys.Exec.Machines.Get(w.id).Slots {
+	if len(w.running) >= w.m.Slots {
 		live := w.running[:0]
 		for _, rc := range w.running {
 			if !rc.Killed && !rc.Won && rc.Task.State != cluster.TaskDone {

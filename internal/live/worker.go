@@ -189,6 +189,8 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 	w.offerTimerEv = &internalEvent{fn: w.offerTimerFired}
 	w.offerTimerFn = func() { w.post(w.offerTimerEv, nil) }
 	pcfg := protocol.Config{Mode: cfg.Mode, RetryJitter: defaultRetryJitter}.WithDefaults()
+	// No Pool: the core runs on this worker's handler loop alone, so it
+	// recycles its entries and rounds through a pool of its own.
 	w.core = protocol.NewWorker(cluster.MachineID(cfg.ID), pcfg, protocol.WorkerEnv{
 		Now:       w.now,
 		Rand:      rand.New(rand.NewSource(int64(cfg.ID)*7919 + 5)),

@@ -31,22 +31,58 @@ func TestWorkerReservationRoundZeroAllocs(t *testing.T) {
 			t.Fatalf("unexpected action list: %+v", acts)
 		}
 		a := acts[0]
-		// JobDone reply: purges the entry (tombstone + eventual
-		// compaction into the free list) and ends the round (recycled).
+		// JobDone reply: purges the entry (the queue's only one, so the
+		// purge compacts it into the pool) and ends the round (pooled).
 		if _, ok := h.w.OnReply(a.Seq, Reply{Job: a.Job, From: a.Sched, JobDone: true}); !ok {
 			t.Fatalf("offer %d is not waiting for a reply", a.Seq)
 		}
 	}
-	// Warm the pools and every reusable buffer, including at least one
-	// queue compaction (compactDead purges).
-	for i := 0; i < 4*compactDead; i++ {
+	// Every cycle recycles its entry and its round, so the first warms
+	// the pool; a few more warm the queue and action buffers.
+	for i := 0; i < 4; i++ {
 		cycle()
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("worker reservation round allocates %.2f/op in steady state, want 0", avg)
 	}
-	if h.w.activeRounds != 0 {
-		t.Fatalf("activeRounds leaked: %d", h.w.activeRounds)
+	if h.w.activeRounds != 0 || len(h.w.entries) != 0 {
+		t.Fatalf("leak: %d rounds active, %d entries queued", h.w.activeRounds, len(h.w.entries))
+	}
+}
+
+// TestSharedPoolRoundZeroAllocs runs the same lifecycle on two workers
+// that share one Pool, alternating, so each entry and round one worker
+// recycles is the next one the other takes: handing pooled objects
+// between workers allocates nothing either.
+func TestSharedPoolRoundZeroAllocs(t *testing.T) {
+	var clk testClock
+	var stats Stats
+	pool := &Pool{}
+	var ws [2]*Worker
+	for i := range ws {
+		ws[i] = newPoolWorker(cluster.MachineID(i), &clk, &stats, pool, func() int { return 1 }, nil)
+	}
+	cycle := func() {
+		for i, w := range ws {
+			acts := w.AddReservation(SchedID(i), 7, 5.0, 4, cluster.Resources{})
+			if len(acts) != 1 || acts[0].Kind != WSendOffer {
+				t.Fatalf("worker %d: unexpected action list: %+v", i, acts)
+			}
+			a := acts[0]
+			if _, ok := w.OnReply(a.Seq, Reply{Job: a.Job, From: a.Sched, JobDone: true}); !ok {
+				t.Fatalf("worker %d: offer %d is not waiting for a reply", i, a.Seq)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("two workers sharing a pool allocate %.2f/op in steady state, want 0", avg)
+	}
+	if len(pool.entries) != 1 || len(pool.rounds) != 1 {
+		t.Fatalf("pool holds %d entries and %d rounds, want the one of each the workers pass between them",
+			len(pool.entries), len(pool.rounds))
 	}
 }
 

@@ -215,6 +215,9 @@ func TestOfferTableProperty(t *testing.T) {
 			if w.retryArmed != retryArmed {
 				t.Fatalf("seed %d %s: core's retry flag %v, actions say %v", seed, op, w.retryArmed, retryArmed)
 			}
+			if w.deadEntries > w.liveEntries() {
+				t.Fatalf("seed %d %s: %d tombstones over %d live entries", seed, op, w.deadEntries, w.liveEntries())
+			}
 		}
 		anyOut := func() uint64 {
 			var seqs []uint64

@@ -139,8 +139,9 @@ type Sched struct {
 	jobs map[cluster.JobID]*dJob
 
 	// jobList holds owned jobs in admission order; JobDone nil-tombstones
-	// a slot (O(1) via dJob.pos) and the list compacts once tombstones
-	// dominate, replacing the per-completion middle-splice. liveJobs is
+	// a slot (O(1) via dJob.pos) and the list compacts as soon as
+	// tombstones are the majority, the worker queue's rule (Worker.purge),
+	// replacing the per-completion middle-splice. liveJobs is
 	// the tombstone-free count (the old len(jobList)), which the fairness
 	// floor and HasJobs read.
 	jobList  []*dJob
@@ -408,7 +409,7 @@ func (sc *Sched) JobDone(j *cluster.Job) {
 		sc.jobList[d.pos] = nil
 		sc.liveJobs--
 		sc.deadJobs++
-		if sc.deadJobs >= compactDead && sc.deadJobs*2 > len(sc.jobList) {
+		if sc.deadJobs*2 > len(sc.jobList) {
 			sc.compactJobs()
 		}
 	}

@@ -38,13 +38,29 @@ type WorkerEnv struct {
 
 	// Stats receives protocol counters; must be non-nil.
 	Stats *Stats
+
+	// Pool recycles the worker's purged entries and finished rounds. The
+	// workers of one simulated plane share one (they run on one
+	// goroutine); a worker on a goroutine of its own leaves it nil and
+	// gets a pool of its own.
+	Pool *Pool
+}
+
+// Pool holds purged reservation entries and finished negotiation rounds
+// for reuse by any worker that shares it, so a plane warms one free list
+// instead of one per worker. Not safe for concurrent use: every worker
+// sharing a pool must be driven from one goroutine.
+type Pool struct {
+	entries []*Entry
+	rounds  []*round
 }
 
 // Entry aggregates a worker's queued reservations for one (scheduler,
 // job) pair, with the latest piggybacked ordering metadata. Entries are
 // pooled: a purged entry is tombstoned in place (dead), its generation
-// bumped to invalidate outstanding refs, and recycled through the
-// worker's free list at the next queue compaction.
+// bumped to invalidate outstanding refs, and handed to the worker's Pool
+// at the next queue compaction, from which any worker sharing the pool
+// may reissue it.
 type Entry struct {
 	Sched    SchedID
 	Job      cluster.JobID
@@ -65,7 +81,9 @@ type Entry struct {
 	// gen counts purges of this pooled object. An entryRef or tried mark
 	// taken before the purge carries the old generation and resolves to
 	// nil/untried afterwards — exactly the semantics the old map-backed
-	// queue had for detached entries, without blocking recycling.
+	// queue had for detached entries, without blocking recycling. The
+	// generation survives reissue, to this worker or another sharing
+	// its pool, so it only ever grows.
 	gen uint32
 }
 
@@ -117,12 +135,6 @@ const (
 	refusalCooldown = 0.1
 )
 
-// compactDead is the tombstone threshold: the entry queue is compacted
-// (dead entries recycled to the free list, live order preserved) once
-// dead entries are both numerous and the majority, keeping every scan
-// O(live) amortized without the per-purge middle-splice.
-const compactDead = 16
-
 // Worker is one machine's protocol core: it owns the reservation queue
 // and implements the late-binding pull protocol — Pseudocode 3 in Hopper
 // mode, plain Sparrow task pulls in the baseline modes. A worker can run
@@ -141,14 +153,13 @@ type Worker struct {
 	id  cluster.MachineID
 
 	// entries holds live and dead-tombstoned reservation entries in
-	// arrival order. The queue is small (one entry per (scheduler, job)
-	// pair with outstanding reservations here), so lookups are linear
-	// scans over the same cache lines every pick already walks — the old
-	// map index paid hashing and maintenance for no asymptotic gain.
+	// arrival order, never more dead than live after a purge (see
+	// purge). The queue is small (one entry per (scheduler, job) pair
+	// with outstanding reservations here), so lookups are linear scans
+	// over the same cache lines every pick already walks — the old map
+	// index paid hashing and maintenance for no asymptotic gain.
 	entries     []*Entry
 	deadEntries int
-	freeEntries []*Entry
-	freeRounds  []*round
 
 	// active holds the rounds in negotiation, in no particular order.
 	// Between two calls into the core each of them has exactly one offer
@@ -174,6 +185,9 @@ type Worker struct {
 // NewWorker builds a worker core for machine id. cfg must already have
 // defaults applied.
 func NewWorker(id cluster.MachineID, cfg Config, env WorkerEnv) *Worker {
+	if env.Pool == nil {
+		env.Pool = &Pool{}
+	}
 	return &Worker{
 		cfg:     cfg,
 		env:     env,
@@ -192,14 +206,15 @@ func (w *Worker) find(sched SchedID, job cluster.JobID) *Entry {
 	return nil
 }
 
-// newEntry appends a fresh entry for the pair, recycling from the free
-// list when possible.
+// newEntry appends a fresh entry for the pair, recycling from the pool
+// when possible.
 func (w *Worker) newEntry(sched SchedID, job cluster.JobID) *Entry {
 	var e *Entry
-	if n := len(w.freeEntries); n > 0 {
-		e = w.freeEntries[n-1]
-		w.freeEntries[n-1] = nil
-		w.freeEntries = w.freeEntries[:n-1]
+	p := w.env.Pool
+	if n := len(p.entries); n > 0 {
+		e = p.entries[n-1]
+		p.entries[n-1] = nil
+		p.entries = p.entries[:n-1]
 		*e = Entry{gen: e.gen} // generation survives recycling
 	} else {
 		e = &Entry{}
@@ -297,8 +312,11 @@ func (w *Worker) DropSched(sched SchedID) ([]WAction, []LostReservation) {
 	return w.acts, lost
 }
 
-// purge tombstones an entry; the queue compacts once dead entries
-// dominate. Order of the live entries is preserved throughout. A stale
+// purge tombstones an entry; the queue compacts as soon as dead entries
+// are the majority, so after any purge it holds no more tombstones than
+// live entries and every scan is O(live). A compaction costs less than
+// twice the purges since the last one, so the rule is amortized O(1) per
+// purge. Order of the live entries is preserved throughout. A stale
 // purge (an in-flight reply for an entry already purged) is a no-op.
 func (w *Worker) purge(e *Entry) {
 	if e.dead {
@@ -307,20 +325,21 @@ func (w *Worker) purge(e *Entry) {
 	e.dead = true
 	e.gen++ // invalidate outstanding refs and tried marks
 	w.deadEntries++
-	if w.deadEntries >= compactDead && w.deadEntries*2 > len(w.entries) {
+	if w.deadEntries*2 > len(w.entries) {
 		w.compact()
 	}
 }
 
 // compact squeezes dead entries out of the queue, preserving live order,
-// and recycles them to the free list. Pointers stay valid — only slots
-// move — so round-held refs survive; the bumped generations already made
-// them resolve to nil.
+// and hands them to the pool. Pointers stay valid — only slots move — so
+// round-held refs survive; the bumped generations already made them
+// resolve to nil.
 func (w *Worker) compact() {
+	p := w.env.Pool
 	live := w.entries[:0]
 	for _, e := range w.entries {
 		if e.dead {
-			w.freeEntries = append(w.freeEntries, e)
+			p.entries = append(p.entries, e)
 		} else {
 			live = append(live, e)
 		}
@@ -386,13 +405,16 @@ func (w *Worker) hasAnyReservations() bool {
 	return false
 }
 
-// newRound pops a recycled round (or builds one); fields are reset here
-// so endRound can push rounds back without scrubbing them.
+// newRound pops a recycled round (or builds one) and binds it to this
+// worker, whichever worker sharing the pool ended it; fields are reset
+// here so endRound can push rounds back without scrubbing them.
 func (w *Worker) newRound() *round {
-	if n := len(w.freeRounds); n > 0 {
-		r := w.freeRounds[n-1]
-		w.freeRounds[n-1] = nil
-		w.freeRounds = w.freeRounds[:n-1]
+	p := w.env.Pool
+	if n := len(p.rounds); n > 0 {
+		r := p.rounds[n-1]
+		p.rounds[n-1] = nil
+		p.rounds = p.rounds[:n-1]
+		r.w = w
 		r.tried = r.tried[:0]
 		r.refusals = 0
 		r.hasUnsat = false
@@ -463,7 +485,7 @@ func (w *Worker) endRound(r *round, placed bool) {
 	} else {
 		w.scheduleRetry()
 	}
-	w.freeRounds = append(w.freeRounds, r)
+	w.env.Pool.rounds = append(w.env.Pool.rounds, r)
 }
 
 // place runs the accepted task via the adapter. The adapter returns
@@ -480,7 +502,8 @@ func (w *Worker) place(from SchedID, rep Reply) bool {
 // failed G3 sample removes its entry from the queue) —
 // it must be round-private, not an entry-side stamp, because a
 // multi-slot worker runs up to maxConcurrentRounds rounds at once and
-// their tried sets are independent. Rounds are pooled per worker; the
+// their tried sets are independent. Rounds are pooled with entries
+// (WorkerEnv.Pool) and rebound to the worker that reissues them; the
 // generation stamps in tried keep recycled entries from inheriting
 // marks.
 type round struct {
