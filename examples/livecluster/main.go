@@ -38,9 +38,6 @@ func main() {
 		Slots:      slots,
 		TimeScale:  timeScale,
 		Seed:       7,
-		// Workers re-dial a crashed scheduler's address until it returns;
-		// needed for the crash/restart drill below.
-		RedialInterval: 0.05,
 	})
 	if err != nil {
 		log.Fatalf("booting cluster: %v", err)

@@ -309,9 +309,6 @@ type Job struct {
 	Arrival simulator.Time
 	Phases  []*Phase
 
-	// Weight scales the job's fair share (all 1 in the paper's workloads).
-	Weight float64
-
 	DoneAt  simulator.Time
 	started bool
 	StartAt simulator.Time
@@ -363,7 +360,7 @@ func PackReplicas[M ~int | ~uint32](tasks []*Task, list func(i int) []M) {
 
 // NewJob builds a job from phase specifications, wiring parent pointers.
 func NewJob(id JobID, name string, arrival simulator.Time, phases []*Phase) *Job {
-	j := &Job{ID: id, Name: name, Arrival: arrival, Phases: phases, Weight: 1}
+	j := &Job{ID: id, Name: name, Arrival: arrival, Phases: phases}
 	for i, p := range phases {
 		p.Job = j
 		p.Index = i

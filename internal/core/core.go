@@ -96,21 +96,6 @@ func (j JobDemand) cap(x int) int {
 	return x
 }
 
-// TotalVirtual sums virtual sizes across jobs.
-func TotalVirtual(jobs []JobDemand, beta float64) float64 {
-	var t float64
-	for _, j := range jobs {
-		t += j.Virtual(beta)
-	}
-	return t
-}
-
-// Constrained reports whether the cluster is in the high-load regime of
-// Guideline 2: fewer slots than the sum of virtual sizes.
-func Constrained(jobs []JobDemand, slots int, beta float64) bool {
-	return float64(slots) < TotalVirtual(jobs, beta)
-}
-
 // Allocate implements Pseudocode 1. It returns one slot count per job,
 // aligned with the input slice, summing to at most slots. Jobs are never
 // given more than their MaxUsable cap; freed-up surplus cascades to other

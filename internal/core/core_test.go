@@ -221,16 +221,6 @@ func TestAllocateFairPropertyFloorAndCapacity(t *testing.T) {
 	}
 }
 
-func TestConstrainedRegimeDetection(t *testing.T) {
-	jobs := []JobDemand{{ID: 1, Remaining: 30}} // V = 40 at beta 1.5
-	if !Constrained(jobs, 39, 1.5) {
-		t.Fatal("39 slots should be constrained")
-	}
-	if Constrained(jobs, 41, 1.5) {
-		t.Fatal("41 slots should be unconstrained")
-	}
-}
-
 func TestLocalityWindow(t *testing.T) {
 	cases := []struct {
 		n    int
@@ -489,7 +479,10 @@ func TestAllocatorMatchesFreshAllocation(t *testing.T) {
 		if reversed {
 			slices.Reverse(hint)
 		}
-		totalV := TotalVirtual(jobs, beta)
+		var totalV float64
+		for _, j := range jobs {
+			totalV += j.Virtual(beta)
+		}
 		slots := int(totalV * []float64{0.05, 0.5, 0.95, 1.05, 2, 6}[rng.Intn(6)])
 		eps := []float64{0, 0.1, 1}[rng.Intn(3)]
 		if n > 0 && rng.Intn(8) == 0 {

@@ -75,7 +75,7 @@ type sentFrame struct {
 	phase    uint16 // Assign and TaskDone task coordinates
 	task     uint32
 	flag     bool // Assign.Speculative, TaskDone.Killed
-	fate     transport.Fate
+	fate     Fate
 }
 
 // virtualCluster is three live schedulers and eight live 2-slot workers
@@ -83,7 +83,7 @@ type sentFrame struct {
 type virtualCluster struct {
 	eng     *simulator.Engine
 	epoch   time.Time
-	inj     *transport.Injector
+	inj     *Injector
 	scheds  []*Scheduler // nil while that scheduler is down
 	dead    []*Scheduler // crashed instances, still counted in stats
 	workers []*Worker
@@ -121,21 +121,22 @@ func (t engineTimers) Now() time.Time {
 func (t engineTimers) AfterFunc(d time.Duration, f func()) protocol.Timer {
 	et := &engineTimer{}
 	et.ev = t.c.eng.After(d.Seconds(), t.c.turn(func() {
-		et.fired = true
+		et.done = true
 		f()
 	}))
 	return et
 }
 
 type engineTimer struct {
-	ev    *simulator.Event
-	fired bool
+	ev   *simulator.Event
+	done bool // fired or stopped
 }
 
 func (t *engineTimer) Stop() bool {
-	if t.fired || t.ev.Canceled() {
+	if t.done {
 		return false
 	}
+	t.done = true
 	t.ev.Cancel()
 	return true
 }
@@ -280,9 +281,9 @@ func (vc *virtualConn) RemoteAddr() string {
 // where the injector draws nothing (a partition, zero rates).
 type chaosCell struct {
 	seed      int64
-	rates     transport.Rates                  // every injected frame type
-	perType   map[wire.MsgType]transport.Rates // overrides
-	partition [2]float64                       // whole-cluster cut [from, to) in virtual seconds; zero: none
+	rates     Rates                  // every injected frame type
+	perType   map[wire.MsgType]Rates // overrides
+	partition [2]float64             // whole-cluster cut [from, to) in virtual seconds; zero: none
 	// onFrame, when set, sees every frame as it is logged — a hook for
 	// cells that act on what the run has done so far.
 	onFrame func(*virtualCluster, sentFrame)
@@ -319,7 +320,7 @@ func runChaos(t *testing.T, cell chaosCell) *virtualCluster {
 	c := &virtualCluster{
 		eng:   simulator.New(cell.seed),
 		epoch: time.Unix(0, 0),
-		inj: transport.NewInjector(transport.FaultConfig{
+		inj: NewInjector(FaultConfig{
 			Seed: cell.seed, Default: cell.rates, PerType: cell.perType, DelayMin: 0.01, DelayMax: 0.2,
 		}),
 		jobs:      parityJobs(virtualMachines),
@@ -565,21 +566,21 @@ var chaosSeeds = []int64{11, 23, 37}
 // across chaosSeeds.
 var faultMatrix = []struct {
 	name                string
-	rates               transport.Rates
+	rates               Rates
 	wantDrops, wantDups bool
 }{
-	{name: "drop-everywhere", rates: transport.Rates{Drop: 0.1}, wantDrops: true},
-	{name: "dup-everywhere", rates: transport.Rates{Dup: 0.1}, wantDups: true},
-	{name: "delay-reorder", rates: transport.Rates{Delay: 0.3}},
-	{name: "mixed", rates: transport.Rates{Drop: 0.05, Dup: 0.05, Delay: 0.1}, wantDrops: true, wantDups: true},
+	{name: "drop-everywhere", rates: Rates{Drop: 0.1}, wantDrops: true},
+	{name: "dup-everywhere", rates: Rates{Dup: 0.1}, wantDups: true},
+	{name: "delay-reorder", rates: Rates{Delay: 0.3}},
+	{name: "mixed", rates: Rates{Drop: 0.05, Dup: 0.05, Delay: 0.1}, wantDrops: true, wantDups: true},
 }
 
 // The single-frame-type loss cells and the partition window, shared by
 // their tests and the frame-log golden.
 var (
-	lostProbes   = map[wire.MsgType]transport.Rates{wire.TReserve: {Drop: 0.33}}
-	lostTaskDone = map[wire.MsgType]transport.Rates{wire.TTaskDone: {Drop: 0.2}}
-	lostKill     = map[wire.MsgType]transport.Rates{wire.TKill: {Drop: 0.5}}
+	lostProbes   = map[wire.MsgType]Rates{wire.TReserve: {Drop: 0.33}}
+	lostTaskDone = map[wire.MsgType]Rates{wire.TTaskDone: {Drop: 0.2}}
+	lostKill     = map[wire.MsgType]Rates{wire.TKill: {Drop: 0.5}}
 	partitionCut = [2]float64{3.0, 6.0}
 )
 
@@ -663,7 +664,7 @@ func TestChaosPartitionHealsAndConverges(t *testing.T) {
 func TestChaosRecoveryCountersFire(t *testing.T) {
 	var timeouts, settles int64
 	for _, seed := range chaosSeeds {
-		c := runChaos(t, chaosCell{seed: seed, rates: transport.Rates{Drop: 0.1}})
+		c := runChaos(t, chaosCell{seed: seed, rates: Rates{Drop: 0.1}})
 		c.assertOracles(t, fmt.Sprintf("recovery seed %d", seed))
 		st := c.stats()
 		timeouts += st.OfferTimeouts
@@ -773,7 +774,7 @@ func TestChaosLostKill(t *testing.T) {
 // frame log, frame for frame, fate for fate — so a failing seed can be
 // debugged — and two seeds do not.
 func TestChaosSameSeedReplays(t *testing.T) {
-	mixed := transport.Rates{Drop: 0.1, Dup: 0.1, Delay: 0.3}
+	mixed := Rates{Drop: 0.1, Dup: 0.1, Delay: 0.3}
 	var prev []sentFrame
 	for seed := int64(1); seed <= 10; seed++ {
 		a := runChaos(t, chaosCell{seed: seed, rates: mixed})

@@ -1,4 +1,4 @@
-package transport
+package live
 
 import (
 	"math/rand"
@@ -9,9 +9,9 @@ import (
 
 // This file is the chaos layer: a deterministic fault-decision engine
 // (Injector). It only decides; the caller realizes each verdict. Its one
-// consumer is the virtual-time failure suite in internal/live, whose
-// connections ask Judge for every frame's fate and schedule deliveries on
-// a simulation engine.
+// consumer is the virtual-time failure suite (chaos_test.go), whose
+// virtualConn asks Judge for every frame's fate and schedules deliveries
+// on a simulation engine.
 
 // Rates holds per-message fault probabilities; each is in [0, 1] and
 // drawn independently per send.
@@ -38,8 +38,7 @@ type FaultConfig struct {
 	// can, say, drop only probes or duplicate only task hand-offs.
 	PerType map[wire.MsgType]Rates
 	// DelayMin/DelayMax bound the extra delivery delay, in seconds of
-	// the consumer's clock (internal/live's virtual cluster uses engine
-	// time).
+	// the consumer's clock (the virtual cluster uses engine time).
 	DelayMin float64
 	DelayMax float64
 }

@@ -21,9 +21,8 @@ import (
 // WorkerGroupConfig sizes a multiplexed worker group.
 type WorkerGroupConfig struct {
 	// Base is the template config: ID is the group's first worker ID
-	// (consecutive IDs follow), and every other field is shared. If
-	// Base.Timers is set the group arms its timers there; otherwise the
-	// group creates and owns one TimerWheel for all members.
+	// (consecutive IDs follow), and every other field but Timers is
+	// shared. The group creates and owns one TimerWheel for all members.
 	Base WorkerConfig
 	// N is the number of workers to run (default 1).
 	N int
@@ -33,7 +32,7 @@ type WorkerGroupConfig struct {
 type WorkerGroup struct {
 	Workers []*Worker
 
-	wheel *protocol.TimerWheel // owned; nil when Base.Timers was supplied
+	wheel *protocol.TimerWheel // owned: every member's timers
 	runs  sync.WaitGroup       // outstanding Worker.Run loops
 }
 
@@ -44,16 +43,11 @@ func StartWorkerGroup(cfg WorkerGroupConfig) (*WorkerGroup, error) {
 	if cfg.N <= 0 {
 		cfg.N = 1
 	}
-	g := &WorkerGroup{}
-	timers := cfg.Base.Timers
-	if timers == nil {
-		g.wheel = protocol.NewTimerWheel(time.Millisecond, 512)
-		timers = g.wheel
-	}
+	g := &WorkerGroup{wheel: protocol.NewTimerWheel(time.Millisecond, 512)}
 	for i := 0; i < cfg.N; i++ {
 		wc := cfg.Base
 		wc.ID = cfg.Base.ID + uint32(i)
-		wc.Timers = timers
+		wc.Timers = g.wheel
 		w, err := NewWorker(wc)
 		if err != nil {
 			g.Stop()
@@ -76,7 +70,5 @@ func (g *WorkerGroup) Stop() {
 		w.Stop()
 	}
 	g.runs.Wait()
-	if g.wheel != nil {
-		g.wheel.Stop()
-	}
+	g.wheel.Stop()
 }

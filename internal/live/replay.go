@@ -257,10 +257,6 @@ type LocalClusterConfig struct {
 	// sum to Workers; surplus workers — churn joins past the table — get
 	// the homogeneous defaults). Empty means uniform Slots-per-worker.
 	Classes []cluster.MachineClass
-	// RedialInterval makes workers re-dial a crashed scheduler's address
-	// until it comes back (WorkerConfig.RedialInterval, wall seconds).
-	// Zero disables; set it when the run will exercise RestartScheduler.
-	RedialInterval float64
 }
 
 // LocalCluster is a running in-process cluster.
@@ -368,7 +364,6 @@ func (lc *LocalCluster) newWorker(id uint32) (*Worker, error) {
 		SchedulerAddrs: lc.Addrs,
 		Mode:           lc.cfg.Mode,
 		TimeScale:      lc.cfg.TimeScale,
-		RedialInterval: lc.cfg.RedialInterval,
 		Timers:         lc.wheel,
 	}
 	if ci, mc := classForWorker(lc.cfg.Classes, id); mc != nil {
@@ -403,8 +398,8 @@ func (lc *LocalCluster) KillScheduler(i int) {
 
 // RestartScheduler replaces a killed (or stopped) scheduler with a
 // fresh instance under the same identity, listening on the SAME address
-// so workers configured with RedialInterval find it again on their own.
-// The bind is retried briefly: the dead listener's port may take a
+// so the workers, which re-dial a lost scheduler, find it again on their
+// own. The bind is retried briefly: the dead listener's port may take a
 // moment to free.
 func (lc *LocalCluster) RestartScheduler(i int) error {
 	var s *Scheduler

@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -167,5 +168,71 @@ func TestDriveIgnoresForeignCompletions(t *testing.T) {
 	}
 	if want := []metrics.JobResult{{ID: 7, Tasks: 3, DAGLen: 1, Completion: 2.5}}; !reflect.DeepEqual(run.Jobs, want) {
 		t.Fatalf("run jobs %+v, want %+v", run.Jobs, want)
+	}
+}
+
+// TestLocalClusterSchedulerRestart is the crash/restart drill over
+// loopback TCP: scheduler 0 dies with copies running on the workers and
+// comes back on the same address. The workers re-dial it on their own
+// and re-register with their inventory, and the resubmitted jobs adopt
+// the copies still running instead of placing them again.
+func TestLocalClusterSchedulerRestart(t *testing.T) {
+	const (
+		nJobs   = 4
+		nTasks  = 4
+		meanDur = 50.0 // virtual seconds: half a second of wall clock
+	)
+	lc, err := StartLocalCluster(LocalClusterConfig{Schedulers: 2, Workers: 4, Slots: 2, TimeScale: driveScale, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Stop)
+	c1, err := NewClient(lc.Addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]Arrival, nJobs)
+	for i := range jobs {
+		jobs[i].Job = SimpleJob(uint64(9000+i), fmt.Sprintf("drill-%d", i), nTasks, meanDur)
+		if err := c1.Submit(jobs[i].Job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Kill once a copy is running: the shortest task holds its slot for
+	// about a sixth of a second, several re-dial periods.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var placed int64
+		for _, w := range lc.Workers {
+			placed += w.Stats().RoundsPlaced
+		}
+		if placed > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no copy placed within 10s")
+		}
+	}
+	lc.KillScheduler(0)
+	c1.Close()
+	if err := lc.RestartScheduler(0); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewClient(lc.Addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, led, err := Drive([]*Client{c2}, jobs, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if led.Completed != nJobs {
+		t.Fatalf("ledger %+v, want all %d jobs completed after the restart", led, nJobs)
+	}
+	st := lc.Scheds[0].Stats()
+	if st.ReconciledCopies == 0 {
+		t.Fatalf("no running copy reconciled after the restart: %+v", st)
+	}
+	if st.OccupancyLeaks != 0 {
+		t.Fatalf("%d occupancy leaks after the restart", st.OccupancyLeaks)
 	}
 }

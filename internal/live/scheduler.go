@@ -114,7 +114,6 @@ const defaultWatchdogGrace = 5.0
 type lJob struct {
 	job        *cluster.Job
 	client     *peer
-	submitVirt float64
 	specCopies int
 
 	// submitWall and placed drive the submit→first-placement latency
@@ -746,7 +745,7 @@ func (s *Scheduler) admit(client *peer, m *wire.SubmitJob) {
 	}
 	now := s.now()
 	j := cluster.NewJob(cluster.JobID(m.JobID), m.Name, now, phases)
-	lj := &lJob{job: j, client: client, submitVirt: now, submitWall: time.Now()}
+	lj := &lJob{job: j, client: client, submitWall: time.Now()}
 	s.jobs[m.JobID] = lj
 	s.core.Admit(j)
 	// Attach copies that re-registering workers reported for this job
@@ -1150,7 +1149,7 @@ func (s *Scheduler) finishJob(j *cluster.Job) {
 	if lj.client != nil {
 		s.loop.send(lj.client, &wire.JobComplete{
 			JobID:      id,
-			Completion: j.DoneAt - lj.submitVirt,
+			Completion: j.DoneAt - j.Arrival,
 			TasksRun:   uint32(j.TotalTasks()),
 			SpecCopies: uint32(lj.specCopies),
 		})

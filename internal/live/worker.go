@@ -20,8 +20,14 @@ type WorkerConfig struct {
 	Slots int
 	// SchedulerAddrs are the TCP addresses of all schedulers; the worker
 	// dials each and keeps the connections open (probes and assignments
-	// flow back over them). Leave empty and use NewWorkerConns to hand
-	// the worker connections made elsewhere (test pairs, virtual links).
+	// flow back over them). A lost one is re-dialed every redialInterval
+	// until it answers — the crash-recovery path for TCP clusters — and
+	// the worker re-registers over the new connection with its
+	// running-copy and lost-reservation inventory, so a restarted
+	// scheduler rebuilds its placement state. Leave empty and use
+	// NewWorkerConns to hand the worker connections made elsewhere (test
+	// pairs, virtual links); such a caller reconnects explicitly via
+	// ReconnectScheduler.
 	SchedulerAddrs []string
 	// Mode must match the schedulers'.
 	Mode protocol.Mode
@@ -38,14 +44,6 @@ type WorkerConfig struct {
 	// TimeScale multiplies task service times (0.1 turns a 10s task into
 	// 1s of wall clock). Must match the schedulers'. Default 1.
 	TimeScale float64
-	// RedialInterval, when positive, makes the worker re-dial a lost
-	// scheduler's address (SchedulerAddrs mode only) every this many wall
-	// seconds until it reconnects — the crash-recovery path for TCP
-	// clusters. On reconnect the worker re-registers with its running-copy
-	// and lost-reservation inventory so a restarted scheduler rebuilds its
-	// placement state. Zero disables (a caller holding the new connection
-	// reconnects explicitly via ReconnectScheduler).
-	RedialInterval float64
 	// Logger receives diagnostics; nil disables logging.
 	Logger *log.Logger
 	// Timers is the worker's clock: it arms its timers (copy completion,
@@ -71,6 +69,11 @@ const defaultRetryJitter = 0.2
 // lost frame can stall a negotiation round. The worker only keeps time:
 // it asks the core to expire what was sent this long ago (offerTimerFired).
 const defaultOfferTimeout = 5.0
+
+// redialInterval is how often (wall clock) a worker that dialed its
+// schedulers by address re-dials one whose connection broke: short
+// against a scheduler restart, long against a loopback dial's cost.
+const redialInterval = 50 * time.Millisecond
 
 // runningCopy is one emulated in-flight copy on this worker. sidx is
 // the dial-order slot of the scheduler that placed it (for re-pointing
@@ -290,7 +293,7 @@ func (w *Worker) onSchedDisconnect(p *peer) {
 			idx = i
 		}
 	}
-	if idx >= 0 && w.cfg.RedialInterval > 0 && idx < len(w.cfg.SchedulerAddrs) {
+	if idx >= 0 && idx < len(w.cfg.SchedulerAddrs) {
 		w.redial(idx)
 	}
 	sid, learned := w.idByPeer[p]
@@ -322,14 +325,13 @@ func (w *Worker) onSchedDisconnect(p *peer) {
 // worker stops or the dial lands.
 func (w *Worker) redial(idx int) {
 	addr := w.cfg.SchedulerAddrs[idx]
-	interval := time.Duration(w.cfg.RedialInterval * float64(time.Second))
-	w.loop.logf("re-dialing scheduler slot %d (%s) every %v", idx, addr, interval)
+	w.loop.logf("re-dialing scheduler slot %d (%s) every %v", idx, addr, redialInterval)
 	go func() {
 		for {
 			select {
 			case <-w.loop.done:
 				return
-			case <-time.After(interval):
+			case <-time.After(redialInterval):
 			}
 			conn, err := transport.Dial(addr)
 			if err != nil {

@@ -31,8 +31,8 @@
 // At and After return a fresh *Event cancellation handle, the one
 // allocation a post can cost; AtArg takes a handle the caller owns, which
 // is how an executor embeds a copy's finish event in the copy itself.
-// Post, PostAfter, PostArg and PostAfterArg skip the handle entirely for
-// the common fire-and-forget case. Handles are deliberately not pooled
+// Post, PostAfter and PostAfterArg skip the handle entirely for the
+// common fire-and-forget case. Handles are deliberately not pooled
 // by the engine: callers may retain one indefinitely and Cancel it after
 // the event fired, and recycling would let that stale Cancel hit an
 // unrelated event.
@@ -60,9 +60,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether the event has been canceled.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
-
 // key is one pending event's place in the heap: its (at, seq) order and
 // the slab index of its payload. It holds no pointer, so the heap's
 // backing array is never scanned by the garbage collector and a sift
@@ -84,10 +81,11 @@ func (k key) less(o key) bool {
 
 // entry is one pending event's payload, stored in the slab at its key's
 // idx. h is non-nil only for cancellable events (At/After/AtArg).
-// Exactly one of fn/afn is set: afn carries the PostArg form, where the
-// callback is a shared (usually package-level) function and the
-// per-event state travels in arg — the zero-allocation path for
-// adapters that post pooled message objects instead of closures.
+// Exactly one of fn/afn is set: afn carries the arg form (AtArg,
+// PostAfterArg, Lane.PostArg), where the callback is a shared (usually
+// package-level) function and the per-event state travels in arg — the
+// zero-allocation path for adapters that post pooled message objects
+// instead of closures.
 type entry struct {
 	fn  func()
 	afn func(any)
@@ -133,7 +131,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of events waiting to fire (including
-// canceled events that have not yet been drained).
+// canceled events that have not yet been popped).
 func (e *Engine) Pending() int {
 	n := len(e.keys)
 	for _, l := range e.lanes {
@@ -195,19 +193,6 @@ func (e *Engine) PostAfter(d Time, fn func()) {
 		panic(fmt.Sprintf("simulator: negative delay %v", d))
 	}
 	e.insert(e.now+d, entry{fn: fn})
-}
-
-// PostArg schedules fn(arg) at absolute virtual time t with no
-// cancellation handle. It is the fully allocation-free post: fn is
-// typically one shared package-level dispatch function and arg a pooled
-// message object, so — unlike Post with a capturing closure — nothing is
-// heap-allocated per event. Ordering is identical to Post (FIFO among
-// same-time events by scheduling order).
-func (e *Engine) PostArg(t Time, fn func(any), arg any) {
-	if !(t >= e.now) { // also rejects NaN
-		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, e.now))
-	}
-	e.insert(t, entry{afn: fn, arg: arg})
 }
 
 // PostAfterArg schedules fn(arg) d seconds from now with no cancellation
@@ -349,22 +334,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// Drain discards all pending events without running them. Useful when a
-// simulation has logically completed but periodic timers remain. The
-// keys, the slab and the free list keep their capacity, but the slab is
-// scrubbed, so a drained engine retains no references to event
-// callbacks, payloads, or cancellation handles.
-func (e *Engine) Drain() {
-	e.keys = e.keys[:0]
-	clear(e.slab)
-	e.slab = e.slab[:0]
-	e.free = e.free[:0]
-	for _, l := range e.lanes {
-		clear(l.ring)
-		l.head, l.n = 0, 0
-	}
-}
-
 // Lane is a FIFO of pending events beside the engine's heap, for a
 // stream whose posts arrive already in time order — a message hop or a
 // timer of constant delay, posted at now plus that delay. Its events
@@ -398,7 +367,7 @@ func (e *Engine) NewLane() *Lane {
 }
 
 // PostArg schedules fn(arg) at absolute virtual time t with no
-// cancellation handle. Time rules are Engine.PostArg's.
+// cancellation handle. Scheduling in the past or at NaN panics.
 func (l *Lane) PostArg(t Time, fn func(any), arg any) {
 	if !(t >= l.e.now) { // also rejects NaN
 		panic(fmt.Sprintf("simulator: scheduling event at %v before now %v", t, l.e.now))

@@ -81,11 +81,10 @@ func BenchmarkEnginePost(b *testing.B) {
 	fn := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Post(Time(i%1000), fn)
+		e.Post(e.Now()+Time(i%1000), fn)
 		if e.Pending() >= 8192 {
 			b.StopTimer()
-			e.Drain()
-			e.now = 0
+			e.Run()
 			b.StartTimer()
 		}
 	}
@@ -100,11 +99,10 @@ func BenchmarkEngineAt(b *testing.B) {
 	fn := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.At(Time(i%1000), fn)
+		e.At(e.Now()+Time(i%1000), fn)
 		if e.Pending() >= 8192 {
 			b.StopTimer()
-			e.Drain()
-			e.now = 0
+			e.Run()
 			b.StartTimer()
 		}
 	}
@@ -134,26 +132,6 @@ func BenchmarkEngineMixedCancel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round()
-	}
-}
-
-// BenchmarkEnginePostArg measures the payload-carrying post: one shared
-// dispatch function plus a pooled argument, the path the decentralized
-// adapter's message events ride. Like Post it must stay allocation-free.
-func BenchmarkEnginePostArg(b *testing.B) {
-	b.ReportAllocs()
-	e := New(1)
-	fn := func(any) {}
-	arg := &struct{ n int }{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.PostArg(Time(i%1000), fn, arg)
-		if e.Pending() >= 8192 {
-			b.StopTimer()
-			e.Drain()
-			e.now = 0
-			b.StartTimer()
-		}
 	}
 }
 
@@ -226,7 +204,7 @@ func (c *census) post(l *Lane, t Time, fn func(any), arg any) {
 	if l != nil {
 		l.PostArg(t, fn, arg)
 	} else {
-		c.e.PostArg(t, fn, arg)
+		c.e.insert(t, entry{afn: fn, arg: arg})
 	}
 }
 

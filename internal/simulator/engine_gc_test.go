@@ -7,7 +7,7 @@ import (
 )
 
 // payload is a finalizable event argument; tests use finalizers to prove
-// the engine's slab holds no reference after Drain/consumption.
+// the engine's slab holds no reference once an event is consumed.
 type payload struct{ pad [64]byte }
 
 // awaitCollected forces GC cycles until the flag flips or the budget runs
@@ -27,7 +27,7 @@ func awaitCollected(collected *atomic.Bool) bool {
 
 // plant fills the heap with inert events, then schedules events holding
 // fresh finalizable payloads whose keys come to rest at the root, an
-// interior node and the last leaf of the heap — via PostArg payload, via
+// interior node and the last leaf of the heap — via AtArg payload, via
 // closure, and via the cancellation handle itself. It reads each payload
 // through the slab entry its key names.
 func plant(t *testing.T, e *Engine, collected []atomic.Bool) {
@@ -43,38 +43,20 @@ func plant(t *testing.T, e *Engine, collected []atomic.Bool) {
 	interior := mk(0)
 	h := e.After(1.5, func() { _ = interior }) // closure + handle
 	runtime.SetFinalizer(h, func(*Event) { collected[1].Store(true) })
-	e.PostArg(e.Now(), func(any) {}, mk(2)) // earliest: sifts up to the root
-	e.PostArg(1000, func(any) {}, mk(3))    // latest: stays where push appended it
+	e.AtArg(new(Event), e.Now(), func(any) {}, mk(2)) // earliest: sifts up to the root
+	e.AtArg(new(Event), 1000, func(any) {}, mk(3))    // latest: stays where push appended it
 
 	n := len(e.keys)
 	if e.slab[e.keys[0].idx].arg == nil {
-		t.Fatal("PostArg payload at Now() is not at the heap root")
+		t.Fatal("AtArg payload at Now() is not at the heap root")
 	}
 	if e.slab[e.keys[n-1].idx].arg == nil {
-		t.Fatal("far-future PostArg payload is not at the last leaf")
+		t.Fatal("far-future AtArg payload is not at the last leaf")
 	}
 	for i, k := range e.keys {
-		if e.slab[k.idx].h != nil && (i == 0 || 2*i+1 >= n) {
+		if e.slab[k.idx].h == h && (i == 0 || 2*i+1 >= n) {
 			t.Fatalf("handle-bearing event sits at index %d of %d, not an interior node", i, n)
 		}
-	}
-}
-
-// TestDrainReleasesReferences pins the Drain scrub: after Drain, the
-// queue's retained capacity must not keep event payloads, closures, or
-// handles alive.
-func TestDrainReleasesReferences(t *testing.T) {
-	e := New(1)
-	collected := make([]atomic.Bool, 4)
-	plant(t, e, collected)
-	e.Drain()
-	for i := range collected {
-		if !awaitCollected(&collected[i]) {
-			t.Fatalf("payload %d still referenced after Drain", i)
-		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending=%d after Drain", e.Pending())
 	}
 }
 
@@ -109,7 +91,7 @@ func TestRecycledSlotPinsNothing(t *testing.T) {
 		t.Fatalf("%d of %d slab entries free after Run", len(e.free), n)
 	}
 	for i := 0; i < n; i++ {
-		e.PostArg(e.Now()+Time(i), func(any) {}, nil)
+		e.Post(e.Now()+Time(i), func() {})
 	}
 	if len(e.slab) != n || len(e.free) != 0 {
 		t.Fatalf("slab grew to %d (free %d) reposting %d events; want every entry recycled", len(e.slab), len(e.free), n)
@@ -123,36 +105,30 @@ func TestRecycledSlotPinsNothing(t *testing.T) {
 }
 
 // TestLaneReleasesReferences pins the lane's scrub: a lane event that
-// fired, or that Drain dropped, pins neither its PostArg payload nor the
-// closure of its PostAfter, although the ring keeps its capacity.
+// fired pins neither its PostArg payload nor the closure of its
+// PostAfter, although the ring keeps its capacity.
 func TestLaneReleasesReferences(t *testing.T) {
-	for _, drain := range []bool{false, true} {
-		e := New(1)
-		l := e.NewLane()
-		collected := make([]atomic.Bool, 2)
-		arg := &payload{}
-		runtime.SetFinalizer(arg, func(*payload) { collected[0].Store(true) })
-		captured := &payload{}
-		runtime.SetFinalizer(captured, func(*payload) { collected[1].Store(true) })
-		l.PostArg(1, func(any) {}, arg)
-		l.PostAfter(2, func() { _ = captured })
-		arg, captured = nil, nil
-		if l.n != 2 {
-			t.Fatalf("%d of 2 in-order posts in the lane", l.n)
-		}
-		if drain {
-			e.Drain()
-		} else {
-			e.Run()
-		}
-		for i := range collected {
-			if !awaitCollected(&collected[i]) {
-				t.Fatalf("drain=%v: lane payload %d still referenced", drain, i)
-			}
-		}
-		if len(l.ring) < 2 {
-			t.Fatalf("drain=%v: the ring gave up its capacity (%d)", drain, len(l.ring))
-		}
-		runtime.KeepAlive(e)
+	e := New(1)
+	l := e.NewLane()
+	collected := make([]atomic.Bool, 2)
+	arg := &payload{}
+	runtime.SetFinalizer(arg, func(*payload) { collected[0].Store(true) })
+	captured := &payload{}
+	runtime.SetFinalizer(captured, func(*payload) { collected[1].Store(true) })
+	l.PostArg(1, func(any) {}, arg)
+	l.PostAfter(2, func() { _ = captured })
+	arg, captured = nil, nil
+	if l.n != 2 {
+		t.Fatalf("%d of 2 in-order posts in the lane", l.n)
 	}
+	e.Run()
+	for i := range collected {
+		if !awaitCollected(&collected[i]) {
+			t.Fatalf("lane payload %d still referenced", i)
+		}
+	}
+	if len(l.ring) < 2 {
+		t.Fatalf("the ring gave up its capacity (%d)", len(l.ring))
+	}
+	runtime.KeepAlive(e)
 }

@@ -34,7 +34,6 @@ type model struct {
 	next    int // events scheduled so far; the next scheduling index
 	fired   int
 	cancels int
-	drained int
 	spare   []*handle // AtArg handles whose events fired, for reuse
 	armed   int       // events scheduled through AtArg
 
@@ -104,9 +103,10 @@ func (m *model) fireHandle(a any) {
 	fn()
 }
 
-// postArg schedules through Engine.PostArg (shared callback + payload).
-func (m *model) postArg(at Time) {
-	m.e.PostArg(at, m.fireArg, m.record(at))
+// post schedules through Engine.Post (closure, no handle).
+func (m *model) post(at Time) {
+	idx := m.record(at)
+	m.e.Post(at, func() { m.fire(idx) })
 }
 
 func (m *model) fireArg(a any) { m.fire(a.(int)) }
@@ -136,20 +136,6 @@ func (m *model) countLane(l *Lane, n int) {
 		m.appended++
 	} else {
 		m.fellBack++
-	}
-}
-
-// drain empties the engine and the mirror alike.
-func (m *model) drain() {
-	m.e.Drain()
-	for _, p := range m.pending {
-		if !p.canceled {
-			m.drained++
-		}
-	}
-	m.pending = m.pending[:0]
-	if m.e.Pending() != 0 {
-		m.t.Fatalf("Pending() = %d after Drain", m.e.Pending())
 	}
 }
 
@@ -212,8 +198,8 @@ func (m *model) finish() {
 			m.t.Fatalf("event %d (at=%v) never fired", p.idx, p.at)
 		}
 	}
-	if m.fired+m.cancels+m.drained != m.next {
-		m.t.Fatalf("fired %d + canceled %d + drained %d of %d scheduled", m.fired, m.cancels, m.drained, m.next)
+	if m.fired+m.cancels != m.next {
+		m.t.Fatalf("fired %d + canceled %d of %d scheduled", m.fired, m.cancels, m.next)
 	}
 	if int(m.e.Fired) != m.fired {
 		m.t.Fatalf("engine counts %d fired, model saw %d", m.e.Fired, m.fired)
@@ -306,22 +292,20 @@ func TestSelfSchedulingMatchesModel(t *testing.T) {
 // which must overtake everything the slice left pending, plus periodic
 // 60-event bursts inside one millisecond two seconds ahead. One burst
 // event in three goes through AtArg, and half of those are canceled
-// before they fire. Every other post picks the heap or one of the two
-// lanes at random, so lane posts land both after and before their
+// before they fire. Every other post picks the heap (Post) or one of the
+// two lanes at random, so lane posts land both after and before their
 // lane's tail. One slice in eight also posts a lane event that stops the
-// run inside the slice, which then resumes. When drainAfter is
-// positive the engine is drained after that many slices and the
-// workload goes on posting into the emptied heap and lanes. It returns
-// how many deadlines fell between the earliest lane head and the heap
-// top, and how many runs a lane event stopped.
-func runCursorWorkload(m *model, seed int64, drainAfter int) (straddles, stops int) {
+// run inside the slice, which then resumes. It returns how many
+// deadlines fell between the earliest lane head and the heap top, and
+// how many runs a lane event stopped.
+func runCursorWorkload(m *model, seed int64) (straddles, stops int) {
 	e := m.e
 	rng := rand.New(rand.NewSource(seed))
 	post := func(at Time) {
 		if k := rng.Intn(3); k < len(m.lanes) {
 			m.laneArg(m.lanes[k], at)
 		} else {
-			m.postArg(at)
+			m.post(at)
 		}
 	}
 	for i := 0; i < 400; i++ {
@@ -329,7 +313,7 @@ func runCursorWorkload(m *model, seed int64, drainAfter int) (straddles, stops i
 	}
 	budget := 3000
 	deadline := Time(0)
-	for slice := 1; e.Pending() > 0; slice++ {
+	for e.Pending() > 0 {
 		step := 0.05 + rng.Float64()*0.2
 		deadline += step
 		stopped := false
@@ -367,9 +351,6 @@ func runCursorWorkload(m *model, seed int64, drainAfter int) (straddles, stops i
 			stops++
 		}
 		m.deadline = -1
-		if slice == drainAfter {
-			m.drain()
-		}
 		if budget <= 0 {
 			continue
 		}
@@ -405,26 +386,11 @@ func runCursorWorkload(m *model, seed int64, drainAfter int) (straddles, stops i
 func TestRunUntilFillsMatchModel(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		m := newModel(t)
-		straddles, stops := runCursorWorkload(m, seed, 0)
+		straddles, stops := runCursorWorkload(m, seed)
 		m.finish()
 		if m.armed == 0 || m.cancels == 0 || m.appended == 0 || m.fellBack == 0 || straddles == 0 || stops == 0 {
 			t.Fatalf("seed %d: %d events through AtArg, %d canceled, %d lane posts kept, %d sent to the heap, %d deadlines between a lane head and the heap top, %d stops",
 				seed, m.armed, m.cancels, m.appended, m.fellBack, straddles, stops)
-		}
-	}
-}
-
-// TestDrainMidRunMatchesModel drains the engine partway through the
-// sliced workload: Pending must drop to zero with the mirror, and the
-// heap and lanes must then order fresh posts — lane posts earlier than
-// the drained lanes' old tails among them — as an empty engine would.
-func TestDrainMidRunMatchesModel(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		m := newModel(t)
-		runCursorWorkload(m, seed, 4)
-		m.finish()
-		if m.drained == 0 || m.fired == 0 {
-			t.Fatalf("seed %d: %d events drained, %d fired", seed, m.drained, m.fired)
 		}
 	}
 }

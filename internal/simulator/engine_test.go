@@ -64,9 +64,6 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() false after Cancel")
-	}
 }
 
 func TestCancelDuringRun(t *testing.T) {
@@ -103,7 +100,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}{{"the past", 5}, {"NaN", math.NaN()}} {
 			mustPanic(t, "At "+c.name, func() { eng.At(c.t, func() {}) })
 			mustPanic(t, "Post "+c.name, func() { eng.Post(c.t, func() {}) })
-			mustPanic(t, "PostArg "+c.name, func() { eng.PostArg(c.t, func(any) {}, nil) })
+			mustPanic(t, "AtArg "+c.name, func() { eng.AtArg(new(Event), c.t, func(any) {}, nil) })
 			mustPanic(t, "Lane.PostArg "+c.name, func() { lane.PostArg(c.t, func(any) {}, nil) })
 		}
 	})
@@ -228,13 +225,6 @@ func TestStopByFinalCallbackArmsNextRun(t *testing.T) {
 	}
 }
 
-func TestDrain(t *testing.T) {
-	eng := New(1)
-	eng.At(1, func() { t.Fatal("drained event fired") })
-	eng.Drain()
-	eng.Run()
-}
-
 func TestDeterministicRand(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 100; i++ {
@@ -276,21 +266,23 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	}
 }
 
-// TestPostArgInterleavesFIFOWithPost pins the PostArg ordering contract:
-// arg-carrying events share the same (time, scheduling order) queue as
-// closure events, so a mixed same-timestamp sequence fires in exactly
-// the order it was posted — the property the decentralized adapter's
-// message coalescing and pooled dispatch rely on.
+// TestPostArgInterleavesFIFOWithPost pins the ordering contract of the
+// arg posts (AtArg, PostAfterArg): arg-carrying events share the same
+// (time, scheduling order) queue as closure events, so a mixed
+// same-timestamp sequence fires in exactly the order it was posted — the
+// property the decentralized adapter's message coalescing and pooled
+// dispatch rely on.
 func TestPostArgInterleavesFIFOWithPost(t *testing.T) {
 	e := New(1)
 	var got []int
 	record := func(arg any) { got = append(got, arg.(int)) }
+	var hs [12]Event
 	for i := 0; i < 12; i++ {
 		i := i
 		if i%3 == 0 {
 			e.Post(1.0, func() { got = append(got, i) })
 		} else {
-			e.PostArg(1.0, record, i)
+			e.AtArg(&hs[i], 1.0, record, i)
 		}
 	}
 	e.PostAfterArg(0.5, record, 100)
@@ -306,10 +298,10 @@ func TestPostArgInterleavesFIFOWithPost(t *testing.T) {
 	}
 }
 
-// TestArgCycleAllocatesNothing pins the handle-owning and handle-free
-// payload posts at zero allocations once the keys, slab and free list
-// have grown: a PostArg, an AtArg that fires, an AtArg canceled under
-// its caller-owned handle, and the RunUntil that pops all three.
+// TestArgCycleAllocatesNothing pins the handle-owning payload post at
+// zero allocations once the keys, slab and free list have grown: an
+// AtArg that fires, an AtArg canceled under its caller-owned handle, and
+// the RunUntil that pops both.
 func TestArgCycleAllocatesNothing(t *testing.T) {
 	e := New(1)
 	var fires, canceled Event
@@ -317,7 +309,6 @@ func TestArgCycleAllocatesNothing(t *testing.T) {
 	fn := func(any) { fired++ }
 	arg := &struct{ n int }{}
 	cycle := func() {
-		e.PostArg(e.Now()+1, fn, arg)
 		e.AtArg(&fires, e.Now()+2, fn, arg)
 		e.AtArg(&canceled, e.Now()+2, fn, arg)
 		canceled.Cancel()
@@ -325,10 +316,10 @@ func TestArgCycleAllocatesNothing(t *testing.T) {
 	}
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		t.Fatalf("PostArg/AtArg/Cancel/RunUntil cycle allocates %v, want 0", n)
+		t.Fatalf("AtArg/Cancel/RunUntil cycle allocates %v, want 0", n)
 	}
-	if runs := 102; fired != 2*runs || e.Pending() != 0 {
-		t.Fatalf("fired %d over %d cycles (pending %d), want 2 a cycle", fired, runs, e.Pending())
+	if runs := 102; fired != runs || e.Pending() != 0 {
+		t.Fatalf("fired %d over %d cycles (pending %d), want 1 a cycle", fired, runs, e.Pending())
 	}
 }
 
@@ -351,12 +342,12 @@ func TestLaneKeepsFiringOrder(t *testing.T) {
 		}
 	}
 	post(a, 2, 3, true)
-	e.PostArg(2, record, 4)
+	e.AtArg(new(Event), 2, record, 4)
 	post(a, 2, 5, true)  // a tie with the tail is no earlier: appended
 	post(a, 1, 0, false) // earlier than the tail: the heap takes it
 	post(b, 3, 7, true)
 	post(b, 1, 1, false)
-	e.PostArg(1, record, 2)
+	e.AtArg(new(Event), 1, record, 2)
 	post(a, 5, 8, true)
 	b.PostAfter(2.5, func() { got = append(got, 6) }) // before b's tail: heap
 	if e.Pending() != 9 {
@@ -396,38 +387,35 @@ func TestRunUntilMergesLaneAndHeap(t *testing.T) {
 	}
 }
 
-// TestLaneStopAndDrain pins Stop from a lane event and Drain across
-// lanes: a stopped run leaves the rest of the lane pending and counted,
-// Drain drops it without firing, and a drained lane takes posts earlier
-// than its old tail as a fresh lane would.
+// TestLaneStopAndDrain pins Stop from a lane event: a stopped run
+// leaves the rest of the lane pending and counted, a post earlier than
+// the stopped lane's tail goes to the heap, and the next run drains all
+// of it in time order.
 func TestLaneStopAndDrain(t *testing.T) {
 	e := New(1)
 	l := e.NewLane()
-	fired := 0
+	var got []Time
+	record := func() { got = append(got, e.Now()) }
 	for i := 1; i <= 5; i++ {
 		l.PostAfter(Time(i), func() {
-			fired++
-			if fired == 2 {
+			record()
+			if len(got) == 2 {
 				e.Stop()
 			}
 		})
 	}
-	e.PostAfter(10, func() { t.Fatal("drained heap event fired") })
+	e.PostAfter(10, record)
 	e.Run()
-	if fired != 2 || e.Now() != 2 || e.Pending() != 4 {
-		t.Fatalf("stopped run fired %d by %v with %d pending; want 2 by 2 with 4", fired, e.Now(), e.Pending())
+	if len(got) != 2 || e.Now() != 2 || e.Pending() != 4 {
+		t.Fatalf("stopped run fired %d by %v with %d pending; want 2 by 2 with 4", len(got), e.Now(), e.Pending())
 	}
-	e.Drain()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Drain", e.Pending())
-	}
-	l.PostAfter(0.5, func() { fired++ })
-	if l.n != 1 {
-		t.Fatal("a drained lane sent a post before its old tail to the heap")
+	l.PostAfter(0.5, record)
+	if l.n != 3 {
+		t.Fatal("a post before the lane's tail was appended to the lane")
 	}
 	e.Run()
-	if fired != 3 || e.Now() != 2.5 {
-		t.Fatalf("after Drain fired %d by %v, want 3 by 2.5", fired, e.Now())
+	if want := []Time{1, 2, 2.5, 3, 4, 5, 10}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired at %v, want %v", got, want)
 	}
 }
 

@@ -292,18 +292,13 @@ func (m *Monitor) estimates(now float64, t *cluster.Task, best *cluster.Copy, hi
 	}
 }
 
-// Candidates scans the given running tasks and returns those the policy
-// wants to speculate, up to budget (budget < 0 means unlimited). The
-// returned order matches the input order. Nil entries in running are
-// skipped. Allocates per call; hot paths use CandidatesInto.
-func (m *Monitor) Candidates(now float64, running []*cluster.Task, budget int) []*cluster.Task {
-	return m.CandidatesInto(now, running, budget, nil)
-}
-
-// CandidatesInto is Candidates with a caller-owned result buffer: dst is
-// truncated and reused, so the scan allocates nothing once the buffer
-// has grown. The returned slice aliases dst. Every task is judged
-// against this monitor's history: running holds one job's tasks.
+// CandidatesInto scans the given running tasks and returns those the
+// policy wants to speculate, up to budget (budget < 0 means unlimited).
+// The returned order matches the input order. Nil entries in running are
+// skipped. dst is truncated and reused, so the scan allocates nothing
+// once the buffer has grown; the returned slice aliases dst. Every task
+// is judged against this monitor's history: running holds one job's
+// tasks.
 func (m *Monitor) CandidatesInto(now float64, running []*cluster.Task, budget int, dst []*cluster.Task) []*cluster.Task {
 	out := dst[:0]
 	hist := m.history()

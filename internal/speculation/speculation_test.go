@@ -112,10 +112,10 @@ func TestCandidatesBudget(t *testing.T) {
 		feed(m, task, 1.0, 10)
 		running = append(running, task)
 	}
-	if got := len(m.Candidates(2.0, running, 3)); got != 3 {
+	if got := len(m.CandidatesInto(2.0, running, 3, nil)); got != 3 {
 		t.Fatalf("budget ignored: %d candidates", got)
 	}
-	if got := len(m.Candidates(2.0, running, -1)); got != 5 {
+	if got := len(m.CandidatesInto(2.0, running, -1, nil)); got != 5 {
 		t.Fatalf("unbounded candidates = %d, want 5", got)
 	}
 }
@@ -211,7 +211,7 @@ func TestEndToEndPolicyComparison(t *testing.T) {
 				}
 				running = append(running, task)
 			}
-			for _, task := range mon.Candidates(eng.Now(), running, -1) {
+			for _, task := range mon.CandidatesInto(eng.Now(), running, -1, nil) {
 				if ms.AnyFree() && task.RunningCopies() < 2 {
 					x.Place(task, true)
 				}

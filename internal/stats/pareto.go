@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery Hopper depends on:
 // Pareto (heavy-tailed) task-duration models, online maximum-likelihood
 // estimation of the Pareto tail index beta, streaming summaries, and the
-// percentile/CDF reducers used by the experiment harness.
+// percentile reducers used by the experiment harness.
 //
 // Task durations in the production traces the paper studies follow a
 // heavy-tailed Pareto distribution with tail index 1 < beta < 2 (paper
@@ -56,7 +56,7 @@ func (p Pareto) Median() float64 {
 
 // Quantile returns the q-th quantile for q in [0, 1]. q=0 is the scale
 // Xm (the distribution minimum); q=1 returns +Inf, the supremum of a
-// heavy-tailed support — callers sweeping a CDF grid get the
+// heavy-tailed support — callers sweeping a quantile grid get the
 // mathematically consistent answer instead of a panic.
 func (p Pareto) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
@@ -66,14 +66,6 @@ func (p Pareto) Quantile(q float64) float64 {
 		return math.Inf(1)
 	}
 	return p.Xm / math.Pow(1-q, 1/p.Alpha)
-}
-
-// CDF returns P(X <= x).
-func (p Pareto) CDF(x float64) float64 {
-	if x < p.Xm {
-		return 0
-	}
-	return 1 - math.Pow(p.Xm/x, p.Alpha)
 }
 
 // SampleMean draws one value from a Pareto with the given shape whose

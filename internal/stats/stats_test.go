@@ -20,16 +20,21 @@ func TestParetoMoments(t *testing.T) {
 	}
 }
 
+// paretoCDF is P(X <= x) for p: the closed form Quantile inverts.
+func paretoCDF(p Pareto, x float64) float64 {
+	if x < p.Xm {
+		return 0
+	}
+	return 1 - math.Pow(p.Xm/x, p.Alpha)
+}
+
 func TestParetoCDFQuantileInverse(t *testing.T) {
 	p := NewPareto(3, 1.3)
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99} {
 		x := p.Quantile(q)
-		if got := p.CDF(x); math.Abs(got-q) > 1e-9 {
+		if got := paretoCDF(p, x); math.Abs(got-q) > 1e-9 {
 			t.Errorf("CDF(Quantile(%v)) = %v", q, got)
 		}
-	}
-	if p.CDF(2.999) != 0 {
-		t.Error("CDF below xm should be 0")
 	}
 }
 
@@ -134,12 +139,6 @@ func TestSummaryPercentiles(t *testing.T) {
 	if got := s.Percentile(100); got != 100 {
 		t.Errorf("P100 = %v", got)
 	}
-	if got := s.Min(); got != 1 {
-		t.Errorf("min = %v", got)
-	}
-	if got := s.Max(); got != 100 {
-		t.Errorf("max = %v", got)
-	}
 	if got := s.Mean(); math.Abs(got-50.5) > 1e-9 {
 		t.Errorf("mean = %v", got)
 	}
@@ -147,22 +146,8 @@ func TestSummaryPercentiles(t *testing.T) {
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Percentile(50)) || !math.IsNaN(s.Min()) {
+	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Percentile(0)) || !math.IsNaN(s.Percentile(50)) {
 		t.Error("empty summary should return NaN")
-	}
-}
-
-func TestSummaryCDF(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{1, 2, 2, 3, 10} {
-		s.Add(v)
-	}
-	got := s.CDF([]float64{0, 1, 2, 5, 10})
-	want := []float64{0, 0.2, 0.6, 0.8, 1.0}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Errorf("CDF[%d] = %v, want %v", i, got[i], want[i])
-		}
 	}
 }
 
@@ -196,14 +181,16 @@ func TestSummaryOrderedInsertMatchesSort(t *testing.T) {
 				_ = inc.Percentile(75) // leaves inc in order: the next Add inserts
 			}
 		}
-		got, want := inc.Values(), bulk.Values()
+		inc.sortIfNeeded()
+		bulk.sortIfNeeded()
+		got, want := inc.xs, bulk.xs
 		for i := range want {
 			if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
 				t.Fatalf("trial %d: sample %d is %v, sorted-once has %v", trial, i, got[i], want[i])
 			}
 		}
-		if inc.Sum() != bulk.Sum() && !math.IsNaN(bulk.Sum()) {
-			t.Fatalf("trial %d: sum %v, want %v", trial, inc.Sum(), bulk.Sum())
+		if inc.sum != bulk.sum && !math.IsNaN(bulk.sum) {
+			t.Fatalf("trial %d: sum %v, want %v", trial, inc.sum, bulk.sum)
 		}
 	}
 }
@@ -216,9 +203,6 @@ func TestWelford(t *testing.T) {
 	}
 	if got := w.Mean(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("mean = %v", got)
-	}
-	if got := w.Variance(); math.Abs(got-32.0/7) > 1e-12 {
-		t.Errorf("variance = %v", got)
 	}
 	var empty Welford
 	if !math.IsNaN(empty.Mean()) {
@@ -312,7 +296,7 @@ func TestParetoQuantileEdges(t *testing.T) {
 	}
 	// CDF round-trips the finite quantiles, including the q=0 edge.
 	for _, q := range []float64{0, 0.25, 0.5, 0.99} {
-		if got := p.CDF(p.Quantile(q)); math.Abs(got-q) > 1e-12 {
+		if got := paretoCDF(p, p.Quantile(q)); math.Abs(got-q) > 1e-12 {
 			t.Errorf("CDF(Quantile(%v)) = %v", q, got)
 		}
 	}
@@ -340,7 +324,7 @@ func TestSingleSampleInputs(t *testing.T) {
 			t.Errorf("single-sample Percentile(%v) = %v, want 7.25", p, got)
 		}
 	}
-	if s.Median() != 7.25 || s.Min() != 7.25 || s.Max() != 7.25 || s.Mean() != 7.25 {
+	if s.Median() != 7.25 || s.Mean() != 7.25 {
 		t.Error("single-sample Summary reducers disagree with the sample")
 	}
 	if got := Median([]float64{7.25}); got != 7.25 {
@@ -350,9 +334,6 @@ func TestSingleSampleInputs(t *testing.T) {
 	w.Add(7.25)
 	if w.Mean() != 7.25 {
 		t.Errorf("single-sample Welford mean = %v", w.Mean())
-	}
-	if !math.IsNaN(w.Variance()) {
-		t.Errorf("single-sample variance should be NaN, got %v", w.Variance())
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"sort"
 )
 
-// Summary accumulates scalar observations and answers mean / percentile /
-// CDF queries. It keeps all samples (experiments here are at most a few
+// Summary accumulates scalar observations and answers mean and
+// percentile queries. It keeps all samples (experiments here are at most a few
 // hundred thousand jobs), trading memory for exact percentiles.
 // The zero value is ready to use.
 type Summary struct {
@@ -38,9 +38,6 @@ func (s *Summary) Add(x float64) {
 
 // N returns the number of observations.
 func (s *Summary) N() int { return len(s.xs) }
-
-// Sum returns the sum of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or NaN with no observations.
 func (s *Summary) Mean() float64 {
@@ -83,58 +80,18 @@ func (s *Summary) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Summary) Median() float64 { return s.Percentile(50) }
 
-// Min returns the smallest observation, or NaN with none.
-func (s *Summary) Min() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	s.sortIfNeeded()
-	return s.xs[0]
-}
-
-// Max returns the largest observation, or NaN with none.
-func (s *Summary) Max() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	s.sortIfNeeded()
-	return s.xs[len(s.xs)-1]
-}
-
-// CDF returns the empirical CDF evaluated at each of the given points:
-// the fraction of observations <= x.
-func (s *Summary) CDF(points []float64) []float64 {
-	s.sortIfNeeded()
-	out := make([]float64, len(points))
-	for i, x := range points {
-		out[i] = float64(sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))) / float64(len(s.xs))
-	}
-	return out
-}
-
-// Values returns a copy of the observations in sorted order.
-func (s *Summary) Values() []float64 {
-	s.sortIfNeeded()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
-// Welford is a streaming mean/variance accumulator (Welford's algorithm).
-// Unlike Summary it stores O(1) state; used for high-volume streams such
-// as per-message latencies. The zero value is ready to use.
+// Welford is a streaming mean accumulator (Welford's update). Unlike
+// Summary it stores O(1) state; used for high-volume streams such as an
+// estimator's per-task errors. The zero value is ready to use.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the observation count.
@@ -146,14 +103,6 @@ func (w *Welford) Mean() float64 {
 		return math.NaN()
 	}
 	return w.mean
-}
-
-// Variance returns the unbiased sample variance (NaN with <2 observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n-1)
 }
 
 // Median returns the median of five runs' worth of scalars, the paper's

@@ -3,7 +3,9 @@
 // workers and clients get it from Listen, Dial and Accept, and tests and
 // the benchmark from Pair, which builds a loopback connection the same
 // way — so every live connection runs the same outbox, writer, reader
-// and close-drain.
+// and close-drain. The package is the TCP transport alone: the chaos
+// suite injects its faults in internal/live's virtual connections, which
+// never touch a socket.
 //
 // Sends are batched through an async write loop: Send encodes
 // the frame into a bounded per-connection outbox and returns; a writer
@@ -211,12 +213,11 @@ func (t *tcpConn) Send(m wire.Message) error {
 		batchStalls.Add(1)
 		t.notFull.Wait()
 	}
-	// Encode into the connection's reusable outbox: the old WriteMsg
-	// path allocated a fresh frame per message, which at probe rates
-	// dominated the send path's allocation profile (see
-	// BenchmarkConnThroughput's allocs/msg column). The outbox doubles
-	// as the encode buffer, so the batched path stays allocation-free
-	// once the buffer reaches steady-state size.
+	// Encode into the connection's reusable outbox: a fresh frame per
+	// message would, at probe rates, dominate the send path's allocation
+	// profile (see BenchmarkConnThroughput's allocs/msg column). The
+	// outbox doubles as the encode buffer, so the batched path stays
+	// allocation-free once the buffer reaches steady-state size.
 	t.out = wire.Append(t.out, m)
 	t.frames++
 	t.mu.Unlock()
@@ -278,8 +279,8 @@ func (t *tcpConn) writeLoop() {
 }
 
 // Recv returns the next message. A frame-local decode failure (unknown
-// type, malformed payload) comes back as an error satisfying
-// wire.IsRecoverable: the frame was fully consumed and the stream is
+// type, malformed payload) comes back as a *wire.DecodeError (match it
+// with errors.As): the frame was fully consumed and the stream is
 // still in sync, so the caller may log it and keep receiving instead of
 // killing a connection that carries every in-flight negotiation. The
 // live node loops do that for unknown-type frames (version skew);

@@ -162,8 +162,8 @@ func TestSendAfterPeerCloseReturnsErrClosed(t *testing.T) {
 }
 
 // TestRecvSurvivesUndecodableFrame pins the recoverable-error contract:
-// a frame with an unknown type tag comes back as a wire.IsRecoverable
-// error (not a dead stream), and the next Recv on the same connection
+// a frame with an unknown type tag comes back as a *wire.DecodeError
+// (not a dead stream), and the next Recv on the same connection
 // delivers the following frame intact.
 func TestRecvSurvivesUndecodableFrame(t *testing.T) {
 	ln, err := Listen("127.0.0.1:0")
@@ -196,7 +196,7 @@ func TestRecvSurvivesUndecodableFrame(t *testing.T) {
 	}
 
 	_, err = server.Recv()
-	if err == nil || !wire.IsRecoverable(err) {
+	if !errors.As(err, new(*wire.DecodeError)) {
 		t.Fatalf("undecodable frame error = %v, want recoverable", err)
 	}
 	m, err := server.Recv()

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 )
@@ -51,7 +52,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			// Every failure must be classified: either a stream-level
 			// error (truncation, oversize) or a recoverable frame-local
 			// decode error — never an unclassified panic path.
-			if IsRecoverable(err) {
+			if errors.As(err, new(*DecodeError)) {
 				// The frame was fully consumed; the next read must see a
 				// clean stream, which for a single-frame input means EOF
 				// or a fresh header attempt, not a crash.
@@ -75,7 +76,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		if again := Append(nil, m); !bytes.Equal(re, again) {
 			t.Fatalf("%s changed while later frames were read:\n before %x\n after  %x", m.Type(), re, again)
 		}
-		m2, err := ReadMsg(bytes.NewReader(re))
+		m2, err := NewReader(bytes.NewReader(re)).Read()
 		if err != nil {
 			t.Fatalf("re-encoded %s failed to decode: %v", m.Type(), err)
 		}

@@ -125,8 +125,8 @@ func TestReaderResultsDoNotAliasScratch(t *testing.T) {
 	}
 }
 
-// TestReaderFramingEdges drives every framing check ReadMsg made through
-// a Reader, in the order it makes them.
+// TestReaderFramingEdges drives every framing check a Reader makes, in
+// the order it makes them.
 func TestReaderFramingEdges(t *testing.T) {
 	t.Run("oversize header allocates no payload", func(t *testing.T) {
 		hdr := binary.BigEndian.AppendUint32(nil, MaxFrameSize+1)
@@ -147,7 +147,7 @@ func TestReaderFramingEdges(t *testing.T) {
 	t.Run("truncation", func(t *testing.T) {
 		full := Append(nil, &Reserve{JobID: 1, SchedulerID: 2, VirtualSize: 3, RemTasks: 4})
 		for cut := 0; cut < len(full); cut++ {
-			// What ReadMsg's two io.ReadFull calls always reported.
+			// What two io.ReadFull calls, header then payload, report.
 			want := io.ErrUnexpectedEOF
 			if cut == 0 || cut == 5 {
 				want = io.EOF // nothing of the header, or nothing of the payload
@@ -163,7 +163,7 @@ func TestReaderFramingEdges(t *testing.T) {
 		stream = Append(stream, &Kill{JobID: 7, Seq: 93})
 		rd := NewReader(bytes.NewReader(stream))
 		_, err := rd.Read()
-		if !IsRecoverable(err) || !errors.Is(err, ErrUnknownType) {
+		if !errors.As(err, new(*DecodeError)) || !errors.Is(err, ErrUnknownType) {
 			t.Fatalf("unknown type: err = %v, want a recoverable ErrUnknownType", err)
 		}
 		m, err := rd.Read()
@@ -180,7 +180,7 @@ func TestReaderFramingEdges(t *testing.T) {
 		short[3]--
 		for name, bad := range map[string][]byte{"trailing": long, "short": short} {
 			rd := NewReader(bytes.NewReader(Append(bad, &Pong{Nonce: 5})))
-			if _, err := rd.Read(); !IsRecoverable(err) {
+			if _, err := rd.Read(); !errors.As(err, new(*DecodeError)) {
 				t.Fatalf("%s: err = %v, want a recoverable decode error", name, err)
 			}
 			if m, err := rd.Read(); err != nil || m.(*Pong).Nonce != 5 {

@@ -143,13 +143,6 @@ func (e *DecodeError) Error() string {
 // Unwrap exposes the underlying cause.
 func (e *DecodeError) Unwrap() error { return e.Err }
 
-// IsRecoverable reports whether err is a frame-local decode failure
-// after which the stream remains usable.
-func IsRecoverable(err error) bool {
-	var de *DecodeError
-	return errors.As(err, &de)
-}
-
 // --- primitive encoders ------------------------------------------------
 
 func putU8(b []byte, v uint8) []byte   { return append(b, v) }
@@ -255,20 +248,6 @@ func Append(dst []byte, msg Message) []byte {
 	payload := len(dst) - start - 5
 	binary.BigEndian.PutUint32(dst[start:], uint32(payload))
 	return dst
-}
-
-// WriteMsg encodes and writes one frame.
-func WriteMsg(w io.Writer, msg Message) error {
-	buf := Append(nil, msg)
-	_, err := w.Write(buf)
-	return err
-}
-
-// ReadMsg reads and decodes one frame through a throwaway Reader — the
-// one-shot entry for callers that read a single frame; a connection keeps
-// one Reader for its lifetime.
-func ReadMsg(r io.Reader) (Message, error) {
-	return NewReader(r).Read()
 }
 
 // readerScratch is the payload scratch a Reader retains. Every fixed-size

@@ -13,11 +13,7 @@ import (
 // roundTrip encodes and decodes a message, failing on any mismatch.
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteMsg(&buf, m); err != nil {
-		t.Fatalf("write %s: %v", m.Type(), err)
-	}
-	got, err := ReadMsg(&buf)
+	got, err := NewReader(bytes.NewReader(Append(nil, m))).Read()
 	if err != nil {
 		t.Fatalf("read %s: %v", m.Type(), err)
 	}
@@ -85,19 +81,18 @@ func corpusMessages() []Message {
 }
 
 func TestMultipleFramesOnOneStream(t *testing.T) {
-	var buf bytes.Buffer
 	sent := []Message{
 		&Ping{Nonce: 1},
 		&Reserve{JobID: 2, SchedulerID: 1, VirtualSize: 3, RemTasks: 4},
 		&Pong{Nonce: 5},
 	}
+	var stream []byte
 	for _, m := range sent {
-		if err := WriteMsg(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		stream = Append(stream, m)
 	}
+	rd := NewReader(bytes.NewReader(stream))
 	for i, want := range sent {
-		got, err := ReadMsg(&buf)
+		got, err := rd.Read()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -105,7 +100,7 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 			t.Fatalf("frame %d mismatch", i)
 		}
 	}
-	if _, err := ReadMsg(&buf); err != io.EOF {
+	if _, err := rd.Read(); err != io.EOF {
 		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
@@ -113,7 +108,7 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 func TestTruncatedFrame(t *testing.T) {
 	full := Append(nil, &Reserve{JobID: 1, SchedulerID: 2, VirtualSize: 3, RemTasks: 4})
 	for cut := 1; cut < len(full); cut++ {
-		_, err := ReadMsg(bytes.NewReader(full[:cut]))
+		_, err := NewReader(bytes.NewReader(full[:cut])).Read()
 		if err == nil {
 			t.Fatalf("truncation at %d bytes not detected", cut)
 		}
@@ -127,7 +122,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 	hdr[2] = 0xFF
 	hdr[3] = 0xFF
 	hdr[4] = byte(TPing)
-	_, err := ReadMsg(bytes.NewReader(hdr[:]))
+	_, err := NewReader(bytes.NewReader(hdr[:])).Read()
 	if err != ErrFrameTooLarge {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -135,7 +130,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 
 func TestUnknownTypeRejected(t *testing.T) {
 	frame := []byte{0, 0, 0, 0, 0xEE}
-	_, err := ReadMsg(bytes.NewReader(frame))
+	_, err := NewReader(bytes.NewReader(frame)).Read()
 	if err == nil {
 		t.Fatal("unknown type accepted")
 	}
@@ -146,7 +141,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 	// Grow the payload by one byte and fix the length header.
 	frame = append(frame, 0x00)
 	frame[3]++ // length low byte (payload was 8)
-	_, err := ReadMsg(bytes.NewReader(frame))
+	_, err := NewReader(bytes.NewReader(frame)).Read()
 	if err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
@@ -269,7 +264,7 @@ func TestHelloClassCountLiesBounded(t *testing.T) {
 	off := 5 + 1 + 4 + 4 + 4
 	frame[off] = 0xFF
 	frame[off+1] = 0xFF
-	if _, err := ReadMsg(bytes.NewReader(frame)); err == nil {
+	if _, err := NewReader(bytes.NewReader(frame)).Read(); err == nil {
 		t.Fatal("decoder accepted a class table count with no payload behind it")
 	}
 }
