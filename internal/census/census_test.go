@@ -1,14 +1,19 @@
-// Package census holds one test: every exported function or method in a
-// shipped file of this module has a shipped caller. It parses the non-test
-// .go files under internal/, cmd/ and examples/ and flags each exported
-// func whose name appears as an identifier nowhere outside its own
-// declaration. Methods that satisfy an interface are exempt: the standard
-// ones listed in interfaceMethods, and every method named by an interface
-// type the module declares.
+// Package census holds two tests over the shipped files of this module, the
+// non-test .go files under internal/, cmd/ and examples/.
 //
-// The check is by name, not by type: a method shares its callers with every
-// other function of the same name. It is the exported-API twin of "no knob
-// without two values in use" (ROADMAP, standing conventions).
+// The first: every exported function or method has a shipped caller. It
+// flags each exported func whose name appears as an identifier nowhere
+// outside its own declaration. Methods that satisfy an interface are
+// exempt: the standard ones listed in interfaceMethods, and every method
+// named by an interface type the module declares. The check is by name,
+// not by type: a method shares its callers with every other function of
+// the same name. It is the exported-API twin of "no knob without two
+// values in use" (ROADMAP, standing conventions).
+//
+// The second: the wire vocabulary is closed. Every message type the wire
+// package declares (a type with a Type() MsgType method) is built, as a
+// composite literal, by shipped code outside that package; a frame type
+// nothing sends is dead protocol.
 package census
 
 import (
@@ -18,6 +23,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -184,7 +190,9 @@ func parseShipped(t *testing.T, root string) []pkgFile {
 	return files
 }
 
-func TestEveryExportedFuncHasAShippedCaller(t *testing.T) {
+// moduleFiles parses the shipped files of the module this package sits in.
+func moduleFiles(t *testing.T) []pkgFile {
+	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +204,70 @@ func TestEveryExportedFuncHasAShippedCaller(t *testing.T) {
 	if len(files) < 50 {
 		t.Fatalf("parsed only %d shipped files under %s", len(files), root)
 	}
-	for _, p := range audit(files, allowed) {
+	return files
+}
+
+func TestEveryExportedFuncHasAShippedCaller(t *testing.T) {
+	for _, p := range audit(moduleFiles(t), allowed) {
 		t.Error(p)
+	}
+}
+
+// wireDir is the directory of the package that declares the wire messages.
+const wireDir = "wire"
+
+// unsent returns the sorted names of the wire message types that no shipped
+// file outside wireDir builds as a wire.T{...} composite literal. A message
+// type is one with a method Type() MsgType declared in wireDir.
+func unsent(files []pkgFile) []string {
+	msgs := map[string]bool{}
+	built := map[string]bool{}
+	for _, pf := range files {
+		if pf.dir == wireDir {
+			for _, d := range pf.file.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.Name == "Type" && returnsMsgType(fn.Type) {
+					msgs[recvName(fn.Recv.List[0].Type)] = true
+				}
+			}
+			continue
+		}
+		ast.Inspect(pf.file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok {
+				if sel, ok := lit.Type.(*ast.SelectorExpr); ok {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == wireDir {
+						built[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	var out []string
+	for m := range msgs {
+		if !built[m] {
+			out = append(out, m)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// returnsMsgType reports whether a function type returns exactly MsgType.
+func returnsMsgType(ft *ast.FuncType) bool {
+	if ft.Results == nil || len(ft.Results.List) != 1 {
+		return false
+	}
+	id, ok := ft.Results.List[0].Type.(*ast.Ident)
+	return ok && id.Name == "MsgType"
+}
+
+func TestEveryWireMessageIsSent(t *testing.T) {
+	files := moduleFiles(t)
+	if !slices.ContainsFunc(files, func(pf pkgFile) bool { return pf.dir == wireDir }) {
+		t.Fatalf("no shipped files of package %s", wireDir)
+	}
+	for _, m := range unsent(files) {
+		t.Errorf("wire.%s: a message type no shipped code outside internal/%s builds; delete it, or send it", m, wireDir)
 	}
 }
 
@@ -265,5 +335,46 @@ func main() { _ = lib.Used() }
 	want = []string{"lib.T.Kept: on the allowlist, but it has a shipped caller now or is gone; drop the entry"}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("audit after a caller appears:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+func TestCensusFlagsUnsentWireMessage(t *testing.T) {
+	files := parseSources(t, map[string]string{
+		"wire/wire.go": `package wire
+
+type MsgType uint8
+
+type Message interface{ Type() MsgType }
+
+type Sent struct{ N int }
+type Planted struct{ N int }
+type Header struct{ N int } // no Type method: not a message
+
+func (*Sent) Type() MsgType    { return 1 }
+func (*Planted) Type() MsgType { return 2 }
+func (*Header) Type() int      { return 3 }
+
+func newMessage(t MsgType) Message {
+	if t == 2 {
+		return &Planted{} // the package building its own zero value is no sender
+	}
+	return &Sent{}
+}
+`,
+		"app/main.go": `package main
+
+import "wire"
+
+func main() { send(&wire.Sent{N: 1}, []wire.Header{{N: 2}}) }
+`,
+	})
+	if got, want := strings.Join(unsent(files), ","), "Planted"; got != want {
+		t.Fatalf("unsent = %q, want %q", got, want)
+	}
+	files = append(files, parseSources(t, map[string]string{
+		"cmd/use.go": "package main\n\nvar p = wire.Planted{N: 3}\n",
+	})...)
+	if got := unsent(files); len(got) != 0 {
+		t.Fatalf("unsent after a sender appears = %q, want none", got)
 	}
 }

@@ -49,11 +49,8 @@ type Machine struct {
 	Slots int
 	Free  int
 
-	// Class indexes Machines.Classes; 0 for machines built by the
-	// homogeneous constructor. Speed and Cap denormalize the class fields
-	// so the placement and execution hot paths never chase the class
-	// table.
-	Class int
+	// Speed and Cap are copied from the machine's class, the two facts
+	// placement and execution read.
 	Speed float64
 	Cap   Resources
 }
@@ -70,11 +67,6 @@ func (m *Machine) Fits(d Resources) bool {
 // tens of thousands of machines.
 type Machines struct {
 	All []*Machine
-
-	// Classes is the class table the machines index into. The homogeneous
-	// constructor installs a single speed-1 class, so Classes is never
-	// empty and Machine.Class is always a valid index.
-	Classes []MachineClass
 
 	// free is the set of machine IDs with Free > 0, as a slice for O(1)
 	// random choice plus a position index for O(1) removal.
@@ -123,17 +115,16 @@ func NewMachinesClassed(classes []MachineClass) *Machines {
 	}
 	ms := &Machines{
 		All:     make([]*Machine, n),
-		Classes: append([]MachineClass(nil), classes...),
 		free:    make([]MachineID, n),
 		pos:     make([]int, n),
 		sampler: SubsetSampler{n: n, seen: make([]int64, n)},
 	}
 	i := 0
-	for ci, c := range classes {
+	for _, c := range classes {
 		for k := 0; k < c.Count; k++ {
 			ms.All[i] = &Machine{
 				ID: MachineID(i), Slots: c.Slots, Free: c.Slots,
-				Class: ci, Speed: c.Speed, Cap: c.Cap,
+				Speed: c.Speed, Cap: c.Cap,
 			}
 			ms.free[i] = MachineID(i)
 			ms.pos[i] = i

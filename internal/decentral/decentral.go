@@ -79,11 +79,9 @@ type Config struct {
 	MsgLatency float64
 
 	// Epsilon is the fairness allowance (Section 4.3) applied through the
-	// virtual-size floor; used only by ModeHopper. Default 0.1.
+	// virtual-size floor; used only by ModeHopper. Default 0.1; 1 turns
+	// the floor off.
 	Epsilon float64
-
-	// FairnessOff disables the fairness floor entirely (epsilon = 1).
-	FairnessOff bool
 
 	// Spec configures straggler detection.
 	Spec speculation.Config
@@ -125,7 +123,6 @@ func (c Config) protocol() protocol.Config {
 		ProbeRatio:       c.ProbeRatio,
 		RefusalThreshold: c.RefusalThreshold,
 		Epsilon:          c.Epsilon,
-		FairnessOff:      c.FairnessOff,
 		Spec:             c.Spec,
 	}
 }

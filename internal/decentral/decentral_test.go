@@ -212,7 +212,6 @@ func TestConfigDefaultsMatchProtocol(t *testing.T) {
 			ProbeRatio:       3.5,
 			RefusalThreshold: 5,
 			Epsilon:          0.3,
-			FairnessOff:      true,
 			Spec:             speculation.Config{MaxCopies: 3, DetectDelayFrac: 0.5},
 		}
 		wantSet := protocol.Config{
@@ -221,7 +220,6 @@ func TestConfigDefaultsMatchProtocol(t *testing.T) {
 			ProbeRatio:       3.5,
 			RefusalThreshold: 5,
 			Epsilon:          0.3,
-			FairnessOff:      true,
 			Spec:             speculation.Config{MaxCopies: 3, DetectDelayFrac: 0.5},
 		}.WithDefaults()
 		if got := newSys(set).pcfg; !reflect.DeepEqual(got, wantSet) {

@@ -43,7 +43,7 @@ func runAblation(h Harness) *Result {
 		{"refusal threshold 1", decentralKind(decentral.Config{
 			Mode: decentral.ModeHopper, CheckInterval: 0.1, RefusalThreshold: 1})},
 		{"fairness off", decentralKind(decentral.Config{
-			Mode: decentral.ModeHopper, CheckInterval: 0.1, FairnessOff: true})},
+			Mode: decentral.ModeHopper, CheckInterval: 0.1, Epsilon: 1})},
 	}
 
 	tab := &metrics.Table{

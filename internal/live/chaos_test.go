@@ -337,9 +337,9 @@ func runChaos(t *testing.T, cell chaosCell) *virtualCluster {
 		}
 		cfg := WorkerConfig{ID: uint32(wi), Slots: virtualSlots, Mode: parityCfg.Mode, Timers: engineTimers{c}}
 		if cell.hetero {
-			cfg.Class, cfg.Cap = 1, cluster.Resources{CPU: 4, Mem: 8}
+			cfg.Cap = cluster.Resources{CPU: 4, Mem: 8}
 			if wi >= virtualMachines/2 {
-				cfg.Class, cfg.Cap, cfg.Speed = 2, cluster.Resources{CPU: 1, Mem: 2}, 0.5
+				cfg.Cap, cfg.Speed = cluster.Resources{CPU: 1, Mem: 2}, 0.5
 			}
 		}
 		w, err := NewWorkerConns(cfg, conns)
@@ -982,12 +982,25 @@ func TestChaosSchedulerRestartLateWorkers(t *testing.T) { restartCells(t, true) 
 // machine classes that the workers announce in their Hellos: four big
 // workers (4 CPU / 8 Mem per slot) and four small ones (1 / 2, half
 // speed). Every third job asks 2 CPU / 4 Mem per task, so it must run on
-// big workers only, while the small ones still get the rest.
+// big workers only, while the small ones still get the rest. Every
+// scheduler must read each worker's speed and capacity from its Hello
+// exactly as the worker was configured.
 func TestChaosHeterogeneousClasses(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		tag := fmt.Sprintf("hetero seed %d", seed)
 		c := runReplayed(t, chaosCell{seed: seed, hetero: true}, tag)
 		c.assertOracles(t, tag)
+		for si, s := range c.scheds {
+			for _, w := range c.workers {
+				id := w.cfg.ID
+				if got := s.workerSpeed(id); got != w.cfg.Speed {
+					t.Fatalf("%s: scheduler %d reads worker %d's speed as %v, configured %v", tag, si, id, got, w.cfg.Speed)
+				}
+				if got := s.workerCap(cluster.MachineID(id)); got != w.cfg.Cap {
+					t.Fatalf("%s: scheduler %d reads worker %d's capacity as %+v, configured %+v", tag, si, id, got, w.cfg.Cap)
+				}
+			}
+		}
 		small := 0
 		for _, f := range c.frames {
 			if f.typ != wire.TAssign || f.worker < virtualMachines/2 {

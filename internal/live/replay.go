@@ -251,12 +251,6 @@ type LocalClusterConfig struct {
 	Mode       protocol.Mode
 	TimeScale  float64
 	Seed       int64
-	// Classes optionally makes the cluster heterogeneous: workers are
-	// assigned class-by-class in ID order, exactly like
-	// cluster.NewMachinesClassed lays machines out (class Counts should
-	// sum to Workers; surplus workers — churn joins past the table — get
-	// the homogeneous defaults). Empty means uniform Slots-per-worker.
-	Classes []cluster.MachineClass
 }
 
 // LocalCluster is a running in-process cluster.
@@ -358,36 +352,14 @@ func (lc *LocalCluster) newScheduler(i int, addr string) (*Scheduler, error) {
 }
 
 func (lc *LocalCluster) newWorker(id uint32) (*Worker, error) {
-	wc := WorkerConfig{
+	return NewWorker(WorkerConfig{
 		ID:             id,
 		Slots:          lc.cfg.Slots,
 		SchedulerAddrs: lc.Addrs,
 		Mode:           lc.cfg.Mode,
 		TimeScale:      lc.cfg.TimeScale,
 		Timers:         lc.wheel,
-	}
-	if ci, mc := classForWorker(lc.cfg.Classes, id); mc != nil {
-		wc.Class = uint32(ci)
-		wc.ClassName = mc.Name
-		wc.Slots = mc.Slots
-		wc.Speed = mc.Speed
-		wc.Cap = mc.Cap
-	}
-	return NewWorker(wc)
-}
-
-// classForWorker maps a worker ID onto the class table's ID-ordered,
-// class-by-class layout (the NewMachinesClassed layout). IDs past the
-// table — churn joins — fall back to the homogeneous defaults.
-func classForWorker(classes []cluster.MachineClass, id uint32) (int, *cluster.MachineClass) {
-	off := int(id)
-	for ci := range classes {
-		if off < classes[ci].Count {
-			return ci, &classes[ci]
-		}
-		off -= classes[ci].Count
-	}
-	return 0, nil
+	})
 }
 
 // KillScheduler crashes scheduler i abruptly (Scheduler.Kill): no

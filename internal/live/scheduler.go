@@ -292,48 +292,24 @@ func (s *Scheduler) now() float64 {
 	return s.cfg.Timers.Now().Sub(s.start).Seconds() / s.cfg.TimeScale
 }
 
-// helloClass resolves a worker Hello's advertised machine class to its
-// speed factor and per-slot capacity. Workers send a one-entry table
-// indexed by Class (see Worker.helloMsg); a missing or malformed table
-// reads as the homogeneous defaults (speed 1, unconstrained capacity),
-// so pre-class workers register exactly as before.
-func helloClass(h *wire.Hello) (speed float64, cap cluster.Resources) {
-	speed = 1
-	if len(h.Classes) == 0 {
-		return speed, cap
-	}
-	cs := h.Classes[0]
-	if int(h.Class) < len(h.Classes) {
-		cs = h.Classes[h.Class]
-	}
-	if cs.Speed > 0 {
-		speed = cs.Speed
-	}
-	cap = cluster.Resources{CPU: cs.CapCPU, Mem: cs.CapMem}
-	return speed, cap
-}
-
 // workerSpeed returns the registered worker's advertised speed factor
-// (1 for unknown or classless workers).
+// (1 for unknown workers and for a Hello speed of 0).
 func (s *Scheduler) workerSpeed(workerID uint32) float64 {
-	p := s.workers[workerID]
-	if p == nil {
-		return 1
+	if p := s.workers[workerID]; p != nil && p.hello.Speed > 0 {
+		return p.hello.Speed
 	}
-	speed, _ := helloClass(&p.hello)
-	return speed
+	return 1
 }
 
 // workerCap is the core's WorkerCap env binding: the registered
-// worker's advertised per-slot capacity (zero — fits everything — for
-// unknown or classless workers).
+// worker's advertised per-slot capacity (zero for unknown workers; the
+// zero capacity admits only zero-demand tasks).
 func (s *Scheduler) workerCap(m cluster.MachineID) cluster.Resources {
 	p := s.workers[uint32(m)]
 	if p == nil {
 		return cluster.Resources{}
 	}
-	_, cap := helloClass(&p.hello)
-	return cap
+	return cluster.Resources{CPU: p.hello.CapCPU, Mem: p.hello.CapMem}
 }
 
 // randomWorkers samples n distinct registered workers
@@ -647,8 +623,6 @@ func (s *Scheduler) handle(env envelope) {
 			return
 		}
 		s.onTaskDone(m)
-	case *wire.Ping:
-		s.loop.send(env.from, &wire.Pong{Nonce: m.Nonce})
 	case *internalEvent:
 		m.fn()
 	}

@@ -31,16 +31,13 @@ type WorkerConfig struct {
 	SchedulerAddrs []string
 	// Mode must match the schedulers'.
 	Mode protocol.Mode
-	// Class/ClassName/Speed/Cap describe this worker's machine class.
-	// The worker advertises them in its Hello as a one-entry class table
-	// so schedulers need no out-of-band class configuration; Speed
-	// scales its service times scheduler-side and Cap filters demands.
-	// Zero values (Speed 0 → 1, empty Cap) are the homogeneous default
-	// and advertise no class table at all.
-	Class     uint32
-	ClassName string
-	Speed     float64
-	Cap       cluster.Resources
+	// Speed and Cap are this worker's service-rate factor and per-slot
+	// capacity. The worker advertises both in its Hello, so schedulers
+	// need no out-of-band machine configuration: Speed scales its
+	// service times scheduler-side (0 reads as 1) and a task's demand
+	// must fit Cap (the zero Cap admits only zero-demand tasks).
+	Speed float64
+	Cap   cluster.Resources
 	// TimeScale multiplies task service times (0.1 turns a 10s task into
 	// 1s of wall clock). Must match the schedulers'. Default 1.
 	TimeScale float64
@@ -229,23 +226,11 @@ func (w *Worker) wall(virtual float64) time.Duration {
 	return time.Duration(virtual * w.cfg.TimeScale * float64(time.Second))
 }
 
-// helloMsg builds this worker's registration Hello: identity, slots, and
-// — on heterogeneous clusters — its machine class as a self-describing
-// one-entry class table. Homogeneous workers (speed 1, no capacity,
-// class 0) advertise no table, so existing clusters register as before.
+// helloMsg builds this worker's registration Hello: identity, slots,
+// speed and per-slot capacity.
 func (w *Worker) helloMsg() *wire.Hello {
-	h := &wire.Hello{Role: wire.RoleWorker, ID: w.cfg.ID, Slots: uint32(w.cfg.Slots)}
-	if w.cfg.Speed != 1 || !w.cfg.Cap.IsZero() || w.cfg.Class != 0 {
-		h.Class = 0 // index into the advertised table, not a global ID
-		h.Classes = []wire.ClassSpec{{
-			Name:   w.cfg.ClassName,
-			Speed:  w.cfg.Speed,
-			Slots:  uint32(w.cfg.Slots),
-			CapCPU: w.cfg.Cap.CPU,
-			CapMem: w.cfg.Cap.Mem,
-		}}
-	}
-	return h
+	return &wire.Hello{Role: wire.RoleWorker, ID: w.cfg.ID, Slots: uint32(w.cfg.Slots),
+		Speed: w.cfg.Speed, CapCPU: w.cfg.Cap.CPU, CapMem: w.cfg.Cap.Mem}
 }
 
 // Run processes messages until Stop; call in a goroutine.
@@ -497,8 +482,6 @@ func (w *Worker) handle(env envelope) {
 		w.onReply(env.from, env.msg.(wire.Message))
 	case *wire.Kill:
 		w.onKill(m)
-	case *wire.Ping:
-		w.loop.send(env.from, &wire.Pong{Nonce: m.Nonce})
 	case *internalEvent:
 		m.fn()
 	}

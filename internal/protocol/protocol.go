@@ -109,11 +109,9 @@ type Config struct {
 	RefusalThreshold int
 
 	// Epsilon is the fairness allowance (Section 4.3) applied through the
-	// virtual-size floor; used only by ModeHopper.
+	// virtual-size floor (1−ε)·slots/n; used only by ModeHopper. ε = 1
+	// turns the floor off.
 	Epsilon float64
-
-	// FairnessOff disables the fairness floor entirely.
-	FairnessOff bool
 
 	// Spec configures straggler detection.
 	Spec speculation.Config

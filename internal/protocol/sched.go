@@ -220,7 +220,7 @@ func (sc *Sched) NeedsTicker() bool { return sc.cfg.Spec.MaxCopies > 1 }
 func (sc *Sched) effVS(d *dJob) float64 {
 	dem, beta := sc.book.Demand(d.Job)
 	v := dem.Virtual(beta)
-	if sc.cfg.Mode.hopperFamily() && !sc.cfg.FairnessOff {
+	if sc.cfg.Mode.hopperFamily() {
 		n := sc.liveJobs * sc.cfg.NumSchedulers
 		if n > 0 {
 			floor := (1 - sc.cfg.Epsilon) * float64(sc.env.TotalSlots()) / float64(n)

@@ -66,7 +66,7 @@ func TestDrainOnCloseDeliversQueuedFrames(t *testing.T) {
 		a, b := pair(t)
 		const n = 100
 		for i := 0; i < n; i++ {
-			if err := a.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
+			if err := a.Send(&wire.Kill{Seq: uint64(i)}); err != nil {
 				t.Fatalf("send %d: %v", i, err)
 			}
 		}
@@ -78,7 +78,7 @@ func TestDrainOnCloseDeliversQueuedFrames(t *testing.T) {
 			if err != nil {
 				t.Fatalf("frame %d lost on close: %v", i, err)
 			}
-			if p, ok := m.(*wire.Ping); !ok || p.Nonce != uint64(i) {
+			if p, ok := m.(*wire.Kill); !ok || p.Seq != uint64(i) {
 				t.Fatalf("frame %d corrupted or reordered: %#v", i, m)
 			}
 		}
@@ -93,7 +93,7 @@ func TestDrainOnCloseDeliversQueuedFrames(t *testing.T) {
 func TestSendAfterLocalCloseTCP(t *testing.T) {
 	a, _ := pair(t)
 	a.Close()
-	if err := a.Send(&wire.Ping{Nonce: 1}); !errors.Is(err, ErrClosed) {
+	if err := a.Send(&wire.Kill{Seq: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after local close = %v, want errors.Is(err, ErrClosed)", err)
 	}
 }
@@ -142,7 +142,7 @@ func TestFlushDeadlineTrickle(t *testing.T) {
 	lat := make([]time.Duration, 0, probes)
 	for i := 0; i < probes; i++ {
 		start := time.Now()
-		if err := a.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
+		if err := a.Send(&wire.Kill{Seq: uint64(i)}); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 		got := make(chan error, 1)
@@ -185,7 +185,7 @@ func TestOutboxBackpressureStalls(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			if err := sender.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
+			if err := sender.Send(&wire.Kill{Seq: uint64(i)}); err != nil {
 				t.Errorf("send %d: %v", i, err)
 				return
 			}
@@ -196,7 +196,7 @@ func TestOutboxBackpressureStalls(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
-		if p, ok := m.(*wire.Ping); !ok || p.Nonce != uint64(i) {
+		if p, ok := m.(*wire.Kill); !ok || p.Seq != uint64(i) {
 			t.Fatalf("frame %d out of order: %#v", i, m)
 		}
 	}
@@ -224,7 +224,7 @@ func TestBatchTotalsAdvance(t *testing.T) {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		if err := a.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
+		if err := a.Send(&wire.Kill{Seq: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

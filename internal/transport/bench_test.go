@@ -65,8 +65,8 @@ func BenchmarkConnPingPong(b *testing.B) {
 			if err != nil {
 				return
 			}
-			p := m.(*wire.Ping)
-			if err := server.Send(&wire.Pong{Nonce: p.Nonce}); err != nil {
+			p := m.(*wire.Kill)
+			if err := server.Send(&wire.Kill{Seq: p.Seq}); err != nil {
 				return
 			}
 		}
@@ -74,7 +74,7 @@ func BenchmarkConnPingPong(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := client.Send(&wire.Ping{Nonce: uint64(i)}); err != nil {
+		if err := client.Send(&wire.Kill{Seq: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := client.Recv(); err != nil {

@@ -25,7 +25,7 @@ func TestSendRecvBothTransports(t *testing.T) {
 		msgs := []wire.Message{
 			&wire.Hello{Role: wire.RoleWorker, ID: 3, Slots: 16},
 			&wire.Reserve{JobID: 9, SchedulerID: 1, VirtualSize: 12.5, RemTasks: 8},
-			&wire.Ping{Nonce: 77},
+			&wire.Kill{Seq: 77},
 		}
 		for _, m := range msgs {
 			if err := a.Send(m); err != nil {
@@ -47,21 +47,21 @@ func TestSendRecvBothTransports(t *testing.T) {
 func TestBidirectional(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		a, b := pair(t)
-		if err := a.Send(&wire.Ping{Nonce: 1}); err != nil {
+		if err := a.Send(&wire.Kill{Seq: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := b.Recv(); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Send(&wire.Pong{Nonce: 1}); err != nil {
+		if err := b.Send(&wire.Kill{Seq: 1}); err != nil {
 			t.Fatal(err)
 		}
 		m, err := a.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.(*wire.Pong).Nonce != 1 {
-			t.Fatal("nonce mismatch")
+		if m.(*wire.Kill).Seq != 1 {
+			t.Fatal("seq mismatch")
 		}
 	})
 }
@@ -76,7 +76,7 @@ func TestConcurrentSenders(t *testing.T) {
 			go func(s int) {
 				defer wg.Done()
 				for i := 0; i < per; i++ {
-					if err := a.Send(&wire.Ping{Nonce: uint64(s*1000 + i)}); err != nil {
+					if err := a.Send(&wire.Kill{Seq: uint64(s*1000 + i)}); err != nil {
 						t.Errorf("send: %v", err)
 						return
 					}
@@ -130,7 +130,7 @@ func TestSendAfterCloseFails(t *testing.T) {
 	a, b := pair(t)
 	b.Close()
 	a.Close()
-	if err := a.Send(&wire.Ping{Nonce: 1}); err == nil {
+	if err := a.Send(&wire.Kill{Seq: 1}); err == nil {
 		t.Fatal("send after close succeeded")
 	}
 }
@@ -146,7 +146,7 @@ func TestSendAfterPeerCloseReturnsErrClosed(t *testing.T) {
 		b.Close()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			err := a.Send(&wire.Ping{Nonce: 1})
+			err := a.Send(&wire.Kill{Seq: 1})
 			if err != nil {
 				if !errors.Is(err, ErrClosed) {
 					t.Fatalf("send after peer close = %v, want errors.Is(err, ErrClosed)", err)
@@ -187,10 +187,10 @@ func TestRecvSurvivesUndecodableFrame(t *testing.T) {
 	server := <-accepted
 	defer server.Close()
 
-	// An unknown-type frame followed by a valid Ping, written as raw
+	// An unknown-type frame followed by a valid Kill, written as raw
 	// bytes (a version-skewed or buggy peer).
 	garbage := []byte{0, 0, 0, 3, 0xEE, 1, 2, 3}
-	valid := wire.Append(nil, &wire.Ping{Nonce: 42})
+	valid := wire.Append(nil, &wire.Kill{Seq: 42})
 	if _, err := raw.Write(append(garbage, valid...)); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestRecvSurvivesUndecodableFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream dead after recoverable frame: %v", err)
 	}
-	if p, ok := m.(*wire.Ping); !ok || p.Nonce != 42 {
+	if p, ok := m.(*wire.Kill); !ok || p.Seq != 42 {
 		t.Fatalf("next frame corrupted: %#v", m)
 	}
 }
@@ -214,7 +214,7 @@ func TestRecvSurvivesUndecodableFrame(t *testing.T) {
 // without a frame in flight.
 func TestPeerCloseUnblocksRecv(t *testing.T) {
 	a, b := pair(t)
-	if err := a.Send(&wire.Ping{Nonce: 9}); err != nil {
+	if err := a.Send(&wire.Kill{Seq: 9}); err != nil {
 		t.Fatal(err)
 	}
 	a.Close()
@@ -222,7 +222,7 @@ func TestPeerCloseUnblocksRecv(t *testing.T) {
 	if err != nil {
 		t.Fatalf("buffered frame lost on peer close: %v", err)
 	}
-	if p, ok := m.(*wire.Ping); !ok || p.Nonce != 9 {
+	if p, ok := m.(*wire.Kill); !ok || p.Seq != 9 {
 		t.Fatalf("wrong frame: %#v", m)
 	}
 	if _, err := b.Recv(); err == nil {

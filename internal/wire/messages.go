@@ -405,13 +405,13 @@ type Hello struct {
 	ID    uint32
 	Slots uint32 // workers announce their slot count
 
-	// Class is the worker's machine-class index and Classes the class
-	// table describing it (workers send a one-entry table for their own
-	// class; homogeneous workers send an empty table and Class 0). The
-	// table is self-describing so a scheduler needs no out-of-band class
-	// configuration to scale service times or filter demand.
-	Class   uint32
-	Classes []ClassSpec
+	// Speed, CapCPU and CapMem are a worker's service-rate factor and
+	// per-slot capacity: the two facts placement needs about a machine,
+	// so a scheduler needs no out-of-band machine configuration. A speed
+	// of 0 reads as 1, and a zero capacity admits only zero-demand tasks.
+	Speed  float64
+	CapCPU float64
+	CapMem float64
 
 	// Running is a re-registering worker's inventory of this scheduler's
 	// copies still executing on it — the state a restarted scheduler
@@ -446,22 +446,6 @@ type JobReservation struct {
 	Count uint32
 }
 
-// ClassSpec is one machine-class entry in a Hello's class table: the
-// class's speed factor, per-machine slot count, and per-slot capacity.
-type ClassSpec struct {
-	Name   string
-	Speed  float64
-	Slots  uint32
-	CapCPU float64
-	CapMem float64
-}
-
-// MaxHelloClasses bounds the class-table length the decoder will
-// allocate for — real clusters have a handful of machine classes; a
-// malicious frame gets no allocation amplification (same guard shape as
-// MaxReplicaTasks and MaxHelloInventory).
-const MaxHelloClasses = 1 << 10
-
 // MaxHelloInventory bounds the per-Hello inventory list lengths the
 // decoder will allocate for (a worker holds at most slots-many running
 // copies and a handful of reservation entries; a malicious frame gets
@@ -475,15 +459,9 @@ func (m *Hello) encode(b []byte) []byte {
 	b = putU8(b, m.Role)
 	b = putU32(b, m.ID)
 	b = putU32(b, m.Slots)
-	b = putU32(b, m.Class)
-	b = putU16(b, uint16(len(m.Classes)))
-	for _, cs := range m.Classes {
-		b = putString(b, cs.Name)
-		b = putF64(b, cs.Speed)
-		b = putU32(b, cs.Slots)
-		b = putF64(b, cs.CapCPU)
-		b = putF64(b, cs.CapMem)
-	}
+	b = putF64(b, m.Speed)
+	b = putF64(b, m.CapCPU)
+	b = putF64(b, m.CapMem)
 	b = putU16(b, uint16(len(m.Running)))
 	for _, rc := range m.Running {
 		b = putU64(b, rc.JobID)
@@ -505,26 +483,9 @@ func (m *Hello) decode(r *reader) error {
 	m.Role = r.u8()
 	m.ID = r.u32()
 	m.Slots = r.u32()
-	m.Class = r.u32()
-	nc := int(r.u16())
-	if nc > 0 {
-		// Bounded like Replicas/the inventory lists: capacity grows by
-		// append so a short payload fails at the first missing entry
-		// instead of pre-committing attacker-sized allocations.
-		m.Classes = make([]ClassSpec, 0, min(nc, MaxHelloClasses))
-		for i := 0; i < nc; i++ {
-			if r.err != nil {
-				return r.err
-			}
-			m.Classes = append(m.Classes, ClassSpec{
-				Name:   r.string(),
-				Speed:  r.f64(),
-				Slots:  r.u32(),
-				CapCPU: r.f64(),
-				CapMem: r.f64(),
-			})
-		}
-	}
+	m.Speed = r.f64()
+	m.CapCPU = r.f64()
+	m.CapMem = r.f64()
 	nr := int(r.u16())
 	if nr > 0 {
 		m.Running = make([]RunningCopy, 0, min(nr, MaxHelloInventory))
@@ -557,24 +518,6 @@ func (m *Hello) decode(r *reader) error {
 	}
 	return r.err
 }
-
-// Ping is a liveness probe.
-type Ping struct{ Nonce uint64 }
-
-// Type implements Message.
-func (*Ping) Type() MsgType { return TPing }
-
-func (m *Ping) encode(b []byte) []byte { return putU64(b, m.Nonce) }
-func (m *Ping) decode(r *reader) error { m.Nonce = r.u64(); return r.err }
-
-// Pong answers a Ping, echoing the nonce.
-type Pong struct{ Nonce uint64 }
-
-// Type implements Message.
-func (*Pong) Type() MsgType { return TPong }
-
-func (m *Pong) encode(b []byte) []byte { return putU64(b, m.Nonce) }
-func (m *Pong) decode(r *reader) error { m.Nonce = r.u64(); return r.err }
 
 // Kill tells a worker to stop the copy it started for Assign sequence
 // Seq: a sibling copy won the race. The worker frees the slot

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// randomMessage draws one message of any of the twelve types, with every
+// randomMessage draws one message of any of the ten types, with every
 // string and list the decoder has to copy filled in.
 func randomMessage(rng *rand.Rand) Message {
 	str := func() string {
@@ -22,7 +22,7 @@ func randomMessage(rng *rand.Rand) Message {
 		}
 		return string(b)
 	}
-	switch MsgType(rng.Intn(int(TKill)) + 1) {
+	switch msgTypes[rng.Intn(len(msgTypes))] {
 	case TSubmitJob:
 		m := &SubmitJob{JobID: rng.Uint64(), Name: str()}
 		for p, n := 0, rng.Intn(5); p < n; p++ {
@@ -65,10 +65,8 @@ func randomMessage(rng *rand.Rand) Message {
 		return &TaskDone{JobID: rng.Uint64(), Seq: rng.Uint64(), Phase: uint16(rng.Intn(9)), TaskIndex: rng.Uint32(),
 			WorkerID: rng.Uint32(), Duration: rng.Float64(), Killed: rng.Intn(2) == 0}
 	case THello:
-		m := &Hello{Role: RoleWorker, ID: rng.Uint32(), Slots: rng.Uint32()}
-		for i, n := 0, rng.Intn(3); i < n; i++ {
-			m.Classes = append(m.Classes, ClassSpec{Name: str(), Speed: rng.Float64(), Slots: rng.Uint32()})
-		}
+		m := &Hello{Role: RoleWorker, ID: rng.Uint32(), Slots: rng.Uint32(),
+			Speed: rng.Float64(), CapCPU: rng.Float64(), CapMem: rng.Float64()}
 		for i, n := 0, rng.Intn(3); i < n; i++ {
 			m.Running = append(m.Running, RunningCopy{JobID: rng.Uint64(), Seq: rng.Uint64(), Remaining: rng.Float64()})
 		}
@@ -76,10 +74,6 @@ func randomMessage(rng *rand.Rand) Message {
 			m.Reservations = append(m.Reservations, JobReservation{JobID: rng.Uint64(), Count: rng.Uint32()})
 		}
 		return m
-	case TPing:
-		return &Ping{Nonce: rng.Uint64()}
-	case TPong:
-		return &Pong{Nonce: rng.Uint64()}
 	default:
 		return &Kill{JobID: rng.Uint64(), Seq: rng.Uint64()}
 	}
@@ -89,7 +83,7 @@ func randomMessage(rng *rand.Rand) Message {
 // Reader returned for frame i must still equal a fresh Decode of frame
 // i's bytes after every later frame has passed through the same scratch.
 // A decoder that kept a slice of the payload (SubmitJob.Name,
-// PhaseSpec.Deps, Hello.Classes, JobComplete.Error) fails here.
+// PhaseSpec.Deps, Hello.Running, JobComplete.Error) fails here.
 func TestReaderResultsDoNotAliasScratch(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -130,7 +124,7 @@ func TestReaderResultsDoNotAliasScratch(t *testing.T) {
 func TestReaderFramingEdges(t *testing.T) {
 	t.Run("oversize header allocates no payload", func(t *testing.T) {
 		hdr := binary.BigEndian.AppendUint32(nil, MaxFrameSize+1)
-		hdr = append(hdr, byte(TPing))
+		hdr = append(hdr, byte(TKill))
 		src := bytes.NewReader(hdr)
 		rd := NewReader(src)
 		allocs := testing.AllocsPerRun(50, func() {
@@ -173,17 +167,17 @@ func TestReaderFramingEdges(t *testing.T) {
 	})
 
 	t.Run("trailing and missing payload bytes are recoverable", func(t *testing.T) {
-		long := append(Append(nil, &Ping{Nonce: 9}), 0x00)
+		long := append(Append(nil, &Kill{Seq: 9}), 0x00)
 		long[3]++
-		short := Append(nil, &Ping{Nonce: 9})
+		short := Append(nil, &Kill{Seq: 9})
 		short = short[:len(short)-1]
 		short[3]--
 		for name, bad := range map[string][]byte{"trailing": long, "short": short} {
-			rd := NewReader(bytes.NewReader(Append(bad, &Pong{Nonce: 5})))
+			rd := NewReader(bytes.NewReader(Append(bad, &Kill{Seq: 5})))
 			if _, err := rd.Read(); !errors.As(err, new(*DecodeError)) {
 				t.Fatalf("%s: err = %v, want a recoverable decode error", name, err)
 			}
-			if m, err := rd.Read(); err != nil || m.(*Pong).Nonce != 5 {
+			if m, err := rd.Read(); err != nil || m.(*Kill).Seq != 5 {
 				t.Fatalf("%s: next frame: %#v, %v", name, m, err)
 			}
 		}

@@ -65,13 +65,11 @@ const (
 	TTaskDone
 	// THello: node handshake (role + identity).
 	THello
-	// TPing / TPong: liveness checks.
-	TPing
-	TPong
 	// TKill: scheduler -> worker. Stop a running copy early (a sibling
 	// copy won the race); the slot frees immediately and no TaskDone is
-	// sent for the killed copy.
-	TKill
+	// sent for the killed copy. Kill stays at 12, the number logs and
+	// the chaos frame-log digest print; 10 and 11 are unused.
+	TKill MsgType = 12
 )
 
 // String implements fmt.Stringer.
@@ -95,10 +93,6 @@ func (t MsgType) String() string {
 		return "TaskDone"
 	case THello:
 		return "Hello"
-	case TPing:
-		return "Ping"
-	case TPong:
-		return "Pong"
 	case TKill:
 		return "Kill"
 	}
@@ -349,10 +343,6 @@ func newMessage(t MsgType) Message {
 		return &TaskDone{}
 	case THello:
 		return &Hello{}
-	case TPing:
-		return &Ping{}
-	case TPong:
-		return &Pong{}
 	case TKill:
 		return &Kill{}
 	}

@@ -70,21 +70,20 @@ func corpusMessages() []Message {
 		},
 		&Hello{Role: RoleWorker, ID: 19, Slots: 2,
 			Reservations: []JobReservation{{JobID: 5, Count: 2}}},
-		&Hello{Role: RoleWorker, ID: 20, Slots: 8, Class: 0,
-			Classes: []ClassSpec{
-				{Name: "big", Speed: 2, Slots: 8, CapCPU: 16, CapMem: 32},
-			}},
-		&Ping{Nonce: 0xDEADBEEF},
-		&Pong{Nonce: 0xDEADBEEF},
+		&Hello{Role: RoleWorker, ID: 20, Slots: 8, Speed: 2, CapCPU: 16, CapMem: 32},
+		&Hello{Role: RoleWorker, ID: 21, Slots: 2, Speed: 0.5, CapCPU: 1, CapMem: 2,
+			Running:      []RunningCopy{{JobID: 7, Seq: 94, Phase: 0, TaskIndex: 3, Remaining: 1.5}},
+			Reservations: []JobReservation{{JobID: 12, Count: 1}}},
+		&Kill{JobID: math.MaxUint64, Seq: math.MaxUint64},
 		&Kill{JobID: 7, Seq: 93},
 	}
 }
 
 func TestMultipleFramesOnOneStream(t *testing.T) {
 	sent := []Message{
-		&Ping{Nonce: 1},
+		&Kill{JobID: 1, Seq: 1},
 		&Reserve{JobID: 2, SchedulerID: 1, VirtualSize: 3, RemTasks: 4},
-		&Pong{Nonce: 5},
+		&Kill{JobID: 5, Seq: 5},
 	}
 	var stream []byte
 	for _, m := range sent {
@@ -121,7 +120,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 	hdr[1] = 0xFF
 	hdr[2] = 0xFF
 	hdr[3] = 0xFF
-	hdr[4] = byte(TPing)
+	hdr[4] = byte(TKill)
 	_, err := NewReader(bytes.NewReader(hdr[:])).Read()
 	if err != ErrFrameTooLarge {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
@@ -137,10 +136,10 @@ func TestUnknownTypeRejected(t *testing.T) {
 }
 
 func TestTrailingBytesRejected(t *testing.T) {
-	frame := Append(nil, &Ping{Nonce: 9})
+	frame := Append(nil, &Kill{JobID: 1, Seq: 9})
 	// Grow the payload by one byte and fix the length header.
 	frame = append(frame, 0x00)
-	frame[3]++ // length low byte (payload was 8)
+	frame[3]++ // length low byte (payload was 16)
 	_, err := NewReader(bytes.NewReader(frame)).Read()
 	if err == nil {
 		t.Fatal("trailing bytes accepted")
@@ -149,11 +148,10 @@ func TestTrailingBytesRejected(t *testing.T) {
 
 func TestDecodeGarbagePayloadsDontPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	types := []MsgType{TSubmitJob, TJobComplete, TReserve, TOffer, TAssign, TRefuse, TNoTask, TTaskDone, THello, TPing, TPong, TKill}
 	for i := 0; i < 2000; i++ {
 		payload := make([]byte, rng.Intn(64))
 		rng.Read(payload)
-		typ := types[rng.Intn(len(types))]
+		typ := msgTypes[rng.Intn(len(msgTypes))]
 		// Must not panic; errors are fine.
 		_, _ = Decode(typ, payload)
 	}
@@ -220,8 +218,16 @@ func TestLongStringTruncatedSafely(t *testing.T) {
 	}
 }
 
+// msgTypes is the wire vocabulary, every type tag in use.
+var msgTypes = []MsgType{TSubmitJob, TJobComplete, TReserve, TOffer, TAssign, TRefuse, TNoTask, TTaskDone, THello, TKill}
+
 func TestMsgTypeStrings(t *testing.T) {
-	for _, typ := range []MsgType{TSubmitJob, TJobComplete, TReserve, TOffer, TAssign, TRefuse, TNoTask, TTaskDone, THello, TPing, TPong, TKill} {
+	// Kill stays at tag 12: logs and the chaos frame-log digest print
+	// tags as numbers.
+	if TKill != 12 {
+		t.Fatalf("TKill = %d, want 12", TKill)
+	}
+	for _, typ := range msgTypes {
 		if s := typ.String(); s == "" || s[0] == 'M' {
 			t.Errorf("missing String for %d: %q", typ, s)
 		}
@@ -250,21 +256,50 @@ func BenchmarkDecodeReserve(b *testing.B) {
 	}
 }
 
-// TestHelloClassCountLiesBounded patches a Hello frame's class-table
-// count to the u16 maximum with no matching payload: the decoder must
-// fail at the first missing entry (the append-bounded loop, same guard
-// as Replicas and the inventory lists) instead of pre-committing an
-// attacker-sized allocation or panicking.
-func TestHelloClassCountLiesBounded(t *testing.T) {
-	h := &Hello{Role: RoleWorker, ID: 20, Slots: 8,
-		Classes: []ClassSpec{{Name: "big", Speed: 2, Slots: 8, CapCPU: 16, CapMem: 32}}}
+// TestHelloInventoryCountLiesBounded patches a Hello frame's
+// running-copy count to the u16 maximum with no matching payload: the
+// decoder must fail at the first missing entry (the append-bounded loop,
+// same guard as Replicas and the reservation list) instead of
+// pre-committing an attacker-sized allocation or panicking.
+func TestHelloInventoryCountLiesBounded(t *testing.T) {
+	h := &Hello{Role: RoleWorker, ID: 20, Slots: 8, Speed: 2, CapCPU: 16, CapMem: 32,
+		Running: []RunningCopy{{JobID: 7, Seq: 88, Phase: 1, TaskIndex: 17, Remaining: 2.5}}}
 	frame := Append(nil, h)
 	// Layout after the 5-byte frame header: role u8, id u32, slots u32,
-	// class u32, classCount u16.
-	off := 5 + 1 + 4 + 4 + 4
+	// speed f64, capCPU f64, capMem f64, runningCount u16.
+	off := 5 + 1 + 4 + 4 + 3*8
 	frame[off] = 0xFF
 	frame[off+1] = 0xFF
 	if _, err := NewReader(bytes.NewReader(frame)).Read(); err == nil {
-		t.Fatal("decoder accepted a class table count with no payload behind it")
+		t.Fatal("decoder accepted a running-copy count with no payload behind it")
+	}
+}
+
+// TestHelloOldClassLayoutRejected: a Hello in the class-table layout of
+// older builds (a class index, then a counted table of name, speed,
+// slots and capacity) does not decode against the flat one, so a node
+// treats it as a malformed frame and drops the connection instead of
+// misreading the peer's speed.
+func TestHelloOldClassLayoutRejected(t *testing.T) {
+	old := func(classes int) []byte {
+		b := putU8(nil, RoleWorker)
+		b = putU32(b, 20)
+		b = putU32(b, 8)
+		b = putU32(b, 0) // class index
+		b = putU16(b, uint16(classes))
+		for i := 0; i < classes; i++ {
+			b = putString(b, "big")
+			b = putF64(b, 2)
+			b = putU32(b, 8)
+			b = putF64(b, 16)
+			b = putF64(b, 32)
+		}
+		b = putU16(b, 0) // running copies
+		return putU16(b, 0)
+	}
+	for _, classes := range []int{0, 1} {
+		if m, err := Decode(THello, old(classes)); err == nil {
+			t.Fatalf("%d-class old Hello decoded as %#v", classes, m)
+		}
 	}
 }
