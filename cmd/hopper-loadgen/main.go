@@ -44,7 +44,7 @@ func main() {
 		nSched    = flag.Int("num-schedulers", 2, "schedulers to boot (-boot)")
 		nWork     = flag.Int("workers", 20, "cluster worker count: booted with -boot, and ALWAYS used to size the trace (offered load, replica locality) — must match the real cluster when dialing")
 		slots     = flag.Int("slots", 4, "slots per worker: booted with -boot, and always used to size the trace — must match the real cluster when dialing")
-		profile   = flag.String("profile", "facebook", "workload profile: facebook or bing")
+		profile   = flag.String("profile", "facebook", "workload profile: facebook | bing | facebook-spark | bing-spark")
 		jobs      = flag.Int("jobs", 40, "jobs to generate")
 		util      = flag.Float64("util", 0.7, "target utilization for the generated trace")
 		maxTasks  = flag.Int("max-tasks", 200, "cap on tasks per generated job (0 = profile default)")
@@ -300,13 +300,8 @@ func loadTrace(path, profile string, jobs int, util float64, totalSlots, numMach
 		}
 		return tr
 	}
-	var p workload.Profile
-	switch profile {
-	case "facebook":
-		p = workload.Facebook()
-	case "bing":
-		p = workload.Bing()
-	default:
+	p, ok := workload.ProfileByName(profile)
+	if !ok {
 		log.Fatalf("unknown profile %q", profile)
 	}
 	if maxTasks > 0 {

@@ -1,12 +1,13 @@
 // Command hopper-sim regenerates the paper's tables and figures and
-// runs the robustness scenarios.
+// runs the robustness scenarios (churn, hetero) through the same
+// registry.
 //
 // Usage:
 //
 //	hopper-sim -list
 //	hopper-sim -experiment fig6 [-scale 1] [-seeds 3] [-workers N] [-v]
+//	hopper-sim -experiment churn
 //	hopper-sim -all
-//	hopper-sim -scenario churn
 //	hopper-sim -experiment fig12 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Each experiment prints the rows the corresponding paper figure reports;
@@ -22,7 +23,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -40,10 +40,8 @@ func main() {
 func run() int {
 	var (
 		exp        = flag.String("experiment", "", "experiment ID to run (see -list)")
-		scenario   = flag.String("scenario", "", "robustness scenario ID to run (churn, ...; \"all\" runs every scenario — see -list)")
 		all        = flag.Bool("all", false, "run every experiment")
 		list       = flag.Bool("list", false, "list experiment IDs")
-		scenarios  = flag.Bool("scenarios", false, "list robustness scenario IDs (run one with -scenario)")
 		scale      = flag.Float64("scale", 1, "job-count scale factor")
 		seeds      = flag.Int("seeds", 3, "independent replays per data point")
 		workers    = flag.Int("workers", 0, "max concurrent simulation cells (0 = GOMAXPROCS, 1 = serial)")
@@ -89,12 +87,6 @@ func run() int {
 		for _, e := range experiments.Registry {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
-		printScenarios(os.Stdout, true)
-		return 0
-	}
-
-	if *scenarios {
-		printScenarios(os.Stdout, false)
 		return 0
 	}
 
@@ -117,22 +109,6 @@ func run() int {
 	}
 
 	switch {
-	case *scenario != "":
-		exps := experiments.Scenarios
-		if *scenario != "all" {
-			e, ok := experiments.ScenarioByID(*scenario)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown scenario %q; use -list\n", *scenario)
-				return 2
-			}
-			exps = []experiments.Experiment{e}
-		}
-		start := time.Now()
-		for _, res := range experiments.RunExperiments(h, exps) {
-			fmt.Print(res.String())
-			fmt.Println()
-		}
-		fmt.Printf("(%d scenarios in %.1fs)\n", len(exps), time.Since(start).Seconds())
 	case *all:
 		start := time.Now()
 		for _, res := range experiments.RunExperiments(h, experiments.Registry) {
@@ -155,17 +131,4 @@ func run() int {
 		return 2
 	}
 	return 0
-}
-
-// printScenarios lists the robustness-scenario registry; tagged lists
-// the entries as an appendix to the experiment listing (-list) rather
-// than the dedicated -scenarios view.
-func printScenarios(w io.Writer, tagged bool) {
-	suffix := ""
-	if tagged {
-		suffix = " (scenario; run with -scenario)"
-	}
-	for _, e := range experiments.Scenarios {
-		fmt.Fprintf(w, "%-8s %s%s\n", e.ID, e.Title, suffix)
-	}
 }

@@ -28,38 +28,22 @@ func runCLI(t *testing.T, args ...string) (string, error) {
 	return string(out), err
 }
 
-// TestScenariosFlag pins the -scenarios listing: every registered
-// robustness scenario, one per line, ID first — and nothing from the
-// paper-figure Registry (those belong to -list).
-func TestScenariosFlag(t *testing.T) {
-	out, err := runCLI(t, "-scenarios")
-	if err != nil {
-		t.Fatalf("hopper-sim -scenarios: %v\n%s", err, out)
-	}
-	for _, id := range []string{"churn", "hetero"} {
-		found := false
-		for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-			if strings.HasPrefix(line, id) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("scenario %q missing from -scenarios output:\n%s", id, out)
-		}
-	}
-	if strings.Contains(out, "fig") {
-		t.Errorf("-scenarios leaked paper-figure experiments:\n%s", out)
-	}
-}
-
-// TestListIncludesScenarios checks -list still appends the scenario
-// registry, tagged with how to run it.
+// TestListIncludesScenarios checks -list names the paper's figures and
+// the robustness scenarios alike, one driver per line, ID first.
 func TestListIncludesScenarios(t *testing.T) {
 	out, err := runCLI(t, "-list")
 	if err != nil {
 		t.Fatalf("hopper-sim -list: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "run with -scenario") {
-		t.Errorf("-list lost the scenario appendix:\n%s", out)
+	ids := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			ids[f[0]] = true
+		}
+	}
+	for _, id := range []string{"fig6", "churn", "hetero"} {
+		if !ids[id] {
+			t.Errorf("-list does not list %s:\n%s", id, out)
+		}
 	}
 }

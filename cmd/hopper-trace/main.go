@@ -40,17 +40,8 @@ func main() {
 			log.Fatal(err)
 		}
 	default:
-		var prof workload.Profile
-		switch *profileName {
-		case "facebook":
-			prof = workload.Facebook()
-		case "bing":
-			prof = workload.Bing()
-		case "facebook-spark":
-			prof = workload.Sparkify(workload.Facebook())
-		case "bing-spark":
-			prof = workload.Sparkify(workload.Bing())
-		default:
+		prof, ok := workload.ProfileByName(*profileName)
+		if !ok {
 			log.Fatalf("unknown profile %q", *profileName)
 		}
 		tr = workload.Generate(workload.Config{

@@ -1,5 +1,5 @@
-// Package census holds two tests over the shipped files of this module, the
-// non-test .go files under internal/, cmd/ and examples/.
+// Package census holds four tests over the shipped files of this module,
+// the non-test .go files under internal/, cmd/ and examples/.
 //
 // The first: every exported function or method has a shipped caller. It
 // flags each exported func whose name appears as an identifier nowhere
@@ -14,6 +14,17 @@
 // package declares (a type with a Type() MsgType method) is built, as a
 // composite literal, by shipped code outside that package; a frame type
 // nothing sends is dead protocol.
+//
+// The third: no field is written and never read. Every named field of a
+// named struct type is named in a selector x.F somewhere in shipped code;
+// a composite literal key is not a selector. The check is by name and by
+// syntax, like the first: any selector with the field's name counts, a
+// method call or an assignment's left-hand side included. So it catches
+// a field that only composite literals set, not one written through x.F
+// and read by tests alone.
+//
+// The fourth: one declaration per contract. No two interface types, named
+// or written inline, declare the same set of method names.
 package census
 
 import (
@@ -22,6 +33,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -136,21 +148,34 @@ func recvName(e ast.Expr) string {
 	return "?"
 }
 
-// audit returns one line per problem: an uncalled function that allow does
-// not list, and an allow entry the census no longer flags.
-func audit(files []pkgFile, allow map[string]string) []string {
-	flagged := map[string]bool{}
+// rule is one census check's verdict on a flagged key and on a stale
+// allowlist entry.
+type rule struct {
+	flaw  string // what is wrong with a flagged key, and the fix
+	fixed string // why an allowlist entry the check no longer flags is stale
+}
+
+var (
+	callerRule   = rule{"exported, and no shipped code calls it; delete it or move it into a _test.go file", "it has a shipped caller now or is gone"}
+	readRule     = rule{"written, and no shipped code reads it; delete it", "shipped code reads it now or it is gone"}
+	contractRule = rule{"declare the same method names; keep one declaration", "the declarations differ now or are gone"}
+)
+
+// audit returns one line per problem: a flagged key that allow does not
+// list, and an allow entry the check no longer flags.
+func (r rule) audit(flagged []string, allow map[string]string) []string {
+	seen := map[string]bool{}
 	var problems []string
-	for _, k := range uncalled(files) {
-		flagged[k] = true
+	for _, k := range flagged {
+		seen[k] = true
 		if _, ok := allow[k]; !ok {
-			problems = append(problems, k+": exported, and no shipped code calls it; delete it or move it into a _test.go file")
+			problems = append(problems, k+": "+r.flaw)
 		}
 	}
 	var stale []string
 	for k := range allow {
-		if !flagged[k] {
-			stale = append(stale, k+": on the allowlist, but it has a shipped caller now or is gone; drop the entry")
+		if !seen[k] {
+			stale = append(stale, k+": on the allowlist, but "+r.fixed+"; drop the entry")
 		}
 	}
 	sort.Strings(stale)
@@ -208,7 +233,7 @@ func moduleFiles(t *testing.T) []pkgFile {
 }
 
 func TestEveryExportedFuncHasAShippedCaller(t *testing.T) {
-	for _, p := range audit(moduleFiles(t), allowed) {
+	for _, p := range callerRule.audit(uncalled(moduleFiles(t)), allowed) {
 		t.Error(p)
 	}
 }
@@ -314,7 +339,7 @@ import "lib"
 func main() { _ = lib.Used() }
 `,
 	})
-	got := audit(files, map[string]string{
+	got := callerRule.audit(uncalled(files), map[string]string{
 		"lib.T.Kept": "kept on purpose",
 		"lib.Gone":   "deleted since",
 	})
@@ -331,7 +356,7 @@ func main() { _ = lib.Used() }
 	files = append(files, parseSources(t, map[string]string{
 		"cmd/use.go": "package main\n\nfunc use(t *lib.T) { t.Kept(); lib.Planted(); t.Orphan() }\n",
 	})...)
-	got = audit(files, map[string]string{"lib.T.Kept": "kept on purpose"})
+	got = callerRule.audit(uncalled(files), map[string]string{"lib.T.Kept": "kept on purpose"})
 	want = []string{"lib.T.Kept: on the allowlist, but it has a shipped caller now or is gone; drop the entry"}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("audit after a caller appears:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -376,5 +401,200 @@ func main() { send(&wire.Sent{N: 1}, []wire.Header{{N: 2}}) }
 	})...)
 	if got := unsent(files); len(got) != 0 {
 		t.Fatalf("unsent after a sender appears = %q, want none", got)
+	}
+}
+
+// allowedUnread are the write-only fields the module keeps, each with its
+// reason; like allowed, the list can only shrink.
+var allowedUnread = map[string]string{}
+
+// unread returns the sorted keys (dir.Type.Field) of the named fields of
+// named struct types that no shipped file names in a selector x.F. A
+// selector on an imported package's name (pkg.F) is no read.
+func unread(files []pkgFile) []string {
+	fields := map[string]string{} // key -> field name
+	read := map[string]bool{}
+	for _, pf := range files {
+		pkgs := map[string]bool{}
+		for _, imp := range pf.file.Imports {
+			name := path.Base(strings.Trim(imp.Path.Value, `"`))
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			pkgs[name] = true
+		}
+		ast.Inspect(pf.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					for _, f := range st.Fields.List {
+						for _, name := range f.Names {
+							if name.Name != "_" {
+								fields[pf.dir+"."+n.Name.Name+"."+name.Name] = name.Name
+							}
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); !ok || !pkgs[id.Name] {
+					read[n.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var out []string
+	for key, name := range fields {
+		if !read[name] {
+			out = append(out, key)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestEveryFieldIsRead(t *testing.T) {
+	for _, p := range readRule.audit(unread(moduleFiles(t)), allowedUnread) {
+		t.Error(p)
+	}
+}
+
+func TestCensusFlagsWriteOnlyField(t *testing.T) {
+	files := parseSources(t, map[string]string{
+		"lib/lib.go": `package lib
+
+import "other"
+
+type Run struct {
+	Jobs      []int
+	Scheduler string // set in a composite literal, never read
+	Name      string // read through a method of the same name
+	Tag       string
+	_         int
+}
+
+func (r *Run) Name() string { return "" }
+
+func fill() int {
+	r := &Run{Scheduler: "x", Tag: "t"}
+	_ = other.Scheduler // a package's name, not a field
+	_ = r.Name()
+	return len(r.Jobs)
+}
+`,
+	})
+	got := readRule.audit(unread(files), map[string]string{"lib.Run.Tag": "kept on purpose", "lib.Run.Gone": "deleted since"})
+	want := []string{
+		"lib.Run.Scheduler: written, and no shipped code reads it; delete it",
+		"lib.Run.Gone: on the allowlist, but shipped code reads it now or it is gone; drop the entry",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("audit:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	files = append(files, parseSources(t, map[string]string{
+		"cmd/use.go": "package main\n\nfunc use(r *lib.Run) string { return r.Scheduler }\n",
+	})...)
+	if got := unread(files); strings.Join(got, ",") != "lib.Run.Tag" {
+		t.Fatalf("unread after a reader appears = %q, want [lib.Run.Tag]", got)
+	}
+}
+
+// allowedContracts are the groups of interfaces the module keeps with one
+// method set, each with its reason; like allowed, the list can only shrink.
+var allowedContracts = map[string]string{}
+
+// duplicateContracts returns one sorted key per set of two or more
+// interface types that declare the same method names, the set's members
+// joined by " = ": dir.Name for a named interface, dir.interface{M, ...}
+// for one written inline. Embedded interfaces are not expanded, and an
+// interface that declares no method of its own (a type constraint, any)
+// is no contract.
+func duplicateContracts(files []pkgFile) []string {
+	byMethods := map[string][]string{}
+	for _, pf := range files {
+		named := map[*ast.InterfaceType]string{}
+		ast.Inspect(pf.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if it, ok := n.Type.(*ast.InterfaceType); ok {
+					named[it] = n.Name.Name
+				}
+			case *ast.InterfaceType:
+				var methods []string
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						methods = append(methods, name.Name)
+					}
+				}
+				if len(methods) == 0 {
+					return true
+				}
+				sort.Strings(methods)
+				set := strings.Join(methods, ", ")
+				name, ok := named[n]
+				if !ok {
+					name = "interface{" + set + "}"
+				}
+				byMethods[set] = append(byMethods[set], pf.dir+"."+name)
+			}
+			return true
+		})
+	}
+	var out []string
+	for _, decls := range byMethods {
+		if len(decls) > 1 {
+			sort.Strings(decls)
+			out = append(out, strings.Join(decls, " = "))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestOneDeclarationPerContract(t *testing.T) {
+	for _, p := range contractRule.audit(duplicateContracts(moduleFiles(t)), allowedContracts) {
+		t.Error(p)
+	}
+}
+
+func TestCensusFlagsDuplicateContract(t *testing.T) {
+	files := parseSources(t, map[string]string{
+		"experiments/runner.go": `package experiments
+
+type Arriver interface {
+	Name() string
+	Arrive(j *Job)
+	Completed() []*Job
+}
+
+type Number interface{ ~int | ~float64 }
+
+func pick(rng interface{ Float64() float64 }) {}
+`,
+		"scheduler/base.go": `package scheduler
+
+type Engine interface {
+	Completed() []*Job
+	Arrive(j *Job)
+	Name() string
+}
+
+type Namer interface{ Name() string }
+
+type Ordered interface{ ~int | ~string }
+
+func draw(rng interface{ Float64() float64 }) {}
+`,
+	})
+	got := contractRule.audit(duplicateContracts(files), map[string]string{
+		"experiments.interface{Float64} = scheduler.interface{Float64}": "kept on purpose",
+		"scheduler.Gone = wire.Gone":                                    "deleted since",
+	})
+	want := []string{
+		"experiments.Arriver = scheduler.Engine: declare the same method names; keep one declaration",
+		"scheduler.Gone = wire.Gone: on the allowlist, but the declarations differ now or are gone; drop the entry",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("audit:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

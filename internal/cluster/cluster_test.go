@@ -246,10 +246,10 @@ func TestSpeculativeRaceKillsLoser(t *testing.T) {
 func TestTaskWinAndDropCopy(t *testing.T) {
 	j := mkJob(1, 1, 1.0)
 	task := j.Phases[0].Tasks[0]
-	a := task.StartCopy(0, 0, false, true, 5)
-	lost := task.StartCopy(0, 1, true, true, 5)
-	b := task.StartCopy(1, 2, true, true, 5)
-	c := task.StartCopy(1, 3, true, true, 5)
+	a := task.StartCopy(0, 0, false, 5)
+	lost := task.StartCopy(0, 1, true, 5)
+	b := task.StartCopy(1, 2, true, 5)
+	c := task.StartCopy(1, 3, true, 5)
 
 	task.DropCopy(lost)
 	if !lost.Killed || len(task.Copies) != 3 {
@@ -296,7 +296,7 @@ func TestPlacementAllocatesOnlyTheCopy(t *testing.T) {
 		x.KillCopy(x.PlaceOn(task, 0, true))
 		eng.Run()
 	}
-	alone := func() { task.DropCopy(task.StartCopy(eng.Now(), 0, true, true, 1)) }
+	alone := func() { task.DropCopy(task.StartCopy(eng.Now(), 0, true, 1)) }
 	place()
 	alone()
 	p, a := testing.AllocsPerRun(200, place), testing.AllocsPerRun(200, alone)
@@ -321,7 +321,7 @@ func TestCopySlabsCarvedAtFirstPlacement(t *testing.T) {
 			t.Fatalf("task %d has a Copies list before any placement", i)
 		}
 	}
-	a0 := ts[0].StartCopy(0, 0, false, true, 5)
+	a0 := ts[0].StartCopy(0, 0, false, 5)
 	for i, task := range ts {
 		if cap(task.Copies) != 2 {
 			t.Fatalf("task %d: Copies capacity %d after the phase's first placement, want 2", i, cap(task.Copies))
@@ -331,10 +331,10 @@ func TestCopySlabsCarvedAtFirstPlacement(t *testing.T) {
 	if stride := 2 * unsafe.Sizeof(a0); slot(1)-slot(0) != stride || slot(2)-slot(1) != stride {
 		t.Fatal("the tasks' Copies lists are not consecutive pairs of one array")
 	}
-	n0 := ts[1].StartCopy(0, 1, false, true, 5)
-	a1 := ts[0].StartCopy(1, 2, true, true, 5)
+	n0 := ts[1].StartCopy(0, 1, false, 5)
+	a1 := ts[0].StartCopy(1, 2, true, 5)
 	shared := &ts[0].Copies[0]
-	a2 := ts[0].StartCopy(2, 3, true, true, 5)
+	a2 := ts[0].StartCopy(2, 3, true, 5)
 	if &ts[0].Copies[0] == shared || cap(ts[0].Copies) <= 2 {
 		t.Fatal("a third copy did not move its task's list off the shared array")
 	}
@@ -344,7 +344,7 @@ func TestCopySlabsCarvedAtFirstPlacement(t *testing.T) {
 	if got := ts[1].Copies; len(got) != 1 || got[0] != n0 || got[:2][1] != nil {
 		t.Fatalf("the neighbour's list changed: %v (spare %v)", got, got[:2][1])
 	}
-	n1 := ts[1].StartCopy(3, 4, true, true, 5)
+	n1 := ts[1].StartCopy(3, 4, true, 5)
 	if got := ts[1].Copies; len(got) != 2 || got[0] != n0 || got[1] != n1 || len(ts[0].Copies) != 3 {
 		t.Fatalf("the neighbour's second copy: task 1 %v, task 0 %d copies", got, len(ts[0].Copies))
 	}

@@ -271,7 +271,7 @@ func (x *Executor) placeOn(t *Task, m MachineID, speculative, local bool) *Copy 
 	} else {
 		dur = x.Model.CopyDuration(x.durations, t, local, x.Machines.All[m].Speed)
 	}
-	c := t.StartCopy(now, m, speculative, local, dur)
+	c := t.StartCopy(now, m, speculative, dur)
 	c.Speed = x.Machines.All[m].Speed
 	x.CopiesStarted++
 	if speculative {

@@ -63,12 +63,11 @@ type Copy struct {
 	// simulator.
 	Seq uint64
 
-	// The four flags and the finish handle share one word, keeping a
+	// The three flags and the finish handle share one word, keeping a
 	// Copy at 56 bytes. Copies are carved from per-phase slabs
 	// (StartCopy), so this size is the slab's stride: every field added
 	// here grows every phase's slab.
 	Speculative bool
-	Local       bool // input data was machine-local
 	// Killed is set when the copy ended without finishing: a sibling won
 	// the race, or the copy was lost with its machine.
 	Killed bool
@@ -495,13 +494,12 @@ func (j *Job) RemainingCurrentTasks() int {
 // pointer slab, so a placement allocates nothing once its phase has
 // started. A third copy outgrows the list, and append moves that task
 // alone to an array of its own.
-func (t *Task) StartCopy(now simulator.Time, m MachineID, speculative, local bool, dur float64) *Copy {
+func (t *Task) StartCopy(now simulator.Time, m MachineID, speculative bool, dur float64) *Copy {
 	c := t.Phase.newCopy()
 	*c = Copy{
 		Task:        t,
 		Machine:     m,
 		Speculative: speculative,
-		Local:       local,
 		Start:       now,
 		Duration:    dur,
 		Speed:       1,

@@ -57,7 +57,8 @@ const (
 const procDelay = 20e-6
 
 // Config holds the decentralized system's parameters: the shared
-// protocol parameters plus the simulator-only message cost model.
+// protocol parameters plus the simulator-only message cost model. A zero
+// shared field resolves to protocol.Config's default for the mode.
 type Config struct {
 	Mode Mode
 
@@ -86,7 +87,8 @@ type Config struct {
 	// Spec configures straggler detection.
 	Spec speculation.Config
 
-	// CheckInterval is the scheduler-side speculation scan period.
+	// CheckInterval is the scheduler-side speculation scan period in
+	// seconds (default 0.25).
 	CheckInterval float64
 
 	// ReprobeInterval, when positive, arms the periodic reservation
@@ -96,23 +98,6 @@ type Config struct {
 	// strand — the refresh re-rolls its reservations until one reaches
 	// a machine with enough per-slot capacity.
 	ReprobeInterval float64
-}
-
-// WithDefaults fills zero fields with the paper's defaults for the mode.
-func (c Config) WithDefaults() Config {
-	p := c.protocol().WithDefaults()
-	c.NumSchedulers = p.NumSchedulers
-	c.ProbeRatio = p.ProbeRatio
-	c.RefusalThreshold = p.RefusalThreshold
-	c.Epsilon = p.Epsilon
-	c.Spec = p.Spec
-	if c.MsgLatency == 0 {
-		c.MsgLatency = 0.0005
-	}
-	if c.CheckInterval == 0 {
-		c.CheckInterval = 0.25
-	}
-	return c
 }
 
 // protocol projects the shared protocol parameters out of the config.
@@ -175,6 +160,8 @@ type Counters struct {
 // shared executor. It satisfies the same Arrive/Completed contract as the
 // centralized engines, so experiment drivers treat both uniformly.
 type System struct {
+	// Cfg is New's config with MsgLatency and CheckInterval defaulted;
+	// the shared fields resolve in pcfg.
 	Cfg  Config
 	Eng  *simulator.Engine
 	Exec *cluster.Executor
@@ -395,7 +382,12 @@ func (s *System) dispatch(m *message) {
 
 // New builds a decentralized system over the executor's machines.
 func New(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *System {
-	cfg = cfg.WithDefaults()
+	if cfg.MsgLatency == 0 {
+		cfg.MsgLatency = 0.0005
+	}
+	if cfg.CheckInterval == 0 {
+		cfg.CheckInterval = 0.25
+	}
 	s := &System{
 		Cfg:   cfg,
 		Eng:   eng,
@@ -411,7 +403,7 @@ func New(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *System {
 	// to protocol.Config's default here.
 	pcfg := cfg.protocol().WithDefaults()
 	s.pcfg = pcfg
-	for i := 0; i < cfg.NumSchedulers; i++ {
+	for i := 0; i < pcfg.NumSchedulers; i++ {
 		s.scheds = append(s.scheds, newSched(s, i, pcfg))
 	}
 	s.workers = make([]*worker, len(exec.Machines.All))

@@ -174,30 +174,23 @@ func TestSparrowSRPTBeatsSparrowUnderLoad(t *testing.T) {
 	}
 }
 
-// TestConfigDefaultsMatchProtocol checks, for every mode, three things
+// newSys builds a System with cfg over a small idle cluster.
+func newSys(cfg Config) *System {
+	eng := simulator.New(1)
+	exec := cluster.NewExecutor(eng, cluster.NewMachines(4, 2), cluster.DefaultExecModel())
+	return New(eng, exec, cfg)
+}
+
+// TestConfigDefaultsMatchProtocol checks, for every mode, two things
 // about the protocol.Config a System hands its cores:
-//   - the projection of a defaulted decentral Config equals
-//     protocol.Config's own defaults, BetaPrior aside (decentral has no
-//     such knob), so the two default tables cannot drift apart;
 //   - a default System resolves exactly protocol.Config's defaults,
 //     BetaPrior included (1.5);
 //   - a System built with every projected field set away from its
 //     default carries each setting, so a field protocol() drops shows
 //     here rather than in a figure.
 func TestConfigDefaultsMatchProtocol(t *testing.T) {
-	newSys := func(cfg Config) *System {
-		eng := simulator.New(1)
-		exec := cluster.NewExecutor(eng, cluster.NewMachines(4, 2), cluster.DefaultExecModel())
-		return New(eng, exec, cfg)
-	}
 	for _, mode := range []Mode{ModeHopper, ModeSparrow, ModeSparrowSRPT, ModeLoadCache} {
 		want := protocol.Config{Mode: mode}.WithDefaults()
-		projected := want
-		projected.BetaPrior = 0
-		if got := (Config{Mode: mode}).WithDefaults().protocol(); !reflect.DeepEqual(got, projected) {
-			t.Fatalf("%s: decentral defaults project to %+v, protocol defaults are %+v", mode, got, projected)
-		}
-
 		got := newSys(Config{Mode: mode}).pcfg
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: a default System resolves %+v, protocol defaults are %+v", mode, got, want)
@@ -229,11 +222,15 @@ func TestConfigDefaultsMatchProtocol(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{Mode: ModeHopper}.WithDefaults()
+	sys := newSys(Config{Mode: ModeHopper})
+	if sys.Cfg.MsgLatency != 0.0005 || sys.Cfg.CheckInterval != 0.25 {
+		t.Errorf("adapter defaults wrong: %+v", sys.Cfg)
+	}
+	c := sys.pcfg
 	if c.ProbeRatio != 4 {
 		t.Errorf("Hopper probe ratio = %v, want 4", c.ProbeRatio)
 	}
-	c2 := Config{Mode: ModeSparrow}.WithDefaults()
+	c2 := newSys(Config{Mode: ModeSparrow}).pcfg
 	if c2.ProbeRatio != 2 {
 		t.Errorf("Sparrow probe ratio = %v, want 2", c2.ProbeRatio)
 	}

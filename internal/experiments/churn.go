@@ -10,30 +10,10 @@ import (
 	"github.com/hopper-sim/hopper/internal/workload"
 )
 
-// Scenarios is the robustness-scenario registry: drivers that exercise
-// failure behavior (churn, recovery) rather than reproduce a paper
-// figure. They live apart from Registry on purpose — the dispatch
-// golden pins Registry's modes bit-for-bit, and fault paths are new
-// scenarios, not behavior changes to existing ones. The scenario golden
-// pins Scenarios separately.
-var Scenarios []Experiment
-
-func registerScenario(id, title string, run func(h Harness) *Result) {
-	Scenarios = append(Scenarios, Experiment{ID: id, Title: title, Run: run})
-}
-
-// ScenarioByID returns the scenario with the given ID.
-func ScenarioByID(id string) (Experiment, bool) {
-	for _, e := range Scenarios {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
+// churn is a robustness scenario, not a paper figure: the scenario
+// golden pins it, not the dispatch golden.
 func init() {
-	registerScenario("churn", "Machine churn: completion time vs leave rate per decentralized mode", runChurn)
+	register("churn", "Machine churn: completion time vs leave rate per decentralized mode", runChurn)
 }
 
 // churnRates are the sweep points, in machine leaves per minute over a

@@ -12,9 +12,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the testdata golden the selected test checks from the current implementation")
 
 // goldenHarness is the smoke-scale setting the dispatch identity contract
-// is pinned at: every registered driver, two seeds. Small enough for CI,
-// large enough that every engine exercises saturation, speculation races,
-// and locality promotion.
+// is pinned at: every registered driver but the scenarios, two seeds.
+// Small enough for CI, large enough that every engine exercises
+// saturation, speculation races, and locality promotion.
 var goldenHarness = Harness{Scale: 0.05, Seeds: 2, Workers: 0}
 
 // scenarioHarness pins the robustness scenarios. Two seeds make every
@@ -25,6 +25,24 @@ const (
 	goldenPath         = "testdata/dispatch_golden.txt"
 	scenarioGoldenPath = "testdata/scenario_golden.txt"
 )
+
+// scenarioIDs are the robustness scenarios: drivers that exercise
+// failure and heterogeneity paths rather than reproduce a paper figure.
+// The scenario golden pins them and the dispatch golden pins every
+// other driver, so a new scenario never shifts a figure's golden.
+var scenarioIDs = map[string]bool{"churn": true, "hetero": true}
+
+// registered returns the registered drivers whose scenario membership is
+// scenarios, in registration order.
+func registered(scenarios bool) []Experiment {
+	var out []Experiment
+	for _, e := range Registry {
+		if scenarioIDs[e.ID] == scenarios {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // renderAll renders the given experiments into one deterministic blob.
 func renderAll(h Harness, exps []Experiment) string {
@@ -61,8 +79,8 @@ func checkGolden(t *testing.T, path, got string) {
 }
 
 // TestDispatchGolden is the experiment-table identity contract (see
-// DESIGN.md section 6): every registered driver must reproduce the
-// checked-in tables byte for byte. The golden was generated from the
+// DESIGN.md section 6): every registered driver outside scenarioIDs must
+// reproduce the checked-in tables byte for byte. The golden was generated from the
 // pre-overhaul tree (PR 1) and deliberately regenerated once, for the
 // exactly-once phase-unlock fix (PR 4): that change removed the
 // duplicate wakeups that had been double-enqueuing phases into the
@@ -85,11 +103,11 @@ func TestDispatchGolden(t *testing.T) {
 	// Every speculation answer in every cell comes from the victim index,
 	// so the golden also holds the index to what the scans answered when
 	// it was generated.
-	checkGolden(t, goldenPath, renderAll(goldenHarness, Registry))
+	checkGolden(t, goldenPath, renderAll(goldenHarness, registered(false)))
 }
 
 // TestScenarioGolden pins the churn and hetero tables the way
-// TestDispatchGolden pins the figures: every registered scenario must
+// TestDispatchGolden pins the figures: every scenario in scenarioIDs must
 // reproduce the checked-in tables byte for byte. Churn exercises the
 // loss and requeue paths, hetero the classed cluster, demand filtering
 // and the load-cached probe policy — none of which the figure drivers
@@ -98,7 +116,7 @@ func TestScenarioGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden replay is seconds-long; skipped with -short")
 	}
-	checkGolden(t, scenarioGoldenPath, renderAll(scenarioHarness, Scenarios))
+	checkGolden(t, scenarioGoldenPath, renderAll(scenarioHarness, registered(true)))
 }
 
 // firstDiff locates the first differing line for a readable failure.

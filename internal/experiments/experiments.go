@@ -67,14 +67,15 @@ func (r *Result) String() string {
 	return s
 }
 
-// Experiment is a registered figure/table reproduction.
+// Experiment is a registered driver: a figure/table reproduction or a
+// robustness scenario.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func(h Harness) *Result
 }
 
-// Registry lists every experiment in paper order.
+// Registry lists every driver in registration (file-init) order.
 var Registry []Experiment
 
 func register(id, title string, run func(h Harness) *Result) {

@@ -166,7 +166,7 @@ func Table1Schedule(strategy string) (jobA, jobB float64) {
 		// Detection after 2 time units = 0.2 of the 10s mean.
 		Spec: speculation.Config{DetectDelayFrac: 0.2},
 	}
-	var sched scheduler.Engine
+	var sched Arriver
 	switch strategy {
 	case "best-effort":
 		sched = scheduler.NewSRPT(eng, exec, cfg)

@@ -15,11 +15,11 @@ import (
 // the load-cached probe policy (Hopper-LC) against random-subset
 // probing (Hopper-D) and power-of-two sampling (Sparrow). The class
 // mixes and the demand split are scenario inputs, not paper figures —
-// the paper's testbed is homogeneous — so this lives in Scenarios, not
-// the paper-figure Registry.
+// the paper's testbed is homogeneous — so the scenario golden pins it,
+// not the dispatch golden.
 
 func init() {
-	registerScenario("hetero",
+	register("hetero",
 		"Heterogeneous classes: completion time and probe traffic, load-cache vs random probing",
 		runHetero)
 }

@@ -7,12 +7,15 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	// Every artifact in the paper's evaluation must have a driver, plus
-	// the repo's own protocol-overhead table.
+	// the repo's own protocol-overhead table and robustness scenarios.
 	want := []string{"table1", "fig3", "fig5a", "fig5b", "fig6", "fig7",
 		"fig8a", "fig8b", "fig9", "fig10", "fig11", "fig12", "fig13", "ablation",
-		"tblproto"}
+		"tblproto", "churn", "hetero"}
 	have := map[string]bool{}
 	for _, e := range Registry {
+		if have[e.ID] {
+			t.Errorf("experiment ID %s registered twice", e.ID)
+		}
 		have[e.ID] = true
 	}
 	for _, id := range want {

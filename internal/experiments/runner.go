@@ -292,7 +292,7 @@ func RunTrace(kind SchedulerKind, spec ClusterSpec, jobs []*cluster.Job, seed in
 			arr.Name(), got, want, eng.Pending(), eng.Fired, eng.Now()))
 	}
 	res := RunResult{
-		Run:  metrics.Run{Scheduler: arr.Name(), Jobs: metrics.Collect(arr.Completed())},
+		Run:  metrics.Run{Jobs: metrics.Collect(arr.Completed())},
 		Exec: exec,
 	}
 	if sys, ok := arr.(*decentral.System); ok {

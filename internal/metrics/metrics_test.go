@@ -8,8 +8,8 @@ import (
 	"github.com/hopper-sim/hopper/internal/cluster"
 )
 
-func run(scheduler string, completions ...float64) Run {
-	r := Run{Scheduler: scheduler}
+func run(completions ...float64) Run {
+	var r Run
 	for i, c := range completions {
 		r.Jobs = append(r.Jobs, JobResult{ID: cluster.JobID(i), Completion: c, Tasks: (i + 1) * 40})
 	}
@@ -17,7 +17,7 @@ func run(scheduler string, completions ...float64) Run {
 }
 
 func TestAvgCompletion(t *testing.T) {
-	r := run("x", 2, 4, 6)
+	r := run(2, 4, 6)
 	if got := r.AvgCompletion(); got != 4 {
 		t.Fatalf("avg = %v", got)
 	}
@@ -28,7 +28,7 @@ func TestAvgCompletion(t *testing.T) {
 }
 
 func TestAvgCompletionWhere(t *testing.T) {
-	r := run("x", 2, 4, 6)
+	r := run(2, 4, 6)
 	got := r.AvgCompletionWhere(func(j JobResult) bool { return j.Tasks > 50 })
 	if got != 5 {
 		t.Fatalf("filtered avg = %v", got)
@@ -51,8 +51,8 @@ func TestGain(t *testing.T) {
 }
 
 func TestPerJobGainsMatchesByID(t *testing.T) {
-	base := run("base", 10, 20, 40)
-	imp := run("imp", 5, 30, 40)
+	base := run(10, 20, 40)
+	imp := run(5, 30, 40)
 	gains := PerJobGains(base, imp)
 	// Sorted: job0 +50, job1 -50, job2 0.
 	want := []float64{-50, 0, 50}
@@ -119,8 +119,8 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestGainBetweenAndWhere(t *testing.T) {
-	base := run("b", 10, 10, 10)
-	imp := run("i", 5, 5, 10)
+	base := run(10, 10, 10)
+	imp := run(5, 5, 10)
 	if got := GainBetween(base, imp); math.Abs(got-33.333) > 0.01 {
 		t.Fatalf("GainBetween = %v", got)
 	}

@@ -199,7 +199,7 @@ func runningJob(t *testing.T, h *harness, id cluster.JobID, n int, mean, dur flo
 		if !rep.HasTask || rep.Spec {
 			t.Fatalf("hand-out %d: %+v", i, rep)
 		}
-		rep.Task.StartCopy(0, cluster.MachineID(i%4), false, false, dur)
+		rep.Task.StartCopy(0, cluster.MachineID(i%4), false, dur)
 		h.sc.CopyPlaced(rep.Task)
 	}
 	return j
@@ -243,7 +243,7 @@ func TestScanSpecAnnouncesRipeVictims(t *testing.T) {
 		if !rep.HasTask || !rep.Spec {
 			t.Fatalf("announced victim %d not handed out: %+v", i, rep)
 		}
-		rep.Task.StartCopy(h.clk.now, cluster.MachineID(2+i), true, false, 1)
+		rep.Task.StartCopy(h.clk.now, cluster.MachineID(2+i), true, 1)
 		h.sc.CopyPlaced(rep.Task)
 	}
 	if again := h.sc.ScanSpec(); len(again) != 0 {
@@ -267,7 +267,7 @@ func TestSparrowScanAnnouncesPolicyWantsOnly(t *testing.T) {
 		if !rep.HasTask {
 			t.Fatalf("pull %d: %+v", i, rep)
 		}
-		rep.Task.StartCopy(0, cluster.MachineID(i), false, false, 1.8)
+		rep.Task.StartCopy(0, cluster.MachineID(i), false, 1.8)
 		h.sc.CopyPlaced(rep.Task)
 	}
 	h.clk.now = 0.5 // the same ripe victims TestScanSpecAnnouncesRipeVictims announces
@@ -324,7 +324,7 @@ func TestReprobeStalledCoversWants(t *testing.T) {
 	// A want that went stale (its task reached the copy cap) is not
 	// demand.
 	for _, task := range j.Phases[0].Tasks {
-		task.StartCopy(h.clk.now, 3, true, false, 1)
+		task.StartCopy(h.clk.now, 3, true, 1)
 		h.sc.CopyPlaced(task)
 	}
 	if probes := h.sc.ReprobeStalled(); len(probes) != 0 {

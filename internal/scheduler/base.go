@@ -70,17 +70,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Engine is a centralized scheduler. Jobs are admitted with Arrive; the
-// engine then drives the Executor until the job completes.
-type Engine interface {
-	// Name identifies the engine in experiment reports.
-	Name() string
-	// Arrive admits a job at the current simulation time.
-	Arrive(j *cluster.Job)
-	// Completed returns all jobs that have finished so far.
-	Completed() []*cluster.Job
-}
-
 // jobState is the chassis' record of one active job: the speculation
 // record both planes share (speculation.JobBook: want queue, occupancy,
 // running count, phase credits) and what only the chassis keeps.

@@ -30,7 +30,7 @@ func NewBudgeted(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Bud
 	return e
 }
 
-// Name implements Engine.
+// Name identifies the engine in experiment reports.
 func (e *BudgetedEngine) Name() string { return "Budgeted-SRPT" }
 
 func (e *BudgetedEngine) dispatch() {

@@ -53,7 +53,7 @@ func runPlacementLog(t *testing.T, mk func(*simulator.Engine, *cluster.Executor)
 				fmt.Fprintf(&sb, " t%d.%d done=%.9g:", p.Index, task.Index, task.DoneAt)
 				for _, c := range task.Copies {
 					fmt.Fprintf(&sb, " [m%d s%v l%v %.9g+%.9g k%v w%v]",
-						c.Machine, c.Speculative, c.Local, float64(c.Start), float64(c.Duration), c.Killed, c.Won)
+						c.Machine, c.Speculative, task.LocalOn(c.Machine), float64(c.Start), float64(c.Duration), c.Killed, c.Won)
 				}
 				sb.WriteString("\n")
 			}

@@ -137,7 +137,7 @@ func (h *HopperEngine) jobRemoved(s *jobState) {
 	}
 }
 
-// Name implements Engine.
+// Name identifies the engine in experiment reports.
 func (h *HopperEngine) Name() string { return "Hopper" }
 
 func (h *HopperEngine) dispatch() {

@@ -25,7 +25,7 @@ func NewSRPT(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *SRPTEng
 	return s
 }
 
-// Name implements Engine.
+// Name identifies the engine in experiment reports.
 func (s *SRPTEngine) Name() string { return "SRPT" }
 
 // srptSorter orders active jobs ascending by total remaining tasks,

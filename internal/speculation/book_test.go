@@ -28,7 +28,7 @@ func bookJobCapped(n, k int) (*Book, *JobBook) {
 func handOut(b *Book, jb *JobBook, i int, start, dur float64) (*cluster.Task, *cluster.Copy) {
 	t := jb.Job.Phases[0].Tasks[i]
 	spec := len(t.Copies) > 0
-	c := t.StartCopy(start, cluster.MachineID(i), spec, false, dur)
+	c := t.StartCopy(start, cluster.MachineID(i), spec, dur)
 	b.HandedOut(jb, t, spec)
 	return t, c
 }

@@ -141,6 +141,17 @@ func Sparkify(p Profile) Profile {
 	return p
 }
 
+// ProfileByName returns the profile whose Name is name: Facebook, Bing,
+// or the Sparkify variant of either ("facebook-spark", "bing-spark").
+func ProfileByName(name string) (Profile, bool) {
+	for _, p := range []Profile{Facebook(), Bing(), Sparkify(Facebook()), Sparkify(Bing())} {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return Profile{}, false
+}
+
 // Config drives one trace synthesis.
 type Config struct {
 	Profile Profile

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
@@ -170,6 +171,23 @@ func TestSparkifyShortensTasksRaisesTransfer(t *testing.T) {
 	}
 	if sp.TransferRatio <= base.TransferRatio {
 		t.Error("Sparkify should raise relative transfer work")
+	}
+}
+
+// TestProfileByName: the four command-line profile names resolve to the
+// profiles the constructors build, and nothing else resolves.
+func TestProfileByName(t *testing.T) {
+	for name, want := range map[string]Profile{
+		"facebook": Facebook(), "bing": Bing(),
+		"facebook-spark": Sparkify(Facebook()), "bing-spark": Sparkify(Bing()),
+	} {
+		got, ok := ProfileByName(name)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("ProfileByName(%q) = %+v, %v; want %+v", name, got, ok, want)
+		}
+	}
+	if _, ok := ProfileByName("spark"); ok {
+		t.Error("ProfileByName found an unknown profile")
 	}
 }
 
