@@ -174,15 +174,19 @@ type System struct {
 
 	next int // round-robin scheduler assignment
 
-	// freeMsg heads the pooled-message free list. Every simulated
-	// protocol message is one recycled message object posted through a
-	// lane's PostArg and drained by System.dispatch — no per-post
-	// closure, no per-message heap allocation once the pool is warm.
-	freeMsg *message
+	// msgs and batches are the pooled-message free lists. Every
+	// simulated protocol message is one recycled message object posted
+	// through a lane's PostArg and drained by System.dispatch — no
+	// per-post closure, no per-message heap allocation once the pool is
+	// warm. Probe batches keep a list of their own, so only they carry
+	// probe arrays: an offer or a reply never holds one a batch left.
+	msgs    msgPool
+	batches msgPool
 
 	// pool recycles reservation entries and negotiation rounds among all
-	// worker cores, which the engine drives from one goroutine; a
-	// rejoining machine's fresh core draws from it too.
+	// worker cores, which the engine drives from one goroutine, and holds
+	// the scratch their calls share; a rejoining machine's fresh core
+	// draws from it too.
 	pool protocol.Pool
 
 	// toWorker, toSched and ticks are the engine lanes of the three
@@ -248,8 +252,8 @@ const (
 )
 
 // message is one pooled simulated protocol message. The same object
-// makes the offer -> reply round trip; probe batches reuse the probes
-// slice across recycles.
+// makes the offer -> reply round trip; probe batches, pooled apart, reuse
+// the probes slice across recycles.
 type message struct {
 	sys  *System
 	next *message // free-list link
@@ -275,25 +279,47 @@ type message struct {
 	free int
 }
 
-// getMsg pops a recycled message (or allocates the pool's next one).
-func (s *System) getMsg() *message {
-	if m := s.freeMsg; m != nil {
-		s.freeMsg = m.next
+// msgPool is a free list of messages with the slab its new ones come
+// from. A refill holds as many messages as the list has made so far (at
+// least one, at most 64), the rule protocol.Pool's slabs follow.
+type msgPool struct {
+	free *message
+	slab []message
+	made int
+}
+
+// getMsg pops a recycled message (or carves the pool's next one).
+func (s *System) getMsg(p *msgPool) *message {
+	if m := p.free; m != nil {
+		p.free = m.next
 		m.next = nil
 		return m
 	}
-	return &message{sys: s}
+	if len(p.slab) == 0 {
+		n := min(max(p.made, 1), 64)
+		p.slab = make([]message, n)
+		p.made += n
+	}
+	m := &p.slab[0]
+	p.slab = p.slab[1:]
+	m.sys = s
+	return m
 }
 
 // putMsg scrubs pointer fields (so recycled messages pin nothing) and
-// returns the message to the pool. The probes slice keeps its capacity.
+// returns the message to its pool: a probe batch to the batches, which
+// keep their probes slice's capacity, anything else to the messages.
 func (s *System) putMsg(m *message) {
 	m.sched = nil
 	m.worker = nil
 	m.rep = protocol.Reply{}
-	m.probes = m.probes[:0]
-	m.next = s.freeMsg
-	s.freeMsg = m
+	p := &s.msgs
+	if m.kind == mProbeBatch {
+		m.probes = m.probes[:0]
+		p = &s.batches
+	}
+	m.next = p.free
+	p.free = m
 }
 
 // dispatchMessage is the single engine-facing dispatch entry point: a

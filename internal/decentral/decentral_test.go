@@ -264,3 +264,38 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatalf("same seed, different outcomes: %v vs %v", a, b)
 	}
 }
+
+// TestOnlyProbeBatchesHoldProbeArrays replays a small trace in each mode
+// and walks both message free lists: every pooled offer, reply and
+// rollback must be free of a probe array, and the probe batches, which
+// keep theirs across recycles, must be the only ones holding one.
+func TestOnlyProbeBatchesHoldProbeArrays(t *testing.T) {
+	for _, mode := range []Mode{ModeHopper, ModeSparrow, ModeLoadCache} {
+		t.Run(mode.String(), func(t *testing.T) {
+			eng, _, sys := mkSystem(mode, 12, 2, 5)
+			var jobs []*cluster.Job
+			for i := 0; i < 15; i++ {
+				jobs = append(jobs, mkJob(cluster.JobID(i), 4+i*2, 1.0, float64(i)*0.5))
+			}
+			runAll(t, eng, sys, jobs)
+			msgs, batches := 0, 0
+			for m := sys.msgs.free; m != nil; m = m.next {
+				msgs++
+				if m.kind == mProbeBatch || cap(m.probes) != 0 {
+					t.Fatalf("a pooled %v message holds a probe array of capacity %d", m.kind, cap(m.probes))
+				}
+			}
+			for m := sys.batches.free; m != nil; m = m.next {
+				if m.kind != mProbeBatch {
+					t.Fatalf("a %v message went back to the probe batches", m.kind)
+				}
+				if cap(m.probes) != 0 {
+					batches++
+				}
+			}
+			if msgs == 0 || batches == 0 {
+				t.Fatalf("pooled %d messages and %d batches holding probes: the replay exercised neither list", msgs, batches)
+			}
+		})
+	}
+}

@@ -18,10 +18,19 @@ type sched struct {
 	busyUntil float64
 
 	tickerOn bool
+	tickFn   func() // bound once; restarting the ticker allocates nothing
 }
 
 func newSched(sys *System, id int, pcfg protocol.Config) *sched {
 	sc := &sched{sys: sys, id: id}
+	sc.tickFn = func() {
+		if !sc.core.HasJobs() {
+			sc.tickerOn = false
+			return
+		}
+		sc.sendProbes(sc.core.ScanSpec())
+		sc.sys.ticks.PostAfter(sc.sys.Cfg.CheckInterval, sc.tickFn)
+	}
 	sc.core = protocol.NewSched(protocol.SchedID(id), pcfg, protocol.SchedEnv{
 		Now:           func() float64 { return sys.Eng.Now() },
 		Rand:          sys.Eng.Rand(),
@@ -55,7 +64,7 @@ func (sc *sched) sendProbes(probes []protocol.Probe) {
 	sc.sys.Messages += n
 	sc.sys.Probes += n
 	sc.sys.ProbeEventsSaved += n - 1
-	m := sc.sys.getMsg()
+	m := sc.sys.getMsg(&sc.sys.batches)
 	m.kind = mProbeBatch
 	m.sched = sc
 	m.probes = append(m.probes[:0], probes...)
@@ -68,14 +77,5 @@ func (sc *sched) ensureTicker() {
 		return
 	}
 	sc.tickerOn = true
-	var tick func()
-	tick = func() {
-		if !sc.core.HasJobs() {
-			sc.tickerOn = false
-			return
-		}
-		sc.sendProbes(sc.core.ScanSpec())
-		sc.sys.ticks.PostAfter(sc.sys.Cfg.CheckInterval, tick)
-	}
-	sc.sys.ticks.PostAfter(sc.sys.Cfg.CheckInterval, tick)
+	sc.sys.ticks.PostAfter(sc.sys.Cfg.CheckInterval, sc.tickFn)
 }

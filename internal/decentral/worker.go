@@ -74,7 +74,7 @@ func (w *worker) place(from protocol.SchedID, rep protocol.Reply) bool {
 	t := rep.Task
 	sc := w.sys.scheds[from]
 	if t.State == cluster.TaskDone {
-		m := w.sys.getMsg()
+		m := w.sys.getMsg(&w.sys.msgs)
 		m.kind = mPlacementFailed
 		m.sched = sc
 		m.job = t.Job.ID
@@ -114,7 +114,9 @@ func (w *worker) trackCopy(c *cluster.Copy) {
 
 // exec realizes a core action list: offers become pooled messages whose
 // replies carry the offer's number back to the core (the reply reuses
-// the offer's message object), retry arms become engine events.
+// the offer's message object), retry arms become engine events. It
+// makes no core call while it walks the list, which is the shared
+// pool's and is reused by the next call into any worker core.
 func (w *worker) exec(acts []protocol.WAction) {
 	for i := range acts {
 		a := acts[i]
@@ -122,7 +124,7 @@ func (w *worker) exec(acts []protocol.WAction) {
 		case protocol.WSendOffer:
 			sc := w.sys.scheds[a.Sched]
 			w.sys.Offers++
-			m := w.sys.getMsg()
+			m := w.sys.getMsg(&w.sys.msgs)
 			m.kind = mOffer
 			m.sched = sc
 			m.worker = w

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -42,4 +43,12 @@ func TestProfile100k(t *testing.T) {
 		t.Fatalf("got %d decisions and %d events, want %d and %d",
 			r.Exec.CopiesStarted, eng.Fired, wantDecisions, wantEvents)
 	}
+	// The heap the replayed run holds live, per machine: the number
+	// ROADMAP item 6b tracks. Logged, not gated.
+	var mem runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&mem)
+	t.Logf("live heap %.1f MB after the replay, %d B per machine, %d objects allocated in all",
+		float64(mem.HeapAlloc)/1e6, mem.HeapAlloc/uint64(spec.Machines), mem.Mallocs)
+	runtime.KeepAlive(r)
 }

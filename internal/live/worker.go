@@ -696,7 +696,7 @@ func (w *Worker) exec(acts []protocol.WAction) {
 			}
 		}
 	}
-	// Only now: the core reuses acts on re-entry.
+	// Only now: the core's pool reuses acts on re-entry.
 	for _, a := range unsent {
 		next, _ := w.core.OnReply(a.Seq, protocol.Reply{Job: a.Job, From: a.Sched, JobDone: true})
 		w.exec(next)

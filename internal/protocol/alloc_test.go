@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -83,6 +84,51 @@ func TestSharedPoolRoundZeroAllocs(t *testing.T) {
 	if len(pool.entries) != 1 || len(pool.rounds) != 1 {
 		t.Fatalf("pool holds %d entries and %d rounds, want the one of each the workers pass between them",
 			len(pool.entries), len(pool.rounds))
+	}
+}
+
+// TestPoolWarmUpAllocatesPerPlane brings 512 fresh worker cores sharing
+// one Pool into negotiation at once: each takes a reservation and sends
+// its offer before any reply arrives, so every entry, round and queue
+// array is live together; then every core gets a JobDone reply. The
+// pool's slabs grow with demand and the cores' scratch is the pool's,
+// so the whole warm-up costs a few dozen allocations for the plane
+// rather than a round, its tried list, an entry, a queue array and an
+// action list for every worker.
+func TestPoolWarmUpAllocatesPerPlane(t *testing.T) {
+	const (
+		workers = 512
+		bound   = 100 // measured 77; 2,580 with per-worker scratch and one-object refills
+	)
+	var clk testClock
+	var stats Stats
+	pool := &Pool{}
+	ws := make([]*Worker, workers)
+	for i := range ws {
+		ws[i] = newPoolWorker(cluster.MachineID(i), &clk, &stats, pool, func() int { return 1 }, nil)
+	}
+	seqs := make([]uint64, workers)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, w := range ws {
+		acts := w.AddReservation(SchedID(i%3), cluster.JobID(i), 5.0, 4, cluster.Resources{})
+		if len(acts) != 1 || acts[0].Kind != WSendOffer {
+			t.Fatalf("worker %d: unexpected action list: %+v", i, acts)
+		}
+		seqs[i] = acts[0].Seq
+	}
+	for i, w := range ws {
+		if _, ok := w.OnReply(seqs[i], Reply{Job: cluster.JobID(i), From: SchedID(i % 3), JobDone: true}); !ok {
+			t.Fatalf("worker %d: offer %d is not waiting for a reply", i, seqs[i])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if len(pool.entries) != workers || len(pool.rounds) != workers {
+		t.Fatalf("pool holds %d entries and %d rounds after the warm-up, want %d of each",
+			len(pool.entries), len(pool.rounds), workers)
+	}
+	if n := after.Mallocs - before.Mallocs; n > bound {
+		t.Fatalf("warming %d workers allocated %d objects, want at most %d", workers, n, bound)
 	}
 }
 

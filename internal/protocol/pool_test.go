@@ -23,6 +23,9 @@ func newPoolWorker(id cluster.MachineID, clk *testClock, stats *Stats, pool *Poo
 	})
 }
 
+// liveEntries counts a worker's non-tombstoned entries.
+func (w *Worker) liveEntries() int { return len(w.entries) - w.deadEntries }
+
 // TestQueueNeverMoreDeadThanLive purges a queue's entries in random
 // orders and checks, after every purge, that the queue holds no more
 // tombstones than live entries and that the live entries keep their

@@ -399,7 +399,7 @@ func TestRetryBackoffDoublesAndResets(t *testing.T) {
 	h.w.begin()
 	h.w.endRound(h.w.newRound(), true)
 	reArmed := false
-	for _, a := range h.w.acts {
+	for _, a := range h.w.acts() {
 		if a.Kind == WArmRetry {
 			reArmed = true
 			if a.Delay != retryBackoffMin {

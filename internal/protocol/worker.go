@@ -39,20 +39,75 @@ type WorkerEnv struct {
 	// Stats receives protocol counters; must be non-nil.
 	Stats *Stats
 
-	// Pool recycles the worker's purged entries and finished rounds. The
-	// workers of one simulated plane share one (they run on one
-	// goroutine); a worker on a goroutine of its own leaves it nil and
-	// gets a pool of its own.
+	// Pool recycles the worker's purged entries and finished rounds and
+	// holds the scratch its calls use, the returned action list included:
+	// that list stays valid only until the next call into any worker
+	// sharing the pool. The workers of one simulated plane share one
+	// (they run on one goroutine); a worker on a goroutine of its own
+	// leaves it nil and gets a pool of its own.
 	Pool *Pool
 }
 
-// Pool holds purged reservation entries and finished negotiation rounds
-// for reuse by any worker that shares it, so a plane warms one free list
-// instead of one per worker. Not safe for concurrent use: every worker
-// sharing a pool must be driven from one goroutine.
+// Pool holds what the worker cores of one plane share, so the plane
+// allocates per plane and not per worker: purged reservation entries
+// and finished negotiation rounds for reuse by any worker, the slabs new
+// ones and first queue arrays are carved from, and the scratch a core
+// call uses only while it runs. Not safe for concurrent use: every
+// worker sharing a pool must be driven from one goroutine.
+//
+// The action list a core call returns is that scratch too: it belongs to
+// the pool and stays valid until the next call into any worker that
+// shares the pool, so an adapter consumes it before it calls a core
+// again.
 type Pool struct {
 	entries []*Entry
 	rounds  []*round
+
+	// The slabs hand out new objects once the free lists run dry. Each
+	// refill holds as many objects as the pool has made so far (at least
+	// one, at most slabMax), so a pool that never needs many never makes
+	// many, and a busy one makes few slabs.
+	entrySlab   []Entry
+	roundSlab   []round
+	queueSlab   []*Entry
+	entriesMade int
+	roundsMade  int
+	queuesMade  int
+
+	// Per-call scratch: the action list and Guideline 3's weighted-choice
+	// buffers, reset at every top-level core entry point.
+	acts      []WAction
+	g3Cands   []*Entry
+	g3Weights []float64
+}
+
+const (
+	// slabMax caps one refill of a pool slab.
+	slabMax = 64
+	// queueCarve is the capacity of a worker's first queue array, carved
+	// from the pool's queue slab; a queue that outgrows it moves to an
+	// array of its own.
+	queueCarve = 4
+	// triedCarve is the capacity of a round's tried list, carved with
+	// the round.
+	triedCarve = 4
+)
+
+// slabSize is the next refill's object count after made objects.
+func slabSize(made int) int { return min(max(made, 1), slabMax) }
+
+// queue returns an empty queue array of capacity queueCarve carved from
+// the queue slab (a[i:i:i+n], so appends past it never reach a
+// neighbour's carve).
+func (p *Pool) queue() []*Entry {
+	if len(p.queueSlab) == 0 {
+		n := slabSize(p.queuesMade)
+		p.queueSlab = make([]*Entry, n*queueCarve)
+		p.queuesMade += n
+	}
+	q := p.queueSlab[0:0:queueCarve]
+	p.queueSlab = p.queueSlab[queueCarve:]
+	return q
 }
 
 // Entry aggregates a worker's queued reservations for one (scheduler,
@@ -173,13 +228,6 @@ type Worker struct {
 	backoff    float64
 	retryArmed bool
 	seqCounter int64
-
-	// g3Cands/g3Weights back the weighted-choice step; used and drained
-	// within one synchronous stepG3 call, so per-worker reuse is safe.
-	g3Cands   []*Entry
-	g3Weights []float64
-
-	acts []WAction
 }
 
 // NewWorker builds a worker core for machine id. cfg must already have
@@ -207,7 +255,7 @@ func (w *Worker) find(sched SchedID, job cluster.JobID) *Entry {
 }
 
 // newEntry appends a fresh entry for the pair, recycling from the pool
-// when possible.
+// when possible and carving from its slab when not.
 func (w *Worker) newEntry(sched SchedID, job cluster.JobID) *Entry {
 	var e *Entry
 	p := w.env.Pool
@@ -217,17 +265,32 @@ func (w *Worker) newEntry(sched SchedID, job cluster.JobID) *Entry {
 		p.entries = p.entries[:n-1]
 		*e = Entry{gen: e.gen} // generation survives recycling
 	} else {
-		e = &Entry{}
+		if len(p.entrySlab) == 0 {
+			n := slabSize(p.entriesMade)
+			p.entrySlab = make([]Entry, n)
+			p.entriesMade += n
+		}
+		e = &p.entrySlab[0]
+		p.entrySlab = p.entrySlab[1:]
 	}
 	e.Sched, e.Job = sched, job
 	e.seq = w.seqCounter
 	w.seqCounter++
+	if cap(w.entries) == 0 {
+		w.entries = p.queue()
+	}
 	w.entries = append(w.entries, e)
 	return e
 }
 
-// begin resets the action buffer at each top-level core entry point.
-func (w *Worker) begin() { w.acts = w.acts[:0] }
+// begin resets the pool's action list at each top-level core entry
+// point; acts returns it.
+func (w *Worker) begin() { w.env.Pool.acts = w.env.Pool.acts[:0] }
+
+func (w *Worker) acts() []WAction { return w.env.Pool.acts }
+
+// emit appends an action to the pool's action list.
+func (w *Worker) emit(a WAction) { w.env.Pool.acts = append(w.env.Pool.acts, a) }
 
 // AddReservation enqueues (or tops up) a reservation from a scheduler
 // and returns the actions to execute. demand is the probe's piggybacked
@@ -246,7 +309,7 @@ func (w *Worker) AddReservation(sched SchedID, job cluster.JobID, vs float64, re
 	// A new reservation justifies an immediate try, but does not reset
 	// the failure backoff: only a successful placement does.
 	w.kick()
-	return w.acts
+	return w.acts()
 }
 
 // Kick starts negotiation rounds while slots and reservations allow
@@ -254,7 +317,7 @@ func (w *Worker) AddReservation(sched SchedID, job cluster.JobID, vs float64, re
 func (w *Worker) Kick() []WAction {
 	w.begin()
 	w.kick()
-	return w.acts
+	return w.acts()
 }
 
 // RetryFired is the adapter's callback when an armed retry elapses.
@@ -262,7 +325,7 @@ func (w *Worker) RetryFired() []WAction {
 	w.begin()
 	w.retryArmed = false
 	w.kick()
-	return w.acts
+	return w.acts()
 }
 
 // LostReservation records one job's reservation state discarded by
@@ -309,7 +372,7 @@ func (w *Worker) DropSched(sched SchedID) ([]WAction, []LostReservation) {
 			r.resume(Reply{Job: r.out.job, From: sched, JobDone: true})
 		}
 	}
-	return w.acts, lost
+	return w.acts(), lost
 }
 
 // purge tombstones an entry; the queue compacts as soon as dead entries
@@ -350,9 +413,6 @@ func (w *Worker) compact() {
 	w.entries = live
 	w.deadEntries = 0
 }
-
-// liveEntries counts non-tombstoned entries (tests and diagnostics).
-func (w *Worker) liveEntries() int { return len(w.entries) - w.deadEntries }
 
 // maxConcurrentRounds caps in-flight negotiations per worker: when a
 // round places a task it immediately starts the next, so throughput is
@@ -405,33 +465,39 @@ func (w *Worker) hasAnyReservations() bool {
 	return false
 }
 
-// newRound pops a recycled round (or builds one) and binds it to this
-// worker, whichever worker sharing the pool ended it; fields are reset
-// here so endRound can push rounds back without scrubbing them.
+// newRound pops a recycled round (or carves one, with its tried list,
+// from the pool's slab) and binds it to this worker, whichever worker
+// sharing the pool ended it; fields are reset here so endRound can push
+// rounds back without scrubbing them.
 func (w *Worker) newRound() *round {
 	p := w.env.Pool
+	var r *round
 	if n := len(p.rounds); n > 0 {
-		r := p.rounds[n-1]
+		r = p.rounds[n-1]
 		p.rounds[n-1] = nil
 		p.rounds = p.rounds[:n-1]
-		r.w = w
-		r.tried = r.tried[:0]
-		r.refusals = 0
-		r.hasUnsat = false
-		r.unsatSched = 0
-		r.unsatJob = 0
-		r.unsatVS = 0
-		r.g3 = false
-		return r
+	} else {
+		if len(p.roundSlab) == 0 {
+			n := slabSize(p.roundsMade)
+			p.roundSlab = make([]round, n)
+			tried := make([]triedRef, n*triedCarve)
+			for i := range p.roundSlab {
+				p.roundSlab[i].tried = tried[i*triedCarve : i*triedCarve : (i+1)*triedCarve]
+			}
+			p.roundsMade += n
+		}
+		r = &p.roundSlab[0]
+		p.roundSlab = p.roundSlab[1:]
 	}
-	return &round{w: w, tried: make([]triedRef, 0, 4)}
+	*r = round{w: w, tried: r.tried[:0]}
+	return r
 }
 
 // kick starts negotiation rounds while slots and reservations allow.
 func (w *Worker) kick() {
 	if w.retryArmed {
 		w.retryArmed = false
-		w.acts = append(w.acts, WAction{Kind: WCancelRetry})
+		w.emit(WAction{Kind: WCancelRetry})
 	}
 	for w.freeForRounds() > 0 && w.hasOfferableWork() {
 		r := w.newRound()
@@ -461,7 +527,7 @@ func (w *Worker) scheduleRetry() {
 	// every retryBackoffMax seconds, never longer.
 	d = min(d, retryBackoffMax)
 	w.retryArmed = true
-	w.acts = append(w.acts, WAction{Kind: WArmRetry, Delay: d})
+	w.emit(WAction{Kind: WArmRetry, Delay: d})
 }
 
 // endRound settles a finished negotiation and recycles the round. By the
@@ -545,7 +611,7 @@ func (r *round) send(a WAction, entry entryRef) {
 	w.offerSeq++
 	a.Kind, a.Seq = WSendOffer, w.offerSeq
 	r.out = offer{seq: a.Seq, entry: entry, sched: a.Sched, job: a.Job, sentAt: w.env.Now()}
-	w.acts = append(w.acts, a)
+	w.emit(a)
 }
 
 func (r *round) wasTried(e *Entry) bool {
@@ -671,8 +737,9 @@ func (r *round) conclude() {
 // on NoDemand or JobDone) or the round's candidates (tried), so the walk
 // ends by itself.
 func (r *round) stepG3() {
-	cands := r.w.g3Cands[:0]
-	weights := r.w.g3Weights[:0]
+	p := r.w.env.Pool
+	cands := p.g3Cands[:0]
+	weights := p.g3Weights[:0]
 	for _, e := range r.w.entries {
 		if e.dead || e.count <= 0 || r.wasTried(e) || !r.w.fitsHere(e) {
 			continue
@@ -680,7 +747,7 @@ func (r *round) stepG3() {
 		cands = append(cands, e)
 		weights = append(weights, e.vs)
 	}
-	r.w.g3Cands, r.w.g3Weights = cands, weights
+	p.g3Cands, p.g3Weights = cands, weights
 	if len(cands) == 0 {
 		r.w.endRound(r, false)
 		return
@@ -704,7 +771,7 @@ func (w *Worker) OnReply(seq uint64, rep Reply) (acts []WAction, ok bool) {
 	}
 	w.begin()
 	r.resume(rep)
-	return w.acts, true
+	return w.acts(), true
 }
 
 // ExpireOffers abandons every offer sent at or before the given time on
@@ -724,7 +791,7 @@ func (w *Worker) ExpireOffers(sentAtOrBefore float64) []WAction {
 		w.env.Stats.OfferTimeouts++
 		r.resume(Reply{Job: r.out.job, From: r.out.sched})
 	}
-	return w.acts
+	return w.acts()
 }
 
 // OldestOffer reports when the longest-unanswered offer was sent, which
