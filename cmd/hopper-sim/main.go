@@ -1,5 +1,5 @@
 // Command hopper-sim regenerates the paper's tables and figures and
-// runs the robustness scenarios (churn, hetero) through the same
+// runs the robustness scenarios (chaos, churn, hetero) through the same
 // registry.
 //
 // Usage:

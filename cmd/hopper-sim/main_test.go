@@ -41,7 +41,7 @@ func TestListIncludesScenarios(t *testing.T) {
 			ids[f[0]] = true
 		}
 	}
-	for _, id := range []string{"fig6", "churn", "hetero"} {
+	for _, id := range []string{"fig6", "chaos", "churn", "hetero"} {
 		if !ids[id] {
 			t.Errorf("-list does not list %s:\n%s", id, out)
 		}

@@ -53,10 +53,8 @@ var allowed = map[string]string{
 	"speculation.Monitor.CandidatesInto": "bench/: speculation.scan_us; also the tests' scan oracle",
 	"transport.Pair":                     "bench/: transport.mempair_msgs_per_s; also the live tests' loopback pair",
 	"cluster.Machines.NewSubsetSampler":  "bench/: cluster.subset_ns_per_target",
-	"speculation.Monitor.VictimsInto":    "test oracle: the victim index's scan differential",
 	"cluster.Job.RunnablePhasesScan":     "test oracle: the runnable-phase cursor's scan",
 	"cluster.Job.RecomputeRunnable":      "test oracle: rebuilds the runnable set from scratch",
-	"protocol.Worker.OffersOut":          "read by other packages' tests",
 	"metrics.Histogram.Merge":            "ROADMAP item 7's registry merges per-node histograms",
 }
 

@@ -30,7 +30,7 @@ const (
 // failure and heterogeneity paths rather than reproduce a paper figure.
 // The scenario golden pins them and the dispatch golden pins every
 // other driver, so a new scenario never shifts a figure's golden.
-var scenarioIDs = map[string]bool{"churn": true, "hetero": true}
+var scenarioIDs = map[string]bool{"chaos": true, "churn": true, "hetero": true}
 
 // registered returns the registered drivers whose scenario membership is
 // scenarios, in registration order.
@@ -106,12 +106,12 @@ func TestDispatchGolden(t *testing.T) {
 	checkGolden(t, goldenPath, renderAll(goldenHarness, registered(false)))
 }
 
-// TestScenarioGolden pins the churn and hetero tables the way
+// TestScenarioGolden pins the chaos, churn and hetero tables the way
 // TestDispatchGolden pins the figures: every scenario in scenarioIDs must
-// reproduce the checked-in tables byte for byte. Churn exercises the
-// loss and requeue paths, hetero the classed cluster, demand filtering
-// and the load-cached probe policy — none of which the figure drivers
-// reach.
+// reproduce the checked-in tables byte for byte. Chaos runs the shipped
+// live nodes under frame faults, churn exercises the loss and requeue
+// paths, hetero the classed cluster, demand filtering and the
+// load-cached probe policy — none of which the figure drivers reach.
 func TestScenarioGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden replay is seconds-long; skipped with -short")

@@ -34,7 +34,8 @@ func runFig6(h Harness) *Result {
 		}
 	}
 	med := seedMedians(h, len(cfgs), 9000, 311, func(hh Harness, c, _ int, seed int64) []float64 {
-		prof := workload.Sparkify(profileByName(cfgs[c].prof))
+		base, _ := workload.ProfileByName(cfgs[c].prof) // profs names built-in profiles only
+		prof := workload.Sparkify(base)
 		tr := GenTrace(prof, hh.jobs(1200), cfgs[c].util, spec, seed)
 		runs := pairedRuns(hh, spec, tr.Jobs, seed+1,
 			decentralKind(decentral.Config{Mode: decentral.ModeSparrow, CheckInterval: 0.1}),
@@ -60,14 +61,4 @@ func runFig6(h Harness) *Result {
 	res.Notes = append(res.Notes,
 		"paper: up to 66% vs Sparrow-SRPT at 60% util, gains fall under 20% at >=80% util, Bing slightly higher")
 	return res
-}
-
-func profileByName(name string) workload.Profile {
-	switch name {
-	case "facebook":
-		return workload.Facebook()
-	case "bing":
-		return workload.Bing()
-	}
-	panic("experiments: unknown profile " + name)
 }

@@ -65,7 +65,8 @@ func runFig7(h Harness) *Result {
 	profs := []string{"facebook", "bing"}
 
 	med := seedMedians(h, len(profs), 1700, 13, func(hh Harness, p, _ int, seed int64) []float64 {
-		prof := workload.Sparkify(profileByName(profs[p]))
+		base, _ := workload.ProfileByName(profs[p]) // profs names built-in profiles only
+		prof := workload.Sparkify(base)
 		tr := GenTrace(prof, hh.jobs(1500), 0.6, spec, seed)
 		return srptVsHopperGains(hh, spec, tr, seed+1, speculation.Config{})
 	})

@@ -10,7 +10,7 @@ func TestRegistryComplete(t *testing.T) {
 	// the repo's own protocol-overhead table and robustness scenarios.
 	want := []string{"table1", "fig3", "fig5a", "fig5b", "fig6", "fig7",
 		"fig8a", "fig8b", "fig9", "fig10", "fig11", "fig12", "fig13", "ablation",
-		"tblproto", "churn", "hetero"}
+		"tblproto", "chaos", "churn", "hetero"}
 	have := map[string]bool{}
 	for _, e := range Registry {
 		if have[e.ID] {

@@ -30,6 +30,24 @@ func TestHeteroTruncatesMessageMedians(t *testing.T) {
 	}
 }
 
+// Run the chaos scenario at two seeds: every cell of the live chaos
+// golden, on the shipped nodes, must pass every oracle Check holds it to.
+func TestChaosScenarioSmoke(t *testing.T) {
+	e, ok := ByID("chaos")
+	if !ok {
+		t.Fatal("chaos scenario not registered")
+	}
+	res := e.Run(Harness{Scale: 1, Seeds: 2})
+	if len(res.Tables) != 1 || len(res.Tables[0].Rows) != 2*len(chaosCells) {
+		t.Fatalf("chaos scenario produced %d tables, want one with a row per cell and seed", len(res.Tables))
+	}
+	for _, row := range res.Tables[0].Rows {
+		if got := row[len(row)-1]; got != "ok" {
+			t.Errorf("%s seed %s: check reads %q", row[0], row[1], got)
+		}
+	}
+}
+
 // Smoke-run the churn scenario at reduced scale: every cell must finish
 // every job (RunTrace panics otherwise — a stranded job under churn is
 // a recovery bug, not noise) and produce the three tables.

@@ -34,25 +34,25 @@ func frameLogDigest(frames []sentFrame) string {
 func TestChaosFrameLogGolden(t *testing.T) {
 	type cell struct {
 		name string
-		chaosCell
+		ChaosCell
 	}
-	cells := []cell{{"zero-rates seed 42", chaosCell{seed: 42}}}
+	cells := []cell{{"zero-rates seed 42", ChaosCell{Seed: 42}}}
 	for _, m := range faultMatrix {
 		for _, seed := range chaosSeeds {
-			cells = append(cells, cell{fmt.Sprintf("%s seed %d", m.name, seed), chaosCell{seed: seed, rates: m.rates}})
+			cells = append(cells, cell{fmt.Sprintf("%s seed %d", m.name, seed), ChaosCell{Seed: seed, Rates: m.rates}})
 		}
 	}
 	for _, seed := range chaosSeeds {
 		cells = append(cells,
-			cell{fmt.Sprintf("partition seed %d", seed), chaosCell{seed: seed, partition: partitionCut}},
-			cell{fmt.Sprintf("lost-probes seed %d", seed), chaosCell{seed: seed, perType: lostProbes}},
-			cell{fmt.Sprintf("lost-taskdone seed %d", seed), chaosCell{seed: seed, perType: lostTaskDone}},
-			cell{fmt.Sprintf("lost-kill seed %d", seed), chaosCell{seed: seed, perType: lostKill}},
+			cell{fmt.Sprintf("partition seed %d", seed), ChaosCell{Seed: seed, Partition: partitionCut}},
+			cell{fmt.Sprintf("lost-probes seed %d", seed), ChaosCell{Seed: seed, PerType: lostProbes}},
+			cell{fmt.Sprintf("lost-taskdone seed %d", seed), ChaosCell{Seed: seed, PerType: lostTaskDone}},
+			cell{fmt.Sprintf("lost-kill seed %d", seed), ChaosCell{Seed: seed, PerType: lostKill}},
 		)
 	}
 	var sb strings.Builder
 	for _, c := range cells {
-		fmt.Fprintf(&sb, "%s: %s\n", c.name, frameLogDigest(runChaos(t, c.chaosCell).frames))
+		fmt.Fprintf(&sb, "%s: %s\n", c.name, frameLogDigest(RunVirtual(c.ChaosCell).frames))
 	}
 	got := sb.String()
 	if *updateChaosGolden {

@@ -59,9 +59,6 @@ func TestInjectorPerTypeOverrides(t *testing.T) {
 func TestInjectorPartitionDropsAllThenHeals(t *testing.T) {
 	in := NewInjector(FaultConfig{Seed: 3})
 	in.Partition()
-	if !in.Partitioned() {
-		t.Fatal("Partitioned() false after Partition()")
-	}
 	for i := 0; i < 10; i++ {
 		if f := in.Judge(wire.TAssign); !f.Drop {
 			t.Fatal("message crossed an active partition")
@@ -69,9 +66,6 @@ func TestInjectorPartitionDropsAllThenHeals(t *testing.T) {
 	}
 	in.Heal()
 	in.Heal() // idempotent: second heal must not double-count
-	if in.Partitioned() {
-		t.Fatal("still partitioned after Heal()")
-	}
 	if f := in.Judge(wire.TAssign); f.Drop {
 		t.Fatal("message dropped after heal with zero rates")
 	}

@@ -10,53 +10,6 @@ import (
 	"github.com/hopper-sim/hopper/internal/wire"
 )
 
-// bootCluster starts nSched schedulers and nWork workers on loopback TCP,
-// returning their addresses and a shutdown function.
-func bootCluster(t *testing.T, nSched, nWork, slots int, scale float64) ([]string, func()) {
-	t.Helper()
-	var scheds []*Scheduler
-	var addrs []string
-	for i := 0; i < nSched; i++ {
-		s, err := NewScheduler(SchedulerConfig{
-			ID:              uint32(i),
-			Addr:            "127.0.0.1:0",
-			NumSchedulers:   nSched,
-			Beta:            1.5,
-			MeanTaskSeconds: 1.0,
-			TimeScale:       scale,
-			Seed:            int64(i + 1),
-		})
-		if err != nil {
-			t.Fatalf("scheduler %d: %v", i, err)
-		}
-		go s.Run()
-		scheds = append(scheds, s)
-		addrs = append(addrs, s.Addr())
-	}
-	var workers []*Worker
-	for i := 0; i < nWork; i++ {
-		w, err := NewWorker(WorkerConfig{
-			ID:             uint32(i),
-			Slots:          slots,
-			SchedulerAddrs: addrs,
-			TimeScale:      scale,
-		})
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-		go w.Run()
-		workers = append(workers, w)
-	}
-	return addrs, func() {
-		for _, w := range workers {
-			w.Stop()
-		}
-		for _, s := range scheds {
-			s.Stop()
-		}
-	}
-}
-
 // waitJob blocks until job id is reported on c or timeout passes,
 // discarding other jobs' completions. A draining scheduler fails its jobs
 // instead of dropping them: check JobComplete.Aborted. On timeout c is
@@ -86,10 +39,13 @@ func waitJob(c *Client, id uint64, timeout time.Duration) (*wire.JobComplete, er
 }
 
 func TestLiveSingleJobCompletes(t *testing.T) {
-	addrs, stop := bootCluster(t, 1, 3, 2, 0.02)
-	defer stop()
+	lc, err := StartLocalCluster(LocalClusterConfig{Schedulers: 1, Workers: 3, Slots: 2, TimeScale: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Stop()
 
-	c, err := NewClient(addrs[0])
+	c, err := NewClient(lc.Addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +67,14 @@ func TestLiveSingleJobCompletes(t *testing.T) {
 }
 
 func TestLiveMultiJobMultiScheduler(t *testing.T) {
-	addrs, stop := bootCluster(t, 2, 4, 2, 0.02)
-	defer stop()
+	lc, err := StartLocalCluster(LocalClusterConfig{Schedulers: 2, Workers: 4, Slots: 2, TimeScale: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Stop()
 
 	var clients []*Client
-	for _, a := range addrs {
+	for _, a := range lc.Addrs {
 		c, err := NewClient(a)
 		if err != nil {
 			t.Fatal(err)
@@ -227,9 +186,12 @@ func TestLiveInMemoryCluster(t *testing.T) {
 // dependency indices, empty phases, and duplicate job IDs come back as
 // aborted JobCompletes and must not crash or wedge the scheduler.
 func TestMalformedSubmissionsRejected(t *testing.T) {
-	addrs, stop := bootCluster(t, 1, 2, 2, 0.02)
-	defer stop()
-	c, err := NewClient(addrs[0])
+	lc, err := StartLocalCluster(LocalClusterConfig{Schedulers: 1, Workers: 2, Slots: 2, TimeScale: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Stop()
+	c, err := NewClient(lc.Addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,10 +343,13 @@ func TestWorkerDrainReportsKills(t *testing.T) {
 }
 
 func TestLiveMultiPhaseJob(t *testing.T) {
-	addrs, stop := bootCluster(t, 1, 3, 2, 0.02)
-	defer stop()
+	lc, err := StartLocalCluster(LocalClusterConfig{Schedulers: 1, Workers: 3, Slots: 2, TimeScale: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Stop()
 
-	c, err := NewClient(addrs[0])
+	c, err := NewClient(lc.Addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,17 +330,6 @@ func (m *Monitor) BestVictim(now float64, running []*cluster.Task, maxCopies int
 	return m.scanVictims(now, running, maxCopies, nil)
 }
 
-// VictimsInto returns every task BestVictim would consider — all of a
-// job's ripe stragglers rather than the worst one — in running-set
-// order, reusing dst. The decentralized scheduler announces them with
-// probes (protocol.Sched.ScanSpec, through VictimsFor) so that no worker
-// has to poll for capacity-driven speculation.
-func (m *Monitor) VictimsInto(now float64, running []*cluster.Task, maxCopies int, dst []*cluster.Task) []*cluster.Task {
-	out := dst[:0]
-	m.scanVictims(now, running, maxCopies, &out)
-	return out
-}
-
 // scanVictims is the victim rule, once: it returns the qualifying task
 // with the largest estimated remaining time (the first of equals) and,
 // when all is non-nil, appends every qualifying task to it.

@@ -155,6 +155,16 @@ func TestBestVictimSkipsUnprofitable(t *testing.T) {
 	}
 }
 
+// VictimsInto returns every task BestVictim would consider — all of a
+// job's ripe stragglers rather than the worst one — in running-set order,
+// reusing dst: the scan the victim index's victims walk (Book.Scan) is
+// held to.
+func (m *Monitor) VictimsInto(now float64, running []*cluster.Task, maxCopies int, dst []*cluster.Task) []*cluster.Task {
+	out := dst[:0]
+	m.scanVictims(now, running, maxCopies, &out)
+	return out
+}
+
 // TestVictimsIntoListsWhatBestVictimChoosesFrom: the enumeration applies
 // BestVictim's rule to every task — same exclusions (tombstones, young
 // copies, unprofitable races, the copy cap), running-set order, and
