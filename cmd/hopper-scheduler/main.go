@@ -16,6 +16,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/live"
 )
 
@@ -24,7 +25,7 @@ func main() {
 		addr   = flag.String("addr", "127.0.0.1:7070", "listen address")
 		id     = flag.Uint("id", 0, "scheduler ID")
 		nSched = flag.Int("num-schedulers", 1, "cluster-wide scheduler count (fairness floor)")
-		beta   = flag.Float64("beta", 1.5, "Pareto tail index for virtual sizes")
+		beta   = flag.Float64("beta", cluster.DefaultExecModel().Beta, "Pareto tail index for virtual sizes")
 		mean   = flag.Float64("mean-task", 1.0, "fallback mean task service time (seconds)")
 		scale  = flag.Float64("time-scale", 1.0, "virtual-to-wall time factor (must match workers)")
 		seed   = flag.Int64("seed", 1, "service-time RNG seed")

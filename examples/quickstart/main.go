@@ -18,7 +18,7 @@ import (
 func main() {
 	// The paper's deployment: 200 machines with 16 slots each, heavy-tailed
 	// service times and machine-level interference.
-	spec := experiments.Prototype200(1.5)
+	spec := experiments.Prototype200()
 
 	// A Facebook-like interactive workload at 70% offered load.
 	prof := workload.Sparkify(workload.Facebook())

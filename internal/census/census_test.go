@@ -25,6 +25,11 @@
 //
 // The fourth: one declaration per contract. No two interface types, named
 // or written inline, declare the same set of method names.
+//
+// The fifth: every parameter names its source. Each field of the config
+// structs in paramTypes carries a comment that cites the paper (a
+// Section, §, Figure or Pseudocode, with its number) or says "ours" and
+// gives a reason.
 package census
 
 import (
@@ -35,6 +40,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -157,6 +163,7 @@ var (
 	callerRule   = rule{"exported, and no shipped code calls it; delete it or move it into a _test.go file", "it has a shipped caller now or is gone"}
 	readRule     = rule{"written, and no shipped code reads it; delete it", "shipped code reads it now or it is gone"}
 	contractRule = rule{"declare the same method names; keep one declaration", "the declarations differ now or are gone"}
+	sourceRule   = rule{"a parameter whose comment names no source; cite the paper (Section, §, Figure or Pseudocode) or say \"ours\" and why", "its comment names a source now or it is gone"}
 )
 
 // audit returns one line per problem: a flagged key that allow does not
@@ -199,7 +206,7 @@ func parseShipped(t *testing.T, root string) []pkgFile {
 			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return nil
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 			if err != nil {
 				return err
 			}
@@ -305,7 +312,7 @@ func parseSources(t *testing.T, srcs map[string]string) []pkgFile {
 	sort.Strings(names)
 	var files []pkgFile
 	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, srcs[name], parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, name, srcs[name], parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -591,6 +598,106 @@ func draw(rng interface{ Float64() float64 }) {}
 	want := []string{
 		"experiments.Arriver = scheduler.Engine: declare the same method names; keep one declaration",
 		"scheduler.Gone = wire.Gone: on the allowlist, but the declarations differ now or are gone; drop the entry",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("audit:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// paramTypes are the config structs (dir.Type) whose every field is a
+// parameter of the reproduction: the table both planes share, each
+// plane's own knobs, and the execution model the simulator draws from.
+var paramTypes = []string{"speculation.Config", "scheduler.Config", "protocol.Config", "decentral.Config", "cluster.ExecModel"}
+
+// allowedUnsourced are the parameters the module keeps without a source,
+// each with its reason; like allowed, the list can only shrink.
+var allowedUnsourced = map[string]string{}
+
+// sourceRe matches a comment that cites the paper by a numbered Section,
+// §, Figure or Pseudocode, or that says "ours" and goes on to a reason.
+var sourceRe = regexp.MustCompile(`(Sections?|§|Figures?|Pseudocode)\s*\d|\b[Oo]urs\b[:;,(—-]?\s*\w`)
+
+// unsourced returns the sorted keys (dir.Type.Field) of the fields of
+// types whose doc and line comments together fail sourceRe, and the
+// types no file declares as a struct.
+func unsourced(files []pkgFile, types []string) (flagged, missing []string) {
+	found := map[string]bool{}
+	for _, pf := range files {
+		ast.Inspect(pf.file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			key := pf.dir + "." + ts.Name.Name
+			if !ok || !slices.Contains(types, key) {
+				return true
+			}
+			found[key] = true
+			for _, f := range st.Fields.List {
+				if sourceRe.MatchString(f.Doc.Text() + " " + f.Comment.Text()) {
+					continue
+				}
+				for _, name := range f.Names {
+					flagged = append(flagged, key+"."+name.Name)
+				}
+			}
+			return true
+		})
+	}
+	for _, t := range types {
+		if !found[t] {
+			missing = append(missing, t)
+		}
+	}
+	sort.Strings(flagged)
+	return flagged, missing
+}
+
+func TestEveryParamNamesItsSource(t *testing.T) {
+	flagged, missing := unsourced(moduleFiles(t), paramTypes)
+	for _, m := range missing {
+		t.Errorf("%s: listed in paramTypes, but no shipped file declares it as a struct", m)
+	}
+	for _, p := range sourceRule.audit(flagged, allowedUnsourced) {
+		t.Error(p)
+	}
+}
+
+func TestCensusFlagsUnsourcedParam(t *testing.T) {
+	files := parseSources(t, map[string]string{
+		"speculation/spec.go": `package speculation
+
+type Config struct {
+	// MaxCopies caps live copies. Default 2 (Section 4.2).
+	MaxCopies int
+	// Policy picks stragglers. Ours: LATE is what the baselines run.
+	Policy string
+	// Delay is a guess. Default ours.
+	Delay float64
+	Budget, Pool int // ours
+	Cap          int // two to three refusals suffice (Figure 5b)
+	// Floor is (1−ε) of the fair share, §4.3.
+	Floor float64
+	// Workers concludes after Pseudocode 3's refusals.
+	Workers int
+	// Kept has no source on purpose.
+	Kept int
+}
+
+type Other struct{ Unsourced int } // not a listed type
+`,
+	})
+	flagged, missing := unsourced(files, []string{"speculation.Config", "cluster.ExecModel"})
+	if strings.Join(missing, ",") != "cluster.ExecModel" {
+		t.Fatalf("missing = %q, want [cluster.ExecModel]", missing)
+	}
+	got := sourceRule.audit(flagged, map[string]string{"speculation.Config.Kept": "kept on purpose", "speculation.Config.Gone": "deleted since"})
+	want := []string{
+		"speculation.Config.Budget: " + sourceRule.flaw,
+		"speculation.Config.Delay: " + sourceRule.flaw,
+		"speculation.Config.Pool: " + sourceRule.flaw,
+		"speculation.Config.Gone: on the allowlist, but " + sourceRule.fixed + "; drop the entry",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("audit:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -14,21 +14,32 @@ import (
 // fresh draw, which is exactly why the original/speculative race helps.
 type ExecModel struct {
 	// Beta is the Pareto tail index of per-copy durations (1 < Beta <= 2
-	// in the traces the paper studies; smaller is heavier-tailed).
+	// in the traces the paper studies, Section 4.1; smaller is
+	// heavier-tailed). DefaultExecModel sets the module's one default;
+	// the β prior (speculation.Config), the live scheduler and
+	// hopper-scheduler's -beta flag read it from there.
 	Beta float64
 
 	// RemotePenalty multiplies the duration of input-phase copies that
-	// read their data over the network (>= 1).
+	// read their data over the network (>= 1). Ours: a modest penalty,
+	// so the locality relaxation of Section 4.4 has something to win.
 	RemotePenalty float64
 
 	// MachineStraggleProb optionally adds spatially correlated
 	// interference: with this probability a placement lands in a slow
 	// period and is further multiplied by a Pareto(MachineStraggleShape)
-	// factor capped at MachineStraggleCap. Zero disables the mechanism
-	// (the default; the heavy-tailed draw already produces stragglers).
-	MachineStraggleProb  float64
+	// factor capped at MachineStraggleCap. Zero disables the mechanism.
+	// The 6% default is ours: the paper reports slow machines (Sections 1
+	// and 2.2) but not how often a placement meets one.
+	MachineStraggleProb float64
+
+	// MachineStraggleShape is the slow factor's Pareto shape. Ours: 1.1,
+	// near the heaviest tail that still has a finite mean.
 	MachineStraggleShape float64
-	MachineStraggleCap   float64
+
+	// MachineStraggleCap bounds the slow factor: 8, the paper's "tasks up
+	// to 8x slower than expected" (Sections 1 and 2.2).
+	MachineStraggleCap float64
 }
 
 // DefaultExecModel mirrors the trace regime in the paper: beta 1.5 task

@@ -60,14 +60,16 @@ const procDelay = 20e-6
 // protocol parameters plus the simulator-only message cost model. A zero
 // shared field resolves to protocol.Config's default for the mode.
 type Config struct {
+	// Mode selects the protocol: Hopper-D (Section 5), or one of the
+	// baselines Section 7 compares it with.
 	Mode Mode
 
 	// NumSchedulers is the number of independent job schedulers
 	// (50 in the Figure 5 simulations, 10 in the prototype).
 	NumSchedulers int
 
-	// ProbeRatio is reservations per task (d). Hopper's default is 4;
-	// Sparrow's is 2.
+	// ProbeRatio is reservations per task (d). Hopper's default is 4
+	// (Figure 5a); Sparrow's is 2.
 	ProbeRatio float64
 
 	// RefusalThreshold is how many refusals a worker collects before
@@ -75,28 +77,26 @@ type Config struct {
 	// refusals suffice).
 	RefusalThreshold int
 
-	// MsgLatency is the one-way network latency in seconds (default
-	// 0.5ms).
+	// MsgLatency is the one-way network latency in seconds. Default
+	// 0.5ms, ours: a datacenter round trip of about a millisecond.
 	MsgLatency float64
 
-	// Epsilon is the fairness allowance (Section 4.3) applied through the
-	// virtual-size floor; used only by ModeHopper. Default 0.1; 1 turns
-	// the floor off.
-	Epsilon float64
-
-	// Spec configures straggler detection.
+	// Spec is the parameter table both planes share (speculation.Config:
+	// straggler detection, the β prior, ε), each field with its source.
+	// One table is ours: the planes cannot drift apart.
 	Spec speculation.Config
 
 	// CheckInterval is the scheduler-side speculation scan period in
-	// seconds (default 0.25).
+	// seconds. Default protocol.DefaultCheckInterval (ours; its comment
+	// gives the reason).
 	CheckInterval float64
 
 	// ReprobeInterval, when positive, arms the periodic reservation
-	// refresh (ReprobeStalled) independent of churn. Heterogeneous
-	// clusters need it for liveness: a demand-carrying task whose
-	// probes all landed on workers it does not fit would otherwise
-	// strand — the refresh re-rolls its reservations until one reaches
-	// a machine with enough per-slot capacity.
+	// refresh (ReprobeStalled) independent of churn. Ours: heterogeneous
+	// clusters need it for liveness. A demand-carrying task whose probes
+	// all landed on workers it does not fit would otherwise strand — the
+	// refresh re-rolls its reservations until one reaches a machine with
+	// enough per-slot capacity.
 	ReprobeInterval float64
 }
 
@@ -107,7 +107,6 @@ func (c Config) protocol() protocol.Config {
 		NumSchedulers:    c.NumSchedulers,
 		ProbeRatio:       c.ProbeRatio,
 		RefusalThreshold: c.RefusalThreshold,
-		Epsilon:          c.Epsilon,
 		Spec:             c.Spec,
 	}
 }
@@ -412,7 +411,7 @@ func New(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *System {
 		cfg.MsgLatency = 0.0005
 	}
 	if cfg.CheckInterval == 0 {
-		cfg.CheckInterval = 0.25
+		cfg.CheckInterval = protocol.DefaultCheckInterval
 	}
 	s := &System{
 		Cfg:   cfg,
@@ -425,8 +424,6 @@ func New(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *System {
 		ticks:    eng.NewLane(),
 	}
 	s.reprobeEvery = cfg.ReprobeInterval
-	// The tail estimators' BetaPrior has no decentral knob: it resolves
-	// to protocol.Config's default here.
 	pcfg := cfg.protocol().WithDefaults()
 	s.pcfg = pcfg
 	for i := 0; i < pcfg.NumSchedulers; i++ {

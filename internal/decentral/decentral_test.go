@@ -6,6 +6,7 @@ import (
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/protocol"
+	"github.com/hopper-sim/hopper/internal/scheduler"
 	"github.com/hopper-sim/hopper/internal/simulator"
 	"github.com/hopper-sim/hopper/internal/speculation"
 )
@@ -183,8 +184,7 @@ func newSys(cfg Config) *System {
 
 // TestConfigDefaultsMatchProtocol checks, for every mode, two things
 // about the protocol.Config a System hands its cores:
-//   - a default System resolves exactly protocol.Config's defaults,
-//     BetaPrior included (1.5);
+//   - a default System resolves exactly protocol.Config's defaults;
 //   - a System built with every projected field set away from its
 //     default carries each setting, so a field protocol() drops shows
 //     here rather than in a figure.
@@ -195,28 +195,40 @@ func TestConfigDefaultsMatchProtocol(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: a default System resolves %+v, protocol defaults are %+v", mode, got, want)
 		}
-		if got.BetaPrior != 1.5 {
-			t.Fatalf("%s: BetaPrior resolves to %v, want 1.5", mode, got.BetaPrior)
-		}
 
+		spec := speculation.Config{MaxCopies: 3, DetectDelayFrac: 0.5, BetaPrior: 1.7, Epsilon: 0.3}
 		set := Config{
 			Mode:             mode,
 			NumSchedulers:    3,
 			ProbeRatio:       3.5,
 			RefusalThreshold: 5,
-			Epsilon:          0.3,
-			Spec:             speculation.Config{MaxCopies: 3, DetectDelayFrac: 0.5},
+			Spec:             spec,
 		}
 		wantSet := protocol.Config{
 			Mode:             mode,
 			NumSchedulers:    3,
 			ProbeRatio:       3.5,
 			RefusalThreshold: 5,
-			Epsilon:          0.3,
-			Spec:             speculation.Config{MaxCopies: 3, DetectDelayFrac: 0.5},
+			Spec:             spec,
 		}.WithDefaults()
 		if got := newSys(set).pcfg; !reflect.DeepEqual(got, wantSet) {
 			t.Fatalf("%s: a System configured %+v resolves %+v, want %+v", mode, set, got, wantSet)
+		}
+	}
+}
+
+// TestPlanesResolveOneSharedTable: the parameters both planes share live
+// in speculation.Config alone, so in every mode the centralized chassis
+// and the decentralized core resolve the same table, and its β prior is
+// the tail the execution model draws from.
+func TestPlanesResolveOneSharedTable(t *testing.T) {
+	central := scheduler.Config{}.WithDefaults().Spec
+	if central.BetaPrior != cluster.DefaultExecModel().Beta {
+		t.Fatalf("Spec.BetaPrior resolves to %v, the execution model's β is %v", central.BetaPrior, cluster.DefaultExecModel().Beta)
+	}
+	for _, mode := range []Mode{ModeHopper, ModeSparrow, ModeSparrowSRPT, ModeLoadCache} {
+		if got := (protocol.Config{Mode: mode}).WithDefaults().Spec; !reflect.DeepEqual(got, central) {
+			t.Fatalf("%s: the decentralized core resolves %+v, the centralized chassis %+v", mode, got, central)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func init() {
 // trace; positive "cost" means the variant is worse.
 func runAblation(h Harness) *Result {
 	res := &Result{ID: "ablation", Title: "Mechanism ablations (decentralized, util 70%)"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 	prof := workload.Sparkify(workload.Facebook())
 
 	type variant struct {
@@ -43,7 +43,8 @@ func runAblation(h Harness) *Result {
 		{"refusal threshold 1", decentralKind(decentral.Config{
 			Mode: decentral.ModeHopper, CheckInterval: 0.1, RefusalThreshold: 1})},
 		{"fairness off", decentralKind(decentral.Config{
-			Mode: decentral.ModeHopper, CheckInterval: 0.1, Epsilon: 1})},
+			Mode: decentral.ModeHopper, CheckInterval: 0.1,
+			Spec: speculation.Config{Epsilon: 1}})},
 	}
 
 	tab := &metrics.Table{

@@ -5,7 +5,6 @@ import (
 
 	"github.com/hopper-sim/hopper/internal/live"
 	"github.com/hopper-sim/hopper/internal/metrics"
-	"github.com/hopper-sim/hopper/internal/wire"
 )
 
 // chaos is a robustness scenario, not a paper figure: the scenario
@@ -14,33 +13,17 @@ func init() {
 	register("chaos", "Failure domains: the shipped live nodes on a virtual clock under frame faults", runChaos)
 }
 
-// chaosCells are the fault plans of the live package's chaos frame-log
-// golden (TestChaosFrameLogGolden); the driver runs each at every seed.
-var chaosCells = []struct {
-	name string
-	cell live.ChaosCell
-}{
-	{"zero-rates", live.ChaosCell{}},
-	{"drop-everywhere", live.ChaosCell{Rates: live.Rates{Drop: 0.1}}},
-	{"dup-everywhere", live.ChaosCell{Rates: live.Rates{Dup: 0.1}}},
-	{"delay-reorder", live.ChaosCell{Rates: live.Rates{Delay: 0.3}}},
-	{"mixed", live.ChaosCell{Rates: live.Rates{Drop: 0.05, Dup: 0.05, Delay: 0.1}}},
-	{"partition", live.ChaosCell{Partition: [2]float64{3.0, 6.0}}},
-	{"lost-probes", live.ChaosCell{PerType: map[wire.MsgType]live.Rates{wire.TReserve: {Drop: 0.33}}}},
-	{"lost-taskdone", live.ChaosCell{PerType: map[wire.MsgType]live.Rates{wire.TTaskDone: {Drop: 0.2}}}},
-	{"lost-kill", live.ChaosCell{PerType: map[wire.MsgType]live.Rates{wire.TKill: {Drop: 0.5}}}},
-}
-
-// runChaos runs every chaos cell on the virtual cluster (live.RunVirtual)
-// at each seed and reports, per run, what the faults did and what the
-// recovery paths absorbed, with Check's verdict. Expected shape: every
-// run reads ok — every job completes under every fault plan — and the
-// recovery counters rise with the faults injected (offer timeouts under
-// loss and partition, watchdog expiries and requeues under lost reports).
+// runChaos runs every chaos cell (live.ChaosCells) on the virtual
+// cluster (live.RunVirtual) at each seed and reports, per run, what the
+// faults did and what the recovery paths absorbed, with Check's verdict.
+// Expected shape: every run reads ok — every job completes under every
+// fault plan — and the recovery counters rise with the faults injected
+// (offer timeouts under loss and partition, watchdog expiries and
+// requeues under lost reports).
 func runChaos(h Harness) *Result {
 	res := &Result{ID: "chaos", Title: "Failure domains: the shipped live nodes under seeded faults"}
-	runs := seedMatrix(h, len(chaosCells), 11, 12, func(hh Harness, ci, _ int, seed int64) []string {
-		cell := chaosCells[ci].cell
+	runs := seedMatrix(h, len(live.ChaosCells), 11, 12, func(hh Harness, ci, _ int, seed int64) []string {
+		name, cell := live.ChaosCells[ci].Name, live.ChaosCells[ci].Cell
 		cell.Seed = seed
 		v := live.RunVirtual(cell)
 		done, aborted := v.Jobs()
@@ -49,8 +32,8 @@ func runChaos(h Harness) *Result {
 		if err := v.Check(); err != nil {
 			verdict = "FAIL: " + err.Error()
 		}
-		hh.logf("chaos %s seed=%d: %d jobs done, %s", chaosCells[ci].name, seed, done, verdict)
-		row := []string{chaosCells[ci].name, fmt.Sprint(seed)}
+		hh.logf("chaos %s seed=%d: %d jobs done, %s", name, seed, done, verdict)
+		row := []string{name, fmt.Sprint(seed)}
 		for _, n := range []int64{int64(done), int64(aborted), f.Sent, f.Dropped + f.PartitionDrops, f.Duplicated,
 			st.OfferTimeouts, st.WatchdogExpiries, st.Requeues} {
 			row = append(row, fmt.Sprint(n))

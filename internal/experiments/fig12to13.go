@@ -29,7 +29,7 @@ type fig12Profile struct {
 // damaging), gains holding across DAG lengths.
 func runFig12(h Harness) *Result {
 	res := &Result{ID: "fig12", Title: "Centralized Hopper vs SRPT (Hadoop & Spark profiles)"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 
 	profiles := []fig12Profile{
 		{"hadoop", workload.Facebook(), 1.0, 500},
@@ -75,7 +75,7 @@ func runFig12(h Harness) *Result {
 // than locality pays.
 func runFig13(h Harness) *Result {
 	res := &Result{ID: "fig13", Title: "Locality allowance k sweep (centralized)"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 	ks := []float64{0.0001, 1, 3, 5, 7, 10, 15}
 	for _, pc := range []fig12Profile{
 		{"spark", workload.Sparkify(workload.Facebook()), 0.1, 1500},

@@ -82,11 +82,13 @@ func singleJobCompletion(tasks int, beta float64, slots int, seed int64) float64
 	exec := cluster.NewExecutor(eng, ms, em)
 	sched := scheduler.NewHopper(eng, exec, scheduler.Config{
 		CheckInterval: 0.05,
-		Epsilon:       1, // single job: fairness moot
-		BetaPrior:     beta,
-		// Extra slots buy extra racing copies; the knee comes from the
-		// capacity threshold, not from an artificial copy cap.
-		Spec: speculation.Config{MaxCopies: 4},
+		Spec: speculation.Config{
+			// Extra slots buy extra racing copies; the knee comes from the
+			// capacity threshold, not from an artificial copy cap.
+			MaxCopies: 4,
+			BetaPrior: beta,
+			Epsilon:   1, // single job: fairness moot
+		},
 	})
 	ph := &cluster.Phase{MeanTaskDuration: 1, Tasks: make([]*cluster.Task, tasks)}
 	for i := range ph.Tasks {
@@ -162,9 +164,11 @@ func Table1Schedule(strategy string) (jobA, jobB float64) {
 
 	cfg := scheduler.Config{
 		CheckInterval: 0.5,
-		Epsilon:       1, // the example has no fairness constraint
-		// Detection after 2 time units = 0.2 of the 10s mean.
-		Spec: speculation.Config{DetectDelayFrac: 0.2},
+		Spec: speculation.Config{
+			// Detection after 2 time units = 0.2 of the 10s mean.
+			DetectDelayFrac: 0.2,
+			Epsilon:         1, // the example has no fairness constraint
+		},
 	}
 	var sched Arriver
 	switch strategy {
@@ -175,7 +179,7 @@ func Table1Schedule(strategy string) (jobA, jobB float64) {
 		sched = scheduler.NewBudgeted(eng, exec, cfg)
 	case "hopper":
 		// beta such that V_A = 2/beta*4 = 5 slots, as in Figure 2.
-		cfg.BetaPrior = 1.6
+		cfg.Spec.BetaPrior = 1.6
 		sched = scheduler.NewHopper(eng, exec, cfg)
 	default:
 		panic("unknown strategy " + strategy)

@@ -18,15 +18,14 @@ func init() {
 
 // fig5Spec is the Figure 5 simulation setup scaled down from the paper's
 // 50 schedulers / 10,000 workers (the ratio between schedulers, workers,
-// and load is what matters for the probing argument).
+// and load is what matters for the probing argument). The default
+// execution model's β is the figure's stated task-size tail.
 func fig5Spec(h Harness) (ClusterSpec, int) {
-	em := cluster.DefaultExecModel()
-	em.Beta = 1.5 // the figure's stated task-size tail
 	workers := int(2000 * h.Scale)
 	if workers < 200 {
 		workers = 200
 	}
-	spec := ClusterSpec{Machines: workers, SlotsPerMachine: 1, Exec: em}
+	spec := ClusterSpec{Machines: workers, SlotsPerMachine: 1, Exec: cluster.DefaultExecModel()}
 	return spec, workers / 40 // schedulers
 }
 
@@ -141,7 +140,7 @@ func runFig5b(h Harness) *Result {
 // slip.
 func runFig11(h Harness) *Result {
 	res := &Result{ID: "fig11", Title: "Probe ratio vs gains (decentralized prototype)"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 	prof := workload.Sparkify(workload.Facebook())
 	tab := &metrics.Table{
 		Title:  "Figure 11: reduction (%) in avg job duration vs Sparrow-SRPT",

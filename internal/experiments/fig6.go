@@ -20,7 +20,7 @@ func init() {
 func runFig6(h Harness) *Result {
 	res := &Result{ID: "fig6", Title: "Hopper-D gains by utilization"}
 	utils := []float64{0.60, 0.70, 0.80, 0.90}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 
 	profs := []string{"facebook", "bing"}
 	type cfg struct {

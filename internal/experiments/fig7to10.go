@@ -61,7 +61,7 @@ func srptVsHopperGains(hh Harness, spec ClusterSpec, tr *workload.Trace, seed in
 // paper); every bin gains.
 func runFig7(h Harness) *Result {
 	res := &Result{ID: "fig7", Title: "Gains by job bin (decentralized, util 60%)"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 	profs := []string{"facebook", "bing"}
 
 	med := seedMedians(h, len(profs), 1700, 13, func(hh Harness, p, _ int, seed int64) []float64 {
@@ -91,7 +91,7 @@ func runFig7(h Harness) *Result {
 // tails, >70% gains at high percentiles, positive gains even at P10.
 func runFig8a(h Harness) *Result {
 	res := &Result{ID: "fig8a", Title: "CDF of per-job gains (util 60%)"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 	prof := workload.Sparkify(workload.Facebook())
 	seed := int64(1800)
 	tr := GenTrace(prof, h.jobs(2000), 0.6, spec, seed)
@@ -120,7 +120,7 @@ func runFig8a(h Harness) *Result {
 // Expected shape: gains hold across DAG lengths (no systematic decline).
 func runFig8b(h Harness) *Result {
 	res := &Result{ID: "fig8b", Title: "Gains vs DAG length (util 60%)"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 	prof := workload.Sparkify(workload.Facebook())
 	// More long DAGs so the deep bins are populated.
 	prof.DAGLenWeights = []float64{0.15, 0.25, 0.15, 0.12, 0.11, 0.09, 0.07, 0.06}
@@ -152,7 +152,7 @@ func runFig8b(h Harness) *Result {
 // detector.
 func runFig9(h Harness) *Result {
 	res := &Result{ID: "fig9", Title: "Gains by speculation algorithm (util 60%)"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 	prof := workload.Sparkify(workload.Facebook())
 	tab := &metrics.Table{
 		Title:  "Figure 9: reduction (%) vs Sparrow-SRPT with the same policy",
@@ -181,7 +181,7 @@ func runFig9(h Harness) *Result {
 // ~4-5% of jobs slow down, and mildly.
 func runFig10(h Harness) *Result {
 	res := &Result{ID: "fig10", Title: "epsilon-fairness sensitivity and slowdowns"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 	prof := workload.Sparkify(workload.Facebook())
 	tab := &metrics.Table{
 		Title:  "Figure 10: gains vs epsilon; slowdowns vs fair allocation (epsilon=0)",
@@ -196,11 +196,11 @@ func runFig10(h Harness) *Result {
 	// same trace.
 	kinds := []SchedulerKind{
 		decentralKind(decentral.Config{Mode: decentral.ModeSparrowSRPT, CheckInterval: 0.1}),
-		decentralKind(decentral.Config{Mode: decentral.ModeHopper, Epsilon: 1e-9, CheckInterval: 0.1}),
+		decentralKind(decentral.Config{Mode: decentral.ModeHopper, Spec: speculation.Config{Epsilon: 1e-9}, CheckInterval: 0.1}),
 	}
 	for _, eps := range epss {
 		kinds = append(kinds, decentralKind(decentral.Config{
-			Mode: decentral.ModeHopper, Epsilon: eps, CheckInterval: 0.1,
+			Mode: decentral.ModeHopper, Spec: speculation.Config{Epsilon: eps}, CheckInterval: 0.1,
 		}))
 	}
 	runs := pairedRuns(h, spec, tr.Jobs, seed+1, kinds...)

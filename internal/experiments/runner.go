@@ -249,10 +249,8 @@ func (c ClusterSpec) machines() *cluster.Machines {
 }
 
 // Prototype200 is the paper's deployment: 200 machines, 16 slots each.
-func Prototype200(beta float64) ClusterSpec {
-	em := cluster.DefaultExecModel()
-	em.Beta = beta
-	return ClusterSpec{Machines: 200, SlotsPerMachine: 16, Exec: em}
+func Prototype200() ClusterSpec {
+	return ClusterSpec{Machines: 200, SlotsPerMachine: 16, Exec: cluster.DefaultExecModel()}
 }
 
 // SchedulerKind builds one scheduler — a centralized engine or a

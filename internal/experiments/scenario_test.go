@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/hopper-sim/hopper/internal/live"
 )
 
 // TestHeteroTruncatesMessageMedians pins hetero's output rule that the
@@ -38,7 +40,7 @@ func TestChaosScenarioSmoke(t *testing.T) {
 		t.Fatal("chaos scenario not registered")
 	}
 	res := e.Run(Harness{Scale: 1, Seeds: 2})
-	if len(res.Tables) != 1 || len(res.Tables[0].Rows) != 2*len(chaosCells) {
+	if len(res.Tables) != 1 || len(res.Tables[0].Rows) != 2*len(live.ChaosCells) {
 		t.Fatalf("chaos scenario produced %d tables, want one with a row per cell and seed", len(res.Tables))
 	}
 	for _, row := range res.Tables[0].Rows {

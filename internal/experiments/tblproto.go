@@ -23,7 +23,7 @@ func init() {
 // figure.
 func runTblProto(h Harness) *Result {
 	res := &Result{ID: "tblproto", Title: "Decentralized protocol overhead counters"}
-	spec := Prototype200(1.5)
+	spec := Prototype200()
 	// Bing DAGs are the bushiest profile (fan-in joins over parallel
 	// chains) and Sparkify makes them communication-bound, maximizing
 	// transfer-gated unlock traffic.

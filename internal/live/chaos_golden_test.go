@@ -36,19 +36,30 @@ func TestChaosFrameLogGolden(t *testing.T) {
 		name string
 		ChaosCell
 	}
-	cells := []cell{{"zero-rates seed 42", ChaosCell{Seed: 42}}}
-	for _, m := range faultMatrix {
-		for _, seed := range chaosSeeds {
-			cells = append(cells, cell{fmt.Sprintf("%s seed %d", m.name, seed), ChaosCell{Seed: seed, Rates: m.rates}})
+	// The order the golden was recorded in: the zero-rate cell once, at
+	// TestChaosZeroRatesMatchesParity's seed; each rate cell across
+	// chaosSeeds; then, seed by seed, the partition and per-type cells.
+	var cells, windowed []cell
+	add := func(name string, c ChaosCell, seed int64) {
+		c.Seed = seed
+		cells = append(cells, cell{fmt.Sprintf("%s seed %d", name, seed), c})
+	}
+	for _, m := range ChaosCells {
+		switch {
+		case m.Cell.Rates != (Rates{}):
+			for _, seed := range chaosSeeds {
+				add(m.Name, m.Cell, seed)
+			}
+		case m.Cell.Partition != [2]float64{} || m.Cell.PerType != nil:
+			windowed = append(windowed, cell{m.Name, m.Cell})
+		default:
+			add(m.Name, m.Cell, 42)
 		}
 	}
 	for _, seed := range chaosSeeds {
-		cells = append(cells,
-			cell{fmt.Sprintf("partition seed %d", seed), ChaosCell{Seed: seed, Partition: partitionCut}},
-			cell{fmt.Sprintf("lost-probes seed %d", seed), ChaosCell{Seed: seed, PerType: lostProbes}},
-			cell{fmt.Sprintf("lost-taskdone seed %d", seed), ChaosCell{Seed: seed, PerType: lostTaskDone}},
-			cell{fmt.Sprintf("lost-kill seed %d", seed), ChaosCell{Seed: seed, PerType: lostKill}},
-		)
+		for _, w := range windowed {
+			add(w.name, w.ChaosCell, seed)
+		}
 	}
 	var sb strings.Builder
 	for _, c := range cells {

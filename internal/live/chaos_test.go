@@ -23,28 +23,30 @@ func check(t *testing.T, c *VirtualCluster, tag string) {
 
 var chaosSeeds = []int64{11, 23, 37}
 
-// faultMatrix is TestChaosFaultMatrix's drop/dup/delay cells, each run
-// across chaosSeeds.
+// faultMatrix is TestChaosFaultMatrix's drop/dup/delay cells of
+// ChaosCells, each run across chaosSeeds, with the faults each must
+// inject.
 var faultMatrix = []struct {
 	name                string
-	rates               Rates
 	wantDrops, wantDups bool
 }{
-	{name: "drop-everywhere", rates: Rates{Drop: 0.1}, wantDrops: true},
-	{name: "dup-everywhere", rates: Rates{Dup: 0.1}, wantDups: true},
-	{name: "delay-reorder", rates: Rates{Delay: 0.3}},
-	{name: "mixed", rates: Rates{Drop: 0.05, Dup: 0.05, Delay: 0.1}, wantDrops: true, wantDups: true},
+	{name: "drop-everywhere", wantDrops: true},
+	{name: "dup-everywhere", wantDups: true},
+	{name: "delay-reorder"},
+	{name: "mixed", wantDrops: true, wantDups: true},
 }
 
-// The single-frame-type loss cells and the partition window, shared by
-// their tests and the frame-log golden. The golden's cells are repeated
-// in hopper-sim's chaos driver (experiments/chaos.go): change both.
-var (
-	lostProbes   = map[wire.MsgType]Rates{wire.TReserve: {Drop: 0.33}}
-	lostTaskDone = map[wire.MsgType]Rates{wire.TTaskDone: {Drop: 0.2}}
-	lostKill     = map[wire.MsgType]Rates{wire.TKill: {Drop: 0.5}}
-	partitionCut = [2]float64{3.0, 6.0}
-)
+// chaosCell returns the ChaosCells plan called name, at seed.
+func chaosCell(name string, seed int64) ChaosCell {
+	for _, c := range ChaosCells {
+		if c.Name == name {
+			cell := c.Cell
+			cell.Seed = seed
+			return cell
+		}
+	}
+	panic("no chaos cell " + name)
+}
 
 // TestChaosZeroRatesMatchesParity is the zero-rate cell: with nothing
 // injected the shipped nodes replay the parity workload without one
@@ -52,7 +54,7 @@ var (
 // assign rejected, nothing requeued or killed — and every offer sent is
 // answered exactly once.
 func TestChaosZeroRatesMatchesParity(t *testing.T) {
-	c := RunVirtual(ChaosCell{Seed: 42})
+	c := RunVirtual(chaosCell("zero-rates", 42))
 	check(t, c, "zero-rates")
 	st, inj := c.Stats(), c.Faults()
 	if inj.Dropped+inj.Duplicated+inj.Delayed+inj.PartitionDrops != 0 {
@@ -76,7 +78,8 @@ func TestChaosFaultMatrix(t *testing.T) {
 	for _, cell := range faultMatrix {
 		t.Run(cell.name, func(t *testing.T) {
 			for _, seed := range chaosSeeds {
-				c := RunVirtual(ChaosCell{Seed: seed, Rates: cell.rates})
+				plan := chaosCell(cell.name, seed)
+				c := RunVirtual(plan)
 				check(t, c, fmt.Sprintf("%s seed %d", cell.name, seed))
 				inj := c.Faults()
 				if cell.wantDrops && inj.Dropped == 0 {
@@ -85,7 +88,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 				if cell.wantDups && inj.Duplicated == 0 {
 					t.Fatalf("%s seed %d: no dups injected — cell exercised nothing", cell.name, seed)
 				}
-				if cell.rates.Delay > 0 && inj.Delayed == 0 {
+				if plan.Rates.Delay > 0 && inj.Delayed == 0 {
 					t.Fatalf("%s seed %d: no delays injected — cell exercised nothing", cell.name, seed)
 				}
 			}
@@ -99,7 +102,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 func TestChaosPartitionHealsAndConverges(t *testing.T) {
 	var logs [][]sentFrame
 	for _, seed := range chaosSeeds {
-		c := RunVirtual(ChaosCell{Seed: seed, Partition: partitionCut})
+		c := RunVirtual(chaosCell("partition", seed))
 		check(t, c, fmt.Sprintf("partition seed %d", seed))
 		inj := c.Faults()
 		if inj.PartitionsHealed != 1 {
@@ -156,7 +159,7 @@ func TestChaosLostProbesStillSpeculate(t *testing.T) {
 		}
 	}
 	for _, seed := range chaosSeeds {
-		c := RunVirtual(ChaosCell{Seed: seed, PerType: lostProbes})
+		c := RunVirtual(chaosCell("lost-probes", seed))
 		check(t, c, fmt.Sprintf("lost-probes seed %d", seed))
 		if c.Faults().Dropped == 0 {
 			t.Fatalf("seed %d: no Reserve frame dropped — cell exercised nothing", seed)
@@ -179,7 +182,7 @@ func TestChaosLostProbesStillSpeculate(t *testing.T) {
 // requeue the task, and the job must still finish with nothing leaked.
 func TestChaosLostTaskDone(t *testing.T) {
 	for _, seed := range chaosSeeds {
-		c := RunVirtual(ChaosCell{Seed: seed, PerType: lostTaskDone})
+		c := RunVirtual(chaosCell("lost-taskdone", seed))
 		check(t, c, fmt.Sprintf("lost-taskdone seed %d", seed))
 		st, inj := c.Stats(), c.Faults()
 		if inj.Dropped == 0 {
@@ -205,7 +208,7 @@ func TestChaosLostKill(t *testing.T) {
 		seq           uint64
 	}
 	for _, seed := range chaosSeeds {
-		c := RunVirtual(ChaosCell{Seed: seed, PerType: lostKill})
+		c := RunVirtual(chaosCell("lost-kill", seed))
 		check(t, c, fmt.Sprintf("lost-kill seed %d", seed))
 		lostKill, reported := make(map[copyID]bool), make(map[copyID]bool)
 		for _, f := range c.frames {

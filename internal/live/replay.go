@@ -229,7 +229,6 @@ loop:
 				ID:         cluster.JobID(jc.JobID),
 				Tasks:      tasks,
 				DAGLen:     len(a.Job.Phases),
-				Arrival:    a.At.Seconds(),
 				Completion: jc.Completion,
 			})
 		}

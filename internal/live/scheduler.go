@@ -14,6 +14,7 @@ import (
 	"github.com/hopper-sim/hopper/internal/metrics"
 	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/simulator"
+	"github.com/hopper-sim/hopper/internal/speculation"
 	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
 )
@@ -32,8 +33,9 @@ type SchedulerConfig struct {
 	// fairness floor estimate. Default 1.
 	NumSchedulers int
 	// Beta is the Pareto tail index used for virtual sizes and service
-	// time draws (default 1.5). Live mode draws service times scheduler-
-	// side so the straggler race is reproducible; see package docs.
+	// time draws (default cluster.DefaultExecModel().Beta). Live mode
+	// draws service times scheduler-side so the straggler race is
+	// reproducible; see package docs.
 	Beta float64
 	// MeanTaskSeconds is the fallback mean task duration for submitted
 	// phases that carry none.
@@ -42,7 +44,7 @@ type SchedulerConfig struct {
 	// a 20s workload in 1s). Must match the workers'. Default 1.
 	TimeScale float64
 	// CheckInterval is the speculation scan period in virtual seconds
-	// (default 0.25).
+	// (default protocol.DefaultCheckInterval).
 	CheckInterval float64
 	// Seed drives the service-time RNG.
 	Seed int64
@@ -73,7 +75,7 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 		c.NumSchedulers = 1
 	}
 	if c.Beta == 0 {
-		c.Beta = 1.5
+		c.Beta = cluster.DefaultExecModel().Beta
 	}
 	if c.MeanTaskSeconds == 0 {
 		c.MeanTaskSeconds = 1
@@ -82,7 +84,7 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 		c.TimeScale = 1
 	}
 	if c.CheckInterval == 0 {
-		c.CheckInterval = 0.25
+		c.CheckInterval = protocol.DefaultCheckInterval
 	}
 	if c.Timers == nil {
 		c.Timers = protocol.WallTimers
@@ -250,7 +252,8 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	pcfg := protocol.Config{
 		Mode:          cfg.Mode,
 		NumSchedulers: cfg.NumSchedulers,
-		BetaPrior:     cfg.Beta, // virtual sizes see the same tail index as service draws
+		// Virtual sizes see the same tail index as service draws.
+		Spec: speculation.Config{BetaPrior: cfg.Beta},
 	}.WithDefaults()
 	s.core = protocol.NewSched(protocol.SchedID(cfg.ID), pcfg, protocol.SchedEnv{
 		Now:           s.now,

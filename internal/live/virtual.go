@@ -496,6 +496,25 @@ type ChaosCell struct {
 	onFrame func(*VirtualCluster, sentFrame)
 }
 
+// ChaosCells are the chaos suite's named fault plans. The frame-log
+// golden (TestChaosFrameLogGolden) pins each, the cell tests pick theirs
+// by name, and hopper-sim's chaos driver runs each at every seed. Seed
+// is left zero: the caller sets it.
+var ChaosCells = []struct {
+	Name string
+	Cell ChaosCell
+}{
+	{"zero-rates", ChaosCell{}},
+	{"drop-everywhere", ChaosCell{Rates: Rates{Drop: 0.1}}},
+	{"dup-everywhere", ChaosCell{Rates: Rates{Dup: 0.1}}},
+	{"delay-reorder", ChaosCell{Rates: Rates{Delay: 0.3}}},
+	{"mixed", ChaosCell{Rates: Rates{Drop: 0.05, Dup: 0.05, Delay: 0.1}}},
+	{"partition", ChaosCell{Partition: [2]float64{3.0, 6.0}}},
+	{"lost-probes", ChaosCell{PerType: map[wire.MsgType]Rates{wire.TReserve: {Drop: 0.33}}}},
+	{"lost-taskdone", ChaosCell{PerType: map[wire.MsgType]Rates{wire.TTaskDone: {Drop: 0.2}}}},
+	{"lost-kill", ChaosCell{PerType: map[wire.MsgType]Rates{wire.TKill: {Drop: 0.5}}}},
+}
+
 // CrashPlan kills scheduler 0 at virtual second At and restarts it Down
 // seconds later: a fresh NewScheduler under the same ID and config, a new
 // link to every worker, and each job it had been handed and not reported

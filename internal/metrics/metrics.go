@@ -21,7 +21,6 @@ type JobResult struct {
 	ID         cluster.JobID
 	Tasks      int
 	DAGLen     int
-	Arrival    float64
 	Completion float64 // response time: done - arrival
 }
 
@@ -34,7 +33,6 @@ func Collect(jobs []*cluster.Job) []JobResult {
 			ID:         j.ID,
 			Tasks:      j.TotalTasks(),
 			DAGLen:     len(j.Phases),
-			Arrival:    j.Arrival,
 			Completion: j.CompletionTime(),
 		})
 	}

@@ -92,41 +92,51 @@ func (m Mode) hopperFamily() bool { return m == ModeHopper || m == ModeLoadCache
 // timing (latency, processing delay, scan periods) belongs to the
 // adapters: the cores never sleep or schedule.
 type Config struct {
+	// Mode selects the protocol: Hopper-D (Section 5), or one of the
+	// baselines Section 7 compares it with.
 	Mode Mode
 
 	// NumSchedulers is the number of independent job schedulers in the
 	// cluster; a scheduler estimates the cluster-wide job count for the
 	// fairness floor as (its own active jobs) x NumSchedulers, accurate
-	// under round-robin admission.
+	// under round-robin admission. Default 10, the prototype's count
+	// (Section 7.1).
 	NumSchedulers int
 
-	// ProbeRatio is reservations per task (d). Hopper's default is 4;
-	// Sparrow's is 2. Fractional ratios are realized in expectation.
+	// ProbeRatio is reservations per task (d). Hopper's default is 4
+	// (Figure 5a: the gain plateaus from d = 3); Sparrow's is 2.
+	// Fractional ratios are realized in expectation.
 	ProbeRatio float64
 
 	// RefusalThreshold is how many refusals a worker collects before
-	// concluding (Pseudocode 3).
+	// concluding (Pseudocode 3). Default 2 (Figure 5b: two to three
+	// refusals suffice).
 	RefusalThreshold int
 
-	// Epsilon is the fairness allowance (Section 4.3) applied through the
-	// virtual-size floor (1−ε)·slots/n; used only by ModeHopper. ε = 1
-	// turns the floor off.
-	Epsilon float64
-
-	// Spec configures straggler detection.
+	// Spec is the parameter table both planes share (speculation.Config:
+	// straggler detection, the β prior, ε), each field with its source.
+	// One table is ours: the planes cannot drift apart. ε is applied
+	// through the virtual-size floor (1−ε)·slots/n, in the Hopper modes
+	// only.
 	Spec speculation.Config
-
-	// BetaPrior seeds the per-scheduler tail estimators.
-	BetaPrior float64
 
 	// RetryJitter spreads each armed retry delay uniformly over
 	// [d*(1-RetryJitter), d*(1+RetryJitter)] so workers that lost their
 	// reservations in the same event (a partition, a scheduler crash) do
-	// not retry in lockstep. Zero disables jitter. WithDefaults leaves it
-	// zero — the simulator's dispatch golden pins exact retry timing —
-	// and the live adapters enable it (see live.defaultRetryJitter).
+	// not retry in lockstep. Zero disables jitter. Ours: the paper does
+	// not model failures. WithDefaults leaves it zero — the simulator's
+	// dispatch golden pins exact retry timing — and the live adapters
+	// enable it (see live.defaultRetryJitter).
 	RetryJitter float64
 }
+
+// DefaultCheckInterval is the decentralized adapters' speculation scan
+// period in seconds: decentral.Config.CheckInterval's and
+// live.SchedulerConfig.CheckInterval's default. Ours: the paper states no
+// scan period; the centralized chassis scans every 1.0 s
+// (scheduler.Config), and each plane's goldens were recorded with its own
+// value, so unifying them is a behaviour change with a regen.
+const DefaultCheckInterval = 0.25
 
 // WithDefaults fills zero fields with the paper's defaults for the mode.
 func (c Config) WithDefaults() Config {
@@ -145,13 +155,7 @@ func (c Config) WithDefaults() Config {
 	if c.RefusalThreshold == 0 {
 		c.RefusalThreshold = 2
 	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.1
-	}
 	c.Spec = c.Spec.WithDefaults()
-	if c.BetaPrior == 0 {
-		c.BetaPrior = 1.5
-	}
 	return c
 }
 

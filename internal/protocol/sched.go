@@ -163,6 +163,13 @@ type Sched struct {
 	probeBuf      []Probe
 }
 
+// betaWarmup is how many completions a core's β estimator sees before
+// it stops reporting Spec.BetaPrior. Ours: the paper gives none, and the
+// centralized chassis warms up over 50 (scheduler.newBase); each plane's
+// goldens were recorded with its own value, so unifying them is a
+// behaviour change with a regen, not a refactor.
+const betaWarmup = 30
+
 // NewSched builds a scheduler core. cfg must already have defaults
 // applied (adapters call Config.WithDefaults once per cluster).
 func NewSched(id SchedID, cfg Config, env SchedEnv) *Sched {
@@ -171,11 +178,7 @@ func NewSched(id SchedID, cfg Config, env SchedEnv) *Sched {
 		env:  env,
 		id:   id,
 		jobs: make(map[cluster.JobID]*dJob),
-		// β warms up over 30 completions here and over 50 in the
-		// centralized chassis (scheduler.newBase): each plane's goldens were
-		// recorded with its own value, so unifying them is a behaviour
-		// change with a regen, not a refactor.
-		book: speculation.NewBook(cfg.Spec, cfg.BetaPrior, 30),
+		book: speculation.NewBook(cfg.Spec, betaWarmup),
 	}
 	if cfg.Mode == ModeLoadCache {
 		sc.policy = NewLoadCachePolicy(0)
@@ -223,7 +226,7 @@ func (sc *Sched) effVS(d *dJob) float64 {
 	if sc.cfg.Mode.hopperFamily() {
 		n := sc.liveJobs * sc.cfg.NumSchedulers
 		if n > 0 {
-			floor := (1 - sc.cfg.Epsilon) * float64(sc.env.TotalSlots()) / float64(n)
+			floor := (1 - sc.cfg.Spec.Epsilon) * float64(sc.env.TotalSlots()) / float64(n)
 			if floor > v {
 				v = floor
 			}

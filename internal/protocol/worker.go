@@ -335,9 +335,7 @@ func (w *Worker) RetryFired() []WAction {
 // recreate the reservations themselves.
 type LostReservation struct {
 	Job   cluster.JobID
-	Count int     // reservations held for the job
-	VS    float64 // last-known virtual size
-	Rem   int     // last-known remaining tasks
+	Count int // reservations held for the job
 }
 
 // DropSched removes every reservation entry of a scheduler that left
@@ -352,9 +350,7 @@ func (w *Worker) DropSched(sched SchedID) ([]WAction, []LostReservation) {
 	for _, e := range w.entries {
 		if !e.dead && e.Sched == sched {
 			if e.count > 0 {
-				lost = append(lost, LostReservation{
-					Job: e.Job, Count: e.count, VS: e.vs, Rem: e.remTasks,
-				})
+				lost = append(lost, LostReservation{Job: e.Job, Count: e.count})
 			}
 			e.dead = true
 			e.gen++

@@ -25,50 +25,48 @@ import (
 
 // Config bundles the knobs shared by all centralized engines.
 type Config struct {
-	// Spec configures straggler detection (policy, copy cap, delay).
+	// Spec is the parameter table both planes share (speculation.Config:
+	// straggler detection, the β prior, ε), each field with its source.
+	// One table is ours: the planes cannot drift apart.
 	Spec speculation.Config
-
-	// Epsilon is the fairness allowance of Section 4.3 (Hopper engine
-	// only). The paper's default is 0.1.
-	Epsilon float64
 
 	// LocalityK is the locality relaxation window in percent of active
 	// jobs (Section 4.4, Hopper engine only). The paper uses 3.
 	LocalityK float64
 
 	// CheckInterval is the period (seconds) of the speculation scan.
-	// Default 1.0; interactive (Spark-like) workloads use smaller values.
+	// Default 1.0, ours: the paper states no scan period, and one second
+	// is short beside the traces' 30-second tasks; interactive
+	// (Spark-like) runs set smaller values.
 	CheckInterval float64
 
-	// BetaPrior seeds the online tail estimator before enough tasks
-	// complete. Default 1.5.
-	BetaPrior float64
-
 	// SpecBudget is the reserved speculation pool size for the Budgeted
-	// engine; ignored elsewhere.
+	// engine, Section 3.1's second strawman; ignored elsewhere.
 	SpecBudget int
 
-	// DisableSpec turns straggler mitigation off entirely (ablations).
+	// DisableSpec turns straggler mitigation off entirely: ours, for the
+	// ablation's "spec off" row.
 	DisableSpec bool
 }
 
 // WithDefaults fills zero-valued fields with the paper's defaults.
 func (c Config) WithDefaults() Config {
 	c.Spec = c.Spec.WithDefaults()
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.1
-	}
 	if c.LocalityK == 0 {
 		c.LocalityK = 3
 	}
 	if c.CheckInterval == 0 {
 		c.CheckInterval = 1.0
 	}
-	if c.BetaPrior == 0 {
-		c.BetaPrior = 1.5
-	}
 	return c
 }
+
+// betaWarmup is how many completions the chassis' β estimator sees
+// before it stops reporting Spec.BetaPrior. Ours: the paper gives none,
+// and the decentralized core warms up over 30 (protocol.NewSched); each
+// plane's goldens were recorded with its own value, so unifying them is
+// a behaviour change with a regen, not a refactor.
+const betaWarmup = 50
 
 // jobState is the chassis' record of one active job: the speculation
 // record both planes share (speculation.JobBook: want queue, occupancy,
@@ -190,11 +188,7 @@ func newBase(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Base {
 		Cfg:  cfg,
 		Eng:  eng,
 		Exec: exec,
-		// β warms up over 50 completions here and over 30 in the
-		// decentralized core (protocol.NewSched): each plane's goldens were
-		// recorded with its own value, so unifying them is a behaviour
-		// change with a regen, not a refactor.
-		Book: speculation.NewBook(cfg.Spec, cfg.BetaPrior, 50),
+		Book: speculation.NewBook(cfg.Spec, betaWarmup),
 		byID: make(map[cluster.JobID]*jobState),
 
 		dispatches: eng.NewLane(),

@@ -107,7 +107,7 @@ func (h *HopperEngine) refresh() {
 		hint[i] = i
 	}
 	h.demands, h.hint = demands, hint
-	targets := h.allocator.Allocate(demands, h.totalSlots, beta, h.Cfg.Epsilon, hint)
+	targets := h.allocator.Allocate(demands, h.totalSlots, beta, h.Cfg.Spec.Epsilon, hint)
 	prios := h.allocator.Priorities()
 	for i, s := range h.active {
 		s.target = targets[i]

@@ -133,12 +133,12 @@ func TestHopperFairnessFloorBoundsDeviation(t *testing.T) {
 		return jobs
 	}
 	eng1, exec1 := mkSetup(4, 2, 13)
-	fairish := NewHopper(eng1, exec1, Config{CheckInterval: 0.2, Epsilon: 1e-9})
+	fairish := NewHopper(eng1, exec1, Config{CheckInterval: 0.2, Spec: speculation.Config{Epsilon: 1e-9}})
 	jobs1 := mkJobs()
 	runJobs(t, eng1, fairish, jobs1)
 
 	eng2, exec2 := mkSetup(4, 2, 13)
-	unfair := NewHopper(eng2, exec2, Config{CheckInterval: 0.2, Epsilon: 1})
+	unfair := NewHopper(eng2, exec2, Config{CheckInterval: 0.2, Spec: speculation.Config{Epsilon: 1}})
 	jobs2 := mkJobs()
 	runJobs(t, eng2, unfair, jobs2)
 
@@ -173,7 +173,7 @@ func TestOnlineBetaLearning(t *testing.T) {
 	// After enough completions the engine's estimate should move off the
 	// prior toward the execution model's tail index.
 	eng, exec := mkSetup(20, 4, 23)
-	sched := NewSRPT(eng, exec, Config{CheckInterval: 0.2, BetaPrior: 1.9})
+	sched := NewSRPT(eng, exec, Config{CheckInterval: 0.2, Spec: speculation.Config{BetaPrior: 1.9}})
 	var jobs []*cluster.Job
 	for i := 0; i < 10; i++ {
 		jobs = append(jobs, mkJob(cluster.JobID(i), 40, 1.0, float64(i)))

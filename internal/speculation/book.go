@@ -28,12 +28,12 @@ type Book struct {
 	walkStack []int
 }
 
-// NewBook builds a scheduler's book. The β estimator reports betaPrior
-// until it has observed betaWarmup completions.
-func NewBook(cfg Config, betaPrior float64, betaWarmup int) Book {
+// NewBook builds a scheduler's book. The β estimator reports
+// cfg.BetaPrior until it has observed betaWarmup completions.
+func NewBook(cfg Config, betaWarmup int) Book {
 	cfg = cfg.WithDefaults()
 	return Book{
-		Beta:  stats.NewTailEstimator(1e-9, betaPrior, betaWarmup),
+		Beta:  stats.NewTailEstimator(1e-9, cfg.BetaPrior, betaWarmup),
 		Alpha: estimate.NewAlphaEstimator(),
 		cfg:   &cfg,
 	}

@@ -17,7 +17,7 @@ func bookJobCapped(n, k int) (*Book, *JobBook) {
 	for i := range ph.Tasks {
 		ph.Tasks[i] = &cluster.Task{}
 	}
-	b := NewBook(Config{Policy: LATE{}, MaxCopies: k}, 1.5, 30)
+	b := NewBook(Config{Policy: LATE{}, MaxCopies: k}, 30)
 	jb := b.NewJob(cluster.NewJob(1, "", 0, []*cluster.Phase{ph}))
 	return &b, &jb
 }
@@ -319,7 +319,7 @@ func BenchmarkBookScan(b *testing.B) {
 		for i := range ph.Tasks {
 			ph.Tasks[i] = &cluster.Task{}
 		}
-		book = NewBook(Config{Policy: Mantri{}}, 1.5, 30)
+		book = NewBook(Config{Policy: Mantri{}}, 30)
 		jb = book.NewJob(cluster.NewJob(1, "", 0, []*cluster.Phase{ph}))
 		for i := 0; i < stragglers; i++ {
 			dur := 11.5

@@ -123,17 +123,37 @@ func ByName(name string) Policy {
 	panic("speculation: unknown policy " + name)
 }
 
-// Config bundles the monitor parameters shared by all schedulers.
+// Config is the table of the parameters both planes share: the
+// straggler monitor's, and the two every Hopper allocation reads (the tail
+// prior behind virtual sizes and the fairness allowance). The centralized
+// chassis (scheduler.Config) and the decentralized core (protocol.Config)
+// each embed it as Spec, so each default below is written once.
 type Config struct {
+	// Policy is the straggler-detection rule. Default LATE; Mantri and
+	// GRASS are the alternatives Figure 9 compares.
 	Policy Policy
 
-	// MaxCopies caps live copies per task, original included. The paper's
-	// systems run one speculative copy at a time; default 2.
+	// MaxCopies caps live copies per task, original included. Default 2,
+	// ours: the systems the paper builds on race one speculative copy
+	// beside the original at a time.
 	MaxCopies int
 
 	// DetectDelayFrac is the fraction of the phase's mean task duration a
-	// copy must run before its progress is observable. Default 0.25.
+	// copy must run before its progress is observable. Default 0.25,
+	// ours: the paper states no detection delay, and Table 1's example
+	// detects at 0.2 of the mean.
 	DetectDelayFrac float64
+
+	// BetaPrior is what the online tail estimator (Book.Beta) reports
+	// before it has seen enough completions; virtual sizes scale with 2/β
+	// (Section 4.1). Default cluster.DefaultExecModel().Beta, ours: the
+	// estimator starts at the tail the simulated copies are drawn from.
+	BetaPrior float64
+
+	// Epsilon is the fairness allowance of Section 4.3: a job's target
+	// never falls below (1−ε) of its fair share. Default 0.1 (§4.3);
+	// 1 turns the floor off.
+	Epsilon float64
 }
 
 // WithDefaults fills zero fields with the defaults described above.
@@ -146,6 +166,12 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.DetectDelayFrac == 0 {
 		c.DetectDelayFrac = 0.25
+	}
+	if c.BetaPrior == 0 {
+		c.BetaPrior = cluster.DefaultExecModel().Beta
+	}
+	if c.Epsilon == 0 {
+		c.Epsilon = 0.1
 	}
 	return c
 }

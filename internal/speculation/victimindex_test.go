@@ -351,7 +351,7 @@ func (s *victimSim) compare(t *testing.T, now float64, n *answers) {
 func runDifferential(t *testing.T, cfg simConfig, seed int64) (n answers) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	book := NewBook(Config{Policy: cfg.pol, MaxCopies: cfg.k}, 1.5, 30)
+	book := NewBook(Config{Policy: cfg.pol, MaxCopies: cfg.k}, 30)
 	sims := []*victimSim{newVictimSim(cfg, &book, rng, 1), newVictimSim(cfg, &book, rng, 2)}
 	now := 0.0
 	for alive := true; alive; {
@@ -482,7 +482,7 @@ func firstTrue(guess float64, pred func(float64) bool) float64 {
 // (unripeBefore at delay/s) must not run past the flip either.
 func TestIndexAgreesWithScanAtTheUlp(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	book := NewBook(Config{Policy: Mantri{}}, 1.5, 30)
+	book := NewBook(Config{Policy: Mantri{}}, 30)
 	naiveDisagrees, ripeFlips, cutFlips := 0, 0, 0
 	check := func(idx *JobBook, ref *Monitor, running []*cluster.Task, now float64, what string) (victim bool) {
 		t.Helper()

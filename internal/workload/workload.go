@@ -56,9 +56,6 @@ type Profile struct {
 	// relative to its upstream phase's compute work.
 	TransferRatio float64
 
-	// Beta is the Pareto tail index of task durations for this trace.
-	Beta float64
-
 	// Replicas is the number of machines holding each input block.
 	Replicas int
 
@@ -86,7 +83,7 @@ type Profile struct {
 }
 
 // Facebook returns the Facebook-Hadoop-like profile: 30s median tasks,
-// beta 1.4, mostly short DAGs.
+// mostly short DAGs.
 func Facebook() Profile {
 	return Profile{
 		Name:         "facebook",
@@ -95,7 +92,6 @@ func Facebook() Profile {
 		DAGLenWeights:     []float64{0.25, 0.40, 0.15, 0.08, 0.05, 0.04, 0.02, 0.01},
 		ReduceRatio:       0.4,
 		TransferRatio:     0.35,
-		Beta:              1.4,
 		Replicas:          3,
 		RecurringFraction: 0.6, NumFamilies: 40,
 		BushyFraction: 0.15,
@@ -114,7 +110,6 @@ func Bing() Profile {
 		DAGLenWeights:     []float64{0.15, 0.30, 0.20, 0.12, 0.09, 0.07, 0.04, 0.03},
 		ReduceRatio:       0.45,
 		TransferRatio:     0.45,
-		Beta:              1.5,
 		Replicas:          3,
 		RecurringFraction: 0.5, NumFamilies: 30,
 		BushyFraction: 0.25,
