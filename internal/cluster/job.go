@@ -406,20 +406,6 @@ func (j *Job) RunnablePhases() []*Phase {
 	return j.runnable
 }
 
-// RunnablePhasesScan recomputes the runnable set by scanning all phases,
-// allocating a fresh slice. It exists for the frozen reference dispatch
-// implementations (scheduler package), which must reproduce the pre-
-// overhaul cost profile, and as the oracle the cache is tested against.
-func (j *Job) RunnablePhasesScan() []*Phase {
-	var out []*Phase
-	for _, p := range j.Phases {
-		if p.State == PhaseRunnable && !p.Done() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // markRunnable records p's transition into the runnable set. Insertion
 // keeps phase-index order, matching the scan the cache replaces (bushy
 // DAGs can unlock phases out of index order).
@@ -436,7 +422,7 @@ func (j *Job) markRunnable(p *Phase) {
 // MarkRunnable transitions the phase into the runnable state and updates
 // the owning job's runnable cache. All transitions into PhaseRunnable
 // must go through here; setting the field directly leaves the cache
-// stale (tests that do so anyway must call Job.RecomputeRunnable).
+// stale.
 // Wakeup delivery is exactly-once (UnlockPlanner), so a second
 // transition is always a lifecycle bug and panics.
 func (p *Phase) MarkRunnable() {
@@ -446,18 +432,6 @@ func (p *Phase) MarkRunnable() {
 	}
 	p.State = PhaseRunnable
 	p.Job.markRunnable(p)
-}
-
-// RecomputeRunnable rebuilds the runnable cache from the phase states.
-// The simulation maintains the cache incrementally; this is the escape
-// hatch for tests that poke Phase.State directly.
-func (j *Job) RecomputeRunnable() {
-	j.runnable = j.runnable[:0]
-	for _, p := range j.Phases {
-		if p.State == PhaseRunnable && !p.Done() {
-			j.runnable = append(j.runnable, p)
-		}
-	}
 }
 
 // markPhaseDone transitions a completed phase to PhaseDone and removes

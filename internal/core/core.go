@@ -96,15 +96,6 @@ func (j JobDemand) cap(x int) int {
 	return x
 }
 
-// Allocate implements Pseudocode 1. It returns one slot count per job,
-// aligned with the input slice, summing to at most slots. Jobs are never
-// given more than their MaxUsable cap; freed-up surplus cascades to other
-// jobs in guideline order, keeping the allocation work-conserving. It is
-// AllocateFair with the floor disabled (epsilon = 1).
-func Allocate(jobs []JobDemand, slots int, beta float64) []int {
-	return AllocateFair(jobs, slots, beta, 1)
-}
-
 // keyed is a sort key with the index it belongs to. Sorting on
 // (key, idx) is a total order, so an unstable sort yields exactly the
 // permutation a stable sort on key alone would.
@@ -123,7 +114,7 @@ func ascending(a, b keyed) int {
 	return a.idx - b.idx
 }
 
-// Allocator computes AllocateFair allocations and keeps every working
+// Allocator computes Pseudocode 1's allocations and keeps every working
 // slice between calls, so a scheduler that refreshes its allocation on
 // every arrival allocates nothing once the buffers have grown to its
 // active-job count. The zero value is ready to use. It is not safe for
@@ -392,24 +383,22 @@ func (a *Allocator) allocProportional(jobs []JobDemand, virt []float64, order []
 	}
 }
 
-// AllocateFair applies the epsilon-fairness projection of Section 4.3 on
-// top of Allocate: every job is guaranteed floor = (1-epsilon) * S/N
-// slots (capped by what it can use). epsilon = 0 is perfect fairness;
-// epsilon = 1 disables the floor entirely.
-func AllocateFair(jobs []JobDemand, slots int, beta, epsilon float64) []int {
-	return AllocateFairInto(nil, jobs, slots, beta, epsilon)
-}
-
-// AllocateFairInto is AllocateFair with a caller-owned result buffer: dst
-// is resized (reallocating only when capacity is short) and returned. Its
-// working slices are a fresh Allocator's; a caller that allocates
-// repeatedly keeps an Allocator instead.
+// AllocateFairInto is Allocator.Allocate with a caller-owned result
+// buffer and no hint: dst is resized (reallocating only when capacity is
+// short) and returned. Its working slices are a fresh Allocator's; a
+// caller that allocates repeatedly keeps an Allocator instead.
 func AllocateFairInto(dst []int, jobs []JobDemand, slots int, beta, epsilon float64) []int {
 	return (&Allocator{alloc: dst}).Allocate(jobs, slots, beta, epsilon, nil)
 }
 
-// Allocate is AllocateFair on the allocator's buffers. The result is
-// aligned with jobs and reused by the next call.
+// Allocate implements Pseudocode 1 on the allocator's buffers. It returns
+// one slot count per job, aligned with jobs and reused by the next call,
+// summing to at most slots. Jobs are never given more than their
+// MaxUsable cap; freed-up surplus cascades to other jobs in guideline
+// order, keeping the allocation work-conserving. On top, it applies the
+// epsilon-fairness projection of Section 4.3: every job is guaranteed
+// floor = (1-epsilon) * S/N slots (capped by what it can use). epsilon = 0
+// is perfect fairness; epsilon = 1 disables the floor entirely.
 //
 // hint, when not nil, is a permutation of the input indices in roughly
 // ascending priority — typically the last call's Order carried over to

@@ -10,6 +10,18 @@ import (
 	"testing/quick"
 )
 
+// Allocate is Pseudocode 1 with the floor disabled, on a fresh Allocator:
+// the tests' oracle.
+func Allocate(jobs []JobDemand, slots int, beta float64) []int {
+	return AllocateFair(jobs, slots, beta, 1)
+}
+
+// AllocateFair is Pseudocode 1 with the epsilon floor of Section 4.3, on a
+// fresh Allocator: the tests' oracle.
+func AllocateFair(jobs []JobDemand, slots int, beta, epsilon float64) []int {
+	return (&Allocator{}).Allocate(jobs, slots, beta, epsilon, nil)
+}
+
 func TestVirtualSizeBasics(t *testing.T) {
 	cases := []struct {
 		name      string

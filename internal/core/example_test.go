@@ -16,8 +16,9 @@ func ExampleAllocate() {
 		{ID: 2, Remaining: 15}, // V = 20
 	}
 
-	constrained := core.Allocate(jobs, 50, 1.5)
-	abundant := core.Allocate(jobs, 200, 1.5)
+	// epsilon = 1: no fairness floor. Each result is its Allocator's buffer.
+	constrained := (&core.Allocator{}).Allocate(jobs, 50, 1.5, 1, nil)
+	abundant := (&core.Allocator{}).Allocate(jobs, 200, 1.5, 1, nil)
 
 	fmt.Println("constrained (50 slots):", constrained)
 	fmt.Println("abundant   (200 slots):", abundant)
@@ -45,8 +46,8 @@ func ExampleAllocateFair() {
 		{ID: 1, Remaining: 500},
 		{ID: 2, Remaining: 10},
 	}
-	unfair := core.Allocate(jobs, 40, 1.5)
-	fair := core.AllocateFair(jobs, 40, 1.5, 0.1) // floor = 0.9*40/2 = 18
+	unfair := (&core.Allocator{}).Allocate(jobs, 40, 1.5, 1, nil)
+	fair := (&core.Allocator{}).Allocate(jobs, 40, 1.5, 0.1, nil) // floor = 0.9*40/2 = 18
 
 	fmt.Println("epsilon=1 (no floor):", unfair)
 	fmt.Println("epsilon=0.1:         ", fair)

@@ -1,10 +1,10 @@
 package estimate
 
 import (
-	"math"
 	"testing"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
+	"github.com/hopper-sim/hopper/internal/stats"
 )
 
 // mkDAG builds a 2-phase chain job in the given family with the given
@@ -82,7 +82,7 @@ func TestFamilyLearningImprovesOverOracle(t *testing.T) {
 	if alpha < 1.8 || alpha > 2.2 {
 		t.Fatalf("learned alpha = %v, want ~2", alpha)
 	}
-	if a.Err.N() == 0 {
+	if a.Err == (stats.Welford{}) {
 		t.Fatal("estimation error not tracked")
 	}
 }
@@ -103,12 +103,21 @@ func TestUnknownFamilyFallsBackToOracle(t *testing.T) {
 func TestAlphaIgnoresCompletedDownstream(t *testing.T) {
 	a := NewAlphaEstimator()
 	j := mkDAG(1, "", 4, 2, 10)
-	// Simulate: upstream done, downstream runnable (it is the "current"
-	// phase now and has no further downstream) -> alpha 1. The flags are
-	// poked directly, so the runnable cache is rebuilt explicitly.
-	j.Phases[1].State = cluster.PhaseRunnable
-	j.Phases[0].State = cluster.PhaseLocked
-	j.RecomputeRunnable()
+	// Run the upstream phase to completion: its last task unlocks the
+	// downstream phase, the "current" phase now, with no further
+	// downstream -> alpha 1.
+	j.Phases[0].MarkRunnable()
+	var unlocks []cluster.PhaseUnlock
+	for _, task := range j.Phases[0].Tasks {
+		task.Win(task.StartCopy(0, 0, false, 1), 1, nil)
+		_, unlocks = j.CompleteTask(task, 1, unlocks)
+	}
+	for _, u := range unlocks {
+		u.Phase.MarkRunnable()
+	}
+	if rp := j.RunnablePhases(); len(rp) != 1 || rp[0] != j.Phases[1] {
+		t.Fatalf("runnable phases %v, want the downstream phase alone", rp)
+	}
 	alpha, dv := a.Evaluate(j, 1.5)
 	if alpha != 1 && dv != 0 {
 		// With only the last phase runnable there is no downstream left.
@@ -150,9 +159,13 @@ func TestAlphaCountsPerDownstreamPhase(t *testing.T) {
 	a.JobCompleted(mkFanOut(1, "fam", 12, 0, 24))
 	check := func(what string, estimates, fallbacks, errN int, errMean float64) {
 		t.Helper()
-		if a.Estimates != estimates || a.OracleFallbacks != fallbacks || a.Err.N() != errN || math.Abs(a.Err.Mean()-errMean) > 1e-12 {
-			t.Fatalf("%s: Estimates %d OracleFallbacks %d Err.N %d Err.Mean %v, want %d %d %d %v",
-				what, a.Estimates, a.OracleFallbacks, a.Err.N(), a.Err.Mean(), estimates, fallbacks, errN, errMean)
+		var err stats.Welford // errN samples of errMean
+		for range errN {
+			err.Add(errMean)
+		}
+		if a.Estimates != estimates || a.OracleFallbacks != fallbacks || a.Err != err {
+			t.Fatalf("%s: Estimates %d OracleFallbacks %d Err %+v, want %d %d %+v",
+				what, a.Estimates, a.OracleFallbacks, a.Err, estimates, fallbacks, err)
 		}
 	}
 	// Learned: |12−10|/10 and |24−30|/30 are both 0.2; the zero-transfer

@@ -7,12 +7,8 @@ import (
 )
 
 func TestInjectorDeterministicPerSeed(t *testing.T) {
-	cfg := FaultConfig{
-		Seed:     42,
-		Default:  Rates{Drop: 0.2, Dup: 0.2, Delay: 0.3},
-		DelayMin: 0.001, DelayMax: 0.01,
-	}
-	a, b := NewInjector(cfg), NewInjector(cfg)
+	cell := ChaosCell{Seed: 42, Rates: Rates{Drop: 0.2, Dup: 0.2, Delay: 0.3}}
+	a, b := NewInjector(cell), NewInjector(cell)
 	for i := 0; i < 1000; i++ {
 		fa, fb := a.Judge(wire.TReserve), b.Judge(wire.TReserve)
 		if fa != fb {
@@ -25,7 +21,7 @@ func TestInjectorDeterministicPerSeed(t *testing.T) {
 }
 
 func TestInjectorRatesApproximatelyHonored(t *testing.T) {
-	in := NewInjector(FaultConfig{Seed: 7, Default: Rates{Drop: 0.3}})
+	in := NewInjector(ChaosCell{Seed: 7, Rates: Rates{Drop: 0.3}})
 	const n = 20000
 	for i := 0; i < n; i++ {
 		in.Judge(wire.TOffer)
@@ -41,9 +37,9 @@ func TestInjectorRatesApproximatelyHonored(t *testing.T) {
 }
 
 func TestInjectorPerTypeOverrides(t *testing.T) {
-	in := NewInjector(FaultConfig{
+	in := NewInjector(ChaosCell{
 		Seed:    1,
-		Default: Rates{},
+		Rates:   Rates{},
 		PerType: map[wire.MsgType]Rates{wire.TReserve: {Drop: 1}},
 	})
 	for i := 0; i < 50; i++ {
@@ -57,7 +53,7 @@ func TestInjectorPerTypeOverrides(t *testing.T) {
 }
 
 func TestInjectorPartitionDropsAllThenHeals(t *testing.T) {
-	in := NewInjector(FaultConfig{Seed: 3})
+	in := NewInjector(ChaosCell{Seed: 3})
 	in.Partition()
 	for i := 0; i < 10; i++ {
 		if f := in.Judge(wire.TAssign); !f.Drop {

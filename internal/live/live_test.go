@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
+	"github.com/hopper-sim/hopper/internal/core"
+	"github.com/hopper-sim/hopper/internal/speculation"
 	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
 )
@@ -372,5 +374,46 @@ func TestLiveMultiPhaseJob(t *testing.T) {
 	}
 	if jc.TasksRun != 6 {
 		t.Fatalf("TasksRun = %d, want 6", jc.TasksRun)
+	}
+}
+
+// reserveLog is a worker's end of a link that keeps the Reserves sent on
+// it.
+type reserveLog struct {
+	transport.Conn
+	sent []wire.Reserve
+}
+
+func (l *reserveLog) Send(m wire.Message) error {
+	if r, ok := m.(*wire.Reserve); ok {
+		l.sent = append(l.sent, *r)
+	}
+	return nil
+}
+func (l *reserveLog) RemoteAddr() string { return "reserve-log" }
+
+// TestBetaSetsOnlyTheServiceDraw: SchedulerConfig.Beta is the tail the
+// service times are drawn from, not the estimator's start. The estimator
+// starts at the shared prior, as on both simulator planes, so the first
+// Reserve carries the virtual size the prior gives.
+func TestBetaSetsOnlyTheServiceDraw(t *testing.T) {
+	const beta, tasks = 1.9, 4
+	s, err := NewScheduler(SchedulerConfig{ID: 0, NumSchedulers: 1, Seed: 1, Beta: beta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.model.Beta != beta {
+		t.Fatalf("service draws use beta %v, want %v", s.model.Beta, beta)
+	}
+	link := &reserveLog{}
+	s.handle(envelope{from: &peer{conn: link}, msg: &wire.Hello{Role: wire.RoleWorker, ID: 7, Slots: 4}})
+	s.handle(envelope{from: &peer{conn: &discardConn{}}, msg: SimpleJob(1, "prior", tasks, 1.0)})
+	if len(link.sent) == 0 {
+		t.Fatal("no Reserve sent")
+	}
+	prior := speculation.Config{}.WithDefaults().BetaPrior
+	if got, want := link.sent[0].VirtualSize, core.VirtualSize(tasks, prior, 1); got != want {
+		t.Fatalf("first Reserve's virtual size %v, want %v from the prior %v (beta %v gives %v)",
+			got, want, prior, beta, core.VirtualSize(tasks, beta, 1))
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"github.com/hopper-sim/hopper/internal/metrics"
 	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/simulator"
-	"github.com/hopper-sim/hopper/internal/speculation"
 	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
 )
@@ -32,10 +31,12 @@ type SchedulerConfig struct {
 	// NumSchedulers is the cluster-wide scheduler count, used by the
 	// fairness floor estimate. Default 1.
 	NumSchedulers int
-	// Beta is the Pareto tail index used for virtual sizes and service
-	// time draws (default cluster.DefaultExecModel().Beta). Live mode
-	// draws service times scheduler-side so the straggler race is
-	// reproducible; see package docs.
+	// Beta is the Pareto tail index service times are drawn with
+	// (default cluster.DefaultExecModel().Beta). Live mode draws service
+	// times scheduler-side so the straggler race is reproducible; see
+	// package docs. Virtual sizes use the estimate, which starts at the
+	// shared prior (speculation.Config.BetaPrior), as on both simulator
+	// planes.
 	Beta float64
 	// MeanTaskSeconds is the fallback mean task duration for submitted
 	// phases that carry none.
@@ -252,8 +253,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	pcfg := protocol.Config{
 		Mode:          cfg.Mode,
 		NumSchedulers: cfg.NumSchedulers,
-		// Virtual sizes see the same tail index as service draws.
-		Spec: speculation.Config{BetaPrior: cfg.Beta},
 	}.WithDefaults()
 	s.core = protocol.NewSched(protocol.SchedID(cfg.ID), pcfg, protocol.SchedEnv{
 		Now:           s.now,

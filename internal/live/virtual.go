@@ -43,34 +43,15 @@ type Rates struct {
 	// delay draw, modeling a retransmit replay.
 	Dup float64
 	// Delay holds the message for an extra uniform draw from
-	// [DelayMin, DelayMax] before delivery; delayed messages overtake and
-	// are overtaken by others, so a nonzero rate also produces reorders.
+	// [faultDelayMin, faultDelayMax) before delivery; delayed messages
+	// overtake and are overtaken by others, so a nonzero rate also
+	// produces reorders.
 	Delay float64
 }
 
-// FaultConfig configures an Injector.
-type FaultConfig struct {
-	// Seed keys the fault decision stream; the same seed and send
-	// sequence produce the same verdicts.
-	Seed int64
-	// Default applies to every message type without a PerType override.
-	Default Rates
-	// PerType overrides Default for specific message types, so a scenario
-	// can, say, drop only probes or duplicate only task hand-offs.
-	PerType map[wire.MsgType]Rates
-	// DelayMin/DelayMax bound the extra delivery delay, in seconds of
-	// the consumer's clock (the virtual cluster uses engine time).
-	DelayMin float64
-	DelayMax float64
-}
-
-// rates resolves the effective rates for one message type.
-func (c *FaultConfig) rates(t wire.MsgType) Rates {
-	if r, ok := c.PerType[t]; ok {
-		return r
-	}
-	return c.Default
-}
+// faultDelayMin and faultDelayMax bound an injected delivery delay, in
+// virtual seconds.
+const faultDelayMin, faultDelayMax float64 = 0.01, 0.2
 
 // Fate is the Injector's verdict for one message. Delivery count is 0
 // (dropped), 1, or 2 (duplicated); each delivered copy carries its own
@@ -99,22 +80,29 @@ type FaultStats struct {
 // seeded chaos).
 type Injector struct {
 	mu          sync.Mutex
-	cfg         FaultConfig
+	cell        ChaosCell
 	rng         *rand.Rand
 	partitioned bool
 	stats       FaultStats
 }
 
-// NewInjector builds an injector from the config.
-func NewInjector(cfg FaultConfig) *Injector {
-	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+// NewInjector builds an injector for a cell's frame faults: its Rates,
+// overridden per message type by PerType, drawn from a stream its Seed
+// keys, so the same seed and send sequence produce the same verdicts.
+func NewInjector(cell ChaosCell) *Injector {
+	return &Injector{cell: cell, rng: rand.New(rand.NewSource(cell.Seed))}
 }
 
 func (in *Injector) delay() float64 {
-	if in.cfg.DelayMax <= in.cfg.DelayMin {
-		return in.cfg.DelayMin
+	return faultDelayMin + in.rng.Float64()*(faultDelayMax-faultDelayMin)
+}
+
+// rates resolves the cell's rates for one message type.
+func (in *Injector) rates(t wire.MsgType) Rates {
+	if r, ok := in.cell.PerType[t]; ok {
+		return r
 	}
-	return in.cfg.DelayMin + in.rng.Float64()*(in.cfg.DelayMax-in.cfg.DelayMin)
+	return in.cell.Rates
 }
 
 // Judge decides the fate of one message about to be sent.
@@ -126,7 +114,7 @@ func (in *Injector) Judge(t wire.MsgType) Fate {
 		in.stats.PartitionDrops++
 		return Fate{Drop: true}
 	}
-	r := in.cfg.rates(t)
+	r := in.rates(t)
 	if r.Drop > 0 && in.rng.Float64() < r.Drop {
 		in.stats.Dropped++
 		return Fate{Drop: true}
@@ -537,11 +525,9 @@ func heteroDemanded(id uint64) bool { return id%3 == 0 }
 // the cell's faults until the engine runs dry.
 func RunVirtual(cell ChaosCell) *VirtualCluster {
 	c := &VirtualCluster{
-		eng:   simulator.New(cell.Seed),
-		epoch: time.Unix(0, 0),
-		inj: NewInjector(FaultConfig{
-			Seed: cell.Seed, Default: cell.Rates, PerType: cell.PerType, DelayMin: 0.01, DelayMax: 0.2,
-		}),
+		eng:       simulator.New(cell.Seed),
+		epoch:     time.Unix(0, 0),
+		inj:       NewInjector(cell),
 		jobs:      parityJobs(virtualMachines),
 		completed: make(map[uint64]bool),
 		onFrame:   cell.onFrame,

@@ -32,9 +32,9 @@ const (
 )
 
 // Histogram is a fixed-size log-scale latency histogram. The zero value
-// is ready to use. Record/Count are safe for concurrent use; Merge and
-// Quantile take a consistent-enough snapshot for reporting (exact when
-// recorders are quiescent).
+// is ready to use. Record/Count are safe for concurrent use; Quantile
+// takes a consistent-enough snapshot for reporting (exact when recorders
+// are quiescent).
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	total  atomic.Uint64
@@ -78,20 +78,6 @@ func (h *Histogram) Record(d time.Duration) {
 
 // Count reports the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.total.Load() }
-
-// Merge folds other's counts into h (h += other). Other's recorders
-// should be quiescent for an exact result.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-			h.total.Add(n)
-		}
-	}
-}
 
 // Quantile returns the latency at quantile q in [0,1] — the lower edge
 // of the bucket holding the q-th observation (so reported values never

@@ -71,30 +71,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge checks Merge equals recording everything into one.
-func TestHistogramMerge(t *testing.T) {
-	var a, b, all Histogram
-	for i := 1; i <= 1000; i++ {
-		d := time.Duration(i) * time.Millisecond
-		all.Record(d)
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-	}
-	a.Merge(&b)
-	a.Merge(nil) // no-op
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count %d, want %d", a.Count(), all.Count())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.99} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Fatalf("p%g: merged %v, direct %v", q*100, a.Quantile(q), all.Quantile(q))
-		}
-	}
-}
-
 // TestHistogramConcurrentRecord hammers Record from many goroutines;
 // with -race this doubles as the lock-free-correctness check.
 func TestHistogramConcurrentRecord(t *testing.T) {

@@ -69,6 +69,14 @@ func (w *Worker) entryFor(sched SchedID, job cluster.JobID) entryRef {
 	return entryRef{}
 }
 
+// Occupied reports the slots currently committed to a job.
+func (sc *Sched) Occupied(id cluster.JobID) int {
+	if d := sc.jobs[id]; d != nil {
+		return d.Occupied
+	}
+	return 0
+}
+
 // waitingOn returns the round waiting on offer seq; the test fails if
 // none is.
 func waitingOn(t *testing.T, w *Worker, seq uint64) *round {

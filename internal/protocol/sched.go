@@ -621,11 +621,3 @@ func (sc *Sched) HandleGetTask(jobID cluster.JobID, m cluster.MachineID) Reply {
 		From: sc.id, RemTask: d.Job.RemainingTasksTotal(),
 	}
 }
-
-// Occupied reports the slots currently committed to a job.
-func (sc *Sched) Occupied(id cluster.JobID) int {
-	if d := sc.jobs[id]; d != nil {
-		return d.Occupied
-	}
-	return 0
-}

@@ -205,7 +205,6 @@ const (
 type Worker struct {
 	cfg Config
 	env WorkerEnv
-	id  cluster.MachineID
 
 	// entries holds live and dead-tombstoned reservation entries in
 	// arrival order, never more dead than live after a purge (see
@@ -230,16 +229,16 @@ type Worker struct {
 	seqCounter int64
 }
 
-// NewWorker builds a worker core for machine id. cfg must already have
-// defaults applied.
-func NewWorker(id cluster.MachineID, cfg Config, env WorkerEnv) *Worker {
+// NewWorker builds a worker core. cfg must already have defaults applied.
+// The core never reads its machine's id: the first parameter is unused,
+// and kept while bench/ passes one (ROADMAP item 6a).
+func NewWorker(_ cluster.MachineID, cfg Config, env WorkerEnv) *Worker {
 	if env.Pool == nil {
 		env.Pool = &Pool{}
 	}
 	return &Worker{
 		cfg:     cfg,
 		env:     env,
-		id:      id,
 		backoff: retryBackoffMin,
 	}
 }

@@ -162,7 +162,7 @@ func (r *scanSpec) placeOne(s *jobState) bool {
 // the old per-call slice allocation) instead of the maintained counter.
 func refFreshDemand(s *jobState) int {
 	n := 0
-	for _, p := range s.Job.RunnablePhasesScan() {
+	for _, p := range runnablePhasesScan(s.Job) {
 		n += p.UnscheduledTasks()
 	}
 	return n
@@ -175,7 +175,7 @@ func refDemand(s *jobState) int { return refFreshDemand(s) + s.Wants() }
 // refHasLocalFresh is the pre-overhaul hasLocalFresh, phase rescan
 // included.
 func (b *Base) refHasLocalFresh(s *jobState) bool {
-	for _, p := range s.Job.RunnablePhasesScan() {
+	for _, p := range runnablePhasesScan(s.Job) {
 		t := p.NextUnscheduled()
 		if t == nil {
 			continue

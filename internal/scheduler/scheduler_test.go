@@ -202,12 +202,26 @@ func mkChainJob(id cluster.JobID, phases, tasksPer int, mean, arrival float64) *
 	return cluster.NewJob(id, "", arrival, ps)
 }
 
+// runnablePhasesScan recomputes a job's runnable set by scanning all its
+// phases, allocating a fresh slice, where the job's cache is a slice read:
+// the frozen reference dispatch (reference_test.go) reproduces the
+// pre-overhaul cost profile with it, and freshDemandScan builds on it.
+func runnablePhasesScan(j *cluster.Job) []*cluster.Phase {
+	var out []*cluster.Phase
+	for _, p := range j.Phases {
+		if p.State == cluster.PhaseRunnable && !p.Done() {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // freshDemandScan recomputes jobState.fresh from the phases — the
 // reference implementation and the invariant oracle for the cached
 // counter.
 func freshDemandScan(s *jobState) int {
 	n := 0
-	for _, p := range s.Job.RunnablePhasesScan() {
+	for _, p := range runnablePhasesScan(s.Job) {
 		n += p.UnscheduledTasks()
 	}
 	return n

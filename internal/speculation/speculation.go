@@ -266,13 +266,6 @@ func slowThreshold(hist *Monitor, phase *cluster.Phase) float64 {
 	return 2 * phase.MeanTaskDuration
 }
 
-// Wants evaluates the policy for one running task at time now. It returns
-// false when the task is done, already at the copy cap, or none of its
-// copies have run long enough to observe.
-func (m *Monitor) Wants(now float64, t *cluster.Task) bool {
-	return m.wants(now, t, m.history())
-}
-
 // observable returns the task's live-copy count and, among the copies
 // that have run past the observation delay, the one with the least
 // remaining work (nil when none has).

@@ -72,6 +72,13 @@ func TestByName(t *testing.T) {
 	ByName("bogus")
 }
 
+// Wants evaluates the policy for one running task at time now. It returns
+// false when the task is done, already at the copy cap, or none of its
+// copies have run long enough to observe.
+func (m *Monitor) Wants(now float64, t *cluster.Task) bool {
+	return m.wants(now, t, m.history())
+}
+
 func TestMonitorDetectionDelay(t *testing.T) {
 	m := newMon(LATE{})
 	task := mkRunning(1.0, 0, 50)

@@ -41,33 +41,6 @@ func (p Pareto) Sample(rng *rand.Rand) float64 {
 	return p.Xm / math.Pow(u, 1/p.Alpha)
 }
 
-// Mean returns the distribution mean, or +Inf when Alpha <= 1.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
-// Median returns the distribution median.
-func (p Pareto) Median() float64 {
-	return p.Xm * math.Pow(2, 1/p.Alpha)
-}
-
-// Quantile returns the q-th quantile for q in [0, 1]. q=0 is the scale
-// Xm (the distribution minimum); q=1 returns +Inf, the supremum of a
-// heavy-tailed support — callers sweeping a quantile grid get the
-// mathematically consistent answer instead of a panic.
-func (p Pareto) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: Pareto quantile %v out of [0,1]", q))
-	}
-	if q == 1 {
-		return math.Inf(1)
-	}
-	return p.Xm / math.Pow(1-q, 1/p.Alpha)
-}
-
 // SampleMean draws one value from a Pareto with the given shape whose
 // *mean* (not scale) equals mean. This is the natural parameterization for
 // task durations: workloads specify the average task length and the tail
@@ -143,9 +116,6 @@ func (t *TailEstimator) Observe(x float64) {
 	t.n++
 	t.logSum += math.Log(x / t.xm)
 }
-
-// N returns the number of observations so far.
-func (t *TailEstimator) N() int { return t.n }
 
 // Estimate returns the current tail-index estimate, clamped to (1, 2]
 // because Hopper's virtual-size rule 2/beta is derived for the regime the

@@ -6,14 +6,13 @@ import (
 	"sort"
 )
 
-// Summary accumulates scalar observations and answers mean and
-// percentile queries. It keeps all samples (experiments here are at most a few
+// Summary accumulates scalar observations and answers percentile
+// queries. It keeps all samples (experiments here are at most a few
 // hundred thousand jobs), trading memory for exact percentiles.
 // The zero value is ready to use.
 type Summary struct {
 	xs     []float64
 	sorted bool
-	sum    float64
 }
 
 // Add records one observation. While the samples are in order — an order
@@ -24,7 +23,6 @@ type Summary struct {
 // queries still pays one sort. The multiset, and so every answer, is the
 // same either way.
 func (s *Summary) Add(x float64) {
-	s.sum += x
 	if !s.sorted || x != x { // NaN sorts first; leave it to the sort
 		s.xs = append(s.xs, x)
 		s.sorted = false
@@ -38,14 +36,6 @@ func (s *Summary) Add(x float64) {
 
 // N returns the number of observations.
 func (s *Summary) N() int { return len(s.xs) }
-
-// Mean returns the arithmetic mean, or NaN with no observations.
-func (s *Summary) Mean() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	return s.sum / float64(len(s.xs))
-}
 
 func (s *Summary) sortIfNeeded() {
 	if !s.sorted {
@@ -93,9 +83,6 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	w.mean += (x - w.mean) / float64(w.n)
 }
-
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (NaN with no observations).
 func (w *Welford) Mean() float64 {
