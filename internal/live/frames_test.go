@@ -18,9 +18,9 @@ import (
 )
 
 // offerTimers is a TimerService over a real wheel that counts the
-// worker's offer timers apart from its retry and copy timers: armed is
-// how many were ever armed, pending how many are armed and have neither
-// fired nor been stopped.
+// worker's offer timer apart from its retry and copy timers: armed is
+// how many times it was ever armed, by AfterFunc or Reset, pending how
+// many of those arms have not fired yet.
 type offerTimers struct {
 	wheel   *protocol.TimerWheel
 	offerFn uintptr // code pointer of the worker's offerTimerFn
@@ -34,13 +34,26 @@ func (o *offerTimers) AfterFunc(d time.Duration, f func()) protocol.Timer {
 	}
 	o.armed.Add(1)
 	o.pending.Add(1)
-	return o.wheel.AfterFunc(d, func() {
+	return countedTimer{o, o.wheel.AfterFunc(d, func() {
 		o.pending.Add(-1)
 		f()
-	})
+	})}
 }
 
 func (o *offerTimers) Now() time.Time { return o.wheel.Now() }
+
+// countedTimer is the offer timer as offerTimers hands it out: each
+// Reset counts as one more arm.
+type countedTimer struct {
+	o *offerTimers
+	protocol.Timer
+}
+
+func (c countedTimer) Reset(d time.Duration) bool {
+	c.o.armed.Add(1)
+	c.o.pending.Add(1)
+	return c.Timer.Reset(d)
+}
 
 // offerLog is the scheduler's end of the rig's one link: it keeps every
 // offer the worker sends. notBefore and notAfter bracket the send — the
@@ -259,16 +272,44 @@ func TestAnsweredOffersLeaveNoTimerBehind(t *testing.T) {
 	r.wantTimers("next offer", 2, 1)
 }
 
-// stillTimers is a clock that never moves: it counts the timers armed on
-// it and fires none.
+// stillTimers is a clock that never moves: it counts the arms made on
+// it, by AfterFunc or Reset, and fires a timer only when a test calls
+// its fire. Only AfterFunc allocates.
 type stillTimers struct{ armed int }
 
-func (s *stillTimers) AfterFunc(time.Duration, func()) protocol.Timer { s.armed++; return stillTimer{} }
-func (s *stillTimers) Now() time.Time                                 { return time.Unix(0, 0) }
+func (s *stillTimers) AfterFunc(_ time.Duration, f func()) protocol.Timer {
+	s.armed++
+	return &stillTimer{s: s, f: f, pending: true}
+}
+func (s *stillTimers) Now() time.Time { return time.Unix(0, 0) }
 
-type stillTimer struct{}
+type stillTimer struct {
+	s       *stillTimers
+	f       func()
+	pending bool
+}
 
-func (stillTimer) Stop() bool { return true }
+// fire runs the callback, as a clock reaching the deadline would.
+func (t *stillTimer) fire() {
+	if !t.pending {
+		panic("firing a timer that is not armed")
+	}
+	t.pending = false
+	t.f()
+}
+
+func (t *stillTimer) Stop() bool {
+	was := t.pending
+	t.pending = false
+	return was
+}
+
+func (t *stillTimer) Reset(time.Duration) bool {
+	t.s.armed++
+	was := t.pending
+	t.pending = true
+	return was
+}
 
 // TestOfferDeadlinesQueueStaysSmall: nothing per offer survives its
 // reply. The deadline queue this test used to bound is gone — an offer

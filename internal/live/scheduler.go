@@ -175,7 +175,19 @@ type Scheduler struct {
 	// outage); both flush when the next worker registers.
 	pendingAdmit  []pendingSubmit
 	pendingProbes []protocol.Probe
-	tickerOn      bool
+
+	// tickerOn says the maintenance tick is armed or its event is in
+	// flight; ticks counts the ticks since ensureTicker last started it.
+	// The timer and the event it posts are built on the first start and
+	// re-armed from then on (see ensureTicker).
+	tickerOn bool
+	ticks    int
+	ticker   protocol.Timer
+	tickerEv internalEvent
+
+	// spareProbeSent holds the cleared probeSent maps of finished jobs,
+	// for the next jobs to stamp their probes in.
+	spareProbeSent []map[uint32]time.Time
 
 	// pendingRecon buffers running-copy inventory from worker Hellos for
 	// jobs not (re)submitted yet, keyed by job ID: after a crash the
@@ -879,7 +891,7 @@ func (s *Scheduler) sendProbesAvoiding(probes []protocol.Probe, avoid int64) {
 			// Stamp the first outstanding probe per worker for the
 			// probe-round RTT observation (matched in onOffer).
 			if lj.probeSent == nil {
-				lj.probeSent = make(map[uint32]time.Time)
+				lj.probeSent = s.probeSentMap()
 			}
 			if _, out := lj.probeSent[wid]; !out {
 				lj.probeSent[wid] = time.Now()
@@ -902,37 +914,59 @@ func (s *Scheduler) sendProbesAvoiding(probes []protocol.Probe, avoid int64) {
 // frequent enough to unstick a task whose probes were all lost.
 const reprobeEvery = 20
 
+// probeSentMap hands out a finished job's cleared probe-stamp map, or a
+// new one when none is spare.
+func (s *Scheduler) probeSentMap() map[uint32]time.Time {
+	n := len(s.spareProbeSent)
+	if n == 0 {
+		return make(map[uint32]time.Time)
+	}
+	m := s.spareProbeSent[n-1]
+	s.spareProbeSent[n-1] = nil
+	s.spareProbeSent = s.spareProbeSent[:n-1]
+	return m
+}
+
 // ensureTicker arms the periodic maintenance tick: the speculation scan
 // every period (when speculation is on) and the stalled-task
-// reservation refresh every reprobeEvery periods.
+// reservation refresh every reprobeEvery periods. The tick is re-armed
+// only from its own event (tick), so a stale firing is never in flight
+// when the timer is reset.
 func (s *Scheduler) ensureTicker() {
 	if s.tickerOn {
 		return
 	}
 	s.tickerOn = true
-	wall := time.Duration(s.cfg.CheckInterval * s.cfg.TimeScale * float64(time.Second))
-	ticks := 0
-	var arm func()
-	arm = func() {
-		s.cfg.Timers.AfterFunc(wall, func() {
-			s.post(&internalEvent{fn: func() {
-				if !s.core.HasJobs() {
-					s.tickerOn = false
-					return
-				}
-				if s.core.NeedsTicker() {
-					s.sendProbes(s.core.ScanSpec())
-				}
-				s.expireOverdueCopies()
-				ticks++
-				if ticks%reprobeEvery == 0 {
-					s.sendProbes(s.core.ReprobeStalled())
-				}
-				arm()
-			}}, nil)
-		})
+	s.ticks = 0
+	if s.ticker == nil {
+		s.tickerEv.fn = s.tick
+		s.ticker = s.cfg.Timers.AfterFunc(s.tickWall(), func() { s.post(&s.tickerEv, nil) })
+		return
 	}
-	arm()
+	s.ticker.Reset(s.tickWall())
+}
+
+// tickWall is the tick period on the wall clock.
+func (s *Scheduler) tickWall() time.Duration {
+	return time.Duration(s.cfg.CheckInterval * s.cfg.TimeScale * float64(time.Second))
+}
+
+// tick is one maintenance tick on the loop; it re-arms the ticker while
+// the scheduler holds jobs.
+func (s *Scheduler) tick() {
+	if !s.core.HasJobs() {
+		s.tickerOn = false
+		return
+	}
+	if s.core.NeedsTicker() {
+		s.sendProbes(s.core.ScanSpec())
+	}
+	s.expireOverdueCopies()
+	s.ticks++
+	if s.ticks%reprobeEvery == 0 {
+		s.sendProbes(s.core.ReprobeStalled())
+	}
+	s.ticker.Reset(s.tickWall())
 }
 
 // post enqueues an internal event onto the scheduler's own loop.
@@ -1122,6 +1156,11 @@ func (s *Scheduler) finishJob(j *cluster.Job) {
 		return
 	}
 	delete(s.jobs, id)
+	if lj.probeSent != nil {
+		clear(lj.probeSent)
+		s.spareProbeSent = append(s.spareProbeSent, lj.probeSent)
+		lj.probeSent = nil
+	}
 	if lj.client != nil {
 		s.loop.send(lj.client, &wire.JobComplete{
 			JobID:      id,

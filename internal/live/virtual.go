@@ -308,15 +308,22 @@ func (t engineTimers) Now() time.Time {
 }
 
 func (t engineTimers) AfterFunc(d time.Duration, f func()) protocol.Timer {
-	et := &engineTimer{}
-	et.ev = t.c.eng.After(d.Seconds(), t.c.turn(func() {
+	et := &engineTimer{eng: t.c.eng}
+	et.fn = t.c.turn(func() {
 		et.done = true
 		f()
-	}))
+	})
+	et.ev = et.eng.After(d.Seconds(), et.fn)
 	return et
 }
 
+// engineTimer is one callback on the engine. Each arm posts its own
+// event; Reset cancels a pending one and posts the next exactly where
+// an AfterFunc would have, so a node that re-arms one timer schedules
+// the same events, in the same order, as one that built a timer per arm.
 type engineTimer struct {
+	eng  *simulator.Engine
+	fn   func() // the turn-wrapped callback, posted on every arm
 	ev   *simulator.Event
 	done bool // fired or stopped
 }
@@ -328,6 +335,13 @@ func (t *engineTimer) Stop() bool {
 	t.done = true
 	t.ev.Cancel()
 	return true
+}
+
+func (t *engineTimer) Reset(d time.Duration) bool {
+	was := t.Stop()
+	t.done = false
+	t.ev = t.eng.After(d.Seconds(), t.fn)
+	return was
 }
 
 // turn wraps an engine event: run it, then step every node through

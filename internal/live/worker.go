@@ -76,13 +76,20 @@ const redialInterval = 50 * time.Millisecond
 // the dial-order slot of the scheduler that placed it (for re-pointing
 // the completion report after a reconnect) and startedVirt the virtual
 // start time (for computing Remaining in a re-registration Hello).
+//
+// A record outlives its copy: the worker recycles it through its free
+// list (newCopy, freeCopy). Its finish event is built with the record
+// and its timer by the record's first copy, so a copy placed on a
+// recycled record re-arms the timer and allocates nothing.
 type runningCopy struct {
 	seq         uint64
 	msg         wire.Assign
 	from        *peer
-	timer       protocol.Timer
 	sidx        int
 	startedVirt float64
+
+	timer  protocol.Timer // posts finish; nil until the first copy
+	finish internalEvent  // runs copyFinished on the loop
 }
 
 // Worker is a live worker node: a thin adapter feeding a protocol.Worker
@@ -105,6 +112,7 @@ type Worker struct {
 	idByPeer  map[*peer]protocol.SchedID
 	freeSlots int
 	running   map[uint64]*runningCopy // by assign seq
+	spare     []*runningCopy          // copy records free for reuse (freeCopy)
 	retry     protocol.Timer
 	retryGen  uint64 // invalidates stale RetryFired deliveries
 
@@ -116,9 +124,12 @@ type Worker struct {
 	// offerTimerOn says the one timer that has the core expire unanswered
 	// offers is armed (or its event is in flight to the loop): exec arms
 	// it with the first offer out, offerTimerFired re-aims it.
-	// offerTimerFn is its callback, which posts offerTimerEv — both built
-	// once, so arming allocates only the timer.
+	// offerTimerFn is its callback, which posts offerTimerEv. All three
+	// are built once: the first arm makes offerTimer and every later one
+	// resets it, which is safe because the timer is only ever re-armed
+	// once its event has been consumed.
 	offerTimerOn bool
+	offerTimer   protocol.Timer
 	offerTimerFn func()
 	offerTimerEv *internalEvent
 
@@ -422,7 +433,6 @@ func (w *Worker) drain() {
 	slices.Sort(seqs) // report in placement order, not map order
 	for _, seq := range seqs {
 		rc := w.running[seq]
-		rc.timer.Stop()
 		w.sendTaskDone(rc.from, wire.TaskDone{
 			JobID:     rc.msg.JobID,
 			Seq:       seq,
@@ -431,6 +441,7 @@ func (w *Worker) drain() {
 			Killed:    true,
 		})
 		delete(w.running, seq)
+		w.stopCopy(rc)
 	}
 	for _, p := range w.scheds {
 		if p != nil {
@@ -575,7 +586,17 @@ func (w *Worker) offerTimerFired() {
 	}
 	// Rounded up, so never zero: a wait of nothing would fire at this same
 	// instant on a simulated clock, before the offer is due on the core's.
-	w.cfg.Timers.AfterFunc(w.wall(sentAt+defaultOfferTimeout-now)+time.Nanosecond, w.offerTimerFn)
+	w.armOfferTimer(w.wall(sentAt+defaultOfferTimeout-now) + time.Nanosecond)
+}
+
+// armOfferTimer arms the offer timer to fire after d.
+func (w *Worker) armOfferTimer(d time.Duration) {
+	w.offerTimerOn = true
+	if w.offerTimer == nil {
+		w.offerTimer = w.cfg.Timers.AfterFunc(d, w.offerTimerFn)
+	} else {
+		w.offerTimer.Reset(d)
+	}
 }
 
 // place is the core's placement callback: occupy a slot and emulate the
@@ -594,26 +615,62 @@ func (w *Worker) place(from protocol.SchedID, rep protocol.Reply) bool {
 		return false
 	}
 	w.freeSlots--
-	rc := &runningCopy{
-		seq: w.curReply.seq, msg: *a, from: w.curReply.from,
-		sidx: -1, startedVirt: w.now(),
-	}
+	rc := w.newCopy()
+	rc.seq, rc.msg, rc.from = w.curReply.seq, *a, w.curReply.from
+	rc.sidx, rc.startedVirt = -1, w.now()
 	for i, sp := range w.scheds {
 		if sp == w.curReply.from {
 			rc.sidx = i
 		}
 	}
 	w.running[rc.seq] = rc
-	rc.timer = w.cfg.Timers.AfterFunc(w.wall(a.Duration), func() {
-		w.post(&internalEvent{fn: func() { w.copyFinished(rc) }}, nil)
-	})
+	if d := w.wall(a.Duration); rc.timer == nil {
+		rc.timer = w.cfg.Timers.AfterFunc(d, func() { w.post(&rc.finish, nil) })
+	} else {
+		rc.timer.Reset(d)
+	}
 	return true
+}
+
+// newCopy takes a copy record off the free list, or builds one with its
+// finish event.
+func (w *Worker) newCopy() *runningCopy {
+	if n := len(w.spare); n > 0 {
+		rc := w.spare[n-1]
+		w.spare[n-1] = nil
+		w.spare = w.spare[:n-1]
+		return rc
+	}
+	rc := &runningCopy{}
+	rc.finish.fn = func() { w.copyFinished(rc) }
+	return rc
+}
+
+// freeCopy puts a record back on the free list. Only a record nothing
+// can still deliver for goes there: its timer stopped before it fired,
+// or its finish event has reached copyFinished. A record recycled while
+// its finish event was in flight would finish whatever copy was placed
+// on it next.
+func (w *Worker) freeCopy(rc *runningCopy) {
+	w.spare = append(w.spare, rc)
+}
+
+// stopCopy stops the timer of a copy that has left w.running. If the
+// timer had already fired, its finish event is on its way to the loop
+// and copyFinished recycles the record when it arrives.
+func (w *Worker) stopCopy(rc *runningCopy) {
+	if rc.timer.Stop() {
+		w.freeCopy(rc)
+	}
 }
 
 // copyFinished reports a completed copy and restarts negotiation.
 func (w *Worker) copyFinished(rc *runningCopy) {
-	if _, live := w.running[rc.seq]; !live {
-		return // killed while the finish event was in flight
+	if w.running[rc.seq] != rc {
+		// Killed after its timer fired: the copy was settled then, and
+		// this was the record's last outstanding event.
+		w.freeCopy(rc)
+		return
 	}
 	delete(w.running, rc.seq)
 	w.freeSlots++
@@ -624,6 +681,7 @@ func (w *Worker) copyFinished(rc *runningCopy) {
 		TaskIndex: rc.msg.TaskIndex,
 		Duration:  rc.msg.Duration,
 	})
+	w.freeCopy(rc)
 	w.exec(w.core.Kick())
 }
 
@@ -634,8 +692,8 @@ func (w *Worker) onKill(m *wire.Kill) {
 	if rc == nil {
 		return // already finished; our TaskDone crossed the Kill
 	}
-	rc.timer.Stop()
 	delete(w.running, m.Seq)
+	w.stopCopy(rc)
 	w.freeSlots++
 	w.exec(w.core.Kick())
 }
@@ -667,8 +725,7 @@ func (w *Worker) exec(acts []protocol.WAction) {
 			}
 			w.loop.send(p, &w.out.offer)
 			if !w.offerTimerOn {
-				w.offerTimerOn = true
-				w.cfg.Timers.AfterFunc(w.wall(defaultOfferTimeout), w.offerTimerFn)
+				w.armOfferTimer(w.wall(defaultOfferTimeout))
 			}
 		case protocol.WArmRetry:
 			// Generation-tag each arm: a RetryFired event already queued

@@ -183,6 +183,29 @@ func TestWheelArmStopAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestWheelResetAllocatesNothing pins the re-arm path at zero: a timer
+// Reset and stopped over and over takes a slot entry per arm and nothing
+// else, once the slots have grown to their steady-state capacity.
+func TestWheelResetAllocatesNothing(t *testing.T) {
+	w := NewTimerWheel(time.Millisecond, 64)
+	defer w.Stop()
+	tm := w.AfterFunc(20*time.Millisecond, func() {})
+	cycle := func() {
+		tm.Reset(20 * time.Millisecond)
+		if !tm.Stop() {
+			t.Fatal("Stop lost to a 20ms timer")
+		}
+	}
+	// Two trips round the ring at full arming speed, as in
+	// TestWheelArmStopAllocatesOnce.
+	for end := time.Now().Add(128 * time.Millisecond); time.Now().Before(end); {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
+		t.Fatalf("Reset + Stop allocates %.2f/op in steady state, want 0", avg)
+	}
+}
+
 // TestWheelTickOverLongTimersAllocatesNothing steps the wheel over a
 // slot holding 1,000 timers that are rounds away from due: the slot is
 // filtered in place, so the tick allocates nothing.

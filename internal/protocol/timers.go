@@ -17,11 +17,17 @@ import (
 	"time"
 )
 
-// Timer is an armed callback. Stop cancels it, reporting true when the
-// cancellation prevented the callback from running — the same contract
-// as (*time.Timer).Stop for AfterFunc timers.
+// Timer is an armed callback, with the contract of a *time.Timer made
+// by time.AfterFunc. Stop cancels it, reporting true when the
+// cancellation prevented the callback from running. Reset re-arms it to
+// run the same callback once after d, whether it is pending, fired or
+// stopped, reporting true when it was pending: a re-armed timer fires
+// once, at its new deadline. Reset is how an owner that arms the same
+// callback again and again keeps one timer instead of building one per
+// arm.
 type Timer interface {
 	Stop() bool
+	Reset(d time.Duration) bool
 }
 
 // TimerService is a node's clock: it arms callbacks and tells the time
@@ -54,6 +60,8 @@ type wallTimer struct{ t *time.Timer }
 
 func (w wallTimer) Stop() bool { return w.t.Stop() }
 
+func (w wallTimer) Reset(d time.Duration) bool { return w.t.Reset(d) }
+
 // TimerWheel is a hashed timer wheel: a ring of slots advanced by one
 // goroutine at a fixed tick. Arming and canceling are O(1) under one
 // lock; firing is amortized O(1) per timer. Precision is one tick
@@ -73,7 +81,7 @@ type TimerWheel struct {
 	shift uint // log2(len(slots)), for the rounds computation
 
 	mu      sync.Mutex
-	slots   [][]*wheelTimer
+	slots   [][]wheelEntry
 	cur     int   // last advanced slot
 	ticks   int64 // advances performed
 	stopped bool
@@ -105,7 +113,7 @@ func NewTimerWheel(tick time.Duration, slots int) *TimerWheel {
 		start: time.Now(),
 		mask:  n - 1,
 		shift: shift,
-		slots: make([][]*wheelTimer, n),
+		slots: make([][]wheelEntry, n),
 		done:  make(chan struct{}),
 	}
 	w.wg.Add(1)
@@ -127,14 +135,24 @@ func (w *TimerWheel) Stop() {
 	w.wg.Wait()
 }
 
-// wheelTimer is one armed callback and its own Stop handle; rounds,
-// canceled and fired are guarded by the wheel's lock.
+// wheelTimer is one callback and its own Stop and Reset handle; gen
+// and pending are guarded by the wheel's lock. gen numbers the timer's
+// arms: Stop and Reset each start a new one, so a slot entry left from
+// an earlier arm is stale and is dropped, not fired, when the wheel
+// reaches it.
 type wheelTimer struct {
-	wheel    *TimerWheel
-	fn       func()
-	rounds   int
-	canceled bool
-	fired    bool
+	wheel   *TimerWheel
+	fn      func()
+	gen     uint64
+	pending bool
+}
+
+// wheelEntry is one arm of a timer waiting in a slot: it fires after
+// rounds more visits of its slot if the timer is still on arm gen.
+type wheelEntry struct {
+	t      *wheelTimer
+	gen    uint64
+	rounds int
 }
 
 // inertTimer is returned after Stop; it never fires.
@@ -142,30 +160,36 @@ type inertTimer struct{}
 
 func (inertTimer) Stop() bool { return false }
 
+func (inertTimer) Reset(time.Duration) bool { return false }
+
 // AfterFunc arms f to run once after d. Firing is rounded up to the
 // next tick boundary, so a timer never fires before its deadline.
 func (w *TimerWheel) AfterFunc(d time.Duration, f func()) Timer {
-	if d < 0 {
-		d = 0
+	t := &wheelTimer{wheel: w, fn: f}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.stopped {
+		return inertTimer{}
 	}
+	w.arm(t, d)
+	return t
+}
+
+// arm puts t's next arm in the slot its deadline falls in. The caller
+// holds the lock.
+func (w *TimerWheel) arm(t *wheelTimer, d time.Duration) {
 	// The first tick due at or after the deadline, counted from the
 	// wheel's start and not from the last advance: the wheel may be part
 	// of a tick, or several late ticker deliveries, behind the clock.
-	due := int64((time.Since(w.start) + d + w.tick - 1) / w.tick)
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		return inertTimer{}
-	}
+	due := int64((time.Since(w.start) + max(d, 0) + w.tick - 1) / w.tick)
 	ticks := max(due-w.ticks, 1) // min 1 keeps it out of the in-progress advance
 	// The timer fires on the ticks-th future advance, which visits slot
 	// (cur+ticks) mod ring; earlier visits of that slot are skipped by
 	// the rounds counter — floor((ticks-1)/ring) of them.
-	t := &wheelTimer{wheel: w, fn: f, rounds: int((ticks - 1) >> w.shift)}
+	t.gen++
+	t.pending = true
 	slot := (w.cur + int(ticks&int64(w.mask))) & w.mask
-	w.slots[slot] = append(w.slots[slot], t)
-	w.mu.Unlock()
-	return t
+	w.slots[slot] = append(w.slots[slot], wheelEntry{t: t, gen: t.gen, rounds: int((ticks - 1) >> w.shift)})
 }
 
 // Now is the wall clock: the wheel's ticks are derived from it (run).
@@ -174,11 +198,26 @@ func (w *TimerWheel) Now() time.Time { return time.Now() }
 func (t *wheelTimer) Stop() bool {
 	t.wheel.mu.Lock()
 	defer t.wheel.mu.Unlock()
-	if t.fired || t.canceled {
-		return false
+	was := t.pending
+	t.gen++
+	t.pending = false
+	return was
+}
+
+// Reset re-arms t; on a stopped wheel it stays quiet, as AfterFunc's
+// inert timer does.
+func (t *wheelTimer) Reset(d time.Duration) bool {
+	w := t.wheel
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	was := t.pending
+	if w.stopped {
+		t.gen++
+		t.pending = false
+	} else {
+		w.arm(t, d)
 	}
-	t.canceled = true
-	return true
+	return was
 }
 
 // run advances the wheel. Ticks are derived from elapsed wall time (not
@@ -215,15 +254,15 @@ func (w *TimerWheel) advance(target int64) bool {
 	w.cur = (w.cur + 1) & w.mask
 	slot := w.slots[w.cur]
 	keep, fire := slot[:0], w.fire[:0]
-	for _, t := range slot {
+	for _, e := range slot {
 		switch {
-		case t.canceled:
-		case t.rounds > 0:
-			t.rounds--
-			keep = append(keep, t)
+		case e.gen != e.t.gen: // stopped or re-armed since
+		case e.rounds > 0:
+			e.rounds--
+			keep = append(keep, e)
 		default:
-			t.fired = true
-			fire = append(fire, t)
+			e.t.pending = false
+			fire = append(fire, e.t)
 		}
 	}
 	clear(slot[len(keep):]) // dropped timers must not stay reachable

@@ -196,3 +196,104 @@ func TestWallTimersContract(t *testing.T) {
 		t.Fatal("stopped wall timer fired")
 	}
 }
+
+// fireLog records when a timer's callback runs. The channel has room
+// for a few surplus firings, so a timer that fires too often fails the
+// test in quiet instead of blocking the goroutine it fires on.
+type fireLog struct {
+	fired chan time.Time
+}
+
+func newFireLog() *fireLog { return &fireLog{fired: make(chan time.Time, 4)} }
+
+func (l *fireLog) fn() { l.fired <- time.Now() }
+
+// next waits for the next firing and fails if it came before the
+// deadline armed at start+d.
+func (l *fireLog) next(t *testing.T, start time.Time, d time.Duration) {
+	t.Helper()
+	select {
+	case at := <-l.fired:
+		if el := at.Sub(start); el < d {
+			t.Fatalf("fired %v after the arm, before its %v deadline", el, d)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("a timer armed for %v never fired", d)
+	}
+}
+
+// quiet fails if the timer fires within d.
+func (l *fireLog) quiet(t *testing.T, d time.Duration) {
+	t.Helper()
+	select {
+	case <-l.fired:
+		t.Fatal("the timer fired once too often")
+	case <-time.After(d):
+	}
+}
+
+// TestTimerResetContract pins Reset on both wall-clock services: a timer
+// re-armed after it fired, after it was stopped, or while pending fires
+// once, at its new deadline, and Stop after Reset cancels the new arm.
+// On the wheel, an arm that Stop or Reset superseded still waits in its
+// old slot; the stale cases are the ones where that slot comes round
+// before the new deadline (after Stop) or after it (pending).
+func TestTimerResetContract(t *testing.T) {
+	wheel := NewTimerWheel(time.Millisecond, 64) // ring span 64ms: the 100ms arms wrap
+	defer wheel.Stop()
+	for _, c := range []struct {
+		name string
+		ts   TimerService
+	}{{"wall", WallTimers}, {"wheel", wheel}} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Run("after fire", func(t *testing.T) {
+				l := newFireLog()
+				start := time.Now()
+				tm := c.ts.AfterFunc(5*time.Millisecond, l.fn)
+				l.next(t, start, 5*time.Millisecond)
+				start = time.Now()
+				if tm.Reset(30 * time.Millisecond) {
+					t.Fatal("Reset after the fire reported the timer pending")
+				}
+				l.next(t, start, 30*time.Millisecond)
+				l.quiet(t, 60*time.Millisecond)
+			})
+			t.Run("after stop", func(t *testing.T) {
+				l := newFireLog()
+				tm := c.ts.AfterFunc(20*time.Millisecond, l.fn)
+				if !tm.Stop() {
+					t.Fatal("Stop on a pending timer returned false")
+				}
+				start := time.Now()
+				if tm.Reset(100 * time.Millisecond) {
+					t.Fatal("Reset after Stop reported the timer pending")
+				}
+				l.next(t, start, 100*time.Millisecond) // not at the stopped arm's 20ms
+				l.quiet(t, 60*time.Millisecond)
+			})
+			t.Run("pending", func(t *testing.T) {
+				l := newFireLog()
+				tm := c.ts.AfterFunc(100*time.Millisecond, l.fn)
+				start := time.Now()
+				if !tm.Reset(20 * time.Millisecond) {
+					t.Fatal("Reset on a pending timer reported it idle")
+				}
+				l.next(t, start, 20*time.Millisecond)
+				l.quiet(t, 130*time.Millisecond) // past the first arm's 100ms
+			})
+			t.Run("stop after reset", func(t *testing.T) {
+				l, start := newFireLog(), time.Now()
+				tm := c.ts.AfterFunc(5*time.Millisecond, l.fn)
+				l.next(t, start, 5*time.Millisecond)
+				tm.Reset(30 * time.Millisecond)
+				if !tm.Stop() {
+					t.Fatal("Stop after Reset returned false")
+				}
+				if tm.Stop() {
+					t.Fatal("second Stop returned true")
+				}
+				l.quiet(t, 80*time.Millisecond)
+			})
+		})
+	}
+}
