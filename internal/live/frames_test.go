@@ -273,13 +273,18 @@ func TestAnsweredOffersLeaveNoTimerBehind(t *testing.T) {
 }
 
 // stillTimers is a clock that never moves: it counts the arms made on
-// it, by AfterFunc or Reset, and fires a timer only when a test calls
-// its fire. Only AfterFunc allocates.
-type stillTimers struct{ armed int }
+// it, by AfterFunc or Reset, keeps the timer AfterFunc made last, and
+// fires a timer only when a test calls its fire. Only AfterFunc
+// allocates.
+type stillTimers struct {
+	armed int
+	last  *stillTimer
+}
 
 func (s *stillTimers) AfterFunc(_ time.Duration, f func()) protocol.Timer {
 	s.armed++
-	return &stillTimer{s: s, f: f, pending: true}
+	s.last = &stillTimer{s: s, f: f, pending: true}
+	return s.last
 }
 func (s *stillTimers) Now() time.Time { return time.Unix(0, 0) }
 

@@ -37,21 +37,24 @@ func SubmitFromJob(j *cluster.Job) *wire.SubmitJob {
 		for _, d := range p.Deps {
 			ps.Deps = append(ps.Deps, uint16(d))
 		}
-		hasReps := false
+		ids := 0
 		for _, t := range p.Tasks {
-			if len(t.Replicas) > 0 {
-				hasReps = true
-				break
-			}
+			ids += len(t.Replicas)
 		}
-		if hasReps {
-			ps.Replicas = make([][]uint32, 0, len(p.Tasks))
-			for _, t := range p.Tasks {
-				var reps []uint32
-				for _, r := range t.Replicas {
-					reps = append(reps, uint32(r))
+		if ids > 0 {
+			// One backing array for the phase's groups, each capped at
+			// its own end, as the decoder packs them.
+			backing := make([]uint32, 0, ids)
+			ps.Replicas = make([][]uint32, len(p.Tasks))
+			for i, t := range p.Tasks {
+				if len(t.Replicas) == 0 {
+					continue
 				}
-				ps.Replicas = append(ps.Replicas, reps)
+				from := len(backing)
+				for _, r := range t.Replicas {
+					backing = append(backing, uint32(r))
+				}
+				ps.Replicas[i] = backing[from:len(backing):len(backing)]
 			}
 		}
 		m.Phases = append(m.Phases, ps)

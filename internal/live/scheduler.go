@@ -189,6 +189,10 @@ type Scheduler struct {
 	// for the next jobs to stamp their probes in.
 	spareProbeSent []map[uint32]time.Time
 
+	// spareUnlocks holds the transfer-gated wakeup records whose timers
+	// have fired and been handled (scheduleUnlock, unlockDue).
+	spareUnlocks []*unlockWait
+
 	// pendingRecon buffers running-copy inventory from worker Hellos for
 	// jobs not (re)submitted yet, keyed by job ID: after a crash the
 	// workers typically re-register before the clients resubmit, and
@@ -208,14 +212,24 @@ type Scheduler struct {
 	// once.
 	unlock cluster.UnlockPlanner
 
-	// out is the scratch every per-frame message this node sends is built
-	// in: the loop is single-threaded and transport.Conn.Send is done with
-	// a message when it returns, so one value per type serves every send.
+	// out is the scratch every message this node sends is built in: the
+	// loop is single-threaded and transport.Conn.Send is done with a
+	// message when it returns, so one value per type serves every send.
 	out struct {
 		replyFrames
-		reserve wire.Reserve
-		kill    wire.Kill
+		reserve     wire.Reserve
+		kill        wire.Kill
+		jobComplete wire.JobComplete
 	}
+}
+
+// unlockWait is one transfer-gated phase wakeup waiting out its delay:
+// the planner's fire, the timer and the event the timer posts. Records
+// are recycled, timer and event with them.
+type unlockWait struct {
+	fire  func()
+	timer protocol.Timer
+	ev    internalEvent
 }
 
 // pendingSubmit is one buffered submission with its submitter.
@@ -523,20 +537,12 @@ func (s *Scheduler) drain() {
 	}
 	for id, j := range s.jobs {
 		if j.client != nil {
-			s.loop.send(j.client, &wire.JobComplete{
-				JobID:   id,
-				Aborted: true,
-				Error:   fmt.Sprintf("scheduler %d shutting down", s.cfg.ID),
-			})
+			s.rejectJob(j.client, id, fmt.Sprintf("scheduler %d shutting down", s.cfg.ID))
 		}
 	}
 	for _, ps := range s.pendingAdmit {
 		if ps.from != nil {
-			s.loop.send(ps.from, &wire.JobComplete{
-				JobID:   ps.msg.JobID,
-				Aborted: true,
-				Error:   fmt.Sprintf("scheduler %d shutting down before any worker registered", s.cfg.ID),
-			})
+			s.rejectJob(ps.from, ps.msg.JobID, fmt.Sprintf("scheduler %d shutting down before any worker registered", s.cfg.ID))
 		}
 	}
 	for _, id := range s.workerIDs {
@@ -665,10 +671,7 @@ func (s *Scheduler) admit(client *peer, m *wire.SubmitJob) {
 	if _, dup := s.jobs[m.JobID]; dup {
 		// Core job state is keyed by ID; re-admitting would orphan the
 		// first registration in the scheduler's job list forever.
-		s.loop.send(client, &wire.JobComplete{
-			JobID: m.JobID, Aborted: true,
-			Error: fmt.Sprintf("job %d is already active on this scheduler", m.JobID),
-		})
+		s.rejectJob(client, m.JobID, fmt.Sprintf("job %d is already active on this scheduler", m.JobID))
 		return
 	}
 	// Validate the whole shape before allocating anything: bounds on
@@ -679,60 +682,27 @@ func (s *Scheduler) admit(client *peer, m *wire.SubmitJob) {
 	totalTasks := 0
 	for pi, ps := range m.Phases {
 		if ps.NumTasks == 0 || ps.NumTasks > maxTasksPerPhase {
-			s.loop.send(client, &wire.JobComplete{
-				JobID: m.JobID, Aborted: true,
-				Error: fmt.Sprintf("phase %d task count %d outside [1, %d]", pi, ps.NumTasks, maxTasksPerPhase),
-			})
+			s.rejectJob(client, m.JobID, fmt.Sprintf("phase %d task count %d outside [1, %d]", pi, ps.NumTasks, maxTasksPerPhase))
 			return
 		}
 		totalTasks += int(ps.NumTasks)
 		if totalTasks > maxTasksPerJob {
-			s.loop.send(client, &wire.JobComplete{
-				JobID: m.JobID, Aborted: true,
-				Error: fmt.Sprintf("job exceeds %d total tasks", maxTasksPerJob),
-			})
+			s.rejectJob(client, m.JobID, fmt.Sprintf("job exceeds %d total tasks", maxTasksPerJob))
 			return
 		}
 		for _, d := range ps.Deps {
 			if int(d) >= pi {
-				s.loop.send(client, &wire.JobComplete{
-					JobID: m.JobID, Aborted: true,
-					Error: fmt.Sprintf("phase %d dep %d out of range", pi, d),
-				})
+				s.rejectJob(client, m.JobID, fmt.Sprintf("phase %d dep %d out of range", pi, d))
 				return
 			}
 		}
 	}
-	var phases []*cluster.Phase
-	for _, ps := range m.Phases {
-		mean := ps.MeanDur
-		if mean <= 0 {
-			mean = s.cfg.MeanTaskSeconds
-		}
-		ph := &cluster.Phase{
-			MeanTaskDuration: mean,
-			TransferWork:     ps.TransferWork,
-			Demand:           cluster.Resources{CPU: ps.DemandCPU, Mem: ps.DemandMem},
-			Tasks:            cluster.NewTasks(int(ps.NumTasks)),
-		}
-		for _, d := range ps.Deps {
-			ph.Deps = append(ph.Deps, int(d))
-		}
-		// Replicas beyond the phase's tasks are ignored.
-		cluster.PackReplicas(ph.Tasks, func(i int) []uint32 {
-			if i < len(ps.Replicas) {
-				return ps.Replicas[i]
-			}
-			return nil
-		})
-		phases = append(phases, ph)
-	}
-	if len(phases) == 0 {
-		s.loop.send(client, &wire.JobComplete{JobID: m.JobID, Aborted: true, Error: "job has no phases"})
+	if len(m.Phases) == 0 {
+		s.rejectJob(client, m.JobID, "job has no phases")
 		return
 	}
 	now := s.now()
-	j := cluster.NewJob(cluster.JobID(m.JobID), m.Name, now, phases)
+	j := s.jobFromSubmit(m, totalTasks, now)
 	lj := &lJob{job: j, client: client, submitWall: time.Now()}
 	s.jobs[m.JobID] = lj
 	s.core.Admit(j)
@@ -752,6 +722,69 @@ func (s *Scheduler) admit(client *peer, m *wire.SubmitJob) {
 	}
 	s.ensureTicker()
 	s.unlock.AdmitJob(j, now) // fires root-phase probes through Deliver
+}
+
+// jobFromSubmit builds a validated submission's cluster.Job. The job is
+// carved from one slab per kind — its phases, its tasks, the pointers to
+// each, every phase's deps and every task's replicas — so admission
+// costs the same few allocations whatever the job's task count. Each
+// phase's Tasks and Deps and each task's Replicas are capped at their
+// own end, so an append to one reallocates instead of writing into its
+// neighbour's. Replica groups beyond a phase's tasks are ignored.
+func (s *Scheduler) jobFromSubmit(m *wire.SubmitJob, totalTasks int, now float64) *cluster.Job {
+	nDeps, nReps := 0, 0
+	for _, ps := range m.Phases {
+		nDeps += len(ps.Deps)
+		for _, g := range ps.Replicas[:min(len(ps.Replicas), int(ps.NumTasks))] {
+			nReps += len(g)
+		}
+	}
+	phaseSlab := make([]cluster.Phase, len(m.Phases))
+	phases := make([]*cluster.Phase, len(m.Phases))
+	taskSlab := make([]cluster.Task, totalTasks)
+	taskPtrs := make([]*cluster.Task, totalTasks)
+	var deps []int
+	if nDeps > 0 {
+		deps = make([]int, 0, nDeps)
+	}
+	var reps []cluster.MachineID
+	if nReps > 0 {
+		reps = make([]cluster.MachineID, 0, nReps)
+	}
+	for pi, ps := range m.Phases {
+		mean := ps.MeanDur
+		if mean <= 0 {
+			mean = s.cfg.MeanTaskSeconds
+		}
+		n := int(ps.NumTasks)
+		tasks := taskPtrs[:n:n]
+		taskPtrs = taskPtrs[n:]
+		for i := range tasks {
+			tasks[i] = &taskSlab[i]
+			if i < len(ps.Replicas) && len(ps.Replicas[i]) > 0 {
+				from := len(reps)
+				for _, r := range ps.Replicas[i] {
+					reps = append(reps, cluster.MachineID(r))
+				}
+				tasks[i].Replicas = reps[from:len(reps):len(reps)]
+			}
+		}
+		taskSlab = taskSlab[n:]
+		ph := &phaseSlab[pi]
+		ph.MeanTaskDuration = mean
+		ph.TransferWork = ps.TransferWork
+		ph.Demand = cluster.Resources{CPU: ps.DemandCPU, Mem: ps.DemandMem}
+		ph.Tasks = tasks
+		if len(ps.Deps) > 0 {
+			from := len(deps)
+			for _, d := range ps.Deps {
+				deps = append(deps, int(d))
+			}
+			ph.Deps = deps[from:len(deps):len(deps)]
+		}
+		phases[pi] = ph
+	}
+	return cluster.NewJob(cluster.JobID(m.JobID), m.Name, now, phases)
 }
 
 // reconcileWorker processes the recovery inventory of a (re-)registering
@@ -1120,16 +1153,37 @@ func (s *Scheduler) onTaskDone(m *wire.TaskDone) {
 
 // scheduleUnlock is the planner's Schedule binding: a wakeup already due
 // fires inline on the loop; a transfer-gated one waits out its delay on
-// a wall-clock timer and posts back onto the loop.
+// a wall-clock timer and posts back onto the loop. The timer comes with
+// a recycled unlockWait, re-armed, so a wait allocates nothing once a
+// record is spare.
 func (s *Scheduler) scheduleUnlock(at simulator.Time, fire func()) {
 	delay := at - s.now()
 	if delay <= 0 {
 		fire()
 		return
 	}
-	s.cfg.Timers.AfterFunc(time.Duration(delay*s.cfg.TimeScale*float64(time.Second)), func() {
-		s.post(&internalEvent{fn: fire}, nil)
-	})
+	d := time.Duration(delay * s.cfg.TimeScale * float64(time.Second))
+	if n := len(s.spareUnlocks); n > 0 {
+		u := s.spareUnlocks[n-1]
+		s.spareUnlocks[n-1] = nil
+		s.spareUnlocks = s.spareUnlocks[:n-1]
+		u.fire = fire
+		u.timer.Reset(d)
+		return
+	}
+	u := &unlockWait{fire: fire}
+	u.ev.fn = func() { s.unlockDue(u) }
+	u.timer = s.cfg.Timers.AfterFunc(d, func() { s.post(&u.ev, nil) })
+}
+
+// unlockDue runs on the loop when a wait's timer has fired: the record
+// goes back on the free list, then the wakeup is delivered. Nothing
+// stops an unlock timer, so a record is busy from its arm until here.
+func (s *Scheduler) unlockDue(u *unlockWait) {
+	fire := u.fire
+	u.fire = nil
+	s.spareUnlocks = append(s.spareUnlocks, u)
+	fire()
 }
 
 // Stats returns a snapshot of the scheduler's protocol counters
@@ -1162,11 +1216,19 @@ func (s *Scheduler) finishJob(j *cluster.Job) {
 		lj.probeSent = nil
 	}
 	if lj.client != nil {
-		s.loop.send(lj.client, &wire.JobComplete{
+		s.out.jobComplete = wire.JobComplete{
 			JobID:      id,
 			Completion: j.DoneAt - j.Arrival,
 			TasksRun:   uint32(j.TotalTasks()),
 			SpecCopies: uint32(lj.specCopies),
-		})
+		}
+		s.loop.send(lj.client, &s.out.jobComplete)
 	}
+}
+
+// rejectJob fails a job: an aborted JobComplete carrying reason goes to
+// the client that submitted it.
+func (s *Scheduler) rejectJob(client *peer, id uint64, reason string) {
+	s.out.jobComplete = wire.JobComplete{JobID: id, Aborted: true, Error: reason}
+	s.loop.send(client, &s.out.jobComplete)
 }

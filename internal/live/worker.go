@@ -113,8 +113,18 @@ type Worker struct {
 	freeSlots int
 	running   map[uint64]*runningCopy // by assign seq
 	spare     []*runningCopy          // copy records free for reuse (freeCopy)
-	retry     protocol.Timer
-	retryGen  uint64 // invalidates stale RetryFired deliveries
+
+	// retry is the one backoff-retry timer: exec arms it with the first
+	// WArmRetry and re-arms it from then on, and it posts retryEv, which
+	// runs retryFired. retryArmed says an arm is outstanding (armed, and
+	// neither cancelled nor consumed by retryFired). retryStale counts
+	// firings in flight that the loop drops: a timer that has fired
+	// cannot be stopped, so a cancel or re-arm that finds it fired leaves
+	// one event on its way that the core must never see.
+	retry      protocol.Timer
+	retryEv    internalEvent
+	retryArmed bool
+	retryStale int
 
 	// parked holds the reservation inventory DropSched discarded per
 	// dial-order slot, reported to the scheduler on reconnect (the
@@ -698,8 +708,44 @@ func (w *Worker) onKill(m *wire.Kill) {
 	w.exec(w.core.Kick())
 }
 
+// armRetry arms the retry timer to fire after d, superseding the
+// outstanding arm if there is one.
+func (w *Worker) armRetry(d time.Duration) {
+	w.cancelRetry()
+	if w.retry == nil {
+		w.retryEv.fn = w.retryFired
+		w.retry = w.cfg.Timers.AfterFunc(d, func() { w.post(&w.retryEv, nil) })
+	} else {
+		w.retry.Reset(d)
+	}
+	w.retryArmed = true
+}
+
+// cancelRetry withdraws the outstanding arm, if there is one.
+func (w *Worker) cancelRetry() {
+	if w.retryArmed && !w.retry.Stop() {
+		w.retryStale++
+	}
+	w.retryArmed = false
+}
+
+// retryFired runs on the loop for every firing of the retry timer. A
+// firing whose arm was cancelled or superseded after it fired is
+// dropped: delivered to the core, it would clear the core's armed flag
+// while a newer arm is pending, and timers would multiply. Every firing
+// posts one event and the stale ones are counted, so which of two
+// firings in flight is dropped does not matter.
+func (w *Worker) retryFired() {
+	if w.retryStale > 0 {
+		w.retryStale--
+		return
+	}
+	w.retryArmed = false
+	w.exec(w.core.RetryFired())
+}
+
 // exec realizes a core action list: offers become frames carrying the
-// core's number for them, retry arms become timers.
+// core's number for them, retry arms re-arm the retry timer.
 func (w *Worker) exec(acts []protocol.WAction) {
 	var unsent []protocol.WAction
 	for i := range acts {
@@ -728,29 +774,9 @@ func (w *Worker) exec(acts []protocol.WAction) {
 				w.armOfferTimer(w.wall(defaultOfferTimeout))
 			}
 		case protocol.WArmRetry:
-			// Generation-tag each arm: a RetryFired event already queued
-			// from an older timer must not reach the core after a newer
-			// arm/cancel, or the core's armed flag desyncs and timers
-			// multiply. Stop any previous timer before overwriting it.
-			if w.retry != nil {
-				w.retry.Stop()
-			}
-			w.retryGen++
-			gen := w.retryGen
-			w.retry = w.cfg.Timers.AfterFunc(w.wall(a.Delay), func() {
-				w.post(&internalEvent{fn: func() {
-					if gen != w.retryGen {
-						return // superseded by a later arm or cancel
-					}
-					w.exec(w.core.RetryFired())
-				}}, nil)
-			})
+			w.armRetry(w.wall(a.Delay))
 		case protocol.WCancelRetry:
-			w.retryGen++
-			if w.retry != nil {
-				w.retry.Stop()
-				w.retry = nil
-			}
+			w.cancelRetry()
 		}
 	}
 	// Only now: the core's pool reuses acts on re-entry.

@@ -52,7 +52,9 @@ func (o *srptSorter) Swap(a, b int) {
 	o.rem[a], o.rem[b] = o.rem[b], o.rem[a]
 }
 
-// load captures the active set and stable-sorts it into SRPT order.
+// load captures the active set and sorts it into SRPT order. Less is a
+// total order (job IDs are unique), so an unstable sort yields the same
+// order a stable one would, without the stable sort's extra passes.
 func (o *srptSorter) load(active []*jobState) []*jobState {
 	o.jobs = append(o.jobs[:0], active...)
 	if cap(o.rem) < len(active) {
@@ -62,7 +64,7 @@ func (o *srptSorter) load(active []*jobState) []*jobState {
 	for i, s := range active {
 		o.rem[i] = s.Job.RemainingTasksTotal()
 	}
-	sort.Stable(o)
+	sort.Sort(o)
 	return o.jobs
 }
 

@@ -15,7 +15,8 @@ import (
 // re-encode to the identical bytes (canonical round trip), and what the
 // Reader returned must not change when later frames overwrite its
 // scratch. Seeds come from the property-test corpus plus deliberately
-// truncated and over-length variants of each message.
+// truncated and over-length variants of each message, and the replica
+// list's edges (replicaSeeds).
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range corpusMessages() {
 		frame := Append(nil, m)
@@ -31,6 +32,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		over := append(append([]byte(nil), frame...), 0x00)
 		binary.BigEndian.PutUint32(over[:4], uint32(len(over)-5))
 		f.Add(over)
+	}
+	for _, frame := range replicaSeeds() {
+		f.Add(frame)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, byte(TKill)})
@@ -85,4 +89,26 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("unstable round trip for %s:\n 1st %x\n 2nd %x", m.Type(), re, re2)
 		}
 	})
+}
+
+// replicaSeeds are SubmitJob frames at the edges of a phase's replica
+// list: more groups announced than MaxReplicaTasks allows, a payload
+// that ends inside a group, an empty group between two full ones, and a
+// group of 255 ids, the most one can carry.
+func replicaSeeds() [][]byte {
+	over := Append(nil, &SubmitJob{JobID: 1, Phases: []PhaseSpec{{NumTasks: MaxReplicaTasks + 1}}})
+	over[len(over)-1] = 1 // the replica-list flag, the frame's last byte
+
+	cut := Append(nil, &SubmitJob{JobID: 2, Phases: []PhaseSpec{{NumTasks: 2, Replicas: [][]uint32{{1, 2, 3}, {4}}}}})
+	cut = cut[:len(cut)-5-6] // two of the first group's three ids
+	binary.BigEndian.PutUint32(cut[:4], uint32(len(cut)-5))
+
+	gap := Append(nil, &SubmitJob{JobID: 3, Phases: []PhaseSpec{{NumTasks: 3, Replicas: [][]uint32{{1, 2}, nil, {3}}}}})
+
+	ids := make([]uint32, 255)
+	for i := range ids {
+		ids[i] = uint32(i) * 7
+	}
+	full := Append(nil, &SubmitJob{JobID: 4, Phases: []PhaseSpec{{NumTasks: 2, Replicas: [][]uint32{ids, {9}}}}})
+	return [][]byte{over, cut, gap, full}
 }

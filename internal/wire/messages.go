@@ -24,7 +24,8 @@ type PhaseSpec struct {
 	// non-nil, the codec normalizes it to exactly NumTasks entries on
 	// encode (missing entries encode empty, surplus entries are dropped)
 	// and each entry is capped at 255 IDs — probe targeting consumes at
-	// most a handful, so longer hint lists carry no information.
+	// most a handful, so longer hint lists carry no information. Decoded
+	// groups share one backing array, each capped at its own end.
 	Replicas [][]uint32
 }
 
@@ -94,32 +95,57 @@ func (m *SubmitJob) decode(r *reader) error {
 		p.DemandCPU = r.f64()
 		p.DemandMem = r.f64()
 		if r.bool() {
-			// Two allocation guards against attacker-controlled NumTasks:
-			// the group count is bounded up front (zero-length groups
-			// cost one payload byte but a 24-byte slice header each — a
-			// 16MB frame could otherwise force hundreds of MB of
-			// headers), and capacity is grown by append, never
-			// preallocated, so a short payload fails at the first
-			// missing group.
+			// The group count is bounded up front: zero-length groups cost
+			// one payload byte but a 24-byte slice header each, so a 16MB
+			// frame could otherwise force hundreds of MB of headers.
 			if p.NumTasks > MaxReplicaTasks {
 				return fmt.Errorf("wire: %d replica groups exceed %d", p.NumTasks, MaxReplicaTasks)
 			}
-			p.Replicas = [][]uint32{}
-			for k := 0; k < int(p.NumTasks); k++ {
-				if r.err != nil {
-					return r.err
-				}
-				nr := int(r.u8())
-				var reps []uint32
-				for q := 0; q < nr; q++ {
-					reps = append(reps, r.u32())
-				}
-				p.Replicas = append(p.Replicas, reps)
+			var err error
+			if p.Replicas, err = r.replicaGroups(int(p.NumTasks)); err != nil {
+				return err
 			}
 		}
 		m.Phases = append(m.Phases, p)
 	}
 	return r.err
+}
+
+// replicaGroups reads a phase's n replica groups into one backing array,
+// each group capped at its own end so an append to one reallocates
+// instead of writing into its neighbour; an empty group stays nil. A
+// first pass walks the groups without keeping them, so nothing is sized
+// until the payload has been shown to hold all n: a short payload fails
+// before any allocation, and a phase costs two allocations (the ids and
+// the group headers) whatever its task count.
+func (r *reader) replicaGroups(n int) ([][]uint32, error) {
+	start, ids := r.off, 0
+	for k := 0; k < n; k++ {
+		nr := int(r.u8())
+		r.skip(4 * nr)
+		ids += nr
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	r.off = start
+	groups := make([][]uint32, n)
+	var backing []uint32
+	if ids > 0 {
+		backing = make([]uint32, 0, ids)
+	}
+	for k := range groups {
+		nr := int(r.u8())
+		if nr == 0 {
+			continue
+		}
+		from := len(backing)
+		for q := 0; q < nr; q++ {
+			backing = append(backing, r.u32())
+		}
+		groups[k] = backing[from:len(backing):len(backing)]
+	}
+	return groups, r.err
 }
 
 // JobComplete reports a finished job to the submitting client. A

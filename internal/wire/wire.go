@@ -213,6 +213,15 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
+// skip advances past n bytes without reading them.
+func (r *reader) skip(n int) {
+	if r.err != nil || r.off+n > len(r.buf) {
+		r.fail()
+		return
+	}
+	r.off += n
+}
+
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 func (r *reader) bool() bool { return r.u8() != 0 }

@@ -259,8 +259,9 @@ func BenchmarkDecodeReserve(b *testing.B) {
 // TestHelloInventoryCountLiesBounded patches a Hello frame's
 // running-copy count to the u16 maximum with no matching payload: the
 // decoder must fail at the first missing entry (the append-bounded loop,
-// same guard as Replicas and the reservation list) instead of
-// pre-committing an attacker-sized allocation or panicking.
+// same guard as the reservation list; TestReplicaGroupCountBounded is
+// Replicas') instead of pre-committing an attacker-sized allocation or
+// panicking.
 func TestHelloInventoryCountLiesBounded(t *testing.T) {
 	h := &Hello{Role: RoleWorker, ID: 20, Slots: 8, Speed: 2, CapCPU: 16, CapMem: 32,
 		Running: []RunningCopy{{JobID: 7, Seq: 88, Phase: 1, TaskIndex: 17, Remaining: 2.5}}}
