@@ -1,42 +1,42 @@
-// Package census holds five tests over the shipped files of this module,
-// the non-test .go files under internal/, cmd/ and examples/. The first
-// and third resolve identifiers with go/types over the whole module: each
-// package checked with its tests, and bench/ beside it.
+// Package census holds seven tests over the shipped files of this module
+// (non-test .go files under internal/, cmd/ and examples/), resolved with
+// go/types over one load of the whole module, tests and bench/ included.
+// A TestCensusFlags test plants each rule.
 //
-// The first: every exported function or method has a shipped caller, a
-// shipped file that uses the object outside its own declaration. A method
-// is exempt when its receiver type implements an interface that declares
-// it: one the module declares in shipped code, or a standard one in
-// stdContracts. It is the exported-API twin of "no knob without two values
-// in use" (ROADMAP, standing conventions).
+// The first: every package-level function, method, type, constant and
+// variable has a shipped use outside its own declaration; a receiver is no
+// use of its type. A method implementing an interface that shipped code
+// declares, or one in stdContracts, is exempt. A test helper or replica in
+// a shipped file fails, whatever its name.
 //
-// The second: the wire vocabulary is closed. Every message type the wire
-// package declares (a type with a Type() MsgType method) is built, as a
-// composite literal, by shipped code outside that package; a frame type
-// nothing sends is dead protocol.
+// The second: every wire message type (a Type() MsgType method) is built,
+// as a composite literal, by shipped code outside package wire; a frame
+// type nothing sends is dead protocol.
 //
-// The third: no field is written and never read. Every named field of a
-// named struct type is named in a shipped selector x.F, and read somewhere
-// in the module, tests included. An assignment's left-hand side, the
-// operand of ++ or --, and a composite literal key are writes. A struct
-// used as a map key has every field read, since a lookup compares them.
+// The third: every named field of a named struct type is named in a
+// shipped selector and read in the module, tests included. An assignment's
+// left-hand side, ++, -- and a literal key are writes; a map key's fields
+// are read.
 //
-// The fourth: one declaration per contract. No two interface types, named
-// or written inline, declare the same set of method names.
+// The fourth: no two interface types declare the same set of method names.
 //
-// The fifth: every parameter names its source. Each field of the config
-// structs in paramTypes carries a comment that cites the paper (a
-// Section, §, Figure or Pseudocode, with its number) or says "ours" and
-// gives a reason.
+// The fifth: each field of the paramTypes structs cites its source in a
+// comment: a numbered Section, §, Figure or Pseudocode, or "ours" and why.
+//
+// The sixth: no shipped file declares a name in the retired table.
+//
+// The seventh: outside internal/speculation, shipped code neither calls a
+// oneBuilder constructor nor writes a oneBuilder field.
 //
 // An allowlist entry whose reason starts with "bench/" keeps a name the
-// benchmark pins (ROADMAP item 6a); it is stale once no bench/ file names
-// it.
+// benchmark pins (ROADMAP item 6a), stale once no bench/ file names it.
 package census
 
 import (
 	"go/ast"
 	"go/types"
+	"maps"
+	"path"
 	"regexp"
 	"slices"
 	"sort"
@@ -44,7 +44,7 @@ import (
 	"testing"
 )
 
-// allowed are the exported functions the census flags and the module keeps,
+// allowed are the declarations the caller rule flags and the module keeps,
 // each with its reason. An entry that gains a shipped caller or disappears
 // fails the test, so the list can only shrink.
 var allowed = map[string]string{
@@ -71,64 +71,74 @@ func declared(obj types.Object) types.Object {
 	return obj
 }
 
-// declKeys maps each exported function and method, and each named field of
-// a named struct type, that a shipped file declares to the key it is
-// reported under: dir.Name, dir.Recv.Name or dir.Type.Field.
-func declKeys(m *module) (funcs, fields map[types.Object]string) {
-	funcs, fields = map[types.Object]string{}, map[types.Object]string{}
+// declKeys maps each package-level function, type, constant and variable
+// a shipped file declares (bar init and main, which the runtime calls), each
+// method, and each named field of a named struct type, to its key:
+// dir.Name, dir.Recv.Name or dir.Type.Field.
+func declKeys(m *module) (decls, fields map[types.Object]string) {
+	decls, fields = map[types.Object]string{}, map[types.Object]string{}
+	for id, obj := range m.info.Defs {
+		if obj == nil || m.originAt(id.Pos()) != shippedFile {
+			continue
+		}
+		key := path.Base(obj.Pkg().Path()) + "."
+		if r := recvOf(obj); r != nil {
+			decls[obj] = key + r.Name() + "." + obj.Name()
+		} else if obj.Pkg().Scope().Lookup(obj.Name()) == obj && (obj.Name() != "main" || obj.Pkg().Name() != "main") {
+			decls[obj] = key + obj.Name()
+		}
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					if f := st.Field(i); !f.Embedded() && f.Name() != "_" {
+						fields[f] = key + tn.Name() + "." + f.Name()
+					}
+				}
+			}
+		}
+	}
+	return decls, fields
+}
+
+// recvOf is a method's receiver type name; nil for an interface's method
+// and any other object.
+func recvOf(obj types.Object) types.Object {
+	if fn, ok := obj.(*types.Func); ok {
+		if r := fn.Type().(*types.Signature).Recv(); r != nil && !types.IsInterface(r.Type()) {
+			return namedObj(r.Type())
+		}
+	}
+	return nil
+}
+
+// uncalled returns the sorted keys of the declarations no shipped file uses
+// outside the top-level function or spec declaring them, less the methods
+// called through an interface. A receiver names its type without using it.
+func uncalled(m *module) []string {
+	decls, _ := declKeys(m)
+	used := m.satisfying()
 	for _, pf := range m.shipped() {
+		var unit ast.Node     // the top-level function or spec being walked
+		var recv types.Object // its receiver's type, for a method
 		ast.Inspect(pf.file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if n.Name.IsExported() {
-					key := pf.dir + "." + n.Name.Name
-					if n.Recv != nil {
-						key = pf.dir + "." + recvName(n.Recv.List[0].Type) + "." + n.Name.Name
-					}
-					funcs[m.info.Defs[n.Name]] = key
+				unit, recv = n, recvOf(m.info.Defs[n.Name])
+			case *ast.TypeSpec, *ast.ValueSpec:
+				if unit == nil || n.Pos() >= unit.End() {
+					unit, recv = n, nil
 				}
-			case *ast.TypeSpec:
-				if st, ok := n.Type.(*ast.StructType); ok {
-					for _, f := range st.Fields.List {
-						for _, name := range f.Names {
-							if name.Name != "_" {
-								fields[m.info.Defs[name]] = pf.dir + "." + n.Name.Name + "." + name.Name
-							}
-						}
-					}
+			case *ast.Ident:
+				if obj := declared(m.info.Uses[n]); obj != nil && obj != recv && (obj.Pos() < unit.Pos() || obj.Pos() >= unit.End()) {
+					used[obj] = true
 				}
 			}
 			return true
 		})
 	}
-	return funcs, fields
-}
-
-// uncalled returns the sorted keys of the exported functions and methods
-// that no shipped file uses outside their own declaration, less the
-// methods called through an interface.
-func uncalled(m *module) []string {
-	funcs, _ := declKeys(m)
-	called := m.satisfying()
-	for _, pf := range m.shipped() {
-		for _, d := range pf.file.Decls {
-			var self types.Object // a function naming itself is no caller
-			if fn, ok := d.(*ast.FuncDecl); ok {
-				self = m.info.Defs[fn.Name]
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if obj := m.info.Uses[id]; obj != nil && declared(obj) != self {
-						called[declared(obj)] = true
-					}
-				}
-				return true
-			})
-		}
-	}
 	var out []string
-	for f, key := range funcs {
-		if !called[f] {
+	for d, key := range decls {
+		if !used[d] {
 			out = append(out, key)
 		}
 	}
@@ -174,37 +184,18 @@ func (m *module) satisfying() map[types.Object]bool {
 	return out
 }
 
-// benchNamed returns the keys of the shipped functions and fields that a
+// benchNamed returns the keys of the shipped declarations and fields that a
 // bench/ file names, as a call, a selector or a composite literal key.
 func benchNamed(m *module) map[string]bool {
-	funcs, fields := declKeys(m)
+	keys, fields := declKeys(m)
+	maps.Copy(keys, fields)
 	out := map[string]bool{}
 	for id, obj := range m.info.Uses {
-		if m.originAt(id.Pos()) != benchFile {
-			continue
-		}
-		if k, ok := funcs[declared(obj)]; ok {
-			out[k] = true
-		} else if k, ok := fields[declared(obj)]; ok {
+		if k, ok := keys[declared(obj)]; ok && m.originAt(id.Pos()) == benchFile {
 			out[k] = true
 		}
 	}
 	return out
-}
-
-// recvName is the type name of a method's receiver: T for T, *T, T[K] and *T[K].
-func recvName(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.StarExpr:
-		return recvName(t.X)
-	case *ast.IndexExpr:
-		return recvName(t.X)
-	case *ast.IndexListExpr:
-		return recvName(t.X)
-	case *ast.Ident:
-		return t.Name
-	}
-	return "?"
 }
 
 // rule is one census check's verdict on a flagged key and on a stale
@@ -215,10 +206,12 @@ type rule struct {
 }
 
 var (
-	callerRule   = rule{"exported, and no shipped code calls it; delete it or move it into a _test.go file", "it has a shipped caller now or is gone"}
+	callerRule   = rule{"no shipped code uses it; delete it or move it into a _test.go file", "shipped code uses it now or it is gone"}
 	readRule     = rule{"written, and no shipped code names it or no code reads it; delete it", "shipped code reads it now or it is gone"}
 	contractRule = rule{"declare the same method names; keep one declaration", "the declarations differ now or are gone"}
 	sourceRule   = rule{"a parameter whose comment names no source; cite the paper (Section, §, Figure or Pseudocode) or say \"ours\" and why", "its comment names a source now or it is gone"}
+	retiredRule  = rule{"a retired name is back in shipped code; keep it in a _test.go file or delete it", "it is gone"}
+	builderRule  = rule{"built or written outside internal/speculation; hold a speculation.Book, and put a default in speculation.Config.WithDefaults", "the line no longer builds or writes it"}
 )
 
 // audit returns one line per problem: a flagged key that allow does not
@@ -257,58 +250,57 @@ func TestEveryExportedFuncHasAShippedCaller(t *testing.T) {
 // wireDir is the directory of the package that declares the wire messages.
 const wireDir = "wire"
 
-// unsent returns the sorted names of the wire message types that no shipped
-// file outside wireDir builds as a wire.T{...} composite literal. A message
-// type is one with a method Type() MsgType declared in wireDir.
-func unsent(files []pkgFile) []string {
-	msgs := map[string]bool{}
-	built := map[string]bool{}
-	for _, pf := range files {
-		if pf.dir == wireDir {
-			for _, d := range pf.file.Decls {
-				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.Name == "Type" && returnsMsgType(fn.Type) {
-					msgs[recvName(fn.Recv.List[0].Type)] = true
-				}
-			}
-			continue
-		}
+// unsent returns the sorted names of the wire message types that no
+// shipped file outside wireDir builds as a composite literal. A message type
+// is one with a method Type() MsgType declared in wireDir.
+func unsent(m *module) []string {
+	msgs, built := map[types.Object]bool{}, map[types.Object]bool{}
+	for _, pf := range m.shipped() {
 		ast.Inspect(pf.file, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.CompositeLit); ok {
-				if sel, ok := lit.Type.(*ast.SelectorExpr); ok {
-					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == wireDir {
-						built[sel.Sel.Name] = true
-					}
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				r, sig := recvOf(m.info.Defs[n.Name]), m.info.Defs[n.Name].Type().(*types.Signature)
+				if r != nil && pf.dir == wireDir && n.Name.Name == "Type" && sig.Results().Len() == 1 &&
+					namedObj(sig.Results().At(0).Type()) == r.Pkg().Scope().Lookup("MsgType") {
+					msgs[r] = true
+				}
+			case *ast.CompositeLit:
+				if pf.dir != wireDir {
+					built[namedObj(m.info.Types[n].Type)] = true
 				}
 			}
 			return true
 		})
 	}
 	var out []string
-	for m := range msgs {
-		if !built[m] {
-			out = append(out, m)
+	for t := range msgs {
+		if !built[t] {
+			out = append(out, t.Name())
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// returnsMsgType reports whether a function type returns exactly MsgType.
-func returnsMsgType(ft *ast.FuncType) bool {
-	if ft.Results == nil || len(ft.Results.List) != 1 {
-		return false
+// namedObj is the type name of a named type or of a pointer to one, and nil
+// for any other type.
+func namedObj(t types.Type) types.Object {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	id, ok := ft.Results.List[0].Type.(*ast.Ident)
-	return ok && id.Name == "MsgType"
+	if n, ok := types.Unalias(t).(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
 }
 
 func TestEveryWireMessageIsSent(t *testing.T) {
-	files := moduleFiles(t).shipped()
-	if !slices.ContainsFunc(files, func(pf pkgFile) bool { return pf.dir == wireDir }) {
+	m := moduleFiles(t)
+	if !slices.ContainsFunc(m.shipped(), func(pf pkgFile) bool { return pf.dir == wireDir }) {
 		t.Fatalf("no shipped files of package %s", wireDir)
 	}
-	for _, m := range unsent(files) {
-		t.Errorf("wire.%s: a message type no shipped code outside internal/%s builds; delete it, or send it", m, wireDir)
+	for _, name := range unsent(m) {
+		t.Errorf("wire.%s: a message type no shipped code outside internal/%s builds; delete it, or send it", name, wireDir)
 	}
 }
 
@@ -351,9 +343,12 @@ func main() { _ = lib.Used(); lib.T{}.Helper() }
 	want := []string{
 		"lib.Helper: " + callerRule.flaw,
 		"lib.Planted: " + callerRule.flaw,
+		"lib.Runner: " + callerRule.flaw, // an interface no code names
 		"lib.T.Orphan: " + callerRule.flaw,
+		"lib.U: " + callerRule.flaw, // its own methods are no use
 		"lib.U.Run: " + callerRule.flaw,
-		"lib.Gone: on the allowlist, but it has a shipped caller now or is gone; drop the entry",
+		"lib.unexported: " + callerRule.flaw,
+		"lib.Gone: on the allowlist, but shipped code uses it now or it is gone; drop the entry",
 		"lib.T.Kept: on the allowlist for bench/, but no bench/ file names it; drop the entry",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -369,8 +364,11 @@ func use(t *lib.T) { t.Kept(); lib.Planted(); t.Orphan(); lib.Helper(); lib.U{}.
 `
 	got = callerRule.audit(uncalled(parseSources(t, srcs)), map[string]string{"lib.T.Kept": "kept on purpose"}, nil)
 	want = []string{
+		"cmd.use: " + callerRule.flaw, // the caller itself has none
+		"lib.Runner: " + callerRule.flaw,
 		"lib.T.Benched: " + callerRule.flaw,
-		"lib.T.Kept: on the allowlist, but it has a shipped caller now or is gone; drop the entry",
+		"lib.unexported: " + callerRule.flaw,
+		"lib.T.Kept: on the allowlist, but shipped code uses it now or it is gone; drop the entry",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("audit after a caller appears:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -409,12 +407,23 @@ func send(...any) {}
 func main() { send(&wire.Sent{N: 1}, []wire.Header{{N: 2}}) }
 `,
 	}
-	if got, want := strings.Join(unsent(parseSources(t, srcs).shipped()), ","), "Planted"; got != want {
+	if got, want := strings.Join(unsent(parseSources(t, srcs)), ","), "Planted"; got != want {
 		t.Fatalf("unsent = %q, want %q", got, want)
 	}
+	// Another package imported under the name wire builds no wire message.
+	srcs["fake/fake.go"] = "package fake\n\ntype Planted struct{ N int }\n"
+	srcs["cmd/fake.go"] = "package main\n\nimport wire \"fake\"\n\nvar f = wire.Planted{N: 4}\n"
+	if got, want := strings.Join(unsent(parseSources(t, srcs)), ","), "Planted"; got != want {
+		t.Fatalf("unsent beside a look-alike = %q, want %q", got, want)
+	}
 	srcs["cmd/use.go"] = "package main\n\nimport \"wire\"\n\nvar p = wire.Planted{N: 3}\n"
-	if got := unsent(parseSources(t, srcs).shipped()); len(got) != 0 {
+	if got := unsent(parseSources(t, srcs)); len(got) != 0 {
 		t.Fatalf("unsent after a sender appears = %q, want none", got)
+	}
+	// The wire package imported under another name is still the wire package.
+	srcs["cmd/use.go"] = "package main\n\nimport w \"wire\"\n\nvar p = w.Planted{N: 3}\n"
+	if got := unsent(parseSources(t, srcs)); len(got) != 0 {
+		t.Fatalf("unsent after an aliased sender appears = %q, want none", got)
 	}
 }
 
@@ -783,6 +792,218 @@ type Other struct{ Unsourced int } // not a listed type
 		"speculation.Config.Delay: " + sourceRule.flaw,
 		"speculation.Config.Pool: " + sourceRule.flaw,
 		"speculation.Config.Gone: on the allowlist, but " + sourceRule.fixed + "; drop the entry",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("audit:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// retired are names simplifications deleted, keyed by the change and why.
+var retired = map[string][]string{
+	"PR 23: the reference dispatch and the fault matrix's recovery replica are test code": {"ReferenceDispatch", "chaosLayer", "assignRecord"},
+	"PR 24: an offer's bookkeeping is the worker core's":                                  {"offerTracker", "pendingOffer", "offerDeadlines", "deferredReply"},
+	"PR 25: a copy's record and race are cluster's; the fault wrapper went":               {"lCopy", "byTask", "detachCopy", "WrapFaulty"},
+	"PR 27: the victim index is the one speculation path, with no gate or noise knob":     {"EnableIndex", "DisableIndex", "IndexEnabled", "IndexExact", "IndexedVictims", "DisableVictimIndex", "EstimateNoise"},
+	"PR 29: tcpConn is the one connection":                                                {"memConn", "NewConnFlush", "TaskSpec"},
+	"PR 31: the victim index is the running set; the unused fair-share engine went":       {"RunningSet", "SchedPos", "FairEngine", "NewFair", "waterfill"},
+	"PR 32: live.Drive is the one client-side load driver":                                {"OpenLoop", "OpenLoopConfig", "OpenLoopStats", "openLoopJobBase", "WaitJob", "SetRecvDeadline", "forceClassedLayout", "OnJobComplete"},
+	"PR 35: pointer-free heap keys, an embedded finish handle, one cluster.CopySource":    {"slotHeap", "finishEv", "CopyServiceRNG", "NewFastRand"},
+	"PR 38: the straggler monitor is one job's record inside its JobBook":                 {"jobHistory", "jobStats"},
+	"PR 45: a worker is its speed and capacity; Epsilon: 1 is the one fairness switch":    {"ClassSpec", "MaxHelloClasses", "classForWorker", "helloClass", "TPing", "TPong", "FairnessOff"},
+	"PR 46: the experiment registry is the one list of drivers":                           {"ScenarioByID", "registerScenario", "printScenarios"},
+}
+
+// revived returns one key (dir/file.go:line: Name, retired by ...) per
+// identifier a shipped file declares, in any scope, under a retired name.
+func revived(m *module, retired map[string][]string) []string {
+	var out []string
+	for id := range m.info.Defs {
+		for reason, names := range retired {
+			if slices.Contains(names, id.Name) && m.originAt(id.Pos()) == shippedFile {
+				out = append(out, m.where(id.Pos())+": "+id.Name+", retired by "+reason)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestNoRetiredNameReturns(t *testing.T) {
+	for _, p := range retiredRule.audit(revived(moduleFiles(t), retired), nil, nil) {
+		t.Error(p)
+	}
+}
+
+// oneBuilder are the estimators' and the monitor's constructors, and the
+// fields whose one default is speculation.Config.WithDefaults.
+var oneBuilder = []string{"stats.NewTailEstimator", "estimate.NewAlphaEstimator", "speculation.NewMonitor",
+	"speculation.Config.Epsilon", "speculation.Config.BetaPrior"}
+
+// allowedOutside are the calls and writes builtOutside flags that the
+// module keeps, each with its reason; like allowed, it can only shrink.
+var allowedOutside = map[string]string{
+	"experiments/fig3.go:182: speculation.Config.BetaPrior": "Figure 2's example sets β = 1.6 (V_A = 5 slots): a setting, not a default",
+}
+
+// builtOutside returns one key (dir/file.go:line: key) per use of a
+// oneBuilder function or write of a oneBuilder field outside speculation.
+func builtOutside(m *module) []string {
+	decls, fields := declKeys(m)
+	var out []string
+	for _, pf := range m.shipped() {
+		written := writes(pf.file)
+		ast.Inspect(pf.file, func(n ast.Node) bool {
+			k := ""
+			if id, ok := n.(*ast.Ident); ok {
+				k = decls[declared(m.info.Uses[id])]
+			} else if sel, ok := n.(*ast.SelectorExpr); ok && written[sel] {
+				k = fields[declared(m.info.Uses[sel.Sel])]
+			}
+			if pf.dir != "speculation" && slices.Contains(oneBuilder, k) {
+				out = append(out, m.where(n.Pos())+": "+k)
+			}
+			return true
+		})
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestSpeculationStateHasOneBuilder(t *testing.T) {
+	for _, p := range builderRule.audit(builtOutside(moduleFiles(t)), allowedOutside, nil) {
+		t.Error(p)
+	}
+}
+
+func TestCensusFlagsUnusedUnexported(t *testing.T) {
+	m := parseSources(t, map[string]string{
+		"lib/lib.go": `package lib
+
+type runner interface{ run() }
+
+type impl struct{}
+type fakeConn struct{} // a replica only a test builds
+
+func (impl) run()     {} // a module interface's method
+func (impl) stop()    {}
+func (fakeConn) run() {}
+
+func helper() int { return 1 }
+func used() int   { return 2 }
+
+func Start() {
+	var r runner = impl{}
+	r.run()
+	_ = used()
+}
+`,
+		"lib/lib_test.go": "package lib\n\nfunc use() { _ = helper(); fakeConn{}.run() }\n",
+		"app/main.go":     "package main\n\nimport \"lib\"\n\nfunc main() { lib.Start() }\n",
+	})
+	got := callerRule.audit(uncalled(m), nil, nil)
+	want := []string{
+		"lib.fakeConn: " + callerRule.flaw,
+		"lib.helper: " + callerRule.flaw,
+		"lib.impl.stop: " + callerRule.flaw,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("audit:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+func TestCensusFlagsRetiredName(t *testing.T) {
+	m := parseSources(t, map[string]string{
+		"lib/lib.go": `package lib
+
+// Driver replaces OpenLoop: a comment may name a retired name.
+type Driver struct{ byTask map[int]int }
+
+func (Driver) WaitJob() {}
+
+func Run() int {
+	slotHeap := 1
+	return slotHeap
+}
+`,
+		"lib/lib_test.go": "package lib\n\nfunc OpenLoop() {} // a test may declare one\n",
+	})
+	got := retiredRule.audit(revived(m, map[string][]string{"PR 1: gone": {"OpenLoop", "byTask", "WaitJob", "slotHeap"}}), nil, nil)
+	want := []string{
+		"lib/lib.go:4: byTask, retired by PR 1: gone: " + retiredRule.flaw,
+		"lib/lib.go:6: WaitJob, retired by PR 1: gone: " + retiredRule.flaw,
+		"lib/lib.go:9: slotHeap, retired by PR 1: gone: " + retiredRule.flaw,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("audit:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+func TestCensusFlagsSecondBuilder(t *testing.T) {
+	m := parseSources(t, map[string]string{
+		"stats/tail.go": `package stats
+
+type TailEstimator struct{}
+
+func NewTailEstimator(xm, prior float64, n int) *TailEstimator { return &TailEstimator{} }
+`,
+		"speculation/spec.go": `package speculation
+
+import "stats"
+
+type Config struct{ Epsilon, BetaPrior float64 }
+
+func (c Config) WithDefaults() Config {
+	if c.Epsilon == 0 {
+		c.Epsilon = 0.1
+	}
+	return c
+}
+
+type Monitor struct{}
+
+func NewMonitor() *Monitor { return &Monitor{} }
+
+func NewBook(c Config) *stats.TailEstimator { return stats.NewTailEstimator(1, c.BetaPrior, 10) }
+`,
+		"protocol/protocol.go": `package protocol
+
+import "speculation"
+
+type Config struct{ Spec speculation.Config }
+
+func (c Config) WithDefaults() Config {
+	if c.Spec.Epsilon == 0 {
+		c.Spec.Epsilon = 0.1
+	}
+	c.Spec = c.Spec.WithDefaults()
+	return c
+}
+`,
+		"live/live.go": `package live
+
+import (
+	"speculation"
+	"stats"
+)
+
+func build(x *speculation.Config) speculation.Config {
+	_ = stats.NewTailEstimator(1, x.BetaPrior, 3)
+	x.BetaPrior = 2
+	x.BetaPrior++
+	return speculation.Config{Epsilon: 1}
+}
+`,
+		"live/live_test.go": "package live\n\nimport \"speculation\"\n\nvar _ = speculation.NewMonitor()\n",
+	})
+	got := builderRule.audit(builtOutside(m), map[string]string{
+		"live/live.go:11: speculation.Config.BetaPrior":         "kept on purpose",
+		"experiments/fig3.go:182: speculation.Config.BetaPrior": "deleted since",
+	}, nil)
+	want := []string{
+		"live/live.go:10: speculation.Config.BetaPrior: " + builderRule.flaw,
+		"live/live.go:9: stats.NewTailEstimator: " + builderRule.flaw,
+		"protocol/protocol.go:9: speculation.Config.Epsilon: " + builderRule.flaw,
+		"experiments/fig3.go:182: speculation.Config.BetaPrior: on the allowlist, but " + builderRule.fixed + "; drop the entry",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("audit:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -60,6 +60,13 @@ func (m *module) originAt(p token.Pos) origin {
 	return m.origin[m.fset.Position(p).Filename]
 }
 
+// where is a position as dir/file.go:line.
+func (m *module) where(p token.Pos) string {
+	pos := m.fset.Position(p)
+	dir, file := filepath.Split(pos.Filename)
+	return fmt.Sprintf("%s/%s:%d", filepath.Base(dir), file, pos.Line)
+}
+
 // shippedDirs are the trees, relative to the module root, whose non-test
 // files ship.
 var shippedDirs = []string{"internal", "cmd", "examples"}
