@@ -5,9 +5,10 @@
 //
 // The first: every package-level function, method, type, constant and
 // variable has a shipped use outside its own declaration; a receiver is no
-// use of its type. A method implementing an interface that shipped code
-// declares, or one in stdContracts, is exempt. A test helper or replica in
-// a shipped file fails, whatever its name.
+// use of its type, and a blank declaration (var _ = T{}) no use of anything.
+// A method implementing an interface that shipped code declares, or one in
+// stdContracts, is exempt. A test helper or replica in a shipped file
+// fails, whatever its name.
 //
 // The second: every wire message type (a Type() MsgType method) is built,
 // as a composite literal, by shipped code outside package wire; a frame
@@ -113,7 +114,8 @@ func recvOf(obj types.Object) types.Object {
 
 // uncalled returns the sorted keys of the declarations no shipped file uses
 // outside the top-level function or spec declaring them, less the methods
-// called through an interface. A receiver names its type without using it.
+// called through an interface. A receiver names its type without using it,
+// and a declaration of _ alone names what it mentions without using it.
 func uncalled(m *module) []string {
 	decls, _ := declKeys(m)
 	used := m.satisfying()
@@ -125,6 +127,9 @@ func uncalled(m *module) []string {
 			case *ast.FuncDecl:
 				unit, recv = n, recvOf(m.info.Defs[n.Name])
 			case *ast.TypeSpec, *ast.ValueSpec:
+				if vs, ok := n.(*ast.ValueSpec); ok && !slices.ContainsFunc(vs.Names, func(id *ast.Ident) bool { return id.Name != "_" }) {
+					return false // var _ I = (*T)(nil) uses neither I nor T
+				}
 				if unit == nil || n.Pos() >= unit.End() {
 					unit, recv = n, nil
 				}
@@ -312,6 +317,10 @@ type Runner interface{ Run() }
 
 type T struct{}
 type U struct{}
+type Asserted struct{}
+
+var _ Runner = (*Asserted)(nil) // a blank declaration uses neither Runner nor Asserted
+var _ = U{}                     // and this one does not use U
 
 func Used() int { return 1 }
 func Planted() int { return Planted() + Used() } // calls itself only
@@ -323,6 +332,7 @@ func (T) Orphan()                               {}
 func (*T) Kept()                                {}
 func (*T) Benched()                             {}
 func (U) Run(n int)                             {} // named like Runner's, but U is no Runner
+func (*Asserted) Run()                          {} // Runner's method
 func unexported()                               {}
 `,
 		"lib/lib_test.go": "package lib\n\nfunc use() { Helper(); T{}.Orphan() } // a test is no shipped caller\n",
@@ -341,6 +351,7 @@ func main() { _ = lib.Used(); lib.T{}.Helper() }
 		"lib.Gone":      "deleted since",
 	}, benchNamed(m))
 	want := []string{
+		"lib.Asserted: " + callerRule.flaw,
 		"lib.Helper: " + callerRule.flaw,
 		"lib.Planted: " + callerRule.flaw,
 		"lib.Runner: " + callerRule.flaw, // an interface no code names
@@ -365,6 +376,7 @@ func use(t *lib.T) { t.Kept(); lib.Planted(); t.Orphan(); lib.Helper(); lib.U{}.
 	got = callerRule.audit(uncalled(parseSources(t, srcs)), map[string]string{"lib.T.Kept": "kept on purpose"}, nil)
 	want = []string{
 		"cmd.use: " + callerRule.flaw, // the caller itself has none
+		"lib.Asserted: " + callerRule.flaw,
 		"lib.Runner: " + callerRule.flaw,
 		"lib.T.Benched: " + callerRule.flaw,
 		"lib.unexported: " + callerRule.flaw,
@@ -811,6 +823,7 @@ var retired = map[string][]string{
 	"PR 38: the straggler monitor is one job's record inside its JobBook":                 {"jobHistory", "jobStats"},
 	"PR 45: a worker is its speed and capacity; Epsilon: 1 is the one fairness switch":    {"ClassSpec", "MaxHelloClasses", "classForWorker", "helloClass", "TPing", "TPong", "FairnessOff"},
 	"PR 46: the experiment registry is the one list of drivers":                           {"ScenarioByID", "registerScenario", "printScenarios"},
+	"a live node's clock, timers and pump are its loop's":                                 {"tickWall", "tickerEv", "offerTimerFn", "offerTimerEv", "armOfferTimer"},
 }
 
 // revived returns one key (dir/file.go:line: Name, retired by ...) per

@@ -196,7 +196,7 @@ func TestUnlockWaitsAreRecycled(t *testing.T) {
 	cycle := func() {
 		u := s.spareUnlocks[len(s.spareUnlocks)-1] // the record the wait takes
 		s.scheduleUnlock(1, wake)
-		u.timer.(*stillTimer).fire()
+		u.timer.t.(*stillTimer).fire()
 		stepInbox(t, s.loop, s.step)
 	}
 	cycle()

@@ -99,7 +99,7 @@ func (r *copyRig) place(reserve *wire.Reserve, assign *wire.Assign) uint64 {
 // fire fires the timer of the copy running under seq: its finish event
 // is posted to the worker's inbox, not run.
 func (r *copyRig) fire(seq uint64) {
-	r.w.running[seq].timer.(*stillTimer).fire()
+	r.w.running[seq].timer.t.(*stillTimer).fire()
 }
 
 // stepPosted runs the oldest event a timer posted to the worker.

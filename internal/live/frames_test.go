@@ -6,7 +6,6 @@ package live
 // two per-frame cycles.
 
 import (
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -17,41 +16,36 @@ import (
 	"github.com/hopper-sim/hopper/internal/wire"
 )
 
-// offerTimers is a TimerService over a real wheel that counts the
-// worker's offer timer apart from its retry and copy timers: armed is
-// how many times it was ever armed, by AfterFunc or Reset, pending how
-// many of those arms have not fired yet.
-type offerTimers struct {
-	wheel   *protocol.TimerWheel
-	offerFn uintptr // code pointer of the worker's offerTimerFn
-	armed   atomic.Int64
-	pending atomic.Int64
-}
+// offerTimers is a TimerService over a real wheel whose timers count
+// their own arms; the rig reads the counts of the one the worker holds as
+// its offer timer.
+type offerTimers struct{ wheel *protocol.TimerWheel }
 
 func (o *offerTimers) AfterFunc(d time.Duration, f func()) protocol.Timer {
-	if reflect.ValueOf(f).Pointer() != o.offerFn {
-		return o.wheel.AfterFunc(d, f)
-	}
-	o.armed.Add(1)
-	o.pending.Add(1)
-	return countedTimer{o, o.wheel.AfterFunc(d, func() {
-		o.pending.Add(-1)
+	c := &countedTimer{}
+	c.armed.Add(1)
+	c.pending.Add(1)
+	c.Timer = o.wheel.AfterFunc(d, func() {
+		c.pending.Add(-1)
 		f()
-	})}
+	})
+	return c
 }
 
 func (o *offerTimers) Now() time.Time { return o.wheel.Now() }
 
-// countedTimer is the offer timer as offerTimers hands it out: each
-// Reset counts as one more arm.
+// countedTimer is a timer as offerTimers hands it out: armed is how many
+// times it was ever armed, by AfterFunc or Reset, pending how many of
+// those arms have not fired yet.
 type countedTimer struct {
-	o *offerTimers
 	protocol.Timer
+	armed   atomic.Int64
+	pending atomic.Int64
 }
 
-func (c countedTimer) Reset(d time.Duration) bool {
-	c.o.armed.Add(1)
-	c.o.pending.Add(1)
+func (c *countedTimer) Reset(d time.Duration) bool {
+	c.armed.Add(1)
+	c.pending.Add(1)
 	return c.Timer.Reset(d)
 }
 
@@ -80,10 +74,9 @@ func (l *offerLog) RemoteAddr() string { return "rig" }
 // offerRig is a worker whose loop the test runs by hand, one turn at a
 // time, against a scheduler that is just the other end of a link.
 type offerRig struct {
-	t      *testing.T
-	w      *Worker
-	timers *offerTimers
-	link   *offerLog
+	t    *testing.T
+	w    *Worker
+	link *offerLog
 	// abandoned[i] is when the worker's i-th offer timeout was on its
 	// counter: the clock after the turn that abandoned the offer.
 	abandoned []time.Time
@@ -102,19 +95,18 @@ func newOfferRig(t *testing.T) *offerRig {
 	t.Helper()
 	wheel := protocol.NewTimerWheel(time.Millisecond, 512)
 	t.Cleanup(wheel.Stop)
-	r := &offerRig{t: t, timers: &offerTimers{wheel: wheel}, link: &offerLog{}}
+	r := &offerRig{t: t, link: &offerLog{}}
 	w, err := NewWorkerConns(WorkerConfig{
-		ID: 3, Slots: 2, Timers: r.timers,
+		ID: 3, Slots: 2, Timers: &offerTimers{wheel: wheel},
 		TimeScale: rigOfferWait.Seconds() / defaultOfferTimeout,
 	}, []transport.Conn{r.link})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.wall(defaultOfferTimeout); got != rigOfferWait {
+	if got := w.loop.wall(defaultOfferTimeout); got != rigOfferWait {
 		t.Fatalf("the offer timeout is %v of wall clock, want %v", got, rigOfferWait)
 	}
 	r.w = w
-	r.timers.offerFn = reflect.ValueOf(w.offerTimerFn).Pointer()
 	return r
 }
 
@@ -153,9 +145,18 @@ func (r *offerRig) step() {
 	}
 }
 
+// offerTimer is the worker's offer timer's arms so far and arms pending.
+func (r *offerRig) offerTimer() (armed, pending int64) {
+	c, _ := r.w.offerTimer.t.(*countedTimer) // nil before the first arm
+	if c == nil {
+		return 0, 0
+	}
+	return c.armed.Load(), c.pending.Load()
+}
+
 func (r *offerRig) wantTimers(when string, armed, pending int64) {
 	r.t.Helper()
-	if a, p := r.timers.armed.Load(), r.timers.pending.Load(); a != armed || p != pending {
+	if a, p := r.offerTimer(); a != armed || p != pending {
 		r.t.Fatalf("%s: %d offer timers armed so far and %d pending, want %d and %d", when, a, p, armed, pending)
 	}
 }
@@ -235,7 +236,7 @@ func TestUnansweredOffersExpireInSendOrder(t *testing.T) {
 	r.reserve(2) // both rounds busy: offered when one of them gives up
 	for len(r.abandoned) < 3 {
 		r.step()
-		if p := r.timers.pending.Load(); p > 1 {
+		if _, p := r.offerTimer(); p > 1 {
 			t.Fatalf("%d offer timers pending at once", p)
 		}
 	}

@@ -53,11 +53,7 @@ func StartWorkerGroup(cfg WorkerGroupConfig) (*WorkerGroup, error) {
 			g.Stop()
 			return nil, fmt.Errorf("live: booting worker %d of %d: %w", i, cfg.N, err)
 		}
-		g.runs.Add(1)
-		go func() {
-			defer g.runs.Done()
-			w.Run()
-		}()
+		goRun(&g.runs, w.Run)
 		g.Workers = append(g.Workers, w)
 	}
 	return g, nil

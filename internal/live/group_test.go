@@ -102,12 +102,5 @@ func TestWorkerGroupPartialBootCleansUp(t *testing.T) {
 // registeredWorkers reports (on the scheduler loop) how many workers
 // have said Hello to s.
 func registeredWorkers(s *Scheduler) int {
-	ch := make(chan int, 1)
-	s.post(&internalEvent{fn: func() { ch <- len(s.workers) }}, nil)
-	select {
-	case n := <-ch:
-		return n
-	case <-s.loop.done:
-		return 0
-	}
+	return onLoop(s.loop, func() int { return len(s.workers) })
 }

@@ -21,18 +21,28 @@ import (
 	"errors"
 	"log"
 	"sync"
+	"time"
 
+	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
 )
 
-// envelope is a received message tagged with its source connection.
-// msg is usually a wire.Message; nodes also post internal events (plain
-// structs) to their own loop through it.
+// envelope is one inbox entry tagged with its source connection: msg is
+// a received wire.Message, the error that ended the connection (see
+// received), or an internal event a node posted to its own loop.
 type envelope struct {
 	from *peer
 	msg  interface{}
-	err  error
+}
+
+// received is the inbox entry for what a connection's Recv returned: the
+// message, or the error that ended the connection.
+func received(from *peer, m wire.Message, err error) envelope {
+	if err != nil {
+		return envelope{from: from, msg: err}
+	}
+	return envelope{from: from, msg: m}
 }
 
 // release ends a received frame's life: the node loops call it when the
@@ -53,20 +63,105 @@ type peer struct {
 	hello wire.Hello
 }
 
-// loop owns a node's state: all message handling runs on one goroutine.
+// loop is a node's chassis: its inbox and the one goroutine that handles
+// every entry of it, its clock, and the timers that post back into the
+// inbox.
 type loop struct {
 	inbox chan envelope
 	done  chan struct{}
 	once  sync.Once
 
 	logger *log.Logger
+
+	// timers is the node's clock, start the instant the node was built on
+	// it and scale the wall seconds one virtual second takes.
+	timers protocol.TimerService
+	start  time.Time
+	scale  float64
 }
 
-func newLoop(logger *log.Logger) *loop {
+// newLoop builds a node's loop on timers (nil uses protocol.WallTimers)
+// at time scale scale (0 reads as 1).
+func newLoop(logger *log.Logger, timers protocol.TimerService, scale float64) *loop {
+	if timers == nil {
+		timers = protocol.WallTimers
+	}
+	if scale == 0 {
+		scale = 1
+	}
 	return &loop{
 		inbox:  make(chan envelope, 1024),
 		done:   make(chan struct{}),
 		logger: logger,
+		timers: timers,
+		start:  timers.Now(),
+		scale:  scale,
+	}
+}
+
+// now is the node's virtual clock: seconds on its timers' clock since
+// start divided by the time scale, so protocol state (copy starts,
+// estimators, cooldowns) lives in workload time regardless of
+// compression.
+func (l *loop) now() float64 {
+	return l.timers.Now().Sub(l.start).Seconds() / l.scale
+}
+
+// wall is how long virtual seconds take on the node's clock.
+func (l *loop) wall(virtual float64) time.Duration {
+	return time.Duration(virtual * l.scale * float64(time.Second))
+}
+
+// internalEvent lets timers and other goroutines run closures on the loop
+// goroutine; it never crosses the wire.
+type internalEvent struct{ fn func() }
+
+// loopTimer is one of a node's timers and the event it posts to the
+// node's inbox when it fires. Its owner binds ev.fn once, when it builds
+// the timer's record; arm builds t on the first arm and re-arms it after
+// that, so a recurring timer allocates nothing past its first arm.
+type loopTimer struct {
+	t  protocol.Timer
+	ev internalEvent
+}
+
+// arm arms lt to post its event after d (Timer.Reset's contract: a
+// firing already on its way is not withdrawn).
+func (l *loop) arm(lt *loopTimer, d time.Duration) {
+	if lt.t == nil {
+		lt.t = l.timers.AfterFunc(d, func() { l.post(&lt.ev, nil) })
+		return
+	}
+	lt.t.Reset(d)
+}
+
+// run is a node's goroutine: it steps every inbox entry through the node
+// until stop, then runs drain and returns. A harness that owns the clock
+// can call the node's step itself instead, and the node behaves the same.
+func (l *loop) run(step func(envelope), drain func()) {
+	for {
+		select {
+		case <-l.done:
+			drain()
+			return
+		case env := <-l.inbox:
+			step(env)
+		}
+	}
+}
+
+// onLoop runs f on l's goroutine and returns its result, so a read of
+// node state never races message handling; once the node has stopped it
+// returns the zero value.
+func onLoop[T any](l *loop, f func() T) T {
+	ch := make(chan T, 1)
+	l.post(&internalEvent{fn: func() { ch <- f() }}, nil)
+	select {
+	case v := <-ch:
+		return v
+	case <-l.done:
+		var zero T
+		return zero
 	}
 }
 
@@ -93,7 +188,7 @@ func (l *loop) readFrom(p *peer) {
 			continue
 		}
 		select {
-		case l.inbox <- envelope{from: p, msg: m, err: err}:
+		case l.inbox <- received(p, m, err):
 		case <-l.done:
 			// The node stopped with a full inbox; don't wedge this
 			// reader goroutine on a send no one will drain.

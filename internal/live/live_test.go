@@ -2,11 +2,14 @@ package live
 
 import (
 	"fmt"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/core"
+	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/speculation"
 	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
@@ -415,5 +418,113 @@ func TestBetaSetsOnlyTheServiceDraw(t *testing.T) {
 	if got, want := link.sent[0].VirtualSize, core.VirtualSize(tasks, prior, 1); got != want {
 		t.Fatalf("first Reserve's virtual size %v, want %v from the prior %v (beta %v gives %v)",
 			got, want, prior, beta, core.VirtualSize(tasks, beta, 1))
+	}
+}
+
+// offerTap is a scheduler's end of a link that counts the offers reaching
+// the scheduler: the Sparrow modes' task pulls and the Hopper family's
+// refusable offers.
+type offerTap struct {
+	transport.Conn
+	pulls, refusable *atomic.Int64
+}
+
+func (c offerTap) Recv() (wire.Message, error) {
+	m, err := c.Conn.Recv()
+	if o, ok := m.(*wire.Offer); ok {
+		if o.GetTask {
+			c.pulls.Add(1)
+		}
+		if o.Refusable {
+			c.refusable.Add(1)
+		}
+	}
+	return m, err
+}
+
+// cacheAimed is how many probe targets s's load cache has aimed
+// (protocol.LoadCachePolicy.CacheHits), read on s's loop; 0 when s probes
+// at random. The policy is private to the core, so the test reaches it
+// by reflection.
+func cacheAimed(s *Scheduler) int64 {
+	return onLoop(s.loop, func() int64 {
+		p := reflect.ValueOf(s.core).Elem().FieldByName("policy").Elem()
+		if p.Type() != reflect.TypeOf(&protocol.LoadCachePolicy{}) {
+			return 0
+		}
+		return p.Elem().FieldByName("CacheHits").Int()
+	})
+}
+
+// TestLiveModes runs each protocol mode live: two schedulers and six
+// workers over transport.Pair finish eight jobs with nothing leaked, and
+// each mode's own path ran — task pulls (GetTask, answered by
+// HandleGetTask) in the Sparrow modes, refusable offers in the Hopper
+// family, and probes aimed by the load the offers reported under
+// ModeLoadCache.
+func TestLiveModes(t *testing.T) {
+	for _, mode := range []protocol.Mode{protocol.ModeHopper, protocol.ModeSparrow, protocol.ModeSparrowSRPT, protocol.ModeLoadCache} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var pulls, refusable atomic.Int64
+			var scheds []*Scheduler
+			var clients []*Client
+			for i := 0; i < 2; i++ {
+				s, err := NewScheduler(SchedulerConfig{ID: uint32(i), Mode: mode, NumSchedulers: 2, TimeScale: 0.02, Seed: int64(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				go s.Run()
+				defer s.Stop()
+				scheds = append(scheds, s)
+				cs, cc := transport.Pair(256)
+				s.ServeConn(cs)
+				c, err := NewClientConn(cc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				clients = append(clients, c)
+			}
+			for i := 0; i < 6; i++ {
+				var conns []transport.Conn
+				for _, s := range scheds {
+					se, we := transport.Pair(256)
+					s.ServeConn(offerTap{se, &pulls, &refusable})
+					conns = append(conns, we)
+				}
+				w, err := NewWorkerConns(WorkerConfig{ID: uint32(i), Slots: 2, Mode: mode, TimeScale: 0.02}, conns)
+				if err != nil {
+					t.Fatal(err)
+				}
+				go w.Run()
+				defer w.Stop()
+			}
+			var jobs []Arrival
+			for i := 0; i < 8; i++ {
+				jobs = append(jobs, Arrival{Job: SimpleJob(uint64(i+1), fmt.Sprintf("%v-%d", mode, i), 3+i, 1)})
+			}
+			_, led, err := Drive(clients, jobs, 30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if led.Completed != len(jobs) {
+				t.Fatalf("ledger %+v, want all %d jobs completed", led, len(jobs))
+			}
+			var aimed int64
+			for _, s := range scheds {
+				st := s.Stats()
+				if st.OccupancyLeaks+st.DoubleWakeups+st.SilentDemand != 0 {
+					t.Fatalf("scheduler %d: %d occupancy leaks, %d double wakeups, %d silent demand",
+						s.cfg.ID, st.OccupancyLeaks, st.DoubleWakeups, st.SilentDemand)
+				}
+				aimed += cacheAimed(s)
+			}
+			sparrow := mode == protocol.ModeSparrow || mode == protocol.ModeSparrowSRPT
+			if sparrow != (pulls.Load() > 0) || sparrow == (refusable.Load() > 0) {
+				t.Fatalf("%d task pulls and %d refusable offers reached the schedulers", pulls.Load(), refusable.Load())
+			}
+			if (mode == protocol.ModeLoadCache) != (aimed > 0) {
+				t.Fatalf("the load cache aimed %d probe targets", aimed)
+			}
+		})
 	}
 }

@@ -64,7 +64,7 @@ func TestReconnectScheduler(t *testing.T) {
 	}
 
 	old := w.scheds[0]
-	w.step(envelope{from: old, err: transport.ErrClosed})
+	w.step(received(old, nil, transport.ErrClosed))
 	if w.scheds[0] != nil {
 		t.Fatal("lost connection still holds its dial slot")
 	}

@@ -265,6 +265,10 @@ type LocalCluster struct {
 	nextID uint32               // next fresh worker ID for churn joins
 	wheel  *protocol.TimerWheel // one timer wheel shared by every node
 
+	// workerRuns and schedRuns count the Run loops the cluster started,
+	// restarted and joined nodes' included, that have not returned.
+	workerRuns, schedRuns sync.WaitGroup
+
 	// latPlace/latProbe aggregate scheduling latency across every
 	// scheduler in the cluster (shared via SchedulerConfig).
 	latPlace *metrics.Histogram
@@ -304,7 +308,7 @@ func StartLocalCluster(cfg LocalClusterConfig) (*LocalCluster, error) {
 			lc.Stop()
 			return nil, err
 		}
-		go s.Run()
+		goRun(&lc.schedRuns, s.Run)
 		lc.Scheds = append(lc.Scheds, s)
 		lc.Addrs = append(lc.Addrs, s.Addr())
 	}
@@ -325,7 +329,7 @@ func StartLocalCluster(cfg LocalClusterConfig) (*LocalCluster, error) {
 				errs[i] = err
 				return
 			}
-			go w.Run()
+			goRun(&lc.workerRuns, w.Run)
 			lc.Workers[i] = w
 		}(i)
 	}
@@ -388,7 +392,7 @@ func (lc *LocalCluster) RestartScheduler(i int) error {
 	if err != nil {
 		return fmt.Errorf("live: rebinding scheduler %d on %s: %w", i, lc.Addrs[i], err)
 	}
-	go s.Run()
+	goRun(&lc.schedRuns, s.Run)
 	lc.Scheds[i] = s
 	return nil
 }
@@ -413,7 +417,7 @@ func (lc *LocalCluster) AddWorker() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	go w.Run()
+	goRun(&lc.workerRuns, w.Run)
 	for i, old := range lc.Workers {
 		if old == nil {
 			lc.Workers[i] = w
@@ -424,16 +428,29 @@ func (lc *LocalCluster) AddWorker() (int, error) {
 	return len(lc.Workers) - 1, nil
 }
 
-// Stop tears the cluster down (workers first, so their drains reach
-// live schedulers; the shared wheel last, once no node can arm timers).
+// Stop tears the cluster down and returns once every node's loop has
+// exited: the workers first, so their drains reach live schedulers, then
+// the schedulers, and the shared wheel last, once no node can arm timers.
 func (lc *LocalCluster) Stop() {
 	for _, w := range lc.Workers {
 		if w != nil {
 			w.Stop()
 		}
 	}
+	lc.workerRuns.Wait()
 	for _, s := range lc.Scheds {
 		s.Stop()
 	}
+	lc.schedRuns.Wait()
 	lc.wheel.Stop()
+}
+
+// goRun starts a node's Run loop on its own goroutine, counted in runs
+// until it returns.
+func goRun(runs *sync.WaitGroup, run func()) {
+	runs.Add(1)
+	go func() {
+		defer runs.Done()
+		run()
+	}()
 }

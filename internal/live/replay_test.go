@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,5 +236,56 @@ func TestLocalClusterSchedulerRestart(t *testing.T) {
 	}
 	if st.OccupancyLeaks != 0 {
 		t.Fatalf("%d occupancy leaks after the restart", st.OccupancyLeaks)
+	}
+}
+
+// nodeLoops counts the live nodes' Run frames in every goroutine's stack:
+// the loops still going.
+func nodeLoops() int {
+	buf := make([]byte, 1<<22)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	return strings.Count(stacks, ".(*Worker).Run(") + strings.Count(stacks, ".(*Scheduler).Run(")
+}
+
+// TestLocalClusterStopWaitsForItsNodes: Stop returns only once every
+// node's loop has exited, with jobs in flight and with a scheduler that
+// was killed and restarted and a worker that joined late, whose loops the
+// cluster started after boot.
+func TestLocalClusterStopWaitsForItsNodes(t *testing.T) {
+	// Nodes of earlier tests whose Stop did not wait may still be draining.
+	for deadline := time.Now().Add(5 * time.Second); nodeLoops() > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d node loops of earlier tests still running", nodeLoops())
+		}
+	}
+	lc, err := StartLocalCluster(LocalClusterConfig{Schedulers: 2, Workers: 50, Slots: 2, TimeScale: driveScale, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(lc.Addrs[0])
+	if err != nil {
+		lc.Stop()
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 1; i <= 20; i++ {
+		if err := c.Submit(SimpleJob(uint64(i), fmt.Sprintf("stop-%d", i), 8, 50)); err != nil {
+			lc.Stop()
+			t.Fatal(err)
+		}
+	}
+	if _, err := lc.AddWorker(); err != nil {
+		lc.Stop()
+		t.Fatal(err)
+	}
+	lc.KillScheduler(1)
+	if err := lc.RestartScheduler(1); err != nil {
+		lc.Stop()
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	lc.Stop()
+	if n := nodeLoops(); n > 0 {
+		t.Fatalf("%d node loops still running when Stop returned", n)
 	}
 }

@@ -49,7 +49,7 @@ func (r *retryRig) reserve(job uint64) {
 }
 
 // fire fires the retry timer: its event is posted, not run.
-func (r *retryRig) fire() { r.w.retry.(*stillTimer).fire() }
+func (r *retryRig) fire() { r.w.retry.t.(*stillTimer).fire() }
 
 // wantReached steps the oldest posted event and checks whether it
 // reached the core's RetryFired, which re-arms the retry.

@@ -81,14 +81,8 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.MeanTaskSeconds == 0 {
 		c.MeanTaskSeconds = 1
 	}
-	if c.TimeScale == 0 {
-		c.TimeScale = 1
-	}
 	if c.CheckInterval == 0 {
 		c.CheckInterval = protocol.DefaultCheckInterval
-	}
-	if c.Timers == nil {
-		c.Timers = protocol.WallTimers
 	}
 	if c.PlaceLatency == nil {
 		c.PlaceLatency = &metrics.Histogram{}
@@ -151,7 +145,6 @@ type Scheduler struct {
 	model cluster.ExecModel
 	core  *protocol.Sched
 	stats protocol.Stats
-	start time.Time
 
 	// durations draws copy service times on the loop goroutine, keyed
 	// under cfg.Seed exactly as the simulator's Executor keys its own.
@@ -178,12 +171,9 @@ type Scheduler struct {
 
 	// tickerOn says the maintenance tick is armed or its event is in
 	// flight; ticks counts the ticks since ensureTicker last started it.
-	// The timer and the event it posts are built on the first start and
-	// re-armed from then on (see ensureTicker).
 	tickerOn bool
 	ticks    int
-	ticker   protocol.Timer
-	tickerEv internalEvent
+	ticker   loopTimer
 
 	// spareProbeSent holds the cleared probeSent maps of finished jobs,
 	// for the next jobs to stamp their probes in.
@@ -224,12 +214,10 @@ type Scheduler struct {
 }
 
 // unlockWait is one transfer-gated phase wakeup waiting out its delay:
-// the planner's fire, the timer and the event the timer posts. Records
-// are recycled, timer and event with them.
+// the planner's fire and its timer. Records are recycled, timer with them.
 type unlockWait struct {
 	fire  func()
-	timer protocol.Timer
-	ev    internalEvent
+	timer loopTimer
 }
 
 // pendingSubmit is one buffered submission with its submitter.
@@ -261,15 +249,15 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		cfg:          cfg,
-		loop:         newLoop(cfg.Logger),
+		loop:         newLoop(cfg.Logger, cfg.Timers, cfg.TimeScale),
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		workers:      make(map[uint32]*peer),
 		jobs:         make(map[uint64]*lJob),
 		copies:       make(map[copyKey]*cluster.Copy),
 		pendingRecon: make(map[uint64][]pendingRecon),
-		start:        cfg.Timers.Now(),
 		durations:    cluster.NewCopySource(cfg.Seed),
 	}
+	s.ticker.ev.fn = s.tick
 	s.model = cluster.DefaultExecModel()
 	s.model.Beta = cfg.Beta
 	s.killLoser = func(c *cluster.Copy) {
@@ -281,7 +269,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		NumSchedulers: cfg.NumSchedulers,
 	}.WithDefaults()
 	s.core = protocol.NewSched(protocol.SchedID(cfg.ID), pcfg, protocol.SchedEnv{
-		Now:           s.now,
+		Now:           s.loop.now,
 		Rand:          s.rng,
 		TotalSlots:    func() int { return max(s.totalSlots, 1) },
 		RandomWorkers: s.randomWorkers,
@@ -310,14 +298,6 @@ func (s *Scheduler) Addr() string {
 		return ""
 	}
 	return s.ln.Addr()
-}
-
-// now is the scheduler's virtual clock: seconds on cfg.Timers' clock
-// since start divided by the time scale, so protocol state (copy starts,
-// estimators, cooldowns) lives in workload time regardless of
-// compression.
-func (s *Scheduler) now() float64 {
-	return s.cfg.Timers.Now().Sub(s.start).Seconds() / s.cfg.TimeScale
 }
 
 // workerSpeed returns the registered worker's advertised speed factor
@@ -389,24 +369,14 @@ func (s *Scheduler) Run() {
 			}
 		}()
 	}
-	for {
-		select {
-		case <-s.loop.done:
-			s.drain()
-			return
-		case env := <-s.loop.inbox:
-			s.step(env)
-		}
-	}
+	s.loop.run(s.step, s.drain)
 }
 
 // step is one turn of the scheduler: everything one inbox entry — a
 // received frame, a connection's read error, a fired timer's event —
-// does to the node, start to finish. Run is only the goroutine pump that
-// feeds it; a harness that owns the clock (cfg.Timers) can call it
-// directly instead and the node behaves the same.
+// does to the node, start to finish.
 func (s *Scheduler) step(env envelope) {
-	if env.err != nil {
+	if _, lost := env.msg.(error); lost {
 		s.onDisconnect(env.from)
 		return
 	}
@@ -701,7 +671,7 @@ func (s *Scheduler) admit(client *peer, m *wire.SubmitJob) {
 		s.rejectJob(client, m.JobID, "job has no phases")
 		return
 	}
-	now := s.now()
+	now := s.loop.now()
 	j := s.jobFromSubmit(m, totalTasks, now)
 	lj := &lJob{job: j, client: client, submitWall: time.Now()}
 	s.jobs[m.JobID] = lj
@@ -846,7 +816,7 @@ func (s *Scheduler) reconcileCopy(lj *lJob, workerID uint32, rc wire.RunningCopy
 		rem = 0
 	}
 	mid := cluster.MachineID(workerID)
-	c := t.StartCopy(s.now(), mid, rc.Speculative, rem)
+	c := t.StartCopy(s.loop.now(), mid, rc.Speculative, rem)
 	// Remaining is wall-clock on the reporting worker; stamping its speed
 	// keeps work-unit estimates (speculation, estimators) consistent.
 	c.Speed = s.workerSpeed(workerID)
@@ -971,17 +941,7 @@ func (s *Scheduler) ensureTicker() {
 	}
 	s.tickerOn = true
 	s.ticks = 0
-	if s.ticker == nil {
-		s.tickerEv.fn = s.tick
-		s.ticker = s.cfg.Timers.AfterFunc(s.tickWall(), func() { s.post(&s.tickerEv, nil) })
-		return
-	}
-	s.ticker.Reset(s.tickWall())
-}
-
-// tickWall is the tick period on the wall clock.
-func (s *Scheduler) tickWall() time.Duration {
-	return time.Duration(s.cfg.CheckInterval * s.cfg.TimeScale * float64(time.Second))
+	s.loop.arm(&s.ticker, s.loop.wall(s.cfg.CheckInterval))
 }
 
 // tick is one maintenance tick on the loop; it re-arms the ticker while
@@ -999,12 +959,7 @@ func (s *Scheduler) tick() {
 	if s.ticks%reprobeEvery == 0 {
 		s.sendProbes(s.core.ReprobeStalled())
 	}
-	s.ticker.Reset(s.tickWall())
-}
-
-// post enqueues an internal event onto the scheduler's own loop.
-func (s *Scheduler) post(msg interface{}, from *peer) {
-	s.loop.post(msg, from)
+	s.loop.arm(&s.ticker, s.loop.wall(s.cfg.CheckInterval))
 }
 
 // onOffer answers a worker's offer or Sparrow pull through the core.
@@ -1058,7 +1013,7 @@ func (s *Scheduler) startCopy(rep protocol.Reply, workerID uint32, seq uint64) f
 	} else {
 		dur = s.model.CopyDuration(s.durations, t, local, speed)
 	}
-	c := t.StartCopy(s.now(), m, rep.Spec, dur)
+	c := t.StartCopy(s.loop.now(), m, rep.Spec, dur)
 	c.Speed = speed
 	c.Seq = seq
 	lj := s.jobs[uint64(rep.Job)]
@@ -1084,8 +1039,8 @@ func (s *Scheduler) startCopy(rep protocol.Reply, workerID uint32, seq uint64) f
 // slot in case the copy is in fact still running (a late real report
 // then finds the copy gone and is dropped).
 func (s *Scheduler) expireOverdueCopies() {
-	now := s.now()
-	grace := max(defaultWatchdogGrace, 1.0/s.cfg.TimeScale)
+	now := s.loop.now()
+	grace := max(defaultWatchdogGrace, 1.0/s.loop.scale)
 	var overdue []*cluster.Copy
 	for _, c := range s.copies {
 		if now > c.Finish()+grace {
@@ -1118,7 +1073,7 @@ func (s *Scheduler) onTaskDone(m *wire.TaskDone) {
 		return // stale: race already settled by the winning sibling
 	}
 	t := c.Task
-	now := s.now()
+	now := s.loop.now()
 
 	if m.Killed {
 		// The copy never ran (stale assign) or died with its worker:
@@ -1157,23 +1112,22 @@ func (s *Scheduler) onTaskDone(m *wire.TaskDone) {
 // a recycled unlockWait, re-armed, so a wait allocates nothing once a
 // record is spare.
 func (s *Scheduler) scheduleUnlock(at simulator.Time, fire func()) {
-	delay := at - s.now()
+	delay := at - s.loop.now()
 	if delay <= 0 {
 		fire()
 		return
 	}
-	d := time.Duration(delay * s.cfg.TimeScale * float64(time.Second))
+	var u *unlockWait
 	if n := len(s.spareUnlocks); n > 0 {
-		u := s.spareUnlocks[n-1]
+		u = s.spareUnlocks[n-1]
 		s.spareUnlocks[n-1] = nil
 		s.spareUnlocks = s.spareUnlocks[:n-1]
 		u.fire = fire
-		u.timer.Reset(d)
-		return
+	} else {
+		u = &unlockWait{fire: fire}
+		u.timer.ev.fn = func() { s.unlockDue(u) }
 	}
-	u := &unlockWait{fire: fire}
-	u.ev.fn = func() { s.unlockDue(u) }
-	u.timer = s.cfg.Timers.AfterFunc(d, func() { s.post(&u.ev, nil) })
+	s.loop.arm(&u.timer, s.loop.wall(delay))
 }
 
 // unlockDue runs on the loop when a wait's timer has fired: the record
@@ -1191,14 +1145,7 @@ func (s *Scheduler) unlockDue(u *unlockWait) {
 // scheduler loop so the read never races message handling. A stopped
 // scheduler returns the zero value.
 func (s *Scheduler) Stats() protocol.Stats {
-	ch := make(chan protocol.Stats, 1)
-	s.post(&internalEvent{fn: func() { ch <- s.stats }}, nil)
-	select {
-	case st := <-ch:
-		return st
-	case <-s.loop.done:
-		return protocol.Stats{}
-	}
+	return onLoop(s.loop, func() protocol.Stats { return s.stats })
 }
 
 // finishJob reports the completed job to its client and releases state.

@@ -640,7 +640,7 @@ func (c *VirtualCluster) link(si, wi int) *virtualConn {
 	l := &virtualLink{}
 	p := &peer{conn: &virtualConn{c: c, sched: si, worker: wi, toWorker: true, link: l, recv: func(m wire.Message, err error) {
 		w := c.workers[wi]
-		w.step(envelope{from: w.scheds[si], msg: m, err: err})
+		w.step(received(w.scheds[si], m, err))
 	}}}
 	return &virtualConn{c: c, sched: si, worker: wi, link: l, recv: func(m wire.Message, err error) {
 		s := c.scheds[si]
@@ -652,7 +652,7 @@ func (c *VirtualCluster) link(si, wi int) *virtualConn {
 				c.answerable++
 			}
 		}
-		s.step(envelope{from: p, msg: m, err: err})
+		s.step(received(p, m, err))
 	}}
 }
 

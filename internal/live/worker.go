@@ -78,18 +78,15 @@ const redialInterval = 50 * time.Millisecond
 // start time (for computing Remaining in a re-registration Hello).
 //
 // A record outlives its copy: the worker recycles it through its free
-// list (newCopy, freeCopy). Its finish event is built with the record
-// and its timer by the record's first copy, so a copy placed on a
-// recycled record re-arms the timer and allocates nothing.
+// list (newCopy, freeCopy), and its timer, which runs copyFinished on the
+// loop, with it.
 type runningCopy struct {
 	seq         uint64
 	msg         wire.Assign
 	from        *peer
 	sidx        int
 	startedVirt float64
-
-	timer  protocol.Timer // posts finish; nil until the first copy
-	finish internalEvent  // runs copyFinished on the loop
+	timer       loopTimer
 }
 
 // Worker is a live worker node: a thin adapter feeding a protocol.Worker
@@ -101,7 +98,6 @@ type Worker struct {
 	loop  *loop
 	core  *protocol.Worker
 	stats protocol.Stats
-	start time.Time
 
 	scheds []*peer // dial order; fallback when no ID has been learned
 	// schedByID/idByPeer map announced scheduler IDs to connections.
@@ -114,15 +110,13 @@ type Worker struct {
 	running   map[uint64]*runningCopy // by assign seq
 	spare     []*runningCopy          // copy records free for reuse (freeCopy)
 
-	// retry is the one backoff-retry timer: exec arms it with the first
-	// WArmRetry and re-arms it from then on, and it posts retryEv, which
-	// runs retryFired. retryArmed says an arm is outstanding (armed, and
-	// neither cancelled nor consumed by retryFired). retryStale counts
-	// firings in flight that the loop drops: a timer that has fired
-	// cannot be stopped, so a cancel or re-arm that finds it fired leaves
-	// one event on its way that the core must never see.
-	retry      protocol.Timer
-	retryEv    internalEvent
+	// retry is the one backoff-retry timer, which runs retryFired.
+	// retryArmed says an arm is outstanding (armed, and neither cancelled
+	// nor consumed by retryFired). retryStale counts firings in flight
+	// that the loop drops: a timer that has fired cannot be stopped, so a
+	// cancel or re-arm that finds it fired leaves one event on its way
+	// that the core must never see.
+	retry      loopTimer
 	retryArmed bool
 	retryStale int
 
@@ -133,15 +127,11 @@ type Worker struct {
 
 	// offerTimerOn says the one timer that has the core expire unanswered
 	// offers is armed (or its event is in flight to the loop): exec arms
-	// it with the first offer out, offerTimerFired re-aims it.
-	// offerTimerFn is its callback, which posts offerTimerEv. All three
-	// are built once: the first arm makes offerTimer and every later one
-	// resets it, which is safe because the timer is only ever re-armed
-	// once its event has been consumed.
+	// it with the first offer out, offerTimerFired re-aims it. Re-arming
+	// is safe because it only happens once the timer's event has been
+	// consumed.
 	offerTimerOn bool
-	offerTimer   protocol.Timer
-	offerTimerFn func()
-	offerTimerEv *internalEvent
+	offerTimer   loopTimer
 
 	// out is the scratch every per-frame message this node sends is built
 	// in (see Scheduler.out).
@@ -165,12 +155,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.Speed <= 0 {
 		c.Speed = 1
-	}
-	if c.TimeScale == 0 {
-		c.TimeScale = 1
-	}
-	if c.Timers == nil {
-		c.Timers = protocol.WallTimers
 	}
 	return c
 }
@@ -199,21 +183,20 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 	cfg = cfg.withDefaults()
 	w := &Worker{
 		cfg:       cfg,
-		loop:      newLoop(cfg.Logger),
-		start:     cfg.Timers.Now(),
+		loop:      newLoop(cfg.Logger, cfg.Timers, cfg.TimeScale),
 		schedByID: make(map[protocol.SchedID]*peer),
 		idByPeer:  make(map[*peer]protocol.SchedID),
 		freeSlots: cfg.Slots,
 		running:   make(map[uint64]*runningCopy),
 		parked:    make(map[int][]protocol.LostReservation),
 	}
-	w.offerTimerEv = &internalEvent{fn: w.offerTimerFired}
-	w.offerTimerFn = func() { w.post(w.offerTimerEv, nil) }
+	w.offerTimer.ev.fn = w.offerTimerFired
+	w.retry.ev.fn = w.retryFired
 	pcfg := protocol.Config{Mode: cfg.Mode, RetryJitter: defaultRetryJitter}.WithDefaults()
 	// No Pool: the core runs on this worker's handler loop alone, so it
 	// recycles its entries and rounds through a pool of its own.
 	w.core = protocol.NewWorker(cluster.MachineID(cfg.ID), pcfg, protocol.WorkerEnv{
-		Now:       w.now,
+		Now:       w.loop.now,
 		Rand:      rand.New(rand.NewSource(int64(cfg.ID)*7919 + 5)),
 		FreeSlots: func() int { return w.freeSlots },
 		Cap:       cfg.Cap,
@@ -237,16 +220,6 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 	return w, nil
 }
 
-// now is the worker's virtual clock (see Scheduler.now).
-func (w *Worker) now() float64 {
-	return w.cfg.Timers.Now().Sub(w.start).Seconds() / w.cfg.TimeScale
-}
-
-// wall is how long virtual seconds take on the wall clock.
-func (w *Worker) wall(virtual float64) time.Duration {
-	return time.Duration(virtual * w.cfg.TimeScale * float64(time.Second))
-}
-
 // helloMsg builds this worker's registration Hello: identity, slots,
 // speed and per-slot capacity.
 func (w *Worker) helloMsg() *wire.Hello {
@@ -259,21 +232,13 @@ func (w *Worker) Run() {
 	for _, p := range w.scheds {
 		go w.loop.readFrom(p)
 	}
-	for {
-		select {
-		case <-w.loop.done:
-			w.drain()
-			return
-		case env := <-w.loop.inbox:
-			w.step(env)
-		}
-	}
+	w.loop.run(w.step, w.drain)
 }
 
 // step is one turn of the worker (see Scheduler.step): one inbox entry
 // handled to completion.
 func (w *Worker) step(env envelope) {
-	if env.err != nil {
+	if _, lost := env.msg.(error); lost {
 		w.onSchedDisconnect(env.from)
 	} else {
 		w.handle(env)
@@ -363,7 +328,7 @@ func (w *Worker) redial(idx int) {
 // starts a goroutine.
 func (w *Worker) ReconnectScheduler(idx int, conn transport.Conn) {
 	p := &peer{conn: conn, hello: wire.Hello{Role: wire.RoleScheduler, ID: uint32(idx)}}
-	w.post(&internalEvent{fn: func() { w.attachSched(idx, p) }}, nil)
+	w.loop.post(&internalEvent{fn: func() { w.attachSched(idx, p) }}, nil)
 	// If the loop is already stopped the post was dropped; close the
 	// conn so a late redial doesn't leak a socket.
 	select {
@@ -385,7 +350,7 @@ func (w *Worker) attachSched(idx int, p *peer) {
 		return
 	}
 	hello := w.helloMsg()
-	now := w.now()
+	now := w.loop.now()
 	var mine []*runningCopy
 	for _, rc := range w.running {
 		if rc.sidx == idx {
@@ -467,29 +432,13 @@ func (w *Worker) sendTaskDone(to *peer, td wire.TaskDone) {
 	w.loop.send(to, &w.out.taskDone)
 }
 
-// post enqueues an internal event onto the worker's own loop.
-func (w *Worker) post(msg interface{}, from *peer) {
-	w.loop.post(msg, from)
-}
-
 // Stats returns a snapshot of the worker's protocol counters
 // (negotiation rounds started/placed), taken on the worker loop so the
 // read never races message handling. A stopped worker returns the zero
 // value.
 func (w *Worker) Stats() protocol.Stats {
-	ch := make(chan protocol.Stats, 1)
-	w.post(&internalEvent{fn: func() { ch <- w.stats }}, nil)
-	select {
-	case st := <-ch:
-		return st
-	case <-w.loop.done:
-		return protocol.Stats{}
-	}
+	return onLoop(w.loop, func() protocol.Stats { return w.stats })
 }
-
-// internalEvent lets executor goroutines and timers run closures on the
-// loop goroutine; it never crosses the wire.
-type internalEvent struct{ fn func() }
 
 func (w *Worker) handle(env envelope) {
 	switch m := env.msg.(type) {
@@ -582,7 +531,7 @@ func (w *Worker) onReply(from *peer, m wire.Message) {
 // abandoned no earlier than its deadline and at most one timer tick plus
 // loop latency after.
 func (w *Worker) offerTimerFired() {
-	now, abandoned := w.now(), w.stats.OfferTimeouts
+	now, abandoned := w.loop.now(), w.stats.OfferTimeouts
 	// May send offers of its own; offerTimerOn is still set, so they wait
 	// for the re-aim below instead of arming a second timer.
 	w.exec(w.core.ExpireOffers(now - defaultOfferTimeout))
@@ -596,17 +545,7 @@ func (w *Worker) offerTimerFired() {
 	}
 	// Rounded up, so never zero: a wait of nothing would fire at this same
 	// instant on a simulated clock, before the offer is due on the core's.
-	w.armOfferTimer(w.wall(sentAt+defaultOfferTimeout-now) + time.Nanosecond)
-}
-
-// armOfferTimer arms the offer timer to fire after d.
-func (w *Worker) armOfferTimer(d time.Duration) {
-	w.offerTimerOn = true
-	if w.offerTimer == nil {
-		w.offerTimer = w.cfg.Timers.AfterFunc(d, w.offerTimerFn)
-	} else {
-		w.offerTimer.Reset(d)
-	}
+	w.loop.arm(&w.offerTimer, w.loop.wall(sentAt+defaultOfferTimeout-now)+time.Nanosecond)
 }
 
 // place is the core's placement callback: occupy a slot and emulate the
@@ -627,23 +566,18 @@ func (w *Worker) place(from protocol.SchedID, rep protocol.Reply) bool {
 	w.freeSlots--
 	rc := w.newCopy()
 	rc.seq, rc.msg, rc.from = w.curReply.seq, *a, w.curReply.from
-	rc.sidx, rc.startedVirt = -1, w.now()
+	rc.sidx, rc.startedVirt = -1, w.loop.now()
 	for i, sp := range w.scheds {
 		if sp == w.curReply.from {
 			rc.sidx = i
 		}
 	}
 	w.running[rc.seq] = rc
-	if d := w.wall(a.Duration); rc.timer == nil {
-		rc.timer = w.cfg.Timers.AfterFunc(d, func() { w.post(&rc.finish, nil) })
-	} else {
-		rc.timer.Reset(d)
-	}
+	w.loop.arm(&rc.timer, w.loop.wall(a.Duration))
 	return true
 }
 
-// newCopy takes a copy record off the free list, or builds one with its
-// finish event.
+// newCopy takes a copy record off the free list, or builds one.
 func (w *Worker) newCopy() *runningCopy {
 	if n := len(w.spare); n > 0 {
 		rc := w.spare[n-1]
@@ -652,7 +586,7 @@ func (w *Worker) newCopy() *runningCopy {
 		return rc
 	}
 	rc := &runningCopy{}
-	rc.finish.fn = func() { w.copyFinished(rc) }
+	rc.timer.ev.fn = func() { w.copyFinished(rc) }
 	return rc
 }
 
@@ -669,7 +603,7 @@ func (w *Worker) freeCopy(rc *runningCopy) {
 // timer had already fired, its finish event is on its way to the loop
 // and copyFinished recycles the record when it arrives.
 func (w *Worker) stopCopy(rc *runningCopy) {
-	if rc.timer.Stop() {
+	if rc.timer.t.Stop() {
 		w.freeCopy(rc)
 	}
 }
@@ -712,18 +646,13 @@ func (w *Worker) onKill(m *wire.Kill) {
 // outstanding arm if there is one.
 func (w *Worker) armRetry(d time.Duration) {
 	w.cancelRetry()
-	if w.retry == nil {
-		w.retryEv.fn = w.retryFired
-		w.retry = w.cfg.Timers.AfterFunc(d, func() { w.post(&w.retryEv, nil) })
-	} else {
-		w.retry.Reset(d)
-	}
+	w.loop.arm(&w.retry, d)
 	w.retryArmed = true
 }
 
 // cancelRetry withdraws the outstanding arm, if there is one.
 func (w *Worker) cancelRetry() {
-	if w.retryArmed && !w.retry.Stop() {
+	if w.retryArmed && !w.retry.t.Stop() {
 		w.retryStale++
 	}
 	w.retryArmed = false
@@ -771,10 +700,11 @@ func (w *Worker) exec(acts []protocol.WAction) {
 			}
 			w.loop.send(p, &w.out.offer)
 			if !w.offerTimerOn {
-				w.armOfferTimer(w.wall(defaultOfferTimeout))
+				w.offerTimerOn = true
+				w.loop.arm(&w.offerTimer, w.loop.wall(defaultOfferTimeout))
 			}
 		case protocol.WArmRetry:
-			w.armRetry(w.wall(a.Delay))
+			w.armRetry(w.loop.wall(a.Delay))
 		case protocol.WCancelRetry:
 			w.cancelRetry()
 		}
