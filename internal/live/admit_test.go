@@ -5,6 +5,7 @@ package live
 // recycled timers, and the admission benchmark.
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -156,6 +157,58 @@ func TestAdmittedJobAllocsPerJob(t *testing.T) {
 	small, large := allocs(3, 8), allocs(12, 512)
 	if small != large {
 		t.Fatalf("a job costs %.0f allocations at 3 phases of 8 tasks and %.0f at 12 of 512", small, large)
+	}
+}
+
+// readFrame decodes m's frame the way a connection does, into a struct
+// from the wire free list.
+func readFrame(t *testing.T, m wire.Message) wire.Message {
+	t.Helper()
+	got, err := wire.NewReader(bytes.NewReader(wire.Append(nil, m))).Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestBufferedSubmissionOutlivesItsStep: a submission that arrives
+// before any worker is held in pendingAdmit past its step, so the step
+// must not release it. Other submissions decoded and released meanwhile
+// would otherwise land in its struct; the job admitted when a worker
+// registers must have the phases, deps and replicas that were sent.
+func TestBufferedSubmissionOutlivesItsStep(t *testing.T) {
+	s, err := NewScheduler(SchedulerConfig{MeanTaskSeconds: 3, Timers: &stillTimers{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := dagSubmit(9, 4, 12)
+	s.step(envelope{from: &peer{conn: &discardConn{}}, msg: readFrame(t, sent)})
+	if len(s.pendingAdmit) != 1 {
+		t.Fatalf("%d submissions buffered, want 1", len(s.pendingAdmit))
+	}
+	for i := 0; i < 8; i++ {
+		wire.Release(readFrame(t, dagSubmit(100+uint64(i), 1+i%3, 5)))
+	}
+	s.step(envelope{from: &peer{conn: &discardConn{}}, msg: readFrame(t, &wire.Hello{Role: wire.RoleWorker, ID: 7, Slots: 4})})
+	lj := s.jobs[sent.JobID]
+	if lj == nil {
+		t.Fatalf("job %d was not admitted; jobs %v", sent.JobID, s.jobs)
+	}
+	got, want := lj.job, perPhaseJob(sent, 3, 0)
+	if len(got.Phases) != len(want.Phases) {
+		t.Fatalf("admitted %d phases, sent %d", len(got.Phases), len(want.Phases))
+	}
+	for pi, p := range got.Phases {
+		w := want.Phases[pi]
+		if !reflect.DeepEqual(p.Deps, w.Deps) || len(p.Tasks) != len(w.Tasks) || p.MeanTaskDuration != w.MeanTaskDuration {
+			t.Fatalf("phase %d: deps %v, %d tasks, mean %v; sent deps %v, %d tasks, mean %v",
+				pi, p.Deps, len(p.Tasks), p.MeanTaskDuration, w.Deps, len(w.Tasks), w.MeanTaskDuration)
+		}
+		for ti, tk := range p.Tasks {
+			if !reflect.DeepEqual(tk.Replicas, w.Tasks[ti].Replicas) {
+				t.Fatalf("%s: replicas %v, sent %v", tk.ID(), tk.Replicas, w.Tasks[ti].Replicas)
+			}
+		}
 	}
 }
 

@@ -165,3 +165,26 @@ func TestKilledCopyAfterFireKeepsItsRecord(t *testing.T) {
 		t.Fatalf("copy %d did not finish into its own TaskDone", b)
 	}
 }
+
+// TestWorkerCarvesItsCopyRecords: a worker is built with one copy
+// record per slot on its free list, each bound to its finish event, so
+// its first copy in every slot takes a record and builds none.
+func TestWorkerCarvesItsCopyRecords(t *testing.T) {
+	const slots = 4
+	w, err := NewWorkerConns(WorkerConfig{ID: 1, Slots: slots, Timers: &stillTimers{}}, []transport.Conn{&discardConn{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	carved := map[*runningCopy]bool{}
+	for _, rc := range w.spare {
+		carved[rc] = true
+	}
+	if len(carved) != slots || cap(w.spare) != slots {
+		t.Fatalf("built with %d records on a list of cap %d, want %d and %d", len(carved), cap(w.spare), slots, slots)
+	}
+	for i := 0; i < slots; i++ {
+		if rc := w.newCopy(); !carved[rc] || rc.timer.ev.fn == nil {
+			t.Fatalf("copy %d got record %p, not one carved at build with its finish event bound", i, rc)
+		}
+	}
+}

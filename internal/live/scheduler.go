@@ -165,7 +165,10 @@ type Scheduler struct {
 
 	// pendingAdmit buffers submissions and pendingProbes buffers probes
 	// that arrive while no worker is registered (cluster boot, full
-	// outage); both flush when the next worker registers.
+	// outage); both flush when the next worker registers. A buffered
+	// submission is a received frame that step did not release (handle
+	// reports it kept): flushPending releases it once admit has copied
+	// it into the job.
 	pendingAdmit  []pendingSubmit
 	pendingProbes []protocol.Probe
 
@@ -380,8 +383,9 @@ func (s *Scheduler) step(env envelope) {
 		s.onDisconnect(env.from)
 		return
 	}
-	s.handle(env)
-	env.release()
+	if !s.handle(env) {
+		env.release()
+	}
 }
 
 // onDisconnect handles an abruptly lost connection. A dead worker
@@ -520,7 +524,10 @@ func (s *Scheduler) drain() {
 	}
 }
 
-func (s *Scheduler) handle(env envelope) {
+// handle applies one inbox entry to the scheduler. It reports kept when
+// the scheduler still holds the frame after it returns — a submission
+// buffered in pendingAdmit — so that step does not release it.
+func (s *Scheduler) handle(env envelope) (kept bool) {
 	switch m := env.msg.(type) {
 	case *wire.Hello:
 		// Capture the pre-overwrite announcement: when the re-Hello rides
@@ -593,7 +600,7 @@ func (s *Scheduler) handle(env envelope) {
 			// No probe targets yet: buffer until the first worker
 			// registers (cluster boot races submissions otherwise).
 			s.pendingAdmit = append(s.pendingAdmit, pendingSubmit{msg: m, from: env.from})
-			return
+			return true
 		}
 		s.admit(env.from, m)
 	case *wire.Offer:
@@ -616,6 +623,7 @@ func (s *Scheduler) handle(env envelope) {
 	case *internalEvent:
 		m.fn()
 	}
+	return false
 }
 
 func (s *Scheduler) flushPending() {
@@ -623,6 +631,7 @@ func (s *Scheduler) flushPending() {
 	s.pendingAdmit = nil
 	for _, ps := range pend {
 		s.admit(ps.from, ps.msg)
+		wire.Release(ps.msg)
 	}
 	s.flushPendingProbes()
 }

@@ -77,9 +77,9 @@ const redialInterval = 50 * time.Millisecond
 // the completion report after a reconnect) and startedVirt the virtual
 // start time (for computing Remaining in a re-registration Hello).
 //
-// A record outlives its copy: the worker recycles it through its free
-// list (newCopy, freeCopy), and its timer, which runs copyFinished on the
-// loop, with it.
+// A record outlives its copy: the worker carves one per slot when it is
+// built and recycles them through its free list (newCopy, freeCopy), and
+// a record's timer, which runs copyFinished on the loop, with it.
 type runningCopy struct {
 	seq         uint64
 	msg         wire.Assign
@@ -192,6 +192,14 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 	}
 	w.offerTimer.ev.fn = w.offerTimerFired
 	w.retry.ev.fn = w.retryFired
+	// One record per slot, carved here: a worker's copies never
+	// allocate, save for the rare record that is busy past its slot (a
+	// copy killed with its finish event in flight, its slot refilled).
+	recs := make([]runningCopy, cfg.Slots)
+	w.spare = make([]*runningCopy, cfg.Slots)
+	for i := range recs {
+		w.spare[i] = w.bindCopy(&recs[i])
+	}
 	pcfg := protocol.Config{Mode: cfg.Mode, RetryJitter: defaultRetryJitter}.WithDefaults()
 	// No Pool: the core runs on this worker's handler loop alone, so it
 	// recycles its entries and rounds through a pool of its own.
@@ -585,7 +593,11 @@ func (w *Worker) newCopy() *runningCopy {
 		w.spare = w.spare[:n-1]
 		return rc
 	}
-	rc := &runningCopy{}
+	return w.bindCopy(&runningCopy{})
+}
+
+// bindCopy binds a new record's finish event to it.
+func (w *Worker) bindCopy(rc *runningCopy) *runningCopy {
 	rc.timer.ev.fn = func() { w.copyFinished(rc) }
 	return rc
 }

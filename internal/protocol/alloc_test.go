@@ -206,6 +206,34 @@ func TestWheelResetAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFreshWheelSlotsAllocateNothing: a new wheel's slots are carved
+// at construction, so filling every slot of the ring to its room for
+// the first time allocates nothing.
+func TestFreshWheelSlotsAllocateNothing(t *testing.T) {
+	const ring = 64
+	w := NewTimerWheel(time.Hour, ring) // never ticks during the test
+	defer w.Stop()
+	tm := w.AfterFunc(time.Hour, func() {})
+	// The wheel's goroutine makes its ticker as it starts: wait until
+	// nothing allocates across a millisecond, so that is not counted.
+	var before, after runtime.MemStats
+	for runtime.ReadMemStats(&before); ; before = after {
+		time.Sleep(time.Millisecond)
+		if runtime.ReadMemStats(&after); after.Mallocs == before.Mallocs {
+			break
+		}
+	}
+	for r := 1; r < wheelSlotRoom; r++ { // the first arm took one slot's first entry
+		for k := 0; k < ring; k++ {
+			tm.Reset(time.Duration(k) * time.Hour)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("arming every slot of a fresh %d-slot ring up to its room allocated %d times, want 0", ring, n)
+	}
+}
+
 // TestWheelTickOverLongTimersAllocatesNothing steps the wheel over a
 // slot holding 1,000 timers that are rounds away from due: the slot is
 // filtered in place, so the tick allocates nothing.

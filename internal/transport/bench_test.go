@@ -118,3 +118,56 @@ func BenchmarkConnBurst(b *testing.B) {
 	b.ReportMetric(float64(counting.writes.Load())/float64(total), "writes/msg")
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "msgs/sec")
 }
+
+// BenchmarkConnFanout opens 64 fresh connections per iteration and sends
+// one 8-frame burst on each, the shape of a scheduler's probe fan-out
+// reaching workers it has not written to since boot. allocs/conn and
+// B/conn count the bursts' sends and receives, not the connections'
+// set-up: an outbox that grows from nil on every connection shows here
+// (8.0 allocs/conn when each connection grew its own), and one drawn
+// from the warm free list does not. What remains, one allocation a
+// connection, is its writer goroutine's first time.Sleep, which makes
+// the goroutine's runtime timer.
+func BenchmarkConnFanout(b *testing.B) {
+	const conns, burst = 64, 8
+	msg := &wire.Reserve{JobID: 7, SchedulerID: 3, VirtualSize: 61.5, RemTasks: 46}
+	senders := make([]Conn, conns)
+	receivers := make([]Conn, conns)
+	var mallocs, bytes uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := range senders {
+			senders[k], receivers[k] = Pair(0)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for _, s := range senders {
+			for j := 0; j < burst; j++ {
+				if err := s.Send(msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for _, r := range receivers {
+			for j := 0; j < burst; j++ {
+				m, err := r.Recv()
+				if err != nil {
+					b.Fatal(err)
+				}
+				wire.Release(m)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+		for k := range senders {
+			senders[k].Close()
+			receivers[k].Close()
+		}
+	}
+	b.ReportMetric(float64(mallocs)/float64(b.N*conns), "allocs/conn")
+	b.ReportMetric(float64(bytes)/float64(b.N*conns), "B/conn")
+}

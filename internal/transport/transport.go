@@ -92,6 +92,58 @@ const DefaultFlushDelay = 500 * time.Microsecond
 // a frame larger than the limit.
 const defaultOutboxLimit = 256 << 10
 
+// outboxFirst sizes an outbox buffer the free list has to make: a
+// flush carries one or two 20–60-byte frames under trickle traffic and a
+// few dozen in a probe fan-out, so one kilobyte takes a flush without
+// growing.
+const outboxFirst = 1 << 10
+
+// maxPooledOutbox caps the buffer the free list keeps. A buffer grows
+// past it only when a connection queued a backlog (backpressure, or a
+// SubmitJob with long replica lists); pooling it would pin that backlog's
+// memory on whichever connection draws it next, so it is dropped after
+// its Write.
+const maxPooledOutbox = 16 << 10
+
+// outboxFree is the process-wide free list of outbox buffers. A
+// connection takes a buffer when its first frame after an idle spell is
+// queued and its writer hands it back once the Write has returned, so
+// an idle connection holds none and the list holds about as many
+// buffers as there are connections with frames in flight at once. It is
+// a plain list, not a sync.Pool, so a GC does not empty it: a warm
+// cluster's new connections and idle ones waking up allocate nothing to
+// send.
+var outboxFree struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+// takeOutbox returns an empty buffer from the free list, or a new one.
+func takeOutbox() []byte {
+	outboxFree.mu.Lock()
+	defer outboxFree.mu.Unlock()
+	n := len(outboxFree.bufs)
+	if n == 0 {
+		return make([]byte, 0, outboxFirst)
+	}
+	b := outboxFree.bufs[n-1]
+	outboxFree.bufs[n-1] = nil
+	outboxFree.bufs = outboxFree.bufs[:n-1]
+	return b
+}
+
+// putOutbox hands a written buffer back to the free list; one that grew
+// past maxPooledOutbox is dropped instead. The caller must hold no other
+// reference to b.
+func putOutbox(b []byte) {
+	if cap(b) > maxPooledOutbox {
+		return
+	}
+	outboxFree.mu.Lock()
+	outboxFree.bufs = append(outboxFree.bufs, b[:0])
+	outboxFree.mu.Unlock()
+}
+
 // recvBuffer sizes a connection's read buffer. Protocol frames are 20–60
 // bytes and arrive in the peer's flush batches of a few dozen, so 4 KB
 // takes a batch in one read; a cluster holds two connection ends per
@@ -136,16 +188,22 @@ func BatchTotals() BatchCounters {
 }
 
 // tcpConn frames wire messages over a TCP stream with an async batching
-// writer: Send encodes into the outbox under mu; writeLoop swaps the
-// outbox against a spare buffer and issues one Write for everything
-// queued.
+// writer: Send encodes into the outbox under mu; writeLoop takes the
+// outbox, issues one Write for everything queued and hands the buffer
+// back to the free list.
+//
+// Who owns an outbox buffer: the connection from the Send that takes it
+// off the free list (the first frame queued into an empty outbox) until
+// writeLoop takes it out of out; the writer from then until its Write
+// returns, when it goes back on the free list (or is dropped, if it grew
+// past maxPooledOutbox). Nothing else ever holds one.
 type tcpConn struct {
 	c  net.Conn
 	rd *wire.Reader // over a recvBuffer-sized bufio.Reader on c
 
 	mu      sync.Mutex
 	notFull sync.Cond // senders wait here when the outbox is full
-	out     []byte    // pending encoded frames (guarded by mu)
+	out     []byte    // pending encoded frames; nil when none (guarded by mu)
 	frames  int       // frame count in out (guarded by mu)
 	closing bool      // Close has begun; no new sends (guarded by mu)
 	werr    error     // sticky write error (guarded by mu)
@@ -213,11 +271,15 @@ func (t *tcpConn) Send(m wire.Message) error {
 		batchStalls.Add(1)
 		t.notFull.Wait()
 	}
-	// Encode into the connection's reusable outbox: a fresh frame per
-	// message would, at probe rates, dominate the send path's allocation
-	// profile (see BenchmarkConnThroughput's allocs/msg column). The
-	// outbox doubles as the encode buffer, so the batched path stays
-	// allocation-free once the buffer reaches steady-state size.
+	// Encode straight into the outbox: a fresh frame per message would,
+	// at probe rates, dominate the send path's allocation profile (see
+	// BenchmarkConnThroughput's allocs/msg column). The outbox doubles as
+	// the encode buffer and comes off the free list, so a send allocates
+	// nothing unless the free list is empty or a flush outgrows the
+	// buffer it drew (BenchmarkConnFanout).
+	if t.out == nil {
+		t.out = takeOutbox()
+	}
 	t.out = wire.Append(t.out, m)
 	t.frames++
 	t.mu.Unlock()
@@ -229,13 +291,12 @@ func (t *tcpConn) Send(m wire.Message) error {
 }
 
 // writeLoop is the connection's single writer: it waits for a wakeup,
-// lingers up to flushDelay so a burst accumulates, then swaps the
-// outbox against a spare buffer and writes everything in one call.
+// lingers up to flushDelay so a burst accumulates, then takes the
+// outbox, writes everything in one call and hands the buffer back.
 // Every queued frame is therefore written at most flushDelay (plus one
 // write) after its Send returned — the flush-deadline contract.
 func (t *tcpConn) writeLoop() {
 	defer close(t.drained)
-	var spare []byte
 	for {
 		<-t.wake
 		if t.flushDelay > 0 {
@@ -257,10 +318,12 @@ func (t *tcpConn) writeLoop() {
 				break // outbox empty: back to waiting
 			}
 			buf, n := t.out, t.frames
-			t.out, t.frames = spare[:0], 0
+			t.out, t.frames = nil, 0
 			t.mu.Unlock()
 			t.notFull.Broadcast()
-			if _, err := t.c.Write(buf); err != nil {
+			_, err := t.c.Write(buf)
+			putOutbox(buf)
+			if err != nil {
 				// No write deadlines are ever set on these connections, so
 				// a write error means the stream is dead (peer closed,
 				// reset, ...): record it sticky so every subsequent Send
@@ -273,7 +336,6 @@ func (t *tcpConn) writeLoop() {
 			}
 			batchFlushes.Add(1)
 			batchFrames.Add(uint64(n))
-			spare = buf
 		}
 	}
 }

@@ -248,9 +248,9 @@ func TestPeerCloseUnblocksRecv(t *testing.T) {
 }
 
 // TestLoopbackFrameAllocatesNothing pins a small frame's whole trip over
-// a real socket — encode into the outbox, batched write, buffered read,
-// decode into a recycled struct, release — at zero allocations once the
-// connection's buffers have reached their steady-state size.
+// a real socket — encode into an outbox buffer from the free list,
+// batched write, buffered read, decode into a recycled struct, release —
+// at zero allocations once the outbox and wire free lists are warm.
 func TestLoopbackFrameAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random quarter of Puts under -race, so the wire free list misses by design")

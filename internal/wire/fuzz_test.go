@@ -48,6 +48,9 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
+		if len(frame) >= 5 && MsgType(frame[4]) == TSubmitJob {
+			checkRecycledDecode(t, frame[5:])
+		}
 		var src bytes.Buffer
 		src.Write(frame)
 		rd := NewReader(&src)
@@ -111,4 +114,55 @@ func replicaSeeds() [][]byte {
 	}
 	full := Append(nil, &SubmitJob{JobID: 4, Phases: []PhaseSpec{{NumTasks: 2, Replicas: [][]uint32{ids, {9}}}}})
 	return [][]byte{over, cut, gap, full}
+}
+
+// heldSubmitJob returns a released submission that held a larger one
+// first: four phases, with deps, replica groups in three of them and 40
+// tasks each, so every slice a later decode could reuse is non-empty.
+func heldSubmitJob(t testing.TB) *SubmitJob {
+	big := replicaJob(40)
+	big.Phases = append(big.Phases, PhaseSpec{Deps: []uint16{0, 1, 2}, MeanDur: 4, NumTasks: 40, Replicas: big.Phases[1].Replicas})
+	m := &SubmitJob{}
+	if err := decodePayload(m, &reader{buf: Append(nil, big)[5:]}); err != nil {
+		t.Fatal(err)
+	}
+	Release(m)
+	return m
+}
+
+// checkRecycledDecode decodes a SubmitJob payload into a fresh struct
+// and into one that held a larger submission, and fails unless both
+// come out the same: equal on success, both failing otherwise.
+func checkRecycledDecode(t *testing.T, payload []byte) {
+	t.Helper()
+	fresh, ferr := Decode(TSubmitJob, payload)
+	held := heldSubmitJob(t)
+	herr := decodePayload(held, &reader{buf: payload})
+	if (ferr == nil) != (herr == nil) {
+		t.Fatalf("fresh decode: %v; recycled decode: %v", ferr, herr)
+	}
+	if ferr == nil && !sameSubmission(fresh.(*SubmitJob), held) {
+		t.Fatalf("a recycled SubmitJob decoded differently:\n fresh    %+v\n recycled %+v", fresh, held)
+	}
+}
+
+// sameSubmission is reflect.DeepEqual for submissions, save that a NaN
+// field equals itself: the two encode to the same bytes, and every
+// slice of one is nil where the other's is.
+func sameSubmission(a, b *SubmitJob) bool {
+	if !bytes.Equal(Append(nil, a), Append(nil, b)) || (a.Phases == nil) != (b.Phases == nil) || len(a.Phases) != len(b.Phases) {
+		return false
+	}
+	for i, p := range a.Phases {
+		q := b.Phases[i]
+		if (p.Deps == nil) != (q.Deps == nil) || (p.Replicas == nil) != (q.Replicas == nil) || len(p.Replicas) != len(q.Replicas) {
+			return false
+		}
+		for k, g := range p.Replicas {
+			if (g == nil) != (q.Replicas[k] == nil) {
+				return false
+			}
+		}
+	}
+	return true
 }

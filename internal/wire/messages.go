@@ -76,24 +76,44 @@ func (m *SubmitJob) encode(b []byte) []byte {
 	return b
 }
 
+// decode fills m, reusing the storage a released submission left in it
+// (Release keeps Phases' backing, and each phase there keeps its Deps and
+// its Replicas): a recycled struct decodes exactly as a fresh one does,
+// and costs no allocation when its storage is large enough.
 func (m *SubmitJob) decode(r *reader) error {
 	m.JobID = r.u64()
 	m.Name = r.string()
 	n := int(r.u16())
-	if n > 0 {
-		m.Phases = make([]PhaseSpec, 0, n)
+	switch {
+	case n == 0:
+		m.Phases = nil
+	case cap(m.Phases) >= n:
+		m.Phases = m.Phases[:n]
+	default:
+		m.Phases = make([]PhaseSpec, n)
 	}
-	for i := 0; i < n; i++ {
-		var p PhaseSpec
+	for i := range m.Phases {
+		p := &m.Phases[i]
 		nd := int(r.u16())
-		for k := 0; k < nd; k++ {
-			p.Deps = append(p.Deps, r.u16())
+		var deps []uint16
+		if nd > 0 {
+			deps = p.Deps[:0]
+			if cap(deps) < nd {
+				deps = make([]uint16, 0, nd)
+			}
+			for k := 0; k < nd; k++ {
+				deps = append(deps, r.u16())
+			}
 		}
-		p.MeanDur = r.f64()
-		p.TransferWork = r.f64()
-		p.NumTasks = r.u32()
-		p.DemandCPU = r.f64()
-		p.DemandMem = r.f64()
+		prev := p.Replicas
+		*p = PhaseSpec{
+			Deps:         deps,
+			MeanDur:      r.f64(),
+			TransferWork: r.f64(),
+			NumTasks:     r.u32(),
+			DemandCPU:    r.f64(),
+			DemandMem:    r.f64(),
+		}
 		if r.bool() {
 			// The group count is bounded up front: zero-length groups cost
 			// one payload byte but a 24-byte slice header each, so a 16MB
@@ -102,11 +122,10 @@ func (m *SubmitJob) decode(r *reader) error {
 				return fmt.Errorf("wire: %d replica groups exceed %d", p.NumTasks, MaxReplicaTasks)
 			}
 			var err error
-			if p.Replicas, err = r.replicaGroups(int(p.NumTasks)); err != nil {
+			if p.Replicas, err = r.replicaGroups(int(p.NumTasks), prev); err != nil {
 				return err
 			}
 		}
-		m.Phases = append(m.Phases, p)
 	}
 	return r.err
 }
@@ -116,9 +135,14 @@ func (m *SubmitJob) decode(r *reader) error {
 // instead of writing into its neighbour; an empty group stays nil. A
 // first pass walks the groups without keeping them, so nothing is sized
 // until the payload has been shown to hold all n: a short payload fails
-// before any allocation, and a phase costs two allocations (the ids and
-// the group headers) whatever its task count.
-func (r *reader) replicaGroups(n int) ([][]uint32, error) {
+// before any allocation, and a phase costs at most two allocations (the
+// ids and the group headers) whatever its task count.
+//
+// The headers always have room for one slot past the n groups, and the
+// last slot of their capacity holds the whole backing: that is how the
+// storage of a released submission's phase, passed in as prev, comes
+// back to a later decode (len hides the slot from everything else).
+func (r *reader) replicaGroups(n int, prev [][]uint32) ([][]uint32, error) {
 	start, ids := r.off, 0
 	for k := 0; k < n; k++ {
 		nr := int(r.u8())
@@ -129,12 +153,19 @@ func (r *reader) replicaGroups(n int) ([][]uint32, error) {
 		return nil, r.err
 	}
 	r.off = start
-	groups := make([][]uint32, n)
 	var backing []uint32
-	if ids > 0 {
+	if c := cap(prev); c > 0 {
+		backing = prev[:c][c-1][:0]
+	}
+	groups := prev[:cap(prev)]
+	clear(groups)
+	if len(groups) <= n {
+		groups = make([][]uint32, n+1)
+	}
+	if cap(backing) < ids {
 		backing = make([]uint32, 0, ids)
 	}
-	for k := range groups {
+	for k := range groups[:n] {
 		nr := int(r.u8())
 		if nr == 0 {
 			continue
@@ -145,7 +176,8 @@ func (r *reader) replicaGroups(n int) ([][]uint32, error) {
 		}
 		groups[k] = backing[from:len(backing):len(backing)]
 	}
-	return groups, r.err
+	groups[len(groups)-1] = backing[:0]
+	return groups[:n], r.err
 }
 
 // JobComplete reports a finished job to the submitting client. A

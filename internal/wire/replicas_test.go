@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -101,6 +102,66 @@ func TestReplicaGroupCountBounded(t *testing.T) {
 	}
 	if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
 		t.Fatalf("failing on a short replica list allocated %d bytes", b)
+	}
+}
+
+// TestRecycledSubmitJobDecodesAsFresh decodes a table of submissions
+// into a struct that first held a larger one with deps and replicas,
+// and checks each against a fresh decode. A phase that sends no replica
+// list or no deps gets nil, not what the same phase held before.
+func TestRecycledSubmitJobDecodesAsFresh(t *testing.T) {
+	frames := map[string][]byte{
+		"same shape, smaller": Append(nil, replicaJob(8)),
+		"same shape, larger":  Append(nil, replicaJob(100)),
+		"no phases":           Append(nil, &SubmitJob{JobID: 1, Name: "empty"}),
+		"no replicas, no deps": Append(nil, &SubmitJob{JobID: 2, Phases: []PhaseSpec{
+			{MeanDur: 1, NumTasks: 40}, {MeanDur: 2, NumTasks: 40}, {MeanDur: 3, NumTasks: 40}}}),
+		"all groups empty": Append(nil, &SubmitJob{JobID: 3, Phases: []PhaseSpec{
+			{MeanDur: 1, NumTasks: 3, Replicas: [][]uint32{nil, nil, nil}}}}),
+		"more phases": Append(nil, &SubmitJob{JobID: 4, Phases: []PhaseSpec{
+			{NumTasks: 1}, {NumTasks: 1}, {NumTasks: 1}, {NumTasks: 1}, {NumTasks: 1},
+			{Deps: []uint16{0, 1, 2, 3, 4}, NumTasks: 2, Replicas: [][]uint32{{7}, {8, 9}}}}}),
+	}
+	for _, m := range corpusMessages() {
+		if m.Type() == TSubmitJob {
+			frames["corpus "+m.(*SubmitJob).Name] = Append(nil, m)
+		}
+	}
+	for i, frame := range replicaSeeds() {
+		frames[fmt.Sprintf("replica seed %d", i)] = frame
+	}
+	for name, frame := range frames {
+		t.Run(name, func(t *testing.T) { checkRecycledDecode(t, frame[5:]) })
+	}
+
+	held := heldSubmitJob(t)
+	if err := decodePayload(held, &reader{buf: frames["no replicas, no deps"][5:]}); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range held.Phases {
+		if p.Replicas != nil || p.Deps != nil {
+			t.Fatalf("phase %d kept storage it was not sent: deps %v, %d groups", i, p.Deps, len(p.Replicas))
+		}
+	}
+}
+
+// TestRecycledSubmitJobDecodeAllocs: a submission decoded into the
+// struct a released one of its shape left behind allocates only its
+// name — its phases, deps, group headers and replica ids all fit the
+// storage the struct kept.
+func TestRecycledSubmitJobDecodeAllocs(t *testing.T) {
+	payload := Append(nil, replicaJob(64))[5:]
+	m, rd := &SubmitJob{}, &reader{}
+	cycle := func() {
+		*rd = reader{buf: payload}
+		if err := decodePayload(m, rd); err != nil {
+			t.Fatal(err)
+		}
+		Release(m)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 1 {
+		t.Fatalf("decoding into a recycled SubmitJob allocates %.0f times, want 1 (the name)", allocs)
 	}
 }
 

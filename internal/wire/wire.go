@@ -20,8 +20,9 @@
 // header, the payload scratch and the cursor and fills the seven
 // fixed-size message types (Reserve, Offer, Assign, Refuse, NoTask,
 // TaskDone, Kill) from a free list: reading one of those allocates
-// nothing once the list is warm. Decode is the one-shot entry and always
-// allocates its message.
+// nothing once the list is warm. SubmitJob is on the list as well, with
+// the storage of the submission it last held. Decode is the one-shot
+// entry and always allocates its message.
 //
 // Who owns a decoded message: whoever Read or Decode returned it to, for
 // as long as it likes. Release is how an owner that is finished with a
@@ -375,11 +376,13 @@ func decodePayload(m Message, rd *reader) error {
 
 // --- the free list -------------------------------------------------------
 
-// free holds released messages of the seven fixed-size types, by type
-// tag. They are the per-frame traffic of a running cluster (probes,
-// offers, replies, completion reports) and hold no references, so a
-// recycled one needs no more than zeroing. SubmitJob, JobComplete and
-// Hello carry slices and strings and are rare; they are always
+// free holds released messages by type tag: the seven fixed-size types,
+// which are the per-frame traffic of a running cluster (probes, offers,
+// replies, completion reports) and hold no references, so a recycled one
+// needs no more than zeroing; and SubmitJob, whose phases, deps and
+// replica groups a live scheduler would otherwise allocate for every
+// job, and which keeps that storage for the next decode. JobComplete
+// and Hello are rare, or sent rather than received; they are always
 // allocated.
 var free [TKill + 1]sync.Pool
 
@@ -400,8 +403,16 @@ func recycled(t MsgType) Message {
 // later frame overwrites it. Releasing is optional (not doing so costs
 // the allocation it saves, never correctness) and a no-op for the types
 // that are not pooled.
+//
+// A SubmitJob hands back its storage too: Phases keeps its backing at
+// length zero, and a later decode writes over the Deps and Replicas of
+// the phases in it. So nothing may keep a slice of a released
+// submission either, and one whose phases share a slice (something a
+// decoder never builds) must not be released.
 func Release(m Message) {
 	switch v := m.(type) {
+	case *SubmitJob:
+		*v = SubmitJob{Phases: v.Phases[:0]}
 	case *Reserve:
 		*v = Reserve{}
 	case *Offer:
