@@ -824,6 +824,7 @@ var retired = map[string][]string{
 	"PR 45: a worker is its speed and capacity; Epsilon: 1 is the one fairness switch":    {"ClassSpec", "MaxHelloClasses", "classForWorker", "helloClass", "TPing", "TPong", "FairnessOff"},
 	"PR 46: the experiment registry is the one list of drivers":                           {"ScenarioByID", "registerScenario", "printScenarios"},
 	"a live node's clock, timers and pump are its loop's":                                 {"tickWall", "tickerEv", "offerTimerFn", "offerTimerEv", "armOfferTimer"},
+	"a node timer cancels exactly in its loop; a worker's slots are its copy records":     {"retryStale", "armRetry", "cancelRetry", "retryFired", "bindCopy", "freeCopy", "stopCopy"},
 }
 
 // revived returns one key (dir/file.go:line: Name, retired by ...) per

@@ -40,18 +40,22 @@ func (c *Client) Submit(job *wire.SubmitJob) error {
 	return c.conn.Send(job)
 }
 
-// WaitAny blocks for the next job completion.
-func (c *Client) WaitAny() (*wire.JobComplete, error) {
+// WaitAny blocks for the next job completion. It returns a copy and
+// hands the frame back to the wire free list, so a warm client reads
+// completions without allocating.
+func (c *Client) WaitAny() (wire.JobComplete, error) {
 	for {
 		m, err := c.conn.Recv()
 		if err != nil {
 			if errors.Is(err, wire.ErrUnknownType) {
 				continue // newer peer's message type; stream still in sync
 			}
-			return nil, err
+			return wire.JobComplete{}, err
 		}
 		if jc, ok := m.(*wire.JobComplete); ok {
-			return jc, nil
+			done := *jc
+			wire.Release(jc)
+			return done, nil
 		}
 	}
 }

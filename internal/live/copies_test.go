@@ -1,14 +1,15 @@
 package live
 
-// Tests of what a placed copy costs a worker and who owns its record:
-// the engine clock's Reset, the copy lifecycle's allocation pin, and the
-// rule that a record whose finish event is in flight is not reused.
+// Tests of what a placed copy costs a worker and where it runs: the
+// engine clock's Reset, the copy lifecycle's allocation pin, and the
+// worker's slots as its copy records, free the moment a copy ends.
 
 import (
 	"slices"
 	"testing"
 	"time"
 
+	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/simulator"
 	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
@@ -90,7 +91,7 @@ func (r *copyRig) place(reserve *wire.Reserve, assign *wire.Assign) uint64 {
 	}
 	assign.JobID, assign.Seq = reserve.JobID, r.w.out.offer.Seq
 	r.w.handle(envelope{from: from, msg: assign})
-	if r.w.running[assign.Seq] == nil {
+	if r.w.copyBySeq(assign.Seq) == nil {
 		r.t.Fatalf("the assign for offer %d placed no copy", assign.Seq)
 	}
 	return assign.Seq
@@ -99,7 +100,7 @@ func (r *copyRig) place(reserve *wire.Reserve, assign *wire.Assign) uint64 {
 // fire fires the timer of the copy running under seq: its finish event
 // is posted to the worker's inbox, not run.
 func (r *copyRig) fire(seq uint64) {
-	r.w.running[seq].timer.t.(*stillTimer).fire()
+	r.w.copyBySeq(seq).timer.t.(*stillTimer).fire()
 }
 
 // stepPosted runs the oldest event a timer posted to the worker.
@@ -115,8 +116,8 @@ func (r *copyRig) stepPosted() {
 
 // TestCopyLifecycleAllocatesNothing pins a placed copy's whole life on a
 // worker — the Assign handled, the copy placed, its timer fired, the
-// finish event stepped, the TaskDone sent — at zero allocations once the
-// worker holds a spare record.
+// finish event stepped, the TaskDone sent — at zero allocations once its
+// slot's timer has been armed once.
 func TestCopyLifecycleAllocatesNothing(t *testing.T) {
 	r := newCopyRig(t)
 	reserve := &wire.Reserve{JobID: 5, SchedulerID: 0, VirtualSize: 3, RemTasks: 1}
@@ -125,9 +126,9 @@ func TestCopyLifecycleAllocatesNothing(t *testing.T) {
 		seq := r.place(reserve, assign)
 		r.fire(seq)
 		r.stepPosted()
-		if r.conn.sent() != wire.TTaskDone || r.w.out.taskDone.Seq != seq || len(r.w.running) != 0 {
-			t.Fatalf("copy %d finished into a %s for %d, %d copies still running",
-				seq, r.conn.sent(), r.w.out.taskDone.Seq, len(r.w.running))
+		if r.conn.sent() != wire.TTaskDone || r.w.out.taskDone.Seq != seq || r.w.freeSlots != 1 {
+			t.Fatalf("copy %d finished into a %s for %d, %d slots free",
+				seq, r.conn.sent(), r.w.out.taskDone.Seq, r.w.freeSlots)
 		}
 	}
 	for i := 0; i < 64; i++ {
@@ -138,22 +139,25 @@ func TestCopyLifecycleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestKilledCopyAfterFireKeepsItsRecord: copy A's timer fires, then a
-// Kill settles A before its finish event runs. Copy B is placed, and
-// then A's finish event arrives. It must find A settled and leave B
-// running: had the Kill put A's record back on the free list, B would
-// run on it and A's event would finish B.
-func TestKilledCopyAfterFireKeepsItsRecord(t *testing.T) {
+// TestKilledCopyAfterFireFreesItsSlot: copy A's timer fires, then a
+// Kill settles A before its finish event runs. A's slot is free at once:
+// copy B is placed on A's record, and then A's finish event arrives. The
+// loop drops it, since the Kill withdrew it, so B keeps running and
+// later finishes into its own TaskDone.
+func TestKilledCopyAfterFireFreesItsSlot(t *testing.T) {
 	r := newCopyRig(t)
 	a := r.place(&wire.Reserve{JobID: 1, SchedulerID: 0, VirtualSize: 1, RemTasks: 1}, &wire.Assign{Duration: 1})
 	r.fire(a)
 	r.w.handle(envelope{from: r.w.scheds[0], msg: &wire.Kill{JobID: 1, Seq: a}})
-	if _, running := r.w.running[a]; running || r.w.freeSlots != 1 {
+	if r.w.copyBySeq(a) != nil || r.w.freeSlots != 1 {
 		t.Fatalf("the Kill left copy %d running (%d free slots)", a, r.w.freeSlots)
 	}
 	b := r.place(&wire.Reserve{JobID: 2, SchedulerID: 0, VirtualSize: 1, RemTasks: 1}, &wire.Assign{Duration: 1})
+	if rc := r.w.copyBySeq(b); rc != &r.w.copies[0] {
+		t.Fatalf("copy %d runs on %p, not on the one slot's record %p", b, rc, &r.w.copies[0])
+	}
 	r.stepPosted() // A's finish event
-	if _, running := r.w.running[b]; !running || r.w.freeSlots != 0 {
+	if r.w.copyBySeq(b) == nil || r.w.freeSlots != 0 {
 		t.Fatalf("copy %d stopped running when killed copy %d's finish event arrived", b, a)
 	}
 	if r.conn.sent() == wire.TTaskDone {
@@ -167,24 +171,39 @@ func TestKilledCopyAfterFireKeepsItsRecord(t *testing.T) {
 }
 
 // TestWorkerCarvesItsCopyRecords: a worker is built with one copy
-// record per slot on its free list, each bound to its finish event, so
-// its first copy in every slot takes a record and builds none.
+// record per slot, and its slots are those records: as many copies as
+// slots run at once, each on a record of its own carved at build, and
+// one more is turned away.
 func TestWorkerCarvesItsCopyRecords(t *testing.T) {
 	const slots = 4
-	w, err := NewWorkerConns(WorkerConfig{ID: 1, Slots: slots, Timers: &stillTimers{}}, []transport.Conn{&discardConn{}})
+	conn := &discardConn{}
+	w, err := NewWorkerConns(WorkerConfig{ID: 1, Slots: slots, Timers: &stillTimers{}}, []transport.Conn{conn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	carved := map[*runningCopy]bool{}
-	for _, rc := range w.spare {
-		carved[rc] = true
+	if len(w.copies) != slots || cap(w.copies) != slots {
+		t.Fatalf("built with %d records (cap %d), want %d", len(w.copies), cap(w.copies), slots)
 	}
-	if len(carved) != slots || cap(w.spare) != slots {
-		t.Fatalf("built with %d records on a list of cap %d, want %d and %d", len(carved), cap(w.spare), slots, slots)
+	// place is the core's Place callback, for the assign in curReply.
+	place := func(seq uint64) bool {
+		w.curReply.seq, w.curReply.from, w.curReply.msg = seq, w.scheds[0], &wire.Assign{JobID: seq, Duration: 1}
+		return w.place(0, protocol.Reply{})
 	}
-	for i := 0; i < slots; i++ {
-		if rc := w.newCopy(); !carved[rc] || rc.timer.ev.fn == nil {
-			t.Fatalf("copy %d got record %p, not one carved at build with its finish event bound", i, rc)
+	used := map[*runningCopy]bool{}
+	for seq := uint64(1); seq <= slots; seq++ {
+		if !place(seq) {
+			t.Fatalf("copy %d was turned away with %d slots free", seq, w.freeSlots)
 		}
+		rc, carved := w.copyBySeq(seq), false
+		for i := range w.copies {
+			carved = carved || rc == &w.copies[i]
+		}
+		if !carved || used[rc] {
+			t.Fatalf("copy %d runs on record %p: carved at build %v, shared with another copy %v", seq, rc, carved, used[rc])
+		}
+		used[rc] = true
+	}
+	if place(slots+1) || conn.sent() != wire.TTaskDone || !w.out.taskDone.Killed {
+		t.Fatalf("a copy past the last slot was not turned away with a killed TaskDone")
 	}
 }

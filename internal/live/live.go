@@ -124,27 +124,64 @@ func (l *loop) wall(virtual float64) time.Duration {
 	return time.Duration(virtual * l.scale * float64(time.Second))
 }
 
-// internalEvent lets timers and other goroutines run closures on the loop
-// goroutine; it never crosses the wire.
+// event is what a node posts to its own loop: a closure or a timer's
+// firing. It never crosses the wire.
+type event interface{ run() }
+
+// internalEvent lets other goroutines run closures on the loop goroutine.
 type internalEvent struct{ fn func() }
 
-// loopTimer is one of a node's timers and the event it posts to the
-// node's inbox when it fires. Its owner binds ev.fn once, when it builds
-// the timer's record; arm builds t on the first arm and re-arms it after
-// that, so a recurring timer allocates nothing past its first arm.
+func (e *internalEvent) run() { e.fn() }
+
+// loopTimer is one of a node's timers: a protocol.Timer whose firing
+// posts the loopTimer to the node's inbox, and the callback fn the loop
+// then runs. Its owner sets fn once, when it builds the timer's record;
+// arm builds t on the first arm and re-arms it after that, so a
+// recurring timer allocates nothing past its first arm.
+//
+// Cancellation is exact: fn runs once per arm neither cancelled nor
+// superseded, never for a firing that cancel or arm withdrew on its way
+// to the inbox. armed says an arm is outstanding (not withdrawn, not
+// run); stale counts the withdrawn firings still in flight.
 type loopTimer struct {
-	t  protocol.Timer
-	ev internalEvent
+	t     protocol.Timer
+	fn    func()
+	armed bool
+	stale int
 }
 
-// arm arms lt to post its event after d (Timer.Reset's contract: a
-// firing already on its way is not withdrawn).
+// arm arms lt to run fn after d, superseding the outstanding arm, if
+// any; a superseded arm that has fired leaves a stale firing in flight.
 func (l *loop) arm(lt *loopTimer, d time.Duration) {
 	if lt.t == nil {
-		lt.t = l.timers.AfterFunc(d, func() { l.post(&lt.ev, nil) })
+		lt.t = l.timers.AfterFunc(d, func() { l.post(lt, nil) })
+	} else if !lt.t.Reset(d) && lt.armed {
+		lt.stale++
+	}
+	lt.armed = true
+}
+
+// cancel withdraws lt's outstanding arm, if any. A fired timer cannot be
+// stopped, so its firing is in flight, and counted stale.
+func (l *loop) cancel(lt *loopTimer) {
+	if lt.armed && !lt.t.Stop() {
+		lt.stale++
+	}
+	lt.armed = false
+}
+
+// run is a firing of lt reaching the loop: a stale one is dropped. A
+// withdrawn arm's firing was posted before any later arm's. Where
+// firings race to the inbox (WallTimers runs each callback on its own
+// goroutine), they are alike, so dropping by count still runs fn once,
+// after the surviving arm's deadline.
+func (lt *loopTimer) run() {
+	if lt.stale > 0 {
+		lt.stale--
 		return
 	}
-	lt.t.Reset(d)
+	lt.armed = false
+	lt.fn()
 }
 
 // run is a node's goroutine: it steps every inbox entry through the node

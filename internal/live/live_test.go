@@ -2,7 +2,9 @@ package live
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,9 +21,9 @@ import (
 // discarding other jobs' completions. A draining scheduler fails its jobs
 // instead of dropping them: check JobComplete.Aborted. On timeout c is
 // closed, since its reader is still blocked in Recv.
-func waitJob(c *Client, id uint64, timeout time.Duration) (*wire.JobComplete, error) {
+func waitJob(c *Client, id uint64, timeout time.Duration) (wire.JobComplete, error) {
 	type result struct {
-		jc  *wire.JobComplete
+		jc  wire.JobComplete
 		err error
 	}
 	got := make(chan result, 1)
@@ -39,7 +41,7 @@ func waitJob(c *Client, id uint64, timeout time.Duration) (*wire.JobComplete, er
 		return r.jc, r.err
 	case <-time.After(timeout):
 		c.Close()
-		return nil, fmt.Errorf("timeout waiting for job %d (connection closed)", id)
+		return wire.JobComplete{}, fmt.Errorf("timeout waiting for job %d (connection closed)", id)
 	}
 }
 
@@ -97,7 +99,7 @@ func TestLiveMultiJobMultiScheduler(t *testing.T) {
 	}
 	got := 0
 	deadline := time.After(60 * time.Second)
-	results := make(chan *wire.JobComplete, jobs)
+	results := make(chan wire.JobComplete, jobs)
 	for ci, c := range clients {
 		mine := 0
 		for i := 0; i < jobs; i++ {
@@ -297,6 +299,59 @@ func TestSchedulerDrainFailsPendingJobs(t *testing.T) {
 	}
 	if !jc.Aborted || jc.Error == "" {
 		t.Fatalf("drain completion not marked aborted: %+v", jc)
+	}
+}
+
+// drainLog is a client link that records, in one log shared by every
+// job's link, the job each aborted completion names and each close.
+type drainLog struct {
+	transport.Conn
+	job uint64
+	log *[]string
+}
+
+func (d *drainLog) Send(m wire.Message) error {
+	if jc, ok := m.(*wire.JobComplete); ok && jc.Aborted {
+		*d.log = append(*d.log, fmt.Sprint("abort ", jc.JobID))
+	}
+	return nil
+}
+func (d *drainLog) Close() error {
+	*d.log = append(*d.log, fmt.Sprint("close ", d.job))
+	return nil
+}
+func (d *drainLog) RemoteAddr() string { return "drain log" }
+
+// TestSchedulerDrainsJobsInIDOrder: a scheduler stopped with 24 jobs
+// admitted, each from a client link of its own, fails them in ascending
+// job ID, and a killed one closes their links in that order, whatever
+// order its job map walks in.
+func TestSchedulerDrainsJobsInIDOrder(t *testing.T) {
+	const jobs = 24
+	for _, kill := range []bool{false, true} {
+		s, err := NewScheduler(SchedulerConfig{Timers: &stillTimers{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log, want []string
+		s.handle(envelope{from: &peer{conn: &drainLog{log: new([]string)}}, msg: &wire.Hello{Role: wire.RoleWorker, ID: 1, Slots: 4}})
+		for _, id := range rand.New(rand.NewSource(1)).Perm(jobs) {
+			s.admit(&peer{conn: &drainLog{job: uint64(id + 1), log: &log}}, SimpleJob(uint64(id+1), "held", 1, 1))
+		}
+		verb := "abort "
+		if kill {
+			verb = "close "
+			s.Kill()
+		} else {
+			s.Stop()
+		}
+		s.drain()
+		for id := 1; id <= jobs; id++ {
+			want = append(want, fmt.Sprint(verb, id))
+		}
+		if !slices.Equal(log, want) {
+			t.Fatalf("kill %v: drained as %v, want %v", kill, log, want)
+		}
 	}
 }
 

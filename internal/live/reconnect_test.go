@@ -23,7 +23,7 @@ func TestReconnectScheduler(t *testing.T) {
 	}
 	s0, w0 := pair()
 	_, w1 := pair()
-	w, err := NewWorkerConns(WorkerConfig{ID: 3, Slots: 4}, []transport.Conn{w0, w1})
+	w, err := NewWorkerConns(WorkerConfig{ID: 3, Slots: 4, Timers: &stillTimers{}}, []transport.Conn{w0, w1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +34,15 @@ func TestReconnectScheduler(t *testing.T) {
 		}
 	})
 	// Copies placed by slot 0 (seqs 7, 2, 4, out of order) and by slot 1.
-	for _, rc := range []*runningCopy{
+	for i, c := range []runningCopy{
 		{seq: 7, sidx: 0, msg: wire.Assign{JobID: 1, TaskIndex: 2, Duration: 50}},
 		{seq: 2, sidx: 0, msg: wire.Assign{JobID: 1, TaskIndex: 0, Duration: 50}},
 		{seq: 5, sidx: 1, msg: wire.Assign{JobID: 2, TaskIndex: 0, Duration: 50}},
 		{seq: 4, sidx: 0, msg: wire.Assign{JobID: 1, Phase: 1, TaskIndex: 0, Speculative: true, Duration: 50}},
 	} {
-		rc.from = w.scheds[rc.sidx]
-		w.running[rc.seq] = rc
+		rc := &w.copies[i]
+		rc.seq, rc.sidx, rc.msg, rc.from = c.seq, c.sidx, c.msg, w.scheds[c.sidx]
+		w.loop.arm(&rc.timer, w.loop.wall(c.msg.Duration))
 	}
 	// reconnect offers slot 0 one end of a new pair and returns both.
 	reconnect := func() (offered, far transport.Conn) {
@@ -86,7 +87,7 @@ func TestReconnectScheduler(t *testing.T) {
 	var seqs []uint64
 	for _, rc := range hello.Running {
 		seqs = append(seqs, rc.Seq)
-		want := w.running[rc.Seq].msg
+		want := w.copyBySeq(rc.Seq).msg
 		if rc.JobID != want.JobID || rc.Phase != want.Phase || rc.TaskIndex != want.TaskIndex ||
 			rc.Speculative != want.Speculative || rc.Remaining <= 0 || rc.Remaining > want.Duration {
 			t.Fatalf("inventory entry %+v does not describe copy %+v", rc, want)
@@ -95,9 +96,9 @@ func TestReconnectScheduler(t *testing.T) {
 	if !slices.Equal(seqs, []uint64{2, 4, 7}) {
 		t.Fatalf("re-registration reports seqs %v, want slot 0's copies in seq order [2 4 7]", seqs)
 	}
-	for seq, rc := range w.running {
+	for _, rc := range w.runningBySeq() {
 		if want := w.scheds[rc.sidx]; rc.from != want {
-			t.Fatalf("copy %d reports to %p, want its slot's connection %p", seq, rc.from, want)
+			t.Fatalf("copy %d reports to %p, want its slot's connection %p", rc.seq, rc.from, want)
 		}
 	}
 }

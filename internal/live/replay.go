@@ -158,9 +158,13 @@ func Drive(clients []*Client, arrivals []Arrival, drain time.Duration) (metrics.
 		index[a.Job.JobID] = i
 	}
 
-	// A collector forwards every completion its client reads, then nil
-	// when the connection ends.
-	results := make(chan *wire.JobComplete)
+	// A collector forwards every completion its client reads, then one
+	// marked closed when the connection ends.
+	type completion struct {
+		wire.JobComplete
+		closed bool
+	}
+	results := make(chan completion)
 	for _, c := range clients {
 		collectors.Add(1)
 		go func(c *Client) {
@@ -168,7 +172,7 @@ func Drive(clients []*Client, arrivals []Arrival, drain time.Duration) (metrics.
 			for {
 				jc, err := c.WaitAny()
 				select {
-				case results <- jc:
+				case results <- completion{jc, err != nil}:
 				case <-stop:
 					return
 				}
@@ -208,7 +212,7 @@ loop:
 				timer.Reset(drain)
 			}
 		case jc := <-results:
-			if jc == nil {
+			if jc.closed {
 				open--
 				continue
 			}

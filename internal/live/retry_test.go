@@ -1,8 +1,9 @@
 package live
 
 // Tests of the worker's one retry timer: a firing already on its way to
-// the loop when its arm is cancelled or superseded never reaches the
-// core, and a steady arm/fire cycle allocates nothing.
+// the loop when the core cancels or supersedes its arm never reaches the
+// core (the loop's rule, TestLoopTimerCancelsExactly, as the worker's
+// exec drives it), and a steady arm/fire cycle allocates nothing.
 
 import (
 	"testing"
@@ -43,7 +44,7 @@ func (r *retryRig) reserve(job uint64) {
 		o := r.w.out.offer
 		r.w.handle(envelope{from: from, msg: &wire.NoTask{JobID: o.JobID, Seq: o.Seq}})
 	}
-	if !r.w.retryArmed {
+	if !r.w.retry.armed {
 		r.t.Fatalf("no retry armed after job %d's round", job)
 	}
 }
@@ -82,8 +83,8 @@ func TestStaleRetryFiringNeverReachesTheCore(t *testing.T) {
 	r.wantReached("fired, then cancelled by a reservation and re-armed", false)
 	r.fire()
 	r.wantReached("the round's re-arm firing", true)
-	if r.w.retryStale != 0 {
-		t.Fatalf("%d stale firings still expected", r.w.retryStale)
+	if r.w.retry.stale != 0 {
+		t.Fatalf("%d stale firings still expected", r.w.retry.stale)
 	}
 }
 

@@ -172,11 +172,10 @@ type Scheduler struct {
 	pendingAdmit  []pendingSubmit
 	pendingProbes []protocol.Probe
 
-	// tickerOn says the maintenance tick is armed or its event is in
-	// flight; ticks counts the ticks since ensureTicker last started it.
-	tickerOn bool
-	ticks    int
-	ticker   loopTimer
+	// ticker is the maintenance tick, armed while the scheduler holds
+	// jobs; ticks counts the ticks since ensureTicker last started it.
+	ticks  int
+	ticker loopTimer
 
 	// spareProbeSent holds the cleared probeSent maps of finished jobs,
 	// for the next jobs to stamp their probes in.
@@ -260,7 +259,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		pendingRecon: make(map[uint64][]pendingRecon),
 		durations:    cluster.NewCopySource(cfg.Seed),
 	}
-	s.ticker.ev.fn = s.tick
+	s.ticker.fn = s.tick
 	s.model = cluster.DefaultExecModel()
 	s.model.Beta = cfg.Beta
 	s.killLoser = func(c *cluster.Copy) {
@@ -489,34 +488,31 @@ func (s *Scheduler) Kill() {
 
 // drain fails every still-pending job with an explicit aborted
 // JobComplete — the client learns its fate instead of watching a
-// connection die mid-round — then closes worker connections, in ID
-// order so that a crash on a simulated clock replays. After a Kill it
-// skips the notifications and just severs everything.
+// connection die mid-round — then closes worker connections. Jobs and
+// workers go in ID order, so that a crash on a simulated clock replays.
+// After a Kill it skips the notifications and just severs everything.
 func (s *Scheduler) drain() {
-	if s.abrupt.Load() {
-		for _, j := range s.jobs {
-			if j.client != nil {
-				j.client.conn.Close()
-			}
+	abrupt := s.abrupt.Load()
+	fail := func(client *peer, id uint64, reason string) {
+		if abrupt {
+			client.conn.Close()
+		} else {
+			s.rejectJob(client, id, reason)
 		}
-		for _, ps := range s.pendingAdmit {
-			if ps.from != nil {
-				ps.from.conn.Close()
-			}
-		}
-		for _, id := range s.workerIDs {
-			s.workers[uint32(id)].conn.Close()
-		}
-		return
 	}
-	for id, j := range s.jobs {
-		if j.client != nil {
-			s.rejectJob(j.client, id, fmt.Sprintf("scheduler %d shutting down", s.cfg.ID))
+	ids := make([]uint64, 0, len(s.jobs))
+	for id := range s.jobs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if j := s.jobs[id]; j.client != nil {
+			fail(j.client, id, fmt.Sprintf("scheduler %d shutting down", s.cfg.ID))
 		}
 	}
 	for _, ps := range s.pendingAdmit {
 		if ps.from != nil {
-			s.rejectJob(ps.from, ps.msg.JobID, fmt.Sprintf("scheduler %d shutting down before any worker registered", s.cfg.ID))
+			fail(ps.from, ps.msg.JobID, fmt.Sprintf("scheduler %d shutting down before any worker registered", s.cfg.ID))
 		}
 	}
 	for _, id := range s.workerIDs {
@@ -620,8 +616,8 @@ func (s *Scheduler) handle(env envelope) (kept bool) {
 			return
 		}
 		s.onTaskDone(m)
-	case *internalEvent:
-		m.fn()
+	case event:
+		m.run()
 	}
 	return false
 }
@@ -941,14 +937,12 @@ func (s *Scheduler) probeSentMap() map[uint32]time.Time {
 
 // ensureTicker arms the periodic maintenance tick: the speculation scan
 // every period (when speculation is on) and the stalled-task
-// reservation refresh every reprobeEvery periods. The tick is re-armed
-// only from its own event (tick), so a stale firing is never in flight
-// when the timer is reset.
+// reservation refresh every reprobeEvery periods. Once started, the
+// tick re-arms itself (tick) until the scheduler holds no jobs.
 func (s *Scheduler) ensureTicker() {
-	if s.tickerOn {
+	if s.ticker.armed {
 		return
 	}
-	s.tickerOn = true
 	s.ticks = 0
 	s.loop.arm(&s.ticker, s.loop.wall(s.cfg.CheckInterval))
 }
@@ -957,7 +951,6 @@ func (s *Scheduler) ensureTicker() {
 // the scheduler holds jobs.
 func (s *Scheduler) tick() {
 	if !s.core.HasJobs() {
-		s.tickerOn = false
 		return
 	}
 	if s.core.NeedsTicker() {
@@ -1134,7 +1127,7 @@ func (s *Scheduler) scheduleUnlock(at simulator.Time, fire func()) {
 		u.fire = fire
 	} else {
 		u = &unlockWait{fire: fire}
-		u.timer.ev.fn = func() { s.unlockDue(u) }
+		u.timer.fn = func() { s.unlockDue(u) }
 	}
 	s.loop.arm(&u.timer, s.loop.wall(delay))
 }

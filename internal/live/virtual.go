@@ -700,7 +700,7 @@ func (c *VirtualCluster) resubmit() {
 func (c *VirtualCluster) reattach() {
 	c.inventory = make(map[taskKey]int)
 	for wi, w := range c.workers {
-		for _, rc := range w.running {
+		for _, rc := range w.runningBySeq() {
 			if rc.sidx == 0 {
 				c.inventory[taskKey{rc.msg.JobID, rc.msg.Phase, rc.msg.TaskIndex}]++
 			}
@@ -797,9 +797,9 @@ func (c *VirtualCluster) Check() error {
 		return fmt.Errorf("%d replies for %d delivered, answerable offers (%d sent)", replies, c.answerable, c.sent(false, wire.TOffer))
 	}
 	for _, w := range c.workers {
-		if w.freeSlots != w.cfg.Slots || len(w.running) != 0 || w.core.OffersOut() != 0 {
+		if running := len(w.runningBySeq()); w.freeSlots != w.cfg.Slots || running != 0 || w.core.OffersOut() != 0 {
 			return fmt.Errorf("worker %d ends with %d of %d slots free, %d copies running, %d offers pending",
-				w.cfg.ID, w.freeSlots, w.cfg.Slots, len(w.running), w.core.OffersOut())
+				w.cfg.ID, w.freeSlots, w.cfg.Slots, running, w.core.OffersOut())
 		}
 	}
 	for _, s := range c.scheds {

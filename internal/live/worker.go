@@ -1,11 +1,11 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
 	"log"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
@@ -72,14 +72,13 @@ const defaultOfferTimeout = 5.0
 // against a scheduler restart, long against a loopback dial's cost.
 const redialInterval = 50 * time.Millisecond
 
-// runningCopy is one emulated in-flight copy on this worker. sidx is
-// the dial-order slot of the scheduler that placed it (for re-pointing
-// the completion report after a reconnect) and startedVirt the virtual
-// start time (for computing Remaining in a re-registration Hello).
-//
-// A record outlives its copy: the worker carves one per slot when it is
-// built and recycles them through its free list (newCopy, freeCopy), and
-// a record's timer, which runs copyFinished on the loop, with it.
+// runningCopy is one of the worker's slots and the copy emulated on it:
+// its assign seq, the dial-order slot sidx of the scheduler that placed
+// it (to re-point the report after a reconnect) and its virtual start
+// (for Remaining in a re-registration Hello). The worker carves one per
+// slot at build. A record is busy exactly while its timer is armed, from
+// place until copyFinished, a Kill or drain: free the moment its copy
+// ends, since the loop drops a withdrawn finish firing.
 type runningCopy struct {
 	seq         uint64
 	msg         wire.Assign
@@ -88,6 +87,8 @@ type runningCopy struct {
 	startedVirt float64
 	timer       loopTimer
 }
+
+func (rc *runningCopy) busy() bool { return rc.timer.armed }
 
 // Worker is a live worker node: a thin adapter feeding a protocol.Worker
 // core from real connections. It queues reservations, late-binds free
@@ -107,18 +108,11 @@ type Worker struct {
 	schedByID map[protocol.SchedID]*peer
 	idByPeer  map[*peer]protocol.SchedID
 	freeSlots int
-	running   map[uint64]*runningCopy // by assign seq
-	spare     []*runningCopy          // copy records free for reuse (freeCopy)
+	copies    []runningCopy // one per slot
 
-	// retry is the one backoff-retry timer, which runs retryFired.
-	// retryArmed says an arm is outstanding (armed, and neither cancelled
-	// nor consumed by retryFired). retryStale counts firings in flight
-	// that the loop drops: a timer that has fired cannot be stopped, so a
-	// cancel or re-arm that finds it fired leaves one event on its way
-	// that the core must never see.
-	retry      loopTimer
-	retryArmed bool
-	retryStale int
+	// retry is the one backoff-retry timer, armed and cancelled as the
+	// core asks (exec); it runs the core's RetryFired.
+	retry loopTimer
 
 	// parked holds the reservation inventory DropSched discarded per
 	// dial-order slot, reported to the scheduler on reconnect (the
@@ -187,18 +181,14 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 		schedByID: make(map[protocol.SchedID]*peer),
 		idByPeer:  make(map[*peer]protocol.SchedID),
 		freeSlots: cfg.Slots,
-		running:   make(map[uint64]*runningCopy),
+		copies:    make([]runningCopy, cfg.Slots),
 		parked:    make(map[int][]protocol.LostReservation),
 	}
-	w.offerTimer.ev.fn = w.offerTimerFired
-	w.retry.ev.fn = w.retryFired
-	// One record per slot, carved here: a worker's copies never
-	// allocate, save for the rare record that is busy past its slot (a
-	// copy killed with its finish event in flight, its slot refilled).
-	recs := make([]runningCopy, cfg.Slots)
-	w.spare = make([]*runningCopy, cfg.Slots)
-	for i := range recs {
-		w.spare[i] = w.bindCopy(&recs[i])
+	w.offerTimer.fn = w.offerTimerFired
+	w.retry.fn = func() { w.exec(w.core.RetryFired()) }
+	for i := range w.copies {
+		rc := &w.copies[i]
+		rc.timer.fn = func() { w.copyFinished(rc) }
 	}
 	pcfg := protocol.Config{Mode: cfg.Mode, RetryJitter: defaultRetryJitter}.WithDefaults()
 	// No Pool: the core runs on this worker's handler loop alone, so it
@@ -359,16 +349,12 @@ func (w *Worker) attachSched(idx int, p *peer) {
 	}
 	hello := w.helloMsg()
 	now := w.loop.now()
-	var mine []*runningCopy
-	for _, rc := range w.running {
-		if rc.sidx == idx {
-			mine = append(mine, rc)
-		}
-	}
 	// Deterministic inventory order: the scheduler rebuilds copies in
 	// Hello order, and tests pin that.
-	sort.Slice(mine, func(i, j int) bool { return mine[i].seq < mine[j].seq })
-	for _, rc := range mine {
+	for _, rc := range w.runningBySeq() {
+		if rc.sidx != idx {
+			continue
+		}
 		rc.from = p // completion report goes to the new instance
 		rem := rc.msg.Duration - (now - rc.startedVirt)
 		if rem < 0 {
@@ -409,22 +395,15 @@ func (w *Worker) Stop() {
 // drain kills every emulated copy, reporting each to its scheduler, then
 // closes the connections.
 func (w *Worker) drain() {
-	seqs := make([]uint64, 0, len(w.running))
-	for seq := range w.running {
-		seqs = append(seqs, seq)
-	}
-	slices.Sort(seqs) // report in placement order, not map order
-	for _, seq := range seqs {
-		rc := w.running[seq]
+	for _, rc := range w.runningBySeq() {
 		w.sendTaskDone(rc.from, wire.TaskDone{
 			JobID:     rc.msg.JobID,
-			Seq:       seq,
+			Seq:       rc.seq,
 			Phase:     rc.msg.Phase,
 			TaskIndex: rc.msg.TaskIndex,
 			Killed:    true,
 		})
-		delete(w.running, seq)
-		w.stopCopy(rc)
+		w.loop.cancel(&rc.timer)
 	}
 	for _, p := range w.scheds {
 		if p != nil {
@@ -460,8 +439,8 @@ func (w *Worker) handle(env envelope) {
 		w.onReply(env.from, env.msg.(wire.Message))
 	case *wire.Kill:
 		w.onKill(m)
-	case *internalEvent:
-		m.fn()
+	case event:
+		m.run()
 	}
 }
 
@@ -519,7 +498,7 @@ func (w *Worker) onReply(from *peer, m wire.Message) {
 	// requeues instead of waiting on a report that will never come. A
 	// duplicate of an assign that DID start is dropped silently — the
 	// single running copy will report once.
-	if _, started := w.running[seq]; !started {
+	if w.copyBySeq(seq) == nil {
 		w.stats.StaleAssigns++
 		w.sendTaskDone(from, wire.TaskDone{
 			JobID: a.JobID, Seq: seq, Phase: a.Phase, TaskIndex: a.TaskIndex, Killed: true,
@@ -572,7 +551,10 @@ func (w *Worker) place(from protocol.SchedID, rep protocol.Reply) bool {
 		return false
 	}
 	w.freeSlots--
-	rc := w.newCopy()
+	rc := &w.copies[0]
+	for i := 1; rc.busy(); i++ { // a slot is free, so a record is
+		rc = &w.copies[i]
+	}
 	rc.seq, rc.msg, rc.from = w.curReply.seq, *a, w.curReply.from
 	rc.sidx, rc.startedVirt = -1, w.loop.now()
 	for i, sp := range w.scheds {
@@ -580,55 +562,12 @@ func (w *Worker) place(from protocol.SchedID, rep protocol.Reply) bool {
 			rc.sidx = i
 		}
 	}
-	w.running[rc.seq] = rc
 	w.loop.arm(&rc.timer, w.loop.wall(a.Duration))
 	return true
 }
 
-// newCopy takes a copy record off the free list, or builds one.
-func (w *Worker) newCopy() *runningCopy {
-	if n := len(w.spare); n > 0 {
-		rc := w.spare[n-1]
-		w.spare[n-1] = nil
-		w.spare = w.spare[:n-1]
-		return rc
-	}
-	return w.bindCopy(&runningCopy{})
-}
-
-// bindCopy binds a new record's finish event to it.
-func (w *Worker) bindCopy(rc *runningCopy) *runningCopy {
-	rc.timer.ev.fn = func() { w.copyFinished(rc) }
-	return rc
-}
-
-// freeCopy puts a record back on the free list. Only a record nothing
-// can still deliver for goes there: its timer stopped before it fired,
-// or its finish event has reached copyFinished. A record recycled while
-// its finish event was in flight would finish whatever copy was placed
-// on it next.
-func (w *Worker) freeCopy(rc *runningCopy) {
-	w.spare = append(w.spare, rc)
-}
-
-// stopCopy stops the timer of a copy that has left w.running. If the
-// timer had already fired, its finish event is on its way to the loop
-// and copyFinished recycles the record when it arrives.
-func (w *Worker) stopCopy(rc *runningCopy) {
-	if rc.timer.t.Stop() {
-		w.freeCopy(rc)
-	}
-}
-
 // copyFinished reports a completed copy and restarts negotiation.
 func (w *Worker) copyFinished(rc *runningCopy) {
-	if w.running[rc.seq] != rc {
-		// Killed after its timer fired: the copy was settled then, and
-		// this was the record's last outstanding event.
-		w.freeCopy(rc)
-		return
-	}
-	delete(w.running, rc.seq)
 	w.freeSlots++
 	w.sendTaskDone(rc.from, wire.TaskDone{
 		JobID:     rc.msg.JobID,
@@ -637,52 +576,43 @@ func (w *Worker) copyFinished(rc *runningCopy) {
 		TaskIndex: rc.msg.TaskIndex,
 		Duration:  rc.msg.Duration,
 	})
-	w.freeCopy(rc)
 	w.exec(w.core.Kick())
 }
 
 // onKill stops a racing copy early: the scheduler settled the race and
 // expects no report for this copy.
 func (w *Worker) onKill(m *wire.Kill) {
-	rc := w.running[m.Seq]
+	rc := w.copyBySeq(m.Seq)
 	if rc == nil {
 		return // already finished; our TaskDone crossed the Kill
 	}
-	delete(w.running, m.Seq)
-	w.stopCopy(rc)
+	w.loop.cancel(&rc.timer)
 	w.freeSlots++
 	w.exec(w.core.Kick())
 }
 
-// armRetry arms the retry timer to fire after d, superseding the
-// outstanding arm if there is one.
-func (w *Worker) armRetry(d time.Duration) {
-	w.cancelRetry()
-	w.loop.arm(&w.retry, d)
-	w.retryArmed = true
+// copyBySeq returns the copy running under assign seq, or nil.
+func (w *Worker) copyBySeq(seq uint64) *runningCopy {
+	for i := range w.copies {
+		if rc := &w.copies[i]; rc.busy() && rc.seq == seq {
+			return rc
+		}
+	}
+	return nil
 }
 
-// cancelRetry withdraws the outstanding arm, if there is one.
-func (w *Worker) cancelRetry() {
-	if w.retryArmed && !w.retry.t.Stop() {
-		w.retryStale++
+// runningBySeq returns the running copies in placement (seq) order, not
+// slot order: the order drain reports them in and a re-registration
+// Hello lists them in.
+func (w *Worker) runningBySeq() []*runningCopy {
+	var out []*runningCopy
+	for i := range w.copies {
+		if rc := &w.copies[i]; rc.busy() {
+			out = append(out, rc)
+		}
 	}
-	w.retryArmed = false
-}
-
-// retryFired runs on the loop for every firing of the retry timer. A
-// firing whose arm was cancelled or superseded after it fired is
-// dropped: delivered to the core, it would clear the core's armed flag
-// while a newer arm is pending, and timers would multiply. Every firing
-// posts one event and the stale ones are counted, so which of two
-// firings in flight is dropped does not matter.
-func (w *Worker) retryFired() {
-	if w.retryStale > 0 {
-		w.retryStale--
-		return
-	}
-	w.retryArmed = false
-	w.exec(w.core.RetryFired())
+	slices.SortFunc(out, func(a, b *runningCopy) int { return cmp.Compare(a.seq, b.seq) })
+	return out
 }
 
 // exec realizes a core action list: offers become frames carrying the
@@ -716,9 +646,9 @@ func (w *Worker) exec(acts []protocol.WAction) {
 				w.loop.arm(&w.offerTimer, w.loop.wall(defaultOfferTimeout))
 			}
 		case protocol.WArmRetry:
-			w.armRetry(w.loop.wall(a.Delay))
+			w.loop.arm(&w.retry, w.loop.wall(a.Delay))
 		case protocol.WCancelRetry:
-			w.cancelRetry()
+			w.loop.cancel(&w.retry)
 		}
 	}
 	// Only now: the core's pool reuses acts on re-entry.

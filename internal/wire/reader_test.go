@@ -271,7 +271,7 @@ func TestReleaseZeroes(t *testing.T) {
 
 // recycledTypes is the set of types the free list holds.
 var recycledTypes = map[MsgType]bool{
-	TSubmitJob: true, TReserve: true, TOffer: true, TAssign: true, TRefuse: true, TNoTask: true, TTaskDone: true, TKill: true,
+	TSubmitJob: true, TJobComplete: true, TReserve: true, TOffer: true, TAssign: true, TRefuse: true, TNoTask: true, TTaskDone: true, TKill: true,
 }
 
 func BenchmarkReaderReserve(b *testing.B) {

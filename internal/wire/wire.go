@@ -20,8 +20,9 @@
 // header, the payload scratch and the cursor and fills the seven
 // fixed-size message types (Reserve, Offer, Assign, Refuse, NoTask,
 // TaskDone, Kill) from a free list: reading one of those allocates
-// nothing once the list is warm. SubmitJob is on the list as well, with
-// the storage of the submission it last held. Decode is the one-shot
+// nothing once the list is warm. JobComplete is on the list as well
+// (its Error string is still allocated), and SubmitJob, with the
+// storage of the submission it last held. Decode is the one-shot
 // entry and always allocates its message.
 //
 // Who owns a decoded message: whoever Read or Decode returned it to, for
@@ -379,11 +380,11 @@ func decodePayload(m Message, rd *reader) error {
 // free holds released messages by type tag: the seven fixed-size types,
 // which are the per-frame traffic of a running cluster (probes, offers,
 // replies, completion reports) and hold no references, so a recycled one
-// needs no more than zeroing; and SubmitJob, whose phases, deps and
-// replica groups a live scheduler would otherwise allocate for every
-// job, and which keeps that storage for the next decode. JobComplete
-// and Hello are rare, or sent rather than received; they are always
-// allocated.
+// needs no more than zeroing; JobComplete, which a client reads once a
+// job and copies out (live.Client.WaitAny); and SubmitJob, whose phases,
+// deps and replica groups a live scheduler would otherwise allocate for
+// every job, and which keeps that storage for the next decode. Hello is
+// rare; it is always allocated.
 var free [TKill + 1]sync.Pool
 
 // recycled returns a zeroed message of type t from the free list, or nil
@@ -413,6 +414,8 @@ func Release(m Message) {
 	switch v := m.(type) {
 	case *SubmitJob:
 		*v = SubmitJob{Phases: v.Phases[:0]}
+	case *JobComplete:
+		*v = JobComplete{}
 	case *Reserve:
 		*v = Reserve{}
 	case *Offer:
