@@ -825,6 +825,7 @@ var retired = map[string][]string{
 	"PR 46: the experiment registry is the one list of drivers":                           {"ScenarioByID", "registerScenario", "printScenarios"},
 	"a live node's clock, timers and pump are its loop's":                                 {"tickWall", "tickerEv", "offerTimerFn", "offerTimerEv", "armOfferTimer"},
 	"a node timer cancels exactly in its loop; a worker's slots are its copy records":     {"retryStale", "armRetry", "cancelRetry", "retryFired", "bindCopy", "freeCopy", "stopCopy"},
+	"a node's inbox is a FIFO its loop owns, and only its readers wait":                   {"inbox"},
 }
 
 // revived returns one key (dir/file.go:line: Name, retired by ...) per

@@ -215,12 +215,11 @@ func TestBufferedSubmissionOutlivesItsStep(t *testing.T) {
 // stepInbox runs the oldest entry a timer posted to a node's inbox.
 func stepInbox(t *testing.T, l *loop, step func(envelope)) {
 	t.Helper()
-	select {
-	case env := <-l.inbox:
-		step(env)
-	default:
+	env, ok := l.pop()
+	if !ok {
 		t.Fatal("no event waiting in the inbox")
 	}
+	step(env)
 }
 
 // TestUnlockWaitsAreRecycled: a transfer-gated wakeup waits on a

@@ -106,12 +106,11 @@ func (r *copyRig) fire(seq uint64) {
 // stepPosted runs the oldest event a timer posted to the worker.
 func (r *copyRig) stepPosted() {
 	r.t.Helper()
-	select {
-	case env := <-r.w.loop.inbox:
-		r.w.step(env)
-	default:
+	env, ok := r.w.loop.pop()
+	if !ok {
 		r.t.Fatal("no event waiting in the worker's inbox")
 	}
+	r.w.step(env)
 }
 
 // TestCopyLifecycleAllocatesNothing pins a placed copy's whole life on a

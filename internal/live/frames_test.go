@@ -137,12 +137,7 @@ func (r *offerRig) reserve(job uint64) {
 // runs it.
 func (r *offerRig) step() {
 	r.t.Helper()
-	select {
-	case env := <-r.w.loop.inbox:
-		r.turn(env)
-	case <-time.After(5 * rigOfferWait):
-		r.t.Fatal("no timer event reached the worker loop")
-	}
+	r.turn(waitPop(r.t, r.w.loop, 5*rigOfferWait))
 }
 
 // offerTimer is the worker's offer timer's arms so far and arms pending.
@@ -366,7 +361,7 @@ func TestHandledFrameIsReleased(t *testing.T) {
 	go w.Run()
 	defer w.Stop()
 	kept := &wire.Reserve{JobID: 9, SchedulerID: 0, VirtualSize: 2, RemTasks: 1}
-	w.loop.inbox <- envelope{from: w.scheds[0], msg: kept}
+	w.loop.deliver(envelope{from: w.scheds[0], msg: kept})
 	if st := w.Stats(); st.RoundsStarted != 1 { // also orders the loop's writes before our read
 		t.Fatalf("the reservation started %d rounds, want 1", st.RoundsStarted)
 	}

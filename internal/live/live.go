@@ -66,10 +66,34 @@ type peer struct {
 // loop is a node's chassis: its inbox and the one goroutine that handles
 // every entry of it, its clock, and the timers that post back into the
 // inbox.
+//
+// The inbox is a FIFO the loop owns. A poster appends to queue under mu
+// and, when the queue was empty, wakes the loop through wake's one slot;
+// the loop takes the whole queue at once, swapping it for the batch it
+// has just stepped, so two buffers carved at build serve every turn and
+// grow only with the backlog. Only reader goroutines ever wait, for room
+// for their frames (see inboxDepth); the node's own posts never do.
 type loop struct {
-	inbox chan envelope
-	done  chan struct{}
-	once  sync.Once
+	mu     sync.Mutex
+	queue  []envelope    // posted, not yet taken
+	frames int           // reader frames in queue
+	closed bool          // stop ran: posts are dropped, readers released
+	wake   chan struct{} // one slot: queue went from empty to not
+
+	// room is where readers wait at the bound (its L is &mu): waiting of
+	// them, owed of whom a take has kept a slot for, so that a reader
+	// that never had to wait cannot starve one that did.
+	room    sync.Cond
+	waiting int
+	owed    int
+
+	// taken is the batch the loop is stepping, taken[next:] what is left
+	// of it. Only the goroutine stepping the node touches them.
+	taken []envelope
+	next  int
+
+	done chan struct{}
+	once sync.Once
 
 	logger *log.Logger
 
@@ -80,17 +104,22 @@ type loop struct {
 	scale  float64
 }
 
-// inboxDepth is how many entries a node's inbox holds before a poster
-// blocks. At 24 bytes a slot it is most of what a booted node costs:
-// 4.9 MB of a 200-worker cluster's boot (heap profile over 25 boots of
-// live-openloop's cluster), and since the slots hold pointers every GC
-// scans them. It is not smaller because two posters must rarely block:
-// a node's readers keep draining its sockets into it while its loop is
-// blocked in a Send on a full outbox, and the wheel shared by a whole
-// process posts every node's timer events into it from one goroutine,
-// so one full inbox stalls every timer behind it. A smaller depth
-// wants a measured bound on both bursts first.
+// inboxDepth is how many frames a node's readers may have queued and not
+// yet taken by its loop before a reader waits for the loop to take them.
+// It bounds one burst only, that of the sockets: readers keep draining
+// them while the loop is blocked in a Send on a full outbox, and waiting
+// here pushes back on the peers through TCP. Nothing else waits for the
+// loop. The node's own posts (timer firings, onLoop reads, attaches)
+// are appended whatever the backlog, because the wheel a whole process
+// shares posts every node's firings from its one goroutine, and one
+// node's backlog must not stall every timer behind it. Memory follows
+// the backlog: the two buffers carved at build hold inboxCarve entries
+// each, and an inbox grows past that only to the largest batch it has
+// queued.
 const inboxDepth = 1024
+
+// inboxCarve is the room each of a loop's two buffers is carved with.
+const inboxCarve = 8
 
 // newLoop builds a node's loop on timers (nil uses protocol.WallTimers)
 // at time scale scale (0 reads as 1).
@@ -101,14 +130,19 @@ func newLoop(logger *log.Logger, timers protocol.TimerService, scale float64) *l
 	if scale == 0 {
 		scale = 1
 	}
-	return &loop{
-		inbox:  make(chan envelope, inboxDepth),
+	buf := make([]envelope, 2*inboxCarve)
+	l := &loop{
+		queue:  buf[:0:inboxCarve],
+		taken:  buf[inboxCarve:inboxCarve],
+		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 		logger: logger,
 		timers: timers,
 		start:  timers.Now(),
 		scale:  scale,
 	}
+	l.room.L = &l.mu
+	return l
 }
 
 // now is the node's virtual clock: seconds on its timers' clock since
@@ -154,7 +188,7 @@ type loopTimer struct {
 // any; a superseded arm that has fired leaves a stale firing in flight.
 func (l *loop) arm(lt *loopTimer, d time.Duration) {
 	if lt.t == nil {
-		lt.t = l.timers.AfterFunc(d, func() { l.post(lt, nil) })
+		lt.t = l.timers.AfterFunc(d, func() { l.post(lt) })
 	} else if !lt.t.Reset(d) && lt.armed {
 		lt.stale++
 	}
@@ -185,18 +219,67 @@ func (lt *loopTimer) run() {
 }
 
 // run is a node's goroutine: it steps every inbox entry through the node
-// until stop, then runs drain and returns. A harness that owns the clock
-// can call the node's step itself instead, and the node behaves the same.
+// until stop, then runs drain and returns. It checks done before each
+// entry, so a stopped node steps nothing more. A harness that owns the
+// clock can take entries (pop) and call the node's step itself instead,
+// and the node behaves the same.
 func (l *loop) run(step func(envelope), drain func()) {
 	for {
+		env, ok := l.pop()
+		if !ok {
+			select {
+			case <-l.done:
+				drain()
+				return
+			case <-l.wake:
+			}
+			continue
+		}
 		select {
 		case <-l.done:
 			drain()
 			return
-		case env := <-l.inbox:
-			step(env)
+		default:
+		}
+		step(env)
+	}
+}
+
+// pop takes the oldest inbox entry, reporting false when none is
+// queued. When the batch it steps is used up it takes the whole queue in
+// one swap, handing the spent batch's buffer to the posters, and lets
+// waiting readers go on. Only the goroutine stepping the node calls it.
+func (l *loop) pop() (envelope, bool) {
+	if l.next == len(l.taken) {
+		l.mu.Lock()
+		l.taken, l.queue = l.queue, l.taken[:0]
+		l.frames, l.owed = 0, min(l.waiting, inboxDepth)
+		waiting := l.waiting > 0
+		l.mu.Unlock()
+		if waiting {
+			l.room.Broadcast()
+		}
+		l.next = 0
+		if len(l.taken) == 0 {
+			return envelope{}, false
 		}
 	}
+	env := l.taken[l.next]
+	l.taken[l.next] = envelope{} // the buffer outlives the entry
+	l.next++
+	return env, true
+}
+
+// enqueue appends env under mu, which the caller holds, and wakes the
+// loop if it may be waiting for one.
+func (l *loop) enqueue(env envelope) {
+	if len(l.queue) == 0 {
+		select {
+		case l.wake <- struct{}{}:
+		default:
+		}
+	}
+	l.queue = append(l.queue, env)
 }
 
 // onLoop runs f on l's goroutine and returns its result, so a read of
@@ -204,7 +287,7 @@ func (l *loop) run(step func(envelope), drain func()) {
 // returns the zero value.
 func onLoop[T any](l *loop, f func() T) T {
 	ch := make(chan T, 1)
-	l.post(&internalEvent{fn: func() { ch <- f() }}, nil)
+	l.post(&internalEvent{fn: func() { ch <- f() }})
 	select {
 	case v := <-ch:
 		return v
@@ -215,7 +298,7 @@ func onLoop[T any](l *loop, f func() T) T {
 }
 
 // readFrom pumps messages from a connection into the inbox until a
-// stream-level error.
+// stream-level error or until the node stops.
 //
 // Unknown-type frames (a newer peer speaking messages this build does
 // not know) are logged and skipped — the connection carries every
@@ -227,20 +310,12 @@ func onLoop[T any](l *loop, f func() T) T {
 func (l *loop) readFrom(p *peer) {
 	for {
 		m, err := p.conn.Recv()
-		select {
-		case <-l.done:
-			return
-		default:
-		}
 		if err != nil && errors.Is(err, wire.ErrUnknownType) {
 			l.logf("dropping unknown-type frame from %s: %v", p.conn.RemoteAddr(), err)
 			continue
 		}
-		select {
-		case l.inbox <- received(p, m, err):
-		case <-l.done:
-			// The node stopped with a full inbox; don't wedge this
-			// reader goroutine on a send no one will drain.
+		if env := received(p, m, err); !l.deliver(env) {
+			env.release()
 			return
 		}
 		if err != nil {
@@ -249,18 +324,51 @@ func (l *loop) readFrom(p *peer) {
 	}
 }
 
-// stop terminates the loop.
-func (l *loop) stop() {
-	l.once.Do(func() { close(l.done) })
+// deliver queues a reader's entry, first waiting while inboxDepth of the
+// node's reader frames are queued and not yet taken, or owed to readers
+// that waited. It reports false, queueing nothing, once the node has
+// stopped; a stop releases a waiting reader.
+func (l *loop) deliver(env envelope) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for !l.closed && l.frames+l.owed >= inboxDepth {
+		l.waiting++
+		l.room.Wait()
+		l.waiting--
+		if l.owed > 0 {
+			l.owed--
+			break
+		}
+	}
+	if l.closed {
+		return false
+	}
+	l.frames++
+	l.enqueue(env)
+	return true
 }
 
-// post enqueues a message (usually an internal event from a timer or
-// executor goroutine) onto the loop, giving up if the node stopped.
-func (l *loop) post(msg interface{}, from *peer) {
-	select {
-	case l.inbox <- envelope{from: from, msg: msg}:
-	case <-l.done:
+// stop terminates the loop: run returns at its next entry, posts are
+// dropped from now on, and waiting readers are released.
+func (l *loop) stop() {
+	l.once.Do(func() {
+		close(l.done)
+		l.mu.Lock()
+		l.closed = true
+		l.mu.Unlock()
+		l.room.Broadcast()
+	})
+}
+
+// post queues one of the node's own events (a timer's firing, an onLoop
+// read, an attach) from any goroutine. It never waits, whatever the
+// backlog, and drops the event once the node has stopped.
+func (l *loop) post(ev event) {
+	l.mu.Lock()
+	if !l.closed {
+		l.enqueue(envelope{msg: ev})
 	}
+	l.mu.Unlock()
 }
 
 func (l *loop) logf(format string, args ...interface{}) {

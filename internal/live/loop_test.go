@@ -65,12 +65,11 @@ func (r *timerRig) fireNow() {
 func (r *timerRig) step(n int) {
 	r.t.Helper()
 	for i := 0; i < n; i++ {
-		select {
-		case env := <-r.l.inbox:
-			env.msg.(event).run()
-		default:
+		env, ok := r.l.pop()
+		if !ok {
 			r.t.Fatalf("%d of %d firings in the inbox", i, n)
 		}
+		env.msg.(event).run()
 	}
 }
 
@@ -81,7 +80,7 @@ func (r *timerRig) settle(want int) {
 	r.t.Helper()
 	time.Sleep(3 * r.d)
 	for give := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		r.step(len(r.l.inbox))
+		r.step(r.l.queued())
 		if r.lt.stale == 0 || time.Now().After(give) {
 			break
 		}
@@ -112,8 +111,8 @@ func TestLoopTimerCancelsExactly(t *testing.T) {
 			r := newTimerRig(t, wheel, 5*time.Millisecond)
 			r.fire = func() {
 				t.Helper()
-				n := len(r.l.inbox)
-				for give := time.Now().Add(5 * time.Second); len(r.l.inbox) == n; time.Sleep(100 * time.Microsecond) {
+				n := r.l.queued()
+				for give := time.Now().Add(5 * time.Second); r.l.queued() == n; time.Sleep(100 * time.Microsecond) {
 					if time.Now().After(give) {
 						t.Fatal("the wheel never fired the outstanding arm")
 					}

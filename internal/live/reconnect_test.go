@@ -3,6 +3,7 @@ package live
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
@@ -48,7 +49,7 @@ func TestReconnectScheduler(t *testing.T) {
 	reconnect := func() (offered, far transport.Conn) {
 		offered, far = pair()
 		w.ReconnectScheduler(0, offered)
-		w.step(<-w.loop.inbox) // the attach, queued before the reader started
+		w.step(waitPop(t, w.loop, 5*time.Second)) // the attach, queued before the reader started
 		return offered, far
 	}
 
@@ -59,7 +60,7 @@ func TestReconnectScheduler(t *testing.T) {
 	}
 	// Its reader ends on the closed connection; stepping that changes
 	// nothing either.
-	w.step(<-w.loop.inbox)
+	w.step(waitPop(t, w.loop, 5*time.Second))
 	if !slices.Equal(w.scheds, before) {
 		t.Fatalf("occupied slot: scheds changed from %v to %v", before, w.scheds)
 	}

@@ -368,15 +368,11 @@ func (c *VirtualCluster) turn(f func()) func() {
 
 // pump steps a node through its queued inbox entries.
 func pump(l *loop, step func(envelope)) (any bool) {
-	for {
-		select {
-		case env := <-l.inbox:
-			step(env)
-			any = true
-		default:
-			return any
-		}
+	for env, ok := l.pop(); ok; env, ok = l.pop() {
+		step(env)
+		any = true
 	}
+	return any
 }
 
 // virtualConn is one end of a link. Send snapshots the frame (the node

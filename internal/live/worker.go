@@ -326,7 +326,7 @@ func (w *Worker) redial(idx int) {
 // starts a goroutine.
 func (w *Worker) ReconnectScheduler(idx int, conn transport.Conn) {
 	p := &peer{conn: conn, hello: wire.Hello{Role: wire.RoleScheduler, ID: uint32(idx)}}
-	w.loop.post(&internalEvent{fn: func() { w.attachSched(idx, p) }}, nil)
+	w.loop.post(&internalEvent{fn: func() { w.attachSched(idx, p) }})
 	// If the loop is already stopped the post was dropped; close the
 	// conn so a late redial doesn't leak a socket.
 	select {
