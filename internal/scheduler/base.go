@@ -8,15 +8,17 @@
 //   - Budgeted: SRPT with a fixed slot budget reserved for speculation
 //     (the second strawman of Section 3.1).
 //
-// All engines share a chassis (Base) that owns job lifecycle, placement
-// and the fresh-demand and at-cap counters. The per-job speculation
-// record, the speculation scan and the online estimators are the
-// speculation.Book the decentralized core holds too. Engines differ only
+// All engines share a chassis (Base) that owns job lifecycle, placement,
+// the fresh-demand and at-cap counters, and the record of which jobs could
+// take a slot at all (the demand count and the stirred list).
+// The per-job speculation record, the speculation scan and the online
+// estimators are the speculation.Book the decentralized core holds too. Engines differ only
 // in how they pick the next (job, task) for a free slot.
 package scheduler
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/simulator"
@@ -81,9 +83,19 @@ const betaWarmup = 50
 //   - atCap always equals the number of running tasks at the copy cap
 //     (maintained on every placement and on task completion;
 //     TestAtCapCounterMatchesScan checks it against the loop on every
-//     dispatch).
+//     dispatch);
+//   - while now < asleepUntil the job has no fresh task, no want and no
+//     victim (the bound is the victim index's own cached empty answer,
+//     voided by every change that could end it; TestSkippedJobsCannotPlace
+//     asks every job a pass passes over).
+//
+// The fields a Hopper dispatch pass reads for every job come first, with
+// JobBook's Running and Occupied right behind them, so a pass that asks
+// nothing of a job touches only the head of its record.
 type jobState struct {
-	speculation.JobBook
+	// target caches the Hopper engine's guideline allocation for this job
+	// (HopperEngine.refresh). Unused by the other engines.
+	target int
 
 	// fresh counts never-scheduled tasks in runnable phases — the cached
 	// form of the per-dispatch phase rescan.
@@ -94,12 +106,24 @@ type jobState struct {
 	// its hold from the tasks still below the cap.
 	atCap int
 
-	// target and prio cache the Hopper engine's guideline allocation and
-	// DAG-aware priority for this job, and activeIdx its index in
-	// Base.active, all rewritten by HopperEngine.refresh (activeIdx at its
-	// start, to map the last refresh's order onto this one's indices).
-	// Unused by the other engines.
-	target    int
+	// asleepUntil is the time before which placeOne answers no for the
+	// job without a walk or a side effect (Base.ask): no fresh task, no
+	// want, and no victim for capacity-driven speculation. −Inf from any
+	// change to the job (Base.stir) until it is asked again. listed says
+	// the job is on the stirred list (Base.stirred).
+	asleepUntil float64
+	listed      bool
+
+	speculation.JobBook
+
+	// nextStirred is the next job on the stirred list.
+	nextStirred *jobState
+
+	// prio caches the Hopper engine's DAG-aware priority for this job, and
+	// activeIdx its index in Base.active, both rewritten by
+	// HopperEngine.refresh (activeIdx at its start, to map the last
+	// refresh's order onto this one's indices). Unused by the other
+	// engines.
 	prio      float64
 	activeIdx int
 }
@@ -141,6 +165,25 @@ type Base struct {
 	// pools (Budgeted).
 	freshUsage int
 	specUsage  int
+
+	// demand is the sum of every active job's demand(): fresh tasks plus
+	// queued wants, stale ones included as Wants counts them. At zero
+	// nothing but capacity-driven speculation's victims can take a slot,
+	// so the SRPT and Budgeted passes return before they sort.
+	demand int
+
+	// stirred heads the list of jobs changed since the last idle check
+	// asked them, linked through jobState.nextStirred so listing allocates
+	// nothing, each job at most once (jobState.listed): a copy placed, a
+	// task done, a phase runnable, wants queued or a want retried, or a
+	// refresh that lifted the job's quota above zero. Only capacity-driven
+	// speculation keeps it: it lets HopperEngine.idle ask the listed jobs
+	// instead of walking every active one.
+	stirred *jobState
+
+	// placeOnes counts placeOne calls: the tests' regression pin on how
+	// many jobs a pass asks per placement.
+	placeOnes uint64
 
 	// dispatch is the engine-specific slot-filling loop.
 	dispatch func()
@@ -214,9 +257,45 @@ func (b *Base) onPhaseRunnable(p *cluster.Phase) {
 			panic(fmt.Sprintf("scheduler: duplicate OnPhaseRunnable for job%d/phase%d — unlock lifecycle violated",
 				p.Job.ID, p.Index))
 		}
-		s.fresh += p.UnscheduledTasks()
+		n := p.UnscheduledTasks()
+		s.fresh += n
+		b.demand += n
+		b.stir(s)
 	}
 	b.requestDispatch()
+}
+
+// stir records a change to s that may let it place again: its asleep
+// bound is void until it is asked again, and it joins the stirred list.
+func (b *Base) stir(s *jobState) {
+	s.asleepUntil = math.Inf(-1)
+	b.list(s)
+}
+
+// list puts s on the stirred list unless it is there: its quota, or what
+// it could place, may have changed since it was last asked.
+func (b *Base) list(s *jobState) {
+	if !b.capacitySpec || s.listed {
+		return
+	}
+	s.listed = true
+	s.nextStirred, b.stirred = b.stirred, s
+}
+
+// ask records how long placeOne will answer no for s, which has just
+// been asked (placeOne said no, or Book.BestVictim answered nil): not at
+// all while it holds fresh tasks or wants; with none, until the victim
+// index's bound, or for good with speculation off. Fresh tasks and wants
+// come back only through stir, which voids the answer.
+func (b *Base) ask(s *jobState) {
+	switch {
+	case s.demand() > 0:
+		s.asleepUntil = math.Inf(-1)
+	case b.Cfg.DisableSpec:
+		s.asleepUntil = math.Inf(1)
+	default:
+		s.asleepUntil = s.Mon.VictimlessUntil(b.Eng.Now())
+	}
 }
 
 // requestDispatch schedules a coalesced dispatch pass.
@@ -286,7 +365,12 @@ func (b *Base) scanJob(s *jobState) bool {
 		return false
 	}
 	b.wantScratch = b.Book.Scan(b.Eng.Now(), &s.JobBook, false, b.wantScratch)
-	return len(b.wantScratch) > 0
+	if len(b.wantScratch) == 0 {
+		return false
+	}
+	b.demand += len(b.wantScratch)
+	b.stir(s)
+	return true
 }
 
 func (b *Base) onTaskDone(t *cluster.Task, winner *cluster.Copy) {
@@ -300,7 +384,10 @@ func (b *Base) onTaskDone(t *cluster.Task, winner *cluster.Copy) {
 // its completion, which comes after its last task's.
 func (b *Base) taskDone(t *cluster.Task, winner *cluster.Copy) *jobState {
 	s := b.byID[t.Job.ID]
+	wants := s.Wants()
 	b.Book.TaskDone(&s.JobBook, t, winner)
+	b.demand -= wants - s.Wants()
+	b.stir(s)
 	for _, c := range t.Copies {
 		if c.Speculative {
 			b.specUsage--
@@ -322,6 +409,13 @@ func (b *Base) onJobDone(j *cluster.Job) {
 		panic(fmt.Sprintf("scheduler: job%d finished holding %d slots — occupancy leaked", j.ID, left))
 	}
 	delete(b.byID, j.ID)
+	if s.listed {
+		p := &b.stirred
+		for *p != s {
+			p = &(*p).nextStirred
+		}
+		*p = s.nextStirred
+	}
 	// Order-preserving removal: the active order is the stable-sort
 	// tie-break for every engine's priority order, so it must stay the
 	// arrival order of the surviving jobs.
@@ -353,6 +447,7 @@ func (b *Base) placeFresh(s *jobState) bool {
 		return false
 	}
 	s.fresh--
+	b.demand--
 	b.copyPlaced(s, t, false)
 	return true
 }
@@ -366,6 +461,7 @@ func (b *Base) placeFresh(s *jobState) bool {
 // completion, onTaskDone), so the copy count is the live count.
 func (b *Base) copyPlaced(s *jobState, t *cluster.Task, spec bool) {
 	b.Book.HandedOut(&s.JobBook, t, spec)
+	b.stir(s)
 	if len(t.Copies) == b.Cfg.Spec.MaxCopies {
 		s.atCap++
 	}
@@ -378,13 +474,17 @@ func (b *Base) copyPlaced(s *jobState, t *cluster.Task, spec bool) {
 
 // placeSpec starts a speculative copy for the job's oldest valid want.
 func (b *Base) placeSpec(s *jobState) bool {
+	wants := s.Wants()
 	t := b.Book.TakeWant(&s.JobBook, nil)
+	b.demand -= wants - s.Wants()
 	if t == nil {
 		return false
 	}
 	if c := b.Exec.Place(t, true); c == nil {
 		// No free slot; requeue at the front so it is retried first.
 		s.RetryWant(t)
+		b.demand++
+		b.stir(s)
 		return false
 	}
 	b.copyPlaced(s, t, true)
@@ -396,6 +496,7 @@ func (b *Base) placeSpec(s *jobState) bool {
 // boundaries). With capacitySpec, a job with leftover allocation races
 // its worst observable straggler even when the policy has flagged none.
 func (b *Base) placeOne(s *jobState) bool {
+	b.placeOnes++
 	if b.placeFresh(s) {
 		return true
 	}

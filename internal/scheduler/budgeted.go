@@ -34,6 +34,11 @@ func NewBudgeted(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Bud
 func (e *BudgetedEngine) Name() string { return "Budgeted-SRPT" }
 
 func (e *BudgetedEngine) dispatch() {
+	// With no fresh task or want anywhere neither pool has anything to
+	// place: return before the sort.
+	if e.demand == 0 {
+		return
+	}
 	// One SRPT ordering serves the whole pass: placements never change
 	// remaining-task counts (only completions do, and completions are
 	// events, never synchronous with this loop), so the old per-placement

@@ -107,6 +107,17 @@ func diffScenarios() []diffScenario {
 			spec: mid,
 			cfg:  scheduler.Config{CheckInterval: 0.1, LocalityK: 50},
 		},
+		{
+			// Light load: most passes place nothing, so Hopper's idle
+			// check skips most of them and its walks pass over most jobs
+			// as asleep, and SRPT and Budgeted find no demand on most
+			// passes. A skip that passes over a job that could place
+			// diverges.
+			name: "light-load",
+			prof: workload.Facebook(), util: 0.45, jobs: 140,
+			spec: mid,
+			cfg:  scheduler.Config{CheckInterval: 1},
+		},
 	}
 }
 

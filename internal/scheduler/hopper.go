@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"math"
+
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/core"
 	"github.com/hopper-sim/hopper/internal/simulator"
@@ -39,6 +41,17 @@ type HopperEngine struct {
 	refreshOn bool
 	// refreshes is the refresher's engine lane (a constant period).
 	refreshes *simulator.Lane
+
+	// wake is a time before which every active job with quota left that
+	// is not on the stirred list is asleep (jobState.asleepUntil): each
+	// walk of order recomputes it, and idle lowers it to each listed job
+	// it asks.
+	wake float64
+
+	// passes counts dispatch passes with a free slot and an active job,
+	// and emptyWalks those of them that walked order and placed nothing:
+	// the tests' regression pin on how often a pass runs for nothing.
+	passes, emptyWalks uint64
 }
 
 // NewHopper builds a centralized Hopper engine on the executor.
@@ -47,8 +60,10 @@ func NewHopper(eng *simulator.Engine, exec *cluster.Executor, cfg Config) *Hoppe
 	h.Base = newBase(eng, exec, cfg)
 	h.Base.capacitySpec = true
 	h.Base.dispatch = h.dispatch
-	// Dispatch passes are O(active jobs); coalesce completions within a
-	// small window (2% of the check interval) into one pass.
+	// A pass that can place asks every active job (one that can place
+	// nothing asks only the stirred ones, HopperEngine.idle); coalesce
+	// completions within a small window (2% of the check interval) into
+	// one pass.
 	h.Base.dispatchDelay = h.Cfg.CheckInterval / 50
 	h.Base.onArrive = func() { h.refresh(); h.ensureRefresher() }
 	h.Base.onJobRemoved = h.jobRemoved
@@ -110,6 +125,11 @@ func (h *HopperEngine) refresh() {
 	targets := h.allocator.Allocate(demands, h.totalSlots, beta, h.Cfg.Spec.Epsilon, hint)
 	prios := h.allocator.Priorities()
 	for i, s := range h.active {
+		// A job whose quota this lifts above zero may take a slot it
+		// could not before: the next idle check asks it.
+		if s.target <= s.Occupied && targets[i] > s.Occupied {
+			h.list(s)
+		}
 		s.target = targets[i]
 		s.prio = prios[i]
 	}
@@ -140,8 +160,49 @@ func (h *HopperEngine) jobRemoved(s *jobState) {
 // Name identifies the engine in experiment reports.
 func (h *HopperEngine) Name() string { return "Hopper" }
 
+// idle reports whether a pass at now would place nothing, asking only
+// the stirred jobs. Every job with quota left that is not listed is asleep
+// until the wake (no fresh task, no want, no victim: jobState.asleepUntil),
+// so the pass is idle when each listed job with quota left is asleep too,
+// asked now if its bound is void. A job with no quota left is passed over
+// whatever it holds. An asleep job's placeOne touches nothing, so skipping
+// the pass changes nothing but the time it took. A listed job leaves the
+// list once asked; the first one that can place stays on it, and so do
+// the jobs behind it.
+func (h *HopperEngine) idle(now float64) bool {
+	if now >= h.wake {
+		return false
+	}
+	for s := h.stirred; s != nil; s = h.stirred {
+		if s.target > s.Occupied {
+			if now >= s.asleepUntil {
+				if s.demand() > 0 || (!h.Cfg.DisableSpec && h.Book.BestVictim(now, &s.JobBook) != nil) {
+					return false
+				}
+				h.ask(s)
+			}
+			h.wake = min(h.wake, s.asleepUntil)
+		}
+		h.stirred, s.nextStirred, s.listed = s.nextStirred, nil, false
+	}
+	return now < h.wake
+}
+
+// sleeps folds a job with quota left into the wake; a listed one the next
+// idle check asks instead.
+func (h *HopperEngine) sleeps(s *jobState) {
+	if !s.listed {
+		h.wake = min(h.wake, s.asleepUntil)
+	}
+}
+
 func (h *HopperEngine) dispatch() {
 	if !h.Exec.Machines.AnyFree() || len(h.active) == 0 {
+		return
+	}
+	h.passes++
+	now := h.Eng.Now()
+	if h.idle(now) {
 		return
 	}
 
@@ -171,7 +232,9 @@ func (h *HopperEngine) dispatch() {
 	// resumes at the cursor: O(n + window) questions per pass, not
 	// O(n·window).
 	cursor := 0
-	for i := 0; i < len(order) && budget > 0; i++ {
+	placed, i := 0, 0
+	h.wake = math.Inf(1)
+	for ; i < len(order) && budget > 0; i++ {
 		// Locality relaxation: within the lookahead window starting at i,
 		// promote the first job with a local fresh task.
 		if window > 1 {
@@ -196,21 +259,34 @@ func (h *HopperEngine) dispatch() {
 			quota = budget
 		}
 		filled := 0
-		for filled < quota {
-			if !h.placeOne(s) {
-				break
+		// A job asleep would answer no without a side effect: it goes
+		// straight to the hold.
+		if now >= s.asleepUntil {
+			for filled < quota && h.placeOne(s) {
+				filled++
 			}
-			filled++
+			placed += filled
+			if filled == quota {
+				budget -= quota
+				continue
+			}
+			h.ask(s) // placeOne has just said no
 		}
-		if filled == quota {
-			budget -= quota
-			continue
-		}
+		h.sleeps(s)
 		// Unfilled quota stays reserved for this job — but only as much
 		// as the job could actually use once a straggler ripens: one slot
 		// per running task still below the copy cap. Holding more would
 		// idle capacity no speculation can ever claim.
 		hold := min(quota-filled, s.belowCap())
 		budget -= filled + hold
+	}
+	// The jobs the budget ran out before have quota left all the same.
+	for _, s := range order[i:] {
+		if s.target > s.Occupied {
+			h.sleeps(s)
+		}
+	}
+	if placed == 0 {
+		h.emptyWalks++
 	}
 }

@@ -69,6 +69,11 @@ func (o *srptSorter) load(active []*jobState) []*jobState {
 }
 
 func (s *SRPTEngine) dispatch() {
+	// With no fresh task or want anywhere every job would be passed over:
+	// return before the sort.
+	if s.demand == 0 {
+		return
+	}
 	// Placements do not change remaining-task counts, so one ordering per
 	// dispatch round suffices.
 	order := s.sorter.load(s.active)

@@ -316,9 +316,10 @@ type jobVictims struct {
 	// (CopyDropped does), every query is empty — remaining times only
 	// shrink, a task's best observable remaining with them, and
 	// eligibility lost at the cap returns only through a lost copy — so
-	// only a ripening entry turning observable can make a victim. A held
-	// job is asked on every dispatch pass; 99 % of bestVictim calls on
-	// the centralized benchmark end here.
+	// only a ripening entry turning observable can make a victim. The
+	// centralized chassis reads the answer (VictimlessUntil) and does not
+	// ask a job again while it holds; 69 % of the bestVictim calls left
+	// on the centralized benchmark still end here.
 	quietUntil float64
 	quietAt    int
 }
@@ -405,6 +406,21 @@ func (ji *jobVictims) quiet(now float64, version int) bool {
 // rounding error of the subtraction, the products and this expression.
 // Erring early only costs a full query.
 func unripeBefore(start, wait float64) float64 { return (start + wait) * (1 - 1e-12) }
+
+// VictimlessUntil returns the time before which the job's victim index
+// is known to hold no victim: the bound its last empty query cached
+// (jobVictims.quietUntil), while that answer still holds at now; −Inf
+// when it does not. Until then, and while no copy of the job is indexed,
+// lost or completed, a job with no queued wants gets nil from
+// Book.BestVictim without a walk, which is what lets the centralized
+// chassis pass over the job without asking (scheduler's
+// jobState.asleepUntil).
+func (m *Monitor) VictimlessUntil(now float64) float64 {
+	if !m.victims.quiet(now, m.version) {
+		return math.Inf(-1)
+	}
+	return m.victims.quietUntil
+}
 
 // TaskHandedOut records a task entering its scheduler's running set,
 // assigning its hand-out rank, and indexes its oldest live copy if it has

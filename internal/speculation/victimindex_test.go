@@ -296,6 +296,7 @@ type answers struct {
 	retaken                   int
 	rekeys, reopened          int
 	requeues, lateCopies      int
+	quiet                     int // times VictimlessUntil vouched for no victim
 }
 
 func (a *answers) add(b answers) {
@@ -309,13 +310,19 @@ func (a *answers) add(b answers) {
 	a.reopened += b.reopened
 	a.requeues += b.requeues
 	a.lateCopies += b.lateCopies
+	a.quiet += b.quiet
 }
 
 // compare holds the three indexed answers about the sim's job against
-// the oracle's scans at time now: same tasks, same order.
+// the oracle's scans at time now: same tasks, same order. It also holds
+// the cached empty answer the centralized chassis reads
+// (Monitor.VictimlessUntil), read before the queries refresh it, against
+// the scan: whatever the step did, while it vouches, no task outside the
+// want queue is a victim.
 func (s *victimSim) compare(t *testing.T, now float64, n *answers) {
 	t.Helper()
 	id, k := s.job.ID, s.cfg.k
+	quietUntil := s.jb.Mon.VictimlessUntil(now)
 	if scan, got := s.ref.BestVictim(now, s.running, k), s.book.BestVictim(now, &s.jb); scan != got {
 		t.Fatalf("now %v job %d: BestVictim scan=%s index=%s", now, id, tid(scan), tid(got))
 	} else if scan != nil {
@@ -325,6 +332,12 @@ func (s *victimSim) compare(t *testing.T, now float64, n *answers) {
 		}
 	}
 	scanV := unwanted(s.ref.VictimsInto(now, s.running, k, nil))
+	if now < quietUntil {
+		if len(scanV) > 0 {
+			t.Fatalf("now %v job %d: victimless until %v, but the scan finds %v", now, id, quietUntil, tids(scanV))
+		}
+		n.quiet++
+	}
 	if got := s.book.walk(now, &s.jb, false); !slices.Equal(scanV, got) {
 		t.Fatalf("now %v job %d: Victims\n scan:  %v\n index: %v", now, id, tids(scanV), tids(got))
 	}
@@ -402,7 +415,7 @@ func TestIndexedVictimMatchesScan(t *testing.T) {
 		want func(answers) bool
 	}
 	exercised := func(n answers) bool {
-		return n.best > 0 && n.victims > 0 && n.candidates > 0 && n.queued > 0 && n.retaken > 0
+		return n.best > 0 && n.victims > 0 && n.candidates > 0 && n.queued > 0 && n.retaken > 0 && n.quiet > 0
 	}
 	var regimes []regime
 	for _, pol := range shipped {
