@@ -69,6 +69,7 @@ func main() {
 	var addrs []string
 	var lc *live.LocalCluster
 	var booted runtime.MemStats // the process right after boot (-boot only)
+	var bootedGoroutines int
 	if *boot {
 		var err error
 		lc, err = live.StartLocalCluster(live.LocalClusterConfig{
@@ -85,6 +86,7 @@ func main() {
 		addrs = lc.Addrs
 		fmt.Printf("booted %d schedulers / %d workers x %d slots on localhost\n", *nSched, *nWork, *slots)
 		runtime.ReadMemStats(&booted)
+		bootedGoroutines = runtime.NumGoroutine()
 	} else {
 		if *scheds == "" {
 			log.Fatal("need -schedulers or -boot")
@@ -144,17 +146,18 @@ func main() {
 	fmt.Printf("\n%d submitted, %d completed, %d aborted, %d unreported; %d speculative copies, %.1fs wall clock\n",
 		led.Submitted, led.Completed, led.Aborted, led.Unreported, led.SpecCopies, led.WallTime.Seconds())
 
-	printClusterCounters(lc, &booted, *churn, churned)
+	printClusterCounters(lc, &booted, bootedGoroutines, *churn, churned)
 }
 
 // printClusterCounters reports the booted cluster's internals: the
 // scheduling-latency table, the protocol/fault counters, what a placed
 // copy cost the process in heap objects (against booted, the process
-// right after boot), and the transport batching totals. No-op when
+// right after boot) and what the booted process holds (goroutines,
+// stacks, heap), and the transport batching totals. No-op when
 // dialing an external cluster (nothing in-process to inspect) except
 // for the transport totals, which cover this process's client
 // connections too.
-func printClusterCounters(lc *live.LocalCluster, booted *runtime.MemStats, churn float64, churned churnSummary) {
+func printClusterCounters(lc *live.LocalCluster, booted *runtime.MemStats, bootedGoroutines int, churn float64, churned churnSummary) {
 	if lc != nil {
 		// Scheduling latency, recorded scheduler-side: submission to
 		// first task placement (the SLO metric), and Reserve-to-Offer
@@ -207,8 +210,8 @@ func printClusterCounters(lc *live.LocalCluster, booted *runtime.MemStats, churn
 		if placed > 0 {
 			perCopy = float64(now.Mallocs-booted.Mallocs) / float64(placed)
 		}
-		fmt.Printf("process cost: %.1f heap objects allocated per placed copy since boot; %.1f MB heap in use after boot\n",
-			perCopy, float64(booted.HeapInuse)/(1<<20))
+		fmt.Printf("process cost: %.1f heap objects allocated per placed copy since boot; after boot %.1f MB heap and %.1f MB stacks in use, %d goroutines\n",
+			perCopy, float64(booted.HeapInuse)/(1<<20), float64(booted.StackInuse)/(1<<20), bootedGoroutines)
 		if churn > 0 {
 			fmt.Printf("churn: %d workers killed, %d joined\n", churned.killed, churned.joined)
 		}

@@ -826,6 +826,7 @@ var retired = map[string][]string{
 	"a live node's clock, timers and pump are its loop's":                                 {"tickWall", "tickerEv", "offerTimerFn", "offerTimerEv", "armOfferTimer"},
 	"a node timer cancels exactly in its loop; a worker's slots are its copy records":     {"retryStale", "armRetry", "cancelRetry", "retryFired", "bindCopy", "freeCopy", "stopCopy"},
 	"a node's inbox is a FIFO its loop owns, and only its readers wait":                   {"inbox"},
+	"a connection's flush runs only while frames wait; its Reader buffers the socket":     {"writeLoop", "drained", "notFull", "recvBuffer", "readerScratch", "inertTimer"},
 }
 
 // revived returns one key (dir/file.go:line: Name, retired by ...) per

@@ -120,7 +120,8 @@ func TestInboxNeverBlocksTheWheel(t *testing.T) {
 		}
 	}
 	var stalledRuns int
-	own := loopTimer{fn: func() { stalledRuns++ }}
+	var own loopTimer
+	stalled.bind(&own, func() { stalledRuns++ })
 	stalled.arm(&own, time.Millisecond)
 
 	running := newLoop(nil, wheel, 1)
@@ -133,7 +134,8 @@ func TestInboxNeverBlocksTheWheel(t *testing.T) {
 	const d = 20 * time.Millisecond
 	fired := make(chan time.Duration, 1)
 	armedAt := time.Now()
-	other := loopTimer{fn: func() { fired <- time.Since(armedAt) }}
+	var other loopTimer
+	running.bind(&other, func() { fired <- time.Since(armedAt) })
 	onLoop(running, func() bool { running.arm(&other, d); return true })
 	select {
 	case took := <-fired:

@@ -168,10 +168,12 @@ type internalEvent struct{ fn func() }
 func (e *internalEvent) run() { e.fn() }
 
 // loopTimer is one of a node's timers: a protocol.Timer whose firing
-// posts the loopTimer to the node's inbox, and the callback fn the loop
-// then runs. Its owner sets fn once, when it builds the timer's record;
-// arm builds t on the first arm and re-arms it after that, so a
-// recurring timer allocates nothing past its first arm.
+// (post) posts the loopTimer to the node's inbox, and the callback fn
+// the loop then runs. Its owner binds it once, when it builds the
+// timer's record (loop.bind). On a TimerWheel the timer is wheel, which
+// the record embeds; on any other clock arm builds t on the first arm
+// and re-arms it after that. So arming a node timer on the wheel
+// allocates nothing, its first arm included.
 //
 // Cancellation is exact: fn runs once per arm neither cancelled nor
 // superseded, never for a firing that cancel or arm withdrew on its way
@@ -179,16 +181,29 @@ func (e *internalEvent) run() { e.fn() }
 // run); stale counts the withdrawn firings still in flight.
 type loopTimer struct {
 	t     protocol.Timer
+	wheel protocol.WheelTimer
 	fn    func()
+	post  func()
 	armed bool
 	stale int
+}
+
+// bind makes lt a timer of l's that runs fn. Its owner calls it once,
+// when it builds lt's record, before the first arm.
+func (l *loop) bind(lt *loopTimer, fn func()) {
+	lt.fn = fn
+	lt.post = func() { l.post(lt) }
+	if w, ok := l.timers.(*protocol.TimerWheel); ok {
+		w.Bind(&lt.wheel, lt.post)
+		lt.t = &lt.wheel
+	}
 }
 
 // arm arms lt to run fn after d, superseding the outstanding arm, if
 // any; a superseded arm that has fired leaves a stale firing in flight.
 func (l *loop) arm(lt *loopTimer, d time.Duration) {
 	if lt.t == nil {
-		lt.t = l.timers.AfterFunc(d, func() { l.post(lt) })
+		lt.t = l.timers.AfterFunc(d, lt.post)
 	} else if !lt.t.Reset(d) && lt.armed {
 		lt.stale++
 	}

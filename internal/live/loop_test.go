@@ -31,7 +31,7 @@ type timerRig struct {
 
 func newTimerRig(t *testing.T, timers protocol.TimerService, d time.Duration) *timerRig {
 	r := &timerRig{t: t, l: newLoop(nil, timers, 1), d: d}
-	r.lt.fn = func() {
+	r.l.bind(&r.lt, func() {
 		if !r.outstanding || !r.fired {
 			t.Fatalf("the loop ran a firing it withdrew (outstanding arm %v, its firing posted %v)", r.outstanding, r.fired)
 		}
@@ -40,7 +40,7 @@ func newTimerRig(t *testing.T, timers protocol.TimerService, d time.Duration) *t
 		}
 		r.outstanding = false
 		r.runs++
-	}
+	})
 	return r
 }
 
@@ -177,5 +177,37 @@ func TestLoopTimerCancelsExactly(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFirstArmAllocatesNothing: a node timer bound when its record was
+// built arms on the wheel without allocating, its first arm included.
+// The firing's closure is bound once, by loop.bind, and the wheel timer
+// is the one the record embeds, so a worker's carved copy records and a
+// scheduler's recycled unlock waits cost nothing to arm.
+func TestFirstArmAllocatesNothing(t *testing.T) {
+	wheel := protocol.NewTimerWheel(time.Millisecond, 512)
+	t.Cleanup(wheel.Stop)
+	l := newLoop(nil, wheel, 1)
+	const runs = 100
+	lts := make([]loopTimer, runs+1)
+	for i := range lts {
+		l.bind(&lts[i], func() {})
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		// An hour out and a slot apart: nothing fires, and no slot of
+		// the wheel outgrows its room.
+		l.arm(&lts[next], time.Hour+time.Duration(next)*time.Millisecond)
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a bound timer's first arm allocates %.2f objects, want 0", allocs)
+	}
+	for i := range lts {
+		if !lts[i].armed {
+			t.Fatalf("timer %d of %d was never armed", i, len(lts))
+		}
+		l.cancel(&lts[i])
 	}
 }

@@ -259,7 +259,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		pendingRecon: make(map[uint64][]pendingRecon),
 		durations:    cluster.NewCopySource(cfg.Seed),
 	}
-	s.ticker.fn = s.tick
+	s.loop.bind(&s.ticker, s.tick)
 	s.model = cluster.DefaultExecModel()
 	s.model.Beta = cfg.Beta
 	s.killLoser = func(c *cluster.Copy) {
@@ -1127,7 +1127,7 @@ func (s *Scheduler) scheduleUnlock(at simulator.Time, fire func()) {
 		u.fire = fire
 	} else {
 		u = &unlockWait{fire: fire}
-		u.timer.fn = func() { s.unlockDue(u) }
+		s.loop.bind(&u.timer, func() { s.unlockDue(u) })
 	}
 	s.loop.arm(&u.timer, s.loop.wall(delay))
 }

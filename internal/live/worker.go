@@ -184,11 +184,11 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 		copies:    make([]runningCopy, cfg.Slots),
 		parked:    make(map[int][]protocol.LostReservation),
 	}
-	w.offerTimer.fn = w.offerTimerFired
-	w.retry.fn = func() { w.exec(w.core.RetryFired()) }
+	w.loop.bind(&w.offerTimer, w.offerTimerFired)
+	w.loop.bind(&w.retry, func() { w.exec(w.core.RetryFired()) })
 	for i := range w.copies {
 		rc := &w.copies[i]
-		rc.timer.fn = func() { w.copyFinished(rc) }
+		w.loop.bind(&rc.timer, func() { w.copyFinished(rc) })
 	}
 	pcfg := protocol.Config{Mode: cfg.Mode, RetryJitter: defaultRetryJitter}.WithDefaults()
 	// No Pool: the core runs on this worker's handler loop alone, so it

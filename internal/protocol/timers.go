@@ -87,7 +87,7 @@ type TimerWheel struct {
 	ticks   int64 // advances performed
 	stopped bool
 
-	fire []*wheelTimer // advance's due list, reused; owned by the run goroutine
+	fire []*WheelTimer // advance's due list, reused; owned by the run goroutine
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -137,8 +137,8 @@ func NewTimerWheel(tick time.Duration, slots int) *TimerWheel {
 	return w
 }
 
-// Stop halts the wheel goroutine. Pending timers never fire; AfterFunc
-// on a stopped wheel returns an inert timer. Idempotent.
+// Stop halts the wheel goroutine. Pending timers never fire, and neither
+// does one armed after Stop. Idempotent.
 func (w *TimerWheel) Stop() {
 	w.mu.Lock()
 	if w.stopped {
@@ -151,12 +151,14 @@ func (w *TimerWheel) Stop() {
 	w.wg.Wait()
 }
 
-// wheelTimer is one callback and its own Stop and Reset handle; gen
-// and pending are guarded by the wheel's lock. gen numbers the timer's
-// arms: Stop and Reset each start a new one, so a slot entry left from
-// an earlier arm is stale and is dropped, not fired, when the wheel
-// reaches it.
-type wheelTimer struct {
+// WheelTimer is one callback on a wheel and its own Stop and Reset
+// handle; gen and pending are guarded by the wheel's lock. gen numbers
+// the timer's arms: Stop and Reset each start a new one, so a slot entry
+// left from an earlier arm is stale and is dropped, not fired, when the
+// wheel reaches it. AfterFunc allocates one; an owner that keeps a timer
+// in a record it already has embeds one there instead and Binds it, so
+// arming it never allocates (the live nodes' timers).
+type WheelTimer struct {
 	wheel   *TimerWheel
 	fn      func()
 	gen     uint64
@@ -166,34 +168,30 @@ type wheelTimer struct {
 // wheelEntry is one arm of a timer waiting in a slot: it fires after
 // rounds more visits of its slot if the timer is still on arm gen.
 type wheelEntry struct {
-	t      *wheelTimer
+	t      *WheelTimer
 	gen    uint64
 	rounds int
 }
 
-// inertTimer is returned after Stop; it never fires.
-type inertTimer struct{}
-
-func (inertTimer) Stop() bool { return false }
-
-func (inertTimer) Reset(time.Duration) bool { return false }
-
 // AfterFunc arms f to run once after d. Firing is rounded up to the
-// next tick boundary, so a timer never fires before its deadline.
+// next tick boundary, so a timer never fires before its deadline. On a
+// stopped wheel the timer never fires.
 func (w *TimerWheel) AfterFunc(d time.Duration, f func()) Timer {
-	t := &wheelTimer{wheel: w, fn: f}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.stopped {
-		return inertTimer{}
-	}
-	w.arm(t, d)
+	t := &WheelTimer{}
+	w.Bind(t, f)
+	t.Reset(d)
 	return t
+}
+
+// Bind makes t, disarmed, a timer of w's that runs f: Reset arms it, as
+// it re-arms one AfterFunc built. t must not be armed.
+func (w *TimerWheel) Bind(t *WheelTimer, f func()) {
+	*t = WheelTimer{wheel: w, fn: f}
 }
 
 // arm puts t's next arm in the slot its deadline falls in. The caller
 // holds the lock.
-func (w *TimerWheel) arm(t *wheelTimer, d time.Duration) {
+func (w *TimerWheel) arm(t *WheelTimer, d time.Duration) {
 	// The first tick due at or after the deadline, counted from the
 	// wheel's start and not from the last advance: the wheel may be part
 	// of a tick, or several late ticker deliveries, behind the clock.
@@ -211,7 +209,7 @@ func (w *TimerWheel) arm(t *wheelTimer, d time.Duration) {
 // Now is the wall clock: the wheel's ticks are derived from it (run).
 func (w *TimerWheel) Now() time.Time { return time.Now() }
 
-func (t *wheelTimer) Stop() bool {
+func (t *WheelTimer) Stop() bool {
 	t.wheel.mu.Lock()
 	defer t.wheel.mu.Unlock()
 	was := t.pending
@@ -220,9 +218,8 @@ func (t *wheelTimer) Stop() bool {
 	return was
 }
 
-// Reset re-arms t; on a stopped wheel it stays quiet, as AfterFunc's
-// inert timer does.
-func (t *wheelTimer) Reset(d time.Duration) bool {
+// Reset re-arms t; on a stopped wheel it stays quiet.
+func (t *WheelTimer) Reset(d time.Duration) bool {
 	w := t.wheel
 	w.mu.Lock()
 	defer w.mu.Unlock()

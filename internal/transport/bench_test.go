@@ -10,12 +10,12 @@ import (
 // BenchmarkConnThroughput measures one-way small-frame throughput — the
 // protocol's dominant traffic shape (Reserve is the most frequent
 // message) — over a loopback TCP socket. The writes/msg metric is the
-// batching win: a flush per frame would read 1.0, the batched writer
+// batching win: a flush per frame would read 1.0, the batched flush
 // coalesces every frame that arrives within the flush deadline into one
 // Write. The allocs/msg metric is end-to-end (encode, framing, decode,
-// both goroutines): the per-connection reusable outbox keeps the send
-// half off it, and the receiver releasing each frame, as the node loops
-// do, keeps the receive half off it too.
+// every goroutine): the outbox free list keeps the send half off it,
+// and the receiver releasing each frame, as the node loops do, keeps
+// the receive half off it too.
 func BenchmarkConnThroughput(b *testing.B) {
 	sender, receiver, counting := countedPair(b)
 	msg := &wire.Reserve{JobID: 7, SchedulerID: 3, VirtualSize: 61.5, RemTasks: 46}
@@ -125,9 +125,11 @@ func BenchmarkConnBurst(b *testing.B) {
 // B/conn count the bursts' sends and receives, not the connections'
 // set-up: an outbox that grows from nil on every connection shows here
 // (8.0 allocs/conn when each connection grew its own), and one drawn
-// from the warm free list does not. What remains, one allocation a
-// connection, is its writer goroutine's first time.Sleep, which makes
-// the goroutine's runtime timer.
+// from the warm free list does not. Nothing else remains: the flush
+// timer is built with the connection and re-armed in place, and the
+// flush goroutine it starts comes from the runtime's free list (0.00
+// allocs/conn; 1.0 when every connection ran a writer goroutine whose
+// first time.Sleep made its runtime timer).
 func BenchmarkConnFanout(b *testing.B) {
 	const conns, burst = 64, 8
 	msg := &wire.Reserve{JobID: 7, SchedulerID: 3, VirtualSize: 61.5, RemTasks: 46}

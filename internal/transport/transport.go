@@ -2,24 +2,30 @@
 // over TCP. There is one Conn implementation: deployed schedulers,
 // workers and clients get it from Listen, Dial and Accept, and tests and
 // the benchmark from Pair, which builds a loopback connection the same
-// way — so every live connection runs the same outbox, writer, reader
+// way — so every live connection runs the same outbox, flush, reader
 // and close-drain. The package is the TCP transport alone: the chaos
 // suite injects its faults in internal/live's virtual connections, which
 // never touch a socket.
 //
-// Sends are batched through an async write loop: Send encodes
-// the frame into a bounded per-connection outbox and returns; a writer
-// goroutine drains the outbox, coalescing every queued frame into a
-// single Write per wakeup. Frames are length-prefixed and therefore
+// Sends are batched: Send encodes the frame into a bounded
+// per-connection outbox and returns; the first frame queued into an
+// empty outbox arms the connection's flush, which runs a flush delay
+// later on a goroutine of its own, writes everything queued in one Write
+// per pass, and ends once the outbox is empty. An idle connection is
+// therefore its socket, its reader and a disarmed timer: no goroutine
+// waits on its write side, and its read side holds one small buffer
+// (wire.Reader). Frames are length-prefixed and therefore
 // self-delimiting, so batching changes nothing on the wire — only how
 // many syscalls carry it. The contract preserved by the batched path:
 //
-//   - Ordering: frames leave in Send order (single writer, FIFO outbox).
-//   - Backpressure: a full outbox blocks Send until the writer drains
+//   - Ordering: frames leave in Send order (at most one flush at a time,
+//     FIFO outbox).
+//   - Backpressure: a full outbox blocks Send until the flush takes it
 //     (counted in BatchTotals().OutboxStalls).
 //   - Flush deadline: no frame sits in the outbox longer than the
-//     connection's flush delay (default DefaultFlushDelay) once the
-//     writer wakes — trickle traffic is not held hostage to batch size.
+//     connection's flush delay (default DefaultFlushDelay), plus the
+//     Write before it — trickle traffic is not held hostage to batch
+//     size.
 //   - Drain-on-Close: Close flushes every queued frame before tearing
 //     the connection down (bounded by closeDrainTimeout), so final
 //     Hello/JobComplete/TaskDone frames are not dropped.
@@ -29,9 +35,9 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -78,12 +84,12 @@ func (e *closedErr) Error() string   { return "transport: connection closed: " +
 func (e *closedErr) Unwrap() error   { return e.cause }
 func (e *closedErr) Is(t error) bool { return t == ErrClosed }
 
-// DefaultFlushDelay is the batching writer's flush deadline: after a
-// wakeup the writer lingers this long so a burst (probe fan-out, offer
-// replies) accumulates into one Write, and no frame ever waits longer
-// than this in the outbox. ~500µs trades invisible per-hop latency
-// (scheduling decisions are ~ms-scale) for an order-of-magnitude fewer
-// syscalls under load.
+// DefaultFlushDelay is the flush deadline: the flush starts this long
+// after the first frame queued into an empty outbox, so a burst (probe
+// fan-out, offer replies) accumulates into one Write, and no frame ever
+// waits longer than this in the outbox. ~500µs trades invisible per-hop
+// latency (scheduling decisions are ~ms-scale) for an order-of-magnitude
+// fewer syscalls under load.
 const DefaultFlushDelay = 500 * time.Microsecond
 
 // defaultOutboxLimit bounds the encoded bytes queued in a TCP outbox
@@ -107,7 +113,7 @@ const maxPooledOutbox = 16 << 10
 
 // outboxFree is the process-wide free list of outbox buffers. A
 // connection takes a buffer when its first frame after an idle spell is
-// queued and its writer hands it back once the Write has returned, so
+// queued and its flush hands it back once the Write has returned, so
 // an idle connection holds none and the list holds about as many
 // buffers as there are connections with frames in flight at once. It is
 // a plain list, not a sync.Pool, so a GC does not empty it: a warm
@@ -144,26 +150,27 @@ func putOutbox(b []byte) {
 	outboxFree.mu.Unlock()
 }
 
-// recvBuffer sizes a connection's read buffer. Protocol frames are 20–60
-// bytes and arrive in the peer's flush batches of a few dozen, so 4 KB
-// takes a batch in one read; a cluster holds two connection ends per
-// worker per scheduler, so this is the per-connection memory that
-// multiplies (40 MB per scheduler at 10,000 workers; a 64 KB buffer
-// would be 640 MB). A frame larger than the buffer is read straight
-// into its destination.
-const recvBuffer = 4 << 10
-
-// closeDrainTimeout bounds how long Close waits for the writer to flush
-// the outbox. A healthy peer drains in microseconds; a wedged one (not
-// reading, kernel buffer full) would otherwise block Close forever.
+// closeDrainTimeout bounds how long Close waits for the flush to drain
+// the outbox: it is the write deadline Close sets. A healthy peer drains
+// in microseconds; a wedged one (not reading, kernel buffer full) would
+// otherwise block Close forever.
 const closeDrainTimeout = 2 * time.Second
+
+// endOfTime is the delay a connection's flush timer is built with, so
+// that it never fires before the first frame re-arms it. The timer is
+// not built stopped: a runtime timer still in the runtime's timer heap
+// is re-armed in place, while arming one that has left the heap appends
+// to it, which allocates whenever more connections than ever before arm
+// at once; so a fresh connection's first frame allocates nothing
+// (TestWarmFreeListServesFreshConns).
+const endOfTime = time.Duration(math.MaxInt64)
 
 // BatchCounters is a process-wide snapshot of batching activity across
 // every connection. Monotonic; loadgen
 // prints them so batching efficacy is observable in every run.
 type BatchCounters struct {
-	// OutboxFlushes counts writer wakeups that wrote at least one frame
-	// (one Write syscall each on TCP).
+	// OutboxFlushes counts Writes that carried at least one frame (one
+	// Write syscall each on TCP).
 	OutboxFlushes uint64
 	// FramesFlushed counts frames carried by those flushes;
 	// FramesFlushed/OutboxFlushes is the mean batch size.
@@ -187,40 +194,40 @@ func BatchTotals() BatchCounters {
 	}
 }
 
-// tcpConn frames wire messages over a TCP stream with an async batching
-// writer: Send encodes into the outbox under mu; writeLoop takes the
-// outbox, issues one Write for everything queued and hands the buffer
-// back to the free list.
+// tcpConn frames wire messages over a TCP stream with a batching flush:
+// Send encodes into the outbox under mu, and the first frame into an
+// empty outbox arms timer; flush takes the outbox, issues one Write for
+// everything queued, hands the buffer back to the free list, and goes
+// again until the outbox is empty.
 //
 // Who owns an outbox buffer: the connection from the Send that takes it
 // off the free list (the first frame queued into an empty outbox) until
-// writeLoop takes it out of out; the writer from then until its Write
+// flush takes it out of out; the flush from then until its Write
 // returns, when it goes back on the free list (or is dropped, if it grew
 // past maxPooledOutbox). Nothing else ever holds one.
 type tcpConn struct {
 	c  net.Conn
-	rd *wire.Reader // over a recvBuffer-sized bufio.Reader on c
+	rd *wire.Reader // reads c through its own buffer
 
-	mu      sync.Mutex
-	notFull sync.Cond // senders wait here when the outbox is full
-	out     []byte    // pending encoded frames; nil when none (guarded by mu)
-	frames  int       // frame count in out (guarded by mu)
-	closing bool      // Close has begun; no new sends (guarded by mu)
-	werr    error     // sticky write error (guarded by mu)
+	mu       sync.Mutex
+	cond     sync.Cond // senders wait here for room in the outbox, Close for the flush to end
+	out      []byte    // pending encoded frames; nil when none (guarded by mu)
+	frames   int       // frame count in out (guarded by mu)
+	flushing bool      // a flush is armed or running (guarded by mu)
+	closing  bool      // Close has begun; no new sends (guarded by mu)
+	werr     error     // sticky write error (guarded by mu)
 
 	flushDelay time.Duration
 	limit      int
-
-	wake    chan struct{} // cap 1: "outbox non-empty or closing"
-	drained chan struct{} // closed when writeLoop exits
+	timer      *time.Timer // runs flush; armed by the first frame into an empty outbox
 }
 
 // newConn wraps an established net.Conn in the batched transport, with
-// the given flush deadline (<= 0 flushes on every writer wakeup with no
-// linger) and outbox byte limit. TCP connections get Nagle disabled
-// (SetNoDelay), which pairs deliberately with app-level coalescing: Nagle would hold a lone small frame waiting
+// the given flush deadline (<= 0 flushes as soon as a frame is queued,
+// with no linger) and outbox byte limit. TCP connections get Nagle
+// disabled (SetNoDelay), which pairs deliberately with app-level coalescing: Nagle would hold a lone small frame waiting
 // for the delayed ACK of the previous one (~40ms stalls on the
-// offer/reply round trip), while the batching writer coalesces on its
+// offer/reply round trip), while the batching flush coalesces on its
 // own ~500µs flush deadline — so the kernel sends every flush
 // immediately and the application decides the batch boundary. Disabling
 // Nagle *without* app-level coalescing (the PR 3 state) paid one syscall
@@ -233,14 +240,12 @@ func newConn(c net.Conn, flushDelay time.Duration, limit int) *tcpConn {
 	}
 	t := &tcpConn{
 		c:          c,
-		rd:         wire.NewReader(bufio.NewReaderSize(c, recvBuffer)),
+		rd:         wire.NewReader(c),
 		flushDelay: flushDelay,
 		limit:      limit,
-		wake:       make(chan struct{}, 1),
-		drained:    make(chan struct{}),
 	}
-	t.notFull.L = &t.mu
-	go t.writeLoop()
+	t.cond.L = &t.mu
+	t.timer = time.AfterFunc(endOfTime, t.flush)
 	return t
 }
 
@@ -269,7 +274,7 @@ func (t *tcpConn) Send(m wire.Message) error {
 			break
 		}
 		batchStalls.Add(1)
-		t.notFull.Wait()
+		t.cond.Wait()
 	}
 	// Encode straight into the outbox: a fresh frame per message would,
 	// at probe rates, dominate the send path's allocation profile (see
@@ -282,62 +287,47 @@ func (t *tcpConn) Send(m wire.Message) error {
 	}
 	t.out = wire.Append(t.out, m)
 	t.frames++
-	t.mu.Unlock()
-	select {
-	case t.wake <- struct{}{}:
-	default:
+	if !t.flushing {
+		t.flushing = true
+		t.timer.Reset(t.flushDelay)
 	}
+	t.mu.Unlock()
 	return nil
 }
 
-// writeLoop is the connection's single writer: it waits for a wakeup,
-// lingers up to flushDelay so a burst accumulates, then takes the
-// outbox, writes everything in one call and hands the buffer back.
-// Every queued frame is therefore written at most flushDelay (plus one
-// write) after its Send returned — the flush-deadline contract.
-func (t *tcpConn) writeLoop() {
-	defer close(t.drained)
-	for {
-		<-t.wake
-		if t.flushDelay > 0 {
-			t.mu.Lock()
-			closing := t.closing
-			t.mu.Unlock()
-			if !closing {
-				time.Sleep(t.flushDelay)
-			}
+// flush writes the outbox until it is empty: it takes everything queued,
+// writes it in one call, hands the buffer back, and goes again while
+// Sends queued more meanwhile; then it ends. The timer runs it, on a
+// goroutine of its own, flushDelay after the first frame queued into an
+// empty outbox, so a burst accumulates into one Write and every frame is
+// written at most flushDelay (plus the write before it) after its Send
+// returned — the flush-deadline contract. Close runs it itself when it
+// disarms a pending flush. flushing is true from the arm until flush
+// ends, so at most one flush runs at a time.
+func (t *tcpConn) flush() {
+	t.mu.Lock()
+	for len(t.out) > 0 {
+		buf, n := t.out, t.frames
+		t.out, t.frames = nil, 0
+		t.mu.Unlock()
+		t.cond.Broadcast()
+		_, err := t.c.Write(buf)
+		putOutbox(buf)
+		t.mu.Lock()
+		if err != nil {
+			// The only write deadline is Close's, so a write error means
+			// the stream is dead (peer closed, reset, a peer that stopped
+			// reading while we close): record it sticky so every
+			// subsequent Send reports ErrClosed, and stop writing.
+			t.werr = err
+			break
 		}
-		for {
-			t.mu.Lock()
-			if len(t.out) == 0 {
-				closing := t.closing
-				t.mu.Unlock()
-				if closing {
-					return
-				}
-				break // outbox empty: back to waiting
-			}
-			buf, n := t.out, t.frames
-			t.out, t.frames = nil, 0
-			t.mu.Unlock()
-			t.notFull.Broadcast()
-			_, err := t.c.Write(buf)
-			putOutbox(buf)
-			if err != nil {
-				// No write deadlines are ever set on these connections, so
-				// a write error means the stream is dead (peer closed,
-				// reset, ...): record it sticky so every subsequent Send
-				// reports ErrClosed, and stop writing.
-				t.mu.Lock()
-				t.werr = err
-				t.mu.Unlock()
-				t.notFull.Broadcast()
-				return
-			}
-			batchFlushes.Add(1)
-			batchFrames.Add(uint64(n))
-		}
+		batchFlushes.Add(1)
+		batchFrames.Add(uint64(n))
 	}
+	t.flushing = false
+	t.mu.Unlock()
+	t.cond.Broadcast()
 }
 
 // Recv returns the next message. A frame-local decode failure (unknown
@@ -352,10 +342,11 @@ func (t *tcpConn) Recv() (wire.Message, error) {
 	return t.rd.Read()
 }
 
-// Close drains the outbox (the writer flushes every queued frame before
-// exiting), then closes the socket. If the writer cannot drain within
-// closeDrainTimeout — the peer stopped reading — the socket is closed
-// anyway, which errors the in-flight Write and unwedges the writer.
+// Close drains the outbox, then closes the socket. It waits only when a
+// flush is armed or running: an armed one it runs at once itself, a
+// running one it waits out. The drain is bounded by closeDrainTimeout,
+// set as the socket's write deadline, so a Write to a peer that stopped
+// reading fails then instead of blocking Close forever.
 func (t *tcpConn) Close() error {
 	t.mu.Lock()
 	if t.closing {
@@ -363,16 +354,20 @@ func (t *tcpConn) Close() error {
 		return t.c.Close()
 	}
 	t.closing = true
+	disarmed := t.timer.Stop()
+	if t.flushing {
+		_ = t.c.SetWriteDeadline(time.Now().Add(closeDrainTimeout))
+		if disarmed {
+			t.mu.Unlock()
+			t.flush()
+			t.mu.Lock()
+		}
+		for t.flushing {
+			t.cond.Wait()
+		}
+	}
 	t.mu.Unlock()
-	t.notFull.Broadcast()
-	select {
-	case t.wake <- struct{}{}:
-	default:
-	}
-	select {
-	case <-t.drained:
-	case <-time.After(closeDrainTimeout):
-	}
+	t.cond.Broadcast()
 	return t.c.Close()
 }
 
@@ -409,7 +404,7 @@ func (ln *Listener) Close() error { return ln.l.Close() }
 
 // Pair returns the two ends of a loopback TCP connection, built by
 // Listen, Dial and Accept like any deployed link, so a test runs the
-// same outbox, writer and reader a cluster does. The listener is closed
+// same outbox, flush and reader a cluster does. The listener is closed
 // before Pair returns. buffer is ignored: every connection has the same
 // outbox bound. Pair panics if loopback is unavailable — its callers are
 // tests and the benchmark, which have no use for a pair that failed.

@@ -10,11 +10,11 @@ import (
 
 // FuzzDecodeMessage feeds whole frames (4-byte length, 1-byte type,
 // payload) through the same path a connection reader uses: one Reader,
-// which then reads further frames through the same scratch. The decoder
+// which then reads further frames through the same buffer. The decoder
 // must never panic and never over-read; structurally valid frames must
 // re-encode to the identical bytes (canonical round trip), and what the
 // Reader returned must not change when later frames overwrite its
-// scratch. Seeds come from the property-test corpus plus deliberately
+// buffer. Seeds come from the property-test corpus plus deliberately
 // truncated and over-length variants of each message, and the replica
 // list's edges (replicaSeeds).
 func FuzzDecodeMessage(f *testing.F) {
@@ -41,7 +41,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xEE})
 
 	// The frames that follow the fuzzed one: between them they write over
-	// every scratch byte a string or list of the first could have kept.
+	// every buffer byte a string or list of the first could have kept.
 	var tail []byte
 	for _, m := range corpusMessages() {
 		tail = Append(tail, m)
@@ -50,6 +50,14 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if len(frame) >= 5 && MsgType(frame[4]) == TSubmitJob {
 			checkRecycledDecode(t, frame[5:])
+		}
+		// The Reader reads ahead, so input past the frame the header
+		// announces would be read as the start of the next frame: feed
+		// the frame alone, as a stream would carry it.
+		if len(frame) >= 5 {
+			if n := uint64(binary.BigEndian.Uint32(frame)); 5+n < uint64(len(frame)) {
+				frame = frame[:5+n]
+			}
 		}
 		var src bytes.Buffer
 		src.Write(frame)

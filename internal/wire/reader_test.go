@@ -81,7 +81,7 @@ func randomMessage(rng *rand.Rand) Message {
 
 // TestReaderResultsDoNotAliasScratch is the aliasing property: what one
 // Reader returned for frame i must still equal a fresh Decode of frame
-// i's bytes after every later frame has passed through the same scratch.
+// i's bytes after every later frame has passed through the same buffer.
 // A decoder that kept a slice of the payload (SubmitJob.Name,
 // PhaseSpec.Deps, Hello.Running, JobComplete.Error) fails here.
 func TestReaderResultsDoNotAliasScratch(t *testing.T) {
@@ -193,12 +193,11 @@ func TestReaderFramingEdges(t *testing.T) {
 			big.Phases = append(big.Phases, ps)
 		}
 		frame := Append(nil, big)
-		const recvBuffer = 4 << 10 // transport's read buffer
-		if len(frame) <= recvBuffer || len(frame) <= readerScratch {
-			t.Fatalf("frame is %d bytes; the test needs one larger than the buffers", len(frame))
+		if len(frame) <= readBuffer {
+			t.Fatalf("frame is %d bytes; the test needs one larger than the buffer", len(frame))
 		}
 		stream := Append(append([]byte(nil), frame...), &Kill{JobID: 1, Seq: 2})
-		rd := NewReader(bufio.NewReaderSize(bytes.NewReader(stream), recvBuffer))
+		rd := NewReader(bytes.NewReader(stream))
 		m, err := rd.Read()
 		if err != nil || !reflect.DeepEqual(m, big) {
 			t.Fatalf("big frame: err %v, equal %v", err, reflect.DeepEqual(m, big))
@@ -327,5 +326,90 @@ func TestFreeListSharedByConcurrentReaders(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// chunkReader yields its stream at most size bytes a Read, counting the
+// Reads, so a test can split frames across reads anywhere.
+type chunkReader struct {
+	rest  []byte
+	size  int
+	reads int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.reads++
+	if len(c.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.size)], c.rest)
+	c.rest = c.rest[n:]
+	return n, nil
+}
+
+// TestReaderReadsAheadAcrossSplits drives a Reader's own buffer: a
+// stream of small frames and frames larger than the buffer, delivered in
+// chunks that split headers and payloads at every kind of offset (one
+// byte, the header's length, either side of the buffer), must decode
+// frame for frame as a fresh Decode does, end in io.EOF, and keep no
+// one-off payload. Delivered whole, a run of small frames costs one read
+// per buffer-full, not one per frame.
+func TestReaderReadsAheadAcrossSplits(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	big := &SubmitJob{JobID: 3, Name: "wide"}
+	for p := 0; p < 60; p++ {
+		big.Phases = append(big.Phases, PhaseSpec{MeanDur: 1, NumTasks: 2, Replicas: [][]uint32{{1, 2}, {uint32(p)}}})
+	}
+	var frames [][]byte
+	var stream []byte
+	for i := 0; i < 300; i++ {
+		var m Message = randomMessage(rng)
+		if i%37 == 5 {
+			m = big
+		}
+		f := Append(nil, m)
+		frames = append(frames, f)
+		stream = append(stream, f...)
+	}
+	if len(Append(nil, big)) <= readBuffer {
+		t.Fatal("the big frame fits the buffer; the test needs one that does not")
+	}
+	for _, size := range []int{1, 4, 5, 6, 63, readBuffer - 1, readBuffer, readBuffer + 1, len(stream)} {
+		src := &chunkReader{rest: stream, size: size}
+		rd := NewReader(src)
+		for i, f := range frames {
+			got, err := rd.Read()
+			if err != nil {
+				t.Fatalf("chunks of %d, frame %d: %v", size, i, err)
+			}
+			want, err := Decode(MsgType(f[4]), f[5:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("chunks of %d, frame %d (%s):\n want %#v\n got  %#v", size, i, want.Type(), want, got)
+			}
+			if rd.cur.buf != nil {
+				t.Fatalf("chunks of %d, frame %d: the reader kept its payload", size, i)
+			}
+		}
+		if _, err := rd.Read(); err != io.EOF {
+			t.Fatalf("chunks of %d: after the last frame: %v, want io.EOF", size, err)
+		}
+	}
+
+	var small []byte
+	for i := 0; i < 200; i++ {
+		small = Append(small, &Kill{JobID: 1, Seq: uint64(i)})
+	}
+	src := &chunkReader{rest: small, size: len(small)}
+	rd := NewReader(src)
+	for i := 0; i < 200; i++ {
+		if _, err := rd.Read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := (len(small) + readBuffer - 1) / readBuffer; src.reads > want+1 {
+		t.Fatalf("200 frames of %d bytes took %d reads, want at most %d", len(small)/200, src.reads, want+1)
 	}
 }

@@ -16,14 +16,14 @@
 // What a frame costs: encoding appends to a caller buffer and allocates
 // nothing. Decoding copies every string and list it keeps, so a decoded
 // message never aliases the bytes it was read from and those bytes can
-// be reused at once. A connection reads through a Reader, which owns the
-// header, the payload scratch and the cursor and fills the seven
-// fixed-size message types (Reserve, Offer, Assign, Refuse, NoTask,
-// TaskDone, Kill) from a free list: reading one of those allocates
-// nothing once the list is warm. JobComplete is on the list as well
-// (its Error string is still allocated), and SubmitJob, with the
-// storage of the submission it last held. Decode is the one-shot
-// entry and always allocates its message.
+// be reused at once. A connection reads through a Reader, which owns a
+// small read buffer and the cursor, decodes each frame where it was
+// read, and fills the seven fixed-size message types (Reserve, Offer,
+// Assign, Refuse, NoTask, TaskDone, Kill) from a free list: reading one
+// of those allocates nothing once the list is warm. JobComplete is on
+// the list as well (its Error string is still allocated), and
+// SubmitJob, with the storage of the submission it last held. Decode is
+// the one-shot entry and always allocates its message.
 //
 // Who owns a decoded message: whoever Read or Decode returned it to, for
 // as long as it likes. Release is how an owner that is finished with a
@@ -255,52 +255,71 @@ func Append(dst []byte, msg Message) []byte {
 	return dst
 }
 
-// readerScratch is the payload scratch a Reader retains. Every fixed-size
-// protocol message is under 50 bytes and a typical Hello or SubmitJob
-// under a few hundred; a larger frame (a SubmitJob with long replica
-// lists) is read into a one-off buffer, so one big frame never pins
-// memory on a connection.
-const readerScratch = 512
+// readBuffer sizes a Reader's buffer, the only memory an idle
+// connection's read side holds. Every fixed-size protocol message is
+// under 60 bytes and a typical Hello or SubmitJob under a few hundred,
+// so one read takes a peer's flush of several frames; a larger frame (a
+// SubmitJob with long replica lists) is read into a one-off slice, so one
+// big frame never pins memory on a connection. A cluster holds two
+// connection ends per worker per scheduler, so this is the per-end cost
+// that multiplies (6 MB of Readers per scheduler at 10,000 workers).
+const readBuffer = 512
 
 // Reader decodes the frames of one stream. It owns everything a frame
-// costs to read — the header bytes, a bounded payload scratch and the
-// decode cursor — and draws the fixed-size message types from a free
-// list (see Release), so reading one of those allocates nothing. Nothing
-// a returned message references aliases the scratch. Not safe for
-// concurrent use: one reader goroutine per stream.
+// costs to read — a bounded buffer and the decode cursor — and draws the
+// fixed-size message types from a free list (see Release), so reading
+// one of those allocates nothing. A frame that fits the buffer is
+// decoded where it was read; nothing a returned message references
+// aliases the buffer. Not safe for concurrent use: one reader goroutine
+// per stream.
 type Reader struct {
-	src     io.Reader
-	cur     reader
-	hdr     [5]byte
-	scratch [readerScratch]byte
+	src  io.Reader
+	cur  reader
+	r, w int // buf[r:w] is read from src and not yet decoded
+	buf  [readBuffer]byte
 }
 
-// NewReader returns a Reader over src. It reads exactly one frame per
-// Read and never ahead, so put a bufio.Reader underneath a socket.
+// NewReader returns a Reader over src. It reads ahead: one read from src
+// takes as much as the buffer has room for, and what follows the frame
+// a Read returns stays buffered for the next, so a socket needs nothing
+// underneath.
 func NewReader(src io.Reader) *Reader { return &Reader{src: src} }
 
 // Read reads and decodes the next frame. The message is the caller's: it
 // may keep it forever, or hand it to Release once nothing references it.
 // A *DecodeError means the frame was consumed and the stream is still in
 // sync; any other error is stream-level (io.EOF at a clean frame
-// boundary, io.ErrUnexpectedEOF inside a frame, ErrFrameTooLarge).
+// boundary or right after a header, io.ErrUnexpectedEOF inside the
+// header or the payload, ErrFrameTooLarge).
 func (s *Reader) Read() (Message, error) {
-	if _, err := io.ReadFull(s.src, s.hdr[:]); err != nil {
+	if err := s.fill(5, 0); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(s.hdr[:4])
-	if n > MaxFrameSize {
+	size := binary.BigEndian.Uint32(s.buf[s.r:])
+	t := MsgType(s.buf[s.r+4])
+	if size > MaxFrameSize {
+		s.r += 5
 		return nil, ErrFrameTooLarge
 	}
-	payload := s.scratch[:]
-	if n > readerScratch {
+	n := int(size)
+	var payload []byte
+	if 5+n <= readBuffer {
+		if err := s.fill(5+n, 5); err != nil {
+			return nil, err
+		}
+		payload = s.buf[s.r+5 : s.r+5+n]
+		s.r += 5 + n
+	} else {
 		payload = make([]byte, n) // one-off, not retained
+		k := copy(payload, s.buf[s.r+5:s.w])
+		s.r, s.w = 0, 0
+		if _, err := io.ReadFull(s.src, payload[k:]); err != nil {
+			if err == io.EOF && k > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
-	payload = payload[:n]
-	if _, err := io.ReadFull(s.src, payload); err != nil {
-		return nil, err
-	}
-	t := MsgType(s.hdr[4])
 	m := recycled(t)
 	if m == nil {
 		m = newMessage(t)
@@ -316,6 +335,33 @@ func (s *Reader) Read() (Message, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// fill reads from src until need bytes are buffered from r on, first
+// moving the buffered bytes to the front when need would not fit behind
+// r. The first part of the need bytes is the part of the frame already
+// read. If src ends first, fill reports io.EOF when nothing past that
+// part has arrived and io.ErrUnexpectedEOF otherwise: what io.ReadFull
+// reports when each part is read on its own.
+func (s *Reader) fill(need, part int) error {
+	if s.w-s.r >= need {
+		return nil
+	}
+	if s.r+need > readBuffer {
+		s.w = copy(s.buf[:], s.buf[s.r:s.w])
+		s.r = 0
+	}
+	for s.w-s.r < need {
+		n, err := s.src.Read(s.buf[s.w:])
+		s.w += n
+		if err != nil && s.w-s.r < need {
+			if err == io.EOF && s.w-s.r > part {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // Decode parses a payload for the given type tag into a freshly
