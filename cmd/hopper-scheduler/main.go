@@ -15,9 +15,11 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
 	"github.com/hopper-sim/hopper/internal/live"
+	"github.com/hopper-sim/hopper/internal/protocol"
 )
 
 func main() {
@@ -32,6 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
+	// The scheduler's clock: the timer wheel every live node runs on.
+	wheel := protocol.NewTimerWheel(time.Millisecond, 512)
+	defer wheel.Stop()
 	s, err := live.NewScheduler(live.SchedulerConfig{
 		ID:              uint32(*id),
 		Addr:            *addr,
@@ -40,6 +45,7 @@ func main() {
 		MeanTaskSeconds: *mean,
 		TimeScale:       *scale,
 		Seed:            *seed,
+		Timers:          wheel,
 		Logger:          log.New(os.Stderr, fmt.Sprintf("sched%d: ", *id), log.Ltime),
 	})
 	if err != nil {

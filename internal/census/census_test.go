@@ -827,6 +827,7 @@ var retired = map[string][]string{
 	"a node timer cancels exactly in its loop; a worker's slots are its copy records":     {"retryStale", "armRetry", "cancelRetry", "retryFired", "bindCopy", "freeCopy", "stopCopy"},
 	"a node's inbox is a FIFO its loop owns, and only its readers wait":                   {"inbox"},
 	"a connection's flush runs only while frames wait; its Reader buffers the socket":     {"writeLoop", "drained", "notFull", "recvBuffer", "readerScratch", "inertTimer"},
+	"a live peer is named once; the timer wheel is the only wall clock":                   {"WallTimers", "wallTimers", "wallTimer", "idByPeer", "schedID", "schedPeer", "prevHello"},
 }
 
 // revived returns one key (dir/file.go:line: Name, retired by ...) per

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
+	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
 )
 
@@ -343,47 +344,157 @@ func TestChaosWorkerLossMidRace(t *testing.T) {
 	}
 }
 
-// TestHelloUnderNewIDSettlesOldCopies re-announces a worker under a new
-// ID mid-run, on every link at once, right after a scheduler committed a
-// copy to it. Copies name their worker by ID and the worker now reports
-// under the new one, so the old ID's copies are settled by the Hello
-// itself (deregister) — not left for the watchdog: nothing leaks, each
-// task left with no copy requeues exactly once, and the topology holds
-// the new ID in place of the old with the same slot total.
-func TestHelloUnderNewIDSettlesOldCopies(t *testing.T) {
-	const oldID, newID = 0, virtualMachines + 100
-	orphaned, cut := 0, false
-	c := RunVirtual(ChaosCell{Seed: 42, onFrame: func(c *VirtualCluster, f sentFrame) {
-		if cut || f.typ != wire.TAssign || f.worker != oldID {
-			return
-		}
-		cut = true
-		c.eng.PostAfter(0, c.turn(func() {
-			w := c.workers[oldID]
-			w.cfg.ID = newID
-			for _, s := range c.scheds {
-				orphaned += orphanedBy(s, func(id uint32) bool { return id == oldID })
-				s.step(envelope{from: s.workers[oldID], msg: w.helloMsg()})
+// TestSecondHelloEndsTheConnection sends a second Hello on every link of
+// a worker at once, mid-run, right after a scheduler committed a copy to
+// it: under a new ID, and under its own ID with another slot count. A
+// connection says Hello once, so each scheduler ends the connection as
+// if it had broken. The worker leaves the topology and the slot total,
+// and its copies settle at once: nothing leaks, no watchdog fires, each
+// task left with no copy requeues exactly once, and the run finishes on
+// the other workers.
+func TestSecondHelloEndsTheConnection(t *testing.T) {
+	const id = 0
+	for _, tc := range []struct {
+		name  string
+		hello wire.Hello
+	}{
+		{"new ID", wire.Hello{Role: wire.RoleWorker, ID: virtualMachines + 100, Slots: virtualSlots}},
+		{"same ID, other slots", wire.Hello{Role: wire.RoleWorker, ID: id, Slots: virtualSlots + 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ended []*peer
+			orphaned, cut := 0, false
+			c := RunVirtual(ChaosCell{Seed: 42, onFrame: func(c *VirtualCluster, f sentFrame) {
+				if cut || f.typ != wire.TAssign || f.worker != id {
+					return
+				}
+				cut = true
+				c.eng.PostAfter(0, c.turn(func() {
+					for _, s := range c.scheds {
+						orphaned += orphanedBy(s, func(w uint32) bool { return w == id })
+						p, hello := s.workers[id], tc.hello
+						ended = append(ended, p)
+						s.step(envelope{from: p, msg: &hello})
+					}
+				}))
+			}})
+			check(t, c, tc.name)
+			st := c.Stats()
+			if orphaned == 0 {
+				t.Fatal("no task had all its copies on the worker when it said Hello again — scenario too weak")
 			}
-		}))
-	}})
-	check(t, c, "hello-new-id")
+			if st.OccupancyLeaks != 0 || st.WatchdogExpiries != 0 {
+				t.Fatalf("%d occupancy leaks, %d watchdog expiries: the worker's copies were not settled when its connection ended", st.OccupancyLeaks, st.WatchdogExpiries)
+			}
+			if st.Requeues != int64(orphaned) {
+				t.Fatalf("%d requeues for %d tasks left with no copy by worker %d", st.Requeues, orphaned, id)
+			}
+			for si, s := range c.scheds {
+				if !ended[si].conn.(*virtualConn).closed {
+					t.Fatalf("scheduler %d left open the connection that said Hello twice", s.cfg.ID)
+				}
+				if s.workers[id] != nil || s.workers[tc.hello.ID] != nil || slices.Contains(s.workerIDs, id) ||
+					len(s.workerIDs) != virtualMachines-1 || s.totalSlots != (virtualMachines-1)*virtualSlots {
+					t.Fatalf("scheduler %d topology after a second Hello: worker %v, announced %v, ids %v, slots %d",
+						s.cfg.ID, s.workers[id] != nil, s.workers[tc.hello.ID] != nil, s.workerIDs, s.totalSlots)
+				}
+			}
+		})
+	}
+}
+
+// TestWorkerRestartReplacesItsConnection restarts a worker mid-run, right
+// after a scheduler committed a copy to it: a new Worker under the same
+// ID greets every scheduler over new links while the old links are still
+// up, as a restarted process does before the schedulers see its old
+// sockets break. Each scheduler takes the new connection for the old: it
+// closes the old one and settles its copies at once (nothing leaks, no
+// watchdog fires, each task left with no copy requeues exactly once),
+// counts the worker's slots once, and probes and places on the new
+// connection. The run passes every oracle and replays from its seed.
+func TestWorkerRestartReplacesItsConnection(t *testing.T) {
+	const id = 0
+	type outcome struct {
+		c        *VirtualCluster
+		orphaned int
+		old      []*virtualConn // each scheduler's end of the old incarnation's link
+		fresh    int            // the new incarnation's index in c.workers
+	}
+	run := func() outcome {
+		var o outcome
+		cut := false
+		o.c = RunVirtual(ChaosCell{Seed: 42, onFrame: func(c *VirtualCluster, f sentFrame) {
+			if cut || f.typ != wire.TAssign || f.worker != id {
+				return
+			}
+			cut = true
+			c.eng.PostAfter(0, c.turn(func() {
+				for _, s := range c.scheds {
+					o.old = append(o.old, s.workers[id].conn.(*virtualConn))
+				}
+				// The new Hellos land one latency from now. Posted first, this
+				// runs at that instant just before them: what it counts is
+				// what the old incarnation leaves orphaned.
+				c.eng.PostAfter(virtualLatency, func() {
+					for _, s := range c.scheds {
+						o.orphaned += orphanedBy(s, func(w uint32) bool { return w == id })
+					}
+				})
+				o.fresh = len(c.workers)
+				conns := make([]transport.Conn, len(c.scheds))
+				for si := range c.scheds {
+					conns[si] = c.link(si, o.fresh)
+				}
+				w, err := NewWorkerConns(c.workers[id].cfg, conns)
+				if err != nil {
+					panic(err)
+				}
+				c.workers = append(c.workers, w)
+			}))
+		}})
+		return o
+	}
+	o := run()
+	c := o.c
+	check(t, c, "worker restart")
 	st := c.Stats()
-	if orphaned == 0 {
-		t.Fatal("no task had all its copies on the old ID when it was re-announced — scenario too weak")
+	if o.orphaned == 0 {
+		t.Fatal("no task had all its copies on the old incarnation when the new one registered — scenario too weak")
 	}
 	if st.OccupancyLeaks != 0 || st.WatchdogExpiries != 0 {
-		t.Fatalf("%d occupancy leaks, %d watchdog expiries: the old ID's copies were not settled by the Hello", st.OccupancyLeaks, st.WatchdogExpiries)
+		t.Fatalf("%d occupancy leaks, %d watchdog expiries: the old connection's copies were not settled by the restart", st.OccupancyLeaks, st.WatchdogExpiries)
 	}
-	if st.Requeues != int64(orphaned) {
-		t.Fatalf("%d requeues for %d tasks left with no copy by re-announcing worker %d", st.Requeues, orphaned, oldID)
+	if st.Requeues != int64(o.orphaned) {
+		t.Fatalf("%d requeues for %d tasks left with no copy by restarting worker %d", st.Requeues, o.orphaned, id)
 	}
-	for _, s := range c.scheds {
-		if s.workers[oldID] != nil || s.workers[newID] == nil || slices.Contains(s.workerIDs, oldID) ||
-			s.totalSlots != virtualMachines*virtualSlots {
-			t.Fatalf("scheduler %d topology after re-announce: old %v new %v ids %v slots %d",
-				s.cfg.ID, s.workers[oldID] != nil, s.workers[newID] != nil, s.workerIDs, s.totalSlots)
+	for si, s := range c.scheds {
+		if !o.old[si].closed {
+			t.Fatalf("scheduler %d left the restarted worker's old connection open", s.cfg.ID)
 		}
+		p := s.workers[id]
+		if p == nil || p.conn.(*virtualConn).worker != o.fresh ||
+			len(s.workerIDs) != virtualMachines || s.totalSlots != virtualMachines*virtualSlots {
+			t.Fatalf("scheduler %d topology after the restart: on the new connection %v, ids %v, slots %d",
+				s.cfg.ID, p != nil && p.conn.(*virtualConn).worker == o.fresh, s.workerIDs, s.totalSlots)
+		}
+	}
+	probes, placed := 0, 0
+	for _, f := range c.frames {
+		if f.worker != o.fresh {
+			continue
+		}
+		switch {
+		case f.typ == wire.TReserve:
+			probes++
+		case f.typ == wire.TTaskDone && !f.flag:
+			placed++
+		}
+	}
+	if probes == 0 || placed == 0 {
+		t.Fatalf("the new connection got %d probes and completed %d copies", probes, placed)
+	}
+	if again := run(); !slices.Equal(again.c.frames, c.frames) {
+		t.Fatal("a second run of the same restart sent a different frame log")
 	}
 }
 

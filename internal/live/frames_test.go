@@ -93,8 +93,7 @@ const (
 
 func newOfferRig(t *testing.T) *offerRig {
 	t.Helper()
-	wheel := protocol.NewTimerWheel(time.Millisecond, 512)
-	t.Cleanup(wheel.Stop)
+	wheel := testWheel(t)
 	r := &offerRig{t: t, link: &offerLog{}}
 	w, err := NewWorkerConns(WorkerConfig{
 		ID: 3, Slots: 2, Timers: &offerTimers{wheel: wheel},
@@ -354,7 +353,7 @@ func TestOfferDeadlinesQueueStaysSmall(t *testing.T) {
 func TestHandledFrameIsReleased(t *testing.T) {
 	se, we := transport.Pair(16)
 	defer se.Close()
-	w, err := NewWorkerConns(WorkerConfig{ID: 1, Slots: 1, TimeScale: 0.01}, []transport.Conn{we})
+	w, err := NewWorkerConns(WorkerConfig{ID: 1, Slots: 1, TimeScale: 0.01, Timers: testWheel(t)}, []transport.Conn{we})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +429,7 @@ func TestWorkerOfferReplyCycleAllocs(t *testing.T) {
 // — an offer arrives, the core answers, the reply is rendered into the
 // node's scratch and sent — at one allocation at most.
 func TestSchedulerOfferReplyCycleAllocs(t *testing.T) {
-	s, err := NewScheduler(SchedulerConfig{ID: 0, NumSchedulers: 1, Seed: 1})
+	s, err := NewScheduler(SchedulerConfig{ID: 0, NumSchedulers: 1, Seed: 1, Timers: testWheel(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // copy-completion timers all route through the one shared wheel.
 func TestWorkerGroupMultiplexed(t *testing.T) {
 	s, err := NewScheduler(SchedulerConfig{
-		ID: 0, Addr: "127.0.0.1:0", NumSchedulers: 1, TimeScale: 0.01, Seed: 7,
+		ID: 0, Addr: "127.0.0.1:0", NumSchedulers: 1, TimeScale: 0.01, Seed: 7, Timers: testWheel(t),
 	})
 	if err != nil {
 		t.Fatal(err)

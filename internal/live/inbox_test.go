@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hopper-sim/hopper/internal/protocol"
 	"github.com/hopper-sim/hopper/internal/transport"
 	"github.com/hopper-sim/hopper/internal/wire"
 )
@@ -109,8 +108,7 @@ func waitFrames(t *testing.T, l *loop, n int) {
 // inbox that made every poster wait at the bound, the wheel goroutine
 // blocked on the stalled node's firing and no other timer fired again.
 func TestInboxNeverBlocksTheWheel(t *testing.T) {
-	wheel := protocol.NewTimerWheel(time.Millisecond, 64)
-	t.Cleanup(wheel.Stop)
+	wheel := testWheel(t)
 	stalled := newLoop(nil, wheel, 1)
 	t.Cleanup(stalled.stop)
 	from := &peer{}

@@ -121,12 +121,13 @@ const inboxDepth = 1024
 // inboxCarve is the room each of a loop's two buffers is carved with.
 const inboxCarve = 8
 
-// newLoop builds a node's loop on timers (nil uses protocol.WallTimers)
-// at time scale scale (0 reads as 1).
+// errNoTimers is what building a node without a clock returns: a node
+// has no clock of its own to fall back on.
+var errNoTimers = errors.New("live: a node needs Timers (a protocol.TimerWheel)")
+
+// newLoop builds a node's loop on timers, which must not be nil, at time
+// scale scale (0 reads as 1).
 func newLoop(logger *log.Logger, timers protocol.TimerService, scale float64) *loop {
-	if timers == nil {
-		timers = protocol.WallTimers
-	}
 	if scale == 0 {
 		scale = 1
 	}
@@ -220,10 +221,10 @@ func (l *loop) cancel(lt *loopTimer) {
 }
 
 // run is a firing of lt reaching the loop: a stale one is dropped. A
-// withdrawn arm's firing was posted before any later arm's. Where
-// firings race to the inbox (WallTimers runs each callback on its own
-// goroutine), they are alike, so dropping by count still runs fn once,
-// after the surviving arm's deadline.
+// clock posts firings in deadline order (the wheel from its one
+// goroutine, an engine from its event queue), so a withdrawn arm's
+// firing reaches the loop before any later arm's, and dropping the
+// first stale ones by count drops exactly the withdrawn ones.
 func (lt *loopTimer) run() {
 	if lt.stale > 0 {
 		lt.stale--

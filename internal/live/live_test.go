@@ -17,6 +17,15 @@ import (
 	"github.com/hopper-sim/hopper/internal/wire"
 )
 
+// testWheel is a live test's clock: a timer wheel like the one every
+// shipped cluster runs its nodes on, stopped when the test ends. A test
+// with several nodes shares one, as a cluster does.
+func testWheel(t testing.TB) *protocol.TimerWheel {
+	w := protocol.NewTimerWheel(time.Millisecond, 512)
+	t.Cleanup(w.Stop)
+	return w
+}
+
 // waitJob blocks until job id is reported on c or timeout passes,
 // discarding other jobs' completions. A draining scheduler fails its jobs
 // instead of dropping them: check JobComplete.Aborted. On timeout c is
@@ -136,7 +145,8 @@ func TestLiveMultiJobMultiScheduler(t *testing.T) {
 // transport.Pair — loopback sockets with no listener, same node code —
 // which is what the -race CI tier drives.
 func TestLiveInMemoryCluster(t *testing.T) {
-	s, err := NewScheduler(SchedulerConfig{ID: 0, NumSchedulers: 1, TimeScale: 0.02, Seed: 3})
+	wheel := testWheel(t)
+	s, err := NewScheduler(SchedulerConfig{ID: 0, NumSchedulers: 1, TimeScale: 0.02, Seed: 3, Timers: wheel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +157,7 @@ func TestLiveInMemoryCluster(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		se, we := transport.Pair(256)
 		s.ServeConn(se)
-		w, err := NewWorkerConns(WorkerConfig{ID: uint32(i), Slots: 2, TimeScale: 0.02}, []transport.Conn{we})
+		w, err := NewWorkerConns(WorkerConfig{ID: uint32(i), Slots: 2, TimeScale: 0.02, Timers: wheel}, []transport.Conn{we})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,8 +274,9 @@ func TestMalformedSubmissionsRejected(t *testing.T) {
 // stopping a scheduler mid-job delivers an aborted JobComplete to the
 // client instead of a dead connection.
 func TestSchedulerDrainFailsPendingJobs(t *testing.T) {
+	wheel := testWheel(t)
 	s, err := NewScheduler(SchedulerConfig{
-		ID: 0, Addr: "127.0.0.1:0", NumSchedulers: 1, TimeScale: 0.01, Seed: 5,
+		ID: 0, Addr: "127.0.0.1:0", NumSchedulers: 1, TimeScale: 0.01, Seed: 5, Timers: wheel,
 		// Scripted service times: every copy takes 60 virtual seconds, so
 		// the job cannot finish before the drain.
 		DurationOverride: func(*cluster.Task, bool) float64 { return 60 },
@@ -275,7 +286,7 @@ func TestSchedulerDrainFailsPendingJobs(t *testing.T) {
 	}
 	go s.Run()
 
-	w, err := NewWorker(WorkerConfig{ID: 0, Slots: 2, SchedulerAddrs: []string{s.Addr()}, TimeScale: 0.01})
+	w, err := NewWorker(WorkerConfig{ID: 0, Slots: 2, SchedulerAddrs: []string{s.Addr()}, TimeScale: 0.01, Timers: wheel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,8 +370,9 @@ func TestSchedulerDrainsJobsInIDOrder(t *testing.T) {
 // stopping workers mid-task sends killed TaskDones (the scheduler
 // requeues), and a later scheduler drain still fails the job explicitly.
 func TestWorkerDrainReportsKills(t *testing.T) {
+	wheel := testWheel(t)
 	s, err := NewScheduler(SchedulerConfig{
-		ID: 0, Addr: "127.0.0.1:0", NumSchedulers: 1, TimeScale: 0.01, Seed: 6,
+		ID: 0, Addr: "127.0.0.1:0", NumSchedulers: 1, TimeScale: 0.01, Seed: 6, Timers: wheel,
 		DurationOverride: func(*cluster.Task, bool) float64 { return 60 },
 	})
 	if err != nil {
@@ -370,7 +382,7 @@ func TestWorkerDrainReportsKills(t *testing.T) {
 
 	var workers []*Worker
 	for i := 0; i < 2; i++ {
-		w, err := NewWorker(WorkerConfig{ID: uint32(i), Slots: 2, SchedulerAddrs: []string{s.Addr()}, TimeScale: 0.01})
+		w, err := NewWorker(WorkerConfig{ID: uint32(i), Slots: 2, SchedulerAddrs: []string{s.Addr()}, TimeScale: 0.01, Timers: wheel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +468,7 @@ func (l *reserveLog) RemoteAddr() string { return "reserve-log" }
 // Reserve carries the virtual size the prior gives.
 func TestBetaSetsOnlyTheServiceDraw(t *testing.T) {
 	const beta, tasks = 1.9, 4
-	s, err := NewScheduler(SchedulerConfig{ID: 0, NumSchedulers: 1, Seed: 1, Beta: beta})
+	s, err := NewScheduler(SchedulerConfig{ID: 0, NumSchedulers: 1, Seed: 1, Beta: beta, Timers: testWheel(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,10 +533,11 @@ func TestLiveModes(t *testing.T) {
 	for _, mode := range []protocol.Mode{protocol.ModeHopper, protocol.ModeSparrow, protocol.ModeSparrowSRPT, protocol.ModeLoadCache} {
 		t.Run(mode.String(), func(t *testing.T) {
 			var pulls, refusable atomic.Int64
+			wheel := testWheel(t)
 			var scheds []*Scheduler
 			var clients []*Client
 			for i := 0; i < 2; i++ {
-				s, err := NewScheduler(SchedulerConfig{ID: uint32(i), Mode: mode, NumSchedulers: 2, TimeScale: 0.02, Seed: int64(i)})
+				s, err := NewScheduler(SchedulerConfig{ID: uint32(i), Mode: mode, NumSchedulers: 2, TimeScale: 0.02, Seed: int64(i), Timers: wheel})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -546,7 +559,7 @@ func TestLiveModes(t *testing.T) {
 					s.ServeConn(offerTap{se, &pulls, &refusable})
 					conns = append(conns, we)
 				}
-				w, err := NewWorkerConns(WorkerConfig{ID: uint32(i), Slots: 2, Mode: mode, TimeScale: 0.02}, conns)
+				w, err := NewWorkerConns(WorkerConfig{ID: uint32(i), Slots: 2, Mode: mode, TimeScale: 0.02, Timers: wheel}, conns)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -103,3 +103,48 @@ func TestReconnectScheduler(t *testing.T) {
 		}
 	}
 }
+
+// TestReplyOnUnnamedConnectionResolvesNothing: a worker learns which
+// scheduler a connection reaches from the first Reserve on it, whatever
+// the dial order. Here the second connection is named scheduler 0, and
+// the worker's offer goes out on it. The same reply on the first
+// connection, which no Reserve has named, answers nothing: the offer
+// stays out and no copy starts. On the named connection it places.
+func TestReplyOnUnnamedConnectionResolvesNothing(t *testing.T) {
+	s0, w0 := transport.Pair(0)
+	s1, w1 := transport.Pair(0)
+	w, err := NewWorkerConns(WorkerConfig{ID: 3, Slots: 1, Timers: &stillTimers{}}, []transport.Conn{w0, w1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		w.Stop()
+		for _, c := range []transport.Conn{s0, w0, s1, w1} {
+			c.Close()
+		}
+	})
+	unnamed, named := w.scheds[0], w.scheds[1]
+	w.step(received(named, &wire.Reserve{JobID: 9, SchedulerID: 0, VirtualSize: 1, RemTasks: 1}, nil))
+	if named.hello.Role != wire.RoleScheduler || named.hello.ID != 0 || w.schedByID[0] != named {
+		t.Fatalf("the Reserve did not name its connection: hello %+v", named.hello)
+	}
+	var offer *wire.Offer
+	for offer == nil {
+		m, err := s1.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		offer, _ = m.(*wire.Offer)
+	}
+	reply := func(p *peer) {
+		w.step(received(p, &wire.Assign{JobID: 9, Seq: offer.Seq, Duration: 50}, nil))
+	}
+	reply(unnamed)
+	if w.core.OffersOut() != 1 || w.freeSlots != 1 {
+		t.Fatalf("a reply on an unnamed connection resolved the offer: %d offers out, %d slots free", w.core.OffersOut(), w.freeSlots)
+	}
+	reply(named)
+	if w.core.OffersOut() != 0 || w.freeSlots != 0 {
+		t.Fatalf("the reply on the named connection did not place: %d offers out, %d slots free", w.core.OffersOut(), w.freeSlots)
+	}
+}

@@ -106,7 +106,7 @@ func TestDriveClosesLedger(t *testing.T) {
 // after the last submission with every job unreported and its clients
 // closed.
 func TestDriveSilentSchedulerReturnsAtDrain(t *testing.T) {
-	s, err := NewScheduler(SchedulerConfig{Addr: "127.0.0.1:0", TimeScale: driveScale})
+	s, err := NewScheduler(SchedulerConfig{Addr: "127.0.0.1:0", TimeScale: driveScale, Timers: testWheel(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

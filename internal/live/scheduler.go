@@ -6,7 +6,6 @@ import (
 	"log"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -57,8 +56,8 @@ type SchedulerConfig struct {
 	Logger *log.Logger
 	// Timers is the scheduler's clock: it arms its timers (maintenance
 	// ticker, unlock delays) and is what its virtual time is read from.
-	// Nil uses protocol.WallTimers; a cluster hosting many in-process
-	// nodes shares one protocol.TimerWheel.
+	// Required: a protocol.TimerWheel, which a cluster hosting many
+	// in-process nodes shares.
 	Timers protocol.TimerService
 	// PlaceLatency, when set, receives one wall-clock observation per
 	// job: submission to first task placement (the scheduling-latency
@@ -248,6 +247,9 @@ const (
 // NewScheduler binds the listener (when Addr is set); Addr() reports the
 // bound address.
 func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
+	if cfg.Timers == nil {
+		return nil, errNoTimers
+	}
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		cfg:          cfg,
@@ -404,7 +406,7 @@ func (s *Scheduler) onDisconnect(p *peer) {
 	id := p.hello.ID
 	if s.workers[id] != p {
 		p.conn.Close()
-		return // already replaced by a reconnect
+		return // the worker restarted on a new connection (register)
 	}
 	s.loop.logf("worker %d connection lost; unwinding its copies", id)
 	// Close our half too: after a known-type decode failure the reader
@@ -412,23 +414,19 @@ func (s *Scheduler) onDisconnect(p *peer) {
 	// the peer keep writing into the void with all its protocol state
 	// pinned on replies that cannot come.
 	p.conn.Close()
-	s.deregister(id, p.hello.Slots)
+	s.deregister(p)
 }
 
-// deregister takes worker id out of the topology — its slots and the
-// probe-target list — and settles every copy placed on it as lost.
-func (s *Scheduler) deregister(id, slots uint32) {
+// deregister takes p, a registered worker's connection, out of the
+// topology — its slots and the probe-target list — and settles every
+// copy placed on it as lost.
+func (s *Scheduler) deregister(p *peer) {
+	id := p.hello.ID
 	delete(s.workers, id)
 	if i, ok := slices.BinarySearch(s.workerIDs, cluster.MachineID(id)); ok {
 		s.workerIDs = slices.Delete(s.workerIDs, i, i+1)
 	}
-	s.totalSlots -= int(slots)
-	s.unwindWorkerCopies(id)
-}
-
-// unwindWorkerCopies settles every in-flight copy placed on worker id
-// as lost.
-func (s *Scheduler) unwindWorkerCopies(id uint32) {
+	s.totalSlots -= int(p.hello.Slots)
 	var lost []*cluster.Copy
 	for k, c := range s.copies {
 		if k.worker == id {
@@ -526,70 +524,17 @@ func (s *Scheduler) drain() {
 func (s *Scheduler) handle(env envelope) (kept bool) {
 	switch m := env.msg.(type) {
 	case *wire.Hello:
-		// Capture the pre-overwrite announcement: when the re-Hello rides
-		// the SAME connection, old.hello below would already alias the
-		// new values and the slot delta would always read zero.
-		prevHello := env.from.hello
+		if env.from.hello.Role != 0 {
+			// A connection says Hello once: a second one is a peer this
+			// scheduler cannot follow, so the connection ends as if it
+			// broke, and a worker's copies on it settle.
+			s.loop.logf("second Hello on %s; ending the connection", env.from.conn.RemoteAddr())
+			s.onDisconnect(env.from)
+			return
+		}
 		env.from.hello = *m
 		if m.Role == wire.RoleWorker {
-			if prevHello.Role == wire.RoleWorker && prevHello.ID != m.ID && s.workers[prevHello.ID] == env.from {
-				// The connection re-announced under a different ID:
-				// deregister the previous identity or it lingers as a
-				// ghost that double-counts slots and swallows probes. Its
-				// copies settle now: their reports will arrive under the
-				// new ID, which names none of them.
-				s.deregister(prevHello.ID, prevHello.Slots)
-			}
-			old, known := s.workers[m.ID]
-			// Always adopt the new connection: a restarted worker (drain +
-			// relaunch) must replace its stale peer or every future probe
-			// goes to a dead conn. Topology/slot accounting is keyed by ID.
-			s.workers[m.ID] = env.from
-			if known {
-				oldSlots := old.hello.Slots
-				if old == env.from {
-					oldSlots = prevHello.Slots
-				}
-				s.totalSlots += int(m.Slots) - int(oldSlots)
-				if old != env.from {
-					// A genuine replacement: the old connection's
-					// in-flight copies died with it. Unwind them now —
-					// the late-arriving read error will hit
-					// onDisconnect's replaced-peer guard and must not be
-					// the only settlement path. This also clears stale
-					// (workerID, seq) keys before the restarted worker's
-					// sequence numbers start over. Close the replaced
-					// conn so its reader exits and the old peer (if
-					// half-open rather than dead) sees the break instead
-					// of negotiating into the void. Probes shelved while
-					// this worker was the only (unusable) target flush
-					// to the fresh connection. (A redundant Hello on the
-					// SAME connection must not unwind live copies.)
-					s.unwindWorkerCopies(m.ID)
-					old.conn.Close()
-					s.flushPendingProbes()
-				}
-			} else {
-				// Sorted insert (the slice stays sorted between Hellos; a
-				// full re-sort per registration is O(n log n) x n during
-				// mass boot, all on the scheduler loop).
-				at := sort.Search(len(s.workerIDs), func(i int) bool {
-					return s.workerIDs[i] >= cluster.MachineID(m.ID)
-				})
-				s.workerIDs = append(s.workerIDs, 0)
-				copy(s.workerIDs[at+1:], s.workerIDs[at:])
-				s.workerIDs[at] = cluster.MachineID(m.ID)
-				s.totalSlots += int(m.Slots)
-				// Reconcile BEFORE flushing buffered submissions: a
-				// resubmission queued behind this registration must see
-				// this worker's inventory stashed, or its admission
-				// re-places tasks the worker is still running.
-				s.reconcileWorker(m)
-				s.flushPending()
-			}
-			if known {
-				s.reconcileWorker(m)
-			}
+			s.register(env.from)
 		}
 	case *wire.SubmitJob:
 		if len(s.workers) == 0 {
@@ -620,6 +565,33 @@ func (s *Scheduler) handle(env envelope) (kept bool) {
 		m.run()
 	}
 	return false
+}
+
+// register adds the worker that said Hello on p to the topology. A
+// Hello for an ID registered on another connection means the worker
+// restarted: its old connection is closed and deregistered first, so
+// that its copies settle as lost and the new incarnation's sequence
+// numbers start on a clean slate.
+func (s *Scheduler) register(p *peer) {
+	m := &p.hello
+	if old := s.workers[m.ID]; old != nil {
+		s.loop.logf("worker %d registered again on a new connection; ending the old one", m.ID)
+		old.conn.Close()
+		s.deregister(old)
+	}
+	s.workers[m.ID] = p
+	// Sorted insert (the slice stays sorted between Hellos; a full
+	// re-sort per registration is O(n log n) x n during mass boot, all on
+	// the scheduler loop).
+	at, _ := slices.BinarySearch(s.workerIDs, cluster.MachineID(m.ID))
+	s.workerIDs = slices.Insert(s.workerIDs, at, cluster.MachineID(m.ID))
+	s.totalSlots += int(m.Slots)
+	// Reconcile BEFORE flushing buffered submissions: a resubmission
+	// queued behind this registration must see this worker's inventory
+	// stashed, or its admission re-places tasks the worker is still
+	// running.
+	s.reconcileWorker(m)
+	s.flushPending()
 }
 
 func (s *Scheduler) flushPending() {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/hopper-sim/hopper/internal/cluster"
@@ -74,12 +73,10 @@ type FaultStats struct {
 }
 
 // Injector is a seeded fault-decision engine. It only decides; the
-// virtual cluster's connections realize each verdict. It is safe for
-// concurrent use; determinism holds for a fixed judge-call sequence
-// (single-caller harnesses get exact replay, concurrent callers get
-// seeded chaos).
+// virtual cluster's connections realize each verdict. Its callers are
+// single-threaded, as the virtual cluster is, so the same judge-call
+// sequence gets the same verdicts.
 type Injector struct {
-	mu          sync.Mutex
 	cell        ChaosCell
 	rng         *rand.Rand
 	partitioned bool
@@ -107,8 +104,6 @@ func (in *Injector) rates(t wire.MsgType) Rates {
 
 // Judge decides the fate of one message about to be sent.
 func (in *Injector) Judge(t wire.MsgType) Fate {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.stats.Sent++
 	if in.partitioned {
 		in.stats.PartitionDrops++
@@ -137,28 +132,18 @@ func (in *Injector) Judge(t wire.MsgType) Fate {
 
 // Partition starts dropping every message until Heal — a whole-link
 // partition. Idempotent.
-func (in *Injector) Partition() {
-	in.mu.Lock()
-	in.partitioned = true
-	in.mu.Unlock()
-}
+func (in *Injector) Partition() { in.partitioned = true }
 
 // Heal ends an active partition. A no-op when none is active.
 func (in *Injector) Heal() {
-	in.mu.Lock()
 	if in.partitioned {
 		in.partitioned = false
 		in.stats.PartitionsHealed++
 	}
-	in.mu.Unlock()
 }
 
 // Stats returns a snapshot of the fault counters.
-func (in *Injector) Stats() FaultStats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stats
-}
+func (in *Injector) Stats() FaultStats { return in.stats }
 
 // --- the parity workload -----------------------------------------------
 //
@@ -701,7 +686,7 @@ func (c *VirtualCluster) reattach() {
 				c.inventory[taskKey{rc.msg.JobID, rc.msg.Phase, rc.msg.TaskIndex}]++
 			}
 		}
-		w.attachSched(0, &peer{conn: c.link(0, wi), hello: wire.Hello{Role: wire.RoleScheduler}})
+		w.attachSched(0, &peer{conn: c.link(0, wi)})
 	}
 }
 

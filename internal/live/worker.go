@@ -45,10 +45,10 @@ type WorkerConfig struct {
 	Logger *log.Logger
 	// Timers is the worker's clock: it arms its timers (copy completion,
 	// the offer-expiry sweep, retry backoff) and is what its virtual time
-	// — the core's clock — is read from. Nil uses protocol.WallTimers (one
-	// runtime timer per callback). Multiplexed workers share one
-	// protocol.TimerWheel so a thousand-worker process runs one timer
-	// goroutine instead of thousands of runtime timers (see WorkerGroup).
+	// — the core's clock — is read from. Required: a protocol.TimerWheel,
+	// which multiplexed workers share, so a thousand-worker process runs
+	// one timer goroutine instead of thousands of runtime timers (see
+	// WorkerGroup).
 	Timers protocol.TimerService
 }
 
@@ -100,13 +100,16 @@ type Worker struct {
 	core  *protocol.Worker
 	stats protocol.Stats
 
-	scheds []*peer // dial order; fallback when no ID has been learned
-	// schedByID/idByPeer map announced scheduler IDs to connections.
-	// Learned from Reserve frames (every offer follows a reservation, so
-	// the mapping is always taught before it is needed) — a worker's
-	// -schedulers list order need not match scheduler -id assignment.
+	// scheds holds the scheduler connections in dial order: the slot a
+	// lost one is re-dialed and reattached in. Which scheduler a
+	// connection reaches is learned from the first Reserve on it (the
+	// peer's hello), never guessed from that order: a worker's
+	// -schedulers list need not follow the schedulers' -id assignment.
+	// schedByID is the reverse lookup, for the offers the core sends;
+	// every offer follows a reservation, so it is taught before it is
+	// needed.
+	scheds    []*peer
 	schedByID map[protocol.SchedID]*peer
-	idByPeer  map[*peer]protocol.SchedID
 	freeSlots int
 	copies    []runningCopy // one per slot
 
@@ -171,15 +174,18 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // NewWorkerConns builds a worker over pre-established connections, one
-// per scheduler in scheduler-ID order: NewWorker's dialed connections,
-// a test's transport.Pair ends, or the chaos suite's virtual links.
+// per scheduler in any order: NewWorker's dialed connections, a test's
+// transport.Pair ends, or the chaos suite's virtual links.
 func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
+	if cfg.Timers == nil {
+		closeAll(conns)
+		return nil, errNoTimers
+	}
 	cfg = cfg.withDefaults()
 	w := &Worker{
 		cfg:       cfg,
 		loop:      newLoop(cfg.Logger, cfg.Timers, cfg.TimeScale),
 		schedByID: make(map[protocol.SchedID]*peer),
-		idByPeer:  make(map[*peer]protocol.SchedID),
 		freeSlots: cfg.Slots,
 		copies:    make([]runningCopy, cfg.Slots),
 		parked:    make(map[int][]protocol.LostReservation),
@@ -201,21 +207,25 @@ func NewWorkerConns(cfg WorkerConfig, conns []transport.Conn) (*Worker, error) {
 		Place:     w.place,
 		Stats:     &w.stats,
 	})
-	for i, conn := range conns {
-		p := &peer{conn: conn, hello: wire.Hello{Role: wire.RoleScheduler, ID: uint32(i)}}
-		w.scheds = append(w.scheds, p)
+	for _, conn := range conns {
+		w.scheds = append(w.scheds, &peer{conn: conn})
 		if err := conn.Send(w.helloMsg()); err != nil {
 			// Ownership of every conn transferred here: close them all on
 			// a partial failure or a retrying supervisor leaks sockets
 			// (and phantom registrations at the already-greeted
 			// schedulers).
-			for _, c := range conns {
-				c.Close()
-			}
+			closeAll(conns)
 			return nil, err
 		}
 	}
 	return w, nil
+}
+
+// closeAll closes connections a failed worker build was handed.
+func closeAll(conns []transport.Conn) {
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 // helloMsg builds this worker's registration Hello: identity, slots,
@@ -258,26 +268,23 @@ func (w *Worker) onSchedDisconnect(p *peer) {
 	idx := -1
 	for i, sp := range w.scheds {
 		if sp == p {
-			w.scheds[i] = nil // keep the dial-order fallback honest
+			w.scheds[i] = nil // free for the reattach
 			idx = i
 		}
 	}
 	if idx >= 0 && idx < len(w.cfg.SchedulerAddrs) {
 		w.redial(idx)
 	}
-	sid, learned := w.idByPeer[p]
-	if !learned {
+	if p.hello.Role != wire.RoleScheduler {
 		// The peer never sent a Reserve, so no reservations, offers, or
-		// rounds reference it — and guessing its identity from dial
-		// order could purge a HEALTHY scheduler's state if the operator
-		// ordered -schedulers differently from the -id assignment.
+		// rounds reference it.
 		return
 	}
+	sid := protocol.SchedID(p.hello.ID)
 	w.loop.logf("scheduler %d connection lost; dropping its reservations", sid)
-	if cur, ok := w.schedByID[sid]; ok && cur == p {
+	if w.schedByID[sid] == p {
 		delete(w.schedByID, sid)
 	}
-	delete(w.idByPeer, p)
 	acts, lost := w.core.DropSched(sid)
 	if len(lost) > 0 && idx >= 0 {
 		// Park the discarded inventory for the re-registration Hello; a
@@ -325,7 +332,7 @@ func (w *Worker) redial(idx int) {
 // conn, so the reader's error finds a peer nobody owns. No loop turn
 // starts a goroutine.
 func (w *Worker) ReconnectScheduler(idx int, conn transport.Conn) {
-	p := &peer{conn: conn, hello: wire.Hello{Role: wire.RoleScheduler, ID: uint32(idx)}}
+	p := &peer{conn: conn}
 	w.loop.post(&internalEvent{fn: func() { w.attachSched(idx, p) }})
 	// If the loop is already stopped the post was dropped; close the
 	// conn so a late redial doesn't leak a socket.
@@ -431,8 +438,8 @@ func (w *Worker) handle(env envelope) {
 	switch m := env.msg.(type) {
 	case *wire.Reserve:
 		sid := protocol.SchedID(m.SchedulerID)
+		env.from.hello = wire.Hello{Role: wire.RoleScheduler, ID: m.SchedulerID}
 		w.schedByID[sid] = env.from
-		w.idByPeer[env.from] = sid
 		w.exec(w.core.AddReservation(sid, cluster.JobID(m.JobID), m.VirtualSize, int(m.RemTasks),
 			cluster.Resources{CPU: m.DemandCPU, Mem: m.DemandMem}))
 	case *wire.Assign, *wire.Refuse, *wire.NoTask:
@@ -444,40 +451,14 @@ func (w *Worker) handle(env envelope) {
 	}
 }
 
-// schedID resolves a connection back to its scheduler identity:
-// learned mapping first, dial order as the fallback before any Reserve
-// has taught it.
-func (w *Worker) schedID(p *peer) protocol.SchedID {
-	if id, ok := w.idByPeer[p]; ok {
-		return id
-	}
-	for i, sp := range w.scheds {
-		if sp == p {
-			return protocol.SchedID(i)
-		}
-	}
-	return protocol.SchedID(p.hello.ID)
-}
-
-// schedPeer resolves a scheduler identity to its connection. The
-// dial-order fallback only applies before any Reserve has taught the
-// mapping; a disconnected scheduler's slot is nil-ed out so the
-// fallback can never resurrect a dead connection (exec answers the
-// offer JobDone itself instead).
-func (w *Worker) schedPeer(id protocol.SchedID) *peer {
-	if p, ok := w.schedByID[id]; ok {
-		return p
-	}
-	if int(id) < len(w.scheds) {
-		return w.scheds[id] // may be nil after a disconnect
-	}
-	return nil
-}
-
 // onReply hands a scheduler's reply to the core under the offer number it
-// carries.
+// carries. Offers go out only on connections a Reserve has named, so a
+// reply on one that has sent none answers no offer and resolves nothing.
 func (w *Worker) onReply(from *peer, m wire.Message) {
-	rep, seq, ok := replyFromWire(m, w.schedID(from))
+	if from.hello.Role != wire.RoleScheduler {
+		return
+	}
+	rep, seq, ok := replyFromWire(m, protocol.SchedID(from.hello.ID))
 	if !ok {
 		return
 	}
@@ -623,7 +604,7 @@ func (w *Worker) exec(acts []protocol.WAction) {
 		a := acts[i]
 		switch a.Kind {
 		case protocol.WSendOffer:
-			p := w.schedPeer(a.Sched)
+			p := w.schedByID[a.Sched]
 			if p == nil {
 				// No connection for this scheduler (stale referral):
 				// answered JobDone below so the round moves on — left

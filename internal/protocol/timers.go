@@ -31,9 +31,9 @@ type Timer interface {
 }
 
 // TimerService is a node's clock: it arms callbacks and tells the time
-// they are measured against. Implementations: WallTimers (runtime
-// timers, exact) and TimerWheel (shared hashed wheel, tick-granular),
-// both on the wall clock.
+// they are measured against. TimerWheel, a shared hashed wheel on the
+// wall clock, is the one every wall-clock node runs on; internal/live's
+// virtual cluster implements it over a simulation engine's clock.
 type TimerService interface {
 	// AfterFunc runs f once after d elapses, on an unspecified
 	// goroutine. f must not block for long: wheel implementations run
@@ -43,38 +43,16 @@ type TimerService interface {
 	Now() time.Time
 }
 
-// WallTimers is the default TimerService: one runtime timer per
-// callback, exact firing. Right for a handful of workers; at thousands
-// per process the per-timer heap traffic is what the wheel removes.
-var WallTimers TimerService = wallTimers{}
-
-type wallTimers struct{}
-
-func (wallTimers) AfterFunc(d time.Duration, f func()) Timer {
-	return wallTimer{t: time.AfterFunc(d, f)}
-}
-
-func (wallTimers) Now() time.Time { return time.Now() }
-
-type wallTimer struct{ t *time.Timer }
-
-func (w wallTimer) Stop() bool { return w.t.Stop() }
-
-func (w wallTimer) Reset(d time.Duration) bool { return w.t.Reset(d) }
-
 // TimerWheel is a hashed timer wheel: a ring of slots advanced by one
 // goroutine at a fixed tick. Arming and canceling are O(1) under one
 // lock; firing is amortized O(1) per timer. Precision is one tick
 // (callbacks fire up to one tick late, never early) — fine for the
 // protocol's retry/cooldown/watchdog timers, which are milliseconds to
-// seconds; anything needing microsecond exactness should use
-// WallTimers.
+// seconds.
 //
 // Callbacks run inline on the wheel goroutine, so a blocking callback
 // delays every timer behind it. The live adapters' callbacks only post
-// an event to their node's inbox (1,024 entries deep), which blocks
-// only if a node loop is wedged — the same coupling a shared runtime
-// would have.
+// an event to their node's inbox, which never waits for the node.
 type TimerWheel struct {
 	tick  time.Duration
 	start time.Time // tick n is due at start + n×tick

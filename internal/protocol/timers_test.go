@@ -173,30 +173,6 @@ func TestWheelAfterStopIsInert(t *testing.T) {
 	}
 }
 
-// TestWallTimersContract sanity-checks the default service against the
-// same contract the wheel satisfies.
-func TestWallTimersContract(t *testing.T) {
-	done := make(chan struct{})
-	tm := WallTimers.AfterFunc(5*time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("wall timer never fired")
-	}
-	if tm.Stop() {
-		t.Fatal("Stop after fire returned true")
-	}
-	var fired atomic.Int32
-	tm2 := WallTimers.AfterFunc(50*time.Millisecond, func() { fired.Add(1) })
-	if !tm2.Stop() {
-		t.Fatal("Stop on pending wall timer returned false")
-	}
-	time.Sleep(80 * time.Millisecond)
-	if fired.Load() != 0 {
-		t.Fatal("stopped wall timer fired")
-	}
-}
-
 // fireLog records when a timer's callback runs. The channel has room
 // for a few surplus firings, so a timer that fires too often fails the
 // test in quiet instead of blocking the goroutine it fires on.
@@ -232,68 +208,63 @@ func (l *fireLog) quiet(t *testing.T, d time.Duration) {
 	}
 }
 
-// TestTimerResetContract pins Reset on both wall-clock services: a timer
+// TestTimerResetContract pins Reset on the wheel: a timer
 // re-armed after it fired, after it was stopped, or while pending fires
 // once, at its new deadline, and Stop after Reset cancels the new arm.
-// On the wheel, an arm that Stop or Reset superseded still waits in its
+// An arm that Stop or Reset superseded still waits in its
 // old slot; the stale cases are the ones where that slot comes round
 // before the new deadline (after Stop) or after it (pending).
 func TestTimerResetContract(t *testing.T) {
 	wheel := NewTimerWheel(time.Millisecond, 64) // ring span 64ms: the 100ms arms wrap
 	defer wheel.Stop()
-	for _, c := range []struct {
-		name string
-		ts   TimerService
-	}{{"wall", WallTimers}, {"wheel", wheel}} {
-		t.Run(c.name, func(t *testing.T) {
-			t.Run("after fire", func(t *testing.T) {
-				l := newFireLog()
-				start := time.Now()
-				tm := c.ts.AfterFunc(5*time.Millisecond, l.fn)
-				l.next(t, start, 5*time.Millisecond)
-				start = time.Now()
-				if tm.Reset(30 * time.Millisecond) {
-					t.Fatal("Reset after the fire reported the timer pending")
-				}
-				l.next(t, start, 30*time.Millisecond)
-				l.quiet(t, 60*time.Millisecond)
-			})
-			t.Run("after stop", func(t *testing.T) {
-				l := newFireLog()
-				tm := c.ts.AfterFunc(20*time.Millisecond, l.fn)
-				if !tm.Stop() {
-					t.Fatal("Stop on a pending timer returned false")
-				}
-				start := time.Now()
-				if tm.Reset(100 * time.Millisecond) {
-					t.Fatal("Reset after Stop reported the timer pending")
-				}
-				l.next(t, start, 100*time.Millisecond) // not at the stopped arm's 20ms
-				l.quiet(t, 60*time.Millisecond)
-			})
-			t.Run("pending", func(t *testing.T) {
-				l := newFireLog()
-				tm := c.ts.AfterFunc(100*time.Millisecond, l.fn)
-				start := time.Now()
-				if !tm.Reset(20 * time.Millisecond) {
-					t.Fatal("Reset on a pending timer reported it idle")
-				}
-				l.next(t, start, 20*time.Millisecond)
-				l.quiet(t, 130*time.Millisecond) // past the first arm's 100ms
-			})
-			t.Run("stop after reset", func(t *testing.T) {
-				l, start := newFireLog(), time.Now()
-				tm := c.ts.AfterFunc(5*time.Millisecond, l.fn)
-				l.next(t, start, 5*time.Millisecond)
-				tm.Reset(30 * time.Millisecond)
-				if !tm.Stop() {
-					t.Fatal("Stop after Reset returned false")
-				}
-				if tm.Stop() {
-					t.Fatal("second Stop returned true")
-				}
-				l.quiet(t, 80*time.Millisecond)
-			})
+	t.Run("wheel", func(t *testing.T) {
+		t.Run("after fire", func(t *testing.T) {
+			l := newFireLog()
+			start := time.Now()
+			tm := wheel.AfterFunc(5*time.Millisecond, l.fn)
+			l.next(t, start, 5*time.Millisecond)
+			start = time.Now()
+			if tm.Reset(30 * time.Millisecond) {
+				t.Fatal("Reset after the fire reported the timer pending")
+			}
+			l.next(t, start, 30*time.Millisecond)
+			l.quiet(t, 60*time.Millisecond)
 		})
-	}
+		t.Run("after stop", func(t *testing.T) {
+			l := newFireLog()
+			tm := wheel.AfterFunc(20*time.Millisecond, l.fn)
+			if !tm.Stop() {
+				t.Fatal("Stop on a pending timer returned false")
+			}
+			start := time.Now()
+			if tm.Reset(100 * time.Millisecond) {
+				t.Fatal("Reset after Stop reported the timer pending")
+			}
+			l.next(t, start, 100*time.Millisecond) // not at the stopped arm's 20ms
+			l.quiet(t, 60*time.Millisecond)
+		})
+		t.Run("pending", func(t *testing.T) {
+			l := newFireLog()
+			tm := wheel.AfterFunc(100*time.Millisecond, l.fn)
+			start := time.Now()
+			if !tm.Reset(20 * time.Millisecond) {
+				t.Fatal("Reset on a pending timer reported it idle")
+			}
+			l.next(t, start, 20*time.Millisecond)
+			l.quiet(t, 130*time.Millisecond) // past the first arm's 100ms
+		})
+		t.Run("stop after reset", func(t *testing.T) {
+			l, start := newFireLog(), time.Now()
+			tm := wheel.AfterFunc(5*time.Millisecond, l.fn)
+			l.next(t, start, 5*time.Millisecond)
+			tm.Reset(30 * time.Millisecond)
+			if !tm.Stop() {
+				t.Fatal("Stop after Reset returned false")
+			}
+			if tm.Stop() {
+				t.Fatal("second Stop returned true")
+			}
+			l.quiet(t, 80*time.Millisecond)
+		})
+	})
 }

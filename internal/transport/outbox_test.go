@@ -1,6 +1,6 @@
 package transport
 
-// Tests of who owns an outbox buffer: the writer hands it back to the
+// Tests of who owns an outbox buffer: the flush hands it back to the
 // process-wide free list after its Write, a buffer grown past the cap is
 // dropped, and a warm free list serves fresh connections.
 
@@ -47,7 +47,7 @@ func slowPair(t *testing.T) (*tcpConn, Conn) {
 }
 
 // TestIdleConnHoldsNoOutbox: once its frames are written, a connection
-// holds no outbox buffer; the writer has put it back on the free list.
+// holds no outbox buffer; the flush has put it back on the free list.
 func TestIdleConnHoldsNoOutbox(t *testing.T) {
 	a, b := slowPair(t)
 	if err := a.Send(&wire.Kill{Seq: 1}); err != nil {
@@ -86,7 +86,7 @@ func TestOversizedOutboxIsNotPooled(t *testing.T) {
 	if _, err := b.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	a.Close() // returns once the writer has exited, its buffer settled
+	a.Close() // returns once no flush is armed or running, its buffer settled
 	if onFreeList(buf) {
 		t.Fatalf("a buffer past the %d-byte cap was pooled", maxPooledOutbox)
 	}
@@ -110,10 +110,9 @@ func TestOversizedOutboxIsNotPooled(t *testing.T) {
 // TestWarmFreeListServesFreshConns: once the free list holds a buffer
 // for each, the first frames of 64 fresh connections allocate nothing
 // on the send side. The count is the sending goroutine's alone: with
-// one P it runs the 64 Sends before any writer it wakes, since a writer
-// allocates as it runs (its first time.Sleep makes its runtime timer,
-// and a parked goroutine may take a new sudog), which is not the send's
-// cost.
+// one P it runs the 64 Sends before any flush they arm, since each flush
+// runs on a goroutine its connection's timer starts, and what starting
+// it costs is not the send's.
 func TestWarmFreeListServesFreshConns(t *testing.T) {
 	const conns = 64
 	senders := make([]Conn, conns)
